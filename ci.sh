@@ -95,7 +95,7 @@ bench_gate() {
     # -count=3: mkbenchgate keeps each benchmark's best run, so a loaded CI
     # host doesn't trip the threshold while a real slowdown (all three runs
     # slow) still does.
-    go test -bench 'BenchmarkKernel|BenchmarkRowKey|BenchmarkSortRows|BenchmarkEncodeDecode|BenchmarkPartitionExhaustive|BenchmarkStream' \
+    go test -bench 'BenchmarkKernel|BenchmarkRowKey|BenchmarkSortRows|BenchmarkEncodeDecode|BenchmarkPartitionExhaustive|BenchmarkStream|BenchmarkPhysicalBytes' \
         -benchmem -run '^$' -count=3 -timeout 20m \
         ./internal/exec ./internal/relation ./internal/bench > /tmp/mk_bench_fresh.txt
     go run ./cmd/mkbench -concurrency 2 -concurrency-json /tmp/mk_conc_fresh.json > /dev/null

@@ -199,3 +199,49 @@ func TestTransientFailureRetries(t *testing.T) {
 		t.Error("without retries the transient failure should surface")
 	}
 }
+
+// TestConcurrentJobsSizeSharedInputs runs eight executions of one workflow
+// at once: every job pulls the same two DFS files, sizes what it decoded,
+// and caches number widths in the rows its own kernels build. Under -race
+// this proves size accounting writes to no row another job can see; every
+// run must also cost exactly what the serial run cost, and the widths left
+// in the published outputs must be exact.
+func TestConcurrentJobsSizeSharedInputs(t *testing.T) {
+	m := New(LocalCluster(7))
+	cat := stageProperty(t, m)
+	wf, err := m.CompileHive(maxPriceHive, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := wf.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 8
+	results := make([]*Result, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = wf.Execute()
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < runs; i++ {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if results[i].Makespan != serial.Makespan {
+			t.Errorf("run %d makespan %v != serial %v", i, results[i].Makespan, serial.Makespan)
+		}
+		out, err := m.ReadOutput(results[i].Namespace + "/street_price")
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if err := relation.CheckWidths(out); err != nil {
+			t.Errorf("run %d: %v", i, err)
+		}
+	}
+}

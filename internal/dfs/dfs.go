@@ -195,7 +195,9 @@ func (d *DFS) ReadRelationStat(path string) (*relation.Relation, Stat, error) {
 	if err != nil {
 		return nil, Stat{}, err
 	}
-	rel, err := relation.DecodeBytes(path, data)
+	// WriteRelationCodec is the only writer, so the bytes are the encoder's
+	// own: decode may take each number's width from its text.
+	rel, err := relation.DecodeEncoded(path, data)
 	if err != nil {
 		return nil, Stat{}, fmt.Errorf("dfs: decode %q: %w", key, err)
 	}

@@ -1,6 +1,10 @@
 package dfs
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -147,5 +151,53 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if d.BytesRead() != 16*50*100 {
 		t.Errorf("read counter = %d", d.BytesRead())
+	}
+}
+
+// TestReadBackSizesMatchAcrossCodecs: reading a file back caches each
+// number's width from the TSV text (the DFS is the only writer, so the text
+// is canonical), while a columnar read caches nothing — both must report the
+// size of the relation's re-encoded TSV body, and the cached widths must be
+// exact. Column g holds Ints in a float column (what ARITH over an int
+// column and an int literal produces): those come back as Floats whose
+// rendering can differ from the text that was stored.
+func TestReadBackSizesMatchAcrossCodecs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	d := New()
+	for trial := 0; trial < 30; trial++ {
+		rel := relation.New("t", relation.NewSchema("i:int", "f:float", "g:float", "s:string"))
+		for k := rng.Intn(80); k > 0; k-- {
+			rel.MustAppend(relation.Row{
+				relation.Int(rng.Int63n(1<<uint(rng.Intn(62)+1)) - 1000),
+				relation.Float(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(24)-12))),
+				relation.Int(rng.Int63n(1 << uint(rng.Intn(40)+1))),
+				relation.Str(fmt.Sprintf("s%d", rng.Intn(1000))),
+			})
+		}
+		sizes := map[relation.Codec]int64{}
+		for _, codec := range []relation.Codec{relation.CodecTSV, relation.CodecColumnar} {
+			if _, err := d.WriteRelationCodec("f", rel, codec); err != nil {
+				t.Fatal(err)
+			}
+			back, err := d.ReadRelation("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := relation.CheckWidths(back); err != nil {
+				t.Fatalf("trial %d, %s: %v", trial, codec, err)
+			}
+			sizes[codec] = back.PhysicalBytes()
+			// Strip the two header lines: the rest is the canonical body.
+			body := back.EncodeBytes()
+			for i := 0; i < 2; i++ {
+				_, body, _ = bytes.Cut(body, []byte{'\n'})
+			}
+			if sizes[codec] != int64(len(body)) {
+				t.Fatalf("trial %d, %s: read-back sizes %d, its TSV body is %d bytes", trial, codec, sizes[codec], len(body))
+			}
+		}
+		if sizes[relation.CodecTSV] != sizes[relation.CodecColumnar] {
+			t.Fatalf("trial %d: TSV read-back sizes %d, columnar %d", trial, sizes[relation.CodecTSV], sizes[relation.CodecColumnar])
+		}
 	}
 }

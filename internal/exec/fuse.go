@@ -79,12 +79,16 @@ func RunOps(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) error {
 		}
 		env[op.Out] = rel
 		if trace != nil {
-			trace.OutBytes[op.ID] = rel.EffectiveBytes()
+			eff := rel.LogicalBytes
+			if eff <= 0 {
+				eff = physicalBytes(rel, buildsRows(op.Type))
+			}
+			trace.OutBytes[op.ID] = eff
 			trace.OutRows[op.ID] = rel.NumRows()
 			if op.Type != ir.OpInput && op.Type != ir.OpWhile {
 				// PROCESS volume covers produced data too: materializing a
 				// generative operator's output is real work.
-				trace.ProcBytes[op.ID] += rel.EffectiveBytes()
+				trace.ProcBytes[op.ID] += eff
 			}
 		}
 	}
@@ -259,6 +263,10 @@ func runChain(c *opChain, env Env, trace *Trace, opts RunOptions) error {
 		prev = outSch
 	}
 	isAgg := last.Type == ir.OpAgg
+	// ownsOut: the output's rows are storage this run allocated (the AGG's
+	// emitted rows, or the fresh stage's arenas), so sizing may cache widths
+	// in them; a pure-SELECT chain's output aliases the shared scan rows.
+	ownsOut := isAgg
 	if !isAgg {
 		// The last constructing stage before the materializing terminal
 		// must allocate per batch: its rows escape the pipeline. A chain of
@@ -267,6 +275,7 @@ func runChain(c *opChain, env Env, trace *Trace, opts RunOptions) error {
 			switch specs[i].op.Type {
 			case ir.OpProject, ir.OpArith, ir.OpJoin:
 				specs[i].fresh = true
+				ownsOut = true
 			default:
 				continue
 			}
@@ -377,8 +386,9 @@ func runChain(c *opChain, env Env, trace *Trace, opts RunOptions) error {
 		if op.Type == ir.OpJoin {
 			b := specs[i].buildRel
 			if trace != nil {
-				trace.ProcBytes[op.ID] += b.EffectiveBytes()
-				trace.InBytes[op.ID] += b.EffectiveBytes()
+				beff := b.EffectiveBytes()
+				trace.ProcBytes[op.ID] += beff
+				trace.InBytes[op.ID] += beff
 			}
 			if r := b.ScaleRatio(); r > ratio {
 				ratio = r
@@ -387,7 +397,7 @@ func runChain(c *opChain, env Env, trace *Trace, opts RunOptions) error {
 		var phys int64
 		var rowsN int
 		if i == n-1 {
-			phys = out.PhysicalBytes()
+			phys = physicalBytes(out, ownsOut)
 			rowsN = len(out.Rows)
 		} else {
 			phys = taps[i].phys

@@ -228,15 +228,39 @@ func EvalOp(op *ir.Op, inputs []*relation.Relation) (*relation.Relation, error) 
 		return nil, fmt.Errorf("exec: unknown operator %s", op)
 	}
 
-	propagateScale(out, inputs)
+	propagateScale(out, inputs, buildsRows(op.Type))
 	return out, nil
+}
+
+// buildsRows reports whether t's kernel emits rows in storage it allocates
+// itself, as opposed to passing its inputs' rows through by reference
+// (SELECT, UNION, DISTINCT, SORT, LIMIT, the set operators, the WHILE carry)
+// or returning rows of unknown provenance (UDF). Until the output is
+// published, the evaluating goroutine is the only holder of freshly built
+// rows, so sizing them may cache the widths it measures.
+func buildsRows(t ir.OpType) bool {
+	switch t {
+	case ir.OpProject, ir.OpArith, ir.OpJoin, ir.OpCrossJoin, ir.OpAgg:
+		return true
+	}
+	return false
+}
+
+// physicalBytes sizes rel, caching measured widths in its cells when the
+// caller owns its rows (see buildsRows).
+func physicalBytes(rel *relation.Relation, owned bool) int64 {
+	if owned {
+		return rel.StampPhysicalBytes()
+	}
+	return rel.PhysicalBytes()
 }
 
 // propagateScale stamps the output's logical size: physical bytes times the
 // dominant (maximum) input scale ratio. Workload generators downscale all
 // inputs by a common factor, so this keeps logical volumes consistent as
-// data flows through the workflow.
-func propagateScale(out *relation.Relation, inputs []*relation.Relation) {
+// data flows through the workflow. owned says out's rows are the kernel's
+// own fresh storage.
+func propagateScale(out *relation.Relation, inputs []*relation.Relation, owned bool) {
 	ratio := 1.0
 	for _, in := range inputs {
 		if r := in.ScaleRatio(); r > ratio {
@@ -244,7 +268,7 @@ func propagateScale(out *relation.Relation, inputs []*relation.Relation) {
 		}
 	}
 	if ratio > 1 {
-		out.LogicalBytes = int64(float64(out.PhysicalBytes()) * ratio)
+		out.LogicalBytes = int64(float64(physicalBytes(out, owned)) * ratio)
 	}
 }
 

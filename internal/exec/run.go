@@ -136,8 +136,9 @@ func RunOp(op *ir.Op, env Env, trace *Trace) (*relation.Relation, error) {
 			}
 			inputs[i] = rel
 			if trace != nil {
-				trace.ProcBytes[op.ID] += rel.EffectiveBytes()
-				trace.InBytes[op.ID] += rel.EffectiveBytes()
+				eff := rel.EffectiveBytes()
+				trace.ProcBytes[op.ID] += eff
+				trace.InBytes[op.ID] += eff
 			}
 		}
 		return EvalOp(op, inputs)
@@ -204,11 +205,18 @@ func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 	var lastOut Env
 	for ; iters < maxIter; iters++ {
 		outEnv := loopEnv.Clone()
-		bodyTrace := newTrace()
+		// An untraced WHILE (RunOps allows a nil trace) runs its body
+		// untraced too.
+		var bodyTrace *Trace
+		if trace != nil {
+			bodyTrace = newTrace()
+		}
 		if err := RunOps(bodyOps, outEnv, bodyTrace, bodyOpts); err != nil {
 			return nil, fmt.Errorf("exec: %s iteration %d: %w", op, iters+1, err)
 		}
-		trace.Merge(bodyTrace)
+		if trace != nil {
+			trace.Merge(bodyTrace)
+		}
 		lastOut = outEnv
 		// Rebind carried relations for the next iteration.
 		for inName, outName := range op.Params.Carried {
@@ -230,7 +238,9 @@ func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 			}
 		}
 	}
-	trace.Iterations[op.ID] = iters
+	if trace != nil {
+		trace.Iterations[op.ID] = iters
+	}
 	if !converged {
 		// A data-dependent loop that exhausts its iteration cap with the
 		// stop condition still non-empty never reached its fixpoint;

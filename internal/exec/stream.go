@@ -13,25 +13,27 @@ import (
 // materialized intermediates.
 
 // accTap accumulates the row count and physical byte size of the rows an
-// elided stage emits. The byte computation matches
-// relation.Relation.PhysicalBytes exactly, which is what lets the fused
-// driver reconstruct the same trace a materialized evaluation records.
+// elided stage emits, summing the same relation.Row.EncodedLen that
+// Relation.PhysicalBytes sums — which is what lets the fused driver record
+// the trace a materialized evaluation records.
 type accTap struct {
-	rows    int
-	phys    int64
-	scratch []byte
+	rows int
+	phys int64
 }
 
+// addRow meters a row the stage passes through by reference (SELECT): the
+// row's storage belongs to someone else, so it is only read.
 func (a *accTap) addRow(row relation.Row) {
 	a.rows++
-	for _, v := range row {
-		if v.Kind == relation.KindString {
-			a.phys += int64(len(v.S)) + 1 // field + separator/newline
-			continue
-		}
-		a.scratch = v.AppendText(a.scratch[:0])
-		a.phys += int64(len(a.scratch)) + 1
-	}
+	a.phys += row.EncodedLen()
+}
+
+// addOwned meters a row the stage has just built in its own arena: measured
+// widths are cached in the cells, so downstream stages, taps and the
+// materialized output they are copied into never measure them again.
+func (a *accTap) addOwned(row relation.Row) {
+	a.rows++
+	a.phys += row.StampEncodedLen()
 }
 
 // valArena hands out value storage for constructing stages. A reusable
@@ -126,7 +128,7 @@ func (s *scanSource) Next() (relation.Batch, error) {
 				nr[k] = row[j]
 			}
 			if s.projTap != nil {
-				s.projTap.addRow(nr)
+				s.projTap.addOwned(nr)
 			}
 			s.out[i] = nr
 		}
@@ -201,7 +203,7 @@ func (p *projectStage) Next() (relation.Batch, error) {
 			nr[k] = row[j]
 		}
 		if p.tap != nil {
-			p.tap.addRow(nr)
+			p.tap.addOwned(nr)
 		}
 		p.out = append(p.out, nr)
 	}
@@ -253,7 +255,7 @@ func (a *arithStage) Next() (relation.Batch, error) {
 			nr[arity-1] = v
 		}
 		if a.tap != nil {
-			a.tap.addRow(nr)
+			a.tap.addOwned(nr)
 		}
 		a.out = append(a.out, nr)
 	}
@@ -309,7 +311,7 @@ func (j *joinProbeStage) Next() (relation.Batch, error) {
 					k++
 				}
 				if j.tap != nil {
-					j.tap.addRow(nr)
+					j.tap.addOwned(nr)
 				}
 				j.out = append(j.out, nr)
 			}

@@ -182,6 +182,13 @@ func sameRelation(t *testing.T, name string, want, got *relation.Relation) {
 	if got == nil {
 		t.Fatalf("%s: missing from fused env", name)
 	}
+	// Width invariant: whatever widths either evaluation cached in the kept
+	// relation are the exact rendering lengths.
+	for _, rel := range []*relation.Relation{want, got} {
+		if err := relation.CheckWidths(rel); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
 	if want.Schema.String() != got.Schema.String() {
 		t.Fatalf("%s: schema %s vs %s", name, want.Schema, got.Schema)
 	}

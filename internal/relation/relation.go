@@ -165,23 +165,41 @@ func (r *Relation) Clone() *Relation {
 	return c
 }
 
-// PhysicalBytes returns the encoded size of the relation's rows. It renders
-// numeric fields into a reused scratch buffer, so sizing a relation (which
-// every operator output pays for via scale propagation) allocates nothing.
-func (r *Relation) PhysicalBytes() int64 {
+// PhysicalBytes returns the encoded size of the relation's rows: the length
+// of the TSV body Encode writes. Cells that carry a cached width cost a byte
+// add; the rest are measured without allocating. The rows are only read.
+func (r *Relation) PhysicalBytes() int64 { return r.physicalBytes(false) }
+
+// StampPhysicalBytes is PhysicalBytes for a relation whose row storage the
+// caller has just built and not yet shared: the widths it measures are
+// cached in the cells (see Row.StampEncodedLen), so no later sizing of these
+// rows, or of rows copied from them, renders a number again.
+func (r *Relation) StampPhysicalBytes() int64 { return r.physicalBytes(true) }
+
+func (r *Relation) physicalBytes(stamp bool) int64 {
 	var n int64
-	var scratch []byte
 	for _, row := range r.Rows {
-		for _, v := range row {
-			if v.Kind == KindString {
-				n += int64(len(v.S)) + 1 // field + separator/newline
-				continue
-			}
-			scratch = v.AppendText(scratch[:0])
-			n += int64(len(scratch)) + 1
-		}
+		n += row.encodedLen(stamp)
 	}
 	return n
+}
+
+// CheckWidths verifies the invariant size accounting rests on: every cell of
+// rel that carries a cached width renders to exactly that many bytes. It is
+// a test helper — the execution suites run it over every relation they keep
+// — and nothing on the execution path calls it.
+func CheckWidths(rel *Relation) error {
+	for i, row := range rel.Rows {
+		for j, v := range row {
+			if v.Kind == KindString || v.w == 0 {
+				continue
+			}
+			if n := len(v.AppendText(nil)); n != int(v.w) {
+				return fmt.Errorf("relation %s: row %d col %d: cached width %d, but %q is %d bytes", rel.Name, i, j, v.w, v.String(), n)
+			}
+		}
+	}
+	return nil
 }
 
 // EffectiveBytes returns LogicalBytes when set, else the physical size.
@@ -420,6 +438,23 @@ func DecodeBytes(name string, data []byte) (*Relation, error) {
 
 // DecodeBytesOpts is DecodeBytes with per-call codec options.
 func DecodeBytesOpts(name string, data []byte, o CodecOptions) (*Relation, error) {
+	return decodeBytes(name, data, o, false)
+}
+
+// DecodeEncoded is DecodeBytes for data that is, byte for byte, what
+// EncodeCodec wrote — the DFS, whose only writer is the encoder, reads
+// through it. A TSV field Encode wrote is the canonical rendering of the
+// number it parses to, so its length is the cell's text width and decoding
+// caches it for free (see stampEncoded). Text from anywhere else ("1.50",
+// "+7", "1e3") parses to the same values but has other lengths: it must go
+// through DecodeBytes, which caches nothing.
+func DecodeEncoded(name string, data []byte) (*Relation, error) {
+	return decodeBytes(name, data, CodecOptions{}, true)
+}
+
+// decodeBytes implements DecodeBytesOpts; encoded marks DecodeEncoded's
+// trusted input.
+func decodeBytes(name string, data []byte, o CodecOptions, encoded bool) (*Relation, error) {
 	if SniffCodec(data) == CodecColumnar {
 		return DecodeColumnar(name, data, o)
 	}
@@ -467,7 +502,7 @@ func DecodeBytesOpts(name string, data []byte, o CodecOptions) (*Relation, error
 			wg.Add(1)
 			go func(ci int, chunk []byte) {
 				defer wg.Done()
-				parts[ci], errs[ci] = parseRows(name, schema, chunk)
+				parts[ci], errs[ci] = parseRows(name, schema, chunk, encoded)
 			}(ci, chunk)
 		}
 		wg.Wait()
@@ -484,7 +519,7 @@ func DecodeBytesOpts(name string, data []byte, o CodecOptions) (*Relation, error
 		}
 		return rel, nil
 	}
-	rel.Rows, err = parseRows(name, schema, body)
+	rel.Rows, err = parseRows(name, schema, body, encoded)
 	if err != nil {
 		return nil, err
 	}
@@ -516,8 +551,9 @@ func splitAtLines(data []byte, n int) [][]byte {
 	return chunks
 }
 
-// parseRows parses a run of TSV row lines against the schema.
-func parseRows(name string, schema Schema, data []byte) ([]Row, error) {
+// parseRows parses a run of TSV row lines against the schema. encoded says
+// Encode wrote the lines, so numeric cells take their width from the text.
+func parseRows(name string, schema Schema, data []byte, encoded bool) ([]Row, error) {
 	arity := schema.Arity()
 	var rows []Row
 	if n := bytes.Count(data, []byte{'\n'}); n > 0 {
@@ -541,6 +577,9 @@ func parseRows(name string, schema Schema, data []byte) ([]Row, error) {
 			v, err := ParseValue(schema.Cols[len(row)].Kind, field)
 			if err != nil {
 				return nil, err
+			}
+			if encoded {
+				v.stampEncoded(field)
 			}
 			row = append(row, v)
 			if !found {

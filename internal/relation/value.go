@@ -58,8 +58,16 @@ func ParseKind(s string) (Kind, error) {
 // Value is a small struct rather than an interface so rows stay contiguous
 // in memory and comparisons avoid dynamic dispatch; this matters for the
 // join and group-by kernels that dominate workflow execution time.
+//
+// w caches the byte length of a numeric value's text rendering (0 = not
+// measured yet; every numeric rendering is 1–24 bytes). It lives in the
+// padding after Kind, so a Value is still 40 bytes, and it rides along
+// whenever a kernel copies the struct. Kind, I, F and S are written only
+// by this package's constructors (mkvet rule value-fields): assigning one
+// directly would leave a stale width behind.
 type Value struct {
 	Kind Kind
+	w    uint8
 	I    int64
 	F    float64
 	S    string
@@ -122,6 +130,82 @@ func (v Value) AppendText(dst []byte) []byte {
 	default:
 		return append(dst, v.S...)
 	}
+}
+
+// TextLen returns len(v.AppendText(nil)) without building the text: the
+// cached width when v carries one, else an exact measure.
+func (v Value) TextLen() int {
+	switch {
+	case v.Kind == KindString:
+		return len(v.S)
+	case v.w != 0:
+		return int(v.w)
+	}
+	return v.measure()
+}
+
+// measure renders nothing to the heap: a digit count for an int, a render
+// into a stack buffer for a float. v must be numeric.
+func (v *Value) measure() int {
+	if v.Kind == KindInt {
+		return intTextLen(v.I)
+	}
+	var buf [32]byte
+	return len(strconv.AppendFloat(buf[:0], v.F, 'g', -1, 64))
+}
+
+// stampEncoded caches the width of a numeric cell just parsed from field,
+// text that Encode wrote. An int's width is counted from its value, which is
+// exact whatever wrote the text. A float's is the field's length: AppendText
+// rendered the field from this very float, and the shortest rendering
+// round-trips. The one exception is an Int that sat in a float column (ARITH
+// over an int column and an int literal declares a float result): integer
+// text of seven or more digits re-renders in exponent form, so such a field
+// is left for TextLen to measure.
+func (v *Value) stampEncoded(field string) {
+	switch v.Kind {
+	case KindInt:
+		v.w = uint8(intTextLen(v.I))
+	case KindFloat:
+		digits := strings.TrimPrefix(field, "-")
+		if len(digits) > 6 && allDigits(digits) {
+			return
+		}
+		if len(field) < 256 {
+			v.w = uint8(len(field))
+		}
+	}
+}
+
+func allDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i]-'0' > 9 {
+			return false
+		}
+	}
+	return true
+}
+
+// intTextLen returns the length of i's decimal rendering.
+func intTextLen(i int64) int {
+	n := 1
+	u := uint64(i)
+	if i < 0 {
+		n, u = 2, -u // two's complement negation is right for MinInt64 too
+	}
+	for u >= 10000 {
+		u /= 10000
+		n += 4
+	}
+	switch {
+	case u >= 1000:
+		return n + 3
+	case u >= 100:
+		return n + 2
+	case u >= 10:
+		return n + 1
+	}
+	return n
 }
 
 // ParseValue parses field text into a value of the given kind.
@@ -237,6 +321,39 @@ func arith(v, o Value, op byte) Value {
 // Row is one tuple of a relation. Rows are positional; names live in the
 // relation's schema.
 type Row []Value
+
+// EncodedLen returns the bytes the row occupies in a TSV body: every field's
+// text plus its separator or newline. It is the one definition of a row's
+// physical size; PhysicalBytes and the fused pipelines' taps both sum it.
+// The row is only read, so it is safe on rows other goroutines share.
+func (r Row) EncodedLen() int64 { return r.encodedLen(false) }
+
+// StampEncodedLen is EncodedLen for a row whose storage the caller owns
+// exclusively (it has just built it and not yet published it): each numeric
+// width it has to measure is cached in the cell, so every later sizing of
+// the cell — and of every copy a kernel makes of it — is a byte add. Never
+// call it on rows another goroutine may read.
+func (r Row) StampEncodedLen() int64 { return r.encodedLen(true) }
+
+func (r Row) encodedLen(stamp bool) int64 {
+	n := int64(len(r)) // one separator or newline per field
+	for i := range r {
+		v := &r[i]
+		switch {
+		case v.Kind == KindString:
+			n += int64(len(v.S))
+		case v.w != 0:
+			n += int64(v.w)
+		default:
+			w := v.measure()
+			if stamp {
+				v.w = uint8(w)
+			}
+			n += int64(w)
+		}
+	}
+	return n
+}
 
 // Clone returns a deep copy of the row.
 func (r Row) Clone() Row {

@@ -1,0 +1,248 @@
+package relation
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"testing"
+	"unsafe"
+)
+
+// TestValueSizeUnchanged pins that the cached width lives in Value's padding:
+// a wider Value would move every allocation and heap figure in the repo.
+func TestValueSizeUnchanged(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 40", got)
+	}
+}
+
+// checkTextLen asserts TextLen is exact before and after stamping, and that
+// stamping changes nothing else about the value.
+func checkTextLen(t *testing.T, v Value) {
+	t.Helper()
+	want := len(v.AppendText(nil))
+	if got := v.TextLen(); got != want {
+		t.Fatalf("%v: TextLen() = %d before stamping, want %d", v, got, want)
+	}
+	row := Row{v}
+	if got := row.StampEncodedLen(); got != int64(want)+1 {
+		t.Fatalf("%v: StampEncodedLen() = %d, want %d", v, got, want+1)
+	}
+	s := row[0]
+	if got := s.TextLen(); got != want {
+		t.Fatalf("%v: TextLen() = %d after stamping, want %d", v, got, want)
+	}
+	if v.Kind != KindString && int(s.w) != want {
+		t.Fatalf("%v: cached width %d, want %d", v, s.w, want)
+	}
+	if !bytes.Equal(s.AppendText(nil), v.AppendText(nil)) || s.Kind != v.Kind {
+		t.Fatalf("%v: stamping changed the value to %v", v, s)
+	}
+}
+
+func FuzzTextLen(f *testing.F) {
+	ints := []int64{0, 1, -1, 9, 10, 99, 100, 9999, 10000, 99999999, 100000000, 999999, 1000000, math.MinInt64, math.MaxInt64}
+	floats := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		999999, 1000000, // 'g' switches to exponent form at 1e6…
+		1e21, 1e-5, 0.0001, // …and below 1e-4
+		5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, // subnormal, widest renderings
+		0.15000000000000002, 0.21276595744680854, // PageRank-style 17-digit values
+		math.MaxFloat64, -math.MaxFloat64,
+	}
+	for i, x := range ints {
+		f.Add(x, floats[i%len(floats)])
+	}
+	for i, x := range floats {
+		f.Add(ints[i%len(ints)], x)
+	}
+	f.Fuzz(func(t *testing.T, i int64, x float64) {
+		checkTextLen(t, Int(i))
+		checkTextLen(t, Float(x))
+		checkTextLen(t, Str(Float(x).String()))
+	})
+}
+
+// TestIntTextLenBoundaries walks every power of ten and its neighbours.
+func TestIntTextLenBoundaries(t *testing.T) {
+	p := int64(1)
+	for d := 1; d <= 18; d++ {
+		p *= 10
+		for _, i := range []int64{p - 1, p, p + 1, -(p - 1), -p, -(p + 1)} {
+			checkTextLen(t, Int(i))
+		}
+	}
+}
+
+// randomRelation mixes ints, floats and strings, including values whose
+// column kind differs from their own (ARITH over an int column and an int
+// literal declares a float result but computes an Int).
+func randomRelation(rng *rand.Rand, rows int) *Relation {
+	r := New("rnd", NewSchema("i:int", "f:float", "g:float", "s:string"))
+	words := []string{"", "a", "tab-free text", "x:y", "0.5"}
+	for k := 0; k < rows; k++ {
+		var g Value
+		switch rng.Intn(4) {
+		case 0:
+			g = Int(rng.Int63n(1 << uint(rng.Intn(40)+1))) // Int in a float column
+		case 1:
+			g = Float(float64(rng.Intn(4000000) - 2000000))
+		default:
+			g = Float(math.Float64frombits(rng.Uint64()))
+			if math.IsNaN(g.F) {
+				g = Float(rng.NormFloat64())
+			}
+		}
+		r.MustAppend(Row{
+			Int(rng.Int63n(1<<uint(rng.Intn(62)+1)) - rng.Int63n(1<<uint(rng.Intn(62)+1))),
+			Float(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(30)-15))),
+			g,
+			Str(words[rng.Intn(len(words))]),
+		})
+	}
+	return r
+}
+
+// tsvBody strips Encode's two header lines.
+func tsvBody(t *testing.T, enc []byte) []byte {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		_, rest, ok := bytes.Cut(enc, []byte{'\n'})
+		if !ok {
+			t.Fatal("encoded stream has no header")
+		}
+		enc = rest
+	}
+	return enc
+}
+
+// TestPhysicalBytesIsTSVBodyLength is the definition of PhysicalBytes, held
+// over random relations, before and after stamping, and across a decode of
+// the encoder's own output (which caches widths from the text).
+func TestPhysicalBytesIsTSVBodyLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 50; trial++ {
+		rel := randomRelation(rng, rng.Intn(60))
+		enc := rel.EncodeBytes()
+		want := int64(len(tsvBody(t, enc)))
+		if got := rel.PhysicalBytes(); got != want {
+			t.Fatalf("trial %d: PhysicalBytes() = %d, TSV body is %d bytes", trial, got, want)
+		}
+		if got := rel.StampPhysicalBytes(); got != want {
+			t.Fatalf("trial %d: StampPhysicalBytes() = %d, want %d", trial, got, want)
+		}
+		if got := rel.PhysicalBytes(); got != want {
+			t.Fatalf("trial %d: PhysicalBytes() = %d after stamping, want %d", trial, got, want)
+		}
+		if err := CheckWidths(rel); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rel.EncodeBytes(), enc) {
+			t.Fatalf("trial %d: stamping changed the encoding", trial)
+		}
+
+		// The decoded relation re-encodes to its own canonical body (an Int
+		// that sat in a float column comes back as a Float and may render
+		// differently), and both decoders must size it identically.
+		plain, err := DecodeBytes("rnd", enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trusted, err := DecodeEncoded("rnd", enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon := int64(len(tsvBody(t, plain.EncodeBytes())))
+		if got := plain.PhysicalBytes(); got != canon {
+			t.Fatalf("trial %d: DecodeBytes sizes %d, canonical body is %d", trial, got, canon)
+		}
+		if got := trusted.PhysicalBytes(); got != canon {
+			t.Fatalf("trial %d: DecodeEncoded sizes %d, canonical body is %d", trial, got, canon)
+		}
+		if err := CheckWidths(trusted); err != nil {
+			t.Fatalf("trial %d: DecodeEncoded: %v", trial, err)
+		}
+	}
+}
+
+// TestDecodeEncodedStampsNumbers pins that the trusted decode really caches
+// widths (the point of it), and that the generic decode caches none.
+func TestDecodeEncodedStampsNumbers(t *testing.T) {
+	rel := codecRelation(50)
+	enc := rel.EncodeBytes()
+	trusted, err := DecodeEncoded("t", enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := DecodeBytes("t", enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range trusted.Rows {
+		for j, v := range trusted.Rows[i] {
+			if v.Kind != KindString && v.w == 0 {
+				t.Fatalf("DecodeEncoded: row %d col %d (%v) carries no width", i, j, v)
+			}
+			if plain.Rows[i][j].w != 0 {
+				t.Fatalf("DecodeBytes: row %d col %d (%v) carries width %d", i, j, v, plain.Rows[i][j].w)
+			}
+		}
+	}
+}
+
+// TestForeignTSVSizesCanonically feeds DecodeBytes text no encoder of ours
+// wrote. The values parse, but the field lengths are not their widths: the
+// relation must size to its re-encoded body.
+func TestForeignTSVSizesCanonically(t *testing.T) {
+	foreign := "#schema\ti:int\tf:float\n#logical\t0\n" +
+		"+7\t1.50\n" +
+		"007\t1e3\n" +
+		"-0\t.5\n" +
+		"12\t100000000\n" +
+		"0\t+0.25E+00\n"
+	for name, opts := range map[string]CodecOptions{"serial": forceSerial, "parallel": forceParallel} {
+		rel, err := DecodeBytesOpts("foreign", []byte(foreign), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(len(tsvBody(t, rel.EncodeBytes())))
+		if want >= int64(len(foreign)) {
+			t.Fatalf("%s: canonical body %d bytes is not shorter than the foreign text", name, want)
+		}
+		if got := rel.PhysicalBytes(); got != want {
+			t.Fatalf("%s: PhysicalBytes() = %d, canonical body is %d bytes", name, got, want)
+		}
+		if err := CheckWidths(rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	streamed, err := Decode("foreign", bytes.NewReader([]byte(foreign)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := streamed.PhysicalBytes(), int64(len(tsvBody(t, streamed.EncodeBytes()))); got != want {
+		t.Fatalf("Decode: PhysicalBytes() = %d, canonical body is %d bytes", got, want)
+	}
+}
+
+var sizeSink int64
+
+// BenchmarkPhysicalBytes sizes a 20k-row int/float/string relation with and
+// without cached widths. Both allocate nothing; the stamped walk is what
+// every sizing after the first costs.
+func BenchmarkPhysicalBytes(b *testing.B) {
+	fresh := codecRelation(20000)
+	stamped := fresh.Clone()
+	stamped.StampPhysicalBytes()
+	for _, c := range []struct {
+		name string
+		rel  *Relation
+	}{{"unstamped", fresh}, {"stamped", stamped}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sizeSink = c.rel.PhysicalBytes()
+			}
+		})
+	}
+}

@@ -20,6 +20,8 @@
 //   - arena-escape: batch-borrowed rows never outlive the pipeline
 //   - hot-path-keys, engine-profile, stream-rows: the migrated mklint
 //     rules, now resolved through go/types
+//   - value-fields: relation.Value's content fields are written only by
+//     internal/relation, so a cached text width can never go stale
 //
 // Findings are suppressed line-by-line with `//mkvet:ignore <rule>
 // <reason>`; a reason is mandatory and stale suppressions are themselves
@@ -74,6 +76,7 @@ var ruleTable = []rule{
 	{"hot-path-keys", "no fmt string building or string concatenation in exec hot paths", SevError, checkHotPathKeys},
 	{"engine-profile", "every engines.Engine literal registers a prof profile", SevError, checkEngineProfile},
 	{"stream-rows", "streaming kernels pull batches, never materialized .Rows", SevError, checkStreamRows},
+	{"value-fields", "relation.Value's Kind/I/F/S are assigned only inside internal/relation (a direct write would leave a stale cached width)", SevError, checkValueFields},
 }
 
 // RuleNames lists every registered rule in registry order.

@@ -411,3 +411,81 @@ func TestServeConcurrentTenants(t *testing.T) {
 		t.Error("post-storm submission missed the plan cache")
 	}
 }
+
+// TestServeForeignTSVSizesCanonically: an uploaded table need not be text our
+// encoder wrote. "1.50", "+7", "007", "1e3" and ".5" parse to values whose
+// canonical renderings have other lengths, and every size the system meters
+// — the staged file, the relation read back, the job's simulated makespan —
+// must be the canonical one: the same as when the same data is uploaded in
+// canonical form. (The DFS caches number widths from text it wrote itself;
+// that shortcut must stop at the upload boundary.)
+func TestServeForeignTSVSizesCanonically(t *testing.T) {
+	const foreign = "#schema\tk:int\tw:float\n#logical\t0\n" +
+		"+7\t1.50\n007\t1e3\n7\t.5\n8\t2.50\n+8\t100000000\n-0\t0.250\n"
+	decoded, err := relation.DecodeBytes("t", []byte(foreign))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical := decoded.EncodeBytes()
+	body := canonical
+	for i := 0; i < 2; i++ {
+		_, body, _ = bytes.Cut(body, []byte{'\n'})
+	}
+	if got := decoded.PhysicalBytes(); got != int64(len(body)) {
+		t.Fatalf("DecodeBytes of foreign text sizes %d, canonical body is %d bytes", got, len(body))
+	}
+
+	ts, m := serveTestServer(t, musketeer.ServeOptions{Workers: 1}, musketeer.EC2(4))
+	makespans := map[string]float64{}
+	for tenant, upload := range map[string][]byte{"foreign": []byte(foreign), "canon": canonical} {
+		resp, err := http.Post(ts.URL+"/api/v1/tenants/"+tenant+"/inputs/in/t", "text/tab-separated-values", bytes.NewReader(upload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("staging for %s: status %d", tenant, resp.StatusCode)
+		}
+		fs, err := m.TenantFS(tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged, st, err := fs.ReadRelationStat("in/t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PhysicalBytes != int64(len(canonical)) {
+			t.Errorf("%s: staged file is %d bytes, canonical encoding is %d", tenant, st.PhysicalBytes, len(canonical))
+		}
+		if got := staged.PhysicalBytes(); got != int64(len(body)) {
+			t.Errorf("%s: staged relation sizes %d, canonical body is %d bytes", tenant, got, len(body))
+		}
+		if err := relation.CheckWidths(staged); err != nil {
+			t.Errorf("%s: %v", tenant, err)
+		}
+
+		req, _ := json.Marshal(musketeer.SubmitRequest{
+			Frontend: "beer",
+			Source:   "scaled = MUL [w, 2.5] FROM t;\ntot = AGG SUM(w) AS total FROM scaled GROUP BY k;\n",
+			Catalog:  map[string]musketeer.TableSpec{"t": {Path: "in/t", Schema: []string{"k:int", "w:float"}}},
+		})
+		resp, err = http.Post(ts.URL+"/api/v1/tenants/"+tenant+"/jobs", "application/json", bytes.NewReader(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st0 musketeer.JobStatus
+		err = json.NewDecoder(resp.Body).Decode(&st0)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit for %s: status %d, err %v (%+v)", tenant, resp.StatusCode, err, st0)
+		}
+		done := pollJob(t, ts.URL, tenant, st0.ID)
+		if done.Status != "ok" {
+			t.Fatalf("%s: job failed: %s", tenant, done.Error)
+		}
+		makespans[tenant] = done.Result.MakespanS
+	}
+	if makespans["foreign"] != makespans["canon"] {
+		t.Errorf("simulated makespan %v over the foreign upload, %v over its canonical form", makespans["foreign"], makespans["canon"])
+	}
+}
