@@ -11,8 +11,8 @@
 # story rests on: determinism taint from the kernel packages, span-leak
 # freedom on every control-flow path, context discipline on the execution
 # stack, lock discipline, scheduler-owned concurrency, batch-arena escape,
-# and the migrated mklint rules (hot-path keys, engine profiles,
-# stream-rows) — all resolved through go/types. Exit 1 means findings
+# and the source rules (hot-path keys, engine profiles, stream-rows) —
+# all resolved through go/types. Exit 1 means findings
 # (the JSON report lands in mkvet-report.json for the workflow artifact),
 # exit 2 means the tree does not even type-check; the analyzer's golden
 # corpus tests run as part of the normal test suite.
@@ -94,9 +94,10 @@ stage() {
 bench_gate() {
     # -count=3: mkbenchgate keeps each benchmark's best run, so a loaded CI
     # host doesn't trip the threshold while a real slowdown (all three runs
-    # slow) still does.
+    # slow) still does. -cpu 1: every BENCH_kernels.json baseline was
+    # recorded at gomaxprocs 1, and allocs/op scale with the chunk count.
     go test -bench 'BenchmarkKernel|BenchmarkRowKey|BenchmarkSortRows|BenchmarkEncodeDecode|BenchmarkPartitionExhaustive|BenchmarkStream|BenchmarkPhysicalBytes' \
-        -benchmem -run '^$' -count=3 -timeout 20m \
+        -benchmem -run '^$' -count=3 -cpu 1 -timeout 20m \
         ./internal/exec ./internal/relation ./internal/bench > /tmp/mk_bench_fresh.txt
     go run ./cmd/mkbench -concurrency 2 -concurrency-json /tmp/mk_conc_fresh.json > /dev/null
     go run ./cmd/mkbenchgate \
@@ -119,7 +120,7 @@ mkvet_gate() {
 streaming_gate() {
     # A reduced-size run keeps this stage fast; the acceptance thresholds
     # (fused speedup, peak-memory reduction, columnar wire ratio) are
-    # asserted by TestStreamingReportThresholds against the committed
+    # asserted by TestStreamingArtifactMeetsThresholds against the committed
     # BENCH_streaming.json, which is regenerated at full size via
     # `go run ./cmd/mkbench -streaming -streaming-json BENCH_streaming.json`.
     go run ./cmd/mkbench -streaming -streaming-rows 50000 -streaming-json /tmp/mk_streaming_fresh.json

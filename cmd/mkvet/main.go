@@ -4,8 +4,7 @@
 // paper's correctness story rests on — deterministic cost estimation
 // (§5.2), span hygiene on every path, context and lock discipline,
 // scheduler-owned concurrency, and batch-arena ownership — plus the
-// migrated mklint rules. It replaces cmd/mklint's syntactic scan (which
-// remains as a thin alias during the transition).
+// hot-path-keys, engine-profile and stream-rows source rules.
 //
 // Usage:
 //
@@ -30,5 +29,5 @@ import (
 )
 
 func main() {
-	os.Exit(vet.CLIMain("mkvet", os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(vet.CLIMain(os.Args[1:], os.Stdout, os.Stderr))
 }

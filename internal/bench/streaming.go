@@ -15,12 +15,16 @@ import (
 	"musketeer/internal/workloads"
 )
 
-// The streaming benchmark measures what the fused batch-iterator pipelines
-// buy over materialized operator-at-a-time evaluation: throughput on a
-// fusable SELECT→PROJECT→AGG chain, peak heap on the fig3-style iterative
-// PageRank workload (whose WHILE body is fused between the loop-carried
-// relations), and the columnar codec's wire size against TSV on a
-// shuffle-shaped relation.
+// The streaming benchmark measures what streaming through a pipeline's
+// interior members buys over operator-at-a-time evaluation (Keep = every
+// operator, so each pipeline is one member long and every intermediate
+// materializes): throughput on a fusable SELECT→PROJECT→AGG chain, peak heap
+// on the fig3-style iterative PageRank workload (whose WHILE body otherwise
+// streams between the loop-carried relations), and the columnar codec's
+// wire size against TSV on a shuffle-shaped relation.
+
+// keepAll is the operator-at-a-time side of both comparisons.
+func keepAll(*ir.Op) bool { return true }
 
 // StreamingPipeline compares rows/sec through a SELECT→PROJECT→AGG chain.
 type StreamingPipeline struct {
@@ -31,7 +35,7 @@ type StreamingPipeline struct {
 }
 
 // StreamingMemory compares peak heap while executing the iterative
-// PageRank workload with WHILE-body fusion on versus off.
+// PageRank workload with the WHILE body streamed through versus Keep-all.
 type StreamingMemory struct {
 	Workload               string  `json:"workload"`
 	Iterations             int     `json:"iterations"`
@@ -152,7 +156,7 @@ func measurePeak(run func() error) (peak, alloc int64, err error) {
 }
 
 // runPageRankExec evaluates the PageRank DAG directly on the execution
-// layer (the WHILE driver included) with fusion governed by opts.
+// layer (the WHILE driver included); opts.Keep governs what materializes.
 func runPageRankExec(w *workloads.Workload, opts exec.RunOptions) func() error {
 	return func() error {
 		dag, err := w.Build()
@@ -194,13 +198,13 @@ func runStreamingPipeline(rows int) (StreamingPipeline, error) {
 	input := streamingInput(rows)
 	sinkOnly := func(op *ir.Op) bool { return op.Out == "by_region" }
 	// Warm up both paths once so lazily initialized state is off the clock.
-	if _, err := timeChain(ops, input, exec.RunOptions{NoFuse: true}, 1); err != nil {
+	if _, err := timeChain(ops, input, exec.RunOptions{Keep: keepAll}, 1); err != nil {
 		return StreamingPipeline{}, err
 	}
 	if _, err := timeChain(ops, input, exec.RunOptions{Keep: sinkOnly}, 1); err != nil {
 		return StreamingPipeline{}, err
 	}
-	matD, err := timeChain(ops, input, exec.RunOptions{NoFuse: true}, reps)
+	matD, err := timeChain(ops, input, exec.RunOptions{Keep: keepAll}, reps)
 	if err != nil {
 		return StreamingPipeline{}, err
 	}
@@ -241,7 +245,7 @@ func RunStreaming(rows int) (*StreamingReport, error) {
 	const prIters = 5
 	g := workloads.GenerateGraph("orkut-streaming", 3_000_000, 117_000_000, 30_000, 2)
 	pr := workloads.PageRank(g, prIters)
-	matRun := runPageRankExec(pr, exec.RunOptions{NoFuse: true})
+	matRun := runPageRankExec(pr, exec.RunOptions{Keep: keepAll})
 	fusedRun := runPageRankExec(pr, exec.RunOptions{})
 	// Warm-up, then measure; keep the best (lowest) peak of two passes per
 	// mode so a stray GC pause does not decide the comparison.

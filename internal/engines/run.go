@@ -48,9 +48,6 @@ type RunContext struct {
 	// everything TSV; workflow sources, published sinks, and loop
 	// temporaries stay TSV regardless.
 	ShuffleCodec relation.Codec
-	// DisableFusion turns off streaming operator fusion, materializing every
-	// intermediate relation (the benchmark baseline and an escape hatch).
-	DisableFusion bool
 }
 
 // Context returns the execution context, defaulting to Background.
@@ -232,12 +229,12 @@ func runPull(ctx RunContext, p *Plan, env exec.Env) (int64, int, *obs.Span, erro
 }
 
 // runProcess evaluates the fragment's operators through the shared
-// kernels, recording the "process" phase span. Eligible operator chains
-// fuse into streaming pipelines: only the fragment's external outputs must
-// materialize, so interior SELECT/PROJECT/ARITH/JOIN/AGG chains run as
-// single pull pipelines with no intermediate relations. The recorded trace
-// is identical either way (fuse.go reconstructs it), so plans, costs, and
-// golden traces do not depend on the fusion setting.
+// interpreter (exec.RunOps), recording the "process" phase span. Only the
+// fragment's external outputs must materialize, so interior
+// SELECT/PROJECT/ARITH/JOIN/AGG chains run as single pull pipelines with no
+// intermediate relations. A streamed-through operator's trace entry is
+// metered by a tap and equals what materializing it would record, so plans,
+// costs and golden traces do not depend on where a fragment was cut.
 func runProcess(ctx RunContext, p *Plan, env exec.Env) (*exec.Trace, *obs.Span, error) {
 	sp := ctx.Rec.StartSpan(ctx.Span, "process", "phase")
 	defer sp.End()
@@ -254,7 +251,6 @@ func runProcess(ctx RunContext, p *Plan, env exec.Env) (*exec.Trace, *obs.Span, 
 		// instead of running the whole fragment to completion.
 		Check:      cctx.Err,
 		SkipInputs: true,
-		NoFuse:     ctx.DisableFusion,
 	})
 	if err != nil {
 		return nil, sp, fmt.Errorf("%s: job %s: %w", p.Engine.Name(), p.Frag.Name(), err)

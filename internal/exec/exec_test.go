@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -261,6 +262,22 @@ func TestUDFErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestUDFReturningNothing: a UDF body returning (nil, nil) used to be
+// dereferenced, panicking the worker that ran it.
+func TestUDFReturningNothing(t *testing.T) {
+	RegisterUDF("void", UDF{
+		Fn:        func(in []*relation.Relation) (*relation.Relation, error) { return nil, nil },
+		OutSchema: func(in []relation.Schema) (relation.Schema, error) { return in[0], nil },
+	})
+	d := ir.NewDAG()
+	in := d.AddInput("t", "in/t", relation.NewSchema("v:int"))
+	op := d.Add(ir.OpUDF, "out", ir.Params{UDFName: "void"}, in)
+	_, err := EvalOp(op, []*relation.Relation{mkRel("t", relation.NewSchema("v:int"), intRows(1)...)})
+	if err == nil || !strings.Contains(err.Error(), `UDF "void" returned no relation`) {
+		t.Errorf("err = %v, want a no-relation error", err)
+	}
+}
+
 func TestScalePropagation(t *testing.T) {
 	in := mkRel("t", relation.NewSchema("v:int"), intRows(1, 2, 3, 4)...)
 	in.LogicalBytes = in.PhysicalBytes() * 1000
@@ -453,15 +470,15 @@ func TestWhileCondRelStopsEarly(t *testing.T) {
 	}
 }
 
-func TestRunOpMissingInput(t *testing.T) {
+func TestRunOpsMissingInput(t *testing.T) {
 	d := ir.NewDAG()
 	in := d.AddInput("t", "in/t", relation.NewSchema("v:int"))
-	op := d.Add(ir.OpDistinct, "o", ir.Params{}, in)
-	if _, err := RunOp(op, Env{}, newTrace()); err == nil {
-		t.Error("missing input not reported")
-	}
-	if _, err := RunOp(in, Env{}, newTrace()); err == nil {
-		t.Error("missing input binding not reported")
+	breaker := d.Add(ir.OpDistinct, "o", ir.Params{}, in)
+	piped := d.Add(ir.OpSelect, "s", ir.Params{Pred: ir.Cmp(ir.ColRef("v"), ir.CmpGt, ir.LitOp(relation.Int(0)))}, in)
+	for _, op := range []*ir.Op{breaker, piped, in} {
+		if err := RunOps([]*ir.Op{op}, Env{}, NewTrace(), RunOptions{}); err == nil {
+			t.Errorf("%s: missing input not reported", op)
+		}
 	}
 }
 

@@ -1,13 +1,21 @@
 // Package exec implements the operator semantics of the Musketeer IR: one
-// executable kernel per operator type, a DAG interpreter, and the dynamic
-// WHILE-loop driver.
+// implementation per operator, the unit interpreter that runs an operator
+// list, and the dynamic WHILE-loop driver.
 //
-// Every back-end engine executes its generated jobs through these kernels,
+// Every back-end engine executes its generated jobs through this package,
 // so a single source of truth defines what each operator computes; the
 // engines differ in *how* work is split into jobs, what gets materialized
 // where, and what the simulated execution costs. This mirrors the paper's
 // property that all back-ends implement the same operator set and lets the
 // test suite assert cross-engine result equality.
+//
+// RunOps is one loop over execution units (fuse.go): a pipeline of
+// SELECT/PROJECT/ARITH/JOIN-probe/AGG pull stages (stream.go) of length ≥ 1,
+// a breaker kernel (this file: the set operators, CROSS JOIN, DISTINCT,
+// SORT, LIMIT, UDF), a WHILE loop, or an INPUT binding (run.go). Pipelines
+// stream through their interior members, metering them with taps, and every
+// unit materializes exactly one relation; Trace.record (run.go) computes
+// every operator's trace entry, from a tap or from the relation alike.
 package exec
 
 import (
@@ -63,17 +71,31 @@ func operandValue(o ir.Operand, schema relation.Schema, row relation.Row) (relat
 	return v, nil
 }
 
-// EvalOp executes a single non-WHILE operator on its input relations.
-// The output relation is named op.Out and inherits a logical size scaled by
-// the dominant input's scale ratio (see relation.Relation.LogicalBytes).
+// EvalOp executes a single operator on its input relations, as the one-unit
+// run it is. The output relation is named op.Out and inherits a logical size
+// scaled by the dominant input's scale ratio (see Trace.record).
 func EvalOp(op *ir.Op, inputs []*relation.Relation) (*relation.Relation, error) {
-	// Build a transient schema map from the actual inputs so EvalOp can be
-	// used standalone (engines evaluate fragments operator by operator).
-	schemas := make(map[*ir.Op]relation.Schema)
+	env := make(Env, len(inputs))
 	for i, in := range op.Inputs {
 		if i < len(inputs) {
-			schemas[in] = inputs[i].Schema
+			env[in.Out] = inputs[i]
 		}
+	}
+	return runUnit([]*ir.Op{op}, env, nil, RunOptions{})
+}
+
+// evalBreaker runs a pipeline breaker — an operator that needs its whole
+// input (or both inputs) before it can emit — as a materialized kernel.
+func evalBreaker(op *ir.Op, env Env, trace *Trace) (*relation.Relation, error) {
+	inputs := make([]*relation.Relation, len(op.Inputs))
+	ins := make([]volume, len(op.Inputs))
+	schemas := make(map[*ir.Op]relation.Schema, len(op.Inputs))
+	for i, in := range op.Inputs {
+		rel, ok := env[in.Out]
+		if !ok {
+			return nil, fmt.Errorf("exec: %s: input relation %q not materialized", op, in.Out)
+		}
+		inputs[i], ins[i], schemas[in] = rel, trace.volumeOf(rel), rel.Schema
 	}
 	outSchema, err := ir.OutputSchema(op, schemas)
 	if err != nil {
@@ -82,50 +104,6 @@ func EvalOp(op *ir.Op, inputs []*relation.Relation) (*relation.Relation, error) 
 	out := relation.New(op.Out, outSchema)
 
 	switch op.Type {
-	case ir.OpInput:
-		return nil, fmt.Errorf("exec: INPUT %s must be resolved from storage, not evaluated", op)
-
-	case ir.OpSelect:
-		in := inputs[0]
-		if len(in.Rows) >= ParallelThreshold {
-			rows, err := parallelFilter(in.Rows, func(row relation.Row) (bool, error) {
-				return EvalPred(op.Params.Pred, in.Schema, row)
-			})
-			if err != nil {
-				return nil, err
-			}
-			out.Rows = rows
-			break
-		}
-		for _, row := range in.Rows {
-			ok, err := EvalPred(op.Params.Pred, in.Schema, row)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out.Rows = append(out.Rows, row)
-			}
-		}
-
-	case ir.OpProject:
-		in := inputs[0]
-		idx := make([]int, len(op.Params.Columns))
-		for i, col := range op.Params.Columns {
-			idx[i] = in.Schema.Index(col)
-		}
-		// One backing array for all projected rows: a project emits exactly
-		// len(in.Rows) rows of fixed arity, so carve them out of one block.
-		flat := make(relation.Row, len(in.Rows)*len(idx))
-		out.Rows = make([]relation.Row, 0, len(in.Rows))
-		for _, row := range in.Rows {
-			nr := flat[:len(idx):len(idx)]
-			flat = flat[len(idx):]
-			for i, j := range idx {
-				nr[i] = row[j]
-			}
-			out.Rows = append(out.Rows, nr)
-		}
-
 	case ir.OpUnion:
 		out.Rows = make([]relation.Row, 0, len(inputs[0].Rows)+len(inputs[1].Rows))
 		out.Rows = append(out.Rows, inputs[0].Rows...)
@@ -159,11 +137,6 @@ func EvalOp(op *ir.Op, inputs []*relation.Relation) (*relation.Relation, error) 
 			}
 		}
 
-	case ir.OpJoin:
-		if err := evalJoin(op, inputs, out); err != nil {
-			return nil, err
-		}
-
 	case ir.OpCrossJoin:
 		l, r := inputs[0], inputs[1]
 		out.Rows = make([]relation.Row, 0, len(l.Rows)*len(r.Rows))
@@ -174,16 +147,6 @@ func EvalOp(op *ir.Op, inputs []*relation.Relation) (*relation.Relation, error) 
 				nr = append(nr, rr...)
 				out.Rows = append(out.Rows, nr)
 			}
-		}
-
-	case ir.OpAgg:
-		if err := evalAgg(op, inputs[0], out); err != nil {
-			return nil, err
-		}
-
-	case ir.OpArith:
-		if err := evalArith(op, inputs[0], out); err != nil {
-			return nil, err
 		}
 
 	case ir.OpDistinct:
@@ -218,58 +181,21 @@ func EvalOp(op *ir.Op, inputs []*relation.Relation) (*relation.Relation, error) 
 		if err != nil {
 			return nil, fmt.Errorf("exec: UDF %q: %w", op.Params.UDFName, err)
 		}
+		if res == nil {
+			return nil, fmt.Errorf("exec: UDF %q returned no relation", op.Params.UDFName)
+		}
 		out.Rows = res.Rows
 		out.Schema = res.Schema
-
-	case ir.OpWhile:
-		return nil, fmt.Errorf("exec: WHILE %s must be driven by RunWhile", op)
 
 	default:
 		return nil, fmt.Errorf("exec: unknown operator %s", op)
 	}
 
-	propagateScale(out, inputs, buildsRows(op.Type))
+	// Only CROSS JOIN emits rows in storage it allocates itself; the other
+	// breakers pass their inputs' rows through by reference, and a UDF's are
+	// of unknown provenance.
+	trace.recordOutput(op, ins, out, op.Type == ir.OpCrossJoin)
 	return out, nil
-}
-
-// buildsRows reports whether t's kernel emits rows in storage it allocates
-// itself, as opposed to passing its inputs' rows through by reference
-// (SELECT, UNION, DISTINCT, SORT, LIMIT, the set operators, the WHILE carry)
-// or returning rows of unknown provenance (UDF). Until the output is
-// published, the evaluating goroutine is the only holder of freshly built
-// rows, so sizing them may cache the widths it measures.
-func buildsRows(t ir.OpType) bool {
-	switch t {
-	case ir.OpProject, ir.OpArith, ir.OpJoin, ir.OpCrossJoin, ir.OpAgg:
-		return true
-	}
-	return false
-}
-
-// physicalBytes sizes rel, caching measured widths in its cells when the
-// caller owns its rows (see buildsRows).
-func physicalBytes(rel *relation.Relation, owned bool) int64 {
-	if owned {
-		return rel.StampPhysicalBytes()
-	}
-	return rel.PhysicalBytes()
-}
-
-// propagateScale stamps the output's logical size: physical bytes times the
-// dominant (maximum) input scale ratio. Workload generators downscale all
-// inputs by a common factor, so this keeps logical volumes consistent as
-// data flows through the workflow. owned says out's rows are the kernel's
-// own fresh storage.
-func propagateScale(out *relation.Relation, inputs []*relation.Relation, owned bool) {
-	ratio := 1.0
-	for _, in := range inputs {
-		if r := in.ScaleRatio(); r > ratio {
-			ratio = r
-		}
-	}
-	if ratio > 1 {
-		out.LogicalBytes = int64(float64(physicalBytes(out, owned)) * ratio)
-	}
 }
 
 func allCols(r *relation.Relation) []int {
@@ -281,8 +207,7 @@ func allCols(r *relation.Relation) []int {
 }
 
 // joinSpec is a join's resolved column indexes: probe keys, build keys, and
-// the build-side columns the output keeps. Shared by the materialized kernel
-// and the streaming probe stage so both resolve (and fail) identically.
+// the build-side columns the output keeps.
 type joinSpec struct {
 	lIdx, rIdx, rKeep []int
 }
@@ -314,51 +239,6 @@ func resolveJoinSpec(op *ir.Op, l, r relation.Schema) (joinSpec, error) {
 		}
 	}
 	return js, nil
-}
-
-func evalJoin(op *ir.Op, inputs []*relation.Relation, out *relation.Relation) error {
-	l, r := inputs[0], inputs[1]
-	js, err := resolveJoinSpec(op, l.Schema, r.Schema)
-	if err != nil {
-		return err
-	}
-	lIdx, rIdx, rKeep := js.lIdx, js.rIdx, js.rKeep
-	// Hash join: build on the right input, probe with the left. Keys are
-	// 64-bit maphashes verified against the encoded key bytes, so neither
-	// build nor probe allocates a per-row key string. Probing is
-	// embarrassingly parallel; the build table is read-only once complete.
-	build := buildJoinTable(r.Rows, rIdx)
-	emit := func(lr relation.Row, matches []relation.Row, acc []relation.Row) []relation.Row {
-		if len(matches) == 0 {
-			return acc
-		}
-		// One backing array per probe: every output row of this probe has
-		// the same arity, so a key matching m build rows costs one
-		// allocation instead of m.
-		arity := len(lr) + len(rKeep)
-		flat := make(relation.Row, len(matches)*arity)
-		for _, rr := range matches {
-			nr := flat[:arity:arity]
-			flat = flat[arity:]
-			copy(nr, lr)
-			k := len(lr)
-			for _, j := range rKeep {
-				nr[k] = rr[j]
-				k++
-			}
-			acc = append(acc, nr)
-		}
-		return acc
-	}
-	if len(l.Rows) >= ParallelThreshold {
-		out.Rows = parallelProbe(l.Rows, lIdx, build, emit)
-		return nil
-	}
-	var h relation.KeyHasher
-	for _, lr := range l.Rows {
-		out.Rows = emit(lr, build.probe(&h, lr, lIdx), out.Rows)
-	}
-	return nil
 }
 
 type aggState struct {
@@ -435,8 +315,7 @@ func (st *aggState) merge(o *aggState) {
 }
 
 // aggSpec is an aggregation's resolved column indexes: group-by columns and
-// one aggregated column per AggSpec (-1 for COUNT). Shared by the
-// materialized kernel and the streaming aggregation sink.
+// one aggregated column per AggSpec (-1 for COUNT).
 type aggSpec struct {
 	gIdx, aIdx []int
 }
@@ -513,57 +392,4 @@ func emitAggRows(op *ir.Op, in relation.Schema, sp aggSpec, table *aggTable, inR
 		}
 		out.Rows = append(out.Rows, row)
 	}
-}
-
-func evalAgg(op *ir.Op, in *relation.Relation, out *relation.Relation) error {
-	sp, err := resolveAggSpec(op, in.Schema)
-	if err != nil {
-		return err
-	}
-	// Combiner-style evaluation: every supported aggregator is associative
-	// once AVG is decomposed into SUM+COUNT (the decomposition Musketeer's
-	// generated GROUP BY uses, §6.2), so large inputs aggregate per chunk
-	// in parallel and the partial states merge.
-	var table *aggTable
-	if len(in.Rows) >= ParallelThreshold {
-		table = parallelAggregate(in.Rows, sp.gIdx, sp.aIdx)
-	} else {
-		table = aggregateChunk(in.Rows, sp.gIdx, sp.aIdx)
-	}
-	emitAggRows(op, in.Schema, sp, table, len(in.Rows), out)
-	return nil
-}
-
-func evalArith(op *ir.Op, in *relation.Relation, out *relation.Relation) error {
-	dstIdx := in.Schema.Index(op.Params.Dst)
-	inPlace := dstIdx >= 0
-	arity := in.Schema.Arity()
-	if !inPlace {
-		arity++
-	}
-	// Output rows all share one flat backing array; arith emits exactly one
-	// fixed-arity row per input row.
-	flat := make(relation.Row, len(in.Rows)*arity)
-	out.Rows = make([]relation.Row, 0, len(in.Rows))
-	for _, row := range in.Rows {
-		l, err := operandValue(op.Params.ALeft, in.Schema, row)
-		if err != nil {
-			return err
-		}
-		r, err := operandValue(op.Params.ARght, in.Schema, row)
-		if err != nil {
-			return err
-		}
-		v := op.Params.AOp.Apply(l, r)
-		nr := flat[:arity:arity]
-		flat = flat[arity:]
-		copy(nr, row)
-		if inPlace {
-			nr[dstIdx] = v
-		} else {
-			nr[arity-1] = v
-		}
-		out.Rows = append(out.Rows, nr)
-	}
-	return nil
 }

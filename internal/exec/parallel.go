@@ -1,24 +1,18 @@
 package exec
 
-import (
-	"runtime"
-	"sync"
+import "runtime"
 
-	"musketeer/internal/relation"
-)
-
-// ParallelThreshold is the row count above which the data-parallel kernels
-// (filter, aggregate, join probe, sort) split work across goroutines.
-// Chunking costs one goroutine plus one result-slice per chunk and (for the
-// sort) a full copy per merge round, so it only pays once per-row work
-// dominates: with BenchmarkSortRows/BenchmarkKernelAgg the crossover lands
-// between ~1k rows (sort, join probe) and ~4k rows (aggregate, whose
-// per-chunk tables must be re-merged); 2048 sits in that band while keeping
-// small test relations on the cheaper serial paths. On a single-core host
-// chunkRanges collapses to one chunk, so the parallel paths degrade to the
-// serial ones plus one goroutine handoff (BenchmarkSortRows/parallel runs
-// within ~5% of serial at GOMAXPROCS=1). Tests lower the threshold to
-// exercise the parallel code on small data.
+// ParallelThreshold is the row count above which pipelines (runChain) and
+// the sort kernel split work across goroutines. Chunking costs one goroutine
+// plus one pipeline instance per chunk and (for the sort) a full copy per
+// merge round, so it only pays once per-row work dominates: with
+// BenchmarkSortRows/BenchmarkKernelAgg the crossover lands between ~1k rows
+// (sort, join probe) and ~4k rows (aggregate, whose per-chunk tables must be
+// re-merged); 2048 sits in that band while keeping small test relations on
+// the cheaper single-range paths. On a single-core host chunkRanges
+// collapses to one chunk, which pipelines run inline (BenchmarkSortRows/
+// parallel runs within ~5% of serial at GOMAXPROCS=1). Tests lower the
+// threshold to exercise the parallel code on small data.
 var ParallelThreshold = 2048
 
 // chunkRanges splits [0, n) into roughly GOMAXPROCS contiguous ranges. A
@@ -49,109 +43,4 @@ func chunkRanges(n int) [][2]int {
 		ranges = ranges[:k-1]
 	}
 	return ranges
-}
-
-// parallelFilter evaluates keep() over row chunks concurrently and
-// concatenates the survivors in input order, so the result is identical to
-// the serial evaluation. The first error wins.
-func parallelFilter(rows []relation.Row, keep func(relation.Row) (bool, error)) ([]relation.Row, error) {
-	ranges := chunkRanges(len(rows))
-	results := make([][]relation.Row, len(ranges))
-	errs := make([]error, len(ranges))
-	var wg sync.WaitGroup
-	for i, rg := range ranges {
-		wg.Add(1)
-		go func(i int, lo, hi int) {
-			defer wg.Done()
-			var out []relation.Row
-			for _, row := range rows[lo:hi] {
-				ok, err := keep(row)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if ok {
-					out = append(out, row)
-				}
-			}
-			results[i] = out
-		}(i, rg[0], rg[1])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	var out []relation.Row
-	for _, chunk := range results {
-		out = append(out, chunk...)
-	}
-	return out, nil
-}
-
-// aggregateChunk builds per-group aggregation state over a row slice. The
-// table records groups in first-appearance order.
-func aggregateChunk(rows []relation.Row, gIdx, aIdx []int) *aggTable {
-	t := newAggTable()
-	for _, row := range rows {
-		t.state(row, gIdx, aIdx).accumulate(row, aIdx)
-	}
-	return t
-}
-
-// parallelAggregate computes partial aggregates per chunk concurrently and
-// merges them in chunk order, which preserves the serial first-appearance
-// output order (chunks are contiguous input ranges).
-func parallelAggregate(rows []relation.Row, gIdx, aIdx []int) *aggTable {
-	ranges := chunkRanges(len(rows))
-	parts := make([]*aggTable, len(ranges))
-	var wg sync.WaitGroup
-	for i, rg := range ranges {
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			parts[i] = aggregateChunk(rows[lo:hi], gIdx, aIdx)
-		}(i, rg[0], rg[1])
-	}
-	wg.Wait()
-	t := parts[0]
-	for _, part := range parts[1:] {
-		t.absorb(part)
-	}
-	return t
-}
-
-// parallelProbe probes a pre-built join table with left-row chunks
-// concurrently; emit builds the output rows for one probe match list.
-// Each worker hashes through its own KeyHasher (the seed is shared, so the
-// hashes agree with the build side). Output preserves input order (chunk
-// concatenation).
-func parallelProbe(left []relation.Row, lIdx []int, build *joinTable,
-	emit func(l relation.Row, matches []relation.Row, out []relation.Row) []relation.Row) []relation.Row {
-	ranges := chunkRanges(len(left))
-	results := make([][]relation.Row, len(ranges))
-	var wg sync.WaitGroup
-	for i, rg := range ranges {
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			var h relation.KeyHasher
-			var out []relation.Row
-			for _, lr := range left[lo:hi] {
-				out = emit(lr, build.probe(&h, lr, lIdx), out)
-			}
-			results[i] = out
-		}(i, rg[0], rg[1])
-	}
-	wg.Wait()
-	n := 0
-	for _, chunk := range results {
-		n += len(chunk)
-	}
-	out := make([]relation.Row, 0, n)
-	for _, chunk := range results {
-		out = append(out, chunk...)
-	}
-	return out
 }

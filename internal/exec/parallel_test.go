@@ -1,21 +1,24 @@
 package exec
 
 import (
-	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"musketeer/internal/ir"
 	"musketeer/internal/relation"
 )
 
-// withThreshold runs fn with ParallelThreshold temporarily lowered so the
-// parallel kernel paths engage on small test data.
+// withThreshold runs fn with ParallelThreshold temporarily lowered, and
+// GOMAXPROCS raised so chunkRanges really splits, so pipelines run
+// chunk-parallel on small test data even on a one-core host.
 func withThreshold(t *testing.T, n int, fn func()) {
 	t.Helper()
 	old := ParallelThreshold
 	ParallelThreshold = n
 	defer func() { ParallelThreshold = old }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	fn()
 }
 
@@ -90,24 +93,32 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 	})
 }
 
-func TestParallelSelectPropagatesErrors(t *testing.T) {
+// TestParallelRangeErrorFailsUnit: a predicate that errors in one range only
+// must fail the whole pipeline, not yield the other ranges' rows. Resolution
+// (ir.OutputSchema) rejects such a predicate, so the chain is built by hand:
+// the OR short-circuits on the rows with v < 900 and reaches the unknown
+// column only in the last range.
+func TestParallelRangeErrorFailsUnit(t *testing.T) {
 	in := bigIntRelation("t", 1000, 4)
 	d := ir.NewDAG()
 	src := d.AddInput("t", "in/t", in.Schema)
-	// Predicate referencing a column the rows don't have: rows are
-	// evaluated against a schema claiming a missing column.
-	op := d.Add(ir.OpSelect, "out", ir.Params{
-		Pred: ir.Cmp(ir.ColRef("k"), ir.CmpLt, ir.LitOp(relation.Int(20))),
-	}, src)
-	_ = op
+	bad := ir.Or(pred("v", ir.CmpLt, 900), pred("missing", ir.CmpEq, 1))
+	op := d.Add(ir.OpSelect, "out", ir.Params{Pred: bad}, src)
+	c := &chain{src: in, stages: []stagePlan{{op: op, inSch: in.Schema, sch: in.Schema, pred: bad}}}
 	withThreshold(t, 1, func() {
-		_, err := parallelFilter(in.Rows, func(row relation.Row) (bool, error) {
-			return false, fmt.Errorf("boom")
-		})
-		if err == nil {
-			t.Error("error swallowed by parallel filter")
+		if n := len(chunkRanges(len(in.Rows))); n < 2 {
+			t.Fatalf("input split into %d ranges", n)
+		}
+		_, err := c.run()
+		if err == nil || !strings.Contains(err.Error(), `unknown column "missing"`) {
+			t.Errorf("err = %v, want the failing range's error", err)
 		}
 	})
+	c.src = relation.New("t", in.Schema)
+	c.src.Rows = in.Rows[:900]
+	if res, err := c.run(); err != nil || len(res.rows) != 900 {
+		t.Errorf("rows that never reach the bad operand: %d rows, err %v", len(res.rows), err)
+	}
 }
 
 func TestChunkRanges(t *testing.T) {

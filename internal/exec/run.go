@@ -59,8 +59,6 @@ func NewTrace() *Trace {
 	return &Trace{OutBytes: map[int]int64{}, OutRows: map[int]int{}, ProcBytes: map[int]int64{}, InBytes: map[int]int64{}, Iterations: map[int]int{}}
 }
 
-func newTrace() *Trace { return NewTrace() }
-
 // Merge folds another trace into t: sizes and counts take the other
 // trace's latest values, processed bytes accumulate.
 func (t *Trace) Merge(o *Trace) {
@@ -93,71 +91,201 @@ func (t *Trace) TotalProcBytes(ids map[int]bool) int64 {
 	return n
 }
 
+// volume is a relation's size as the cost model sees it: the encoded bytes
+// of its physical rows and the paper-scale size they stand for (0 when the
+// relation is physical only). Materialized relations and the virtual
+// outputs of streamed-through pipeline members are sized the same way.
+type volume struct{ phys, logical int64 }
+
+// volumeOf sizes a relation an operator reads. Untraced, only a relation
+// that carries a logical size has its bytes counted (its scale ratio must
+// still propagate); nothing reads the size of any other.
+func (t *Trace) volumeOf(rel *relation.Relation) volume {
+	if t == nil && rel.LogicalBytes <= 0 {
+		return volume{}
+	}
+	return volume{phys: rel.PhysicalBytes(), logical: rel.LogicalBytes}
+}
+
+// eff is relation.Relation.EffectiveBytes for a volume.
+func (v volume) eff() int64 {
+	if v.logical > 0 {
+		return v.logical
+	}
+	return v.phys
+}
+
+// ratio is relation.Relation.ScaleRatio for a volume.
+func (v volume) ratio() float64 {
+	if v.logical <= 0 || v.phys == 0 {
+		return 1
+	}
+	return float64(v.logical) / float64(v.phys)
+}
+
+// record is the one place an operator's trace entry is computed. ins are the
+// volumes op read; phys and rows measure what it emitted — taken from a tap
+// for a streamed-through pipeline member, from the relation for a
+// materialized output. The output's logical size is its physical bytes times
+// the dominant (maximum) input scale ratio: workload generators downscale
+// all inputs by a common factor, so this keeps logical volumes consistent as
+// data flows through a workflow. INPUT and WHILE bind an existing relation
+// (phys is then its effective size, ins empty) and count no PROCESS volume;
+// for every other operator PROCESS covers inputs and produced data alike —
+// materializing a generative operator's output is real work. t may be nil.
+func (t *Trace) record(op *ir.Op, ins []volume, phys int64, rows int) volume {
+	ratio := 1.0
+	for _, in := range ins {
+		if t != nil {
+			t.ProcBytes[op.ID] += in.eff()
+			t.InBytes[op.ID] += in.eff()
+		}
+		if r := in.ratio(); r > ratio {
+			ratio = r
+		}
+	}
+	out := volume{phys: phys}
+	if ratio > 1 {
+		out.logical = int64(float64(phys) * ratio)
+	}
+	if t != nil {
+		t.OutBytes[op.ID] = out.eff()
+		t.OutRows[op.ID] = rows
+		if op.Type != ir.OpInput && op.Type != ir.OpWhile {
+			t.ProcBytes[op.ID] += out.eff()
+		}
+	}
+	return out
+}
+
+// recordOutput records op's materialized output and stamps its logical
+// size. owned says out's rows are storage the evaluating goroutine has just
+// built and is still the only holder of, so sizing them may cache the widths
+// it measures; rows passed through by reference or of unknown provenance
+// (SELECT, the set operators, SORT, LIMIT, UDF) are only read.
+func (t *Trace) recordOutput(op *ir.Op, ins []volume, out *relation.Relation, owned bool) {
+	scaled := false
+	for _, in := range ins {
+		scaled = scaled || in.logical > 0
+	}
+	if t == nil && !scaled {
+		return // untraced and unscaled: nothing reads out's size
+	}
+	var phys int64
+	if owned {
+		phys = out.StampPhysicalBytes()
+	} else {
+		phys = out.PhysicalBytes()
+	}
+	out.LogicalBytes = t.record(op, ins, phys, len(out.Rows)).logical
+}
+
+// recordBound records the relation an INPUT or WHILE binds.
+func (t *Trace) recordBound(op *ir.Op, rel *relation.Relation) {
+	if t != nil {
+		t.record(op, nil, rel.EffectiveBytes(), rel.NumRows())
+	}
+}
+
 // RunDAG evaluates every operator of the DAG in topological order. Input
 // operators resolve from env by output name (or DFS path); every operator's
-// result is added to the returned environment under its output name.
+// result is added to the returned environment under its output name, so
+// every operator is kept: each pipeline is one member long.
 func RunDAG(d *ir.DAG, env Env) (Env, *Trace, error) {
 	ops, err := d.TopoSort()
 	if err != nil {
 		return nil, nil, err
 	}
 	env = env.Clone()
-	trace := newTrace()
-	// RunDAG's contract is that every operator's result is readable from the
-	// returned environment, so nothing may be elided here: fusion runs where
-	// intermediates are known to be private — engine fragments (RunOps with
-	// a Keep set) and WHILE bodies.
-	if err := RunOps(ops, env, trace, RunOptions{NoFuse: true}); err != nil {
+	trace := NewTrace()
+	if err := RunOps(ops, env, trace, RunOptions{Keep: func(*ir.Op) bool { return true }}); err != nil {
 		return nil, nil, err
 	}
 	return env, trace, nil
 }
 
-// RunOp evaluates one operator against an environment, handling INPUT
-// resolution and WHILE iteration.
-func RunOp(op *ir.Op, env Env, trace *Trace) (*relation.Relation, error) {
-	switch op.Type {
-	case ir.OpInput:
-		if rel, ok := env[op.Out]; ok {
-			return rel, nil
+// RunOptions parameterizes a RunOps evaluation.
+type RunOptions struct {
+	// Keep marks operators whose outputs must materialize into the
+	// environment even when a pipeline could stream through them (fragment
+	// external outputs, loop-carried relations). nil keeps nothing extra:
+	// every eligible interior operator is streamed through.
+	Keep func(*ir.Op) bool
+	// BatchRows overrides the pipeline batch size
+	// (relation.DefaultBatchRows). Tests force tiny batches.
+	BatchRows int
+	// Check runs before each execution unit; a non-nil error aborts the run.
+	// Engines use it for cancellation.
+	Check func() error
+	// SkipInputs skips OpInput operators instead of resolving them
+	// (engines bind external inputs into env themselves).
+	SkipInputs bool
+}
+
+// RunOps evaluates ops — which must already be in topological order —
+// against env, one execution unit at a time (see planUnits). Each unit's
+// output lands in env under its output name; trace (which may be nil)
+// records every operator's volumes, streamed through or not.
+func RunOps(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) error {
+	return runUnits(planUnits(ops, opts.Keep), env, trace, opts)
+}
+
+func runUnits(units [][]*ir.Op, env Env, trace *Trace, opts RunOptions) error {
+	for _, u := range units {
+		op := u[len(u)-1]
+		if opts.SkipInputs && op.Type == ir.OpInput {
+			continue
 		}
-		if rel, ok := env[op.Params.Path]; ok {
-			return rel, nil
+		if opts.Check != nil {
+			if err := opts.Check(); err != nil {
+				return err
+			}
 		}
-		return nil, fmt.Errorf("exec: input relation %q (path %q) not bound", op.Out, op.Params.Path)
-	case ir.OpWhile:
-		return RunWhile(op, env, trace)
+		rel, err := runUnit(u, env, trace, opts)
+		if err != nil {
+			return err
+		}
+		env[op.Out] = rel
+	}
+	return nil
+}
+
+// runUnit executes one unit — a pipeline, a breaker kernel, a WHILE loop or
+// an INPUT binding — and returns the relation it materializes.
+func runUnit(u []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Relation, error) {
+	op := u[len(u)-1]
+	switch {
+	case pipelined(op.Type):
+		return runChain(u, env, trace, opts.BatchRows)
+	case op.Type == ir.OpInput:
+		rel, ok := env[op.Out]
+		if !ok {
+			rel, ok = env[op.Params.Path]
+		}
+		if !ok {
+			return nil, fmt.Errorf("exec: input relation %q (path %q) not bound", op.Out, op.Params.Path)
+		}
+		trace.recordBound(op, rel)
+		return rel, nil
+	case op.Type == ir.OpWhile:
+		rel, err := runWhile(op, env, trace, opts)
+		if err == nil {
+			trace.recordBound(op, rel)
+		}
+		return rel, err
 	default:
-		inputs := make([]*relation.Relation, len(op.Inputs))
-		for i, in := range op.Inputs {
-			rel, ok := env[in.Out]
-			if !ok {
-				return nil, fmt.Errorf("exec: %s: input relation %q not materialized", op, in.Out)
-			}
-			inputs[i] = rel
-			if trace != nil {
-				eff := rel.EffectiveBytes()
-				trace.ProcBytes[op.ID] += eff
-				trace.InBytes[op.ID] += eff
-			}
-		}
-		return EvalOp(op, inputs)
+		return evalBreaker(op, env, trace)
 	}
 }
 
-// RunWhile drives a WHILE operator: it evaluates the body DAG repeatedly,
+// runWhile drives a WHILE operator: it evaluates the body DAG repeatedly,
 // rebinding loop-carried relations between iterations, until MaxIter is
 // reached or the condition relation becomes empty. This is the "successive
-// DAG expansion" of paper §4.2 — each iteration is a fresh evaluation of
-// the body against an updated environment.
-func RunWhile(op *ir.Op, env Env, trace *Trace) (*relation.Relation, error) {
-	return runWhile(op, env, trace, RunOptions{})
-}
-
-// runWhile implements RunWhile with evaluation options threaded through.
-// Body iterations fuse eligible operator chains: only loop-carried
-// relations, the stop-condition relation, and the result relation are read
-// between iterations, so everything else streams.
+// DAG expansion" of paper §4.2 — each iteration is a fresh evaluation of the
+// body's units against an updated environment. Only loop-carried relations,
+// the stop-condition relation and the result relation are read between
+// iterations, so the body keeps those plus whatever the caller's Keep names
+// and streams through everything else.
 func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Relation, error) {
 	body := op.Params.Body
 	if body == nil {
@@ -191,11 +319,11 @@ func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 		keepNames[op.Params.CondRel] = true
 	}
 	bodyOpts := RunOptions{
-		Keep:      func(bop *ir.Op) bool { return keepNames[bop.Out] },
+		Keep:      func(bop *ir.Op) bool { return keepNames[bop.Out] || opts.Keep != nil && opts.Keep(bop) },
 		BatchRows: opts.BatchRows,
 		Check:     opts.Check,
-		NoFuse:    opts.NoFuse,
 	}
+	units := planUnits(bodyOps, bodyOpts.Keep)
 	maxIter := op.Params.MaxIter
 	if maxIter <= 0 {
 		maxIter = 1 << 20 // condition-only loop; CondRel must terminate it
@@ -209,9 +337,9 @@ func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 		// untraced too.
 		var bodyTrace *Trace
 		if trace != nil {
-			bodyTrace = newTrace()
+			bodyTrace = NewTrace()
 		}
-		if err := RunOps(bodyOps, outEnv, bodyTrace, bodyOpts); err != nil {
+		if err := runUnits(units, outEnv, bodyTrace, bodyOpts); err != nil {
 			return nil, fmt.Errorf("exec: %s iteration %d: %w", op, iters+1, err)
 		}
 		if trace != nil {

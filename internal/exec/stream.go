@@ -5,17 +5,17 @@ import (
 	"musketeer/internal/relation"
 )
 
-// This file holds the streaming operator kernels: relation.RowSource stages
-// that a fused chain composes into a single pull pipeline (see fuse.go for
-// chain planning and the driver). Each stage consumes its upstream via the
-// iterator interface only and reuses its output buffers across batches, so a
-// fused SELECT→PROJECT→AGG chain runs with no per-row allocation and no
-// materialized intermediates.
+// This file holds the operator kernels for SELECT, PROJECT, ARITH, JOIN-probe
+// and AGG: relation.RowSource stages that a pipeline composes into a single
+// pull chain (see fuse.go for unit planning and the driver). Each stage
+// consumes its upstream via the iterator interface only and reuses its
+// output buffers across batches, so a SELECT→PROJECT→AGG pipeline runs with
+// no per-row allocation and no materialized intermediates.
 
-// accTap accumulates the row count and physical byte size of the rows an
-// elided stage emits, summing the same relation.Row.EncodedLen that
-// Relation.PhysicalBytes sums — which is what lets the fused driver record
-// the trace a materialized evaluation records.
+// accTap accumulates the row count and physical byte size of the rows a
+// streamed-through stage emits, summing the same relation.Row.EncodedLen
+// that Relation.PhysicalBytes sums — so a member's trace entry is the same
+// whether its output was materialized or not.
 type accTap struct {
 	rows int
 	phys int64
@@ -55,8 +55,8 @@ func (a *valArena) take(n int) []relation.Value {
 	return a.vals[:n]
 }
 
-// scanSource is the head of a fused pipeline. It scans a row range and
-// applies the chain's leading SELECT predicates (predicate pushdown) and an
+// scanSource is the head of a pipeline. It scans a row range and applies
+// the pipeline's leading SELECT predicates (predicate pushdown) and an
 // immediately following PROJECT (projection pushdown) during the scan
 // itself, so filtered-out rows are never copied and surviving rows are
 // narrowed before any downstream stage sees them.
@@ -89,39 +89,45 @@ func (s *scanSource) Next() (relation.Batch, error) {
 		if hi > len(s.in) {
 			hi = len(s.in)
 		}
-		scan := s.in[s.pos:hi]
+		rows := s.in[s.pos:hi]
 		s.pos = hi
-		s.out = s.out[:0]
-		for _, row := range scan {
-			keep := true
-			for pi, p := range s.preds {
-				ok, err := EvalPred(p, s.inSch, row)
-				if err != nil {
-					return relation.Batch{}, err
+		if len(s.preds) > 0 {
+			s.out = s.out[:0]
+		scan:
+			for _, row := range rows {
+				for pi, p := range s.preds {
+					ok, err := EvalPred(p, s.inSch, row)
+					if err != nil {
+						return relation.Batch{}, err
+					}
+					if !ok {
+						continue scan
+					}
+					// The tap meters this SELECT's own output: rows it passes,
+					// even ones a later pushed-down predicate drops.
+					if t := s.predTaps[pi]; t != nil {
+						t.addRow(row)
+					}
 				}
-				if !ok {
-					keep = false
-					break
-				}
-				// The tap meters this SELECT's own output: rows it passes,
-				// even ones a later pushed-down predicate drops.
-				if t := s.predTaps[pi]; t != nil {
-					t.addRow(row)
-				}
-			}
-			if keep {
 				s.out = append(s.out, row)
 			}
+			rows = s.out
 		}
-		if len(s.out) == 0 {
+		if len(rows) == 0 {
 			continue
 		}
 		if s.proj == nil {
-			return relation.Batch{Rows: s.out}, nil
+			return relation.Batch{Rows: rows}, nil
 		}
+		// The projected headers go in s.out; when rows already is s.out each
+		// header is read before its slot is overwritten.
+		if cap(s.out) < len(rows) {
+			s.out = make([]relation.Row, len(rows))
+		}
+		s.out = s.out[:len(rows)]
 		arity := len(s.proj)
-		vals := s.ar.take(len(s.out) * arity)
-		for i, row := range s.out {
+		vals := s.ar.take(len(rows) * arity)
+		for i, row := range rows {
 			nr := relation.Row(vals[:arity:arity])
 			vals = vals[arity:]
 			for k, j := range s.proj {

@@ -4,18 +4,23 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"musketeer/internal/ir"
 	"musketeer/internal/relation"
 )
 
-// The streaming/fusion equivalence suite: every fusable chain shape must
-// produce byte-identical kept relations and an identical trace whether it
-// runs fused (batch pipelines with elided intermediates) or materialized
-// (NoFuse), at adversarially tiny batch sizes (1–3 rows, so every stage
-// boundary and arena-reuse path is crossed many times) and with
-// chunk-parallel pipelines forced on.
+// The pipeline-length equivalence suite: every fusable chain shape must
+// produce byte-identical kept relations and a bit-identical trace whether it
+// runs as one long pipeline (interior members streamed through and metered
+// by taps) or operator-at-a-time (Keep = every operator, so each pipeline is
+// one member long and every intermediate materializes), at adversarially
+// tiny batch sizes (1–3 rows, so every stage boundary and arena-reuse path
+// is crossed many times) and with chunk-parallel pipelines forced on.
+
+// keepAll is the operator-at-a-time side of every comparison.
+func keepAll(*ir.Op) bool { return true }
 
 func streamRelation(rows int) *relation.Relation {
 	rel := relation.New("src", relation.NewSchema("k:int", "v:int", "s:string", "f:float"))
@@ -219,7 +224,7 @@ func sameTrace(t *testing.T, want, got *Trace) {
 
 // TestStreamingMatchesMaterialized drives every fused shape at batch sizes
 // 1, 2, 3 and the default, and demands bit-identical kept outputs and
-// traces against the NoFuse evaluation.
+// traces against the Keep-all evaluation.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	src := streamRelation(97) // prime, so tiny batches end ragged
 	dim := streamBuildSide(7)
@@ -231,7 +236,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 				for _, k := range c.keep {
 					keep[k] = true
 				}
-				wantEnv, wantTrace := runStream(t, ops, src, dim, RunOptions{NoFuse: true})
+				wantEnv, wantTrace := runStream(t, ops, src, dim, RunOptions{Keep: keepAll})
 				gotEnv, gotTrace := runStream(t, ops, src, dim, RunOptions{
 					Keep:      func(op *ir.Op) bool { return keep[op.Out] },
 					BatchRows: batch,
@@ -260,7 +265,7 @@ func TestStreamingMatchesMaterializedParallel(t *testing.T) {
 			for _, k := range c.keep {
 				keep[k] = true
 			}
-			wantEnv, wantTrace := runStream(t, ops, src, dim, RunOptions{NoFuse: true})
+			wantEnv, wantTrace := runStream(t, ops, src, dim, RunOptions{Keep: keepAll})
 			gotEnv, gotTrace := runStream(t, ops, src, dim, RunOptions{
 				Keep:      func(op *ir.Op) bool { return keep[op.Out] },
 				BatchRows: 3,
@@ -274,7 +279,8 @@ func TestStreamingMatchesMaterializedParallel(t *testing.T) {
 }
 
 // TestStreamingWhileBodyTinyBatches runs an iterative WHILE whose body is a
-// fusable chain at batch size 1 and compares against the NoFuse run.
+// fusable chain at batch size 1 and compares against the Keep-all run, whose
+// body materializes every operator.
 func TestStreamingWhileBodyTinyBatches(t *testing.T) {
 	src := streamRelation(31)
 	dim := streamBuildSide(7)
@@ -296,7 +302,7 @@ func TestStreamingWhileBodyTinyBatches(t *testing.T) {
 		}
 		return ops
 	}
-	wantEnv, wantTrace := runStream(t, build(), src, dim, RunOptions{NoFuse: true})
+	wantEnv, wantTrace := runStream(t, build(), src, dim, RunOptions{Keep: keepAll})
 	gotEnv, gotTrace := runStream(t, build(), src, dim, RunOptions{BatchRows: 1})
 	sameRelation(t, "looped", wantEnv["looped"], gotEnv["looped"])
 	sameTrace(t, wantTrace, gotTrace)
@@ -314,4 +320,87 @@ func gotOpID(t *testing.T, ops []*ir.Op, out string) int {
 	}
 	t.Fatalf("op %q not found", out)
 	return -1
+}
+
+// TestOneMemberPipelines covers the shapes that only exist since every
+// SELECT/PROJECT/ARITH/JOIN/AGG runs as a pipeline: an AGG that heads its
+// own pipeline (behind a breaker), the empty-input empty-GROUP-BY case
+// through that path, and a JOIN whose build side is the relation it probes.
+// Each is checked against the oracle, single-range and chunked.
+func TestOneMemberPipelines(t *testing.T) {
+	src := streamRelation(97)
+	empty := relation.New("src", src.Schema)
+	for _, in := range []*relation.Relation{src, empty} {
+		for _, threshold := range []int{ParallelThreshold, 1} {
+			d := ir.NewDAG()
+			s := d.AddInput("src", "in/src", in.Schema)
+			dist := d.Add(ir.OpDistinct, "dist", ir.Params{}, s)
+			d.Add(ir.OpAgg, "total", ir.Params{Aggs: []ir.AggSpec{
+				{Func: ir.AggCount, As: "n"}, {Func: ir.AggSum, Col: "v", As: "sum"}, {Func: ir.AggMax, Col: "f", As: "hi"},
+			}}, dist)
+			d.Add(ir.OpAgg, "by_k", ir.Params{GroupBy: []string{"k"}, Aggs: []ir.AggSpec{{Func: ir.AggAvg, Col: "v", As: "avg"}}}, dist)
+			d.Add(ir.OpJoin, "self", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"v"}}, s, s)
+			if err := d.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			ops, err := d.TopoSort()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracleRun(ops, map[string]*relation.Relation{"src": in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			withThreshold(t, threshold, func() {
+				env, trace := runStream(t, ops, in, in, RunOptions{BatchRows: 5})
+				for _, name := range []string{"total", "by_k", "self"} {
+					if got := env[name]; got.Fingerprint() != want[name].Fingerprint() {
+						t.Errorf("%d rows, threshold %d: %s = %v, want %v", len(in.Rows), threshold, name, got.Rows, want[name].Rows)
+					}
+					if op := d.ByOut(name); trace.OutRows[op.ID] != len(want[name].Rows) {
+						t.Errorf("%s: traced %d rows, want %d", name, trace.OutRows[op.ID], len(want[name].Rows))
+					}
+				}
+				if n := len(env["total"].Rows); n != 1 {
+					t.Errorf("global aggregate over %d rows: %d output rows, want 1", len(in.Rows), n)
+				}
+			})
+		}
+	}
+}
+
+// TestLoneSelectSharesInputRows: a one-member SELECT pipeline passes its
+// input's rows through by reference, so concurrent chunk-parallel runs over
+// one input must neither write to those rows (-race) nor copy them.
+func TestLoneSelectSharesInputRows(t *testing.T) {
+	src := streamRelation(97)
+	d := ir.NewDAG()
+	in := d.AddInput("src", "in/src", src.Schema)
+	d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("v", ir.CmpGe, 40)}, in)
+	ops, err := d.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	withThreshold(t, 8, func() {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				env := Env{"src": src}
+				if err := RunOps(ops, env, NewTrace(), RunOptions{BatchRows: 3}); err != nil {
+					t.Error(err)
+					return
+				}
+				hot := env["hot"]
+				if len(hot.Rows) != 57 || &hot.Rows[0][0] != &src.Rows[40][0] {
+					t.Errorf("hot: %d rows, first aliases the input: %v", len(hot.Rows), len(hot.Rows) > 0 && &hot.Rows[0][0] == &src.Rows[40][0])
+				}
+			}()
+		}
+		wg.Wait()
+	})
+	if err := relation.CheckWidths(src); err != nil {
+		t.Error(err)
+	}
 }

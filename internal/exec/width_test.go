@@ -28,10 +28,10 @@ func whileOps(t *testing.T, src *relation.Relation) []*ir.Op {
 
 // TestRunOpsNilTraceWhile: RunOps documents that trace may be nil; a DAG
 // holding a WHILE used to dereference it. The untraced run must compute what
-// the traced run computes, fused and unfused.
+// the traced run computes, fused and operator-at-a-time.
 func TestRunOpsNilTraceWhile(t *testing.T) {
 	src := streamRelation(31)
-	for name, opts := range map[string]RunOptions{"fused": {BatchRows: 2}, "nofuse": {NoFuse: true}} {
+	for name, opts := range map[string]RunOptions{"fused": {BatchRows: 2}, "keep-all": {Keep: keepAll}} {
 		t.Run(name, func(t *testing.T) {
 			traced := Env{"src": src}
 			if err := RunOps(whileOps(t, src), traced, NewTrace(), opts); err != nil {
@@ -48,7 +48,8 @@ func TestRunOpsNilTraceWhile(t *testing.T) {
 
 // TestConcurrentRunsShareInputRows is the race proof for size accounting:
 // eight goroutines evaluate every fusable shape and a WHILE, fused with
-// chunk-parallel pipelines and unfused, over the very same input relations.
+// chunk-parallel pipelines and operator-at-a-time, over the very same input
+// relations.
 // Sizing caches widths only in rows an evaluation built itself, so under
 // -race no goroutine may be seen writing to the shared rows, and every run
 // must record the serial trace.
@@ -61,9 +62,9 @@ func TestConcurrentRunsShareInputRows(t *testing.T) {
 	cases := streamCases()
 	want := make([]*Trace, len(cases))
 	for i, c := range cases {
-		_, want[i] = runStream(t, buildStreamDAG(t, c, src, dim), src, dim, RunOptions{NoFuse: true})
+		_, want[i] = runStream(t, buildStreamDAG(t, c, src, dim), src, dim, RunOptions{Keep: keepAll})
 	}
-	_, wantWhile := runStream(t, whileOps(t, src), src, dim, RunOptions{NoFuse: true})
+	_, wantWhile := runStream(t, whileOps(t, src), src, dim, RunOptions{Keep: keepAll})
 
 	// DAGs are built here: the builders may t.Fatal, which only the test's
 	// own goroutine may do.
@@ -88,7 +89,7 @@ func TestConcurrentRunsShareInputRows(t *testing.T) {
 				}
 				opts := RunOptions{Keep: func(op *ir.Op) bool { return keep[op.Out] }, BatchRows: 1 + g%3}
 				if g%2 == 1 {
-					opts = RunOptions{NoFuse: true}
+					opts = RunOptions{Keep: keepAll}
 				}
 				env := Env{"src": src, "dim": dim}
 				trace := NewTrace()
@@ -105,7 +106,11 @@ func TestConcurrentRunsShareInputRows(t *testing.T) {
 			}
 			env := Env{"src": src, "dim": dim}
 			trace := NewTrace()
-			if err := RunOps(loopOps[g], env, trace, RunOptions{BatchRows: 2, NoFuse: g%2 == 1}); err != nil {
+			loopOpts := RunOptions{BatchRows: 2}
+			if g%2 == 1 {
+				loopOpts = RunOptions{Keep: keepAll}
+			}
+			if err := RunOps(loopOps[g], env, trace, loopOpts); err != nil {
 				t.Errorf("while: %v", err)
 				return
 			}
@@ -158,7 +163,7 @@ func TestForeignTextRunsLikeCanonical(t *testing.T) {
 		}
 		return trace
 	}
-	for name, opts := range map[string]RunOptions{"fused": {BatchRows: 2}, "nofuse": {NoFuse: true}} {
+	for name, opts := range map[string]RunOptions{"fused": {BatchRows: 2}, "keep-all": {Keep: keepAll}} {
 		t.Run(name, func(t *testing.T) {
 			sameTrace(t, run(canon, opts), run(raw, opts))
 		})

@@ -36,34 +36,3 @@ type RowSource interface {
 // DefaultBatchRows is the row capacity pipelines pull per batch unless the
 // caller overrides it (tests force tiny batches to exercise refill paths).
 const DefaultBatchRows = 1024
-
-// SliceSource adapts a row slice to the RowSource interface, yielding
-// contiguous sub-slices of at most BatchRows rows. It allocates nothing:
-// every batch aliases the underlying slice.
-type SliceSource struct {
-	Sch       Schema
-	Rows      []Row
-	BatchRows int
-	pos       int
-}
-
-// Schema implements RowSource.
-func (s *SliceSource) Schema() Schema { return s.Sch }
-
-// Next implements RowSource.
-func (s *SliceSource) Next() (Batch, error) {
-	n := s.BatchRows
-	if n <= 0 {
-		n = DefaultBatchRows
-	}
-	if s.pos >= len(s.Rows) {
-		return Batch{}, nil
-	}
-	hi := s.pos + n
-	if hi > len(s.Rows) {
-		hi = len(s.Rows)
-	}
-	b := Batch{Rows: s.Rows[s.pos:hi]}
-	s.pos = hi
-	return b, nil
-}

@@ -1,5 +1,5 @@
 // Package sched is the execution stack's job scheduler — and its only
-// sanctioned source of concurrency (a mklint rule forbids bare go
+// sanctioned source of concurrency (a mkvet rule forbids bare go
 // statements in internal/core and internal/engines).
 //
 // A Scheduler dispatches DAGs of jobs with bounded-worker admission

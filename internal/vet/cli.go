@@ -14,11 +14,13 @@ const (
 	ExitBroken   = 2 // parse or type-check failure (or bad usage)
 )
 
-// CLIMain is the shared entry point of cmd/mkvet and its transitional
-// alias cmd/mklint. It parses tool flags and go-style ./... patterns,
-// runs the analysis, prints findings (human-readable or -json), and
-// returns the process exit code.
-func CLIMain(tool string, args []string, stdout, stderr io.Writer) int {
+// tool names the command in usage and error text.
+const tool = "mkvet"
+
+// CLIMain is the entry point of cmd/mkvet. It parses tool flags and
+// go-style ./... patterns, runs the analysis, prints findings
+// (human-readable or -json), and returns the process exit code.
+func CLIMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON report")

@@ -252,7 +252,7 @@ func TestCLIExitCodes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errBuf bytes.Buffer
 			code := -1
-			inDir(t, tc.dir, func() { code = CLIMain("mkvet", tc.args, &out, &errBuf) })
+			inDir(t, tc.dir, func() { code = CLIMain(tc.args, &out, &errBuf) })
 			if code != tc.want {
 				t.Fatalf("exit code %d, want %d\nstdout:\n%s\nstderr:\n%s", code, tc.want, out.String(), errBuf.String())
 			}
@@ -263,7 +263,7 @@ func TestCLIExitCodes(t *testing.T) {
 func TestCLIJSONReport(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	code := -1
-	inDir(t, corpusDir, func() { code = CLIMain("mkvet", []string{"-json"}, &out, &errBuf) })
+	inDir(t, corpusDir, func() { code = CLIMain([]string{"-json"}, &out, &errBuf) })
 	if code != ExitFindings {
 		t.Fatalf("exit code %d, want %d (stderr: %s)", code, ExitFindings, errBuf.String())
 	}

@@ -562,34 +562,15 @@ func (w *Workflow) estimator() (*core.Estimator, error) {
 // (paper §5.2): the cheapest feasible partitioning over all engines
 // Musketeer generates code for.
 func (w *Workflow) Plan() (*Partitioning, error) {
-	est, err := w.estimator()
-	if err != nil {
-		return nil, err
-	}
-	part, err := core.AutoMap(w.dag, est, w.standardEngines())
-	if err != nil {
-		return nil, err
-	}
-	w.recordSearch(est, nil)
-	return part, nil
+	return w.planTraced(nil, nil, "")
 }
 
 // PlanFor partitions the workflow for one explicitly chosen back-end.
 func (w *Workflow) PlanFor(engine string) (*Partitioning, error) {
-	eng, ok := w.m.engines[engine]
-	if !ok {
+	if engine == "" { // planTraced reads "" as "auto-map"
 		return nil, fmt.Errorf("musketeer: unknown engine %q", engine)
 	}
-	est, err := w.estimator()
-	if err != nil {
-		return nil, err
-	}
-	part, err := core.MapTo(w.dag, est, eng)
-	if err != nil {
-		return nil, err
-	}
-	w.recordSearch(est, nil)
-	return part, nil
+	return w.planTraced(nil, nil, engine)
 }
 
 // recordSearch publishes the partition search's work — candidate fragments

@@ -93,8 +93,11 @@ func TestUnknownEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wf.PlanFor("flink"); err == nil {
-		t.Error("unknown engine accepted")
+	// "" names no engine either: only Plan auto-maps.
+	for _, name := range []string{"flink", ""} {
+		if _, err := wf.PlanFor(name); err == nil {
+			t.Errorf("unknown engine %q accepted", name)
+		}
 	}
 }
 
