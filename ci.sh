@@ -22,7 +22,7 @@
 # With no argument every group runs in sequence (the full local gate).
 # Naming a group runs just that slice — the GitHub workflow fans the three
 # groups out as parallel jobs sharing one module cache:
-#   build — go vet, go build, mkvet
+#   build — gofmt, go vet, go build, mkvet
 #   test  — go test, go test -race (both with timeout guards)
 #   gates — the named behavioral gates below
 #
@@ -105,6 +105,16 @@ bench_gate() {
         -concurrency BENCH_concurrency.json -fresh-concurrency /tmp/mk_conc_fresh.json
 }
 
+gofmt_gate() {
+    # gofmt -l prints the files it would rewrite and still exits 0.
+    unformatted=$(gofmt -l .)
+    if [ -n "$unformatted" ]; then
+        echo "gofmt: these files need gofmt -w:" >&2
+        echo "$unformatted" >&2
+        return 1
+    fi
+}
+
 mkvet_gate() {
     # On findings (exit 1) the machine-readable report is regenerated for
     # the workflow's artifact upload; a broken tree (exit 2) fails as-is.
@@ -148,6 +158,7 @@ service_gate() {
 }
 
 if [ "$GROUP" = all ] || [ "$GROUP" = build ]; then
+    stage "gofmt" gofmt_gate
     stage "go vet" go vet ./...
     stage "go build" go build ./...
     stage "mkvet" mkvet_gate

@@ -115,7 +115,7 @@ func TestGateAllocRegressionAndZeroAllocGuard(t *testing.T) {
 		"BenchmarkFew":  {NsOp: 100, AllocsOp: 8, HasAllocs: true},
 	}
 	fresh := map[string]Measurement{
-		"BenchmarkZero": {NsOp: 100, AllocsOp: 1, HasAllocs: true}, // zero-alloc path now allocates
+		"BenchmarkZero": {NsOp: 100, AllocsOp: 1, HasAllocs: true},  // zero-alloc path now allocates
 		"BenchmarkFew":  {NsOp: 100, AllocsOp: 10, HasAllocs: true}, // within 25%+0.5
 	}
 	regs, _, _ := CompareKernels(fresh, baseline, 0.25)

@@ -26,9 +26,9 @@ func TestWhileDriverIterationCheckpoints(t *testing.T) {
 		rec := obs.NewRecorder()
 		reg := obs.NewRegistry()
 		r := &Runner{
-			Ctx:     engines.RunContext{DFS: fs, Cluster: cluster.Local(7), Chaos: plan},
-			Mode:    engines.ModeOptimized,
-			Rec:     rec, Metrics: reg,
+			Ctx:  engines.RunContext{DFS: fs, Cluster: cluster.Local(7), Chaos: plan},
+			Mode: engines.ModeOptimized,
+			Rec:  rec, Metrics: reg,
 		}
 		res, err := r.Execute(d, part)
 		if err != nil {

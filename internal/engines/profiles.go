@@ -80,7 +80,7 @@ func Naiad() *Engine {
 			GraphMemFactor: 6,                   // managed-heap vertex/edge objects
 			MemCapGB:       11, ThrashFactor: 5, // in-memory dataflow state
 			NativeIteration: true,
-			CheckpointS:     60, // periodic global checkpoint of dataflow state
+			CheckpointS:     60,                  // periodic global checkpoint of dataflow state
 			CodegenTaxPct:   2, NaiveFactor: 1.6, // "virtually non-existent" (§6.4)
 		},
 	}

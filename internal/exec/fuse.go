@@ -126,8 +126,8 @@ func (c *chain) runRange(lo, hi int, dst []relation.Row) rangeResult {
 	res.taps = make([]accTap, tapped)
 	pipe := buildPipeline(c.stages, c.src.Schema, c.src.Rows[lo:hi], c.batchRows, res.taps)
 	if c.agg != nil {
-		res.table = newAggTable()
-		res.inRows, res.err = drainAgg(pipe, res.table, c.agg.ag.gIdx, c.agg.ag.aIdx)
+		res.table = newAggTable(c.agg.ag)
+		res.inRows, res.err = drainAgg(pipe, res.table)
 	} else {
 		res.rows, res.err = drainRows(pipe, dst)
 	}
@@ -286,7 +286,7 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, batchRows int) (*relation.Rel
 	}
 	out := relation.New(last.Out, specs[n-1].sch)
 	if c.agg != nil {
-		emitAggRows(last, c.agg.inSch, c.agg.ag, res.table, res.inRows, out)
+		emitAggRows(c.agg.inSch, res.table, res.inRows, out)
 	} else {
 		out.Rows = res.rows
 	}
@@ -320,6 +320,9 @@ func buildPipeline(specs []stagePlan, srcSch relation.Schema, rows []relation.Ro
 		}
 		return nil
 	}
+	if batchRows <= 0 {
+		batchRows = relation.DefaultBatchRows
+	}
 	scan := &scanSource{in: rows, inSch: srcSch, sch: srcSch, batchRows: batchRows}
 	i := 0
 	for ; i < len(specs) && specs[i].op.Type == ir.OpSelect; i++ {
@@ -344,7 +347,7 @@ func buildPipeline(specs []stagePlan, srcSch relation.Schema, rows []relation.Ro
 		case ir.OpArith:
 			src = &arithStage{src: src, inSch: sp.inSch, sch: sp.sch, op: sp.op, dstIdx: sp.dstIdx, tap: tap(i), ar: valArena{fresh: sp.fresh}}
 		case ir.OpJoin:
-			src = &joinProbeStage{src: src, sch: sp.sch, lIdx: sp.js.lIdx, rKeep: sp.js.rKeep, build: sp.build, tap: tap(i), ar: valArena{fresh: sp.fresh}}
+			src = &joinProbeStage{src: src, sch: sp.sch, lIdx: sp.js.lIdx, rKeep: sp.js.rKeep, build: sp.build, batchRows: batchRows, tap: tap(i), ar: valArena{fresh: sp.fresh}}
 		}
 	}
 	return src

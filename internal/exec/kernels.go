@@ -140,11 +140,13 @@ func evalBreaker(op *ir.Op, env Env, trace *Trace) (*relation.Relation, error) {
 	case ir.OpCrossJoin:
 		l, r := inputs[0], inputs[1]
 		out.Rows = make([]relation.Row, 0, len(l.Rows)*len(r.Rows))
+		arity := outSchema.Arity()
+		vals := make([]relation.Value, cap(out.Rows)*arity)
 		for _, lr := range l.Rows {
 			for _, rr := range r.Rows {
-				nr := make(relation.Row, 0, len(lr)+len(rr))
-				nr = append(nr, lr...)
-				nr = append(nr, rr...)
+				nr := relation.Row(vals[:arity:arity])
+				vals = vals[arity:]
+				copy(nr[copy(nr, lr):], rr)
 				out.Rows = append(out.Rows, nr)
 			}
 		}
@@ -241,87 +243,17 @@ func resolveJoinSpec(op *ir.Op, l, r relation.Schema) (joinSpec, error) {
 	return js, nil
 }
 
-type aggState struct {
-	key   relation.Row
-	sum   []relation.Value
-	count []int64
-	min   []relation.Value
-	max   []relation.Value
-	n     int64
-	armed []bool // whether min/max have seen a value
-}
-
-// newAggState initializes a group's state from its first row.
-func newAggState(row relation.Row, gIdx, aIdx []int) *aggState {
-	st := &aggState{
-		key:   make(relation.Row, len(gIdx)),
-		sum:   make([]relation.Value, len(aIdx)),
-		count: make([]int64, len(aIdx)),
-		min:   make([]relation.Value, len(aIdx)),
-		max:   make([]relation.Value, len(aIdx)),
-		armed: make([]bool, len(aIdx)),
-	}
-	for i, j := range gIdx {
-		st.key[i] = row[j]
-	}
-	for i, j := range aIdx {
-		if j >= 0 {
-			st.sum[i] = relation.Float(0)
-			st.min[i] = row[j]
-			st.max[i] = row[j]
-			st.armed[i] = true
-		}
-	}
-	return st
-}
-
-// accumulate folds one row into the state.
-func (st *aggState) accumulate(row relation.Row, aIdx []int) {
-	st.n++
-	for i, j := range aIdx {
-		if j < 0 {
-			continue
-		}
-		v := row[j]
-		st.sum[i] = st.sum[i].Add(v)
-		st.count[i]++
-		if v.Compare(st.min[i]) < 0 {
-			st.min[i] = v
-		}
-		if v.Compare(st.max[i]) > 0 {
-			st.max[i] = v
-		}
-	}
-}
-
-// merge folds a partial state for the same group into st — the combiner
-// step: every aggregator is associative in this decomposed form.
-func (st *aggState) merge(o *aggState) {
-	st.n += o.n
-	for i := range st.sum {
-		if !o.armed[i] {
-			continue
-		}
-		st.sum[i] = st.sum[i].Add(o.sum[i])
-		st.count[i] += o.count[i]
-		if !st.armed[i] || o.min[i].Compare(st.min[i]) < 0 {
-			st.min[i] = o.min[i]
-		}
-		if !st.armed[i] || o.max[i].Compare(st.max[i]) > 0 {
-			st.max[i] = o.max[i]
-		}
-		st.armed[i] = true
-	}
-}
-
 // aggSpec is an aggregation's resolved column indexes: group-by columns and
-// one aggregated column per AggSpec (-1 for COUNT).
+// one aggregated column per AggSpec (-1 for COUNT, which keeps no cell).
+// cIdx is aIdx's counterpart for folding one table's cells into another's:
+// the cell's own position, or -1.
 type aggSpec struct {
-	gIdx, aIdx []int
+	aggs             []ir.AggSpec
+	gIdx, aIdx, cIdx []int
 }
 
 func resolveAggSpec(op *ir.Op, in relation.Schema) (aggSpec, error) {
-	var sp aggSpec
+	sp := aggSpec{aggs: op.Params.Aggs}
 	sp.gIdx = make([]int, len(op.Params.GroupBy))
 	for i, c := range op.Params.GroupBy {
 		j := in.Index(c)
@@ -330,29 +262,32 @@ func resolveAggSpec(op *ir.Op, in relation.Schema) (aggSpec, error) {
 		}
 		sp.gIdx[i] = j
 	}
-	sp.aIdx = make([]int, len(op.Params.Aggs))
-	for i, a := range op.Params.Aggs {
+	sp.aIdx = make([]int, len(sp.aggs))
+	sp.cIdx = make([]int, len(sp.aggs))
+	for i, a := range sp.aggs {
 		if a.Func == ir.AggCount {
-			sp.aIdx[i] = -1
+			sp.aIdx[i], sp.cIdx[i] = -1, -1
 			continue
 		}
 		j := in.Index(a.Col)
 		if j < 0 {
 			return sp, fmt.Errorf("exec: %s: unknown aggregation column %q", op, a.Col)
 		}
-		sp.aIdx[i] = j
+		sp.aIdx[i], sp.cIdx[i] = j, i
 	}
 	return sp, nil
 }
 
-// emitAggRows renders a fully-accumulated aggregation table into out.
-// inRows is the number of input rows the table saw: an empty-group-by
-// aggregation over an empty input still yields one row of zeros/identities
-// in SQL semantics, so AVG/COUNT pipelines stay total.
-func emitAggRows(op *ir.Op, in relation.Schema, sp aggSpec, table *aggTable, inRows int, out *relation.Relation) {
+// emitAggRows renders a fully-accumulated aggregation table into out, in
+// the table's first-appearance order. inRows is the number of input rows the
+// table saw: an empty-group-by aggregation over an empty input still yields
+// one row of zeros/identities in SQL semantics, so AVG/COUNT pipelines stay
+// total.
+func emitAggRows(in relation.Schema, table *aggTable, inRows int, out *relation.Relation) {
+	sp := table.sp
 	if inRows == 0 && len(sp.gIdx) == 0 {
-		row := make(relation.Row, len(op.Params.Aggs))
-		for i, a := range op.Params.Aggs {
+		row := make(relation.Row, len(sp.aggs))
+		for i, a := range sp.aggs {
 			if a.Func == ir.AggCount {
 				row[i] = relation.Int(0)
 			} else {
@@ -362,34 +297,30 @@ func emitAggRows(op *ir.Op, in relation.Schema, sp aggSpec, table *aggTable, inR
 		out.Rows = append(out.Rows, row)
 		return
 	}
-	out.Rows = make([]relation.Row, 0, len(table.order))
-	for _, e := range table.order {
-		st := e.st
-		row := make(relation.Row, 0, len(sp.gIdx)+len(op.Params.Aggs))
-		row = append(row, st.key...)
-		for i, a := range op.Params.Aggs {
+	nk, arity := len(sp.gIdx), len(sp.gIdx)+len(sp.aggs)
+	out.Rows = make([]relation.Row, len(table.states))
+	vals := make([]relation.Value, len(table.states)*arity)
+	for g := range table.states {
+		st := &table.states[g]
+		row := relation.Row(vals[:arity:arity])
+		vals = vals[arity:]
+		copy(row, st.key)
+		for i, a := range sp.aggs {
+			v := relation.Int(st.n)
 			switch a.Func {
-			case ir.AggCount:
-				row = append(row, relation.Int(st.n))
 			case ir.AggSum:
-				v := st.sum[i]
+				v = st.cells[i]
 				// Keep integer sums integral.
-				if j := sp.aIdx[i]; j >= 0 && in.Cols[j].Kind == relation.KindInt {
+				if in.Cols[sp.aIdx[i]].Kind == relation.KindInt {
 					v = relation.Int(int64(v.AsFloat()))
 				}
-				row = append(row, v)
-			case ir.AggMin:
-				row = append(row, st.min[i])
-			case ir.AggMax:
-				row = append(row, st.max[i])
+			case ir.AggMin, ir.AggMax:
+				v = st.cells[i]
 			case ir.AggAvg:
-				if st.count[i] == 0 {
-					row = append(row, relation.Float(0))
-				} else {
-					row = append(row, relation.Float(st.sum[i].AsFloat()/float64(st.count[i])))
-				}
+				v = relation.Float(st.cells[i].AsFloat() / float64(st.n))
 			}
+			row[nk+i] = v
 		}
-		out.Rows = append(out.Rows, row)
+		out.Rows[g] = row
 	}
 }

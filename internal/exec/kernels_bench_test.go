@@ -59,6 +59,53 @@ func BenchmarkKernelHashJoin(b *testing.B) {
 	benchOp(b, ir.OpJoin, ir.Params{LeftCols: []string{"k"}, RightCols: []string{"k"}}, left, right)
 }
 
+// fanoutOps is the PageRank / NetFlix inner loop: a JOIN whose every probe
+// row meets sixteen build rows, an ARITH over the joined rows and a grouped
+// SUM — one three-member pipeline, only the aggregate kept.
+func fanoutOps(tb testing.TB) []*ir.Op {
+	tb.Helper()
+	d := ir.NewDAG()
+	src := d.AddInput("src", "in/src", relation.NewSchema("k:int", "v:int", "w:float"))
+	dim := d.AddInput("dim", "in/dim", relation.NewSchema("k:int", "dst:int", "deg:int"))
+	j := d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"k"}}, src, dim)
+	a := d.Add(ir.OpArith, "shared", ir.Params{Dst: "w", ALeft: ir.ColRef("w"), ARght: ir.ColRef("deg"), AOp: ir.ArithDiv}, j)
+	d.Add(ir.OpAgg, "bydst", ir.Params{GroupBy: []string{"dst"}, Aggs: []ir.AggSpec{{Func: ir.AggSum, Col: "w", As: "rank"}}}, a)
+	if err := d.Validate(); err != nil {
+		tb.Fatal(err)
+	}
+	ops, err := d.TopoSort()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ops
+}
+
+// fanoutInputs returns rows probe rows over 256 keys and a build side with
+// sixteen rows per key, spread over 1024 destinations.
+func fanoutInputs(rows int) (src, dim *relation.Relation) {
+	dim = relation.New("dim", relation.NewSchema("k:int", "dst:int", "deg:int"))
+	for i := 0; i < 256*16; i++ {
+		dim.MustAppend(relation.Row{relation.Int(int64(i / 16)), relation.Int(int64(i * 7 % 1024)), relation.Int(16)})
+	}
+	return benchRelation(rows, 256), dim
+}
+
+func BenchmarkKernelJoinFanout(b *testing.B) {
+	ops := fanoutOps(b)
+	src, dim := fanoutInputs(20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env := Env{"in/src": src, "in/dim": dim}
+		if err := RunOps(ops, env, NewTrace(), RunOptions{Keep: func(op *ir.Op) bool { return op.Out == "bydst" }}); err != nil {
+			b.Fatal(err)
+		}
+		if out := env["bydst"]; out == nil || out.NumRows() != 1024 {
+			b.Fatal("fan-out pipeline produced the wrong groups")
+		}
+	}
+}
+
 func BenchmarkKernelAgg(b *testing.B) {
 	in := benchRelation(20000, 128)
 	benchOp(b, ir.OpAgg, ir.Params{

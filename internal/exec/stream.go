@@ -80,12 +80,8 @@ type scanSource struct {
 func (s *scanSource) Schema() relation.Schema { return s.sch }
 
 func (s *scanSource) Next() (relation.Batch, error) {
-	n := s.batchRows
-	if n <= 0 {
-		n = relation.DefaultBatchRows
-	}
 	for s.pos < len(s.in) {
-		hi := s.pos + n
+		hi := s.pos + s.batchRows
 		if hi > len(s.in) {
 			hi = len(s.in)
 		}
@@ -272,64 +268,81 @@ func (a *arithStage) Next() (relation.Batch, error) {
 // (left) side, emitting left-row ++ kept-right-column rows. The build table
 // is read-only and may be shared across concurrent pipeline instances; each
 // stage hashes through its own KeyHasher.
+//
+// The stage is resumable: it probes an upstream batch once and then emits
+// that batch's matches in windows of at most batchRows rows over successive
+// Next calls, so a fan-out join hands downstream stages batches no larger
+// than the scan does and their arenas stop growing after the first one.
 type joinProbeStage struct {
-	src     relation.RowSource
-	sch     relation.Schema
-	lIdx    []int
-	rKeep   []int
-	build   *joinTable
-	h       relation.KeyHasher
-	tap     *accTap
-	ar      valArena
-	out     []relation.Row
+	src       relation.RowSource
+	sch       relation.Schema
+	lIdx      []int
+	rKeep     []int
+	build     *joinTable
+	batchRows int
+	h         relation.KeyHasher
+	tap       *accTap
+	ar        valArena
+	out       []relation.Row
+
+	// The upstream batch being emitted: its probe rows, their matches, the
+	// position of the next match to emit and how many are left.
+	cur     []relation.Row
 	matches [][]relation.Row
+	row, at int
+	pending int
 }
 
 func (j *joinProbeStage) Schema() relation.Schema { return j.sch }
 
 func (j *joinProbeStage) Next() (relation.Batch, error) {
-	for {
+	for j.pending == 0 {
 		b, err := j.src.Next()
 		if err != nil || b.Empty() {
 			return relation.Batch{}, err
 		}
-		total := 0
 		j.matches = j.matches[:0]
 		for _, lr := range b.Rows {
 			m := j.build.probe(&j.h, lr, j.lIdx)
 			j.matches = append(j.matches, m)
-			total += len(m)
+			j.pending += len(m)
 		}
-		if total == 0 {
+		//mkvet:ignore arena-escape the upstream batch is held only while its matches are pending: src.Next is not called again until the last of them is emitted, which is the contract window
+		j.cur, j.row, j.at = b.Rows, 0, 0
+	}
+	n := min(j.pending, j.batchRows)
+	j.pending -= n
+	arity := j.sch.Arity()
+	vals := j.ar.take(n * arity)
+	j.out = j.out[:0]
+	for len(j.out) < n {
+		m := j.matches[j.row]
+		if j.at == len(m) {
+			j.row, j.at = j.row+1, 0
 			continue
 		}
-		arity := j.sch.Arity()
-		vals := j.ar.take(total * arity)
-		j.out = j.out[:0]
-		for i, lr := range b.Rows {
-			for _, rr := range j.matches[i] {
-				nr := relation.Row(vals[:arity:arity])
-				vals = vals[arity:]
-				copy(nr, lr)
-				k := len(lr)
-				for _, c := range j.rKeep {
-					nr[k] = rr[c]
-					k++
-				}
-				if j.tap != nil {
-					j.tap.addOwned(nr)
-				}
-				j.out = append(j.out, nr)
-			}
+		lr, rr := j.cur[j.row], m[j.at]
+		j.at++
+		nr := relation.Row(vals[:arity:arity])
+		vals = vals[arity:]
+		copy(nr, lr)
+		k := len(lr)
+		for _, c := range j.rKeep {
+			nr[k] = rr[c]
+			k++
 		}
-		return relation.Batch{Rows: j.out}, nil
+		if j.tap != nil {
+			j.tap.addOwned(nr)
+		}
+		j.out = append(j.out, nr)
 	}
+	return relation.Batch{Rows: j.out}, nil
 }
 
 // drainAgg is the aggregation sink: it folds every upstream row into the
 // table (which copies the values it keeps) and reports how many rows it
 // consumed.
-func drainAgg(src relation.RowSource, table *aggTable, gIdx, aIdx []int) (int, error) {
+func drainAgg(src relation.RowSource, table *aggTable) (int, error) {
 	rows := 0
 	for {
 		b, err := src.Next()
@@ -340,7 +353,7 @@ func drainAgg(src relation.RowSource, table *aggTable, gIdx, aIdx []int) (int, e
 			return rows, nil
 		}
 		for _, row := range b.Rows {
-			table.state(row, gIdx, aIdx).accumulate(row, aIdx)
+			table.add(row)
 		}
 		rows += len(b.Rows)
 	}

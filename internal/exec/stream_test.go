@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -402,5 +403,155 @@ func TestLoneSelectSharesInputRows(t *testing.T) {
 	})
 	if err := relation.CheckWidths(src); err != nil {
 		t.Error(err)
+	}
+}
+
+// rowsText renders rows in order, one line each, widths and all other cached
+// state left out — what "the same rows in the same order" means.
+func rowsText(rows []relation.Row) string {
+	var b bytes.Buffer
+	for _, row := range rows {
+		for _, v := range row {
+			b.WriteString(v.String())
+			b.WriteByte('\t')
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestJoinProbeWindows pins the resumable probe: a JOIN emits an upstream
+// batch's matches in windows of at most BatchRows rows, and whatever the
+// window size the rows, their order, every group's first appearance and the
+// trace are those of the oracle and of the Keep-all run. The build side
+// gives key 0 a 5 000-row run (one probe row fans out across thousands of
+// windows), key 1 five rows (nine hot probe rows in a row straddle every
+// window boundary at sizes 2, 3 and 7) and key 2 one; probe keys 9 match
+// nothing, so at small batch sizes whole upstream batches yield no window
+// before the last hot row does. The JOIN runs as the last member (fresh
+// arenas: every window's rows must survive the next) and as an interior one
+// feeding ARITH → AGG, single-range and chunk-parallel over the shared table.
+func TestJoinProbeWindows(t *testing.T) {
+	dim := relation.New("dim", relation.NewSchema("k:int", "label:string", "w:int"))
+	for i := 0; i < 5006; i++ {
+		k := 0
+		if i >= 5000 {
+			k = 1 + (i-5000)/5
+		}
+		dim.MustAppend(relation.Row{relation.Int(int64(k)), relation.Str(fmt.Sprintf("l%d", i%13)), relation.Int(int64(i))})
+	}
+	dim.LogicalBytes = dim.PhysicalBytes() * 10
+	srcOf := func(keys ...int64) *relation.Relation {
+		rel := relation.New("src", relation.NewSchema("k:int", "v:int"))
+		for i, k := range keys {
+			rel.MustAppend(relation.Row{relation.Int(k), relation.Int(int64(i + 1))})
+		}
+		rel.LogicalBytes = rel.PhysicalBytes() * 50
+		return rel
+	}
+	hot := []int64{1, 1, 1, 1, 1, 1, 1, 1, 1, 2}
+	for i := 0; i < 20; i++ {
+		hot = append(hot, 9)
+	}
+	hot = append(hot, 1, 9)
+	cases := []chainCase{
+		{
+			name: "join-last",
+			build: func(d *ir.DAG) {
+				d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"k"}}, d.ByOut("src"), d.ByOut("dim"))
+			},
+			keep: []string{"joined"},
+		},
+		{
+			name: "join-arith-agg",
+			build: func(d *ir.DAG) {
+				j := d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"k"}}, d.ByOut("src"), d.ByOut("dim"))
+				a := d.Add(ir.OpArith, "weighed", ir.Params{Dst: "x", ALeft: ir.ColRef("w"), ARght: ir.ColRef("v"), AOp: ir.ArithMul}, j)
+				d.Add(ir.OpAgg, "bylabel", ir.Params{GroupBy: []string{"label"}, Aggs: []ir.AggSpec{
+					{Func: ir.AggSum, Col: "x", As: "sx"}, {Func: ir.AggCount, As: "n"}, {Func: ir.AggMin, Col: "w", As: "lo"},
+					{Func: ir.AggMax, Col: "w", As: "hi"}, {Func: ir.AggAvg, Col: "v", As: "avg"},
+				}}, a)
+			},
+			keep: []string{"bylabel"},
+		},
+	}
+	for _, src := range []*relation.Relation{srcOf(0), srcOf(hot...), srcOf(append([]int64{0}, hot...)...)} {
+		for _, c := range cases {
+			ops := buildStreamDAG(t, c, src, dim)
+			want, err := oracleRun(ops, map[string]*relation.Relation{"src": src, "dim": dim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, wantTrace := runStream(t, ops, src, dim, RunOptions{Keep: keepAll})
+			for _, batch := range []int{1, 2, 3, 7, 1024} {
+				for _, threshold := range []int{ParallelThreshold, 1} {
+					t.Run(fmt.Sprintf("%s/%drows/batch%d/threshold%d", c.name, len(src.Rows), batch, threshold), func(t *testing.T) {
+						withThreshold(t, threshold, func() {
+							env, trace := runStream(t, ops, src, dim, RunOptions{
+								Keep:      func(op *ir.Op) bool { return op.Out == c.keep[0] },
+								BatchRows: batch,
+							})
+							got := env[c.keep[0]]
+							if rowsText(got.Rows) != rowsText(want[c.keep[0]].Rows) {
+								t.Errorf("%s differs from the oracle: %d rows, want %d", c.keep[0], len(got.Rows), len(want[c.keep[0]].Rows))
+							}
+							if err := relation.CheckWidths(got); err != nil {
+								t.Error(err)
+							}
+							sameTrace(t, wantTrace, trace)
+						})
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestFanoutPipelineAllocsTrackBatchesNotRows: behind a ×16 fan-out JOIN the
+// ARITH stage and the AGG sink see sixteen times the scan's rows, but their
+// arenas are cut for one window and reused, and groups live in slabs — so the
+// objects a run allocates follow the stage count and the slab count, and
+// doubling the input adds next to none.
+func TestFanoutPipelineAllocsTrackBatchesNotRows(t *testing.T) {
+	ops := fanoutOps(t)
+	keep := func(op *ir.Op) bool { return op.Out == "bydst" }
+	var allocs [2]float64
+	for i, rows := range []int{1000, 2000} {
+		src, dim := fanoutInputs(rows)
+		allocs[i] = testing.AllocsPerRun(5, func() { runStream(t, ops, src, dim, RunOptions{Keep: keep}) })
+	}
+	t.Logf("allocs per run: %v at 1000 rows, %v at 2000", allocs[0], allocs[1])
+	if allocs[1] > allocs[0]*1.25 {
+		t.Errorf("doubling the input took allocations from %v to %v: they track rows, not batches and slabs", allocs[0], allocs[1])
+	}
+}
+
+// TestSmallJoinAggAllocatesNoMoreThanBefore is the serve_open shape: 40 probe
+// rows, 40 build rows, a handful of groups. Arenas and slabs are cut to what
+// a run emits, not to BatchRows; 36 585 bytes is what the pre-window,
+// map-bucket interpreter allocated for this exact run (318 objects), so one
+// pre-allocated BatchRows arena (1024 rows × 6 values × 40 bytes) fails it
+// sevenfold.
+func TestSmallJoinAggAllocatesNoMoreThanBefore(t *testing.T) {
+	src, dim := streamRelation(40), streamBuildSide(40)
+	var c chainCase
+	for _, sc := range streamCases() {
+		if sc.name == "select-join-agg" {
+			c = sc
+		}
+	}
+	ops := buildStreamDAG(t, c, src, dim)
+	keep := func(op *ir.Op) bool { return op.Out == c.keep[0] }
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		runStream(t, ops, src, dim, RunOptions{Keep: keep})
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("bytes per run: %v", bytes)
+	if bytes > 36585 {
+		t.Errorf("a 40-row JOIN → AGG run allocates %v bytes, more than the 36585 it took before", bytes)
 	}
 }

@@ -19,7 +19,7 @@ type DAG struct {
 	// workflow (Runner.Execute runs independent jobs in goroutines) may
 	// infer over the same shared DAG at once.
 	inferMu sync.Mutex
-	nextID int
+	nextID  int
 	// defects records structural problems observed while manipulating the
 	// DAG (e.g. Clone finding an edge to an operator outside the DAG).
 	// The analyzer surfaces them as diagnostics instead of crashing.

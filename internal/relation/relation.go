@@ -553,11 +553,14 @@ func splitAtLines(data []byte, n int) [][]byte {
 
 // parseRows parses a run of TSV row lines against the schema. encoded says
 // Encode wrote the lines, so numeric cells take their width from the text.
+// Every row's cells are carved from one value slab sized by the line count.
 func parseRows(name string, schema Schema, data []byte, encoded bool) ([]Row, error) {
 	arity := schema.Arity()
 	var rows []Row
+	var vals []Value
 	if n := bytes.Count(data, []byte{'\n'}); n > 0 {
 		rows = make([]Row, 0, n+1)
+		vals = make([]Value, (n+1)*arity)
 	}
 	for len(data) > 0 {
 		lineBytes, rest, _ := bytes.Cut(data, []byte{'\n'})
@@ -568,7 +571,11 @@ func parseRows(name string, schema Schema, data []byte, encoded bool) ([]Row, er
 		// One string allocation per line; field substrings share it (string
 		// values in the decoded rows pin the line, as the scanner path did).
 		line := string(lineBytes)
-		row := make(Row, 0, arity)
+		if len(vals) < arity {
+			vals = make([]Value, arity)
+		}
+		row := Row(vals[:0:arity])
+		vals = vals[arity:]
 		for {
 			field, restF, found := strings.Cut(line, "\t")
 			if len(row) == arity {
