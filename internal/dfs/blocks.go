@@ -3,6 +3,8 @@ package dfs
 import (
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"slices"
 )
 
 // Config shapes the block layer. The defaults mirror HDFS semantics at
@@ -40,7 +42,9 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// replica is one stored copy of a block on one datanode.
+// replica is one stored copy of a block on one datanode. Its bytes are
+// immutable once written: readers verify and decode them outside the
+// filesystem lock.
 type replica struct {
 	node int
 	data []byte
@@ -81,27 +85,21 @@ func (d *DFS) split(data []byte) []block {
 	return blocks
 }
 
-// assemble reconstructs the file from the first healthy replica of every
-// block, skipping replicas on down nodes and replicas whose checksum no
-// longer matches (silent corruption). An unrecoverable block is an error.
-func (d *DFS) assemble(path string, blocks []block) ([]byte, error) {
-	var out []byte
+// verify picks the first healthy replica of every block, skipping replicas
+// on down nodes and replicas whose checksum no longer matches (silent
+// corruption). An unrecoverable block is an error.
+func verify(path string, blocks []block, down map[int]bool) ([][]byte, error) {
+	out := make([][]byte, len(blocks))
+blocks:
 	for bi, b := range blocks {
-		ok := false
 		for _, rep := range b.replicas {
-			if d.st.down[rep.node] {
-				continue
+			// A corrupt replica is masked: the next one is tried.
+			if !down[rep.node] && crc32.ChecksumIEEE(rep.data) == rep.sum {
+				out[bi] = rep.data
+				continue blocks
 			}
-			if crc32.ChecksumIEEE(rep.data) != rep.sum {
-				continue // corrupt replica: masked, next one tried
-			}
-			out = append(out, rep.data...)
-			ok = true
-			break
 		}
-		if !ok {
-			return nil, fmt.Errorf("dfs: %s: block %d unrecoverable (all replicas down or corrupt)", path, bi)
-		}
+		return nil, fmt.Errorf("dfs: %s: block %d unrecoverable (all replicas down or corrupt)", path, bi)
 	}
 	return out, nil
 }
@@ -111,15 +109,15 @@ func (d *DFS) assemble(path string, blocks []block) ([]byte, error) {
 func (d *DFS) SetNodeDown(node int, isDown bool) {
 	d.st.mu.Lock()
 	defer d.st.mu.Unlock()
-	if d.st.down == nil {
-		d.st.down = map[int]bool{}
-	}
-	d.st.down[node] = isDown
+	down := maps.Clone(d.st.down)
+	down[node] = isDown
+	d.st.down = down
 }
 
-// CorruptReplica flips bytes of one replica of one block (failure
+// CorruptReplica flips the bytes of one replica of one block (failure
 // injection for tests); the checksum then fails on read and the replica is
-// masked.
+// masked. Stored bytes are never written in place: the file gets a new block
+// list holding a corrupted copy; a reader past Open keeps what it verified.
 func (d *DFS) CorruptReplica(path string, blockIdx, replicaIdx int) error {
 	d.st.mu.Lock()
 	defer d.st.mu.Unlock()
@@ -131,14 +129,18 @@ func (d *DFS) CorruptReplica(path string, blockIdx, replicaIdx int) error {
 	if blockIdx < 0 || blockIdx >= len(f.blocks) {
 		return fmt.Errorf("dfs: %s: no block %d", path, blockIdx)
 	}
-	b := &f.blocks[blockIdx]
-	if replicaIdx < 0 || replicaIdx >= len(b.replicas) {
+	if replicaIdx < 0 || replicaIdx >= len(f.blocks[blockIdx].replicas) {
 		return fmt.Errorf("dfs: %s: block %d has no replica %d", path, blockIdx, replicaIdx)
 	}
-	data := b.replicas[replicaIdx].data
+	blocks := slices.Clone(f.blocks)
+	reps := slices.Clone(blocks[blockIdx].replicas)
+	data := slices.Clone(reps[replicaIdx].data)
 	for i := range data {
 		data[i] ^= 0xff
 	}
+	reps[replicaIdx].data = data
+	blocks[blockIdx].replicas = reps
+	f.blocks = blocks
 	return nil
 }
 

@@ -65,7 +65,8 @@ type state struct {
 	mu    sync.RWMutex
 	files map[string]*file
 	cfg   Config
-	// down marks failed datanodes; reads route around them.
+	// down marks failed datanodes; reads route around them. The map is
+	// replaced on every change, so a reader keeps the one it saw.
 	down map[int]bool
 
 	// Counters accumulate effective (logical) bytes moved, mirroring the
@@ -75,6 +76,9 @@ type state struct {
 	bytesWritten int64
 }
 
+// file is one stored file. Everything but blocks is fixed at creation, and
+// the block list is replaced, never written in place (see CorruptReplica), so
+// a reader that took blocks under the lock may walk them outside it.
 type file struct {
 	blocks  []block
 	size    int64 // encoded byte length
@@ -82,6 +86,10 @@ type file struct {
 	rows    int
 	codec   relation.Codec
 	wire    int64 // accounted I/O volume per read/write (see Stat.WireBytes)
+}
+
+func (f *file) stat(path string) Stat {
+	return Stat{Path: path, PhysicalBytes: f.size, LogicalBytes: f.logical, Rows: f.rows, Codec: f.codec, WireBytes: f.wire}
 }
 
 // New returns an empty filesystem with the default block configuration.
@@ -166,9 +174,8 @@ func (d *DFS) WriteRelationCodec(path string, rel *relation.Relation, codec rela
 	return st, nil
 }
 
-// ReadRelation reassembles the file at path from healthy block replicas
-// (verifying checksums, skipping failed datanodes) and decodes it into a
-// relation named after the (view-relative) path.
+// ReadRelation opens the file at path (see Open) and decodes it whole into
+// a relation named after the (view-relative) path.
 func (d *DFS) ReadRelation(path string) (*relation.Relation, error) {
 	rel, _, err := d.ReadRelationStat(path)
 	return rel, err
@@ -177,31 +184,44 @@ func (d *DFS) ReadRelation(path string) (*relation.Relation, error) {
 // ReadRelationStat is ReadRelation plus the file's metadata, letting
 // callers account the read at its codec-aware wire volume.
 func (d *DFS) ReadRelationStat(path string) (*relation.Relation, Stat, error) {
-	key := d.resolve(path)
-	d.st.mu.Lock()
-	f, ok := d.st.files[key]
-	var st Stat
-	var data []byte
-	var err error
-	if ok {
-		d.st.bytesRead += f.wire
-		st = Stat{Path: path, PhysicalBytes: f.size, LogicalBytes: f.logical, Rows: f.rows, Codec: f.codec, WireBytes: f.wire}
-		data, err = d.assemble(key, f.blocks)
-	}
-	d.st.mu.Unlock()
-	if !ok {
-		return nil, Stat{}, fmt.Errorf("dfs: no such file %q", key)
-	}
+	enc, st, err := d.Open(path)
 	if err != nil {
 		return nil, Stat{}, err
 	}
-	// WriteRelationCodec is the only writer, so the bytes are the encoder's
-	// own: decode may take each number's width from its text.
-	rel, err := relation.DecodeEncoded(path, data)
+	rel, err := enc.Materialize()
+	if err != nil {
+		return nil, Stat{}, fmt.Errorf("dfs: decode %q: %w", d.resolve(path), err)
+	}
+	return rel, st, nil
+}
+
+// Open accounts a read of the file at path, picks one healthy replica of
+// every block (verifying checksums, skipping failed datanodes) and parses the
+// header, decoding no row: the caller streams or materializes them from the
+// returned relation.Encoded. WriteRelationCodec is the only writer, so the
+// text is opened as the encoder's own, holding exactly the rows recorded.
+// Only the accounting and the block-list snapshot run under the filesystem
+// lock; concurrent readers checksum and decode without serializing.
+func (d *DFS) Open(path string) (*relation.Encoded, Stat, error) {
+	key := d.resolve(path)
+	d.st.mu.Lock()
+	f, ok := d.st.files[key]
+	if !ok {
+		d.st.mu.Unlock()
+		return nil, Stat{}, fmt.Errorf("dfs: no such file %q", key)
+	}
+	d.st.bytesRead += f.wire
+	blocks, down := f.blocks, d.st.down
+	d.st.mu.Unlock()
+	data, err := verify(key, blocks, down)
+	if err != nil {
+		return nil, Stat{}, err
+	}
+	enc, err := relation.Open(path, data, f.rows)
 	if err != nil {
 		return nil, Stat{}, fmt.Errorf("dfs: decode %q: %w", key, err)
 	}
-	return rel, st, nil
+	return enc, f.stat(path), nil
 }
 
 // Stat returns metadata for path.
@@ -213,7 +233,7 @@ func (d *DFS) Stat(path string) (Stat, error) {
 	if !ok {
 		return Stat{}, fmt.Errorf("dfs: no such file %q", key)
 	}
-	return Stat{Path: path, PhysicalBytes: f.size, LogicalBytes: f.logical, Rows: f.rows, Codec: f.codec, WireBytes: f.wire}, nil
+	return f.stat(path), nil
 }
 
 // Exists reports whether path is stored.

@@ -145,14 +145,33 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 			&TransientError{Job: p.Frag.Name(), Attempt: ctx.Attempt})
 	}
 	env := exec.Env{}
-	pullBytes, dfsRetries, pullSp, err := runPull(ctx, p, env)
+	pulled, dfsRetries, pullSp, err := runPull(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	trace, procSp, err := runProcess(ctx, p, env)
+	trace, procSp, err := runProcess(ctx, p, env, pulled)
 	if err != nil {
 		return nil, err
 	}
+	// A physical-only input is sized by the rows decoded from it, which a
+	// streamed input only is once the process phase has run: columnar
+	// shuffle files move their compact wire volume, TSV files the decoded
+	// relation's effective size, a re-read twice.
+	var pullBytes int64
+	for _, in := range pulled {
+		b := in.wire
+		if !in.columnar {
+			if b = in.src.LogicalBytes; b <= 0 {
+				b = in.src.PhysicalBytes()
+			}
+		}
+		if in.reread {
+			b *= 2
+		}
+		pullBytes += b
+	}
+	pullSp.SetInt("bytes", pullBytes)
+	pullSp.SetInt("inputs", int64(len(pulled)))
 	pushBytes, pushSp, err := runPush(ctx, p, env)
 	if err != nil {
 		return nil, err
@@ -187,35 +206,40 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 	return res, nil
 }
 
-// runPull reads the fragment's external inputs into env, recording the
+// pulledInput is one external input the pull phase opened: a columnar
+// shuffle file accounts for its wire volume, a TSV file for its rows'
+// effective size; reread says the chaos plan failed the first block read.
+type pulledInput struct {
+	src      *relation.Encoded
+	wire     int64
+	columnar bool
+	reread   bool
+}
+
+// runPull opens the fragment's external inputs on the DFS — the read is
+// accounted and one healthy replica of every block verified, but no row is
+// decoded: the process phase streams or materializes them — recording the
 // "pull" phase span. The chaos plan may fail individual block reads; a
 // failed read is re-fetched from a replica, paying the transfer a second
-// time. The returned span is already ended; the caller places it on the
-// simulated timeline once the cost breakdown is known.
-func runPull(ctx RunContext, p *Plan, env exec.Env) (int64, int, *obs.Span, error) {
+// time. The returned span is already ended; the caller sets its byte
+// attributes once the inputs are sized and places it on the simulated
+// timeline once the cost breakdown is known.
+func runPull(ctx RunContext, p *Plan) ([]pulledInput, int, *obs.Span, error) {
 	sp := ctx.Rec.StartSpan(ctx.Span, "pull", "phase")
 	defer sp.End()
-	var pullBytes int64
+	pulled := make([]pulledInput, len(p.Frag.ExtIn))
 	retries := 0
 	for i, in := range p.Frag.ExtIn {
-		rel, st, err := ctx.DFS.ReadRelationStat(InputPath(in))
+		src, st, err := ctx.DFS.Open(InputPath(in))
 		if err != nil {
-			return 0, 0, sp, fmt.Errorf("%s: %w", p.Engine.Name(), err)
+			return nil, 0, sp, fmt.Errorf("%s: %w", p.Engine.Name(), err)
 		}
-		// Columnar shuffle files account at their compact wire volume; TSV
-		// files at the decoded relation's effective size, exactly as before.
-		b := rel.EffectiveBytes()
-		if st.Codec == relation.CodecColumnar {
-			b = st.WireBytes
-		}
+		src.Name = in.Out
+		pulled[i] = pulledInput{src: src, wire: st.WireBytes, columnar: st.Codec == relation.CodecColumnar}
 		if ctx.Chaos.FailsRead(p.Frag.Name(), ctx.Attempt, i) {
-			// The replica re-read moves the same bytes again.
+			pulled[i].reread = true
 			retries++
-			pullBytes += b
 		}
-		rel.Name = in.Out
-		env[in.Out] = rel
-		pullBytes += b
 	}
 	if retries > 0 {
 		sp.SetInt("dfs_retries", int64(retries))
@@ -223,9 +247,7 @@ func runPull(ctx RunContext, p *Plan, env exec.Env) (int64, int, *obs.Span, erro
 		ctx.Log.WithJob(p.Frag.Name()).WithAttempt(ctx.Attempt).Warn("dfs_read_retry").
 			Int("retries", int64(retries)).Emit()
 	}
-	sp.SetInt("bytes", pullBytes)
-	sp.SetInt("inputs", int64(len(p.Frag.ExtIn)))
-	return pullBytes, retries, sp, nil
+	return pulled, retries, sp, nil
 }
 
 // runProcess evaluates the fragment's operators through the shared
@@ -235,7 +257,7 @@ func runPull(ctx RunContext, p *Plan, env exec.Env) (int64, int, *obs.Span, erro
 // intermediate relations. A streamed-through operator's trace entry is
 // metered by a tap and equals what materializing it would record, so plans,
 // costs and golden traces do not depend on where a fragment was cut.
-func runProcess(ctx RunContext, p *Plan, env exec.Env) (*exec.Trace, *obs.Span, error) {
+func runProcess(ctx RunContext, p *Plan, env exec.Env, pulled []pulledInput) (*exec.Trace, *obs.Span, error) {
 	sp := ctx.Rec.StartSpan(ctx.Span, "process", "phase")
 	defer sp.End()
 	cctx := ctx.Context()
@@ -244,6 +266,10 @@ func runProcess(ctx RunContext, p *Plan, env exec.Env) (*exec.Trace, *obs.Span, 
 	for _, op := range p.Frag.ExtOut {
 		extOut[op] = true
 	}
+	sources := make(map[string]*relation.Encoded, len(pulled))
+	for _, in := range pulled {
+		sources[in.src.Name] = in.src
+	}
 	err := exec.RunOps(p.Frag.Ops, env, trace, exec.RunOptions{
 		Keep: func(op *ir.Op) bool { return extOut[op] },
 		// Cancellation is observed at execution-unit granularity: a
@@ -251,6 +277,7 @@ func runProcess(ctx RunContext, p *Plan, env exec.Env) (*exec.Trace, *obs.Span, 
 		// instead of running the whole fragment to completion.
 		Check:      cctx.Err,
 		SkipInputs: true,
+		Sources:    sources,
 	})
 	if err != nil {
 		return nil, sp, fmt.Errorf("%s: job %s: %w", p.Engine.Name(), p.Frag.Name(), err)

@@ -1,0 +1,247 @@
+package engines
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"musketeer/internal/chaos"
+	"musketeer/internal/cluster"
+	"musketeer/internal/dfs"
+	"musketeer/internal/exec"
+	"musketeer/internal/ir"
+	"musketeer/internal/relation"
+)
+
+// fragmentOf carves the named operators (plus any INPUT among them) out of d.
+func fragmentOf(t testing.TB, d *ir.DAG, outs ...string) *ir.Fragment {
+	t.Helper()
+	var ops []*ir.Op
+	for _, op := range d.Ops {
+		for _, out := range outs {
+			if op.Out == out {
+				ops = append(ops, op)
+			}
+		}
+	}
+	frag, err := ir.NewFragment(d, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frag
+}
+
+func runHadoop(t testing.TB, ctx RunContext, frag *ir.Fragment) *RunResult {
+	t.Helper()
+	plan, err := Hadoop().Plan(frag, ModeOptimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(ctx, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestBlankRowsSurviveAJobBoundary is the end-to-end half of the silent
+// row-loss regression: a one-column string intermediate holding empty strings
+// crosses the DFS between two hadoop jobs, and the per-job plan must count
+// what the merged plan counts (paper §4: every mapping computes the same
+// relation). The old decoder dropped the empty lines, so the second job saw
+// fewer rows than Stat.Rows recorded.
+func TestBlankRowsSurviveAJobBoundary(t *testing.T) {
+	in := relation.New("notes", relation.NewSchema("id:int", "note:string"))
+	for i, s := range []string{"a", "", "b", "", "", "c"} {
+		in.MustAppend(relation.Row{relation.Int(int64(i)), relation.Str(s)})
+	}
+	build := func() *ir.DAG {
+		d := ir.NewDAG()
+		src := d.AddInput("notes", "in/notes", in.Schema)
+		only := d.Add(ir.OpProject, "only_note", ir.Params{Columns: []string{"note"}}, src)
+		d.Add(ir.OpAgg, "per_note", ir.Params{GroupBy: []string{"note"}, Aggs: []ir.AggSpec{{Func: ir.AggCount, As: "n"}}}, only)
+		if err := d.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	results := map[string]*relation.Relation{}
+	for name, jobs := range map[string][][]string{"merged": {{"notes", "only_note", "per_note"}}, "per-op": {{"notes", "only_note"}, {"per_note"}}} {
+		fs := dfs.New()
+		if err := fs.WriteRelation("in/notes", in); err != nil {
+			t.Fatal(err)
+		}
+		d := build()
+		for _, outs := range jobs {
+			runHadoop(t, RunContext{DFS: fs, Cluster: cluster.Local(7)}, fragmentOf(t, d, outs...))
+		}
+		out, err := fs.ReadRelation("per_note")
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[name] = out
+	}
+	if results["merged"].Fingerprint() != results["per-op"].Fingerprint() {
+		t.Fatalf("merged plan:\n%s\nper-op plan:\n%s", results["merged"].Fingerprint(), results["per-op"].Fingerprint())
+	}
+	for _, row := range results["per-op"].Rows {
+		if row[0].S == "" && row[1].I != 3 {
+			t.Errorf("empty note counted %d times, want 3", row[1].I)
+		}
+	}
+}
+
+// TestPhysicalOnlyInputsAreSizedByTheMeter: inputs with `#logical 0` are
+// sized by the rows decoded from them. Streamed (properties probes the join)
+// or drained (prices builds it), PULL accounts what reading them whole would,
+// the trace is the one exec records over bound relations, and a failed block
+// read still charges the transfer a second time.
+func TestPhysicalOnlyInputsAreSizedByTheMeter(t *testing.T) {
+	frag := wholeFragment(t, maxPropertyPrice())
+	var want int64
+	bound := exec.Env{}
+	for _, in := range frag.ExtIn {
+		rel, err := seedDFS(t, 0).ReadRelation(InputPath(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.LogicalBytes != 0 {
+			t.Fatalf("%s carries a logical size", in.Out)
+		}
+		want += rel.PhysicalBytes()
+		bound[in.Out] = rel
+	}
+	trace := exec.NewTrace()
+	extOut := map[*ir.Op]bool{}
+	for _, op := range frag.ExtOut {
+		extOut[op] = true
+	}
+	if err := exec.RunOps(frag.Ops, bound, trace, exec.RunOptions{Keep: func(op *ir.Op) bool { return extOut[op] }, SkipInputs: true}); err != nil {
+		t.Fatal(err)
+	}
+	clean := runHadoop(t, RunContext{DFS: seedDFS(t, 0), Cluster: cluster.EC2(100)}, frag)
+	if clean.PullBytes != want {
+		t.Errorf("PullBytes = %d, the inputs' rows encode to %d", clean.PullBytes, want)
+	}
+	if !reflect.DeepEqual(clean.Trace, trace) {
+		t.Errorf("trace over streamed inputs:\n%+v\nover bound relations:\n%+v", clean.Trace, trace)
+	}
+	faulty := runHadoop(t, RunContext{DFS: seedDFS(t, 0), Cluster: cluster.EC2(100), Chaos: &chaos.Plan{DFSReadFailProb: 1, Seed: 1}}, frag)
+	if faulty.DFSRetries != len(frag.ExtIn) || faulty.PullBytes != 2*want {
+		t.Errorf("every read failing once: %d retries, %d bytes; want %d and %d", faulty.DFSRetries, faulty.PullBytes, len(frag.ExtIn), 2*want)
+	}
+}
+
+// numericFile stages rows rows of (int, float, float) as in/t.
+func numericFile(t testing.TB, fs *dfs.DFS, rows int, withString bool) relation.Schema {
+	t.Helper()
+	sch := relation.NewSchema("k:int", "q:float", "p:float")
+	if withString {
+		sch = relation.NewSchema("k:int", "q:float", "tag:string")
+	}
+	rel := relation.New("t", sch)
+	for i := 0; i < rows; i++ {
+		last := relation.Float(float64(i%9000) + 0.25)
+		if withString {
+			last = relation.Str(fmt.Sprintf("tag%d", i%100))
+		}
+		rel.MustAppend(relation.Row{relation.Int(int64(i % 50)), relation.Float(float64(1 + i%7)), last})
+	}
+	rel.LogicalBytes = rel.PhysicalBytes() * 100
+	if err := fs.WriteRelation("in/t", rel); err != nil {
+		t.Fatal(err)
+	}
+	return sch
+}
+
+// selectAggFragment is SELECT → AGG over in/t as one job.
+func selectAggFragment(t testing.TB, sch relation.Schema) *ir.Fragment {
+	t.Helper()
+	d := ir.NewDAG()
+	src := d.AddInput("t", "in/t", sch)
+	hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: ir.Cmp(ir.ColRef("k"), ir.CmpLt, ir.LitOp(relation.Int(40)))}, src)
+	d.Add(ir.OpAgg, "by_k", ir.Params{GroupBy: []string{"k"}, Aggs: []ir.AggSpec{{Func: ir.AggSum, Col: "q", As: "total"}}}, hot)
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return fragmentOf(t, d, "t", "hot", "by_k")
+}
+
+// raceBuild is set by race_test.go when the race detector is compiled in.
+var raceBuild bool
+
+// allocsPerJob runs the job a few times and returns objects and bytes
+// allocated per run, single-core so no chunk goroutines add their own.
+func allocsPerJob(t testing.TB, fs *dfs.DFS, frag *ir.Fragment) (objects, bytes float64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	plan, err := Hadoop().Plan(frag, ModeOptimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := RunContext{DFS: fs, Cluster: cluster.Local(7)}
+	run := func() {
+		if _, err := Run(ctx, plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm caches (schema inference) outside the measurement
+	// The least of three measurements: a background allocation (the GC's, the
+	// test framework's) only ever adds.
+	const runs = 10
+	for trial := 0; trial < 3; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		o, b := float64(after.Mallocs-before.Mallocs)/runs, float64(after.TotalAlloc-before.TotalAlloc)/runs
+		if trial == 0 || b < bytes {
+			objects, bytes = o, b
+		}
+	}
+	return objects, bytes
+}
+
+// TestStreamedJobAllocationsDoNotTrackRows: decoding a numeric file inside
+// the scan allocates per block and per batch arena, not per row, so a job
+// over twice the rows allocates the same objects give or take the extra
+// blocks; a string column costs at most one object (the line) per row.
+func TestStreamedJobAllocationsDoNotTrackRows(t *testing.T) {
+	objects := map[int]float64{}
+	blocks := map[int]int{}
+	for _, rows := range []int{20000, 40000} {
+		fs := dfs.New()
+		frag := selectAggFragment(t, numericFile(t, fs, rows, false))
+		objects[rows], _ = allocsPerJob(t, fs, frag)
+		blocks[rows], _ = fs.BlockCount("in/t")
+	}
+	t.Logf("objects per job: %v, blocks: %v", objects, blocks)
+	if extra := objects[40000] - objects[20000]; extra > float64(blocks[40000]-blocks[20000])+8 || extra < -8 {
+		t.Errorf("20 000 rows: %v objects, 40 000 rows: %v, over %d and %d blocks: allocations track rows", objects[20000], objects[40000], blocks[20000], blocks[40000])
+	}
+	fs := dfs.New()
+	frag := selectAggFragment(t, numericFile(t, fs, 20000, true))
+	if withStrings, _ := allocsPerJob(t, fs, frag); withStrings > objects[20000]+20000+8 {
+		t.Errorf("string-column file: %v objects for 20 000 rows, numeric file %v: more than one per row", withStrings, objects[20000])
+	}
+}
+
+// TestSmallJobAllocatesNoMoreThanBefore is the serve_open shape through
+// engines.Run: two 30-row inputs, join and aggregate. Readers size their
+// arenas by the rows in their range; a fixed BatchRows arena (1024 rows × 3
+// values × 40 bytes) would triple what this job allocates. The bound is what
+// the same job allocated when inputs were decoded whole before the pipeline
+// ran (the parent commit: 35 488 bytes, 173 objects; now 35 416 and 148).
+func TestSmallJobAllocatesNoMoreThanBefore(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation bound is byte-exact; the race runtime allocates on its own")
+	}
+	objects, bytes := allocsPerJob(t, seedDFS(t, 1000), wholeFragment(t, maxPropertyPrice()))
+	t.Logf("%v objects, %v bytes per job", objects, bytes)
+	if bytes > 35488 {
+		t.Errorf("a 30-row two-input job allocates %v bytes, more than the 35488 it took before", bytes)
+	}
+}

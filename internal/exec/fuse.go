@@ -93,11 +93,14 @@ type stagePlan struct {
 	fresh    bool    // allocate fresh value storage per batch (rows escape)
 }
 
-// chain is one resolved pipeline: the relation its head scans, its streaming
+// chain is one resolved pipeline: the input its head scans (its row count,
+// and open, which yields a row range of it in batches — views of a bound
+// relation's rows, or a DFS file decoding as it is pulled), its streaming
 // members, and the terminal AGG when it ends in one. rowPreserving says
 // every member emits exactly one row per input row (PROJECT and ARITH only).
 type chain struct {
-	src           *relation.Relation
+	rows          int
+	open          func(lo, hi int) relation.RowSource
 	stages        []stagePlan
 	agg           *stagePlan
 	rowPreserving bool
@@ -115,8 +118,8 @@ type rangeResult struct {
 	err    error
 }
 
-// runRange drives one pipeline instance over src.Rows[lo:hi], draining row
-// output into dst.
+// runRange drives one pipeline instance over input rows [lo, hi), draining
+// row output into dst.
 func (c *chain) runRange(lo, hi int, dst []relation.Row) rangeResult {
 	var res rangeResult
 	tapped := len(c.stages)
@@ -124,7 +127,7 @@ func (c *chain) runRange(lo, hi int, dst []relation.Row) rangeResult {
 		tapped-- // the materialized output is sized from the relation
 	}
 	res.taps = make([]accTap, tapped)
-	pipe := buildPipeline(c.stages, c.src.Schema, c.src.Rows[lo:hi], c.batchRows, res.taps)
+	pipe := buildPipeline(c.stages, c.open(lo, hi), c.batchRows, res.taps)
 	if c.agg != nil {
 		res.table = newAggTable(c.agg.ag)
 		res.inRows, res.err = drainAgg(pipe, res.table)
@@ -134,11 +137,13 @@ func (c *chain) runRange(lo, hi int, dst []relation.Row) rangeResult {
 	return res
 }
 
-// run streams src through the pipeline — chunk-parallel above
-// ParallelThreshold — and merges the ranges' results into one: the
-// materialized rows or the aggregation table, and the summed taps.
+// run streams the input through the pipeline — chunk-parallel above
+// ParallelThreshold, at row boundaries that depend on the row count alone,
+// so a streamed file splits exactly where its materialized rows would — and
+// merges the ranges' results into one: the materialized rows or the
+// aggregation table, and the summed taps.
 func (c *chain) run() (rangeResult, error) {
-	rows := len(c.src.Rows)
+	rows := c.rows
 	// A row-preserving pipeline emits exactly its scan range, so its output
 	// is allocated once and every range drains into its own disjoint window.
 	var window []relation.Row
@@ -203,27 +208,39 @@ func (c *chain) run() (rangeResult, error) {
 }
 
 // runChain executes one pipeline: it resolves every member against the
-// environment, streams the head's input relation through the composed
+// environment, streams the head's input — a bound relation, or an opened
+// external input only this head reads (opts.Sources) — through the composed
 // stages (chunk-parallel above ParallelThreshold), materializes only the
 // last member's output, and records every member's trace entry — interior
 // members from their taps, the last from the relation.
-func runChain(ops []*ir.Op, env Env, trace *Trace, batchRows int) (*relation.Relation, error) {
+func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Relation, error) {
 	n := len(ops)
 	last := ops[n-1]
 	if len(ops[0].Inputs) == 0 {
 		return nil, fmt.Errorf("exec: %s: no input", ops[0])
 	}
-	src, ok := env[ops[0].Inputs[0].Out]
-	if !ok {
+	batchRows := opts.BatchRows
+	if batchRows <= 0 {
+		batchRows = relation.DefaultBatchRows
+	}
+	c := &chain{batchRows: batchRows, rowPreserving: true}
+	file, src := opts.Sources[ops[0].Inputs[0].Out], env[ops[0].Inputs[0].Out]
+	var prev relation.Schema
+	switch {
+	case file != nil:
+		prev, c.rows = file.Schema, file.NumRows()
+	case src != nil:
+		prev, c.rows = src.Schema, len(src.Rows)
+	default:
 		return nil, fmt.Errorf("exec: %s: input relation %q not materialized", ops[0], ops[0].Inputs[0].Out)
 	}
 	specs := make([]stagePlan, n)
 	schemas := make(map[*ir.Op]relation.Schema, 2)
-	prev := src.Schema
 	// ownsOut: the output's rows are storage this run allocated (the AGG's
-	// emitted rows, or the fresh stage's arenas), so sizing may cache widths
-	// in them; a pure-SELECT pipeline's output aliases the shared scan rows.
-	ownsOut, rowPreserving := last.Type == ir.OpAgg, true
+	// emitted rows, the fresh stage's arenas, or a file reader's), so sizing
+	// may cache widths in them; a pure-SELECT pipeline over a bound relation
+	// outputs rows that alias the shared scan rows.
+	ownsOut := last.Type == ir.OpAgg
 	for i, op := range ops {
 		sp := &specs[i]
 		*sp = stagePlan{op: op, inSch: prev, dstIdx: -1}
@@ -232,7 +249,7 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, batchRows int) (*relation.Rel
 			if len(op.Inputs) < 2 {
 				return nil, fmt.Errorf("exec: %s: no build input", op)
 			}
-			if sp.buildRel, ok = env[op.Inputs[1].Out]; !ok {
+			if sp.buildRel = env[op.Inputs[1].Out]; sp.buildRel == nil {
 				return nil, fmt.Errorf("exec: %s: input relation %q not materialized", op, op.Inputs[1].Out)
 			}
 			schemas[op.Inputs[1]] = sp.buildRel.Schema
@@ -264,10 +281,10 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, batchRows int) (*relation.Rel
 				return nil, err
 			}
 		}
-		rowPreserving = rowPreserving && (op.Type == ir.OpProject || op.Type == ir.OpArith)
+		c.rowPreserving = c.rowPreserving && (op.Type == ir.OpProject || op.Type == ir.OpArith)
 		prev = sp.sch
 	}
-	c := &chain{src: src, stages: specs, rowPreserving: rowPreserving, batchRows: batchRows}
+	c.stages = specs
 	if last.Type == ir.OpAgg {
 		c.stages, c.agg = specs[:n-1], &specs[n-1]
 	} else {
@@ -280,6 +297,15 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, batchRows int) (*relation.Rel
 			}
 		}
 	}
+	if file != nil {
+		// Rows a pure-SELECT pipeline passes through escape it by reference,
+		// so the reader must not recycle their storage.
+		fresh := !ownsOut
+		c.open = func(lo, hi int) relation.RowSource { return file.Reader(lo, hi, batchRows, fresh) }
+		ownsOut = true
+	} else {
+		c.open = func(lo, hi int) relation.RowSource { return src.Reader(lo, hi, batchRows) }
+	}
 	res, err := c.run()
 	if err != nil {
 		return nil, err
@@ -291,7 +317,13 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, batchRows int) (*relation.Rel
 		out.Rows = res.rows
 	}
 
-	vol := trace.volumeOf(src)
+	// A streamed input was sized by its readers' meter as it was decoded.
+	var vol volume
+	if file != nil {
+		vol = volume{phys: file.PhysicalBytes(), logical: file.LogicalBytes}
+	} else {
+		vol = trace.volumeOf(src)
+	}
 	for i, op := range ops {
 		ins := [2]volume{vol}
 		k := 1
@@ -308,46 +340,27 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, batchRows int) (*relation.Rel
 	return out, nil
 }
 
-// buildPipeline composes one pipeline instance over a scan range. The
-// pipeline's leading SELECTs and an immediately following PROJECT fold into
-// the scan itself (predicate and projection pushdown); remaining members
-// become streaming stages. taps[i] meters member i; the member past the end
-// of taps (a materializing last member) is unmetered.
-func buildPipeline(specs []stagePlan, srcSch relation.Schema, rows []relation.Row, batchRows int, taps []accTap) relation.RowSource {
-	tap := func(i int) *accTap {
-		if i < len(taps) {
-			return &taps[i]
-		}
-		return nil
-	}
-	if batchRows <= 0 {
-		batchRows = relation.DefaultBatchRows
-	}
-	scan := &scanSource{in: rows, inSch: srcSch, sch: srcSch, batchRows: batchRows}
-	i := 0
-	for ; i < len(specs) && specs[i].op.Type == ir.OpSelect; i++ {
-		scan.preds = append(scan.preds, specs[i].pred)
-		scan.predTaps = append(scan.predTaps, tap(i))
-	}
-	if i < len(specs) && specs[i].op.Type == ir.OpProject {
-		scan.proj = specs[i].idx
-		scan.projTap = tap(i)
-		scan.ar = valArena{fresh: specs[i].fresh}
-		scan.sch = specs[i].sch
-		i++
-	}
-	var src relation.RowSource = scan
-	for ; i < len(specs); i++ {
+// buildPipeline composes one pipeline instance over in, a row range of the
+// head's input: one streaming stage per member (a terminal AGG is the
+// caller's sink). taps[i] meters member i; the member past the end of taps
+// (a materializing last member) is unmetered.
+func buildPipeline(specs []stagePlan, in relation.RowSource, batchRows int, taps []accTap) relation.RowSource {
+	src := in
+	for i := range specs {
 		sp := &specs[i]
+		var tap *accTap
+		if i < len(taps) {
+			tap = &taps[i]
+		}
 		switch sp.op.Type {
 		case ir.OpSelect:
-			src = &selectStage{src: src, sch: sp.sch, pred: sp.pred, tap: tap(i)}
+			src = &selectStage{src: src, sch: sp.sch, pred: sp.pred, tap: tap}
 		case ir.OpProject:
-			src = &projectStage{src: src, sch: sp.sch, idx: sp.idx, tap: tap(i), ar: valArena{fresh: sp.fresh}}
+			src = &projectStage{src: src, sch: sp.sch, idx: sp.idx, tap: tap, ar: valArena{fresh: sp.fresh}}
 		case ir.OpArith:
-			src = &arithStage{src: src, inSch: sp.inSch, sch: sp.sch, op: sp.op, dstIdx: sp.dstIdx, tap: tap(i), ar: valArena{fresh: sp.fresh}}
+			src = &arithStage{src: src, inSch: sp.inSch, sch: sp.sch, op: sp.op, dstIdx: sp.dstIdx, tap: tap, ar: valArena{fresh: sp.fresh}}
 		case ir.OpJoin:
-			src = &joinProbeStage{src: src, sch: sp.sch, lIdx: sp.js.lIdx, rKeep: sp.js.rKeep, build: sp.build, batchRows: batchRows, tap: tap(i), ar: valArena{fresh: sp.fresh}}
+			src = &joinProbeStage{src: src, sch: sp.sch, lIdx: sp.js.lIdx, rKeep: sp.js.rKeep, build: sp.build, batchRows: batchRows, tap: tap, ar: valArena{fresh: sp.fresh}}
 		}
 	}
 	return src

@@ -104,7 +104,16 @@ func TestParallelRangeErrorFailsUnit(t *testing.T) {
 	src := d.AddInput("t", "in/t", in.Schema)
 	bad := ir.Or(pred("v", ir.CmpLt, 900), pred("missing", ir.CmpEq, 1))
 	op := d.Add(ir.OpSelect, "out", ir.Params{Pred: bad}, src)
-	c := &chain{src: in, stages: []stagePlan{{op: op, inSch: in.Schema, sch: in.Schema, pred: bad}}}
+	scan := func(rows []relation.Row) *chain {
+		return &chain{
+			rows: len(rows), batchRows: relation.DefaultBatchRows,
+			open: func(lo, hi int) relation.RowSource {
+				return (&relation.Relation{Schema: in.Schema, Rows: rows}).Reader(lo, hi, relation.DefaultBatchRows)
+			},
+			stages: []stagePlan{{op: op, inSch: in.Schema, sch: in.Schema, pred: bad}},
+		}
+	}
+	c := scan(in.Rows)
 	withThreshold(t, 1, func() {
 		if n := len(chunkRanges(len(in.Rows))); n < 2 {
 			t.Fatalf("input split into %d ranges", n)
@@ -114,9 +123,7 @@ func TestParallelRangeErrorFailsUnit(t *testing.T) {
 			t.Errorf("err = %v, want the failing range's error", err)
 		}
 	})
-	c.src = relation.New("t", in.Schema)
-	c.src.Rows = in.Rows[:900]
-	if res, err := c.run(); err != nil || len(res.rows) != 900 {
+	if res, err := scan(in.Rows[:900]).run(); err != nil || len(res.rows) != 900 {
 		t.Errorf("rows that never reach the bad operand: %d rows, err %v", len(res.rows), err)
 	}
 }

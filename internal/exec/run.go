@@ -220,6 +220,12 @@ type RunOptions struct {
 	// SkipInputs skips OpInput operators instead of resolving them
 	// (engines bind external inputs into env themselves).
 	SkipInputs bool
+	// Sources are external inputs opened but not decoded, by the name
+	// operators read them under (INPUT operators resolve against env only:
+	// callers set SkipInputs). RunOps decodes each exactly once: batch by
+	// batch inside the one pipeline that scans it, or up front into env when
+	// anything else reads it (see bindSources).
+	Sources map[string]*relation.Encoded
 }
 
 // RunOps evaluates ops — which must already be in topological order —
@@ -227,7 +233,57 @@ type RunOptions struct {
 // output lands in env under its output name; trace (which may be nil)
 // records every operator's volumes, streamed through or not.
 func RunOps(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) error {
-	return runUnits(planUnits(ops, opts.Keep), env, trace, opts)
+	units := planUnits(ops, opts.Keep)
+	if len(opts.Sources) > 0 {
+		var err error
+		if opts.Sources, err = bindSources(ops, units, env, opts); err != nil {
+			return err
+		}
+	}
+	return runUnits(units, env, trace, opts)
+}
+
+// bindSources splits opts.Sources into the inputs that stream, which it
+// returns, and the rest, which it materializes into env. An input streams
+// when its only consumer edge in ops is the probe (first) input of a
+// pipeline head: that pipeline's scan is then the one place its rows are
+// ever decoded, a batch at a time. A JOIN build side, a breaker kernel, a
+// second consumer and a WHILE — which binds its body's inputs by name, for
+// every iteration — all need the rows to stay.
+func bindSources(ops []*ir.Op, units [][]*ir.Op, env Env, opts RunOptions) (map[string]*relation.Encoded, error) {
+	uses := make(map[string]int, len(opts.Sources))
+	for _, op := range ops {
+		for _, in := range op.Inputs {
+			uses[in.Out]++
+		}
+		if op.Type == ir.OpWhile && op.Params.Body != nil {
+			for _, bop := range op.Params.Body.Ops {
+				if bop.Type == ir.OpInput {
+					uses[bop.Out] += 2
+					uses[bop.Params.Path] += 2
+				}
+			}
+		}
+	}
+	streams := make(map[string]*relation.Encoded, len(opts.Sources))
+	for _, u := range units {
+		if head := u[0]; pipelined(head.Type) && len(head.Inputs) > 0 {
+			if name := head.Inputs[0].Out; uses[name] == 1 && opts.Sources[name] != nil {
+				streams[name] = opts.Sources[name]
+			}
+		}
+	}
+	for name, src := range opts.Sources {
+		if streams[name] != nil {
+			continue
+		}
+		rel, err := src.Materialize()
+		if err != nil {
+			return nil, err
+		}
+		env[name] = rel
+	}
+	return streams, nil
 }
 
 func runUnits(units [][]*ir.Op, env Env, trace *Trace, opts RunOptions) error {
@@ -256,7 +312,7 @@ func runUnit(u []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 	op := u[len(u)-1]
 	switch {
 	case pipelined(op.Type):
-		return runChain(u, env, trace, opts.BatchRows)
+		return runChain(u, env, trace, opts)
 	case op.Type == ir.OpInput:
 		rel, ok := env[op.Out]
 		if !ok {

@@ -1,0 +1,266 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"musketeer/internal/dfs"
+	"musketeer/internal/ir"
+	"musketeer/internal/relation"
+)
+
+// These tests run operator lists the way an engine job does — external
+// inputs staged as DFS files, INPUT operators skipped — once with the files
+// read whole and bound as relations, once with them opened and handed over as
+// RunOptions.Sources, and demand the same rows in the same order, the same
+// cached-width invariant and a bit-identical trace.
+
+// stage writes rels to a fresh DFS of the given block size, each under its
+// relation name.
+func stage(t testing.TB, blockSize int, codec relation.Codec, rels ...*relation.Relation) *dfs.DFS {
+	t.Helper()
+	fs := dfs.NewWithConfig(dfs.Config{BlockSize: blockSize})
+	for _, rel := range rels {
+		if _, err := fs.WriteRelationCodec(rel.Name, rel, codec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fs
+}
+
+// runBound reads every file whole and binds it by name.
+func runBound(t testing.TB, ops []*ir.Op, fs *dfs.DFS, opts RunOptions) (Env, *Trace) {
+	t.Helper()
+	env, trace := Env{}, NewTrace()
+	for _, name := range fs.List() {
+		rel, err := fs.ReadRelation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env[name] = rel
+	}
+	opts.SkipInputs = true
+	if err := RunOps(ops, env, trace, opts); err != nil {
+		t.Fatalf("bound run: %v", err)
+	}
+	return env, trace
+}
+
+// runSourced opens every file and hands it to RunOps undecoded.
+func runSourced(t testing.TB, ops []*ir.Op, fs *dfs.DFS, opts RunOptions) (Env, *Trace, map[string]*relation.Encoded) {
+	t.Helper()
+	env, trace := Env{}, NewTrace()
+	opts.Sources = map[string]*relation.Encoded{}
+	for _, name := range fs.List() {
+		src, _, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Sources[name] = src
+	}
+	opts.SkipInputs = true
+	if err := RunOps(ops, env, trace, opts); err != nil {
+		t.Fatalf("sourced run: %v", err)
+	}
+	return env, trace, opts.Sources
+}
+
+// sameRun compares what two runs kept for every non-INPUT operator, and
+// their traces.
+func sameRun(t *testing.T, ops []*ir.Op, want, got Env, wantTrace, gotTrace *Trace) {
+	t.Helper()
+	for _, op := range ops {
+		if op.Type == ir.OpInput {
+			continue
+		}
+		w, kept := want[op.Out]
+		if g := got[op.Out]; kept != (g != nil) {
+			t.Fatalf("%s: kept by one run only (bound: %v)", op, kept)
+		} else if kept {
+			sameRelation(t, op.Out, w, g)
+		}
+	}
+	sameTrace(t, wantTrace, gotTrace)
+}
+
+// TestStreamedSourcesMatchBoundRelations is the differential over the oracle
+// suite's generator: every seeded DAG, inputs staged on a DFS whose blocks
+// cut lines, at batch sizes 1, 2, 3 and the default, single-range and
+// chunk-parallel.
+func TestStreamedSourcesMatchBoundRelations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	streamedInputs := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		a, b := genInputs(r)
+		g := &dagGen{r: r, d: ir.NewDAG(), vals: map[string]*relation.Relation{"a": a, "b": b}}
+		g.ops = []*ir.Op{g.d.AddInput("a", "in/a", a.Schema), g.d.AddInput("b", "in/b", b.Schema)}
+		for tries, want := 0, 1+r.Intn(8); len(g.ops)-2 < want && tries < 100; tries++ {
+			g.step()
+		}
+		ops, err := g.d.TopoSort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinks := map[*ir.Op]bool{}
+		for _, op := range g.d.Sinks() {
+			sinks[op] = true
+		}
+		fs := stage(t, []int{7, 64, 0}[seed%3], relation.CodecTSV, a, b)
+		for _, batch := range []int{1, 2, 3, 1024} {
+			for _, threshold := range []int{ParallelThreshold, 1} {
+				opts := RunOptions{Keep: func(op *ir.Op) bool { return sinks[op] }, BatchRows: batch}
+				old := ParallelThreshold
+				ParallelThreshold = threshold
+				wantEnv, wantTrace := runBound(t, ops, fs, opts)
+				gotEnv, gotTrace, _ := runSourced(t, ops, fs, opts)
+				ParallelThreshold = old
+				sameRun(t, ops, wantEnv, gotEnv, wantTrace, gotTrace)
+				if t.Failed() {
+					t.Fatalf("seed %d batch %d threshold %d\n%s", seed, batch, threshold, g.d)
+				}
+				for _, name := range []string{"a", "b"} {
+					if gotEnv[name] == nil {
+						streamedInputs++ // never materialized
+					}
+				}
+			}
+		}
+	}
+	if streamedInputs < 300 {
+		t.Errorf("only %d inputs streamed over the whole suite: the generator no longer exercises the streamed scan", streamedInputs)
+	}
+}
+
+// sourceCase is one directed shape over input "a" (and "b" when it joins).
+type sourceCase struct {
+	name    string
+	build   func(d *ir.DAG, a, b *ir.Op)
+	streams bool // "a" is decoded by a pipeline scan alone, never materialized
+}
+
+func sourceCases() []sourceCase {
+	sum := []ir.AggSpec{{Func: ir.AggSum, Col: "f", As: "total"}, {Func: ir.AggCount, As: "n"}}
+	return []sourceCase{
+		{"pure select", func(d *ir.DAG, a, b *ir.Op) {
+			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
+			d.Add(ir.OpSelect, "hotter", ir.Params{Pred: pred("v", ir.CmpGt, 10)}, hot)
+		}, true},
+		{"select agg", func(d *ir.DAG, a, b *ir.Op) {
+			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
+			d.Add(ir.OpAgg, "by_k", ir.Params{GroupBy: []string{"k"}, Aggs: sum}, hot)
+		}, true},
+		{"arith project", func(d *ir.DAG, a, b *ir.Op) {
+			half := d.Add(ir.OpArith, "half", ir.Params{Dst: "h", ALeft: ir.ColRef("f"), ARght: ir.LitOp(relation.Float(2)), AOp: ir.ArithDiv}, a)
+			d.Add(ir.OpProject, "slim", ir.Params{Columns: []string{"k", "h", "s"}}, half)
+		}, true},
+		{"probe of a join", func(d *ir.DAG, a, b *ir.Op) {
+			d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"bk"}}, a, b)
+		}, true},
+		{"build of a join", func(d *ir.DAG, a, b *ir.Op) {
+			d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"bk"}, RightCols: []string{"k"}}, b, a)
+		}, false},
+		{"self join", func(d *ir.DAG, a, b *ir.Op) {
+			d.Add(ir.OpJoin, "self", ir.Params{LeftCols: []string{"k", "v"}, RightCols: []string{"k", "v"}}, a, a)
+		}, false},
+		{"pipeline and breaker", func(d *ir.DAG, a, b *ir.Op) {
+			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
+			d.Add(ir.OpAgg, "by_k", ir.Params{GroupBy: []string{"k"}, Aggs: sum}, hot)
+			d.Add(ir.OpDistinct, "uniq", ir.Params{}, a)
+		}, false},
+		{"breaker only", func(d *ir.DAG, a, b *ir.Op) {
+			d.Add(ir.OpSort, "sorted", ir.Params{SortBy: []string{"f"}, Desc: true}, a)
+		}, false},
+		{"while", func(d *ir.DAG, a, b *ir.Op) {
+			body := ir.NewDAG()
+			bin := body.AddInput("a", "in/a", a.Params.Schema)
+			bumped := body.Add(ir.OpArith, "bumped", ir.Params{Dst: "v", ALeft: ir.ColRef("v"), ARght: ir.LitOp(relation.Int(1)), AOp: ir.ArithAdd}, bin)
+			d.Add(ir.OpWhile, "looped", ir.Params{Body: body, MaxIter: 3, Carried: map[string]string{"a": bumped.Out}}, a)
+		}, false},
+	}
+}
+
+// TestSourceShapes drives the directed shapes over a 5 000-row input — TSV
+// scaled, TSV physical-only (`#logical 0`: every volume comes from the
+// readers' meter) and columnar — and checks which of them stream, that a
+// shared input is decoded exactly once, and that a pure-SELECT pipeline's
+// rows outlive the batches they came from.
+func TestSourceShapes(t *testing.T) {
+	a := relation.New("a", relation.NewSchema("k:int", "v:int", "f:float", "s:string"))
+	for i := 0; i < 5000; i++ {
+		a.MustAppend(relation.Row{relation.Int(int64(i % 11)), relation.Int(int64(i % 97)),
+			relation.Float(float64(i%64) / 4), relation.Str(fmt.Sprintf("w%d", i%5))})
+	}
+	b := relation.New("b", relation.NewSchema("bk:int", "w:int"))
+	for i := 0; i < 9; i++ {
+		b.MustAppend(relation.Row{relation.Int(int64(i)), relation.Int(int64(i * i))})
+	}
+	for _, variant := range []struct {
+		name    string
+		scale   int64
+		codec   relation.Codec
+		decoded bool // Open decodes the file whole (no incremental decoder)
+	}{{"scaled", 40, relation.CodecTSV, false}, {"physical-only", 0, relation.CodecTSV, false}, {"columnar", 40, relation.CodecColumnar, true}} {
+		a.LogicalBytes, b.LogicalBytes = a.PhysicalBytes()*variant.scale, b.PhysicalBytes()*variant.scale
+		fs := stage(t, 1<<10, variant.codec, a, b)
+		for _, c := range sourceCases() {
+			d := ir.NewDAG()
+			c.build(d, d.AddInput("a", "in/a", a.Schema), d.AddInput("b", "in/b", b.Schema))
+			if err := d.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			ops, err := d.TopoSort()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, batch := range []int{3, 0} {
+				for _, threshold := range []int{ParallelThreshold, 1} {
+					t.Run(fmt.Sprintf("%s/%s/batch%d/threshold%d", variant.name, c.name, batch, threshold), func(t *testing.T) {
+						withThreshold(t, threshold, func() {
+							opts := RunOptions{BatchRows: batch} // Keep nil: only unit outputs materialize
+							wantEnv, wantTrace := runBound(t, ops, fs, opts)
+							gotEnv, gotTrace, srcs := runSourced(t, ops, fs, opts)
+							sameRun(t, ops, wantEnv, gotEnv, wantTrace, gotTrace)
+							if streamed := gotEnv["a"] == nil; streamed != c.streams {
+								t.Errorf("input a streamed = %v, want %v", streamed, c.streams)
+							}
+							// Decoded exactly once, however many consumers: the
+							// meter holds one relation's worth of bytes.
+							if got, want := srcs["a"].PhysicalBytes(), wantEnv["a"].PhysicalBytes(); got != want {
+								t.Errorf("input a metered %d bytes, one decode is %d", got, want)
+							}
+						})
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestSourceErrorsFailTheRun: a row that does not parse surfaces from the
+// pipeline that streams it, and from the up-front drain, naming the relation.
+func TestSourceErrorsFailTheRun(t *testing.T) {
+	text := "#schema\tk:int\tv:int\n#logical\t0\n1\t2\n3\tx\n"
+	for _, c := range sourceCases()[:1] {
+		for _, streams := range []bool{true, false} {
+			d := ir.NewDAG()
+			in := d.AddInput("a", "in/a", relation.NewSchema("k:int", "v:int"))
+			if streams {
+				c.build(d, in, nil)
+			} else {
+				d.Add(ir.OpDistinct, "uniq", ir.Params{}, in)
+			}
+			ops, _ := d.TopoSort()
+			src, err := relation.Open("a", [][]byte{[]byte(text)}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = RunOps(ops, Env{}, NewTrace(), RunOptions{SkipInputs: true, Sources: map[string]*relation.Encoded{"a": src}})
+			if err == nil || err.Error() != `relation a: parse int "x": strconv.ParseInt: parsing "x": invalid syntax` {
+				t.Errorf("streams=%v: %v", streams, err)
+			}
+		}
+	}
+}

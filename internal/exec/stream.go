@@ -55,90 +55,6 @@ func (a *valArena) take(n int) []relation.Value {
 	return a.vals[:n]
 }
 
-// scanSource is the head of a pipeline. It scans a row range and applies
-// the pipeline's leading SELECT predicates (predicate pushdown) and an
-// immediately following PROJECT (projection pushdown) during the scan
-// itself, so filtered-out rows are never copied and surviving rows are
-// narrowed before any downstream stage sees them.
-type scanSource struct {
-	in        []relation.Row
-	inSch     relation.Schema
-	sch       relation.Schema // post-projection schema
-	batchRows int
-	pos       int
-
-	preds    []*ir.Pred
-	predTaps []*accTap // aligned with preds; nil entries are unmetered
-
-	proj    []int // projection indexes; nil when no PROJECT folded in
-	projTap *accTap
-	ar      valArena
-
-	out []relation.Row
-}
-
-func (s *scanSource) Schema() relation.Schema { return s.sch }
-
-func (s *scanSource) Next() (relation.Batch, error) {
-	for s.pos < len(s.in) {
-		hi := s.pos + s.batchRows
-		if hi > len(s.in) {
-			hi = len(s.in)
-		}
-		rows := s.in[s.pos:hi]
-		s.pos = hi
-		if len(s.preds) > 0 {
-			s.out = s.out[:0]
-		scan:
-			for _, row := range rows {
-				for pi, p := range s.preds {
-					ok, err := EvalPred(p, s.inSch, row)
-					if err != nil {
-						return relation.Batch{}, err
-					}
-					if !ok {
-						continue scan
-					}
-					// The tap meters this SELECT's own output: rows it passes,
-					// even ones a later pushed-down predicate drops.
-					if t := s.predTaps[pi]; t != nil {
-						t.addRow(row)
-					}
-				}
-				s.out = append(s.out, row)
-			}
-			rows = s.out
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		if s.proj == nil {
-			return relation.Batch{Rows: rows}, nil
-		}
-		// The projected headers go in s.out; when rows already is s.out each
-		// header is read before its slot is overwritten.
-		if cap(s.out) < len(rows) {
-			s.out = make([]relation.Row, len(rows))
-		}
-		s.out = s.out[:len(rows)]
-		arity := len(s.proj)
-		vals := s.ar.take(len(rows) * arity)
-		for i, row := range rows {
-			nr := relation.Row(vals[:arity:arity])
-			vals = vals[arity:]
-			for k, j := range s.proj {
-				nr[k] = row[j]
-			}
-			if s.projTap != nil {
-				s.projTap.addOwned(nr)
-			}
-			s.out[i] = nr
-		}
-		return relation.Batch{Rows: s.out}, nil
-	}
-	return relation.Batch{}, nil
-}
-
 // selectStage filters an upstream source. Rows pass through by reference;
 // the stage owns only the batch header slice.
 type selectStage struct {
@@ -157,7 +73,9 @@ func (s *selectStage) Next() (relation.Batch, error) {
 		if err != nil || b.Empty() {
 			return relation.Batch{}, err
 		}
-		s.out = s.out[:0]
+		if s.out = s.out[:0]; cap(s.out) < len(b.Rows) {
+			s.out = make([]relation.Row, 0, len(b.Rows))
+		}
 		for _, row := range b.Rows {
 			ok, err := EvalPred(s.pred, s.sch, row)
 			if err != nil {
@@ -197,7 +115,9 @@ func (p *projectStage) Next() (relation.Batch, error) {
 	}
 	arity := len(p.idx)
 	vals := p.ar.take(len(b.Rows) * arity)
-	p.out = p.out[:0]
+	if p.out = p.out[:0]; cap(p.out) < len(b.Rows) {
+		p.out = make([]relation.Row, 0, len(b.Rows))
+	}
 	for _, row := range b.Rows {
 		nr := relation.Row(vals[:arity:arity])
 		vals = vals[arity:]
@@ -237,7 +157,9 @@ func (a *arithStage) Next() (relation.Batch, error) {
 		arity++
 	}
 	vals := a.ar.take(len(b.Rows) * arity)
-	a.out = a.out[:0]
+	if a.out = a.out[:0]; cap(a.out) < len(b.Rows) {
+		a.out = make([]relation.Row, 0, len(b.Rows))
+	}
 	for _, row := range b.Rows {
 		l, err := operandValue(a.op.Params.ALeft, a.inSch, row)
 		if err != nil {

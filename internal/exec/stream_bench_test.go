@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"musketeer/internal/dfs"
 	"musketeer/internal/ir"
 	"musketeer/internal/relation"
 )
@@ -52,4 +53,40 @@ func BenchmarkStreamFusedChain(b *testing.B) {
 
 func BenchmarkStreamMaterializedChain(b *testing.B) {
 	benchStreamChain(b, RunOptions{Keep: keepAll})
+}
+
+// BenchmarkStreamScanFile runs the same SELECT→PROJECT→AGG job over a 100k-row
+// DFS file two ways: "streamed" opens the file and lets the pipeline's scan
+// decode it batch by batch (what an engine job does); "materialized" reads it
+// whole into a relation first (what every job did before inputs became
+// sources). Time is dominated by TSV parsing either way; B/op is the point —
+// the streamed run never holds the decoded relation.
+func BenchmarkStreamScanFile(b *testing.B) {
+	ops := streamBenchOps(b)
+	input := benchRelation(100_000, 64)
+	input.Name = "events"
+	fs := stage(b, 0, relation.CodecTSV, input)
+	opts := RunOptions{Keep: func(op *ir.Op) bool { return op.Out == "by_k" }}
+	for _, c := range []struct {
+		name string
+		run  func(testing.TB, []*ir.Op, *dfs.DFS, RunOptions) Env
+	}{
+		{"streamed", func(t testing.TB, ops []*ir.Op, fs *dfs.DFS, opts RunOptions) Env {
+			env, _, _ := runSourced(t, ops, fs, opts)
+			return env
+		}},
+		{"materialized", func(t testing.TB, ops []*ir.Op, fs *dfs.DFS, opts RunOptions) Env {
+			env, _ := runBound(t, ops, fs, opts)
+			return env
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if out := c.run(b, ops, fs, opts)["by_k"]; out == nil || out.NumRows() == 0 {
+					b.Fatal("job produced no output")
+				}
+			}
+		})
+	}
 }

@@ -1,10 +1,8 @@
 package relation
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"runtime"
 	"strconv"
 	"strings"
@@ -224,14 +222,11 @@ func (r *Relation) ScaleRatio() float64 {
 	return float64(r.LogicalBytes) / float64(phys)
 }
 
-// CodecParallelThreshold is the default row count above which the codecs
-// split row work across goroutines. Materializing intermediates on the DFS
-// between (simulated) Hadoop jobs funnels through these codecs, so large
-// relations encode/decode chunk-parallel; the chunk outputs are concatenated
-// in input order, so the byte stream and decoded row order are identical to
-// the serial paths. Callers (and tests, which force both paths on small
-// data) override it per call via CodecOptions rather than mutating this
-// package global.
+// CodecParallelThreshold is the default row count above which the TSV
+// encoder and the columnar codec split row work across goroutines; the chunk
+// outputs are joined in input order, so the byte stream and decoded row order
+// are identical to the serial paths. Callers (and tests, which force both
+// paths on small data) override it per call via CodecOptions.
 var CodecParallelThreshold = 8192
 
 // CodecOptions parameterizes one codec invocation.
@@ -291,315 +286,87 @@ func appendTSVRow(dst []byte, row Row) []byte {
 	return append(dst, '\n')
 }
 
-// Encode writes the relation as a TSV stream with a two-line header:
+// EncodeBytes returns the relation as a TSV stream with a two-line header:
 //
 //	#schema	name:kind	name:kind ...
 //	#logical	<bytes>
-//
-// Rows are rendered with AppendText into buffers (no per-field string
-// allocation); above the parallel threshold the row chunks encode
-// concurrently and are written out in order.
-func (r *Relation) Encode(w io.Writer) error {
-	return r.EncodeOpts(w, CodecOptions{})
-}
-
-// EncodeOpts is Encode with per-call codec options.
-func (r *Relation) EncodeOpts(w io.Writer, o CodecOptions) error {
-	buf := make([]byte, 0, 256)
-	buf = append(buf, "#schema"...)
-	for _, c := range r.Schema.Cols {
-		buf = append(buf, '\t')
-		buf = append(buf, c.Name...)
-		buf = append(buf, ':')
-		buf = append(buf, c.Kind.String()...)
-	}
-	buf = append(buf, '\n')
-	buf = append(buf, "#logical\t"...)
-	buf = strconv.AppendInt(buf, r.LogicalBytes, 10)
-	buf = append(buf, '\n')
-	if len(r.Rows) >= o.threshold() {
-		chunks := codecChunks(len(r.Rows))
-		encoded := make([][]byte, len(chunks))
-		var wg sync.WaitGroup
-		for ci, rg := range chunks {
-			wg.Add(1)
-			go func(ci, lo, hi int) {
-				defer wg.Done()
-				b := make([]byte, 0, (hi-lo)*16)
-				for _, row := range r.Rows[lo:hi] {
-					b = appendTSVRow(b, row)
-				}
-				encoded[ci] = b
-			}(ci, rg[0], rg[1])
-		}
-		wg.Wait()
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		for _, b := range encoded {
-			if _, err := w.Write(b); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, row := range r.Rows {
-		buf = appendTSVRow(buf, row)
-		if len(buf) >= 64<<10 {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EncodeBytes returns the Encode output as a byte slice.
 func (r *Relation) EncodeBytes() []byte {
 	return r.EncodeBytesOpts(CodecOptions{})
 }
 
-// EncodeBytesOpts is EncodeBytes with per-call codec options.
+// EncodeBytesOpts is EncodeBytes with per-call codec options. Rows are
+// rendered with AppendText (no per-field string allocation) into a buffer
+// sized once, before the first row is written; above the parallel threshold
+// the row chunks encode concurrently and are joined in order.
 func (r *Relation) EncodeBytesOpts(o CodecOptions) []byte {
-	var buf bytes.Buffer
-	if err := r.EncodeOpts(&buf, o); err != nil {
-		panic(err) // bytes.Buffer cannot fail
+	head := make([]byte, 0, 256)
+	head = append(head, "#schema"...)
+	for _, c := range r.Schema.Cols {
+		head = append(head, '\t')
+		head = append(head, c.Name...)
+		head = append(head, ':')
+		head = append(head, c.Kind.String()...)
 	}
-	return buf.Bytes()
-}
-
-// Decode parses a stream produced by Encode.
-func Decode(name string, rd io.Reader) (*Relation, error) {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("relation %s: empty stream", name)
-	}
-	header := strings.Split(sc.Text(), "\t")
-	if header[0] != "#schema" {
-		return nil, fmt.Errorf("relation %s: missing #schema header", name)
-	}
-	schema := Schema{}
-	for _, spec := range header[1:] {
-		colName, kindStr, ok := strings.Cut(spec, ":")
-		if !ok {
-			return nil, fmt.Errorf("relation %s: bad column spec %q", name, spec)
+	head = append(head, "\n#logical\t"...)
+	head = strconv.AppendInt(head, r.LogicalBytes, 10)
+	head = append(head, '\n')
+	if n := len(r.Rows); n < o.threshold() {
+		// The body is sized from the exact lengths of 64 evenly spaced rows
+		// (measuring every row would render each unmeasured float twice) plus
+		// a sixteenth; a body that still outgrows it just appends.
+		step := n/64 + 1
+		var sample int64
+		for i := 0; i < n; i += step {
+			sample += r.Rows[i].EncodedLen()
 		}
-		kind, err := ParseKind(kindStr)
-		if err != nil {
-			return nil, err
+		body := int(sample) * step
+		buf := append(make([]byte, 0, len(head)+body+body/16), head...)
+		for _, row := range r.Rows {
+			buf = appendTSVRow(buf, row)
 		}
-		schema.Cols = append(schema.Cols, Column{Name: colName, Kind: kind})
+		return buf
 	}
-	rel := New(name, schema)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("relation %s: missing #logical header", name)
-	}
-	if _, err := fmt.Sscanf(sc.Text(), "#logical\t%d", &rel.LogicalBytes); err != nil {
-		return nil, fmt.Errorf("relation %s: bad #logical header %q", name, sc.Text())
-	}
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		fields := strings.Split(line, "\t")
-		if len(fields) != schema.Arity() {
-			return nil, fmt.Errorf("relation %s: row arity %d != %d", name, len(fields), schema.Arity())
-		}
-		row := make(Row, len(fields))
-		for i, f := range fields {
-			v, err := ParseValue(schema.Cols[i].Kind, f)
-			if err != nil {
-				return nil, err
+	chunks := codecChunks(len(r.Rows))
+	encoded := make([][]byte, len(chunks)+1)
+	encoded[0] = head
+	var wg sync.WaitGroup
+	for ci, rg := range chunks {
+		wg.Add(1)
+		go func(ci, lo, hi int) {
+			defer wg.Done()
+			b := make([]byte, 0, (hi-lo)*16)
+			for _, row := range r.Rows[lo:hi] {
+				b = appendTSVRow(b, row)
 			}
-			row[i] = v
-		}
-		rel.Rows = append(rel.Rows, row)
+			encoded[ci+1] = b
+		}(ci, rg[0], rg[1])
 	}
-	return rel, sc.Err()
+	wg.Wait()
+	return bytes.Join(encoded, nil)
 }
 
 // DecodeBytes parses an EncodeBytes or EncodeColumnar output, sniffing the
-// codec from the stream's leading bytes. It is the DFS read path: unlike
-// the streaming Decode it can chunk the TSV row section by newline
-// boundaries (or the columnar stream by column block) and parse chunks
-// concurrently above the parallel threshold, keeping decoded row order
-// identical to the serial scan.
+// codec from the stream's leading bytes. The text may come from anywhere
+// (uploads, staged files): numbers need not be canonically rendered ("1.50",
+// "+7", "1e3"), so no width is cached, and blank lines are skipped unless the
+// schema makes an empty line a row (a single string column, or none). The
+// DFS, whose only writer is the encoder, opens its files through Open.
 func DecodeBytes(name string, data []byte) (*Relation, error) {
 	return DecodeBytesOpts(name, data, CodecOptions{})
 }
 
-// DecodeBytesOpts is DecodeBytes with per-call codec options.
+// DecodeBytesOpts is DecodeBytes with per-call codec options; only the
+// columnar decoder has a parallel path to select.
 func DecodeBytesOpts(name string, data []byte, o CodecOptions) (*Relation, error) {
-	return decodeBytes(name, data, o, false)
-}
-
-// DecodeEncoded is DecodeBytes for data that is, byte for byte, what
-// EncodeCodec wrote — the DFS, whose only writer is the encoder, reads
-// through it. A TSV field Encode wrote is the canonical rendering of the
-// number it parses to, so its length is the cell's text width and decoding
-// caches it for free (see stampEncoded). Text from anywhere else ("1.50",
-// "+7", "1e3") parses to the same values but has other lengths: it must go
-// through DecodeBytes, which caches nothing.
-func DecodeEncoded(name string, data []byte) (*Relation, error) {
-	return decodeBytes(name, data, CodecOptions{}, true)
-}
-
-// decodeBytes implements DecodeBytesOpts; encoded marks DecodeEncoded's
-// trusted input.
-func decodeBytes(name string, data []byte, o CodecOptions, encoded bool) (*Relation, error) {
 	if SniffCodec(data) == CodecColumnar {
 		return DecodeColumnar(name, data, o)
 	}
-	head, rest, ok := bytes.Cut(data, []byte{'\n'})
-	if !ok && len(data) == 0 {
-		return nil, fmt.Errorf("relation %s: empty stream", name)
-	}
-	header := strings.Split(string(head), "\t")
-	if header[0] != "#schema" {
-		return nil, fmt.Errorf("relation %s: missing #schema header", name)
-	}
-	schema := Schema{}
-	for _, spec := range header[1:] {
-		colName, kindStr, ok := strings.Cut(spec, ":")
-		if !ok {
-			return nil, fmt.Errorf("relation %s: bad column spec %q", name, spec)
-		}
-		kind, err := ParseKind(kindStr)
-		if err != nil {
-			return nil, err
-		}
-		schema.Cols = append(schema.Cols, Column{Name: colName, Kind: kind})
-	}
-	rel := New(name, schema)
-	logLine, body, ok := bytes.Cut(rest, []byte{'\n'})
-	if !ok && len(logLine) == 0 {
-		return nil, fmt.Errorf("relation %s: missing #logical header", name)
-	}
-	logField, found := strings.CutPrefix(string(logLine), "#logical\t")
-	if !found {
-		return nil, fmt.Errorf("relation %s: bad #logical header %q", name, string(logLine))
-	}
-	logical, err := strconv.ParseInt(logField, 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("relation %s: bad #logical header %q", name, string(logLine))
-	}
-	rel.LogicalBytes = logical
-	// Cheap row estimate decides whether chunked parallel parsing pays off.
-	if bytes.Count(body, []byte{'\n'}) >= o.threshold() {
-		chunks := splitAtLines(body, runtime.GOMAXPROCS(0))
-		parts := make([][]Row, len(chunks))
-		errs := make([]error, len(chunks))
-		var wg sync.WaitGroup
-		for ci, chunk := range chunks {
-			wg.Add(1)
-			go func(ci int, chunk []byte) {
-				defer wg.Done()
-				parts[ci], errs[ci] = parseRows(name, schema, chunk, encoded)
-			}(ci, chunk)
-		}
-		wg.Wait()
-		total := 0
-		for ci := range chunks {
-			if errs[ci] != nil {
-				return nil, errs[ci]
-			}
-			total += len(parts[ci])
-		}
-		rel.Rows = make([]Row, 0, total)
-		for _, p := range parts {
-			rel.Rows = append(rel.Rows, p...)
-		}
-		return rel, nil
-	}
-	rel.Rows, err = parseRows(name, schema, body, encoded)
+	// Its line count bounds the rows the text can hold.
+	e, err := open(name, [][]byte{data}, bytes.Count(data, []byte{'\n'})+1, false)
 	if err != nil {
 		return nil, err
 	}
-	return rel, nil
-}
-
-// splitAtLines cuts data into at most n chunks whose boundaries fall on
-// newline boundaries, preserving order and covering every byte.
-func splitAtLines(data []byte, n int) [][]byte {
-	if n < 1 {
-		n = 1
-	}
-	var chunks [][]byte
-	size := (len(data) + n - 1) / n
-	for lo := 0; lo < len(data); {
-		hi := lo + size
-		if hi >= len(data) {
-			chunks = append(chunks, data[lo:])
-			break
-		}
-		if j := bytes.IndexByte(data[hi:], '\n'); j >= 0 {
-			hi += j + 1
-		} else {
-			hi = len(data)
-		}
-		chunks = append(chunks, data[lo:hi])
-		lo = hi
-	}
-	return chunks
-}
-
-// parseRows parses a run of TSV row lines against the schema. encoded says
-// Encode wrote the lines, so numeric cells take their width from the text.
-// Every row's cells are carved from one value slab sized by the line count.
-func parseRows(name string, schema Schema, data []byte, encoded bool) ([]Row, error) {
-	arity := schema.Arity()
-	var rows []Row
-	var vals []Value
-	if n := bytes.Count(data, []byte{'\n'}); n > 0 {
-		rows = make([]Row, 0, n+1)
-		vals = make([]Value, (n+1)*arity)
-	}
-	for len(data) > 0 {
-		lineBytes, rest, _ := bytes.Cut(data, []byte{'\n'})
-		data = rest
-		if len(lineBytes) == 0 {
-			continue
-		}
-		// One string allocation per line; field substrings share it (string
-		// values in the decoded rows pin the line, as the scanner path did).
-		line := string(lineBytes)
-		if len(vals) < arity {
-			vals = make([]Value, arity)
-		}
-		row := Row(vals[:0:arity])
-		vals = vals[arity:]
-		for {
-			field, restF, found := strings.Cut(line, "\t")
-			if len(row) == arity {
-				return nil, fmt.Errorf("relation %s: row arity %d != %d", name, len(row)+1+strings.Count(restF, "\t"), arity)
-			}
-			v, err := ParseValue(schema.Cols[len(row)].Kind, field)
-			if err != nil {
-				return nil, err
-			}
-			if encoded {
-				v.stampEncoded(field)
-			}
-			row = append(row, v)
-			if !found {
-				break
-			}
-			line = restF
-		}
-		if len(row) != arity {
-			return nil, fmt.Errorf("relation %s: row arity %d != %d", name, len(row), arity)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return e.Materialize()
 }
 
 // SortRows orders rows lexicographically in place; used to compare engine

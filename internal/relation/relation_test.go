@@ -2,7 +2,6 @@ package relation
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -298,8 +297,8 @@ func TestDecodeErrors(t *testing.T) {
 		"#schema\ta:int\n#logical\t0\nxyz\n",  // parse
 	}
 	for _, c := range cases {
-		if _, err := Decode("bad", strings.NewReader(c)); err == nil {
-			t.Errorf("Decode(%q) succeeded, want error", c)
+		if _, err := DecodeBytes("bad", []byte(c)); err == nil {
+			t.Errorf("DecodeBytes(%q) succeeded, want error", c)
 		}
 	}
 }

@@ -1,0 +1,355 @@
+package relation
+
+import (
+	"bytes"
+	"fmt"
+	"strconv"
+	"strings"
+	"sync/atomic"
+)
+
+// Encoded is an encoded relation that has been opened — codec sniffed, header
+// parsed — with no row decoded yet: a consumer pulls it through Reader, batch
+// by batch over a row range, or drains it once with Materialize; both run
+// tsvReader, the only TSV row parser. The stream is held as the blocks it was
+// stored in, so a line may straddle any number of them. A columnar stream has
+// no incremental decoder: Open decodes it whole and Reader serves the rows.
+// Readers over disjoint ranges may run concurrently; everything else is for
+// the owner, before they start or after they finish.
+type Encoded struct {
+	Name         string
+	Schema       Schema
+	LogicalBytes int64
+
+	// trusted says Encode wrote the text and rows is what its writer recorded:
+	// a numeric field's length is its width (see stampEncoded), readers meter
+	// what they decode, and any other row count is an error. Foreign text may
+	// hold blank lines; its rows is an upper bound (the line count).
+	trusted  bool
+	rows     int
+	blankRow bool         // an empty line is a row: one string column, or none
+	body     lineCursor   // at the first row line
+	rel      *Relation    // decoded rows: set by Open (columnar) or Materialize
+	phys     atomic.Int64 // the meter: Σ Row.EncodedLen over the rows decoded so far
+}
+
+// Open opens the encoded relation stored in blocks — an EncodeCodec output
+// cut at arbitrary offsets — that its writer recorded as holding rows rows:
+// trusted as the encoder's own text, in which any other row count is an error.
+func Open(name string, blocks [][]byte, rows int) (*Encoded, error) {
+	return open(name, blocks, rows, true)
+}
+
+func open(name string, blocks [][]byte, rows int, trusted bool) (*Encoded, error) {
+	e := &Encoded{Name: name, rows: rows, trusted: trusted, body: lineCursor{blocks: blocks}}
+	for _, b := range blocks {
+		if len(b) == 0 {
+			continue
+		}
+		if b[0] != columnarMagic[0] {
+			break
+		}
+		rel, err := DecodeColumnar(name, bytes.Join(blocks, nil), CodecOptions{})
+		if err != nil {
+			return nil, err
+		}
+		if trusted && len(rel.Rows) != rows {
+			return nil, fmt.Errorf("relation %s: decoded %d rows, its writer recorded %d", name, len(rel.Rows), rows)
+		}
+		e.Schema, e.LogicalBytes, e.rows, e.rel = rel.Schema, rel.LogicalBytes, len(rel.Rows), rel
+		e.phys.Store(rel.PhysicalBytes())
+		return e, nil
+	}
+	head, ok := e.body.next()
+	if !ok {
+		return nil, fmt.Errorf("relation %s: empty stream", name)
+	}
+	header := strings.Split(string(head), "\t")
+	if header[0] != "#schema" {
+		return nil, fmt.Errorf("relation %s: missing #schema header", name)
+	}
+	for _, spec := range header[1:] {
+		colName, kindStr, ok := strings.Cut(spec, ":")
+		if !ok {
+			return nil, fmt.Errorf("relation %s: bad column spec %q", name, spec)
+		}
+		kind, err := ParseKind(kindStr)
+		if err != nil {
+			return nil, err
+		}
+		e.Schema.Cols = append(e.Schema.Cols, Column{Name: colName, Kind: kind})
+	}
+	logLine, ok := e.body.next()
+	if !ok {
+		return nil, fmt.Errorf("relation %s: missing #logical header", name)
+	}
+	logField, found := strings.CutPrefix(string(logLine), "#logical\t")
+	logical, err := strconv.ParseInt(logField, 10, 64)
+	if !found || err != nil {
+		return nil, fmt.Errorf("relation %s: bad #logical header %q", name, string(logLine))
+	}
+	e.LogicalBytes = logical
+	e.body.carry = nil // it held header lines; every reader grows its own
+	arity := e.Schema.Arity()
+	e.blankRow = arity == 0 || arity == 1 && e.Schema.Cols[0].Kind == KindString
+	return e, nil
+}
+
+// NumRows returns the number of rows the writer recorded.
+func (e *Encoded) NumRows() int { return e.rows }
+
+// Reader returns a source over rows [lo, hi) that decodes at most batchRows
+// rows per batch into an arena it reuses — or, with fresh, allocates anew per
+// batch, for a consumer that keeps rows past the next pull. The range starts
+// at a line found by counting newlines, so concurrent readers over adjoining
+// ranges decode exactly the rows a single one would, in order.
+func (e *Encoded) Reader(lo, hi, batchRows int, fresh bool) RowSource {
+	if e.rel != nil {
+		return e.rel.Reader(lo, hi, batchRows)
+	}
+	r := &tsvReader{e: e, cur: e.body, remaining: hi - lo, last: hi == e.rows, batchRows: batchRows, fresh: fresh}
+	r.cur.skipLines(lo)
+	return r
+}
+
+// Materialize decodes every row, once, as one fresh batch whose arena is the
+// relation's exactly-sized slab; later calls return the same relation.
+func (e *Encoded) Materialize() (*Relation, error) {
+	if e.rel == nil {
+		b, err := e.Reader(0, e.rows, e.rows, true).Next()
+		if err != nil {
+			return nil, err
+		}
+		e.rel = &Relation{Name: e.Name, Schema: e.Schema, Rows: b.Rows, LogicalBytes: e.LogicalBytes}
+	}
+	return e.rel, nil
+}
+
+// PhysicalBytes is Relation.PhysicalBytes once every row has been decoded,
+// through readers or Materialize: the meter's sum, no second walk.
+func (e *Encoded) PhysicalBytes() int64 { return e.phys.Load() }
+
+// lineCursor walks the lines of a stream stored as blocks.
+type lineCursor struct {
+	blocks [][]byte
+	b, off int    // the next unread byte is blocks[b][off]
+	carry  []byte // stitches a line that straddles blocks
+}
+
+// next returns the next line without its newline, valid until the following
+// call, and false at the end (an unterminated last line counts).
+func (c *lineCursor) next() ([]byte, bool) {
+	c.carry = c.carry[:0]
+	for ; c.b < len(c.blocks); c.b, c.off = c.b+1, 0 {
+		rest := c.blocks[c.b][c.off:]
+		i := bytes.IndexByte(rest, '\n')
+		if i < 0 {
+			c.carry = append(c.carry, rest...)
+			continue
+		}
+		c.off += i + 1
+		if len(c.carry) == 0 {
+			return rest[:i], true
+		}
+		c.carry = append(c.carry, rest[:i]...)
+		return c.carry, true
+	}
+	return c.carry, len(c.carry) > 0
+}
+
+// skipLines moves the cursor past the next n lines.
+func (c *lineCursor) skipLines(n int) {
+	for ; n > 0 && c.b < len(c.blocks); c.b, c.off = c.b+1, 0 {
+		if k := bytes.Count(c.blocks[c.b][c.off:], []byte{'\n'}); k < n {
+			n -= k
+			continue
+		}
+		for ; n > 0; n-- {
+			c.off += bytes.IndexByte(c.blocks[c.b][c.off:], '\n') + 1
+		}
+		return
+	}
+}
+
+// tsvReader decodes one row range of an Encoded's TSV lines.
+type tsvReader struct {
+	e         *Encoded
+	cur       lineCursor
+	remaining int  // rows of the range not yet decoded
+	last      bool // the range ends at the relation's last row
+	batchRows int
+	fresh     bool
+	rows      []Row
+	vals      []Value
+}
+
+func (r *tsvReader) Schema() Schema { return r.e.Schema }
+
+// Next decodes the range's next batch: fewer rows than asked only where
+// foreign text ends. Trusted rows are metered, and trusted text must end
+// where its last row does.
+func (r *tsvReader) Next() (Batch, error) {
+	e := r.e
+	arity := e.Schema.Arity()
+	// A range's first batch is its largest: the arena is allocated once, at
+	// min(batchRows, rows in the range) rows, never a full default batch.
+	n := min(r.batchRows, r.remaining)
+	if r.fresh || cap(r.vals) < n*arity {
+		r.vals = make([]Value, n*arity)
+	}
+	if cap(r.rows) < n {
+		r.rows = make([]Row, n)
+	}
+	rows, vals := r.rows[:0], r.vals
+	var phys int64
+	for len(rows) < n {
+		line, ok := r.cur.next()
+		if !ok {
+			if e.trusted {
+				return Batch{}, fmt.Errorf("relation %s: text ends %d rows short of the %d its writer recorded", e.Name, r.remaining-len(rows), e.rows)
+			}
+			r.remaining = len(rows)
+			break
+		}
+		// Foreign text may carry blank lines. In the encoder's every line is
+		// a row: an empty one fails to parse unless the schema admits it.
+		if len(line) == 0 && !e.blankRow && !e.trusted {
+			continue
+		}
+		row := Row(vals[:arity:arity])
+		vals = vals[arity:]
+		if err := e.parseLine(line, row); err != nil {
+			return Batch{}, err
+		}
+		if e.trusted {
+			phys += row.EncodedLen()
+		}
+		rows = append(rows, row)
+	}
+	r.remaining -= len(rows)
+	e.phys.Add(phys)
+	if r.remaining == 0 && r.last && e.trusted {
+		if _, more := r.cur.next(); more {
+			return Batch{}, fmt.Errorf("relation %s: text continues past the %d rows its writer recorded", e.Name, e.rows)
+		}
+	}
+	return Batch{Rows: rows}, nil
+}
+
+// parseLine parses one row line into row, whose length is the schema's
+// arity. Numbers parse from the line's bytes; a string column costs the line
+// one string, which its string cells share. A numeric cell is written field
+// by field, with no pointer store: fresh from make or last written by this
+// same column, what a number leaves unset (S, and I or F) is already zero.
+func (e *Encoded) parseLine(line []byte, row Row) error {
+	arity := len(row)
+	if arity == 0 && len(line) == 0 {
+		return nil
+	}
+	var text string
+	rest := line
+	for c := 0; ; c++ {
+		field, tail, more := rest, []byte(nil), false
+		if i := bytes.IndexByte(rest, '\t'); i >= 0 {
+			field, tail, more = rest[:i], rest[i+1:], true
+		}
+		if c == arity {
+			return fmt.Errorf("relation %s: row arity %d != %d", e.Name, c+1+bytes.Count(tail, []byte{'\t'}), arity)
+		}
+		cell := &row[c]
+		if kind := e.Schema.Cols[c].Kind; kind == KindString {
+			if text == "" {
+				text = string(line)
+			}
+			at := len(line) - len(rest)
+			*cell = Str(text[at : at+len(field)])
+		} else {
+			// What AppendInt and (below 1e21, mostly) AppendFloat write is
+			// plain decimal; anything else takes strconv's word for it.
+			mant, digits, frac, neg := scanDecimal(field)
+			var err error
+			if kind == KindInt {
+				i := int64(mant)
+				if neg {
+					i = -i
+				}
+				if digits == 0 || frac >= 0 {
+					i, err = strconv.ParseInt(string(field), 10, 64)
+				}
+				cell.Kind, cell.w, cell.I = KindInt, 0, i
+			} else {
+				// Up to 15 digits: an integer below 2^53 over a power of ten,
+				// both exact, so the division rounds to the float strconv finds.
+				f := float64(mant) / pow10[max(frac, 0)]
+				if neg {
+					f = -f
+				}
+				if digits == 0 || digits > 15 {
+					f, err = strconv.ParseFloat(string(field), 64)
+				}
+				cell.Kind, cell.w, cell.F = KindFloat, 0, f
+			}
+			if err != nil {
+				return fmt.Errorf("relation %s: parse %s %q: %w", e.Name, kind, field, err)
+			}
+			if e.trusted {
+				cell.stampEncoded(field)
+			}
+		}
+		if !more {
+			if c+1 != arity {
+				return fmt.Errorf("relation %s: row arity %d != %d", e.Name, c+1, arity)
+			}
+			return nil
+		}
+		rest = tail
+	}
+}
+
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18}
+
+// scanDecimal reads field as [-]digits[.digits]: the digits as one integer,
+// how many there are (0 when field is not of that form or holds more than
+// 18), how many follow the point (-1 without one), and the sign.
+func scanDecimal(field []byte) (mant uint64, digits, frac int, neg bool) {
+	frac = -1
+	for i, c := range field {
+		switch d := c - '0'; {
+		case d <= 9 && digits < 18:
+			mant = mant*10 + uint64(d)
+			digits++
+			if frac >= 0 {
+				frac++
+			}
+		case c == '.' && frac < 0:
+			frac = 0
+		case c == '-' && i == 0:
+			neg = true
+		default:
+			return 0, 0, 0, false
+		}
+	}
+	return mant, digits, frac, neg
+}
+
+// sliceReader batches rows that are already decoded.
+type sliceReader struct {
+	sch       Schema
+	rows      []Row
+	batchRows int
+}
+
+func (s *sliceReader) Schema() Schema { return s.sch }
+
+func (s *sliceReader) Next() (Batch, error) {
+	n := min(s.batchRows, len(s.rows))
+	b := Batch{Rows: s.rows[:n]}
+	s.rows = s.rows[n:]
+	return b, nil
+}
+
+// Reader returns a source over r.Rows[lo:hi] in batches of at most batchRows
+// rows: views of the relation's own rows, which outlive the pull loop.
+func (r *Relation) Reader(lo, hi, batchRows int) RowSource {
+	return &sliceReader{sch: r.Schema, rows: r.Rows[lo:hi], batchRows: batchRows}
+}

@@ -162,12 +162,15 @@ func (v *Value) measure() int {
 // over an int column and an int literal declares a float result): integer
 // text of seven or more digits re-renders in exponent form, so such a field
 // is left for TextLen to measure.
-func (v *Value) stampEncoded(field string) {
+func (v *Value) stampEncoded(field []byte) {
 	switch v.Kind {
 	case KindInt:
 		v.w = uint8(intTextLen(v.I))
 	case KindFloat:
-		digits := strings.TrimPrefix(field, "-")
+		digits := field
+		if len(digits) > 0 && digits[0] == '-' {
+			digits = digits[1:]
+		}
 		if len(digits) > 6 && allDigits(digits) {
 			return
 		}
@@ -177,7 +180,7 @@ func (v *Value) stampEncoded(field string) {
 	}
 }
 
-func allDigits(s string) bool {
+func allDigits(s []byte) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i]-'0' > 9 {
 			return false
