@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"musketeer/internal/core"
+	"musketeer/internal/ir"
 	"musketeer/internal/sched"
 	"musketeer/internal/workloads"
 )
@@ -60,7 +61,7 @@ func stageChaosTwoEngine(t *testing.T, m *Musketeer) (*Workflow, *Partitioning) 
 		t.Fatal(err)
 	}
 	wf.Optimize()
-	est, err := wf.estimator()
+	est, err := wf.estimator(ir.Identify(dag))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,20 +44,20 @@
 #                       two-engine workflow as one tenant, a plan-cached
 #                       resubmission as another, status polling, and
 #                       tenant-isolation probes — plain and under -race
-#   benchmark gate    — fresh kernel benchmarks (time, allocs, and B/op) and
-#   (mkbenchgate)       a fresh concurrency run vs the committed
-#                       BENCH_*.json baselines (25%)
-#   streaming bench   — mkbench -streaming end to end at reduced size: the
-#                       fused pipeline, WHILE-body peak-memory comparison,
-#                       and columnar codec must all still run and report
+#   benchmark gate    — fresh kernel benchmarks (time, allocs, and B/op,
+#   (mkbenchgate)       at -cpu 1 like the baselines) vs the committed
+#                       BENCH_kernels.json (25%)
 #   calibration gate  — a fresh 3-round mkbench -accuracy run must still
 #                       converge (round-3 mean |makespan error| below
 #                       round 1) and stay within 25% of the committed
 #                       BENCH_accuracy.json per-workflow errors
-#   service bench     — a fresh mkbench -service run (cold/hit/storm over
-#                       the multi-tenant serve plane) vs the committed
-#                       BENCH_service.json: plan-cache speedup, storm hit
-#                       rate, and p99 latencies via mkbenchgate
+#   mkperf smoke      — mkperf -quick: every workload of the repo benchmark
+#                       (batch, plan-only, open-loop serve) for 2 s each at
+#                       host GOMAXPROCS; fails if any operation failed or
+#                       any output differed from its plain-Go reference
+#
+# Gates that write files write them under one mktemp -d directory, removed
+# on exit.
 #
 # Every stage is timed; the summary prints per-stage wall seconds and the
 # same numbers land in ci-stage-times-<group>.json for the workflow's
@@ -74,6 +74,9 @@ build | test | gates | all) ;;
     exit 2
     ;;
 esac
+
+SCRATCH=$(mktemp -d)
+trap 'rm -rf "$SCRATCH"' EXIT
 
 STAGES=""
 STAGE_JSON=""
@@ -98,11 +101,8 @@ bench_gate() {
     # recorded at gomaxprocs 1, and allocs/op scale with the chunk count.
     go test -bench 'BenchmarkKernel|BenchmarkRowKey|BenchmarkSortRows|BenchmarkEncodeDecode|BenchmarkPartitionExhaustive|BenchmarkStream|BenchmarkPhysicalBytes' \
         -benchmem -run '^$' -count=3 -cpu 1 -timeout 20m \
-        ./internal/exec ./internal/relation ./internal/bench > /tmp/mk_bench_fresh.txt
-    go run ./cmd/mkbench -concurrency 2 -concurrency-json /tmp/mk_conc_fresh.json > /dev/null
-    go run ./cmd/mkbenchgate \
-        -kernels BENCH_kernels.json -bench /tmp/mk_bench_fresh.txt \
-        -concurrency BENCH_concurrency.json -fresh-concurrency /tmp/mk_conc_fresh.json
+        ./internal/exec ./internal/relation ./internal/bench > "$SCRATCH/bench_fresh.txt"
+    go run ./cmd/mkbenchgate -kernels BENCH_kernels.json -bench "$SCRATCH/bench_fresh.txt"
 }
 
 gofmt_gate() {
@@ -127,34 +127,15 @@ mkvet_gate() {
     fi
 }
 
-streaming_gate() {
-    # A reduced-size run keeps this stage fast; the acceptance thresholds
-    # (fused speedup, peak-memory reduction, columnar wire ratio) are
-    # asserted by TestStreamingArtifactMeetsThresholds against the committed
-    # BENCH_streaming.json, which is regenerated at full size via
-    # `go run ./cmd/mkbench -streaming -streaming-json BENCH_streaming.json`.
-    go run ./cmd/mkbench -streaming -streaming-rows 50000 -streaming-json /tmp/mk_streaming_fresh.json
-}
-
 calibration_gate() {
     # The fresh run mirrors how the committed baseline is produced
     # (`go run ./cmd/mkbench -accuracy -rounds 3 -accuracy-json
     # BENCH_accuracy.json`) — learning trajectories depend on the case mix,
     # so gating on a subset would compare different experiments.
     go run ./cmd/mkbench -accuracy -rounds 3 \
-        -accuracy-json /tmp/mk_accuracy_fresh.json > /dev/null
+        -accuracy-json "$SCRATCH/accuracy_fresh.json" > /dev/null
     go run ./cmd/mkbenchgate -accuracy BENCH_accuracy.json \
-        -fresh-accuracy /tmp/mk_accuracy_fresh.json
-}
-
-service_gate() {
-    # The fresh run mirrors the committed baseline's full size
-    # (`go run ./cmd/mkbench -service -1 -service-json BENCH_service.json`):
-    # the storm's latency distribution depends on the session count, so a
-    # reduced fresh run would compare a different experiment.
-    go run ./cmd/mkbench -service -1 -service-json /tmp/mk_service_fresh.json > /dev/null
-    go run ./cmd/mkbenchgate -service BENCH_service.json \
-        -fresh-service /tmp/mk_service_fresh.json
+        -fresh-accuracy "$SCRATCH/accuracy_fresh.json"
 }
 
 if [ "$GROUP" = all ] || [ "$GROUP" = build ]; then
@@ -180,9 +161,8 @@ if [ "$GROUP" = all ] || [ "$GROUP" = gates ]; then
     stage "service smoke gate" go test -count=1 -timeout 5m -run 'TestServe' .
     stage "service smoke gate (-race)" go test -race -count=1 -timeout 10m -run 'TestServe' .
     stage "benchmark regression gate" bench_gate
-    stage "streaming benchmark" streaming_gate
     stage "calibration convergence gate" calibration_gate
-    stage "service benchmark gate" service_gate
+    stage "mkperf smoke" go run ./cmd/mkperf -quick -seconds 2
 fi
 
 printf '{"group":"%s","stages":[%s]}\n' "$GROUP" "$STAGE_JSON" > "ci-stage-times-$GROUP.json"

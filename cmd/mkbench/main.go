@@ -9,7 +9,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -22,18 +21,10 @@ import (
 func main() {
 	runID := flag.String("run", "", "run only the experiment with this ID (e.g. fig7)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	concurrency := flag.Int("concurrency", 0, "run the concurrent-workflow throughput benchmark with this many workflows (0 = skip; <0 = 2×GOMAXPROCS)")
-	concurrencyJSON := flag.String("concurrency-json", "", "write the concurrency benchmark report to this JSON file (e.g. BENCH_concurrency.json)")
 	accuracy := flag.Bool("accuracy", false, "run the estimator-accuracy benchmark (predicted vs simulated makespan per workflow)")
 	accuracyJSON := flag.String("accuracy-json", "", "write the accuracy benchmark report to this JSON file (e.g. BENCH_accuracy.json)")
 	accuracyRounds := flag.Int("rounds", 3, "accuracy: learning rounds sharing one history/calibration store (1 = no learning)")
 	accuracyCases := flag.String("accuracy-cases", "", "accuracy: comma-separated case-name substrings to run (empty = all)")
-	streaming := flag.Bool("streaming", false, "run the streaming-execution benchmark (fused vs materialized throughput, peak memory, codec sizes)")
-	streamingRows := flag.Int("streaming-rows", 0, "input rows for the streaming chain benchmark (0 = default)")
-	streamingJSON := flag.String("streaming-json", "", "write the streaming benchmark report to this JSON file (e.g. BENCH_streaming.json)")
-	service := flag.Int("service", 0, "run the serve-mode load benchmark with this many storm sessions (0 = skip; <0 = default 240)")
-	serviceTenants := flag.Int("service-tenants", 0, "service: tenant namespaces to spread the storm across (0 = default 4)")
-	serviceJSON := flag.String("service-json", "", "write the service benchmark report to this JSON file (e.g. BENCH_service.json)")
 	chaosBench := flag.Bool("chaos", false, "run the chaos benchmark (makespan inflation vs fault rate per engine)")
 	chaosSeed := flag.Int64("chaos-seed", 7, "seed for the chaos benchmark's fault plans")
 	chaosJSON := flag.String("chaos-json", "", "write the chaos benchmark report to this JSON file (e.g. BENCH_chaos.json)")
@@ -42,55 +33,6 @@ func main() {
 	if *list {
 		for _, e := range bench.All() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
-		}
-		return
-	}
-
-	if *concurrency != 0 || *concurrencyJSON != "" {
-		n := *concurrency
-		if n < 0 {
-			n = 0 // RunConcurrency picks 2×GOMAXPROCS
-		}
-		rep, err := bench.RunConcurrency(context.Background(), n, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "concurrency:", err)
-			os.Exit(1)
-		}
-		for _, r := range rep.Runs {
-			fmt.Printf("concurrency %-10s %2d workflows  %8.1fms  %6.2f wf/s\n",
-				r.Mode, r.Workflows, r.WallMS, r.ThroughputWFPS)
-		}
-		fmt.Printf("concurrency speedup: %.2fx (GOMAXPROCS=%d)\n", rep.Speedup, rep.Meta.GOMAXPROCS)
-		if *concurrencyJSON != "" {
-			if err := bench.WriteConcurrencyJSON(*concurrencyJSON, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "concurrency:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *service != 0 || *serviceJSON != "" {
-		n := *service
-		if n < 0 {
-			n = 0 // RunService picks the default
-		}
-		rep, err := bench.RunService(context.Background(), n, *serviceTenants)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "service:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("service cold   %3d sessions  p50 %7.2fms  p99 %7.2fms\n", rep.Cold.Samples, rep.Cold.P50MS, rep.Cold.P99MS)
-		fmt.Printf("service hit    %3d sessions  p50 %7.2fms  p99 %7.2fms  (converged after %d rounds)\n",
-			rep.Hit.Samples, rep.Hit.P50MS, rep.Hit.P99MS, rep.ConvergenceRounds)
-		fmt.Printf("service storm  %3d sessions  p50 %7.2fms  p99 %7.2fms  %6.1f wf/s  hit rate %.0f%%\n",
-			rep.Storm.Samples, rep.Storm.P50MS, rep.Storm.P99MS, rep.StormThroughputWFPS, 100*rep.HitRate)
-		fmt.Printf("service plan-cache speedup: %.2fx (cold p50 / hit p50)\n", rep.Speedup)
-		if *serviceJSON != "" {
-			if err := bench.WriteServiceJSON(*serviceJSON, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "service:", err)
-				os.Exit(1)
-			}
 		}
 		return
 	}
@@ -124,30 +66,6 @@ func main() {
 		if *accuracyJSON != "" {
 			if err := bench.WriteAccuracyJSON(*accuracyJSON, rep); err != nil {
 				fmt.Fprintln(os.Stderr, "accuracy:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *streaming || *streamingJSON != "" {
-		rep, err := bench.RunStreaming(*streamingRows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "streaming:", err)
-			os.Exit(1)
-		}
-		p := rep.Pipeline
-		fmt.Printf("streaming pipeline  %d rows  materialized %.0f rows/s  streamed %.0f rows/s  speedup %.2fx\n",
-			p.Rows, p.MaterializedRowsPerSec, p.StreamedRowsPerSec, p.Speedup)
-		m := rep.Memory
-		fmt.Printf("streaming memory    %s x%d  materialized peak %.1fMB  streamed peak %.1fMB  (-%.0f%%)\n",
-			m.Workload, m.Iterations, float64(m.MaterializedPeakBytes)/1e6, float64(m.StreamedPeakBytes)/1e6, m.PeakReductionPct)
-		c := rep.Codec
-		fmt.Printf("streaming codec     %d rows  tsv %dB  columnar %dB  ratio %.2f\n",
-			c.Rows, c.TSVBytes, c.ColumnarBytes, c.Ratio)
-		if *streamingJSON != "" {
-			if err := bench.WriteStreamingJSON(*streamingJSON, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "streaming:", err)
 				os.Exit(1)
 			}
 		}

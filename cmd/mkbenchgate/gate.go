@@ -25,7 +25,7 @@ type Measurement struct {
 // Regression is one benchmark metric that exceeded its allowance.
 type Regression struct {
 	Name     string
-	Metric   string // "ns/op", "allocs/op", "B/op" or "speedup"
+	Metric   string // "ns/op", "allocs/op", "B/op", "mean |error|" or "|makespan error|"
 	Fresh    float64
 	Baseline float64
 	Allowed  float64
@@ -171,32 +171,6 @@ func CompareKernels(fresh, baseline map[string]Measurement, threshold float64) (
 	return regs, checked, missing
 }
 
-// CompareConcurrency gates the concurrent-vs-serial speedup: wall-clock
-// throughput is machine-dependent, but the speedup ratio must not fall more
-// than the threshold below the committed baseline.
-func CompareConcurrency(fresh, baseline *bench.ConcurrencyReport, threshold float64) []Regression {
-	allowed := baseline.Speedup * (1 - threshold)
-	if fresh.Speedup < allowed {
-		return []Regression{{
-			Name: "concurrency", Metric: "speedup",
-			Fresh: fresh.Speedup, Baseline: baseline.Speedup, Allowed: allowed,
-		}}
-	}
-	return nil
-}
-
-func loadConcurrencyReport(path string) (*bench.ConcurrencyReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep bench.ConcurrencyReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
-}
-
 // CompareAccuracy gates the estimator's calibration loop. Two checks:
 // the fresh multi-round run must still converge (final-round mean
 // |makespan error| strictly below round 1's — learning that stops helping
@@ -250,67 +224,6 @@ func loadAccuracyReport(path string) (*bench.AccuracyReport, error) {
 		return nil, err
 	}
 	var rep bench.AccuracyReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-// CompareService gates the serve-mode plane (mkbench -service). The
-// plan-cache speedup (cold p50 / hit p50) and the storm's hit rate are
-// ratios, machine-comparable, and must not fall more than the threshold
-// below baseline (the hit rate also gets two percentage points of absolute
-// slack). Latency p99s are wall-clock and noisier: the unloaded hit p99
-// gets the relative threshold plus 50ms of absolute slack, and the storm
-// p99 — dominated by queueing behind hundreds of concurrent sessions on a
-// shared CI host — gets a deliberately generous 250ms.
-func CompareService(fresh, baseline *bench.ServiceReport, threshold float64) []Regression {
-	var regs []Regression
-	if allowed := baseline.Speedup * (1 - threshold); fresh.Speedup < allowed {
-		regs = append(regs, Regression{
-			Name: "service", Metric: "plan-cache speedup",
-			Fresh: fresh.Speedup, Baseline: baseline.Speedup, Allowed: allowed,
-		})
-	}
-	if allowed := baseline.HitRate*(1-threshold) - 0.02; fresh.HitRate < allowed {
-		regs = append(regs, Regression{
-			Name: "service", Metric: "hit rate",
-			Fresh: fresh.HitRate, Baseline: baseline.HitRate, Allowed: allowed,
-		})
-	}
-	if allowed := baseline.Hit.P99MS*(1+threshold) + 50; fresh.Hit.P99MS > allowed {
-		regs = append(regs, Regression{
-			Name: "service", Metric: "hit p99 ms",
-			Fresh: fresh.Hit.P99MS, Baseline: baseline.Hit.P99MS, Allowed: allowed,
-		})
-	}
-	if allowed := baseline.Storm.P99MS*(1+threshold) + 250; fresh.Storm.P99MS > allowed {
-		regs = append(regs, Regression{
-			Name: "service", Metric: "storm p99 ms",
-			Fresh: fresh.Storm.P99MS, Baseline: baseline.Storm.P99MS, Allowed: allowed,
-		})
-	}
-	return regs
-}
-
-func loadServiceReport(path string) (*bench.ServiceReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep bench.ServiceReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-func loadStreamingReport(path string) (*bench.StreamingReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep bench.StreamingReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

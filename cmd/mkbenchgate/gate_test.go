@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"musketeer/internal/bench"
 )
 
 const benchOutput = `goos: linux
@@ -152,27 +150,6 @@ func TestGateToleratesNoiseWithinThreshold(t *testing.T) {
 	}
 }
 
-func TestCompareConcurrencySpeedup(t *testing.T) {
-	base := &bench.ConcurrencyReport{Speedup: 1.14}
-	if regs := CompareConcurrency(&bench.ConcurrencyReport{Speedup: 1.02}, base, 0.25); len(regs) != 0 {
-		t.Errorf("within-threshold speedup flagged: %v", regs)
-	}
-	regs := CompareConcurrency(&bench.ConcurrencyReport{Speedup: 0.70}, base, 0.25)
-	if len(regs) != 1 || regs[0].Metric != "speedup" {
-		t.Errorf("collapsed speedup not flagged: %v", regs)
-	}
-}
-
-func TestLoadConcurrencyReportFromCommittedArtifact(t *testing.T) {
-	rep, err := loadConcurrencyReport(filepath.Join("..", "..", "BENCH_concurrency.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Speedup <= 0 {
-		t.Errorf("speedup = %v, want > 0", rep.Speedup)
-	}
-}
-
 func TestLoadKernelBaselineRejectsEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.json")
 	if err := os.WriteFile(path, []byte(`{"description": "x"}`), 0o644); err != nil {
@@ -180,95 +157,5 @@ func TestLoadKernelBaselineRejectsEmpty(t *testing.T) {
 	}
 	if _, err := LoadKernelBaseline(path); err == nil {
 		t.Error("baseline with no benchmarks accepted")
-	}
-}
-
-func TestCompareServiceGates(t *testing.T) {
-	base := &bench.ServiceReport{
-		Speedup: 3.0,
-		HitRate: 0.90,
-		Hit:     bench.ServiceLatency{P99MS: 3},
-		Storm:   bench.ServiceLatency{P99MS: 600},
-	}
-	// Within-threshold drift (speedup -20%, hit rate -10%, p99s inside the
-	// relative-plus-absolute allowances) must pass clean.
-	ok := &bench.ServiceReport{
-		Speedup: 2.4,
-		HitRate: 0.81,
-		Hit:     bench.ServiceLatency{P99MS: 40},
-		Storm:   bench.ServiceLatency{P99MS: 900},
-	}
-	if regs := CompareService(ok, base, 0.25); len(regs) != 0 {
-		t.Errorf("within-threshold service drift flagged: %v", regs)
-	}
-	// Each metric regressing past its allowance must be flagged by name.
-	bad := &bench.ServiceReport{
-		Speedup: 1.1,                               // < 3.0*0.75
-		HitRate: 0.30,                              // < 0.90*0.75-0.02
-		Hit:     bench.ServiceLatency{P99MS: 60},   // > 3*1.25+50
-		Storm:   bench.ServiceLatency{P99MS: 1200}, // > 600*1.25+250
-	}
-	regs := CompareService(bad, base, 0.25)
-	if len(regs) != 4 {
-		t.Fatalf("regressions = %v, want all four service metrics flagged", regs)
-	}
-	metrics := map[string]bool{}
-	for _, r := range regs {
-		if r.Name != "service" {
-			t.Errorf("regression name %q, want service", r.Name)
-		}
-		metrics[r.Metric] = true
-	}
-	for _, m := range []string{"plan-cache speedup", "hit rate", "hit p99 ms", "storm p99 ms"} {
-		if !metrics[m] {
-			t.Errorf("metric %q not flagged: %v", m, regs)
-		}
-	}
-}
-
-// TestServiceArtifactMeetsThresholds pins the committed service report to
-// the PR's acceptance bar: replaying a cached plan must at least halve the
-// unloaded submit-to-result p50 (speedup >= 2x), and the storm's plan-cache
-// hit rate must stay high — one cold search per variant plus stragglers,
-// not a cache that silently stopped hitting.
-func TestServiceArtifactMeetsThresholds(t *testing.T) {
-	rep, err := loadServiceReport(filepath.Join("..", "..", "BENCH_service.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Speedup < 2 {
-		t.Errorf("plan-cache speedup %.2fx, want >= 2x", rep.Speedup)
-	}
-	if rep.HitRate < 0.75 {
-		t.Errorf("storm hit rate %.2f, want >= 0.75", rep.HitRate)
-	}
-	if rep.Cold.P50MS <= rep.Hit.P50MS {
-		t.Errorf("cold p50 %.2fms not above hit p50 %.2fms", rep.Cold.P50MS, rep.Hit.P50MS)
-	}
-	if rep.Sessions < 100 || rep.Tenants < 2 {
-		t.Errorf("storm ran %d sessions across %d tenants, want a real multi-tenant load", rep.Sessions, rep.Tenants)
-	}
-	if rep.StormThroughputWFPS <= 0 || rep.Storm.Samples != rep.Sessions {
-		t.Errorf("storm completed %d/%d sessions at %.1f wf/s", rep.Storm.Samples, rep.Sessions, rep.StormThroughputWFPS)
-	}
-}
-
-// TestStreamingArtifactMeetsThresholds pins the committed streaming report
-// to the PR's acceptance bar: the fused chain must be >=1.5x faster than
-// operator-at-a-time, WHILE-body fusion must cut peak heap by >=30% on the
-// fig3 workload, and the columnar shuffle encoding must be <=60% of TSV.
-func TestStreamingArtifactMeetsThresholds(t *testing.T) {
-	rep, err := loadStreamingReport(filepath.Join("..", "..", "BENCH_streaming.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Pipeline.Speedup < 1.5 {
-		t.Errorf("fused pipeline speedup %.2fx, want >= 1.5x", rep.Pipeline.Speedup)
-	}
-	if rep.Memory.PeakReductionPct < 30 {
-		t.Errorf("peak memory reduction %.0f%%, want >= 30%%", rep.Memory.PeakReductionPct)
-	}
-	if rep.Codec.Ratio <= 0 || rep.Codec.Ratio > 0.60 {
-		t.Errorf("columnar/tsv ratio %.2f, want in (0, 0.60]", rep.Codec.Ratio)
 	}
 }

@@ -9,13 +9,6 @@
 //	go test -bench 'Kernel|RowKey|SortRows|EncodeDecode' -benchmem \
 //	    ./internal/exec ./internal/relation | mkbenchgate -kernels BENCH_kernels.json -bench -
 //
-// Concurrency gate — fresh `mkbench -concurrency-json` report vs
-// BENCH_concurrency.json (the concurrent-vs-serial speedup ratio must not
-// fall more than the threshold below the baseline):
-//
-//	mkbench -concurrency 2 -concurrency-json /tmp/fresh.json
-//	mkbenchgate -concurrency BENCH_concurrency.json -fresh-concurrency /tmp/fresh.json
-//
 // Accuracy gate — fresh `mkbench -accuracy` multi-round report vs
 // BENCH_accuracy.json (the calibration loop must still converge, and no
 // workflow's final-round |makespan error| may exceed the baseline's beyond
@@ -23,14 +16,6 @@
 //
 //	mkbench -accuracy -rounds 3 -accuracy-json /tmp/fresh.json
 //	mkbenchgate -accuracy BENCH_accuracy.json -fresh-accuracy /tmp/fresh.json
-//
-// Service gate — fresh `mkbench -service` report vs BENCH_service.json
-// (the plan-cache speedup and storm hit rate must not fall below baseline
-// beyond the threshold; the hit and storm p99 latencies must not blow past
-// it plus absolute slack):
-//
-//	mkbench -service -1 -service-json /tmp/fresh.json
-//	mkbenchgate -service BENCH_service.json -fresh-service /tmp/fresh.json
 package main
 
 import (
@@ -43,12 +28,8 @@ import (
 func main() {
 	kernels := flag.String("kernels", "", "committed kernel baseline (BENCH_kernels.json)")
 	benchOut := flag.String("bench", "", `fresh "go test -bench -benchmem" output file ("-" = stdin)`)
-	concurrency := flag.String("concurrency", "", "committed concurrency baseline (BENCH_concurrency.json)")
-	freshConcurrency := flag.String("fresh-concurrency", "", "fresh concurrency report (mkbench -concurrency-json)")
 	accuracy := flag.String("accuracy", "", "committed accuracy baseline (BENCH_accuracy.json)")
 	freshAccuracy := flag.String("fresh-accuracy", "", "fresh accuracy report (mkbench -accuracy-json)")
-	service := flag.String("service", "", "committed service baseline (BENCH_service.json)")
-	freshService := flag.String("fresh-service", "", "fresh service report (mkbench -service-json)")
 	threshold := flag.Float64("threshold", 25, "allowed regression in percent")
 	flag.Parse()
 
@@ -87,24 +68,6 @@ func main() {
 		ran = true
 	}
 
-	if *concurrency != "" || *freshConcurrency != "" {
-		if *concurrency == "" || *freshConcurrency == "" {
-			fail("concurrency gate needs both -concurrency and -fresh-concurrency")
-		}
-		base, err := loadConcurrencyReport(*concurrency)
-		if err != nil {
-			fail("%v", err)
-		}
-		fresh, err := loadConcurrencyReport(*freshConcurrency)
-		if err != nil {
-			fail("%v", err)
-		}
-		fmt.Printf("concurrency gate: fresh speedup %.2fx vs baseline %.2fx, threshold %.0f%%\n",
-			fresh.Speedup, base.Speedup, *threshold)
-		regs = append(regs, CompareConcurrency(fresh, base, th)...)
-		ran = true
-	}
-
 	if *accuracy != "" || *freshAccuracy != "" {
 		if *accuracy == "" || *freshAccuracy == "" {
 			fail("accuracy gate needs both -accuracy and -fresh-accuracy")
@@ -127,27 +90,8 @@ func main() {
 		ran = true
 	}
 
-	if *service != "" || *freshService != "" {
-		if *service == "" || *freshService == "" {
-			fail("service gate needs both -service and -fresh-service")
-		}
-		base, err := loadServiceReport(*service)
-		if err != nil {
-			fail("%v", err)
-		}
-		fresh, err := loadServiceReport(*freshService)
-		if err != nil {
-			fail("%v", err)
-		}
-		fmt.Printf("service gate: fresh speedup %.2fx / hit rate %.0f%% / storm p99 %.0fms vs baseline %.2fx / %.0f%% / %.0fms, threshold %.0f%%\n",
-			fresh.Speedup, 100*fresh.HitRate, fresh.Storm.P99MS,
-			base.Speedup, 100*base.HitRate, base.Storm.P99MS, *threshold)
-		regs = append(regs, CompareService(fresh, base, th)...)
-		ran = true
-	}
-
 	if !ran {
-		fail("nothing to gate: pass -kernels/-bench, -concurrency/-fresh-concurrency, -accuracy/-fresh-accuracy and/or -service/-fresh-service")
+		fail("nothing to gate: pass -kernels/-bench and/or -accuracy/-fresh-accuracy")
 	}
 	if len(regs) > 0 {
 		for _, r := range regs {

@@ -137,7 +137,7 @@ func run(name string, args []string, statsMode bool) int {
 	if *faultRate > 0 {
 		opts = append(opts, musketeer.WithChaos(musketeer.DefaultChaos(*chaosSeed, *faultRate)))
 	} else if *mtbf > 0 {
-		opts = append(opts, musketeer.WithFaults(*mtbf, 1))
+		opts = append(opts, musketeer.WithChaos(&musketeer.ChaosPlan{MTBFSeconds: *mtbf, Seed: 1}))
 	}
 	if *maxConcurrent > 0 {
 		opts = append(opts, musketeer.WithConcurrency(*maxConcurrent))

@@ -192,10 +192,10 @@ func TestTransientFailureRetries(t *testing.T) {
 		}
 		return nil
 	}
-	if err := run(WithTransientFailures(0.5, 11), WithRetries(20)); err != nil {
+	if err := run(WithChaos(&ChaosPlan{JobCrashProb: 0.5, Seed: 11}), WithRetries(20)); err != nil {
 		t.Errorf("with retries: %v", err)
 	}
-	if err := run(WithTransientFailures(0.5, 11)); err == nil {
+	if err := run(WithChaos(&ChaosPlan{JobCrashProb: 0.5, Seed: 11})); err == nil {
 		t.Error("without retries the transient failure should surface")
 	}
 }

@@ -27,7 +27,7 @@ func main() {
 		for _, engine := range []string{"naiad", "spark", "hadoop"} {
 			opts := []musketeer.Option{musketeer.EC2(100)}
 			if mtbf > 0 {
-				opts = append(opts, musketeer.WithFaults(mtbf, 17))
+				opts = append(opts, musketeer.WithChaos(&musketeer.ChaosPlan{MTBFSeconds: mtbf, Seed: 17}))
 			}
 			m := musketeer.New(opts...)
 			for path, rel := range w.Inputs {

@@ -24,7 +24,7 @@ func Fig16Heuristic() Experiment {
 			if err != nil {
 				return nil, err
 			}
-			est, err := core.NewEstimator(dag, fs, cluster.Local(7), nil)
+			est, err := core.NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 			if err != nil {
 				return nil, err
 			}

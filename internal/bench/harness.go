@@ -151,7 +151,7 @@ func (s *session) execute(mode engines.PlanMode, strategy func(est *core.Estimat
 		return nil, err
 	}
 	core.Optimize(dag)
-	est, err := core.NewEstimator(dag, s.fs, s.c, s.h)
+	est, err := core.NewEstimator(ir.Identify(dag), s.fs, s.c, s.h)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +165,7 @@ func (s *session) execute(mode engines.PlanMode, strategy func(est *core.Estimat
 		History: s.h, Mode: mode,
 		Sched: s.sched, Metrics: s.metrics,
 	}
-	res, err := r.Execute(dag, part)
+	res, err := r.Execute(ir.Identify(dag), part)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"musketeer/internal/core"
 	"musketeer/internal/dfs"
 	"musketeer/internal/engines"
+	"musketeer/internal/ir"
 	"musketeer/internal/workloads"
 )
 
@@ -33,7 +34,7 @@ func BenchmarkPartitionExhaustive(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				est, err := core.NewEstimator(dag, fs, c, nil)
+				est, err := core.NewEstimator(ir.Identify(dag), fs, c, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

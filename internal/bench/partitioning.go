@@ -8,6 +8,7 @@ import (
 	"musketeer/internal/core"
 	"musketeer/internal/dfs"
 	"musketeer/internal/engines"
+	"musketeer/internal/ir"
 	"musketeer/internal/workloads"
 )
 
@@ -41,7 +42,7 @@ func Fig13Partitioning() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				est, err := core.NewEstimator(dag, fs, c, nil)
+				est, err := core.NewEstimator(ir.Identify(dag), fs, c, nil)
 				if err != nil {
 					return nil, err
 				}

@@ -124,7 +124,7 @@ func TestCalibrationVersionInvalidatesScores(t *testing.T) {
 	dag := maxPropertyPrice()
 	fs := seedPropertyDFS(t, 1000)
 	h := NewHistory()
-	est, err := NewEstimator(dag, fs, cluster.Local(7), h)
+	est, err := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestEstimatesMonotoneInInputSize(t *testing.T) {
 	for i, scale := range []int64{10, 100, 1000, 10000} {
 		dag := maxPropertyPrice()
 		fs := seedPropertyDFS(t, scale)
-		est, err := NewEstimator(dag, fs, cluster.Local(7), h)
+		est, err := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), h)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"musketeer/internal/chaos"
 	"musketeer/internal/cluster"
 	"musketeer/internal/engines"
+	"musketeer/internal/ir"
 	"musketeer/internal/obs"
 )
 
@@ -15,7 +16,7 @@ import (
 func TestWhileDriverIterationCheckpoints(t *testing.T) {
 	run := func(plan *chaos.Plan) (*WorkflowResult, *obs.Recorder) {
 		d, fs := countdownDAG(t, 4, 10) // converges in 4 iterations
-		est, err := NewEstimator(d, fs, cluster.Local(7), nil)
+		est, err := NewEstimator(ir.Identify(d), fs, cluster.Local(7), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +31,7 @@ func TestWhileDriverIterationCheckpoints(t *testing.T) {
 			Mode: engines.ModeOptimized,
 			Rec:  rec, Metrics: reg,
 		}
-		res, err := r.Execute(d, part)
+		res, err := r.Execute(ir.Identify(d), part)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func TestAutoMapPrefersCheaperRecoveryUnderFaults(t *testing.T) {
 	pick := func(plan *chaos.Plan) []string {
 		dag := maxPropertyPrice()
 		fs := seedPropertyDFS(t, 1_000_000)
-		est, err := NewEstimator(dag, fs, cluster.Local(7), nil)
+		est, err := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +110,7 @@ func TestAutoMapPrefersCheaperRecoveryUnderFaults(t *testing.T) {
 func TestEstimatorChaosClearsMemo(t *testing.T) {
 	dag := maxPropertyPrice()
 	fs := seedPropertyDFS(t, 1_000_000)
-	est, err := NewEstimator(dag, fs, cluster.Local(7), nil)
+	est, err := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func allEngines() []*engines.Engine { return engines.StandardEngines() }
 func TestEstimatorSizesAndBounds(t *testing.T) {
 	dag := maxPropertyPrice()
 	fs := seedPropertyDFS(t, 1000)
-	est, err := NewEstimator(dag, fs, cluster.Local(7), nil)
+	est, err := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestEstimatorUsesHistory(t *testing.T) {
 	h := NewHistory()
 	join := dag.ByOut("id_price")
 	h.Observe(dag.Hash(), join.ID, Observation{OutRatio: 0.5})
-	est, err := NewEstimator(dag, fs, cluster.Local(7), h)
+	est, err := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestEstimatorUsesHistory(t *testing.T) {
 
 func TestEstimatorMissingInput(t *testing.T) {
 	dag := maxPropertyPrice()
-	if _, err := NewEstimator(dag, dfs.New(), cluster.Local(7), nil); err == nil {
+	if _, err := NewEstimator(ir.Identify(dag), dfs.New(), cluster.Local(7), nil); err == nil {
 		t.Error("missing DFS input accepted")
 	}
 }
@@ -162,7 +162,7 @@ func TestEstimatorMissingInput(t *testing.T) {
 func TestFragmentCostInfeasible(t *testing.T) {
 	dag := maxPropertyPrice()
 	fs := seedPropertyDFS(t, 1)
-	est, _ := NewEstimator(dag, fs, cluster.Local(7), nil)
+	est, _ := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 	whole, _ := ir.NewFragment(dag, dag.Ops)
 	if c := est.FragmentCost(whole, engines.Hadoop()); c != Infeasible {
 		t.Errorf("two-shuffle fragment on hadoop should be infeasible, got %v", c)
@@ -177,7 +177,7 @@ func TestFragmentCostInfeasible(t *testing.T) {
 func TestDynamicPartitionHadoopNeedsTwoJobs(t *testing.T) {
 	dag := maxPropertyPrice()
 	fs := seedPropertyDFS(t, 1000)
-	est, _ := NewEstimator(dag, fs, cluster.Local(7), nil)
+	est, _ := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 	part, err := PartitionDynamic(dag, est, []*engines.Engine{engines.Hadoop()})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestDynamicPartitionHadoopNeedsTwoJobs(t *testing.T) {
 func TestDynamicPartitionNaiadOneJob(t *testing.T) {
 	dag := maxPropertyPrice()
 	fs := seedPropertyDFS(t, 1000)
-	est, _ := NewEstimator(dag, fs, cluster.Local(7), nil)
+	est, _ := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 	part, err := PartitionDynamic(dag, est, []*engines.Engine{engines.Naiad()})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestDynamicPartitionNaiadOneJob(t *testing.T) {
 func TestExhaustiveNeverWorseThanDynamic(t *testing.T) {
 	dag := maxPropertyPrice()
 	fs := seedPropertyDFS(t, 100000)
-	est, _ := NewEstimator(dag, fs, cluster.Local(7), nil)
+	est, _ := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 	engs := allEngines()
 	dyn, err := PartitionDynamic(dag, est, engs)
 	if err != nil {
@@ -245,7 +245,7 @@ func TestExhaustiveBeatsDynamicOnDiamond(t *testing.T) {
 	if err := fs.WriteRelation("in/src", src); err != nil {
 		t.Fatal(err)
 	}
-	est, err := NewEstimator(d, fs, cluster.Local(7), nil)
+	est, err := NewEstimator(ir.Identify(d), fs, cluster.Local(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func fig16DAG(t *testing.T) (*ir.DAG, *dfs.DFS) {
 
 func TestFig16DynamicMissesMergeExhaustiveFinds(t *testing.T) {
 	d, fs := fig16DAG(t)
-	est, err := NewEstimator(d, fs, cluster.Local(7), nil)
+	est, err := NewEstimator(ir.Identify(d), fs, cluster.Local(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestFig16DynamicMissesMergeExhaustiveFinds(t *testing.T) {
 func TestPartitionDynamicMultiNeverWorse(t *testing.T) {
 	dag := maxPropertyPrice()
 	fs := seedPropertyDFS(t, 100000)
-	est, _ := NewEstimator(dag, fs, cluster.Local(7), nil)
+	est, _ := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 	engs := allEngines()
 	single, err := PartitionDynamic(dag, est, engs)
 	if err != nil {
@@ -356,7 +356,7 @@ func TestPartitionDynamicMultiNeverWorse(t *testing.T) {
 func TestPartitionAutoSwitches(t *testing.T) {
 	dag := maxPropertyPrice()
 	fs := seedPropertyDFS(t, 10)
-	est, _ := NewEstimator(dag, fs, cluster.Local(7), nil)
+	est, _ := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 	part, err := Partition(dag, est, allEngines())
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestPartitionAutoSwitches(t *testing.T) {
 func TestPartitionPageRankPrefersGraphEngines(t *testing.T) {
 	dag := pageRankDAG(t, 5)
 	fs := seedGraphDFS(t, 2_000_000) // large graph
-	est, _ := NewEstimator(dag, fs, cluster.EC2(16), nil)
+	est, _ := NewEstimator(ir.Identify(dag), fs, cluster.EC2(16), nil)
 	part, err := AutoMap(dag, est, allEngines())
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestPartitionPageRankPrefersGraphEngines(t *testing.T) {
 
 func runWorkflow(t *testing.T, dag *ir.DAG, fs *dfs.DFS, c *cluster.Cluster, engs []*engines.Engine, h *History) *WorkflowResult {
 	t.Helper()
-	est, err := NewEstimator(dag, fs, c, h)
+	est, err := NewEstimator(ir.Identify(dag), fs, c, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func runWorkflow(t *testing.T, dag *ir.DAG, fs *dfs.DFS, c *cluster.Cluster, eng
 		t.Fatal(err)
 	}
 	r := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: c}, History: h, Mode: engines.ModeOptimized}
-	res, err := r.Execute(dag, part)
+	res, err := r.Execute(ir.Identify(dag), part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestWhileDriverCondRel(t *testing.T) {
 			t.Fatal(err)
 		}
 		dag := build()
-		est, err := NewEstimator(dag, fs, cluster.Local(7), nil)
+		est, err := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,7 +485,7 @@ func TestWhileDriverCondRel(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: cluster.Local(7)}, Mode: engines.ModeOptimized}
-		res, err := r.Execute(dag, part)
+		res, err := r.Execute(ir.Identify(dag), part)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
@@ -527,7 +527,7 @@ func TestHistoryImprovesEstimates(t *testing.T) {
 	fs := seedPropertyDFS(t, 1000)
 	c := cluster.Local(7)
 	h := NewHistory()
-	est, err := NewEstimator(dag, fs, c, nil)
+	est, err := NewEstimator(ir.Identify(dag), fs, c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,16 +536,16 @@ func TestHistoryImprovesEstimates(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: c}, History: h, Mode: engines.ModeOptimized}
-	if _, err := r.Execute(dag, part); err != nil {
+	if _, err := r.Execute(ir.Identify(dag), part); err != nil {
 		t.Fatal(err)
 	}
 	if h.Coverage(dag.Hash()) < 3 {
 		t.Fatalf("profiling coverage = %d, want all 3 compute ops", h.Coverage(dag.Hash()))
 	}
-	estCold, _ := NewEstimator(maxPropertyPrice(), fs, c, nil)
-	estWarm, _ := NewEstimator(maxPropertyPrice(), fs, c, h)
-	cold := estCold.Size(estCold.dag.ByOut("id_price"))
-	warm := estWarm.Size(estWarm.dag.ByOut("id_price"))
+	estCold, _ := NewEstimator(ir.Identify(maxPropertyPrice()), fs, c, nil)
+	estWarm, _ := NewEstimator(ir.Identify(maxPropertyPrice()), fs, c, h)
+	cold := estCold.Size(estCold.id.DAG.ByOut("id_price"))
+	warm := estWarm.Size(estWarm.id.DAG.ByOut("id_price"))
 	if warm >= cold {
 		t.Errorf("history did not tighten join bound: warm %d vs cold %d", warm, cold)
 	}
@@ -554,7 +554,7 @@ func TestHistoryImprovesEstimates(t *testing.T) {
 func TestPerOperatorPartitioning(t *testing.T) {
 	dag := maxPropertyPrice()
 	fs := seedPropertyDFS(t, 1000)
-	est, _ := NewEstimator(dag, fs, cluster.Local(7), nil)
+	est, _ := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 	part, err := PerOperatorPartitioning(dag, est, engines.Spark())
 	if err != nil {
 		t.Fatal(err)
@@ -712,7 +712,7 @@ func TestIndependentJobsOverlap(t *testing.T) {
 	}
 	part := &Partitioning{Jobs: jobs}
 	r := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: cluster.Local(7)}, Mode: engines.ModeOptimized}
-	res, err := r.Execute(d, part)
+	res, err := r.Execute(ir.Identify(d), part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -742,7 +742,7 @@ func TestEstimatorTracksMeasuredOrdering(t *testing.T) {
 	run := func(engName string) (cluster.Seconds, cluster.Seconds) {
 		dag := pageRankDAG(t, 5)
 		fs := seedGraphDFS(t, 2_000_000)
-		est, err := NewEstimator(dag, fs, c, nil)
+		est, err := NewEstimator(ir.Identify(dag), fs, c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -752,7 +752,7 @@ func TestEstimatorTracksMeasuredOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: c}, Mode: engines.ModeOptimized}
-		res, err := r.Execute(dag, part)
+		res, err := r.Execute(ir.Identify(dag), part)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -788,7 +788,7 @@ func TestDecisionTreeChoices(t *testing.T) {
 	// Small graph → graphchi.
 	dagG := pageRankDAG(t, 5)
 	fsG := seedGraphDFS(t, 1000)
-	estG, _ := NewEstimator(dagG, fsG, c, nil)
+	estG, _ := NewEstimator(ir.Identify(dagG), fsG, c, nil)
 	e, err := DecisionTree(dagG, estG, reg)
 	if err != nil {
 		t.Fatal(err)
@@ -799,7 +799,7 @@ func TestDecisionTreeChoices(t *testing.T) {
 
 	// Large graph → powergraph.
 	fsG2 := seedGraphDFS(t, 10_000_000)
-	estG2, _ := NewEstimator(dagG, fsG2, c, nil)
+	estG2, _ := NewEstimator(ir.Identify(dagG), fsG2, c, nil)
 	e2, _ := DecisionTree(dagG, estG2, reg)
 	if e2.Name() != "powergraph" {
 		t.Errorf("large graph choice = %s", e2.Name())
@@ -808,13 +808,13 @@ func TestDecisionTreeChoices(t *testing.T) {
 	// Small batch → metis; large batch → hadoop.
 	dagB := maxPropertyPrice()
 	fsB := seedPropertyDFS(t, 10)
-	estB, _ := NewEstimator(dagB, fsB, c, nil)
+	estB, _ := NewEstimator(ir.Identify(dagB), fsB, c, nil)
 	e3, _ := DecisionTree(dagB, estB, reg)
 	if e3.Name() != "metis" {
 		t.Errorf("small batch choice = %s", e3.Name())
 	}
 	fsB2 := seedPropertyDFS(t, 10_000_000)
-	estB2, _ := NewEstimator(dagB, fsB2, c, nil)
+	estB2, _ := NewEstimator(ir.Identify(dagB), fsB2, c, nil)
 	e4, _ := DecisionTree(dagB, estB2, reg)
 	if e4.Name() != "hadoop" {
 		t.Errorf("large batch choice = %s", e4.Name())
@@ -830,7 +830,7 @@ func TestRuntimeHistoryDoesNotBiasEstimates(t *testing.T) {
 	fs := seedPropertyDFS(t, 1000)
 	c := cluster.Local(7)
 	h := NewHistory()
-	est, err := NewEstimator(dag, fs, c, h)
+	est, err := NewEstimator(ir.Identify(dag), fs, c, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -840,11 +840,11 @@ func TestRuntimeHistoryDoesNotBiasEstimates(t *testing.T) {
 	}
 	eng := engines.Naiad()
 	estimated := est.FragmentCost(whole, eng)
-	h.ObserveRuntime(est.DAGHash(dag), FragmentKey(whole), eng.Name(), 1.0)
+	h.ObserveRuntime(dag.Hash(), FragmentKey(whole), eng.Name(), 1.0)
 	if got := est.FragmentCost(whole, eng); got != estimated {
 		t.Errorf("runtime record changed the estimate: %v -> %v", estimated, got)
 	}
-	if _, ok := h.LookupRuntime(est.DAGHash(dag), FragmentKey(whole), eng.Name()); !ok {
+	if _, ok := h.LookupRuntime(dag.Hash(), FragmentKey(whole), eng.Name()); !ok {
 		t.Error("runtime record lost")
 	}
 }
@@ -854,13 +854,13 @@ func TestRunnerRecordsJobRuntimes(t *testing.T) {
 	fs := seedPropertyDFS(t, 1000)
 	c := cluster.Local(7)
 	h := NewHistory()
-	est, _ := NewEstimator(dag, fs, c, h)
+	est, _ := NewEstimator(ir.Identify(dag), fs, c, h)
 	part, err := MapTo(dag, est, engines.Registry()["naiad"])
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: c}, History: h, Mode: engines.ModeOptimized}
-	res, err := r.Execute(dag, part)
+	res, err := r.Execute(ir.Identify(dag), part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -902,7 +902,7 @@ func TestExplainRendersReasoning(t *testing.T) {
 	dag := pageRankDAG(t, 5)
 	fs := seedGraphDFS(t, 100000)
 	h := NewHistory()
-	est, err := NewEstimator(dag, fs, cluster.EC2(16), h)
+	est, err := NewEstimator(ir.Identify(dag), fs, cluster.EC2(16), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -917,7 +917,7 @@ func TestExplainRendersReasoning(t *testing.T) {
 		}
 	}
 	// With a recorded runtime the explanation calls it out.
-	h.ObserveRuntime(est.DAGHash(dag), FragmentKey(part.Jobs[0].Frag), part.Jobs[0].Engine.Name(), 55)
+	h.ObserveRuntime(dag.Hash(), FragmentKey(part.Jobs[0].Frag), part.Jobs[0].Engine.Name(), 55)
 	text2 := Explain(part, est, allEngines())
 	if !strings.Contains(text2, "recorded runtime") {
 		t.Errorf("explain missing runtime note:\n%s", text2)
@@ -927,7 +927,7 @@ func TestExplainRendersReasoning(t *testing.T) {
 func TestExhaustiveBudgetExpires(t *testing.T) {
 	dag := maxPropertyPrice()
 	fs := seedPropertyDFS(t, 10)
-	est, _ := NewEstimator(dag, fs, cluster.Local(7), nil)
+	est, _ := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 	// A 1ns budget must still return some feasible partitioning or error,
 	// never hang.
 	part, err := PartitionExhaustive(dag, est, allEngines(), 1)

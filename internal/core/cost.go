@@ -57,7 +57,9 @@ type Estimator struct {
 	Cluster *cluster.Cluster
 	History *History
 
-	dag    *ir.DAG
+	// id identifies the estimated DAG (id.DAG); its workflow hashes key
+	// history lookups.
+	id     *ir.Identity
 	sizes  map[*ir.Op]int64
 	iters  map[*ir.Op]int
 	inputs map[string]int64 // DFS path -> effective bytes
@@ -66,9 +68,6 @@ type Estimator struct {
 	// per-iteration volumes (Observation.ProcBytes et al.) over the
 	// in+out structural model.
 	opObs map[*ir.Op]Observation
-	// hashes caches DAG hashes (top-level and WHILE bodies) for history
-	// lookups.
-	hashes map[*ir.DAG]string
 	// reach[op] is the set of ops transitively reachable from op
 	// (descendants), used by the exhaustive partitioner's cycle check.
 	reach map[*ir.Op]map[*ir.Op]bool
@@ -116,18 +115,19 @@ func (e *Estimator) SearchStats() (explored, memoHits int64) {
 	return e.searchExplored.Load(), e.searchMemoHits.Load()
 }
 
-// NewEstimator analyses the DAG against the stored inputs and history.
-func NewEstimator(dag *ir.DAG, fs *dfs.DFS, c *cluster.Cluster, h *History) (*Estimator, error) {
+// NewEstimator analyses the identified DAG against the stored inputs and
+// history.
+func NewEstimator(id *ir.Identity, fs *dfs.DFS, c *cluster.Cluster, h *History) (*Estimator, error) {
 	if h == nil {
 		h = NewHistory()
 	}
+	dag := id.DAG
 	est := &Estimator{
-		Cluster: c, History: h, dag: dag,
+		Cluster: c, History: h, id: id,
 		sizes:     map[*ir.Op]int64{},
 		iters:     map[*ir.Op]int{},
 		inputs:    map[string]int64{},
 		opObs:     map[*ir.Op]Observation{},
-		hashes:    map[*ir.DAG]string{},
 		reach:     map[*ir.Op]map[*ir.Op]bool{},
 		fragCache: map[string]fragChoice{},
 		props:     analysis.PropagateProperties(dag),
@@ -158,7 +158,7 @@ func (e *Estimator) WithInputSizes(sizes map[string]int64) (*Estimator, error) {
 	for k, v := range sizes {
 		e.inputs[k] = v
 	}
-	if err := e.propagate(e.dag, nil); err != nil {
+	if err := e.propagate(e.id.DAG, nil); err != nil {
 		return nil, err
 	}
 	// Re-propagated sizes change fragment costs; drop memoized choices.
@@ -212,7 +212,7 @@ func collectInputPaths(d *ir.DAG, acc []string) []string {
 // propagate computes estimated sizes for every op of d. For WHILE bodies,
 // outerSizes binds body input names to outer estimates.
 func (e *Estimator) propagate(d *ir.DAG, outerSizes map[string]int64) error {
-	e.hashes[d] = d.Hash()
+	hash := e.id.Hash(d)
 	ops, err := d.TopoSort()
 	if err != nil {
 		return err
@@ -245,7 +245,7 @@ func (e *Estimator) propagate(d *ir.DAG, outerSizes map[string]int64) error {
 			// per-class selectivity, which beats the conservative first-run
 			// bound. Within an observation, a damped measured volume beats
 			// the ratio (ratios compound wrongly through iterative bodies).
-			if obs, ok := e.History.Lookup(e.hashes[d], op.ID); ok {
+			if obs, ok := e.History.Lookup(hash, op.ID); ok {
 				e.opObs[op] = obs
 				if obs.OutBytes > 0 {
 					e.sizes[op] = obs.OutBytes
@@ -275,7 +275,7 @@ func (e *Estimator) propagateWhile(d *ir.DAG, w *ir.Op) error {
 	if iters <= 0 || iters > 1<<16 {
 		iters = DefaultIterEstimate
 	}
-	if obs, ok := e.History.Lookup(e.hashes[d], w.ID); ok && obs.Iterations > 0 {
+	if obs, ok := e.History.Lookup(e.id.Hash(d), w.ID); ok && obs.Iterations > 0 {
 		iters = obs.Iterations
 	}
 	e.iters[w] = iters
@@ -300,16 +300,6 @@ func (e *Estimator) Size(op *ir.Op) int64 { return e.sizes[op] }
 
 // Iters returns the estimated iteration count of a WHILE operator.
 func (e *Estimator) Iters(op *ir.Op) int { return e.iters[op] }
-
-// DAGHash returns the cached structural hash used for history keys.
-func (e *Estimator) DAGHash(d *ir.DAG) string {
-	if h, ok := e.hashes[d]; ok {
-		return h
-	}
-	h := d.Hash()
-	e.hashes[d] = h
-	return h
-}
 
 // FragmentCost scores running the fragment as a single job on the engine:
 // the paper's c_s(o_1..o_j). Infeasible combinations cost +Inf.

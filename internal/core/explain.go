@@ -25,7 +25,7 @@ func Explain(part *Partitioning, est *Estimator, candidates []*engines.Engine) s
 	// learning delta — pre- vs post-learning engine and estimate — is
 	// visible per job.
 	var seed *Estimator
-	if est.cal.Version() > 0 || est.History.Coverage(est.DAGHash(est.dag)) > 0 {
+	if est.cal.Version() > 0 || est.History.Coverage(est.id.Hash(est.id.DAG)) > 0 {
 		seed, _ = est.SeedView()
 	}
 	for i, job := range part.Jobs {
@@ -41,7 +41,7 @@ func Explain(part *Partitioning, est *Estimator, candidates []*engines.Engine) s
 			b.WriteByte('\n')
 		}
 		if job.Frag.DAG() != nil {
-			if s, ok := est.History.LookupRuntime(est.DAGHash(job.Frag.DAG()), FragmentKey(job.Frag), job.Engine.Name()); ok {
+			if s, ok := est.History.LookupRuntime(est.id.Hash(job.Frag.DAG()), FragmentKey(job.Frag), job.Engine.Name()); ok {
 				fmt.Fprintf(&b, "  recorded runtime: %.1fs (from a previous run of this job)\n", s)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 
 	"musketeer/internal/analysis"
 	"musketeer/internal/cluster"
-	"musketeer/internal/dfs"
 	"musketeer/internal/engines"
 	"musketeer/internal/ir"
 )
@@ -27,10 +26,7 @@ func AutoMap(dag *ir.DAG, est *Estimator, engs []*engines.Engine) (*Partitioning
 // (the "user explicitly targets a back-end" path of §4.3), after checking
 // that engine can execute every operator at all.
 func MapTo(dag *ir.DAG, est *Estimator, eng *engines.Engine) (*Partitioning, error) {
-	if err := analysis.CheckEngines(dag, []*engines.Engine{eng}).Err(); err != nil {
-		return nil, err
-	}
-	return Partition(dag, est, []*engines.Engine{eng})
+	return AutoMap(dag, est, []*engines.Engine{eng})
 }
 
 // SeedView returns an estimator over the same DAG, cluster, and input
@@ -43,7 +39,7 @@ func (e *Estimator) SeedView() (*Estimator, bool) {
 	if len(e.inputs) == 0 {
 		return nil, false
 	}
-	sv, err := NewEstimator(e.dag, nil, e.Cluster, NewHistory())
+	sv, err := NewEstimator(e.id, nil, e.Cluster, NewHistory())
 	if err != nil {
 		return nil, false
 	}
@@ -132,10 +128,4 @@ func DecisionTreePartition(dag *ir.DAG, est *Estimator, reg map[string]*engines.
 		}
 	}
 	return PartitionDynamic(dag, est, engs)
-}
-
-// NewEstimatorFor is a convenience wrapper used by callers that already
-// have a run context.
-func NewEstimatorFor(dag *ir.DAG, fs *dfs.DFS, c *cluster.Cluster, h *History) (*Estimator, error) {
-	return NewEstimator(dag, fs, c, h)
 }

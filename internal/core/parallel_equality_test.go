@@ -6,6 +6,7 @@ import (
 	"musketeer/internal/cluster"
 	"musketeer/internal/engines"
 	"musketeer/internal/exec"
+	"musketeer/internal/ir"
 	"musketeer/internal/relation"
 )
 
@@ -36,7 +37,7 @@ func TestCrossEngineEqualityParallelKernels(t *testing.T) {
 		fingerprints := map[string]string{}
 		for _, name := range engineNames {
 			fs := rw.cloneFS(t)
-			est, err := NewEstimator(rw.dag, fs, c, nil)
+			est, err := NewEstimator(ir.Identify(rw.dag), fs, c, nil)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -45,7 +46,7 @@ func TestCrossEngineEqualityParallelKernels(t *testing.T) {
 				t.Fatalf("seed %d on %s: %v", seed, name, err)
 			}
 			runner := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: c}, Mode: engines.ModeOptimized}
-			if _, err := runner.Execute(rw.dag, part); err != nil {
+			if _, err := runner.Execute(ir.Identify(rw.dag), part); err != nil {
 				t.Fatalf("seed %d on %s: %v", seed, name, err)
 			}
 			var combined string

@@ -12,7 +12,7 @@ import (
 )
 
 // PlanCache memoizes partitioning decisions across workflow submissions.
-// The serve path keys it on ir.CanonicalHash of the *optimized* DAG plus
+// The serve path keys it on the canonical hash of the *optimized* DAG plus
 // the engine set, so two submissions that differ only in relation names or
 // operator insertion order share an entry; on a hit the compile/optimize/
 // partition-search phases are skipped entirely (paper §5.1's exhaustive
@@ -21,7 +21,7 @@ import (
 // Entries never store operator pointers — a cached plan must replay onto a
 // *different* DAG built from a later submission. Instead each job is a
 // recipe: the chosen engine's name plus the job's operator positions in
-// ir.CanonicalOrder. Hash-equal DAGs have positionally corresponding
+// ir.Identity.Order. Hash-equal DAGs have positionally corresponding
 // canonical orders, so replaying a recipe reconstructs semantically
 // identical fragments (ir.NewFragment recomputes ExtIn/ExtOut from the new
 // DAG's real edges). Replay is checked — operator types must match the
@@ -65,7 +65,7 @@ type planEntry struct {
 // jobRecipe is one job of a cached partitioning, expressed positionally.
 type jobRecipe struct {
 	engine string
-	opIdx  []int       // positions in ir.CanonicalOrder of the whole DAG
+	opIdx  []int       // positions in ir.Identity.Order of the whole DAG
 	types  []ir.OpType // replay sanity check, parallel to opIdx
 	cost   cluster.Seconds
 }
@@ -90,11 +90,23 @@ func NewPlanCache(capacity int, reg *obs.Registry) *PlanCache {
 	return c
 }
 
-// PlanKey builds the cache key for a DAG under an engine set: the
+// PlanID addresses one optimized DAG under an engine set in the cache: the
 // name/order-independent canonical hash plus the engine names (the same
-// workflow partitioned over fewer engines is a different plan).
-func PlanKey(dag *ir.DAG, engs []*engines.Engine) string {
-	return ir.CanonicalHash(dag) + "/" + engsKey(engs)
+// workflow partitioned over fewer engines is a different plan), together
+// with the identity whose canonical order recipes are expressed in.
+type PlanID struct {
+	key string
+	id  *ir.Identity
+}
+
+// PlanKeyOf builds the cache key for an identified DAG under an engine set.
+func PlanKeyOf(id *ir.Identity, engs []*engines.Engine) PlanID {
+	return PlanID{key: id.Canonical + "/" + engsKey(engs), id: id}
+}
+
+// PlanKey identifies dag and builds its cache key.
+func PlanKey(dag *ir.DAG, engs []*engines.Engine) PlanID {
+	return PlanKeyOf(ir.Identify(dag), engs)
 }
 
 // Len reports the number of cached plans.
@@ -107,20 +119,20 @@ func (c *PlanCache) Len() int {
 	return c.ll.Len()
 }
 
-// Store records a partitioning computed for dag (under key, at calibration
-// version calVersion) as a name-free recipe. Plans whose operators cannot
-// be located in the DAG (defensive — fragments always come from it) are
-// dropped silently.
-func (c *PlanCache) Store(key string, dag *ir.DAG, calVersion uint64, p *Partitioning) {
+// Store records a partitioning computed for dag — the DAG k was built
+// from — at calibration version calVersion, as a name-free recipe. Plans
+// whose operators cannot be located in the DAG (defensive — fragments
+// always come from it) are dropped silently.
+func (c *PlanCache) Store(k PlanID, dag *ir.DAG, calVersion uint64, p *Partitioning) {
 	if c == nil || p == nil {
 		return
 	}
 	pos := make(map[*ir.Op]int, len(dag.Ops))
-	for i, op := range ir.CanonicalOrder(dag) {
+	for i, op := range k.id.Order {
 		pos[op] = i
 	}
 	e := &planEntry{
-		key:        key,
+		key:        k.key,
 		calVersion: calVersion,
 		exhaustive: p.Exhaustive,
 		cost:       p.Cost,
@@ -147,12 +159,12 @@ func (c *PlanCache) Store(key string, dag *ir.DAG, calVersion uint64, p *Partiti
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	if el, ok := c.items[k.key]; ok {
 		el.Value = e
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(e)
+	c.items[k.key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -163,34 +175,34 @@ func (c *PlanCache) Store(key string, dag *ir.DAG, calVersion uint64, p *Partiti
 	}
 }
 
-// Touch re-tags the entry under key with a fresh calibration version and
+// Touch re-tags the entry under k with a fresh calibration version and
 // marks it most recently used — the hit path's post-run revalidation, so
 // the replayed plan's own feedback does not invalidate it for the next
 // submission. No-op when the entry is gone (evicted mid-run).
-func (c *PlanCache) Touch(key string, calVersion uint64) {
+func (c *PlanCache) Touch(k PlanID, calVersion uint64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	if el, ok := c.items[k.key]; ok {
 		el.Value.(*planEntry).calVersion = calVersion
 		c.ll.MoveToFront(el)
 	}
 }
 
-// Lookup replays the cached plan for key onto dag, which must be the
-// optimized DAG of the new submission. It returns (nil, false) — counting
-// a miss — when the entry is absent, was computed under a different
-// calibration version, names an engine not in engine, or fails replay
-// validation. A stale-version entry is removed so the recomputed plan can
-// take its slot.
-func (c *PlanCache) Lookup(key string, dag *ir.DAG, calVersion uint64, engine map[string]*engines.Engine) (*Partitioning, bool) {
+// Lookup replays the cached plan for k onto dag, which must be the
+// optimized DAG of the new submission, the one k was built from. It returns
+// (nil, false) — counting a miss — when the entry is absent, was computed
+// under a different calibration version, names an engine not in engine, or
+// fails replay validation. A stale-version entry is removed so the
+// recomputed plan can take its slot.
+func (c *PlanCache) Lookup(k PlanID, dag *ir.DAG, calVersion uint64, engine map[string]*engines.Engine) (*Partitioning, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
-	el, ok := c.items[key]
+	el, ok := c.items[k.key]
 	if !ok {
 		c.mu.Unlock()
 		return c.miss()
@@ -198,7 +210,7 @@ func (c *PlanCache) Lookup(key string, dag *ir.DAG, calVersion uint64, engine ma
 	e := el.Value.(*planEntry)
 	if e.calVersion != calVersion {
 		c.ll.Remove(el)
-		delete(c.items, key)
+		delete(c.items, k.key)
 		if c.evicts != nil {
 			c.evicts.Add(1)
 		}
@@ -208,7 +220,7 @@ func (c *PlanCache) Lookup(key string, dag *ir.DAG, calVersion uint64, engine ma
 	c.ll.MoveToFront(el)
 	c.mu.Unlock()
 
-	p, err := c.replay(e, dag, engine)
+	p, err := c.replay(e, dag, k.id.Order, engine)
 	if err != nil {
 		return c.miss()
 	}
@@ -225,12 +237,12 @@ func (c *PlanCache) miss() (*Partitioning, bool) {
 	return nil, false
 }
 
-// replay reconstructs a Partitioning from a recipe against a fresh DAG.
-func (c *PlanCache) replay(e *planEntry, dag *ir.DAG, engine map[string]*engines.Engine) (*Partitioning, error) {
+// replay reconstructs a Partitioning from a recipe against a fresh DAG and
+// its canonical order.
+func (c *PlanCache) replay(e *planEntry, dag *ir.DAG, order []*ir.Op, engine map[string]*engines.Engine) (*Partitioning, error) {
 	if len(dag.Ops) != e.nops {
 		return nil, fmt.Errorf("core: plan cache: DAG size %d != recipe %d", len(dag.Ops), e.nops)
 	}
-	order := ir.CanonicalOrder(dag)
 	jobs := make([]Assignment, 0, len(e.jobs))
 	for _, r := range e.jobs {
 		eng, ok := engine[r.engine]

@@ -30,7 +30,7 @@ func renamedPropertyPrice() *ir.DAG {
 func partitionFixture(t *testing.T, dag *ir.DAG) (*Partitioning, []*engines.Engine) {
 	t.Helper()
 	fs := seedPropertyDFS(t, 1000)
-	est, err := NewEstimator(dag, fs, cluster.Local(7), nil)
+	est, err := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestPlanCacheReplayOnRenamedDAG(t *testing.T) {
 	pc.Store(PlanKey(a, engs), a, 0, p)
 
 	b := renamedPropertyPrice()
-	if PlanKey(a, engs) != PlanKey(b, engs) {
+	if PlanKey(a, engs).key != PlanKey(b, engs).key {
 		t.Fatal("renamed DAG has a different plan key")
 	}
 	got, ok := pc.Lookup(PlanKey(b, engs), b, 0, engineByName(engs))
@@ -129,18 +129,20 @@ func TestPlanCacheBoundedEviction(t *testing.T) {
 	p, engs := partitionFixture(t, a)
 	reg := obs.NewRegistry()
 	pc := NewPlanCache(2, reg)
-	pc.Store("k1", a, 0, p)
-	pc.Store("k2", a, 0, p)
+	// Three keys over one DAG: the same plan under three engine sets.
+	k1, k2, k3 := PlanKey(a, engs[:1]), PlanKey(a, engs[:2]), PlanKey(a, engs[:3])
+	pc.Store(k1, a, 0, p)
+	pc.Store(k2, a, 0, p)
 	// Touch k1 so it is most recently used, then overflow.
-	pc.Lookup("k1", a, 0, engineByName(engs))
-	pc.Store("k3", a, 0, p)
+	pc.Lookup(k1, a, 0, engineByName(engs))
+	pc.Store(k3, a, 0, p)
 	if pc.Len() != 2 {
 		t.Fatalf("len = %d, want 2", pc.Len())
 	}
-	if _, ok := pc.Lookup("k2", a, 0, engineByName(engs)); ok {
+	if _, ok := pc.Lookup(k2, a, 0, engineByName(engs)); ok {
 		t.Error("k2 (least recently used) should have been evicted")
 	}
-	if _, ok := pc.Lookup("k1", a, 0, engineByName(engs)); !ok {
+	if _, ok := pc.Lookup(k1, a, 0, engineByName(engs)); !ok {
 		t.Error("k1 (recently used) should survive")
 	}
 	if e := reg.Counter("plan_cache_evict_total").Value(); e != 1 {
@@ -161,8 +163,8 @@ func TestPlanCacheMissingEngineMisses(t *testing.T) {
 func TestPlanCacheNilSafe(t *testing.T) {
 	var pc *PlanCache
 	a := maxPropertyPrice()
-	pc.Store("k", a, 0, &Partitioning{})
-	if _, ok := pc.Lookup("k", a, 0, nil); ok {
+	pc.Store(PlanKey(a, nil), a, 0, &Partitioning{})
+	if _, ok := pc.Lookup(PlanKey(a, nil), a, 0, nil); ok {
 		t.Fatal("nil cache must never hit")
 	}
 	if pc.Len() != 0 {
@@ -177,10 +179,13 @@ func TestPlanCacheSizeMismatchMisses(t *testing.T) {
 	a := maxPropertyPrice()
 	p, engs := partitionFixture(t, a)
 	pc := NewPlanCache(8, nil)
-	pc.Store("k", a, 0, p)
+	k := PlanKey(a, engs)
+	pc.Store(k, a, 0, p)
 	small := ir.NewDAG()
 	small.AddInput("x", "in/prices", relation.NewSchema("id:int", "price:float"))
-	if _, ok := pc.Lookup("k", small, 0, engineByName(engs)); ok {
+	// A colliding key: a's key string over small's identity.
+	collide := PlanID{key: k.key, id: ir.Identify(small)}
+	if _, ok := pc.Lookup(collide, small, 0, engineByName(engs)); ok {
 		t.Fatal("replay onto a different-size DAG must miss")
 	}
 }
@@ -195,11 +200,12 @@ func TestPlanCacheTouchRevalidates(t *testing.T) {
 	// A run's own feedback moved calibration 3 -> 7; Touch re-tags the
 	// entry so the next lookup at 7 hits instead of evicting.
 	pc.Touch(key, 7)
-	if _, ok := pc.Lookup(key, renamedPropertyPrice(), 7, engineByName(engs)); !ok {
+	b := renamedPropertyPrice()
+	if _, ok := pc.Lookup(PlanKey(b, engs), b, 7, engineByName(engs)); !ok {
 		t.Fatal("lookup after Touch missed")
 	}
 	// Foreign feedback after the touch still invalidates.
-	if _, ok := pc.Lookup(key, renamedPropertyPrice(), 8, engineByName(engs)); ok {
+	if _, ok := pc.Lookup(PlanKey(b, engs), b, 8, engineByName(engs)); ok {
 		t.Fatal("lookup at a later version hit a stale entry")
 	}
 	if pc.Len() != 0 {
@@ -209,4 +215,67 @@ func TestPlanCacheTouchRevalidates(t *testing.T) {
 	pc.Touch(key, 9)
 	var nilPC *PlanCache
 	nilPC.Touch(key, 9)
+}
+
+// twinBranches is two structurally identical SELECT→DISTINCT branches over
+// one source, joined. With reorder the relations are renamed and the second
+// branch's DISTINCT is appended before the first's.
+func twinBranches(reorder bool) *ir.DAG {
+	d := ir.NewDAG()
+	sel := func(out string, in *ir.Op) *ir.Op {
+		return d.Add(ir.OpSelect, out, ir.Params{Pred: ir.Cmp(ir.ColRef("id"), ir.CmpGt, ir.LitOp(relation.Int(1)))}, in)
+	}
+	on := ir.Params{LeftCols: []string{"id"}, RightCols: []string{"id"}}
+	src := d.AddInput("src", "in/prices", relation.NewSchema("id:int", "price:float"))
+	if !reorder {
+		d1 := d.Add(ir.OpDistinct, "d1", ir.Params{}, sel("s1", src))
+		d2 := d.Add(ir.OpDistinct, "d2", ir.Params{}, sel("s2", src))
+		d.Add(ir.OpJoin, "j", on, d1, d2)
+		return d
+	}
+	s1, s2 := sel("x1", src), sel("x2", src)
+	d2 := d.Add(ir.OpDistinct, "y2", ir.Params{}, s2)
+	d1 := d.Add(ir.OpDistinct, "y1", ir.Params{}, s1)
+	d.Add(ir.OpJoin, "z", on, d1, d2)
+	return d
+}
+
+// TestPlanCacheReplayKeepsTwinBranchesTogether guards the order half of the
+// identity: a recipe that puts one of two identical branches in its own job
+// must replay, on a renamed and reordered resubmission, to a job holding one
+// whole branch — not the SELECT of one and the DISTINCT of the other.
+func TestPlanCacheReplayKeepsTwinBranchesTogether(t *testing.T) {
+	a := twinBranches(false)
+	hadoop := engines.Registry()["hadoop"]
+	frag := func(outs ...string) Assignment {
+		var ops []*ir.Op
+		for _, o := range outs {
+			ops = append(ops, a.ByOut(o))
+		}
+		f, err := ir.NewFragment(a, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Assignment{Frag: f, Engine: hadoop, Cost: 1}
+	}
+	p := &Partitioning{Jobs: []Assignment{frag("s1", "d1"), frag("s2", "d2", "j")}, Cost: 2}
+	engs := []*engines.Engine{hadoop}
+	pc := NewPlanCache(8, nil)
+	pc.Store(PlanKey(a, engs), a, 0, p)
+
+	b := twinBranches(true)
+	got, ok := pc.Lookup(PlanKey(b, engs), b, 0, engineByName(engs))
+	if !ok {
+		t.Fatal("expected a cache hit on the renamed, reordered DAG")
+	}
+	for i, job := range got.Jobs {
+		if len(job.Frag.Ops) != len(p.Jobs[i].Frag.Ops) {
+			t.Fatalf("job %d replayed %d ops, want %d", i, len(job.Frag.Ops), len(p.Jobs[i].Frag.Ops))
+		}
+		for _, op := range job.Frag.Ops {
+			if op.Type == ir.OpDistinct && !job.Frag.Contains(op.Inputs[0]) {
+				t.Errorf("job %d holds %s without its own SELECT %s", i, op, op.Inputs[0])
+			}
+		}
+	}
 }

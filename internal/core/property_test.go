@@ -147,7 +147,7 @@ func TestRandomWorkflowsCrossEngineEquality(t *testing.T) {
 		fingerprints := map[string]string{}
 		for _, name := range engineNames {
 			fs := rw.cloneFS(t)
-			est, err := NewEstimator(rw.dag, fs, c, nil)
+			est, err := NewEstimator(ir.Identify(rw.dag), fs, c, nil)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -156,7 +156,7 @@ func TestRandomWorkflowsCrossEngineEquality(t *testing.T) {
 				t.Fatalf("seed %d on %s: %v", seed, name, err)
 			}
 			runner := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: c}, Mode: engines.ModeOptimized}
-			if _, err := runner.Execute(rw.dag, part); err != nil {
+			if _, err := runner.Execute(ir.Identify(rw.dag), part); err != nil {
 				t.Fatalf("seed %d on %s: %v", seed, name, err)
 			}
 			var combined string
@@ -190,7 +190,7 @@ func TestRandomWorkflowsExhaustiveAtLeastAsGood(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := NewEstimator(rw.dag, rw.fs, c, nil)
+		est, err := NewEstimator(ir.Identify(rw.dag), rw.fs, c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestRandomWorkflowsOptimizePreservesResults(t *testing.T) {
 		}
 		run := func(dag *ir.DAG) map[string]string {
 			fs := rw.cloneFS(t)
-			est, err := NewEstimator(dag, fs, c, nil)
+			est, err := NewEstimator(ir.Identify(dag), fs, c, nil)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -241,7 +241,7 @@ func TestRandomWorkflowsOptimizePreservesResults(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			runner := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: c}, Mode: engines.ModeOptimized}
-			if _, err := runner.Execute(dag, part); err != nil {
+			if _, err := runner.Execute(ir.Identify(dag), part); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			out := map[string]string{}

@@ -116,29 +116,29 @@ func jobDeps(part *Partitioning) [][]int {
 
 // Execute runs every job of the partitioning in dependency order with no
 // cancellation deadline.
-func (r *Runner) Execute(dag *ir.DAG, part *Partitioning) (*WorkflowResult, error) {
+func (r *Runner) Execute(id *ir.Identity, part *Partitioning) (*WorkflowResult, error) {
 	//mkvet:ignore context-discipline public no-deadline convenience wrapper; ExecuteCtx is the primary API and callers who need cancellation use it
-	return r.ExecuteCtx(context.Background(), dag, part)
+	return r.ExecuteCtx(context.Background(), id, part)
 }
 
-// ExecuteCtx runs every job of the partitioning in dependency order.
+// ExecuteCtx runs every job of a partitioning of id.DAG in dependency order.
 // Jobs with no data dependency between them execute concurrently under
 // the scheduler's admission control (the DFS and history store are
 // concurrency-safe); the simulated makespan is the deterministic critical
 // path either way. Workflow outputs land in the execution's DFS view under
 // their relation names. Cancelling ctx stops in-flight jobs between
 // operators and skips everything not yet started.
-func (r *Runner) ExecuteCtx(ctx context.Context, dag *ir.DAG, part *Partitioning) (*WorkflowResult, error) {
+func (r *Runner) ExecuteCtx(ctx context.Context, id *ir.Identity, part *Partitioning) (*WorkflowResult, error) {
 	// Last line of defense: the analyzer runs once more before anything
 	// touches the DFS, so a DAG mutated after compilation (or built by a
 	// buggy rewrite) fails with full diagnostics instead of mid-run.
 	asp := r.Rec.StartSpan(r.Span, "analyze", "pipeline")
-	analyzeErr := analysis.Analyze(dag).Err()
+	analyzeErr := analysis.Analyze(id.DAG).Err()
 	asp.End()
 	if analyzeErr != nil {
 		return nil, analyzeErr
 	}
-	dagHash := dag.Hash()
+	dagHash := id.Hash(id.DAG)
 	deps := jobDeps(part)
 
 	ssp := r.Rec.StartSpan(r.Span, "schedule", "pipeline")
@@ -180,9 +180,9 @@ func (r *Runner) ExecuteCtx(ctx context.Context, dag *ir.DAG, part *Partitioning
 					err  error
 				)
 				if w := job.Frag.While(); w != nil && !job.Engine.Profile().NativeIteration {
-					runs, dur, err = r.runWhileDriver(jctx, rctx, dagHash, w, job.Engine)
+					runs, dur, err = r.runWhileDriver(jctx, rctx, id, w, job.Engine)
 				} else {
-					runs, dur, err = r.runPlain(rctx, dagHash, job)
+					runs, dur, err = r.runPlain(rctx, id, job)
 				}
 				return sched.Result{Value: runs, Duration: dur}, err
 			},
@@ -281,7 +281,7 @@ func (r *Runner) accuracy(part *Partitioning, deps [][]int, rep *sched.Report) *
 }
 
 // runPlain executes a fragment as a single job.
-func (r *Runner) runPlain(rctx engines.RunContext, dagHash string, job Assignment) ([]*engines.RunResult, cluster.Seconds, error) {
+func (r *Runner) runPlain(rctx engines.RunContext, id *ir.Identity, job Assignment) ([]*engines.RunResult, cluster.Seconds, error) {
 	plan, err := job.Engine.Plan(job.Frag, r.Mode)
 	if err != nil {
 		return nil, 0, err
@@ -290,7 +290,7 @@ func (r *Runner) runPlain(rctx engines.RunContext, dagHash string, job Assignmen
 	if err != nil {
 		return nil, 0, err
 	}
-	r.observe(dagHash, job.Frag, jr)
+	r.observe(id, job.Frag, jr)
 	return []*engines.RunResult{jr}, jr.Makespan, nil
 }
 
@@ -303,9 +303,10 @@ func (r *Runner) runPlain(rctx engines.RunContext, dagHash string, job Assignmen
 // overheads and DFS round-trips are paid every iteration, which is exactly
 // the cost the paper attributes to iterative workflows on MapReduce-class
 // systems.
-func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, dagHash string, w *ir.Op, eng *engines.Engine) ([]*engines.RunResult, cluster.Seconds, error) {
+func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, id *ir.Identity, w *ir.Op, eng *engines.Engine) ([]*engines.RunResult, cluster.Seconds, error) {
 	body := w.Params.Body
-	est, err := NewEstimator(body, nil, rctx.Cluster, r.History)
+	bodyID := id.Body(body)
+	est, err := NewEstimator(bodyID, nil, rctx.Cluster, r.History)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -390,7 +391,6 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, da
 	if err := forceNeeded(part); err != nil {
 		return nil, 0, err
 	}
-	bodyHash := body.Hash()
 	bodyDeps := jobDeps(part)
 	// Precomputed span names: zero per-iteration allocation when tracing
 	// is off.
@@ -464,7 +464,7 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, da
 		}
 		for ji := range part.Jobs {
 			jr := rep.Outcomes[ji].Value.(*engines.RunResult)
-			r.observe(bodyHash, part.Jobs[ji].Frag, jr)
+			r.observe(bodyID, part.Jobs[ji].Frag, jr)
 			all = append(all, jr)
 			total += jr.Makespan
 		}
@@ -581,7 +581,7 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, da
 			w.Out, w.Params.CondRel, iters, maxIter)
 	}
 	if r.History != nil {
-		r.History.Observe(dagHash, w.ID, Observation{OutRatio: 1, Iterations: iters})
+		r.History.Observe(id.Hash(id.DAG), w.ID, Observation{OutRatio: 1, Iterations: iters})
 	}
 	// Publish the WHILE's result under its output name in the execution's
 	// view.
@@ -611,10 +611,11 @@ func carriedInputFor(w *ir.Op, resRel string) string {
 // planner's current prior toward the measurement, so estimator error
 // shrinks geometrically across learning rounds instead of locking onto one
 // (possibly noisy) observation.
-func (r *Runner) observe(dagHash string, frag *ir.Fragment, jr *engines.RunResult) {
+func (r *Runner) observe(id *ir.Identity, frag *ir.Fragment, jr *engines.RunResult) {
 	if r.History == nil {
 		return
 	}
+	dagHash := id.Hash(id.DAG)
 	cal := r.History.Calibration()
 	for _, out := range frag.ExtOut {
 		if jr.Trace.InBytes[out.ID] > 0 {
@@ -659,7 +660,7 @@ func (r *Runner) observe(dagHash string, frag *ir.Fragment, jr *engines.RunResul
 					n = int64(it)
 				}
 				if op.Params.Body != nil {
-					classObs(op.Params.Body.Hash(), op.Params.Body.Ops, iters*n)
+					classObs(id.Hash(op.Params.Body), op.Params.Body.Ops, iters*n)
 				}
 				continue
 			}

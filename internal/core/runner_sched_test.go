@@ -49,7 +49,7 @@ func countdownDAG(t *testing.T, start, maxIter int) (*ir.DAG, *dfs.DFS) {
 // the truncated state as if it were the fixpoint.
 func TestWhileDriverNonConvergence(t *testing.T) {
 	d, fs := countdownDAG(t, 10, 3) // needs 10 iterations, capped at 3
-	est, err := NewEstimator(d, fs, cluster.Local(7), nil)
+	est, err := NewEstimator(ir.Identify(d), fs, cluster.Local(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestWhileDriverNonConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: cluster.Local(7)}, Mode: engines.ModeOptimized}
-	_, err = r.Execute(d, part)
+	_, err = r.Execute(ir.Identify(d), part)
 	if err == nil {
 		t.Fatal("non-convergent WHILE reported success")
 	}
@@ -80,7 +80,7 @@ func TestRunnerRetriesTransientFaults(t *testing.T) {
 	run := func(s *sched.Scheduler) (*WorkflowResult, error) {
 		dag := maxPropertyPrice()
 		fs := seedPropertyDFS(t, 1000)
-		est, err := NewEstimator(dag, fs, cluster.Local(7), nil)
+		est, err := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestRunnerRetriesTransientFaults(t *testing.T) {
 			Mode:  engines.ModeOptimized,
 			Sched: s,
 		}
-		return r.Execute(dag, part)
+		return r.Execute(ir.Identify(dag), part)
 	}
 
 	res, err := run(sched.New(sched.Options{Workers: 4, MaxRetries: 20, Retryable: engines.IsTransient}))
@@ -114,7 +114,7 @@ func TestRunnerRetriesTransientFaults(t *testing.T) {
 func TestExecuteCtxPreCancelled(t *testing.T) {
 	dag := maxPropertyPrice()
 	fs := seedPropertyDFS(t, 1000)
-	est, err := NewEstimator(dag, fs, cluster.Local(7), nil)
+	est, err := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestExecuteCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: cluster.Local(7)}, Mode: engines.ModeOptimized}
-	if _, err := r.ExecuteCtx(ctx, dag, part); !errors.Is(err, context.Canceled) {
+	if _, err := r.ExecuteCtx(ctx, ir.Identify(dag), part); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	for _, out := range dag.Sinks() {

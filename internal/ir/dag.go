@@ -1,8 +1,6 @@
 package ir
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -259,37 +257,6 @@ func (d *DAG) NumOps() int {
 		}
 	}
 	return n
-}
-
-// Hash returns a stable digest of the DAG's structure and parameters; the
-// workflow-history store keys observations by this hash so repeated runs of
-// the same workflow (possibly at different input sizes) share history.
-func (d *DAG) Hash() string {
-	h := sha256.New()
-	ops, err := d.TopoSort()
-	if err != nil {
-		ops = d.Ops
-	}
-	for _, op := range ops {
-		fmt.Fprintf(h, "%s|%s|", op.Type, op.Out)
-		for _, in := range op.Inputs {
-			fmt.Fprintf(h, "%s,", in.Out)
-		}
-		fmt.Fprintf(h, "|%s|%v|%v|%v|%v|", op.Params.Pred, op.Params.Columns,
-			op.Params.As, op.Params.GroupBy, op.Params.Aggs)
-		fmt.Fprintf(h, "%v|%v|%v|%v|%v|%d|", op.Params.LeftCols, op.Params.RightCols, op.Params.UDFName,
-			op.Params.SortBy, op.Params.Desc, op.Params.Limit)
-		if op.Type == OpArith {
-			// Operand literals matter: two arithmetic steps differing only in
-			// a constant are different workflows.
-			fmt.Fprintf(h, "%s=%s %s %s|", op.Params.Dst, op.Params.ALeft, op.Params.AOp, op.Params.ARght)
-		}
-		if op.Params.Body != nil {
-			// %v prints maps with sorted keys, so Carried hashes stably.
-			fmt.Fprintf(h, "body:%s|%d|%s|%v|", op.Params.Body.Hash(), op.Params.MaxIter, op.Params.CondRel, op.Params.Carried)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // String renders the DAG one operator per line in topological order.

@@ -218,17 +218,6 @@ func DefaultChaos(seed int64, faultsPerHour float64) *ChaosPlan {
 	return chaos.Default(seed, faultsPerHour)
 }
 
-// WithFaults injects worker failures with the given cluster-wide mean time
-// between failures (simulated seconds). Engines recover per their fault-
-// tolerance mechanism (Table 3): Hadoop re-runs tasks, Spark recomputes
-// lineage, Naiad/PowerGraph roll back to checkpoints, single-machine
-// systems restart. Kept as a shorthand for WithChaos with only MTBF set.
-func WithFaults(mtbfSeconds float64, seed int64) Option {
-	return func(m *Musketeer) {
-		m.chaos = &chaos.Plan{MTBFSeconds: mtbfSeconds, Seed: seed}
-	}
-}
-
 // WithConcurrency bounds how many back-end jobs the deployment runs at
 // once across every concurrent workflow execution (admission control).
 // n <= 0 selects the scheduler default, max(4, GOMAXPROCS).
@@ -300,20 +289,6 @@ func WithRunRetention(n int) Option {
 // on the deployment metrics. n <= 0 disables caching (the default).
 func WithPlanCache(n int) Option {
 	return func(m *Musketeer) { m.planCacheCap = n }
-}
-
-// WithTransientFailures kills individual job attempts outright with the
-// given probability (deterministic per seed, job, and attempt). Combine
-// with WithRetries to exercise the scheduler's re-submission path; without
-// a retry budget the first killed attempt fails the workflow.
-func WithTransientFailures(prob float64, seed int64) Option {
-	return func(m *Musketeer) {
-		if m.chaos == nil {
-			m.chaos = &chaos.Plan{}
-		}
-		m.chaos.JobCrashProb = prob
-		m.chaos.Seed = seed
-	}
 }
 
 // New creates a deployment. Default: the 7-node local cluster, all seven
@@ -546,8 +521,8 @@ func (w *Workflow) Optimize() int {
 // estimator builds a fresh estimator against the staged inputs. When a
 // chaos plan is installed, fragment scores include each engine's expected
 // fault-recovery cost, so automatic mapping reacts to the fault rate.
-func (w *Workflow) estimator() (*core.Estimator, error) {
-	est, err := core.NewEstimator(w.dag, w.sessionFS(), w.m.cluster, w.m.history)
+func (w *Workflow) estimator(id *ir.Identity) (*core.Estimator, error) {
+	est, err := core.NewEstimator(id, w.sessionFS(), w.m.cluster, w.m.history)
 	if err != nil {
 		return nil, err
 	}
@@ -562,15 +537,16 @@ func (w *Workflow) estimator() (*core.Estimator, error) {
 // (paper §5.2): the cheapest feasible partitioning over all engines
 // Musketeer generates code for.
 func (w *Workflow) Plan() (*Partitioning, error) {
-	return w.planTraced(nil, nil, "")
+	return w.planTraced(nil, nil, w.standardEngines(), ir.Identify(w.dag))
 }
 
 // PlanFor partitions the workflow for one explicitly chosen back-end.
 func (w *Workflow) PlanFor(engine string) (*Partitioning, error) {
-	if engine == "" { // planTraced reads "" as "auto-map"
-		return nil, fmt.Errorf("musketeer: unknown engine %q", engine)
+	engs, err := w.planEngines(engine)
+	if err != nil {
+		return nil, err
 	}
-	return w.planTraced(nil, nil, engine)
+	return w.planTraced(nil, nil, engs, ir.Identify(w.dag))
 }
 
 // recordSearch publishes the partition search's work — candidate fragments
@@ -584,26 +560,16 @@ func (w *Workflow) recordSearch(est *core.Estimator, sp *obs.Span) {
 	sp.SetInt("memo_hits", hits)
 }
 
-// planTraced runs the partition search under a "partition-search" span.
-// engine == "" auto-maps over every registered engine; otherwise the search
-// is restricted to the named back-end.
-func (w *Workflow) planTraced(rec *obs.Recorder, parent *obs.Span, engine string) (*Partitioning, error) {
+// planTraced runs the partition search over the candidate engines under a
+// "partition-search" span.
+func (w *Workflow) planTraced(rec *obs.Recorder, parent *obs.Span, engs []*engines.Engine, id *ir.Identity) (*Partitioning, error) {
 	sp := rec.StartSpan(parent, "partition-search", "pipeline")
 	defer sp.End()
-	est, err := w.estimator()
+	est, err := w.estimator(id)
 	if err != nil {
 		return nil, err
 	}
-	var part *Partitioning
-	if engine == "" {
-		part, err = core.AutoMap(w.dag, est, w.standardEngines())
-	} else {
-		eng, ok := w.m.engines[engine]
-		if !ok {
-			return nil, fmt.Errorf("musketeer: unknown engine %q", engine)
-		}
-		part, err = core.MapTo(w.dag, est, eng)
-	}
+	part, err := core.AutoMap(w.dag, est, engs)
 	if err != nil {
 		return nil, err
 	}
@@ -615,15 +581,15 @@ func (w *Workflow) planTraced(rec *obs.Recorder, parent *obs.Span, engine string
 // PlanUnmerged builds the per-operator (merging disabled) partitioning for
 // a back-end — the paper's §6.5 ablation and profiling mode.
 func (w *Workflow) PlanUnmerged(engine string) (*Partitioning, error) {
-	eng, ok := w.m.engines[engine]
-	if !ok {
-		return nil, fmt.Errorf("musketeer: unknown engine %q", engine)
-	}
-	est, err := w.estimator()
+	engs, err := w.planEngines(engine)
 	if err != nil {
 		return nil, err
 	}
-	return core.PerOperatorPartitioning(w.dag, est, eng)
+	est, err := w.estimator(ir.Identify(w.dag))
+	if err != nil {
+		return nil, err
+	}
+	return core.PerOperatorPartitioning(w.dag, est, engs[0])
 }
 
 func (w *Workflow) standardEngines() []*engines.Engine {
@@ -684,7 +650,7 @@ func (w *Workflow) RunCtx(ctx context.Context, part *Partitioning) (*Result, err
 	rec := w.m.startRun()
 	root := rec.StartSpan(nil, "workflow", "pipeline")
 	defer root.End()
-	return w.runSession(ctx, part, rec, root)
+	return w.runSession(ctx, part, ir.Identify(w.dag), rec, root)
 }
 
 // workflowName labels an execution by its sink relations.
@@ -702,7 +668,7 @@ func (w *Workflow) workflowName() string {
 // failure — leaves a digest in the deployment's run registry and, when a
 // run logger is installed, a workflow_start/workflow_complete (or
 // workflow_failed) event pair bracketing the job-level events.
-func (w *Workflow) runSession(ctx context.Context, part *Partitioning, rec *obs.Recorder, root *obs.Span) (*Result, error) {
+func (w *Workflow) runSession(ctx context.Context, part *Partitioning, id *ir.Identity, rec *obs.Recorder, root *obs.Span) (*Result, error) {
 	base := w.sessionFS()
 	ns := fmt.Sprintf("__run/%d", w.m.runSeq.Add(1))
 	// nsFull is the namespace as seen from the deployment root; for tenant
@@ -781,7 +747,7 @@ func (w *Workflow) runSession(ctx context.Context, part *Partitioning, rec *obs.
 		Log:           log,
 		AdaptiveWhile: w.m.adaptiveWhile,
 	}
-	res, err := r.ExecuteCtx(ctx, w.dag, part)
+	res, err := r.ExecuteCtx(ctx, id, part)
 	if err != nil {
 		w.m.metrics.Counter("workflows_failed_total").Add(1)
 		log.Error("workflow_failed").Str("workflow", name).Err(err).Emit()
@@ -826,7 +792,7 @@ func (w *Workflow) Execute() (*Result, error) {
 
 // ExecuteCtx optimizes, auto-plans and runs the workflow under ctx.
 func (w *Workflow) ExecuteCtx(ctx context.Context) (*Result, error) {
-	return w.executeTraced(ctx, "")
+	return w.executeTraced(ctx, w.standardEngines())
 }
 
 // ExecuteOn optimizes, plans for one engine, and runs.
@@ -837,15 +803,17 @@ func (w *Workflow) ExecuteOn(engine string) (*Result, error) {
 
 // ExecuteOnCtx optimizes, plans for one engine, and runs under ctx.
 func (w *Workflow) ExecuteOnCtx(ctx context.Context, engine string) (*Result, error) {
-	return w.executeTraced(ctx, engine)
+	engs, err := w.planEngines(engine)
+	if err != nil {
+		return nil, err
+	}
+	return w.executeTraced(ctx, engs)
 }
 
-// planEngines resolves the candidate engine set: every registered standard
-// engine for auto-mapping, or the one named back-end.
+// planEngines resolves a back-end name to a one-engine candidate set. It is
+// the only place a name is resolved; "" names no engine (auto-mapping
+// callers pass standardEngines instead).
 func (w *Workflow) planEngines(engine string) ([]*engines.Engine, error) {
-	if engine == "" {
-		return w.standardEngines(), nil
-	}
 	eng, ok := w.m.engines[engine]
 	if !ok {
 		return nil, fmt.Errorf("musketeer: unknown engine %q", engine)
@@ -855,7 +823,7 @@ func (w *Workflow) planEngines(engine string) ([]*engines.Engine, error) {
 
 // executeTraced is the full traced pipeline: compile (replayed from the
 // front-end's measured translation time), optimize, partition-search, then
-// the session run. engine == "" auto-maps.
+// the session run, over the given candidate engines.
 //
 // With a plan cache installed, the optimized DAG's canonical hash is
 // checked first: a hit replays the cached partitioning and runs it under a
@@ -870,25 +838,26 @@ func (w *Workflow) planEngines(engine string) ([]*engines.Engine, error) {
 // re-tagging after each hit's run — pins the entry to "calibration has not
 // changed since this plan last ran", which only foreign feedback (another
 // workflow's run, a calibration load) breaks.
-func (w *Workflow) executeTraced(ctx context.Context, engine string) (*Result, error) {
-	var cacheKey string
-	if pc := w.m.planCache; pc != nil {
-		engs, err := w.planEngines(engine)
-		if err != nil {
-			return nil, err
-		}
+func (w *Workflow) executeTraced(ctx context.Context, engs []*engines.Engine) (*Result, error) {
+	// The DAG is identified once per submission, after Optimize: the plan
+	// cache, the estimator and the runner all key on that one Identity.
+	var id *ir.Identity
+	var cacheKey core.PlanID
+	pc := w.m.planCache
+	if pc != nil {
 		// Optimize is deterministic and idempotent (optOnce), so hashing the
 		// optimized DAG keys the cache on what the partition search actually
 		// sees; recipes then replay onto optimized DAGs of later submissions.
 		w.Optimize()
-		cacheKey = core.PlanKey(w.dag, engs)
+		id = ir.Identify(w.dag)
+		cacheKey = core.PlanKeyOf(id, engs)
 		calVersion := w.m.history.Calibration().Version()
 		if part, ok := pc.Lookup(cacheKey, w.dag, calVersion, w.m.engines); ok {
 			rec := w.m.startRun()
 			root := rec.StartSpan(nil, "workflow", "pipeline")
 			defer root.End()
 			root.SetStr("plan_cache", "hit")
-			res, err := w.runSession(ctx, part, rec, root)
+			res, err := w.runSession(ctx, part, id, rec, root)
 			if res != nil {
 				res.PlanCacheHit = true
 			}
@@ -910,12 +879,15 @@ func (w *Workflow) executeTraced(ctx context.Context, engine string) (*Result, e
 	n := w.Optimize()
 	osp.SetInt("rewrites", int64(n))
 	osp.End()
-	part, err := w.planTraced(rec, root, engine)
+	if id == nil {
+		id = ir.Identify(w.dag)
+	}
+	part, err := w.planTraced(rec, root, engs, id)
 	if err != nil {
 		return nil, err
 	}
-	res, err := w.runSession(ctx, part, rec, root)
-	if pc := w.m.planCache; pc != nil && err == nil {
+	res, err := w.runSession(ctx, part, id, rec, root)
+	if err == nil {
 		pc.Store(cacheKey, w.dag, w.m.history.Calibration().Version(), part)
 	}
 	return res, err
@@ -925,7 +897,7 @@ func (w *Workflow) executeTraced(ctx context.Context, engine string) (*Result, e
 // job, the estimated data volumes, iteration counts, recorded runtimes, and
 // the per-engine cost comparison that led to the choice.
 func (w *Workflow) Explain(part *Partitioning) (string, error) {
-	est, err := w.estimator()
+	est, err := w.estimator(ir.Identify(w.dag))
 	if err != nil {
 		return "", err
 	}

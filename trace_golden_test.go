@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"musketeer/internal/core"
+	"musketeer/internal/ir"
 	"musketeer/internal/relation"
 	"musketeer/internal/sched"
 	"musketeer/internal/workloads"
@@ -44,7 +45,7 @@ func stageTwoEngine(t *testing.T, m *Musketeer) (*Workflow, *Partitioning) {
 		t.Fatal(err)
 	}
 	wf.Optimize()
-	est, err := wf.estimator()
+	est, err := wf.estimator(ir.Identify(dag))
 	if err != nil {
 		t.Fatal(err)
 	}
