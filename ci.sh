@@ -99,7 +99,7 @@ bench_gate() {
     # host doesn't trip the threshold while a real slowdown (all three runs
     # slow) still does. -cpu 1: every BENCH_kernels.json baseline was
     # recorded at gomaxprocs 1, and allocs/op scale with the chunk count.
-    go test -bench 'BenchmarkKernel|BenchmarkRowKey|BenchmarkSortRows|BenchmarkEncodeDecode|BenchmarkPartitionExhaustive|BenchmarkStream|BenchmarkPhysicalBytes' \
+    go test -bench 'BenchmarkKernel|BenchmarkRowKey|BenchmarkSortRows|BenchmarkEncodeDecode|BenchmarkPartitionExhaustive|BenchmarkPartitionDynamic|BenchmarkStream|BenchmarkPhysicalBytes' \
         -benchmem -run '^$' -count=3 -cpu 1 -timeout 20m \
         ./internal/exec ./internal/relation ./internal/bench > "$SCRATCH/bench_fresh.txt"
     go run ./cmd/mkbenchgate -kernels BENCH_kernels.json -bench "$SCRATCH/bench_fresh.txt"

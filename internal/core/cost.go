@@ -68,9 +68,6 @@ type Estimator struct {
 	// per-iteration volumes (Observation.ProcBytes et al.) over the
 	// in+out structural model.
 	opObs map[*ir.Op]Observation
-	// reach[op] is the set of ops transitively reachable from op
-	// (descendants), used by the exhaustive partitioner's cycle check.
-	reach map[*ir.Op]map[*ir.Op]bool
 	// chaos, when non-nil, adds each engine's expected fault-recovery cost
 	// to fragment scores, so the automatic mapper prefers engines with
 	// cheaper recovery mechanisms under a configured fault rate.
@@ -92,17 +89,21 @@ type Estimator struct {
 	cal    *Calibration
 	calVer atomic.Uint64
 
-	// fragCache memoizes the cheapest engine/cost per (engine set, op
-	// group): partition searches — exhaustive branches, the DP heuristic's
-	// O(n²) segments, and PartitionDynamicMulti's repeated orders — evaluate
-	// the same fragments over and over, and op IDs are unique across a
-	// DAG's loop bodies, so the key is sound estimator-wide. RWMutex-guarded
-	// because the exhaustive search shares it across worker goroutines.
-	fragMu    sync.RWMutex
-	fragCache map[string]fragChoice
+	// indexes holds one search index per partitioned DAG: the workflow's,
+	// built with the estimator, and each WHILE body's, built when the loop is
+	// first priced. An index carries the memo of cheapest engine/cost per
+	// (engine set, operator set): partition searches — exhaustive branches,
+	// the DP heuristic's O(n²) segments, and PartitionDynamicMulti's repeated
+	// orders — evaluate the same candidates over and over. engSets interns
+	// engine sets (by engsKey) to the ordinals those memos are keyed on.
+	// fragMu guards both maps and every memo; RW because the exhaustive
+	// search shares them across worker goroutines.
+	fragMu  sync.RWMutex
+	indexes map[*ir.DAG]*searchIndex
+	engSets map[string]uint32
 
 	// searchExplored counts fragment/engine-set evaluations actually
-	// scored; searchMemoHits counts evaluations answered from fragCache.
+	// scored; searchMemoHits counts evaluations answered from a memo.
 	// Together they measure how hard the partition search worked — exported
 	// through SearchStats for the observability layer.
 	searchExplored, searchMemoHits atomic.Int64
@@ -124,14 +125,14 @@ func NewEstimator(id *ir.Identity, fs *dfs.DFS, c *cluster.Cluster, h *History) 
 	dag := id.DAG
 	est := &Estimator{
 		Cluster: c, History: h, id: id,
-		sizes:     map[*ir.Op]int64{},
-		iters:     map[*ir.Op]int{},
-		inputs:    map[string]int64{},
-		opObs:     map[*ir.Op]Observation{},
-		reach:     map[*ir.Op]map[*ir.Op]bool{},
-		fragCache: map[string]fragChoice{},
-		props:     analysis.PropagateProperties(dag),
-		cal:       h.Calibration(),
+		sizes:   map[*ir.Op]int64{},
+		iters:   map[*ir.Op]int{},
+		inputs:  map[string]int64{},
+		opObs:   map[*ir.Op]Observation{},
+		indexes: map[*ir.DAG]*searchIndex{},
+		engSets: map[string]uint32{},
+		props:   analysis.PropagateProperties(dag),
+		cal:     h.Calibration(),
 	}
 	est.calVer.Store(est.cal.Version())
 	if fs != nil {
@@ -146,8 +147,58 @@ func NewEstimator(id *ir.Identity, fs *dfs.DFS, c *cluster.Cluster, h *History) 
 			return nil, err
 		}
 	}
-	est.buildReach(dag)
+	if _, err := est.index(dag); err != nil {
+		return nil, err
+	}
 	return est, nil
+}
+
+// index returns the search index of d, building it on first use.
+func (e *Estimator) index(d *ir.DAG) (*searchIndex, error) {
+	e.fragMu.RLock()
+	x := e.indexes[d]
+	e.fragMu.RUnlock()
+	if x != nil {
+		return x, nil
+	}
+	x, err := newSearchIndex(e, d)
+	if err != nil {
+		return nil, err
+	}
+	e.fragMu.Lock()
+	defer e.fragMu.Unlock()
+	if first := e.indexes[d]; first != nil { // a concurrent search built it
+		return first, nil
+	}
+	e.indexes[d] = x
+	return x, nil
+}
+
+// engineSet interns an engine set to the ordinal its memo entries carry.
+func (e *Estimator) engineSet(engs []*engines.Engine) uint32 {
+	key := engsKey(engs)
+	e.fragMu.Lock()
+	defer e.fragMu.Unlock()
+	ord, ok := e.engSets[key]
+	if !ok {
+		ord = uint32(len(e.engSets))
+		e.engSets[key] = ord
+	}
+	return ord
+}
+
+// resetMemo drops every memoized choice and every index's size snapshot —
+// whatever changed (sizes, fault rates, the shuffle codec, learned rates),
+// the next score is computed afresh — and stamps the memo with the
+// calibration version it will be refilled under.
+func (e *Estimator) resetMemo() {
+	e.fragMu.Lock()
+	for _, x := range e.indexes {
+		x.memo = fragMemo{}
+		x.vols.Store(nil)
+	}
+	e.calVer.Store(e.cal.Version())
+	e.fragMu.Unlock()
 }
 
 // WithInputSizes declares source sizes directly (keyed by DFS path or by
@@ -161,10 +212,7 @@ func (e *Estimator) WithInputSizes(sizes map[string]int64) (*Estimator, error) {
 	if err := e.propagate(e.id.DAG, nil); err != nil {
 		return nil, err
 	}
-	// Re-propagated sizes change fragment costs; drop memoized choices.
-	e.fragMu.Lock()
-	e.fragCache = map[string]fragChoice{}
-	e.fragMu.Unlock()
+	e.resetMemo()
 	return e, nil
 }
 
@@ -173,9 +221,7 @@ func (e *Estimator) WithInputSizes(sizes map[string]int64) (*Estimator, error) {
 // change fragment costs, so memoized choices are dropped.
 func (e *Estimator) WithChaos(p *chaos.Plan) *Estimator {
 	e.chaos = p
-	e.fragMu.Lock()
-	e.fragCache = map[string]fragChoice{}
-	e.fragMu.Unlock()
+	e.resetMemo()
 	return e
 }
 
@@ -191,9 +237,7 @@ func (e *Estimator) WithShuffleCodec(ratio float64) *Estimator {
 		ratio = 0
 	}
 	e.shuffleRatio = ratio
-	e.fragMu.Lock()
-	e.fragCache = map[string]fragChoice{}
-	e.fragMu.Unlock()
+	e.resetMemo()
 	return e
 }
 
@@ -302,15 +346,15 @@ func (e *Estimator) Size(op *ir.Op) int64 { return e.sizes[op] }
 func (e *Estimator) Iters(op *ir.Op) int { return e.iters[op] }
 
 // FragmentCost scores running the fragment as a single job on the engine:
-// the paper's c_s(o_1..o_j). Infeasible combinations cost +Inf.
+// the paper's c_s(o_1..o_j). Infeasible combinations cost +Inf. It is the
+// search's scorer (jobCost) given the fragment's own external inputs and
+// outputs — forced outputs included — instead of the index's.
 func (e *Estimator) FragmentCost(f *ir.Fragment, eng *engines.Engine) cluster.Seconds {
-	if err := eng.ValidFragment(f); err != nil {
+	x, err := e.index(f.DAG())
+	if err != nil {
 		return Infeasible
 	}
-	if w := f.While(); w != nil {
-		return e.whileCost(w, eng)
-	}
-	v := engines.Volumes{}
+	var pull, push int64
 	for _, in := range f.ExtIn {
 		s := e.sizes[in]
 		// Non-source external inputs were pushed by another job: under a
@@ -318,7 +362,7 @@ func (e *Estimator) FragmentCost(f *ir.Fragment, eng *engines.Engine) cluster.Se
 		if e.shuffleRatio > 0 && in.Type != ir.OpInput {
 			s = int64(float64(s) * e.shuffleRatio)
 		}
-		v.Pull += s
+		pull += s
 	}
 	for _, out := range f.ExtOut {
 		s := e.sizes[out]
@@ -327,10 +371,26 @@ func (e *Estimator) FragmentCost(f *ir.Fragment, eng *engines.Engine) cluster.Se
 		if e.shuffleRatio > 0 && f.ConsumedOutside(out) {
 			s = int64(float64(s) * e.shuffleRatio)
 		}
-		v.Push += s
+		push += s
 	}
-	e.addOpVolumes(&v, f.ComputeOps(), eng, 1)
-	return e.withRecovery(eng, len(f.ComputeOps()), e.estimate(eng, v))
+	compute := f.ComputeOps()
+	c := &candidate{nums: x.numbers(compute), ops: compute, while: f.While()}
+	return e.jobCost(x, x.volumes(e), c, eng, pull, push)
+}
+
+// jobCost scores the described candidate as a single job on the engine,
+// given the bytes it pulls and pushes (engine-independent, so computed once
+// per candidate).
+func (e *Estimator) jobCost(x *searchIndex, vol *opVolumes, c *candidate, eng *engines.Engine, pull, push int64) cluster.Seconds {
+	if eng.ValidOps(c.ops) != nil {
+		return Infeasible
+	}
+	if c.while != nil {
+		return e.whileCost(c.while, eng)
+	}
+	v := engines.Volumes{Pull: pull, Push: push}
+	x.addOpVolumes(&v, vol, c.nums, eng, 1)
+	return e.withRecovery(eng, len(c.nums), e.estimate(eng, v))
 }
 
 // estimate scores the volumes on the engine at the calibration state's
@@ -340,24 +400,17 @@ func (e *Estimator) estimate(eng *engines.Engine, v engines.Volumes) cluster.Sec
 	return eng.EstimateCostRates(e.Cluster, v, e.cal.Rates(eng))
 }
 
-// syncCalibration flushes the fragment memo when the calibration version
-// has moved since the memo was filled: learned rates change fragment
-// scores, so cached choices computed on stale rates must not be reused.
-// Called on the memo read path (groupChoice); the fast path is one atomic
-// load. Note size propagation is NOT redone here — sizes refresh on the
-// next propagate (a new estimator or WithInputSizes), while rate changes
-// take effect on the very next score.
+// syncCalibration flushes the memo when the calibration version has moved
+// since it was filled: learned rates change fragment scores, so cached
+// choices computed on stale rates must not be reused. Called on the memo
+// read path (searcher.choice); the fast path is two atomic loads. Note size
+// propagation is NOT redone here — sizes refresh on the next propagate (a
+// new estimator or WithInputSizes), while rate changes take effect on the
+// very next score.
 func (e *Estimator) syncCalibration() {
-	v := e.cal.Version()
-	if e.calVer.Load() == v {
-		return
+	if e.calVer.Load() != e.cal.Version() {
+		e.resetMemo()
 	}
-	e.fragMu.Lock()
-	if e.calVer.Load() != v {
-		e.fragCache = map[string]fragChoice{}
-		e.calVer.Store(v)
-	}
-	e.fragMu.Unlock()
 }
 
 // withRecovery adds the engine's expected fault-recovery cost (paper
@@ -369,66 +422,6 @@ func (e *Estimator) withRecovery(eng *engines.Engine, depth int, base cluster.Se
 		return base
 	}
 	return base + engines.ExpectedRecovery(e.chaos, eng, e.Cluster, depth, base)
-}
-
-// addOpVolumes folds the estimated per-operator volumes of ops into v,
-// multiplying by iters (WHILE bodies).
-func (e *Estimator) addOpVolumes(v *engines.Volumes, ops []*ir.Op, eng *engines.Engine, iters int64) {
-	shuf := eng.ShuffleSurcharge()
-	blowup := eng.CrossBlowup()
-	for _, op := range ops {
-		if op.Type == ir.OpInput {
-			continue
-		}
-		out := e.sizes[op]
-		if obs, ok := e.opObs[op]; ok && obs.ProcBytes > 0 {
-			// Damped measured volumes: charge what the engine's PROCESS
-			// phase actually charged for this operator (its accounting —
-			// unconditional shuffle surcharge included — is the ground
-			// truth the estimate is converging toward).
-			b := obs.ProcBytes * iters
-			if ir.IsShuffleOp(op.Type) {
-				b = int64(float64(b) * shuf)
-				v.Shuffle += obs.InBytes * iters
-			}
-			v.Proc += b
-			if op.Type == ir.OpAgg {
-				v.AggProc += b
-			}
-			if gen := obs.ProcBytes - obs.InBytes; gen > 0 {
-				v.Gen += gen * iters
-			}
-			peak := out
-			if op.Type == ir.OpCrossJoin {
-				peak = int64(float64(peak) * blowup)
-			}
-			if peak > v.Peak {
-				v.Peak = peak
-			}
-			continue
-		}
-		var in int64
-		for _, p := range op.Inputs {
-			in += e.sizes[p]
-		}
-		b := (in + out) * iters
-		if ir.IsShuffleOp(op.Type) && !e.redundantShuffle(op) {
-			b = int64(float64(b) * shuf)
-			v.Shuffle += in * iters
-		}
-		v.Proc += b
-		if op.Type == ir.OpAgg {
-			v.AggProc += b
-		}
-		v.Gen += out * iters
-		peak := out
-		if op.Type == ir.OpCrossJoin {
-			peak = int64(float64(peak) * blowup)
-		}
-		if peak > v.Peak {
-			v.Peak = peak
-		}
-	}
 }
 
 // redundantShuffle reports whether the operator's repartition provably
@@ -482,13 +475,16 @@ func (e *Estimator) whileCost(w *ir.Op, eng *engines.Engine) cluster.Seconds {
 		iters = DefaultIterEstimate
 	}
 	body := w.Params.Body
-	graph := ir.DetectGraphIdiom(w) != nil
 	if eng.Profile().NativeIteration {
-		v := engines.Volumes{Graph: graph, Push: e.sizes[w]}
+		xb, err := e.index(body)
+		if err != nil {
+			return Infeasible
+		}
+		v := engines.Volumes{Graph: ir.DetectGraphIdiom(w) != nil, Push: e.sizes[w]}
 		for _, in := range w.Inputs {
 			v.Pull += e.sizes[in]
 		}
-		e.addOpVolumes(&v, body.Ops, eng, int64(iters))
+		xb.addOpVolumes(&v, xb.volumes(e), xb.compute, eng, int64(iters))
 		return e.withRecovery(eng, len(body.Ops)*iters, e.estimate(eng, v))
 	}
 	// Driver-looped: partition the body for this engine and pay the whole
@@ -498,30 +494,4 @@ func (e *Estimator) whileCost(w *ir.Op, eng *engines.Engine) cluster.Seconds {
 		return Infeasible
 	}
 	return cluster.Seconds(float64(bodyPart.Cost) * float64(iters))
-}
-
-// buildReach computes descendant sets for the top-level ops.
-func (e *Estimator) buildReach(d *ir.DAG) {
-	ops, err := d.TopoSort()
-	if err != nil {
-		return
-	}
-	cons := d.Consumers()
-	// Walk in reverse topological order so consumers' sets are complete.
-	for i := len(ops) - 1; i >= 0; i-- {
-		op := ops[i]
-		set := map[*ir.Op]bool{}
-		for _, c := range cons[op] {
-			set[c] = true
-			for k := range e.reach[c] {
-				set[k] = true
-			}
-		}
-		e.reach[op] = set
-	}
-}
-
-// Reaches reports whether to is a transitive consumer of from.
-func (e *Estimator) Reaches(from, to *ir.Op) bool {
-	return e.reach[from][to]
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"musketeer/internal/cluster"
 	"musketeer/internal/engines"
 	"musketeer/internal/ir"
 )
@@ -73,6 +74,18 @@ func Explain(part *Partitioning, est *Estimator, candidates []*engines.Engine) s
 	return b.String()
 }
 
+// bestEngine returns the cheapest engine for a fragment.
+func bestEngine(est *Estimator, f *ir.Fragment, engs []*engines.Engine) (*engines.Engine, cluster.Seconds) {
+	var best *engines.Engine
+	bestCost := Infeasible
+	for _, e := range engs {
+		if c := est.FragmentCost(f, e); c < bestCost {
+			best, bestCost = e, c
+		}
+	}
+	return best, bestCost
+}
+
 // explainVolumes recomputes the estimated volume breakdown of a fragment on
 // its chosen engine (the quantities FragmentCost feeds the cost model).
 func explainVolumes(est *Estimator, f *ir.Fragment, eng *engines.Engine) engines.Volumes {
@@ -83,15 +96,25 @@ func explainVolumes(est *Estimator, f *ir.Fragment, eng *engines.Engine) engines
 	for _, out := range f.ExtOut {
 		v.Push += est.Size(out)
 	}
-	if w := f.While(); w != nil && w.Params.Body != nil {
-		iters := est.Iters(w)
+	// The operators priced are the loop body's for a WHILE job, else the
+	// fragment's own — each through its DAG's search index.
+	dag, iters := f.DAG(), 1
+	w := f.While()
+	if w != nil && w.Params.Body != nil {
+		dag, iters = w.Params.Body, est.Iters(w)
 		if iters == 0 {
 			iters = DefaultIterEstimate
 		}
-		est.addOpVolumes(&v, w.Params.Body.Ops, eng, int64(iters))
+	}
+	x, err := est.index(dag)
+	if err != nil {
 		return v
 	}
-	est.addOpVolumes(&v, f.ComputeOps(), eng, 1)
+	nums := x.compute
+	if dag == f.DAG() {
+		nums = x.numbers(f.ComputeOps())
+	}
+	x.addOpVolumes(&v, x.volumes(est), nums, eng, int64(iters))
 	return v
 }
 

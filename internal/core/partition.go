@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,21 +60,24 @@ func (p *Partitioning) Engines() []string {
 
 // ExhaustiveLimit is the operator count up to which Partition uses the
 // exhaustive search. The paper ran it under a second up to 13 operators
-// (§6.6, Fig 13). With fragment costs memoized on the Estimator the search
-// re-prices each candidate group once instead of once per branch: the
-// 16-operator prefix of the extended NetFlix workflow partitions in ~45ms
-// even single-threaded (~64ms in the seed), and 18 operators stays around
-// 200ms (was ~320ms); multi-core hosts additionally split the placement
-// tree across workers. The cutover therefore now sits at 16 — beyond that
-// the exponential tree growth still dominates and the dynamic heuristic
-// takes over.
+// (§6.6, Fig 13). Scored over the search index, the 16-operator prefix of
+// the extended NetFlix workflow partitions in ~3 ms single-threaded
+// (BenchmarkPartitionExhaustive; ~6 ms as one cold run) and 18 operators in
+// ~36 ms, still growing ×5–6 per two operators. The limit is not raised on
+// the back of that: 17- and 18-operator workflows would get the exhaustive
+// optimum instead of the DP segmentation — different plans, different
+// simulated makespans — which is a change to measure on its own.
 const ExhaustiveLimit = 16
 
 // Partition decomposes the DAG into engine-assigned jobs, choosing the
 // exhaustive search for small workflows and the dynamic-programming
 // heuristic for large ones (paper §5.1).
 func Partition(dag *ir.DAG, est *Estimator, engs []*engines.Engine) (*Partitioning, error) {
-	if len(computeOps(dag)) <= ExhaustiveLimit {
+	x, err := est.index(dag)
+	if err != nil {
+		return nil, err
+	}
+	if len(x.compute) <= ExhaustiveLimit {
 		return PartitionExhaustive(dag, est, engs, 0)
 	}
 	return PartitionDynamic(dag, est, engs)
@@ -93,18 +97,6 @@ func computeOps(dag *ir.DAG) []*ir.Op {
 	return ops
 }
 
-// bestEngine returns the cheapest engine for a fragment.
-func bestEngine(est *Estimator, f *ir.Fragment, engs []*engines.Engine) (*engines.Engine, cluster.Seconds) {
-	var best *engines.Engine
-	bestCost := Infeasible
-	for _, e := range engs {
-		if c := est.FragmentCost(f, e); c < bestCost {
-			best, bestCost = e, c
-		}
-	}
-	return best, bestCost
-}
-
 // PartitionDynamic implements the dynamic-programming heuristic (§5.1.2):
 // it topologically sorts the DAG into a single linear ordering, then finds
 // the minimum-cost segmentation of that ordering, where each segment's cost
@@ -116,11 +108,11 @@ func bestEngine(est *Estimator, f *ir.Fragment, engs []*engines.Engine) (*engine
 // partitions respecting the linear order are explored, so merge
 // opportunities broken by the ordering are missed (paper Fig 16).
 func PartitionDynamic(dag *ir.DAG, est *Estimator, engs []*engines.Engine) (*Partitioning, error) {
-	ops := computeOps(dag)
-	if len(ops) == 0 {
-		return nil, fmt.Errorf("core: nothing to partition")
+	x, err := est.index(dag)
+	if err != nil {
+		return nil, err
 	}
-	return dynamicOverOrder(dag, est, engs, ops)
+	return dynamicOverOrder(x, est, engs, x.compute)
 }
 
 // PartitionDynamicMulti runs the dynamic heuristic over several distinct
@@ -134,18 +126,18 @@ func PartitionDynamicMulti(dag *ir.DAG, est *Estimator, engs []*engines.Engine, 
 	if orders < 1 {
 		orders = 1
 	}
-	best, err := PartitionDynamic(dag, est, engs)
+	x, err := est.index(dag)
+	if err != nil {
+		return nil, err
+	}
+	best, err := dynamicOverOrder(x, est, engs, x.compute)
 	if err != nil {
 		return nil, err
 	}
 	//mkvet:ignore determinism fixed seed 42: the tie-break shuffle is replayable by construction, every run draws the identical sequence
 	r := rand.New(rand.NewSource(42))
 	for i := 1; i < orders; i++ {
-		ops, err := randomTopoOrder(dag, r)
-		if err != nil {
-			return nil, err
-		}
-		cand, err := dynamicOverOrder(dag, est, engs, ops)
+		cand, err := dynamicOverOrder(x, est, engs, randomTopoOrder(x, r))
 		if err != nil {
 			continue // this order admits no feasible segmentation
 		}
@@ -157,45 +149,48 @@ func PartitionDynamicMulti(dag *ir.DAG, est *Estimator, engs []*engines.Engine, 
 }
 
 // randomTopoOrder produces a topological order of the DAG's compute
-// operators using Kahn's algorithm with randomized tie-breaking.
-func randomTopoOrder(dag *ir.DAG, r *rand.Rand) ([]*ir.Op, error) {
-	indeg := map[*ir.Op]int{}
-	for _, op := range dag.Ops {
-		indeg[op] += 0
-		for range op.Inputs {
-			indeg[op]++
+// operators using Kahn's algorithm with randomized tie-breaking. The ready
+// list is seeded and extended in DAG insertion order (not index order): the
+// draws pick positions in it, so its order is part of the replayable result.
+func randomTopoOrder(x *searchIndex, r *rand.Rand) []int32 {
+	indeg := make([]int, len(x.ops))
+	cons := make([][]int32, len(x.ops))
+	var ready []int32
+	for _, op := range x.dag.Ops {
+		i := int32(x.num[op])
+		indeg[i] = len(op.Inputs)
+		for _, in := range op.Inputs {
+			cons[x.num[in]] = append(cons[x.num[in]], i)
+		}
+		if len(op.Inputs) == 0 {
+			ready = append(ready, i)
 		}
 	}
-	cons := dag.Consumers()
-	var ready []*ir.Op
-	for _, op := range dag.Ops {
-		if indeg[op] == 0 {
-			ready = append(ready, op)
-		}
-	}
-	var order []*ir.Op
+	order := make([]int32, 0, len(x.compute))
 	for len(ready) > 0 {
-		i := r.Intn(len(ready))
-		op := ready[i]
-		ready = append(ready[:i], ready[i+1:]...)
-		if op.Type != ir.OpInput {
-			order = append(order, op)
+		at := r.Intn(len(ready))
+		i := ready[at]
+		ready = append(ready[:at], ready[at+1:]...)
+		if !x.sources.has(int(i)) {
+			order = append(order, i)
 		}
-		for _, c := range cons[op] {
+		for _, c := range cons[i] {
 			indeg[c]--
 			if indeg[c] == 0 {
 				ready = append(ready, c)
 			}
 		}
 	}
-	if len(order) != len(computeOps(dag)) {
-		return nil, fmt.Errorf("core: cycle during randomized topological sort")
-	}
-	return order, nil
+	return order
 }
 
-func dynamicOverOrder(dag *ir.DAG, est *Estimator, engs []*engines.Engine, ops []*ir.Op) (*Partitioning, error) {
+// dynamicOverOrder finds the minimum-cost segmentation of one linear order
+// of the indexed DAG's compute operators.
+func dynamicOverOrder(x *searchIndex, est *Estimator, engs []*engines.Engine, ops []int32) (*Partitioning, error) {
 	n := len(ops)
+	if n == 0 {
+		return nil, fmt.Errorf("core: nothing to partition")
+	}
 	type cell struct {
 		cost cluster.Seconds
 		prev int
@@ -203,17 +198,20 @@ func dynamicOverOrder(dag *ir.DAG, est *Estimator, engs []*engines.Engine, ops [
 	}
 	best := make([]cell, n+1)
 	best[0] = cell{cost: 0, prev: -1}
-	ekey := engsKey(engs)
+	sr := est.newSearcher(x, engs)
+	seg := x.newSet()
 	for i := 1; i <= n; i++ {
 		best[i] = cell{cost: Infeasible, prev: -1}
+		clear(seg)
 		for k := i - 1; k >= 0; k-- {
+			seg.add(int(ops[k])) // seg = ops[k:i]
 			if best[k].cost == Infeasible {
 				continue
 			}
 			// Memoized: PartitionDynamicMulti re-scores the same segments
 			// across orders, and the WHILE cost model re-partitions loop
 			// bodies per engine.
-			ch := est.groupChoice(dag, ops[k:i], engs, ekey)
+			ch := sr.choice(seg)
 			if ch.eng == nil {
 				continue
 			}
@@ -229,17 +227,18 @@ func dynamicOverOrder(dag *ir.DAG, est *Estimator, engs []*engines.Engine, ops [
 	var jobs []Assignment
 	for i := n; i > 0; {
 		k := best[i].prev
-		frag, err := ir.NewFragment(dag, ops[k:i])
+		members := make([]*ir.Op, 0, i-k)
+		for _, o := range ops[k:i] {
+			members = append(members, x.ops[o])
+		}
+		frag, err := ir.NewFragment(x.dag, members)
 		if err != nil {
 			return nil, err
 		}
 		jobs = append(jobs, Assignment{Frag: frag, Engine: best[i].eng, Cost: best[i].cost - best[k].cost})
 		i = k
 	}
-	// Reverse into execution order.
-	for l, r := 0, len(jobs)-1; l < r; l, r = l+1, r-1 {
-		jobs[l], jobs[r] = jobs[r], jobs[l]
-	}
+	slices.Reverse(jobs) // into execution order
 	return &Partitioning{Jobs: jobs, Cost: best[n].cost}, nil
 }
 
@@ -260,16 +259,20 @@ const parallelExhaustiveMinOps = 8
 // operators are placed, in topological order, either into a new job or into
 // any existing job they can legally join; each complete partition is scored
 // with the cheapest engine per job. Branch-and-bound pruning cuts partial
-// partitions that already cost more than the best complete one; fragment
-// costs are memoized on the Estimator, so re-examined groups (and later
-// searches over the same workflow) are map hits. For non-trivial workflows
-// the top of the placement tree is expanded into independent subtrees that
-// search in parallel, sharing the branch-and-bound upper bound through an
-// atomic. The search is exponential in the number of operators; a non-zero
-// budget makes it return the best partition found when time runs out.
+// partitions that already cost more than the best complete one; candidate
+// jobs are bitsets over the estimator's search index and their costs are
+// memoized there, so re-examined groups (and later searches over the same
+// workflow) are table hits. For non-trivial workflows the top of the
+// placement tree is expanded into independent subtrees that search in
+// parallel, sharing the branch-and-bound upper bound through an atomic. The
+// search is exponential in the number of operators; a non-zero budget makes
+// it return the best partition found when time runs out.
 func PartitionExhaustive(dag *ir.DAG, est *Estimator, engs []*engines.Engine, budget time.Duration) (*Partitioning, error) {
-	ops := computeOps(dag)
-	if len(ops) == 0 {
+	x, err := est.index(dag)
+	if err != nil {
+		return nil, err
+	}
+	if len(x.compute) == 0 {
 		return nil, fmt.Errorf("core: nothing to partition")
 	}
 	deadline := time.Time{}
@@ -277,48 +280,48 @@ func PartitionExhaustive(dag *ir.DAG, est *Estimator, engs []*engines.Engine, bu
 		//mkvet:ignore determinism opt-in wall-clock search budget: with the default zero budget the clock is never read and the search is exhaustive+deterministic
 		deadline = time.Now().Add(budget)
 	}
-	s := &exhaustiveState{
-		dag: dag, est: est, engs: engs, ekey: engsKey(engs), ops: ops,
-		deadline: deadline,
-	}
+	s := &exhaustiveState{x: x, est: est, engs: engs, deadline: deadline}
 	s.bound.Store(infeasibleBits)
 
-	bestCost := Infeasible
-	var bestGroups [][]*ir.Op
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(ops) >= parallelExhaustiveMinOps {
+	var best *exhaustiveWorker
+	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(x.compute) >= parallelExhaustiveMinOps {
 		tasks := s.seedTasks(4 * workers)
-		results := make([]exhaustiveWorker, len(tasks))
+		results := make([]*exhaustiveWorker, len(tasks))
 		sched.ForEach(workers, len(tasks), func(ti int) {
-			w := &results[ti]
-			w.s, w.bestCost = s, Infeasible
-			w.search(tasks[ti].i, tasks[ti].groups, tasks[ti].partial)
+			results[ti] = s.newWorker(tasks[ti].placement)
+			results[ti].search(tasks[ti].i, tasks[ti].partial)
 		})
 		// Reduce in task order with strict improvement, so equal-cost optima
 		// resolve to the earliest subtree in placement order.
-		for i := range results {
-			if results[i].bestCost < bestCost {
-				bestCost, bestGroups = results[i].bestCost, results[i].bestGroups
+		for _, w := range results {
+			if best == nil || w.bestCost < best.bestCost {
+				best = w
 			}
 		}
 	} else {
-		w := &exhaustiveWorker{s: s, bestCost: Infeasible}
-		w.search(0, nil, 0)
-		bestCost, bestGroups = w.bestCost, w.bestGroups
+		best = s.newWorker(placement{})
+		best.search(0, 0)
 	}
-	if bestCost == Infeasible {
+	if best == nil || best.bestCost == Infeasible {
 		return nil, fmt.Errorf("core: no feasible partitioning for engines %v", engineNames(engs))
 	}
-	jobs := make([]Assignment, 0, len(bestGroups))
-	for _, group := range bestGroups {
-		frag, err := ir.NewFragment(dag, group)
+	// Jobs in execution order: producers precede consumers when jobs are
+	// ordered by their first operator.
+	groups := make([]opSet, len(best.bestSets)/x.words)
+	for g := range groups {
+		groups[g] = x.row(best.bestSets, g)
+	}
+	sort.Slice(groups, func(a, b int) bool { return groups[a].first() < groups[b].first() })
+	jobs := make([]Assignment, 0, len(groups))
+	for _, set := range groups {
+		frag, err := ir.NewFragment(dag, x.operators(set))
 		if err != nil {
 			return nil, err
 		}
-		ch := est.groupChoice(dag, group, engs, s.ekey)
+		ch := best.choice(set)
 		jobs = append(jobs, Assignment{Frag: frag, Engine: ch.eng, Cost: ch.cost})
 	}
-	sortJobsTopologically(dag, jobs)
-	return &Partitioning{Jobs: jobs, Cost: bestCost, Exhaustive: true}, nil
+	return &Partitioning{Jobs: jobs, Cost: best.bestCost, Exhaustive: true}, nil
 }
 
 // fragChoice is a memoized (cheapest engine, cost) pair for one operator
@@ -338,41 +341,61 @@ func engsKey(engs []*engines.Engine) string {
 	return b.String()
 }
 
-// groupChoice returns the memoized cheapest engine and cost for running the
-// operator group as a single job on any engine of the set. Safe for
-// concurrent use; an infeasible group caches {Infeasible, nil}.
-func (e *Estimator) groupChoice(dag *ir.DAG, group []*ir.Op, engs []*engines.Engine, ekey string) fragChoice {
+// searcher is one goroutine's handle on a running partition search: the
+// index and engine set it scores against, and the scratch its memo misses
+// are described in.
+type searcher struct {
+	est  *Estimator
+	x    *searchIndex
+	engs []*engines.Engine
+	eord uint32 // engs, interned
+	cand *candidate
+}
+
+func (e *Estimator) newSearcher(x *searchIndex, engs []*engines.Engine) *searcher {
+	return &searcher{est: e, x: x, engs: engs, eord: e.engineSet(engs), cand: x.newCandidate()}
+}
+
+// choice returns the memoized cheapest engine and cost for running the
+// operator set as a single job on any engine of the searcher's set. A miss
+// is scored straight from the index. The memo is shared by every searcher
+// of the estimator; an infeasible set caches {Infeasible, nil}.
+func (sr *searcher) choice(set opSet) fragChoice {
+	e, x := sr.est, sr.x
 	// Memoized scores are only valid for the calibration version they were
 	// computed under; a version bump (new evidence) flushes them first.
 	e.syncCalibration()
-	key := ekey + groupKey(group)
 	e.fragMu.RLock()
-	c, ok := e.fragCache[key]
+	choice, ok := x.memo.get(sr.eord, set)
 	e.fragMu.RUnlock()
 	if ok {
 		e.searchMemoHits.Add(1)
-		return c
+		return choice
 	}
 	e.searchExplored.Add(1)
-	choice := fragChoice{cost: Infeasible}
-	if frag, err := ir.NewFragment(dag, group); err == nil {
-		eng, cost := bestEngine(e, frag, engs)
-		choice = fragChoice{cost: cost, eng: eng}
+	x.describe(set, sr.cand)
+	vol := x.volumes(e)
+	pull, push := x.boundaryBytes(sr.cand, vol, e.shuffleRatio)
+	choice = fragChoice{cost: Infeasible}
+	for _, eng := range sr.engs {
+		if c := e.jobCost(x, vol, sr.cand, eng, pull, push); c < choice.cost {
+			choice = fragChoice{cost: c, eng: eng}
+		}
 	}
 	e.fragMu.Lock()
-	e.fragCache[key] = choice
+	x.memo.put(sr.eord, set, choice)
 	e.fragMu.Unlock()
 	return choice
 }
 
+func (sr *searcher) cost(set opSet) cluster.Seconds { return sr.choice(set).cost }
+
 // exhaustiveState is the search context shared by all workers: read-only
 // after construction except for the atomic bound and the expiry flag.
 type exhaustiveState struct {
-	dag      *ir.DAG
+	x        *searchIndex
 	est      *Estimator
 	engs     []*engines.Engine
-	ekey     string
-	ops      []*ir.Op
 	deadline time.Time
 	expired  atomic.Bool
 	// bound holds the float64 bits of the cheapest complete partition found
@@ -400,55 +423,68 @@ func (s *exhaustiveState) lowerBound(c cluster.Seconds) {
 	}
 }
 
-func (s *exhaustiveState) groupCost(group []*ir.Op) cluster.Seconds {
-	return s.est.groupChoice(s.dag, group, s.engs, s.ekey).cost
+// placement is a partial partition: group g's operator set is row g of sets,
+// and row g of below is the union of its members' descendant rows (what
+// mergeCreatesCycle tests a newcomer's ancestors against).
+type placement struct {
+	sets, below []uint64
 }
 
-// exhaustiveTask is one independent subtree of the placement search:
-// ops[:i] are already placed into groups at summed cost partial. Tasks own
-// their groups (deep copies), so workers mutate them freely.
+// exhaustiveTask is one independent subtree of the placement search: the
+// first i operators are already placed, at summed cost partial. Tasks own
+// their placement, so workers mutate it freely.
 type exhaustiveTask struct {
-	i       int
-	groups  [][]*ir.Op
+	i int
+	placement
 	partial cluster.Seconds
-}
-
-func cloneGroups(groups [][]*ir.Op) [][]*ir.Op {
-	c := make([][]*ir.Op, len(groups))
-	for i, g := range groups {
-		c[i] = append([]*ir.Op(nil), g...)
-	}
-	return c
 }
 
 // seedTasks expands the top of the placement tree level by level until at
 // least target subtrees exist (or the tree bottoms out), enumerating
 // children in the same order the serial search visits them.
 func (s *exhaustiveState) seedTasks(target int) []exhaustiveTask {
+	x := s.x
+	cost := s.est.newSearcher(x, s.engs).cost
 	frontier := []exhaustiveTask{{i: 0}}
-	for depth := 0; depth < len(s.ops) && len(frontier) < target; depth++ {
+	for depth := 0; depth < len(x.compute) && len(frontier) < target; depth++ {
 		next := make([]exhaustiveTask, 0, 2*len(frontier))
 		for _, t := range frontier {
-			if t.i == len(s.ops) {
+			if t.i == len(x.compute) {
 				next = append(next, t)
 				continue
 			}
-			op := s.ops[t.i]
-			if solo := s.groupCost([]*ir.Op{op}); solo < Infeasible {
-				g := append(cloneGroups(t.groups), []*ir.Op{op})
-				next = append(next, exhaustiveTask{i: t.i + 1, groups: g, partial: t.partial + solo})
+			op := int(x.compute[t.i])
+			// child copies the parent's groups with room for one more and
+			// returns group g of the copy (g may be the new, empty group).
+			child := func(g int) (placement, opSet, opSet) {
+				p := placement{
+					sets:  append(make([]uint64, 0, len(t.sets)+x.words), t.sets...),
+					below: append(make([]uint64, 0, len(t.below)+x.words), t.below...),
+				}
+				if g*x.words == len(p.sets) {
+					p.sets, p.below = p.sets[:len(p.sets)+x.words], p.below[:len(p.below)+x.words]
+				}
+				return p, x.row(p.sets, g), x.row(p.below, g)
 			}
-			for gi := range t.groups {
-				if s.mergeCreatesCycle(t.groups, gi, op) {
+			groups := len(t.sets) / x.words
+			p, set, below := child(groups)
+			set.add(op)
+			if solo := cost(set); solo < Infeasible {
+				copy(below, x.row(x.desc, op))
+				next = append(next, exhaustiveTask{i: t.i + 1, placement: p, partial: t.partial + solo})
+			}
+			for g := 0; g < groups; g++ {
+				if x.mergeCreatesCycle(x.row(t.sets, g), x.row(t.below, g), op) {
 					continue
 				}
-				old := s.groupCost(t.groups[gi])
-				grown := append(append([]*ir.Op(nil), t.groups[gi]...), op)
-				merged := s.groupCost(grown)
-				if merged < Infeasible {
-					g := cloneGroups(t.groups)
-					g[gi] = grown
-					next = append(next, exhaustiveTask{i: t.i + 1, groups: g, partial: t.partial - old + merged})
+				old := cost(x.row(t.sets, g))
+				p, set, below := child(g)
+				set.add(op)
+				if merged := cost(set); merged < Infeasible {
+					for w, word := range x.row(x.desc, op) {
+						below[w] |= word
+					}
+					next = append(next, exhaustiveTask{i: t.i + 1, placement: p, partial: t.partial - old + merged})
 				}
 			}
 		}
@@ -461,32 +497,38 @@ func (s *exhaustiveState) seedTasks(target int) []exhaustiveTask {
 }
 
 // exhaustiveWorker runs the serial branch-and-bound search over one subtree,
-// keeping its own best and publishing improvements to the shared bound.
+// keeping its own best and publishing improvements to the shared bound. Its
+// placement has room for every operator in a group of its own, so the search
+// allocates only when it records a new best.
 type exhaustiveWorker struct {
-	s          *exhaustiveState
-	bestCost   cluster.Seconds
-	bestGroups [][]*ir.Op
+	s *exhaustiveState
+	*searcher
+	placement
+	// undo[i] keeps the below row that placing operator i into an existing
+	// group overwrote, restored when the search backs out of that merge.
+	undo     []uint64
+	bestCost cluster.Seconds
+	bestSets []uint64
 }
 
-// prune returns the cost at or above which a partial partition cannot beat
-// the best known complete one (local or global).
-func (w *exhaustiveWorker) prune() cluster.Seconds {
-	if g := w.s.loadBound(); g < w.bestCost {
-		return g
+func (s *exhaustiveState) newWorker(start placement) *exhaustiveWorker {
+	room := len(s.x.compute) * s.x.words
+	return &exhaustiveWorker{
+		s: s, bestCost: Infeasible, searcher: s.est.newSearcher(s.x, s.engs),
+		placement: placement{
+			sets:  append(make([]uint64, 0, room), start.sets...),
+			below: append(make([]uint64, 0, room), start.below...),
+		},
+		undo: make([]uint64, room),
 	}
-	return w.bestCost
 }
 
 // FragmentKey identifies a fragment by its sorted operator IDs; stable
 // across rebuilds of the same workflow (IDs are construction-order
-// deterministic).
+// deterministic). It keys the runtime history.
 func FragmentKey(f *ir.Fragment) string {
-	return groupKey(f.Ops)
-}
-
-func groupKey(group []*ir.Op) string {
-	ids := make([]int, len(group))
-	for i, op := range group {
+	ids := make([]int, len(f.Ops))
+	for i, op := range f.Ops {
 		ids[i] = op.ID
 	}
 	sort.Ints(ids)
@@ -498,10 +540,11 @@ func groupKey(group []*ir.Op) string {
 	return string(b)
 }
 
-// search places ops[i] into every legal position. groups holds the current
-// partial partition; partial is its cost so far (sum of current group
-// costs). Group costs are recomputed when a group changes.
-func (w *exhaustiveWorker) search(i int, groups [][]*ir.Op, partial cluster.Seconds) {
+// search places operator i of the placement order into every legal
+// position. The worker's placement holds the current partial partition;
+// partial is its cost so far (sum of current group costs). Group costs are
+// re-read from the memo when a group changes.
+func (w *exhaustiveWorker) search(i int, partial cluster.Seconds) {
 	if w.s.expired.Load() {
 		return
 	}
@@ -510,76 +553,52 @@ func (w *exhaustiveWorker) search(i int, groups [][]*ir.Op, partial cluster.Seco
 		w.s.expired.Store(true)
 		return
 	}
-	if partial >= w.prune() {
-		return // branch and bound
+	// Branch and bound. A tie with the worker's own best is pruned: the first
+	// optimum in placement order stands. A tie with the bound other workers
+	// publish is not — or a later subtree that finishes first would prune an
+	// equal-cost optimum out of an earlier one, and which plan the in-order
+	// reduce returns would depend on timing.
+	if partial >= w.bestCost || partial > w.s.loadBound() {
+		return
 	}
-	if i == len(w.s.ops) {
+	x := w.x
+	if i == len(x.compute) {
 		w.bestCost = partial
-		w.bestGroups = make([][]*ir.Op, len(groups))
-		for gi, g := range groups {
-			w.bestGroups[gi] = append([]*ir.Op(nil), g...)
-		}
+		w.bestSets = append(w.bestSets[:0], w.sets...)
 		w.s.lowerBound(partial)
 		return
 	}
-	op := w.s.ops[i]
+	op := int(x.compute[i])
+	desc := x.row(x.desc, op)
 	// Option A: start a new job.
-	solo := w.s.groupCost([]*ir.Op{op})
-	if solo < Infeasible {
-		groups = append(groups, []*ir.Op{op})
-		w.search(i+1, groups, partial+solo)
-		groups = groups[:len(groups)-1]
+	groups := len(w.sets) / x.words
+	w.sets, w.below = w.sets[:len(w.sets)+x.words], w.below[:len(w.below)+x.words]
+	set, below := x.row(w.sets, groups), x.row(w.below, groups)
+	clear(set)
+	set.add(op)
+	if solo := w.cost(set); solo < Infeasible {
+		copy(below, desc)
+		w.search(i+1, partial+solo)
 	}
+	w.sets, w.below = w.sets[:groups*x.words], w.below[:groups*x.words]
 	// Option B: join an existing job, if no inter-job cycle arises and the
 	// merged job remains feasible for some engine.
-	for gi := range groups {
-		if w.s.mergeCreatesCycle(groups, gi, op) {
+	undo := x.row(w.undo, i)
+	for g := 0; g < groups; g++ {
+		set, below := x.row(w.sets, g), x.row(w.below, g)
+		if x.mergeCreatesCycle(set, below, op) {
 			continue
 		}
-		old := w.s.groupCost(groups[gi])
-		groups[gi] = append(groups[gi], op)
-		merged := w.s.groupCost(groups[gi])
-		if merged < Infeasible {
-			w.search(i+1, groups, partial-old+merged)
-		}
-		groups[gi] = groups[gi][:len(groups[gi])-1]
-	}
-}
-
-// mergeCreatesCycle reports whether adding op to groups[gi] would make the
-// job quotient graph cyclic: some operator outside the group lies on a path
-// from a group member to op.
-func (s *exhaustiveState) mergeCreatesCycle(groups [][]*ir.Op, gi int, op *ir.Op) bool {
-	member := map[*ir.Op]bool{}
-	for _, m := range groups[gi] {
-		member[m] = true
-	}
-	for _, m := range groups[gi] {
-		// For every descendant v of m outside the group, if v reaches op,
-		// the merged job would both feed and depend on v's job.
-		for v := range s.est.reach[m] {
-			if member[v] || v == op {
-				continue
+		old := w.cost(set)
+		set.add(op)
+		if merged := w.cost(set); merged < Infeasible {
+			copy(undo, below)
+			for k, word := range desc {
+				below[k] |= word
 			}
-			if s.est.Reaches(v, op) {
-				return true
-			}
+			w.search(i+1, partial-old+merged)
+			copy(below, undo)
 		}
+		set.del(op)
 	}
-	return false
-}
-
-// sortJobsTopologically orders jobs so producers precede consumers.
-func sortJobsTopologically(dag *ir.DAG, jobs []Assignment) {
-	pos := map[*ir.Op]int{}
-	order, err := dag.TopoSort()
-	if err != nil {
-		return
-	}
-	for i, op := range order {
-		pos[op] = i
-	}
-	sort.SliceStable(jobs, func(a, b int) bool {
-		return pos[jobs[a].Frag.Ops[0]] < pos[jobs[b].Frag.Ops[0]]
-	})
 }

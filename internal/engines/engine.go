@@ -164,35 +164,47 @@ func (e *Engine) RateNodes(c *cluster.Cluster) float64 {
 }
 
 // ValidFragment reports whether the fragment can execute as a single job on
-// this engine. This encodes the per-back-end operator mergeability rules of
-// paper §4.3.2:
+// this engine: ValidOps over its non-INPUT operators.
+func (e *Engine) ValidFragment(f *ir.Fragment) error { return e.ValidOps(f.ComputeOps()) }
+
+// ValidOps reports whether the compute (non-INPUT) operators, given in
+// topological order, can execute as a single job on this engine. This
+// encodes the per-back-end operator mergeability rules of paper §4.3.2:
 //
 //   - Vertex-centric engines accept exactly one operator: a WHILE whose
 //     body matches the graph idiom.
 //   - MapReduce engines accept either a WHILE on its own (the body is then
 //     sub-partitioned and driven iteration by iteration), or a WHILE-free
-//     fragment with at most one shuffle operator.
-//   - General dataflow engines accept any fragment.
-func (e *Engine) ValidFragment(f *ir.Fragment) error {
-	compute := f.ComputeOps()
+//     job with at most one shuffle operator.
+//   - General dataflow engines accept any job.
+//
+// The partition search calls it once per candidate job and engine, so it
+// reads the operators in place and allocates only to describe a refusal.
+func (e *Engine) ValidOps(compute []*ir.Op) error {
 	if len(compute) == 0 {
 		return fmt.Errorf("%s: empty fragment", e.name)
+	}
+	var while *ir.Op
+	for _, op := range compute {
+		if op.Type == ir.OpWhile {
+			while = op
+			break
+		}
 	}
 	switch e.paradigm {
 	case ParadigmVertexCentric:
 		if len(compute) != 1 {
 			return fmt.Errorf("%s: vertex-centric back-end cannot merge %d operators", e.name, len(compute))
 		}
-		w := f.While()
-		if w == nil {
+		if while == nil {
 			return fmt.Errorf("%s: only graph idioms are expressible", e.name)
 		}
-		if ir.DetectGraphIdiom(w) == nil {
-			return fmt.Errorf("%s: WHILE %s does not match the GAS idiom", e.name, w.Out)
+		if ir.DetectGraphIdiom(while) == nil {
+			return fmt.Errorf("%s: WHILE %s does not match the GAS idiom", e.name, while.Out)
 		}
 		return nil
 	case ParadigmMapReduce:
-		if w := f.While(); w != nil {
+		if while != nil {
 			if len(compute) != 1 {
 				return fmt.Errorf("%s: WHILE cannot merge with other operators", e.name)
 			}
@@ -201,23 +213,30 @@ func (e *Engine) ValidFragment(f *ir.Fragment) error {
 		// One shuffle per job — except the classic reduce-side pattern:
 		// a JOIN immediately aggregated on the same key shares the single
 		// map-shuffle-reduce round (as Pig/Hive plan it).
-		var shuffles []*ir.Op
+		var a, b *ir.Op
+		shuffles := 0
 		for _, op := range compute {
-			if ir.IsShuffleOp(op.Type) {
-				shuffles = append(shuffles, op)
+			if !ir.IsShuffleOp(op.Type) {
+				continue
 			}
+			switch shuffles {
+			case 0:
+				a = op
+			case 1:
+				b = op
+			}
+			shuffles++
 		}
-		switch len(shuffles) {
+		switch shuffles {
 		case 0, 1:
 			return nil
 		case 2:
-			a, b := shuffles[0], shuffles[1]
 			if a.Type == ir.OpJoin && b.Type == ir.OpAgg && shuffleKeyOf(a) == shuffleKeyOf(b) {
 				return nil
 			}
 			return fmt.Errorf("%s: shuffles %s and %s need separate jobs", e.name, a.Type, b.Type)
 		default:
-			return fmt.Errorf("%s: %d shuffle operators in one job", e.name, len(shuffles))
+			return fmt.Errorf("%s: %d shuffle operators in one job", e.name, shuffles)
 		}
 	default:
 		return nil

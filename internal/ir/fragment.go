@@ -19,6 +19,10 @@ type Fragment struct {
 	// ExtOut are the fragment operators whose outputs are consumed outside
 	// the fragment (or are workflow sinks) and must be written to the DFS.
 	ExtOut []*Op
+	// shuffled[i] records whether ExtOut[i] has a consumer outside the
+	// fragment (as opposed to being a pure sink or a forced output); fixed
+	// when the output is added, so ConsumedOutside never re-walks the DAG.
+	shuffled []bool
 
 	dag     *DAG
 	schemas map[*Op]relation.Schema
@@ -64,14 +68,15 @@ func NewFragment(dag *DAG, ops []*Op) (*Fragment, error) {
 		if op.Type == OpInput {
 			continue
 		}
-		consumedOutside := len(cons[op]) == 0 // sink
+		shuffled := false
 		for _, c := range cons[op] {
 			if !member[c] {
-				consumedOutside = true
+				shuffled = true
 			}
 		}
-		if consumedOutside {
+		if shuffled || len(cons[op]) == 0 { // read by another job, or a sink
 			f.ExtOut = append(f.ExtOut, op)
+			f.shuffled = append(f.shuffled, shuffled)
 		}
 	}
 	return f, nil
@@ -113,6 +118,7 @@ func (f *Fragment) ForceOutput(op *Op) error {
 		}
 	}
 	f.ExtOut = append(f.ExtOut, op)
+	f.shuffled = append(f.shuffled, false) // else it would already be an output
 	return nil
 }
 
@@ -122,15 +128,12 @@ func (f *Fragment) ForceOutput(op *Op) error {
 // another job, which is what lets engines choose a compact wire codec for
 // true intra-run shuffles while sinks stay TSV.
 func (f *Fragment) ConsumedOutside(op *Op) bool {
-	if f.dag == nil {
-		return false
-	}
-	for _, c := range f.dag.Consumers()[op] {
-		if !f.Contains(c) {
-			return true
+	for i, out := range f.ExtOut {
+		if out == op {
+			return f.shuffled[i]
 		}
 	}
-	return false
+	return false // internal to the fragment, or not in it at all
 }
 
 // Contains reports membership.
