@@ -44,7 +44,8 @@ func (c Config) normalized() Config {
 
 // replica is one stored copy of a block on one datanode. Its bytes are
 // immutable once written: readers verify and decode them outside the
-// filesystem lock.
+// filesystem lock, and the replicas of a block share one buffer and one
+// checksum until CorruptReplica gives one of them a corrupted copy.
 type replica struct {
 	node int
 	data []byte
@@ -56,31 +57,22 @@ type block struct {
 	replicas []replica
 }
 
-// split chops data into replicated, checksummed blocks. Placement is
-// round-robin over datanodes, offset per block so replicas of consecutive
-// blocks land on different nodes (as HDFS's placement spreads load).
+// split cuts data into checksummed blocks that alias it: the caller hands
+// the buffer over. Placement is round-robin over datanodes, offset per block
+// so replicas of consecutive blocks land on different nodes (as HDFS's
+// placement spreads load). An empty file is one empty block.
 func (d *DFS) split(data []byte) []block {
 	cfg := d.st.cfg
-	var blocks []block
-	for off, bi := 0, 0; off < len(data) || (off == 0 && len(data) == 0); bi++ {
-		end := off + cfg.BlockSize
-		if end > len(data) {
-			end = len(data)
+	blocks := make([]block, 0, len(data)/cfg.BlockSize+1)
+	for off := 0; off < len(data) || off == 0; off += cfg.BlockSize {
+		end := min(off+cfg.BlockSize, len(data))
+		chunk := data[off:end:end]
+		sum := crc32.ChecksumIEEE(chunk)
+		reps := make([]replica, cfg.Replication)
+		for r := range reps {
+			reps[r] = replica{node: (len(blocks) + r) % cfg.Nodes, data: chunk, sum: sum}
 		}
-		chunk := data[off:end]
-		b := block{}
-		for r := 0; r < cfg.Replication; r++ {
-			node := (bi + r) % cfg.Nodes
-			// One replica copy per node so corruption of one replica
-			// never bleeds into another.
-			cp := append([]byte(nil), chunk...)
-			b.replicas = append(b.replicas, replica{node: node, data: cp, sum: crc32.ChecksumIEEE(cp)})
-		}
-		blocks = append(blocks, b)
-		off = end
-		if len(data) == 0 {
-			break
-		}
+		blocks = append(blocks, block{replicas: reps})
 	}
 	return blocks
 }

@@ -129,49 +129,55 @@ func (d *DFS) WriteRelation(path string, rel *relation.Relation) error {
 }
 
 // WriteRelationCodec encodes rel with the requested wire codec and stores
-// it at path. The write is charged at the file's wire volume: TSV files
-// account their effective (logical-or-encoded) size exactly as before;
-// columnar files scale the effective size by the codec's encoded-vs-text
-// byte ratio, so intra-run shuffles over the compact format move fewer
-// simulated bytes.
+// it at path. The write is charged at the file's wire volume: a TSV file is
+// what Commit stores for a writer handed every row; a columnar file scales
+// the effective size by the codec's encoded-vs-text byte ratio, so intra-run
+// shuffles over the compact format move fewer simulated bytes.
 func (d *DFS) WriteRelationCodec(path string, rel *relation.Relation, codec relation.Codec) (Stat, error) {
-	if path == "" {
-		return Stat{}, fmt.Errorf("dfs: empty path")
+	if codec != relation.CodecColumnar {
+		w := relation.NewWriter(rel.Schema)
+		w.LogicalBytes = rel.LogicalBytes
+		w.Append(rel.Rows)
+		return d.Commit(path, w)
 	}
-	data := rel.EncodeCodec(codec, relation.CodecOptions{})
-	eff := rel.LogicalBytes
-	if eff <= 0 {
-		eff = int64(len(data))
-	}
-	wire := eff
-	if codec == relation.CodecColumnar {
-		// eff falls back to the encoded size above, which for columnar is
-		// already the compact wire size; a set logical size is scaled by
-		// the ratio of columnar bytes to the text rendering it replaces.
-		if phys := rel.PhysicalBytes(); rel.LogicalBytes > 0 && phys > 0 {
+	data := rel.EncodeColumnar(relation.CodecOptions{})
+	// A physical-only file moves its encoded size, which for columnar is
+	// already the compact wire size; a set logical size is scaled by the
+	// ratio of columnar bytes to the text rendering it replaces.
+	wire := int64(len(data))
+	if rel.LogicalBytes > 0 {
+		wire = rel.LogicalBytes
+		if phys := rel.PhysicalBytes(); phys > 0 {
 			wire = int64(float64(rel.LogicalBytes) * float64(len(data)) / float64(phys))
 		}
 	}
-	st := Stat{
-		Path:          path,
-		PhysicalBytes: int64(len(data)),
-		LogicalBytes:  rel.LogicalBytes,
-		Rows:          rel.NumRows(),
-		Codec:         codec,
-		WireBytes:     wire,
+	return d.install(path, data, file{logical: rel.LogicalBytes, rows: rel.NumRows(), codec: codec, wire: wire})
+}
+
+// Commit stores the TSV relation w has written at path, replacing any
+// previous file — whole or, if never called, not at all — charged at its
+// effective (logical-or-encoded) size.
+func (d *DFS) Commit(path string, w *relation.Writer) (Stat, error) {
+	data := w.Bytes()
+	wire := w.LogicalBytes
+	if wire <= 0 {
+		wire = int64(len(data))
 	}
+	return d.install(path, data, file{logical: w.LogicalBytes, rows: w.Rows(), codec: relation.CodecTSV, wire: wire})
+}
+
+// install cuts data, which the caller gives up, into checksummed blocks and
+// publishes f over them; only the map store and the accounting are locked.
+func (d *DFS) install(path string, data []byte, f file) (Stat, error) {
+	if path == "" {
+		return Stat{}, fmt.Errorf("dfs: empty path")
+	}
+	f.blocks, f.size = d.split(data), int64(len(data))
 	d.st.mu.Lock()
 	defer d.st.mu.Unlock()
-	d.st.files[d.resolve(path)] = &file{
-		blocks:  d.split(data),
-		size:    int64(len(data)),
-		logical: rel.LogicalBytes,
-		rows:    rel.NumRows(),
-		codec:   codec,
-		wire:    wire,
-	}
-	d.st.bytesWritten += wire
-	return st, nil
+	d.st.files[d.resolve(path)] = &f
+	d.st.bytesWritten += f.wire
+	return f.stat(path), nil
 }
 
 // ReadRelation opens the file at path (see Open) and decodes it whole into
@@ -198,8 +204,9 @@ func (d *DFS) ReadRelationStat(path string) (*relation.Relation, Stat, error) {
 // Open accounts a read of the file at path, picks one healthy replica of
 // every block (verifying checksums, skipping failed datanodes) and parses the
 // header, decoding no row: the caller streams or materializes them from the
-// returned relation.Encoded. WriteRelationCodec is the only writer, so the
-// text is opened as the encoder's own, holding exactly the rows recorded.
+// returned relation.Encoded. Commit and WriteRelationCodec are the only
+// writers, so the text is opened as the encoder's own, holding exactly the
+// rows recorded.
 // Only the accounting and the block-list snapshot run under the filesystem
 // lock; concurrent readers checksum and decode without serializing.
 func (d *DFS) Open(path string) (*relation.Encoded, Stat, error) {

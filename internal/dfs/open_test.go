@@ -158,9 +158,60 @@ func TestCorruptionDoesNotReachEarlierReaders(t *testing.T) {
 	}
 }
 
+// TestReplicasShareBytesUntilCorrupted: a block's replicas are one immutable
+// buffer, and corrupting one gives that replica alone a copy — its siblings,
+// and a file copied earlier, keep the bytes they had.
+func TestReplicasShareBytesUntilCorrupted(t *testing.T) {
+	d := NewWithConfig(Config{BlockSize: 64, Replication: 3, Nodes: 5})
+	want := numbered(50)
+	if err := d.Namespace("ns").WriteRelation("n", want); err != nil {
+		t.Fatal(err)
+	}
+	d.Copy("ns/n", "copy")
+	first := func(path string) []replica {
+		d.st.mu.RLock()
+		defer d.st.mu.RUnlock()
+		return d.st.files[path].blocks[0].replicas
+	}
+	before := first("ns/n")
+	text := string(before[0].data)
+	for _, rep := range before[1:] {
+		if &rep.data[0] != &before[0].data[0] || rep.sum != before[0].sum {
+			t.Fatal("replicas of a fresh block do not share one buffer and checksum")
+		}
+	}
+	if err := d.CorruptReplica("ns/n", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	after := first("ns/n")
+	if string(after[0].data) == text {
+		t.Error("replica 0 was not corrupted")
+	}
+	for _, rep := range append(after[1:], first("copy")...) {
+		if string(rep.data) != text {
+			t.Error("the corruption of replica 0 reached a sibling replica or the earlier copy")
+		}
+	}
+	for _, path := range []string{"ns/n", "copy"} {
+		if got, err := d.ReadRelation(path); err != nil || got.Fingerprint() != want.Fingerprint() {
+			t.Errorf("%s after corrupting one replica: %v", path, err)
+		}
+	}
+	d.CorruptReplica("ns/n", 0, 1)
+	d.CorruptReplica("ns/n", 0, 2)
+	if _, _, err := d.Open("ns/n"); err == nil || !strings.Contains(err.Error(), "ns/n: block 0 unrecoverable") {
+		t.Errorf("every replica corrupt: Open = %v, want the path and block", err)
+	}
+	if _, err := d.ReadRelation("copy"); err != nil {
+		t.Errorf("copy after corrupting every replica of the original: %v", err)
+	}
+}
+
 // TestConcurrentReadersAndFaults runs readers of two namespaces against
-// replica corruption and node failures; under -race it proves Open verifies
-// outside the lock without racing the fault injectors.
+// replica corruption, node failures and writers committing — over the very
+// file being read, and beside it; under -race it proves Open verifies, and
+// Commit builds its blocks, outside the lock without racing the fault
+// injectors or each other.
 func TestConcurrentReadersAndFaults(t *testing.T) {
 	d := NewWithConfig(Config{BlockSize: 128, Replication: 3, Nodes: 5})
 	want := numbered(400)
@@ -186,6 +237,21 @@ func TestConcurrentReadersAndFaults(t *testing.T) {
 			}
 		}(views[g%2])
 	}
+	for _, v := range views {
+		wg.Add(1)
+		go func(v *DFS) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				w := relation.NewWriter(want.Schema)
+				head, tail := w.Part(), w.Part()
+				tail.Append(want.Rows[100:])
+				head.Append(want.Rows[:100])
+				if _, err := v.Commit([]string{"n", "out"}[i%2], w); err != nil {
+					t.Error(err)
+				}
+			}
+		}(v)
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -197,6 +263,12 @@ func TestConcurrentReadersAndFaults(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	d.SetNodeDown(4, false)
+	for _, v := range views {
+		if got, err := v.ReadRelation("out"); err != nil || got.Fingerprint() != want.Fingerprint() {
+			t.Errorf("committed beside the readers: %v", err)
+		}
+	}
 }
 
 // TestBlankRowsSurviveTheDFS is the storage half of the silent-row-loss

@@ -149,7 +149,7 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	trace, procSp, err := runProcess(ctx, p, env, pulled)
+	trace, sinks, procSp, err := runProcess(ctx, p, env, pulled)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 	}
 	pullSp.SetInt("bytes", pullBytes)
 	pullSp.SetInt("inputs", int64(len(pulled)))
-	pushBytes, pushSp, err := runPush(ctx, p, env)
+	pushBytes, pushSp, err := runPush(ctx, p, env, sinks)
 	if err != nil {
 		return nil, err
 	}
@@ -252,19 +252,28 @@ func runPull(ctx RunContext, p *Plan) ([]pulledInput, int, *obs.Span, error) {
 
 // runProcess evaluates the fragment's operators through the shared
 // interpreter (exec.RunOps), recording the "process" phase span. Only the
-// fragment's external outputs must materialize, so interior
+// fragment's external outputs must outlive it, so interior
 // SELECT/PROJECT/ARITH/JOIN/AGG chains run as single pull pipelines with no
-// intermediate relations. A streamed-through operator's trace entry is
-// metered by a tap and equals what materializing it would record, so plans,
-// costs and golden traces do not depend on where a fragment was cut.
-func runProcess(ctx RunContext, p *Plan, env exec.Env, pulled []pulledInput) (*exec.Trace, *obs.Span, error) {
+// intermediate relations; a TSV output is rendered into the writer returned
+// for it, a columnar shuffle output materializes into env. A
+// streamed-through operator's trace entry is metered by a tap and equals what
+// materializing it would record, so plans, costs and golden traces do not
+// depend on where a fragment was cut.
+func runProcess(ctx RunContext, p *Plan, env exec.Env, pulled []pulledInput) (*exec.Trace, map[string]*relation.Writer, *obs.Span, error) {
 	sp := ctx.Rec.StartSpan(ctx.Span, "process", "phase")
 	defer sp.End()
 	cctx := ctx.Context()
 	trace := exec.NewTrace()
 	extOut := make(map[*ir.Op]bool, len(p.Frag.ExtOut))
+	sinks := make(map[string]*relation.Writer, len(p.Frag.ExtOut))
 	for _, op := range p.Frag.ExtOut {
 		extOut[op] = true
+		// Intra-run shuffles (outputs another job reads) may use the compact
+		// columnar wire format; sinks and loop temporaries stay TSV so
+		// published results and golden fixtures are untouched.
+		if ctx.ShuffleCodec != relation.CodecColumnar || !p.Frag.ConsumedOutside(op) {
+			sinks[op.Out] = relation.NewWriter(relation.Schema{}) // RunOps stamps the schema
+		}
 	}
 	sources := make(map[string]*relation.Encoded, len(pulled))
 	for _, in := range pulled {
@@ -278,9 +287,10 @@ func runProcess(ctx RunContext, p *Plan, env exec.Env, pulled []pulledInput) (*e
 		Check:      cctx.Err,
 		SkipInputs: true,
 		Sources:    sources,
+		Sinks:      sinks,
 	})
 	if err != nil {
-		return nil, sp, fmt.Errorf("%s: job %s: %w", p.Engine.Name(), p.Frag.Name(), err)
+		return nil, nil, sp, fmt.Errorf("%s: job %s: %w", p.Engine.Name(), p.Frag.Name(), err)
 	}
 	ops := 0
 	for _, op := range p.Frag.Ops {
@@ -289,12 +299,13 @@ func runProcess(ctx RunContext, p *Plan, env exec.Env, pulled []pulledInput) (*e
 		}
 	}
 	sp.SetInt("ops", int64(ops))
-	return trace, sp, nil
+	return trace, sinks, sp, nil
 }
 
-// runPush writes the fragment's external outputs back to the DFS,
-// recording the "push" phase span.
-func runPush(ctx RunContext, p *Plan, env exec.Env) (int64, *obs.Span, error) {
+// runPush publishes the fragment's external outputs on the DFS, recording
+// the "push" phase span. It runs once every operator has succeeded, so a
+// failed attempt publishes nothing and leaves a file it would replace whole.
+func runPush(ctx RunContext, p *Plan, env exec.Env, sinks map[string]*relation.Writer) (int64, *obs.Span, error) {
 	sp := ctx.Rec.StartSpan(ctx.Span, "push", "phase")
 	defer sp.End()
 	cctx := ctx.Context()
@@ -303,34 +314,35 @@ func runPush(ctx RunContext, p *Plan, env exec.Env) (int64, *obs.Span, error) {
 		if err := cctx.Err(); err != nil {
 			return 0, sp, fmt.Errorf("%s: job %s: %w", p.Engine.Name(), p.Frag.Name(), err)
 		}
+		// Per-codec shuffle counters feed estimator calibration: the
+		// encoded-vs-logical ratio is what WithShuffleCodec scales by.
+		if w := sinks[out.Out]; w != nil {
+			st, err := ctx.DFS.Commit(out.Out, w)
+			if err != nil {
+				return 0, sp, err
+			}
+			eff := w.LogicalBytes
+			if eff <= 0 {
+				eff = w.BodyBytes()
+			}
+			pushBytes += eff
+			ctx.Metrics.Counter("shuffle_codec_tsv_total").Add(1)
+			ctx.Metrics.Counter("shuffle_tsv_encoded_bytes_total").Add(st.PhysicalBytes)
+			ctx.Metrics.Counter("shuffle_tsv_logical_bytes_total").Add(eff)
+			continue
+		}
 		rel, ok := env[out.Out]
 		if !ok {
 			return 0, sp, fmt.Errorf("%s: output %q not materialized", p.Engine.Name(), out.Out)
 		}
-		// Intra-run shuffles (outputs another job reads) may use the compact
-		// columnar wire format; sinks and loop temporaries stay TSV so
-		// published results and golden fixtures are untouched.
-		codec := relation.CodecTSV
-		if ctx.ShuffleCodec == relation.CodecColumnar && p.Frag.ConsumedOutside(out) {
-			codec = relation.CodecColumnar
-		}
-		st, err := ctx.DFS.WriteRelationCodec(out.Out, rel, codec)
+		st, err := ctx.DFS.WriteRelationCodec(out.Out, rel, relation.CodecColumnar)
 		if err != nil {
 			return 0, sp, err
 		}
-		// Per-codec shuffle counters feed estimator calibration: the
-		// encoded-vs-logical ratio is what WithShuffleCodec scales by.
-		if codec == relation.CodecColumnar {
-			pushBytes += st.WireBytes
-			ctx.Metrics.Counter("shuffle_codec_columnar_total").Add(1)
-			ctx.Metrics.Counter("shuffle_columnar_encoded_bytes_total").Add(st.PhysicalBytes)
-			ctx.Metrics.Counter("shuffle_columnar_logical_bytes_total").Add(rel.EffectiveBytes())
-		} else {
-			pushBytes += rel.EffectiveBytes()
-			ctx.Metrics.Counter("shuffle_codec_tsv_total").Add(1)
-			ctx.Metrics.Counter("shuffle_tsv_encoded_bytes_total").Add(st.PhysicalBytes)
-			ctx.Metrics.Counter("shuffle_tsv_logical_bytes_total").Add(rel.EffectiveBytes())
-		}
+		pushBytes += st.WireBytes
+		ctx.Metrics.Counter("shuffle_codec_columnar_total").Add(1)
+		ctx.Metrics.Counter("shuffle_columnar_encoded_bytes_total").Add(st.PhysicalBytes)
+		ctx.Metrics.Counter("shuffle_columnar_logical_bytes_total").Add(rel.EffectiveBytes())
 	}
 	sp.SetInt("bytes", pushBytes)
 	sp.SetInt("outputs", int64(len(p.Frag.ExtOut)))

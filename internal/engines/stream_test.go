@@ -1,9 +1,12 @@
 package engines
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"musketeer/internal/chaos"
@@ -243,5 +246,99 @@ func TestSmallJobAllocatesNoMoreThanBefore(t *testing.T) {
 	t.Logf("%v objects, %v bytes per job", objects, bytes)
 	if bytes > 35488 {
 		t.Errorf("a 30-row two-input job allocates %v bytes, more than the 35488 it took before", bytes)
+	}
+}
+
+// errAfter is a context whose Err turns Canceled after a number of calls:
+// Run asks once on entry, RunOps before each execution unit (Check), the push
+// phase before each output.
+type errAfter struct {
+	context.Context
+	calls int
+}
+
+func (c *errAfter) Err() error {
+	if c.calls--; c.calls < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestFailedJobPublishesNothing: outputs are committed only once every
+// operator has run, so a job whose pipeline fails in its last batch, one
+// cancelled before its pipeline or between filling its writer and committing
+// it, and one the chaos plan crashes all leave the output path absent — or,
+// when an earlier run had published there, that file as it was.
+func TestFailedJobPublishesNothing(t *testing.T) {
+	sch := relation.NewSchema("k:int", "q:float")
+	good := relation.New("t", sch)
+	for i := 0; i < 3000; i++ {
+		good.MustAppend(relation.Row{relation.Int(int64(i % 50)), relation.Float(float64(i) / 4)})
+	}
+	torn := relation.New("t", sch)
+	torn.Rows = append(append(torn.Rows, good.Rows...), relation.Row{relation.Str("x"), relation.Float(1)}) // the last line's int does not parse
+	earlier := relation.New("out", relation.NewSchema("note:string"))
+	earlier.MustAppend(relation.Row{relation.Str("published by an earlier run")})
+
+	d := ir.NewDAG()
+	src := d.AddInput("t", "in/t", sch)
+	hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: ir.Cmp(ir.ColRef("k"), ir.CmpLt, ir.LitOp(relation.Int(40)))}, src)
+	d.Add(ir.OpArith, "out", ir.Params{Dst: "h", ALeft: ir.ColRef("q"), ARght: ir.LitOp(relation.Float(2)), AOp: ir.ArithMul}, hot)
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Hadoop().Plan(fragmentOf(t, d, "t", "hot", "out"), ModeOptimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		input *relation.Relation
+		ctx   RunContext
+		want  string // in the error; "" for the run that succeeds
+	}{
+		{"last batch fails", torn, RunContext{}, `parse int "x"`},
+		{"cancelled before the pipeline", good, RunContext{Ctx: &errAfter{Context: context.Background(), calls: 1}}, "context canceled"},
+		{"cancelled before the commit", good, RunContext{Ctx: &errAfter{Context: context.Background(), calls: 2}}, "context canceled"},
+		{"crashed by the chaos plan", good, RunContext{Chaos: &chaos.Plan{JobCrashProb: 1, Seed: 1}}, "transient"},
+		{"clean", good, RunContext{}, ""},
+	} {
+		for _, published := range []bool{false, true} {
+			fs := dfs.NewWithConfig(dfs.Config{BlockSize: 512})
+			if err := fs.WriteRelation("in/t", c.input); err != nil {
+				t.Fatal(err)
+			}
+			var before dfs.Stat
+			if published {
+				if before, err = fs.WriteRelationCodec("out", earlier, relation.CodecTSV); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.ctx.DFS, c.ctx.Cluster = fs, cluster.Local(7)
+			if ec, ok := c.ctx.Ctx.(*errAfter); ok {
+				c.ctx.Ctx = &errAfter{Context: ec.Context, calls: ec.calls}
+			}
+			_, err := Run(c.ctx, plan)
+			if c.want == "" {
+				if out, rerr := fs.ReadRelation("out"); err != nil || rerr != nil || len(out.Rows) != 2400 {
+					t.Errorf("%s: %v, %v", c.name, err, rerr)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: Run = %v, want an error holding %q", c.name, err, c.want)
+			}
+			if !published {
+				if fs.Exists("out") {
+					t.Errorf("%s: the failed job published its output", c.name)
+				}
+				continue
+			}
+			after, _ := fs.Stat("out")
+			back, rerr := fs.ReadRelation("out")
+			if rerr != nil || after != before || !bytes.Equal(back.EncodeBytes(), earlier.EncodeBytes()) {
+				t.Errorf("%s: the earlier file did not survive the failed job: %+v, %v", c.name, after, rerr)
+			}
+		}
 	}
 }

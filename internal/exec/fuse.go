@@ -96,13 +96,15 @@ type stagePlan struct {
 // chain is one resolved pipeline: the input its head scans (its row count,
 // and open, which yields a row range of it in batches — views of a bound
 // relation's rows, or a DFS file decoding as it is pulled), its streaming
-// members, and the terminal AGG when it ends in one. rowPreserving says
-// every member emits exactly one row per input row (PROJECT and ARITH only).
+// members, the terminal AGG when it ends in one, and the sink when its rows
+// stream out. rowPreserving says every member emits exactly one row per
+// input row (PROJECT and ARITH only).
 type chain struct {
 	rows          int
 	open          func(lo, hi int) relation.RowSource
 	stages        []stagePlan
 	agg           *stagePlan
+	sink          *relation.Writer
 	rowPreserving bool
 	batchRows     int
 }
@@ -119,19 +121,22 @@ type rangeResult struct {
 }
 
 // runRange drives one pipeline instance over input rows [lo, hi), draining
-// row output into dst.
-func (c *chain) runRange(lo, hi int, dst []relation.Row) rangeResult {
+// row output into part when the chain has a sink, else into dst.
+func (c *chain) runRange(lo, hi int, dst []relation.Row, part *relation.Part) rangeResult {
 	var res rangeResult
 	tapped := len(c.stages)
 	if c.agg == nil {
-		tapped-- // the materialized output is sized from the relation
+		tapped-- // the output is sized from the relation, or by its writer
 	}
 	res.taps = make([]accTap, tapped)
 	pipe := buildPipeline(c.stages, c.open(lo, hi), c.batchRows, res.taps)
-	if c.agg != nil {
+	switch {
+	case c.agg != nil:
 		res.table = newAggTable(c.agg.ag)
 		res.inRows, res.err = drainAgg(pipe, res.table)
-	} else {
+	case part != nil:
+		res.err = drainSink(pipe, part)
+	default:
 		res.rows, res.err = drainRows(pipe, dst)
 	}
 	return res
@@ -141,21 +146,22 @@ func (c *chain) runRange(lo, hi int, dst []relation.Row) rangeResult {
 // ParallelThreshold, at row boundaries that depend on the row count alone,
 // so a streamed file splits exactly where its materialized rows would — and
 // merges the ranges' results into one: the materialized rows or the
-// aggregation table, and the summed taps.
+// aggregation table (a sink's ranges each fill their own part), and the
+// summed taps.
 func (c *chain) run() (rangeResult, error) {
 	rows := c.rows
 	// A row-preserving pipeline emits exactly its scan range, so its output
 	// is allocated once and every range drains into its own disjoint window.
 	var window []relation.Row
-	if c.rowPreserving {
+	if c.rowPreserving && c.sink == nil {
 		window = make([]relation.Row, rows)
 	}
 	var ranges [][2]int
 	if rows >= ParallelThreshold {
-		ranges = chunkRanges(rows)
+		ranges = relation.ChunkRanges(rows)
 	}
 	if len(ranges) < 2 {
-		res := c.runRange(0, rows, window[:0])
+		res := c.runRange(0, rows, window[:0], c.sink.Part())
 		return res, res.err
 	}
 	// Combiner-style evaluation: every aggregator is associative once AVG is
@@ -168,14 +174,14 @@ func (c *chain) run() (rangeResult, error) {
 	var wg sync.WaitGroup
 	for ri, rg := range ranges {
 		var dst []relation.Row
-		if c.rowPreserving {
+		if window != nil {
 			dst = window[rg[0]:rg[0]:rg[1]]
 		}
 		wg.Add(1)
-		go func(ri, lo, hi int, dst []relation.Row) {
+		go func(ri, lo, hi int, dst []relation.Row, part *relation.Part) {
 			defer wg.Done()
-			results[ri] = c.runRange(lo, hi, dst)
-		}(ri, rg[0], rg[1], dst)
+			results[ri] = c.runRange(lo, hi, dst, part)
+		}(ri, rg[0], rg[1], dst, c.sink.Part()) // parts open in range order
 	}
 	wg.Wait()
 	total := 0
@@ -187,16 +193,16 @@ func (c *chain) run() (rangeResult, error) {
 	}
 	res := results[0]
 	switch {
-	case c.rowPreserving:
+	case window != nil:
 		res.rows = window
-	case c.agg == nil && total > 0:
+	case total > 0:
 		res.rows = append(make([]relation.Row, 0, total), res.rows...)
 	}
 	for _, r := range results[1:] {
 		if c.agg != nil {
 			res.inRows += r.inRows
 			res.table.absorb(r.table)
-		} else if !c.rowPreserving {
+		} else if window == nil {
 			res.rows = append(res.rows, r.rows...)
 		}
 		for i := range res.taps {
@@ -211,8 +217,9 @@ func (c *chain) run() (rangeResult, error) {
 // environment, streams the head's input — a bound relation, or an opened
 // external input only this head reads (opts.Sources) — through the composed
 // stages (chunk-parallel above ParallelThreshold), materializes only the
-// last member's output, and records every member's trace entry — interior
-// members from their taps, the last from the relation.
+// last member's output — unless that streams into its sink (opts.Sinks) and
+// nil is returned — and records every member's trace entry: interior members
+// from their taps, the last from the relation or the writer.
 func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Relation, error) {
 	n := len(ops)
 	last := ops[n-1]
@@ -224,6 +231,11 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 		batchRows = relation.DefaultBatchRows
 	}
 	c := &chain{batchRows: batchRows, rowPreserving: true}
+	// bindSources' rule, mirrored: a sink streams when no operator reads the
+	// rows that end this pipeline (an AGG emits its table whole).
+	if last.Type != ir.OpAgg && opts.uses[last.Out] == 0 {
+		c.sink = opts.Sinks[last.Out]
+	}
 	file, src := opts.Sources[ops[0].Inputs[0].Out], env[ops[0].Inputs[0].Out]
 	var prev relation.Schema
 	switch {
@@ -239,8 +251,8 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 	// ownsOut: the output's rows are storage this run allocated (the AGG's
 	// emitted rows, the fresh stage's arenas, or a file reader's), so sizing
 	// may cache widths in them; a pure-SELECT pipeline over a bound relation
-	// outputs rows that alias the shared scan rows.
-	ownsOut := last.Type == ir.OpAgg
+	// outputs rows that alias the shared scan rows. No row escapes a sink.
+	ownsOut := last.Type == ir.OpAgg || c.sink != nil
 	for i, op := range ops {
 		sp := &specs[i]
 		*sp = stagePlan{op: op, inSch: prev, dstIdx: -1}
@@ -310,10 +322,15 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(last.Out, specs[n-1].sch)
-	if c.agg != nil {
+	var out *relation.Relation // stays nil when the rows went to the sink
+	switch {
+	case c.sink != nil:
+		c.sink.Schema = specs[n-1].sch
+	case c.agg != nil:
+		out = relation.New(last.Out, specs[n-1].sch)
 		emitAggRows(c.agg.inSch, res.table, res.inRows, out)
-	} else {
+	default:
+		out = relation.New(last.Out, specs[n-1].sch)
 		out.Rows = res.rows
 	}
 
@@ -331,11 +348,14 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 			ins[1] = trace.volumeOf(specs[i].buildRel)
 			k = 2
 		}
-		if i == n-1 {
+		switch {
+		case i < n-1:
+			vol = trace.record(op, ins[:k], res.taps[i].phys, res.taps[i].rows)
+		case out != nil:
 			trace.recordOutput(op, ins[:k], out, ownsOut)
-			break
+		default: // sized by what was written
+			c.sink.LogicalBytes = trace.record(op, ins[:k], c.sink.BodyBytes(), c.sink.Rows()).logical
 		}
-		vol = trace.record(op, ins[:k], res.taps[i].phys, res.taps[i].rows)
 	}
 	return out, nil
 }

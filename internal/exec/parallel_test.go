@@ -115,7 +115,7 @@ func TestParallelRangeErrorFailsUnit(t *testing.T) {
 	}
 	c := scan(in.Rows)
 	withThreshold(t, 1, func() {
-		if n := len(chunkRanges(len(in.Rows))); n < 2 {
+		if n := len(relation.ChunkRanges(len(in.Rows))); n < 2 {
 			t.Fatalf("input split into %d ranges", n)
 		}
 		_, err := c.run()
@@ -130,7 +130,7 @@ func TestParallelRangeErrorFailsUnit(t *testing.T) {
 
 func TestChunkRanges(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100, 4097} {
-		ranges := chunkRanges(n)
+		ranges := relation.ChunkRanges(n)
 		covered := 0
 		last := 0
 		for _, rg := range ranges {

@@ -226,32 +226,39 @@ type RunOptions struct {
 	// batch inside the one pipeline that scans it, or up front into env when
 	// anything else reads it (see bindSources).
 	Sources map[string]*relation.Encoded
+	// Sinks are external outputs being written, by the name of the (kept,
+	// non-INPUT) operator producing them — the mirror of Sources. RunOps
+	// stamps header fields and renders each once: batch by batch out of the
+	// pipeline ending in it if no operator reads it (see runChain), else in
+	// one Append of the relation its unit materialized into env.
+	Sinks map[string]*relation.Writer
+	uses  map[string]int // nameUses(ops), when Sources or Sinks ask
 }
 
 // RunOps evaluates ops — which must already be in topological order —
 // against env, one execution unit at a time (see planUnits). Each unit's
-// output lands in env under its output name; trace (which may be nil)
-// records every operator's volumes, streamed through or not.
+// output lands in env under its output name, or in its sink; trace (which
+// may be nil) records every operator's volumes, streamed through or not.
 func RunOps(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) error {
-	units := planUnits(ops, opts.Keep)
-	if len(opts.Sources) > 0 {
+	keep := opts.Keep
+	if len(opts.Sinks) > 0 {
+		keep = func(op *ir.Op) bool { return opts.Sinks[op.Out] != nil || opts.Keep != nil && opts.Keep(op) }
+	}
+	units := planUnits(ops, keep)
+	if len(opts.Sources) > 0 || len(opts.Sinks) > 0 {
+		opts.uses = nameUses(ops)
 		var err error
-		if opts.Sources, err = bindSources(ops, units, env, opts); err != nil {
+		if opts.Sources, err = bindSources(units, env, opts); err != nil {
 			return err
 		}
 	}
 	return runUnits(units, env, trace, opts)
 }
 
-// bindSources splits opts.Sources into the inputs that stream, which it
-// returns, and the rest, which it materializes into env. An input streams
-// when its only consumer edge in ops is the probe (first) input of a
-// pipeline head: that pipeline's scan is then the one place its rows are
-// ever decoded, a batch at a time. A JOIN build side, a breaker kernel, a
-// second consumer and a WHILE — which binds its body's inputs by name, for
-// every iteration — all need the rows to stay.
-func bindSources(ops []*ir.Op, units [][]*ir.Op, env Env, opts RunOptions) (map[string]*relation.Encoded, error) {
-	uses := make(map[string]int, len(opts.Sources))
+// nameUses counts consumer edges inside ops per relation name; a WHILE binds
+// its body's inputs by name, every iteration, so those count double.
+func nameUses(ops []*ir.Op) map[string]int {
+	uses := make(map[string]int, len(ops))
 	for _, op := range ops {
 		for _, in := range op.Inputs {
 			uses[in.Out]++
@@ -265,10 +272,20 @@ func bindSources(ops []*ir.Op, units [][]*ir.Op, env Env, opts RunOptions) (map[
 			}
 		}
 	}
+	return uses
+}
+
+// bindSources splits opts.Sources into the inputs that stream, which it
+// returns, and the rest, which it materializes into env. An input streams
+// when its only consumer edge in ops is the probe (first) input of a
+// pipeline head: that pipeline's scan is then the one place its rows are
+// ever decoded, a batch at a time. A JOIN build side, a breaker kernel, a
+// second consumer and a WHILE all need the rows to stay.
+func bindSources(units [][]*ir.Op, env Env, opts RunOptions) (map[string]*relation.Encoded, error) {
 	streams := make(map[string]*relation.Encoded, len(opts.Sources))
 	for _, u := range units {
 		if head := u[0]; pipelined(head.Type) && len(head.Inputs) > 0 {
-			if name := head.Inputs[0].Out; uses[name] == 1 && opts.Sources[name] != nil {
+			if name := head.Inputs[0].Out; opts.uses[name] == 1 && opts.Sources[name] != nil {
 				streams[name] = opts.Sources[name]
 			}
 		}
@@ -301,13 +318,20 @@ func runUnits(units [][]*ir.Op, env Env, trace *Trace, opts RunOptions) error {
 		if err != nil {
 			return err
 		}
+		if rel == nil {
+			continue // streamed into its sink
+		}
 		env[op.Out] = rel
+		if w := opts.Sinks[op.Out]; w != nil {
+			w.Schema, w.LogicalBytes = rel.Schema, rel.LogicalBytes
+			w.Append(rel.Rows)
+		}
 	}
 	return nil
 }
 
 // runUnit executes one unit — a pipeline, a breaker kernel, a WHILE loop or
-// an INPUT binding — and returns the relation it materializes.
+// an INPUT binding — and returns the relation it materializes, if any.
 func runUnit(u []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Relation, error) {
 	op := u[len(u)-1]
 	switch {

@@ -35,7 +35,7 @@ func sortRowsBy(rows []relation.Row, keyIdx []int, desc bool) []relation.Row {
 		sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
 		return out
 	}
-	ranges := chunkRanges(len(out))
+	ranges := relation.ChunkRanges(len(out))
 	var wg sync.WaitGroup
 	for _, rg := range ranges {
 		wg.Add(1)

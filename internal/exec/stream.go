@@ -281,6 +281,18 @@ func drainAgg(src relation.RowSource, table *aggTable) (int, error) {
 	}
 }
 
+// drainSink is the streaming sink: every batch is rendered into part before
+// the next is pulled, so no stage upstream needs fresh storage.
+func drainSink(src relation.RowSource, part *relation.Part) error {
+	for {
+		b, err := src.Next()
+		if err != nil || b.Empty() {
+			return err
+		}
+		part.Append(b.Rows)
+	}
+}
+
 // drainRows is the materializing sink: it appends every batch's row headers
 // to dst (the final constructing stage allocates fresh value storage, so
 // the appended rows are durable).

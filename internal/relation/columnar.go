@@ -55,14 +55,6 @@ func SniffCodec(data []byte) Codec {
 	return CodecTSV
 }
 
-// EncodeCodec encodes the relation with the requested codec.
-func (r *Relation) EncodeCodec(c Codec, o CodecOptions) []byte {
-	if c == CodecColumnar {
-		return r.EncodeColumnar(o)
-	}
-	return r.EncodeBytesOpts(o)
-}
-
 // EncodeColumnar renders the relation in the binary columnar format:
 //
 //	magic (5 bytes)

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"strconv"
 	"strings"
-	"sync"
 )
 
 // Column is one named, typed column of a schema.
@@ -246,9 +244,11 @@ func (o CodecOptions) threshold() int {
 	return CodecParallelThreshold
 }
 
-// codecChunks splits [0, n) into roughly GOMAXPROCS contiguous ranges,
-// folding a tiny trailing remainder into the previous range.
-func codecChunks(n int) [][2]int {
+// ChunkRanges splits [0, n) into roughly GOMAXPROCS contiguous ranges — the
+// row ranges pipelines, the sort and the writer's parts run concurrently —
+// folding a tiny trailing remainder (under half a chunk) into the previous
+// range instead of spawning a near-empty goroutine.
+func ChunkRanges(n int) [][2]int {
 	if n <= 0 {
 		return nil
 	}
@@ -275,17 +275,6 @@ func codecChunks(n int) [][2]int {
 	return ranges
 }
 
-// appendTSVRow appends one row in the TSV wire format.
-func appendTSVRow(dst []byte, row Row) []byte {
-	for i, v := range row {
-		if i > 0 {
-			dst = append(dst, '\t')
-		}
-		dst = v.AppendText(dst)
-	}
-	return append(dst, '\n')
-}
-
 // EncodeBytes returns the relation as a TSV stream with a two-line header:
 //
 //	#schema	name:kind	name:kind ...
@@ -294,55 +283,13 @@ func (r *Relation) EncodeBytes() []byte {
 	return r.EncodeBytesOpts(CodecOptions{})
 }
 
-// EncodeBytesOpts is EncodeBytes with per-call codec options. Rows are
-// rendered with AppendText (no per-field string allocation) into a buffer
-// sized once, before the first row is written; above the parallel threshold
-// the row chunks encode concurrently and are joined in order.
+// EncodeBytesOpts is EncodeBytes with per-call codec options: the text of a
+// Writer handed every row.
 func (r *Relation) EncodeBytesOpts(o CodecOptions) []byte {
-	head := make([]byte, 0, 256)
-	head = append(head, "#schema"...)
-	for _, c := range r.Schema.Cols {
-		head = append(head, '\t')
-		head = append(head, c.Name...)
-		head = append(head, ':')
-		head = append(head, c.Kind.String()...)
-	}
-	head = append(head, "\n#logical\t"...)
-	head = strconv.AppendInt(head, r.LogicalBytes, 10)
-	head = append(head, '\n')
-	if n := len(r.Rows); n < o.threshold() {
-		// The body is sized from the exact lengths of 64 evenly spaced rows
-		// (measuring every row would render each unmeasured float twice) plus
-		// a sixteenth; a body that still outgrows it just appends.
-		step := n/64 + 1
-		var sample int64
-		for i := 0; i < n; i += step {
-			sample += r.Rows[i].EncodedLen()
-		}
-		body := int(sample) * step
-		buf := append(make([]byte, 0, len(head)+body+body/16), head...)
-		for _, row := range r.Rows {
-			buf = appendTSVRow(buf, row)
-		}
-		return buf
-	}
-	chunks := codecChunks(len(r.Rows))
-	encoded := make([][]byte, len(chunks)+1)
-	encoded[0] = head
-	var wg sync.WaitGroup
-	for ci, rg := range chunks {
-		wg.Add(1)
-		go func(ci, lo, hi int) {
-			defer wg.Done()
-			b := make([]byte, 0, (hi-lo)*16)
-			for _, row := range r.Rows[lo:hi] {
-				b = appendTSVRow(b, row)
-			}
-			encoded[ci+1] = b
-		}(ci, rg[0], rg[1])
-	}
-	wg.Wait()
-	return bytes.Join(encoded, nil)
+	w := NewWriter(r.Schema)
+	w.LogicalBytes = r.LogicalBytes
+	w.append(r.Rows, o)
+	return w.Bytes()
 }
 
 // DecodeBytes parses an EncodeBytes or EncodeColumnar output, sniffing the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -33,9 +34,9 @@ type Encoded struct {
 	phys     atomic.Int64 // the meter: Σ Row.EncodedLen over the rows decoded so far
 }
 
-// Open opens the encoded relation stored in blocks — an EncodeCodec output
-// cut at arbitrary offsets — that its writer recorded as holding rows rows:
-// trusted as the encoder's own text, in which any other row count is an error.
+// Open opens the encoded relation stored in blocks — a Writer's text or an
+// EncodeColumnar output, cut anywhere — that was recorded as holding rows
+// rows: trusted as the encoder's own, any other row count is an error.
 func Open(name string, blocks [][]byte, rows int) (*Encoded, error) {
 	return open(name, blocks, rows, true)
 }
@@ -330,6 +331,116 @@ func scanDecimal(field []byte) (mant uint64, digits, frac int, neg bool) {
 		}
 	}
 	return mant, digits, frac, neg
+}
+
+// Writer is the one TSV writer, the mirror of Encoded: it renders rows as
+// they arrive and keeps none, so a pipeline may stream batches into it, and
+// its body is Σ Row.EncodedLen bytes long — how a streamed output is sized.
+// The header fields may be set until Bytes. Parts splice in the order they
+// were opened; each may be filled by its own goroutine, done before any read.
+type Writer struct {
+	Schema       Schema
+	LogicalBytes int64
+	parts        []*Part
+}
+
+// NewWriter returns an empty writer for rows of the given schema.
+func NewWriter(schema Schema) *Writer { return &Writer{Schema: schema} }
+
+// Part opens the next stretch of the body; nil on a nil writer.
+func (w *Writer) Part() *Part {
+	if w == nil {
+		return nil
+	}
+	w.parts = append(w.parts, &Part{})
+	return w.parts[len(w.parts)-1]
+}
+
+// Append renders rows after everything written so far.
+func (w *Writer) Append(rows []Row) { w.append(rows, CodecOptions{}) }
+
+// append is Append under o: above the threshold, chunks render concurrently.
+func (w *Writer) append(rows []Row, o CodecOptions) {
+	if len(rows) < o.threshold() {
+		w.Part().Append(rows)
+		return
+	}
+	var wg sync.WaitGroup
+	for _, rg := range ChunkRanges(len(rows)) {
+		wg.Add(1)
+		go func(p *Part, rows []Row) {
+			defer wg.Done()
+			p.Append(rows)
+		}(w.Part(), rows[rg[0]:rg[1]])
+	}
+	wg.Wait()
+}
+
+// Rows returns the number of rows written.
+func (w *Writer) Rows() (n int) {
+	for _, p := range w.parts {
+		n += p.rows
+	}
+	return n
+}
+
+// BodyBytes returns the length of their text: PhysicalBytes of the same rows.
+func (w *Writer) BodyBytes() (n int64) {
+	for _, p := range w.parts {
+		n += int64(p.bytes)
+	}
+	return n
+}
+
+// Bytes assembles header and parts into one exactly sized, fresh buffer.
+func (w *Writer) Bytes() []byte {
+	n := len("#schema\n#logical\t\n") + intTextLen(w.LogicalBytes) + int(w.BodyBytes())
+	for _, c := range w.Schema.Cols {
+		n += len("\t:") + len(c.Name) + len(c.Kind.String())
+	}
+	buf := append(make([]byte, 0, n), "#schema"...)
+	for _, c := range w.Schema.Cols {
+		buf = append(append(append(append(buf, '\t'), c.Name...), ':'), c.Kind.String()...)
+	}
+	buf = append(strconv.AppendInt(append(buf, "\n#logical\t"...), w.LogicalBytes, 10), '\n')
+	for _, p := range w.parts {
+		for _, seg := range p.segs {
+			buf = append(buf, seg...)
+		}
+	}
+	return buf
+}
+
+// Part is one stretch of a Writer's body. Its text is a list of segments,
+// never re-copied: a new one, as large as all before it (within bounds), is
+// opened when the current one has no room for a row as long as the longest.
+type Part struct {
+	segs                [][]byte
+	rows, bytes, widest int
+}
+
+const minSegment, maxSegment = 256, 64 << 10
+
+// Append renders rows at the end of the part and retains none of them.
+func (p *Part) Append(rows []Row) {
+	for _, row := range rows {
+		k := len(p.segs) - 1
+		if k < 0 || cap(p.segs[k])-len(p.segs[k]) < p.widest {
+			p.segs = append(p.segs, make([]byte, 0, min(max(p.bytes, minSegment), maxSegment)))
+			k++
+		}
+		seg := p.segs[k]
+		for i := range row {
+			if i > 0 {
+				seg = append(seg, '\t')
+			}
+			seg = row[i].AppendText(seg)
+		}
+		seg = append(seg, '\n')
+		n := len(seg) - len(p.segs[k])
+		p.segs[k], p.bytes, p.widest = seg, p.bytes+n, max(p.widest, n)
+	}
+	p.rows += len(rows)
 }
 
 // sliceReader batches rows that are already decoded.

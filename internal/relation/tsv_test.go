@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -316,22 +317,104 @@ func TestNumberFastPathsMatchStrconv(t *testing.T) {
 	}
 }
 
-// TestEncodeBytesSizedOnce: the serial encoder's one buffer is sized before
-// the first row, close to what it ends up holding.
+// TestEncodeBytesSizedOnce: the encoder's output is one exactly sized buffer,
+// serial or parallel, and what the writer allocates on the way numbers with
+// the bytes written — a segment per 64 KB — not with the rows.
 func TestEncodeBytesSizedOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 5000} {
 		rel := mixedRelation(n)
 		enc := rel.EncodeBytesOpts(forceSerial)
-		if c := cap(enc); c > len(enc)+len(enc)/8+320 {
-			t.Errorf("%d rows: %d bytes in a buffer of %d", n, len(enc), c)
+		if cap(enc) != len(enc) {
+			t.Errorf("%d rows: %d bytes in a buffer of %d", n, len(enc), cap(enc))
 		}
 		if par := rel.EncodeBytesOpts(forceParallel); string(par) != string(enc) || cap(par) != len(par) {
 			t.Errorf("%d rows: parallel encoding differs or is not exactly sized (len %d cap %d)", n, len(par), cap(par))
 		}
 	}
-	allocs := testing.AllocsPerRun(20, func() { _ = mixedRelation(0).EncodeBytes() })
-	big := mixedRelation(5000)
-	if got := testing.AllocsPerRun(20, func() { _ = big.EncodeBytesOpts(forceSerial) }); got > 2 {
-		t.Errorf("serial encode of 5000 rows: %v allocations, want the header and the buffer (an empty one costs %v)", got, allocs)
+	for _, n := range []int{5000, 50000} {
+		big := mixedRelation(n)
+		size := len(big.EncodeBytes())
+		if got, limit := testing.AllocsPerRun(10, func() { _ = big.EncodeBytesOpts(forceSerial) }), float64(24+size/maxSegment); got > limit {
+			t.Errorf("serial encode of %d rows (%d bytes): %v allocations, want at most %v", n, size, got, limit)
+		}
+	}
+}
+
+// TestFloatFastPathMatchesStrconv: appendFloat is byte-equal to strconv's
+// shortest %g — over random bit patterns, n/10^k decimals, the 1e-4 / 1e6 /
+// 15-digit boundaries and the specials — and TextLen is the rendered length.
+func TestFloatFastPathMatchesStrconv(t *testing.T) {
+	var got, want []byte
+	checked := 0
+	check := func(f float64) {
+		for _, x := range [2]float64{f, -f} {
+			checked++
+			got, want = appendFloat(got[:0], x), strconv.AppendFloat(want[:0], x, 'g', -1, 64)
+			if string(got) != string(want) {
+				t.Fatalf("appendFloat(%b) = %q, strconv says %q", x, got, want)
+			}
+			if n := Float(x).TextLen(); n != len(want) {
+				t.Fatalf("Float(%s).TextLen() = %d, want %d", want, n, len(want))
+			}
+		}
+	}
+	for _, f := range []float64{0, math.Inf(1), math.NaN(), 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, math.MaxFloat64,
+		1e-4, 0.0001, 0.00009999999999999999, 0.001, 0.0005, 999999, 999999.999, 999999.9999, 1e6, 1000000.5, 1e15, 1e21,
+		123456789012345, 12345.6789012345, 0.123456789012345, 999999999999999, 0.1 + 0.2, 0.15000000000000002, 1.0 / 3} {
+		check(f)
+		check(math.Nextafter(f, math.Inf(1)))
+		check(math.Nextafter(f, math.Inf(-1)))
+	}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 300_000; i++ {
+		check(math.Float64frombits(rng.Uint64()))
+		// Every exponent the fast path covers, and its neighbours.
+		check(rng.Float64() * math.Pow(10, float64(rng.Intn(14)-7)))
+	}
+	for k := 0; k <= 6; k++ {
+		for i := 0; i < 60_000; i++ {
+			n := float64(rng.Int63n(2_000_000_000))
+			check(n / pow10[k])
+			check(math.Nextafter(n/pow10[k], 0))
+		}
+	}
+	if checked < 1_000_000 {
+		t.Fatalf("only %d values checked", checked)
+	}
+}
+
+// TestWriterSplicesPartsInOrder: however the rows are spread over parts and
+// Append calls — parts filled out of order, rows far longer than a segment —
+// the text is EncodeBytes' and the body is sized as PhysicalBytes sizes it.
+func TestWriterSplicesPartsInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	rel := randomRelation(rng, 4000)
+	for i := 0; i < len(rel.Rows); i += 500 {
+		rel.Rows[i][3] = Str(strings.Repeat("long ", 1+i*40)) // up to 700 KB: rows that outgrow any segment
+	}
+	rel.LogicalBytes = 12345
+	want := rel.EncodeBytesOpts(forceSerial)
+
+	w := NewWriter(Schema{})
+	cuts := []int{0, 0, 1, 700, 700, 2500, len(rel.Rows)}
+	parts := make([]*Part, len(cuts)-1)
+	for i := range parts {
+		parts[i] = w.Part()
+	}
+	for i := len(parts) - 1; i >= 0; i-- { // last range first, a batch at a time
+		for lo := cuts[i]; lo < cuts[i+1]; lo += 64 {
+			parts[i].Append(rel.Rows[lo:min(lo+64, cuts[i+1])])
+		}
+	}
+	w.Append(nil)
+	w.Schema, w.LogicalBytes = rel.Schema, rel.LogicalBytes // header fields may be set last
+	if got := w.Bytes(); !bytes.Equal(got, want) || cap(got) != len(got) {
+		t.Fatalf("spliced text differs from EncodeBytes (len %d cap %d, want %d)", len(got), cap(got), len(want))
+	}
+	if w.Rows() != len(rel.Rows) || w.BodyBytes() != rel.PhysicalBytes() {
+		t.Errorf("writer holds %d rows / %d body bytes, relation %d / %d", w.Rows(), w.BodyBytes(), len(rel.Rows), rel.PhysicalBytes())
+	}
+	if empty := NewWriter(rel.Schema).Bytes(); !bytes.Equal(empty, New("e", rel.Schema).EncodeBytes()) {
+		t.Errorf("an empty writer's text is %q", empty)
 	}
 }

@@ -9,6 +9,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -126,10 +127,43 @@ func (v Value) AppendText(dst []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(dst, v.I, 10)
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+		return appendFloat(dst, v.F)
 	default:
 		return append(dst, v.S...)
 	}
+}
+
+// appendFloat appends strconv.AppendFloat(dst, f, 'g', -1, 64), writing an
+// integer or a decimal of up to three places without strconv: in [1e-4, 1e6)
+// %g is positional, and a decimal of ≤ 15 digits that divides back to f
+// exactly is its one shortest rendering once trailing zeros are dropped. The
+// rest, and NaN, take strconv's word for it.
+func appendFloat(dst []byte, f float64) []byte {
+	a := math.Abs(f)
+	m := math.Round(a * 1e3)
+	if !(a < 1e6 && (a >= 1e-4 || a == 0) && m/1e3 == a) {
+		return strconv.AppendFloat(dst, f, 'g', -1, 64)
+	}
+	u, k := uint64(m), 3
+	for ; k > 0 && u%10 == 0; k-- {
+		u /= 10
+	}
+	var buf [12]byte // sign, at most nine digits, the point
+	i := len(buf)
+	for d := 0; d <= k || u > 0; d++ { // k decimals, then ≥ 1 integer digits
+		if d == k && k > 0 {
+			i--
+			buf[i] = '.'
+		}
+		i--
+		buf[i] = byte('0' + u%10)
+		u /= 10
+	}
+	if math.Signbit(f) {
+		i--
+		buf[i] = '-'
+	}
+	return append(dst, buf[i:]...)
 }
 
 // TextLen returns len(v.AppendText(nil)) without building the text: the
@@ -151,7 +185,7 @@ func (v *Value) measure() int {
 		return intTextLen(v.I)
 	}
 	var buf [32]byte
-	return len(strconv.AppendFloat(buf[:0], v.F, 'g', -1, 64))
+	return len(appendFloat(buf[:0], v.F))
 }
 
 // stampEncoded caches the width of a numeric cell just parsed from field,

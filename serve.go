@@ -355,6 +355,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		submitted: time.Now(),
 	}
 	s.m.metrics.Counter("serve_submissions_total").Add(1)
+	accepted := job.snapshot() // "queued": a free worker may start the job before the response is written
 	if err := s.fq.Submit(tenant, func() { s.run(job, wf, req.Engine) }); err != nil {
 		if errors.Is(err, sched.ErrQueueFull) {
 			s.m.metrics.Counter("serve_rejected_total").Add(1)
@@ -367,7 +368,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.jobs[job.id] = job
 	s.mu.Unlock()
-	serveJSON(w, http.StatusAccepted, job.snapshot())
+	serveJSON(w, http.StatusAccepted, accepted)
 }
 
 // run executes one dequeued submission.
