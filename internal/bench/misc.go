@@ -91,7 +91,7 @@ func Tab1Calibration() Experiment {
 						return nil, err
 					}
 					if res.Breakdown.Pull > 0 {
-						derived = fmt.Sprintf("%.0f", float64(res.PullBytes)/1e6/float64(res.Breakdown.Pull))
+						derived = fmt.Sprintf("%.0f", float64(res.Volumes.Pull)/1e6/float64(res.Breakdown.Pull))
 					}
 				}
 				t.AddRow(eng.Name(),

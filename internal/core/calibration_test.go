@@ -30,7 +30,7 @@ func ratesOf(r engines.Rates) map[string]float64 {
 func TestCalibrationZeroObservationsIsSeed(t *testing.T) {
 	// The zero-observation state must be indistinguishable from the Table-1
 	// seed: exact rate equality per engine, and bit-identical fragment
-	// scores (EstimateCostRates at SeedRates vs plain EstimateCost).
+	// scores (EstimateCostRates at the calibration's rates vs at SeedRates).
 	cal := NewCalibration()
 	if cal.Version() != 0 {
 		t.Fatalf("fresh calibration version = %d", cal.Version())
@@ -42,8 +42,8 @@ func TestCalibrationZeroObservationsIsSeed(t *testing.T) {
 			t.Errorf("%s: zero-observation rates %+v != seed %+v", eng.Name(), got, want)
 		}
 		seeded := eng.EstimateCostRates(c, v, cal.Rates(eng))
-		if direct := eng.EstimateCost(c, v); seeded != direct {
-			t.Errorf("%s: EstimateCostRates(seed) = %v, EstimateCost = %v", eng.Name(), seeded, direct)
+		if direct := eng.EstimateCostRates(c, v, eng.SeedRates()); seeded != direct {
+			t.Errorf("%s: EstimateCostRates(calibration) = %v, EstimateCostRates(seed) = %v", eng.Name(), seeded, direct)
 		}
 	}
 	if _, ok := cal.Selectivity(ir.OpJoin); ok {

@@ -935,3 +935,65 @@ func TestExhaustiveBudgetExpires(t *testing.T) {
 		t.Error("returned infeasible partitioning without error")
 	}
 }
+
+// TestExplainShowsThePricedVolumes: under a compact shuffle codec the
+// pull=/push= figures Explain prints for a job are the scaled bytes
+// FragmentCost priced — the edge between the two jobs at half size, sources
+// and the sink at full size — and the printed volumes price to exactly the
+// cost on the line beneath them.
+func TestExplainShowsThePricedVolumes(t *testing.T) {
+	dag := maxPropertyPrice()
+	est, err := NewEstimator(ir.Identify(dag), seedPropertyDFS(t, 100000), cluster.EC2(16), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est.WithShuffleCodec(0.5)
+	hadoop := engines.Hadoop()
+	part, err := MapTo(dag, est, hadoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(part.Jobs) != 2 {
+		t.Fatalf("hadoop plan has %d jobs, want 2 (join | aggregation)", len(part.Jobs))
+	}
+	text := Explain(part, est, []*engines.Engine{hadoop})
+	edge := est.Size(dag.ByOut("id_price"))
+	sources := est.Size(dag.ByOut("properties")) + est.Size(dag.ByOut("prices"))
+	sink := est.Size(dag.ByOut("street_price"))
+	for i, want := range []string{
+		"pull=" + mbStr(sources) + " proc=", " push=" + mbStr(edge/2) + "\n",
+		"pull=" + mbStr(edge/2) + " proc=", " push=" + mbStr(sink) + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("job %d: explain does not print %q:\n%s", i/2+1, want, text)
+		}
+	}
+	for _, job := range part.Jobs {
+		v := explainVolumes(est, job.Frag, hadoop)
+		if got, want := est.estimate(hadoop, v), est.FragmentCost(job.Frag, hadoop); got != want {
+			t.Errorf("%s: printed volumes %+v price to %v, the engine cost printed is %v", job.Frag, v, got, want)
+		}
+	}
+}
+
+// A forced output stays TSV (nothing outside the job reads it), so a compact
+// shuffle codec must not shrink it: only outputs another job reads scale.
+func TestForcedOutputIsPricedAtFullSize(t *testing.T) {
+	dag := maxPropertyPrice()
+	est, err := NewEstimator(ir.Identify(dag), seedPropertyDFS(t, 100000), cluster.EC2(16), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est.WithShuffleCodec(0.5)
+	whole, err := ir.NewFragment(dag, dag.Ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := whole.ForceOutput(dag.ByOut("id_price")); err != nil {
+		t.Fatal(err)
+	}
+	want := est.Size(dag.ByOut("street_price")) + est.Size(dag.ByOut("id_price"))
+	if got := explainVolumes(est, whole, engines.Naiad()).Push; got != want {
+		t.Errorf("push = %d, want the sink plus the forced output at full size, %d", got, want)
+	}
+}

@@ -342,8 +342,14 @@ func (e *Estimator) inputSize(op *ir.Op) (int64, bool) {
 // Size returns the estimated output volume of an operator.
 func (e *Estimator) Size(op *ir.Op) int64 { return e.sizes[op] }
 
-// Iters returns the estimated iteration count of a WHILE operator.
-func (e *Estimator) Iters(op *ir.Op) int { return e.iters[op] }
+// Iters returns the estimated iteration count of a WHILE operator:
+// DefaultIterEstimate for a loop size propagation never reached.
+func (e *Estimator) Iters(op *ir.Op) int {
+	if n := e.iters[op]; n != 0 {
+		return n
+	}
+	return DefaultIterEstimate
+}
 
 // FragmentCost scores running the fragment as a single job on the engine:
 // the paper's c_s(o_1..o_j). Infeasible combinations cost +Inf. It is the
@@ -354,48 +360,62 @@ func (e *Estimator) FragmentCost(f *ir.Fragment, eng *engines.Engine) cluster.Se
 	if err != nil {
 		return Infeasible
 	}
-	var pull, push int64
-	for _, in := range f.ExtIn {
-		s := e.sizes[in]
-		// Non-source external inputs were pushed by another job: under a
-		// compact shuffle codec they arrive at the scaled wire size.
-		if e.shuffleRatio > 0 && in.Type != ir.OpInput {
-			s = int64(float64(s) * e.shuffleRatio)
-		}
-		pull += s
-	}
-	for _, out := range f.ExtOut {
-		s := e.sizes[out]
-		// Only outputs another job reads are shuffled compactly; workflow
-		// sinks are published as TSV at full size.
-		if e.shuffleRatio > 0 && f.ConsumedOutside(out) {
-			s = int64(float64(s) * e.shuffleRatio)
-		}
-		push += s
-	}
-	compute := f.ComputeOps()
-	c := &candidate{nums: x.numbers(compute), ops: compute, while: f.While()}
-	return e.jobCost(x, x.volumes(e), c, eng, pull, push)
+	c, vol := x.describeFragment(f), x.volumes(e)
+	pull, push := x.boundaryBytes(c, vol, e.shuffleRatio)
+	return e.jobCost(x, vol, c, eng, pull, push)
 }
 
 // jobCost scores the described candidate as a single job on the engine,
 // given the bytes it pulls and pushes (engine-independent, so computed once
-// per candidate).
+// per candidate). A WHILE on an engine without native iteration is
+// driver-looped: the body is partitioned for this engine and the whole
+// per-iteration pipeline — job overheads and DFS materialization included —
+// is paid every round, which is exactly why MapReduce-class back-ends lose
+// badly on iterative workflows (§2.2, §6.2).
 func (e *Estimator) jobCost(x *searchIndex, vol *opVolumes, c *candidate, eng *engines.Engine, pull, push int64) cluster.Seconds {
 	if eng.ValidOps(c.ops) != nil {
 		return Infeasible
 	}
-	if c.while != nil {
-		return e.whileCost(c.while, eng)
+	if w := c.while; w != nil && !eng.Profile().NativeIteration {
+		bodyPart, err := PartitionDynamic(w.Params.Body, e, []*engines.Engine{eng})
+		if err != nil || bodyPart.Cost == Infeasible {
+			return Infeasible
+		}
+		return cluster.Seconds(float64(bodyPart.Cost) * float64(e.Iters(w)))
 	}
-	v := engines.Volumes{Pull: pull, Push: push}
-	x.addOpVolumes(&v, vol, c.nums, eng, 1)
-	return e.withRecovery(eng, len(c.nums), e.estimate(eng, v))
+	v, depth, err := e.jobVolumes(x, vol, c, eng, pull, push)
+	if err != nil {
+		return Infeasible
+	}
+	return e.withRecovery(eng, depth, e.estimate(eng, v))
+}
+
+// jobVolumes returns the volumes the candidate is priced at as one job on
+// the engine, and the operator executions a fault would replay. A WHILE job
+// runs the loop natively: inputs pulled and the result pushed once, the
+// body's operators processed every iteration.
+func (e *Estimator) jobVolumes(x *searchIndex, vol *opVolumes, c *candidate, eng *engines.Engine, pull, push int64) (engines.Volumes, int, error) {
+	w := c.while
+	if w == nil {
+		v := engines.Volumes{Pull: pull, Push: push}
+		x.addOpVolumes(&v, vol, c.nums, eng, 1)
+		return v, len(c.nums), nil
+	}
+	xb, err := e.index(w.Params.Body)
+	if err != nil {
+		return engines.Volumes{}, 0, err
+	}
+	iters := e.Iters(w)
+	v := engines.Volumes{Graph: ir.DetectGraphIdiom(w) != nil, Push: e.sizes[w]}
+	for _, in := range w.Inputs {
+		v.Pull += e.sizes[in]
+	}
+	xb.addOpVolumes(&v, xb.volumes(e), xb.compute, eng, int64(iters))
+	return v, len(w.Params.Body.Ops) * iters, nil
 }
 
 // estimate scores the volumes on the engine at the calibration state's
-// current rates. With no observations the rates are the Table-1 seed and
-// the result is bit-identical to EstimateCost.
+// current rates; with no observations those are the Table-1 seed.
 func (e *Estimator) estimate(eng *engines.Engine, v engines.Volumes) cluster.Seconds {
 	return eng.EstimateCostRates(e.Cluster, v, e.cal.Rates(eng))
 }
@@ -462,36 +482,4 @@ func subsetOf(xs, of []string) bool {
 		}
 	}
 	return true
-}
-
-// whileCost scores an iterative fragment. Native-iteration engines run the
-// loop in one job (inputs pulled once, the body processed per iteration);
-// other engines re-submit the body's jobs every iteration, paying job
-// overheads and DFS materialization each time — which is exactly why
-// MapReduce-class back-ends lose badly on iterative workflows (§2.2, §6.2).
-func (e *Estimator) whileCost(w *ir.Op, eng *engines.Engine) cluster.Seconds {
-	iters := e.iters[w]
-	if iters == 0 {
-		iters = DefaultIterEstimate
-	}
-	body := w.Params.Body
-	if eng.Profile().NativeIteration {
-		xb, err := e.index(body)
-		if err != nil {
-			return Infeasible
-		}
-		v := engines.Volumes{Graph: ir.DetectGraphIdiom(w) != nil, Push: e.sizes[w]}
-		for _, in := range w.Inputs {
-			v.Pull += e.sizes[in]
-		}
-		xb.addOpVolumes(&v, xb.volumes(e), xb.compute, eng, int64(iters))
-		return e.withRecovery(eng, len(body.Ops)*iters, e.estimate(eng, v))
-	}
-	// Driver-looped: partition the body for this engine and pay the whole
-	// per-iteration pipeline every round.
-	bodyPart, err := PartitionDynamic(body, e, []*engines.Engine{eng})
-	if err != nil || bodyPart.Cost == Infeasible {
-		return Infeasible
-	}
-	return cluster.Seconds(float64(bodyPart.Cost) * float64(iters))
 }

@@ -86,35 +86,16 @@ func bestEngine(est *Estimator, f *ir.Fragment, engs []*engines.Engine) (*engine
 	return best, bestCost
 }
 
-// explainVolumes recomputes the estimated volume breakdown of a fragment on
-// its chosen engine (the quantities FragmentCost feeds the cost model).
+// explainVolumes returns the volumes FragmentCost prices the fragment at on
+// the engine (for a driver-looped WHILE, those of the loop run natively).
 func explainVolumes(est *Estimator, f *ir.Fragment, eng *engines.Engine) engines.Volumes {
-	v := engines.Volumes{}
-	for _, in := range f.ExtIn {
-		v.Pull += est.Size(in)
-	}
-	for _, out := range f.ExtOut {
-		v.Push += est.Size(out)
-	}
-	// The operators priced are the loop body's for a WHILE job, else the
-	// fragment's own — each through its DAG's search index.
-	dag, iters := f.DAG(), 1
-	w := f.While()
-	if w != nil && w.Params.Body != nil {
-		dag, iters = w.Params.Body, est.Iters(w)
-		if iters == 0 {
-			iters = DefaultIterEstimate
-		}
-	}
-	x, err := est.index(dag)
+	x, err := est.index(f.DAG())
 	if err != nil {
-		return v
+		return engines.Volumes{}
 	}
-	nums := x.compute
-	if dag == f.DAG() {
-		nums = x.numbers(f.ComputeOps())
-	}
-	x.addOpVolumes(&v, x.volumes(est), nums, eng, int64(iters))
+	c, vol := x.describeFragment(f), x.volumes(est)
+	pull, push := x.boundaryBytes(c, vol, est.shuffleRatio)
+	v, _, _ := est.jobVolumes(x, vol, c, eng, pull, push)
 	return v
 }
 

@@ -201,10 +201,11 @@ func (x *searchIndex) mergeCreatesCycle(set, below opSet, op int) bool {
 }
 
 // candidate is one search's reusable description of the operator set being
-// scored: its compute members (as numbers and as operators), its first WHILE
-// and its external input and output sets — exactly what ir.NewFragment
-// would derive, read off the index.
+// scored: the set, its compute members (as numbers and as operators), its
+// first WHILE and its external input and output sets — exactly what
+// ir.NewFragment would derive, read off the index.
 type candidate struct {
+	set           opSet
 	nums          []int32
 	ops           []*ir.Op
 	while         *ir.Op
@@ -215,11 +216,11 @@ func (x *searchIndex) newCandidate() *candidate {
 	return &candidate{extIn: x.newSet(), extOut: x.newSet()}
 }
 
-// describe fills c for the set. External inputs are the members' inputs
-// outside the set plus member INPUTs; external outputs are compute members
-// that are sinks or have a consumer outside the set.
+// describe fills c for the set (which c then aliases). External inputs are
+// the members' inputs outside the set plus member INPUTs; external outputs
+// are compute members that are sinks or have a consumer outside the set.
 func (x *searchIndex) describe(set opSet, c *candidate) {
-	c.nums, c.ops, c.while = c.nums[:0], c.ops[:0], nil
+	c.set, c.nums, c.ops, c.while = set, c.nums[:0], c.ops[:0], nil
 	clear(c.extIn)
 	clear(c.extOut)
 	for w, word := range set {
@@ -230,11 +231,7 @@ func (x *searchIndex) describe(set opSet, c *candidate) {
 			if c.while == nil && op.Type == ir.OpWhile {
 				c.while = op
 			}
-			outside := x.sinks.has(i)
-			for w2, cons := range x.row(x.consumers, i) {
-				outside = outside || cons&^set[w2] != 0
-			}
-			if outside {
+			if x.sinks.has(i) || x.consumedOutside(set, i) {
 				c.extOut.add(i)
 			}
 			for w2, in := range x.row(x.inputs, i) {
@@ -247,10 +244,39 @@ func (x *searchIndex) describe(set opSet, c *candidate) {
 	}
 }
 
+// describeFragment is describe for a built Fragment: the candidate carries
+// the fragment's own external inputs and outputs — a forced output included
+// — instead of the ones the index would derive.
+func (x *searchIndex) describeFragment(f *ir.Fragment) *candidate {
+	c := x.newCandidate()
+	c.set, c.ops, c.while = x.newSet(), f.ComputeOps(), f.While()
+	c.nums = x.numbers(c.ops)
+	for _, op := range f.Ops {
+		c.set.add(x.num[op])
+	}
+	for _, in := range f.ExtIn {
+		c.extIn.add(x.num[in])
+	}
+	for _, out := range f.ExtOut {
+		c.extOut.add(x.num[out])
+	}
+	return c
+}
+
+// consumedOutside reports whether an operator outside the set reads i.
+func (x *searchIndex) consumedOutside(set opSet, i int) bool {
+	for w, cons := range x.row(x.consumers, i) {
+		if cons&^set[w] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // boundaryBytes prices the candidate's PULL and PUSH volumes. Under a compact
 // shuffle codec (ratio in (0,1]) relations that travel between jobs — inputs
 // another job pushed, outputs another job reads — move at the scaled wire
-// size; sources and workflow sinks stay TSV at full size.
+// size; sources, workflow sinks and forced outputs stay TSV at full size.
 func (x *searchIndex) boundaryBytes(c *candidate, v *opVolumes, ratio float64) (pull, push int64) {
 	c.extIn.each(func(i int) {
 		s := v.size[i]
@@ -261,7 +287,7 @@ func (x *searchIndex) boundaryBytes(c *candidate, v *opVolumes, ratio float64) (
 	})
 	c.extOut.each(func(i int) {
 		s := v.size[i]
-		if ratio > 0 && !x.sinks.has(i) {
+		if ratio > 0 && x.consumedOutside(c.set, i) {
 			s = int64(float64(s) * ratio)
 		}
 		push += s
@@ -270,39 +296,23 @@ func (x *searchIndex) boundaryBytes(c *candidate, v *opVolumes, ratio float64) (
 }
 
 // addOpVolumes folds the estimated per-operator volumes of the compute
-// operators nums into v, multiplying by iters (WHILE bodies).
+// operators nums into v, each running iters times (WHILE bodies).
 func (x *searchIndex) addOpVolumes(v *engines.Volumes, vol *opVolumes, nums []int32, eng *engines.Engine, iters int64) {
-	shuf := eng.ShuffleSurcharge()
-	blowup := eng.CrossBlowup()
 	for _, i := range nums {
 		t := x.ops[i].Type
 		in, out := vol.in[i], vol.size[i]
-		b := (in + out) * iters
-		gen := out * iters
+		proc, gen := in+out, out
 		shuffled := ir.IsShuffleOp(t) && !x.redundant[i]
 		if obs := &vol.obs[i]; obs.ProcBytes > 0 {
 			// Damped measured volumes: charge what the engine's PROCESS
 			// phase actually charged for this operator (its accounting —
 			// unconditional shuffle surcharge included — is the ground
 			// truth the estimate is converging toward).
-			in, b = obs.InBytes, obs.ProcBytes*iters
-			gen = max(0, obs.ProcBytes-obs.InBytes) * iters
+			in, proc = obs.InBytes, obs.ProcBytes
+			gen = max(0, obs.ProcBytes-obs.InBytes)
 			shuffled = ir.IsShuffleOp(t)
 		}
-		if shuffled {
-			b = int64(float64(b) * shuf)
-			v.Shuffle += in * iters
-		}
-		v.Proc += b
-		if t == ir.OpAgg {
-			v.AggProc += b
-		}
-		v.Gen += gen
-		peak := out
-		if t == ir.OpCrossJoin {
-			peak = int64(float64(peak) * blowup)
-		}
-		v.Peak = max(v.Peak, peak)
+		v.Add(eng, t, in*iters, proc*iters, gen*iters, out, shuffled)
 	}
 }
 

@@ -225,7 +225,7 @@ func (r *Runner) ExecuteCtx(ctx context.Context, id *ir.Identity, part *Partitio
 				r.Log.WithJob(jr.Job).Debug("calibration_update").
 					Str("engine", jr.Engine).
 					Float("makespan_s", float64(jr.Makespan)).
-					Int("proc_bytes", jr.ProcVolume).
+					Int("proc_bytes", jr.Volumes.Proc).
 					Emit()
 			}
 		}
@@ -246,27 +246,13 @@ func (r *Runner) accuracy(part *Partitioning, deps [][]int, rep *sched.Report) *
 		ActualMakespanS: float64(rep.Makespan),
 		Jobs:            make([]obs.JobAccuracy, 0, n),
 	}
-	finish := make([]float64, n)
-	done := make([]bool, n)
-	var at func(i int) float64
-	at = func(i int) float64 {
-		if done[i] {
-			return finish[i]
-		}
-		done[i] = true // deps validated acyclic by the scheduler
-		var start float64
-		for _, d := range deps[i] {
-			if f := at(d); f > start {
-				start = f
-			}
-		}
-		finish[i] = start + float64(part.Jobs[i].Cost)
-		return finish[i]
-	}
+	predicted := make([]cluster.Seconds, n)
 	for i := range part.Jobs {
-		if f := at(i); f > acc.PredictedMakespanS {
-			acc.PredictedMakespanS = f
-		}
+		predicted[i] = part.Jobs[i].Cost
+	}
+	_, makespan := sched.CriticalPath(deps, predicted)
+	acc.PredictedMakespanS = float64(makespan)
+	for i := range part.Jobs {
 		pred, act := float64(part.Jobs[i].Cost), float64(rep.Outcomes[i].Duration)
 		acc.Jobs = append(acc.Jobs, obs.JobAccuracy{
 			Job:        part.Jobs[i].Frag.Name(),
@@ -631,7 +617,7 @@ func (r *Runner) observe(id *ir.Identity, frag *ir.Fragment, jr *engines.RunResu
 			} else {
 				// External input: approximate with the job's pull volume
 				// share (coarse, like real black-box observation).
-				in += jr.PullBytes
+				in += jr.Volumes.Pull
 			}
 		}
 		if in <= 0 {

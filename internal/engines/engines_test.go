@@ -496,14 +496,10 @@ func TestWhileOnNonNativeEngineRejectedByRun(t *testing.T) {
 func TestEstimateCostMonotonicInVolume(t *testing.T) {
 	c := cluster.EC2(16)
 	e := Hadoop()
-	small := e.EstimateCost(c, Volumes{Pull: 1e9, Proc: 1e9, Push: 1e8})
-	large := e.EstimateCost(c, Volumes{Pull: 10e9, Proc: 10e9, Push: 1e9})
+	small := e.EstimateCostRates(c, Volumes{Pull: 1e9, Proc: 1e9, Push: 1e8}, e.SeedRates())
+	large := e.EstimateCostRates(c, Volumes{Pull: 10e9, Proc: 10e9, Push: 1e9}, e.SeedRates())
 	if large <= small {
 		t.Errorf("cost not monotone: %v vs %v", small, large)
-	}
-	withJobs := e.EstimateCost(c, Volumes{Pull: 1e9, Proc: 1e9, Push: 1e8, ExtraJobs: 3})
-	if withJobs <= small {
-		t.Error("extra jobs should add overhead")
 	}
 }
 
@@ -540,16 +536,16 @@ func TestProfileGetters(t *testing.T) {
 	if got := Metis().RateNodes(cluster.EC2(100)); got != 1 {
 		t.Errorf("single-machine RateNodes = %v", got)
 	}
-	if Hadoop().ShuffleSurcharge() <= 1 {
+	if Hadoop().shuffleSurcharge() <= 1 {
 		t.Error("hadoop should surcharge shuffles")
 	}
-	if Naiad().ShuffleSurcharge() != 1 {
+	if Naiad().shuffleSurcharge() != 1 {
 		t.Error("naiad has no shuffle surcharge")
 	}
-	if Spark().CrossBlowup() <= 1 {
+	if Spark().crossBlowup() <= 1 {
 		t.Error("spark cartesian blowup missing")
 	}
-	if Hadoop().CrossBlowup() != 1 {
+	if Hadoop().crossBlowup() != 1 {
 		t.Error("hadoop should have no cartesian blowup")
 	}
 	langs := map[string]string{

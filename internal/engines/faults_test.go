@@ -213,8 +213,8 @@ func TestRunWithDFSReadFaults(t *testing.T) {
 	if faulty.DFSRetries != len(frag.ExtIn) {
 		t.Errorf("retries = %d, want one per input (%d)", faulty.DFSRetries, len(frag.ExtIn))
 	}
-	if faulty.PullBytes != 2*clean.PullBytes {
-		t.Errorf("retried pull moved %d bytes, want twice the clean %d", faulty.PullBytes, clean.PullBytes)
+	if faulty.Volumes.Pull != 2*clean.Volumes.Pull {
+		t.Errorf("retried pull moved %d bytes, want twice the clean %d", faulty.Volumes.Pull, clean.Volumes.Pull)
 	}
 	if faulty.Breakdown.Pull <= clean.Breakdown.Pull {
 		t.Error("re-fetch must cost simulated PULL time")

@@ -59,22 +59,6 @@ func (c RunContext) Context() context.Context {
 	return context.Background()
 }
 
-// CostBreakdown decomposes a job's simulated makespan into the phases of
-// the paper's cost model (Table 1 plus per-job overhead).
-type CostBreakdown struct {
-	Overhead cluster.Seconds
-	Pull     cluster.Seconds
-	Load     cluster.Seconds
-	Shuffle  cluster.Seconds
-	Proc     cluster.Seconds
-	Push     cluster.Seconds
-}
-
-// Total sums the phases.
-func (c CostBreakdown) Total() cluster.Seconds {
-	return c.Overhead + c.Pull + c.Load + c.Shuffle + c.Proc + c.Push
-}
-
 // RunResult reports one executed job.
 type RunResult struct {
 	Job        string
@@ -82,16 +66,11 @@ type RunResult struct {
 	Makespan   cluster.Seconds
 	Breakdown  CostBreakdown
 	Iterations int
-	// ProcVolume / GenVolume / ShuffleVolume are the surcharge-weighted
-	// PROCESS volume, the generated (operator output) volume, and the
-	// shuffle-operator input volume the cost function charged — the measured
-	// counterparts of Volumes.Proc/Gen/Shuffle, kept so observers can derive
-	// effective per-phase rates from the breakdown. AggVolume is the subset
-	// that flowed through single-machine aggregation (NonAssocGroupBy).
-	ProcVolume, GenVolume, ShuffleVolume, AggVolume int64
-	// Graph marks that the job was costed at the engine's vertex-centric
-	// PROCESS rate (detected graph idiom).
-	Graph bool
+	// Volumes is what the cost function charged: the job-edge bytes moved
+	// and the per-operator volumes measured from the trace — the same struct
+	// the planner fills from estimates, so observers can set a prediction
+	// beside its measurement and invert the breakdown into effective rates.
+	Volumes Volumes
 	// OOM reports that the job's working set exceeded the engine's memory
 	// capacity; the makespan includes the thrashing penalty.
 	OOM bool
@@ -108,8 +87,6 @@ type RunResult struct {
 	// DFSRetries counts input blocks re-fetched after injected read faults.
 	DFSRetries int
 	Trace      *exec.Trace
-	// PullBytes/PushBytes are the effective volumes moved at job edges.
-	PullBytes, PushBytes int64
 }
 
 // InputPath returns the DFS path an external input is read from: source
@@ -184,15 +161,13 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 		Job:        p.Frag.Name(),
 		Engine:     p.Engine.Name(),
 		Trace:      trace,
-		PullBytes:  pullBytes,
-		PushBytes:  pushBytes,
+		Volumes:    Volumes{Pull: pullBytes, Push: pushBytes},
 		DFSRetries: dfsRetries,
 	}
 	if p.While != nil {
 		res.Iterations = trace.Iterations[p.While.ID]
 	}
-	res.Breakdown, res.OOM = p.Engine.cost(ctx.Cluster, p, res)
-	res.Makespan = res.Breakdown.Total()
+	p.Engine.cost(ctx.Cluster, p, res)
 	if ctx.Chaos != nil {
 		applyChaos(ctx, p, res)
 	}
@@ -200,9 +175,10 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 	// closed phase spans on the simulated timeline after the fact (pull
 	// covers PULL+LOAD, process covers SHUFFLE+PROCESS).
 	bd := res.Breakdown
-	pullSp.SetSim(float64(bd.Overhead), float64(bd.Pull+bd.Load))
-	procSp.SetSim(float64(bd.Overhead+bd.Pull+bd.Load), float64(bd.Shuffle+bd.Proc))
-	pushSp.SetSim(float64(bd.Overhead+bd.Pull+bd.Load+bd.Shuffle+bd.Proc), float64(bd.Push))
+	pull, proc := bd.Pull+bd.Load+bd.LoadGen, bd.Shuffle+bd.Collect+bd.Proc
+	pullSp.SetSim(float64(bd.Overhead), float64(pull))
+	procSp.SetSim(float64(bd.Overhead+pull), float64(proc))
+	pushSp.SetSim(float64(bd.Overhead+pull+proc), float64(bd.Push))
 	return res, nil
 }
 
@@ -347,320 +323,4 @@ func runPush(ctx RunContext, p *Plan, env exec.Env, sinks map[string]*relation.W
 	sp.SetInt("bytes", pushBytes)
 	sp.SetInt("outputs", int64(len(p.Frag.ExtOut)))
 	return pushBytes, sp, nil
-}
-
-// cost converts observed volumes into simulated time. This is the engine
-// side of the paper's cost function (§5.2): PULL and PUSH at the job's
-// edges, LOAD for engines with an ingest transformation, and PROCESS per
-// operator — paid once per operator, while merging lets all operators share
-// a single PULL/LOAD/PUSH.
-func (e *Engine) cost(c *cluster.Cluster, p *Plan, res *RunResult) (CostBreakdown, bool) {
-	pullBytes, pushBytes, trace := res.PullBytes, res.PushBytes, res.Trace
-	nodes := e.EffectiveNodes(c)
-	fn := e.RateNodes(c)
-	bd := CostBreakdown{
-		Overhead: cluster.Seconds(e.prof.PerJobOverheadS),
-		Pull:     cluster.TransferTime(pullBytes, e.prof.PullMBps*fn),
-		Load:     cluster.TransferTime(pullBytes, e.prof.LoadMBps*fn),
-		Push:     cluster.TransferTime(pushBytes, e.prof.PushMBps*fn),
-	}
-
-	// PROCESS: cumulative per-operator volumes (inputs + produced data),
-	// with a surcharge on shuffle operators for partition/sort engines,
-	// split into aggregation vs other work when the engine's high-level
-	// GROUP BY is non-associative (Lindi: aggregation collapses to one
-	// machine).
-	graph := p.Iterative && p.While != nil && ir.DetectGraphIdiom(p.While) != nil
-	rate := e.prof.ProcMBps
-	if graph && e.prof.GraphProcMBps > 0 {
-		rate = e.prof.GraphProcMBps
-	}
-	shuf := e.prof.ShuffleFactor
-	if shuf <= 0 {
-		shuf = 1
-	}
-	var aggBytes, otherBytes, genBytes, shufBytes int64
-	addOp := func(op *ir.Op) {
-		b := trace.ProcBytes[op.ID]
-		// Cumulative produced volume = processed minus consumed
-		// (accumulates across WHILE iterations).
-		genBytes += trace.ProcBytes[op.ID] - trace.InBytes[op.ID]
-		if ir.IsShuffleOp(op.Type) {
-			b = int64(float64(b) * shuf)
-			shufBytes += trace.InBytes[op.ID]
-		}
-		if e.prof.NonAssocGroupBy && op.Type == ir.OpAgg {
-			aggBytes += b
-		} else {
-			otherBytes += b
-		}
-	}
-	for _, op := range p.Frag.Ops {
-		if op.Type == ir.OpWhile && op.Params.Body != nil {
-			for _, bop := range allBodyOps(op.Params.Body) {
-				addOp(bop)
-			}
-			continue
-		}
-		if op.Type != ir.OpInput {
-			addOp(op)
-		}
-	}
-	res.ProcVolume = otherBytes + aggBytes
-	res.GenVolume = genBytes
-	res.ShuffleVolume = shufBytes
-	res.AggVolume = aggBytes
-	res.Graph = graph
-	if e.prof.LoadOutputs {
-		bd.Load += cluster.TransferTime(genBytes, e.prof.LoadMBps*fn)
-	}
-	if !graph {
-		// Graph-idiom plans communicate through the engine's vertex
-		// messaging, already covered by GraphProcMBps.
-		bd.Shuffle = cluster.TransferTime(shufBytes, e.prof.ShuffleMBps*fn)
-	}
-	proc := cluster.TransferTime(otherBytes, rate*fn) +
-		cluster.TransferTime(aggBytes, rate) // one machine
-	if e.prof.NonAssocGroupBy {
-		// Collecting the aggregation input onto a single machine moves it
-		// over one node's network link.
-		bd.Shuffle += cluster.TransferTime(aggBytes, e.prof.ShuffleMBps)
-	}
-	// Codegen quality (paper §4.3, §6.4): naive plans re-scan per
-	// operator; Musketeer-optimized plans carry a small residual tax over
-	// the hand-optimized baseline.
-	switch p.Mode {
-	case ModeNaive:
-		proc = cluster.Seconds(float64(proc) * e.prof.NaiveFactor)
-	case ModeOptimized:
-		proc = cluster.Seconds(float64(proc) * (1 + e.prof.CodegenTaxPct/100))
-	}
-
-	// Memory capacity: in-memory engines thrash once the working set
-	// (largest materialized relation, or the pulled inputs) exceeds the
-	// deployment's capacity. CROSS JOIN outputs are weighted by the
-	// engine's cartesian blow-up factor.
-	oom := false
-	if e.prof.MemCapGB > 0 {
-		// Memory capacity scales with physical nodes, not rate efficiency.
-		capBytes := int64(e.prof.MemCapGB * 1e9 * float64(nodes))
-		peak := pullBytes
-		if graph && e.prof.GraphMemFactor > 1 {
-			peak = int64(float64(pullBytes) * e.prof.GraphMemFactor)
-		}
-		blowup := e.prof.CrossJoinBlowup
-		if blowup <= 0 {
-			blowup = 1
-		}
-		var visit func(op *ir.Op)
-		visit = func(op *ir.Op) {
-			if op.Type == ir.OpInput {
-				return
-			}
-			if op.Params.Body != nil {
-				for _, bop := range op.Params.Body.Ops {
-					visit(bop)
-				}
-				return
-			}
-			b := trace.OutBytes[op.ID]
-			if op.Type == ir.OpCrossJoin {
-				b = int64(float64(b) * blowup)
-			}
-			if b > peak {
-				peak = b
-			}
-		}
-		for _, op := range p.Frag.Ops {
-			visit(op)
-		}
-		if peak > capBytes {
-			oom = true
-			proc = cluster.Seconds(float64(proc) * e.prof.ThrashFactor)
-		}
-	}
-	bd.Proc = proc
-	return bd, oom
-}
-
-func allBodyOps(d *ir.DAG) []*ir.Op {
-	var ops []*ir.Op
-	for _, op := range d.Ops {
-		if op.Type == ir.OpInput {
-			continue
-		}
-		ops = append(ops, op)
-		if op.Params.Body != nil {
-			ops = append(ops, allBodyOps(op.Params.Body)...)
-		}
-	}
-	return ops
-}
-
-// Volumes aggregates a prospective job's estimated data movement for
-// planning-time costing.
-type Volumes struct {
-	// Pull / Push are the job-edge DFS volumes.
-	Pull, Push int64
-	// Proc is the summed per-operator PROCESS volume (inputs + outputs,
-	// shuffle surcharge already applied, multiplied by expected iterations
-	// for WHILE fragments); AggProc is the subset flowing through
-	// aggregation operators.
-	Proc, AggProc int64
-	// Gen is the summed generated (operator output) volume, which feeds
-	// the LOAD phase of engines that materialize results in memory.
-	Gen int64
-	// Shuffle is the summed input volume of shuffle operators, moved over
-	// the network by distributed engines.
-	Shuffle int64
-	// Peak is the largest single estimated relation (cross-join weighted),
-	// checked against the engine's memory capacity.
-	Peak int64
-	// Graph marks a detected graph idiom (vertex-centric PROCESS rate).
-	Graph bool
-	// ExtraJobs adds per-job overheads beyond the first.
-	ExtraJobs int
-}
-
-// Rates is the tunable-rate slice of an engine's profile: the per-node
-// phase throughputs (and per-job overhead) the planning-time cost function
-// runs on. The structural profile facts — paradigm flags, memory capacity,
-// shuffle surcharges — stay on Profile; Rates is what feedback calibration
-// refines (§5.2's Table 1 constants, made continuous).
-type Rates struct {
-	OverheadS     float64 `json:"overhead_s"`
-	PullMBps      float64 `json:"pull_mbps"`
-	LoadMBps      float64 `json:"load_mbps,omitempty"`
-	ProcMBps      float64 `json:"proc_mbps"`
-	GraphProcMBps float64 `json:"graph_proc_mbps,omitempty"`
-	PushMBps      float64 `json:"push_mbps"`
-	ShuffleMBps   float64 `json:"shuffle_mbps,omitempty"`
-}
-
-// SeedRates returns the engine's Table-1 calibrated rates — the seed a
-// feedback calibration starts from, and what EstimateCost runs on.
-func (e *Engine) SeedRates() Rates {
-	return Rates{
-		OverheadS:     e.prof.PerJobOverheadS,
-		PullMBps:      e.prof.PullMBps,
-		LoadMBps:      e.prof.LoadMBps,
-		ProcMBps:      e.prof.ProcMBps,
-		GraphProcMBps: e.prof.GraphProcMBps,
-		PushMBps:      e.prof.PushMBps,
-		ShuffleMBps:   e.prof.ShuffleMBps,
-	}
-}
-
-// EstimateCost predicts a job's makespan from estimated volumes without
-// executing it — the planning-time side of the cost function used by the
-// DAG partitioner and the automatic mapper (§5.2) — at the engine's seed
-// (Table 1) rates.
-func (e *Engine) EstimateCost(c *cluster.Cluster, v Volumes) cluster.Seconds {
-	return e.EstimateCostRates(c, v, e.SeedRates())
-}
-
-// EstimateCostRates is EstimateCost evaluated at explicit rates, so a
-// calibration layer can re-score candidate mappings on learned throughputs
-// without touching the engine's structural profile. With r == SeedRates()
-// the result is bit-identical to EstimateCost.
-func (e *Engine) EstimateCostRates(c *cluster.Cluster, v Volumes, r Rates) cluster.Seconds {
-	nodes := e.EffectiveNodes(c)
-	fn := e.RateNodes(c)
-	rate := r.ProcMBps
-	if v.Graph && r.GraphProcMBps > 0 {
-		rate = r.GraphProcMBps
-	}
-	t := cluster.Seconds(r.OverheadS*float64(1+v.ExtraJobs)) +
-		cluster.TransferTime(v.Pull, r.PullMBps*fn) +
-		cluster.TransferTime(v.Pull, r.LoadMBps*fn) +
-		cluster.TransferTime(v.Push, r.PushMBps*fn)
-	if e.prof.LoadOutputs {
-		t += cluster.TransferTime(v.Gen, r.LoadMBps*fn)
-	}
-	if !v.Graph {
-		t += cluster.TransferTime(v.Shuffle, r.ShuffleMBps*fn)
-	}
-	proc := cluster.TransferTime(v.Proc-v.AggProc, rate*fn)
-	if e.prof.NonAssocGroupBy {
-		proc += cluster.TransferTime(v.AggProc, rate) // one machine
-		t += cluster.TransferTime(v.AggProc, r.ShuffleMBps)
-	} else {
-		proc += cluster.TransferTime(v.AggProc, rate*fn)
-	}
-	if e.prof.MemCapGB > 0 {
-		peak := v.Peak
-		if v.Pull > peak {
-			peak = v.Pull
-		}
-		if v.Graph && e.prof.GraphMemFactor > 1 {
-			if g := int64(float64(v.Pull) * e.prof.GraphMemFactor); g > peak {
-				peak = g
-			}
-		}
-		if peak > int64(e.prof.MemCapGB*1e9*float64(nodes)) {
-			proc = cluster.Seconds(float64(proc) * e.prof.ThrashFactor)
-		}
-	}
-	return t + proc
-}
-
-// ObservedRates derives the effective per-node phase rates one executed
-// job actually achieved, by inverting the cost function over the measured
-// breakdown and the volumes it charged. Fields the job gives no clean
-// signal for are zero (no data moved, thrashing run, single-machine
-// aggregation mixing rates). This is the measurement half of feedback
-// calibration: under fault-free runs the observed rates converge on the
-// profile seeds, while systematic effects the planner does not price —
-// codegen tax, chaos-degraded throughput — show up as persistent residuals
-// the calibration layer can learn.
-func (e *Engine) ObservedRates(c *cluster.Cluster, res *RunResult) Rates {
-	fn := e.RateNodes(c)
-	r := Rates{OverheadS: float64(res.Breakdown.Overhead)}
-	mbps := func(bytes int64, secs cluster.Seconds) float64 {
-		if bytes <= 0 || secs <= 0 {
-			return 0
-		}
-		return float64(bytes) / 1e6 / float64(secs) / fn
-	}
-	r.PullMBps = mbps(res.PullBytes, res.Breakdown.Pull)
-	r.PushMBps = mbps(res.PushBytes, res.Breakdown.Push)
-	loadVol := res.PullBytes
-	if e.prof.LoadOutputs {
-		loadVol += res.GenVolume
-	}
-	r.LoadMBps = mbps(loadVol, res.Breakdown.Load)
-	if !e.prof.NonAssocGroupBy {
-		// NonAssoc engines fold a single-link aggregation collect into the
-		// shuffle phase; the blended rate is not a network throughput.
-		r.ShuffleMBps = mbps(res.ShuffleVolume, res.Breakdown.Shuffle)
-	}
-	if !res.OOM && res.AggVolume == 0 {
-		// A thrashing run measures the penalty, not the rate; an aggregation
-		// split across single-machine and distributed rates is not separable
-		// from the breakdown alone.
-		proc := mbps(res.ProcVolume, res.Breakdown.Proc)
-		if res.Graph {
-			r.GraphProcMBps = proc
-		} else {
-			r.ProcMBps = proc
-		}
-	}
-	return r
-}
-
-// ShuffleSurcharge returns the engine's PROCESS multiplier for shuffle
-// operators (≥ 1).
-func (e *Engine) ShuffleSurcharge() float64 {
-	if e.prof.ShuffleFactor <= 0 {
-		return 1
-	}
-	return e.prof.ShuffleFactor
-}
-
-// CrossBlowup returns the engine's cartesian working-set multiplier (≥ 1).
-func (e *Engine) CrossBlowup() float64 {
-	if e.prof.CrossJoinBlowup <= 0 {
-		return 1
-	}
-	return e.prof.CrossJoinBlowup
 }

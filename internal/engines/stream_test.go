@@ -124,15 +124,15 @@ func TestPhysicalOnlyInputsAreSizedByTheMeter(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean := runHadoop(t, RunContext{DFS: seedDFS(t, 0), Cluster: cluster.EC2(100)}, frag)
-	if clean.PullBytes != want {
-		t.Errorf("PullBytes = %d, the inputs' rows encode to %d", clean.PullBytes, want)
+	if clean.Volumes.Pull != want {
+		t.Errorf("PullBytes = %d, the inputs' rows encode to %d", clean.Volumes.Pull, want)
 	}
 	if !reflect.DeepEqual(clean.Trace, trace) {
 		t.Errorf("trace over streamed inputs:\n%+v\nover bound relations:\n%+v", clean.Trace, trace)
 	}
 	faulty := runHadoop(t, RunContext{DFS: seedDFS(t, 0), Cluster: cluster.EC2(100), Chaos: &chaos.Plan{DFSReadFailProb: 1, Seed: 1}}, frag)
-	if faulty.DFSRetries != len(frag.ExtIn) || faulty.PullBytes != 2*want {
-		t.Errorf("every read failing once: %d retries, %d bytes; want %d and %d", faulty.DFSRetries, faulty.PullBytes, len(frag.ExtIn), 2*want)
+	if faulty.DFSRetries != len(frag.ExtIn) || faulty.Volumes.Pull != 2*want {
+		t.Errorf("every read failing once: %d retries, %d bytes; want %d and %d", faulty.DFSRetries, faulty.Volumes.Pull, len(frag.ExtIn), 2*want)
 	}
 }
 

@@ -225,7 +225,7 @@ func (p *parser) selectStmt(name string) error {
 	}
 	cur := src
 	if p.lex.Accept(frontends.TokIdent, "WHERE") {
-		pred, err := p.predicate()
+		pred, err := frontends.ParsePredicate(p.lex, "beer", p.operand)
 		if err != nil {
 			return err
 		}
@@ -377,19 +377,8 @@ func (p *parser) aggStmt(name string) error {
 		if err != nil {
 			return err
 		}
-		var fn ir.AggFunc
-		switch strings.ToUpper(fnName) {
-		case "SUM":
-			fn = ir.AggSum
-		case "COUNT":
-			fn = ir.AggCount
-		case "MIN":
-			fn = ir.AggMin
-		case "MAX":
-			fn = ir.AggMax
-		case "AVG":
-			fn = ir.AggAvg
-		default:
+		fn, ok := frontends.AggFunc(fnName)
+		if !ok {
 			return fmt.Errorf("beer: unknown aggregate %q", fnName)
 		}
 		if _, err := p.lex.Expect(frontends.TokSymbol, "("); err != nil {
@@ -684,68 +673,4 @@ func (p *parser) operand() (ir.Operand, error) {
 	default:
 		return ir.Operand{}, fmt.Errorf("beer: line %d: expected operand, got %q", t.Line, t.Text)
 	}
-}
-
-// predicate parses OR of ANDs of comparisons (AND binds tighter).
-func (p *parser) predicate() (*ir.Pred, error) {
-	left, err := p.conjunction()
-	if err != nil {
-		return nil, err
-	}
-	for p.lex.Accept(frontends.TokIdent, "OR") {
-		right, err := p.conjunction()
-		if err != nil {
-			return nil, err
-		}
-		left = ir.Or(left, right)
-	}
-	return left, nil
-}
-
-func (p *parser) conjunction() (*ir.Pred, error) {
-	left, err := p.comparison()
-	if err != nil {
-		return nil, err
-	}
-	for p.lex.Accept(frontends.TokIdent, "AND") {
-		right, err := p.comparison()
-		if err != nil {
-			return nil, err
-		}
-		left = ir.And(left, right)
-	}
-	return left, nil
-}
-
-func (p *parser) comparison() (*ir.Pred, error) {
-	lhs, err := p.operand()
-	if err != nil {
-		return nil, err
-	}
-	opTok, err := p.lex.Next()
-	if err != nil {
-		return nil, err
-	}
-	var cmp ir.CmpOp
-	switch opTok.Text {
-	case "=", "==":
-		cmp = ir.CmpEq
-	case "!=":
-		cmp = ir.CmpNe
-	case "<":
-		cmp = ir.CmpLt
-	case "<=":
-		cmp = ir.CmpLe
-	case ">":
-		cmp = ir.CmpGt
-	case ">=":
-		cmp = ir.CmpGe
-	default:
-		return nil, fmt.Errorf("beer: line %d: expected comparison, got %q", opTok.Line, opTok.Text)
-	}
-	rhs, err := p.operand()
-	if err != nil {
-		return nil, err
-	}
-	return ir.Cmp(lhs, cmp, rhs), nil
 }

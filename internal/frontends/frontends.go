@@ -1,7 +1,8 @@
 // Package frontends holds what Musketeer's front-end frameworks share: the
 // table catalog that binds workflow-level relation names to DFS paths and
-// schemas, and the lexer used by the textual DSL parsers (HiveQL subset,
-// BEER, and the GAS DSL).
+// schemas, and the lexer, predicate grammar and aggregate-function table
+// used by the textual DSL parsers (HiveQL subset, Pig Latin, BEER, and the
+// GAS DSL).
 package frontends
 
 import (
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"unicode"
 
+	"musketeer/internal/ir"
 	"musketeer/internal/relation"
 )
 
@@ -195,4 +197,97 @@ func StripQualifier(name string) string {
 		return name[i+1:]
 	}
 	return name
+}
+
+// AggFunc resolves a case-insensitive aggregate-function name.
+func AggFunc(name string) (ir.AggFunc, bool) {
+	switch strings.ToUpper(name) {
+	case "SUM":
+		return ir.AggSum, true
+	case "COUNT":
+		return ir.AggCount, true
+	case "MIN":
+		return ir.AggMin, true
+	case "MAX":
+		return ir.AggMax, true
+	case "AVG":
+		return ir.AggAvg, true
+	}
+	return 0, false
+}
+
+// ParsePredicate parses the predicate grammar the textual front-ends share:
+// OR-separated conjunctions of comparisons, AND binding tighter than OR.
+// operand reads one side of a comparison in the language's own syntax; lang
+// prefixes the grammar's error messages.
+func ParsePredicate(lex *Lexer, lang string, operand func() (ir.Operand, error)) (*ir.Pred, error) {
+	left, err := parseConjunction(lex, lang, operand)
+	if err != nil {
+		return nil, err
+	}
+	for lex.Accept(TokIdent, "OR") {
+		right, err := parseConjunction(lex, lang, operand)
+		if err != nil {
+			return nil, err
+		}
+		left = ir.Or(left, right)
+	}
+	return left, nil
+}
+
+func parseConjunction(lex *Lexer, lang string, operand func() (ir.Operand, error)) (*ir.Pred, error) {
+	left, err := parseComparison(lex, lang, operand)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		// Peek, not Accept: a lexer error after a comparison is reported
+		// here, at the character that caused it.
+		t, err := lex.Peek()
+		if err != nil {
+			return nil, err
+		}
+		if !IsKeyword(t, "AND") {
+			return left, nil
+		}
+		lex.Next()
+		right, err := parseComparison(lex, lang, operand)
+		if err != nil {
+			return nil, err
+		}
+		left = ir.And(left, right)
+	}
+}
+
+func parseComparison(lex *Lexer, lang string, operand func() (ir.Operand, error)) (*ir.Pred, error) {
+	lhs, err := operand()
+	if err != nil {
+		return nil, err
+	}
+	opTok, err := lex.Next()
+	if err != nil {
+		return nil, err
+	}
+	var cmp ir.CmpOp
+	switch opTok.Text {
+	case "=", "==":
+		cmp = ir.CmpEq
+	case "!=":
+		cmp = ir.CmpNe
+	case "<":
+		cmp = ir.CmpLt
+	case "<=":
+		cmp = ir.CmpLe
+	case ">":
+		cmp = ir.CmpGt
+	case ">=":
+		cmp = ir.CmpGe
+	default:
+		return nil, fmt.Errorf("%s: line %d: expected comparison, got %q", lang, opTok.Line, opTok.Text)
+	}
+	rhs, err := operand()
+	if err != nil {
+		return nil, err
+	}
+	return ir.Cmp(lhs, cmp, rhs), nil
 }

@@ -3,6 +3,7 @@ package frontends
 import (
 	"testing"
 
+	"musketeer/internal/ir"
 	"musketeer/internal/relation"
 )
 
@@ -120,5 +121,60 @@ func TestStripQualifier(t *testing.T) {
 	}
 	if StripQualifier("id") != "id" {
 		t.Error("bare name changed")
+	}
+}
+
+// colOperand is the simplest language operand: a bare column or a literal.
+func colOperand(lex *Lexer) func() (ir.Operand, error) {
+	return func() (ir.Operand, error) {
+		t, err := lex.Next()
+		if err != nil {
+			return ir.Operand{}, err
+		}
+		if t.Kind == TokIdent {
+			return ir.ColRef(t.Text), nil
+		}
+		v, err := ParseLiteral(t)
+		return ir.LitOp(v), err
+	}
+}
+
+func TestParsePredicate(t *testing.T) {
+	lex := NewLexer(`a = 1 OR b < 2 AND c != "x" ;`)
+	got, err := ParsePredicate(lex, "t", colOperand(lex))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ir.Or(
+		ir.Cmp(ir.ColRef("a"), ir.CmpEq, ir.LitOp(relation.Int(1))),
+		ir.And(
+			ir.Cmp(ir.ColRef("b"), ir.CmpLt, ir.LitOp(relation.Int(2))),
+			ir.Cmp(ir.ColRef("c"), ir.CmpNe, ir.LitOp(relation.Str("x")))))
+	if got.String() != want.String() {
+		t.Errorf("parsed %s, want %s (AND binds tighter than OR)", got, want)
+	}
+	if tok, _ := lex.Next(); tok.Text != ";" {
+		t.Errorf("predicate consumed past its end: next token %q", tok.Text)
+	}
+
+	for src, want := range map[string]string{
+		`a ( 1`:       `t: line 1: expected comparison, got "("`,
+		`a = 1 "open`: `line 1: unterminated string`, // not swallowed by the AND/OR look-ahead
+	} {
+		lex := NewLexer(src)
+		if _, err := ParsePredicate(lex, "t", colOperand(lex)); err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %s", src, err, want)
+		}
+	}
+}
+
+func TestAggFunc(t *testing.T) {
+	for name, want := range map[string]ir.AggFunc{"sum": ir.AggSum, "Count": ir.AggCount, "MIN": ir.AggMin, "max": ir.AggMax, "avg": ir.AggAvg} {
+		if got, ok := AggFunc(name); !ok || got != want {
+			t.Errorf("AggFunc(%q) = %v, %v", name, got, ok)
+		}
+	}
+	if _, ok := AggFunc("median"); ok {
+		t.Error("AggFunc accepted an unknown aggregate")
 	}
 }

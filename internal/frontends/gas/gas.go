@@ -217,7 +217,7 @@ func parseStep(lex *frontends.Lexer, gatherStep bool) (step, error) {
 			if _, err := lex.Expect(frontends.TokSymbol, ")"); err != nil {
 				return st, err
 			}
-			fn, ok := aggFunc(t.Text)
+			fn, ok := frontends.AggFunc(t.Text)
 			if !ok {
 				return st, fmt.Errorf("gas: line %d: unknown aggregation %q", t.Line, t.Text)
 			}
@@ -270,22 +270,6 @@ func parseStep(lex *frontends.Lexer, gatherStep bool) (step, error) {
 			return st, fmt.Errorf("gas: line %d: expected '(' or '[' after %q", t.Line, t.Text)
 		}
 	}
-}
-
-func aggFunc(name string) (ir.AggFunc, bool) {
-	switch strings.ToUpper(name) {
-	case "SUM":
-		return ir.AggSum, true
-	case "COUNT":
-		return ir.AggCount, true
-	case "MIN":
-		return ir.AggMin, true
-	case "MAX":
-		return ir.AggMax, true
-	case "AVG":
-		return ir.AggAvg, true
-	}
-	return 0, false
 }
 
 // parseStop reads `(iteration < N)`.

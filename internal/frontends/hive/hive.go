@@ -135,7 +135,7 @@ func (p *parser) selectStmt() error {
 
 	var pred *ir.Pred
 	if p.lex.Accept(frontends.TokIdent, "WHERE") {
-		pred, err = p.predicate()
+		pred, err = frontends.ParsePredicate(p.lex, "hive", p.operand)
 		if err != nil {
 			return err
 		}
@@ -298,7 +298,7 @@ func (p *parser) selItem() (selItem, error) {
 	if t.Kind != frontends.TokIdent {
 		return selItem{}, fmt.Errorf("hive: line %d: expected column, got %q", t.Line, t.Text)
 	}
-	if agg, ok := aggFunc(t.Text); ok {
+	if agg, ok := frontends.AggFunc(t.Text); ok {
 		if next, _ := p.lex.Peek(); next.Kind == frontends.TokSymbol && next.Text == "(" {
 			p.lex.Next()
 			col := ""
@@ -332,22 +332,6 @@ func (p *parser) selItem() (selItem, error) {
 		it.alias = at.Text
 	}
 	return it, nil
-}
-
-func aggFunc(name string) (ir.AggFunc, bool) {
-	switch strings.ToUpper(name) {
-	case "SUM":
-		return ir.AggSum, true
-	case "COUNT":
-		return ir.AggCount, true
-	case "MIN":
-		return ir.AggMin, true
-	case "MAX":
-		return ir.AggMax, true
-	case "AVG":
-		return ir.AggAvg, true
-	}
-	return 0, false
 }
 
 // joinStmt parses `left JOIN right ON l.c = r.c [AND ...] AS name;`.
@@ -414,78 +398,6 @@ func (p *parser) asName() (string, error) {
 func (p *parser) semi() error {
 	_, err := p.lex.Expect(frontends.TokSymbol, ";")
 	return err
-}
-
-// predicate parses OR-separated conjunctions of comparisons; AND binds
-// tighter than OR.
-func (p *parser) predicate() (*ir.Pred, error) {
-	left, err := p.conjunction()
-	if err != nil {
-		return nil, err
-	}
-	for p.lex.Accept(frontends.TokIdent, "OR") {
-		right, err := p.conjunction()
-		if err != nil {
-			return nil, err
-		}
-		left = ir.Or(left, right)
-	}
-	return left, nil
-}
-
-func (p *parser) conjunction() (*ir.Pred, error) {
-	left, err := p.comparison()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t, err := p.lex.Peek()
-		if err != nil {
-			return nil, err
-		}
-		if !frontends.IsKeyword(t, "AND") {
-			return left, nil
-		}
-		p.lex.Next()
-		right, err := p.comparison()
-		if err != nil {
-			return nil, err
-		}
-		left = ir.And(left, right)
-	}
-}
-
-func (p *parser) comparison() (*ir.Pred, error) {
-	lhs, err := p.operand()
-	if err != nil {
-		return nil, err
-	}
-	opTok, err := p.lex.Next()
-	if err != nil {
-		return nil, err
-	}
-	var cmp ir.CmpOp
-	switch opTok.Text {
-	case "=", "==":
-		cmp = ir.CmpEq
-	case "!=":
-		cmp = ir.CmpNe
-	case "<":
-		cmp = ir.CmpLt
-	case "<=":
-		cmp = ir.CmpLe
-	case ">":
-		cmp = ir.CmpGt
-	case ">=":
-		cmp = ir.CmpGe
-	default:
-		return nil, fmt.Errorf("hive: line %d: expected comparison, got %q", opTok.Line, opTok.Text)
-	}
-	rhs, err := p.operand()
-	if err != nil {
-		return nil, err
-	}
-	return ir.Cmp(lhs, cmp, rhs), nil
 }
 
 func (p *parser) operand() (ir.Operand, error) {

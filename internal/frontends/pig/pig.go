@@ -162,7 +162,7 @@ func (p *parser) filterStmt(alias string) error {
 	if _, err := p.lex.Expect(frontends.TokIdent, "BY"); err != nil {
 		return err
 	}
-	pred, err := p.predicate()
+	pred, err := frontends.ParsePredicate(p.lex, "pig", p.operand)
 	if err != nil {
 		return err
 	}
@@ -341,7 +341,7 @@ func (p *parser) foreachOverGroup(alias string, gi groupInfo) error {
 		if err != nil {
 			return err
 		}
-		fn, ok := aggFuncOf(fnName)
+		fn, ok := frontends.AggFunc(fnName)
 		if !ok {
 			return fmt.Errorf("pig: unknown aggregate %q", fnName)
 		}
@@ -431,70 +431,6 @@ func (p *parser) operand() (ir.Operand, error) {
 	}
 }
 
-// predicate: comparisons with AND/OR (AND binds tighter).
-func (p *parser) predicate() (*ir.Pred, error) {
-	left, err := p.conjunction()
-	if err != nil {
-		return nil, err
-	}
-	for p.lex.Accept(frontends.TokIdent, "OR") {
-		right, err := p.conjunction()
-		if err != nil {
-			return nil, err
-		}
-		left = ir.Or(left, right)
-	}
-	return left, nil
-}
-
-func (p *parser) conjunction() (*ir.Pred, error) {
-	left, err := p.comparison()
-	if err != nil {
-		return nil, err
-	}
-	for p.lex.Accept(frontends.TokIdent, "AND") {
-		right, err := p.comparison()
-		if err != nil {
-			return nil, err
-		}
-		left = ir.And(left, right)
-	}
-	return left, nil
-}
-
-func (p *parser) comparison() (*ir.Pred, error) {
-	lhs, err := p.operand()
-	if err != nil {
-		return nil, err
-	}
-	opTok, err := p.lex.Next()
-	if err != nil {
-		return nil, err
-	}
-	var cmp ir.CmpOp
-	switch opTok.Text {
-	case "=", "==":
-		cmp = ir.CmpEq
-	case "!=":
-		cmp = ir.CmpNe
-	case "<":
-		cmp = ir.CmpLt
-	case "<=":
-		cmp = ir.CmpLe
-	case ">":
-		cmp = ir.CmpGt
-	case ">=":
-		cmp = ir.CmpGe
-	default:
-		return nil, fmt.Errorf("pig: line %d: expected comparison, got %q", opTok.Line, opTok.Text)
-	}
-	rhs, err := p.operand()
-	if err != nil {
-		return nil, err
-	}
-	return ir.Cmp(lhs, cmp, rhs), nil
-}
-
 func arithOpOf(sym string) ir.ArithOp {
 	switch sym {
 	case "+":
@@ -506,20 +442,4 @@ func arithOpOf(sym string) ir.ArithOp {
 	default:
 		return ir.ArithDiv
 	}
-}
-
-func aggFuncOf(name string) (ir.AggFunc, bool) {
-	switch strings.ToUpper(name) {
-	case "SUM":
-		return ir.AggSum, true
-	case "COUNT":
-		return ir.AggCount, true
-	case "MIN":
-		return ir.AggMin, true
-	case "MAX":
-		return ir.AggMax, true
-	case "AVG":
-		return ir.AggAvg, true
-	}
-	return 0, false
 }

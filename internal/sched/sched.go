@@ -293,33 +293,42 @@ func (s *Scheduler) run(ctx context.Context, jobs []Job, admission bool) *Report
 		rep.SumDuration += out.Duration + out.SpecWaste
 	}
 	if rep.Err == nil {
-		finish := make([]cluster.Seconds, n)
-		done := make([]bool, n)
-		var at func(i int) cluster.Seconds
-		at = func(i int) cluster.Seconds {
-			if done[i] {
-				return finish[i]
-			}
-			done[i] = true // deps are acyclic (validated by dispatch above)
-			var start cluster.Seconds
-			for _, d := range jobs[i].Deps {
-				if f := at(d); f > start {
-					start = f
-				}
-			}
-			rep.Outcomes[i].Start = start
-			rep.Outcomes[i].Finish = start + rep.Outcomes[i].Duration
-			finish[i] = rep.Outcomes[i].Finish
-			return finish[i]
-		}
+		deps, dur := make([][]int, n), make([]cluster.Seconds, n)
 		for i := range jobs {
-			if f := at(i); f > rep.Makespan {
-				rep.Makespan = f
-			}
+			deps[i], dur[i] = jobs[i].Deps, rep.Outcomes[i].Duration
+		}
+		var start []cluster.Seconds
+		start, rep.Makespan = CriticalPath(deps, dur)
+		for i := range rep.Outcomes {
+			rep.Outcomes[i].Start, rep.Outcomes[i].Finish = start[i], start[i]+dur[i]
 		}
 	}
 	s.recordMetrics(rep)
 	return rep
+}
+
+// CriticalPath places jobs on the simulated timeline: job i takes dur[i] and
+// starts when the last of deps[i] (indices into the same slices, acyclic)
+// has finished. It returns each job's start and the latest finish — the one
+// dependency accounting behind a submission's measured makespan and the
+// planner's predicted one.
+func CriticalPath(deps [][]int, dur []cluster.Seconds) (start []cluster.Seconds, makespan cluster.Seconds) {
+	start = make([]cluster.Seconds, len(dur))
+	done := make([]bool, len(dur))
+	var finish func(i int) cluster.Seconds
+	finish = func(i int) cluster.Seconds {
+		if !done[i] {
+			done[i] = true
+			for _, d := range deps[i] {
+				start[i] = max(start[i], finish(d))
+			}
+		}
+		return start[i] + dur[i]
+	}
+	for i := range dur {
+		makespan = max(makespan, finish(i))
+	}
+	return start, makespan
 }
 
 // recordMetrics publishes one finished submission's outcomes to the

@@ -328,3 +328,47 @@ func TestForEach(t *testing.T) {
 	}
 	ForEach(4, 0, func(int) { t.Error("fn called for n=0") })
 }
+
+// TestCriticalPath pins the one walk behind a submission's measured
+// timeline and the planner's predicted one: called directly, and through a
+// Report's Start/Finish/Makespan.
+func TestCriticalPath(t *testing.T) {
+	type S = cluster.Seconds
+	for _, tc := range []struct {
+		name     string
+		deps     [][]int
+		dur      []S
+		start    []S
+		makespan S
+	}{
+		{"empty", nil, nil, []S{}, 0},
+		{"diamond", [][]int{nil, {0}, {0}, {1, 2}}, []S{1, 5, 2, 1}, []S{0, 1, 1, 6}, 7},
+		{"chain declared backwards", [][]int{{1}, {2}, nil}, []S{1, 2, 4}, []S{6, 4, 0}, 7},
+		{"forest", [][]int{nil, {0}, nil, {2}, nil}, []S{1, 1, 3, 4, 5}, []S{0, 1, 0, 3, 0}, 7},
+		{"zero-duration job", [][]int{nil, {0}, {1}}, []S{2, 0, 3}, []S{0, 2, 2}, 5},
+		{"dep listed twice", [][]int{nil, {0, 0}, {1, 0, 1}}, []S{2, 3, 1}, []S{0, 2, 5}, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start, makespan := CriticalPath(tc.deps, tc.dur)
+			if fmt.Sprint(start) != fmt.Sprint(tc.start) || makespan != tc.makespan {
+				t.Errorf("CriticalPath: start %v makespan %v, want %v and %v", start, makespan, tc.start, tc.makespan)
+			}
+			jobs := make([]Job, len(tc.dur))
+			for i := range jobs {
+				jobs[i] = Job{Name: fmt.Sprint(i), Deps: tc.deps[i], Run: ok(tc.dur[i])}
+			}
+			rep := New(Options{Workers: 2}).Run(context.Background(), jobs)
+			if rep.Err != nil {
+				t.Fatal(rep.Err)
+			}
+			if rep.Makespan != tc.makespan {
+				t.Errorf("Report.Makespan = %v, want %v", rep.Makespan, tc.makespan)
+			}
+			for i, out := range rep.Outcomes {
+				if out.Start != tc.start[i] || out.Finish != tc.start[i]+tc.dur[i] {
+					t.Errorf("job %d placed at [%v, %v], want [%v, %v]", i, out.Start, out.Finish, tc.start[i], tc.start[i]+tc.dur[i])
+				}
+			}
+		})
+	}
+}

@@ -22,6 +22,8 @@
 //     rules, now resolved through go/types
 //   - value-fields: relation.Value's content fields are written only by
 //     internal/relation, so a cached text width can never go stale
+//   - cost-formula: cluster.TransferTime is used only by the cost function
+//     in internal/engines/cost.go, so a plan and a run are priced alike
 //
 // Findings are suppressed line-by-line with `//mkvet:ignore <rule>
 // <reason>`; a reason is mandatory and stale suppressions are themselves
@@ -77,6 +79,7 @@ var ruleTable = []rule{
 	{"engine-profile", "every engines.Engine literal registers a prof profile", SevError, checkEngineProfile},
 	{"stream-rows", "streaming kernels pull batches, never materialized .Rows", SevError, checkStreamRows},
 	{"value-fields", "relation.Value's Kind/I/F/S are assigned only inside internal/relation (a direct write would leave a stale cached width)", SevError, checkValueFields},
+	{"cost-formula", "cluster.TransferTime is used only in internal/engines/cost.go (one cost function prices both a planned and an executed job)", SevError, checkCostFormula},
 }
 
 // RuleNames lists every registered rule in registry order.

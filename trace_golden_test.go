@@ -11,6 +11,7 @@ package musketeer
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -116,6 +117,37 @@ func TestTraceGolden(t *testing.T) {
 	}
 	if want := string(wantBytes); got != want {
 		t.Errorf("trace structure changed.\n--- want\n%s--- got\n%s", want, got)
+	}
+}
+
+// TestExecutedJobsPriceLikePlans is the statement "prediction error is
+// volumes and codegen tax, nothing else" on the two-engine workflow: run
+// with no codegen tax, every executed job's makespan is, to the bit, what
+// the planner's scorer returns for the volumes the job measured. The
+// predicted critical path is pinned to the bits PR 19 computed, whichever
+// routine walks it.
+func TestExecutedJobsPriceLikePlans(t *testing.T) {
+	m := New()
+	wf, part := stageTwoEngine(t, m)
+	wf.Mode = ModeHand
+	res, err := wf.Run(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, jr := range res.Jobs {
+		eng := m.engines[jr.Engine]
+		seen[jr.Engine] = true
+		if got := eng.EstimateCostRates(m.cluster, jr.Volumes, eng.SeedRates()); got != jr.Makespan {
+			t.Errorf("job %s on %s: planner prices its measured volumes at %v (%016x), it was charged %v (%016x)",
+				jr.Job, jr.Engine, got, math.Float64bits(float64(got)), jr.Makespan, math.Float64bits(float64(jr.Makespan)))
+		}
+	}
+	if !seen["hadoop"] || !seen["metis"] {
+		t.Errorf("engines that ran: %v, want hadoop and metis", seen)
+	}
+	if got := math.Float64bits(res.Accuracy.PredictedMakespanS); got != 0x40853c401be7dfd5 {
+		t.Errorf("predicted critical path = %v (%016x), want bits 40853c401be7dfd5", res.Accuracy.PredictedMakespanS, got)
 	}
 }
 
