@@ -51,6 +51,12 @@
 #                       converge (round-3 mean |makespan error| below
 #                       round 1) and stay within 25% of the committed
 #                       BENCH_accuracy.json per-workflow errors
+#   codec fuzz        — FuzzColumnarStream (the untrusted columnar decoder
+#                       over real encodings, cut and bit-flipped: an error
+#                       or a stable relation, never a panic, never memory
+#                       sized by a count the stream merely declares) and
+#                       FuzzTextLen (a value's width is its text's length),
+#                       10 s each beyond their seed corpora
 #   mkperf smoke      — mkperf -quick: every workload of the repo benchmark
 #                       (batch, plan-only, open-loop serve) for 2 s each at
 #                       host GOMAXPROCS; fails if any operation failed or
@@ -127,6 +133,12 @@ mkvet_gate() {
     fi
 }
 
+fuzz_gate() {
+    # go test -fuzz takes one target and one package per run.
+    go test -run '^$' -fuzz '^FuzzColumnarStream$' -fuzztime 10s ./internal/relation
+    go test -run '^$' -fuzz '^FuzzTextLen$' -fuzztime 10s ./internal/relation
+}
+
 calibration_gate() {
     # The fresh run mirrors how the committed baseline is produced
     # (`go run ./cmd/mkbench -accuracy -rounds 3 -accuracy-json
@@ -162,6 +174,7 @@ if [ "$GROUP" = all ] || [ "$GROUP" = gates ]; then
     stage "service smoke gate (-race)" go test -race -count=1 -timeout 10m -run 'TestServe' .
     stage "benchmark regression gate" bench_gate
     stage "calibration convergence gate" calibration_gate
+    stage "codec fuzz" fuzz_gate
     stage "mkperf smoke" go run ./cmd/mkperf -quick -seconds 2
 fi
 

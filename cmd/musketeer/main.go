@@ -109,7 +109,6 @@ func run(name string, args []string, statsMode bool) int {
 	maxConcurrent := fs.Int("max-concurrent", 0, "bound on concurrently running back-end jobs (0 = scheduler default)")
 	retries := fs.Int("retries", 0, "per-job retry budget for transiently failed jobs")
 	tracePath := fs.String("trace", "", "write the execution's spans as Chrome trace_event JSON to this file")
-	columnar := fs.Bool("columnar-shuffles", false, "write intra-run shuffle files in the binary columnar wire format (sources and sinks stay TSV)")
 	statsJSON := fs.Bool("json", false, "stats: dump the metrics registry as JSON instead of text")
 	debugAddr := fs.String("debug-addr", "", "serve the debug plane (/metrics, /debug/runs, /healthz, /debug/pprof) on this address, e.g. :6060")
 	debugHold := fs.Bool("debug-hold", false, "keep the -debug-addr server running after the run completes (Ctrl-C to exit)")
@@ -147,9 +146,6 @@ func run(name string, args []string, statsMode bool) int {
 	}
 	if *tracePath != "" {
 		opts = append(opts, musketeer.WithTracing())
-	}
-	if *columnar {
-		opts = append(opts, musketeer.WithColumnarShuffles())
 	}
 	if *adaptiveWhile {
 		opts = append(opts, musketeer.WithAdaptiveWhile())

@@ -936,18 +936,16 @@ func TestExhaustiveBudgetExpires(t *testing.T) {
 	}
 }
 
-// TestExplainShowsThePricedVolumes: under a compact shuffle codec the
-// pull=/push= figures Explain prints for a job are the scaled bytes
-// FragmentCost priced — the edge between the two jobs at half size, sources
-// and the sink at full size — and the printed volumes price to exactly the
-// cost on the line beneath them.
+// TestExplainShowsThePricedVolumes: the pull=/push= figures Explain prints
+// for a job are the bytes FragmentCost priced — sources, the edge between the
+// two jobs and the sink, each at its full size — and the printed volumes
+// price to exactly the cost on the line beneath them.
 func TestExplainShowsThePricedVolumes(t *testing.T) {
 	dag := maxPropertyPrice()
 	est, err := NewEstimator(ir.Identify(dag), seedPropertyDFS(t, 100000), cluster.EC2(16), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est.WithShuffleCodec(0.5)
 	hadoop := engines.Hadoop()
 	part, err := MapTo(dag, est, hadoop)
 	if err != nil {
@@ -961,8 +959,8 @@ func TestExplainShowsThePricedVolumes(t *testing.T) {
 	sources := est.Size(dag.ByOut("properties")) + est.Size(dag.ByOut("prices"))
 	sink := est.Size(dag.ByOut("street_price"))
 	for i, want := range []string{
-		"pull=" + mbStr(sources) + " proc=", " push=" + mbStr(edge/2) + "\n",
-		"pull=" + mbStr(edge/2) + " proc=", " push=" + mbStr(sink) + "\n",
+		"pull=" + mbStr(sources) + " proc=", " push=" + mbStr(edge) + "\n",
+		"pull=" + mbStr(edge) + " proc=", " push=" + mbStr(sink) + "\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("job %d: explain does not print %q:\n%s", i/2+1, want, text)
@@ -976,15 +974,14 @@ func TestExplainShowsThePricedVolumes(t *testing.T) {
 	}
 }
 
-// A forced output stays TSV (nothing outside the job reads it), so a compact
-// shuffle codec must not shrink it: only outputs another job reads scale.
+// A forced output is pushed like any other: the fragment's own outputs are
+// what is priced, not the ones the index would derive for its operator set.
 func TestForcedOutputIsPricedAtFullSize(t *testing.T) {
 	dag := maxPropertyPrice()
 	est, err := NewEstimator(ir.Identify(dag), seedPropertyDFS(t, 100000), cluster.EC2(16), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est.WithShuffleCodec(0.5)
 	whole, err := ir.NewFragment(dag, dag.Ops)
 	if err != nil {
 		t.Fatal(err)

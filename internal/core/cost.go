@@ -72,10 +72,6 @@ type Estimator struct {
 	// to fragment scores, so the automatic mapper prefers engines with
 	// cheaper recovery mechanisms under a configured fault rate.
 	chaos *chaos.Plan
-	// shuffleRatio, when in (0,1], scales the PULL/PUSH volumes of true
-	// intra-run shuffle edges (not sources, not sinks) — the compact wire
-	// codec's encoded-vs-text byte ratio. Zero means shuffles are TSV.
-	shuffleRatio float64
 	// props holds the analyzer's propagated key-uniqueness/sortedness
 	// facts; shuffle surcharges are skipped for provably redundant
 	// repartitions (a DISTINCT over already-unique rows, a SORT over
@@ -188,7 +184,7 @@ func (e *Estimator) engineSet(engs []*engines.Engine) uint32 {
 }
 
 // resetMemo drops every memoized choice and every index's size snapshot —
-// whatever changed (sizes, fault rates, the shuffle codec, learned rates),
+// whatever changed (sizes, fault rates, learned rates),
 // the next score is computed afresh — and stamps the memo with the
 // calibration version it will be refilled under.
 func (e *Estimator) resetMemo() {
@@ -221,22 +217,6 @@ func (e *Estimator) WithInputSizes(sizes map[string]int64) (*Estimator, error) {
 // change fragment costs, so memoized choices are dropped.
 func (e *Estimator) WithChaos(p *chaos.Plan) *Estimator {
 	e.chaos = p
-	e.resetMemo()
-	return e
-}
-
-// WithShuffleCodec declares that intra-run shuffles travel over a compact
-// wire codec whose encoded size is ratio × the TSV rendering (pass
-// relation.DefaultColumnarRatio for the columnar codec, or a calibrated
-// ratio from the flight recorder's shuffle counters). Fragment PULL/PUSH
-// volumes on shuffle edges scale accordingly; sources and sinks stay at
-// full size since they remain TSV. A ratio outside (0,1] disables the
-// scaling. Scaled edges change fragment costs, so memoized choices drop.
-func (e *Estimator) WithShuffleCodec(ratio float64) *Estimator {
-	if ratio <= 0 || ratio > 1 {
-		ratio = 0
-	}
-	e.shuffleRatio = ratio
 	e.resetMemo()
 	return e
 }
@@ -361,7 +341,7 @@ func (e *Estimator) FragmentCost(f *ir.Fragment, eng *engines.Engine) cluster.Se
 		return Infeasible
 	}
 	c, vol := x.describeFragment(f), x.volumes(e)
-	pull, push := x.boundaryBytes(c, vol, e.shuffleRatio)
+	pull, push := x.boundaryBytes(c, vol)
 	return e.jobCost(x, vol, c, eng, pull, push)
 }
 

@@ -94,7 +94,7 @@ func explainVolumes(est *Estimator, f *ir.Fragment, eng *engines.Engine) engines
 		return engines.Volumes{}
 	}
 	c, vol := x.describeFragment(f), x.volumes(est)
-	pull, push := x.boundaryBytes(c, vol, est.shuffleRatio)
+	pull, push := x.boundaryBytes(c, vol)
 	v, _, _ := est.jobVolumes(x, vol, c, eng, pull, push)
 	return v
 }

@@ -273,25 +273,12 @@ func (x *searchIndex) consumedOutside(set opSet, i int) bool {
 	return false
 }
 
-// boundaryBytes prices the candidate's PULL and PUSH volumes. Under a compact
-// shuffle codec (ratio in (0,1]) relations that travel between jobs — inputs
-// another job pushed, outputs another job reads — move at the scaled wire
-// size; sources, workflow sinks and forced outputs stay TSV at full size.
-func (x *searchIndex) boundaryBytes(c *candidate, v *opVolumes, ratio float64) (pull, push int64) {
-	c.extIn.each(func(i int) {
-		s := v.size[i]
-		if ratio > 0 && !x.sources.has(i) {
-			s = int64(float64(s) * ratio)
-		}
-		pull += s
-	})
-	c.extOut.each(func(i int) {
-		s := v.size[i]
-		if ratio > 0 && x.consumedOutside(c.set, i) {
-			s = int64(float64(s) * ratio)
-		}
-		push += s
-	})
+// boundaryBytes sums the candidate's PULL and PUSH volumes: every external
+// input and output at its full (text) size, which is what a run is charged
+// whatever codec the file is stored in.
+func (x *searchIndex) boundaryBytes(c *candidate, v *opVolumes) (pull, push int64) {
+	c.extIn.each(func(i int) { pull += v.size[i] })
+	c.extOut.each(func(i int) { push += v.size[i] })
 	return pull, push
 }
 

@@ -139,7 +139,7 @@ func checkIndexAgainstFragments(t *testing.T, name string, d *ir.DAG, est *Estim
 		if got, want := fmt.Sprint(cand.extOut), fmt.Sprint(setOf(x, frag.ExtOut)); got != want {
 			t.Fatalf("%s %s: index ext-out %s, NewFragment %s", name, frag, got, want)
 		}
-		pull, push := x.boundaryBytes(cand, vol, est.shuffleRatio)
+		pull, push := x.boundaryBytes(cand, vol)
 		for _, eng := range engs {
 			got := est.jobCost(x, vol, cand, eng, pull, push)
 			if want := est.FragmentCost(frag, eng); bitsOf(got) != bitsOf(want) {
@@ -188,8 +188,8 @@ func TestIndexMatchesFragmentOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seed%2 == 1 { // the terms that read a job's shape, not just its sizes
-			est.WithShuffleCodec(0.5).WithChaos(&chaos.Plan{Seed: 1, MTBFSeconds: 600})
+		if seed%2 == 1 { // the term that reads a job's shape, not just its sizes
+			est.WithChaos(&chaos.Plan{Seed: 1, MTBFSeconds: 600})
 		}
 		checkIndexAgainstFragments(t, fmt.Sprintf("seed %d", seed), rw.dag, est, rand.New(rand.NewSource(seed)), 200)
 	}

@@ -44,7 +44,6 @@ func (e *Estimator) SeedView() (*Estimator, bool) {
 		return nil, false
 	}
 	sv.chaos = e.chaos
-	sv.shuffleRatio = e.shuffleRatio
 	if _, err := sv.WithInputSizes(e.inputs); err != nil {
 		return nil, false
 	}

@@ -375,7 +375,7 @@ func (sr *searcher) choice(set opSet) fragChoice {
 	e.searchExplored.Add(1)
 	x.describe(set, sr.cand)
 	vol := x.volumes(e)
-	pull, push := x.boundaryBytes(sr.cand, vol, e.shuffleRatio)
+	pull, push := x.boundaryBytes(sr.cand, vol)
 	choice = fragChoice{cost: Infeasible}
 	for _, eng := range sr.engs {
 		if c := e.jobCost(x, vol, sr.cand, eng, pull, push); c < choice.cost {

@@ -95,11 +95,10 @@ func TestPlansGolden(t *testing.T) {
 	}{
 		{"all engines", engines.StandardEngines(), nil},
 		{"hadoop only", []*engines.Engine{engines.Hadoop()}, nil},
-		// The two estimator terms that read a fragment's shape beyond its
-		// sizes: shuffle-edge scaling (consumed-outside outputs) and the
-		// recovery term (compute-operator depth).
-		{"all engines, shuffle codec 0.5, chaos", engines.StandardEngines(), func(e *Estimator) {
-			e.WithShuffleCodec(0.5).WithChaos(&chaos.Plan{Seed: 1, MTBFSeconds: 600})
+		// The estimator term that reads a fragment's shape beyond its sizes:
+		// the recovery term (compute-operator depth).
+		{"all engines, chaos", engines.StandardEngines(), func(e *Estimator) {
+			e.WithChaos(&chaos.Plan{Seed: 1, MTBFSeconds: 600})
 		}},
 	}
 	searches := []struct {

@@ -3,10 +3,13 @@
 // Every Musketeer workflow (like the paper's) reads its inputs from the
 // shared filesystem and writes its final outputs back; restricted back-ends
 // such as Hadoop MapReduce also materialize intermediates here between jobs.
-// Files store real TSV-encoded relation bytes — the encode/decode path is
-// exercised on every job boundary — plus the logical size used by the cost
-// model, and the filesystem keeps byte counters so tests can assert how much
-// (simulated) I/O a plan performed.
+// Files store real encoded relation bytes — the encode/decode path is
+// exercised on every job boundary — in whichever codec their writer rendered
+// them, plus the logical size used by the cost model, and the filesystem keeps
+// byte counters so tests can assert how much (simulated) I/O a plan performed.
+// Sizes are canonical: a file is statted and charged at its logical size or
+// at the length of its TSV rendering, so nothing above this package can tell
+// which codec a file is stored in except by asking Stat.
 //
 // A DFS value is a view onto shared storage. The root view (returned by New)
 // sees every file; Namespace derives a scoped view whose paths resolve under
@@ -27,18 +30,14 @@ import (
 
 // Stat describes one stored file.
 type Stat struct {
-	Path          string
+	Path string
+	// PhysicalBytes is the length of the file's TSV rendering, header
+	// included: the stored length of a TSV file, computed for a columnar one.
 	PhysicalBytes int64
 	LogicalBytes  int64
 	Rows          int
-	// Codec is the wire format the file was encoded with.
+	// Codec is the format the file's writer rendered it in.
 	Codec relation.Codec
-	// WireBytes is the I/O volume the file accounts for: the effective
-	// (logical-scaled) size under its codec. For TSV files this equals
-	// EffectiveBytes; for columnar files the logical volume is scaled down
-	// by the codec's encoded-vs-text ratio, so shuffles over the compact
-	// format genuinely cost less in the simulation.
-	WireBytes int64
 }
 
 // EffectiveBytes returns the logical size when set, else the physical size.
@@ -81,15 +80,14 @@ type state struct {
 // a reader that took blocks under the lock may walk them outside it.
 type file struct {
 	blocks  []block
-	size    int64 // encoded byte length
+	size    int64 // length of the TSV rendering (see Stat.PhysicalBytes)
 	logical int64
 	rows    int
 	codec   relation.Codec
-	wire    int64 // accounted I/O volume per read/write (see Stat.WireBytes)
 }
 
 func (f *file) stat(path string) Stat {
-	return Stat{Path: path, PhysicalBytes: f.size, LogicalBytes: f.logical, Rows: f.rows, Codec: f.codec, WireBytes: f.wire}
+	return Stat{Path: path, PhysicalBytes: f.size, LogicalBytes: f.logical, Rows: f.rows, Codec: f.codec}
 }
 
 // New returns an empty filesystem with the default block configuration.
@@ -124,89 +122,49 @@ func (d *DFS) resolve(path string) string { return d.prefix + path }
 // WriteRelation encodes rel as TSV and stores it at path, replacing any
 // previous file. The relation's LogicalBytes travels with the file.
 func (d *DFS) WriteRelation(path string, rel *relation.Relation) error {
-	_, err := d.WriteRelationCodec(path, rel, relation.CodecTSV)
+	w := relation.NewWriter(rel.Schema)
+	w.LogicalBytes = rel.LogicalBytes
+	w.Append(rel.Rows)
+	_, err := d.Commit(path, w)
 	return err
 }
 
-// WriteRelationCodec encodes rel with the requested wire codec and stores
-// it at path. The write is charged at the file's wire volume: a TSV file is
-// what Commit stores for a writer handed every row; a columnar file scales
-// the effective size by the codec's encoded-vs-text byte ratio, so intra-run
-// shuffles over the compact format move fewer simulated bytes.
-func (d *DFS) WriteRelationCodec(path string, rel *relation.Relation, codec relation.Codec) (Stat, error) {
-	if codec != relation.CodecColumnar {
-		w := relation.NewWriter(rel.Schema)
-		w.LogicalBytes = rel.LogicalBytes
-		w.Append(rel.Rows)
-		return d.Commit(path, w)
-	}
-	data := rel.EncodeColumnar(relation.CodecOptions{})
-	// A physical-only file moves its encoded size, which for columnar is
-	// already the compact wire size; a set logical size is scaled by the
-	// ratio of columnar bytes to the text rendering it replaces.
-	wire := int64(len(data))
-	if rel.LogicalBytes > 0 {
-		wire = rel.LogicalBytes
-		if phys := rel.PhysicalBytes(); phys > 0 {
-			wire = int64(float64(rel.LogicalBytes) * float64(len(data)) / float64(phys))
-		}
-	}
-	return d.install(path, data, file{logical: rel.LogicalBytes, rows: rel.NumRows(), codec: codec, wire: wire})
-}
-
-// Commit stores the TSV relation w has written at path, replacing any
-// previous file — whole or, if never called, not at all — charged at its
-// effective (logical-or-encoded) size.
+// Commit stores the relation w has written at path, in w's codec, replacing
+// any previous file — whole or, if never called, not at all. The stream, which
+// w gives up, is cut into checksummed blocks before the lock is taken; only
+// the map store and the accounting run under it.
 func (d *DFS) Commit(path string, w *relation.Writer) (Stat, error) {
-	data := w.Bytes()
-	wire := w.LogicalBytes
-	if wire <= 0 {
-		wire = int64(len(data))
-	}
-	return d.install(path, data, file{logical: w.LogicalBytes, rows: w.Rows(), codec: relation.CodecTSV, wire: wire})
-}
-
-// install cuts data, which the caller gives up, into checksummed blocks and
-// publishes f over them; only the map store and the accounting are locked.
-func (d *DFS) install(path string, data []byte, f file) (Stat, error) {
 	if path == "" {
 		return Stat{}, fmt.Errorf("dfs: empty path")
 	}
-	f.blocks, f.size = d.split(data), int64(len(data))
+	f := &file{blocks: d.split(w.Bytes()), size: w.TextBytes(), logical: w.LogicalBytes, rows: w.Rows(), codec: w.Codec()}
 	d.st.mu.Lock()
 	defer d.st.mu.Unlock()
-	d.st.files[d.resolve(path)] = &f
-	d.st.bytesWritten += f.wire
-	return f.stat(path), nil
+	d.st.files[d.resolve(path)] = f
+	st := f.stat(path)
+	d.st.bytesWritten += st.EffectiveBytes()
+	return st, nil
 }
 
 // ReadRelation opens the file at path (see Open) and decodes it whole into
 // a relation named after the (view-relative) path.
 func (d *DFS) ReadRelation(path string) (*relation.Relation, error) {
-	rel, _, err := d.ReadRelationStat(path)
-	return rel, err
-}
-
-// ReadRelationStat is ReadRelation plus the file's metadata, letting
-// callers account the read at its codec-aware wire volume.
-func (d *DFS) ReadRelationStat(path string) (*relation.Relation, Stat, error) {
-	enc, st, err := d.Open(path)
+	enc, _, err := d.Open(path)
 	if err != nil {
-		return nil, Stat{}, err
+		return nil, err
 	}
 	rel, err := enc.Materialize()
 	if err != nil {
-		return nil, Stat{}, fmt.Errorf("dfs: decode %q: %w", d.resolve(path), err)
+		return nil, fmt.Errorf("dfs: decode %q: %w", d.resolve(path), err)
 	}
-	return rel, st, nil
+	return rel, nil
 }
 
 // Open accounts a read of the file at path, picks one healthy replica of
 // every block (verifying checksums, skipping failed datanodes) and parses the
 // header, decoding no row: the caller streams or materializes them from the
-// returned relation.Encoded. Commit and WriteRelationCodec are the only
-// writers, so the text is opened as the encoder's own, holding exactly the
-// rows recorded.
+// returned relation.Encoded. Commit is the only writer, so the stream is
+// opened as a Writer's own, holding exactly the rows recorded.
 // Only the accounting and the block-list snapshot run under the filesystem
 // lock; concurrent readers checksum and decode without serializing.
 func (d *DFS) Open(path string) (*relation.Encoded, Stat, error) {
@@ -217,7 +175,7 @@ func (d *DFS) Open(path string) (*relation.Encoded, Stat, error) {
 		d.st.mu.Unlock()
 		return nil, Stat{}, fmt.Errorf("dfs: no such file %q", key)
 	}
-	d.st.bytesRead += f.wire
+	d.st.bytesRead += f.stat(path).EffectiveBytes()
 	blocks, down := f.blocks, d.st.down
 	d.st.mu.Unlock()
 	data, err := verify(key, blocks, down)
@@ -289,7 +247,8 @@ func (d *DFS) Copy(from, to string) error {
 	if !ok {
 		return fmt.Errorf("dfs: no such file %q", fromKey)
 	}
-	d.st.files[d.resolve(to)] = &file{blocks: f.blocks, size: f.size, logical: f.logical, rows: f.rows, codec: f.codec, wire: f.wire}
+	clone := *f
+	d.st.files[d.resolve(to)] = &clone
 	return nil
 }
 

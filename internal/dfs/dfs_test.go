@@ -176,8 +176,13 @@ func TestReadBackSizesMatchAcrossCodecs(t *testing.T) {
 		}
 		sizes := map[relation.Codec]int64{}
 		for _, codec := range []relation.Codec{relation.CodecTSV, relation.CodecColumnar} {
-			if _, err := d.WriteRelationCodec("f", rel, codec); err != nil {
-				t.Fatal(err)
+			w := relation.NewWriter(rel.Schema)
+			if codec == relation.CodecColumnar {
+				w = relation.NewColumnarWriter(rel.Schema)
+			}
+			w.Append(rel.Rows)
+			if st, err := d.Commit("f", w); err != nil || st.Codec != codec {
+				t.Fatalf("committed a %s writer as %s, %v", codec, st.Codec, err)
 			}
 			back, err := d.ReadRelation("f")
 			if err != nil {

@@ -284,7 +284,8 @@ func TestBlankRowsSurviveTheDFS(t *testing.T) {
 	if err := d.WriteRelation("s", rel); err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := d.ReadRelationStat("s")
+	got, err := d.ReadRelation("s")
+	st, _ := d.Stat("s")
 	if err != nil || len(got.Rows) != 3 || st.Rows != 3 || got.Rows[1][0].S != "" || got.Rows[2][0].S != "b" {
 		t.Fatalf("read back %d rows (Stat %d), %v", len(got.Rows), st.Rows, err)
 	}

@@ -43,11 +43,6 @@ type RunContext struct {
 	// (injected crashes, stragglers, DFS read retries, fault recovery) —
 	// the execution's run-scoped logger. Nil disables logging at zero cost.
 	Log *obs.Logger
-	// ShuffleCodec selects the wire format for intra-run shuffles (fragment
-	// outputs consumed by other jobs of the same run). The zero value keeps
-	// everything TSV; workflow sources, published sinks, and loop
-	// temporaries stay TSV regardless.
-	ShuffleCodec relation.Codec
 }
 
 // Context returns the execution context, defaulting to Background.
@@ -121,26 +116,22 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 		return nil, fmt.Errorf("%s: job %s: %w", p.Engine.Name(), p.Frag.Name(),
 			&TransientError{Job: p.Frag.Name(), Attempt: ctx.Attempt})
 	}
-	env := exec.Env{}
 	pulled, dfsRetries, pullSp, err := runPull(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	trace, sinks, procSp, err := runProcess(ctx, p, env, pulled)
+	trace, sinks, procSp, err := runProcess(ctx, p, pulled)
 	if err != nil {
 		return nil, err
 	}
-	// A physical-only input is sized by the rows decoded from it, which a
-	// streamed input only is once the process phase has run: columnar
-	// shuffle files move their compact wire volume, TSV files the decoded
-	// relation's effective size, a re-read twice.
+	// A physical-only input is sized by the rows decoded from it — their
+	// text length, whatever codec they were stored in — which a streamed
+	// input only is once the process phase has run; a re-read moves it twice.
 	var pullBytes int64
 	for _, in := range pulled {
-		b := in.wire
-		if !in.columnar {
-			if b = in.src.LogicalBytes; b <= 0 {
-				b = in.src.PhysicalBytes()
-			}
+		b := in.src.LogicalBytes
+		if b <= 0 {
+			b = in.src.PhysicalBytes()
 		}
 		if in.reread {
 			b *= 2
@@ -149,7 +140,7 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 	}
 	pullSp.SetInt("bytes", pullBytes)
 	pullSp.SetInt("inputs", int64(len(pulled)))
-	pushBytes, pushSp, err := runPush(ctx, p, env, sinks)
+	pushBytes, pushSp, err := runPush(ctx, p, sinks)
 	if err != nil {
 		return nil, err
 	}
@@ -182,14 +173,11 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 	return res, nil
 }
 
-// pulledInput is one external input the pull phase opened: a columnar
-// shuffle file accounts for its wire volume, a TSV file for its rows'
-// effective size; reread says the chaos plan failed the first block read.
+// pulledInput is one external input the pull phase opened; reread says the
+// chaos plan failed the first block read.
 type pulledInput struct {
-	src      *relation.Encoded
-	wire     int64
-	columnar bool
-	reread   bool
+	src    *relation.Encoded
+	reread bool
 }
 
 // runPull opens the fragment's external inputs on the DFS — the read is
@@ -206,12 +194,12 @@ func runPull(ctx RunContext, p *Plan) ([]pulledInput, int, *obs.Span, error) {
 	pulled := make([]pulledInput, len(p.Frag.ExtIn))
 	retries := 0
 	for i, in := range p.Frag.ExtIn {
-		src, st, err := ctx.DFS.Open(InputPath(in))
+		src, _, err := ctx.DFS.Open(InputPath(in))
 		if err != nil {
 			return nil, 0, sp, fmt.Errorf("%s: %w", p.Engine.Name(), err)
 		}
 		src.Name = in.Out
-		pulled[i] = pulledInput{src: src, wire: st.WireBytes, columnar: st.Codec == relation.CodecColumnar}
+		pulled[i] = pulledInput{src: src}
 		if ctx.Chaos.FailsRead(p.Frag.Name(), ctx.Attempt, i) {
 			pulled[i].reread = true
 			retries++
@@ -230,33 +218,32 @@ func runPull(ctx RunContext, p *Plan) ([]pulledInput, int, *obs.Span, error) {
 // interpreter (exec.RunOps), recording the "process" phase span. Only the
 // fragment's external outputs must outlive it, so interior
 // SELECT/PROJECT/ARITH/JOIN/AGG chains run as single pull pipelines with no
-// intermediate relations; a TSV output is rendered into the writer returned
-// for it, a columnar shuffle output materializes into env. A
-// streamed-through operator's trace entry is metered by a tap and equals what
-// materializing it would record, so plans, costs and golden traces do not
-// depend on where a fragment was cut.
-func runProcess(ctx RunContext, p *Plan, env exec.Env, pulled []pulledInput) (*exec.Trace, map[string]*relation.Writer, *obs.Span, error) {
+// intermediate relations, and every output is rendered into the writer
+// returned for it. A streamed-through operator's trace entry is metered by a
+// tap and equals what materializing it would record, so plans, costs and
+// golden traces do not depend on where a fragment was cut.
+func runProcess(ctx RunContext, p *Plan, pulled []pulledInput) (*exec.Trace, map[string]*relation.Writer, *obs.Span, error) {
 	sp := ctx.Rec.StartSpan(ctx.Span, "process", "phase")
 	defer sp.End()
 	cctx := ctx.Context()
 	trace := exec.NewTrace()
-	extOut := make(map[*ir.Op]bool, len(p.Frag.ExtOut))
 	sinks := make(map[string]*relation.Writer, len(p.Frag.ExtOut))
 	for _, op := range p.Frag.ExtOut {
-		extOut[op] = true
-		// Intra-run shuffles (outputs another job reads) may use the compact
-		// columnar wire format; sinks and loop temporaries stay TSV so
-		// published results and golden fixtures are untouched.
-		if ctx.ShuffleCodec != relation.CodecColumnar || !p.Frag.ConsumedOutside(op) {
-			sinks[op.Out] = relation.NewWriter(relation.Schema{}) // RunOps stamps the schema
+		// The one rule that picks a file's codec: what only another job of
+		// this run will read is columnar; what a user may — a workflow sink, a
+		// loop's carried or stop-condition relation — is text. RunOps stamps
+		// the schema before the first row.
+		if p.Frag.ConsumedOutside(op) {
+			sinks[op.Out] = relation.NewColumnarWriter(relation.Schema{})
+		} else {
+			sinks[op.Out] = relation.NewWriter(relation.Schema{})
 		}
 	}
 	sources := make(map[string]*relation.Encoded, len(pulled))
 	for _, in := range pulled {
 		sources[in.src.Name] = in.src
 	}
-	err := exec.RunOps(p.Frag.Ops, env, trace, exec.RunOptions{
-		Keep: func(op *ir.Op) bool { return extOut[op] },
+	err := exec.RunOps(p.Frag.Ops, exec.Env{}, trace, exec.RunOptions{
 		// Cancellation is observed at execution-unit granularity: a
 		// cancelled multi-operator job stops between kernels/pipelines
 		// instead of running the whole fragment to completion.
@@ -281,7 +268,7 @@ func runProcess(ctx RunContext, p *Plan, env exec.Env, pulled []pulledInput) (*e
 // runPush publishes the fragment's external outputs on the DFS, recording
 // the "push" phase span. It runs once every operator has succeeded, so a
 // failed attempt publishes nothing and leaves a file it would replace whole.
-func runPush(ctx RunContext, p *Plan, env exec.Env, sinks map[string]*relation.Writer) (int64, *obs.Span, error) {
+func runPush(ctx RunContext, p *Plan, sinks map[string]*relation.Writer) (int64, *obs.Span, error) {
 	sp := ctx.Rec.StartSpan(ctx.Span, "push", "phase")
 	defer sp.End()
 	cctx := ctx.Context()
@@ -290,35 +277,15 @@ func runPush(ctx RunContext, p *Plan, env exec.Env, sinks map[string]*relation.W
 		if err := cctx.Err(); err != nil {
 			return 0, sp, fmt.Errorf("%s: job %s: %w", p.Engine.Name(), p.Frag.Name(), err)
 		}
-		// Per-codec shuffle counters feed estimator calibration: the
-		// encoded-vs-logical ratio is what WithShuffleCodec scales by.
-		if w := sinks[out.Out]; w != nil {
-			st, err := ctx.DFS.Commit(out.Out, w)
-			if err != nil {
-				return 0, sp, err
-			}
-			eff := w.LogicalBytes
-			if eff <= 0 {
-				eff = w.BodyBytes()
-			}
-			pushBytes += eff
-			ctx.Metrics.Counter("shuffle_codec_tsv_total").Add(1)
-			ctx.Metrics.Counter("shuffle_tsv_encoded_bytes_total").Add(st.PhysicalBytes)
-			ctx.Metrics.Counter("shuffle_tsv_logical_bytes_total").Add(eff)
-			continue
-		}
-		rel, ok := env[out.Out]
-		if !ok {
-			return 0, sp, fmt.Errorf("%s: output %q not materialized", p.Engine.Name(), out.Out)
-		}
-		st, err := ctx.DFS.WriteRelationCodec(out.Out, rel, relation.CodecColumnar)
-		if err != nil {
+		w := sinks[out.Out]
+		if _, err := ctx.DFS.Commit(out.Out, w); err != nil {
 			return 0, sp, err
 		}
-		pushBytes += st.WireBytes
-		ctx.Metrics.Counter("shuffle_codec_columnar_total").Add(1)
-		ctx.Metrics.Counter("shuffle_columnar_encoded_bytes_total").Add(st.PhysicalBytes)
-		ctx.Metrics.Counter("shuffle_columnar_logical_bytes_total").Add(rel.EffectiveBytes())
+		if w.LogicalBytes > 0 {
+			pushBytes += w.LogicalBytes
+		} else {
+			pushBytes += w.BodyBytes()
+		}
 	}
 	sp.SetInt("bytes", pushBytes)
 	sp.SetInt("outputs", int64(len(p.Frag.ExtOut)))

@@ -124,7 +124,7 @@ func renderFunctional(b *strings.Builder, d dialect, p *Plan, schemas map[*ir.Op
 		return fmt.Sprintf("%s %s: Collection[%s]", decl, op.Out, tupleType(schemas, op))
 	}
 	for _, in := range p.Frag.ExtIn {
-		fmt.Fprintf(b, "%s = %s(%q)\n", bind(in), read, "hdfs://"+inputPath(in))
+		fmt.Fprintf(b, "%s = %s(%q)\n", bind(in), read, "hdfs://"+InputPath(in))
 	}
 	for _, st := range p.Stages {
 		if len(st.Ops) == 1 || p.Mode == ModeNaive {
@@ -146,13 +146,6 @@ func renderFunctional(b *strings.Builder, d dialect, p *Plan, schemas map[*ir.Op
 	for _, out := range p.Frag.ExtOut {
 		fmt.Fprintf(b, "%s.%s(%q)\n", out.Out, write, "hdfs://out/"+out.Out)
 	}
-}
-
-func inputPath(op *ir.Op) string {
-	if op.Type == ir.OpInput && op.Params.Path != "" {
-		return op.Params.Path
-	}
-	return op.Out
 }
 
 func functionalExpr(d dialect, op *ir.Op) string {
@@ -343,7 +336,7 @@ func renderGAS(b *strings.Builder, p *Plan) {
 func renderC(b *strings.Builder, p *Plan) {
 	fmt.Fprintf(b, "int main(void) {\n")
 	for _, in := range p.Frag.ExtIn {
-		fmt.Fprintf(b, "  table_t *%s = load_tsv(%q);\n", cIdent(in.Out), inputPath(in))
+		fmt.Fprintf(b, "  table_t *%s = load_tsv(%q);\n", cIdent(in.Out), InputPath(in))
 	}
 	if p.While != nil {
 		fmt.Fprintf(b, "  for (int iter = 0; iter < %d; iter++) {\n", p.While.Params.MaxIter)

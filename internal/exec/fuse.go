@@ -318,18 +318,19 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 	} else {
 		c.open = func(lo, hi int) relation.RowSource { return src.Reader(lo, hi, batchRows) }
 	}
+	if c.sink != nil {
+		c.sink.Schema = specs[n-1].sch // a columnar sink renders by it
+	}
 	res, err := c.run()
 	if err != nil {
 		return nil, err
 	}
 	var out *relation.Relation // stays nil when the rows went to the sink
 	switch {
-	case c.sink != nil:
-		c.sink.Schema = specs[n-1].sch
-	case c.agg != nil:
+	case c.agg != nil: // never a streaming sink
 		out = relation.New(last.Out, specs[n-1].sch)
 		emitAggRows(c.agg.inSch, res.table, res.inRows, out)
-	default:
+	case c.sink == nil:
 		out = relation.New(last.Out, specs[n-1].sch)
 		out.Rows = res.rows
 	}

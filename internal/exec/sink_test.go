@@ -18,6 +18,10 @@ import (
 // committed to DFSs of three block sizes — must be the file WriteRelation
 // stores for the relation the Keep-all run materialized: the same bytes,
 // blocks and Stat, under a bit-identical trace, decoding to the oracle's rows.
+// The same run into columnar writers must be indistinguishable above the
+// relation package: the same trace, a file that stats as the text one does
+// but for its codec, and — re-opened — the cells of the text file's round
+// trip as structs, cached widths included, under the same meter.
 func TestStreamedSinksMatchMaterializedOutputs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	streamed, handed := 0, 0
@@ -39,20 +43,24 @@ func TestStreamedSinksMatchMaterializedOutputs(t *testing.T) {
 		}
 		for _, batch := range []int{1, 2, 3, 1024} {
 			for _, threshold := range []int{ParallelThreshold, 1} {
-				sinks := map[string]*relation.Writer{}
+				sinks, colSinks := map[string]*relation.Writer{}, map[string]*relation.Writer{}
 				for _, op := range g.d.Sinks() {
 					if op.Type != ir.OpInput {
-						sinks[op.Out] = relation.NewWriter(relation.Schema{})
+						sinks[op.Out], colSinks[op.Out] = newWriter(relation.CodecTSV), newWriter(relation.CodecColumnar)
 					}
 				}
-				env, trace := Env{"a": a, "b": b}, NewTrace()
-				withThreshold(t, threshold, func() {
-					if err := RunOps(ops, env, trace, RunOptions{BatchRows: batch, Sinks: sinks}); err != nil {
-						t.Fatalf("seed %d batch %d threshold %d: %v\n%s", seed, batch, threshold, err, g.d)
+				var env Env
+				for _, to := range []map[string]*relation.Writer{colSinks, sinks} {
+					trace := NewTrace()
+					env = Env{"a": a, "b": b}
+					withThreshold(t, threshold, func() {
+						if err := RunOps(ops, env, trace, RunOptions{BatchRows: batch, Sinks: to}); err != nil {
+							t.Fatalf("seed %d batch %d threshold %d: %v\n%s", seed, batch, threshold, err, g.d)
+						}
+					})
+					if sameTrace(t, wantTrace, trace); t.Failed() {
+						t.Fatalf("seed %d batch %d threshold %d: trace differs from keep-all\n%s", seed, batch, threshold, g.d)
 					}
-				})
-				if sameTrace(t, wantTrace, trace); t.Failed() {
-					t.Fatalf("seed %d batch %d threshold %d: trace differs from keep-all\n%s", seed, batch, threshold, g.d)
 				}
 				for name, w := range sinks {
 					want := wantEnv[name]
@@ -91,6 +99,14 @@ func TestStreamedSinksMatchMaterializedOutputs(t *testing.T) {
 						}
 						if back.Fingerprint() != g.vals[name].Fingerprint() || !back.Schema.Equal(g.vals[name].Schema) {
 							t.Fatalf("seed %d sink %s: the committed file decodes to rows the oracle does not have\n%s", seed, name, g.d)
+						}
+						colSt, err := fs.Commit("col", colSinks[name])
+						if wantSt.Path, wantSt.Codec = "col", relation.CodecColumnar; err != nil || colSt != wantSt {
+							t.Fatalf("seed %d sink %s: committed columnar as %+v, want %+v (%v)", seed, name, colSt, wantSt, err)
+						}
+						sameReadBack(t, mustOpen(t, fs, "col"), mustOpen(t, fs, "got"))
+						if t.Failed() {
+							t.Fatalf("seed %d batch %d threshold %d sink %s block size %d\n%s", seed, batch, threshold, name, blockSize, g.d)
 						}
 					}
 				}
@@ -212,10 +228,10 @@ func pushMaterialized(tb testing.TB, ops []*ir.Op, src, dim *relation.Relation, 
 	if err := RunOps(ops, env, NewTrace(), RunOptions{Keep: func(op *ir.Op) bool { return op.Out == "shared" }}); err != nil {
 		tb.Fatal(err)
 	}
-	st, err := fs.WriteRelationCodec("shared", env["shared"], relation.CodecTSV)
-	if err != nil {
+	if err := fs.WriteRelation("shared", env["shared"]); err != nil {
 		tb.Fatal(err)
 	}
+	st, _ := fs.Stat("shared")
 	return st
 }
 

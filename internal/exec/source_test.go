@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -23,11 +24,62 @@ func stage(t testing.TB, blockSize int, codec relation.Codec, rels ...*relation.
 	t.Helper()
 	fs := dfs.NewWithConfig(dfs.Config{BlockSize: blockSize})
 	for _, rel := range rels {
-		if _, err := fs.WriteRelationCodec(rel.Name, rel, codec); err != nil {
+		w := newWriter(codec)
+		w.Schema, w.LogicalBytes = rel.Schema, rel.LogicalBytes
+		w.Append(rel.Rows)
+		if _, err := fs.Commit(rel.Name, w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return fs
+}
+
+// newWriter returns an empty writer of the given codec, its schema unset, as
+// an engine hands RunOps a sink.
+func newWriter(codec relation.Codec) *relation.Writer {
+	if codec == relation.CodecColumnar {
+		return relation.NewColumnarWriter(relation.Schema{})
+	}
+	return relation.NewWriter(relation.Schema{})
+}
+
+func mustOpen(t testing.TB, fs *dfs.DFS, path string) *relation.Encoded {
+	t.Helper()
+	enc, _, err := fs.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// sameReadBack drains two opened files of one relation, stored in different
+// codecs, and demands the same rows: every cell equal as a struct — its cached
+// width included — widths that are true, the same schema and logical size,
+// and the same meter reading once every row is out.
+func sameReadBack(t testing.TB, got, want *relation.Encoded) {
+	t.Helper()
+	g, err := got.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := want.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := relation.CheckWidths(g); err != nil {
+		t.Error(err)
+	}
+	if !g.Schema.Equal(w.Schema) || g.LogicalBytes != w.LogicalBytes || len(g.Rows) != len(w.Rows) || got.PhysicalBytes() != want.PhysicalBytes() {
+		t.Fatalf("one codec reads back %s, %d rows, logical %d, metered %d; the other %s, %d rows, logical %d, metered %d",
+			g.Schema, len(g.Rows), g.LogicalBytes, got.PhysicalBytes(), w.Schema, len(w.Rows), w.LogicalBytes, want.PhysicalBytes())
+	}
+	for i := range w.Rows {
+		for j, wv := range w.Rows[i] {
+			if gv := g.Rows[i][j]; gv != wv && !(gv.Kind == relation.KindFloat && math.IsNaN(gv.F) && math.IsNaN(wv.F)) {
+				t.Fatalf("row %d col %d: one codec reads back %#v, the other %#v", i, j, gv, wv)
+			}
+		}
+	}
 }
 
 // runBound reads every file whole and binds it by name.
@@ -88,7 +140,9 @@ func sameRun(t *testing.T, ops []*ir.Op, want, got Env, wantTrace, gotTrace *Tra
 // TestStreamedSourcesMatchBoundRelations is the differential over the oracle
 // suite's generator: every seeded DAG, inputs staged on a DFS whose blocks
 // cut lines, at batch sizes 1, 2, 3 and the default, single-range and
-// chunk-parallel.
+// chunk-parallel — and again with the inputs staged columnar, on blocks that
+// cut row groups, which must change nothing: the files read back alike, and
+// the run over them keeps the same relations under the same trace.
 func TestStreamedSourcesMatchBoundRelations(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	streamedInputs := 0
@@ -109,6 +163,10 @@ func TestStreamedSourcesMatchBoundRelations(t *testing.T) {
 			sinks[op] = true
 		}
 		fs := stage(t, []int{7, 64, 0}[seed%3], relation.CodecTSV, a, b)
+		colFS := stage(t, []int{7, 64, 0}[seed%3], relation.CodecColumnar, a, b)
+		for _, name := range []string{"a", "b"} {
+			sameReadBack(t, mustOpen(t, colFS, name), mustOpen(t, fs, name))
+		}
 		for _, batch := range []int{1, 2, 3, 1024} {
 			for _, threshold := range []int{ParallelThreshold, 1} {
 				opts := RunOptions{Keep: func(op *ir.Op) bool { return sinks[op] }, BatchRows: batch}
@@ -116,8 +174,10 @@ func TestStreamedSourcesMatchBoundRelations(t *testing.T) {
 				ParallelThreshold = threshold
 				wantEnv, wantTrace := runBound(t, ops, fs, opts)
 				gotEnv, gotTrace, _ := runSourced(t, ops, fs, opts)
+				colEnv, colTrace, _ := runSourced(t, ops, colFS, opts)
 				ParallelThreshold = old
 				sameRun(t, ops, wantEnv, gotEnv, wantTrace, gotTrace)
+				sameRun(t, ops, wantEnv, colEnv, wantTrace, colTrace)
 				if t.Failed() {
 					t.Fatalf("seed %d batch %d threshold %d\n%s", seed, batch, threshold, g.d)
 				}
@@ -198,11 +258,10 @@ func TestSourceShapes(t *testing.T) {
 		b.MustAppend(relation.Row{relation.Int(int64(i)), relation.Int(int64(i * i))})
 	}
 	for _, variant := range []struct {
-		name    string
-		scale   int64
-		codec   relation.Codec
-		decoded bool // Open decodes the file whole (no incremental decoder)
-	}{{"scaled", 40, relation.CodecTSV, false}, {"physical-only", 0, relation.CodecTSV, false}, {"columnar", 40, relation.CodecColumnar, true}} {
+		name  string
+		scale int64
+		codec relation.Codec
+	}{{"scaled", 40, relation.CodecTSV}, {"physical-only", 0, relation.CodecTSV}, {"columnar", 40, relation.CodecColumnar}, {"columnar-physical-only", 0, relation.CodecColumnar}} {
 		a.LogicalBytes, b.LogicalBytes = a.PhysicalBytes()*variant.scale, b.PhysicalBytes()*variant.scale
 		fs := stage(t, 1<<10, variant.codec, a, b)
 		for _, c := range sourceCases() {

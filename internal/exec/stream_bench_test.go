@@ -90,3 +90,47 @@ func BenchmarkStreamScanFile(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStreamRoundTrip is a job boundary: the ×16 fan-out JOIN → ARITH job
+// of BenchmarkStreamPushFile streams its 320k output rows into a writer, the
+// writer is committed to a DFS, and a second job opens the file and scans it
+// through a SELECT → AGG pipeline. "tsv" renders every number to text and
+// parses it back; "columnar" is what engines.Run does between jobs.
+func BenchmarkStreamRoundTrip(b *testing.B) {
+	first := pushOps(b)
+	src, dim := fanoutInputs(20000)
+	d := ir.NewDAG()
+	in := d.AddInput("shared", "shared", relation.NewSchema("k:int", "v:int", "w:float", "dst:int", "deg:int"))
+	hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: ir.Cmp(ir.ColRef("v"), ir.CmpGt, ir.LitOp(relation.Int(2)))}, in)
+	d.Add(ir.OpAgg, "bydst", ir.Params{GroupBy: []string{"dst"}, Aggs: []ir.AggSpec{{Func: ir.AggSum, Col: "w", As: "rank"}}}, hot)
+	if err := d.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	second, err := d.TopoSort()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, codec := range []relation.Codec{relation.CodecTSV, relation.CodecColumnar} {
+		b.Run(codec.String(), func(b *testing.B) {
+			fs := dfs.New()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := newWriter(codec)
+				if err := RunOps(first, Env{"in/src": src, "in/dim": dim}, NewTrace(), RunOptions{Sinks: map[string]*relation.Writer{"shared": w}}); err != nil {
+					b.Fatal(err)
+				}
+				if st, err := fs.Commit("shared", w); err != nil || st.Rows != 320000 {
+					b.Fatalf("first job wrote %d rows, %v", st.Rows, err)
+				}
+				env := Env{}
+				opts := RunOptions{SkipInputs: true, Sources: map[string]*relation.Encoded{"shared": mustOpen(b, fs, "shared")}}
+				if err := RunOps(second, env, NewTrace(), opts); err != nil {
+					b.Fatal(err)
+				}
+				if out := env["bydst"]; out == nil || out.NumRows() != 1024 {
+					b.Fatal("second job produced the wrong groups")
+				}
+			}
+		})
+	}
+}

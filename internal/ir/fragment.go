@@ -19,9 +19,10 @@ type Fragment struct {
 	// ExtOut are the fragment operators whose outputs are consumed outside
 	// the fragment (or are workflow sinks) and must be written to the DFS.
 	ExtOut []*Op
-	// shuffled[i] records whether ExtOut[i] has a consumer outside the
-	// fragment (as opposed to being a pure sink or a forced output); fixed
-	// when the output is added, so ConsumedOutside never re-walks the DAG.
+	// shuffled[i] records whether ExtOut[i] is read by other jobs and by
+	// nothing else — it has a consumer outside the fragment and is not a
+	// forced output. It serves the engines' codec rule alone (see
+	// ConsumedOutside); no cost depends on it.
 	shuffled []bool
 
 	dag     *DAG
@@ -107,26 +108,29 @@ func (f *Fragment) DAG() *DAG { return f.dag }
 // ForceOutput marks a member operator's result as an external output even
 // if no operator outside the fragment consumes it. The WHILE driver uses
 // this to materialize loop-carried relations and stop-condition relations
-// that are otherwise internal to a body job.
+// that are otherwise internal to a body job. The driver copies a forced
+// output to where the next iteration, and in the end the workflow's reader,
+// finds it: it is no longer only another job's input, even when one reads it.
 func (f *Fragment) ForceOutput(op *Op) error {
 	if !f.Contains(op) {
 		return fmt.Errorf("ir: %s is not in the fragment", op)
 	}
-	for _, out := range f.ExtOut {
+	for i, out := range f.ExtOut {
 		if out == op {
+			f.shuffled[i] = false
 			return nil
 		}
 	}
 	f.ExtOut = append(f.ExtOut, op)
-	f.shuffled = append(f.shuffled, false) // else it would already be an output
+	f.shuffled = append(f.shuffled, false)
 	return nil
 }
 
-// ConsumedOutside reports whether some operator outside the fragment reads
-// op's output. External outputs that are pure workflow sinks (no consumer
-// anywhere) return false — they are published for the user, not shuffled to
-// another job, which is what lets engines choose a compact wire codec for
-// true intra-run shuffles while sinks stay TSV.
+// ConsumedOutside reports whether op's output is written for other jobs of
+// the run and no one else: some operator outside the fragment reads it, and
+// it was not forced. Workflow sinks and forced outputs return false — a user
+// may read them. It is the engines' rule for picking a file's codec, columnar
+// between jobs and text otherwise, and serves nothing else.
 func (f *Fragment) ConsumedOutside(op *Op) bool {
 	for i, out := range f.ExtOut {
 		if out == op {

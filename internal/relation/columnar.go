@@ -4,280 +4,408 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
+	"math/bits"
 )
 
-// Codec selects a relation wire format.
+// Codec names one of the Writer's two stream formats.
 type Codec uint8
 
 const (
-	// CodecTSV is the text format of Encode/Decode: a two-line header
-	// followed by tab-separated rows. It is the default everywhere data is
-	// user-visible — workflow sources, published sinks, golden fixtures.
+	// CodecTSV is the text format: a two-line header followed by
+	// tab-separated rows. Everything user-visible is TSV — workflow sources,
+	// published sinks, loop-carried state, golden fixtures.
 	CodecTSV Codec = iota
-	// CodecColumnar is the length-prefixed binary columnar format of
-	// EncodeColumnar: per-column blocks with zigzag-varint integers, raw
-	// IEEE-754 float bits, and offset-indexed string data. It is used for
-	// intra-run shuffles, where it typically encodes to well under the TSV
-	// size and round-trips values (including tabs and newlines inside
-	// strings) exactly.
+	// CodecColumnar is the binary format of every file one job writes for
+	// another to read: a header followed by row groups a reader decodes as it
+	// pulls them, with no number rendered to text on the way out or parsed on
+	// the way in.
+	//
+	//	magic (5 bytes), then the two header lines of the TSV format
+	//	per row group: uvarint rows (1..groupRows), uvarint bodyLen, body
+	//	body, per column: uvarint sectionLen, section
+	//	  int     a zigzag varint per row
+	//	  float   per row, 8 bytes of little-endian IEEE-754 bits and 1 byte:
+	//	          the length of the value's text (0: not known, measure it)
+	//	  string  uvarint blobLen, the rows' bytes end to end, then a uvarint
+	//	          length per row; the decoded cells are substrings of one blob
+	//	a body of no columns is one zero byte per row
+	//
+	// Every row costs its group at least a byte, so a declared row count is
+	// checked against the bytes present before anything is sized by it. The
+	// width byte is what makes the codec invisible above this package: a
+	// decoded cell carries the cached width a trusted TSV round trip would
+	// have left in it (see stampEncoded), so sizes, meters and traces are the
+	// same whichever codec a file crossed in. Values are coerced to their
+	// column's declared kind, as parsing their text would. The one observable
+	// difference is a string holding a tab or a newline: it survives this
+	// codec exactly, where TSV splits it into fields or rows.
 	CodecColumnar
 )
 
-// DefaultColumnarRatio is the a-priori estimate of the columnar codec's
-// encoded size relative to the TSV rendering of the same relation —
-// conservative for numeric-heavy shuffles (varints shrink small ints far
-// more) and roughly right for mixed string/number rows. Estimators use it
-// until the flight recorder's shuffle counters provide a measured ratio.
-const DefaultColumnarRatio = 0.55
+// groupRows bounds a row group: the unit a reader skips, stitches across
+// blocks or decodes in place.
+const groupRows = 1024
 
 // String returns the codec's lower-case name.
 func (c Codec) String() string {
-	switch c {
-	case CodecColumnar:
+	if c == CodecColumnar {
 		return "columnar"
-	default:
-		return "tsv"
 	}
+	return "tsv"
 }
 
 // columnarMagic prefixes every columnar stream. The leading byte is an
 // invalid UTF-8 start byte, so no TSV stream (which begins "#schema") can
 // collide with it.
-var columnarMagic = [5]byte{0xb1, 'M', 'K', 'C', '1'}
+var columnarMagic = [5]byte{0xb1, 'M', 'K', 'C', '2'}
 
-// SniffCodec inspects an encoded stream's leading bytes and reports which
-// codec produced it.
-func SniffCodec(data []byte) Codec {
-	if len(data) >= len(columnarMagic) && [5]byte(data[:5]) == columnarMagic {
-		return CodecColumnar
-	}
-	return CodecTSV
+// NewColumnarWriter returns an empty columnar writer for rows of the given
+// schema, which must be set before the first row is appended.
+func NewColumnarWriter(schema Schema) *Writer {
+	return &Writer{Schema: schema, codec: CodecColumnar}
 }
 
-// EncodeColumnar renders the relation in the binary columnar format:
-//
-//	magic (5 bytes)
-//	uvarint ncols, then per column: uvarint len(name), name, 1 byte kind
-//	uvarint logicalBytes
-//	uvarint nrows
-//	per column: uvarint blockLen, then the block:
-//	  int     zigzag varint per row
-//	  float   8-byte little-endian IEEE-754 bits per row
-//	  string  uvarint totalBytes, the concatenated bytes, then one uvarint
-//	          cumulative end offset per row (the offset index)
-//
-// Values are coerced to their column's declared kind, mirroring what a TSV
-// encode/decode round trip does via text parsing. Above the parallel
-// threshold the per-column blocks encode concurrently.
+// EncodeColumnar returns the relation as a columnar stream: the bytes of a
+// columnar Writer handed every row.
 func (r *Relation) EncodeColumnar(o CodecOptions) []byte {
-	head := make([]byte, 0, 64)
-	head = append(head, columnarMagic[:]...)
-	head = binary.AppendUvarint(head, uint64(len(r.Schema.Cols)))
-	for _, c := range r.Schema.Cols {
-		head = binary.AppendUvarint(head, uint64(len(c.Name)))
-		head = append(head, c.Name...)
-		head = append(head, byte(c.Kind))
-	}
-	head = binary.AppendUvarint(head, uint64(r.LogicalBytes))
-	head = binary.AppendUvarint(head, uint64(len(r.Rows)))
-
-	blocks := make([][]byte, len(r.Schema.Cols))
-	if len(r.Rows) >= o.threshold() && len(r.Schema.Cols) > 1 {
-		var wg sync.WaitGroup
-		for ci := range r.Schema.Cols {
-			wg.Add(1)
-			go func(ci int) {
-				defer wg.Done()
-				blocks[ci] = r.encodeColumn(ci)
-			}(ci)
-		}
-		wg.Wait()
-	} else {
-		for ci := range r.Schema.Cols {
-			blocks[ci] = r.encodeColumn(ci)
-		}
-	}
-	out := head
-	for _, b := range blocks {
-		out = binary.AppendUvarint(out, uint64(len(b)))
-		out = append(out, b...)
-	}
-	return out
+	return r.encode(NewColumnarWriter(r.Schema), o)
 }
 
-// encodeColumn renders one column's block.
-func (r *Relation) encodeColumn(ci int) []byte {
-	switch r.Schema.Cols[ci].Kind {
-	case KindInt:
-		b := make([]byte, 0, len(r.Rows)*2)
-		for _, row := range r.Rows {
-			b = binary.AppendVarint(b, row[ci].AsInt())
-		}
-		return b
-	case KindFloat:
-		b := make([]byte, 0, len(r.Rows)*8)
-		for _, row := range r.Rows {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(row[ci].AsFloat()))
-		}
-		return b
-	default:
-		var total uint64
-		for _, row := range r.Rows {
-			total += uint64(len(row[ci].String()))
-		}
-		b := make([]byte, 0, int(total)+len(r.Rows)+10)
-		b = binary.AppendUvarint(b, total)
-		for _, row := range r.Rows {
-			b = append(b, row[ci].String()...)
-		}
-		var end uint64
-		for _, row := range r.Rows {
-			end += uint64(len(row[ci].String()))
-			b = binary.AppendUvarint(b, end)
-		}
-		return b
-	}
+// DecodeColumnar is DecodeBytes, which sniffs the codec, under the name the
+// columnar codec is measured by; no decoder has a parallel path to select.
+func DecodeColumnar(name string, data []byte, _ CodecOptions) (*Relation, error) {
+	return DecodeBytes(name, data)
 }
 
-// DecodeColumnar parses an EncodeColumnar stream. Column blocks decode
-// concurrently above the parallel threshold; each fills its own stride of a
-// shared row-major value arena, so decoded row order is deterministic.
-func DecodeColumnar(name string, data []byte, o CodecOptions) (*Relation, error) {
-	if SniffCodec(data) != CodecColumnar {
-		return nil, fmt.Errorf("relation %s: missing columnar magic", name)
-	}
-	pos := len(columnarMagic)
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("relation %s: truncated columnar header", name)
-		}
-		pos += n
-		return v, nil
-	}
-	ncols, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	schema := Schema{Cols: make([]Column, ncols)}
-	for ci := range schema.Cols {
-		nameLen, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if pos+int(nameLen)+1 > len(data) {
-			return nil, fmt.Errorf("relation %s: truncated columnar header", name)
-		}
-		colName := string(data[pos : pos+int(nameLen)])
-		pos += int(nameLen)
-		kind := Kind(data[pos])
-		pos++
-		if kind > KindString {
-			return nil, fmt.Errorf("relation %s: bad column kind %d", name, kind)
-		}
-		schema.Cols[ci] = Column{Name: colName, Kind: kind}
-	}
-	logical, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	nrows64, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	nrows := int(nrows64)
-	rel := New(name, schema)
-	rel.LogicalBytes = int64(logical)
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
-	blocks := make([][]byte, ncols)
-	for ci := range blocks {
-		blockLen, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if pos+int(blockLen) > len(data) {
-			return nil, fmt.Errorf("relation %s: truncated column block %d", name, ci)
-		}
-		blocks[ci] = data[pos : pos+int(blockLen)]
-		pos += int(blockLen)
-	}
-	if nrows == 0 {
-		return rel, nil
-	}
+func varintLen(i int64) int { return uvarintLen(uint64(i<<1) ^ uint64(i>>63)) }
 
-	// Row-major arena shared by all columns; column ci fills slots
-	// [row*ncols + ci], so concurrent column decoders touch disjoint
-	// elements.
-	arity := int(ncols)
-	flat := make([]Row, 0, nrows)
-	vals := make([]Value, nrows*arity)
-	for rI := 0; rI < nrows; rI++ {
-		flat = append(flat, vals[rI*arity:(rI+1)*arity:(rI+1)*arity])
+// cellText is the text of a cell of a string column.
+func cellText(v *Value) string {
+	if v.Kind == KindString {
+		return v.S
 	}
-	rel.Rows = flat
-	errs := make([]error, ncols)
-	if nrows >= o.threshold() && arity > 1 {
-		var wg sync.WaitGroup
-		for ci := range blocks {
-			wg.Add(1)
-			go func(ci int) {
-				defer wg.Done()
-				errs[ci] = decodeColumn(name, schema.Cols[ci].Kind, blocks[ci], vals, ci, arity, nrows)
-			}(ci)
-		}
-		wg.Wait()
-	} else {
-		for ci := range blocks {
-			errs[ci] = decodeColumn(name, schema.Cols[ci].Kind, blocks[ci], vals, ci, arity, nrows)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
+	return v.String()
 }
 
-// decodeColumn parses one column block into its stride of the value arena.
-func decodeColumn(name string, kind Kind, block []byte, vals []Value, ci, arity, nrows int) error {
-	switch kind {
-	case KindInt:
-		for rI := 0; rI < nrows; rI++ {
-			v, n := binary.Varint(block)
-			if n <= 0 {
-				return fmt.Errorf("relation %s: truncated int column %d", name, ci)
+// floatColumnWidth returns the width byte of a cell of a float column and the
+// length of the text a TSV writer would have rendered it to. A float's byte is
+// that length, cached or measured once. An Int in a float column (see
+// stampEncoded) renders as integer text, which parses back to a float that
+// re-renders the same up to six digits and in exponent form beyond: there the
+// byte is 0 and the reader's TextLen measures the float it decoded.
+func floatColumnWidth(v *Value) (w uint8, text int) {
+	switch {
+	case v.Kind == KindInt:
+		text = intTextLen(v.I)
+		if v.I > 999999 || v.I < -999999 {
+			return 0, text
+		}
+		return uint8(text), text
+	case v.w != 0:
+		return v.w, int(v.w)
+	}
+	text = v.measure()
+	return uint8(text), text
+}
+
+// appendGroup renders rows, at most groupRows of them, as one row group at
+// the end of the part. A first pass sizes every column's section, so the
+// group is written once, into a segment of exactly its length.
+func (p *Part) appendGroup(rows []Row) {
+	cols := p.w.Schema.Cols
+	arity := len(cols)
+	if cap(p.lens) < 2*arity {
+		p.lens = make([]int, 2*arity)
+	}
+	secLen, blobLen := p.lens[:arity], p.lens[arity:2*arity]
+	body := 0
+	for c, col := range cols {
+		n, blob := 0, 0
+		switch col.Kind {
+		case KindInt:
+			for _, row := range rows {
+				n += varintLen(row[c].AsInt())
 			}
-			block = block[n:]
-			vals[rI*arity+ci] = Int(v)
-		}
-	case KindFloat:
-		if len(block) < nrows*8 {
-			return fmt.Errorf("relation %s: truncated float column %d", name, ci)
-		}
-		for rI := 0; rI < nrows; rI++ {
-			bits := binary.LittleEndian.Uint64(block[rI*8:])
-			vals[rI*arity+ci] = Float(math.Float64frombits(bits))
-		}
-	default:
-		total, n := binary.Uvarint(block)
-		if n <= 0 || n+int(total) > len(block) {
-			return fmt.Errorf("relation %s: truncated string column %d", name, ci)
-		}
-		// One backing string per column; row values are substrings of it.
-		backing := string(block[n : n+int(total)])
-		block = block[n+int(total):]
-		var start uint64
-		for rI := 0; rI < nrows; rI++ {
-			end, n := binary.Uvarint(block)
-			if n <= 0 || end < start || end > total {
-				return fmt.Errorf("relation %s: bad string offset in column %d", name, ci)
+		case KindFloat:
+			n = 9 * len(rows)
+		default:
+			for _, row := range rows {
+				l := len(cellText(&row[c]))
+				blob += l
+				n += uvarintLen(uint64(l))
 			}
-			block = block[n:]
-			vals[rI*arity+ci] = Str(backing[start:end])
-			start = end
+			n += uvarintLen(uint64(blob)) + blob
+		}
+		secLen[c], blobLen[c] = n, blob
+		body += uvarintLen(uint64(n)) + n
+	}
+	if arity == 0 {
+		body = len(rows)
+	}
+	seg := make([]byte, 0, uvarintLen(uint64(len(rows)))+uvarintLen(uint64(body))+body)
+	seg = binary.AppendUvarint(binary.AppendUvarint(seg, uint64(len(rows))), uint64(body))
+	text := len(rows) * max(arity, 1) // a separator or newline per field, as Part.Append writes them
+	for c, col := range cols {
+		seg = binary.AppendUvarint(seg, uint64(secLen[c]))
+		switch col.Kind {
+		case KindInt:
+			for _, row := range rows {
+				i := row[c].AsInt()
+				seg = binary.AppendVarint(seg, i)
+				text += intTextLen(i)
+			}
+		case KindFloat:
+			for _, row := range rows {
+				w, n := floatColumnWidth(&row[c])
+				seg = append(binary.LittleEndian.AppendUint64(seg, math.Float64bits(row[c].AsFloat())), w)
+				text += n
+			}
+		default:
+			seg = binary.AppendUvarint(seg, uint64(blobLen[c]))
+			for _, row := range rows {
+				seg = append(seg, cellText(&row[c])...)
+			}
+			for _, row := range rows {
+				seg = binary.AppendUvarint(seg, uint64(len(cellText(&row[c]))))
+			}
+			text += blobLen[c]
 		}
 	}
-	return nil
+	if arity == 0 {
+		seg = append(seg, make([]byte, len(rows))...)
+	}
+	p.segs, p.rows, p.bytes = append(p.segs, seg), p.rows+len(rows), p.bytes+text
+}
+
+// countGroupRows derives a foreign columnar stream's row count: the sum its
+// groups declare, each checked against the bytes it holds.
+func (e *Encoded) countGroupRows() error {
+	e.rows = 0
+	for cur := e.body; ; {
+		n, body, err := e.groupHeader(&cur)
+		if n == 0 || err != nil {
+			return err
+		}
+		if !cur.skip(body) {
+			return e.badGroup()
+		}
+		e.rows += n
+	}
+}
+
+func (e *Encoded) badGroup() error {
+	return fmt.Errorf("relation %s: malformed or truncated row group", e.Name)
+}
+
+// groupHeader reads the header of the row group at c: its row count — 0 at
+// the end of the stream — and the length of its body, which must be one the
+// stream can hold and hold at least a byte per cell (per row, for no columns).
+func (e *Encoded) groupHeader(c *blockCursor) (rows, body int, err error) {
+	if c.atEnd() {
+		return 0, 0, nil
+	}
+	n, ok := c.uvarint()
+	b, ok2 := c.uvarint()
+	if !ok || !ok2 || n == 0 || n > groupRows || b > uint64(e.size) || n*uint64(max(e.Schema.Arity(), 1)) > b {
+		return 0, 0, e.badGroup()
+	}
+	return int(n), int(b), nil
+}
+
+// groupReader decodes one row range of an Encoded's row groups: it hops over
+// the groups before the range by their headers, decodes a group that sits in
+// one block in place and one that straddles blocks from the cursor's carry,
+// and fills every batch to its size across group boundaries, so batches are
+// cut exactly where tsvReader cuts them.
+type groupReader struct {
+	rangeReader
+	skip int         // rows before the range not yet passed
+	left int         // rows of the open group not yet decoded
+	cols []colCursor // the open group's sections
+}
+
+// colCursor is what is left of one column's section of the open group: the
+// undecoded varints, floats or string lengths, and for strings the part of
+// the blob no decoded cell has taken.
+type colCursor struct {
+	sec  []byte
+	blob string
+}
+
+// Next decodes the range's next batch straight into the arena: the range's
+// first batch is its largest, so arena and row headers are built once unless
+// the consumer asked for fresh storage per batch. Trusted rows are stamped
+// with the widths the encoding carries and metered from them — nothing is
+// rendered — and a trusted stream must end where its last row does.
+func (r *groupReader) Next() (Batch, error) {
+	e := r.e
+	arity := e.Schema.Arity()
+	n := min(r.batchRows, r.remaining)
+	if r.fresh || cap(r.vals) < n*arity || cap(r.rows) < n {
+		r.vals = make([]Value, n*arity)
+		if cap(r.rows) < n {
+			r.rows = make([]Row, n)
+		}
+		for i := range r.rows[:n] {
+			r.rows[i] = r.vals[i*arity : (i+1)*arity : (i+1)*arity]
+		}
+	}
+	phys := 0
+	for at := 0; at < n; {
+		if r.left == 0 {
+			if err := r.openGroup(); err != nil {
+				return Batch{}, err
+			}
+		}
+		k, dst := min(n-at, r.left), r.vals[at*arity:]
+		if r.skip > 0 {
+			// The range starts inside this group: the rows before it decode
+			// over the batch's storage, unmetered, and are overwritten.
+			k = min(k, r.skip)
+		}
+		w, err := r.decode(dst, k)
+		if err != nil {
+			return Batch{}, err
+		}
+		if r.skip > 0 {
+			r.skip -= k
+		} else {
+			at, phys = at+k, phys+w
+		}
+	}
+	r.remaining -= n
+	if e.trusted {
+		e.phys.Add(int64(phys))
+		if r.remaining == 0 && r.last && r.skip == 0 && (r.left > 0 || !r.cur.atEnd()) {
+			return Batch{}, fmt.Errorf("relation %s: stream continues past the %d rows its writer recorded", e.Name, e.rows)
+		}
+	}
+	return Batch{Rows: r.rows[:n]}, nil
+}
+
+// openGroup moves to the next row group holding a row of the range, skipping
+// whole the ones before it, and splits its body into column sections.
+func (r *groupReader) openGroup() error {
+	e := r.e
+	for {
+		n, size, err := e.groupHeader(&r.cur)
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			return fmt.Errorf("relation %s: stream ends short of the %d rows its writer recorded", e.Name, e.rows)
+		}
+		if r.skip >= n {
+			if !r.cur.skip(size) {
+				return e.badGroup()
+			}
+			r.skip -= n
+			continue
+		}
+		body, ok := r.cur.take(size)
+		if !ok {
+			return e.badGroup()
+		}
+		if r.cols == nil {
+			r.cols = make([]colCursor, e.Schema.Arity())
+		}
+		for c, col := range e.Schema.Cols {
+			slen, k := binary.Uvarint(body)
+			if k <= 0 || slen > uint64(len(body)-k) {
+				return e.badGroup()
+			}
+			sec := body[k : k+int(slen)]
+			body = body[k+int(slen):]
+			cc := &r.cols[c]
+			*cc = colCursor{sec: sec}
+			switch col.Kind {
+			case KindFloat:
+				if len(sec) != 9*n {
+					return e.badGroup()
+				}
+			case KindString:
+				blen, k := binary.Uvarint(sec)
+				if k <= 0 || blen > uint64(len(sec)-k) {
+					return e.badGroup()
+				}
+				cc.blob, cc.sec = string(sec[k:k+int(blen)]), sec[k+int(blen):]
+			}
+		}
+		if len(e.Schema.Cols) == 0 {
+			body = body[n:]
+		}
+		if len(body) != 0 {
+			return e.badGroup()
+		}
+		r.left = n
+		return nil
+	}
+}
+
+// decode decodes the open group's next k rows into dst, row-major, column by
+// column, and returns Σ Row.EncodedLen over them. A numeric cell is written
+// field by field, with no pointer store: fresh from make or last written by
+// this same column, what a number leaves unset is already zero. Once the
+// group's last row is out, every section must be too.
+func (r *groupReader) decode(dst []Value, k int) (int, error) {
+	e := r.e
+	arity := len(e.Schema.Cols)
+	stamp := uint8(0) // a foreign stream's widths are not taken on its word
+	if e.trusted {
+		stamp = 0xff
+	}
+	phys := k * arity
+	for c, col := range e.Schema.Cols {
+		cc := &r.cols[c]
+		switch col.Kind {
+		case KindInt:
+			sec := cc.sec
+			for i := c; i < k*arity; i += arity {
+				v, n := binary.Varint(sec)
+				if n <= 0 {
+					return 0, e.badGroup()
+				}
+				sec = sec[n:]
+				w := intTextLen(v)
+				phys += w
+				cell := &dst[i]
+				cell.Kind, cell.w, cell.I = KindInt, uint8(w)&stamp, v
+			}
+			cc.sec = sec
+		case KindFloat:
+			sec := cc.sec[:9*k]
+			for i := c; len(sec) > 0; i, sec = i+arity, sec[9:] {
+				cell := &dst[i]
+				cell.Kind, cell.w, cell.F = KindFloat, sec[8]&stamp, math.Float64frombits(binary.LittleEndian.Uint64(sec))
+				if cell.w != 0 {
+					phys += int(cell.w)
+				} else if e.trusted {
+					phys += cell.measure()
+				}
+			}
+			cc.sec = cc.sec[9*k:]
+		default:
+			sec, blob := cc.sec, cc.blob
+			for i := c; i < k*arity; i += arity {
+				l, n := binary.Uvarint(sec)
+				if n <= 0 || l > uint64(len(blob)) {
+					return 0, e.badGroup()
+				}
+				dst[i] = Str(blob[:l])
+				sec, blob = sec[n:], blob[l:]
+			}
+			phys += len(cc.blob) - len(blob)
+			cc.sec, cc.blob = sec, blob
+		}
+	}
+	if r.left -= k; r.left == 0 {
+		for _, cc := range r.cols {
+			if len(cc.sec) != 0 || len(cc.blob) != 0 {
+				return 0, e.badGroup()
+			}
+		}
+	}
+	return phys, nil
 }

@@ -45,8 +45,8 @@ func TestParallelCodecMatchesSerial(t *testing.T) {
 		t.Fatal("parallel Encode produced different bytes than serial")
 	}
 
-	for name, opts := range map[string]CodecOptions{"serial": forceSerial, "parallel": forceParallel} {
-		dec, err := DecodeBytesOpts("t", serial, opts)
+	for name, enc := range map[string][]byte{"serial": serial, "parallel": parallel} {
+		dec, err := DecodeBytes("t", enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,14 +129,14 @@ func BenchmarkEncodeDecode(b *testing.B) {
 	})
 	run("decode-serial", forceSerial, func(b *testing.B, opts CodecOptions) {
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeBytesOpts("t", enc, opts); err != nil {
+			if _, err := DecodeBytes("t", enc); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	run("decode-parallel", forceParallel, func(b *testing.B, opts CodecOptions) {
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeBytesOpts("t", enc, opts); err != nil {
+			if _, err := DecodeBytes("t", enc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -148,7 +148,7 @@ func BenchmarkEncodeDecode(b *testing.B) {
 	})
 	run("decode-columnar", forceSerial, func(b *testing.B, opts CodecOptions) {
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeBytesOpts("t", col, opts); err != nil {
+			if _, err := DecodeBytes("t", col); err != nil {
 				b.Fatal(err)
 			}
 		}

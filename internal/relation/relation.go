@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"strings"
@@ -220,10 +219,10 @@ func (r *Relation) ScaleRatio() float64 {
 	return float64(r.LogicalBytes) / float64(phys)
 }
 
-// CodecParallelThreshold is the default row count above which the TSV
-// encoder and the columnar codec split row work across goroutines; the chunk
-// outputs are joined in input order, so the byte stream and decoded row order
-// are identical to the serial paths. Callers (and tests, which force both
+// CodecParallelThreshold is the default row count above which a Writer
+// handed rows splits them across goroutines, a part each; parts splice in
+// input order, so text is byte-identical to the serial path's and row groups
+// differ only in where they are cut. Callers (and tests, which force both
 // paths on small data) override it per call via CodecOptions.
 var CodecParallelThreshold = 8192
 
@@ -286,30 +285,25 @@ func (r *Relation) EncodeBytes() []byte {
 // EncodeBytesOpts is EncodeBytes with per-call codec options: the text of a
 // Writer handed every row.
 func (r *Relation) EncodeBytesOpts(o CodecOptions) []byte {
-	w := NewWriter(r.Schema)
+	return r.encode(NewWriter(r.Schema), o)
+}
+
+func (r *Relation) encode(w *Writer, o CodecOptions) []byte {
 	w.LogicalBytes = r.LogicalBytes
 	w.append(r.Rows, o)
 	return w.Bytes()
 }
 
 // DecodeBytes parses an EncodeBytes or EncodeColumnar output, sniffing the
-// codec from the stream's leading bytes. The text may come from anywhere
+// codec from the stream's leading bytes. The stream may come from anywhere
 // (uploads, staged files): numbers need not be canonically rendered ("1.50",
-// "+7", "1e3"), so no width is cached, and blank lines are skipped unless the
-// schema makes an empty line a row (a single string column, or none). The
-// DFS, whose only writer is the encoder, opens its files through Open.
+// "+7", "1e3") and a width byte need not be true, so no width is cached;
+// blank lines are skipped unless the schema makes an empty line a row (a
+// single string column, or none); and nothing is sized by a count the stream
+// declares before the bytes that back it have been seen. The DFS, whose only
+// writer is the Writer, opens its files through Open.
 func DecodeBytes(name string, data []byte) (*Relation, error) {
-	return DecodeBytesOpts(name, data, CodecOptions{})
-}
-
-// DecodeBytesOpts is DecodeBytes with per-call codec options; only the
-// columnar decoder has a parallel path to select.
-func DecodeBytesOpts(name string, data []byte, o CodecOptions) (*Relation, error) {
-	if SniffCodec(data) == CodecColumnar {
-		return DecodeColumnar(name, data, o)
-	}
-	// Its line count bounds the rows the text can hold.
-	e, err := open(name, [][]byte{data}, bytes.Count(data, []byte{'\n'})+1, false)
+	e, err := open(name, [][]byte{data}, 0, false)
 	if err != nil {
 		return nil, err
 	}

@@ -12,54 +12,57 @@ import (
 // Encoded is an encoded relation that has been opened — codec sniffed, header
 // parsed — with no row decoded yet: a consumer pulls it through Reader, batch
 // by batch over a row range, or drains it once with Materialize; both run
-// tsvReader, the only TSV row parser. The stream is held as the blocks it was
-// stored in, so a line may straddle any number of them. A columnar stream has
-// no incremental decoder: Open decodes it whole and Reader serves the rows.
-// Readers over disjoint ranges may run concurrently; everything else is for
-// the owner, before they start or after they finish.
+// tsvReader, the only TSV row parser, or groupReader, the only columnar
+// decoder. The stream is held as the blocks it was stored in, so a line or a
+// row group may straddle any number of them. Readers over disjoint ranges may
+// run concurrently; everything else is for the owner, before they start or
+// after they finish.
 type Encoded struct {
 	Name         string
 	Schema       Schema
 	LogicalBytes int64
 
-	// trusted says Encode wrote the text and rows is what its writer recorded:
-	// a numeric field's length is its width (see stampEncoded), readers meter
-	// what they decode, and any other row count is an error. Foreign text may
-	// hold blank lines; its rows is an upper bound (the line count).
+	// trusted says a Writer wrote the stream and rows is what it recorded: a
+	// numeric cell's width is what the encoding says (see stampEncoded),
+	// readers meter what they decode, and any other row count is an error. A
+	// foreign stream's rows is derived from it: the line count, an upper
+	// bound (text may hold blank lines), or the sum its row groups declare.
 	trusted  bool
+	columnar bool
 	rows     int
+	size     int          // bytes in the stream: no length it declares may pass it
 	blankRow bool         // an empty line is a row: one string column, or none
-	body     lineCursor   // at the first row line
-	rel      *Relation    // decoded rows: set by Open (columnar) or Materialize
+	body     blockCursor  // at the first row line, or the first row group
+	rel      *Relation    // decoded rows, once Materialize has run
 	phys     atomic.Int64 // the meter: Σ Row.EncodedLen over the rows decoded so far
 }
 
-// Open opens the encoded relation stored in blocks — a Writer's text or an
-// EncodeColumnar output, cut anywhere — that was recorded as holding rows
-// rows: trusted as the encoder's own, any other row count is an error.
+// Open opens the encoded relation stored in blocks — a Writer's stream in
+// either codec, cut anywhere — that was recorded as holding rows rows:
+// trusted as the writer's own, any other row count is an error.
 func Open(name string, blocks [][]byte, rows int) (*Encoded, error) {
 	return open(name, blocks, rows, true)
 }
 
 func open(name string, blocks [][]byte, rows int, trusted bool) (*Encoded, error) {
-	e := &Encoded{Name: name, rows: rows, trusted: trusted, body: lineCursor{blocks: blocks}}
+	e := &Encoded{Name: name, rows: rows, trusted: trusted, body: blockCursor{blocks: blocks}}
+	lines := 1
 	for _, b := range blocks {
-		if len(b) == 0 {
-			continue
+		if e.size == 0 && len(b) > 0 && b[0] == columnarMagic[0] {
+			e.columnar = true
 		}
-		if b[0] != columnarMagic[0] {
-			break
+		e.size += len(b)
+		if !trusted && !e.columnar {
+			lines += bytes.Count(b, []byte{'\n'})
 		}
-		rel, err := DecodeColumnar(name, bytes.Join(blocks, nil), CodecOptions{})
-		if err != nil {
-			return nil, err
+	}
+	if !trusted {
+		e.rows = lines
+	}
+	if e.columnar {
+		if magic, ok := e.body.take(len(columnarMagic)); !ok || [5]byte(magic) != columnarMagic {
+			return nil, fmt.Errorf("relation %s: bad columnar magic", name)
 		}
-		if trusted && len(rel.Rows) != rows {
-			return nil, fmt.Errorf("relation %s: decoded %d rows, its writer recorded %d", name, len(rel.Rows), rows)
-		}
-		e.Schema, e.LogicalBytes, e.rows, e.rel = rel.Schema, rel.LogicalBytes, len(rel.Rows), rel
-		e.phys.Store(rel.PhysicalBytes())
-		return e, nil
 	}
 	head, ok := e.body.next()
 	if !ok {
@@ -93,6 +96,11 @@ func open(name string, blocks [][]byte, rows int, trusted bool) (*Encoded, error
 	e.body.carry = nil // it held header lines; every reader grows its own
 	arity := e.Schema.Arity()
 	e.blankRow = arity == 0 || arity == 1 && e.Schema.Cols[0].Kind == KindString
+	if e.columnar && !trusted {
+		if err := e.countGroupRows(); err != nil {
+			return nil, err
+		}
+	}
 	return e, nil
 }
 
@@ -102,15 +110,19 @@ func (e *Encoded) NumRows() int { return e.rows }
 // Reader returns a source over rows [lo, hi) that decodes at most batchRows
 // rows per batch into an arena it reuses — or, with fresh, allocates anew per
 // batch, for a consumer that keeps rows past the next pull. The range starts
-// at a line found by counting newlines, so concurrent readers over adjoining
-// ranges decode exactly the rows a single one would, in order.
+// at a line found by counting newlines, or at a row found by counting what the
+// row groups before it declare, so concurrent readers over adjoining ranges
+// decode exactly the rows a single one would, in order.
 func (e *Encoded) Reader(lo, hi, batchRows int, fresh bool) RowSource {
 	if e.rel != nil {
 		return e.rel.Reader(lo, hi, batchRows)
 	}
-	r := &tsvReader{e: e, cur: e.body, remaining: hi - lo, last: hi == e.rows, batchRows: batchRows, fresh: fresh}
-	r.cur.skipLines(lo)
-	return r
+	rr := rangeReader{e: e, cur: e.body, remaining: hi - lo, last: hi == e.rows, batchRows: batchRows, fresh: fresh}
+	if e.columnar {
+		return &groupReader{rangeReader: rr, skip: lo}
+	}
+	rr.cur.skipLines(lo)
+	return &tsvReader{rr}
 }
 
 // Materialize decodes every row, once, as one fresh batch whose arena is the
@@ -130,16 +142,17 @@ func (e *Encoded) Materialize() (*Relation, error) {
 // through readers or Materialize: the meter's sum, no second walk.
 func (e *Encoded) PhysicalBytes() int64 { return e.phys.Load() }
 
-// lineCursor walks the lines of a stream stored as blocks.
-type lineCursor struct {
+// blockCursor walks a stream stored as blocks: line by line, or by counted
+// stretches of bytes.
+type blockCursor struct {
 	blocks [][]byte
 	b, off int    // the next unread byte is blocks[b][off]
-	carry  []byte // stitches a line that straddles blocks
+	carry  []byte // stitches a line or a stretch that straddles blocks
 }
 
 // next returns the next line without its newline, valid until the following
 // call, and false at the end (an unterminated last line counts).
-func (c *lineCursor) next() ([]byte, bool) {
+func (c *blockCursor) next() ([]byte, bool) {
 	c.carry = c.carry[:0]
 	for ; c.b < len(c.blocks); c.b, c.off = c.b+1, 0 {
 		rest := c.blocks[c.b][c.off:]
@@ -159,7 +172,7 @@ func (c *lineCursor) next() ([]byte, bool) {
 }
 
 // skipLines moves the cursor past the next n lines.
-func (c *lineCursor) skipLines(n int) {
+func (c *blockCursor) skipLines(n int) {
 	for ; n > 0 && c.b < len(c.blocks); c.b, c.off = c.b+1, 0 {
 		if k := bytes.Count(c.blocks[c.b][c.off:], []byte{'\n'}); k < n {
 			n -= k
@@ -172,10 +185,67 @@ func (c *lineCursor) skipLines(n int) {
 	}
 }
 
-// tsvReader decodes one row range of an Encoded's TSV lines.
-type tsvReader struct {
+// take returns the next n bytes, valid until the following call — in place
+// when one block holds them, stitched through carry when they straddle — and
+// false when the stream ends first.
+func (c *blockCursor) take(n int) ([]byte, bool) {
+	c.carry = c.carry[:0]
+	for ; n > 0 && c.b < len(c.blocks); c.b, c.off = c.b+1, 0 {
+		rest := c.blocks[c.b][c.off:]
+		if len(c.carry) == 0 && len(rest) >= n {
+			c.off += n
+			return rest[:n:n], true
+		}
+		k := min(n-len(c.carry), len(rest))
+		c.carry = append(c.carry, rest[:k]...)
+		if len(c.carry) == n {
+			c.off += k
+			return c.carry, true
+		}
+	}
+	return nil, n == 0
+}
+
+// skip moves the cursor past the next n bytes; false when the stream ends
+// first.
+func (c *blockCursor) skip(n int) bool {
+	for ; n > 0 && c.b < len(c.blocks); c.b, c.off = c.b+1, 0 {
+		rest := len(c.blocks[c.b]) - c.off
+		if rest >= n {
+			c.off += n
+			return true
+		}
+		n -= rest
+	}
+	return n == 0
+}
+
+// atEnd reports whether no byte is left.
+func (c *blockCursor) atEnd() bool {
+	for ; c.b < len(c.blocks) && c.off == len(c.blocks[c.b]); c.b, c.off = c.b+1, 0 {
+	}
+	return c.b == len(c.blocks)
+}
+
+// uvarint reads one unsigned varint, byte by byte: it may straddle blocks.
+func (c *blockCursor) uvarint() (v uint64, ok bool) {
+	for shift := 0; shift < 64; shift += 7 {
+		b, ok := c.take(1)
+		if !ok {
+			return 0, false
+		}
+		v |= uint64(b[0]&0x7f) << shift
+		if b[0] < 0x80 {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// rangeReader is what the two codecs' readers of one row range share.
+type rangeReader struct {
 	e         *Encoded
-	cur       lineCursor
+	cur       blockCursor
 	remaining int  // rows of the range not yet decoded
 	last      bool // the range ends at the relation's last row
 	batchRows int
@@ -184,7 +254,10 @@ type tsvReader struct {
 	vals      []Value
 }
 
-func (r *tsvReader) Schema() Schema { return r.e.Schema }
+func (r *rangeReader) Schema() Schema { return r.e.Schema }
+
+// tsvReader decodes one row range of an Encoded's TSV lines.
+type tsvReader struct{ rangeReader }
 
 // Next decodes the range's next batch: fewer rows than asked only where
 // foreign text ends. Trusted rows are metered, and trusted text must end
@@ -333,26 +406,34 @@ func scanDecimal(field []byte) (mant uint64, digits, frac int, neg bool) {
 	return mant, digits, frac, neg
 }
 
-// Writer is the one TSV writer, the mirror of Encoded: it renders rows as
-// they arrive and keeps none, so a pipeline may stream batches into it, and
-// its body is Σ Row.EncodedLen bytes long — how a streamed output is sized.
-// The header fields may be set until Bytes. Parts splice in the order they
-// were opened; each may be filled by its own goroutine, done before any read.
+// Writer is the one relation writer, the mirror of Encoded: it renders rows
+// as they arrive and keeps none, so a pipeline may stream batches into it. Its
+// codec is fixed at construction — TSV, or the columnar row groups of
+// columnar.go — and is invisible in its sizes: BodyBytes is Σ Row.EncodedLen,
+// the length of the rows' text, whichever way they were rendered, which is how
+// a streamed output is sized. LogicalBytes may be set until Bytes; Schema too
+// for TSV, while a columnar writer needs it before its first row. Parts splice
+// in the order they were opened; each may be filled by its own goroutine, done
+// before any read.
 type Writer struct {
 	Schema       Schema
 	LogicalBytes int64
+	codec        Codec
 	parts        []*Part
 }
 
-// NewWriter returns an empty writer for rows of the given schema.
+// NewWriter returns an empty TSV writer for rows of the given schema.
 func NewWriter(schema Schema) *Writer { return &Writer{Schema: schema} }
+
+// Codec returns the codec the writer renders in.
+func (w *Writer) Codec() Codec { return w.codec }
 
 // Part opens the next stretch of the body; nil on a nil writer.
 func (w *Writer) Part() *Part {
 	if w == nil {
 		return nil
 	}
-	w.parts = append(w.parts, &Part{})
+	w.parts = append(w.parts, &Part{w: w})
 	return w.parts[len(w.parts)-1]
 }
 
@@ -392,13 +473,31 @@ func (w *Writer) BodyBytes() (n int64) {
 	return n
 }
 
-// Bytes assembles header and parts into one exactly sized, fresh buffer.
-func (w *Writer) Bytes() []byte {
-	n := len("#schema\n#logical\t\n") + intTextLen(w.LogicalBytes) + int(w.BodyBytes())
+// TextBytes returns the length of the stream's TSV rendering, header and
+// body, computed and not rendered: the canonical size of the file, whatever
+// codec it is stored in.
+func (w *Writer) TextBytes() int64 {
+	n := len("#schema\n#logical\t\n") + intTextLen(w.LogicalBytes)
 	for _, c := range w.Schema.Cols {
 		n += len("\t:") + len(c.Name) + len(c.Kind.String())
 	}
-	buf := append(make([]byte, 0, n), "#schema"...)
+	return int64(n) + w.BodyBytes()
+}
+
+// Bytes assembles header and parts into one exactly sized, fresh buffer. The
+// header is text in either codec; the magic before it says the body is not.
+func (w *Writer) Bytes() []byte {
+	var magic []byte
+	if w.codec == CodecColumnar {
+		magic = columnarMagic[:]
+	}
+	n := len(magic) + int(w.TextBytes()-w.BodyBytes())
+	for _, p := range w.parts {
+		for _, seg := range p.segs {
+			n += len(seg)
+		}
+	}
+	buf := append(append(make([]byte, 0, n), magic...), "#schema"...)
 	for _, c := range w.Schema.Cols {
 		buf = append(append(append(append(buf, '\t'), c.Name...), ':'), c.Kind.String()...)
 	}
@@ -411,18 +510,30 @@ func (w *Writer) Bytes() []byte {
 	return buf
 }
 
-// Part is one stretch of a Writer's body. Its text is a list of segments,
-// never re-copied: a new one, as large as all before it (within bounds), is
-// opened when the current one has no room for a row as long as the longest.
+// Part is one stretch of a Writer's body. Its stream is a list of segments,
+// never re-copied. Text grows by doubling: a new segment, as large as all
+// before it (within bounds), is opened when the current one has no room for a
+// row as long as the longest. A row group is sized before it is written, so
+// it gets a segment of exactly its length.
 type Part struct {
+	w                   *Writer
 	segs                [][]byte
 	rows, bytes, widest int
+	lens                []int // appendGroup's scratch: per column, section and blob length
 }
 
 const minSegment, maxSegment = 256, 64 << 10
 
 // Append renders rows at the end of the part and retains none of them.
 func (p *Part) Append(rows []Row) {
+	if p.w.codec == CodecColumnar {
+		for len(rows) > 0 {
+			n := min(len(rows), groupRows)
+			p.appendGroup(rows[:n])
+			rows = rows[n:]
+		}
+		return
+	}
 	for _, row := range rows {
 		k := len(p.segs) - 1
 		if k < 0 || cap(p.segs[k])-len(p.segs[k]) < p.widest {

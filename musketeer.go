@@ -152,9 +152,6 @@ type Musketeer struct {
 	// tracing makes every execution carry a flight recorder (Result.Flight);
 	// off by default so instrumented hot paths stay allocation-free.
 	tracing bool
-	// columnar switches intra-run shuffles to the binary columnar wire
-	// codec; sources, sinks, and golden traces stay TSV.
-	columnar bool
 	// metrics and accuracy are always on: counters and an estimator
 	// track record are cheap and shared by every execution.
 	metrics  *obs.Registry
@@ -239,17 +236,6 @@ func WithRetries(n int) Option {
 // recorder. Off by default; the disabled path adds zero allocations.
 func WithTracing() Option {
 	return func(m *Musketeer) { m.tracing = true }
-}
-
-// WithColumnarShuffles makes engines write intra-run shuffle files — job
-// outputs another job reads — in the binary columnar wire format instead of
-// TSV, typically moving well under the text volume for the same rows.
-// Workflow sources, published sinks, and loop temporaries stay TSV, so
-// user-visible data and golden traces are unchanged. The cost estimator
-// scales shuffle-edge PULL/PUSH volumes by relation.DefaultColumnarRatio,
-// so automatic mapping reacts to the cheaper data movement.
-func WithColumnarShuffles() Option {
-	return func(m *Musketeer) { m.columnar = true }
 }
 
 // WithAdaptiveWhile lets WHILE drivers re-plan their loop body mid-run:
@@ -526,11 +512,7 @@ func (w *Workflow) estimator(id *ir.Identity) (*core.Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	est = est.WithChaos(w.m.chaos)
-	if w.m.columnar {
-		est = est.WithShuffleCodec(relation.DefaultColumnarRatio)
-	}
-	return est, nil
+	return est.WithChaos(w.m.chaos), nil
 }
 
 // Plan partitions the workflow and picks back-ends automatically
@@ -731,12 +713,8 @@ func (w *Workflow) runSession(ctx context.Context, part *Partitioning, id *ir.Id
 			return nil, err
 		}
 	}
-	shuffleCodec := relation.CodecTSV
-	if w.m.columnar {
-		shuffleCodec = relation.CodecColumnar
-	}
 	r := &core.Runner{
-		Ctx:           engines.RunContext{DFS: base.Namespace(ns), Cluster: w.m.cluster, Chaos: w.m.chaos, ShuffleCodec: shuffleCodec},
+		Ctx:           engines.RunContext{DFS: base.Namespace(ns), Cluster: w.m.cluster, Chaos: w.m.chaos},
 		History:       w.m.history,
 		Mode:          w.Mode,
 		Sched:         w.m.sched,

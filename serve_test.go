@@ -11,6 +11,7 @@ package musketeer_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -354,6 +355,33 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// TestServeRejectsARowCountWithNoRowsBehindIt: a staged input may be a
+// columnar stream, and a stream may lie. The header of a one-int-column
+// relation and a row count of 2^40 — twenty bytes, in the format of the day —
+// used to size an arena by that count and take the daemon down with the
+// runtime's out-of-memory fault; they are a 400 now, and the next request is
+// served.
+func TestServeRejectsARowCountWithNoRowsBehindIt(t *testing.T) {
+	ts, _ := serveTestServer(t, musketeer.ServeOptions{Workers: 1}, musketeer.EC2(4))
+	empty := relation.New("t", relation.NewSchema("count:int"))
+	hostile := binary.AppendUvarint(empty.EncodeColumnar(relation.CodecOptions{}), 1<<40)
+	honest := relation.New("t", empty.Schema)
+	honest.MustAppend(relation.Row{relation.Int(7)})
+	for _, c := range []struct {
+		body []byte
+		want int
+	}{{hostile, http.StatusBadRequest}, {honest.EncodeColumnar(relation.CodecOptions{}), http.StatusCreated}} {
+		resp, err := http.Post(ts.URL+"/api/v1/tenants/a/inputs/in/t", "application/octet-stream", bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("staging %d bytes: status %d, want %d", len(c.body), resp.StatusCode, c.want)
+		}
+	}
+}
+
 // TestServeConcurrentTenants drives 8 tenants through the full HTTP path
 // at once — staging, submitting, polling, fetching — sharing one
 // deployment, one plan cache, and one fair queue. Run under -race in ci.sh.
@@ -450,10 +478,11 @@ func TestServeForeignTSVSizesCanonically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		staged, st, err := fs.ReadRelationStat("in/t")
+		staged, err := fs.ReadRelation("in/t")
 		if err != nil {
 			t.Fatal(err)
 		}
+		st, _ := fs.Stat("in/t")
 		if st.PhysicalBytes != int64(len(canonical)) {
 			t.Errorf("%s: staged file is %d bytes, canonical encoding is %d", tenant, st.PhysicalBytes, len(canonical))
 		}
