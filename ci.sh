@@ -54,9 +54,11 @@
 #   codec fuzz        — FuzzColumnarStream (the untrusted columnar decoder
 #                       over real encodings, cut and bit-flipped: an error
 #                       or a stable relation, never a panic, never memory
-#                       sized by a count the stream merely declares) and
-#                       FuzzTextLen (a value's width is its text's length),
-#                       10 s each beyond their seed corpora
+#                       sized by a count the stream merely declares),
+#                       FuzzTextLen (a value's width is its text's length,
+#                       with or without a width memo) and FuzzKeyEquality
+#                       (two cells' key encodings are equal exactly when
+#                       their renderings are), 10 s each beyond their seeds
 #   mkperf smoke      — mkperf -quick: every workload of the repo benchmark
 #                       (batch, plan-only, open-loop serve) for 2 s each at
 #                       host GOMAXPROCS; fails if any operation failed or
@@ -137,6 +139,7 @@ fuzz_gate() {
     # go test -fuzz takes one target and one package per run.
     go test -run '^$' -fuzz '^FuzzColumnarStream$' -fuzztime 10s ./internal/relation
     go test -run '^$' -fuzz '^FuzzTextLen$' -fuzztime 10s ./internal/relation
+    go test -run '^$' -fuzz '^FuzzKeyEquality$' -fuzztime 10s ./internal/relation
 }
 
 calibration_gate() {

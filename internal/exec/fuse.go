@@ -77,16 +77,18 @@ func planUnits(ops []*ir.Op, keep func(*ir.Op) bool) [][]*ir.Op {
 	return units
 }
 
-// stagePlan is one pipeline member's resolved execution plan. The plan is
-// immutable once built, so concurrent chunk pipelines share it.
+// stagePlan is one pipeline member's resolved execution plan: every column
+// it names is bound to a position here, once, and no stage looks one up per
+// row. The plan is immutable once built, so concurrent chunk pipelines share
+// it.
 type stagePlan struct {
 	op       *ir.Op
 	inSch    relation.Schema
 	sch      relation.Schema
-	pred     *ir.Pred // SELECT
-	idx      []int    // PROJECT
-	dstIdx   int      // ARITH; -1 appends
-	js       joinSpec // JOIN
+	pred     *boundPred // SELECT
+	idx      []int      // PROJECT
+	arith    *arithSpec // ARITH
+	js       joinSpec   // JOIN
 	build    *joinTable
 	buildRel *relation.Relation
 	ag       aggSpec // terminal AGG
@@ -129,6 +131,12 @@ func (c *chain) runRange(lo, hi int, dst []relation.Row, part *relation.Part) ra
 		tapped-- // the output is sized from the relation, or by its writer
 	}
 	res.taps = make([]accTap, tapped)
+	if tapped > 0 {
+		memo := new(relation.WidthMemo)
+		for i := range res.taps {
+			res.taps[i].memo = memo
+		}
+	}
 	pipe := buildPipeline(c.stages, c.open(lo, hi), c.batchRows, res.taps)
 	switch {
 	case c.agg != nil:
@@ -255,7 +263,7 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 	ownsOut := last.Type == ir.OpAgg || c.sink != nil
 	for i, op := range ops {
 		sp := &specs[i]
-		*sp = stagePlan{op: op, inSch: prev, dstIdx: -1}
+		*sp = stagePlan{op: op, inSch: prev}
 		schemas[op.Inputs[0]] = prev
 		if op.Type == ir.OpJoin {
 			if len(op.Inputs) < 2 {
@@ -272,14 +280,18 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 		}
 		switch op.Type {
 		case ir.OpSelect:
-			sp.pred = op.Params.Pred
+			if sp.pred, err = bindPred(op.Params.Pred, prev); err != nil {
+				return nil, fmt.Errorf("exec: %s: %w", op, err)
+			}
 		case ir.OpProject:
 			sp.idx = make([]int, len(op.Params.Columns))
 			for k, col := range op.Params.Columns {
 				sp.idx[k] = prev.Index(col)
 			}
 		case ir.OpArith:
-			sp.dstIdx = prev.Index(op.Params.Dst)
+			if sp.arith, err = bindArith(&op.Params, prev); err != nil {
+				return nil, fmt.Errorf("exec: %s: %w", op, err)
+			}
 		case ir.OpJoin:
 			if sp.js, err = resolveJoinSpec(op, prev, sp.buildRel.Schema); err != nil {
 				return nil, err
@@ -379,7 +391,7 @@ func buildPipeline(specs []stagePlan, in relation.RowSource, batchRows int, taps
 		case ir.OpProject:
 			src = &projectStage{src: src, sch: sp.sch, idx: sp.idx, tap: tap, ar: valArena{fresh: sp.fresh}}
 		case ir.OpArith:
-			src = &arithStage{src: src, inSch: sp.inSch, sch: sp.sch, op: sp.op, dstIdx: sp.dstIdx, tap: tap, ar: valArena{fresh: sp.fresh}}
+			src = &arithStage{src: src, sch: sp.sch, arithSpec: sp.arith, tap: tap, ar: valArena{fresh: sp.fresh}}
 		case ir.OpJoin:
 			src = &joinProbeStage{src: src, sch: sp.sch, lIdx: sp.js.lIdx, rKeep: sp.js.rKeep, build: sp.build, batchRows: batchRows, tap: tap, ar: valArena{fresh: sp.fresh}}
 		}

@@ -3,14 +3,13 @@ package exec
 import (
 	"bytes"
 
-	"musketeer/internal/ir"
 	"musketeer/internal/relation"
 )
 
-// This file implements the hashed-key tables the hot kernels (group-by,
-// join, distinct, set ops) use instead of map[string] keyed by the legacy
-// Row.Key string. Rows are keyed by a 64-bit maphash of an unambiguous
-// binary encoding (relation.Row.AppendKey). One structure, keyIndex, maps a
+// This file implements the hashed-key tables of the hot kernels (group-by,
+// join, distinct, set ops). Rows are keyed by a 64-bit maphash of the value
+// encoding of their key cells (relation.Row.AppendKey: text equality, with
+// nothing rendered). One structure, keyIndex, maps a
 // key to a dense index; the three tables are that index plus whatever they
 // hang off the index numbers. Probing allocates nothing: the encoding is
 // written into a per-worker scratch buffer and only copied on insert.
@@ -181,24 +180,23 @@ func (t *joinTable) probe(h *relation.KeyHasher, row relation.Row, cols []int) [
 	return t.rows[t.start[i]:t.start[i+1]]
 }
 
-// aggState is one group's aggregation state: its GROUP BY values, one cell
-// per aggregate holding what that aggregate's function reads back — the
-// running float sum for SUM and AVG, the extreme so far for MIN and MAX,
-// nothing for COUNT — and the group's row count (COUNT's answer and AVG's
-// divisor).
+// aggState is one group's aggregation state apart from its float sums: its
+// GROUP BY values followed by the extreme so far of each MIN and MAX, and its
+// row count (COUNT's answer and AVG's divisor).
 type aggState struct {
-	key   relation.Row
-	cells []relation.Value
-	n     int64
+	vals []relation.Value
+	n    int64
 }
 
 // aggTable accumulates per-group aggregation state: group i of the index is
-// states[i], so first-appearance order is index order. Keys and cells are
-// carved from value slabs that grow with the table, so a group costs no heap
-// object of its own.
+// states[i], so first-appearance order is index order, and its running SUM
+// and AVG sums are sums[i*len(sp.sumCol):] — eight pointer-free bytes each,
+// started at 0 and added to as floats. States' values are carved from value
+// slabs that grow with the table, so a group costs no heap object of its own.
 type aggTable struct {
 	ix     keyIndex
 	states []aggState
+	sums   []float64
 	sp     aggSpec
 	h      relation.KeyHasher
 	slab   []relation.Value
@@ -212,74 +210,65 @@ func newAggTable(sp aggSpec) *aggTable {
 // add folds one row into its group's state, creating the state on the
 // group's first appearance.
 func (t *aggTable) add(row relation.Row) {
-	i, added := t.ix.insert(t.h.HashKey(row, t.sp.gIdx))
+	g, added := t.ix.insert(t.h.HashKey(row, t.sp.gIdx))
 	if added {
 		t.states = append(t.states, t.newState(row))
+		t.sums = append(t.sums, make([]float64, len(t.sp.sumCol))...)
 	}
-	t.fold(&t.states[i], 1, row, t.sp.aIdx)
-}
-
-// fold folds n rows' worth of values into st: cell c takes vals[at[c]] — a
-// row's aggregated column, or another table's partial cell for the same
-// group (every aggregator is associative in this decomposed form).
-func (t *aggTable) fold(st *aggState, n int64, vals []relation.Value, at []int) {
-	st.n += n
-	for c, j := range at {
-		if j < 0 {
-			continue
-		}
-		switch v := vals[j]; t.sp.aggs[c].Func {
-		case ir.AggMin:
-			if v.Compare(st.cells[c]) < 0 {
-				st.cells[c] = v
-			}
-		case ir.AggMax:
-			if v.Compare(st.cells[c]) > 0 {
-				st.cells[c] = v
-			}
-		default:
-			st.cells[c] = st.cells[c].Add(v)
-		}
+	st := &t.states[g]
+	st.n++
+	sums := t.sums[g*len(t.sp.sumCol):]
+	for k, j := range t.sp.sumCol {
+		sums[k] += row[j].AsFloat()
+	}
+	ext := st.vals[len(t.sp.gIdx):]
+	for k, e := range t.sp.ext {
+		e.keep(&ext[k], row[e.col])
 	}
 }
 
-// newState carves a group's key and cells from the current slab and
-// initializes them from the group's first row.
+// newState carves a group's values from the current slab and initializes
+// them from the group's first row.
 func (t *aggTable) newState(row relation.Row) aggState {
-	nk, nc := len(t.sp.gIdx), len(t.sp.aIdx)
-	if len(t.slab) < nk+nc {
-		t.slab = make([]relation.Value, t.groups*(nk+nc))
+	nk, n := len(t.sp.gIdx), len(t.sp.gIdx)+len(t.sp.ext)
+	if len(t.slab) < n {
+		t.slab = make([]relation.Value, t.groups*n)
 		if t.groups < 1024 {
 			t.groups *= 2
 		}
 	}
-	st := aggState{key: t.slab[:nk:nk], cells: t.slab[nk : nk+nc : nk+nc]}
-	t.slab = t.slab[nk+nc:]
+	st := aggState{vals: t.slab[:n:n]}
+	t.slab = t.slab[n:]
 	for i, j := range t.sp.gIdx {
-		st.key[i] = row[j]
+		st.vals[i] = row[j]
 	}
-	for c, j := range t.sp.aIdx {
-		switch {
-		case j < 0:
-		case t.sp.aggs[c].Func == ir.AggMin || t.sp.aggs[c].Func == ir.AggMax:
-			st.cells[c] = row[j]
-		default:
-			st.cells[c] = relation.Float(0)
-		}
+	for k, e := range t.sp.ext {
+		st.vals[nk+k] = row[e.col]
 	}
 	return st
 }
 
-// absorb merges another table's groups into t — the combiner step —
-// preserving t's first-appearance order and appending o's new groups in o's
-// order.
+// absorb merges another table's groups into t — the combiner step; every
+// aggregator is associative in this decomposed form — preserving t's
+// first-appearance order and appending o's new groups in o's order.
 func (t *aggTable) absorb(o *aggTable) {
+	nk, ns := len(t.sp.gIdx), len(t.sp.sumCol)
 	for i := range o.states {
+		part, partSums := &o.states[i], o.sums[i*ns:(i+1)*ns]
 		j, added := t.ix.insert(o.ix.entries[i].hash, o.ix.key(i))
 		if added {
-			t.states = append(t.states, o.states[i])
-		} else {
-			t.fold(&t.states[j], o.states[i].n, o.states[i].cells, t.sp.cIdx)
+			t.states = append(t.states, *part)
+			t.sums = append(t.sums, partSums...)
+			continue
+		}
+		st := &t.states[j]
+		st.n += part.n
+		sums := t.sums[j*ns:]
+		for k, s := range partSums {
+			sums[k] += s
+		}
+		for k, e := range t.sp.ext {
+			e.keep(&st.vals[nk+k], part.vals[nk+k])
 		}
 	}
 }

@@ -25,50 +25,92 @@ import (
 	"musketeer/internal/relation"
 )
 
-// EvalPred evaluates a predicate against a row.
-func EvalPred(p *ir.Pred, schema relation.Schema, row relation.Row) (bool, error) {
-	if p == nil {
-		return true, nil
-	}
-	switch p.Kind {
-	case ir.PredAnd:
-		l, err := EvalPred(p.Left, schema, row)
-		if err != nil || !l {
-			return false, err
-		}
-		return EvalPred(p.Right, schema, row)
-	case ir.PredOr:
-		l, err := EvalPred(p.Left, schema, row)
-		if err != nil || l {
-			return l, err
-		}
-		return EvalPred(p.Right, schema, row)
-	default:
-		lhs, err := operandValue(p.LHS, schema, row)
-		if err != nil {
-			return false, err
-		}
-		rhs, err := operandValue(p.RHS, schema, row)
-		if err != nil {
-			return false, err
-		}
-		return p.Cmp.Eval(lhs.Compare(rhs)), nil
-	}
+// operand is an ir.Operand bound to the schema of the rows it reads: a column
+// position and its scale (1 when unscaled), or the literal when col < 0.
+type operand struct {
+	col   int
+	lit   relation.Value
+	scale float64
 }
 
-func operandValue(o ir.Operand, schema relation.Schema, row relation.Row) (relation.Value, error) {
+func bindOperand(o ir.Operand, in relation.Schema) (operand, error) {
 	if !o.IsCol {
-		return o.Lit, nil
+		return operand{col: -1, lit: o.Lit}, nil
 	}
-	i := schema.Index(o.Col)
-	if i < 0 {
-		return relation.Value{}, fmt.Errorf("exec: unknown column %q in %s", o.Col, schema)
+	b := operand{col: in.Index(o.Col), scale: o.Scale}
+	if b.col < 0 {
+		return b, fmt.Errorf("unknown column %q in %s", o.Col, in)
 	}
-	v := row[i]
-	if o.Scale != 0 && o.Scale != 1 {
-		v = relation.Float(v.AsFloat() * o.Scale)
+	if b.scale == 0 {
+		b.scale = 1
 	}
-	return v, nil
+	return b, nil
+}
+
+func (o *operand) value(row relation.Row) relation.Value {
+	switch {
+	case o.col < 0:
+		return o.lit
+	case o.scale != 1:
+		return relation.Float(row[o.col].AsFloat() * o.scale)
+	}
+	return row[o.col]
+}
+
+// arithSpec is a bound ARITH: column dst — an input column's place, or one
+// past them — becomes l op r.
+type arithSpec struct {
+	op   ir.ArithOp
+	l, r operand
+	dst  int
+}
+
+func bindArith(p *ir.Params, in relation.Schema) (*arithSpec, error) {
+	a := &arithSpec{op: p.AOp, dst: in.Index(p.Dst)}
+	if a.dst < 0 {
+		a.dst = in.Arity()
+	}
+	var err error
+	if a.l, err = bindOperand(p.ALeft, in); err == nil {
+		a.r, err = bindOperand(p.ARght, in)
+	}
+	return a, err
+}
+
+// boundPred is an ir.Pred whose operands are bound; nil is true.
+type boundPred struct {
+	kind        ir.PredKind
+	cmp         ir.CmpOp
+	left, right *boundPred
+	lhs, rhs    operand
+}
+
+func bindPred(p *ir.Pred, in relation.Schema) (*boundPred, error) {
+	if p == nil {
+		return nil, nil
+	}
+	b := &boundPred{kind: p.Kind, cmp: p.Cmp}
+	var err error
+	if p.Kind == ir.PredCmp {
+		if b.lhs, err = bindOperand(p.LHS, in); err == nil {
+			b.rhs, err = bindOperand(p.RHS, in)
+		}
+	} else if b.left, err = bindPred(p.Left, in); err == nil {
+		b.right, err = bindPred(p.Right, in)
+	}
+	return b, err
+}
+
+func (p *boundPred) eval(row relation.Row) bool {
+	switch {
+	case p == nil:
+		return true
+	case p.kind == ir.PredAnd:
+		return p.left.eval(row) && p.right.eval(row)
+	case p.kind == ir.PredOr:
+		return p.left.eval(row) || p.right.eval(row)
+	}
+	return p.cmp.Eval(p.lhs.value(row).Compare(p.rhs.value(row)))
 }
 
 // EvalOp executes a single operator on its input relations, as the one-unit
@@ -243,13 +285,25 @@ func resolveJoinSpec(op *ir.Op, l, r relation.Schema) (joinSpec, error) {
 	return js, nil
 }
 
-// aggSpec is an aggregation's resolved column indexes: group-by columns and
-// one aggregated column per AggSpec (-1 for COUNT, which keeps no cell).
-// cIdx is aIdx's counterpart for folding one table's cells into another's:
-// the cell's own position, or -1.
+// aggSpec is an aggregation resolved against its input: the group-by columns
+// and what a group accumulates — a float sum per SUM and AVG, over input
+// column sumCol[k], and an extreme per MIN and MAX, each in the order of aggs
+// (COUNT keeps nothing but the group's row count).
 type aggSpec struct {
-	aggs             []ir.AggSpec
-	gIdx, aIdx, cIdx []int
+	aggs   []ir.AggSpec
+	gIdx   []int
+	sumCol []int
+	ext    []extreme
+}
+
+// extreme is a MIN (sign -1) or MAX (sign +1) over input column col.
+type extreme struct{ col, sign int }
+
+// keep replaces *cur by v when v lies further out.
+func (e extreme) keep(cur *relation.Value, v relation.Value) {
+	if v.Compare(*cur)*e.sign > 0 {
+		*cur = v
+	}
 }
 
 func resolveAggSpec(op *ir.Op, in relation.Schema) (aggSpec, error) {
@@ -262,18 +316,19 @@ func resolveAggSpec(op *ir.Op, in relation.Schema) (aggSpec, error) {
 		}
 		sp.gIdx[i] = j
 	}
-	sp.aIdx = make([]int, len(sp.aggs))
-	sp.cIdx = make([]int, len(sp.aggs))
-	for i, a := range sp.aggs {
-		if a.Func == ir.AggCount {
-			sp.aIdx[i], sp.cIdx[i] = -1, -1
-			continue
-		}
+	for _, a := range sp.aggs {
 		j := in.Index(a.Col)
-		if j < 0 {
+		switch {
+		case a.Func == ir.AggCount:
+		case j < 0:
 			return sp, fmt.Errorf("exec: %s: unknown aggregation column %q", op, a.Col)
+		case a.Func == ir.AggMin:
+			sp.ext = append(sp.ext, extreme{col: j, sign: -1})
+		case a.Func == ir.AggMax:
+			sp.ext = append(sp.ext, extreme{col: j, sign: 1})
+		default:
+			sp.sumCol = append(sp.sumCol, j)
 		}
-		sp.aIdx[i], sp.cIdx[i] = j, i
 	}
 	return sp, nil
 }
@@ -297,27 +352,31 @@ func emitAggRows(in relation.Schema, table *aggTable, inRows int, out *relation.
 		out.Rows = append(out.Rows, row)
 		return
 	}
-	nk, arity := len(sp.gIdx), len(sp.gIdx)+len(sp.aggs)
+	nk, ns, arity := len(sp.gIdx), len(sp.sumCol), len(sp.gIdx)+len(sp.aggs)
 	out.Rows = make([]relation.Row, len(table.states))
 	vals := make([]relation.Value, len(table.states)*arity)
 	for g := range table.states {
-		st := &table.states[g]
+		st, sums := &table.states[g], table.sums[g*ns:]
 		row := relation.Row(vals[:arity:arity])
 		vals = vals[arity:]
-		copy(row, st.key)
+		copy(row, st.vals[:nk])
+		si, ei := 0, nk // the next sum, the next extreme: both in aggs order
 		for i, a := range sp.aggs {
 			v := relation.Int(st.n)
 			switch a.Func {
 			case ir.AggSum:
-				v = st.cells[i]
+				v = relation.Float(sums[si])
 				// Keep integer sums integral.
-				if in.Cols[sp.aIdx[i]].Kind == relation.KindInt {
-					v = relation.Int(int64(v.AsFloat()))
+				if in.Cols[sp.sumCol[si]].Kind == relation.KindInt {
+					v = relation.Int(int64(sums[si]))
 				}
-			case ir.AggMin, ir.AggMax:
-				v = st.cells[i]
+				si++
 			case ir.AggAvg:
-				v = relation.Float(st.cells[i].AsFloat() / float64(st.n))
+				v = relation.Float(sums[si] / float64(st.n))
+				si++
+			case ir.AggMin, ir.AggMax:
+				v = st.vals[ei]
+				ei++
 			}
 			row[nk+i] = v
 		}

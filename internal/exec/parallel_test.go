@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -93,24 +94,37 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 	})
 }
 
-// TestParallelRangeErrorFailsUnit: a predicate that errors in one range only
-// must fail the whole pipeline, not yield the other ranges' rows. Resolution
-// (ir.OutputSchema) rejects such a predicate, so the chain is built by hand:
-// the OR short-circuits on the rows with v < 900 and reaches the unknown
-// column only in the last range.
+// failingSource is a row source whose pull fails.
+type failingSource struct{ relation.RowSource }
+
+func (failingSource) Next() (relation.Batch, error) {
+	return relation.Batch{}, errors.New("block 7 lost")
+}
+
+// TestParallelRangeErrorFailsUnit: an error in one range only must fail the
+// whole pipeline, not yield the other ranges' rows. Columns are bound when
+// the chain is planned, so no stage can fail on a row; what can is the scan —
+// here a hand-built chain whose source fails in the range holding row 900.
 func TestParallelRangeErrorFailsUnit(t *testing.T) {
 	in := bigIntRelation("t", 1000, 4)
 	d := ir.NewDAG()
 	src := d.AddInput("t", "in/t", in.Schema)
-	bad := ir.Or(pred("v", ir.CmpLt, 900), pred("missing", ir.CmpEq, 1))
-	op := d.Add(ir.OpSelect, "out", ir.Params{Pred: bad}, src)
+	op := d.Add(ir.OpSelect, "out", ir.Params{Pred: pred("v", ir.CmpLt, 900)}, src)
+	bound, err := bindPred(op.Params.Pred, in.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
 	scan := func(rows []relation.Row) *chain {
 		return &chain{
 			rows: len(rows), batchRows: relation.DefaultBatchRows,
 			open: func(lo, hi int) relation.RowSource {
-				return (&relation.Relation{Schema: in.Schema, Rows: rows}).Reader(lo, hi, relation.DefaultBatchRows)
+				r := (&relation.Relation{Schema: in.Schema, Rows: rows}).Reader(lo, hi, relation.DefaultBatchRows)
+				if lo <= 900 && 900 < hi {
+					return failingSource{r}
+				}
+				return r
 			},
-			stages: []stagePlan{{op: op, inSch: in.Schema, sch: in.Schema, pred: bad}},
+			stages: []stagePlan{{op: op, inSch: in.Schema, sch: in.Schema, pred: bound}},
 		}
 	}
 	c := scan(in.Rows)
@@ -119,12 +133,39 @@ func TestParallelRangeErrorFailsUnit(t *testing.T) {
 			t.Fatalf("input split into %d ranges", n)
 		}
 		_, err := c.run()
-		if err == nil || !strings.Contains(err.Error(), `unknown column "missing"`) {
+		if err == nil || !strings.Contains(err.Error(), "block 7 lost") {
 			t.Errorf("err = %v, want the failing range's error", err)
 		}
 	})
 	if res, err := scan(in.Rows[:900]).run(); err != nil || len(res.rows) != 900 {
-		t.Errorf("rows that never reach the bad operand: %d rows, err %v", len(res.rows), err)
+		t.Errorf("rows no failing range holds: %d rows, err %v", len(res.rows), err)
+	}
+}
+
+// TestUnresolvableOperandFailsBeforeAnyRowIsRead: a column no schema holds
+// fails the chain where it is planned — over an empty input too, which the
+// per-row lookup this replaces never noticed.
+func TestUnresolvableOperandFailsBeforeAnyRowIsRead(t *testing.T) {
+	empty := relation.New("t", relation.NewSchema("k:int", "v:int"))
+	for name, params := range map[string]ir.Params{
+		"ARITH":  {Dst: "w", ALeft: ir.ColRef("v"), AOp: ir.ArithMul, ARght: ir.ScaledCol("missing", 0.5)},
+		"SELECT": {Pred: ir.Or(pred("v", ir.CmpLt, 900), pred("missing", ir.CmpEq, 1))},
+	} {
+		d := ir.NewDAG()
+		src := d.AddInput("t", "in/t", empty.Schema)
+		typ := ir.OpArith
+		if params.Pred != nil {
+			typ = ir.OpSelect
+		}
+		op := d.Add(typ, "out", params, src)
+		_, err := runChain([]*ir.Op{op}, Env{"t": empty}, nil, RunOptions{})
+		if err == nil || !strings.Contains(err.Error(), `"missing"`) {
+			t.Errorf("%s: err = %v, want the unknown column named", name, err)
+		}
+	}
+	// ir.OutputSchema turns those away first; binding refuses them on its own.
+	if _, err := bindPred(ir.Or(pred("v", ir.CmpLt, 900), pred("missing", ir.CmpEq, 1)), empty.Schema); err == nil || !strings.Contains(err.Error(), `unknown column "missing"`) {
+		t.Errorf("bindPred: err = %v", err)
 	}
 }
 

@@ -1,9 +1,6 @@
 package exec
 
-import (
-	"musketeer/internal/ir"
-	"musketeer/internal/relation"
-)
+import "musketeer/internal/relation"
 
 // This file holds the operator kernels for SELECT, PROJECT, ARITH, JOIN-probe
 // and AGG: relation.RowSource stages that a pipeline composes into a single
@@ -15,10 +12,12 @@ import (
 // accTap accumulates the row count and physical byte size of the rows a
 // streamed-through stage emits, summing the same relation.Row.EncodedLen
 // that Relation.PhysicalBytes sums — so a member's trace entry is the same
-// whether its output was materialized or not.
+// whether its output was materialized or not. The taps of one pipeline range
+// share its width memo.
 type accTap struct {
 	rows int
 	phys int64
+	memo *relation.WidthMemo
 }
 
 // addRow meters a row the stage passes through by reference (SELECT): the
@@ -33,7 +32,7 @@ func (a *accTap) addRow(row relation.Row) {
 // materialized output they are copied into never measure them again.
 func (a *accTap) addOwned(row relation.Row) {
 	a.rows++
-	a.phys += row.StampEncodedLen()
+	a.phys += row.StampEncodedLen(a.memo)
 }
 
 // valArena hands out value storage for constructing stages. A reusable
@@ -60,7 +59,7 @@ func (a *valArena) take(n int) []relation.Value {
 type selectStage struct {
 	src  relation.RowSource
 	sch  relation.Schema
-	pred *ir.Pred
+	pred *boundPred
 	tap  *accTap
 	out  []relation.Row
 }
@@ -77,11 +76,7 @@ func (s *selectStage) Next() (relation.Batch, error) {
 			s.out = make([]relation.Row, 0, len(b.Rows))
 		}
 		for _, row := range b.Rows {
-			ok, err := EvalPred(s.pred, s.sch, row)
-			if err != nil {
-				return relation.Batch{}, err
-			}
-			if ok {
+			if s.pred.eval(row) {
 				if s.tap != nil {
 					s.tap.addRow(row)
 				}
@@ -132,17 +127,14 @@ func (p *projectStage) Next() (relation.Batch, error) {
 	return relation.Batch{Rows: p.out}, nil
 }
 
-// arithStage computes a derived column per row, in place of dstIdx or
-// appended when dstIdx is negative.
+// arithStage computes a derived column per row (see arithSpec).
 type arithStage struct {
-	src    relation.RowSource
-	inSch  relation.Schema
-	sch    relation.Schema
-	op     *ir.Op
-	dstIdx int
-	tap    *accTap
-	ar     valArena
-	out    []relation.Row
+	src relation.RowSource
+	sch relation.Schema
+	*arithSpec
+	tap *accTap
+	ar  valArena
+	out []relation.Row
 }
 
 func (a *arithStage) Schema() relation.Schema { return a.sch }
@@ -152,32 +144,16 @@ func (a *arithStage) Next() (relation.Batch, error) {
 	if err != nil || b.Empty() {
 		return relation.Batch{}, err
 	}
-	arity := a.inSch.Arity()
-	if a.dstIdx < 0 {
-		arity++
-	}
+	arity := a.sch.Arity()
 	vals := a.ar.take(len(b.Rows) * arity)
 	if a.out = a.out[:0]; cap(a.out) < len(b.Rows) {
 		a.out = make([]relation.Row, 0, len(b.Rows))
 	}
 	for _, row := range b.Rows {
-		l, err := operandValue(a.op.Params.ALeft, a.inSch, row)
-		if err != nil {
-			return relation.Batch{}, err
-		}
-		r, err := operandValue(a.op.Params.ARght, a.inSch, row)
-		if err != nil {
-			return relation.Batch{}, err
-		}
-		v := a.op.Params.AOp.Apply(l, r)
 		nr := relation.Row(vals[:arity:arity])
 		vals = vals[arity:]
 		copy(nr, row)
-		if a.dstIdx >= 0 {
-			nr[a.dstIdx] = v
-		} else {
-			nr[arity-1] = v
-		}
+		nr[a.dst] = a.op.Apply(a.l.value(row), a.r.value(row))
 		if a.tap != nil {
 			a.tap.addOwned(nr)
 		}

@@ -91,11 +91,11 @@ func cellText(v *Value) string {
 
 // floatColumnWidth returns the width byte of a cell of a float column and the
 // length of the text a TSV writer would have rendered it to. A float's byte is
-// that length, cached or measured once. An Int in a float column (see
+// that length, cached or measured once, through m. An Int in a float column (see
 // stampEncoded) renders as integer text, which parses back to a float that
 // re-renders the same up to six digits and in exponent form beyond: there the
 // byte is 0 and the reader's TextLen measures the float it decoded.
-func floatColumnWidth(v *Value) (w uint8, text int) {
+func floatColumnWidth(v *Value, m *WidthMemo) (w uint8, text int) {
 	switch {
 	case v.Kind == KindInt:
 		text = intTextLen(v.I)
@@ -106,7 +106,7 @@ func floatColumnWidth(v *Value) (w uint8, text int) {
 	case v.w != 0:
 		return v.w, int(v.w)
 	}
-	text = v.measure()
+	text = v.measure(m)
 	return uint8(text), text
 }
 
@@ -158,7 +158,7 @@ func (p *Part) appendGroup(rows []Row) {
 			}
 		case KindFloat:
 			for _, row := range rows {
-				w, n := floatColumnWidth(&row[c])
+				w, n := floatColumnWidth(&row[c], &p.memo)
 				seg = append(binary.LittleEndian.AppendUint64(seg, math.Float64bits(row[c].AsFloat())), w)
 				text += n
 			}
@@ -382,7 +382,7 @@ func (r *groupReader) decode(dst []Value, k int) (int, error) {
 				if cell.w != 0 {
 					phys += int(cell.w)
 				} else if e.trusted {
-					phys += cell.measure()
+					phys += cell.measure(nil)
 				}
 			}
 			cc.sec = cc.sec[9*k:]

@@ -10,8 +10,8 @@ var keySeed = maphash.MakeSeed()
 
 // KeyHasher computes 64-bit hashes of projected row keys with a reusable
 // scratch buffer, so the per-row cost of keying a group-by or join probe is
-// a hash over an encoding written into preallocated memory — no per-row
-// string allocation like the legacy Row.Key path.
+// a hash over an encoding written into preallocated memory (Row.AppendKey:
+// nine bytes per numeric cell, nothing rendered).
 //
 // A KeyHasher is not safe for concurrent use; parallel kernels create one
 // per worker (they still hash compatibly because the seed is shared).

@@ -2,6 +2,8 @@ package relation
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -113,6 +115,21 @@ func TestArithCommutativityQuick(t *testing.T) {
 	}
 }
 
+// Key renders the projection of r onto cols as length-prefixed text: the
+// reference semantics of AppendKey, whose encodings of two rows are equal
+// iff their Keys are. It was the seed's keying mechanism; nothing outside the
+// tests calls it any more.
+func (r Row) Key(cols []int) string {
+	var b strings.Builder
+	for _, c := range cols {
+		s := r[c].String()
+		b.WriteString(strconv.Itoa(len(s)))
+		b.WriteByte(':')
+		b.WriteString(s)
+	}
+	return b.String()
+}
+
 func TestRowKeyUnambiguous(t *testing.T) {
 	// ("ab","c") and ("a","bc") must have different keys.
 	r1 := Row{Str("ab"), Str("c")}
@@ -121,13 +138,15 @@ func TestRowKeyUnambiguous(t *testing.T) {
 		t.Error("row keys collide for distinct rows")
 	}
 
-	// The hashed key path (AppendKey + KeyHasher) must agree with the legacy
-	// string Key on group/join semantics: two rows are key-equal on one path
-	// iff they are on the other. The corpus is adversarial — empty strings,
-	// field boundaries that could shift, embedded ':' and tabs (the legacy
-	// separator and the TSV delimiter), negative floats, and the intentional
-	// Int/Float collision (both render "2", and legacy keys are built from
-	// renderings).
+	// The value encoding (AppendKey + KeyHasher) must agree with the text Key
+	// on group/join semantics: two rows are key-equal on one path iff they
+	// are on the other. The corpus is adversarial — empty strings, field
+	// boundaries that could shift, embedded ':' and tabs (the text key's
+	// separator and the TSV delimiter), negative floats, the intentional
+	// Int/Float collision (both render "2"), and every place a number's
+	// encoding could part from its rendering: the switch to exponent form at
+	// 1e6, signed zero, NaN payloads, infinities, and strings that are, or
+	// nearly are, a number's text.
 	rows := []Row{
 		{Str("ab"), Str("c")},
 		{Str("a"), Str("bc")},
@@ -146,6 +165,18 @@ func TestRowKeyUnambiguous(t *testing.T) {
 		{Int(2), Str("x")},
 		{Float(2), Str("x")},
 	}
+	cells := []Value{
+		Int(999999), Float(999999), Int(1000000), Float(1e6), Int(1234567), Float(1234567),
+		Float(0), Float(math.Copysign(0, -1)), Int(0),
+		Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000001)), Float(math.Float64frombits(0xfff0000000000123)),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(0.5), Float(1e-5), Int(math.MinInt64), Int(math.MaxInt64),
+		Str("2"), Str("02"), Str("-1"), Str("1e+06"), Str("1e6"), Str("NaN"), Str("Inf"), Str("+Inf"), Str("-Inf"), Str("-0"),
+		Str("0.5"), Str(".5"), Str("1e-05"), Str("1234567"), Str("1.234567e+06"), Str("-9223372036854775808"),
+		Str("99999999999999999999"), Str("2015-01-01"), Str("-"), Str("1."), Str("1e+"), Str("N"),
+	}
+	for _, c := range cells {
+		rows = append(rows, Row{c, Str("x")})
+	}
 	cols := []int{0, 1}
 	var h KeyHasher
 	type enc struct {
@@ -163,7 +194,7 @@ func TestRowKeyUnambiguous(t *testing.T) {
 			legacyEq := encs[i].legacy == encs[j].legacy
 			hashedEq := string(encs[i].key) == string(encs[j].key)
 			if legacyEq != hashedEq {
-				t.Errorf("rows %v and %v: legacy equal=%v, hashed equal=%v", rows[i], rows[j], legacyEq, hashedEq)
+				t.Errorf("rows %v and %v: text equal=%v, encoding equal=%v", rows[i], rows[j], legacyEq, hashedEq)
 			}
 			if hashedEq && encs[i].hash != encs[j].hash {
 				t.Errorf("rows %v and %v: equal keys but different hashes", rows[i], rows[j])
@@ -176,6 +207,60 @@ func TestRowKeyUnambiguous(t *testing.T) {
 	}
 	if encs[14].legacy != encs[15].legacy || string(encs[14].key) != string(encs[15].key) {
 		t.Error("Int(2) and Float(2) should be key-equal (both render \"2\")")
+	}
+}
+
+// FuzzKeyEquality is AppendKey's contract over two cells of any kinds:
+// their encodings are equal exactly when their renderings are, and equal
+// encodings hash alike.
+func FuzzKeyEquality(f *testing.F) {
+	f.Add(uint8(0), int64(2), 0.0, "", uint8(1), int64(0), 2.0, "")
+	f.Add(uint8(0), int64(2), 0.0, "", uint8(2), int64(0), 0.0, "2")
+	f.Add(uint8(1), int64(0), 1e6, "", uint8(2), int64(0), 0.0, "1e+06")
+	f.Add(uint8(1), int64(0), 1234567.0, "", uint8(0), int64(1234567), 0.0, "")
+	f.Add(uint8(1), int64(0), math.Copysign(0, -1), "", uint8(2), int64(0), 0.0, "-0")
+	f.Add(uint8(1), int64(0), math.NaN(), "", uint8(2), int64(0), 0.0, "NaN")
+	f.Add(uint8(1), int64(0), math.Inf(1), "", uint8(2), int64(0), 0.0, "+Inf")
+	f.Add(uint8(1), int64(0), 0.1, "", uint8(2), int64(0), 0.0, "0.1")
+	f.Add(uint8(0), int64(math.MinInt64), 0.0, "", uint8(2), int64(0), 0.0, "-9223372036854775808")
+	f.Add(uint8(2), int64(0), 0.0, "02", uint8(2), int64(0), 0.0, "2")
+	cell := func(kind uint8, i int64, x float64, s string) Value {
+		switch kind % 3 {
+		case 0:
+			return Int(i)
+		case 1:
+			return Float(x)
+		}
+		return Str(s)
+	}
+	f.Fuzz(func(t *testing.T, ka uint8, ia int64, xa float64, sa string, kb uint8, ib int64, xb float64, sb string) {
+		a, b := cell(ka, ia, xa, sa), cell(kb, ib, xb, sb)
+		// Against b, and against a's own text as a string: always a's equal.
+		for _, o := range []Value{b, Str(a.String())} {
+			var h KeyHasher
+			ha, key := h.HashKey(Row{a}, []int{0})
+			keyA := string(key)
+			ho, key := h.HashKey(Row{o}, []int{0})
+			textEq := a.String() == o.String()
+			if (keyA == string(key)) != textEq {
+				t.Fatalf("%#v and %#v: renderings equal=%v, encodings %x and %x", a, o, textEq, keyA, key)
+			}
+			if textEq && ha != ho {
+				t.Fatalf("%#v and %#v: equal keys, different hashes", a, o)
+			}
+		}
+	})
+}
+
+// TestHashKeyAllocatesNothing: not for numbers, and not for strings that
+// look like numbers for a while (a failed strconv parse would allocate).
+func TestHashKeyAllocatesNothing(t *testing.T) {
+	row := Row{Int(7), Float(0.25), Str("2015-01-01"), Str("New York"), Str("1st"), Str("1e+06"), Str("-1.5e"), Str("12.5")}
+	cols := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	var h KeyHasher
+	h.HashKey(row, cols)
+	if n := testing.AllocsPerRun(100, func() { h.HashKey(row, cols) }); n != 0 {
+		t.Errorf("HashKey allocates %v objects per row", n)
 	}
 }
 

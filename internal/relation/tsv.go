@@ -519,7 +519,8 @@ type Part struct {
 	w                   *Writer
 	segs                [][]byte
 	rows, bytes, widest int
-	lens                []int // appendGroup's scratch: per column, section and blob length
+	lens                []int     // appendGroup's scratch: per column, section and blob length
+	memo                WidthMemo // appendGroup's: the widths of floats no tap stamped
 }
 
 const minSegment, maxSegment = 256, 64 << 10

@@ -175,17 +175,47 @@ func (v Value) TextLen() int {
 	case v.w != 0:
 		return int(v.w)
 	}
-	return v.measure()
+	return v.measure(nil)
 }
 
-// measure renders nothing to the heap: a digit count for an int, a render
-// into a stack buffer for a float. v must be numeric.
-func (v *Value) measure() int {
+// WidthMemo remembers the text widths of the floats one goroutine measured
+// last: float bits to width, direct-mapped, exact because the same bits
+// render to the same text. Whatever sizes rows on one goroutine owns one (a
+// pipeline range for its taps, a writer's part, a relation being sized):
+// derived columns repeat — a GAS scatter sends one rank/degree along every
+// out-edge of a vertex. The zero value is ready; the table is allocated on
+// the first float measured, so sizing rows that hold none costs nothing.
+type WidthMemo struct{ t *widthTable }
+
+const widthSlots = 64 // widthSlot keeps a hash's top six bits
+
+type widthTable struct {
+	bits [widthSlots]uint64
+	w    [widthSlots]uint8 // 0: the slot is empty
+}
+
+func widthSlot(bits uint64) uint64 { return bits * 0x9e3779b97f4a7c15 >> 58 }
+
+// measure renders nothing to the heap: a digit count for an int; for a float
+// the width m remembers for its bits, else a render into a stack buffer,
+// which m (if there is one) then remembers. v must be numeric.
+func (v *Value) measure(m *WidthMemo) int {
 	if v.Kind == KindInt {
 		return intTextLen(v.I)
 	}
 	var buf [32]byte
-	return len(appendFloat(buf[:0], v.F))
+	if m == nil {
+		return len(appendFloat(buf[:0], v.F))
+	}
+	if m.t == nil {
+		m.t = new(widthTable)
+	}
+	bits := math.Float64bits(v.F)
+	s := widthSlot(bits)
+	if m.t.w[s] == 0 || m.t.bits[s] != bits {
+		m.t.bits[s], m.t.w[s] = bits, uint8(len(appendFloat(buf[:0], v.F)))
+	}
+	return int(m.t.w[s])
 }
 
 // stampEncoded caches the width of a numeric cell just parsed from field,
@@ -363,16 +393,16 @@ type Row []Value
 // text plus its separator or newline. It is the one definition of a row's
 // physical size; PhysicalBytes and the fused pipelines' taps both sum it.
 // The row is only read, so it is safe on rows other goroutines share.
-func (r Row) EncodedLen() int64 { return r.encodedLen(false) }
+func (r Row) EncodedLen() int64 { return r.encodedLen(false, nil) }
 
 // StampEncodedLen is EncodedLen for a row whose storage the caller owns
 // exclusively (it has just built it and not yet published it): each numeric
-// width it has to measure is cached in the cell, so every later sizing of
-// the cell — and of every copy a kernel makes of it — is a byte add. Never
-// call it on rows another goroutine may read.
-func (r Row) StampEncodedLen() int64 { return r.encodedLen(true) }
+// width it has to measure — through m, the caller's memo — is cached in the
+// cell, so every later sizing of the cell, and of every copy a kernel makes
+// of it, is a byte add. Never call it on rows another goroutine may read.
+func (r Row) StampEncodedLen(m *WidthMemo) int64 { return r.encodedLen(true, m) }
 
-func (r Row) encodedLen(stamp bool) int64 {
+func (r Row) encodedLen(stamp bool, m *WidthMemo) int64 {
 	n := int64(len(r)) // one separator or newline per field
 	for i := range r {
 		v := &r[i]
@@ -382,7 +412,7 @@ func (r Row) encodedLen(stamp bool) int64 {
 		case v.w != 0:
 			n += int64(v.w)
 		default:
-			w := v.measure()
+			w := v.measure(m)
 			if stamp {
 				v.w = uint8(w)
 			}
@@ -399,36 +429,112 @@ func (r Row) Clone() Row {
 	return c
 }
 
-// Key renders the projection of r onto cols as a join/group key.
-// The encoding is unambiguous: fields are length-prefixed.
-//
-// This is the legacy string path, kept as the reference semantics for the
-// hashed key path (AppendKey/KeyHasher) the hot kernels use: two rows have
-// equal Keys iff they have equal AppendKey encodings.
-func (r Row) Key(cols []int) string {
-	var b strings.Builder
-	for _, c := range cols {
-		s := r[c].String()
-		b.WriteString(strconv.Itoa(len(s)))
-		b.WriteByte(':')
-		b.WriteString(s)
-	}
-	return b.String()
-}
+// The tag bytes of AppendKey's cells.
+const (
+	keyInt byte = iota
+	keyFloat
+	keyString
+)
 
-// AppendKey appends an unambiguous binary encoding of the projection of r
-// onto cols to dst and returns the extended slice. Each field is written as
-// its textual rendering followed by a fixed 4-byte little-endian length
-// suffix, so encodings are equal exactly when the projected field renderings
-// are equal — the same equality Key defines — while allocating nothing once
-// dst has capacity. The hot kernels hash this encoding (see KeyHasher) and
-// keep the bytes for collision verification.
+// AppendKey appends the join/group key of the projection of r onto cols to
+// dst: per cell a tag byte, then 8 bytes of a number or a 4-byte length and a
+// string's bytes — prefix-free, and nothing allocated once dst has capacity.
+// Two cells encode alike exactly when their AppendText renderings are equal,
+// whatever their kinds: Int(2), Float(2) and Str("2") are one key;
+// Int(1234567) and Float(1234567), which renders 1.234567e+06, are two; 0 and
+// -0 are two; every NaN is one. Each cell is encoded as the one number that
+// renders like it, if there is one: an integral float below 1e6 as its
+// integer, a string that is a number's rendering as that number. A key is
+// compared and hashed (see KeyHasher), never printed.
 func (r Row) AppendKey(dst []byte, cols []int) []byte {
 	for _, c := range cols {
-		start := len(dst)
-		dst = r[c].AppendText(dst)
-		n := uint32(len(dst) - start)
-		dst = append(dst, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
+		v := &r[c]
+		tag, bits := keyInt, uint64(v.I)
+		switch s := v.S; {
+		case v.Kind == KindFloat:
+			tag, bits = floatKey(v.F)
+		case v.Kind != KindString:
+		case len(s) > 0 && (s[0]-'0' <= 9 || s[0] == '-' || s[0] == '+' || s[0] == 'N'):
+			// The first byte of a number's text, which almost no string has.
+			if tag, bits = textKey(s); tag != keyString {
+				break
+			}
+			fallthrough
+		default:
+			n := len(s)
+			dst = append(append(dst, keyString, byte(n), byte(n>>8), byte(n>>16), byte(n>>24)), s...)
+			continue
+		}
+		dst = append(dst, tag, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
+			byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
 	}
 	return dst
+}
+
+// floatKey is the key cell of f: the integer it renders like if it is
+// integral, below 1e6 and not -0; else its bits, one NaN's for every NaN.
+func floatKey(f float64) (tag byte, bits uint64) {
+	switch {
+	case math.Abs(f) < 1e6 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)):
+		return keyInt, uint64(int64(f))
+	case f != f:
+		return keyFloat, math.Float64bits(math.NaN())
+	}
+	return keyFloat, math.Float64bits(f)
+}
+
+// textKey is the key cell of the number whose AppendText rendering is exactly
+// s, which is not empty, if there is one; else its tag is keyString. A string
+// shaped like a number is parsed — so strconv never builds an error on the
+// way — and kept if it renders back to s ("02", "1e6" and "Inf" do not).
+func textKey(s string) (tag byte, bits uint64) {
+	var buf [32]byte
+	switch numberShape(s) {
+	case KindInt:
+		if i, err := strconv.ParseInt(s, 10, 64); err == nil && string(strconv.AppendInt(buf[:0], i, 10)) == s {
+			return keyInt, uint64(i)
+		}
+	case KindFloat:
+		if f, err := strconv.ParseFloat(s, 64); err == nil && string(appendFloat(buf[:0], f)) == s {
+			return floatKey(f)
+		}
+	}
+	return keyString, 0
+}
+
+// numberShape is the kind of number s, which is not empty, could be the
+// rendering of: KindInt for [-]digits, KindFloat for
+// [-]digits[.digits][e±digits] and the four texts only a float renders to,
+// KindString for none (nothing over 24 bytes is a number's text).
+func numberShape(s string) Kind {
+	if len(s) > 24 {
+		return KindString
+	}
+	switch s {
+	case "NaN", "+Inf", "-Inf", "-0":
+		return KindFloat
+	}
+	kind, i := KindInt, 0
+	if s[0] == '-' {
+		i = 1
+	}
+	for part := 0; ; part++ { // the integer's digits, the fraction's, the exponent's
+		from := i
+		for i < len(s) && s[i]-'0' <= 9 {
+			i++
+		}
+		switch {
+		case i == from:
+			return KindString
+		case i == len(s):
+			return kind
+		case part == 0 && s[i] == '.':
+			i++
+		case part < 2 && i+1 < len(s) && s[i] == 'e' && (s[i+1] == '+' || s[i+1] == '-'):
+			i, part = i+2, 1
+		default:
+			return KindString
+		}
+		kind = KindFloat
+	}
 }

@@ -16,7 +16,8 @@ func TestValueSizeUnchanged(t *testing.T) {
 	}
 }
 
-// checkTextLen asserts TextLen is exact before and after stamping, and that
+// checkTextLen asserts TextLen is exact before and after stamping — with no
+// memo, through a cold one and through one that has seen the value — and that
 // stamping changes nothing else about the value.
 func checkTextLen(t *testing.T, v Value) {
 	t.Helper()
@@ -24,19 +25,69 @@ func checkTextLen(t *testing.T, v Value) {
 	if got := v.TextLen(); got != want {
 		t.Fatalf("%v: TextLen() = %d before stamping, want %d", v, got, want)
 	}
-	row := Row{v}
-	if got := row.StampEncodedLen(); got != int64(want)+1 {
-		t.Fatalf("%v: StampEncodedLen() = %d, want %d", v, got, want+1)
+	var warm WidthMemo
+	Row{v}.StampEncodedLen(&warm)
+	var s Value
+	for _, m := range []*WidthMemo{nil, {}, &warm} {
+		row := Row{v}
+		if got := row.StampEncodedLen(m); got != int64(want)+1 {
+			t.Fatalf("%v: StampEncodedLen() = %d, want %d", v, got, want+1)
+		}
+		s = row[0]
+		if v.Kind != KindString && int(s.w) != want {
+			t.Fatalf("%v: cached width %d, want %d", v, s.w, want)
+		}
 	}
-	s := row[0]
 	if got := s.TextLen(); got != want {
 		t.Fatalf("%v: TextLen() = %d after stamping, want %d", v, got, want)
 	}
-	if v.Kind != KindString && int(s.w) != want {
-		t.Fatalf("%v: cached width %d, want %d", v, s.w, want)
-	}
 	if !bytes.Equal(s.AppendText(nil), v.AppendText(nil)) || s.Kind != v.Kind {
 		t.Fatalf("%v: stamping changed the value to %v", v, s)
+	}
+}
+
+// TestWidthMemoIsExact sizes rows through one long-lived memo — random
+// floats, floats that evict each other from one slot, Ints sitting in a float
+// column, and the renderings strconv special-cases — and checks every width
+// it stamps against the text, and the row's size against what a cold memo
+// and no memo give.
+func TestWidthMemoIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	vals := []Value{
+		Int(999999), Int(1000000), Int(-1234567), Int(math.MinInt64),
+		Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000001)), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(0), Float(math.Copysign(0, -1)), Float(5e-324), Float(2.2250738585072014e-308), Float(0.15000000000000002),
+	}
+	// Floats that share a slot with 0.1, met again and again.
+	clash := []Value{Float(0.1)}
+	for len(clash) < 8 {
+		if bits := rng.Uint64(); widthSlot(bits) == widthSlot(math.Float64bits(0.1)) {
+			clash = append(clash, Float(math.Float64frombits(bits)))
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		switch rng.Intn(3) {
+		case 0:
+			vals = append(vals, clash[rng.Intn(len(clash))])
+		case 1:
+			vals = append(vals, Float(float64(rng.Intn(200))/8)) // few distinct: mostly hits
+		default:
+			vals = append(vals, Float(math.Float64frombits(rng.Uint64())))
+		}
+	}
+	var memo WidthMemo
+	for i := 0; i+3 <= len(vals); i++ {
+		row := Row{vals[i], Str("s"), vals[i+1], vals[i+2]}
+		want := row.Clone().EncodedLen()
+		if got := row.Clone().StampEncodedLen(&WidthMemo{}); got != want {
+			t.Fatalf("%v: %d through a cold memo, %d without one", row, got, want)
+		}
+		if got := row.StampEncodedLen(&memo); got != want {
+			t.Fatalf("%v: %d through the warm memo, %d without one", row, got, want)
+		}
+		if err := CheckWidths(&Relation{Rows: []Row{row}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
