@@ -44,9 +44,13 @@
 #                       two-engine workflow as one tenant, a plan-cached
 #                       resubmission as another, status polling, and
 #                       tenant-isolation probes — plain and under -race
-#   benchmark gate    — fresh kernel benchmarks (time, allocs, and B/op,
-#   (mkbenchgate)       at -cpu 1 like the baselines) vs the committed
-#                       BENCH_kernels.json (25%)
+#   benchmark gate    — fresh kernel benchmarks (at -cpu 1 like the
+#   (mkbenchgate)       baselines) vs the committed BENCH_kernels.json:
+#                       allocs/op and B/op beyond 25% fail; ns/op beyond
+#                       25% is printed and does not fail — a baseline
+#                       recorded on another day measures the host too, so
+#                       time is judged end to end by mkperf pairs of
+#                       parent and change
 #   calibration gate  — a fresh 3-round mkbench -accuracy run must still
 #                       converge (round-3 mean |makespan error| below
 #                       round 1) and stay within 25% of the committed
@@ -103,10 +107,10 @@ stage() {
 }
 
 bench_gate() {
-    # -count=3: mkbenchgate keeps each benchmark's best run, so a loaded CI
-    # host doesn't trip the threshold while a real slowdown (all three runs
-    # slow) still does. -cpu 1: every BENCH_kernels.json baseline was
-    # recorded at gomaxprocs 1, and allocs/op scale with the chunk count.
+    # -count=3: mkbenchgate keeps each benchmark's best run, so the ns/op
+    # report names a real slowdown (all three runs slow), not a loaded host.
+    # -cpu 1: every BENCH_kernels.json baseline was recorded at gomaxprocs 1,
+    # and allocs/op scale with the chunk count.
     go test -bench 'BenchmarkKernel|BenchmarkRowKey|BenchmarkSortRows|BenchmarkEncodeDecode|BenchmarkPartitionExhaustive|BenchmarkPartitionDynamic|BenchmarkStream|BenchmarkPhysicalBytes' \
         -benchmem -run '^$' -count=3 -cpu 1 -timeout 20m \
         ./internal/exec ./internal/relation ./internal/bench > "$SCRATCH/bench_fresh.txt"

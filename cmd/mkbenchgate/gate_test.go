@@ -76,10 +76,11 @@ func TestLoadKernelBaselineFromCommittedArtifact(t *testing.T) {
 	}
 }
 
-// TestGateFailsOnSlowedBenchmark: a fresh run with one benchmark 2x slower
-// than its committed baseline must be reported as a regression by name; the
-// untouched benchmarks must not be.
-func TestGateFailsOnSlowedBenchmark(t *testing.T) {
+// TestGateReportsSlowedBenchmark: a fresh run with one benchmark 2x slower
+// than its committed baseline is reported by name — the untouched benchmarks
+// are not — but does not fail the gate: kernel time is not comparable across
+// days of one host, so it is judged end to end by mkperf pairs instead.
+func TestGateReportsSlowedBenchmark(t *testing.T) {
 	baseline, err := LoadKernelBaseline(filepath.Join("..", "..", "BENCH_kernels.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +106,9 @@ func TestGateFailsOnSlowedBenchmark(t *testing.T) {
 	if regs[0].Allowed != slowed.NsOp/2*1.25 {
 		t.Errorf("allowed = %v, want baseline x 1.25", regs[0].Allowed)
 	}
+	if regs[0].Gates() {
+		t.Errorf("%v fails the gate; ns/op is report-only", regs[0])
+	}
 }
 
 func TestGateAllocRegressionAndZeroAllocGuard(t *testing.T) {
@@ -117,8 +121,8 @@ func TestGateAllocRegressionAndZeroAllocGuard(t *testing.T) {
 		"BenchmarkFew":  {NsOp: 100, AllocsOp: 10, HasAllocs: true}, // within 25%+0.5
 	}
 	regs, _, _ := CompareKernels(fresh, baseline, 0.25)
-	if len(regs) != 1 || regs[0].Name != "BenchmarkZero" || regs[0].Metric != "allocs/op" {
-		t.Fatalf("regs = %v, want only BenchmarkZero allocs/op", regs)
+	if len(regs) != 1 || regs[0].Name != "BenchmarkZero" || regs[0].Metric != "allocs/op" || !regs[0].Gates() {
+		t.Fatalf("regs = %v, want only BenchmarkZero allocs/op, gating", regs)
 	}
 }
 
@@ -137,8 +141,8 @@ func TestGateBytesRegression(t *testing.T) {
 		"BenchmarkNoBytes":     {NsOp: 100, AllocsOp: 4, HasAllocs: true, BytesOp: 1 << 30, HasBytes: true},
 	}
 	regs, _, _ := CompareKernels(fresh, baseline, 0.25)
-	if len(regs) != 1 || regs[0].Name != "BenchmarkStreamFused" || regs[0].Metric != "B/op" {
-		t.Fatalf("regs = %v, want only BenchmarkStreamFused B/op", regs)
+	if len(regs) != 1 || regs[0].Name != "BenchmarkStreamFused" || regs[0].Metric != "B/op" || !regs[0].Gates() {
+		t.Fatalf("regs = %v, want only BenchmarkStreamFused B/op, gating", regs)
 	}
 }
 

@@ -101,7 +101,6 @@ func run(name string, args []string, statsMode bool) int {
 	gasOutput := fs.String("gas-output", "result", "GAS front-end: output relation name")
 	historyPath := fs.String("history", "", "workflow-history file: loaded before planning, saved after the run (estimator accuracy is persisted alongside as <file>.accuracy.json)")
 	calibratePath := fs.String("calibrate", "", "calibration-state file: learned rates/selectivities loaded before planning, saved after the run (a -history file already carries this state inline)")
-	adaptiveWhile := fs.Bool("adaptive-while", false, "let WHILE loops re-plan mid-run when an iteration diverges >2x from the estimate")
 	mtbf := fs.Float64("faults-mtbf", 0, "inject worker failures with this cluster-wide MTBF (simulated seconds)")
 	faultRate := fs.Float64("fault-rate", 0, "inject the full chaos plan (job crashes, worker faults, stragglers, DFS read failures) at this many expected faults per simulated hour")
 	chaosSeed := fs.Int64("chaos-seed", 7, "seed for the -fault-rate chaos plan (same seed = same faults)")
@@ -146,9 +145,6 @@ func run(name string, args []string, statsMode bool) int {
 	}
 	if *tracePath != "" {
 		opts = append(opts, musketeer.WithTracing())
-	}
-	if *adaptiveWhile {
-		opts = append(opts, musketeer.WithAdaptiveWhile())
 	}
 	if *runLogLevel != "" {
 		level, err := parseLogLevel(*runLogLevel)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -939,39 +940,77 @@ func TestExhaustiveBudgetExpires(t *testing.T) {
 // TestExplainShowsThePricedVolumes: the pull=/push= figures Explain prints
 // for a job are the bytes FragmentCost priced — sources, the edge between the
 // two jobs and the sink, each at its full size — and the printed volumes
-// price to exactly the cost on the line beneath them.
+// price to exactly the cost on the line beneath them. A driver-looped WHILE
+// prints its body's jobs instead: their volumes price to their costs, which
+// times the iterations is the cost of the loop.
 func TestExplainShowsThePricedVolumes(t *testing.T) {
-	dag := maxPropertyPrice()
-	est, err := NewEstimator(ir.Identify(dag), seedPropertyDFS(t, 100000), cluster.EC2(16), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	hadoop := engines.Hadoop()
-	part, err := MapTo(dag, est, hadoop)
+	prices := maxPropertyPrice()
+	pricesEst, err := NewEstimator(ir.Identify(prices), seedPropertyDFS(t, 100000), cluster.EC2(16), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(part.Jobs) != 2 {
-		t.Fatalf("hadoop plan has %d jobs, want 2 (join | aggregation)", len(part.Jobs))
+	edge := pricesEst.Size(prices.ByOut("id_price"))
+	sources := pricesEst.Size(prices.ByOut("properties")) + pricesEst.Size(prices.ByOut("prices"))
+	sink := pricesEst.Size(prices.ByOut("street_price"))
+	ranks := pageRankDAG(t, 4)
+	ranksEst, err := NewEstimator(ir.Identify(ranks), seedGraphDFS(t, 1000), cluster.EC2(16), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	text := Explain(part, est, []*engines.Engine{hadoop})
-	edge := est.Size(dag.ByOut("id_price"))
-	sources := est.Size(dag.ByOut("properties")) + est.Size(dag.ByOut("prices"))
-	sink := est.Size(dag.ByOut("street_price"))
-	for i, want := range []string{
-		"pull=" + mbStr(sources) + " proc=", " push=" + mbStr(edge) + "\n",
-		"pull=" + mbStr(edge) + " proc=", " push=" + mbStr(sink) + "\n",
+	for _, tc := range []struct {
+		name string
+		dag  *ir.DAG
+		est  *Estimator
+		jobs int
+		want []string
+	}{
+		{"max-property-price", prices, pricesEst, 2, []string{ // join | aggregation
+			"pull=" + mbStr(sources) + " proc=", " push=" + mbStr(edge) + "\n",
+			"pull=" + mbStr(edge) + " proc=", " push=" + mbStr(sink) + "\n",
+		}},
+		{"pagerank", ranks, ranksEst, 1, []string{ // the loop: join | aggregation, every round
+			"driver-looped: 2 body job(s), ", " a round × ~4 iterations\n",
+		}},
 	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("job %d: explain does not print %q:\n%s", i/2+1, want, text)
+		part, err := MapTo(tc.dag, tc.est, hadoop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(part.Jobs) != tc.jobs {
+			t.Fatalf("%s: hadoop plan has %d jobs, want %d", tc.name, len(part.Jobs), tc.jobs)
+		}
+		text := Explain(part, tc.est, []*engines.Engine{hadoop})
+		for _, want := range tc.want {
+			if !strings.Contains(text, want) {
+				t.Errorf("%s: explain does not print %q:\n%s", tc.name, want, text)
+			}
+		}
+		for _, job := range part.Jobs {
+			priced, frags := []Assignment{job}, []*ir.Fragment{job.Frag}
+			if job.Body != nil {
+				priced, frags = job.Body.Jobs, nil
+				for _, bj := range job.Body.Jobs {
+					frags = append(frags, searchedFragment(bj.Frag))
+					if line := fmt.Sprintf("%s %v\n", bj.Frag, bj.Cost); !strings.Contains(text, line) {
+						t.Errorf("%s: explain does not print body job %q:\n%s", tc.name, line, text)
+					}
+				}
+			}
+			for k, pj := range priced {
+				v := explainVolumes(tc.est, frags[k], hadoop)
+				// A body job's cost is a difference of the DP's prefix sums: the
+				// segment's price up to the last bit or two.
+				if got := tc.est.estimate(hadoop, v); got != pj.Cost && (job.Body == nil || !sameUpToRounding(got, pj.Cost)) {
+					t.Errorf("%s: %s: printed volumes %+v price to %v, the cost printed is %v", tc.name, pj.Frag, v, got, pj.Cost)
+				}
+			}
 		}
 	}
-	for _, job := range part.Jobs {
-		v := explainVolumes(est, job.Frag, hadoop)
-		if got, want := est.estimate(hadoop, v), est.FragmentCost(job.Frag, hadoop); got != want {
-			t.Errorf("%s: printed volumes %+v price to %v, the engine cost printed is %v", job.Frag, v, got, want)
-		}
-	}
+}
+
+func sameUpToRounding(a, b cluster.Seconds) bool {
+	return math.Abs(float64(a-b)) <= 1e-12*math.Abs(float64(b))
 }
 
 // A forced output is pushed like any other: the fragment's own outputs are

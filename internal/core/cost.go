@@ -62,7 +62,7 @@ type Estimator struct {
 	id     *ir.Identity
 	sizes  map[*ir.Op]int64
 	iters  map[*ir.Op]int
-	inputs map[string]int64 // DFS path -> effective bytes
+	inputs map[string]int64 // DFS path -> effective bytes; written by NewEstimator only
 	// opObs caches each operator's history observation found during size
 	// propagation, so volume accounting can prefer damped measured
 	// per-iteration volumes (Observation.ProcBytes et al.) over the
@@ -183,33 +183,17 @@ func (e *Estimator) engineSet(engs []*engines.Engine) uint32 {
 	return ord
 }
 
-// resetMemo drops every memoized choice and every index's size snapshot —
-// whatever changed (sizes, fault rates, learned rates),
-// the next score is computed afresh — and stamps the memo with the
-// calibration version it will be refilled under.
+// resetMemo drops every memoized choice — whatever changed (fault rates,
+// learned rates), the next score is computed afresh — and stamps the memo
+// with the calibration version it will be refilled under. Sizes are fixed
+// once the estimator is built, so the size snapshots stay.
 func (e *Estimator) resetMemo() {
 	e.fragMu.Lock()
 	for _, x := range e.indexes {
 		x.memo = fragMemo{}
-		x.vols.Store(nil)
 	}
 	e.calVer.Store(e.cal.Version())
 	e.fragMu.Unlock()
-}
-
-// WithInputSizes declares source sizes directly (keyed by DFS path or by
-// the source's relation name) and re-propagates. It is how callers size a
-// workflow before its inputs are staged — and how the WHILE driver sizes
-// loop bodies.
-func (e *Estimator) WithInputSizes(sizes map[string]int64) (*Estimator, error) {
-	for k, v := range sizes {
-		e.inputs[k] = v
-	}
-	if err := e.propagate(e.id.DAG, nil); err != nil {
-		return nil, err
-	}
-	e.resetMemo()
-	return e, nil
 }
 
 // WithChaos makes fragment scores include the engine's expected recovery
@@ -250,7 +234,7 @@ func (e *Estimator) propagate(d *ir.DAG, outerSizes map[string]int64) error {
 					continue
 				}
 			}
-			s, ok := e.inputSize(op)
+			s, ok := e.inputs[op.Params.Path]
 			if !ok {
 				return fmt.Errorf("core: no size for input %q (path %q)", op.Out, op.Params.Path)
 			}
@@ -296,7 +280,7 @@ func (e *Estimator) propagateWhile(d *ir.DAG, w *ir.Op) error {
 		return err
 	}
 	iters := w.Params.MaxIter
-	if iters <= 0 || iters > 1<<16 {
+	if iters <= 0 || iters > ir.MaxCondIters {
 		iters = DefaultIterEstimate
 	}
 	if obs, ok := e.History.Lookup(e.id.Hash(d), w.ID); ok && obs.Iterations > 0 {
@@ -309,14 +293,6 @@ func (e *Estimator) propagateWhile(d *ir.DAG, w *ir.Op) error {
 	}
 	e.sizes[w] = e.sizes[res]
 	return nil
-}
-
-func (e *Estimator) inputSize(op *ir.Op) (int64, bool) {
-	if s, ok := e.inputs[op.Params.Path]; ok && op.Params.Path != "" {
-		return s, true
-	}
-	s, ok := e.inputs[op.Out]
-	return s, ok
 }
 
 // Size returns the estimated output volume of an operator.
@@ -357,17 +333,41 @@ func (e *Estimator) jobCost(x *searchIndex, vol *opVolumes, c *candidate, eng *e
 		return Infeasible
 	}
 	if w := c.while; w != nil && !eng.Profile().NativeIteration {
-		bodyPart, err := PartitionDynamic(w.Params.Body, e, []*engines.Engine{eng})
-		if err != nil || bodyPart.Cost == Infeasible {
+		body, err := e.bodyPlan(w, eng)
+		if err != nil {
 			return Infeasible
 		}
-		return cluster.Seconds(float64(bodyPart.Cost) * float64(e.Iters(w)))
+		return cluster.Seconds(float64(body.Cost) * float64(e.Iters(w)))
 	}
 	v, depth, err := e.jobVolumes(x, vol, c, eng, pull, push)
 	if err != nil {
 		return Infeasible
 	}
 	return e.withRecovery(eng, depth, e.estimate(eng, v))
+}
+
+// bodyPlan partitions w's body for an engine that cannot iterate natively.
+// It is a function of the memoized scores alone, so the plan jobCost prices
+// the loop from and the plan assignment attaches are one plan: the body that
+// runs is the body that was priced. Forcing the loop outputs afterwards
+// leaves every job's Cost as searched.
+func (e *Estimator) bodyPlan(w *ir.Op, eng *engines.Engine) (*Partitioning, error) {
+	body, err := PartitionDynamic(w.Params.Body, e, []*engines.Engine{eng})
+	if err != nil {
+		return nil, err
+	}
+	return body, forceLoopOutputs(w, body)
+}
+
+// assignment completes one job of a plan — the step every constructor of a
+// Partitioning ends in: a driver-looped WHILE carries its body's plan.
+func (e *Estimator) assignment(f *ir.Fragment, eng *engines.Engine, cost cluster.Seconds) (Assignment, error) {
+	job := Assignment{Frag: f, Engine: eng, Cost: cost}
+	var err error
+	if w := job.DriverLoop(); w != nil {
+		job.Body, err = e.bodyPlan(w, eng)
+	}
+	return job, err
 }
 
 // jobVolumes returns the volumes the candidate is priced at as one job on
@@ -404,9 +404,8 @@ func (e *Estimator) estimate(eng *engines.Engine, v engines.Volumes) cluster.Sec
 // since it was filled: learned rates change fragment scores, so cached
 // choices computed on stale rates must not be reused. Called on the memo
 // read path (searcher.choice); the fast path is two atomic loads. Note size
-// propagation is NOT redone here — sizes refresh on the next propagate (a
-// new estimator or WithInputSizes), while rate changes take effect on the
-// very next score.
+// propagation is NOT redone here — sizes refresh with the next estimator,
+// while rate changes take effect on the very next score.
 func (e *Estimator) syncCalibration() {
 	if e.calVer.Load() != e.cal.Version() {
 		e.resetMemo()

@@ -31,9 +31,7 @@ func Explain(part *Partitioning, est *Estimator, candidates []*engines.Engine) s
 	}
 	for i, job := range part.Jobs {
 		fmt.Fprintf(&b, "\njob %d: %s\n", i+1, job.Frag)
-		v := explainVolumes(est, job.Frag, job.Engine)
-		fmt.Fprintf(&b, "  volumes: pull=%s proc=%s shuffle=%s push=%s\n",
-			mbStr(v.Pull), mbStr(v.Proc), mbStr(v.Shuffle), mbStr(v.Push))
+		writePriced(&b, "  ", est, job, job.Frag)
 		if w := job.Frag.While(); w != nil {
 			fmt.Fprintf(&b, "  iterative: ~%d iteration(s)", est.Iters(w))
 			if ir.DetectGraphIdiom(w) != nil {
@@ -86,8 +84,17 @@ func bestEngine(est *Estimator, f *ir.Fragment, engs []*engines.Engine) (*engine
 	return best, bestCost
 }
 
+// searchedFragment returns a body job's fragment as the partition search
+// priced it: the same operators, without the loop outputs forced on it since.
+func searchedFragment(f *ir.Fragment) *ir.Fragment {
+	if g, err := ir.NewFragment(f.DAG(), f.Ops); err == nil {
+		return g
+	}
+	return f
+}
+
 // explainVolumes returns the volumes FragmentCost prices the fragment at on
-// the engine (for a driver-looped WHILE, those of the loop run natively).
+// the engine, its forced outputs included.
 func explainVolumes(est *Estimator, f *ir.Fragment, eng *engines.Engine) engines.Volumes {
 	x, err := est.index(f.DAG())
 	if err != nil {
@@ -97,6 +104,23 @@ func explainVolumes(est *Estimator, f *ir.Fragment, eng *engines.Engine) engines
 	pull, push := x.boundaryBytes(c, vol)
 	v, _, _ := est.jobVolumes(x, vol, c, eng, pull, push)
 	return v
+}
+
+// writePriced prints what job's cost was computed from: the volumes of f
+// run as one job, or for a driver-looped WHILE its body's jobs, every round.
+func writePriced(b *strings.Builder, indent string, est *Estimator, job Assignment, f *ir.Fragment) {
+	if job.DriverLoop() == nil || job.Body == nil {
+		v := explainVolumes(est, f, job.Engine)
+		fmt.Fprintf(b, "%svolumes: pull=%s proc=%s shuffle=%s push=%s\n",
+			indent, mbStr(v.Pull), mbStr(v.Proc), mbStr(v.Shuffle), mbStr(v.Push))
+		return
+	}
+	fmt.Fprintf(b, "%sdriver-looped: %d body job(s), %v a round × ~%d iterations\n",
+		indent, len(job.Body.Jobs), job.Body.Cost, est.Iters(job.Frag.While()))
+	for k, bj := range job.Body.Jobs {
+		fmt.Fprintf(b, "%s  body job %d: %s %v\n", indent, k+1, bj.Frag, bj.Cost)
+		writePriced(b, indent+"    ", est, bj, searchedFragment(bj.Frag))
+	}
 }
 
 func mbStr(bytes int64) string {

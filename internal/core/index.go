@@ -63,7 +63,7 @@ type searchIndex struct {
 	redundant []bool
 
 	// vols is the dense snapshot of the estimator's per-operator size maps,
-	// taken on first use and dropped by resetMemo.
+	// taken on first use.
 	vols atomic.Pointer[opVolumes]
 	// memo is guarded by Estimator.fragMu.
 	memo fragMemo
@@ -151,8 +151,8 @@ func isZero(s opSet) bool {
 }
 
 // volumes returns the dense size snapshot, taking it from the estimator's
-// maps if resetMemo dropped it. Concurrent first users may each build one;
-// they are identical and any of them wins.
+// maps on first use. Concurrent first users may each build one; they are
+// identical and any of them wins.
 func (x *searchIndex) volumes(e *Estimator) *opVolumes {
 	if v := x.vols.Load(); v != nil {
 		return v

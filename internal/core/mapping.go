@@ -43,8 +43,10 @@ func (e *Estimator) SeedView() (*Estimator, bool) {
 	if err != nil {
 		return nil, false
 	}
-	sv.chaos = e.chaos
-	if _, err := sv.WithInputSizes(e.inputs); err != nil {
+	// A fresh estimator has nothing memoized yet, and inputs is written only
+	// while an estimator is built: sharing it and sizing from it is safe.
+	sv.chaos, sv.inputs = e.chaos, e.inputs
+	if err := sv.propagate(sv.id.DAG, nil); err != nil {
 		return nil, false
 	}
 	return sv, true
@@ -66,7 +68,11 @@ func PerOperatorPartitioning(dag *ir.DAG, est *Estimator, eng *engines.Engine) (
 		if c == Infeasible {
 			return nil, fmt.Errorf("core: %s cannot run %s alone", eng.Name(), op)
 		}
-		jobs = append(jobs, Assignment{Frag: frag, Engine: eng, Cost: c})
+		job, err := est.assignment(frag, eng, c)
+		if err != nil {
+			return nil, err
+		}
+		jobs = append(jobs, job)
 		total += c
 	}
 	return &Partitioning{Jobs: jobs, Cost: total}, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -24,9 +25,50 @@ type Assignment struct {
 	Frag   *ir.Fragment
 	Engine *engines.Engine
 	Cost   cluster.Seconds
+	// Body is set when the job is a driver-looped WHILE (DriverLoop): the
+	// partitioning of the loop body the runner submits every round. It is the
+	// one Cost was taken from — Body.Cost × the estimated iterations — with
+	// the loop-carried and stop-condition relations forced to be outputs of
+	// the body jobs that compute them.
+	Body *Partitioning
 }
 
-// Partitioning is a complete decomposition of a workflow into jobs.
+// DriverLoop returns the job's WHILE when the engine cannot iterate it
+// natively, so the runner drives the loop itself; nil for every other job.
+func (a *Assignment) DriverLoop() *ir.Op {
+	if w := a.Frag.While(); w != nil && !a.Engine.Profile().NativeIteration {
+		return w
+	}
+	return nil
+}
+
+// forceLoopOutputs makes w's loop-carried and stop-condition relations
+// outputs of the body jobs that compute them: the driver reads them from the
+// DFS every round, even where no other body job does.
+func forceLoopOutputs(w *ir.Op, body *Partitioning) error {
+	needed := slices.Sorted(maps.Values(w.Params.Carried))
+	if w.Params.CondRel != "" {
+		needed = append(needed, w.Params.CondRel)
+	}
+	for _, name := range needed {
+		op := w.Params.Body.ByOut(name)
+		if op == nil {
+			return fmt.Errorf("core: WHILE %s: relation %q not in body", w.Out, name)
+		}
+		for _, job := range body.Jobs {
+			if job.Frag.Contains(op) {
+				if err := job.Frag.ForceOutput(op); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// Partitioning is a complete, executable plan: the workflow's jobs in
+// execution order and, under each driver-looped WHILE, the jobs of its body.
+// The runner searches for nothing; what it runs is what was priced.
 type Partitioning struct {
 	Jobs []Assignment
 	Cost cluster.Seconds
@@ -235,7 +277,11 @@ func dynamicOverOrder(x *searchIndex, est *Estimator, engs []*engines.Engine, op
 		if err != nil {
 			return nil, err
 		}
-		jobs = append(jobs, Assignment{Frag: frag, Engine: best[i].eng, Cost: best[i].cost - best[k].cost})
+		job, err := est.assignment(frag, best[i].eng, best[i].cost-best[k].cost)
+		if err != nil {
+			return nil, err
+		}
+		jobs = append(jobs, job)
 		i = k
 	}
 	slices.Reverse(jobs) // into execution order
@@ -319,7 +365,11 @@ func PartitionExhaustive(dag *ir.DAG, est *Estimator, engs []*engines.Engine, bu
 			return nil, err
 		}
 		ch := best.choice(set)
-		jobs = append(jobs, Assignment{Frag: frag, Engine: ch.eng, Cost: ch.cost})
+		job, err := est.assignment(frag, ch.eng, ch.cost)
+		if err != nil {
+			return nil, err
+		}
+		jobs = append(jobs, job)
 	}
 	return &Partitioning{Jobs: jobs, Cost: best.bestCost, Exhaustive: true}, nil
 }

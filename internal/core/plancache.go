@@ -24,10 +24,13 @@ import (
 // ir.Identity.Order. Hash-equal DAGs have positionally corresponding
 // canonical orders, so replaying a recipe reconstructs semantically
 // identical fragments (ir.NewFragment recomputes ExtIn/ExtOut from the new
-// DAG's real edges). Replay is checked — operator types must match the
-// recipe and fragment construction must succeed — and any mismatch demotes
-// the lookup to a miss, so a hash collision degrades to a cold compile, not
-// a wrong plan.
+// DAG's real edges). A driver-looped WHILE's body jobs are recipes too, by
+// position in the body's topological order: equal canonical hashes imply
+// equal body workflow hashes, so those positions correspond as well, and a
+// hit replays the whole executable plan without building an estimator.
+// Replay is checked — operator types must match the recipe and fragment
+// construction must succeed — and any mismatch demotes the lookup to a miss,
+// so a hash collision degrades to a cold compile, not a wrong plan.
 //
 // Entries are pinned to a calibration version (History.Calibration):
 // learned-rate bumps change fragment costs, so a plan computed under other
@@ -54,6 +57,12 @@ type PlanCache struct {
 type planEntry struct {
 	key        string
 	calVersion uint64
+	plan       planRecipe
+}
+
+// planRecipe is a partitioning of one DAG — the workflow's, or a WHILE
+// body's — expressed positionally.
+type planRecipe struct {
 	exhaustive bool
 	cost       cluster.Seconds
 	jobs       []jobRecipe
@@ -62,12 +71,15 @@ type planEntry struct {
 	nops int
 }
 
-// jobRecipe is one job of a cached partitioning, expressed positionally.
+// jobRecipe is one job of a planRecipe.
 type jobRecipe struct {
 	engine string
-	opIdx  []int       // positions in ir.Identity.Order of the whole DAG
-	types  []ir.OpType // replay sanity check, parallel to opIdx
-	cost   cluster.Seconds
+	// opIdx are positions in the DAG's operator order: ir.Identity.Order for
+	// the workflow, TopoSort for a WHILE body.
+	opIdx []int
+	types []ir.OpType // replay sanity check, parallel to opIdx
+	cost  cluster.Seconds
+	body  *planRecipe // Assignment.Body
 }
 
 // NewPlanCache returns a cache bounded to capacity entries. Capacity <= 0
@@ -127,35 +139,11 @@ func (c *PlanCache) Store(k PlanID, dag *ir.DAG, calVersion uint64, p *Partition
 	if c == nil || p == nil {
 		return
 	}
-	pos := make(map[*ir.Op]int, len(dag.Ops))
-	for i, op := range k.id.Order {
-		pos[op] = i
+	plan, ok := recipeOf(p, k.id.Order)
+	if !ok {
+		return // fragment op outside the DAG; don't cache
 	}
-	e := &planEntry{
-		key:        k.key,
-		calVersion: calVersion,
-		exhaustive: p.Exhaustive,
-		cost:       p.Cost,
-		jobs:       make([]jobRecipe, 0, len(p.Jobs)),
-		nops:       len(dag.Ops),
-	}
-	for _, j := range p.Jobs {
-		r := jobRecipe{
-			engine: j.Engine.Name(),
-			opIdx:  make([]int, 0, len(j.Frag.Ops)),
-			types:  make([]ir.OpType, 0, len(j.Frag.Ops)),
-			cost:   j.Cost,
-		}
-		for _, op := range j.Frag.Ops {
-			i, ok := pos[op]
-			if !ok {
-				return // fragment op outside the DAG; don't cache
-			}
-			r.opIdx = append(r.opIdx, i)
-			r.types = append(r.types, op.Type)
-		}
-		e.jobs = append(e.jobs, r)
-	}
+	e := &planEntry{key: k.key, calVersion: calVersion, plan: plan}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -220,7 +208,7 @@ func (c *PlanCache) Lookup(k PlanID, dag *ir.DAG, calVersion uint64, engine map[
 	c.ll.MoveToFront(el)
 	c.mu.Unlock()
 
-	p, err := c.replay(e, dag, k.id.Order, engine)
+	p, err := e.plan.replay(dag, k.id.Order, engine)
 	if err != nil {
 		return c.miss()
 	}
@@ -237,14 +225,61 @@ func (c *PlanCache) miss() (*Partitioning, bool) {
 	return nil, false
 }
 
-// replay reconstructs a Partitioning from a recipe against a fresh DAG and
-// its canonical order.
-func (c *PlanCache) replay(e *planEntry, dag *ir.DAG, order []*ir.Op, engine map[string]*engines.Engine) (*Partitioning, error) {
-	if len(dag.Ops) != e.nops {
-		return nil, fmt.Errorf("core: plan cache: DAG size %d != recipe %d", len(dag.Ops), e.nops)
+// recipeOf expresses p, a partitioning of the DAG whose operators order
+// lists, positionally; ok is false when p holds an operator order does not.
+func recipeOf(p *Partitioning, order []*ir.Op) (planRecipe, bool) {
+	pos := make(map[*ir.Op]int, len(order))
+	for i, op := range order {
+		pos[op] = i
 	}
-	jobs := make([]Assignment, 0, len(e.jobs))
-	for _, r := range e.jobs {
+	plan := planRecipe{
+		exhaustive: p.Exhaustive,
+		cost:       p.Cost,
+		jobs:       make([]jobRecipe, 0, len(p.Jobs)),
+		nops:       len(order),
+	}
+	for _, j := range p.Jobs {
+		r := jobRecipe{
+			engine: j.Engine.Name(),
+			opIdx:  make([]int, 0, len(j.Frag.Ops)),
+			types:  make([]ir.OpType, 0, len(j.Frag.Ops)),
+			cost:   j.Cost,
+		}
+		for _, op := range j.Frag.Ops {
+			i, ok := pos[op]
+			if !ok {
+				return planRecipe{}, false
+			}
+			r.opIdx = append(r.opIdx, i)
+			r.types = append(r.types, op.Type)
+		}
+		if w := j.DriverLoop(); w != nil && j.Body != nil {
+			body, ok := recipeOf(j.Body, bodyOrder(w))
+			if !ok {
+				return planRecipe{}, false
+			}
+			r.body = &body
+		}
+		plan.jobs = append(plan.jobs, r)
+	}
+	return plan, true
+}
+
+// bodyOrder is the operator order a body's recipes are positions in. A
+// cyclic body has none: nothing is stored for it and nothing replays onto it.
+func bodyOrder(w *ir.Op) []*ir.Op {
+	order, _ := w.Params.Body.TopoSort()
+	return order
+}
+
+// replay reconstructs the Partitioning from the recipe against a fresh DAG
+// and its operator order.
+func (pr *planRecipe) replay(dag *ir.DAG, order []*ir.Op, engine map[string]*engines.Engine) (*Partitioning, error) {
+	if len(order) != pr.nops {
+		return nil, fmt.Errorf("core: plan cache: DAG size %d != recipe %d", len(order), pr.nops)
+	}
+	jobs := make([]Assignment, 0, len(pr.jobs))
+	for _, r := range pr.jobs {
 		eng, ok := engine[r.engine]
 		if !ok {
 			return nil, fmt.Errorf("core: plan cache: engine %q not available", r.engine)
@@ -264,7 +299,18 @@ func (c *PlanCache) replay(e *planEntry, dag *ir.DAG, order []*ir.Op, engine map
 		if err != nil {
 			return nil, fmt.Errorf("core: plan cache: %w", err)
 		}
-		jobs = append(jobs, Assignment{Frag: frag, Engine: eng, Cost: r.cost})
+		job := Assignment{Frag: frag, Engine: eng, Cost: r.cost}
+		if w := job.DriverLoop(); (w != nil) != (r.body != nil) {
+			return nil, fmt.Errorf("core: plan cache: job %s and its recipe disagree on a driver loop", frag)
+		} else if w != nil {
+			if job.Body, err = r.body.replay(w.Params.Body, bodyOrder(w), engine); err != nil {
+				return nil, err
+			}
+			if err := forceLoopOutputs(w, job.Body); err != nil {
+				return nil, fmt.Errorf("core: plan cache: %w", err)
+			}
+		}
+		jobs = append(jobs, job)
 	}
-	return &Partitioning{Jobs: jobs, Cost: e.cost, Exhaustive: e.exhaustive}, nil
+	return &Partitioning{Jobs: jobs, Cost: pr.cost, Exhaustive: pr.exhaustive}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"musketeer/internal/cluster"
+	"musketeer/internal/dfs"
 	"musketeer/internal/engines"
 	"musketeer/internal/ir"
 	"musketeer/internal/obs"
@@ -50,56 +51,143 @@ func engineByName(engs []*engines.Engine) map[string]*engines.Engine {
 	return m
 }
 
-func TestPlanCacheReplayOnRenamedDAG(t *testing.T) {
-	a := maxPropertyPrice()
-	p, engs := partitionFixture(t, a)
-	reg := obs.NewRegistry()
-	pc := NewPlanCache(8, reg)
-	pc.Store(PlanKey(a, engs), a, 0, p)
+// loopedRanks wraps pageRankDAG's loop, given a stop condition, in a
+// workflow whose outer relations can be renamed: filtered inputs feed the
+// WHILE (under the names its body binds, which are part of the body's
+// identity) and a projection reads its result. names are the two inputs, the loop and the sink; swapped appends
+// the inputs in the opposite order.
+func loopedRanks(t *testing.T, names [4]string, swapped bool) *ir.DAG {
+	t.Helper()
+	d := ir.NewDAG()
+	var rawEdges, rawRanks *ir.Op
+	addEdges := func() {
+		rawEdges = d.AddInput(names[0], "in/edges", relation.NewSchema("src:int", "dst:int", "degree:int"))
+	}
+	addRanks := func() {
+		rawRanks = d.AddInput(names[1], "in/ranks", relation.NewSchema("vertex:int", "rank:float"))
+	}
+	if swapped {
+		addRanks()
+		addEdges()
+	} else {
+		addEdges()
+		addRanks()
+	}
+	nonNeg := func(col string) *ir.Pred { return ir.Cmp(ir.ColRef(col), ir.CmpGe, ir.LitOp(relation.Int(0))) }
+	edges := d.Add(ir.OpSelect, "edges", ir.Params{Pred: nonNeg("src")}, rawEdges)
+	ranks := d.Add(ir.OpSelect, "ranks", ir.Params{Pred: nonNeg("vertex")}, rawRanks)
+	// A stop condition read off the carried relation inside the job that
+	// computes it: the driver finds new_ranks in the DFS only if the plan —
+	// replayed or not — forces it out.
+	loop := pageRankDAG(t, 3).ByOut("final_ranks").Params
+	loop.Body.Add(ir.OpSelect, "negative", ir.Params{
+		Pred: ir.Cmp(ir.ColRef("rank"), ir.CmpLt, ir.LitOp(relation.Int(0))),
+	}, loop.Body.ByOut("new_ranks"))
+	loop.CondRel = "negative"
+	w := d.Add(ir.OpWhile, names[2], loop, ranks, edges)
+	d.Add(ir.OpProject, names[3], ir.Params{Columns: []string{"vertex", "rank"}}, w)
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
-	b := renamedPropertyPrice()
-	if PlanKey(a, engs).key != PlanKey(b, engs).key {
-		t.Fatal("renamed DAG has a different plan key")
-	}
-	got, ok := pc.Lookup(PlanKey(b, engs), b, 0, engineByName(engs))
-	if !ok {
-		t.Fatal("expected a cache hit on the renamed DAG")
-	}
-	if len(got.Jobs) != len(p.Jobs) {
-		t.Fatalf("replayed %d jobs, want %d", len(got.Jobs), len(p.Jobs))
-	}
-	if got.Cost != p.Cost || got.Exhaustive != p.Exhaustive {
-		t.Errorf("replayed cost/exhaustive = %v/%t, want %v/%t", got.Cost, got.Exhaustive, p.Cost, p.Exhaustive)
-	}
-	// Every replayed fragment must reference ops of the NEW dag, not the
-	// cached one, and pair the same engine with the same op-type multiset.
-	inB := make(map[*ir.Op]bool, len(b.Ops))
-	for _, op := range b.Ops {
-		inB[op] = true
-	}
-	sig := func(pp *Partitioning) []string {
-		var out []string
-		for _, j := range pp.Jobs {
-			types := ""
-			for _, op := range j.Frag.Ops {
-				types += op.Type.String() + ","
-			}
-			out = append(out, j.Engine.Name()+":"+types)
+// TestPlanCacheReplayOnRenamedDAG: a cached plan is the whole executable
+// plan. Replayed onto a renamed, reordered submission it has the same jobs —
+// engines, operator types and costs, down through the body plan of a
+// driver-looped WHILE — over the new DAG's operators, and running it computes
+// what the cold plan computes.
+func TestPlanCacheReplayOnRenamedDAG(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		a, b         *ir.DAG
+		engs         []*engines.Engine
+		stage        func(*testing.T, int64) *dfs.DFS
+		sinkA, sinkB string
+		bodyJobs     int
+	}{
+		{"max-property-price", maxPropertyPrice(), renamedPropertyPrice(), allEngines(),
+			seedPropertyDFS, "street_price", "r4", 0},
+		{"while-on-hadoop", loopedRanks(t, [4]string{"raw_edges", "raw_ranks", "loop", "final"}, false),
+			loopedRanks(t, [4]string{"e0", "r0", "w0", "out0"}, true), []*engines.Engine{engines.Hadoop()},
+			seedGraphDFS, "final", "out0", 2},
+	} {
+		fsA, fsB := tc.stage(t, 1000), tc.stage(t, 1000)
+		est, err := NewEstimator(ir.Identify(tc.a), fsA, cluster.Local(7), nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out
-	}
-	for _, j := range got.Jobs {
-		for _, op := range j.Frag.Ops {
-			if !inB[op] {
-				t.Fatalf("replayed fragment references op %s outside the new DAG", op)
-			}
+		p, err := AutoMap(tc.a, est, tc.engs)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if fmt.Sprint(sig(got)) != fmt.Sprint(sig(p)) {
-		t.Errorf("replayed job signatures %v != original %v", sig(got), sig(p))
-	}
-	if h := reg.Counter("plan_cache_hit_total").Value(); h != 1 {
-		t.Errorf("plan_cache_hit_total = %d, want 1", h)
+		reg := obs.NewRegistry()
+		pc := NewPlanCache(8, reg)
+		pc.Store(PlanKey(tc.a, tc.engs), tc.a, 0, p)
+		if PlanKey(tc.a, tc.engs).key != PlanKey(tc.b, tc.engs).key {
+			t.Fatalf("%s: renamed DAG has a different plan key", tc.name)
+		}
+		got, ok := pc.Lookup(PlanKey(tc.b, tc.engs), tc.b, 0, engineByName(tc.engs))
+		if !ok {
+			t.Fatalf("%s: expected a cache hit on the renamed DAG", tc.name)
+		}
+		if got.Cost != p.Cost || got.Exhaustive != p.Exhaustive {
+			t.Errorf("%s: replayed cost/exhaustive = %v/%t, want %v/%t", tc.name, got.Cost, got.Exhaustive, p.Cost, p.Exhaustive)
+		}
+		// Every replayed fragment must reference ops of the NEW dag (or of
+		// its loop bodies), not the cached one, and pair the same engine and
+		// cost with the same op types, job by job.
+		bodyJobs := 0
+		var sig func(pp *Partitioning, dag *ir.DAG) string
+		sig = func(pp *Partitioning, dag *ir.DAG) string {
+			within := make(map[*ir.Op]bool, len(dag.Ops))
+			for _, op := range dag.Ops {
+				within[op] = true
+			}
+			var out []string
+			for _, j := range pp.Jobs {
+				line := j.Engine.Name() + ":"
+				for _, op := range j.Frag.Ops {
+					if !within[op] {
+						t.Fatalf("%s: fragment references op %s outside its DAG", tc.name, op)
+					}
+					line += op.Type.String() + ","
+				}
+				line += fmt.Sprint(j.Cost)
+				if w := j.DriverLoop(); w != nil {
+					if j.Body == nil {
+						t.Fatalf("%s: driver loop %s carries no body plan", tc.name, j.Frag)
+					}
+					bodyJobs = len(j.Body.Jobs)
+					line += "{" + sig(j.Body, w.Params.Body) + "}"
+				}
+				out = append(out, line)
+			}
+			return fmt.Sprint(out, pp.Cost)
+		}
+		if cold, warm := sig(p, tc.a), sig(got, tc.b); cold != warm {
+			t.Errorf("%s: replayed plan %s != original %s", tc.name, warm, cold)
+		}
+		if bodyJobs != tc.bodyJobs {
+			t.Errorf("%s: replayed body plan has %d jobs, want %d", tc.name, bodyJobs, tc.bodyJobs)
+		}
+		if h := reg.Counter("plan_cache_hit_total").Value(); h != 1 {
+			t.Errorf("%s: plan_cache_hit_total = %d, want 1", tc.name, h)
+		}
+		run := func(d *ir.DAG, fs *dfs.DFS, pp *Partitioning, sink string) *relation.Relation {
+			r := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: cluster.Local(7)}, Mode: engines.ModeOptimized}
+			if _, err := r.Execute(ir.Identify(d), pp); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			out, err := fs.ReadRelation(sink)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			return out
+		}
+		if c, w := run(tc.a, fsA, p, tc.sinkA), run(tc.b, fsB, got, tc.sinkB); c.Fingerprint() != w.Fingerprint() {
+			t.Errorf("%s: the replayed plan computes a different relation than the cold plan", tc.name)
+		}
 	}
 }
 

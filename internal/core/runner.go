@@ -15,7 +15,9 @@ import (
 // Runner executes partitionings against a deployment. It drives WHILE
 // loops for engines without native iteration (re-submitting the body's jobs
 // every round, exactly like iterative MapReduce), records workflow history,
-// and accounts the simulated makespan along the job DAG's critical path.
+// and accounts the simulated makespan along the job DAG's critical path. It
+// plans nothing: the partitioning names every job it runs, loop bodies
+// included.
 //
 // All concurrency is delegated to the job scheduler: the partitioning's
 // jobs are submitted as a dependency DAG, the scheduler dispatches
@@ -51,16 +53,9 @@ type Runner struct {
 	// Log, when non-nil, receives the execution's structured lifecycle
 	// events: it is handed to the scheduler per job (dispatch, completion,
 	// retry, speculation), to the engines per attempt (injected faults,
-	// recovery), and emits the WHILE driver's iteration/re-plan and the
+	// recovery), and emits the WHILE driver's iterations and the
 	// calibration updates directly. Nil disables logging at zero cost.
 	Log *obs.Logger
-	// AdaptiveWhile enables mid-loop re-planning for driver-looped WHILEs:
-	// when an iteration's measured makespan diverges more than 2× from the
-	// body partitioning's prediction, the driver re-sizes the body from the
-	// current loop state and re-partitions before the next iteration. Off
-	// by default — adaptive plans depend on measured state, so fixed-plan
-	// reproducibility (golden traces) keeps it opt-in.
-	AdaptiveWhile bool
 }
 
 // defaultSched serves Runners constructed without an explicit scheduler
@@ -153,7 +148,7 @@ func (r *Runner) ExecuteCtx(ctx context.Context, id *ir.Identity, part *Partitio
 	jobs := make([]sched.Job, len(part.Jobs))
 	for i := range part.Jobs {
 		i := i
-		job := part.Jobs[i]
+		job := &part.Jobs[i]
 		spanName := "job:" + job.Frag.Name() // precomputed: no per-attempt alloc when tracing is off
 		jobs[i] = sched.Job{
 			Name:      job.Frag.Name(),
@@ -164,27 +159,13 @@ func (r *Runner) ExecuteCtx(ctx context.Context, id *ir.Identity, part *Partitio
 				jsp := r.Rec.StartSpan(ssp, spanName, "job")
 				defer jsp.End()
 				jsp.NewTrack()
-				jsp.SetStr("engine", job.Engine.Name())
-				jsp.SetInt("attempt", int64(attempt))
-				if sched.IsSpeculative(jctx) {
-					jsp.SetInt("speculative", 1)
-				}
 				jobSpans[i] = jsp
-				rctx := r.Ctx
-				rctx.Ctx = jctx
-				rctx.Attempt = attempt
-				rctx.Rec, rctx.Span, rctx.Metrics, rctx.Log = r.Rec, jsp, r.Metrics, r.Log
-				var (
-					runs []*engines.RunResult
-					dur  cluster.Seconds
-					err  error
-				)
-				if w := job.Frag.While(); w != nil && !job.Engine.Profile().NativeIteration {
-					runs, dur, err = r.runWhileDriver(jctx, rctx, id, w, job.Engine)
-				} else {
-					runs, dur, err = r.runPlain(rctx, id, job)
+				runs, dur, err := r.runJob(jctx, r.Ctx, jsp, id, job, attempt)
+				if err != nil {
+					return sched.Result{}, err
 				}
-				return sched.Result{Value: runs, Duration: dur}, err
+				r.observe(id, job, runs)
+				return sched.Result{Value: runs, Duration: dur}, nil
 			},
 		}
 	}
@@ -266,8 +247,22 @@ func (r *Runner) accuracy(part *Partitioning, deps [][]int, rep *sched.Report) *
 	return acc
 }
 
-// runPlain executes a fragment as a single job.
-func (r *Runner) runPlain(rctx engines.RunContext, id *ir.Identity, job Assignment) ([]*engines.RunResult, cluster.Seconds, error) {
+// runJob is one attempt of one job under sp, its span: a driver-looped WHILE
+// goes through runWhileDriver, anything else is a single engine run. base is
+// the deployment view the job reads and writes.
+func (r *Runner) runJob(jctx context.Context, base engines.RunContext, sp *obs.Span, id *ir.Identity, job *Assignment, attempt int) ([]*engines.RunResult, cluster.Seconds, error) {
+	sp.SetStr("engine", job.Engine.Name())
+	sp.SetInt("attempt", int64(attempt))
+	if sched.IsSpeculative(jctx) {
+		sp.SetInt("speculative", 1)
+	}
+	rctx := base
+	rctx.Ctx = jctx
+	rctx.Attempt = attempt
+	rctx.Rec, rctx.Span, rctx.Metrics, rctx.Log = r.Rec, sp, r.Metrics, r.Log
+	if w := job.DriverLoop(); w != nil {
+		return r.runWhileDriver(rctx, id, w, job.Body)
+	}
 	plan, err := job.Engine.Plan(job.Frag, r.Mode)
 	if err != nil {
 		return nil, 0, err
@@ -276,41 +271,28 @@ func (r *Runner) runPlain(rctx engines.RunContext, id *ir.Identity, job Assignme
 	if err != nil {
 		return nil, 0, err
 	}
-	r.observe(id, job.Frag, jr)
 	return []*engines.RunResult{jr}, jr.Makespan, nil
 }
 
 // runWhileDriver expands a WHILE for an engine without native iteration:
-// Musketeer itself drives the loop, submitting the body's jobs each
-// iteration through the scheduler and checking the stop condition from
-// materialized state. Loop state lives in a "__loop/<out>" namespace of
-// the execution's DFS view — the shared DAG is never mutated, so one
-// compiled workflow can run this driver from many executions at once. Job
-// overheads and DFS round-trips are paid every iteration, which is exactly
-// the cost the paper attributes to iterative workflows on MapReduce-class
-// systems.
-func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, id *ir.Identity, w *ir.Op, eng *engines.Engine) ([]*engines.RunResult, cluster.Seconds, error) {
+// Musketeer itself drives the loop, submitting the jobs of part — the body
+// plan the partitioning carries — each iteration through the scheduler and
+// checking the stop condition from materialized state. Loop state lives in a
+// "__loop/<out>" namespace of the execution's DFS view — the shared DAG is
+// never mutated, so one compiled workflow can run this driver from many
+// executions at once. Job overheads and DFS round-trips are paid every
+// iteration, which is exactly the cost the paper attributes to iterative
+// workflows on MapReduce-class systems.
+func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.Op, part *Partitioning) ([]*engines.RunResult, cluster.Seconds, error) {
+	if part == nil {
+		return nil, 0, fmt.Errorf("core: WHILE %s is driver-looped but its job carries no body plan", w.Out)
+	}
+	ctx := rctx.Ctx // the job attempt's context
 	body := w.Params.Body
 	bodyID := id.Body(body)
-	est, err := NewEstimator(bodyID, nil, rctx.Cluster, r.History)
-	if err != nil {
-		return nil, 0, err
-	}
-	est.WithChaos(rctx.Chaos)
-	// Seed body input sizes from the outer relations currently in the DFS.
-	outerPaths := map[string]string{}
-	sizes := map[string]int64{}
+	outerPaths := make(map[string]string, len(w.Inputs))
 	for _, outerIn := range w.Inputs {
-		path := engines.InputPath(outerIn)
-		st, err := rctx.DFS.Stat(path)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: WHILE %s input %q: %w", w.Out, outerIn.Out, err)
-		}
-		outerPaths[outerIn.Out] = path
-		sizes[outerIn.Out] = st.EffectiveBytes()
-	}
-	if _, err := est.WithInputSizes(sizes); err != nil {
-		return nil, 0, err
+		outerPaths[outerIn.Out] = engines.InputPath(outerIn)
 	}
 	// Stage loop state in the loop namespace: each body input's source
 	// relation is copied to the path the body resolves it from, so carried
@@ -330,7 +312,7 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, id
 		dst := engines.InputPath(bop)
 		inPath[bop.Out] = dst
 		if err := rctx.DFS.Copy(src, loopNS+"/"+dst); err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("core: WHILE %s input %q: %w", w.Out, bop.Out, err)
 		}
 	}
 	// loopPath maps a loop-carried input name to where the loop stores its
@@ -345,38 +327,6 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, id
 	lctx := rctx
 	lctx.DFS = loopFS
 
-	part, err := PartitionDynamic(body, est, []*engines.Engine{eng})
-	if err != nil {
-		return nil, 0, err
-	}
-	// Loop-carried outputs and the stop-condition relation must land in
-	// the DFS every iteration even when they are internal to a body job.
-	needed := map[string]bool{}
-	for _, outName := range w.Params.Carried {
-		needed[outName] = true
-	}
-	if w.Params.CondRel != "" {
-		needed[w.Params.CondRel] = true
-	}
-	forceNeeded := func(p *Partitioning) error {
-		for name := range needed {
-			op := body.ByOut(name)
-			if op == nil {
-				return fmt.Errorf("core: WHILE %s: relation %q not in body", w.Out, name)
-			}
-			for _, job := range p.Jobs {
-				if job.Frag.Contains(op) {
-					if err := job.Frag.ForceOutput(op); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	}
-	if err := forceNeeded(part); err != nil {
-		return nil, 0, err
-	}
 	bodyDeps := jobDeps(part)
 	// Precomputed span names: zero per-iteration allocation when tracing
 	// is off.
@@ -387,7 +337,7 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, id
 
 	maxIter := w.Params.MaxIter
 	if maxIter <= 0 {
-		maxIter = 1 << 16
+		maxIter = ir.MaxCondIters
 	}
 	var all []*engines.RunResult
 	var total cluster.Seconds
@@ -395,10 +345,6 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, id
 	// iterations are strictly sequential, each starting where the previous
 	// one's nested critical path ended.
 	var simClock cluster.Seconds
-	// lastIter is the most recent iteration's measured nested makespan,
-	// compared against the body partitioning's predicted per-iteration cost
-	// by the adaptive re-planner.
-	var lastIter cluster.Seconds
 	iters := 0
 	converged := w.Params.CondRel == "" // bounded loops terminate by cap
 	// One driver round, recorded as its own "iteration" span beneath the
@@ -414,7 +360,7 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, id
 		iterJobs := make([]sched.Job, len(part.Jobs))
 		for ji := range part.Jobs {
 			ji := ji
-			job := part.Jobs[ji]
+			job := &part.Jobs[ji]
 			iterJobs[ji] = sched.Job{
 				Name:      job.Frag.Name(),
 				Deps:      bodyDeps[ji],
@@ -423,24 +369,8 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, id
 				Run: func(jctx context.Context, attempt int) (sched.Result, error) {
 					bsp := r.Rec.StartSpan(isp, bodySpanNames[ji], "job")
 					defer bsp.End()
-					bsp.SetStr("engine", eng.Name())
-					bsp.SetInt("attempt", int64(attempt))
-					if sched.IsSpeculative(jctx) {
-						bsp.SetInt("speculative", 1)
-					}
-					plan, err := eng.Plan(job.Frag, r.Mode)
-					if err != nil {
-						return sched.Result{}, err
-					}
-					jctx2 := lctx
-					jctx2.Ctx = jctx
-					jctx2.Attempt = attempt
-					jctx2.Rec, jctx2.Span, jctx2.Metrics, jctx2.Log = r.Rec, bsp, r.Metrics, r.Log
-					jr, err := engines.Run(jctx2, plan)
-					if err != nil {
-						return sched.Result{}, err
-					}
-					return sched.Result{Value: jr, Duration: jr.Makespan}, nil
+					runs, dur, err := r.runJob(jctx, lctx, bsp, bodyID, job, attempt)
+					return sched.Result{Value: runs, Duration: dur}, err
 				},
 			}
 		}
@@ -448,18 +378,21 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, id
 		if rep.Err != nil {
 			return false, rep.Err
 		}
+		// Observed here, in job order, not as each job ends: what history
+		// learns from a round does not depend on how its jobs interleaved.
 		for ji := range part.Jobs {
-			jr := rep.Outcomes[ji].Value.(*engines.RunResult)
-			r.observe(bodyID, part.Jobs[ji].Frag, jr)
-			all = append(all, jr)
-			total += jr.Makespan
+			runs := rep.Outcomes[ji].Value.([]*engines.RunResult)
+			r.observe(bodyID, &part.Jobs[ji], runs)
+			for _, jr := range runs {
+				all = append(all, jr)
+				total += jr.Makespan
+			}
 		}
 		isp.SetSim(float64(simClock), float64(rep.Makespan))
 		r.Log.WithJob(w.Out).Debug("while_iteration").
 			Int("iter", int64(iter)).
 			Float("makespan_s", float64(rep.Makespan)).
 			Emit()
-		lastIter = rep.Makespan
 		simClock += rep.Makespan
 		if rctx.Chaos.Enabled() {
 			// Under a chaos plan, materializing loop-carried state to the
@@ -492,54 +425,6 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, id
 		}
 		return false, nil
 	}
-	// replan re-sizes the body from the loop's current materialized state
-	// and re-partitions it for the next iteration — the adaptive response
-	// to a >2× divergence between predicted and measured iteration time.
-	// Bounded to keep a pathological loop from re-planning every round;
-	// history and calibration updates from the completed iterations feed
-	// the new estimate, so successive plans genuinely know more.
-	const maxWhileReplans = 3
-	replans := 0
-	replan := func(iter int, pred, act float64) error {
-		sizes := map[string]int64{}
-		for name, p := range inPath {
-			st, err := loopFS.Stat(p)
-			if err != nil {
-				return err
-			}
-			sizes[name] = st.EffectiveBytes()
-		}
-		if _, err := est.WithInputSizes(sizes); err != nil {
-			return err
-		}
-		p2, err := PartitionDynamic(body, est, []*engines.Engine{eng})
-		if err != nil || p2.Cost == Infeasible {
-			return err // infeasible: keep the current plan
-		}
-		if err := forceNeeded(p2); err != nil {
-			return err
-		}
-		part, bodyDeps = p2, jobDeps(p2)
-		bodySpanNames = make([]string, len(part.Jobs))
-		for ji := range part.Jobs {
-			bodySpanNames[ji] = "job:" + part.Jobs[ji].Frag.Name()
-		}
-		replans++
-		r.Metrics.Counter("while_replans_total").Add(1)
-		r.Log.WithJob(w.Out).Info("while_replan").
-			Int("iter", int64(iter)).
-			Float("predicted_s", pred).
-			Float("actual_s", act).
-			Int("jobs", int64(len(part.Jobs))).
-			Emit()
-		rsp := r.Rec.StartSpan(rctx.Span, "replan", "while")
-		rsp.SetInt("iter", int64(iter))
-		rsp.SetFloat("predicted_s", pred)
-		rsp.SetFloat("actual_s", act)
-		rsp.End()
-		rsp.SetSim(float64(simClock), 0)
-		return nil
-	}
 	for ; iters < maxIter; iters++ {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, fmt.Errorf("core: WHILE %s iteration %d: %w", w.Out, iters+1, err)
@@ -553,14 +438,6 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, id
 			iters++
 			break
 		}
-		if r.AdaptiveWhile && replans < maxWhileReplans && iters+1 < maxIter {
-			pred, act := float64(part.Cost), float64(lastIter)
-			if pred > 0 && (act > 2*pred || act < pred/2) {
-				if err := replan(iters, pred, act); err != nil {
-					return nil, 0, fmt.Errorf("core: WHILE %s re-plan after iteration %d: %w", w.Out, iters+1, err)
-				}
-			}
-		}
 	}
 	if !converged {
 		return nil, 0, fmt.Errorf("core: WHILE %s did not converge: condition %q still non-empty after %d iterations (cap %d)",
@@ -571,24 +448,17 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, id
 	}
 	// Publish the WHILE's result under its output name in the execution's
 	// view.
-	resRel := w.ResultRelation()
-	src := resRel
-	if inName := carriedInputFor(w, resRel); inName != "" {
-		src = loopPath(inName)
+	src := w.ResultRelation()
+	for inName, outName := range w.Params.Carried {
+		if outName == src { // the last rebind left its current value here
+			src = loopPath(inName)
+			break
+		}
 	}
 	if err := rctx.DFS.Copy(loopNS+"/"+src, w.Out); err != nil {
 		return nil, 0, err
 	}
 	return all, total, nil
-}
-
-func carriedInputFor(w *ir.Op, resRel string) string {
-	for in, out := range w.Params.Carried {
-		if out == resRel {
-			return in
-		}
-	}
-	return ""
 }
 
 // observe records output ratios for the job's materialized relations and
@@ -597,10 +467,11 @@ func carriedInputFor(w *ir.Op, resRel string) string {
 // planner's current prior toward the measurement, so estimator error
 // shrinks geometrically across learning rounds instead of locking onto one
 // (possibly noisy) observation.
-func (r *Runner) observe(id *ir.Identity, frag *ir.Fragment, jr *engines.RunResult) {
-	if r.History == nil {
-		return
+func (r *Runner) observe(id *ir.Identity, job *Assignment, runs []*engines.RunResult) {
+	if r.History == nil || job.DriverLoop() != nil {
+		return // a driver loop's rounds were observed as they ran
 	}
+	frag, jr := job.Frag, runs[0]
 	dagHash := id.Hash(id.DAG)
 	cal := r.History.Calibration()
 	for _, out := range frag.ExtOut {

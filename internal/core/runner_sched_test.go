@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"musketeer/internal/ir"
 	"musketeer/internal/relation"
 	"musketeer/internal/sched"
+	"musketeer/internal/workloads"
 )
 
 // countdownDAG builds a WHILE workflow decrementing a counter until the
@@ -131,6 +133,155 @@ func TestExecuteCtxPreCancelled(t *testing.T) {
 	for _, out := range dag.Sinks() {
 		if _, err := fs.ReadRelation(out.Out); err == nil {
 			t.Errorf("sink %q materialized despite pre-cancelled context", out.Out)
+		}
+	}
+}
+
+// TestDriverLoopRunsThePricedBody: a WHILE mapped to an engine without
+// native iteration is planned once. Its job carries the body's partitioning,
+// the loop's cost is that partitioning's cost times the estimated rounds, the
+// relations the driver reads back each round are outputs of body jobs, and
+// the jobs that run each round are the body plan's, by name and in order.
+func TestDriverLoopRunsThePricedBody(t *testing.T) {
+	const iters = 3
+	for _, tc := range []struct {
+		name string
+		wl   *workloads.Workload
+	}{
+		{"pagerank", workloads.PageRank(workloads.LiveJournal(), iters)},
+		{"cross-community", workloads.CrossCommunityPageRank(workloads.LiveJournal(), workloads.WebCommunity(), iters)},
+	} {
+		for _, engine := range []string{"hadoop", "metis"} {
+			pc := stagedPlanCase(t, tc.name, tc.wl)
+			c := cluster.EC2(100)
+			id := ir.Identify(pc.dag)
+			est, err := NewEstimator(id, pc.fs, c, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			part, err := MapTo(pc.dag, est, engines.Registry()[engine])
+			if err != nil {
+				t.Fatalf("%s on %s: %v", tc.name, engine, err)
+			}
+			var want []string // the job names a run must report
+			loops := 0
+			for _, job := range part.Jobs {
+				w := job.DriverLoop()
+				if w == nil {
+					if job.Body != nil {
+						t.Errorf("%s on %s: %s carries a body plan", tc.name, engine, job.Frag)
+					}
+					want = append(want, job.Frag.Name())
+					continue
+				}
+				loops++
+				if job.Body == nil {
+					t.Fatalf("%s on %s: %s carries no body plan", tc.name, engine, job.Frag)
+				}
+				if got := cluster.Seconds(float64(job.Body.Cost) * float64(est.Iters(w))); got != job.Cost {
+					t.Errorf("%s on %s: body plan %v × %d rounds = %v, the loop is priced %v",
+						tc.name, engine, job.Body.Cost, est.Iters(w), got, job.Cost)
+				}
+				var sum cluster.Seconds
+				outputs := map[string]bool{}
+				var round []string
+				for _, bj := range job.Body.Jobs {
+					sum += bj.Cost
+					round = append(round, bj.Frag.Name())
+					for _, out := range bj.Frag.ExtOut {
+						outputs[out.Out] = true
+					}
+				}
+				// Job costs are differences of the DP's prefix sums, so they
+				// add back up to its total only up to rounding.
+				if !sameUpToRounding(sum, job.Body.Cost) {
+					t.Errorf("%s on %s: body jobs cost %v in sum, the body plan %v", tc.name, engine, sum, job.Body.Cost)
+				}
+				for _, carried := range w.Params.Carried {
+					if !outputs[carried] {
+						t.Errorf("%s on %s: loop-carried %q is no body job's output", tc.name, engine, carried)
+					}
+				}
+				if cond := w.Params.CondRel; cond != "" && !outputs[cond] {
+					t.Errorf("%s on %s: stop condition %q is no body job's output", tc.name, engine, cond)
+				}
+				for i := 0; i < iters; i++ {
+					want = append(want, round...)
+				}
+			}
+			if loops != 1 {
+				t.Fatalf("%s on %s: %d driver-looped jobs, want 1", tc.name, engine, loops)
+			}
+			r := &Runner{Ctx: engines.RunContext{DFS: pc.fs, Cluster: c}, Mode: engines.ModeOptimized}
+			res, err := r.Execute(id, part)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", tc.name, engine, err)
+			}
+			var got []string
+			for _, jr := range res.Jobs {
+				got = append(got, jr.Job)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s on %s ran jobs\n%v, the plan names\n%v", tc.name, engine, got, want)
+			}
+		}
+	}
+}
+
+// TestDriverLoopWithoutBodyFails: the runner plans nothing, so a hand-built
+// driver-looped job that carries no body plan is an error — raised before
+// the loop reads or stages anything (the DFS here holds no input at all).
+func TestDriverLoopWithoutBodyFails(t *testing.T) {
+	d, staged := countdownDAG(t, 4, 10)
+	est, err := NewEstimator(ir.Identify(d), staged, cluster.Local(7), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frag, err := ir.NewFragment(d, []*ir.Op{d.ByOut("done")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hadoop := engines.Registry()["hadoop"]
+	part := &Partitioning{Jobs: []Assignment{{Frag: frag, Engine: hadoop, Cost: est.FragmentCost(frag, hadoop)}}}
+	empty := dfs.New()
+	r := &Runner{Ctx: engines.RunContext{DFS: empty, Cluster: cluster.Local(7)}, Mode: engines.ModeOptimized}
+	_, err = r.Execute(ir.Identify(d), part)
+	if err == nil || !strings.Contains(err.Error(), "carries no body plan") {
+		t.Fatalf("err = %v, want the missing-body-plan error", err)
+	}
+	if files := empty.List(); len(files) != 0 {
+		t.Errorf("the failed loop left %v in the DFS", files)
+	}
+}
+
+// TestCondOnlyLoopHasOneCap: a loop with no MaxIter is capped at
+// ir.MaxCondIters wherever it runs. One needing more rounds than the driver's
+// old private cap (1<<16) converges driver-looped as it does natively.
+func TestCondOnlyLoopHasOneCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives 66 000 loop rounds")
+	}
+	const rounds = 1<<16 + 464
+	for _, engine := range []string{"naiad", "hadoop"} {
+		d, fs := countdownDAG(t, rounds, 0)
+		est, err := NewEstimator(ir.Identify(d), fs, cluster.Local(7), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := MapTo(d, est, engines.Registry()[engine])
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: cluster.Local(7)}, Mode: engines.ModeOptimized}
+		if _, err := r.Execute(ir.Identify(d), part); err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		out, err := fs.ReadRelation("done")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.NumRows() != 1 || out.Rows[0][0].I != 0 {
+			t.Errorf("%s: countdown ended at %v, want 0", engine, out.Rows)
 		}
 	}
 }

@@ -179,15 +179,15 @@ func TestSparkSourceSharedScan(t *testing.T) {
 	d := maxPropertyPrice()
 	whole := wholeFragment(t, d)
 	opt, _ := Spark().Plan(whole, ModeOptimized)
-	if !strings.Contains(opt.Source, "fused: shared scan") {
-		t.Errorf("optimized spark source missing fused marker:\n%s", opt.Source)
+	if !strings.Contains(opt.Source(), "fused: shared scan") {
+		t.Errorf("optimized spark source missing fused marker:\n%s", opt.Source())
 	}
-	if !strings.Contains(opt.Source, "reduceByKey") {
-		t.Errorf("spark source missing reduceByKey:\n%s", opt.Source)
+	if !strings.Contains(opt.Source(), "reduceByKey") {
+		t.Errorf("spark source missing reduceByKey:\n%s", opt.Source())
 	}
 	naive, _ := Spark().Plan(whole, ModeNaive)
-	if strings.Count(naive.Source, ".map(") <= strings.Count(opt.Source, ".map(") {
-		t.Errorf("naive source should contain more map passes\nnaive:\n%s\nopt:\n%s", naive.Source, opt.Source)
+	if strings.Count(naive.Source(), ".map(") <= strings.Count(opt.Source(), ".map(") {
+		t.Errorf("naive source should contain more map passes\nnaive:\n%s\nopt:\n%s", naive.Source(), opt.Source())
 	}
 }
 
@@ -202,8 +202,8 @@ func TestHadoopSourceHasMapperReducer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Mapper", "Reducer", "shuffle", "join"} {
-		if !strings.Contains(p.Source, want) {
-			t.Errorf("hadoop source missing %q:\n%s", want, p.Source)
+		if !strings.Contains(p.Source(), want) {
+			t.Errorf("hadoop source missing %q:\n%s", want, p.Source())
 		}
 	}
 }
@@ -219,8 +219,8 @@ func TestGASSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"gather", "apply", "scatter", "vertex_program"} {
-		if !strings.Contains(p.Source, want) {
-			t.Errorf("GAS source missing %q:\n%s", want, p.Source)
+		if !strings.Contains(p.Source(), want) {
+			t.Errorf("GAS source missing %q:\n%s", want, p.Source())
 		}
 	}
 	if !p.Iterative {
@@ -235,8 +235,8 @@ func TestCSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"int main", "load_tsv", "write_tsv"} {
-		if !strings.Contains(p.Source, want) {
-			t.Errorf("C source missing %q:\n%s", want, p.Source)
+		if !strings.Contains(p.Source(), want) {
+			t.Errorf("C source missing %q:\n%s", want, p.Source())
 		}
 	}
 }
@@ -516,16 +516,16 @@ func TestTypedCodegenOnlyWhenOptimized(t *testing.T) {
 	// Look-ahead type inference (§4.3.4): optimized code carries the
 	// inferred tuple types of each relation.
 	for _, want := range []string{"max_price: Double", "street: String", "id: Long"} {
-		if !strings.Contains(opt.Source, want) {
-			t.Errorf("optimized source missing inferred type %q:\n%s", want, opt.Source)
+		if !strings.Contains(opt.Source(), want) {
+			t.Errorf("optimized source missing inferred type %q:\n%s", want, opt.Source())
 		}
 	}
 	naive, err := Spark().Plan(whole, ModeNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(naive.Source, ": Double") {
-		t.Errorf("naive source should be untyped:\n%s", naive.Source)
+	if strings.Contains(naive.Source(), ": Double") {
+		t.Errorf("naive source should be untyped:\n%s", naive.Source())
 	}
 }
 

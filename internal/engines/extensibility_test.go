@@ -32,8 +32,8 @@ func TestXStreamRunsGraphIdiom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.Source, "vertex_program") {
-		t.Errorf("xstream source missing vertex program:\n%s", plan.Source)
+	if !strings.Contains(plan.Source(), "vertex_program") {
+		t.Errorf("xstream source missing vertex program:\n%s", plan.Source())
 	}
 
 	fs := dfs.New()
@@ -97,15 +97,15 @@ func TestNewEngineDialects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(p.Source, "Mapper") {
-		t.Errorf("MR dialect missing Mapper:\n%s", p.Source)
+	if !strings.Contains(p.Source(), "Mapper") {
+		t.Errorf("MR dialect missing Mapper:\n%s", p.Source())
 	}
 	gen := NewEngine("custom-df", ParadigmGeneral, Profile{PerJobOverheadS: 1, PullMBps: 10, PushMBps: 10, ProcMBps: 10})
 	p2, err := gen.Plan(frag, ModeOptimized)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(p2.Source, "val ") {
-		t.Errorf("dataflow dialect missing val binding:\n%s", p2.Source)
+	if !strings.Contains(p2.Source(), "val ") {
+		t.Errorf("dataflow dialect missing val binding:\n%s", p2.Source())
 	}
 }

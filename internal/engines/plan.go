@@ -40,26 +40,38 @@ type Stage struct {
 	Shuffle bool
 }
 
-// Plan is an executable physical plan for one back-end job, plus the
-// generated source text for the engine's language.
+// Plan is an executable physical plan for one back-end job. Run reads only
+// its fields; the data passes and the generated source are derived on demand
+// (Stages, Source), so executing a job never renders code.
 type Plan struct {
 	Engine *Engine
 	Frag   *ir.Fragment
 	Mode   PlanMode
-	// Stages lower the fragment (or the WHILE body, when Iterative) into
-	// data passes; the cost model charges one scan per stage and the
-	// intrinsic PROCESS cost per operator.
-	Stages []Stage
 	// Iterative marks a natively iterated WHILE job.
 	Iterative bool
-	// While is the fragment's WHILE operator when Iterative.
+	// While is the fragment's WHILE operator, if it has one.
 	While *ir.Op
-	// Source is the generated code in the engine's language.
-	Source string
+}
+
+// Stages lowers the fragment into data passes, expanding a WHILE body
+// inline (general dataflow engines run the loop inside the job).
+func (p *Plan) Stages() []Stage {
+	var ops []*ir.Op
+	for _, op := range p.Frag.ComputeOps() {
+		if op.Type == ir.OpWhile {
+			ops = append(ops, bodyComputeOps(op)...)
+			continue
+		}
+		ops = append(ops, op)
+	}
+	return lowerOps(ops, p.Mode)
 }
 
 // NumStages returns the number of data passes the plan performs.
-func (p *Plan) NumStages() int { return len(p.Stages) }
+func (p *Plan) NumStages() int { return len(p.Stages()) }
+
+// Source renders the generated code in the engine's language.
+func (p *Plan) Source() string { return renderSource(p.Engine.dialect, p) }
 
 // Plan lowers a fragment into a physical plan for this engine.
 // The fragment must be valid for the engine, except that WHILE fragments
@@ -67,9 +79,8 @@ func (p *Plan) NumStages() int { return len(p.Stages) }
 // can cost and render per-iteration body plans.
 func (e *Engine) Plan(f *ir.Fragment, mode PlanMode) (*Plan, error) {
 	p := &Plan{Engine: e, Frag: f, Mode: mode}
-	compute := f.ComputeOps()
 	if w := f.While(); w != nil {
-		if !e.prof.NativeIteration && len(compute) != 1 {
+		if !e.prof.NativeIteration && len(f.ComputeOps()) != 1 {
 			// Driver-looped engines run the WHILE as its own "job" (the
 			// runner expands it); merging it with batch operators is a
 			// partitioning bug.
@@ -78,18 +89,6 @@ func (e *Engine) Plan(f *ir.Fragment, mode PlanMode) (*Plan, error) {
 		p.Iterative = e.prof.NativeIteration
 		p.While = w
 	}
-	// Lower to stages, expanding WHILE bodies inline (general dataflow
-	// engines run the loop inside the job).
-	var ops []*ir.Op
-	for _, op := range compute {
-		if op.Type == ir.OpWhile {
-			ops = append(ops, bodyComputeOps(op)...)
-			continue
-		}
-		ops = append(ops, op)
-	}
-	p.Stages = lowerOps(ops, mode)
-	p.Source = renderSource(e.dialect, p)
 	return p, nil
 }
 

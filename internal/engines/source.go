@@ -126,7 +126,7 @@ func renderFunctional(b *strings.Builder, d dialect, p *Plan, schemas map[*ir.Op
 	for _, in := range p.Frag.ExtIn {
 		fmt.Fprintf(b, "%s = %s(%q)\n", bind(in), read, "hdfs://"+InputPath(in))
 	}
-	for _, st := range p.Stages {
+	for _, st := range p.Stages() {
 		if len(st.Ops) == 1 || p.Mode == ModeNaive {
 			for _, op := range st.Ops {
 				fmt.Fprintf(b, "%s = %s\n", bind(op), functionalExpr(d, op))
@@ -242,7 +242,7 @@ func arithSym(a ir.ArithOp) string {
 // description: map-phase pipeline, the shuffle key, reduce-phase pipeline.
 // With type inference, each stage declares the tuple type it emits.
 func renderMapReduce(b *strings.Builder, p *Plan, schemas map[*ir.Op]relation.Schema) {
-	for si, st := range p.Stages {
+	for si, st := range p.Stages() {
 		var mapOps, reduceOps []*ir.Op
 		var shuffle *ir.Op
 		for _, op := range st.Ops {
@@ -341,7 +341,7 @@ func renderC(b *strings.Builder, p *Plan) {
 	if p.While != nil {
 		fmt.Fprintf(b, "  for (int iter = 0; iter < %d; iter++) {\n", p.While.Params.MaxIter)
 	}
-	for _, st := range p.Stages {
+	for _, st := range p.Stages() {
 		for _, op := range st.Ops {
 			fmt.Fprintf(b, "  %stable_t *%s = %s(%s); /* %s */\n",
 				indentIf(p.While != nil), cIdent(op.Out), strings.ToLower(op.Type.String()),

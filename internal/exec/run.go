@@ -406,7 +406,7 @@ func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 	units := planUnits(bodyOps, bodyOpts.Keep)
 	maxIter := op.Params.MaxIter
 	if maxIter <= 0 {
-		maxIter = 1 << 20 // condition-only loop; CondRel must terminate it
+		maxIter = ir.MaxCondIters
 	}
 	iters := 0
 	converged := op.Params.CondRel == "" // bounded loops terminate by cap

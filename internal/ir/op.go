@@ -346,6 +346,12 @@ type Params struct {
 	Carried map[string]string
 }
 
+// MaxCondIters caps a WHILE that sets no MaxIter: its CondRel must end it
+// within this many rounds on every engine, native or driver-looped, or the
+// loop fails as non-convergent. The estimator treats a larger MaxIter as no
+// bound at all.
+const MaxCondIters = 1 << 20
+
 // Provenance records which front-end framework produced an operator and
 // the source line it was translated from. Diagnostics use it to point the
 // user back at their workflow text rather than at IR internals. The zero

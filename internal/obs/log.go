@@ -24,7 +24,7 @@ import (
 //     concurrent execution.
 //
 // Schema contract (DESIGN.md §14): the record message is the event name
-// (snake_case, subsystem-prefixed: job_dispatch, while_replan,
+// (snake_case, subsystem-prefixed: job_dispatch, while_iteration,
 // fault_recovery, …); run/job/attempt scope rides as the `run`, `job`, and
 // `attempt` attributes bound via WithRun/WithJob/WithAttempt; payload
 // fields are flat typed key-values.

@@ -163,10 +163,6 @@ type Musketeer struct {
 	// logger is the deployment's run logger; nil (the default) disables
 	// structured logging at zero cost.
 	logger *obs.Logger
-	// adaptiveWhile lets long WHILE loops re-plan mid-flight when observed
-	// per-iteration spans diverge >2x from the prediction; off by default
-	// so golden traces stay reproducible.
-	adaptiveWhile bool
 	// planCache memoizes partitionings across executions keyed on the
 	// canonicalized IR (see WithPlanCache); nil (the default) disables it.
 	planCache    *core.PlanCache
@@ -236,16 +232,6 @@ func WithRetries(n int) Option {
 // recorder. Off by default; the disabled path adds zero allocations.
 func WithTracing() Option {
 	return func(m *Musketeer) { m.tracing = true }
-}
-
-// WithAdaptiveWhile lets WHILE drivers re-plan their loop body mid-run:
-// when an iteration's measured makespan diverges more than 2x from the
-// estimate (in either direction), the driver re-stats the loop inputs,
-// re-runs the partition search under the current calibration state, and
-// switches plans for the remaining iterations (at most three re-plans per
-// loop). Off by default so iteration traces stay identical run to run.
-func WithAdaptiveWhile() Option {
-	return func(m *Musketeer) { m.adaptiveWhile = true }
 }
 
 // WithRunLog installs a structured run logger on the deployment: every
@@ -714,16 +700,15 @@ func (w *Workflow) runSession(ctx context.Context, part *Partitioning, id *ir.Id
 		}
 	}
 	r := &core.Runner{
-		Ctx:           engines.RunContext{DFS: base.Namespace(ns), Cluster: w.m.cluster, Chaos: w.m.chaos},
-		History:       w.m.history,
-		Mode:          w.Mode,
-		Sched:         w.m.sched,
-		Rec:           rec,
-		Span:          root,
-		Metrics:       w.m.metrics,
-		Accuracy:      w.m.accuracy,
-		Log:           log,
-		AdaptiveWhile: w.m.adaptiveWhile,
+		Ctx:      engines.RunContext{DFS: base.Namespace(ns), Cluster: w.m.cluster, Chaos: w.m.chaos},
+		History:  w.m.history,
+		Mode:     w.Mode,
+		Sched:    w.m.sched,
+		Rec:      rec,
+		Span:     root,
+		Metrics:  w.m.metrics,
+		Accuracy: w.m.accuracy,
+		Log:      log,
 	}
 	res, err := r.ExecuteCtx(ctx, id, part)
 	if err != nil {
@@ -894,7 +879,7 @@ func (w *Workflow) GeneratedCode(part *Partitioning) (string, error) {
 		if i > 0 {
 			b.WriteString("\n")
 		}
-		b.WriteString(plan.Source)
+		b.WriteString(plan.Source())
 	}
 	return b.String(), nil
 }

@@ -55,13 +55,19 @@ func stageTwoEngine(t *testing.T, m *Musketeer) (*Workflow, *Partitioning) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A driver-looped WHILE is always a job of its own and carries the plan
+	// of its body, so the metis plan's WHILE job replaces hadoop's whole.
+	onMetis, err := core.MapTo(dag, est, metis)
+	if err != nil {
+		t.Fatal(err)
+	}
 	forced := false
 	for i := range part.Jobs {
-		frag := part.Jobs[i].Frag
-		if frag.While() != nil && metis.ValidFragment(frag) == nil {
-			part.Jobs[i].Engine = metis
-			part.Jobs[i].Cost = est.FragmentCost(frag, metis)
-			forced = true
+		for _, mj := range onMetis.Jobs {
+			if w := part.Jobs[i].Frag.While(); w != nil && w == mj.Frag.While() {
+				part.Jobs[i] = mj
+				forced = true
+			}
 		}
 	}
 	if !forced {
