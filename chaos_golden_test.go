@@ -14,11 +14,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"musketeer/internal/core"
 	"musketeer/internal/ir"
-	"musketeer/internal/sched"
 	"musketeer/internal/workloads"
 )
 
@@ -174,9 +174,15 @@ func TestChaoticExecutionsConcurrent(t *testing.T) {
 
 	results := make([]*Result, runs)
 	errs := make([]error, runs)
-	sched.ForEach(runs, runs, func(i int) {
-		results[i], errs[i] = wf.Execute()
-	})
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = wf.Execute()
+		}()
+	}
+	wg.Wait()
 
 	for i := 0; i < runs; i++ {
 		if errs[i] != nil {

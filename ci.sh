@@ -1,12 +1,11 @@
 #!/bin/sh
 # CI gate: vet, build, mkvet, full test suite, the suite again under the
 # race detector, and the named behavioral gates. The race pass matters
-# here — the kernels, TSV codecs, the exhaustive partitioner, the job
-# scheduler, and the multi-tenant serve plane all shard work across
-# goroutines, and concurrent workflow executions share the DFS state, the
-# history store, and the estimator fragment cache — exactly the kind of
-# state a race would corrupt silently (the concurrent-Execute stress tests
-# only mean something under -race). mkvet (DESIGN.md §12) type-checks the
+# here — the kernels, TSV codecs, the job scheduler, and the multi-tenant
+# serve plane all shard work across goroutines, and concurrent workflow
+# executions share the DFS state, the history store, and the calibration
+# — exactly the kind of state a race would corrupt silently (the
+# concurrent-Execute stress tests only mean something under -race). mkvet (DESIGN.md §12) type-checks the
 # whole module and proves the kernel invariants the paper's correctness
 # story rests on: determinism taint from the kernel packages, span-leak
 # freedom on every control-flow path, context discipline on the execution

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"musketeer/internal/cluster"
 	"musketeer/internal/core"
@@ -103,17 +104,26 @@ func Fig14MappingQuality() Experiment {
 func runFig14() (*Table, error) {
 	strategies := []string{"no-history", "partial-history", "full-history", "decision-tree"}
 	counts := map[string]map[string]int{}
+	missed := map[string][]string{}
 	for _, s := range strategies {
 		counts[s] = map[string]int{}
 	}
 	configs := fig14Configs()
 	for _, cfg := range configs {
-		res, err := evaluateMappingConfig(cfg)
+		res, best, err := evaluateMappingConfig(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cfg.label, err)
 		}
 		for _, s := range strategies {
-			counts[s][mappingQuality(res[s], res["best"])]++
+			r := res[s]
+			q := mappingQuality(r.Makespan, best)
+			counts[s][q]++
+			// The decision tree misses nearly everywhere by design; its list
+			// would be the configuration list.
+			if q != "good" && s != "decision-tree" {
+				missed[s] = append(missed[s], fmt.Sprintf("%s on %s %s vs best %s (%.2fx)",
+					cfg.label, strings.Join(r.Engines, "+"), secs(r.Makespan), secs(best), float64(r.Makespan)/float64(best)))
+			}
 		}
 	}
 	t := &Table{
@@ -130,14 +140,19 @@ func runFig14() (*Table, error) {
 			fmt.Sprintf("%d (%.0f%%)", p, 100*float64(p)/float64(total)))
 	}
 	t.Note("paper Fig14: ~50%% good with no knowledge, >80%% good with partial history, always good/optimal with full (per-operator) history; the decision tree yields many poor choices")
+	for _, s := range strategies {
+		if len(missed[s]) > 0 {
+			t.Note("%s not good: %s", s, strings.Join(missed[s], "; "))
+		}
+	}
 	return t, nil
 }
 
 // evaluateMappingConfig measures every single-engine option (ground truth)
-// plus the four mapping strategies, returning their makespans and the best
-// observed option under "best".
-func evaluateMappingConfig(cfg mappingConfig) (map[string]cluster.Seconds, error) {
-	out := map[string]cluster.Seconds{}
+// plus the four mapping strategies, returning their runs by strategy name
+// and the best makespan observed over all of them.
+func evaluateMappingConfig(cfg mappingConfig) (map[string]*RunResult, cluster.Seconds, error) {
+	out := map[string]*RunResult{}
 	best := core.Infeasible
 
 	// Ground truth: each engine on its own.
@@ -155,7 +170,7 @@ func evaluateMappingConfig(cfg mappingConfig) (map[string]cluster.Seconds, error
 		if err != nil {
 			return err
 		}
-		out[name] = r.Makespan
+		out[name] = r
 		if r.Makespan < best {
 			best = r.Makespan
 		}
@@ -166,29 +181,28 @@ func evaluateMappingConfig(cfg mappingConfig) (map[string]cluster.Seconds, error
 	h := core.NewHistory()
 	r1, err := runAuto(cfg.w, cfg.c, nil, engines.ModeOptimized, h)
 	if err := record("no-history", r1, err); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// Partial history: the first run's fragment-boundary observations.
 	r2, err := runAuto(cfg.w, cfg.c, nil, engines.ModeOptimized, h)
 	if err := record("partial-history", r2, err); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// Full history: profile operator by operator first (§6.7), then map.
 	hFull := core.NewHistory()
 	if _, err := profileRun(cfg, hFull); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	r3, err := runAuto(cfg.w, cfg.c, nil, engines.ModeOptimized, hFull)
 	if err := record("full-history", r3, err); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// Decision tree.
 	r4, err := runDecisionTree(cfg)
 	if err := record("decision-tree", r4, err); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	out["best"] = best
-	return out, nil
+	return out, best, nil
 }
 
 // profileRun executes the workflow operator-by-operator to populate full

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"musketeer/internal/analysis"
 	"musketeer/internal/chaos"
@@ -53,6 +51,12 @@ func hiBound(t ir.OpType) float64 {
 // run-time input data size), propagates them through the DAG using
 // conservative bounds, and substitutes observed ratios where workflow
 // history exists.
+//
+// An Estimator is not safe for concurrent use: scoring fills its indexes and
+// memos unlocked. Nothing shares one — every planning call builds its own
+// (Workflow.estimator per Plan / Explain / Execute, SeedView per baseline,
+// internal/bench per measurement) and partitions on its own goroutine. The
+// History and Calibration it reads are shared, and lock for themselves.
 type Estimator struct {
 	Cluster *cluster.Cluster
 	History *History
@@ -83,7 +87,7 @@ type Estimator struct {
 	// exists. calVer is the calibration version the memo table was filled
 	// under; a bump invalidates memoized choices (see syncCalibration).
 	cal    *Calibration
-	calVer atomic.Uint64
+	calVer uint64
 
 	// indexes holds one search index per partitioned DAG: the workflow's,
 	// built with the estimator, and each WHILE body's, built when the loop is
@@ -92,9 +96,6 @@ type Estimator struct {
 	// the DP heuristic's O(n²) segments, and PartitionDynamicMulti's repeated
 	// orders — evaluate the same candidates over and over. engSets interns
 	// engine sets (by engsKey) to the ordinals those memos are keyed on.
-	// fragMu guards both maps and every memo; RW because the exhaustive
-	// search shares them across worker goroutines.
-	fragMu  sync.RWMutex
 	indexes map[*ir.DAG]*searchIndex
 	engSets map[string]uint32
 
@@ -102,14 +103,14 @@ type Estimator struct {
 	// scored; searchMemoHits counts evaluations answered from a memo.
 	// Together they measure how hard the partition search worked — exported
 	// through SearchStats for the observability layer.
-	searchExplored, searchMemoHits atomic.Int64
+	searchExplored, searchMemoHits int64
 }
 
 // SearchStats reports how many candidate fragments the partition search
 // scored (explored) and how many repeats the memo table absorbed (memoHits)
 // since the estimator was built.
 func (e *Estimator) SearchStats() (explored, memoHits int64) {
-	return e.searchExplored.Load(), e.searchMemoHits.Load()
+	return e.searchExplored, e.searchMemoHits
 }
 
 // NewEstimator analyses the identified DAG against the stored inputs and
@@ -130,7 +131,7 @@ func NewEstimator(id *ir.Identity, fs *dfs.DFS, c *cluster.Cluster, h *History) 
 		props:   analysis.PropagateProperties(dag),
 		cal:     h.Calibration(),
 	}
-	est.calVer.Store(est.cal.Version())
+	est.calVer = est.cal.Version()
 	if fs != nil {
 		for _, path := range collectInputPaths(dag, nil) {
 			st, err := fs.Stat(path)
@@ -151,20 +152,12 @@ func NewEstimator(id *ir.Identity, fs *dfs.DFS, c *cluster.Cluster, h *History) 
 
 // index returns the search index of d, building it on first use.
 func (e *Estimator) index(d *ir.DAG) (*searchIndex, error) {
-	e.fragMu.RLock()
-	x := e.indexes[d]
-	e.fragMu.RUnlock()
-	if x != nil {
+	if x := e.indexes[d]; x != nil {
 		return x, nil
 	}
 	x, err := newSearchIndex(e, d)
 	if err != nil {
 		return nil, err
-	}
-	e.fragMu.Lock()
-	defer e.fragMu.Unlock()
-	if first := e.indexes[d]; first != nil { // a concurrent search built it
-		return first, nil
 	}
 	e.indexes[d] = x
 	return x, nil
@@ -173,8 +166,6 @@ func (e *Estimator) index(d *ir.DAG) (*searchIndex, error) {
 // engineSet interns an engine set to the ordinal its memo entries carry.
 func (e *Estimator) engineSet(engs []*engines.Engine) uint32 {
 	key := engsKey(engs)
-	e.fragMu.Lock()
-	defer e.fragMu.Unlock()
 	ord, ok := e.engSets[key]
 	if !ok {
 		ord = uint32(len(e.engSets))
@@ -188,12 +179,10 @@ func (e *Estimator) engineSet(engs []*engines.Engine) uint32 {
 // with the calibration version it will be refilled under. Sizes are fixed
 // once the estimator is built, so the size snapshots stay.
 func (e *Estimator) resetMemo() {
-	e.fragMu.Lock()
 	for _, x := range e.indexes {
 		x.memo = fragMemo{}
 	}
-	e.calVer.Store(e.cal.Version())
-	e.fragMu.Unlock()
+	e.calVer = e.cal.Version()
 }
 
 // WithChaos makes fragment scores include the engine's expected recovery
@@ -403,11 +392,11 @@ func (e *Estimator) estimate(eng *engines.Engine, v engines.Volumes) cluster.Sec
 // syncCalibration flushes the memo when the calibration version has moved
 // since it was filled: learned rates change fragment scores, so cached
 // choices computed on stale rates must not be reused. Called on the memo
-// read path (searcher.choice); the fast path is two atomic loads. Note size
+// read path (searcher.choice); the fast path is one atomic load. Note size
 // propagation is NOT redone here — sizes refresh with the next estimator,
 // while rate changes take effect on the very next score.
 func (e *Estimator) syncCalibration() {
-	if e.calVer.Load() != e.cal.Version() {
+	if e.calVer != e.cal.Version() {
 		e.resetMemo()
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"musketeer/internal/engines"
 	"musketeer/internal/ir"
@@ -64,8 +63,7 @@ type searchIndex struct {
 
 	// vols is the dense snapshot of the estimator's per-operator size maps,
 	// taken on first use.
-	vols atomic.Pointer[opVolumes]
-	// memo is guarded by Estimator.fragMu.
+	vols *opVolumes
 	memo fragMemo
 }
 
@@ -151,11 +149,10 @@ func isZero(s opSet) bool {
 }
 
 // volumes returns the dense size snapshot, taking it from the estimator's
-// maps on first use. Concurrent first users may each build one; they are
-// identical and any of them wins.
+// maps on first use.
 func (x *searchIndex) volumes(e *Estimator) *opVolumes {
-	if v := x.vols.Load(); v != nil {
-		return v
+	if x.vols != nil {
+		return x.vols
 	}
 	n := len(x.ops)
 	v := &opVolumes{size: make([]int64, n), in: make([]int64, n), obs: make([]Observation, n)}
@@ -166,7 +163,7 @@ func (x *searchIndex) volumes(e *Estimator) *opVolumes {
 			v.in[i] += e.sizes[p]
 		}
 	}
-	x.vols.Store(v)
+	x.vols = v
 	return v
 }
 
@@ -306,8 +303,7 @@ func (x *searchIndex) addOpVolumes(v *engines.Volumes, vol *opVolumes, nums []in
 // fragMemo maps (engine-set ordinal, operator set) to the cheapest engine
 // and cost for running the set as one job. Open addressing over a flat key
 // slab: a lookup mixes the set's words where they lie and compares them in
-// place, so a hit builds, sorts and allocates nothing. Guarded by
-// Estimator.fragMu.
+// place, so a hit builds, sorts and allocates nothing.
 type fragMemo struct {
 	slots []int32 // 1 + entry number, 0 = empty; len is a power of two
 	// Entry k is keys[k*stride:(k+1)*stride] — the ordinal, then the set's
@@ -376,10 +372,7 @@ func (m *fragMemo) put(engs uint32, set opSet, c fragChoice) {
 			m.slots[slot] = int32(k + 1)
 		}
 	}
-	slot, ok := m.find(engs, set)
-	if ok { // a concurrent search scored the same set first
-		return
-	}
+	slot, _ := m.find(engs, set) // a put follows a missed get: the key is new
 	m.keys = append(append(m.keys, uint64(engs)), set...)
 	m.vals = append(m.vals, c)
 	m.slots[slot] = int32(len(m.vals))

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"musketeer/internal/chaos"
@@ -288,9 +289,9 @@ func fourTwinBranches(t *testing.T) (*ir.DAG, *dfs.DFS) {
 	return d, fs
 }
 
-// TestExhaustiveSearchIsDeterministic pins DESIGN §6's "the reduce is
-// deterministic": whatever the worker count and however the subtrees race,
-// a cold exhaustive search returns the same jobs and the same cost bits.
+// TestExhaustiveSearchIsDeterministic pins DESIGN §6's "the first optimum in
+// placement order stands": whatever the core count, a cold exhaustive search
+// returns the same jobs and the same cost bits.
 func TestExhaustiveSearchIsDeterministic(t *testing.T) {
 	twins, twinFS := fourTwinBranches(t)
 	netflix := stagedPlanCase(t, "netflix-ext-14", workloads.NetflixExtended(14))
@@ -317,5 +318,41 @@ func TestExhaustiveSearchIsDeterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// raceBuild is set by race_test.go when the race detector is compiled in.
+var raceBuild bool
+
+// TestExhaustiveSearchForksNothing states "the search is one goroutine" as a
+// property: a cold exhaustive search performs the same number of mallocs on
+// one core and on four. Goroutines, per-task placement copies and per-worker
+// scratch would all show here first.
+func TestExhaustiveSearchForksNothing(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race runtime allocates on its own")
+	}
+	pc := stagedPlanCase(t, "netflix-ext-14", workloads.NetflixExtended(14))
+	c := cluster.EC2(100)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mallocs := func(procs int) float64 {
+		runtime.GOMAXPROCS(procs)
+		est, err := NewEstimator(ir.Identify(pc.dag), pc.fs, c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = PartitionExhaustive(pc.dag, est, engines.StandardEngines(), 0)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.Mallocs - before.Mallocs)
+	}
+	one, four := mallocs(1), mallocs(4)
+	if math.Abs(four-one) > 0.01*one {
+		t.Errorf("cold PartitionExhaustive: %.0f mallocs at GOMAXPROCS 1, %.0f at 4 — the search forked", one, four)
 	}
 }

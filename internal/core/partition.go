@@ -3,20 +3,16 @@ package core
 import (
 	"fmt"
 	"maps"
-	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"musketeer/internal/cluster"
 	"musketeer/internal/engines"
 	"musketeer/internal/ir"
-	"musketeer/internal/sched"
 )
 
 // Assignment maps one fragment (≡ back-end job) to the engine chosen for
@@ -103,9 +99,9 @@ func (p *Partitioning) Engines() []string {
 // ExhaustiveLimit is the operator count up to which Partition uses the
 // exhaustive search. The paper ran it under a second up to 13 operators
 // (§6.6, Fig 13). Scored over the search index, the 16-operator prefix of
-// the extended NetFlix workflow partitions in ~3 ms single-threaded
-// (BenchmarkPartitionExhaustive; ~6 ms as one cold run) and 18 operators in
-// ~36 ms, still growing ×5–6 per two operators. The limit is not raised on
+// the extended NetFlix workflow partitions in ~2 ms
+// (BenchmarkPartitionExhaustive; ~4 ms as one cold run) and 18 operators in
+// ~25 ms, still growing ×5–6 per two operators. The limit is not raised on
 // the back of that: 17- and 18-operator workflows would get the exhaustive
 // optimum instead of the DP segmentation — different plans, different
 // simulated makespans — which is a change to measure on its own.
@@ -296,23 +292,17 @@ func engineNames(engs []*engines.Engine) []string {
 	return names
 }
 
-// parallelExhaustiveMinOps is the operator count below which the exhaustive
-// search stays serial: the placement tree is too small to amortize goroutine
-// and task-cloning overhead.
-const parallelExhaustiveMinOps = 8
-
 // PartitionExhaustive explores every valid partition of the DAG (§5.1.1):
 // operators are placed, in topological order, either into a new job or into
 // any existing job they can legally join; each complete partition is scored
 // with the cheapest engine per job. Branch-and-bound pruning cuts partial
-// partitions that already cost more than the best complete one; candidate
-// jobs are bitsets over the estimator's search index and their costs are
-// memoized there, so re-examined groups (and later searches over the same
-// workflow) are table hits. For non-trivial workflows the top of the
-// placement tree is expanded into independent subtrees that search in
-// parallel, sharing the branch-and-bound upper bound through an atomic. The
-// search is exponential in the number of operators; a non-zero budget makes
-// it return the best partition found when time runs out.
+// partitions that already cost as much as the best complete one, so the first
+// optimum in placement order stands; candidate jobs are bitsets over the
+// estimator's search index and their costs are memoized there, so re-examined
+// groups (and later searches over the same workflow) are table hits. The
+// search runs on the calling goroutine and is exponential in the number of
+// operators; a non-zero budget makes it return the best partition found when
+// time runs out.
 func PartitionExhaustive(dag *ir.DAG, est *Estimator, engs []*engines.Engine, budget time.Duration) (*Partitioning, error) {
 	x, err := est.index(dag)
 	if err != nil {
@@ -321,41 +311,24 @@ func PartitionExhaustive(dag *ir.DAG, est *Estimator, engs []*engines.Engine, bu
 	if len(x.compute) == 0 {
 		return nil, fmt.Errorf("core: nothing to partition")
 	}
-	deadline := time.Time{}
+	room := len(x.compute) * x.words
+	s := &exhaustiveSearch{
+		searcher: est.newSearcher(x, engs), bestCost: Infeasible,
+		sets: make([]uint64, 0, room), below: make([]uint64, 0, room), undo: make([]uint64, room),
+	}
 	if budget > 0 {
 		//mkvet:ignore determinism opt-in wall-clock search budget: with the default zero budget the clock is never read and the search is exhaustive+deterministic
-		deadline = time.Now().Add(budget)
+		s.deadline = time.Now().Add(budget)
 	}
-	s := &exhaustiveState{x: x, est: est, engs: engs, deadline: deadline}
-	s.bound.Store(infeasibleBits)
-
-	var best *exhaustiveWorker
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(x.compute) >= parallelExhaustiveMinOps {
-		tasks := s.seedTasks(4 * workers)
-		results := make([]*exhaustiveWorker, len(tasks))
-		sched.ForEach(workers, len(tasks), func(ti int) {
-			results[ti] = s.newWorker(tasks[ti].placement)
-			results[ti].search(tasks[ti].i, tasks[ti].partial)
-		})
-		// Reduce in task order with strict improvement, so equal-cost optima
-		// resolve to the earliest subtree in placement order.
-		for _, w := range results {
-			if best == nil || w.bestCost < best.bestCost {
-				best = w
-			}
-		}
-	} else {
-		best = s.newWorker(placement{})
-		best.search(0, 0)
-	}
-	if best == nil || best.bestCost == Infeasible {
+	s.search(0, 0)
+	if s.bestCost == Infeasible {
 		return nil, fmt.Errorf("core: no feasible partitioning for engines %v", engineNames(engs))
 	}
 	// Jobs in execution order: producers precede consumers when jobs are
 	// ordered by their first operator.
-	groups := make([]opSet, len(best.bestSets)/x.words)
+	groups := make([]opSet, len(s.bestSets)/x.words)
 	for g := range groups {
-		groups[g] = x.row(best.bestSets, g)
+		groups[g] = x.row(s.bestSets, g)
 	}
 	sort.Slice(groups, func(a, b int) bool { return groups[a].first() < groups[b].first() })
 	jobs := make([]Assignment, 0, len(groups))
@@ -364,14 +337,14 @@ func PartitionExhaustive(dag *ir.DAG, est *Estimator, engs []*engines.Engine, bu
 		if err != nil {
 			return nil, err
 		}
-		ch := best.choice(set)
+		ch := s.choice(set)
 		job, err := est.assignment(frag, ch.eng, ch.cost)
 		if err != nil {
 			return nil, err
 		}
 		jobs = append(jobs, job)
 	}
-	return &Partitioning{Jobs: jobs, Cost: best.bestCost, Exhaustive: true}, nil
+	return &Partitioning{Jobs: jobs, Cost: s.bestCost, Exhaustive: true}, nil
 }
 
 // fragChoice is a memoized (cheapest engine, cost) pair for one operator
@@ -391,7 +364,7 @@ func engsKey(engs []*engines.Engine) string {
 	return b.String()
 }
 
-// searcher is one goroutine's handle on a running partition search: the
+// searcher is a running partition search's handle on the estimator: the
 // index and engine set it scores against, and the scratch its memo misses
 // are described in.
 type searcher struct {
@@ -408,21 +381,20 @@ func (e *Estimator) newSearcher(x *searchIndex, engs []*engines.Engine) *searche
 
 // choice returns the memoized cheapest engine and cost for running the
 // operator set as a single job on any engine of the searcher's set. A miss
-// is scored straight from the index. The memo is shared by every searcher
-// of the estimator; an infeasible set caches {Infeasible, nil}.
+// is scored straight from the index. The memo outlives the searcher: later
+// searches over the same index hit it. An infeasible set caches
+// {Infeasible, nil}.
 func (sr *searcher) choice(set opSet) fragChoice {
 	e, x := sr.est, sr.x
 	// Memoized scores are only valid for the calibration version they were
 	// computed under; a version bump (new evidence) flushes them first.
 	e.syncCalibration()
-	e.fragMu.RLock()
 	choice, ok := x.memo.get(sr.eord, set)
-	e.fragMu.RUnlock()
 	if ok {
-		e.searchMemoHits.Add(1)
+		e.searchMemoHits++
 		return choice
 	}
-	e.searchExplored.Add(1)
+	e.searchExplored++
 	x.describe(set, sr.cand)
 	vol := x.volumes(e)
 	pull, push := x.boundaryBytes(sr.cand, vol)
@@ -432,145 +404,29 @@ func (sr *searcher) choice(set opSet) fragChoice {
 			choice = fragChoice{cost: c, eng: eng}
 		}
 	}
-	e.fragMu.Lock()
 	x.memo.put(sr.eord, set, choice)
-	e.fragMu.Unlock()
 	return choice
 }
 
 func (sr *searcher) cost(set opSet) cluster.Seconds { return sr.choice(set).cost }
 
-// exhaustiveState is the search context shared by all workers: read-only
-// after construction except for the atomic bound and the expiry flag.
-type exhaustiveState struct {
-	x        *searchIndex
-	est      *Estimator
-	engs     []*engines.Engine
-	deadline time.Time
-	expired  atomic.Bool
-	// bound holds the float64 bits of the cheapest complete partition found
-	// by any worker; every worker prunes against it.
-	bound atomic.Uint64
-}
-
-var infeasibleBits = math.Float64bits(math.Inf(1))
-
-func (s *exhaustiveState) loadBound() cluster.Seconds {
-	return cluster.Seconds(math.Float64frombits(s.bound.Load()))
-}
-
-// lowerBound publishes a newly found complete-partition cost if it improves
-// the shared bound.
-func (s *exhaustiveState) lowerBound(c cluster.Seconds) {
-	for {
-		cur := s.bound.Load()
-		if math.Float64frombits(cur) <= float64(c) {
-			return
-		}
-		if s.bound.CompareAndSwap(cur, math.Float64bits(float64(c))) {
-			return
-		}
-	}
-}
-
-// placement is a partial partition: group g's operator set is row g of sets,
-// and row g of below is the union of its members' descendant rows (what
-// mergeCreatesCycle tests a newcomer's ancestors against).
-type placement struct {
-	sets, below []uint64
-}
-
-// exhaustiveTask is one independent subtree of the placement search: the
-// first i operators are already placed, at summed cost partial. Tasks own
-// their placement, so workers mutate it freely.
-type exhaustiveTask struct {
-	i int
-	placement
-	partial cluster.Seconds
-}
-
-// seedTasks expands the top of the placement tree level by level until at
-// least target subtrees exist (or the tree bottoms out), enumerating
-// children in the same order the serial search visits them.
-func (s *exhaustiveState) seedTasks(target int) []exhaustiveTask {
-	x := s.x
-	cost := s.est.newSearcher(x, s.engs).cost
-	frontier := []exhaustiveTask{{i: 0}}
-	for depth := 0; depth < len(x.compute) && len(frontier) < target; depth++ {
-		next := make([]exhaustiveTask, 0, 2*len(frontier))
-		for _, t := range frontier {
-			if t.i == len(x.compute) {
-				next = append(next, t)
-				continue
-			}
-			op := int(x.compute[t.i])
-			// child copies the parent's groups with room for one more and
-			// returns group g of the copy (g may be the new, empty group).
-			child := func(g int) (placement, opSet, opSet) {
-				p := placement{
-					sets:  append(make([]uint64, 0, len(t.sets)+x.words), t.sets...),
-					below: append(make([]uint64, 0, len(t.below)+x.words), t.below...),
-				}
-				if g*x.words == len(p.sets) {
-					p.sets, p.below = p.sets[:len(p.sets)+x.words], p.below[:len(p.below)+x.words]
-				}
-				return p, x.row(p.sets, g), x.row(p.below, g)
-			}
-			groups := len(t.sets) / x.words
-			p, set, below := child(groups)
-			set.add(op)
-			if solo := cost(set); solo < Infeasible {
-				copy(below, x.row(x.desc, op))
-				next = append(next, exhaustiveTask{i: t.i + 1, placement: p, partial: t.partial + solo})
-			}
-			for g := 0; g < groups; g++ {
-				if x.mergeCreatesCycle(x.row(t.sets, g), x.row(t.below, g), op) {
-					continue
-				}
-				old := cost(x.row(t.sets, g))
-				p, set, below := child(g)
-				set.add(op)
-				if merged := cost(set); merged < Infeasible {
-					for w, word := range x.row(x.desc, op) {
-						below[w] |= word
-					}
-					next = append(next, exhaustiveTask{i: t.i + 1, placement: p, partial: t.partial - old + merged})
-				}
-			}
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		frontier = next
-	}
-	return frontier
-}
-
-// exhaustiveWorker runs the serial branch-and-bound search over one subtree,
-// keeping its own best and publishing improvements to the shared bound. Its
-// placement has room for every operator in a group of its own, so the search
-// allocates only when it records a new best.
-type exhaustiveWorker struct {
-	s *exhaustiveState
+// exhaustiveSearch is one branch-and-bound search: the partial partition
+// being extended and the best complete one found so far. Group g's operator
+// set is row g of sets, and row g of below is the union of its members'
+// descendant rows (what mergeCreatesCycle tests a newcomer's ancestors
+// against). Both have room for every operator in a group of its own, so the
+// search allocates only when it records a new best.
+type exhaustiveSearch struct {
 	*searcher
-	placement
+	sets, below []uint64
 	// undo[i] keeps the below row that placing operator i into an existing
 	// group overwrote, restored when the search backs out of that merge.
 	undo     []uint64
 	bestCost cluster.Seconds
 	bestSets []uint64
-}
-
-func (s *exhaustiveState) newWorker(start placement) *exhaustiveWorker {
-	room := len(s.x.compute) * s.x.words
-	return &exhaustiveWorker{
-		s: s, bestCost: Infeasible, searcher: s.est.newSearcher(s.x, s.engs),
-		placement: placement{
-			sets:  append(make([]uint64, 0, room), start.sets...),
-			below: append(make([]uint64, 0, room), start.below...),
-		},
-		undo: make([]uint64, room),
-	}
+	// deadline is zero without a budget; expired latches once it has passed.
+	deadline time.Time
+	expired  bool
 }
 
 // FragmentKey identifies a fragment by its sorted operator IDs; stable
@@ -591,62 +447,58 @@ func FragmentKey(f *ir.Fragment) string {
 }
 
 // search places operator i of the placement order into every legal
-// position. The worker's placement holds the current partial partition;
-// partial is its cost so far (sum of current group costs). Group costs are
-// re-read from the memo when a group changes.
-func (w *exhaustiveWorker) search(i int, partial cluster.Seconds) {
-	if w.s.expired.Load() {
+// position. sets and below hold the current partial partition; partial is
+// its cost so far (sum of current group costs). Group costs are re-read from
+// the memo when a group changes.
+func (s *exhaustiveSearch) search(i int, partial cluster.Seconds) {
+	if s.expired {
 		return
 	}
 	//mkvet:ignore determinism opt-in wall-clock search budget: guarded by deadline.IsZero, so the default configuration never observes the clock
-	if !w.s.deadline.IsZero() && time.Now().After(w.s.deadline) {
-		w.s.expired.Store(true)
+	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
+		s.expired = true
 		return
 	}
-	// Branch and bound. A tie with the worker's own best is pruned: the first
-	// optimum in placement order stands. A tie with the bound other workers
-	// publish is not — or a later subtree that finishes first would prune an
-	// equal-cost optimum out of an earlier one, and which plan the in-order
-	// reduce returns would depend on timing.
-	if partial >= w.bestCost || partial > w.s.loadBound() {
+	// Branch and bound. A tie with the best is pruned: the first optimum in
+	// placement order stands.
+	if partial >= s.bestCost {
 		return
 	}
-	x := w.x
+	x := s.x
 	if i == len(x.compute) {
-		w.bestCost = partial
-		w.bestSets = append(w.bestSets[:0], w.sets...)
-		w.s.lowerBound(partial)
+		s.bestCost = partial
+		s.bestSets = append(s.bestSets[:0], s.sets...)
 		return
 	}
 	op := int(x.compute[i])
 	desc := x.row(x.desc, op)
 	// Option A: start a new job.
-	groups := len(w.sets) / x.words
-	w.sets, w.below = w.sets[:len(w.sets)+x.words], w.below[:len(w.below)+x.words]
-	set, below := x.row(w.sets, groups), x.row(w.below, groups)
+	groups := len(s.sets) / x.words
+	s.sets, s.below = s.sets[:len(s.sets)+x.words], s.below[:len(s.below)+x.words]
+	set, below := x.row(s.sets, groups), x.row(s.below, groups)
 	clear(set)
 	set.add(op)
-	if solo := w.cost(set); solo < Infeasible {
+	if solo := s.cost(set); solo < Infeasible {
 		copy(below, desc)
-		w.search(i+1, partial+solo)
+		s.search(i+1, partial+solo)
 	}
-	w.sets, w.below = w.sets[:groups*x.words], w.below[:groups*x.words]
+	s.sets, s.below = s.sets[:groups*x.words], s.below[:groups*x.words]
 	// Option B: join an existing job, if no inter-job cycle arises and the
 	// merged job remains feasible for some engine.
-	undo := x.row(w.undo, i)
+	undo := x.row(s.undo, i)
 	for g := 0; g < groups; g++ {
-		set, below := x.row(w.sets, g), x.row(w.below, g)
+		set, below := x.row(s.sets, g), x.row(s.below, g)
 		if x.mergeCreatesCycle(set, below, op) {
 			continue
 		}
-		old := w.cost(set)
+		old := s.cost(set)
 		set.add(op)
-		if merged := w.cost(set); merged < Infeasible {
+		if merged := s.cost(set); merged < Infeasible {
 			copy(undo, below)
 			for k, word := range desc {
 				below[k] |= word
 			}
-			w.search(i+1, partial-old+merged)
+			s.search(i+1, partial-old+merged)
 			copy(below, undo)
 		}
 		set.del(op)

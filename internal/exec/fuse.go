@@ -172,9 +172,10 @@ func (c *chain) run() (rangeResult, error) {
 		res := c.runRange(0, rows, window[:0], c.sink.Part())
 		return res, res.err
 	}
-	// Combiner-style evaluation: every aggregator is associative once AVG is
+	// Combiner-style evaluation: every aggregator merges once AVG is
 	// decomposed into SUM+COUNT (the decomposition Musketeer's generated
-	// GROUP BY uses, §6.2), and the row stages are embarrassingly parallel,
+	// GROUP BY uses, §6.2; float sums only up to rounding, see
+	// aggTable.absorb), and the row stages are embarrassingly parallel,
 	// so ranges run concurrently and merge in range order — which preserves
 	// the serial row order (ranges are contiguous) and the serial group
 	// first-appearance order.

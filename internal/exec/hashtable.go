@@ -248,9 +248,11 @@ func (t *aggTable) newState(row relation.Row) aggState {
 	return st
 }
 
-// absorb merges another table's groups into t — the combiner step; every
-// aggregator is associative in this decomposed form — preserving t's
-// first-appearance order and appending o's new groups in o's order.
+// absorb merges another table's groups into t — the combiner step —
+// preserving t's first-appearance order and appending o's new groups in o's
+// order. COUNT, MIN, MAX and integer SUM merge exactly; a float SUM / AVG is
+// associative only up to rounding, so its low bits follow where the ranges
+// were cut (ROADMAP, "Differential harness", standing defects).
 func (t *aggTable) absorb(o *aggTable) {
 	nk, ns := len(t.sp.gIdx), len(t.sp.sumCol)
 	for i := range o.states {

@@ -315,20 +315,6 @@ func TestDeterministicTimeline(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 64} {
-		n := 100
-		hits := make([]atomic.Int32, n)
-		ForEach(workers, n, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if hits[i].Load() != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, hits[i].Load())
-			}
-		}
-	}
-	ForEach(4, 0, func(int) { t.Error("fn called for n=0") })
-}
-
 // TestCriticalPath pins the one walk behind a submission's measured
 // timeline and the planner's predicted one: called directly, and through a
 // Report's Start/Finish/Makespan.

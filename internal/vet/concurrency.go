@@ -9,7 +9,7 @@ import (
 
 // The scheduler-only-concurrency pass enforces PR 3's ownership rule
 // type-aware: goroutines and WaitGroups belong to internal/sched, whose
-// Scheduler/ForEach give admission control, fail-fast cancellation, and
+// Scheduler gives admission control, fail-fast cancellation, and
 // deterministic makespan accounting. Everywhere else a `go` statement or
 // any use of a sync.WaitGroup — however the import is spelled, and even
 // through a field of WaitGroup type — is a finding, with one structural
@@ -36,7 +36,7 @@ func checkConcurrency(p *pass) {
 					return true
 				}
 				p.reportf(n.Pos(), fmt.Sprintf(
-					"go statement outside internal/sched in %s: execution-stack concurrency must go through sched.Scheduler/ForEach (contained fork-join is only sanctioned inside the kernel packages)",
+					"go statement outside internal/sched in %s: execution-stack concurrency must go through sched.Scheduler (contained fork-join is only sanctioned inside the kernel packages)",
 					decl.Name.Name))
 			case *ast.CallExpr:
 				sel, ok := n.Fun.(*ast.SelectorExpr)
@@ -56,7 +56,7 @@ func checkConcurrency(p *pass) {
 					return true
 				}
 				p.reportf(n.Pos(), fmt.Sprintf(
-					"sync.WaitGroup.%s outside internal/sched in %s: use sched.ForEach (or Scheduler.Run) instead of hand-rolled joins",
+					"sync.WaitGroup.%s outside internal/sched in %s: concurrency must go through sched.Scheduler, not hand-rolled joins",
 					sel.Sel.Name, decl.Name.Name))
 			}
 			return true

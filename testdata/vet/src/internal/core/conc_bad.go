@@ -4,7 +4,7 @@ import "sync"
 
 // pollAll carries seeded violations [scheduler-only-concurrency]: core is
 // not a kernel package, so even a properly joined hand-rolled fork-join
-// must go through sched.ForEach — the go statement and every WaitGroup
+// must go through sched.Scheduler — the go statement and every WaitGroup
 // method are findings.
 func pollAll(fns []func()) {
 	var wg sync.WaitGroup

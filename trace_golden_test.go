@@ -14,12 +14,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"musketeer/internal/core"
 	"musketeer/internal/ir"
 	"musketeer/internal/relation"
-	"musketeer/internal/sched"
 	"musketeer/internal/workloads"
 )
 
@@ -201,9 +201,15 @@ func TestTracedExecutionsConcurrent(t *testing.T) {
 
 	results := make([]*Result, runs)
 	errs := make([]error, runs)
-	sched.ForEach(runs, runs, func(i int) {
-		results[i], errs[i] = wf.Execute()
-	})
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = wf.Execute()
+		}()
+	}
+	wg.Wait()
 
 	seen := map[*FlightRecorder]bool{}
 	for i := 0; i < runs; i++ {
