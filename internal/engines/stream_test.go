@@ -136,6 +136,50 @@ func TestPhysicalOnlyInputsAreSizedByTheMeter(t *testing.T) {
 	}
 }
 
+// TestTwoScansPullAPhysicalOnlyInputOnce: a physical-only input that two
+// pipeline heads scan is decoded by each of them but metered once, so the job
+// pulls what it pulls when one head reads the input, the shared operators
+// trace alike, and each head records the whole input as its input volume.
+func TestTwoScansPullAPhysicalOnlyInputOnce(t *testing.T) {
+	sch := relation.NewSchema("k:int", "q:float")
+	rel := relation.New("t", sch)
+	for i := 0; i < 3000; i++ {
+		rel.MustAppend(relation.Row{relation.Int(int64(i % 50)), relation.Float(float64(i%7) + 0.5)})
+	}
+	run := func(heads int) (*RunResult, []*ir.Op) {
+		d := ir.NewDAG()
+		src := d.AddInput("t", "in/t", sch)
+		var scans []*ir.Op
+		for h := 0; h < heads; h++ {
+			hot := d.Add(ir.OpSelect, fmt.Sprintf("hot%d", h), ir.Params{Pred: ir.Cmp(ir.ColRef("k"), ir.CmpLt, ir.LitOp(relation.Int(int64(10+10*h))))}, src)
+			d.Add(ir.OpAgg, fmt.Sprintf("by_k%d", h), ir.Params{GroupBy: []string{"k"}, Aggs: []ir.AggSpec{{Func: ir.AggSum, Col: "q", As: "total"}}}, hot)
+			scans = append(scans, hot)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		fs := dfs.New()
+		if err := fs.WriteRelation("in/t", rel); err != nil {
+			t.Fatal(err)
+		}
+		return runHadoop(t, RunContext{DFS: fs, Cluster: cluster.EC2(100)}, wholeFragment(t, d)), scans
+	}
+	one, oneScans := run(1)
+	two, twoScans := run(2)
+	if want := rel.PhysicalBytes(); one.Volumes.Pull != want || two.Volumes.Pull != want {
+		t.Errorf("PullBytes = %d with one scan, %d with two; the input's rows encode to %d", one.Volumes.Pull, two.Volumes.Pull, want)
+	}
+	for id := range one.Trace.OutBytes {
+		if one.Trace.OutBytes[id] != two.Trace.OutBytes[id] || one.Trace.InBytes[id] != two.Trace.InBytes[id] || one.Trace.ProcBytes[id] != two.Trace.ProcBytes[id] {
+			t.Errorf("op %d traces out/in/proc %d/%d/%d with one scan, %d/%d/%d with two", id,
+				one.Trace.OutBytes[id], one.Trace.InBytes[id], one.Trace.ProcBytes[id], two.Trace.OutBytes[id], two.Trace.InBytes[id], two.Trace.ProcBytes[id])
+		}
+	}
+	if in := one.Trace.InBytes[oneScans[0].ID]; two.Trace.InBytes[twoScans[1].ID] != in {
+		t.Errorf("the second scan read %d bytes, the first %d", two.Trace.InBytes[twoScans[1].ID], in)
+	}
+}
+
 // numericFile stages rows rows of (int, float, float) as in/t.
 func numericFile(t testing.TB, fs *dfs.DFS, rows int, withString bool) relation.Schema {
 	t.Helper()

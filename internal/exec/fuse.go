@@ -137,7 +137,7 @@ func (c *chain) runRange(lo, hi int, dst []relation.Row, part *relation.Part) ra
 			res.taps[i].memo = memo
 		}
 	}
-	pipe := buildPipeline(c.stages, c.open(lo, hi), c.batchRows, res.taps)
+	pipe, arenas := buildPipeline(c.stages, c.open(lo, hi), c.batchRows, res.taps)
 	switch {
 	case c.agg != nil:
 		res.table = newAggTable(c.agg.ag)
@@ -146,6 +146,10 @@ func (c *chain) runRange(lo, hi int, dst []relation.Row, part *relation.Part) ra
 		res.err = drainSink(pipe, part)
 	default:
 		res.rows, res.err = drainRows(pipe, dst)
+	}
+	// Drained: only the rows of fresh arenas outlive the pipeline.
+	for _, ar := range arenas {
+		ar.release()
 	}
 	return res
 }
@@ -299,8 +303,16 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 			}
 			// Hash join: build on the right input, probe with the streaming
 			// left. The table is read-only once complete, so concurrent
-			// chunk pipelines share it.
-			sp.build = buildJoinTable(sp.buildRel.Rows, sp.js.rIdx)
+			// chunk pipelines share it, and a WHILE body's next iteration
+			// reuses it while its build side is the same relation.
+			if built := opts.joins[op]; built.rel == sp.buildRel {
+				sp.build = built.table
+			} else {
+				sp.build = buildJoinTable(sp.buildRel.Rows, sp.js.rIdx)
+				if opts.joins != nil {
+					opts.joins[op] = builtJoin{sp.buildRel, sp.build}
+				}
+			}
 		case ir.OpAgg:
 			if sp.ag, err = resolveAggSpec(op, prev); err != nil {
 				return nil, err
@@ -376,26 +388,35 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 
 // buildPipeline composes one pipeline instance over in, a row range of the
 // head's input: one streaming stage per member (a terminal AGG is the
-// caller's sink). taps[i] meters member i; the member past the end of taps
-// (a materializing last member) is unmetered.
-func buildPipeline(specs []stagePlan, in relation.RowSource, batchRows int, taps []accTap) relation.RowSource {
+// caller's sink), and returns it with the stages' reusable arenas, for the
+// caller to release once it has drained the pipeline. taps[i] meters member i; the
+// member past the end of taps (a materializing last member) is unmetered.
+func buildPipeline(specs []stagePlan, in relation.RowSource, batchRows int, taps []accTap) (relation.RowSource, []*valArena) {
 	src := in
+	var arenas []*valArena
 	for i := range specs {
 		sp := &specs[i]
 		var tap *accTap
 		if i < len(taps) {
 			tap = &taps[i]
 		}
+		var ar *valArena
 		switch sp.op.Type {
 		case ir.OpSelect:
 			src = &selectStage{src: src, sch: sp.sch, pred: sp.pred, tap: tap}
 		case ir.OpProject:
-			src = &projectStage{src: src, sch: sp.sch, idx: sp.idx, tap: tap, ar: valArena{fresh: sp.fresh}}
+			st := &projectStage{src: src, sch: sp.sch, idx: sp.idx, tap: tap, ar: valArena{fresh: sp.fresh}}
+			src, ar = st, &st.ar
 		case ir.OpArith:
-			src = &arithStage{src: src, sch: sp.sch, arithSpec: sp.arith, tap: tap, ar: valArena{fresh: sp.fresh}}
+			st := &arithStage{src: src, sch: sp.sch, arithSpec: sp.arith, tap: tap, ar: valArena{fresh: sp.fresh}}
+			src, ar = st, &st.ar
 		case ir.OpJoin:
-			src = &joinProbeStage{src: src, sch: sp.sch, lIdx: sp.js.lIdx, rKeep: sp.js.rKeep, build: sp.build, batchRows: batchRows, tap: tap, ar: valArena{fresh: sp.fresh}}
+			st := &joinProbeStage{src: src, sch: sp.sch, lIdx: sp.js.lIdx, rKeep: sp.js.rKeep, build: sp.build, batchRows: batchRows, tap: tap, ar: valArena{fresh: sp.fresh}}
+			src, ar = st, &st.ar
+		}
+		if ar != nil && !ar.fresh {
+			arenas = append(arenas, ar)
 		}
 	}
-	return src
+	return src, arenas
 }

@@ -181,8 +181,9 @@ func (t *joinTable) probe(h *relation.KeyHasher, row relation.Row, cols []int) [
 }
 
 // aggState is one group's aggregation state apart from its float sums: its
-// GROUP BY values followed by the extreme so far of each MIN and MAX, and its
-// row count (COUNT's answer and AVG's divisor).
+// output row — GROUP BY values, then a cell per aggregate, where each MIN and
+// MAX keeps its extreme so far and the rest wait for emitAggRows — and its row
+// count (COUNT's answer and AVG's divisor).
 type aggState struct {
 	vals []relation.Value
 	n    int64
@@ -221,16 +222,15 @@ func (t *aggTable) add(row relation.Row) {
 	for k, j := range t.sp.sumCol {
 		sums[k] += row[j].AsFloat()
 	}
-	ext := st.vals[len(t.sp.gIdx):]
-	for k, e := range t.sp.ext {
-		e.keep(&ext[k], row[e.col])
+	for _, e := range t.sp.ext {
+		e.keep(&st.vals[e.cell], row[e.col])
 	}
 }
 
-// newState carves a group's values from the current slab and initializes
-// them from the group's first row.
+// newState carves a group's row from the current slab and initializes its
+// GROUP BY values and extremes from the group's first row.
 func (t *aggTable) newState(row relation.Row) aggState {
-	nk, n := len(t.sp.gIdx), len(t.sp.gIdx)+len(t.sp.ext)
+	n := len(t.sp.gIdx) + len(t.sp.aggs)
 	if len(t.slab) < n {
 		t.slab = make([]relation.Value, t.groups*n)
 		if t.groups < 1024 {
@@ -242,8 +242,8 @@ func (t *aggTable) newState(row relation.Row) aggState {
 	for i, j := range t.sp.gIdx {
 		st.vals[i] = row[j]
 	}
-	for k, e := range t.sp.ext {
-		st.vals[nk+k] = row[e.col]
+	for _, e := range t.sp.ext {
+		st.vals[e.cell] = row[e.col]
 	}
 	return st
 }
@@ -254,7 +254,7 @@ func (t *aggTable) newState(row relation.Row) aggState {
 // associative only up to rounding, so its low bits follow where the ranges
 // were cut (ROADMAP, "Differential harness", standing defects).
 func (t *aggTable) absorb(o *aggTable) {
-	nk, ns := len(t.sp.gIdx), len(t.sp.sumCol)
+	ns := len(t.sp.sumCol)
 	for i := range o.states {
 		part, partSums := &o.states[i], o.sums[i*ns:(i+1)*ns]
 		j, added := t.ix.insert(o.ix.entries[i].hash, o.ix.key(i))
@@ -269,8 +269,8 @@ func (t *aggTable) absorb(o *aggTable) {
 		for k, s := range partSums {
 			sums[k] += s
 		}
-		for k, e := range t.sp.ext {
-			e.keep(&st.vals[nk+k], part.vals[nk+k])
+		for _, e := range t.sp.ext {
+			e.keep(&st.vals[e.cell], part.vals[e.cell])
 		}
 	}
 }

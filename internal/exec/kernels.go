@@ -287,8 +287,8 @@ func resolveJoinSpec(op *ir.Op, l, r relation.Schema) (joinSpec, error) {
 
 // aggSpec is an aggregation resolved against its input: the group-by columns
 // and what a group accumulates — a float sum per SUM and AVG, over input
-// column sumCol[k], and an extreme per MIN and MAX, each in the order of aggs
-// (COUNT keeps nothing but the group's row count).
+// column sumCol[k] in the order of aggs, and an extreme per MIN and MAX, kept
+// in its output cell (COUNT keeps nothing but the group's row count).
 type aggSpec struct {
 	aggs   []ir.AggSpec
 	gIdx   []int
@@ -296,8 +296,9 @@ type aggSpec struct {
 	ext    []extreme
 }
 
-// extreme is a MIN (sign -1) or MAX (sign +1) over input column col.
-type extreme struct{ col, sign int }
+// extreme is a MIN (sign -1) or MAX (sign +1) over input column col, kept in
+// cell cell of the group's row.
+type extreme struct{ cell, col, sign int }
 
 // keep replaces *cur by v when v lies further out.
 func (e extreme) keep(cur *relation.Value, v relation.Value) {
@@ -316,16 +317,16 @@ func resolveAggSpec(op *ir.Op, in relation.Schema) (aggSpec, error) {
 		}
 		sp.gIdx[i] = j
 	}
-	for _, a := range sp.aggs {
-		j := in.Index(a.Col)
+	for i, a := range sp.aggs {
+		j, cell := in.Index(a.Col), len(sp.gIdx)+i
 		switch {
 		case a.Func == ir.AggCount:
 		case j < 0:
 			return sp, fmt.Errorf("exec: %s: unknown aggregation column %q", op, a.Col)
 		case a.Func == ir.AggMin:
-			sp.ext = append(sp.ext, extreme{col: j, sign: -1})
+			sp.ext = append(sp.ext, extreme{cell: cell, col: j, sign: -1})
 		case a.Func == ir.AggMax:
-			sp.ext = append(sp.ext, extreme{col: j, sign: 1})
+			sp.ext = append(sp.ext, extreme{cell: cell, col: j, sign: 1})
 		default:
 			sp.sumCol = append(sp.sumCol, j)
 		}
@@ -333,11 +334,11 @@ func resolveAggSpec(op *ir.Op, in relation.Schema) (aggSpec, error) {
 	return sp, nil
 }
 
-// emitAggRows renders a fully-accumulated aggregation table into out, in
-// the table's first-appearance order. inRows is the number of input rows the
-// table saw: an empty-group-by aggregation over an empty input still yields
-// one row of zeros/identities in SQL semantics, so AVG/COUNT pipelines stay
-// total.
+// emitAggRows hands a fully-accumulated aggregation table's group rows to
+// out, in the table's first-appearance order, once it has filled in their
+// SUM, AVG and COUNT cells. inRows is the number of input rows the table saw:
+// an empty-group-by aggregation over an empty input still yields one row of
+// zeros/identities in SQL semantics, so AVG/COUNT pipelines stay total.
 func emitAggRows(in relation.Schema, table *aggTable, inRows int, out *relation.Relation) {
 	sp := table.sp
 	if inRows == 0 && len(sp.gIdx) == 0 {
@@ -352,33 +353,28 @@ func emitAggRows(in relation.Schema, table *aggTable, inRows int, out *relation.
 		out.Rows = append(out.Rows, row)
 		return
 	}
-	nk, ns, arity := len(sp.gIdx), len(sp.sumCol), len(sp.gIdx)+len(sp.aggs)
+	nk, ns := len(sp.gIdx), len(sp.sumCol)
 	out.Rows = make([]relation.Row, len(table.states))
-	vals := make([]relation.Value, len(table.states)*arity)
 	for g := range table.states {
 		st, sums := &table.states[g], table.sums[g*ns:]
-		row := relation.Row(vals[:arity:arity])
-		vals = vals[arity:]
-		copy(row, st.vals[:nk])
-		si, ei := 0, nk // the next sum, the next extreme: both in aggs order
+		row := relation.Row(st.vals)
+		si := 0 // the next sum, in aggs order
 		for i, a := range sp.aggs {
-			v := relation.Int(st.n)
+			cell := &row[nk+i]
 			switch a.Func {
+			case ir.AggCount:
+				*cell = relation.Int(st.n)
 			case ir.AggSum:
-				v = relation.Float(sums[si])
+				*cell = relation.Float(sums[si])
 				// Keep integer sums integral.
 				if in.Cols[sp.sumCol[si]].Kind == relation.KindInt {
-					v = relation.Int(int64(sums[si]))
+					*cell = relation.Int(int64(sums[si]))
 				}
 				si++
 			case ir.AggAvg:
-				v = relation.Float(sums[si] / float64(st.n))
+				*cell = relation.Float(sums[si] / float64(st.n))
 				si++
-			case ir.AggMin, ir.AggMax:
-				v = st.vals[ei]
-				ei++
 			}
-			row[nk+i] = v
 		}
 		out.Rows[g] = row
 	}

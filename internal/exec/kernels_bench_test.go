@@ -106,6 +106,46 @@ func BenchmarkKernelJoinFanout(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelWhileJoin is a native PageRank loop: five iterations of an
+// 800-row carried rank relation probing a 12 800-row edge relation the loop
+// never rebinds (sixteen out-edges per vertex), dividing by degree, summing
+// per destination and damping.
+func BenchmarkKernelWhileJoin(b *testing.B) {
+	ranks := relation.New("ranks", relation.NewSchema("vertex:int", "rank:float"))
+	for i := 0; i < 800; i++ {
+		ranks.MustAppend(relation.Row{relation.Int(int64(i)), relation.Float(1)})
+	}
+	edges := relation.New("edges", relation.NewSchema("src:int", "dst:int", "degree:int"))
+	for i := 0; i < 800*16; i++ {
+		edges.MustAppend(relation.Row{relation.Int(int64(i / 16)), relation.Int(int64(i * 7 % 800)), relation.Int(16)})
+	}
+	d := ir.NewDAG()
+	inRanks, inEdges := d.AddInput("ranks", "in/ranks", ranks.Schema), d.AddInput("edges", "in/edges", edges.Schema)
+	body := ir.NewDAG()
+	bRanks, bEdges := body.AddInput("ranks", "", ranks.Schema), body.AddInput("edges", "", edges.Schema)
+	j := body.Add(ir.OpJoin, "sent", ir.Params{LeftCols: []string{"vertex"}, RightCols: []string{"src"}}, bRanks, bEdges)
+	sh := body.Add(ir.OpArith, "shared", ir.Params{Dst: "rank", ALeft: ir.ColRef("rank"), ARght: ir.ColRef("degree"), AOp: ir.ArithDiv}, j)
+	g := body.Add(ir.OpAgg, "gathered", ir.Params{GroupBy: []string{"dst"}, Aggs: []ir.AggSpec{{Func: ir.AggSum, Col: "rank", As: "rank"}}}, sh)
+	m := body.Add(ir.OpArith, "damped", ir.Params{Dst: "rank", ALeft: ir.ColRef("rank"), ARght: ir.LitOp(relation.Float(0.85)), AOp: ir.ArithMul}, g)
+	body.Add(ir.OpProject, "new_ranks", ir.Params{Columns: []string{"dst", "rank"}, As: []string{"vertex", "rank"}}, m)
+	d.Add(ir.OpWhile, "final_ranks", ir.Params{Body: body, MaxIter: 5, Carried: map[string]string{"ranks": "new_ranks"}}, inRanks, inEdges)
+	ops, err := d.TopoSort()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env := Env{"ranks": ranks, "edges": edges}
+		if err := RunOps(ops, env, NewTrace(), RunOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		if got := env["final_ranks"]; got == nil || got.NumRows() != 800 {
+			b.Fatal("the loop produced the wrong ranks")
+		}
+	}
+}
+
 func BenchmarkKernelAgg(b *testing.B) {
 	in := benchRelation(20000, 128)
 	benchOp(b, ir.OpAgg, ir.Params{

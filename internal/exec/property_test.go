@@ -170,15 +170,63 @@ func (g *dagGen) step() bool {
 	default:
 		// WHILE: bump an int column each iteration, either a fixed number of
 		// times or until no row is left under a bound the data reaches soon.
+		// A fixed loop may also join each iteration: against an outer
+		// relation (a loop-invariant build side) or with the carried relation
+		// as the build side, which changes every iteration.
 		if len(ints) == 0 {
 			return false
 		}
 		col := g.oneOf(ints)
 		body := ir.NewDAG()
 		bin := body.AddInput(in.Out, "loop/"+in.Out, sch)
-		next := body.Add(ir.OpArith, g.name(), ir.Params{Dst: col, ALeft: ir.ColRef(col), ARght: ir.LitOp(relation.Int(1)), AOp: ir.ArithAdd}, bin)
+		bump := func(rel *ir.Op) *ir.Op {
+			return body.Add(ir.OpArith, g.name(), ir.Params{Dst: col, ALeft: ir.ColRef(col), ARght: ir.LitOp(relation.Int(1)), AOp: ir.ArithAdd}, rel)
+		}
+		inputs := []*ir.Op{in}
+		var next *ir.Op
+		// 0: no join; 1: an outer build side; 2: the carried one.
+		if join := g.r.Intn(3); join == 0 {
+			next = bump(bin)
+		} else {
+			other := g.pick()
+			osch := g.vals[other.Out].Schema
+			oints := cols(osch, relation.KindInt)
+			if other == in || len(oints) == 0 {
+				return false
+			}
+			lk, rk := g.oneOf(ints), g.oneOf(oints)
+			// Every iteration may multiply the rows by the build side's
+			// largest run of one key: bound what three iterations can reach.
+			runs, fan, rc := map[int64]int{}, 1, osch.Index(rk)
+			for _, row := range g.vals[other.Out].Rows {
+				runs[row[rc].I]++
+				fan = max(fan, runs[row[rc].I])
+			}
+			if len(g.vals[in.Out].Rows)*fan*fan*fan > 300 {
+				return false
+			}
+			oin := body.AddInput(other.Out, "loop/"+other.Out, osch)
+			if join == 1 {
+				if !disjoint(sch, osch, rk) {
+					return false
+				}
+				joined := body.Add(ir.OpJoin, g.name(), ir.Params{LeftCols: []string{lk}, RightCols: []string{rk}}, bump(bin), oin)
+				next = body.Add(ir.OpProject, g.name(), ir.Params{Columns: all}, joined)
+			} else {
+				if !disjoint(osch, sch, lk) {
+					return false
+				}
+				// The carried key column is the build key the join drops:
+				// the probe's key takes its place and its name.
+				keep := append([]string(nil), all...)
+				keep[sch.Index(lk)] = rk
+				joined := body.Add(ir.OpJoin, g.name(), ir.Params{LeftCols: []string{rk}, RightCols: []string{lk}}, oin, bin)
+				next = bump(body.Add(ir.OpProject, g.name(), ir.Params{Columns: keep, As: all}, joined))
+			}
+			inputs = append(inputs, other)
+		}
 		p := ir.Params{Body: body, MaxIter: 1 + g.r.Intn(3), Carried: map[string]string{in.Out: next.Out}}
-		if g.r.Intn(2) == 0 {
+		if len(inputs) == 1 && g.r.Intn(2) == 0 {
 			lo := int64(0)
 			for _, row := range g.vals[in.Out].Rows {
 				if v := row[sch.Index(col)].I; v < lo {
@@ -191,7 +239,7 @@ func (g *dagGen) step() bool {
 			cond := body.Add(ir.OpSelect, g.name(), ir.Params{Pred: pred(col, ir.CmpLt, 3)}, next)
 			p.MaxIter, p.CondRel = 0, cond.Out
 		}
-		op = g.d.Add(ir.OpWhile, g.name(), p, in)
+		op = g.d.Add(ir.OpWhile, g.name(), p, inputs...)
 	}
 	rel, err := oracleOp(op, g.vals)
 	if err != nil {

@@ -222,9 +222,9 @@ type RunOptions struct {
 	SkipInputs bool
 	// Sources are external inputs opened but not decoded, by the name
 	// operators read them under (INPUT operators resolve against env only:
-	// callers set SkipInputs). RunOps decodes each exactly once: batch by
-	// batch inside the one pipeline that scans it, or up front into env when
-	// anything else reads it (see bindSources).
+	// callers set SkipInputs). RunOps decodes each batch by batch inside every
+	// pipeline that scans it, or once up front into env when anything else
+	// reads it (see bindSources); either way it is metered once.
 	Sources map[string]*relation.Encoded
 	// Sinks are external outputs being written, by the name of the (kept,
 	// non-INPUT) operator producing them — the mirror of Sources. RunOps
@@ -232,7 +232,14 @@ type RunOptions struct {
 	// pipeline ending in it if no operator reads it (see runChain), else in
 	// one Append of the relation its unit materialized into env.
 	Sinks map[string]*relation.Writer
-	uses  map[string]int // nameUses(ops), when Sources or Sinks ask
+	uses  map[string]int       // nameUses(ops), when Sources or Sinks ask
+	joins map[*ir.Op]builtJoin // a WHILE body's join tables, kept across iterations
+}
+
+// builtJoin is a join table and the build relation it indexes.
+type builtJoin struct {
+	rel   *relation.Relation
+	table *joinTable
 }
 
 // RunOps evaluates ops — which must already be in topological order —
@@ -277,21 +284,22 @@ func nameUses(ops []*ir.Op) map[string]int {
 
 // bindSources splits opts.Sources into the inputs that stream, which it
 // returns, and the rest, which it materializes into env. An input streams
-// when its only consumer edge in ops is the probe (first) input of a
-// pipeline head: that pipeline's scan is then the one place its rows are
-// ever decoded, a batch at a time. A JOIN build side, a breaker kernel, a
-// second consumer and a WHILE all need the rows to stay.
+// when every consumer edge of it in ops is the probe (first) input of a
+// pipeline head: each of those pipelines scans it on its own, decoding a
+// batch at a time into an arena it reuses, which costs less than holding
+// every row between them. A JOIN build side, a breaker kernel, a self-join
+// and a WHILE all need the rows to stay.
 func bindSources(units [][]*ir.Op, env Env, opts RunOptions) (map[string]*relation.Encoded, error) {
-	streams := make(map[string]*relation.Encoded, len(opts.Sources))
+	scans := make(map[string]int, len(opts.Sources))
 	for _, u := range units {
 		if head := u[0]; pipelined(head.Type) && len(head.Inputs) > 0 {
-			if name := head.Inputs[0].Out; opts.uses[name] == 1 && opts.Sources[name] != nil {
-				streams[name] = opts.Sources[name]
-			}
+			scans[head.Inputs[0].Out]++
 		}
 	}
+	streams := make(map[string]*relation.Encoded, len(opts.Sources))
 	for name, src := range opts.Sources {
-		if streams[name] != nil {
+		if n := scans[name]; n > 0 && n == opts.uses[name] {
+			streams[name] = src
 			continue
 		}
 		rel, err := src.Materialize()
@@ -365,7 +373,9 @@ func runUnit(u []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 // body's units against an updated environment. Only loop-carried relations,
 // the stop-condition relation and the result relation are read between
 // iterations, so the body keeps those plus whatever the caller's Keep names
-// and streams through everything else.
+// and streams through everything else. A body JOIN whose build side is the
+// same relation as in the iteration before — an outer input the loop never
+// rebinds — probes the table built then (see runChain).
 func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Relation, error) {
 	body := op.Params.Body
 	if body == nil {
@@ -402,6 +412,7 @@ func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 		Keep:      func(bop *ir.Op) bool { return keepNames[bop.Out] || opts.Keep != nil && opts.Keep(bop) },
 		BatchRows: opts.BatchRows,
 		Check:     opts.Check,
+		joins:     make(map[*ir.Op]builtJoin),
 	}
 	units := planUnits(bodyOps, bodyOpts.Keep)
 	maxIter := op.Params.MaxIter

@@ -219,6 +219,11 @@ func sourceCases() []sourceCase {
 		{"probe of a join", func(d *ir.DAG, a, b *ir.Op) {
 			d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"bk"}}, a, b)
 		}, true},
+		{"two scans", func(d *ir.DAG, a, b *ir.Op) {
+			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
+			d.Add(ir.OpAgg, "by_k", ir.Params{GroupBy: []string{"k"}, Aggs: sum}, hot)
+			d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"bk"}}, a, b)
+		}, true},
 		{"build of a join", func(d *ir.DAG, a, b *ir.Op) {
 			d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"bk"}, RightCols: []string{"k"}}, b, a)
 		}, false},
@@ -245,8 +250,8 @@ func sourceCases() []sourceCase {
 // TestSourceShapes drives the directed shapes over a 5 000-row input — TSV
 // scaled, TSV physical-only (`#logical 0`: every volume comes from the
 // readers' meter) and columnar — and checks which of them stream, that a
-// shared input is decoded exactly once, and that a pure-SELECT pipeline's
-// rows outlive the batches they came from.
+// shared input is metered once, and that a pure-SELECT pipeline's rows
+// outlive the batches they came from.
 func TestSourceShapes(t *testing.T) {
 	a := relation.New("a", relation.NewSchema("k:int", "v:int", "f:float", "s:string"))
 	for i := 0; i < 5000; i++ {
@@ -285,7 +290,7 @@ func TestSourceShapes(t *testing.T) {
 							if streamed := gotEnv["a"] == nil; streamed != c.streams {
 								t.Errorf("input a streamed = %v, want %v", streamed, c.streams)
 							}
-							// Decoded exactly once, however many consumers: the
+							// Metered once, however many consumers: the
 							// meter holds one relation's worth of bytes.
 							if got, want := srcs["a"].PhysicalBytes(), wantEnv["a"].PhysicalBytes(); got != want {
 								t.Errorf("input a metered %d bytes, one decode is %d", got, want)

@@ -1,6 +1,11 @@
 package exec
 
-import "musketeer/internal/relation"
+import (
+	"math/bits"
+	"sync"
+
+	"musketeer/internal/relation"
+)
 
 // This file holds the operator kernels for SELECT, PROJECT, ARITH, JOIN-probe
 // and AGG: relation.RowSource stages that a pipeline composes into a single
@@ -36,22 +41,44 @@ func (a *accTap) addOwned(row relation.Row) {
 }
 
 // valArena hands out value storage for constructing stages. A reusable
-// arena recycles one backing slice across batches; a fresh arena allocates
+// arena recycles one slab across batches, taken from slabPools and put back
+// when its pipeline instance is drained (release); a fresh arena allocates
 // per batch, which the last constructing stage before a materializing
-// terminal needs because its rows escape the pipeline.
+// terminal needs because its rows escape the pipeline. A pooled slab holds
+// whatever its last user wrote: only stages that overwrite whole Values
+// (PROJECT, ARITH, JOIN-probe) may take one, never a reader that parses into
+// zeroed cells.
 type valArena struct {
 	fresh bool
-	vals  []relation.Value
+	slab  *[]relation.Value
 }
+
+// slabPools[k] holds released slabs of capacity 1<<k, so a stage never takes
+// a slab more than twice the size it asked for.
+var slabPools [bits.UintSize]sync.Pool
 
 func (a *valArena) take(n int) []relation.Value {
 	if a.fresh {
 		return make([]relation.Value, n)
 	}
-	if cap(a.vals) < n {
-		a.vals = make([]relation.Value, n)
+	if a.slab == nil || cap(*a.slab) < n {
+		a.release()
+		k := bits.Len(uint(max(n, 1) - 1))
+		if a.slab, _ = slabPools[k].Get().(*[]relation.Value); a.slab == nil {
+			s := make([]relation.Value, 1<<k)
+			a.slab = &s
+		}
 	}
-	return a.vals[:n]
+	return (*a.slab)[:n]
+}
+
+// release puts the arena's slab back in its pool: no row carved from it may
+// be read again.
+func (a *valArena) release() {
+	if a.slab != nil {
+		slabPools[bits.Len(uint(cap(*a.slab)))-1].Put(a.slab)
+		a.slab = nil
+	}
 }
 
 // selectStage filters an upstream source. Rows pass through by reference;

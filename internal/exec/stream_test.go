@@ -146,6 +146,21 @@ func streamCases() []chainCase {
 			keep: []string{"bylabel"},
 		},
 		{
+			// Every iteration probes the outer dim, a build side the loop
+			// never rebinds: its join table is built once per WHILE.
+			name: "while-invariant-join",
+			build: func(d *ir.DAG) {
+				in, dim := d.ByOut("src"), d.ByOut("dim")
+				body := ir.NewDAG()
+				bin, bdim := body.AddInput("src", "in/src", in.Params.Schema), body.AddInput("dim", "in/dim", dim.Params.Schema)
+				a := body.Add(ir.OpArith, "bumped", ir.Params{Dst: "v", ALeft: ir.ColRef("v"), ARght: ir.LitOp(relation.Int(1)), AOp: ir.ArithAdd}, bin)
+				j := body.Add(ir.OpJoin, "labelled", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"k"}}, a, bdim)
+				body.Add(ir.OpProject, "next", ir.Params{Columns: []string{"k", "v", "s", "f"}}, j)
+				d.Add(ir.OpWhile, "looped", ir.Params{Body: body, MaxIter: 3, Carried: map[string]string{"src": "next"}}, in, dim)
+			},
+			keep: []string{"looped"},
+		},
+		{
 			name: "kept-intermediate-breaks-chain",
 			build: func(d *ir.DAG) {
 				in := d.ByOut("src")
@@ -309,6 +324,74 @@ func TestStreamingWhileBodyTinyBatches(t *testing.T) {
 	sameTrace(t, wantTrace, gotTrace)
 	if wantTrace.Iterations[gotOpID(t, build(), "looped")] != 4 {
 		t.Errorf("iterations = %v", wantTrace.Iterations)
+	}
+}
+
+// raceBuild is set by race_test.go when the race detector is compiled in.
+var raceBuild bool
+
+// TestWhileBuildsInvariantJoinOnce: a WHILE whose body probes a 20 000-row
+// outer relation every iteration indexes it once, so five more iterations
+// cost less than a quarter of what building its join table allocates.
+func TestWhileBuildsInvariantJoinOnce(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation bound; the race runtime allocates on its own")
+	}
+	edges := relation.New("edges", relation.NewSchema("src:int", "w:int"))
+	for i := 0; i < 20000; i++ {
+		edges.MustAppend(relation.Row{relation.Int(int64(i)), relation.Int(int64(i % 9))})
+	}
+	ranks := relation.New("ranks", relation.NewSchema("vertex:int", "rank:float"))
+	for i := 0; i < 100; i++ {
+		ranks.MustAppend(relation.Row{relation.Int(int64(i * 7)), relation.Float(1)})
+	}
+	loop := func(iters int) []*ir.Op {
+		d := ir.NewDAG()
+		inRanks, inEdges := d.AddInput("ranks", "in/ranks", ranks.Schema), d.AddInput("edges", "in/edges", edges.Schema)
+		body := ir.NewDAG()
+		bRanks, bEdges := body.AddInput("ranks", "", ranks.Schema), body.AddInput("edges", "", edges.Schema)
+		j := body.Add(ir.OpJoin, "sent", ir.Params{LeftCols: []string{"vertex"}, RightCols: []string{"src"}}, bRanks, bEdges)
+		body.Add(ir.OpProject, "next", ir.Params{Columns: []string{"vertex", "rank"}}, j)
+		d.Add(ir.OpWhile, "final", ir.Params{Body: body, MaxIter: iters, Carried: map[string]string{"ranks": "next"}}, inRanks, inEdges)
+		ops, err := d.TopoSort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ops
+	}
+	// The least of three measurements, each after a warm-up run: a
+	// background allocation only ever adds.
+	allocated := func(f func()) int64 {
+		f()
+		least := int64(0)
+		for trial := 0; trial < 3; trial++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			if n := int64(after.TotalAlloc - before.TotalAlloc); trial == 0 || n < least {
+				least = n
+			}
+		}
+		return least
+	}
+	run := func(iters int) func() {
+		ops := loop(iters)
+		return func() {
+			env := Env{"ranks": ranks, "edges": edges}
+			if err := RunOps(ops, env, NewTrace(), RunOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if env["final"].NumRows() != 100 {
+				t.Fatalf("%d ranks out of the loop, want 100", env["final"].NumRows())
+			}
+		}
+	}
+	table := allocated(func() { buildJoinTable(edges.Rows, []int{0}) })
+	once, six := allocated(run(1)), allocated(run(6))
+	t.Logf("join table %d bytes; the loop allocates %d bytes over 1 iteration, %d over 6", table, once, six)
+	if six-once >= table/4 {
+		t.Errorf("five more iterations allocate %d bytes, a join table %d: the loop rebuilds its invariant join table", six-once, table)
 	}
 }
 

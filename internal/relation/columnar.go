@@ -277,7 +277,7 @@ func (r *groupReader) Next() (Batch, error) {
 	}
 	r.remaining -= n
 	if e.trusted {
-		e.phys.Add(int64(phys))
+		e.meter(n, int64(phys))
 		if r.remaining == 0 && r.last && r.skip == 0 && (r.left > 0 || !r.cur.atEnd()) {
 			return Batch{}, fmt.Errorf("relation %s: stream continues past the %d rows its writer recorded", e.Name, e.rows)
 		}

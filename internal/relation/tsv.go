@@ -15,8 +15,9 @@ import (
 // tsvReader, the only TSV row parser, or groupReader, the only columnar
 // decoder. The stream is held as the blocks it was stored in, so a line or a
 // row group may straddle any number of them. Readers over disjoint ranges may
-// run concurrently; everything else is for the owner, before they start or
-// after they finish.
+// run concurrently, and a scan of every range may be repeated once the last
+// has finished; everything else is for the owner, before they start or after
+// they finish.
 type Encoded struct {
 	Name         string
 	Schema       Schema
@@ -34,7 +35,8 @@ type Encoded struct {
 	blankRow bool         // an empty line is a row: one string column, or none
 	body     blockCursor  // at the first row line, or the first row group
 	rel      *Relation    // decoded rows, once Materialize has run
-	phys     atomic.Int64 // the meter: Σ Row.EncodedLen over the rows decoded so far
+	phys     atomic.Int64 // the meter: Σ Row.EncodedLen over the rows of one scan
+	metered  atomic.Int64 // rows decoded over every scan so far
 }
 
 // Open opens the encoded relation stored in blocks — a Writer's stream in
@@ -141,6 +143,15 @@ func (e *Encoded) Materialize() (*Relation, error) {
 // PhysicalBytes is Relation.PhysicalBytes once every row has been decoded,
 // through readers or Materialize: the meter's sum, no second walk.
 func (e *Encoded) PhysicalBytes() int64 { return e.phys.Load() }
+
+// meter adds a batch of rows and their bytes to the meter while it holds less
+// than one scan: the ranges of a scan decode every row once, so however many
+// scans decode the file, it is metered once.
+func (e *Encoded) meter(rows int, phys int64) {
+	if e.metered.Add(int64(rows)) <= int64(e.rows) {
+		e.phys.Add(phys)
+	}
+}
 
 // blockCursor walks a stream stored as blocks: line by line, or by counted
 // stretches of bytes.
@@ -301,7 +312,7 @@ func (r *tsvReader) Next() (Batch, error) {
 		rows = append(rows, row)
 	}
 	r.remaining -= len(rows)
-	e.phys.Add(phys)
+	e.meter(len(rows), phys)
 	if r.remaining == 0 && r.last && e.trusted {
 		if _, more := r.cur.next(); more {
 			return Batch{}, fmt.Errorf("relation %s: text continues past the %d rows its writer recorded", e.Name, e.rows)
