@@ -13,9 +13,11 @@ import (
 	"musketeer/internal/bench"
 )
 
-// Measurement is one benchmark's fresh or baseline numbers.
+// Measurement is one benchmark's fresh or baseline allocation numbers.
+// Time is not compared: ns/op against a baseline recorded on another day
+// measures the host as much as the code, so it is judged end to end, by
+// mkperf pairs of parent and change on one machine.
 type Measurement struct {
-	NsOp      float64
 	AllocsOp  float64
 	HasAllocs bool
 	BytesOp   float64
@@ -25,26 +27,15 @@ type Measurement struct {
 // Regression is one benchmark metric that exceeded its allowance.
 type Regression struct {
 	Name     string
-	Metric   string // "ns/op", "allocs/op", "B/op", "mean |error|" or "|makespan error|"
+	Metric   string // "allocs/op", "B/op", "mean |error|" or "|makespan error|"
 	Fresh    float64
 	Baseline float64
 	Allowed  float64
 }
 
-// Gates reports whether the regression fails the gate. Kernel time does not:
-// ns/op against a baseline recorded on another day measures the host as much
-// as the code, so it is printed as a report and timing is judged end to end,
-// by mkperf pairs of parent and change on one machine. Counts — allocations,
-// bytes, estimator error — repeat exactly, and gate.
-func (r Regression) Gates() bool { return r.Metric != "ns/op" }
-
 func (r Regression) String() string {
-	kind := "REGRESSION"
-	if !r.Gates() {
-		kind = "slower (reported, not gated)"
-	}
-	return fmt.Sprintf("%s %s %s: fresh %.4g vs baseline %.4g (allowed %.4g)",
-		kind, r.Name, r.Metric, r.Fresh, r.Baseline, r.Allowed)
+	return fmt.Sprintf("REGRESSION %s %s: fresh %.4g vs baseline %.4g (allowed %.4g)",
+		r.Name, r.Metric, r.Fresh, r.Baseline, r.Allowed)
 }
 
 // gomaxprocsSuffix is the `-N` GOMAXPROCS suffix go test appends to
@@ -53,9 +44,10 @@ var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 // ParseGoBench reads `go test -bench -benchmem` output and returns the
 // measurements keyed by benchmark name (GOMAXPROCS suffix stripped). With
-// -count=N the best measurement wins: gating on the minimum filters the
-// scheduling noise of a loaded CI host, while a real regression slows every
-// repetition.
+// -count=N the best measurement wins: a pooled slab that one run happens to
+// allocate afresh is noise, while a real regression allocates in every
+// repetition. A line without -benchmem columns has nothing to compare and is
+// skipped.
 func ParseGoBench(r io.Reader) (map[string]Measurement, error) {
 	out := map[string]Measurement{}
 	sc := bufio.NewScanner(r)
@@ -65,29 +57,23 @@ func ParseGoBench(r io.Reader) (map[string]Measurement, error) {
 			continue
 		}
 		m := Measurement{}
-		seen := false
 		for i := 2; i < len(fields); i++ {
 			v, err := strconv.ParseFloat(fields[i-1], 64)
 			if err != nil {
 				continue
 			}
 			switch fields[i] {
-			case "ns/op":
-				m.NsOp, seen = v, true
 			case "allocs/op":
 				m.AllocsOp, m.HasAllocs = v, true
 			case "B/op":
 				m.BytesOp, m.HasBytes = v, true
 			}
 		}
-		if !seen {
+		if !m.HasAllocs && !m.HasBytes {
 			continue
 		}
 		name := gomaxprocsSuffix.ReplaceAllString(fields[0], "")
 		if prev, ok := out[name]; ok {
-			if prev.NsOp < m.NsOp {
-				m.NsOp = prev.NsOp
-			}
 			if prev.HasAllocs && prev.AllocsOp < m.AllocsOp {
 				m.AllocsOp = prev.AllocsOp
 			}
@@ -108,7 +94,6 @@ func ParseGoBench(r io.Reader) (map[string]Measurement, error) {
 // wall-clock figures) are ignored.
 type afterEntry struct {
 	After *struct {
-		NsOp     float64  `json:"ns_op"`
 		AllocsOp float64  `json:"allocs_op"`
 		BytesOp  *float64 `json:"bytes_op"`
 	} `json:"after"`
@@ -137,7 +122,7 @@ func LoadKernelBaseline(path string) (map[string]Measurement, error) {
 			if json.Unmarshal(entry, &e) != nil || e.After == nil {
 				continue
 			}
-			m := Measurement{NsOp: e.After.NsOp, AllocsOp: e.After.AllocsOp, HasAllocs: true}
+			m := Measurement{AllocsOp: e.After.AllocsOp, HasAllocs: true}
 			if e.After.BytesOp != nil {
 				m.BytesOp, m.HasBytes = *e.After.BytesOp, true
 			}
@@ -151,13 +136,12 @@ func LoadKernelBaseline(path string) (map[string]Measurement, error) {
 }
 
 // CompareKernels checks every baseline benchmark present in the fresh run.
-// threshold is fractional (0.25 = 25%). Time beyond the threshold is reported
-// (Regression.Gates is false for it);
-// allocations get the same relative allowance plus half an allocation, so
-// a zero-alloc baseline fails on the first fresh allocation. Heap bytes per
-// op (B/op), where the baseline records them, get the relative allowance
-// plus 64 bytes of slack — pinning the streaming pipelines' steady-state
-// memory without tripping on size-class rounding.
+// threshold is fractional (0.25 = 25%). Allocations get the relative
+// allowance plus half an allocation, so a zero-alloc baseline fails on the
+// first fresh allocation. Heap bytes per op (B/op), where the baseline
+// records them, get the relative allowance plus 64 bytes of slack — pinning
+// the streaming pipelines' steady-state memory without tripping on
+// size-class rounding.
 func CompareKernels(fresh, baseline map[string]Measurement, threshold float64) (regs []Regression, checked, missing int) {
 	for name, base := range baseline {
 		f, ok := fresh[name]
@@ -166,9 +150,6 @@ func CompareKernels(fresh, baseline map[string]Measurement, threshold float64) (
 			continue
 		}
 		checked++
-		if allowed := base.NsOp * (1 + threshold); f.NsOp > allowed {
-			regs = append(regs, Regression{Name: name, Metric: "ns/op", Fresh: f.NsOp, Baseline: base.NsOp, Allowed: allowed})
-		}
 		if base.HasAllocs && f.HasAllocs {
 			if allowed := base.AllocsOp*(1+threshold) + 0.5; f.AllocsOp > allowed {
 				regs = append(regs, Regression{Name: name, Metric: "allocs/op", Fresh: f.AllocsOp, Baseline: base.AllocsOp, Allowed: allowed})

@@ -23,10 +23,10 @@ func TestParseGoBenchStripsGOMAXPROCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]Measurement{
-		"BenchmarkKernelSelect":   {NsOp: 1523563, AllocsOp: 29, HasAllocs: true, BytesOp: 433185, HasBytes: true},
-		"BenchmarkKernelProject":  {NsOp: 1604365, AllocsOp: 7, HasAllocs: true, BytesOp: 816512, HasBytes: true},
-		"BenchmarkKernelHashJoin": {NsOp: 45058391, AllocsOp: 21852, HasAllocs: true, BytesOp: 31676430, HasBytes: true},
-		"BenchmarkRowKey/hashed":  {NsOp: 23743, AllocsOp: 0, HasAllocs: true, BytesOp: 0, HasBytes: true},
+		"BenchmarkKernelSelect":   {AllocsOp: 29, HasAllocs: true, BytesOp: 433185, HasBytes: true},
+		"BenchmarkKernelProject":  {AllocsOp: 7, HasAllocs: true, BytesOp: 816512, HasBytes: true},
+		"BenchmarkKernelHashJoin": {AllocsOp: 21852, HasAllocs: true, BytesOp: 31676430, HasBytes: true},
+		"BenchmarkRowKey/hashed":  {AllocsOp: 0, HasAllocs: true, BytesOp: 0, HasBytes: true},
 	}
 	if len(m) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(m), len(want), m)
@@ -47,7 +47,7 @@ BenchmarkX-4   100   1800 ns/op   64 B/op   9 allocs/op
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m["BenchmarkX"]; got != (Measurement{NsOp: 1500, AllocsOp: 8, HasAllocs: true, BytesOp: 64, HasBytes: true}) {
+	if got := m["BenchmarkX"]; got != (Measurement{AllocsOp: 8, HasAllocs: true, BytesOp: 64, HasBytes: true}) {
 		t.Errorf("BenchmarkX = %+v, want best of 3 runs", got)
 	}
 }
@@ -61,7 +61,7 @@ func TestLoadKernelBaselineFromCommittedArtifact(t *testing.T) {
 	if !ok {
 		t.Fatalf("BenchmarkKernelSelect missing from baseline: %v", base)
 	}
-	if sel.NsOp <= 0 || !sel.HasAllocs {
+	if !sel.HasAllocs || !sel.HasBytes {
 		t.Errorf("implausible baseline %+v", sel)
 	}
 	// Groups other than "kernels" (row_key, sort, codec, partitioning) must
@@ -76,53 +76,18 @@ func TestLoadKernelBaselineFromCommittedArtifact(t *testing.T) {
 	}
 }
 
-// TestGateReportsSlowedBenchmark: a fresh run with one benchmark 2x slower
-// than its committed baseline is reported by name — the untouched benchmarks
-// are not — but does not fail the gate: kernel time is not comparable across
-// days of one host, so it is judged end to end by mkperf pairs instead.
-func TestGateReportsSlowedBenchmark(t *testing.T) {
-	baseline, err := LoadKernelBaseline(filepath.Join("..", "..", "BENCH_kernels.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := map[string]Measurement{}
-	for name, m := range baseline {
-		fresh[name] = m
-	}
-	slowed := baseline["BenchmarkKernelAgg"]
-	slowed.NsOp *= 2
-	fresh["BenchmarkKernelAgg"] = slowed
-
-	regs, checked, missing := CompareKernels(fresh, baseline, 0.25)
-	if checked != len(baseline) || missing != 0 {
-		t.Fatalf("checked %d missing %d, want %d/0", checked, missing, len(baseline))
-	}
-	if len(regs) != 1 {
-		t.Fatalf("regressions = %v, want exactly the slowed benchmark", regs)
-	}
-	if regs[0].Name != "BenchmarkKernelAgg" || regs[0].Metric != "ns/op" {
-		t.Errorf("regression = %+v, want BenchmarkKernelAgg ns/op", regs[0])
-	}
-	if regs[0].Allowed != slowed.NsOp/2*1.25 {
-		t.Errorf("allowed = %v, want baseline x 1.25", regs[0].Allowed)
-	}
-	if regs[0].Gates() {
-		t.Errorf("%v fails the gate; ns/op is report-only", regs[0])
-	}
-}
-
 func TestGateAllocRegressionAndZeroAllocGuard(t *testing.T) {
 	baseline := map[string]Measurement{
-		"BenchmarkZero": {NsOp: 100, AllocsOp: 0, HasAllocs: true},
-		"BenchmarkFew":  {NsOp: 100, AllocsOp: 8, HasAllocs: true},
+		"BenchmarkZero": {AllocsOp: 0, HasAllocs: true},
+		"BenchmarkFew":  {AllocsOp: 8, HasAllocs: true},
 	}
 	fresh := map[string]Measurement{
-		"BenchmarkZero": {NsOp: 100, AllocsOp: 1, HasAllocs: true},  // zero-alloc path now allocates
-		"BenchmarkFew":  {NsOp: 100, AllocsOp: 10, HasAllocs: true}, // within 25%+0.5
+		"BenchmarkZero": {AllocsOp: 1, HasAllocs: true},  // zero-alloc path now allocates
+		"BenchmarkFew":  {AllocsOp: 10, HasAllocs: true}, // within 25%+0.5
 	}
 	regs, _, _ := CompareKernels(fresh, baseline, 0.25)
-	if len(regs) != 1 || regs[0].Name != "BenchmarkZero" || regs[0].Metric != "allocs/op" || !regs[0].Gates() {
-		t.Fatalf("regs = %v, want only BenchmarkZero allocs/op, gating", regs)
+	if len(regs) != 1 || regs[0].Name != "BenchmarkZero" || regs[0].Metric != "allocs/op" {
+		t.Fatalf("regs = %v, want only BenchmarkZero allocs/op", regs)
 	}
 }
 
@@ -131,24 +96,24 @@ func TestGateAllocRegressionAndZeroAllocGuard(t *testing.T) {
 // Baselines without bytes never gate on them.
 func TestGateBytesRegression(t *testing.T) {
 	baseline := map[string]Measurement{
-		"BenchmarkStreamFused": {NsOp: 100, AllocsOp: 4, HasAllocs: true, BytesOp: 1024, HasBytes: true},
-		"BenchmarkNoise":       {NsOp: 100, AllocsOp: 4, HasAllocs: true, BytesOp: 1024, HasBytes: true},
-		"BenchmarkNoBytes":     {NsOp: 100, AllocsOp: 4, HasAllocs: true},
+		"BenchmarkStreamFused": {AllocsOp: 4, HasAllocs: true, BytesOp: 1024, HasBytes: true},
+		"BenchmarkNoise":       {AllocsOp: 4, HasAllocs: true, BytesOp: 1024, HasBytes: true},
+		"BenchmarkNoBytes":     {AllocsOp: 4, HasAllocs: true},
 	}
 	fresh := map[string]Measurement{
-		"BenchmarkStreamFused": {NsOp: 100, AllocsOp: 4, HasAllocs: true, BytesOp: 4096, HasBytes: true},
-		"BenchmarkNoise":       {NsOp: 100, AllocsOp: 4, HasAllocs: true, BytesOp: 1300, HasBytes: true},
-		"BenchmarkNoBytes":     {NsOp: 100, AllocsOp: 4, HasAllocs: true, BytesOp: 1 << 30, HasBytes: true},
+		"BenchmarkStreamFused": {AllocsOp: 4, HasAllocs: true, BytesOp: 4096, HasBytes: true},
+		"BenchmarkNoise":       {AllocsOp: 4, HasAllocs: true, BytesOp: 1300, HasBytes: true},
+		"BenchmarkNoBytes":     {AllocsOp: 4, HasAllocs: true, BytesOp: 1 << 30, HasBytes: true},
 	}
 	regs, _, _ := CompareKernels(fresh, baseline, 0.25)
-	if len(regs) != 1 || regs[0].Name != "BenchmarkStreamFused" || regs[0].Metric != "B/op" || !regs[0].Gates() {
-		t.Fatalf("regs = %v, want only BenchmarkStreamFused B/op, gating", regs)
+	if len(regs) != 1 || regs[0].Name != "BenchmarkStreamFused" || regs[0].Metric != "B/op" {
+		t.Fatalf("regs = %v, want only BenchmarkStreamFused B/op", regs)
 	}
 }
 
 func TestGateToleratesNoiseWithinThreshold(t *testing.T) {
-	baseline := map[string]Measurement{"BenchmarkX": {NsOp: 1000, AllocsOp: 100, HasAllocs: true}}
-	fresh := map[string]Measurement{"BenchmarkX": {NsOp: 1240, AllocsOp: 120, HasAllocs: true}}
+	baseline := map[string]Measurement{"BenchmarkX": {AllocsOp: 100, HasAllocs: true}}
+	fresh := map[string]Measurement{"BenchmarkX": {AllocsOp: 120, HasAllocs: true}}
 	if regs, _, _ := CompareKernels(fresh, baseline, 0.25); len(regs) != 0 {
 		t.Errorf("within-threshold drift flagged: %v", regs)
 	}

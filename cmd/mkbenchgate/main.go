@@ -6,7 +6,7 @@
 // Kernel gate — fresh `go test -bench` output vs BENCH_kernels.json's
 // "after" measurements (allocations within threshold plus half an alloc so
 // zero-alloc paths stay zero-alloc, B/op within threshold plus 64 bytes; time
-// beyond the threshold is printed and does not set the exit code):
+// is not compared):
 //
 //	go test -bench 'Kernel|RowKey|SortRows|EncodeDecode' -benchmem \
 //	    ./internal/exec ./internal/relation | mkbenchgate -kernels BENCH_kernels.json -bench -
@@ -61,7 +61,7 @@ func main() {
 			fail("parse bench output: %v", err)
 		}
 		if len(fresh) == 0 {
-			fail("no benchmark lines in %s", *benchOut)
+			fail("no -benchmem benchmark lines in %s", *benchOut)
 		}
 		kregs, checked, missing := CompareKernels(fresh, baseline, th)
 		fmt.Printf("kernel gate: %d benchmark(s) checked against %s (%d baseline entr%s not in this run), threshold %.0f%%\n",
@@ -95,12 +95,10 @@ func main() {
 	if !ran {
 		fail("nothing to gate: pass -kernels/-bench and/or -accuracy/-fresh-accuracy")
 	}
-	failed := false
 	for _, r := range regs {
 		fmt.Fprintln(os.Stderr, r)
-		failed = failed || r.Gates()
 	}
-	if failed {
+	if len(regs) > 0 {
 		os.Exit(1)
 	}
 	fmt.Println("benchmark gate: ok")

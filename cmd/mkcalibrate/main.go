@@ -44,8 +44,7 @@ type selDelta struct {
 	Samples  int     `json:"samples"`
 }
 
-// jsonReport is the -json envelope (mkvet's report style: module, summary
-// counts, then entries).
+// jsonReport is the -json envelope: module, summary counts, then entries.
 type jsonReport struct {
 	Module        string                    `json:"module"`
 	Version       uint64                    `json:"calibration_version"`

@@ -160,7 +160,8 @@ func run(name string, args []string, statsMode bool) int {
 			fail("debug-addr: %v", err)
 		}
 		srv := &http.Server{Handler: m.DebugHandler()}
-		//mkvet:ignore scheduler-only-concurrency debug HTTP listener lives for the process lifetime; serving scrapes is stdlib-managed I/O, not execution-stack work
+		// The debug listener lives for the process lifetime; serving scrapes
+		// is stdlib-managed I/O, not execution-stack work.
 		go srv.Serve(ln)
 		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics /debug/runs /healthz /debug/pprof)\n", ln.Addr())
 	}

@@ -79,16 +79,3 @@ func (c *Cluster) Restrict(n int) *Cluster {
 	}
 	return &Cluster{Name: fmt.Sprintf("%s[%d]", c.Name, n), Spec: c.Spec, Nodes: n}
 }
-
-// MB expresses a byte count in megabytes for rate arithmetic.
-func MB(bytes int64) float64 { return float64(bytes) / 1e6 }
-
-// TransferTime returns the simulated time to move `bytes` at `mbps`
-// aggregate bandwidth; zero-bandwidth transfers take zero time so optional
-// stages (e.g. LOAD for engines without a load phase) cost nothing.
-func TransferTime(bytes int64, mbps float64) Seconds {
-	if mbps <= 0 || bytes <= 0 {
-		return 0
-	}
-	return Seconds(MB(bytes) / mbps)
-}

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestNewClampsNodes(t *testing.T) {
 	c := New("x", 0, LocalNode)
@@ -36,18 +33,6 @@ func TestRestrict(t *testing.T) {
 	}
 	if c.Restrict(200) != c {
 		t.Error("Restrict above size should return same cluster")
-	}
-}
-
-func TestTransferTime(t *testing.T) {
-	if got := TransferTime(100e6, 100); math.Abs(float64(got)-1.0) > 1e-9 {
-		t.Errorf("100MB at 100MB/s = %v, want 1s", got)
-	}
-	if TransferTime(100, 0) != 0 {
-		t.Error("zero bandwidth should cost zero")
-	}
-	if TransferTime(0, 100) != 0 {
-		t.Error("zero bytes should cost zero")
 	}
 }
 

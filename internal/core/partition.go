@@ -172,7 +172,8 @@ func PartitionDynamicMulti(dag *ir.DAG, est *Estimator, engs []*engines.Engine, 
 	if err != nil {
 		return nil, err
 	}
-	//mkvet:ignore determinism fixed seed 42: the tie-break shuffle is replayable by construction, every run draws the identical sequence
+	// Fixed seed 42: the tie-break shuffle is replayable by construction,
+	// every run draws the identical sequence.
 	r := rand.New(rand.NewSource(42))
 	for i := 1; i < orders; i++ {
 		cand, err := dynamicOverOrder(x, est, engs, randomTopoOrder(x, r))
@@ -317,7 +318,8 @@ func PartitionExhaustive(dag *ir.DAG, est *Estimator, engs []*engines.Engine, bu
 		sets: make([]uint64, 0, room), below: make([]uint64, 0, room), undo: make([]uint64, room),
 	}
 	if budget > 0 {
-		//mkvet:ignore determinism opt-in wall-clock search budget: with the default zero budget the clock is never read and the search is exhaustive+deterministic
+		// Opt-in wall-clock search budget: with the default zero budget the
+		// clock is never read and the search is exhaustive and deterministic.
 		s.deadline = time.Now().Add(budget)
 	}
 	s.search(0, 0)
@@ -454,7 +456,8 @@ func (s *exhaustiveSearch) search(i int, partial cluster.Seconds) {
 	if s.expired {
 		return
 	}
-	//mkvet:ignore determinism opt-in wall-clock search budget: guarded by deadline.IsZero, so the default configuration never observes the clock
+	// The opt-in wall-clock budget is guarded by deadline.IsZero, so the
+	// default configuration never observes the clock.
 	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
 		s.expired = true
 		return

@@ -112,7 +112,6 @@ func jobDeps(part *Partitioning) [][]int {
 // Execute runs every job of the partitioning in dependency order with no
 // cancellation deadline.
 func (r *Runner) Execute(id *ir.Identity, part *Partitioning) (*WorkflowResult, error) {
-	//mkvet:ignore context-discipline public no-deadline convenience wrapper; ExecuteCtx is the primary API and callers who need cancellation use it
 	return r.ExecuteCtx(context.Background(), id, part)
 }
 

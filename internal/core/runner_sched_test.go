@@ -12,6 +12,7 @@ import (
 	"musketeer/internal/dfs"
 	"musketeer/internal/engines"
 	"musketeer/internal/ir"
+	"musketeer/internal/obs"
 	"musketeer/internal/relation"
 	"musketeer/internal/sched"
 	"musketeer/internal/workloads"
@@ -134,6 +135,88 @@ func TestExecuteCtxPreCancelled(t *testing.T) {
 		if _, err := fs.ReadRelation(out.Out); err == nil {
 			t.Errorf("sink %q materialized despite pre-cancelled context", out.Out)
 		}
+	}
+}
+
+// TestEverySpanEnds: whichever way an execution leaves — success, a job
+// whose retries are exhausted, a context cancelled before submission, a
+// driver-looped WHILE — every span it opened on its recorder is ended.
+func TestEverySpanEnds(t *testing.T) {
+	// twoEngine is Listing 1 one operator per job, alternating hadoop and
+	// spark.
+	twoEngine := func() (*ir.DAG, *dfs.DFS, *Partitioning) {
+		dag := maxPropertyPrice()
+		fs := seedPropertyDFS(t, 1000)
+		est, err := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := PerOperatorPartitioning(dag, est, engines.Hadoop())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(part.Jobs); i += 2 {
+			part.Jobs[i].Engine = engines.Spark()
+		}
+		return dag, fs, part
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name    string
+		ctx     context.Context
+		chaos   *chaos.Plan
+		wantErr bool
+		minJobs int // job-attempt spans the case must at least open
+		stage   func() (*ir.DAG, *dfs.DFS, *Partitioning)
+	}{
+		{name: "two-engine", ctx: context.Background(), minJobs: 3, stage: twoEngine},
+		{name: "retries exhausted", ctx: context.Background(), chaos: &chaos.Plan{JobCrashProb: 1, Seed: 3}, wantErr: true, minJobs: 3, stage: twoEngine},
+		{name: "pre-cancelled", ctx: cancelled, wantErr: true, stage: twoEngine},
+		{name: "driver-looped WHILE", ctx: context.Background(), minJobs: 5, stage: func() (*ir.DAG, *dfs.DFS, *Partitioning) {
+			d, fs := countdownDAG(t, 4, 10)
+			est, err := NewEstimator(ir.Identify(d), fs, cluster.Local(7), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			part, err := MapTo(d, est, engines.Hadoop())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d, fs, part
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dag, fs, part := tc.stage()
+			rec := obs.NewRecorder()
+			r := &Runner{
+				Ctx:   engines.RunContext{DFS: fs, Cluster: cluster.Local(7), Chaos: tc.chaos},
+				Mode:  engines.ModeOptimized,
+				Sched: sched.New(sched.Options{Workers: 2, MaxRetries: 2, Retryable: engines.IsTransient}),
+				Rec:   rec,
+			}
+			_, err := r.ExecuteCtx(tc.ctx, ir.Identify(dag), part)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want an error: %v", err, tc.wantErr)
+			}
+			spans := rec.Spans()
+			if len(spans) == 0 {
+				t.Fatal("the execution recorded no spans")
+			}
+			jobs := 0
+			for _, sp := range spans {
+				if sp.Cat == "job" {
+					jobs++
+				}
+				if !sp.Ended() {
+					t.Errorf("span %q (%s) was never ended", sp.Name, sp.Cat)
+				}
+			}
+			if jobs < tc.minJobs {
+				t.Errorf("%d job-attempt spans, want at least %d", jobs, tc.minJobs)
+			}
+		})
 	}
 }
 

@@ -9,9 +9,20 @@ import (
 // This file is the whole cost model (paper §5.2, Table 1). A job — a
 // candidate the planner is scoring or one that just ran — is described by
 // one Volumes, filled one operator at a time by Volumes.Add, and priced by
-// Price, the only caller of cluster.TransferTime (mkvet rule cost-formula).
-// A prediction and a measurement can therefore differ only in the volumes
-// and in the codegen tax the planner does not price.
+// Price, the only caller of transferTime, which is unexported so the
+// bytes→seconds formula cannot be recomputed outside this package. A
+// prediction and a measurement can therefore differ only in the volumes and
+// in the codegen tax the planner does not price.
+
+// transferTime returns the simulated time to move bytes at mbps aggregate
+// bandwidth; zero-bandwidth transfers take zero time so optional stages
+// (e.g. LOAD for engines without a load phase) cost nothing.
+func transferTime(bytes int64, mbps float64) cluster.Seconds {
+	if mbps <= 0 || bytes <= 0 {
+		return 0
+	}
+	return cluster.Seconds(float64(bytes) / 1e6 / mbps)
+}
 
 // Volumes is a job's data movement, in effective bytes.
 type Volumes struct {
@@ -158,25 +169,25 @@ func (e *Engine) Price(c *cluster.Cluster, v Volumes, r Rates, mode PlanMode) (b
 	}
 	bd = CostBreakdown{
 		Overhead: cluster.Seconds(r.OverheadS),
-		Pull:     cluster.TransferTime(v.Pull, r.PullMBps*fn),
-		Load:     cluster.TransferTime(v.Pull, r.LoadMBps*fn),
-		Push:     cluster.TransferTime(v.Push, r.PushMBps*fn),
+		Pull:     transferTime(v.Pull, r.PullMBps*fn),
+		Load:     transferTime(v.Pull, r.LoadMBps*fn),
+		Push:     transferTime(v.Push, r.PushMBps*fn),
 	}
 	if e.prof.LoadOutputs {
-		bd.LoadGen = cluster.TransferTime(v.Gen, r.LoadMBps*fn)
+		bd.LoadGen = transferTime(v.Gen, r.LoadMBps*fn)
 	}
 	if !v.Graph {
 		// Graph-idiom plans communicate through the engine's vertex
 		// messaging, already covered by GraphProcMBps.
-		bd.Shuffle = cluster.TransferTime(v.Shuffle, r.ShuffleMBps*fn)
+		bd.Shuffle = transferTime(v.Shuffle, r.ShuffleMBps*fn)
 	}
 	aggNodes := fn
 	if e.prof.NonAssocGroupBy {
 		aggNodes = 1 // Lindi: aggregation collapses to one machine
-		bd.Collect = cluster.TransferTime(v.AggProc, r.ShuffleMBps)
+		bd.Collect = transferTime(v.AggProc, r.ShuffleMBps)
 	}
-	bd.Proc = cluster.TransferTime(v.Proc-v.AggProc, rate*fn) +
-		cluster.TransferTime(v.AggProc, rate*aggNodes)
+	bd.Proc = transferTime(v.Proc-v.AggProc, rate*fn) +
+		transferTime(v.AggProc, rate*aggNodes)
 	switch mode {
 	case ModeNaive:
 		bd.Proc = cluster.Seconds(float64(bd.Proc) * e.prof.NaiveFactor)

@@ -22,21 +22,21 @@ func plannerArithmetic(e *Engine, c *cluster.Cluster, v Volumes, r Rates) cluste
 		rate = r.GraphProcMBps
 	}
 	t := cluster.Seconds(r.OverheadS) +
-		cluster.TransferTime(v.Pull, r.PullMBps*fn) +
-		cluster.TransferTime(v.Pull, r.LoadMBps*fn) +
-		cluster.TransferTime(v.Push, r.PushMBps*fn)
+		transferTime(v.Pull, r.PullMBps*fn) +
+		transferTime(v.Pull, r.LoadMBps*fn) +
+		transferTime(v.Push, r.PushMBps*fn)
 	if e.prof.LoadOutputs {
-		t += cluster.TransferTime(v.Gen, r.LoadMBps*fn)
+		t += transferTime(v.Gen, r.LoadMBps*fn)
 	}
 	if !v.Graph {
-		t += cluster.TransferTime(v.Shuffle, r.ShuffleMBps*fn)
+		t += transferTime(v.Shuffle, r.ShuffleMBps*fn)
 	}
-	proc := cluster.TransferTime(v.Proc-v.AggProc, rate*fn)
+	proc := transferTime(v.Proc-v.AggProc, rate*fn)
 	if e.prof.NonAssocGroupBy {
-		proc += cluster.TransferTime(v.AggProc, rate)
-		t += cluster.TransferTime(v.AggProc, r.ShuffleMBps)
+		proc += transferTime(v.AggProc, rate)
+		t += transferTime(v.AggProc, r.ShuffleMBps)
 	} else {
-		proc += cluster.TransferTime(v.AggProc, rate*fn)
+		proc += transferTime(v.AggProc, rate*fn)
 	}
 	if e.prof.MemCapGB > 0 {
 		peak := max(v.Peak, v.Pull)
@@ -68,6 +68,18 @@ func randomVolumes(rng *rand.Rand, e *Engine, c *cluster.Cluster) Volumes {
 		v.Peak = int64(capBytes * (0.5 + rng.Float64()))
 	}
 	return v
+}
+
+func TestTransferTime(t *testing.T) {
+	if got := transferTime(100e6, 100); math.Abs(float64(got)-1.0) > 1e-9 {
+		t.Errorf("100MB at 100MB/s = %v, want 1s", got)
+	}
+	if transferTime(100, 0) != 0 {
+		t.Error("zero bandwidth should cost zero")
+	}
+	if transferTime(0, 100) != 0 {
+		t.Error("zero bytes should cost zero")
+	}
 }
 
 func bitsOf(s cluster.Seconds) uint64 { return math.Float64bits(float64(s)) }

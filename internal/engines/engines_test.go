@@ -69,6 +69,19 @@ func TestRegistryHasAllEngines(t *testing.T) {
 	}
 }
 
+// TestEveryEngineHasAProfile: an Engine's fields are unexported, so its
+// profile is set where it is built, in profiles.go; this pins that every
+// engine the planner can choose was built with one.
+func TestEveryEngineHasAProfile(t *testing.T) {
+	engines := Registry()
+	engines["xstream"] = XStream()
+	for name, e := range engines {
+		if e.Profile() == (Profile{}) {
+			t.Errorf("engine %q has a zero Profile", name)
+		}
+	}
+}
+
 func TestValidFragmentRules(t *testing.T) {
 	d := maxPropertyPrice()
 	whole := wholeFragment(t, d)

@@ -50,7 +50,6 @@ func (c RunContext) Context() context.Context {
 	if c.Ctx != nil {
 		return c.Ctx
 	}
-	//mkvet:ignore context-discipline nil-Ctx fallback for direct engine invocation (tests, tools); workflow executions always populate Ctx via ExecuteCtx
 	return context.Background()
 }
 

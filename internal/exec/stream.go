@@ -107,7 +107,9 @@ func (s *selectStage) Next() (relation.Batch, error) {
 				if s.tap != nil {
 					s.tap.addRow(row)
 				}
-				//mkvet:ignore arena-escape s.out is this stage's per-Next output view, re-sliced at the top of every Next: aliased rows never outlive the upstream contract window
+				// s.out is this stage's per-Next output view, re-sliced at
+				// the top of every Next: aliased rows never outlive the
+				// upstream batch.
 				s.out = append(s.out, row)
 			}
 		}
@@ -232,7 +234,8 @@ func (j *joinProbeStage) Next() (relation.Batch, error) {
 			j.matches = append(j.matches, m)
 			j.pending += len(m)
 		}
-		//mkvet:ignore arena-escape the upstream batch is held only while its matches are pending: src.Next is not called again until the last of them is emitted, which is the contract window
+		// The upstream batch is held only while its matches are pending:
+		// src.Next is not called again until the last of them is emitted.
 		j.cur, j.row, j.at = b.Rows, 0, 0
 	}
 	n := min(j.pending, j.batchRows)

@@ -23,7 +23,7 @@ import (
 //     use, so one deployment logger is shared by every goroutine of every
 //     concurrent execution.
 //
-// Schema contract (DESIGN.md §14): the record message is the event name
+// Schema contract (DESIGN.md §13): the record message is the event name
 // (snake_case, subsystem-prefixed: job_dispatch, while_iteration,
 // fault_recovery, …); run/job/attempt scope rides as the `run`, `job`, and
 // `attempt` attributes bound via WithRun/WithJob/WithAttempt; payload
@@ -35,7 +35,7 @@ type Logger struct {
 // emitCtx is the root context handed to slog handlers: log emission has no
 // caller context to forward (events outlive any one job's ctx) and
 // handlers only consult it for tracing integrations.
-var emitCtx = context.Background() //mkvet:ignore context-discipline slog handlers require a ctx but log emission has no caller context to forward; handlers never derive cancellation from it
+var emitCtx = context.Background()
 
 // NewLogger wraps a slog handler. A nil handler yields the disabled (nil)
 // logger.

@@ -125,6 +125,10 @@ func (s *Span) End() {
 	s.Dur = time.Since(s.rec.epoch) - s.Start
 }
 
+// Ended reports whether End has been called. A nil span has nothing to end
+// and reports true.
+func (s *Span) Ended() bool { return s == nil || s.ended }
+
 // NewTrack marks the span as the start of a new display track, so the
 // trace viewer renders it (and its children) on its own lane instead of
 // overlapping concurrent siblings.

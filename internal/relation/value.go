@@ -64,8 +64,8 @@ func ParseKind(s string) (Kind, error) {
 // measured yet; every numeric rendering is 1–24 bytes). It lives in the
 // padding after Kind, so a Value is still 40 bytes, and it rides along
 // whenever a kernel copies the struct. Kind, I, F and S are written only
-// by this package's constructors (mkvet rule value-fields): assigning one
-// directly would leave a stale width behind.
+// by this package's constructors: assigning one directly would leave a
+// stale width behind, which CheckWidths reports.
 type Value struct {
 	Kind Kind
 	w    uint8

@@ -152,7 +152,9 @@ func (f *FairQueue) Close() {
 		f.cond.Broadcast()
 	}
 	f.mu.Unlock()
-	//mkvet:ignore context-discipline shutdown drain mirrors net/http.Server.Close: the wait is bounded by in-flight job completion, there is nothing for a context to cancel early
+	// The drain mirrors net/http.Server.Close: the wait is bounded by
+	// in-flight job completion, so there is nothing for a context to cancel
+	// early.
 	f.wg.Wait()
 }
 

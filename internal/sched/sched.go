@@ -1,6 +1,7 @@
 // Package sched is the execution stack's job scheduler — and its only
-// sanctioned source of concurrency (a mkvet rule forbids bare go
-// statements in internal/core and internal/engines).
+// sanctioned source of concurrency for the execution stack
+// (TestGoroutinesStartInNamedPlaces fails on a go statement anywhere but
+// here and a few named kernel fork-joins).
 //
 // A Scheduler dispatches DAGs of jobs with bounded-worker admission
 // control: every deployment owns one scheduler, concurrent workflow

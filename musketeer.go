@@ -603,7 +603,6 @@ type Result struct {
 // Run executes a previously computed partitioning with no cancellation
 // deadline.
 func (w *Workflow) Run(part *Partitioning) (*Result, error) {
-	//mkvet:ignore context-discipline public non-ctx convenience API; RunCtx is the primary entry point
 	return w.RunCtx(context.Background(), part)
 }
 
@@ -749,7 +748,6 @@ func (w *Workflow) runSession(ctx context.Context, part *Partitioning, id *ir.Id
 
 // Execute optimizes, auto-plans and runs the workflow.
 func (w *Workflow) Execute() (*Result, error) {
-	//mkvet:ignore context-discipline public non-ctx convenience API; ExecuteCtx is the primary entry point
 	return w.ExecuteCtx(context.Background())
 }
 
@@ -760,7 +758,6 @@ func (w *Workflow) ExecuteCtx(ctx context.Context) (*Result, error) {
 
 // ExecuteOn optimizes, plans for one engine, and runs.
 func (w *Workflow) ExecuteOn(engine string) (*Result, error) {
-	//mkvet:ignore context-discipline public non-ctx convenience API; ExecuteOnCtx is the primary entry point
 	return w.ExecuteOnCtx(context.Background(), engine)
 }
 

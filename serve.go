@@ -156,7 +156,9 @@ type GASSpec struct {
 
 // NewServer builds the deployment's service plane. Close it to drain.
 func (m *Musketeer) NewServer(opts ServeOptions) *Server {
-	//mkvet:ignore context-discipline the server owns the service plane's lifetime: this is its root context, cancelled by Close, not a per-request scope a caller could pass in
+	// The server owns the service plane's lifetime: this is its root
+	// context, cancelled by Close, not a per-request scope a caller could
+	// pass in.
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		m: m,

@@ -185,6 +185,33 @@ locs JOIN prices ON locs.id = prices.id AS id_price;
 SELECT street, MAX(price) AS max_price FROM id_price GROUP BY street AS street_price;
 `
 
+// TestTracedExecuteEndsEverySpan: the flight recorder a traced Execute
+// returns holds the planning spans above the runner's — workflow, compile,
+// optimize, partition-search — and every span in it is ended.
+func TestTracedExecuteEndsEverySpan(t *testing.T) {
+	m := New(WithTracing())
+	wf, err := m.CompileHive(stressHive, stressCatalog(t, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := wf.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, sp := range res.Flight.Spans() {
+		seen[sp.Name] = true
+		if !sp.Ended() {
+			t.Errorf("span %q (%s) was never ended", sp.Name, sp.Cat)
+		}
+	}
+	for _, name := range []string{"workflow", "compile", "optimize", "partition-search"} {
+		if !seen[name] {
+			t.Errorf("no %q span recorded", name)
+		}
+	}
+}
+
 // TestTracedExecutionsConcurrent drives concurrent traced executions into
 // one shared deployment — one metrics registry, one accuracy log, one
 // scheduler. Meaningful under -race (ci.sh runs the suite with it): the
