@@ -160,7 +160,7 @@ func TestChaosFixedSeedDeterministic(t *testing.T) {
 
 // TestChaoticExecutionsConcurrent drives concurrent chaotic executions into
 // one shared deployment. Meaningful under -race: the fault plan, scheduler
-// (with retries and speculation live), metrics registry and accuracy log
+// (with retries and speculation live), metrics registry and run registry
 // are shared across runs, while each run injects and recovers its own
 // faults.
 func TestChaoticExecutionsConcurrent(t *testing.T) {

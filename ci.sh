@@ -25,9 +25,9 @@
 #   golden trace      — the two-engine workflow's span tree is byte-stable
 #   chaos golden      — a seeded fault plan yields a byte-stable trace of
 #                       retries, checkpoints, recoveries and speculation
-#   alloc guard       — tracing off adds zero allocations to hot paths,
-#                       and a disabled/level-gated run logger adds zero
-#                       allocations to the event-emission sites
+#   alloc guard       — tracing off adds zero allocations to hot paths:
+#                       a nil recorder's spans and a nil registry's
+#                       counters, gauges and histograms are free no-ops
 #   telemetry scrape  — the debug server (httptest over DebugHandler)
 #                       serves /metrics and /debug/runs during chaotic
 #                       concurrent executions; any malformed exposition

@@ -33,16 +33,13 @@
 // execution digests), /debug/runs/<id>/trace (Chrome trace JSON), /healthz,
 // and /debug/pprof. Combine with -debug-hold to keep serving after the run
 // finishes, and point `musketeer top -addr <addr>` at it for a one-shot
-// view. -run-log <level> emits the structured run log (one JSON event per
-// admission, dispatch, retry, fault recovery, speculation, and calibration
-// update) to stderr.
+// view.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -111,7 +108,6 @@ func run(name string, args []string, statsMode bool) int {
 	statsJSON := fs.Bool("json", false, "stats: dump the metrics registry as JSON instead of text")
 	debugAddr := fs.String("debug-addr", "", "serve the debug plane (/metrics, /debug/runs, /healthz, /debug/pprof) on this address, e.g. :6060")
 	debugHold := fs.Bool("debug-hold", false, "keep the -debug-addr server running after the run completes (Ctrl-C to exit)")
-	runLogLevel := fs.String("run-log", "", "emit the structured run log to stderr as JSON events at this level: debug, info, warn or error")
 	tables := tableFlags{}
 	fs.Var(tables, "table", "stage a relation: name=file (repeatable)")
 	fs.Parse(args)
@@ -145,13 +141,6 @@ func run(name string, args []string, statsMode bool) int {
 	}
 	if *tracePath != "" {
 		opts = append(opts, musketeer.WithTracing())
-	}
-	if *runLogLevel != "" {
-		level, err := parseLogLevel(*runLogLevel)
-		if err != nil {
-			fail("%v", err)
-		}
-		opts = append(opts, musketeer.WithRunLog(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level})))
 	}
 	m := musketeer.New(opts...)
 	if *debugAddr != "" {
@@ -265,9 +254,7 @@ func run(name string, args []string, statsMode bool) int {
 		if err != nil {
 			fail("accuracy: %v", err)
 		}
-		for _, w := range m.Accuracy().Workflows() {
-			acc.Record(w)
-		}
+		acc.Record(res.Accuracy)
 		if err := acc.Save(accPath); err != nil {
 			fail("accuracy: %v", err)
 		}
@@ -393,21 +380,6 @@ func printCalibration(snap musketeer.CalibrationSnapshot) {
 		}
 		fmt.Printf("  selectivity %-10s %d obs: %.3f->%.3f\n", sc.Class, sc.Samples, sc.Seed, sc.Learned)
 	}
-}
-
-// parseLogLevel maps a -run-log flag value onto a slog level.
-func parseLogLevel(s string) (slog.Level, error) {
-	switch strings.ToLower(s) {
-	case "debug":
-		return slog.LevelDebug, nil
-	case "info":
-		return slog.LevelInfo, nil
-	case "warn", "warning":
-		return slog.LevelWarn, nil
-	case "error":
-		return slog.LevelError, nil
-	}
-	return 0, fmt.Errorf("unknown -run-log level %q (want debug, info, warn or error)", s)
 }
 
 func clusterOption(spec string) musketeer.Option {

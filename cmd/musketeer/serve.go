@@ -23,7 +23,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -45,7 +44,6 @@ func runServe(args []string) int {
 	weights := fs.String("weights", "", "comma-separated tenant dispatch weights, e.g. gold=4,silver=2")
 	trace := fs.Bool("trace", true, "record flight-recorder spans (served at /debug/runs/<id>/trace)")
 	retries := fs.Int("retries", 0, "per-job retry budget for transiently failed jobs")
-	runLogLevel := fs.String("run-log", "", "emit the structured run log to stderr as JSON events at this level: debug, info, warn or error")
 	fs.Parse(args)
 
 	opts := []musketeer.Option{clusterOption(*clusterSpec), musketeer.WithPlanCache(*planCache)}
@@ -54,13 +52,6 @@ func runServe(args []string) int {
 	}
 	if *retries > 0 {
 		opts = append(opts, musketeer.WithRetries(*retries))
-	}
-	if *runLogLevel != "" {
-		level, err := parseLogLevel(*runLogLevel)
-		if err != nil {
-			fail("%v", err)
-		}
-		opts = append(opts, musketeer.WithRunLog(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level})))
 	}
 	m := musketeer.New(opts...)
 

@@ -11,9 +11,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -96,8 +96,11 @@ func TestDebugServerScrape(t *testing.T) {
 	if d.ID != res.RunID || d.Status != "ok" || !d.Traced || d.Spans == 0 {
 		t.Errorf("digest = %+v, want id=%s status=ok traced with spans", d, res.RunID)
 	}
-	if d.MakespanS <= 0 || len(d.Jobs) == 0 {
-		t.Errorf("digest missing makespan/jobs: %+v", d)
+	if d.MakespanS <= 0 {
+		t.Errorf("digest missing makespan: %+v", d)
+	}
+	if len(d.Jobs) == 0 || !reflect.DeepEqual(d.Jobs, res.Accuracy.Jobs) {
+		t.Errorf("digest jobs = %+v, want the result's accuracy jobs %+v", d.Jobs, res.Accuracy.Jobs)
 	}
 
 	code, body = scrape(t, srv, "/debug/runs/"+res.RunID)
@@ -138,8 +141,7 @@ func TestConcurrentScrapeDuringChaoticExecutes(t *testing.T) {
 		CheckpointIntervalS: 20,
 		CheckpointCostS:     1,
 	}
-	m := New(WithTracing(), WithChaos(plan), WithRetries(5),
-		WithRunLog(slog.NewJSONHandler(io.Discard, nil)))
+	m := New(WithTracing(), WithChaos(plan), WithRetries(5))
 	cat := stageProperty(t, m)
 
 	const executes = 8
@@ -155,38 +157,43 @@ func TestConcurrentScrapeDuringChaoticExecutes(t *testing.T) {
 	srv := httptest.NewServer(m.DebugHandler())
 	defer srv.Close()
 
-	done := make(chan struct{})
+	// The scraper runs until the executions have finished and is stopped
+	// before the server closes, so no response is cut off mid-body: every
+	// error it sees is the server's.
+	stop, done := make(chan struct{}), make(chan struct{})
 	var scrapeErr error
-	var scrapeMu sync.Mutex
 	go func() {
 		defer close(done)
 		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
 			resp, err := srv.Client().Get(srv.URL + "/metrics")
 			if err != nil {
-				return // server closed; executions finished first
+				scrapeErr = fmt.Errorf("scrape %d: /metrics: %w", i, err)
+				return
 			}
 			body, err := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if err != nil {
-				return
+			if err == nil {
+				err = obs.ValidatePromText(string(body))
 			}
-			if verr := obs.ValidatePromText(string(body)); verr != nil {
-				scrapeMu.Lock()
-				scrapeErr = fmt.Errorf("scrape %d: %w", i, verr)
-				scrapeMu.Unlock()
+			if err != nil {
+				scrapeErr = fmt.Errorf("scrape %d: %w", i, err)
 				return
 			}
 			resp, err = srv.Client().Get(srv.URL + "/debug/runs")
 			if err != nil {
+				scrapeErr = fmt.Errorf("scrape %d: /debug/runs: %w", i, err)
 				return
 			}
 			var page runsPage
-			derr := json.NewDecoder(resp.Body).Decode(&page)
+			err = json.NewDecoder(resp.Body).Decode(&page)
 			resp.Body.Close()
-			if derr != nil {
-				scrapeMu.Lock()
-				scrapeErr = fmt.Errorf("scrape %d: /debug/runs: %w", i, derr)
-				scrapeMu.Unlock()
+			if err != nil {
+				scrapeErr = fmt.Errorf("scrape %d: /debug/runs: %w", i, err)
 				return
 			}
 		}
@@ -202,8 +209,7 @@ func TestConcurrentScrapeDuringChaoticExecutes(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	srv.CloseClientConnections()
-	srv.Close()
+	close(stop)
 	<-done
 
 	for i, err := range errs {
@@ -211,8 +217,6 @@ func TestConcurrentScrapeDuringChaoticExecutes(t *testing.T) {
 			t.Errorf("execute %d: %v", i, err)
 		}
 	}
-	scrapeMu.Lock()
-	defer scrapeMu.Unlock()
 	if scrapeErr != nil {
 		t.Fatal(scrapeErr)
 	}
@@ -227,9 +231,7 @@ func TestConcurrentScrapeDuringChaoticExecutes(t *testing.T) {
 			t.Errorf("digest %s: status=%s traced=%v", d.ID, d.Status, d.Traced)
 		}
 	}
-	srv2 := httptest.NewServer(m.DebugHandler())
-	defer srv2.Close()
-	_, final := scrape(t, srv2, "/metrics")
+	_, final := scrape(t, srv, "/metrics")
 	if err := obs.ValidatePromText(final); err != nil {
 		t.Fatal(err)
 	}

@@ -47,15 +47,6 @@ type Runner struct {
 	// Metrics receives scheduler/engine counters and histograms. Nil
 	// disables metric recording.
 	Metrics *obs.Registry
-	// Accuracy, when non-nil, receives the execution's predicted-vs-actual
-	// makespan record (also returned on WorkflowResult.Accuracy).
-	Accuracy *obs.AccuracyLog
-	// Log, when non-nil, receives the execution's structured lifecycle
-	// events: it is handed to the scheduler per job (dispatch, completion,
-	// retry, speculation), to the engines per attempt (injected faults,
-	// recovery), and emits the WHILE driver's iterations and the
-	// calibration updates directly. Nil disables logging at zero cost.
-	Log *obs.Logger
 }
 
 // defaultSched serves Runners constructed without an explicit scheduler
@@ -153,7 +144,6 @@ func (r *Runner) ExecuteCtx(ctx context.Context, id *ir.Identity, part *Partitio
 			Name:      job.Frag.Name(),
 			Deps:      deps[i],
 			Predicted: job.Cost,
-			Log:       r.Log,
 			Run: func(jctx context.Context, attempt int) (sched.Result, error) {
 				jsp := r.Rec.StartSpan(ssp, spanName, "job")
 				defer jsp.End()
@@ -202,16 +192,10 @@ func (r *Runner) ExecuteCtx(ctx context.Context, id *ir.Identity, part *Partitio
 			// bumps invalidate any live estimator's memoized scores.
 			if r.History != nil {
 				r.History.Calibration().ObserveRun(part.Jobs[i].Engine, r.Ctx.Cluster, jr)
-				r.Log.WithJob(jr.Job).Debug("calibration_update").
-					Str("engine", jr.Engine).
-					Float("makespan_s", float64(jr.Makespan)).
-					Int("proc_bytes", jr.Volumes.Proc).
-					Emit()
 			}
 		}
 	}
 	res.Accuracy = r.accuracy(part, deps, rep)
-	r.Accuracy.Record(res.Accuracy)
 	return res, nil
 }
 
@@ -258,7 +242,7 @@ func (r *Runner) runJob(jctx context.Context, base engines.RunContext, sp *obs.S
 	rctx := base
 	rctx.Ctx = jctx
 	rctx.Attempt = attempt
-	rctx.Rec, rctx.Span, rctx.Metrics, rctx.Log = r.Rec, sp, r.Metrics, r.Log
+	rctx.Rec, rctx.Span, rctx.Metrics = r.Rec, sp, r.Metrics
 	if w := job.DriverLoop(); w != nil {
 		return r.runWhileDriver(rctx, id, w, job.Body)
 	}
@@ -364,7 +348,6 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 				Name:      job.Frag.Name(),
 				Deps:      bodyDeps[ji],
 				Predicted: job.Cost,
-				Log:       r.Log,
 				Run: func(jctx context.Context, attempt int) (sched.Result, error) {
 					bsp := r.Rec.StartSpan(isp, bodySpanNames[ji], "job")
 					defer bsp.End()
@@ -388,10 +371,6 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 			}
 		}
 		isp.SetSim(float64(simClock), float64(rep.Makespan))
-		r.Log.WithJob(w.Out).Debug("while_iteration").
-			Int("iter", int64(iter)).
-			Float("makespan_s", float64(rep.Makespan)).
-			Emit()
 		simClock += rep.Makespan
 		if rctx.Chaos.Enabled() {
 			// Under a chaos plan, materializing loop-carried state to the

@@ -217,8 +217,6 @@ func applyChaos(ctx RunContext, p *Plan, res *RunResult) {
 		res.Makespan = cluster.Seconds(float64(res.Makespan) * cp.SlowBy())
 		ctx.Span.SetInt("straggler", 1)
 		ctx.Metrics.Counter("chaos_stragglers_total").Add(1)
-		ctx.Log.WithJob(res.Job).WithAttempt(ctx.Attempt).Warn("straggler").
-			Float("slow_by", cp.SlowBy()).Emit()
 	}
 	rec := RecoverFaults(cp, p.Engine, ctx.Cluster, len(p.Frag.ComputeOps()), res.Makespan, res.Job, ctx.Attempt)
 	res.Failures = rec.Failures
@@ -242,11 +240,6 @@ func applyChaos(ctx RunContext, p *Plan, res *RunResult) {
 		rsp.SetSim(float64(res.Makespan), float64(rec.Penalty))
 		ctx.Metrics.Counter("chaos_task_faults_total").Add(int64(rec.Failures))
 		ctx.Metrics.Histogram("chaos_recovery_s").Observe(float64(rec.Penalty))
-		ctx.Log.WithJob(res.Job).WithAttempt(ctx.Attempt).Warn("fault_recovery").
-			Str("mechanism", rec.Mechanism.String()).
-			Int("failures", int64(rec.Failures)).
-			Float("penalty_s", float64(rec.Penalty)).
-			Emit()
 	}
 	res.Makespan += rec.Penalty
 }

@@ -39,10 +39,6 @@ type RunContext struct {
 	Rec     *obs.Recorder
 	Span    *obs.Span
 	Metrics *obs.Registry
-	// Log, when set, receives the attempt's structured fault events
-	// (injected crashes, stragglers, DFS read retries, fault recovery) —
-	// the execution's run-scoped logger. Nil disables logging at zero cost.
-	Log *obs.Logger
 }
 
 // Context returns the execution context, defaulting to Background.
@@ -110,8 +106,6 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 	// any output is written, so a retried attempt replays cleanly.
 	if ctx.Chaos.CrashesJob(p.Frag.Name(), ctx.Attempt) {
 		ctx.Metrics.Counter("chaos_job_crashes_total").Add(1)
-		ctx.Log.WithJob(p.Frag.Name()).WithAttempt(ctx.Attempt).Warn("job_crash_injected").
-			Str("engine", p.Engine.Name()).Emit()
 		return nil, fmt.Errorf("%s: job %s: %w", p.Engine.Name(), p.Frag.Name(),
 			&TransientError{Job: p.Frag.Name(), Attempt: ctx.Attempt})
 	}
@@ -207,8 +201,6 @@ func runPull(ctx RunContext, p *Plan) ([]pulledInput, int, *obs.Span, error) {
 	if retries > 0 {
 		sp.SetInt("dfs_retries", int64(retries))
 		ctx.Metrics.Counter("chaos_dfs_read_retries_total").Add(int64(retries))
-		ctx.Log.WithJob(p.Frag.Name()).WithAttempt(ctx.Attempt).Warn("dfs_read_retry").
-			Int("retries", int64(retries)).Emit()
 	}
 	return pulled, retries, sp, nil
 }

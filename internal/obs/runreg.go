@@ -15,19 +15,6 @@ import (
 // answers "what happened inside one run", the run registry answers "what
 // were the recent runs, and how did their plans hold up".
 
-// RunJobDigest summarizes one scheduled job of a finished execution: which
-// engine the partitioner chose for the fragment, and how the prediction
-// held up.
-type RunJobDigest struct {
-	Job    string `json:"job"`
-	Engine string `json:"engine"`
-	// PredictedS / ActualS are the cost model's planning-time estimate and
-	// the measured simulated duration; Error is the signed relative error.
-	PredictedS float64 `json:"predicted_s"`
-	ActualS    float64 `json:"actual_s"`
-	Error      float64 `json:"error"`
-}
-
 // RunDigest is the retained summary of one workflow execution.
 type RunDigest struct {
 	// ID is assigned by the registry at Record time (monotonic, unique for
@@ -53,7 +40,7 @@ type RunDigest struct {
 	PredictedS    float64 `json:"predicted_makespan_s"`
 	MakespanError float64 `json:"makespan_error"`
 	// Jobs lists every scheduled job with its chosen engine and accuracy.
-	Jobs []RunJobDigest `json:"jobs,omitempty"`
+	Jobs []JobAccuracy `json:"jobs,omitempty"`
 	// Phases are the per-(engine, phase) span rollups of the run's flight
 	// recorder (empty when the run was not traced).
 	Phases []PhaseRate `json:"phases,omitempty"`

@@ -46,10 +46,6 @@ type Job struct {
 	// backup attempt; the first finisher (in simulated time) wins. Zero
 	// disables speculation for this job.
 	Predicted cluster.Seconds
-	// Log, when set, receives this job's lifecycle events (dispatch,
-	// completion, retry, failure, skip, speculation) — typically the
-	// submission's run-scoped logger. Nil falls back to Options.Log.
-	Log *obs.Logger
 }
 
 // Result is what a successful job attempt reports back.
@@ -136,10 +132,6 @@ type Options struct {
 	// histograms (jobs completed/failed/skipped, retries, queue wait and
 	// run wall time). Nil disables metric recording at zero cost.
 	Metrics *obs.Registry
-	// Log, when set, receives structured lifecycle events for jobs that do
-	// not carry their own run-scoped logger. Nil disables logging at zero
-	// cost.
-	Log *obs.Logger
 }
 
 // Scheduler dispatches job DAGs under shared admission control.
@@ -264,7 +256,6 @@ func (s *Scheduler) run(ctx context.Context, jobs []Job, admission bool) *Report
 				continue
 			}
 			if blocked[dep] {
-				s.logFor(jobs[dep]).Debug("job_skipped").Str("job", jobs[dep].Name).Str("blocked_by", jobs[i].Name).Emit()
 				resolve(dep, Outcome{Name: jobs[dep].Name, Skipped: true})
 			} else {
 				start(dep)
@@ -370,26 +361,15 @@ func (s *Scheduler) recordMetrics(rep *Report) {
 	}
 }
 
-// logFor picks the job's event logger: its own run-scoped logger, falling
-// back to the scheduler-wide one. Both may be nil (logging disabled).
-func (s *Scheduler) logFor(j Job) *obs.Logger {
-	if j.Log != nil {
-		return j.Log
-	}
-	return s.opts.Log
-}
-
 // runJob admits and executes one job, retrying transient failures.
 func (s *Scheduler) runJob(ctx context.Context, j Job, admission bool, submitted time.Time) Outcome {
 	out := Outcome{Name: j.Name}
-	log := s.logFor(j).WithJob(j.Name)
 	if admission {
 		select {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
 		case <-ctx.Done():
 			// Cancelled while queued: the job never started.
-			log.Debug("job_skipped").Str("reason", "cancelled_in_queue").Emit()
 			out.Skipped = true
 			return out
 		}
@@ -397,7 +377,6 @@ func (s *Scheduler) runJob(ctx context.Context, j Job, admission bool, submitted
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			if attempt == 0 {
-				log.Debug("job_skipped").Str("reason", "cancelled_before_dispatch").Emit()
 				out.Skipped = true
 			} else {
 				out.Err = err
@@ -407,10 +386,6 @@ func (s *Scheduler) runJob(ctx context.Context, j Job, admission bool, submitted
 		if attempt == 0 {
 			// Dispatched: dependency resolution and admission are behind us.
 			out.QueueWait = time.Since(submitted)
-			log.Debug("job_dispatch").
-				Float("queue_wait_ms", float64(out.QueueWait)/float64(time.Millisecond)).
-				Float("predicted_s", float64(j.Predicted)).
-				Emit()
 		}
 		out.Attempts = attempt + 1
 		attemptStart := time.Now()
@@ -419,22 +394,12 @@ func (s *Scheduler) runJob(ctx context.Context, j Job, admission bool, submitted
 		if err == nil {
 			out.Value, out.Duration = res.Value, res.Duration
 			s.speculate(ctx, j, &out, attempt)
-			log.Info("job_complete").
-				Int("attempts", int64(out.Attempts)).
-				Float("duration_s", float64(out.Duration)).
-				Bool("speculated", out.Speculated).
-				Emit()
 			return out
 		}
 		out.Err = err
 		if attempt >= s.opts.MaxRetries || s.opts.Retryable == nil || !s.opts.Retryable(err) {
-			log.Error("job_failed").Int("attempts", int64(out.Attempts)).Err(err).Emit()
 			return out
 		}
-		log.WithAttempt(attempt).Warn("job_retry").
-			Int("max_retries", int64(s.opts.MaxRetries)).
-			Err(err).
-			Emit()
 		out.Err = nil // retrying
 	}
 }
@@ -466,11 +431,6 @@ func (s *Scheduler) speculate(ctx context.Context, j Job, out *Outcome, attempt 
 		return
 	}
 	out.Speculated = true
-	s.logFor(j).WithJob(j.Name).Info("job_speculate").
-		Float("predicted_s", float64(j.Predicted)).
-		Float("original_s", float64(out.Duration)).
-		Float("launch_s", float64(launch)).
-		Emit()
 	attemptStart := time.Now()
 	res, err := j.Run(context.WithValue(ctx, specCtxKey{}, true), attempt+1)
 	out.RunWall += time.Since(attemptStart)

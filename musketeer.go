@@ -28,7 +28,6 @@ package musketeer
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"sort"
 	"strings"
@@ -97,13 +96,8 @@ type (
 	AccuracyLog = obs.AccuracyLog
 	// AccuracySummary condenses an accuracy log.
 	AccuracySummary = obs.AccuracySummary
-	// RunLogger is the leveled structured run logger plumbed through the
-	// scheduler, runner, and engines (see WithRunLog).
-	RunLogger = obs.Logger
 	// RunDigest is the retained summary of one execution (see Runs).
 	RunDigest = obs.RunDigest
-	// RunJobDigest summarizes one scheduled job of a retained execution.
-	RunJobDigest = obs.RunJobDigest
 	// RunRegistry is the bounded in-process registry of recent executions.
 	RunRegistry = obs.RunRegistry
 )
@@ -152,17 +146,13 @@ type Musketeer struct {
 	// tracing makes every execution carry a flight recorder (Result.Flight);
 	// off by default so instrumented hot paths stay allocation-free.
 	tracing bool
-	// metrics and accuracy are always on: counters and an estimator
-	// track record are cheap and shared by every execution.
-	metrics  *obs.Registry
-	accuracy *obs.AccuracyLog
+	// metrics are always on: counters are cheap and shared by every
+	// execution.
+	metrics *obs.Registry
 	// runs retains digests of the last N executions (always on: a digest is
 	// a few hundred bytes; flight recorders are retained only when tracing).
 	runs         *obs.RunRegistry
 	runRetention int
-	// logger is the deployment's run logger; nil (the default) disables
-	// structured logging at zero cost.
-	logger *obs.Logger
 	// planCache memoizes partitionings across executions keyed on the
 	// canonicalized IR (see WithPlanCache); nil (the default) disables it.
 	planCache    *core.PlanCache
@@ -234,17 +224,6 @@ func WithTracing() Option {
 	return func(m *Musketeer) { m.tracing = true }
 }
 
-// WithRunLog installs a structured run logger on the deployment: every
-// admission, dispatch, retry, fault recovery, speculation, and calibration
-// update emits one leveled, machine-parseable record through the given
-// slog handler, scoped with run/job/attempt attributes. Use
-// slog.NewJSONHandler for log pipelines or slog.NewTextHandler for a
-// human tail. A nil handler (the default) disables logging at zero cost —
-// the disabled path allocates nothing.
-func WithRunLog(h slog.Handler) Option {
-	return func(m *Musketeer) { m.logger = obs.NewLogger(h) }
-}
-
 // WithRunRetention bounds how many execution digests the deployment
 // retains for /debug/runs (default obs.DefaultRunRetention).
 func WithRunRetention(n int) Option {
@@ -267,12 +246,11 @@ func WithPlanCache(n int) Option {
 // engines registered, empty history.
 func New(opts ...Option) *Musketeer {
 	m := &Musketeer{
-		fs:       dfs.New(),
-		cluster:  cluster.Local(7),
-		engines:  engines.Registry(),
-		history:  core.NewHistory(),
-		metrics:  obs.NewRegistry(),
-		accuracy: obs.NewAccuracyLog(),
+		fs:      dfs.New(),
+		cluster: cluster.Local(7),
+		engines: engines.Registry(),
+		history: core.NewHistory(),
+		metrics: obs.NewRegistry(),
 	}
 	for _, o := range opts {
 		o(m)
@@ -284,7 +262,6 @@ func New(opts ...Option) *Musketeer {
 		MaxRetries:          m.retries,
 		Retryable:           engines.IsTransient,
 		Metrics:             m.metrics,
-		Log:                 m.logger,
 		SpeculativeMultiple: m.chaos.SpecMultiple(),
 	})
 	return m
@@ -294,10 +271,6 @@ func New(opts ...Option) *Musketeer {
 // engine counters and latency histograms accumulated across every
 // execution.
 func (m *Musketeer) Metrics() *MetricsRegistry { return m.metrics }
-
-// Accuracy returns the deployment's estimator-accuracy log: one
-// predicted-vs-measured record per executed workflow.
-func (m *Musketeer) Accuracy() *AccuracyLog { return m.accuracy }
 
 // Runs returns the deployment's run registry: bounded digests of the last
 // N executions (per-phase rollups, predicted-vs-measured accuracy,
@@ -632,9 +605,7 @@ func (w *Workflow) workflowName() string {
 
 // runSession executes a partitioning inside a fresh DFS session namespace
 // beneath an (optional) workflow root span. Every execution — success or
-// failure — leaves a digest in the deployment's run registry and, when a
-// run logger is installed, a workflow_start/workflow_complete (or
-// workflow_failed) event pair bracketing the job-level events.
+// failure — leaves a digest in the deployment's run registry.
 func (w *Workflow) runSession(ctx context.Context, part *Partitioning, id *ir.Identity, rec *obs.Recorder, root *obs.Span) (*Result, error) {
 	base := w.sessionFS()
 	ns := fmt.Sprintf("__run/%d", w.m.runSeq.Add(1))
@@ -648,8 +619,6 @@ func (w *Workflow) runSession(ctx context.Context, part *Partitioning, id *ir.Id
 	root.SetStr("namespace", nsFull)
 	name := w.workflowName()
 	start := time.Now()
-	log := w.m.logger.WithRun(nsFull)
-	log.Info("workflow_start").Str("workflow", name).Int("jobs", int64(len(part.Jobs))).Emit()
 	digest := func(status string, res *core.WorkflowResult, runErr error) string {
 		d := obs.RunDigest{
 			Workflow:  name,
@@ -669,12 +638,7 @@ func (w *Workflow) runSession(ctx context.Context, part *Partitioning, id *ir.Id
 			if res.Accuracy != nil {
 				d.PredictedS = res.Accuracy.PredictedMakespanS
 				d.MakespanError = res.Accuracy.MakespanError
-				for _, j := range res.Accuracy.Jobs {
-					d.Jobs = append(d.Jobs, obs.RunJobDigest{
-						Job: j.Job, Engine: j.Engine,
-						PredictedS: j.PredictedS, ActualS: j.ActualS, Error: j.Error,
-					})
-				}
+				d.Jobs = res.Accuracy.Jobs
 			}
 			for _, jr := range res.Jobs {
 				d.Faults += jr.Failures
@@ -693,26 +657,22 @@ func (w *Workflow) runSession(ctx context.Context, part *Partitioning, id *ir.Id
 		if err := base.Copy(path, ns+"/"+path); err != nil {
 			err = fmt.Errorf("musketeer: staging input %q into session: %w", op.Out, err)
 			w.m.metrics.Counter("workflows_failed_total").Add(1)
-			log.Error("workflow_failed").Str("workflow", name).Err(err).Emit()
 			digest("failed", nil, err)
 			return nil, err
 		}
 	}
 	r := &core.Runner{
-		Ctx:      engines.RunContext{DFS: base.Namespace(ns), Cluster: w.m.cluster, Chaos: w.m.chaos},
-		History:  w.m.history,
-		Mode:     w.Mode,
-		Sched:    w.m.sched,
-		Rec:      rec,
-		Span:     root,
-		Metrics:  w.m.metrics,
-		Accuracy: w.m.accuracy,
-		Log:      log,
+		Ctx:     engines.RunContext{DFS: base.Namespace(ns), Cluster: w.m.cluster, Chaos: w.m.chaos},
+		History: w.m.history,
+		Mode:    w.Mode,
+		Sched:   w.m.sched,
+		Rec:     rec,
+		Span:    root,
+		Metrics: w.m.metrics,
 	}
 	res, err := r.ExecuteCtx(ctx, id, part)
 	if err != nil {
 		w.m.metrics.Counter("workflows_failed_total").Add(1)
-		log.Error("workflow_failed").Str("workflow", name).Err(err).Emit()
 		digest("failed", nil, err)
 		return nil, err
 	}
@@ -720,19 +680,12 @@ func (w *Workflow) runSession(ctx context.Context, part *Partitioning, id *ir.Id
 		if err := base.Copy(ns+"/"+sink.Out, sink.Out); err != nil {
 			err = fmt.Errorf("musketeer: publishing output %q: %w", sink.Out, err)
 			w.m.metrics.Counter("workflows_failed_total").Add(1)
-			log.Error("workflow_failed").Str("workflow", name).Err(err).Emit()
 			digest("failed", res, err)
 			return nil, err
 		}
 	}
 	w.m.metrics.Counter("workflows_completed_total").Add(1)
 	runID := digest("ok", res, nil)
-	log.Info("workflow_complete").
-		Str("workflow", name).
-		Str("run_id", runID).
-		Float("makespan_s", float64(res.Makespan)).
-		Float("wall_ms", time.Since(start).Seconds()*1e3).
-		Emit()
 	return &Result{
 		Makespan:     res.Makespan,
 		SumJobTime:   res.SumJobTime,

@@ -75,6 +75,7 @@ type ServeOptions struct {
 // serveJob tracks one submission through the queue.
 type serveJob struct {
 	id     string
+	seq    int64 // submission order; id is "j-<seq>"
 	tenant string
 
 	mu        sync.Mutex
@@ -350,8 +351,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		serveError(w, http.StatusBadRequest, err)
 		return
 	}
+	seq := s.seq.Add(1)
 	job := &serveJob{
-		id:        fmt.Sprintf("j-%d", s.seq.Add(1)),
+		id:        fmt.Sprintf("j-%d", seq),
+		seq:       seq,
 		tenant:    tenant,
 		status:    "queued",
 		submitted: time.Now(),
@@ -477,7 +480,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].id > jobs[b].id })
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq > jobs[b].seq })
 	out := make([]JobStatus, 0, len(jobs))
 	for _, j := range jobs {
 		out = append(out, j.snapshot())

@@ -518,3 +518,69 @@ func TestServeForeignTSVSizesCanonically(t *testing.T) {
 		t.Errorf("simulated makespan %v over the foreign upload, %v over its canonical form", makespans["foreign"], makespans["canon"])
 	}
 }
+
+// TestServeListsJobsNewestFirst: GET /jobs lists a tenant's jobs newest first
+// by submission order — j-10 before j-9, which a comparison of the ids as
+// strings gets wrong — and leaves other tenants' jobs out.
+func TestServeListsJobsNewestFirst(t *testing.T) {
+	ts, _ := serveTestServer(t, musketeer.ServeOptions{Workers: 1}, musketeer.EC2(4))
+	e := relation.New("e", relation.NewSchema("id:int"))
+	e.MustAppend(relation.Row{relation.Int(1)})
+	req, _ := json.Marshal(musketeer.SubmitRequest{
+		Frontend: "beer",
+		Source:   "o = DISTINCT e;",
+		Catalog:  map[string]musketeer.TableSpec{"e": {Path: "in/e", Schema: []string{"id:int"}}},
+	})
+	submit := func(tenant string) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/api/v1/tenants/"+tenant+"/jobs", "application/json", bytes.NewReader(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st musketeer.JobStatus
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit for %s: status %d, err %v", tenant, resp.StatusCode, err)
+		}
+		if done := pollJob(t, ts.URL, tenant, st.ID); done.Status != "ok" {
+			t.Fatalf("job %s failed: %s", st.ID, done.Error)
+		}
+		return st.ID
+	}
+	for _, tenant := range []string{"a", "b"} {
+		resp, err := http.Post(ts.URL+"/api/v1/tenants/"+tenant+"/inputs/in/e", "text/tab-separated-values", bytes.NewReader(e.EncodeBytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("staging for %s: status %d", tenant, resp.StatusCode)
+		}
+	}
+
+	var want []string
+	for i := 0; i < 12; i++ {
+		if i == 5 {
+			submit("b")
+		}
+		want = append([]string{submit("a")}, want...)
+	}
+	resp, err := http.Get(ts.URL + "/api/v1/tenants/a/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []musketeer.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("listing jobs: status %d, err %v", resp.StatusCode, err)
+	}
+	var got []string
+	for _, st := range list {
+		got = append(got, st.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("job list = %v, want %v", got, want)
+	}
+}

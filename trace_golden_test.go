@@ -4,7 +4,7 @@ package musketeer
 // two-engine workflow (structure-only — ZeroTimes strips wall-clock and
 // simulated timings so the bytes are reproducible), and a -race stress test
 // of concurrent traced executions sharing one deployment's metrics registry
-// and accuracy log. Regenerate the golden with
+// and run registry. Regenerate the golden with
 //
 //	go test -run TestTraceGolden -update .
 
@@ -213,7 +213,7 @@ func TestTracedExecuteEndsEverySpan(t *testing.T) {
 }
 
 // TestTracedExecutionsConcurrent drives concurrent traced executions into
-// one shared deployment — one metrics registry, one accuracy log, one
+// one shared deployment — one metrics registry, one run registry, one
 // scheduler. Meaningful under -race (ci.sh runs the suite with it): the
 // per-run recorders must stay independent while the shared instruments
 // absorb all runs.
@@ -259,11 +259,7 @@ func TestTracedExecutionsConcurrent(t *testing.T) {
 	if got := m.Metrics().Counter("workflows_completed_total").Value(); got != runs {
 		t.Errorf("workflows_completed_total = %d, want %d", got, runs)
 	}
-	if got := len(m.Accuracy().Workflows()); got != runs {
-		t.Errorf("accuracy log has %d workflows, want %d", got, runs)
-	}
-	sum := m.Accuracy().Summary()
-	if sum.Workflows != runs || sum.Jobs == 0 {
-		t.Errorf("accuracy summary = %+v, want %d workflows with jobs", sum, runs)
+	if got := m.Runs().Len(); got != runs {
+		t.Errorf("run registry holds %d digests, want %d", got, runs)
 	}
 }
