@@ -5,9 +5,11 @@ package musketeer
 // mechanism working (transient-crash retries, checkpoint spans and
 // checkpoint-rollback recovery on the naiad fragment, straggler slowdown
 // with a speculative backup attempt, DFS read retries) and be byte-stable
-// (ZeroTimes strips wall-clock so only structure is pinned). Regenerate with
+// (ZeroTimes strips wall-clock so only structure is pinned), and a second
+// golden for the same workflow on hadoop alone, whose WHILE is driver-looped.
+// Regenerate with
 //
-//	go test -run TestChaosGolden -update .
+//	go test -run 'TestChaos.*Golden' -update .
 
 import (
 	"bytes"
@@ -16,10 +18,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"musketeer/internal/core"
-	"musketeer/internal/ir"
-	"musketeer/internal/workloads"
 )
 
 // chaosGoldenPlan is tuned so the fixed seed exercises every fault kind on
@@ -46,30 +44,8 @@ func chaosGoldenPlan() *ChaosPlan {
 // task-level re-execution.
 func stageChaosTwoEngine(t *testing.T, m *Musketeer) (*Workflow, *Partitioning) {
 	t.Helper()
-	a := workloads.GenerateGraph("a", 400_000, 2_000_000, 40, 7)
-	b := workloads.GenerateGraph("b", 500_000, 2_500_000, 40, 7)
-	wl := workloads.CrossCommunityPageRank(a, b, 3)
-	if err := wl.Stage(m.fs); err != nil {
-		t.Fatal(err)
-	}
-	dag, err := wl.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf, err := m.FromDAG(dag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf.Optimize()
-	est, err := wf.estimator(ir.Identify(dag))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hadoop, naiad := m.engines["hadoop"], m.engines["naiad"]
-	part, err := core.MapTo(dag, est, hadoop)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wf, _, est, part := stageCrossCommunityOnHadoop(t, m)
+	naiad := m.engines["naiad"]
 	forced := false
 	for i := range part.Jobs {
 		frag := part.Jobs[i].Frag
@@ -85,12 +61,28 @@ func stageChaosTwoEngine(t *testing.T, m *Musketeer) (*Workflow, *Partitioning) 
 	return wf, part
 }
 
-// chaosTrace runs the chaotic two-engine workflow on a fresh deployment and
-// returns the ZeroTimes trace bytes plus the result.
-func chaosTrace(t *testing.T) (string, *Result) {
+// stageChaosHadoop is stageChaosTwoEngine's workflow left as MapTo maps it
+// onto hadoop: the WHILE is driver-looped, so every round's body jobs pull
+// their inputs, draw their read faults and pay for them again.
+func stageChaosHadoop(t *testing.T, m *Musketeer) (*Workflow, *Partitioning) {
+	t.Helper()
+	wf, _, _, part := stageCrossCommunityOnHadoop(t, m)
+	looped := false
+	for i := range part.Jobs {
+		looped = looped || part.Jobs[i].DriverLoop() != nil
+	}
+	if !looped {
+		t.Fatal("hadoop plan has no driver-looped WHILE")
+	}
+	return wf, part
+}
+
+// chaosTrace runs a chaotic workflow, staged by stage on a fresh deployment,
+// and returns the ZeroTimes trace bytes plus the result.
+func chaosTrace(t *testing.T, stage func(*testing.T, *Musketeer) (*Workflow, *Partitioning)) (string, *Result) {
 	t.Helper()
 	m := New(WithTracing(), WithChaos(chaosGoldenPlan()), WithRetries(5))
-	wf, part := stageChaosTwoEngine(t, m)
+	wf, part := stage(t, m)
 	res, err := wf.Run(part)
 	if err != nil {
 		t.Fatal(err)
@@ -109,9 +101,8 @@ func chaosTrace(t *testing.T) (string, *Result) {
 // trace actually demonstrates each recovery mechanism (a quiet plan that
 // injects nothing would be a vacuous golden).
 func TestChaosGolden(t *testing.T) {
-	got, _ := chaosTrace(t)
-
-	for marker, what := range map[string]string{
+	got, _ := chaosTrace(t, stageChaosTwoEngine)
+	checkChaosGolden(t, got, "chaos.golden", map[string]string{
 		`"recover:checkpoint"`: "naiad checkpoint-rollback recovery span",
 		`"recover:task-level"`: "hadoop task re-execution recovery span",
 		`"checkpoint"`:         "periodic checkpoint span",
@@ -119,13 +110,35 @@ func TestChaosGolden(t *testing.T) {
 		`"speculative":1`:      "speculative backup attempt for a straggler",
 		`"straggler":1`:        "straggler slowdown attribute",
 		`"dfs_retries":`:       "DFS read retry accounting",
-	} {
+	})
+}
+
+// TestChaosDriverGolden pins the chaotic execution of the hadoop plan, whose
+// WHILE the runner drives round by round: every round's body jobs open,
+// re-fetch and are charged for their inputs, loop-invariant or not, and the
+// loop checkpoints its carried state after each one.
+func TestChaosDriverGolden(t *testing.T) {
+	got, _ := chaosTrace(t, stageChaosHadoop)
+	checkChaosGolden(t, got, "chaos_driver.golden", map[string]string{
+		`"iteration"`:          "driver-loop round span",
+		`"checkpoint"`:         "per-round checkpoint span",
+		`"recover:task-level"`: "hadoop task re-execution recovery span",
+		`"dfs_retries":`:       "DFS read retry accounting",
+	})
+}
+
+// checkChaosGolden asserts the trace shows each marker — a quiet plan that
+// injects nothing would be a vacuous golden — and compares it against
+// testdata/trace/name, which -update rewrites.
+func checkChaosGolden(t *testing.T, got, name string, markers map[string]string) {
+	t.Helper()
+	for marker, what := range markers {
 		if !strings.Contains(got, marker) {
 			t.Errorf("trace lacks %s (%s)", what, marker)
 		}
 	}
 
-	path := filepath.Join("testdata", "trace", "chaos.golden")
+	path := filepath.Join("testdata", "trace", name)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -137,7 +150,7 @@ func TestChaosGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run `go test -run TestChaosGolden -update .` to create it)", err)
+		t.Fatalf("%v (run `go test -run 'TestChaos.*Golden' -update .` to create it)", err)
 	}
 	if got != string(want) {
 		t.Errorf("chaos trace structure changed.\n--- want\n%s--- got\n%s", string(want), got)
@@ -148,8 +161,8 @@ func TestChaosGolden(t *testing.T) {
 // plan must agree on the injected faults exactly — equal makespans and
 // byte-identical span trees.
 func TestChaosFixedSeedDeterministic(t *testing.T) {
-	trace1, res1 := chaosTrace(t)
-	trace2, res2 := chaosTrace(t)
+	trace1, res1 := chaosTrace(t, stageChaosTwoEngine)
+	trace2, res2 := chaosTrace(t, stageChaosTwoEngine)
 	if res1.Makespan != res2.Makespan {
 		t.Errorf("makespans differ under a fixed seed: %v vs %v", res1.Makespan, res2.Makespan)
 	}

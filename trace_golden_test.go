@@ -23,11 +23,9 @@ import (
 	"musketeer/internal/workloads"
 )
 
-// stageTwoEngine stages the §6.3 cross-community workflow and forces its
-// iterative fragment onto metis with the batch phase on hadoop — the
-// paper's fixed hadoop+metis combination, and the canonical case where one
-// trace shows two engines' phases side by side.
-func stageTwoEngine(t *testing.T, m *Musketeer) (*Workflow, *Partitioning) {
+// stageCrossCommunityOnHadoop stages the §6.3 cross-community workflow,
+// optimizes it and maps it onto hadoop alone.
+func stageCrossCommunityOnHadoop(t *testing.T, m *Musketeer) (*Workflow, *ir.DAG, *core.Estimator, *Partitioning) {
 	t.Helper()
 	// Same seed and mean degree: the two communities share every edge, so
 	// the intersection (and the PageRank over it) is non-trivial.
@@ -50,11 +48,21 @@ func stageTwoEngine(t *testing.T, m *Musketeer) (*Workflow, *Partitioning) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hadoop, metis := m.engines["hadoop"], m.engines["metis"]
-	part, err := core.MapTo(dag, est, hadoop)
+	part, err := core.MapTo(dag, est, m.engines["hadoop"])
 	if err != nil {
 		t.Fatal(err)
 	}
+	return wf, dag, est, part
+}
+
+// stageTwoEngine stages the §6.3 cross-community workflow and forces its
+// iterative fragment onto metis with the batch phase on hadoop — the
+// paper's fixed hadoop+metis combination, and the canonical case where one
+// trace shows two engines' phases side by side.
+func stageTwoEngine(t *testing.T, m *Musketeer) (*Workflow, *Partitioning) {
+	t.Helper()
+	wf, dag, est, part := stageCrossCommunityOnHadoop(t, m)
+	metis := m.engines["metis"]
 	// A driver-looped WHILE is always a job of its own and carries the plan
 	// of its body, so the metis plan's WHILE job replaces hadoop's whole.
 	onMetis, err := core.MapTo(dag, est, metis)
