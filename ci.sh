@@ -24,7 +24,8 @@
 # Named gates (each one a stage so a regression names itself):
 #   golden trace      — the two-engine workflow's span tree is byte-stable
 #   chaos golden      — a seeded fault plan yields a byte-stable trace of
-#                       retries, checkpoints, recoveries and speculation
+#                       retries, checkpoints, recoveries and speculation,
+#                       and of a driver loop's per-round pulls and re-fetches
 #   alloc guard       — tracing off adds zero allocations to hot paths:
 #                       a nil recorder's spans and a nil registry's
 #                       counters, gauges and histograms are free no-ops
@@ -108,7 +109,7 @@ bench_gate() {
     # and allocs/op scale with the chunk count.
     go test -bench 'BenchmarkKernel|BenchmarkRowKey|BenchmarkSortRows|BenchmarkEncodeDecode|BenchmarkPartitionExhaustive|BenchmarkPartitionDynamic|BenchmarkStream|BenchmarkPhysicalBytes' \
         -benchmem -run '^$' -count=3 -cpu 1 -timeout 20m \
-        ./internal/exec ./internal/relation ./internal/bench > "$SCRATCH/bench_fresh.txt"
+        ./internal/exec ./internal/relation ./internal/bench ./internal/core > "$SCRATCH/bench_fresh.txt"
     go run ./cmd/mkbenchgate -kernels BENCH_kernels.json -bench "$SCRATCH/bench_fresh.txt"
 }
 
@@ -153,7 +154,7 @@ fi
 
 if [ "$GROUP" = all ] || [ "$GROUP" = gates ]; then
     stage "golden trace" go test -count=1 -timeout 5m -run 'TestTraceGolden' .
-    stage "chaos golden" go test -count=1 -timeout 5m -run 'TestChaosGolden' .
+    stage "chaos golden" go test -count=1 -timeout 5m -run 'TestChaos(Driver)?Golden' .
     stage "obs disabled-path alloc guard" go test -count=1 -timeout 5m -run 'TestDisabledPathAllocs' ./internal/obs
     stage "telemetry scrape gate" \
         go test -count=1 -timeout 5m -run 'TestDebugServerScrape|TestConcurrentScrapeDuringChaoticExecutes|TestPrometheusLinesValid|TestPrometheusByteStableAcrossScrapes' . ./internal/obs

@@ -265,7 +265,8 @@ func (r *Runner) runJob(jctx context.Context, base engines.RunContext, sp *obs.S
 // never mutated, so one compiled workflow can run this driver from many
 // executions at once. Job overheads and DFS round-trips are paid every
 // iteration, which is exactly the cost the paper attributes to iterative
-// workflows on MapReduce-class systems.
+// workflows on MapReduce-class systems; only the host's own work of decoding
+// and indexing a loop-invariant input is done once per body job.
 func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.Op, part *Partitioning) ([]*engines.RunResult, cluster.Seconds, error) {
 	if part == nil {
 		return nil, 0, fmt.Errorf("core: WHILE %s is driver-looped but its job carries no body plan", w.Out)
@@ -307,8 +308,32 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 		}
 		return name
 	}
-	lctx := rctx
-	lctx.DFS = loopFS
+	// An input is loop-invariant when no round rewrites its loop copy: no
+	// carried relation is rebound onto it and no body job writes it. Each
+	// body job keeps what its rounds decode and index of those inputs in a
+	// share of its own: one job's rounds, retries and backups run one after
+	// another, while jobs of one round may run concurrently.
+	written := make(map[string]bool, len(body.Ops))
+	for _, bop := range body.Ops {
+		if bop.Type != ir.OpInput {
+			written[bop.Out] = true
+		}
+	}
+	for inName := range w.Params.Carried {
+		written[loopPath(inName)] = true
+	}
+	invariant := make(map[string]bool, len(inPath))
+	for name, p := range inPath {
+		if !written[p] {
+			invariant[name] = true
+		}
+	}
+	lctxs := make([]engines.RunContext, len(part.Jobs))
+	for ji := range lctxs {
+		lctxs[ji] = rctx
+		lctxs[ji].DFS = loopFS
+		lctxs[ji].Loop = engines.NewLoopShare(invariant)
+	}
 
 	bodyDeps := jobDeps(part)
 	// Precomputed span names: zero per-iteration allocation when tracing
@@ -351,7 +376,7 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 				Run: func(jctx context.Context, attempt int) (sched.Result, error) {
 					bsp := r.Rec.StartSpan(isp, bodySpanNames[ji], "job")
 					defer bsp.End()
-					runs, dur, err := r.runJob(jctx, lctx, bsp, bodyID, job, attempt)
+					runs, dur, err := r.runJob(jctx, lctxs[ji], bsp, bodyID, job, attempt)
 					return sched.Result{Value: runs, Duration: dur}, err
 				},
 			}

@@ -39,6 +39,47 @@ type RunContext struct {
 	Rec     *obs.Recorder
 	Span    *obs.Span
 	Metrics *obs.Registry
+	// Loop is the share of a driver-looped WHILE's body job (see LoopShare);
+	// nil for every other job.
+	Loop *LoopShare
+}
+
+// LoopShare is what one body job of a driver-looped WHILE keeps from round
+// to round: the rows of each loop-invariant input a round materialized, the
+// bytes decoding them metered, and the join tables built over them. A later
+// round still opens, verifies and is charged for every input, and draws its
+// read faults; it only skips decoding and indexing rows it already holds.
+// Inputs that stream are decoded every round: their rows never outlive one.
+// A job's rounds, retries and speculative backups run one after another, so
+// a share has one user at a time.
+type LoopShare struct {
+	invariant map[string]bool // input names whose bytes no round rewrites
+	held      map[string]*heldInput
+	joins     exec.JoinTables
+}
+
+// heldInput is an invariant input's rows as a round materialized them, and
+// the physical bytes that round's decoding metered.
+type heldInput struct {
+	rel  *relation.Relation
+	phys int64
+}
+
+// NewLoopShare returns an empty share for a body job whose inputs named in
+// invariant hold the same bytes every round.
+func NewLoopShare(invariant map[string]bool) *LoopShare {
+	return &LoopShare{invariant: invariant, held: map[string]*heldInput{}, joins: exec.JoinTables{}}
+}
+
+// keep records the invariant inputs a round materialized whole into env,
+// where RunOps binds every input it does not stream.
+func (s *LoopShare) keep(pulled []pulledInput, env exec.Env) {
+	for _, in := range pulled {
+		name := in.src.Name
+		if rel := env[name]; rel != nil && in.held == nil && s.invariant[name] {
+			s.held[name] = &heldInput{rel: rel, phys: in.src.PhysicalBytes()}
+		}
+	}
 }
 
 // Context returns the execution context, defaulting to Background.
@@ -119,12 +160,16 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 	}
 	// A physical-only input is sized by the rows decoded from it — their
 	// text length, whatever codec they were stored in — which a streamed
-	// input only is once the process phase has run; a re-read moves it twice.
+	// input only is once the process phase has run, and a held one was in the
+	// round that decoded it; a re-read moves it twice.
 	var pullBytes int64
 	for _, in := range pulled {
 		b := in.src.LogicalBytes
 		if b <= 0 {
 			b = in.src.PhysicalBytes()
+			if in.held != nil {
+				b = in.held.phys
+			}
 		}
 		if in.reread {
 			b *= 2
@@ -166,10 +211,12 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 	return res, nil
 }
 
-// pulledInput is one external input the pull phase opened; reread says the
-// chaos plan failed the first block read.
+// pulledInput is one external input the pull phase opened; held is the rows
+// an earlier round of the job's loop materialized from the same bytes, if
+// any; reread says the chaos plan failed the first block read.
 type pulledInput struct {
 	src    *relation.Encoded
+	held   *heldInput
 	reread bool
 }
 
@@ -193,6 +240,9 @@ func runPull(ctx RunContext, p *Plan) ([]pulledInput, int, *obs.Span, error) {
 		}
 		src.Name = in.Out
 		pulled[i] = pulledInput{src: src}
+		if ctx.Loop != nil {
+			pulled[i].held = ctx.Loop.held[in.Out]
+		}
 		if ctx.Chaos.FailsRead(p.Frag.Name(), ctx.Attempt, i) {
 			pulled[i].reread = true
 			retries++
@@ -230,11 +280,18 @@ func runProcess(ctx RunContext, p *Plan, pulled []pulledInput) (*exec.Trace, map
 			sinks[op.Out] = relation.NewWriter(relation.Schema{})
 		}
 	}
+	// A held input is bound as the rows an earlier round decoded; the rest
+	// are handed over undecoded, and RunOps streams or materializes each.
+	env := exec.Env{}
 	sources := make(map[string]*relation.Encoded, len(pulled))
 	for _, in := range pulled {
-		sources[in.src.Name] = in.src
+		if in.held != nil {
+			env[in.src.Name] = in.held.rel
+		} else {
+			sources[in.src.Name] = in.src
+		}
 	}
-	err := exec.RunOps(p.Frag.Ops, exec.Env{}, trace, exec.RunOptions{
+	opts := exec.RunOptions{
 		// Cancellation is observed at execution-unit granularity: a
 		// cancelled multi-operator job stops between kernels/pipelines
 		// instead of running the whole fragment to completion.
@@ -242,9 +299,15 @@ func runProcess(ctx RunContext, p *Plan, pulled []pulledInput) (*exec.Trace, map
 		SkipInputs: true,
 		Sources:    sources,
 		Sinks:      sinks,
-	})
-	if err != nil {
+	}
+	if ctx.Loop != nil {
+		opts.Joins = ctx.Loop.joins
+	}
+	if err := exec.RunOps(p.Frag.Ops, env, trace, opts); err != nil {
 		return nil, nil, sp, fmt.Errorf("%s: job %s: %w", p.Engine.Name(), p.Frag.Name(), err)
+	}
+	if ctx.Loop != nil {
+		ctx.Loop.keep(pulled, env)
 	}
 	ops := 0
 	for _, op := range p.Frag.Ops {

@@ -303,14 +303,14 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 			}
 			// Hash join: build on the right input, probe with the streaming
 			// left. The table is read-only once complete, so concurrent
-			// chunk pipelines share it, and a WHILE body's next iteration
-			// reuses it while its build side is the same relation.
-			if built := opts.joins[op]; built.rel == sp.buildRel {
+			// chunk pipelines share it, and a loop's next round reuses it
+			// while its build side is the same relation.
+			if built := opts.Joins[op]; built.rel == sp.buildRel {
 				sp.build = built.table
 			} else {
 				sp.build = buildJoinTable(sp.buildRel.Rows, sp.js.rIdx)
-				if opts.joins != nil {
-					opts.joins[op] = builtJoin{sp.buildRel, sp.build}
+				if opts.Joins != nil {
+					opts.Joins[op] = builtJoin{sp.buildRel, sp.build}
 				}
 			}
 		case ir.OpAgg:

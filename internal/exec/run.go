@@ -232,9 +232,17 @@ type RunOptions struct {
 	// pipeline ending in it if no operator reads it (see runChain), else in
 	// one Append of the relation its unit materialized into env.
 	Sinks map[string]*relation.Writer
-	uses  map[string]int       // nameUses(ops), when Sources or Sinks ask
-	joins map[*ir.Op]builtJoin // a WHILE body's join tables, kept across iterations
+	// Joins, when non-nil, keeps the join tables the run builds, for the
+	// next run of the same operators: a JOIN whose build side is the very
+	// relation it indexed last time probes that table instead of building
+	// one. A loop's rounds pass one.
+	Joins JoinTables
+	uses  map[string]int // nameUses(ops), when Sources or Sinks ask
 }
+
+// JoinTables holds, per JOIN operator, the table a run built and the
+// build-side relation it indexes. It has one user at a time.
+type JoinTables map[*ir.Op]builtJoin
 
 // builtJoin is a join table and the build relation it indexes.
 type builtJoin struct {
@@ -412,7 +420,7 @@ func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 		Keep:      func(bop *ir.Op) bool { return keepNames[bop.Out] || opts.Keep != nil && opts.Keep(bop) },
 		BatchRows: opts.BatchRows,
 		Check:     opts.Check,
-		joins:     make(map[*ir.Op]builtJoin),
+		Joins:     make(JoinTables),
 	}
 	units := planUnits(bodyOps, bodyOpts.Keep)
 	maxIter := op.Params.MaxIter
