@@ -66,8 +66,8 @@ func TestLoadKernelBaselineFromCommittedArtifact(t *testing.T) {
 	}
 	// Groups other than "kernels" (row_key, sort, codec, partitioning) must
 	// be picked up too, and non-benchmark entries skipped.
-	if _, ok := base["BenchmarkSortRows/parallel"]; !ok {
-		t.Error("nested group entry BenchmarkSortRows/parallel not loaded")
+	if _, ok := base["BenchmarkSortRows/serial"]; !ok {
+		t.Error("nested group entry BenchmarkSortRows/serial not loaded")
 	}
 	for name := range base {
 		if !strings.HasPrefix(name, "Benchmark") {

@@ -7,22 +7,18 @@ import (
 	"musketeer/internal/engines"
 	"musketeer/internal/exec"
 	"musketeer/internal/ir"
-	"musketeer/internal/relation"
 )
 
 // TestCrossEngineEqualityParallelKernels re-runs the cross-engine decoupling
-// property with every parallel fast path forced on — data-parallel kernels
-// (sort, join probe, aggregate, filter) and the chunk-parallel TSV codecs —
-// so small test relations exercise the concurrent code. Results must still
-// be identical across engines and identical to the serial paths' history.
+// property with every pipeline split in two halves (join probe, aggregate,
+// filter), so small test relations exercise the concurrent code. Results
+// must still be identical across engines and identical to the serial paths'
+// history.
 func TestCrossEngineEqualityParallelKernels(t *testing.T) {
 	oldPT := exec.ParallelThreshold
-	oldCT := relation.CodecParallelThreshold
 	exec.ParallelThreshold = 1
-	relation.CodecParallelThreshold = 1
 	defer func() {
 		exec.ParallelThreshold = oldPT
-		relation.CodecParallelThreshold = oldCT
 	}()
 
 	c := cluster.Local(7)

@@ -219,7 +219,8 @@ func selectAggFragment(t testing.TB, sch relation.Schema) *ir.Fragment {
 var raceBuild bool
 
 // allocsPerJob runs the job a few times and returns objects and bytes
-// allocated per run, single-core so no chunk goroutines add their own.
+// allocated per run, on one P so stage arenas recycle through one sync.Pool
+// shard whichever half of a split pipeline put them back.
 func allocsPerJob(t testing.TB, fs *dfs.DFS, frag *ir.Fragment) (objects, bytes float64) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

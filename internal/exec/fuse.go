@@ -154,12 +154,13 @@ func (c *chain) runRange(lo, hi int, dst []relation.Row, part *relation.Part) ra
 	return res
 }
 
-// run streams the input through the pipeline — chunk-parallel above
-// ParallelThreshold, at row boundaries that depend on the row count alone,
-// so a streamed file splits exactly where its materialized rows would — and
-// merges the ranges' results into one: the materialized rows or the
-// aggregation table (a sink's ranges each fill their own part), and the
-// summed taps.
+// run streams the input through the pipeline and merges the ranges' results
+// into one: the materialized rows or the aggregation table (a sink's ranges
+// each fill their own part), and the summed taps. Below ParallelThreshold
+// rows the input is one range; from there up it is two halves, [0, (n+1)/2)
+// and [(n+1)/2, n), run concurrently. The cut depends on the row count
+// alone, so a streamed file splits exactly where its materialized rows
+// would, and every host computes the same relation, float sums included.
 func (c *chain) run() (rangeResult, error) {
 	rows := c.rows
 	// A row-preserving pipeline emits exactly its scan range, so its output
@@ -168,22 +169,20 @@ func (c *chain) run() (rangeResult, error) {
 	if c.rowPreserving && c.sink == nil {
 		window = make([]relation.Row, rows)
 	}
-	var ranges [][2]int
-	if rows >= ParallelThreshold {
-		ranges = relation.ChunkRanges(rows)
-	}
-	if len(ranges) < 2 {
+	if rows < max(ParallelThreshold, 2) {
 		res := c.runRange(0, rows, window[:0], c.sink.Part())
 		return res, res.err
 	}
+	mid := (rows + 1) / 2
+	ranges := [2][2]int{{0, mid}, {mid, rows}}
 	// Combiner-style evaluation: every aggregator merges once AVG is
 	// decomposed into SUM+COUNT (the decomposition Musketeer's generated
-	// GROUP BY uses, §6.2; float sums only up to rounding, see
-	// aggTable.absorb), and the row stages are embarrassingly parallel,
-	// so ranges run concurrently and merge in range order — which preserves
-	// the serial row order (ranges are contiguous) and the serial group
+	// GROUP BY uses, §6.2; float sums up to rounding, see aggTable.absorb),
+	// and the row stages are embarrassingly parallel, so the halves run
+	// concurrently and merge in range order — which preserves the serial
+	// row order (ranges are contiguous) and the serial group
 	// first-appearance order.
-	results := make([]rangeResult, len(ranges))
+	var results [2]rangeResult
 	var wg sync.WaitGroup
 	for ri, rg := range ranges {
 		var dst []relation.Row
@@ -229,7 +228,7 @@ func (c *chain) run() (rangeResult, error) {
 // runChain executes one pipeline: it resolves every member against the
 // environment, streams the head's input — a bound relation, or an opened
 // external input only this head reads (opts.Sources) — through the composed
-// stages (chunk-parallel above ParallelThreshold), materializes only the
+// stages (two halves from ParallelThreshold rows), materializes only the
 // last member's output — unless that streams into its sink (opts.Sinks) and
 // nil is returned — and records every member's trace entry: interior members
 // from their taps, the last from the relation or the writer.

@@ -252,8 +252,8 @@ func (t *aggTable) newState(row relation.Row) aggState {
 // preserving t's first-appearance order and appending o's new groups in o's
 // order. COUNT, MIN, MAX and integer SUM merge exactly; a float SUM / AVG is
 // associative only up to rounding, so its low bits follow where the ranges
-// were cut, and so the core count (an open defect: ROADMAP item 3, "A
-// relation does not depend on the host's core count").
+// were cut — which chain.run decides from the row count alone, so they are
+// the same on every host.
 func (t *aggTable) absorb(o *aggTable) {
 	ns := len(t.sp.sumCol)
 	for i := range o.states {

@@ -157,17 +157,6 @@ func BenchmarkKernelAgg(b *testing.B) {
 	}, in)
 }
 
-func BenchmarkKernelAggParallel(b *testing.B) {
-	old := ParallelThreshold
-	ParallelThreshold = 1
-	defer func() { ParallelThreshold = old }()
-	in := benchRelation(20000, 128)
-	benchOp(b, ir.OpAgg, ir.Params{
-		GroupBy: []string{"k"},
-		Aggs:    []ir.AggSpec{{Func: ir.AggSum, Col: "v", As: "s"}},
-	}, in)
-}
-
 func BenchmarkKernelDistinct(b *testing.B) {
 	in := benchRelation(20000, 5000)
 	benchOp(b, ir.OpDistinct, ir.Params{}, in)

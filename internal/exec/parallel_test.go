@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -11,15 +12,13 @@ import (
 	"musketeer/internal/relation"
 )
 
-// withThreshold runs fn with ParallelThreshold temporarily lowered, and
-// GOMAXPROCS raised so chunkRanges really splits, so pipelines run
-// chunk-parallel on small test data even on a one-core host.
+// withThreshold runs fn with ParallelThreshold temporarily lowered, so
+// pipelines split in two halves on small test data.
 func withThreshold(t *testing.T, n int, fn func()) {
 	t.Helper()
 	old := ParallelThreshold
 	ParallelThreshold = n
 	defer func() { ParallelThreshold = old }()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	fn()
 }
 
@@ -129,9 +128,6 @@ func TestParallelRangeErrorFailsUnit(t *testing.T) {
 	}
 	c := scan(in.Rows)
 	withThreshold(t, 1, func() {
-		if n := len(relation.ChunkRanges(len(in.Rows))); n < 2 {
-			t.Fatalf("input split into %d ranges", n)
-		}
 		_, err := c.run()
 		if err == nil || !strings.Contains(err.Error(), "block 7 lost") {
 			t.Errorf("err = %v, want the failing range's error", err)
@@ -169,27 +165,6 @@ func TestUnresolvableOperandFailsBeforeAnyRowIsRead(t *testing.T) {
 	}
 }
 
-func TestChunkRanges(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 100, 4097} {
-		ranges := relation.ChunkRanges(n)
-		covered := 0
-		last := 0
-		for _, rg := range ranges {
-			if rg[0] != last {
-				t.Fatalf("n=%d: gap at %d", n, rg[0])
-			}
-			if rg[1] <= rg[0] {
-				t.Fatalf("n=%d: empty range %v", n, rg)
-			}
-			covered += rg[1] - rg[0]
-			last = rg[1]
-		}
-		if covered != n {
-			t.Errorf("n=%d: covered %d", n, covered)
-		}
-	}
-}
-
 func TestParallelAggregateMatchesSerial(t *testing.T) {
 	in := bigIntRelation("t", 6000, 5)
 	d := ir.NewDAG()
@@ -223,4 +198,43 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 			}
 		}
 	})
+
+	// A float SUM / AVG merges only up to rounding, and a columnar sink's
+	// halves cut their own row groups: both follow where the input is cut,
+	// which the row count alone decides, so every GOMAXPROCS gives the same
+	// bits and the same bytes.
+	r := rand.New(rand.NewSource(6))
+	floats := relation.New("f", relation.NewSchema("k:int", "w:float"))
+	for i := 0; i < 3*ParallelThreshold+100; i++ { // halves end mid-batch
+		floats.MustAppend(relation.Row{relation.Int(int64(r.Intn(4))), relation.Float(r.Float64() * 1e6)})
+	}
+	fsrc := d.AddInput("f", "in/f", floats.Schema)
+	sums := d.Add(ir.OpAgg, "sums", ir.Params{GroupBy: []string{"k"}, Aggs: []ir.AggSpec{
+		{Func: ir.AggSum, Col: "w", As: "s"},
+		{Func: ir.AggAvg, Col: "w", As: "avg"},
+	}}, fsrc)
+	halved := d.Add(ir.OpArith, "halved", ir.Params{Dst: "w", ALeft: ir.ColRef("w"), AOp: ir.ArithMul, ARght: ir.LitOp(relation.Float(0.5))}, fsrc)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var wantSums, wantCol []byte
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		out, err := EvalOp(sums, []*relation.Relation{floats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := relation.NewColumnarWriter(relation.Schema{})
+		if err := RunOps([]*ir.Op{fsrc, halved}, Env{"f": floats}, nil, RunOptions{Sinks: map[string]*relation.Writer{"halved": col}}); err != nil {
+			t.Fatal(err)
+		}
+		gotSums, gotCol := out.EncodeBytes(), col.Bytes() // floats render shortest round-trip: equal text is equal bits
+		if wantSums == nil {
+			wantSums, wantCol = gotSums, gotCol
+		}
+		if !bytes.Equal(gotSums, wantSums) {
+			t.Errorf("GOMAXPROCS %d: float sums\n%s\nat GOMAXPROCS 1:\n%s", procs, gotSums, wantSums)
+		}
+		if !bytes.Equal(gotCol, wantCol) {
+			t.Errorf("GOMAXPROCS %d: the columnar sink's %d bytes differ from GOMAXPROCS 1's %d", procs, len(gotCol), len(wantCol))
+		}
+	}
 }

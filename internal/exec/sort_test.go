@@ -2,86 +2,23 @@ package exec
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"musketeer/internal/relation"
 )
 
-// sortTestRows builds rows with heavy key duplication plus a unique tag
-// column, so stability violations are observable.
-func sortTestRows(n int, seed int64) []relation.Row {
-	r := rand.New(rand.NewSource(seed))
-	rows := make([]relation.Row, n)
-	for i := range rows {
-		rows[i] = relation.Row{
-			relation.Int(int64(r.Intn(16))), // sort key: many ties
-			relation.Int(int64(i)),          // input position tag
-		}
-	}
-	return rows
-}
-
-// TestParallelSortMatchesSerial checks that the parallel merge sort produces
-// exactly the serial stable sort's row order — same keys AND same tie order —
-// for ascending and descending sorts across sizes that hit uneven chunk
-// splits and odd run counts.
-func TestParallelSortMatchesSerial(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 100, 4095, 4096, 4097, 10000} {
-		for _, desc := range []bool{false, true} {
-			rows := sortTestRows(n, int64(n)+1)
-			keyIdx := []int{0}
-
-			serial := make([]relation.Row, n)
-			copy(serial, rows)
-			sort.SliceStable(serial, func(i, j int) bool {
-				c := serial[i][0].Compare(serial[j][0])
-				if desc {
-					return c > 0
-				}
-				return c < 0
-			})
-
-			old := ParallelThreshold
-			ParallelThreshold = 1
-			parallel := sortRowsBy(rows, keyIdx, desc)
-			ParallelThreshold = old
-
-			if len(parallel) != n {
-				t.Fatalf("n=%d desc=%v: got %d rows", n, desc, len(parallel))
-			}
-			for i := range serial {
-				if !serial[i][0].Equal(parallel[i][0]) || !serial[i][1].Equal(parallel[i][1]) {
-					t.Fatalf("n=%d desc=%v: row %d is %v, want %v (stability broken)",
-						n, desc, i, parallel[i], serial[i])
-				}
-			}
-			// Input must not be mutated (other operators share the slice).
-			for i := range rows {
-				if rows[i][1].I != int64(i) {
-					t.Fatalf("n=%d desc=%v: input mutated at %d", n, desc, i)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkSortRows measures the sort kernel serially and in parallel on the
-// same 100k-row input.
+// BenchmarkSortRows measures the sort kernel on 100k rows with heavy key
+// duplication (16 distinct keys) plus a unique tag column.
 func BenchmarkSortRows(b *testing.B) {
-	rows := sortTestRows(100000, 42)
-	keyIdx := []int{0}
-	bench := func(name string, threshold int) {
-		b.Run(name, func(b *testing.B) {
-			old := ParallelThreshold
-			ParallelThreshold = threshold
-			defer func() { ParallelThreshold = old }()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = sortRowsBy(rows, keyIdx, false)
-			}
-		})
+	r := rand.New(rand.NewSource(42))
+	rows := make([]relation.Row, 100000)
+	for i := range rows {
+		rows[i] = relation.Row{relation.Int(int64(r.Intn(16))), relation.Int(int64(i))}
 	}
-	bench("serial", 1<<30)
-	bench("parallel", 1)
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = sortRowsBy(rows, []int{0}, false)
+		}
+	})
 }

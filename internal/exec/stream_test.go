@@ -216,9 +216,8 @@ func sameRelation(t *testing.T, name string, want, got *relation.Relation) {
 	if want.LogicalBytes != got.LogicalBytes {
 		t.Errorf("%s: LogicalBytes %d vs %d", name, want.LogicalBytes, got.LogicalBytes)
 	}
-	if !bytes.Equal(want.EncodeBytesOpts(relation.CodecOptions{}), got.EncodeBytesOpts(relation.CodecOptions{})) {
-		t.Fatalf("%s: rows differ\nwant:\n%s\ngot:\n%s", name,
-			want.EncodeBytesOpts(relation.CodecOptions{}), got.EncodeBytesOpts(relation.CodecOptions{}))
+	if !bytes.Equal(want.EncodeBytes(), got.EncodeBytes()) {
+		t.Fatalf("%s: rows differ\nwant:\n%s\ngot:\n%s", name, want.EncodeBytes(), got.EncodeBytes())
 	}
 }
 

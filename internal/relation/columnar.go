@@ -67,8 +67,8 @@ func NewColumnarWriter(schema Schema) *Writer {
 
 // EncodeColumnar returns the relation as a columnar stream: the bytes of a
 // columnar Writer handed every row.
-func (r *Relation) EncodeColumnar(o CodecOptions) []byte {
-	return r.encode(NewColumnarWriter(r.Schema), o)
+func (r *Relation) EncodeColumnar(CodecOptions) []byte {
+	return r.encode(NewColumnarWriter(r.Schema))
 }
 
 // DecodeColumnar is DecodeBytes, which sniffs the codec, under the name the

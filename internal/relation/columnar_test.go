@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -55,32 +56,30 @@ func adversarialRelation(tsvSafe bool) *Relation {
 
 // TestColumnarRoundTripMatchesTSV proves columnar Encode→Decode is
 // row-identical to TSV Encode→Decode for every TSV-representable
-// adversarial value, serially and chunk-parallel.
+// adversarial value.
 func TestColumnarRoundTripMatchesTSV(t *testing.T) {
 	t.Parallel()
 	r := adversarialRelation(true)
 	r.LogicalBytes = 12345
 
-	viaTSV, err := DecodeBytes("adv", r.EncodeBytesOpts(forceSerial))
+	viaTSV, err := DecodeBytes("adv", r.EncodeBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, opts := range map[string]CodecOptions{"serial": forceSerial, "parallel": forceParallel} {
-		enc := r.EncodeColumnar(opts)
-		if !bytes.HasPrefix(enc, columnarMagic[:]) {
-			t.Fatalf("%s: columnar stream does not start with the magic", name)
-		}
-		viaCol, err := DecodeBytes("adv", enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rowsEqual(t, viaCol.Rows, viaTSV.Rows, name+": columnar vs TSV round trip")
-		if viaCol.LogicalBytes != viaTSV.LogicalBytes {
-			t.Fatalf("%s: logical bytes %d != %d", name, viaCol.LogicalBytes, viaTSV.LogicalBytes)
-		}
-		if !viaCol.Schema.Equal(viaTSV.Schema) {
-			t.Fatalf("%s: schema %s != %s", name, viaCol.Schema, viaTSV.Schema)
-		}
+	enc := r.EncodeColumnar(CodecOptions{})
+	if !bytes.HasPrefix(enc, columnarMagic[:]) {
+		t.Fatal("columnar stream does not start with the magic")
+	}
+	viaCol, err := DecodeBytes("adv", enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsEqual(t, viaCol.Rows, viaTSV.Rows, "columnar vs TSV round trip")
+	if viaCol.LogicalBytes != viaTSV.LogicalBytes {
+		t.Fatalf("logical bytes %d != %d", viaCol.LogicalBytes, viaTSV.LogicalBytes)
+	}
+	if !viaCol.Schema.Equal(viaTSV.Schema) {
+		t.Fatalf("schema %s != %s", viaCol.Schema, viaTSV.Schema)
 	}
 }
 
@@ -96,16 +95,30 @@ func TestColumnarRoundTripExact(t *testing.T) {
 	rowsEqual(t, dec.Rows, r.Rows, "columnar exact round trip")
 }
 
-// TestColumnarParallelMatchesSerial: parts filled by concurrent goroutines
-// cut their own row groups, so the streams differ in where groups end and in
-// nothing a reader can see — the same rows, the same text size.
+// TestColumnarParallelMatchesSerial: a pipeline split in two halves fills a
+// part per half from its own goroutine, and parts cut their own row groups,
+// so the streams differ from one part's in where groups end and in nothing a
+// reader can see — the same rows, the same text size.
 func TestColumnarParallelMatchesSerial(t *testing.T) {
 	t.Parallel()
 	r := codecRelation(5000)
+	mid := (len(r.Rows) + 1) / 2
 	var decoded [2]*Relation
-	for i, o := range []CodecOptions{forceSerial, forceParallel} {
+	for i, halves := range []bool{false, true} {
 		w := NewColumnarWriter(r.Schema)
-		w.append(r.Rows, o)
+		if halves {
+			var wg sync.WaitGroup
+			for _, rows := range [][]Row{r.Rows[:mid], r.Rows[mid:]} {
+				wg.Add(1)
+				go func(p *Part) {
+					defer wg.Done()
+					p.Append(rows)
+				}(w.Part()) // parts open in row order
+			}
+			wg.Wait()
+		} else {
+			w.Append(r.Rows)
+		}
 		if w.Rows() != len(r.Rows) || w.BodyBytes() != r.PhysicalBytes() {
 			t.Fatalf("writer %d holds %d rows, %d text bytes; want %d, %d", i, w.Rows(), w.BodyBytes(), len(r.Rows), r.PhysicalBytes())
 		}
@@ -114,7 +127,7 @@ func TestColumnarParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sameRows(t, "parallel vs serial parts", decoded[1].Rows, decoded[0].Rows)
+	sameRows(t, "two halves vs one part", decoded[1].Rows, decoded[0].Rows)
 }
 
 // TestColumnarEmptyRelation round-trips a zero-row relation.

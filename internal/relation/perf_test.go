@@ -1,14 +1,13 @@
 package relation
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 )
 
 // codecRelation builds a relation with mixed types and adversarial values
-// (empty strings, colons, negative floats) sized to exercise both codec
-// paths.
+// (empty strings, colons, negative floats) for the codec tests and
+// benchmarks.
 func codecRelation(rows int) *Relation {
 	r := New("t", NewSchema("id:int", "w:float", "s:string"))
 	for i := 0; i < rows; i++ {
@@ -24,58 +23,6 @@ func codecRelation(rows int) *Relation {
 	}
 	r.LogicalBytes = 1 << 20
 	return r
-}
-
-var (
-	forceSerial   = CodecOptions{ParallelThreshold: 1 << 30}
-	forceParallel = CodecOptions{ParallelThreshold: 1}
-)
-
-// TestParallelCodecMatchesSerial forces the chunk-parallel Encode/DecodeBytes
-// paths on small data and checks they are byte- and row-identical to the
-// serial paths. Thresholds are per-call options, so this runs in parallel
-// with every other codec test without racing on package state.
-func TestParallelCodecMatchesSerial(t *testing.T) {
-	t.Parallel()
-	r := codecRelation(500)
-
-	serial := r.EncodeBytesOpts(forceSerial)
-	parallel := r.EncodeBytesOpts(forceParallel)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatal("parallel Encode produced different bytes than serial")
-	}
-
-	for name, enc := range map[string][]byte{"serial": serial, "parallel": parallel} {
-		dec, err := DecodeBytes("t", enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(dec.Rows) != len(r.Rows) {
-			t.Fatalf("%s: decoded %d rows, want %d", name, len(dec.Rows), len(r.Rows))
-		}
-		for i := range r.Rows {
-			for j := range r.Rows[i] {
-				if !dec.Rows[i][j].Equal(r.Rows[i][j]) {
-					t.Fatalf("%s: row %d col %d: %v != %v", name, i, j, dec.Rows[i][j], r.Rows[i][j])
-				}
-			}
-		}
-		if dec.LogicalBytes != r.LogicalBytes {
-			t.Errorf("%s: logical bytes %d != %d", name, dec.LogicalBytes, r.LogicalBytes)
-		}
-	}
-}
-
-// TestCodecOptionsDefaultThreshold pins that a zero CodecOptions falls back
-// to the package default.
-func TestCodecOptionsDefaultThreshold(t *testing.T) {
-	t.Parallel()
-	if got := (CodecOptions{}).threshold(); got != CodecParallelThreshold {
-		t.Fatalf("zero options threshold = %d, want %d", got, CodecParallelThreshold)
-	}
-	if got := (CodecOptions{ParallelThreshold: 3}).threshold(); got != 3 {
-		t.Fatalf("explicit threshold = %d, want 3", got)
-	}
 }
 
 // BenchmarkRowKey compares the legacy allocation-per-row string key against
@@ -105,48 +52,36 @@ func BenchmarkRowKey(b *testing.B) {
 	})
 }
 
-// BenchmarkEncodeDecode measures the TSV codecs serially and chunk-parallel
-// on the same 20k-row relation, plus the columnar codec for comparison.
+// BenchmarkEncodeDecode measures the TSV and columnar codecs on the same
+// 20k-row relation.
 func BenchmarkEncodeDecode(b *testing.B) {
 	r := codecRelation(20000)
 	enc := r.EncodeBytes()
 	col := r.EncodeColumnar(CodecOptions{})
-	run := func(name string, opts CodecOptions, fn func(b *testing.B, opts CodecOptions)) {
+	run := func(name string, fn func(b *testing.B)) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			fn(b, opts)
+			fn(b)
 		})
 	}
-	run("encode-serial", forceSerial, func(b *testing.B, opts CodecOptions) {
+	run("encode-serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = r.EncodeBytesOpts(opts)
+			_ = r.EncodeBytes()
 		}
 	})
-	run("encode-parallel", forceParallel, func(b *testing.B, opts CodecOptions) {
-		for i := 0; i < b.N; i++ {
-			_ = r.EncodeBytesOpts(opts)
-		}
-	})
-	run("decode-serial", forceSerial, func(b *testing.B, opts CodecOptions) {
+	run("decode-serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := DecodeBytes("t", enc); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	run("decode-parallel", forceParallel, func(b *testing.B, opts CodecOptions) {
+	run("encode-columnar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeBytes("t", enc); err != nil {
-				b.Fatal(err)
-			}
+			_ = r.EncodeColumnar(CodecOptions{})
 		}
 	})
-	run("encode-columnar", forceSerial, func(b *testing.B, opts CodecOptions) {
-		for i := 0; i < b.N; i++ {
-			_ = r.EncodeColumnar(opts)
-		}
-	})
-	run("decode-columnar", forceSerial, func(b *testing.B, opts CodecOptions) {
+	run("decode-columnar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := DecodeBytes("t", col); err != nil {
 				b.Fatal(err)

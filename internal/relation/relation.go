@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 )
 
@@ -220,78 +219,23 @@ func (r *Relation) ScaleRatio() float64 {
 	return float64(r.LogicalBytes) / float64(phys)
 }
 
-// CodecParallelThreshold is the default row count above which a Writer
-// handed rows splits them across goroutines, a part each; parts splice in
-// input order, so text is byte-identical to the serial path's and row groups
-// differ only in where they are cut. Callers (and tests, which force both
-// paths on small data) override it per call via CodecOptions.
-var CodecParallelThreshold = 8192
-
-// CodecOptions parameterizes one codec invocation.
-type CodecOptions struct {
-	// ParallelThreshold is the row count at or above which this call uses
-	// the chunk-parallel path. Zero selects the package default
-	// (CodecParallelThreshold); a value above the row count forces the
-	// serial path, 1 forces the parallel path.
-	ParallelThreshold int
-}
-
-// threshold resolves the effective parallel threshold for a call.
-func (o CodecOptions) threshold() int {
-	if o.ParallelThreshold > 0 {
-		return o.ParallelThreshold
-	}
-	return CodecParallelThreshold
-}
-
-// ChunkRanges splits [0, n) into roughly GOMAXPROCS contiguous ranges — the
-// row ranges pipelines, the sort and the writer's parts run concurrently —
-// folding a tiny trailing remainder (under half a chunk) into the previous
-// range instead of spawning a near-empty goroutine.
-func ChunkRanges(n int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	size := (n + workers - 1) / workers
-	ranges := make([][2]int, 0, workers)
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		ranges = append(ranges, [2]int{lo, hi})
-	}
-	if k := len(ranges); k >= 2 && ranges[k-1][1]-ranges[k-1][0] < size/2 {
-		ranges[k-2][1] = ranges[k-1][1]
-		ranges = ranges[:k-1]
-	}
-	return ranges
-}
+// CodecOptions is the argument EncodeColumnar and DecodeColumnar take; it has
+// no field.
+type CodecOptions struct{}
 
 // EncodeBytes returns the relation as a TSV stream with a two-line header:
 //
 //	#schema	name:kind	name:kind ...
 //	#logical	<bytes>
+//
+// It is the text of a Writer handed every row.
 func (r *Relation) EncodeBytes() []byte {
-	return r.EncodeBytesOpts(CodecOptions{})
+	return r.encode(NewWriter(r.Schema))
 }
 
-// EncodeBytesOpts is EncodeBytes with per-call codec options: the text of a
-// Writer handed every row.
-func (r *Relation) EncodeBytesOpts(o CodecOptions) []byte {
-	return r.encode(NewWriter(r.Schema), o)
-}
-
-func (r *Relation) encode(w *Writer, o CodecOptions) []byte {
+func (r *Relation) encode(w *Writer) []byte {
 	w.LogicalBytes = r.LogicalBytes
-	w.append(r.Rows, o)
+	w.Append(r.Rows)
 	return w.Bytes()
 }
 

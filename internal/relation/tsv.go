@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -449,24 +448,7 @@ func (w *Writer) Part() *Part {
 }
 
 // Append renders rows after everything written so far.
-func (w *Writer) Append(rows []Row) { w.append(rows, CodecOptions{}) }
-
-// append is Append under o: above the threshold, chunks render concurrently.
-func (w *Writer) append(rows []Row, o CodecOptions) {
-	if len(rows) < o.threshold() {
-		w.Part().Append(rows)
-		return
-	}
-	var wg sync.WaitGroup
-	for _, rg := range ChunkRanges(len(rows)) {
-		wg.Add(1)
-		go func(p *Part, rows []Row) {
-			defer wg.Done()
-			p.Append(rows)
-		}(w.Part(), rows[rg[0]:rg[1]])
-	}
-	wg.Wait()
-}
+func (w *Writer) Append(rows []Row) { w.Part().Append(rows) }
 
 // Rows returns the number of rows written.
 func (w *Writer) Rows() (n int) {

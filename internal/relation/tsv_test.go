@@ -318,24 +318,19 @@ func TestNumberFastPathsMatchStrconv(t *testing.T) {
 }
 
 // TestEncodeBytesSizedOnce: the encoder's output is one exactly sized buffer,
-// serial or parallel, and what the writer allocates on the way numbers with
-// the bytes written — a segment per 64 KB — not with the rows.
+// and what the writer allocates on the way numbers with the bytes written — a
+// segment per 64 KB — not with the rows.
 func TestEncodeBytesSizedOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 5000} {
-		rel := mixedRelation(n)
-		enc := rel.EncodeBytesOpts(forceSerial)
-		if cap(enc) != len(enc) {
+		if enc := mixedRelation(n).EncodeBytes(); cap(enc) != len(enc) {
 			t.Errorf("%d rows: %d bytes in a buffer of %d", n, len(enc), cap(enc))
-		}
-		if par := rel.EncodeBytesOpts(forceParallel); string(par) != string(enc) || cap(par) != len(par) {
-			t.Errorf("%d rows: parallel encoding differs or is not exactly sized (len %d cap %d)", n, len(par), cap(par))
 		}
 	}
 	for _, n := range []int{5000, 50000} {
 		big := mixedRelation(n)
 		size := len(big.EncodeBytes())
-		if got, limit := testing.AllocsPerRun(10, func() { _ = big.EncodeBytesOpts(forceSerial) }), float64(24+size/maxSegment); got > limit {
-			t.Errorf("serial encode of %d rows (%d bytes): %v allocations, want at most %v", n, size, got, limit)
+		if got, limit := testing.AllocsPerRun(10, func() { _ = big.EncodeBytes() }), float64(24+size/maxSegment); got > limit {
+			t.Errorf("encode of %d rows (%d bytes): %v allocations, want at most %v", n, size, got, limit)
 		}
 	}
 }
@@ -393,7 +388,7 @@ func TestWriterSplicesPartsInOrder(t *testing.T) {
 		rel.Rows[i][3] = Str(strings.Repeat("long ", 1+i*40)) // up to 700 KB: rows that outgrow any segment
 	}
 	rel.LogicalBytes = 12345
-	want := rel.EncodeBytesOpts(forceSerial)
+	want := rel.EncodeBytes()
 
 	w := NewWriter(Schema{})
 	cuts := []int{0, 0, 1, 700, 700, 2500, len(rel.Rows)}

@@ -14,32 +14,32 @@ import (
 )
 
 // goroutineSites are the only functions whose bodies may start a goroutine
-// (DESIGN.md §8.3): the job scheduler and the fair queue, the three kernel
-// fork-joins, the CLI's debug listener, and the benchmark harness's heap
+// (DESIGN.md §8.3): the job scheduler and the fair queue, the pipeline
+// fork-join, the CLI's debug listener, and the benchmark harness's heap
 // sampler and open-loop sender. Each is keyed "file func", with a method
 // named as (*T).m.
 var goroutineSites = []string{
 	"internal/sched/sched.go (*Scheduler).run",
 	"internal/sched/fairqueue.go NewFairQueue",
-	"internal/exec/sortkernel.go sortRowsBy",
 	"internal/exec/fuse.go (*chain).run",
-	"internal/relation/tsv.go (*Writer).append",
 	"cmd/musketeer/main.go run",
 	"internal/perf/run.go measure",
 	"internal/perf/serve.go (*serveLoop).window",
 }
 
 // clockFreePackages are the data path and the cluster model: what they
-// produce must not depend on when or how often they run, so they read no
-// clock and draw no random numbers.
+// produce must not depend on when, how often or on which host they run, so
+// they read no clock, draw no random numbers and import no runtime (a split
+// cut by its core count would make float sums and row groups follow the
+// host).
 var clockFreePackages = []string{
 	"internal/exec", "internal/relation", "internal/ir", "internal/dfs", "internal/cluster",
 }
 
 // TestGoroutinesStartInNamedPlaces parses every non-test Go file in the
 // module and fails on a go statement outside goroutineSites, on a site that
-// no longer starts one, and on a clock-free package importing time or
-// math/rand.
+// no longer starts one, and on a clock-free package importing time,
+// math/rand or runtime.
 func TestGoroutinesStartInNamedPlaces(t *testing.T) {
 	fset := token.NewFileSet()
 	seen := map[string]bool{}
@@ -64,8 +64,8 @@ func TestGoroutinesStartInNamedPlaces(t *testing.T) {
 		if slices.Contains(clockFreePackages, filepath.ToSlash(filepath.Dir(path))) {
 			for _, imp := range f.Imports {
 				switch p, _ := strconv.Unquote(imp.Path.Value); p {
-				case "time", "math/rand", "math/rand/v2":
-					t.Errorf("%s imports %q: %s is clock-free", fset.Position(imp.Pos()), p, filepath.Dir(path))
+				case "time", "math/rand", "math/rand/v2", "runtime":
+					t.Errorf("%s imports %q: %s is clock-free and host-free", fset.Position(imp.Pos()), p, filepath.Dir(path))
 				}
 			}
 		}
