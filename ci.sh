@@ -40,16 +40,20 @@
 #                       two-engine workflow as one tenant, a plan-cached
 #                       resubmission as another, status polling, and
 #                       tenant-isolation probes — plain and under -race
-#   benchmark gate    — fresh kernel benchmarks (at host GOMAXPROCS: no
-#   (mkbenchgate)       kernel's allocation depends on the core count) vs
-#                       the committed BENCH_kernels.json:
-#                       allocs/op and B/op beyond 25% fail; ns/op is not
-#                       compared — a baseline recorded on another day
-#                       measures the host too, so time is judged end to
-#                       end by mkperf pairs of parent and change
-#   calibration gate  — a fresh 3-round mkbench -accuracy run must still
-#                       converge (round-3 mean |makespan error| below
-#                       round 1) and stay within 25% of the committed
+#   benchmark gate    — TestKernelAllocationsHoldBaseline in exec,
+#                       relation, bench and core runs every gated
+#                       benchmark's body and fails on allocs/op or B/op
+#                       past its BENCH_kernels.json entry by 25% (plus half
+#                       an alloc, or 64 B), or on a body with no entry;
+#                       TestEveryKernelBaselineIsGated fails on an entry no
+#                       gate runs. ns/op is not compared — a baseline
+#                       recorded on another day measures the host too, so
+#                       time is judged end to end by mkperf pairs of parent
+#                       and change
+#   calibration gate  — TestAccuracyLearningConverges: the 3-round accuracy
+#                       run over all four cases must still converge (round-3
+#                       mean |makespan error| below round 1) and stay within
+#                       25% (plus 2 points) of the committed
 #                       BENCH_accuracy.json per-workflow errors
 #   codec fuzz        — FuzzColumnarStream (the untrusted columnar decoder
 #                       over real encodings, cut and bit-flipped: an error
@@ -63,9 +67,6 @@
 #                       (batch, plan-only, open-loop serve) for 2 s each at
 #                       host GOMAXPROCS; fails if any operation failed or
 #                       any output differed from its plain-Go reference
-#
-# Gates that write files write them under one mktemp -d directory, removed
-# on exit.
 #
 # Every stage is timed; the summary prints per-stage wall seconds and the
 # same numbers land in ci-stage-times-<group>.json for the workflow's
@@ -83,9 +84,6 @@ build | test | gates | all) ;;
     ;;
 esac
 
-SCRATCH=$(mktemp -d)
-trap 'rm -rf "$SCRATCH"' EXIT
-
 STAGES=""
 STAGE_JSON=""
 stage() {
@@ -100,16 +98,6 @@ stage() {
         STAGE_JSON="$STAGE_JSON,"
     fi
     STAGE_JSON="$STAGE_JSON{\"stage\":\"$name\",\"seconds\":$secs}"
-}
-
-bench_gate() {
-    # -count=3: mkbenchgate keeps each benchmark's best run, so a pooled
-    # slab that one run happens to allocate afresh is not read as an
-    # allocation regression.
-    go test -bench 'BenchmarkKernel|BenchmarkRowKey|BenchmarkSortRows|BenchmarkEncodeDecode|BenchmarkPartitionExhaustive|BenchmarkPartitionDynamic|BenchmarkStream|BenchmarkPhysicalBytes' \
-        -benchmem -run '^$' -count=3 -timeout 20m \
-        ./internal/exec ./internal/relation ./internal/bench ./internal/core > "$SCRATCH/bench_fresh.txt"
-    go run ./cmd/mkbenchgate -kernels BENCH_kernels.json -bench "$SCRATCH/bench_fresh.txt"
 }
 
 gofmt_gate() {
@@ -127,17 +115,6 @@ fuzz_gate() {
     go test -run '^$' -fuzz '^FuzzColumnarStream$' -fuzztime 10s ./internal/relation
     go test -run '^$' -fuzz '^FuzzTextLen$' -fuzztime 10s ./internal/relation
     go test -run '^$' -fuzz '^FuzzKeyEquality$' -fuzztime 10s ./internal/relation
-}
-
-calibration_gate() {
-    # The fresh run mirrors how the committed baseline is produced
-    # (`go run ./cmd/mkbench -accuracy -rounds 3 -accuracy-json
-    # BENCH_accuracy.json`) — learning trajectories depend on the case mix,
-    # so gating on a subset would compare different experiments.
-    go run ./cmd/mkbench -accuracy -rounds 3 \
-        -accuracy-json "$SCRATCH/accuracy_fresh.json" > /dev/null
-    go run ./cmd/mkbenchgate -accuracy BENCH_accuracy.json \
-        -fresh-accuracy "$SCRATCH/accuracy_fresh.json"
 }
 
 if [ "$GROUP" = all ] || [ "$GROUP" = build ]; then
@@ -161,8 +138,11 @@ if [ "$GROUP" = all ] || [ "$GROUP" = gates ]; then
         go test -short -count=3 -shuffle=on -timeout 15m -run 'Concurrent|Sched|Chaos|Speculat|Fault|Recover' ./internal/sched ./internal/core ./internal/engines .
     stage "service smoke gate" go test -count=1 -timeout 5m -run 'TestServe' .
     stage "service smoke gate (-race)" go test -race -count=1 -timeout 10m -run 'TestServe' .
-    stage "benchmark regression gate" bench_gate
-    stage "calibration convergence gate" calibration_gate
+    stage "benchmark regression gate" \
+        go test -count=1 -timeout 10m -run '^(TestKernelAllocationsHoldBaseline|TestEveryKernelBaselineIsGated)$' \
+        . ./internal/exec ./internal/relation ./internal/bench ./internal/core
+    stage "calibration convergence gate" \
+        go test -count=1 -timeout 5m -run '^TestAccuracyLearningConverges$' ./internal/bench
     stage "codec fuzz" fuzz_gate
     stage "mkperf smoke" go run ./cmd/mkperf -quick -seconds 2
 fi

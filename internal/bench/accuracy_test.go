@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
+	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -8,8 +11,10 @@ import (
 func TestAccuracyLearningConverges(t *testing.T) {
 	// The calibration loop's core promise: re-running the same workloads
 	// against a shared history/calibration store shrinks estimator error
-	// round over round.
-	rep, err := RunAccuracy(3, []string{"tpch", "pagerank"})
+	// round over round. This is the run BENCH_accuracy.json records (`go run
+	// ./cmd/mkbench -accuracy -rounds 3 -accuracy-json BENCH_accuracy.json`):
+	// learning depends on the case mix, so a subset is another experiment.
+	rep, err := RunAccuracy(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +34,31 @@ func TestAccuracyLearningConverges(t *testing.T) {
 	// The report keeps the final round in the legacy top-level fields.
 	if len(rep.Rounds) != 3 || rep.Summary != rep.Rounds[2].Summary {
 		t.Errorf("top-level summary is not the final round's")
+	}
+	// No workflow's final-round |makespan error| may exceed the committed
+	// baseline's by more than 25 % plus two percentage points: errors near
+	// zero would make any relative allowance vanishingly strict.
+	data, err := os.ReadFile("../../BENCH_accuracy.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base AccuracyReport
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatal(err)
+	}
+	baseErr := map[string]float64{}
+	for _, w := range base.Workflows {
+		baseErr[w.Workflow] = math.Abs(w.MakespanError)
+	}
+	for _, w := range rep.Workflows {
+		b, ok := baseErr[w.Workflow]
+		if !ok {
+			t.Errorf("%s has no entry in BENCH_accuracy.json", w.Workflow)
+			continue
+		}
+		if got, allowed := math.Abs(w.MakespanError), b*1.25+0.02; got > allowed {
+			t.Errorf("%s |makespan error| %.4f, allowed %.4f (baseline %.4f)", w.Workflow, got, allowed, b)
+		}
 	}
 }
 

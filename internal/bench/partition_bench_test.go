@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"musketeer/internal/allocgate"
 	"musketeer/internal/cluster"
 	"musketeer/internal/core"
 	"musketeer/internal/dfs"
@@ -14,46 +15,79 @@ import (
 	"musketeer/internal/workloads"
 )
 
+// kernels are this package's gated benchmarks: each times the body its entry
+// sets up, and TestKernelAllocationsHoldBaseline holds the same bodies'
+// allocations to BENCH_kernels.json. A body builds a fresh estimator, so the
+// fragment-cost cache is cold and every search is a full one.
+var kernels = allocgate.Table{
+	"BenchmarkPartitionExhaustive/ops=8":  exhaustive(8),
+	"BenchmarkPartitionExhaustive/ops=12": exhaustive(12),
+	"BenchmarkPartitionExhaustive/ops=16": exhaustive(16),
+	"BenchmarkPartitionDynamic/ops=18":    func(tb testing.TB) func(testing.TB) { return dynamic(netflix(tb, 18)) },
+	"BenchmarkPartitionDynamic/ops=40":    func(tb testing.TB) func(testing.TB) { return dynamic(randomWorkflow40(tb)) },
+}
+
+// raceBuild is set by race_test.go when the race detector is compiled in.
+var raceBuild bool
+
+func TestKernelAllocationsHoldBaseline(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation baseline; the race runtime allocates on its own")
+	}
+	kernels.Check(t, "../../BENCH_kernels.json")
+}
+
 // BenchmarkPartitionExhaustive measures the exhaustive search on growing
-// prefixes of the extended NetFlix workflow. A fresh estimator per iteration
-// keeps the fragment-cost cache cold, so the numbers reflect a full search,
-// not cache replay.
+// prefixes of the extended NetFlix workflow.
 func BenchmarkPartitionExhaustive(b *testing.B) {
-	c := cluster.EC2(100)
-	engs := engines.StandardEngines()
 	for _, n := range []int{8, 12, 16} {
-		b.Run(fmt.Sprintf("ops=%d", n), func(b *testing.B) {
-			w := workloads.NetflixExtended(n)
-			fs := dfs.New()
-			if err := w.Stage(fs); err != nil {
-				b.Fatal(err)
-			}
-			dag, err := w.Build()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				est, err := core.NewEstimator(ir.Identify(dag), fs, c, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := core.PartitionExhaustive(dag, est, engs, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
+		b.Run(fmt.Sprintf("ops=%d", n), kernels.Bench)
+	}
+}
+
+func exhaustive(n int) func(testing.TB) func(testing.TB) {
+	return func(tb testing.TB) func(testing.TB) {
+		dag, fs := netflix(tb, n)
+		return search(dag, fs, func(est *core.Estimator, engs []*engines.Engine) error {
+			_, err := core.PartitionExhaustive(dag, est, engs, 0)
+			return err
 		})
+	}
+}
+
+// netflix stages the extended NetFlix workflow of n operators.
+func netflix(tb testing.TB, n int) (*ir.DAG, *dfs.DFS) {
+	w := workloads.NetflixExtended(n)
+	fs := dfs.New()
+	if err := w.Stage(fs); err != nil {
+		tb.Fatal(err)
+	}
+	dag, err := w.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dag, fs
+}
+
+// search runs one partition search of dag over a cold estimator.
+func search(dag *ir.DAG, fs *dfs.DFS, partition func(*core.Estimator, []*engines.Engine) error) func(testing.TB) {
+	id, c, engs := ir.Identify(dag), cluster.EC2(100), engines.StandardEngines()
+	return func(tb testing.TB) {
+		est, err := core.NewEstimator(id, fs, c, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := partition(est, engs); err != nil {
+			tb.Fatal(err)
+		}
 	}
 }
 
 // randomWorkflow40 builds a seeded random DAG of 40 compute operators over
 // three (k,a,b) tables, in the style of core's genRandomWorkflow: every
 // operator keeps the shape, so any result can feed any later operator.
-func randomWorkflow40(b *testing.B) (*ir.DAG, *dfs.DFS) {
-	b.Helper()
+func randomWorkflow40(tb testing.TB) (*ir.DAG, *dfs.DFS) {
+	tb.Helper()
 	r := rand.New(rand.NewSource(40))
 	schema := relation.NewSchema("k:int", "a:int", "b:int")
 	dag, fs := ir.NewDAG(), dfs.New()
@@ -66,7 +100,7 @@ func randomWorkflow40(b *testing.B) (*ir.DAG, *dfs.DFS) {
 		}
 		rel.LogicalBytes = int64(1+r.Intn(50)) * 1e9
 		if err := fs.WriteRelation("in/"+name, rel); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		avail = append(avail, dag.AddInput(name, "in/"+name, schema))
 	}
@@ -99,45 +133,22 @@ func randomWorkflow40(b *testing.B) (*ir.DAG, *dfs.DFS) {
 		avail = append(avail, op)
 	}
 	if err := dag.Validate(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return dag, fs
 }
 
-// BenchmarkPartitionDynamic measures the §5.1.2 DP heuristic, cold estimator
-// per iteration, on the two shapes Partition hands it: the 18-operator
-// extended NetFlix pipeline and a 40-operator random DAG.
+// BenchmarkPartitionDynamic measures the §5.1.2 DP heuristic on the two
+// shapes Partition hands it: the 18-operator extended NetFlix pipeline and a
+// 40-operator random DAG.
 func BenchmarkPartitionDynamic(b *testing.B) {
-	c := cluster.EC2(100)
-	engs := engines.StandardEngines()
-	netflix := workloads.NetflixExtended(18)
-	netflixFS := dfs.New()
-	if err := netflix.Stage(netflixFS); err != nil {
-		b.Fatal(err)
-	}
-	netflixDAG, err := netflix.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	randomDAG, randomFS := randomWorkflow40(b)
-	for _, bc := range []struct {
-		ops int
-		dag *ir.DAG
-		fs  *dfs.DFS
-	}{{18, netflixDAG, netflixFS}, {40, randomDAG, randomFS}} {
-		b.Run(fmt.Sprintf("ops=%d", bc.ops), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				est, err := core.NewEstimator(ir.Identify(bc.dag), bc.fs, c, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := core.PartitionDynamic(bc.dag, est, engs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	b.Run("ops=18", kernels.Bench)
+	b.Run("ops=40", kernels.Bench)
+}
+
+func dynamic(dag *ir.DAG, fs *dfs.DFS) func(testing.TB) {
+	return search(dag, fs, func(est *core.Estimator, engs []*engines.Engine) error {
+		_, err := core.PartitionDynamic(dag, est, engs)
+		return err
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"musketeer/internal/allocgate"
 	"musketeer/internal/cluster"
 	"musketeer/internal/dfs"
 	"musketeer/internal/engines"
@@ -208,25 +209,37 @@ func TestDriverLoopConcurrentJoinsOnInvariantInput(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelDriverLoop is one hadoop-driven PageRank execution: five
-// rounds of a JOIN job that builds on the loop-invariant edges and an AGG
-// job. Its allocation counts the edges' decode and join table once.
-func BenchmarkKernelDriverLoop(b *testing.B) {
+// kernels is this package's gated benchmark: it times the body its entry
+// sets up, and TestKernelAllocationsHoldBaseline holds the same body's
+// allocations to BENCH_kernels.json.
+var kernels = allocgate.Table{"BenchmarkKernelDriverLoop": driverLoop}
+
+func TestKernelAllocationsHoldBaseline(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation baseline; the race runtime allocates on its own")
+	}
+	kernels.Check(t, "../../BENCH_kernels.json")
+}
+
+func BenchmarkKernelDriverLoop(b *testing.B) { kernels.Bench(b) }
+
+// driverLoop is one hadoop-driven PageRank execution: five rounds of a JOIN
+// job that builds on the loop-invariant edges and an AGG job. Its allocation
+// counts the edges' decode and join table once.
+func driverLoop(tb testing.TB) func(testing.TB) {
 	wl := workloads.PageRank(workloads.LiveJournal(), 5)
 	fs := dfs.New()
 	if err := wl.Stage(fs); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	d, err := wl.Build()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	id, part, r := planOn(b, d, fs, "hadoop")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	id, part, r := planOn(tb, d, fs, "hadoop")
+	return func(tb testing.TB) {
 		if _, err := r.Execute(id, part); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }

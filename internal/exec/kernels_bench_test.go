@@ -4,14 +4,76 @@ import (
 	"fmt"
 	"testing"
 
+	"musketeer/internal/allocgate"
 	"musketeer/internal/ir"
 	"musketeer/internal/relation"
 )
 
 // Micro-benchmarks for the shared operator kernels (the per-row machinery
-// every simulated engine executes). Run with:
+// every simulated engine executes) and the streaming pipelines. Run with:
 //
-//	go test -bench=Kernel ./internal/exec -benchmem
+//	go test -bench='Kernel|SortRows|Stream' ./internal/exec -benchmem
+//
+// Each benchmark times the body its kernels entry sets up; ns/op is a
+// record, and TestKernelAllocationsHoldBaseline gates the same bodies'
+// allocations against BENCH_kernels.json.
+var kernels = allocgate.Table{
+	"BenchmarkKernelSelect": func(testing.TB) func(testing.TB) {
+		return opBody(ir.OpSelect, ir.Params{
+			Pred: ir.Cmp(ir.ColRef("v"), ir.CmpLt, ir.LitOp(relation.Int(10000))),
+		}, benchRelation(20000, 64))
+	},
+	"BenchmarkKernelProject": func(testing.TB) func(testing.TB) {
+		return opBody(ir.OpProject, ir.Params{Columns: []string{"k", "w"}}, benchRelation(20000, 64))
+	},
+	"BenchmarkKernelHashJoin": func(testing.TB) func(testing.TB) {
+		return opBody(ir.OpJoin, ir.Params{LeftCols: []string{"k"}, RightCols: []string{"k"}}, benchRelation(20000, 256), benchRelation(2000, 256))
+	},
+	"BenchmarkKernelJoinFanout": joinFanout,
+	"BenchmarkKernelWhileJoin":  whileJoin,
+	"BenchmarkKernelAgg": func(testing.TB) func(testing.TB) {
+		return opBody(ir.OpAgg, ir.Params{
+			GroupBy: []string{"k"},
+			Aggs: []ir.AggSpec{
+				{Func: ir.AggSum, Col: "v", As: "s"},
+				{Func: ir.AggMax, Col: "w", As: "hi"},
+			},
+		}, benchRelation(20000, 128))
+	},
+	"BenchmarkKernelDistinct": func(testing.TB) func(testing.TB) {
+		return opBody(ir.OpDistinct, ir.Params{}, benchRelation(20000, 5000))
+	},
+	"BenchmarkKernelArith": func(testing.TB) func(testing.TB) {
+		return opBody(ir.OpArith, ir.Params{
+			Dst: "w", ALeft: ir.ColRef("w"), ARght: ir.LitOp(relation.Float(0.85)), AOp: ir.ArithMul,
+		}, benchRelation(20000, 64))
+	},
+	"BenchmarkSortRows/serial":             sortRows,
+	"BenchmarkStreamFusedChain":            streamChain(RunOptions{Keep: func(op *ir.Op) bool { return op.Out == "by_k" }}),
+	"BenchmarkStreamMaterializedChain":     streamChain(RunOptions{Keep: keepAll}),
+	"BenchmarkStreamScanFile/streamed":     scanFile(true),
+	"BenchmarkStreamScanFile/materialized": scanFile(false),
+	"BenchmarkStreamPushFile/streamed":     pushFile(pushStreamed),
+	"BenchmarkStreamPushFile/materialized": pushFile(pushMaterialized),
+	"BenchmarkStreamRoundTrip/tsv":         roundTrip(relation.CodecTSV),
+	"BenchmarkStreamRoundTrip/columnar":    roundTrip(relation.CodecColumnar),
+}
+
+func TestKernelAllocationsHoldBaseline(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation baseline; the race runtime allocates on its own")
+	}
+	kernels.Check(t, "../../BENCH_kernels.json")
+}
+
+func BenchmarkKernelSelect(b *testing.B)     { kernels.Bench(b) }
+func BenchmarkKernelProject(b *testing.B)    { kernels.Bench(b) }
+func BenchmarkKernelHashJoin(b *testing.B)   { kernels.Bench(b) }
+func BenchmarkKernelJoinFanout(b *testing.B) { kernels.Bench(b) }
+func BenchmarkKernelWhileJoin(b *testing.B)  { kernels.Bench(b) }
+func BenchmarkKernelAgg(b *testing.B)        { kernels.Bench(b) }
+func BenchmarkKernelDistinct(b *testing.B)   { kernels.Bench(b) }
+func BenchmarkKernelArith(b *testing.B)      { kernels.Bench(b) }
 
 func benchRelation(rows, keys int) *relation.Relation {
 	rel := relation.New("b", relation.NewSchema("k:int", "v:int", "w:float"))
@@ -25,38 +87,19 @@ func benchRelation(rows, keys int) *relation.Relation {
 	return rel
 }
 
-func benchOp(b *testing.B, typ ir.OpType, params ir.Params, inputs ...*relation.Relation) {
-	b.Helper()
+// opBody evaluates one operator of the given type over inputs.
+func opBody(typ ir.OpType, params ir.Params, inputs ...*relation.Relation) func(testing.TB) {
 	d := ir.NewDAG()
 	ops := make([]*ir.Op, len(inputs))
 	for i, in := range inputs {
 		ops[i] = d.AddInput(fmt.Sprintf("in%d", i), "in", in.Schema)
 	}
 	op := d.Add(typ, "out", params, ops...)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(tb testing.TB) {
 		if _, err := EvalOp(op, inputs); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkKernelSelect(b *testing.B) {
-	in := benchRelation(20000, 64)
-	benchOp(b, ir.OpSelect, ir.Params{
-		Pred: ir.Cmp(ir.ColRef("v"), ir.CmpLt, ir.LitOp(relation.Int(10000))),
-	}, in)
-}
-
-func BenchmarkKernelProject(b *testing.B) {
-	in := benchRelation(20000, 64)
-	benchOp(b, ir.OpProject, ir.Params{Columns: []string{"k", "w"}}, in)
-}
-
-func BenchmarkKernelHashJoin(b *testing.B) {
-	left := benchRelation(20000, 256)
-	right := benchRelation(2000, 256)
-	benchOp(b, ir.OpJoin, ir.Params{LeftCols: []string{"k"}, RightCols: []string{"k"}}, left, right)
 }
 
 // fanoutOps is the PageRank / NetFlix inner loop: a JOIN whose every probe
@@ -90,27 +133,26 @@ func fanoutInputs(rows int) (src, dim *relation.Relation) {
 	return benchRelation(rows, 256), dim
 }
 
-func BenchmarkKernelJoinFanout(b *testing.B) {
-	ops := fanoutOps(b)
+// joinFanout runs the fan-out pipeline over 20 000 probe rows.
+func joinFanout(tb testing.TB) func(testing.TB) {
+	ops := fanoutOps(tb)
 	src, dim := fanoutInputs(20000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(tb testing.TB) {
 		env := Env{"in/src": src, "in/dim": dim}
 		if err := RunOps(ops, env, NewTrace(), RunOptions{Keep: func(op *ir.Op) bool { return op.Out == "bydst" }}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if out := env["bydst"]; out == nil || out.NumRows() != 1024 {
-			b.Fatal("fan-out pipeline produced the wrong groups")
+			tb.Fatal("fan-out pipeline produced the wrong groups")
 		}
 	}
 }
 
-// BenchmarkKernelWhileJoin is a native PageRank loop: five iterations of an
-// 800-row carried rank relation probing a 12 800-row edge relation the loop
-// never rebinds (sixteen out-edges per vertex), dividing by degree, summing
-// per destination and damping.
-func BenchmarkKernelWhileJoin(b *testing.B) {
+// whileJoin is a native PageRank loop: five iterations of an 800-row carried
+// rank relation probing a 12 800-row edge relation the loop never rebinds
+// (sixteen out-edges per vertex), dividing by degree, summing per destination
+// and damping.
+func whileJoin(tb testing.TB) func(testing.TB) {
 	ranks := relation.New("ranks", relation.NewSchema("vertex:int", "rank:float"))
 	for i := 0; i < 800; i++ {
 		ranks.MustAppend(relation.Row{relation.Int(int64(i)), relation.Float(1)})
@@ -131,40 +173,15 @@ func BenchmarkKernelWhileJoin(b *testing.B) {
 	d.Add(ir.OpWhile, "final_ranks", ir.Params{Body: body, MaxIter: 5, Carried: map[string]string{"ranks": "new_ranks"}}, inRanks, inEdges)
 	ops, err := d.TopoSort()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(tb testing.TB) {
 		env := Env{"ranks": ranks, "edges": edges}
 		if err := RunOps(ops, env, NewTrace(), RunOptions{}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if got := env["final_ranks"]; got == nil || got.NumRows() != 800 {
-			b.Fatal("the loop produced the wrong ranks")
+			tb.Fatal("the loop produced the wrong ranks")
 		}
 	}
-}
-
-func BenchmarkKernelAgg(b *testing.B) {
-	in := benchRelation(20000, 128)
-	benchOp(b, ir.OpAgg, ir.Params{
-		GroupBy: []string{"k"},
-		Aggs: []ir.AggSpec{
-			{Func: ir.AggSum, Col: "v", As: "s"},
-			{Func: ir.AggMax, Col: "w", As: "hi"},
-		},
-	}, in)
-}
-
-func BenchmarkKernelDistinct(b *testing.B) {
-	in := benchRelation(20000, 5000)
-	benchOp(b, ir.OpDistinct, ir.Params{}, in)
-}
-
-func BenchmarkKernelArith(b *testing.B) {
-	in := benchRelation(20000, 64)
-	benchOp(b, ir.OpArith, ir.Params{
-		Dst: "w", ALeft: ir.ColRef("w"), ARght: ir.LitOp(relation.Float(0.85)), AOp: ir.ArithMul,
-	}, in)
 }

@@ -273,20 +273,19 @@ func TestStreamedPushAllocsTrackBytesWritten(t *testing.T) {
 // "materialized" keeps the output relation and writes that. B/op is the
 // point: the streamed run never holds the output's rows.
 func BenchmarkStreamPushFile(b *testing.B) {
-	ops := pushOps(b)
-	src, dim := fanoutInputs(20000)
-	for _, c := range []struct {
-		name string
-		push func(testing.TB, []*ir.Op, *relation.Relation, *relation.Relation, *dfs.DFS) dfs.Stat
-	}{{"streamed", pushStreamed}, {"materialized", pushMaterialized}} {
-		b.Run(c.name, func(b *testing.B) {
-			fs := dfs.New()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if st := c.push(b, ops, src, dim, fs); st.Rows != 320000 {
-					b.Fatalf("job wrote %d rows", st.Rows)
-				}
+	b.Run("streamed", kernels.Bench)
+	b.Run("materialized", kernels.Bench)
+}
+
+func pushFile(push func(testing.TB, []*ir.Op, *relation.Relation, *relation.Relation, *dfs.DFS) dfs.Stat) func(testing.TB) func(testing.TB) {
+	return func(tb testing.TB) func(testing.TB) {
+		ops := pushOps(tb)
+		src, dim := fanoutInputs(20000)
+		fs := dfs.New()
+		return func(tb testing.TB) {
+			if st := push(tb, ops, src, dim, fs); st.Rows != 320000 {
+				tb.Fatalf("job wrote %d rows", st.Rows)
 			}
-		})
+		}
 	}
 }

@@ -3,6 +3,8 @@ package relation
 import (
 	"fmt"
 	"testing"
+
+	"musketeer/internal/allocgate"
 )
 
 // codecRelation builds a relation with mixed types and adversarial values
@@ -25,67 +27,80 @@ func codecRelation(rows int) *Relation {
 	return r
 }
 
+// kernels are this package's gated benchmarks: each times the body its entry
+// sets up, and TestKernelAllocationsHoldBaseline holds the same bodies'
+// allocations to BENCH_kernels.json.
+var kernels = allocgate.Table{
+	"BenchmarkRowKey/string": rowKeys(false),
+	"BenchmarkRowKey/hashed": rowKeys(true),
+	"BenchmarkEncodeDecode/encode-serial": func(testing.TB) func(testing.TB) {
+		r := codecRelation(20000)
+		return func(testing.TB) { _ = r.EncodeBytes() }
+	},
+	"BenchmarkEncodeDecode/decode-serial": decode(func(r *Relation) []byte { return r.EncodeBytes() }),
+	"BenchmarkEncodeDecode/encode-columnar": func(testing.TB) func(testing.TB) {
+		r := codecRelation(20000)
+		return func(testing.TB) { _ = r.EncodeColumnar(CodecOptions{}) }
+	},
+	"BenchmarkEncodeDecode/decode-columnar": decode(func(r *Relation) []byte { return r.EncodeColumnar(CodecOptions{}) }),
+	"BenchmarkPhysicalBytes/unstamped":      physicalBytes(false),
+	"BenchmarkPhysicalBytes/stamped":        physicalBytes(true),
+}
+
+// raceBuild is set by race_test.go when the race detector is compiled in.
+var raceBuild bool
+
+func TestKernelAllocationsHoldBaseline(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation baseline; the race runtime allocates on its own")
+	}
+	kernels.Check(t, "../../BENCH_kernels.json")
+}
+
 // BenchmarkRowKey compares the legacy allocation-per-row string key against
 // the hashed scratch-buffer key used by the group-by/join kernels.
 func BenchmarkRowKey(b *testing.B) {
-	rows := make([]Row, 1000)
-	for i := range rows {
-		rows[i] = Row{Int(int64(i % 64)), Float(float64(i) * 0.5), Str(fmt.Sprintf("s%d", i%32))}
-	}
-	cols := []int{0, 2}
-	b.Run("string", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, r := range rows {
-				_ = r.Key(cols)
-			}
+	b.Run("string", kernels.Bench)
+	b.Run("hashed", kernels.Bench)
+}
+
+// rowKeys keys 1000 rows on (int, string).
+func rowKeys(hashed bool) func(testing.TB) func(testing.TB) {
+	return func(testing.TB) func(testing.TB) {
+		rows := make([]Row, 1000)
+		for i := range rows {
+			rows[i] = Row{Int(int64(i % 64)), Float(float64(i) * 0.5), Str(fmt.Sprintf("s%d", i%32))}
 		}
-	})
-	b.Run("hashed", func(b *testing.B) {
-		b.ReportAllocs()
+		cols := []int{0, 2}
 		var h KeyHasher
-		for i := 0; i < b.N; i++ {
+		return func(testing.TB) {
 			for _, r := range rows {
-				_, _ = h.HashKey(r, cols)
+				if hashed {
+					_, _ = h.HashKey(r, cols)
+				} else {
+					_ = r.Key(cols)
+				}
 			}
 		}
-	})
+	}
 }
 
 // BenchmarkEncodeDecode measures the TSV and columnar codecs on the same
 // 20k-row relation.
 func BenchmarkEncodeDecode(b *testing.B) {
-	r := codecRelation(20000)
-	enc := r.EncodeBytes()
-	col := r.EncodeColumnar(CodecOptions{})
-	run := func(name string, fn func(b *testing.B)) {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			fn(b)
-		})
+	for _, name := range []string{"encode-serial", "decode-serial", "encode-columnar", "decode-columnar"} {
+		b.Run(name, kernels.Bench)
 	}
-	run("encode-serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = r.EncodeBytes()
-		}
-	})
-	run("decode-serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+}
+
+// decode decodes the 20k-row relation from the bytes encode gives.
+func decode(encode func(*Relation) []byte) func(testing.TB) func(testing.TB) {
+	return func(testing.TB) func(testing.TB) {
+		enc := encode(codecRelation(20000))
+		return func(tb testing.TB) {
 			if _, err := DecodeBytes("t", enc); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
-	})
-	run("encode-columnar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = r.EncodeColumnar(CodecOptions{})
-		}
-	})
-	run("decode-columnar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeBytes("t", col); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

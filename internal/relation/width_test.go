@@ -280,21 +280,20 @@ func TestForeignTSVSizesCanonically(t *testing.T) {
 var sizeSink int64
 
 // BenchmarkPhysicalBytes sizes a 20k-row int/float/string relation with and
-// without cached widths. Both allocate nothing; the stamped walk is what
-// every sizing after the first costs.
+// without cached widths. The unstamped walk's one allocation is its width
+// memo; the stamped walk, what every sizing after the first costs, allocates
+// nothing.
 func BenchmarkPhysicalBytes(b *testing.B) {
-	fresh := codecRelation(20000)
-	stamped := fresh.Clone()
-	stamped.StampPhysicalBytes()
-	for _, c := range []struct {
-		name string
-		rel  *Relation
-	}{{"unstamped", fresh}, {"stamped", stamped}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sizeSink = c.rel.PhysicalBytes()
-			}
-		})
+	b.Run("unstamped", kernels.Bench)
+	b.Run("stamped", kernels.Bench)
+}
+
+func physicalBytes(stamped bool) func(testing.TB) func(testing.TB) {
+	return func(testing.TB) func(testing.TB) {
+		rel := codecRelation(20000)
+		if stamped {
+			rel.StampPhysicalBytes()
+		}
+		return func(testing.TB) { sizeSink = rel.PhysicalBytes() }
 	}
 }

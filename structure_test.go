@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"musketeer/internal/allocgate"
 )
 
 // goroutineSites are the only functions whose bodies may start a goroutine
@@ -93,6 +95,53 @@ func TestGoroutinesStartInNamedPlaces(t *testing.T) {
 	for _, site := range goroutineSites {
 		if !seen[site] {
 			t.Errorf("goroutineSites names %s, which starts no goroutine", site)
+		}
+	}
+}
+
+// TestEveryKernelBaselineIsGated parses every test file in the module and
+// fails on a BENCH_kernels.json "after" entry that no allocgate.Table
+// literal names: an entry no TestKernelAllocationsHoldBaseline measures
+// would gate nothing.
+func TestEveryKernelBaselineIsGated(t *testing.T) {
+	base, err := allocgate.Load("BENCH_kernels.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if d != nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if err != nil || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok && types.ExprString(lit.Type) == "allocgate.Table" {
+				for _, elt := range lit.Elts {
+					if key, ok := elt.(*ast.KeyValueExpr).Key.(*ast.BasicLit); ok {
+						name, _ := strconv.Unquote(key.Value)
+						gated[name] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base) == 0 {
+		t.Fatal("BENCH_kernels.json holds no Benchmark* entry with an \"after\"")
+	}
+	for name := range base {
+		if !gated[name] {
+			t.Errorf("BENCH_kernels.json entry %s is in no allocgate.Table: nothing gates it", name)
 		}
 	}
 }
