@@ -29,6 +29,10 @@
 #   alloc guard       — tracing off adds zero allocations to hot paths:
 #                       a nil recorder's spans and a nil registry's
 #                       counters, gauges and histograms are free no-ops
+#   feasibility alloc guard — the partition search's per-candidate question,
+#                       engines.(*Engine).Accepts, allocates nothing for a
+#                       refused candidate on each paradigm or an accepted
+#                       one: refusals are described only by ValidOps
 #   telemetry scrape  — the debug server (httptest over DebugHandler)
 #                       serves /metrics and /debug/runs during chaotic
 #                       concurrent executions; any malformed exposition
@@ -132,6 +136,7 @@ if [ "$GROUP" = all ] || [ "$GROUP" = gates ]; then
     stage "golden trace" go test -count=1 -timeout 5m -run 'TestTraceGolden' .
     stage "chaos golden" go test -count=1 -timeout 5m -run 'TestChaos(Driver)?Golden' .
     stage "obs disabled-path alloc guard" go test -count=1 -timeout 5m -run 'TestDisabledPathAllocs' ./internal/obs
+    stage "search feasibility alloc guard" go test -count=1 -timeout 5m -run '^TestSearchFeasibilityAllocatesNothing$' ./internal/engines
     stage "telemetry scrape gate" \
         go test -count=1 -timeout 5m -run 'TestDebugServerScrape|TestConcurrentScrapeDuringChaoticExecutes|TestPrometheusLinesValid|TestPrometheusByteStableAcrossScrapes' . ./internal/obs
     stage "flaky gate (3x shuffled concurrency/sched/chaos)" \

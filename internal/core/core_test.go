@@ -917,6 +917,25 @@ func TestExplainRendersReasoning(t *testing.T) {
 			t.Errorf("explain missing %q:\n%s", want, text)
 		}
 	}
+	// An engine that cannot run a job as one says why.
+	prices := maxPropertyPrice()
+	pricesEst, err := NewEstimator(ir.Identify(prices), seedPropertyDFS(t, 10), cluster.Local(7), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := MapTo(prices, pricesEst, engines.Spark())
+	if err != nil {
+		t.Fatal(err)
+	}
+	text = Explain(merged, pricesEst, allEngines())
+	for _, want := range []string{
+		" hadoop=infeasible (shuffles JOIN and AGG need separate jobs)",
+		" powergraph=infeasible (vertex-centric back-end cannot merge 3 operators)",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("explain missing %q:\n%s", want, text)
+		}
+	}
 	// With a recorded runtime the explanation calls it out.
 	h.ObserveRuntime(dag.Hash(), FragmentKey(part.Jobs[0].Frag), part.Jobs[0].Engine.Name(), 55)
 	text2 := Explain(part, est, allEngines())

@@ -318,7 +318,7 @@ func (e *Estimator) FragmentCost(f *ir.Fragment, eng *engines.Engine) cluster.Se
 // is paid every round, which is exactly why MapReduce-class back-ends lose
 // badly on iterative workflows (§2.2, §6.2).
 func (e *Estimator) jobCost(x *searchIndex, vol *opVolumes, c *candidate, eng *engines.Engine, pull, push int64) cluster.Seconds {
-	if eng.ValidOps(c.ops) != nil {
+	if !eng.Accepts(c.ops) {
 		return Infeasible
 	}
 	if w := c.while; w != nil && !eng.Profile().NativeIteration {

@@ -50,6 +50,9 @@ func Explain(part *Partitioning, est *Estimator, candidates []*engines.Engine) s
 			cell := fmt.Sprintf(" %s=%v", eng.Name(), c)
 			if c == Infeasible {
 				cell = fmt.Sprintf(" %s=infeasible", eng.Name())
+				if err := eng.ValidFragment(job.Frag); err != nil {
+					cell += " (" + strings.TrimPrefix(err.Error(), eng.Name()+": ") + ")"
+				}
 			}
 			if eng.Name() == job.Engine.Name() {
 				cell += "*"

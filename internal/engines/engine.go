@@ -16,6 +16,7 @@ package engines
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"musketeer/internal/cluster"
 	"musketeer/internal/ir"
@@ -168,8 +169,60 @@ func (e *Engine) RateNodes(c *cluster.Cluster) float64 {
 func (e *Engine) ValidFragment(f *ir.Fragment) error { return e.ValidOps(f.ComputeOps()) }
 
 // ValidOps reports whether the compute (non-INPUT) operators, given in
-// topological order, can execute as a single job on this engine. This
-// encodes the per-back-end operator mergeability rules of paper §4.3.2:
+// topological order, can execute as a single job on this engine: nil, or
+// an error saying why not. It formats the verdict of the one rule Accepts
+// also asks, so the two cannot disagree; formatting a refusal allocates.
+func (e *Engine) ValidOps(compute []*ir.Op) error {
+	switch v := e.rule(compute); v.why {
+	case accepted:
+		return nil
+	case refusedEmpty:
+		return fmt.Errorf("%s: empty fragment", e.name)
+	case refusedVertexMerge:
+		return fmt.Errorf("%s: vertex-centric back-end cannot merge %d operators", e.name, v.n)
+	case refusedNotGraph:
+		return fmt.Errorf("%s: only graph idioms are expressible", e.name)
+	case refusedNotGAS:
+		return fmt.Errorf("%s: WHILE %s does not match the GAS idiom", e.name, v.a.Out)
+	case refusedWhileMerged:
+		return fmt.Errorf("%s: WHILE cannot merge with other operators", e.name)
+	case refusedTwoShuffles:
+		return fmt.Errorf("%s: shuffles %s and %s need separate jobs", e.name, v.a.Type, v.b.Type)
+	default: // refusedShuffles
+		return fmt.Errorf("%s: %d shuffle operators in one job", e.name, v.n)
+	}
+}
+
+// Accepts reports whether the compute operators can execute as a single
+// job on this engine: ValidOps without the reason. The partition search
+// asks it once per candidate job and engine, and most candidates are
+// refused, so it reads the operators in place and allocates nothing.
+func (e *Engine) Accepts(compute []*ir.Op) bool { return e.rule(compute).why == accepted }
+
+// reason names the mergeability rule a job breaks; accepted breaks none.
+type reason uint8
+
+const (
+	accepted reason = iota
+	refusedEmpty
+	refusedVertexMerge
+	refusedNotGraph
+	refusedNotGAS
+	refusedWhileMerged
+	refusedTwoShuffles
+	refusedShuffles
+)
+
+// verdict is the rule's answer: the reason, and the operator count and
+// operators (the WHILE, or the two shuffles) its message names.
+type verdict struct {
+	why  reason
+	n    int
+	a, b *ir.Op
+}
+
+// rule applies the per-back-end operator mergeability rules of paper
+// §4.3.2 to compute operators in topological order:
 //
 //   - Vertex-centric engines accept exactly one operator: a WHILE whose
 //     body matches the graph idiom.
@@ -177,12 +230,9 @@ func (e *Engine) ValidFragment(f *ir.Fragment) error { return e.ValidOps(f.Compu
 //     sub-partitioned and driven iteration by iteration), or a WHILE-free
 //     job with at most one shuffle operator.
 //   - General dataflow engines accept any job.
-//
-// The partition search calls it once per candidate job and engine, so it
-// reads the operators in place and allocates only to describe a refusal.
-func (e *Engine) ValidOps(compute []*ir.Op) error {
+func (e *Engine) rule(compute []*ir.Op) verdict {
 	if len(compute) == 0 {
-		return fmt.Errorf("%s: empty fragment", e.name)
+		return verdict{why: refusedEmpty}
 	}
 	var while *ir.Op
 	for _, op := range compute {
@@ -193,26 +243,24 @@ func (e *Engine) ValidOps(compute []*ir.Op) error {
 	}
 	switch e.paradigm {
 	case ParadigmVertexCentric:
-		if len(compute) != 1 {
-			return fmt.Errorf("%s: vertex-centric back-end cannot merge %d operators", e.name, len(compute))
+		switch {
+		case len(compute) != 1:
+			return verdict{why: refusedVertexMerge, n: len(compute)}
+		case while == nil:
+			return verdict{why: refusedNotGraph}
+		case ir.DetectGraphIdiom(while) == nil:
+			return verdict{why: refusedNotGAS, a: while}
 		}
-		if while == nil {
-			return fmt.Errorf("%s: only graph idioms are expressible", e.name)
-		}
-		if ir.DetectGraphIdiom(while) == nil {
-			return fmt.Errorf("%s: WHILE %s does not match the GAS idiom", e.name, while.Out)
-		}
-		return nil
 	case ParadigmMapReduce:
 		if while != nil {
 			if len(compute) != 1 {
-				return fmt.Errorf("%s: WHILE cannot merge with other operators", e.name)
+				return verdict{why: refusedWhileMerged}
 			}
-			return nil
+			return verdict{}
 		}
 		// One shuffle per job — except the classic reduce-side pattern:
-		// a JOIN immediately aggregated on the same key shares the single
-		// map-shuffle-reduce round (as Pig/Hive plan it).
+		// a JOIN immediately aggregated on the same key columns shares the
+		// single map-shuffle-reduce round (as Pig/Hive plan it).
 		var a, b *ir.Op
 		shuffles := 0
 		for _, op := range compute {
@@ -227,61 +275,15 @@ func (e *Engine) ValidOps(compute []*ir.Op) error {
 			}
 			shuffles++
 		}
-		switch shuffles {
-		case 0, 1:
-			return nil
-		case 2:
-			if a.Type == ir.OpJoin && b.Type == ir.OpAgg && shuffleKeyOf(a) == shuffleKeyOf(b) {
-				return nil
-			}
-			return fmt.Errorf("%s: shuffles %s and %s need separate jobs", e.name, a.Type, b.Type)
-		default:
-			return fmt.Errorf("%s: %d shuffle operators in one job", e.name, shuffles)
+		switch {
+		case shuffles <= 1:
+		case shuffles > 2:
+			return verdict{why: refusedShuffles, n: shuffles}
+		case a.Type != ir.OpJoin || b.Type != ir.OpAgg || !slices.Equal(a.Params.LeftCols, b.Params.GroupBy):
+			return verdict{why: refusedTwoShuffles, a: a, b: b}
 		}
-	default:
-		return nil
 	}
-}
-
-// shuffleKeyOf renders the key columns an operator shuffles on; operators
-// that repartition on the whole row get a sentinel key.
-func shuffleKeyOf(op *ir.Op) string {
-	switch op.Type {
-	case ir.OpJoin:
-		return "k:" + joinKey(op.Params.LeftCols)
-	case ir.OpAgg:
-		return "k:" + joinKey(op.Params.GroupBy)
-	default: // DISTINCT, INTERSECT, DIFFERENCE, CROSS_JOIN
-		return fmt.Sprintf("row:%d", op.ID)
-	}
-}
-
-func joinKey(cols []string) string {
-	out := ""
-	for _, c := range cols {
-		out += c + ","
-	}
-	return out
-}
-
-// CanMerge reports whether operators a and b may share a job on this
-// engine. It is the pairwise form of the mergeability rules used by the
-// partitioner's cost function to prune infeasible partitions cheaply.
-func (e *Engine) CanMerge(a, b *ir.Op) bool {
-	switch e.paradigm {
-	case ParadigmVertexCentric:
-		return false // single-operator jobs only
-	case ParadigmMapReduce:
-		if a.Type == ir.OpWhile || b.Type == ir.OpWhile {
-			return false
-		}
-		if ir.IsShuffleOp(a.Type) && ir.IsShuffleOp(b.Type) {
-			return shuffleKeyOf(a) == shuffleKeyOf(b)
-		}
-		return true
-	default:
-		return true
-	}
+	return verdict{}
 }
 
 // Registry returns the standard seven engines plus the Lindi-on-Naiad

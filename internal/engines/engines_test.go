@@ -134,20 +134,19 @@ func TestValidFragmentGraphIdiom(t *testing.T) {
 	}
 }
 
-func TestCanMergePairRules(t *testing.T) {
-	d := maxPropertyPrice()
-	j, a, p := d.ByOut("id_price"), d.ByOut("street_price"), d.ByOut("locs")
-	if Hadoop().CanMerge(j, a) {
-		t.Error("hadoop must not merge two shuffles")
+// TestSharedShuffleComparesColumnLists: a JOIN and an AGG share one
+// MapReduce shuffle only when they key on the same columns. A JOIN on the
+// one column "a,b" and an AGG on the two columns a and b do not, though
+// both lists join to the text "a,b".
+func TestSharedShuffleComparesColumnLists(t *testing.T) {
+	join := &ir.Op{Type: ir.OpJoin, Out: "j", Params: ir.Params{LeftCols: []string{"a,b"}, RightCols: []string{"x"}}}
+	agg := &ir.Op{Type: ir.OpAgg, Out: "g", Params: ir.Params{GroupBy: []string{"a", "b"}}}
+	if err := Hadoop().ValidOps([]*ir.Op{join, agg}); err == nil {
+		t.Error("hadoop shared one shuffle between a JOIN on [a,b] and an AGG on [a b]")
 	}
-	if !Hadoop().CanMerge(p, j) {
-		t.Error("hadoop should merge project+join")
-	}
-	if !Spark().CanMerge(j, a) {
-		t.Error("spark should merge anything")
-	}
-	if PowerGraph().CanMerge(p, j) {
-		t.Error("vertex-centric engines never merge")
+	join.Params.LeftCols = []string{"a", "b"}
+	if err := Hadoop().ValidOps([]*ir.Op{join, agg}); err != nil {
+		t.Errorf("hadoop refused a JOIN and an AGG on the same columns: %v", err)
 	}
 }
 
