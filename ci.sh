@@ -44,6 +44,10 @@
 #                       two-engine workflow as one tenant, a plan-cached
 #                       resubmission as another, status polling, and
 #                       tenant-isolation probes — plain and under -race
+#   cli smoke         — the musketeer command in process: two runs sharing
+#                       one -history file (the second plans from the first's
+#                       calibration, no other file is written), stats
+#                       -history alone, and check's exit statuses
 #   benchmark gate    — TestKernelAllocationsHoldBaseline in exec,
 #                       relation, bench and core runs every gated
 #                       benchmark's body and fails on allocs/op or B/op
@@ -143,6 +147,7 @@ if [ "$GROUP" = all ] || [ "$GROUP" = gates ]; then
         go test -short -count=3 -shuffle=on -timeout 15m -run 'Concurrent|Sched|Chaos|Speculat|Fault|Recover' ./internal/sched ./internal/core ./internal/engines .
     stage "service smoke gate" go test -count=1 -timeout 5m -run 'TestServe' .
     stage "service smoke gate (-race)" go test -race -count=1 -timeout 10m -run 'TestServe' .
+    stage "cli smoke" go test -count=1 -timeout 5m -run '^TestCLI' ./cmd/musketeer
     stage "benchmark regression gate" \
         go test -count=1 -timeout 10m -run '^(TestKernelAllocationsHoldBaseline|TestEveryKernelBaselineIsGated)$' \
         . ./internal/exec ./internal/relation ./internal/bench ./internal/core

@@ -10,7 +10,6 @@ import (
 	"musketeer"
 	"musketeer/internal/analysis"
 	"musketeer/internal/engines"
-	"musketeer/internal/relation"
 )
 
 // runCheck implements `musketeer check`: compile the workflow, run the
@@ -19,15 +18,9 @@ import (
 // may be declared schema-only with -schema name=col:kind,col:kind.
 func runCheck(args []string) int {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	frontend := fs.String("frontend", "hive", "front-end framework: hive, beer, pig or gas")
-	workflowPath := fs.String("workflow", "", "workflow source file")
+	wfl := addWorkflowFlags(fs)
 	engine := fs.String("engine", "", "check engine feasibility against this engine only (default: all standard engines)")
 	matrix := fs.Bool("matrix", false, "print the engine capability matrix and exit")
-	gasVertices := fs.String("gas-vertices", "vertices", "GAS front-end: vertex table name")
-	gasEdges := fs.String("gas-edges", "edges", "GAS front-end: edge table name")
-	gasOutput := fs.String("gas-output", "result", "GAS front-end: output relation name")
-	tables := tableFlags{}
-	fs.Var(tables, "table", "declare a relation from a TSV file: name=file (repeatable; schema only, no data is staged)")
 	schemas := tableFlags{}
 	fs.Var(schemas, "schema", "declare a relation schema inline: name=col:kind,col:kind (repeatable)")
 	fs.Parse(args)
@@ -36,29 +29,15 @@ func runCheck(args []string) int {
 		fmt.Print(engines.CapabilityMatrix(engines.StandardEngines()))
 		return 0
 	}
-	if *workflowPath == "" {
-		fmt.Fprintln(os.Stderr, "missing -workflow")
-		return 2
-	}
-	src, err := os.ReadFile(*workflowPath)
+	src, err := wfl.source()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-
-	cat := musketeer.Catalog{}
-	for name, file := range tables {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "table %s: %v\n", name, err)
-			return 2
-		}
-		rel, err := relation.DecodeBytes(name, data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "table %s: %v\n", name, err)
-			return 2
-		}
-		cat[name] = musketeer.Table{Path: "in/" + name, Schema: rel.Schema}
+	cat, err := wfl.catalog(nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 	for name, spec := range schemas {
 		cat[name] = musketeer.Table{
@@ -67,21 +46,9 @@ func runCheck(args []string) int {
 		}
 	}
 
-	m := musketeer.New()
-	var wf *musketeer.Workflow
-	switch *frontend {
-	case "hive":
-		wf, err = m.CompileHive(string(src), cat)
-	case "beer":
-		wf, err = m.CompileBEER(string(src), cat)
-	case "pig":
-		wf, err = m.CompilePig(string(src), cat)
-	case "gas":
-		wf, err = m.CompileGAS(string(src), cat, musketeer.GASConfig{
-			Vertices: *gasVertices, Edges: *gasEdges, Output: *gasOutput,
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "unknown front-end %q\n", *frontend)
+	wf, err := musketeer.New().Compile(wfl.frontend, src, cat, &wfl.gas)
+	if errors.Is(err, musketeer.ErrUnknownFrontend) {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	if err != nil {
@@ -89,9 +56,9 @@ func runCheck(args []string) int {
 		// report (warnings included) survives the front-end wrapping.
 		var aerr *analysis.Error
 		if errors.As(err, &aerr) {
-			return printReport(*workflowPath, aerr.Report)
+			return printReport(wfl.workflow, aerr.Report)
 		}
-		fmt.Fprintf(os.Stderr, "%s: %v\n", *workflowPath, err)
+		fmt.Fprintf(os.Stderr, "%s: %v\n", wfl.workflow, err)
 		return 1
 	}
 
@@ -106,7 +73,7 @@ func runCheck(args []string) int {
 	} else {
 		rep = wf.Check()
 	}
-	return printReport(*workflowPath, rep)
+	return printReport(wfl.workflow, rep)
 }
 
 func printReport(path string, rep *musketeer.Report) int {

@@ -16,6 +16,11 @@
 // job attempt with engine phases nested beneath, plus the compile, optimize,
 // partition-search, analyze, and schedule pipeline spans.
 //
+// -history names the one file that carries what the planner learns across
+// runs: per-operator observations, recorded runtimes and the feedback
+// calibration of engine rates and selectivities. It is loaded before
+// planning and saved after the run.
+//
 // The check subcommand runs the static analyzer only — no execution — and
 // pretty-prints every diagnostic (exit status 1 when any is an error):
 //
@@ -25,8 +30,13 @@
 // The stats subcommand accepts the same flags as an execution, runs the
 // workflow, and reports observability output instead of result rows: the
 // deployment metrics registry (counters, gauges, histograms with
-// bucket-derived p50/p90/p99; -json for the flat JSON dump) and the
-// estimator's predicted-vs-measured accuracy.
+// bucket-derived p50/p90/p99; -json for the flat JSON dump), the
+// estimator's predicted-vs-measured accuracy and the learned calibration.
+// Given -history and no -workflow it runs nothing and prints what the
+// history file has learned — every calibrated rate and selectivity against
+// its Table-1 seed:
+//
+//	musketeer stats -history h.json
 //
 // -debug-addr serves the live telemetry plane over HTTP for the life of
 // the process: /metrics (Prometheus text exposition), /debug/runs (recent
@@ -38,6 +48,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -64,6 +75,58 @@ func (t tableFlags) Set(v string) error {
 	return nil
 }
 
+// workflowFlags are the flags an execution and check share: which
+// front-end compiles which source file over which relation files.
+type workflowFlags struct {
+	frontend, workflow string
+	gas                musketeer.GASConfig
+	tables             tableFlags
+}
+
+func addWorkflowFlags(fs *flag.FlagSet) *workflowFlags {
+	w := &workflowFlags{tables: tableFlags{}}
+	fs.StringVar(&w.frontend, "frontend", "hive", "front-end framework: hive, beer, pig or gas")
+	fs.StringVar(&w.workflow, "workflow", "", "workflow source file")
+	fs.StringVar(&w.gas.Vertices, "gas-vertices", "vertices", "GAS front-end: vertex table name")
+	fs.StringVar(&w.gas.Edges, "gas-edges", "edges", "GAS front-end: edge table name")
+	fs.StringVar(&w.gas.Output, "gas-output", "result", "GAS front-end: output relation name")
+	fs.Var(w.tables, "table", "a relation from a TSV file: name=file (repeatable; check reads only its schema)")
+	return w
+}
+
+// source reads the -workflow file.
+func (w *workflowFlags) source() (string, error) {
+	if w.workflow == "" {
+		return "", errors.New("missing -workflow")
+	}
+	src, err := os.ReadFile(w.workflow)
+	return string(src), err
+}
+
+// catalog decodes every -table file into the front-ends' catalog. A
+// non-nil m also stages each relation in its DFS; check passes nil.
+func (w *workflowFlags) catalog(m *musketeer.Musketeer) (musketeer.Catalog, error) {
+	cat := musketeer.Catalog{}
+	for name, file := range w.tables {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return nil, fmt.Errorf("table %s: %w", name, err)
+		}
+		rel, err := relation.DecodeBytes(name, data)
+		if err != nil {
+			return nil, fmt.Errorf("table %s: %w", name, err)
+		}
+		path := "in/" + name
+		if m != nil {
+			if err := m.WriteInput(path, rel); err != nil {
+				return nil, fmt.Errorf("table %s: %w", name, err)
+			}
+		}
+		cat[name] = musketeer.Table{Path: path, Schema: rel.Schema}
+	}
+	return cat, nil
+}
+
 func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
@@ -82,22 +145,18 @@ func main() {
 
 // run is the shared execution path of the bare command and the stats
 // subcommand; statsMode switches the post-run report from result rows to
-// metrics and accuracy.
+// metrics and accuracy, and with -history but no -workflow prints the
+// file's calibration without running anything.
 func run(name string, args []string, statsMode bool) int {
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	frontend := fs.String("frontend", "hive", "front-end framework: hive, beer, pig or gas")
-	workflowPath := fs.String("workflow", "", "workflow source file")
+	wfl := addWorkflowFlags(fs)
 	engine := fs.String("engine", "auto", `back-end engine, or "auto" for automatic mapping`)
 	clusterSpec := fs.String("cluster", "local:7", "deployment: local:<n> or ec2:<n>")
 	showCode := fs.Bool("show-code", false, "print the generated back-end code")
 	showPlan := fs.Bool("show-plan", false, "print the IR DAG and partitioning")
 	explain := fs.Bool("explain", false, "print the cost model's reasoning for the chosen partitioning")
 	dot := fs.Bool("dot", false, "print the IR DAG in Graphviz dot syntax and exit")
-	gasVertices := fs.String("gas-vertices", "vertices", "GAS front-end: vertex table name")
-	gasEdges := fs.String("gas-edges", "edges", "GAS front-end: edge table name")
-	gasOutput := fs.String("gas-output", "result", "GAS front-end: output relation name")
-	historyPath := fs.String("history", "", "workflow-history file: loaded before planning, saved after the run (estimator accuracy is persisted alongside as <file>.accuracy.json)")
-	calibratePath := fs.String("calibrate", "", "calibration-state file: learned rates/selectivities loaded before planning, saved after the run (a -history file already carries this state inline)")
+	historyPath := fs.String("history", "", "workflow-history file holding everything the planner learns (observations, runtimes, calibration): loaded before planning, saved after the run (stats -history FILE alone prints it)")
 	mtbf := fs.Float64("faults-mtbf", 0, "inject worker failures with this cluster-wide MTBF (simulated seconds)")
 	faultRate := fs.Float64("fault-rate", 0, "inject the full chaos plan (job crashes, worker faults, stragglers, DFS read failures) at this many expected faults per simulated hour")
 	chaosSeed := fs.Int64("chaos-seed", 7, "seed for the -fault-rate chaos plan (same seed = same faults)")
@@ -108,17 +167,7 @@ func run(name string, args []string, statsMode bool) int {
 	statsJSON := fs.Bool("json", false, "stats: dump the metrics registry as JSON instead of text")
 	debugAddr := fs.String("debug-addr", "", "serve the debug plane (/metrics, /debug/runs, /healthz, /debug/pprof) on this address, e.g. :6060")
 	debugHold := fs.Bool("debug-hold", false, "keep the -debug-addr server running after the run completes (Ctrl-C to exit)")
-	tables := tableFlags{}
-	fs.Var(tables, "table", "stage a relation: name=file (repeatable)")
 	fs.Parse(args)
-
-	if *workflowPath == "" {
-		fail("missing -workflow")
-	}
-	src, err := os.ReadFile(*workflowPath)
-	if err != nil {
-		fail("%v", err)
-	}
 
 	opts := []musketeer.Option{clusterOption(*clusterSpec)}
 	if *historyPath != "" {
@@ -126,7 +175,15 @@ func run(name string, args []string, statsMode bool) int {
 		if err != nil {
 			fail("history: %v", err)
 		}
+		if statsMode && wfl.workflow == "" {
+			printCalibration(h.Calibration().Snapshot())
+			return 0
+		}
 		opts = append(opts, musketeer.WithHistory(h))
+	}
+	src, err := wfl.source()
+	if err != nil {
+		fail("%v", err)
 	}
 	if *faultRate > 0 {
 		opts = append(opts, musketeer.WithChaos(musketeer.DefaultChaos(*chaosSeed, *faultRate)))
@@ -154,50 +211,18 @@ func run(name string, args []string, statsMode bool) int {
 		go srv.Serve(ln)
 		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics /debug/runs /healthz /debug/pprof)\n", ln.Addr())
 	}
-	if *calibratePath != "" {
-		if err := m.Calibration().LoadFile(*calibratePath); err != nil {
-			fail("calibrate: %v", err)
-		}
+	cat, err := wfl.catalog(m)
+	if err != nil {
+		fail("%v", err)
 	}
-	cat := musketeer.Catalog{}
-	for name, file := range tables {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			fail("table %s: %v", name, err)
-		}
-		rel, err := relation.DecodeBytes(name, data)
-		if err != nil {
-			fail("table %s: %v", name, err)
-		}
-		path := "in/" + name
-		if err := m.WriteInput(path, rel); err != nil {
-			fail("table %s: %v", name, err)
-		}
-		cat[name] = musketeer.Table{Path: path, Schema: rel.Schema}
-	}
-
-	var wf *musketeer.Workflow
-	switch *frontend {
-	case "hive":
-		wf, err = m.CompileHive(string(src), cat)
-	case "beer":
-		wf, err = m.CompileBEER(string(src), cat)
-	case "pig":
-		wf, err = m.CompilePig(string(src), cat)
-	case "gas":
-		wf, err = m.CompileGAS(string(src), cat, musketeer.GASConfig{
-			Vertices: *gasVertices, Edges: *gasEdges, Output: *gasOutput,
-		})
-	default:
-		fail("unknown front-end %q", *frontend)
-	}
+	wf, err := m.Compile(wfl.frontend, src, cat, &wfl.gas)
 	if err != nil {
 		fail("compile: %v", err)
 	}
 
 	if *dot {
 		wf.Optimize()
-		fmt.Println(wf.DAG().DOT(*workflowPath))
+		fmt.Println(wf.DAG().DOT(wfl.workflow))
 		return 0
 	}
 
@@ -246,22 +271,6 @@ func run(name string, args []string, statsMode bool) int {
 	if *historyPath != "" {
 		if err := m.History().Save(*historyPath); err != nil {
 			fail("history: %v", err)
-		}
-		// The estimator's track record persists next to the history store:
-		// prior runs' records plus this one.
-		accPath := *historyPath + ".accuracy.json"
-		acc, err := musketeer.LoadAccuracyLog(accPath)
-		if err != nil {
-			fail("accuracy: %v", err)
-		}
-		acc.Record(res.Accuracy)
-		if err := acc.Save(accPath); err != nil {
-			fail("accuracy: %v", err)
-		}
-	}
-	if *calibratePath != "" {
-		if err := m.Calibration().SaveFile(*calibratePath); err != nil {
-			fail("calibrate: %v", err)
 		}
 	}
 	if *tracePath != "" {
@@ -344,9 +353,11 @@ func run(name string, args []string, statsMode bool) int {
 
 // printCalibration renders the learned-rate summary of the stats
 // subcommand: every engine rate and operator-class selectivity that has
-// accumulated feedback evidence, against its Table-1 / first-run seed.
+// accumulated feedback evidence, against its Table-1 / first-run seed, or
+// one line saying there is no evidence yet.
 func printCalibration(snap musketeer.CalibrationSnapshot) {
 	if snap.Version == 0 {
+		fmt.Println("calibration: no feedback evidence (all rates at Table-1 seed)")
 		return
 	}
 	fmt.Printf("calibration (version %d):\n", snap.Version)
@@ -382,13 +393,20 @@ func printCalibration(snap musketeer.CalibrationSnapshot) {
 	}
 }
 
+// parseCluster parses a -cluster spec: local:<n> or ec2:<n> with n >= 1.
+func parseCluster(spec string) (kind string, n int, err error) {
+	kind, nStr, _ := strings.Cut(spec, ":")
+	n, err = strconv.Atoi(nStr)
+	if (kind != "local" && kind != "ec2") || err != nil || n < 1 {
+		return "", 0, fmt.Errorf("bad -cluster %q (want local:<n> or ec2:<n>, n >= 1)", spec)
+	}
+	return kind, n, nil
+}
+
 func clusterOption(spec string) musketeer.Option {
-	kind, nStr, ok := strings.Cut(spec, ":")
-	n := 7
-	if ok {
-		if v, err := strconv.Atoi(nStr); err == nil {
-			n = v
-		}
+	kind, n, err := parseCluster(spec)
+	if err != nil {
+		fail("%v", err)
 	}
 	if kind == "ec2" {
 		return musketeer.EC2(n)

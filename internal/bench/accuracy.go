@@ -145,7 +145,7 @@ func RunAccuracy(rounds int, caseFilter []string) (*AccuracyReport, error) {
 	}
 	prev := map[string]jobRun{}
 	for round := 1; round <= rounds; round++ {
-		log := obs.NewAccuracyLog()
+		var workflows []*obs.WorkflowAccuracy
 		for _, cse := range cases {
 			res, err := runAuto(cse.w(), cse.c, nil, engines.ModeOptimized, h)
 			if err != nil {
@@ -155,7 +155,7 @@ func RunAccuracy(rounds int, caseFilter []string) (*AccuracyReport, error) {
 				return nil, fmt.Errorf("bench: accuracy %s round %d: no accuracy record", cse.name, round)
 			}
 			res.Accuracy.Workflow = cse.name
-			log.Record(res.Accuracy)
+			workflows = append(workflows, res.Accuracy)
 			for _, j := range res.Accuracy.Jobs {
 				key := cse.name + "|" + j.Job
 				if p, ok := prev[key]; ok && p.engine != j.Engine {
@@ -168,8 +168,8 @@ func RunAccuracy(rounds int, caseFilter []string) (*AccuracyReport, error) {
 				prev[key] = jobRun{engine: j.Engine, actualS: j.ActualS}
 			}
 		}
-		summary := log.Summary()
-		rep.Rounds = append(rep.Rounds, AccuracyRound{Round: round, Workflows: log.Workflows(), Summary: summary})
+		summary := obs.Summarize(workflows)
+		rep.Rounds = append(rep.Rounds, AccuracyRound{Round: round, Workflows: workflows, Summary: summary})
 		learning.MeanAbsErrorByRound = append(learning.MeanAbsErrorByRound, summary.MeanAbsMakespanError)
 	}
 	final := rep.Rounds[len(rep.Rounds)-1]

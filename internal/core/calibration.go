@@ -1,10 +1,7 @@
 package core
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -108,7 +105,7 @@ type SelectivityCalibration struct {
 }
 
 // CalibrationSnapshot is a point-in-time copy of the store, used for
-// display (mkcalibrate, musketeer stats) and JSON persistence.
+// display (musketeer stats) and persisted inside the history file.
 type CalibrationSnapshot struct {
 	Version       uint64                   `json:"version"`
 	UpdatedAt     time.Time                `json:"updated_at,omitempty"`
@@ -323,31 +320,4 @@ func (c *Calibration) restore(snap CalibrationSnapshot) {
 	}
 	c.updatedAt = snap.UpdatedAt
 	c.version.Store(snap.Version)
-}
-
-// SaveFile writes the calibration state as indented JSON.
-func (c *Calibration) SaveFile(path string) error {
-	data, err := json.MarshalIndent(c.Snapshot(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("calibration: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadFile replaces the state from a file written by SaveFile; a missing
-// file is a no-op so first runs need no setup.
-func (c *Calibration) LoadFile(path string) error {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	var snap CalibrationSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("calibration: %s: %w", path, err)
-	}
-	c.restore(snap)
-	return nil
 }

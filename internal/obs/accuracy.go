@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"sync"
 )
 
 // JobAccuracy compares the cost model's predicted makespan for one job
@@ -68,40 +65,8 @@ func (w *WorkflowAccuracy) String() string {
 		len(w.Jobs), 100*w.MeanAbsJobError())
 }
 
-// AccuracyLog accumulates workflow accuracy across executions — the
-// estimator's measured track record, persisted next to the workflow
-// history store. Safe for concurrent use; a nil *AccuracyLog discards
-// records.
-type AccuracyLog struct {
-	mu        sync.Mutex
-	workflows []*WorkflowAccuracy
-}
-
-// NewAccuracyLog returns an empty log.
-func NewAccuracyLog() *AccuracyLog { return &AccuracyLog{} }
-
-// Record appends one execution's accuracy. No-op on nil log or record.
-func (l *AccuracyLog) Record(w *WorkflowAccuracy) {
-	if l == nil || w == nil {
-		return
-	}
-	l.mu.Lock()
-	l.workflows = append(l.workflows, w)
-	l.mu.Unlock()
-}
-
-// Workflows returns a snapshot of every recorded execution.
-func (l *AccuracyLog) Workflows() []*WorkflowAccuracy {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]*WorkflowAccuracy(nil), l.workflows...)
-}
-
-// AccuracySummary condenses a log: how far off the estimator has been, on
-// average and at worst, across recorded executions.
+// AccuracySummary condenses a set of executions' accuracy records: how far
+// off the estimator has been, on average and at worst.
 type AccuracySummary struct {
 	Workflows int `json:"workflows"`
 	Jobs      int `json:"jobs"`
@@ -114,14 +79,11 @@ type AccuracySummary struct {
 	WorstAbsMakespanError float64 `json:"worst_abs_makespan_error"`
 }
 
-// Summary computes the log's aggregate accuracy.
-func (l *AccuracyLog) Summary() AccuracySummary {
+// Summarize computes the aggregate accuracy of the given executions.
+func Summarize(workflows []*WorkflowAccuracy) AccuracySummary {
 	var s AccuracySummary
-	if l == nil {
-		return s
-	}
 	var jobErrSum float64
-	for _, w := range l.Workflows() {
+	for _, w := range workflows {
 		s.Workflows++
 		s.MeanMakespanError += w.MakespanError
 		abs := math.Abs(w.MakespanError)
@@ -142,43 +104,4 @@ func (l *AccuracyLog) Summary() AccuracySummary {
 		s.MeanAbsJobError = jobErrSum / float64(s.Jobs)
 	}
 	return s
-}
-
-// persistedAccuracy is the JSON layout of a saved log.
-type persistedAccuracy struct {
-	Summary   AccuracySummary     `json:"summary"`
-	Workflows []*WorkflowAccuracy `json:"workflows"`
-}
-
-// Save writes the log (summary plus every record) as JSON to path — the
-// sibling artifact of core.History's store.
-func (l *AccuracyLog) Save(path string) error {
-	p := persistedAccuracy{Summary: l.Summary(), Workflows: l.Workflows()}
-	if p.Workflows == nil {
-		p.Workflows = []*WorkflowAccuracy{}
-	}
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: accuracy: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadAccuracyLog reads a log saved by Save; a missing file yields an
-// empty log.
-func LoadAccuracyLog(path string) (*AccuracyLog, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return NewAccuracyLog(), nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var p persistedAccuracy
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("obs: accuracy: %s: %w", path, err)
-	}
-	l := NewAccuracyLog()
-	l.workflows = p.Workflows
-	return l, nil
 }

@@ -3,8 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -252,43 +250,25 @@ func TestNilRecorderTrace(t *testing.T) {
 	}
 }
 
-func TestAccuracyLogSummarySaveLoad(t *testing.T) {
-	l := NewAccuracyLog()
-	l.Record(&WorkflowAccuracy{
+func TestSummarize(t *testing.T) {
+	s := Summarize([]*WorkflowAccuracy{{
 		Workflow: "a", PredictedMakespanS: 100, ActualMakespanS: 120, MakespanError: 0.2,
 		Jobs: []JobAccuracy{{Job: "j1", Engine: "spark", PredictedS: 100, ActualS: 120, Error: 0.2}},
-	})
-	l.Record(&WorkflowAccuracy{
+	}, {
 		Workflow: "b", PredictedMakespanS: 50, ActualMakespanS: 40, MakespanError: -0.2,
 		Jobs: []JobAccuracy{{Job: "j1", Engine: "hadoop", PredictedS: 50, ActualS: 40, Error: -0.2}},
-	})
-	s := l.Summary()
+	}})
 	if s.Workflows != 2 || s.Jobs != 2 {
 		t.Fatalf("summary counts = %+v", s)
 	}
 	if s.MeanMakespanError != 0 || s.MeanAbsMakespanError != 0.2 {
 		t.Fatalf("summary errors = %+v", s)
 	}
-
-	path := filepath.Join(t.TempDir(), "acc.json")
-	if err := l.Save(path); err != nil {
-		t.Fatal(err)
+	if s.MeanAbsJobError != 0.2 || s.WorstAbsMakespanError != 0.2 {
+		t.Fatalf("summary magnitudes = %+v", s)
 	}
-	back, err := LoadAccuracyLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := back.Summary(); got != s {
-		t.Fatalf("round-trip summary = %+v, want %+v", got, s)
-	}
-	if _, err := LoadAccuracyLog(filepath.Join(t.TempDir(), "missing.json")); err != nil {
-		t.Fatalf("missing file should yield empty log, got %v", err)
-	}
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadAccuracyLog(path); err == nil {
-		t.Fatal("corrupt accuracy file should error")
+	if got := Summarize(nil); got != (AccuracySummary{}) {
+		t.Fatalf("empty summary = %+v", got)
 	}
 }
 

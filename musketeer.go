@@ -27,6 +27,7 @@ package musketeer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -92,19 +93,11 @@ type (
 	MetricsSnapshot = obs.Snapshot
 	// WorkflowAccuracy compares predicted against measured makespans.
 	WorkflowAccuracy = obs.WorkflowAccuracy
-	// AccuracyLog accumulates estimator accuracy across executions.
-	AccuracyLog = obs.AccuracyLog
-	// AccuracySummary condenses an accuracy log.
-	AccuracySummary = obs.AccuracySummary
 	// RunDigest is the retained summary of one execution (see Runs).
 	RunDigest = obs.RunDigest
 	// RunRegistry is the bounded in-process registry of recent executions.
 	RunRegistry = obs.RunRegistry
 )
-
-// LoadAccuracyLog reads an estimator-accuracy log saved by AccuracyLog.Save;
-// a missing file yields an empty log.
-func LoadAccuracyLog(path string) (*AccuracyLog, error) { return obs.LoadAccuracyLog(path) }
 
 // Code-generation modes.
 const (
@@ -351,6 +344,31 @@ type Workflow struct {
 func (m *Musketeer) newWorkflow(dag *ir.DAG, compileStart time.Time) *Workflow {
 	m.metrics.Counter("workflows_compiled_total").Add(1)
 	return &Workflow{m: m, dag: dag, compileWall: time.Since(compileStart)}
+}
+
+// ErrUnknownFrontend is wrapped by Compile's error for a front-end name it
+// does not know.
+var ErrUnknownFrontend = errors.New("musketeer: unknown front-end")
+
+// Compile translates src with the named front-end: hive, beer, pig or gas.
+// gasCfg configures the GAS front-end and is ignored by the others; nil
+// leaves its table names empty.
+func (m *Musketeer) Compile(frontend, src string, cat Catalog, gasCfg *GASConfig) (*Workflow, error) {
+	switch frontend {
+	case "hive":
+		return m.CompileHive(src, cat)
+	case "beer":
+		return m.CompileBEER(src, cat)
+	case "pig":
+		return m.CompilePig(src, cat)
+	case "gas":
+		var cfg GASConfig
+		if gasCfg != nil {
+			cfg = *gasCfg
+		}
+		return m.CompileGAS(src, cat, cfg)
+	}
+	return nil, fmt.Errorf("%w %q (want hive, beer, pig or gas)", ErrUnknownFrontend, frontend)
 }
 
 // CompileHive translates a HiveQL-subset workflow.

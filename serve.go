@@ -291,25 +291,14 @@ func (s *Server) compile(tenant string, req *SubmitRequest) (*Workflow, error) {
 		}
 		cat[name] = frontends.Table{Path: tbl.Path, Schema: relation.NewSchema(tbl.Schema...)}
 	}
-	var wf *Workflow
-	var err error
-	switch req.Frontend {
-	case "hive":
-		wf, err = s.m.CompileHive(req.Source, cat)
-	case "beer":
-		wf, err = s.m.CompileBEER(req.Source, cat)
-	case "pig":
-		wf, err = s.m.CompilePig(req.Source, cat)
-	case "gas":
-		if req.GAS == nil {
-			return nil, fmt.Errorf("frontend gas requires the gas config")
-		}
-		wf, err = s.m.CompileGAS(req.Source, cat, GASConfig{
-			Vertices: req.GAS.Vertices, Edges: req.GAS.Edges, Output: req.GAS.Output,
-		})
-	default:
-		return nil, fmt.Errorf("unknown frontend %q (want hive, beer, pig, or gas)", req.Frontend)
+	if req.Frontend == "gas" && req.GAS == nil {
+		return nil, fmt.Errorf("frontend gas requires the gas config")
 	}
+	var gasCfg *GASConfig
+	if req.GAS != nil {
+		gasCfg = &GASConfig{Vertices: req.GAS.Vertices, Edges: req.GAS.Edges, Output: req.GAS.Output}
+	}
+	wf, err := s.m.Compile(req.Frontend, req.Source, cat, gasCfg)
 	if err != nil {
 		return nil, err
 	}
