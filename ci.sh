@@ -33,6 +33,12 @@
 #                       engines.(*Engine).Accepts, allocates nothing for a
 #                       refused candidate on each paradigm or an accepted
 #                       one: refusals are described only by ValidOps
+#   loop semantics    — internal/ir alone defines a WHILE: the four
+#                       iterative workloads' invariant body operators and
+#                       kept relations are pinned by name, and on the random
+#                       DAG generator's WHILEs a body JOIN reuses round 1's
+#                       table in round 2 exactly when ir calls its build
+#                       side invariant
 #   telemetry scrape  — the debug server (httptest over DebugHandler)
 #                       serves /metrics and /debug/runs during chaotic
 #                       concurrent executions; any malformed exposition
@@ -141,6 +147,8 @@ if [ "$GROUP" = all ] || [ "$GROUP" = gates ]; then
     stage "chaos golden" go test -count=1 -timeout 5m -run 'TestChaos(Driver)?Golden' .
     stage "obs disabled-path alloc guard" go test -count=1 -timeout 5m -run 'TestDisabledPathAllocs' ./internal/obs
     stage "search feasibility alloc guard" go test -count=1 -timeout 5m -run '^TestSearchFeasibilityAllocatesNothing$' ./internal/engines
+    stage "loop semantics" go test -count=1 -timeout 5m \
+        -run '^(TestWorkloadLoopsInvariantAndKept|TestLoopDefinition|TestWhileJoinReuseMatchesInvariance)$' ./internal/ir ./internal/exec
     stage "telemetry scrape gate" \
         go test -count=1 -timeout 5m -run 'TestDebugServerScrape|TestConcurrentScrapeDuringChaoticExecutes|TestPrometheusLinesValid|TestPrometheusByteStableAcrossScrapes' . ./internal/obs
     stage "flaky gate (3x shuffled concurrency/sched/chaos)" \

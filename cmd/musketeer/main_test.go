@@ -208,3 +208,22 @@ func TestCLICheckExitStatus(t *testing.T) {
 		}
 	}
 }
+
+// check -matrix prints what each standard engine can run, derived from its
+// paradigm and profile; the table is pinned byte for byte, padding included.
+func TestCLICheckMatrix(t *testing.T) {
+	const want = "" +
+		"engine       paradigm        operators  iteration    machines   shuffles \n" +
+		"graphchi     vertex-centric  gas-only   native       single     unlimited\n" +
+		"hadoop       mapreduce       all        driver       cluster    1/job    \n" +
+		"metis        mapreduce       all        driver       single     1/job    \n" +
+		"naiad        general         all        native       cluster    unlimited\n" +
+		"powergraph   vertex-centric  gas-only   native       cluster    unlimited\n" +
+		"serial       general         all        native       single     unlimited\n" +
+		"spark        general         all        native       cluster    unlimited\n"
+	var code int
+	got := captureStdout(t, func() { code = runCheck([]string{"-matrix"}) })
+	if code != 0 || got != want {
+		t.Errorf("check -matrix exited %d and printed\n%q\nwant\n%q", code, got, want)
+	}
+}

@@ -162,6 +162,26 @@ func TestConstantConditionWarning(t *testing.T) {
 	}
 }
 
+// A body INPUT binds to the WHILE input of its name and to nothing else:
+// one the WHILE does not feed is unbound, with or without a declared
+// schema, even when an outer relation of that name is in scope.
+func TestUnboundBodyInputReported(t *testing.T) {
+	for _, declared := range []relation.Schema{{}, abSchema()} {
+		body := ir.NewDAG()
+		bin := body.AddInput("t", "", relation.Schema{})
+		stray := body.AddInput("u", "in/u", declared)
+		body.Add(ir.OpUnion, "next", ir.Params{}, bin, stray)
+		d := ir.NewDAG()
+		in := d.AddInput("t", "in/t", abSchema())
+		d.Add(ir.OpDistinct, "seen", ir.Params{}, d.AddInput("u", "in/u", abSchema()))
+		d.Add(ir.OpWhile, "w", ir.Params{Body: body, MaxIter: 2, Carried: map[string]string{"t": "next"}}, in)
+		rep := analysis.AnalyzeWithEngines(d, nil)
+		if !hasDiag(rep, analysis.SevError, `body input "u" is not bound by the enclosing WHILE`) {
+			t.Errorf("declared schema %s: unbound body input not reported:\n%s", declared, rep)
+		}
+	}
+}
+
 func TestEngineFeasibility(t *testing.T) {
 	d := ir.NewDAG()
 	in := d.AddInput("t", "in/t", abSchema())

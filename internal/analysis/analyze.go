@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"musketeer/internal/engines"
@@ -33,9 +34,9 @@ func AnalyzeWithEngines(d *ir.DAG, engs []*engines.Engine) *Report {
 	// DAGs — their absence is not a lost diagnostic, the structural errors
 	// are the diagnostics.
 	if a.structural(d) {
-		a.schemaPass(d, nil, false) // pass 2 (types/schemas)
-		a.loopPass(d)               // pass 4 (loop checks)
-		a.livenessPass(d)           // pass 3 (dead operators)
+		a.schemaPass(d, nil) // pass 2 (types/schemas)
+		a.loopPass(d)        // pass 4 (loop checks)
+		a.livenessPass(d)    // pass 3 (dead operators)
 		if len(engs) > 0 {
 			a.enginePass(d, engs) // pass 5 (engine feasibility)
 		}
@@ -145,28 +146,27 @@ func (a *analyzer) structural(d *ir.DAG) bool {
 // of stopping at the first. Operators whose inputs failed to infer are
 // skipped silently — the producer already carries the diagnostic, and
 // cascade errors would only bury it.
-// Outer schemas for a WHILE body are resolved from the map here rather
-// than bound onto the body's INPUT operators: the analyzer must not
-// mutate the DAG it inspects, because a compiled workflow may be
-// analyzed by several concurrent executions at once.
-func (a *analyzer) schemaPass(d *ir.DAG, outer map[string]relation.Schema, inBody bool) {
+// In the body of the WHILE loop (nil at the top level), an INPUT takes the
+// schema of the outer relation it binds (ir.Op.BoundInput) here rather than
+// having it bound onto the operator: the analyzer must not mutate the DAG
+// it inspects, because a compiled workflow may be analyzed by several
+// concurrent executions at once.
+func (a *analyzer) schemaPass(d *ir.DAG, loop *ir.Op) {
 	ops, err := d.TopoSort()
 	if err != nil {
 		return // unreachable for structurally sound DAGs
 	}
 	for _, op := range ops {
 		switch {
-		case op.Type == ir.OpInput:
-			if s, ok := outer[op.Out]; ok {
+		case op.Type == ir.OpInput && loop != nil:
+			if src := loop.BoundInput(op); src == nil {
+				a.errf("schema", op, "body input %q is not bound by the enclosing WHILE", op.Out)
+			} else if s, ok := a.schemas[src]; ok {
 				a.schemas[op] = s
-				continue
 			}
+		case op.Type == ir.OpInput:
 			if op.Params.Schema.Arity() == 0 {
-				if inBody {
-					a.errf("schema", op, "body input %q is not bound by the enclosing WHILE and has no declared schema", op.Out)
-				} else {
-					a.errf("schema", op, "input without schema")
-				}
+				a.errf("schema", op, "input without schema")
 				continue
 			}
 			a.schemas[op] = op.Params.Schema
@@ -193,22 +193,16 @@ func (a *analyzer) schemaPass(d *ir.DAG, outer map[string]relation.Schema, inBod
 	}
 }
 
-// whileSchema infers a WHILE operator: binds outer schemas onto the body's
-// input bridges, analyzes the body (collecting all its diagnostics), and
-// takes the result relation's schema as the loop's own output schema.
+// whileSchema infers a WHILE operator: analyzes the body with its inputs
+// bound to the outer schemas (collecting all its diagnostics), and takes
+// the result relation's schema as the loop's own output schema.
 func (a *analyzer) whileSchema(w *ir.Op) {
 	body := w.Params.Body
 	if body == nil {
 		a.errf("schema", w, "WHILE without body")
 		return
 	}
-	outer := make(map[string]relation.Schema, len(w.Inputs))
-	for _, in := range w.Inputs {
-		if s, ok := a.schemas[in]; ok {
-			outer[in.Out] = s
-		}
-	}
-	a.schemaPass(body, outer, true)
+	a.schemaPass(body, w)
 	res := w.ResultRelation()
 	if res == "" {
 		a.errf("schema", w, "WHILE has no result relation (no carried outputs and no unique body sink)")
@@ -255,13 +249,7 @@ func (a *analyzer) checkLoop(w *ir.Op) {
 	if w.Params.MaxIter <= 0 && w.Params.CondRel == "" {
 		a.errf("loop", w, "WHILE without stop condition")
 	}
-	names := make([]string, 0, len(w.Params.Carried))
-	for in := range w.Params.Carried {
-		names = append(names, in)
-	}
-	sort.Strings(names)
-	var carriedIns []*ir.Op
-	for _, inName := range names {
+	for _, inName := range slices.Sorted(maps.Keys(w.Params.Carried)) {
 		outName := w.Params.Carried[inName]
 		inOp, outOp := body.ByOut(inName), body.ByOut(outName)
 		switch {
@@ -269,8 +257,6 @@ func (a *analyzer) checkLoop(w *ir.Op) {
 			a.errf("loop", w, "carried %q->%q: %q not in body", inName, outName, inName)
 		case inOp.Type != ir.OpInput:
 			a.errf("loop", w, "carried input %q must be a body INPUT bridge, not %s", inName, inOp.Type)
-		default:
-			carriedIns = append(carriedIns, inOp)
 		}
 		if outOp == nil {
 			a.errf("loop", w, "carried %q->%q: %q not in body", inName, outName, outName)
@@ -291,40 +277,13 @@ func (a *analyzer) checkLoop(w *ir.Op) {
 		a.errf("loop", w, "stop-condition relation %q not in body", w.Params.CondRel)
 		return
 	}
-	invariant := len(carriedIns) == 0 || !dependsOnAny(condOp, carriedIns)
-	if invariant {
+	if w.Invariant()[condOp] {
 		if w.Params.MaxIter > 0 {
 			a.warnf("loop", w, "stop condition %q does not depend on loop-carried state; it is constant across iterations", w.Params.CondRel)
 		} else {
 			a.warnf("loop", w, "stop condition %q does not depend on loop-carried state and no iteration bound is set; the loop is trivially non-terminating unless %q starts empty", w.Params.CondRel, w.Params.CondRel)
 		}
 	}
-}
-
-// dependsOnAny reports whether op transitively reads any of the sources.
-func dependsOnAny(op *ir.Op, sources []*ir.Op) bool {
-	src := make(map[*ir.Op]bool, len(sources))
-	for _, s := range sources {
-		src[s] = true
-	}
-	seen := map[*ir.Op]bool{}
-	var walk func(o *ir.Op) bool
-	walk = func(o *ir.Op) bool {
-		if src[o] {
-			return true
-		}
-		if seen[o] {
-			return false
-		}
-		seen[o] = true
-		for _, in := range o.Inputs {
-			if walk(in) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(op)
 }
 
 // livenessPass is pass 3: operators whose output nothing uses. At the top
@@ -347,10 +306,7 @@ func (a *analyzer) livenessPass(d *ir.DAG) {
 
 func (a *analyzer) bodyLiveness(w *ir.Op) {
 	body := w.Params.Body
-	keep := map[string]bool{w.ResultRelation(): true, w.Params.CondRel: true}
-	for _, out := range w.Params.Carried {
-		keep[out] = true
-	}
+	kept := w.Kept()
 	cons := body.Consumers()
 	for _, op := range body.Ops {
 		if op.Type == ir.OpInput {
@@ -359,7 +315,7 @@ func (a *analyzer) bodyLiveness(w *ir.Op) {
 			}
 			continue
 		}
-		if len(cons[op]) == 0 && !keep[op.Out] {
+		if len(cons[op]) == 0 && !slices.Contains(kept, op.Out) {
 			a.warnf("liveness", op, "dead loop-body operator: %q is recomputed every iteration but never used", op.Out)
 		}
 		if op.Params.Body != nil {
@@ -369,7 +325,7 @@ func (a *analyzer) bodyLiveness(w *ir.Op) {
 }
 
 // enginePass is pass 5: every compute operator must be executable by at
-// least one candidate engine (per the engine capability matrix), so that
+// least one candidate engine as a job of its own (ValidOps), so that
 // impossible mappings fail here with a per-operator diagnostic instead of
 // deep inside the partition search as "no feasible partitioning".
 func (a *analyzer) enginePass(d *ir.DAG, engs []*engines.Engine) {
@@ -380,7 +336,7 @@ func (a *analyzer) enginePass(d *ir.DAG, engs []*engines.Engine) {
 		var reasons []string
 		supported := false
 		for _, e := range engs {
-			if err := e.SupportsOp(op); err == nil {
+			if err := e.ValidOps([]*ir.Op{op}); err == nil {
 				supported = true
 				break
 			} else {

@@ -32,7 +32,9 @@ import (
 // its input, so shared intermediates keep their original semantics.
 func Optimize(dag *ir.DAG) int { return optimize(dag, nil) }
 
-func optimize(dag *ir.DAG, keepInputs map[string]bool) int {
+// optimize rewrites dag, the body of the WHILE loop or the top level when
+// loop is nil.
+func optimize(dag *ir.DAG, loop *ir.Op) int {
 	rewrites := 0
 	for {
 		n := optimizePass(dag)
@@ -41,29 +43,24 @@ func optimize(dag *ir.DAG, keepInputs map[string]bool) int {
 			break
 		}
 	}
-	rewrites += removeDeadInputs(dag, keepInputs)
+	rewrites += removeDeadInputs(dag, loop)
 	for _, op := range dag.Ops {
 		if op.Params.Body != nil {
-			bkeep := make(map[string]bool, len(op.Params.Carried))
-			for in := range op.Params.Carried {
-				bkeep[in] = true
-			}
-			rewrites += optimize(op.Params.Body, bkeep)
+			rewrites += optimize(op.Params.Body, op)
 		}
 	}
 	return rewrites
 }
 
 // removeDeadInputs drops INPUT operators with no consumers in dag, except
-// those whose relation names appear in keep (loop-carried inputs: the
-// WHILE re-binds them by name every iteration even if the body text never
-// reads them). Returns the number of operators removed.
-func removeDeadInputs(dag *ir.DAG, keep map[string]bool) int {
+// those the WHILE loop rebinds every round even if the body text never
+// reads them. Returns the number of operators removed.
+func removeDeadInputs(dag *ir.DAG, loop *ir.Op) int {
 	removed := 0
 	cons := dag.Consumers()
 	live := dag.Ops[:0]
 	for _, op := range dag.Ops {
-		if op.Type == ir.OpInput && len(cons[op]) == 0 && !keep[op.Out] {
+		if op.Type == ir.OpInput && len(cons[op]) == 0 && (loop == nil || !loop.Rebinds(op)) {
 			removed++
 			continue
 		}

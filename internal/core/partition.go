@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -38,15 +37,11 @@ func (a *Assignment) DriverLoop() *ir.Op {
 	return nil
 }
 
-// forceLoopOutputs makes w's loop-carried and stop-condition relations
-// outputs of the body jobs that compute them: the driver reads them from the
-// DFS every round, even where no other body job does.
+// forceLoopOutputs makes the body relations w keeps across rounds outputs
+// of the body jobs that compute them: the driver reads them from the DFS
+// every round, even where no other body job does.
 func forceLoopOutputs(w *ir.Op, body *Partitioning) error {
-	needed := slices.Sorted(maps.Values(w.Params.Carried))
-	if w.Params.CondRel != "" {
-		needed = append(needed, w.Params.CondRel)
-	}
-	for _, name := range needed {
+	for _, name := range w.Kept() {
 		op := w.Params.Body.ByOut(name)
 		if op == nil {
 			return fmt.Errorf("core: WHILE %s: relation %q not in body", w.Out, name)

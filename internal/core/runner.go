@@ -274,10 +274,6 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 	ctx := rctx.Ctx // the job attempt's context
 	body := w.Params.Body
 	bodyID := id.Body(body)
-	outerPaths := make(map[string]string, len(w.Inputs))
-	for _, outerIn := range w.Inputs {
-		outerPaths[outerIn.Out] = engines.InputPath(outerIn)
-	}
 	// Stage loop state in the loop namespace: each body input's source
 	// relation is copied to the path the body resolves it from, so carried
 	// updates never clobber source data and concurrent executions of the
@@ -289,13 +285,13 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 		if bop.Type != ir.OpInput {
 			continue
 		}
-		src, ok := outerPaths[bop.Out]
-		if !ok {
+		src := w.BoundInput(bop)
+		if src == nil {
 			return nil, 0, fmt.Errorf("core: WHILE %s: body input %q unbound", w.Out, bop.Out)
 		}
 		dst := engines.InputPath(bop)
 		inPath[bop.Out] = dst
-		if err := rctx.DFS.Copy(src, loopNS+"/"+dst); err != nil {
+		if err := rctx.DFS.Copy(engines.InputPath(src), loopNS+"/"+dst); err != nil {
 			return nil, 0, fmt.Errorf("core: WHILE %s input %q: %w", w.Out, bop.Out, err)
 		}
 	}
@@ -308,24 +304,14 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 		}
 		return name
 	}
-	// An input is loop-invariant when no round rewrites its loop copy: no
-	// carried relation is rebound onto it and no body job writes it. Each
-	// body job keeps what its rounds decode and index of those inputs in a
-	// share of its own: one job's rounds, retries and backups run one after
+	// No round rewrites the loop copy of an invariant body input. Each body
+	// job keeps what its rounds decode and index of those inputs in a share
+	// of its own: one job's rounds, retries and backups run one after
 	// another, while jobs of one round may run concurrently.
-	written := make(map[string]bool, len(body.Ops))
-	for _, bop := range body.Ops {
-		if bop.Type != ir.OpInput {
-			written[bop.Out] = true
-		}
-	}
-	for inName := range w.Params.Carried {
-		written[loopPath(inName)] = true
-	}
 	invariant := make(map[string]bool, len(inPath))
-	for name, p := range inPath {
-		if !written[p] {
-			invariant[name] = true
+	for bop := range w.Invariant() {
+		if bop.Type == ir.OpInput {
+			invariant[bop.Out] = true
 		}
 	}
 	lctxs := make([]engines.RunContext, len(part.Jobs))
@@ -343,10 +329,7 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 		bodySpanNames[ji] = "job:" + part.Jobs[ji].Frag.Name()
 	}
 
-	maxIter := w.Params.MaxIter
-	if maxIter <= 0 {
-		maxIter = ir.MaxCondIters
-	}
+	maxIter := w.IterCap()
 	var all []*engines.RunResult
 	var total cluster.Seconds
 	// simClock places iteration spans on the loop's simulated timeline:
@@ -450,15 +433,9 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 		r.History.Observe(id.Hash(id.DAG), w.ID, Observation{OutRatio: 1, Iterations: iters})
 	}
 	// Publish the WHILE's result under its output name in the execution's
-	// view.
-	src := w.ResultRelation()
-	for inName, outName := range w.Params.Carried {
-		if outName == src { // the last rebind left its current value here
-			src = loopPath(inName)
-			break
-		}
-	}
-	if err := rctx.DFS.Copy(loopNS+"/"+src, w.Out); err != nil {
+	// view. The last rebind copied a carried result to its input, so the
+	// body job's output holds the same bytes.
+	if err := rctx.DFS.Copy(loopNS+"/"+w.ResultRelation(), w.Out); err != nil {
 		return nil, 0, err
 	}
 	return all, total, nil

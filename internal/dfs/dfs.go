@@ -222,20 +222,6 @@ func (d *DFS) Delete(path string) error {
 	return nil
 }
 
-// Rename moves a file without any I/O cost (metadata-only, as in HDFS).
-func (d *DFS) Rename(from, to string) error {
-	d.st.mu.Lock()
-	defer d.st.mu.Unlock()
-	fromKey, toKey := d.resolve(from), d.resolve(to)
-	f, ok := d.st.files[fromKey]
-	if !ok {
-		return fmt.Errorf("dfs: no such file %q", fromKey)
-	}
-	delete(d.st.files, fromKey)
-	d.st.files[toKey] = f
-	return nil
-}
-
 // Copy duplicates a file's metadata and bytes under a new path without I/O
 // accounting (sessions use it to link inputs into a namespace and the loop
 // driver uses it to seed iteration state).

@@ -4,87 +4,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"musketeer/internal/ir"
 )
 
-// Capability is an engine's static capability profile: the operator classes
-// it can execute at all, independent of cost. The analyzer's feasibility
-// pass consults it up front so that impossible front-end/engine pairings
-// are rejected with a diagnostic before the partition search runs, instead
-// of being silently pruned to an infinite-cost dead end mid-search.
-type Capability struct {
-	Paradigm Paradigm
-	// AllOperators: the engine executes arbitrary relational operators.
-	AllOperators bool
-	// GraphIdiomOnly: the engine only runs WHILE loops matching the GAS
-	// graph idiom (PowerGraph, GraphChi).
-	GraphIdiomOnly bool
-	// NativeIteration: WHILE loops run inside one job rather than being
-	// driver-looped with per-iteration job overheads.
-	NativeIteration bool
-	// SingleMachine: the engine does not scale past one node.
-	SingleMachine bool
-	// MaxShufflesPerJob bounds by-key shuffles in one job; -1 = unlimited.
-	MaxShufflesPerJob int
-}
-
-// Capability derives the engine's capability profile from its paradigm and
-// calibrated performance profile.
-func (e *Engine) Capability() Capability {
-	c := Capability{
-		Paradigm:          e.paradigm,
-		NativeIteration:   e.prof.NativeIteration,
-		SingleMachine:     e.prof.SingleMachine,
-		MaxShufflesPerJob: -1,
-	}
-	switch e.paradigm {
-	case ParadigmVertexCentric:
-		c.GraphIdiomOnly = true
-	case ParadigmMapReduce:
-		c.AllOperators = true
-		c.MaxShufflesPerJob = 1
-	default:
-		c.AllOperators = true
-	}
-	return c
-}
-
-// SupportsOp reports whether the engine can, in principle, execute the
-// operator in some job (alone if need be). nil means yes; otherwise the
-// returned error explains the incapability. This is the per-operator
-// projection of ValidFragment: MapReduce and general engines can run any
-// single operator (a WHILE body is driver-looped, so its operators must be
-// individually supported too), while vertex-centric engines only run WHILE
-// loops matching the GAS idiom.
-func (e *Engine) SupportsOp(op *ir.Op) error {
-	switch e.paradigm {
-	case ParadigmVertexCentric:
-		if op.Type != ir.OpWhile {
-			return fmt.Errorf("%s: vertex-centric back-end cannot run %s; only graph idioms are expressible", e.name, op.Type)
-		}
-		if ir.DetectGraphIdiom(op) == nil {
-			return fmt.Errorf("%s: WHILE %s does not match the GAS idiom", e.name, op.Out)
-		}
-		return nil
-	default:
-		if op.Type == ir.OpWhile && op.Params.Body != nil && !e.prof.NativeIteration {
-			// Driver-looped: every body operator becomes its own job chain.
-			for _, bop := range op.Params.Body.Ops {
-				if bop.Type == ir.OpInput {
-					continue
-				}
-				if err := e.SupportsOp(bop); err != nil {
-					return fmt.Errorf("%s: WHILE %s body: %w", e.name, op.Out, err)
-				}
-			}
-		}
-		return nil
-	}
-}
-
-// CapabilityMatrix renders the per-engine capability matrix as a table,
-// one engine per row, sorted by name (`musketeer check -matrix`).
+// CapabilityMatrix renders what each engine can run, one engine per row,
+// sorted by name (`musketeer check -matrix`): the operators its paradigm
+// accepts (see rule), how it iterates a WHILE, whether it scales past one
+// machine, and how many shuffles one of its jobs may hold.
 func CapabilityMatrix(engs []*Engine) string {
 	sorted := append([]*Engine(nil), engs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].name < sorted[j].name })
@@ -92,25 +17,23 @@ func CapabilityMatrix(engs []*Engine) string {
 	fmt.Fprintf(&b, "%-12s %-15s %-10s %-12s %-10s %-9s\n",
 		"engine", "paradigm", "operators", "iteration", "machines", "shuffles")
 	for _, e := range sorted {
-		c := e.Capability()
-		ops := "all"
-		if c.GraphIdiomOnly {
+		ops, shuf := "all", "unlimited"
+		switch e.paradigm {
+		case ParadigmVertexCentric:
 			ops = "gas-only"
+		case ParadigmMapReduce:
+			shuf = "1/job"
 		}
 		iter := "driver"
-		if c.NativeIteration {
+		if e.prof.NativeIteration {
 			iter = "native"
 		}
 		nodes := "cluster"
-		if c.SingleMachine {
+		if e.prof.SingleMachine {
 			nodes = "single"
 		}
-		shuf := "unlimited"
-		if c.MaxShufflesPerJob >= 0 {
-			shuf = fmt.Sprintf("%d/job", c.MaxShufflesPerJob)
-		}
 		fmt.Fprintf(&b, "%-12s %-15s %-10s %-12s %-10s %-9s\n",
-			e.name, c.Paradigm, ops, iter, nodes, shuf)
+			e.name, e.paradigm, ops, iter, nodes, shuf)
 	}
 	return b.String()
 }

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -467,6 +469,32 @@ func TestWhileCondRelStopsEarly(t *testing.T) {
 	}
 	if out["done"].Rows[0][0].I != 0 {
 		t.Errorf("final = %v", out["done"].Rows)
+	}
+}
+
+// A native WHILE binds a body INPUT to the WHILE input of its name, as the
+// driver loop does, and to nothing else the environment happens to hold
+// under that name or path.
+func TestWhileBodyInputBindsOnlyWhileInputs(t *testing.T) {
+	sch := relation.NewSchema("v:int")
+	d := ir.NewDAG()
+	in := d.AddInput("counter", "in/counter", sch)
+	body := ir.NewDAG()
+	bIn := body.AddInput("counter", "", sch)
+	stray := body.AddInput("extra", "in/extra", sch)
+	body.Add(ir.OpUnion, "next", ir.Params{}, bIn, stray)
+	d.Add(ir.OpWhile, "done", ir.Params{Body: body, MaxIter: 2, Carried: map[string]string{"counter": "next"}}, in)
+	ops, err := d.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := mkRel("extra", sch, intRows(7)...)
+	for _, env := range []Env{{"extra": rel}, {"in/extra": rel}} {
+		env["counter"] = mkRel("counter", sch, intRows(1)...)
+		err := RunOps(ops, env, NewTrace(), RunOptions{})
+		if err == nil || !strings.Contains(err.Error(), `body input "extra" is not bound by the WHILE`) {
+			t.Errorf("env %v: err = %v, want the unbound body input", slices.Sorted(maps.Keys(env)), err)
+		}
 	}
 }
 

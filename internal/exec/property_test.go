@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"musketeer/internal/ir"
@@ -334,5 +336,80 @@ func TestRandomDAGsMatchOracle(t *testing.T) {
 		run("keep-sinks/batch=1", RunOptions{Keep: keepSinks, BatchRows: 1}, ParallelThreshold)
 		run("keep-sinks/batch=2/chunked", RunOptions{Keep: keepSinks, BatchRows: 2}, 1)
 		run("keep-all/batch=3/chunked", RunOptions{Keep: keepAll, BatchRows: 3}, 1)
+	}
+}
+
+// genDAG grows the random DAG of seed, as TestRandomDAGsMatchOracle does.
+func genDAG(seed int64) *dagGen {
+	r := rand.New(rand.NewSource(seed))
+	a, b := genInputs(r)
+	g := &dagGen{r: r, d: ir.NewDAG(), vals: map[string]*relation.Relation{"a": a, "b": b}}
+	g.ops = []*ir.Op{g.d.AddInput("a", "in/a", a.Schema), g.d.AddInput("b", "in/b", b.Schema)}
+	for tries, want := 0, 1+r.Intn(8); len(g.ops)-2 < want && tries < 100; tries++ {
+		g.step()
+	}
+	return g
+}
+
+// The runtime guard agrees with the one definition of a loop: a body JOIN
+// probes, in round 2, the table round 1 built exactly when ir calls its
+// build side invariant. Each generated WHILE's body runs two rounds the way
+// runWhile runs them — inputs bound by ir.Op.BoundInput, ir.Op.Kept kept,
+// carried inputs rebound, one JoinTables — whatever its own bound.
+func TestWhileJoinReuseMatchesInvariance(t *testing.T) {
+	seen := map[bool]int{}
+	hoistable := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		g := genDAG(seed)
+		for _, w := range g.d.Ops {
+			if w.Type != ir.OpWhile {
+				continue
+			}
+			invariant := w.Invariant()
+			for bop := range invariant {
+				if bop.Type != ir.OpInput {
+					hoistable++
+				}
+			}
+			ops, err := w.Params.Body.TopoSort()
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := w.Kept()
+			opts := RunOptions{Keep: func(op *ir.Op) bool { return slices.Contains(kept, op.Out) }, Joins: JoinTables{}}
+			env := Env{}
+			for _, bop := range ops {
+				if bop.Type == ir.OpInput {
+					env[bop.Out] = g.vals[w.BoundInput(bop).Out]
+				}
+			}
+			round1 := env.Clone()
+			if err := RunOps(ops, round1, nil, opts); err != nil {
+				t.Fatalf("seed %d %s round 1: %v", seed, w, err)
+			}
+			built := maps.Clone(opts.Joins)
+			for in, out := range w.Params.Carried {
+				env[in] = round1[out]
+			}
+			if err := RunOps(ops, env.Clone(), nil, opts); err != nil {
+				t.Fatalf("seed %d %s round 2: %v", seed, w, err)
+			}
+			for _, j := range ops {
+				if j.Type != ir.OpJoin {
+					continue
+				}
+				want := invariant[j.Inputs[1]]
+				if probed := opts.Joins[j].table == built[j].table; probed != want {
+					t.Errorf("seed %d %s: round 2 probed round 1's table: %v; ir says build side %s invariant: %v",
+						seed, w, probed, j.Inputs[1].Out, want)
+				}
+				seen[want]++
+			}
+		}
+	}
+	t.Logf("body JOINs over an invariant build side: %d, over a carried one: %d; hoistable body operators: %d",
+		seen[true], seen[false], hoistable)
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Errorf("generator covered invariant build sides %d times and carried ones %d times", seen[true], seen[false])
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"musketeer/internal/ir"
 	"musketeer/internal/relation"
@@ -77,18 +78,6 @@ func (t *Trace) Merge(o *Trace) {
 	for k, v := range o.Iterations {
 		t.Iterations[k] = v
 	}
-}
-
-// TotalProcBytes sums processed bytes over the given operator IDs; with a
-// nil filter it sums everything.
-func (t *Trace) TotalProcBytes(ids map[int]bool) int64 {
-	var n int64
-	for id, v := range t.ProcBytes {
-		if ids == nil || ids[id] {
-			n += v
-		}
-	}
-	return n
 }
 
 // volume is a relation's size as the cost model sees it: the encoded bytes
@@ -270,21 +259,13 @@ func RunOps(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) error {
 	return runUnits(units, env, trace, opts)
 }
 
-// nameUses counts consumer edges inside ops per relation name; a WHILE binds
-// its body's inputs by name, every iteration, so those count double.
+// nameUses counts consumer edges inside ops per relation name. A WHILE reads
+// its body's inputs through its own edges (see ir.Op.BoundInput).
 func nameUses(ops []*ir.Op) map[string]int {
 	uses := make(map[string]int, len(ops))
 	for _, op := range ops {
 		for _, in := range op.Inputs {
 			uses[in.Out]++
-		}
-		if op.Type == ir.OpWhile && op.Params.Body != nil {
-			for _, bop := range op.Params.Body.Ops {
-				if bop.Type == ir.OpInput {
-					uses[bop.Out] += 2
-					uses[bop.Params.Path] += 2
-				}
-			}
 		}
 	}
 	return uses
@@ -375,31 +356,30 @@ func runUnit(u []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 }
 
 // runWhile drives a WHILE operator: it evaluates the body DAG repeatedly,
-// rebinding loop-carried relations between iterations, until MaxIter is
+// rebinding loop-carried relations between iterations, until its cap is
 // reached or the condition relation becomes empty. This is the "successive
 // DAG expansion" of paper §4.2 — each iteration is a fresh evaluation of the
-// body's units against an updated environment. Only loop-carried relations,
-// the stop-condition relation and the result relation are read between
-// iterations, so the body keeps those plus whatever the caller's Keep names
-// and streams through everything else. A body JOIN whose build side is the
-// same relation as in the iteration before — an outer input the loop never
-// rebinds — probes the table built then (see runChain).
+// body's units against an updated environment. The body keeps what
+// ir.Op.Kept lists plus whatever the caller's Keep names and streams through
+// everything else. A body JOIN whose build side is the same relation as in
+// the iteration before — an invariant input — probes the table built then
+// (see runChain).
 func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Relation, error) {
 	body := op.Params.Body
 	if body == nil {
 		return nil, fmt.Errorf("exec: %s: WHILE without body", op)
 	}
-	// Bind body inputs: body INPUT ops resolve by name against the outer
-	// environment (the WHILE's own inputs are in scope by construction).
+	// Bind body inputs to the outer relations the WHILE binds them to.
 	loopEnv := make(Env)
 	for _, bop := range body.Ops {
 		if bop.Type != ir.OpInput {
 			continue
 		}
-		rel, ok := env[bop.Out]
-		if !ok {
-			rel, ok = env[bop.Params.Path]
+		src := op.BoundInput(bop)
+		if src == nil {
+			return nil, fmt.Errorf("exec: %s: body input %q is not bound by the WHILE", op, bop.Out)
 		}
+		rel, ok := env[src.Out]
 		if !ok {
 			return nil, fmt.Errorf("exec: %s: body input %q not bound in outer scope", op, bop.Out)
 		}
@@ -409,24 +389,15 @@ func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 	if err != nil {
 		return nil, err
 	}
-	keepNames := map[string]bool{op.ResultRelation(): true}
-	for _, outName := range op.Params.Carried {
-		keepNames[outName] = true
-	}
-	if op.Params.CondRel != "" {
-		keepNames[op.Params.CondRel] = true
-	}
+	kept := op.Kept()
 	bodyOpts := RunOptions{
-		Keep:      func(bop *ir.Op) bool { return keepNames[bop.Out] || opts.Keep != nil && opts.Keep(bop) },
+		Keep:      func(bop *ir.Op) bool { return slices.Contains(kept, bop.Out) || opts.Keep != nil && opts.Keep(bop) },
 		BatchRows: opts.BatchRows,
 		Check:     opts.Check,
 		Joins:     make(JoinTables),
 	}
 	units := planUnits(bodyOps, bodyOpts.Keep)
-	maxIter := op.Params.MaxIter
-	if maxIter <= 0 {
-		maxIter = ir.MaxCondIters
-	}
+	maxIter := op.IterCap()
 	iters := 0
 	converged := op.Params.CondRel == "" // bounded loops terminate by cap
 	var lastOut Env
@@ -476,24 +447,11 @@ func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 		return nil, fmt.Errorf("exec: %s: WHILE did not converge: condition %q still non-empty after %d iterations (cap %d)",
 			op, op.Params.CondRel, iters, maxIter)
 	}
-	res := op.ResultRelation()
-	// After the final rebind, the result is the carried value now bound to
-	// the body input side; find it via the carry mapping.
-	for inName, outName := range op.Params.Carried {
-		if outName == res {
-			rel := loopEnv[inName]
-			out := &relation.Relation{Name: op.Out, Schema: rel.Schema, Rows: rel.Rows, LogicalBytes: rel.LogicalBytes}
-			return out, nil
-		}
-	}
-	// No carry mapping selects the result: take it from the last
-	// iteration's outputs.
-	if lastOut == nil {
-		return nil, fmt.Errorf("exec: %s: WHILE ran zero iterations", op)
-	}
-	rel, ok := lastOut[res]
-	if !ok {
-		return nil, fmt.Errorf("exec: %s: result relation %q missing", op, res)
+	// The last rebind bound a carried result to its input too: lastOut holds
+	// the same relation.
+	rel := lastOut[op.ResultRelation()]
+	if rel == nil {
+		return nil, fmt.Errorf("exec: %s: result relation %q missing", op, op.ResultRelation())
 	}
 	return &relation.Relation{Name: op.Out, Schema: rel.Schema, Rows: rel.Rows, LogicalBytes: rel.LogicalBytes}, nil
 }

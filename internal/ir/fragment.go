@@ -150,19 +150,6 @@ func (f *Fragment) Contains(op *Op) bool {
 	return false
 }
 
-// NumShuffles counts the operators that need a by-key data shuffle
-// (join, aggregation, distinct, set ops). MapReduce-paradigm engines can
-// execute at most one shuffle per job (paper §4.3.2).
-func (f *Fragment) NumShuffles() int {
-	n := 0
-	for _, op := range f.Ops {
-		if IsShuffleOp(op.Type) {
-			n++
-		}
-	}
-	return n
-}
-
 // IsShuffleOp reports whether the operator type requires a by-key shuffle.
 func IsShuffleOp(t OpType) bool {
 	switch t {

@@ -30,8 +30,8 @@ func RegisterUDFSchema(name string, fn UDFSchemaFn) {
 
 // InferSchemas computes the output schema of every operator, validating
 // column references along the way. WHILE bodies are validated recursively:
-// the body's input relations take the schemas of the outer operators named
-// by the loop-carried mapping.
+// each body input takes the schema of the outer relation it binds (see
+// BoundInput).
 func (d *DAG) InferSchemas() (map[*Op]relation.Schema, error) {
 	d.inferMu.Lock()
 	defer d.inferMu.Unlock()
@@ -54,19 +54,23 @@ func (d *DAG) inferLocked() (map[*Op]relation.Schema, error) {
 	return out, nil
 }
 
-// inferBodySchemas binds outer input schemas onto a WHILE body's input
-// operators and infers the body, all under the body DAG's lock — the
-// binding mutates shared ops, and concurrent jobs of one workflow may
-// infer over the same body.
-func (d *DAG) inferBodySchemas(outer map[string]relation.Schema) (map[*Op]relation.Schema, error) {
+// inferBody binds the schema of each outer relation onto the body INPUT
+// that BoundInput binds to it and infers the WHILE's body, all under the
+// body DAG's lock — the binding mutates shared ops, and concurrent jobs of
+// one workflow may infer over the same body.
+func (o *Op) inferBody(known map[*Op]relation.Schema) (map[*Op]relation.Schema, error) {
+	d := o.Params.Body
 	d.inferMu.Lock()
 	defer d.inferMu.Unlock()
 	for _, bop := range d.Ops {
-		if bop.Type == OpInput {
-			if s, ok := outer[bop.Out]; ok {
-				bop.Params.Schema = s
-			}
+		if bop.Type != OpInput {
+			continue
 		}
+		src := o.BoundInput(bop)
+		if src == nil {
+			return nil, fmt.Errorf("ir: %s: body input %q is not bound by the WHILE", bop, bop.Out)
+		}
+		bop.Params.Schema = known[src]
 	}
 	return d.inferLocked()
 }
@@ -290,14 +294,9 @@ func inferOp(op *Op, known map[*Op]relation.Schema) (relation.Schema, error) {
 		if op.Params.MaxIter <= 0 && op.Params.CondRel == "" {
 			return relation.Schema{}, fmt.Errorf("ir: %s: WHILE without stop condition", op)
 		}
-		// Body input relations named after outer inputs adopt their
-		// schemas; remaining body inputs carry their declared schemas.
+		// Body inputs adopt the schemas of the outer relations they bind.
 		body := op.Params.Body
-		outer := make(map[string]relation.Schema, len(op.Inputs))
-		for i, outerIn := range op.Inputs {
-			outer[outerIn.Out] = in[i]
-		}
-		bodySchemas, err := body.inferBodySchemas(outer)
+		bodySchemas, err := op.inferBody(known)
 		if err != nil {
 			return relation.Schema{}, fmt.Errorf("ir: %s body: %w", op, err)
 		}
@@ -321,7 +320,7 @@ func inferOp(op *Op, known map[*Op]relation.Schema) (relation.Schema, error) {
 		// The WHILE's own output is the final value of the designated
 		// result relation: the first carried output, or the body's sole
 		// sink when no carry is declared.
-		res := op.resultRelation()
+		res := op.ResultRelation()
 		resOp := body.ByOut(res)
 		if resOp == nil {
 			return relation.Schema{}, fmt.Errorf("ir: %s: result relation %q not in body", op, res)
@@ -332,30 +331,6 @@ func inferOp(op *Op, known map[*Op]relation.Schema) (relation.Schema, error) {
 		return relation.Schema{}, fmt.Errorf("ir: %s: unknown operator type", op)
 	}
 }
-
-// resultRelation names the body relation whose final value becomes the
-// WHILE operator's output: the lexically smallest carried output, or the
-// body's sole sink when no carry is declared.
-func (o *Op) resultRelation() string {
-	best := ""
-	for _, outName := range o.Params.Carried {
-		if best == "" || outName < best {
-			best = outName
-		}
-	}
-	if best != "" {
-		return best
-	}
-	if o.Params.Body != nil {
-		if sinks := o.Params.Body.Sinks(); len(sinks) > 0 {
-			return sinks[0].Out
-		}
-	}
-	return ""
-}
-
-// ResultRelation exposes the WHILE result-relation rule to other packages.
-func (o *Op) ResultRelation() string { return o.resultRelation() }
 
 func wantInputs(op *Op, in []relation.Schema, n int) error {
 	if len(in) != n {

@@ -54,15 +54,6 @@ func (w *Workload) InputBytes() int64 {
 	return n
 }
 
-// MustBuild is Build for contexts where the workload is known-valid.
-func (w *Workload) MustBuild() *ir.DAG {
-	d, err := w.Build()
-	if err != nil {
-		panic(fmt.Sprintf("workloads: %s: %v", w.Name, err))
-	}
-	return d
-}
-
 // scaleTo stamps rel with a target logical size.
 func scaleTo(rel *relation.Relation, logicalBytes int64) *relation.Relation {
 	rel.LogicalBytes = logicalBytes
