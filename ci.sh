@@ -39,6 +39,15 @@
 #                       DAG generator's WHILEs a body JOIN reuses round 1's
 #                       table in round 2 exactly when ir calls its build
 #                       side invariant
+#   agg scratch recycling — an aggregation table's key index, counts and
+#                       sums recycle through exec's aggPool: the generator's
+#                       DAGs, every AGG split into two halves, compute the
+#                       same relations cell for cell (float bits included)
+#                       on recycled scratch as on fresh, and a warm AGG
+#                       allocates only its output rows and slabs; then both
+#                       tests and TestRandomDAGsMatchOracle under -race at
+#                       GOMAXPROCS=8, since concurrent halves release into
+#                       one shared pool
 #   telemetry scrape  — the debug server (httptest over DebugHandler)
 #                       serves /metrics and /debug/runs during chaotic
 #                       concurrent executions; any malformed exposition
@@ -124,6 +133,13 @@ gofmt_gate() {
     fi
 }
 
+agg_recycling_gate() {
+    go test -count=1 -timeout 5m \
+        -run '^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled)$' ./internal/exec
+    GOMAXPROCS=8 go test -race -count=1 -timeout 10m \
+        -run '^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRandomDAGsMatchOracle)$' ./internal/exec
+}
+
 fuzz_gate() {
     # go test -fuzz takes one target and one package per run.
     go test -run '^$' -fuzz '^FuzzColumnarStream$' -fuzztime 10s ./internal/relation
@@ -149,6 +165,7 @@ if [ "$GROUP" = all ] || [ "$GROUP" = gates ]; then
     stage "search feasibility alloc guard" go test -count=1 -timeout 5m -run '^TestSearchFeasibilityAllocatesNothing$' ./internal/engines
     stage "loop semantics" go test -count=1 -timeout 5m \
         -run '^(TestWorkloadLoopsInvariantAndKept|TestLoopDefinition|TestWhileJoinReuseMatchesInvariance)$' ./internal/ir ./internal/exec
+    stage "agg scratch recycling" agg_recycling_gate
     stage "telemetry scrape gate" \
         go test -count=1 -timeout 5m -run 'TestDebugServerScrape|TestConcurrentScrapeDuringChaoticExecutes|TestPrometheusLinesValid|TestPrometheusByteStableAcrossScrapes' . ./internal/obs
     stage "flaky gate (3x shuffled concurrency/sched/chaos)" \

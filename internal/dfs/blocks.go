@@ -116,7 +116,7 @@ func (d *DFS) CorruptReplica(path string, blockIdx, replicaIdx int) error {
 	key := d.resolve(path)
 	f, ok := d.st.files[key]
 	if !ok {
-		return fmt.Errorf("dfs: no such file %q", key)
+		return noSuchFile(key)
 	}
 	if blockIdx < 0 || blockIdx >= len(f.blocks) {
 		return fmt.Errorf("dfs: %s: no block %d", path, blockIdx)
@@ -143,7 +143,7 @@ func (d *DFS) BlockCount(path string) (int, error) {
 	key := d.resolve(path)
 	f, ok := d.st.files[key]
 	if !ok {
-		return 0, fmt.Errorf("dfs: no such file %q", key)
+		return 0, noSuchFile(key)
 	}
 	return len(f.blocks), nil
 }
@@ -155,7 +155,7 @@ func (d *DFS) BlockLocations(path string) ([][]int, error) {
 	key := d.resolve(path)
 	f, ok := d.st.files[key]
 	if !ok {
-		return nil, fmt.Errorf("dfs: no such file %q", key)
+		return nil, noSuchFile(key)
 	}
 	locs := make([][]int, len(f.blocks))
 	for i, b := range f.blocks {

@@ -21,6 +21,7 @@ package dfs
 
 import (
 	"fmt"
+	"io/fs"
 	"sort"
 	"strings"
 	"sync"
@@ -47,6 +48,14 @@ func (s Stat) EffectiveBytes() int64 {
 	}
 	return s.PhysicalBytes
 }
+
+// noSuchFile is the error for a storage key that names no file. It matches
+// errors.Is(err, fs.ErrNotExist), so a caller can tell a missing file from
+// one that exists but cannot be read.
+type noSuchFile string
+
+func (key noSuchFile) Error() string { return fmt.Sprintf("dfs: no such file %q", string(key)) }
+func (noSuchFile) Unwrap() error     { return fs.ErrNotExist }
 
 // DFS is a view onto an in-memory distributed-filesystem simulation. Views
 // are safe for concurrent use; engines running parallel tasks read blocks
@@ -173,7 +182,7 @@ func (d *DFS) Open(path string) (*relation.Encoded, Stat, error) {
 	f, ok := d.st.files[key]
 	if !ok {
 		d.st.mu.Unlock()
-		return nil, Stat{}, fmt.Errorf("dfs: no such file %q", key)
+		return nil, Stat{}, noSuchFile(key)
 	}
 	d.st.bytesRead += f.stat(path).EffectiveBytes()
 	blocks, down := f.blocks, d.st.down
@@ -196,7 +205,7 @@ func (d *DFS) Stat(path string) (Stat, error) {
 	key := d.resolve(path)
 	f, ok := d.st.files[key]
 	if !ok {
-		return Stat{}, fmt.Errorf("dfs: no such file %q", key)
+		return Stat{}, noSuchFile(key)
 	}
 	return f.stat(path), nil
 }
@@ -216,7 +225,7 @@ func (d *DFS) Delete(path string) error {
 	defer d.st.mu.Unlock()
 	key := d.resolve(path)
 	if _, ok := d.st.files[key]; !ok {
-		return fmt.Errorf("dfs: no such file %q", key)
+		return noSuchFile(key)
 	}
 	delete(d.st.files, key)
 	return nil
@@ -231,7 +240,7 @@ func (d *DFS) Copy(from, to string) error {
 	fromKey := d.resolve(from)
 	f, ok := d.st.files[fromKey]
 	if !ok {
-		return fmt.Errorf("dfs: no such file %q", fromKey)
+		return noSuchFile(fromKey)
 	}
 	clone := *f
 	d.st.files[d.resolve(to)] = &clone

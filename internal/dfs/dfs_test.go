@@ -2,7 +2,9 @@ package dfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"sync"
@@ -47,6 +49,34 @@ func TestReadMissing(t *testing.T) {
 	}
 	if err := d.Delete("nope"); err == nil {
 		t.Error("delete of missing file succeeded")
+	}
+}
+
+// TestMissingFileIsNotExist: every "no such file" error matches
+// fs.ErrNotExist and keeps its text; a file that exists but whose blocks are
+// all on downed datanodes does not match.
+func TestMissingFileIsNotExist(t *testing.T) {
+	d := smallBlockFS()
+	ns := d.Namespace("ns")
+	_, readErr := ns.ReadRelation("nope")
+	_, _, openErr := ns.Open("nope")
+	_, statErr := ns.Stat("nope")
+	_, countErr := ns.BlockCount("nope")
+	_, locErr := ns.BlockLocations("nope")
+	for _, err := range []error{readErr, openErr, statErr, countErr, locErr,
+		ns.Delete("nope"), ns.Copy("nope", "x"), ns.CorruptReplica("nope", 0, 0)} {
+		if !errors.Is(err, fs.ErrNotExist) || err.Error() != `dfs: no such file "ns/nope"` {
+			t.Errorf("%v: want the text dfs: no such file \"ns/nope\", matching fs.ErrNotExist", err)
+		}
+	}
+	if err := d.WriteRelation("x", bigRel(10)); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 5; n++ {
+		d.SetNodeDown(n, true)
+	}
+	if _, err := d.ReadRelation("x"); err == nil || errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("unreadable file: %v, want an error that is not fs.ErrNotExist", err)
 	}
 }
 

@@ -291,10 +291,15 @@ func TestStreamedJobAllocationsDoNotTrackRows(t *testing.T) {
 // relation.WidthMemo (+8, one object; its table is never allocated, nothing
 // here measures a float) and accTap.memo in each of two taps (+16), Part.memo
 // (80 → 96-byte class, +16), aggTable.sums' slice header (+32 by class), the
-// key hashers' scratch buffers growing to 9-byte value keys (+32); against an
-// aggState of 32 bytes where 56 were, every time the states slice grows
-// (−176), and the join's thirty 9-byte keys filling the buffer sized from the
-// first, which 5- and 6-byte text keys outgrew once (−64).
+// key hashers' scratch buffers growing to 9-byte value keys (+32); against a
+// per-group state of 32 bytes where 56 were, every time the slice of states
+// grew (−176), and the join's thirty 9-byte keys filling the buffer sized
+// from the first, which 5- and 6-byte text keys outgrew once (−64). An
+// aggregation table now keeps only rows, counts and sums, and its key index,
+// counts and sums come back from exec's aggPool after the first job, so a
+// warm job measures well under the bound. The bound stays where a cold job
+// holds it: a figure recorded on a pool hit would fail whenever a collection
+// empties the pool.
 func TestSmallJobAllocatesNoMoreThanBefore(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation bound is byte-exact; the race runtime allocates on its own")

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"sync"
 
 	"musketeer/internal/relation"
 )
@@ -97,9 +98,24 @@ func (x *keyIndex) insert(hash uint64, key []byte) (idx int, added bool) {
 	return len(x.entries) - 1, true
 }
 
-// grow doubles the slot array and re-places every entry by its stored hash.
+// reset empties the index for reuse: the slot array restarts at 16 slots
+// inside the storage the index already has, and the entries and key bytes
+// keep their capacity.
+func (x *keyIndex) reset() {
+	x.slots = x.slots[:16]
+	clear(x.slots)
+	x.entries, x.keys = x.entries[:0], x.keys[:0]
+}
+
+// grow doubles the slot array — within its capacity when a reset left room —
+// and re-places every entry by its stored hash.
 func (x *keyIndex) grow() {
-	x.slots = make([]int32, 2*len(x.slots))
+	if n := 2 * len(x.slots); n <= cap(x.slots) {
+		x.slots = x.slots[:n]
+		clear(x.slots)
+	} else {
+		x.slots = make([]int32, n)
+	}
 	mask := len(x.slots) - 1
 	for i, e := range x.entries {
 		s := int(e.hash) & mask
@@ -180,23 +196,22 @@ func (t *joinTable) probe(h *relation.KeyHasher, row relation.Row, cols []int) [
 	return t.rows[t.start[i]:t.start[i+1]]
 }
 
-// aggState is one group's aggregation state apart from its float sums: its
-// output row — GROUP BY values, then a cell per aggregate, where each MIN and
-// MAX keeps its extreme so far and the rest wait for emitAggRows — and its row
-// count (COUNT's answer and AVG's divisor).
-type aggState struct {
-	vals []relation.Value
-	n    int64
-}
-
 // aggTable accumulates per-group aggregation state: group i of the index is
-// states[i], so first-appearance order is index order, and its running SUM
-// and AVG sums are sums[i*len(sp.sumCol):] — eight pointer-free bytes each,
-// started at 0 and added to as floats. States' values are carved from value
-// slabs that grow with the table, so a group costs no heap object of its own.
+// rows[i], so first-appearance order is index order. A group's row holds its
+// GROUP BY values, then a cell per aggregate, where each MIN and MAX keeps its
+// extreme so far and the rest wait for emitAggRows; counts[i] is its row
+// count (COUNT's answer and AVG's divisor) and sums[i*len(sp.sumCol):] its
+// running SUM and AVG sums, started at 0 and added to as floats. Rows are
+// carved from value slabs that grow with the table, so a group costs no heap
+// object of its own.
+//
+// A table's pointer-free scratch — the key index, counts, sums and the key
+// hasher's buffer — is recycled through aggPool once its rows are emitted or
+// merged away. Rows and slabs never are: they become the output relation.
 type aggTable struct {
 	ix     keyIndex
-	states []aggState
+	rows   []relation.Row
+	counts []int64
 	sums   []float64
 	sp     aggSpec
 	h      relation.KeyHasher
@@ -204,8 +219,27 @@ type aggTable struct {
 	groups int // groups the next slab is cut for
 }
 
+// aggPool holds released tables, their rows, slab and spec cleared.
+var aggPool sync.Pool
+
+// newAggTable takes a released table from aggPool, or makes one, and starts
+// it empty for sp.
 func newAggTable(sp aggSpec) *aggTable {
-	return &aggTable{ix: newKeyIndex(64), sp: sp, groups: 8}
+	t, _ := aggPool.Get().(*aggTable)
+	if t == nil {
+		return &aggTable{ix: newKeyIndex(64), sp: sp, groups: 8}
+	}
+	t.ix.reset()
+	t.counts, t.sums = t.counts[:0], t.sums[:0]
+	t.sp, t.groups = sp, 8
+	return t
+}
+
+// release hands t's scratch back to aggPool. Its rows now belong to whoever
+// took them: t keeps no reference to them, its slab or its spec.
+func (t *aggTable) release() {
+	t.rows, t.slab, t.sp = nil, nil, aggSpec{}
+	aggPool.Put(t)
 }
 
 // add folds one row into its group's state, creating the state on the
@@ -213,23 +247,24 @@ func newAggTable(sp aggSpec) *aggTable {
 func (t *aggTable) add(row relation.Row) {
 	g, added := t.ix.insert(t.h.HashKey(row, t.sp.gIdx))
 	if added {
-		t.states = append(t.states, t.newState(row))
+		t.rows = append(t.rows, t.newRow(row))
+		t.counts = append(t.counts, 0)
 		t.sums = append(t.sums, make([]float64, len(t.sp.sumCol))...)
 	}
-	st := &t.states[g]
-	st.n++
+	t.counts[g]++
 	sums := t.sums[g*len(t.sp.sumCol):]
 	for k, j := range t.sp.sumCol {
 		sums[k] += row[j].AsFloat()
 	}
+	vals := t.rows[g]
 	for _, e := range t.sp.ext {
-		e.keep(&st.vals[e.cell], row[e.col])
+		e.keep(&vals[e.cell], row[e.col])
 	}
 }
 
-// newState carves a group's row from the current slab and initializes its
+// newRow carves a group's row from the current slab and initializes its
 // GROUP BY values and extremes from the group's first row.
-func (t *aggTable) newState(row relation.Row) aggState {
+func (t *aggTable) newRow(row relation.Row) relation.Row {
 	n := len(t.sp.gIdx) + len(t.sp.aggs)
 	if len(t.slab) < n {
 		t.slab = make([]relation.Value, t.groups*n)
@@ -237,41 +272,42 @@ func (t *aggTable) newState(row relation.Row) aggState {
 			t.groups *= 2
 		}
 	}
-	st := aggState{vals: t.slab[:n:n]}
+	vals := relation.Row(t.slab[:n:n])
 	t.slab = t.slab[n:]
 	for i, j := range t.sp.gIdx {
-		st.vals[i] = row[j]
+		vals[i] = row[j]
 	}
 	for _, e := range t.sp.ext {
-		st.vals[e.cell] = row[e.col]
+		vals[e.cell] = row[e.col]
 	}
-	return st
+	return vals
 }
 
 // absorb merges another table's groups into t — the combiner step —
 // preserving t's first-appearance order and appending o's new groups in o's
-// order. COUNT, MIN, MAX and integer SUM merge exactly; a float SUM / AVG is
-// associative only up to rounding, so its low bits follow where the ranges
-// were cut — which chain.run decides from the row count alone, so they are
-// the same on every host.
+// order, then releases o. COUNT, MIN, MAX and integer SUM merge exactly; a
+// float SUM / AVG is associative only up to rounding, so its low bits follow
+// where the ranges were cut — which chain.run decides from the row count
+// alone, so they are the same on every host.
 func (t *aggTable) absorb(o *aggTable) {
 	ns := len(t.sp.sumCol)
-	for i := range o.states {
-		part, partSums := &o.states[i], o.sums[i*ns:(i+1)*ns]
+	for i, part := range o.rows {
+		partSums := o.sums[i*ns : (i+1)*ns]
 		j, added := t.ix.insert(o.ix.entries[i].hash, o.ix.key(i))
 		if added {
-			t.states = append(t.states, *part)
+			t.rows = append(t.rows, part)
+			t.counts = append(t.counts, o.counts[i])
 			t.sums = append(t.sums, partSums...)
 			continue
 		}
-		st := &t.states[j]
-		st.n += part.n
+		t.counts[j] += o.counts[i]
 		sums := t.sums[j*ns:]
 		for k, s := range partSums {
 			sums[k] += s
 		}
 		for _, e := range t.sp.ext {
-			e.keep(&st.vals[e.cell], part.vals[e.cell])
+			e.keep(&t.rows[j][e.cell], part[e.cell])
 		}
 	}
+	o.release()
 }

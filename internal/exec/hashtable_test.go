@@ -2,7 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"musketeer/internal/ir"
@@ -119,5 +122,128 @@ func TestAggTableAbsorbKeepsFirstAppearanceOrder(t *testing.T) {
 		if rowsText(got.Rows[i:i+1]) != rowsText(want.Rows[i:i+1]) {
 			t.Errorf("group %d: absorbed %v, serial %v", i, got.Rows[i], want.Rows[i])
 		}
+	}
+}
+
+// TestRecycledAggScratchMatchesFirstUse: a table drawn from aggPool computes
+// what a new one does. Every generated DAG runs with every AGG of two rows or
+// more split into halves (the absorb path), first with the pool emptied before
+// each DAG, then
+// again in the same process, where the AGGs draw scratch that differently
+// shaped ones left behind. Every relation must match the first pass's cell for
+// cell, float bits included.
+func TestRecycledAggScratchMatchesFirstUse(t *testing.T) {
+	withThreshold(t, 1, func() {
+		run := func(seed int64) (*dagGen, Env) {
+			g := genDAG(seed)
+			ops, err := g.d.TopoSort()
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := Env{"a": g.vals["a"], "b": g.vals["b"]}
+			if err := RunOps(ops, env, nil, RunOptions{Keep: keepAll}); err != nil {
+				t.Fatalf("seed %d: %v\n%s", seed, err, g.d)
+			}
+			return g, env
+		}
+		first := map[int64]Env{}
+		for seed := int64(1); seed <= 300; seed++ {
+			runtime.GC() // two collections empty every sync.Pool
+			runtime.GC()
+			_, first[seed] = run(seed)
+		}
+		for seed := int64(1); seed <= 300; seed++ {
+			g, env := run(seed)
+			for _, op := range g.d.Ops {
+				if err := sameCells(env[op.Out], first[seed][op.Out]); err != nil {
+					t.Fatalf("seed %d: %s on recycled scratch: %v\n%s", seed, op, err, g.d)
+				}
+			}
+		}
+	})
+}
+
+// sameCells reports the first cell where got and want differ, comparing
+// floats by their bits.
+func sameCells(got, want *relation.Relation) error {
+	if len(got.Rows) != len(want.Rows) {
+		return fmt.Errorf("%d rows, want %d", len(got.Rows), len(want.Rows))
+	}
+	for i, row := range got.Rows {
+		if len(row) != len(want.Rows[i]) {
+			return fmt.Errorf("row %d: %d cells, want %d", i, len(row), len(want.Rows[i]))
+		}
+		for j, v := range row {
+			w := want.Rows[i][j]
+			if v.Kind != w.Kind || v.I != w.I || v.S != w.S || math.Float64bits(v.F) != math.Float64bits(w.F) {
+				return fmt.Errorf("row %d cell %d: %v, want %v", i, j, v, w)
+			}
+		}
+	}
+	return nil
+}
+
+// aggKeeps is where the rows of aggregated groups are kept.
+var aggKeeps []relation.Row
+
+// TestAggScratchIsRecycled: once one AGG has run, a second of the same shape
+// allocates only what its output keeps — the row headers and the value slabs
+// its group rows are cut from, replayed here by their growth rule — and
+// nothing for its key index, counts or sums. GC is off so the pool cannot be
+// emptied between the two, and one P keeps both on one per-P pool.
+func TestAggScratchIsRecycled(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation bound is byte-exact; the race runtime allocates on its own")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sch := relation.NewSchema("g:int", "v:float")
+	d := ir.NewDAG()
+	op := d.Add(ir.OpAgg, "out", ir.Params{GroupBy: []string{"g"}, Aggs: []ir.AggSpec{
+		{Func: ir.AggSum, Col: "v", As: "s"}, {Func: ir.AggCount, As: "n"}, {Func: ir.AggMax, Col: "v", As: "hi"},
+	}}, d.AddInput("in", "in", sch))
+	sp, err := resolveAggSpec(op, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const groups, arity = 300, 4
+	rows := make([]relation.Row, 10*groups)
+	for i := range rows {
+		rows[i] = relation.Row{relation.Int(int64(i * 7 % groups)), relation.Float(float64(i) / 8)}
+	}
+	out := relation.New("out", sch)
+	bytesOf := func(fn func()) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	agg := func() {
+		tb := newAggTable(sp)
+		for _, row := range rows {
+			tb.add(row)
+		}
+		emitAggRows(sch, tb, len(rows), out)
+	}
+	agg() // warm: leaves its scratch in the pool
+	got := bytesOf(agg)
+	if len(out.Rows) != groups {
+		t.Fatalf("%d groups, want %d", len(out.Rows), groups)
+	}
+	kept := bytesOf(func() {
+		var keep []relation.Row
+		for g, cut := 0, 8; g < groups; cut = min(2*cut, 1024) {
+			slab := make([]relation.Value, cut*arity)
+			for ; len(slab) >= arity && g < groups; g++ {
+				keep = append(keep, slab[:arity:arity])
+				slab = slab[arity:]
+			}
+		}
+		aggKeeps = keep
+	})
+	t.Logf("second AGG over %d groups: %d bytes; its rows and slabs alone: %d", groups, got, kept)
+	if got < kept-64 || got > kept+64 {
+		t.Errorf("a recycled AGG allocates %d bytes, want its rows and slabs' %d ±64: its scratch was not reused", got, kept)
 	}
 }

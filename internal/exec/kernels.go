@@ -336,10 +336,12 @@ func resolveAggSpec(op *ir.Op, in relation.Schema) (aggSpec, error) {
 
 // emitAggRows hands a fully-accumulated aggregation table's group rows to
 // out, in the table's first-appearance order, once it has filled in their
-// SUM, AVG and COUNT cells. inRows is the number of input rows the table saw:
-// an empty-group-by aggregation over an empty input still yields one row of
-// zeros/identities in SQL semantics, so AVG/COUNT pipelines stay total.
+// SUM, AVG and COUNT cells, and releases the table. inRows is the number of
+// input rows the table saw: an empty-group-by aggregation over an empty input
+// still yields one row of zeros/identities in SQL semantics, so AVG/COUNT
+// pipelines stay total.
 func emitAggRows(in relation.Schema, table *aggTable, inRows int, out *relation.Relation) {
+	defer table.release()
 	sp := table.sp
 	if inRows == 0 && len(sp.gIdx) == 0 {
 		row := make(relation.Row, len(sp.aggs))
@@ -354,16 +356,14 @@ func emitAggRows(in relation.Schema, table *aggTable, inRows int, out *relation.
 		return
 	}
 	nk, ns := len(sp.gIdx), len(sp.sumCol)
-	out.Rows = make([]relation.Row, len(table.states))
-	for g := range table.states {
-		st, sums := &table.states[g], table.sums[g*ns:]
-		row := relation.Row(st.vals)
+	for g, row := range table.rows {
+		n, sums := table.counts[g], table.sums[g*ns:]
 		si := 0 // the next sum, in aggs order
 		for i, a := range sp.aggs {
 			cell := &row[nk+i]
 			switch a.Func {
 			case ir.AggCount:
-				*cell = relation.Int(st.n)
+				*cell = relation.Int(n)
 			case ir.AggSum:
 				*cell = relation.Float(sums[si])
 				// Keep integer sums integral.
@@ -372,10 +372,10 @@ func emitAggRows(in relation.Schema, table *aggTable, inRows int, out *relation.
 				}
 				si++
 			case ir.AggAvg:
-				*cell = relation.Float(sums[si] / float64(st.n))
+				*cell = relation.Float(sums[si] / float64(n))
 				si++
 			}
 		}
-		out.Rows[g] = row
 	}
+	out.Rows = table.rows
 }

@@ -228,6 +228,11 @@ func (j *joinProbeStage) Next() (relation.Batch, error) {
 		if err != nil || b.Empty() {
 			return relation.Batch{}, err
 		}
+		// matches and out are each sized to the batch they hold, not
+		// grown by doubling from empty.
+		if cap(j.matches) < len(b.Rows) {
+			j.matches = make([][]relation.Row, 0, len(b.Rows))
+		}
 		j.matches = j.matches[:0]
 		for _, lr := range b.Rows {
 			m := j.build.probe(&j.h, lr, j.lIdx)
@@ -242,6 +247,9 @@ func (j *joinProbeStage) Next() (relation.Batch, error) {
 	j.pending -= n
 	arity := j.sch.Arity()
 	vals := j.ar.take(n * arity)
+	if cap(j.out) < n {
+		j.out = make([]relation.Row, 0, n)
+	}
 	j.out = j.out[:0]
 	for len(j.out) < n {
 		m := j.matches[j.row]

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"net/http"
 	"sort"
 	"strconv"
@@ -239,7 +240,7 @@ func (s *Server) handleInput(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		serveError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+		serveError(w, bodyStatus(err), fmt.Errorf("reading body: %w", err))
 		return
 	}
 	rel, err := relation.DecodeBytes(path, data)
@@ -262,6 +263,16 @@ func (s *Server) handleInput(w http.ResponseWriter, r *http.Request) {
 	serveJSON(w, http.StatusCreated, map[string]any{"path": path, "rows": rel.NumRows()})
 }
 
+// bodyStatus is the status for a request body that could not be read: 413
+// when it ran past its route's cap, else 400.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // handleOutput fetches a relation from the tenant's namespace as TSV.
 func (s *Server) handleOutput(w http.ResponseWriter, r *http.Request) {
 	fs, _, ok := s.tenantFS(w, r)
@@ -275,7 +286,13 @@ func (s *Server) handleOutput(w http.ResponseWriter, r *http.Request) {
 	}
 	rel, err := fs.ReadRelation(path)
 	if err != nil {
-		serveError(w, http.StatusNotFound, err)
+		// Only a missing file is a 404; one whose blocks cannot be read
+		// (every replica down or corrupt) is the server's failure.
+		status := http.StatusInternalServerError
+		if errors.Is(err, iofs.ErrNotExist) {
+			status = http.StatusNotFound
+		}
+		serveError(w, status, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
@@ -332,7 +349,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var req SubmitRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20)).Decode(&req); err != nil {
-		serveError(w, http.StatusBadRequest, fmt.Errorf("decoding submission: %w", err))
+		serveError(w, bodyStatus(err), fmt.Errorf("decoding submission: %w", err))
 		return
 	}
 	wf, err := s.compile(tenant, &req)

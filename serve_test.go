@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -379,6 +380,91 @@ func TestServeRejectsARowCountWithNoRowsBehindIt(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Errorf("staging %d bytes: status %d, want %d", len(c.body), resp.StatusCode, c.want)
 		}
+	}
+}
+
+// TestServeOversizedBodiesAre413: a body one byte past its route's cap —
+// 64 MiB for a staged input, 16 MiB for a submission — is answered 413, not
+// the 400 of a malformed one.
+func TestServeOversizedBodiesAre413(t *testing.T) {
+	ts, _ := serveTestServer(t, musketeer.ServeOptions{Workers: 1}, musketeer.EC2(4))
+	for _, c := range []struct {
+		path   string
+		prefix string
+		limit  int64
+	}{
+		{"/api/v1/tenants/a/inputs/in/t", "#schema\ts:string\n", 64 << 20},
+		{"/api/v1/tenants/a/jobs", `{"frontend":"beer","source":"`, 16 << 20},
+	} {
+		// An unterminated value keeps the reader reading to the cap.
+		body := io.MultiReader(strings.NewReader(c.prefix),
+			io.LimitReader(repeatByte('x'), c.limit+1-int64(len(c.prefix))))
+		resp, err := http.Post(ts.URL+c.path, "application/octet-stream", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes: status %d, want 413", c.path, c.limit+1, resp.StatusCode)
+		}
+	}
+}
+
+// repeatByte is an endless stream of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestServeUnreadableOutputIs500: only a missing file is a 404. A file whose
+// every replica sits on a downed datanode exists but cannot be read, which
+// is the server's failure: 500.
+func TestServeUnreadableOutputIs500(t *testing.T) {
+	ts, m := serveTestServer(t, musketeer.ServeOptions{Workers: 1}, musketeer.EC2(4))
+	rel := relation.New("t", relation.NewSchema("id:int"))
+	rel.MustAppend(relation.Row{relation.Int(7)})
+	resp, err := http.Post(ts.URL+"/api/v1/tenants/a/inputs/in/t", "text/tab-separated-values", bytes.NewReader(rel.EncodeBytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("staging: status %d", resp.StatusCode)
+	}
+	get := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/api/v1/tenants/a/outputs/" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := get("in/t"); code != http.StatusOK {
+		t.Fatalf("reading a healthy file: status %d, want 200", code)
+	}
+	fs, err := m.TenantFS("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs, err := fs.BlockLocations("in/t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nodes := range locs {
+		for _, n := range nodes {
+			fs.SetNodeDown(n, true)
+		}
+	}
+	if code := get("in/t"); code != http.StatusInternalServerError {
+		t.Errorf("reading a file with every replica down: status %d, want 500", code)
+	}
+	if code := get("in/missing"); code != http.StatusNotFound {
+		t.Errorf("reading a missing file: status %d, want 404", code)
 	}
 }
 
