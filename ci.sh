@@ -35,10 +35,17 @@
 #                       one: refusals are described only by ValidOps
 #   loop semantics    — internal/ir alone defines a WHILE: the four
 #                       iterative workloads' invariant body operators and
-#                       kept relations are pinned by name, and on the random
-#                       DAG generator's WHILEs a body JOIN reuses round 1's
-#                       table in round 2 exactly when ir calls its build
-#                       side invariant
+#                       kept relations are pinned by name; the one round
+#                       stepper (ir.Op.Loop) stops on an empty condition,
+#                       runs exactly its cap otherwise, rebinds in name
+#                       order and fails typed when the cap runs out; the
+#                       four workloads and a countdown compute the same
+#                       relation and round count natively (naiad) and
+#                       driver-looped (hadoop), and a capped countdown
+#                       fails with the same error on both; and on the
+#                       random DAG generator's WHILEs a body JOIN reuses
+#                       round 1's table in round 2 exactly when ir calls
+#                       its build side invariant
 #   agg scratch recycling — an aggregation table's key index, counts and
 #                       sums recycle through exec's aggPool: the generator's
 #                       DAGs, every AGG split into two halves, compute the
@@ -164,7 +171,8 @@ if [ "$GROUP" = all ] || [ "$GROUP" = gates ]; then
     stage "obs disabled-path alloc guard" go test -count=1 -timeout 5m -run 'TestDisabledPathAllocs' ./internal/obs
     stage "search feasibility alloc guard" go test -count=1 -timeout 5m -run '^TestSearchFeasibilityAllocatesNothing$' ./internal/engines
     stage "loop semantics" go test -count=1 -timeout 5m \
-        -run '^(TestWorkloadLoopsInvariantAndKept|TestLoopDefinition|TestWhileJoinReuseMatchesInvariance)$' ./internal/ir ./internal/exec
+        -run '^(TestWorkloadLoopsInvariantAndKept|TestLoopDefinition|TestLoopSteps|TestWhileJoinReuseMatchesInvariance|TestRunnerWhileDriverOnHadoopMatchesNative)$' \
+        ./internal/ir ./internal/exec ./internal/core
     stage "agg scratch recycling" agg_recycling_gate
     stage "telemetry scrape gate" \
         go test -count=1 -timeout 5m -run 'TestDebugServerScrape|TestConcurrentScrapeDuringChaoticExecutes|TestPrometheusLinesValid|TestPrometheusByteStableAcrossScrapes' . ./internal/obs

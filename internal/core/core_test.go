@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"musketeer/internal/exec"
 	"musketeer/internal/ir"
 	"musketeer/internal/relation"
+	"musketeer/internal/workloads"
 )
 
 // --- fixtures ---------------------------------------------------------
@@ -142,7 +144,8 @@ func TestEstimatorUsesHistory(t *testing.T) {
 	fs := seedPropertyDFS(t, 1000)
 	h := NewHistory()
 	join := dag.ByOut("id_price")
-	h.Observe(dag.Hash(), join.ID, Observation{OutRatio: 0.5})
+	// Undamped (alpha 1), the observation is stored as measured.
+	h.ObserveDamped(dag.Hash(), join.ID, Observation{OutRatio: 0.5}, 0.5, 1)
 	est, err := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), h)
 	if err != nil {
 		t.Fatal(err)
@@ -417,35 +420,140 @@ func TestRunnerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunnerWhileDriverOnHadoopMatchesNative: every WHILE the workloads
+// run, and the countdown whose stop condition bounds it, computes the same
+// relation and records the same round count in history whether naiad
+// iterates it natively or the runner drives it round by round on hadoop. A
+// countdown its cap cuts short fails on both paths with the same typed
+// error.
 func TestRunnerWhileDriverOnHadoopMatchesNative(t *testing.T) {
-	iters := 4
-	// Native (naiad, one job).
-	dagA := pageRankDAG(t, iters)
-	fsA := seedGraphDFS(t, 1)
-	resA := runWorkflow(t, dagA, fsA, cluster.EC2(16), []*engines.Engine{engines.Naiad()}, nil)
-	outA, err := fsA.ReadRelation("final_ranks")
-	if err != nil {
-		t.Fatal(err)
+	g := workloads.GenerateGraph("g", 100, 400, 20, 1)
+	h := workloads.GenerateGraph("h", 100, 400, 20, 2)
+	staged := func(w *workloads.Workload) func(*testing.T) (*ir.DAG, *dfs.DFS) {
+		return func(t *testing.T) (*ir.DAG, *dfs.DFS) {
+			fs := dfs.New()
+			if err := w.Stage(fs); err != nil {
+				t.Fatal(err)
+			}
+			d, err := w.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d, fs
+		}
 	}
-	// Driver-looped (hadoop, jobs per iteration).
-	dagB := pageRankDAG(t, iters)
-	fsB := seedGraphDFS(t, 1)
-	resB := runWorkflow(t, dagB, fsB, cluster.EC2(16), []*engines.Engine{engines.Hadoop()}, nil)
-	outB, err := fsB.ReadRelation("final_ranks")
-	if err != nil {
-		t.Fatal(err)
+	countdown := func(start, maxIter int) func(*testing.T) (*ir.DAG, *dfs.DFS) {
+		return func(t *testing.T) (*ir.DAG, *dfs.DFS) { return countdownDAG(t, start, maxIter) }
 	}
-	if outA.Fingerprint() != outB.Fingerprint() {
-		t.Error("hadoop-driven PageRank differs from naiad-native result")
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T) (*ir.DAG, *dfs.DFS)
+		iters int // rounds every run must record; 0 when the cap cuts it short
+		// jobsPerRound is the fewest hadoop jobs a round takes: one per
+		// shuffle in the body.
+		jobsPerRound int
+		// rounding: float cells may differ in the last bits. k-means'
+		// centers are AVGs, exec sums a group in two halves once a
+		// pipeline's input reaches ParallelThreshold rows, and naiad's one
+		// body job and hadoop's body jobs cut their pipelines at different
+		// relations.
+		rounding bool
+	}{
+		{"pagerank", staged(workloads.PageRank(g, 4)), 4, 2, false},
+		{"sssp", staged(workloads.SSSP(g, 4)), 4, 2, false},
+		{"kmeans", staged(workloads.KMeans(1_000_000, 4, 4)), 4, 2, true},
+		{"cross-community", staged(workloads.CrossCommunityPageRank(g, h, 4)), 4, 2, false},
+		{"countdown", countdown(5, 100), 5, 1, false},
+		{"countdown capped", countdown(10, 3), 0, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type run struct {
+				res   *WorkflowResult
+				out   *relation.Relation
+				iters int
+				err   error
+			}
+			runOn := func(engine string) run {
+				dag, fs := tc.build(t)
+				c := cluster.EC2(16)
+				hist := NewHistory()
+				est, err := NewEstimator(ir.Identify(dag), fs, c, hist)
+				if err != nil {
+					t.Fatal(err)
+				}
+				part, err := MapTo(dag, est, engines.Registry()[engine])
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: c}, History: hist, Mode: engines.ModeOptimized}
+				res, err := r.Execute(ir.Identify(dag), part)
+				if err != nil {
+					return run{err: err}
+				}
+				var w *ir.Op
+				for _, op := range dag.Ops {
+					if op.Type == ir.OpWhile {
+						w = op
+					}
+				}
+				obs, _ := hist.Lookup(dag.Hash(), w.ID)
+				out, err := fs.ReadRelation(dag.Sinks()[0].Out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return run{res, out, obs.Iterations, nil}
+			}
+			native, driven := runOn("naiad"), runOn("hadoop")
+			if tc.iters == 0 {
+				var nn, dn *ir.NotConvergedError
+				if !errors.As(native.err, &nn) || !errors.As(driven.err, &dn) || *nn != *dn {
+					t.Fatalf("capped loop: native %v, driven %v; want the same NotConvergedError", native.err, driven.err)
+				}
+				return
+			}
+			if native.err != nil || driven.err != nil {
+				t.Fatalf("native %v, driven %v", native.err, driven.err)
+			}
+			same := native.out.Fingerprint() == driven.out.Fingerprint()
+			if tc.rounding {
+				same = equalUpToRounding(native.out, driven.out)
+			}
+			if !same {
+				t.Errorf("hadoop-driven loop differs from naiad-native result:\n%v\n%v", native.out.Rows, driven.out.Rows)
+			}
+			if native.iters != tc.iters || driven.iters != tc.iters {
+				t.Errorf("history records %d rounds native, %d driven, want %d", native.iters, driven.iters, tc.iters)
+			}
+			// Hadoop pays per-iteration job overheads: it must be far slower.
+			if driven.res.Makespan < native.res.Makespan*3 {
+				t.Errorf("hadoop (%v) should be much slower than naiad (%v)", driven.res.Makespan, native.res.Makespan)
+			}
+			if want := tc.jobsPerRound * tc.iters; len(driven.res.Jobs) < want {
+				t.Errorf("hadoop jobs = %d, want ≥ %d", len(driven.res.Jobs), want)
+			}
+		})
 	}
-	// Hadoop pays per-iteration job overheads: it must be far slower.
-	if resB.Makespan < resA.Makespan*3 {
-		t.Errorf("hadoop (%v) should be much slower than naiad (%v)", resB.Makespan, resA.Makespan)
+}
+
+// equalUpToRounding reports whether a and b hold the same rows in the same
+// order, float cells agreeing to within 1e-12 of their magnitude.
+func equalUpToRounding(a, b *relation.Relation) bool {
+	if len(a.Rows) != len(b.Rows) {
+		return false
 	}
-	// Two shuffles per body (join+agg) → ≥ 2 jobs × iterations.
-	if len(resB.Jobs) < 2*iters {
-		t.Errorf("hadoop jobs = %d, want ≥ %d", len(resB.Jobs), 2*iters)
+	for i := range a.Rows {
+		if len(a.Rows[i]) != len(b.Rows[i]) {
+			return false
+		}
+		for j, x := range a.Rows[i] {
+			y := b.Rows[i][j]
+			if x.Kind != y.Kind || x.I != y.I || x.S != y.S ||
+				math.Abs(x.F-y.F) > 1e-12*math.Max(math.Abs(x.F), math.Abs(y.F)) {
+				return false
+			}
+		}
 	}
+	return true
 }
 
 // TestWhileDriverCondRel exercises the driver-looped data-dependent stop
@@ -876,7 +984,8 @@ func TestRunnerRecordsJobRuntimes(t *testing.T) {
 
 func TestHistorySaveLoad(t *testing.T) {
 	h := NewHistory()
-	h.Observe("w1", 3, Observation{OutRatio: 0.25, Iterations: 7})
+	h.ObserveDamped("w1", 3, Observation{OutRatio: 0.25}, 0.25, 1)
+	h.ObserveIterations("w1", 3, 7)
 	h.ObserveRuntime("w1", "0,1,2,", "naiad", 42.5)
 	path := filepath.Join(t.TempDir(), "history.json")
 	if err := h.Save(path); err != nil {

@@ -107,18 +107,6 @@ func (h *History) LookupRuntime(dagHash, fragKey, engine string) (float64, bool)
 	return s, ok
 }
 
-// Observe records what an execution saw for one operator.
-func (h *History) Observe(dagHash string, opID int, obs Observation) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	byOp, ok := h.m[dagHash]
-	if !ok {
-		byOp = map[int]Observation{}
-		h.m[dagHash] = byOp
-	}
-	byOp[opID] = obs
-}
-
 // ObserveDamped folds an execution's observation into the store with the
 // calibration loop's damped update: the stored ratio moves fraction alpha
 // of the way from its current value (or, on first evidence, from the
@@ -126,8 +114,7 @@ func (h *History) Observe(dagHash string, opID int, obs Observation) {
 // what makes estimator error shrink monotonically across learning rounds
 // instead of jumping to the first measurement — which may itself be noisy
 // (external-input volumes are observed coarsely). Iteration counts are
-// stored exactly; they are discrete and stable. Observe remains the raw
-// exact-write API.
+// stored exactly; they are discrete and stable.
 func (h *History) ObserveDamped(dagHash string, opID int, obs Observation, prior, alpha float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

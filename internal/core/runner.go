@@ -258,15 +258,16 @@ func (r *Runner) runJob(jctx context.Context, base engines.RunContext, sp *obs.S
 }
 
 // runWhileDriver expands a WHILE for an engine without native iteration:
-// Musketeer itself drives the loop, submitting the jobs of part — the body
-// plan the partitioning carries — each iteration through the scheduler and
-// checking the stop condition from materialized state. Loop state lives in a
-// "__loop/<out>" namespace of the execution's DFS view — the shared DAG is
-// never mutated, so one compiled workflow can run this driver from many
-// executions at once. Job overheads and DFS round-trips are paid every
-// iteration, which is exactly the cost the paper attributes to iterative
-// workflows on MapReduce-class systems; only the host's own work of decoding
-// and indexing a loop-invariant input is done once per body job.
+// Musketeer itself drives the loop. ir.Op.Loop steps the rounds; each round
+// submits the jobs of part — the body plan the partitioning carries —
+// through the scheduler, and the stop condition is read from materialized
+// state. Loop state lives in a "__loop/<out>" namespace of the execution's
+// DFS view — the shared DAG is never mutated, so one compiled workflow can
+// run this driver from many executions at once. Job overheads and DFS
+// round-trips are paid every iteration, which is exactly the cost the paper
+// attributes to iterative workflows on MapReduce-class systems; only the
+// host's own work of decoding and indexing a loop-invariant input is done
+// once per body job.
 func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.Op, part *Partitioning) ([]*engines.RunResult, cluster.Seconds, error) {
 	if part == nil {
 		return nil, 0, fmt.Errorf("core: WHILE %s is driver-looped but its job carries no body plan", w.Out)
@@ -295,15 +296,6 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 			return nil, 0, fmt.Errorf("core: WHILE %s input %q: %w", w.Out, bop.Out, err)
 		}
 	}
-	// loopPath maps a loop-carried input name to where the loop stores its
-	// current value (falling back to the bare name for carries that no
-	// body input reads).
-	loopPath := func(name string) string {
-		if p, ok := inPath[name]; ok {
-			return p
-		}
-		return name
-	}
 	// No round rewrites the loop copy of an invariant body input. Each body
 	// job keeps what its rounds decode and index of those inputs in a share
 	// of its own: one job's rounds, retries and backups run one after
@@ -329,18 +321,18 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 		bodySpanNames[ji] = "job:" + part.Jobs[ji].Frag.Name()
 	}
 
-	maxIter := w.IterCap()
 	var all []*engines.RunResult
 	var total cluster.Seconds
 	// simClock places iteration spans on the loop's simulated timeline:
 	// iterations are strictly sequential, each starting where the previous
 	// one's nested critical path ended.
 	var simClock cluster.Seconds
-	iters := 0
-	converged := w.Params.CondRel == "" // bounded loops terminate by cap
 	// One driver round, recorded as its own "iteration" span beneath the
-	// job attempt. stop reports loop convergence (condition relation empty).
-	iterOnce := func(iter int) (stop bool, err error) {
+	// job attempt.
+	round := func(iter int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		isp := r.Rec.StartSpan(rctx.Span, "iteration", "while")
 		defer isp.End()
 		isp.SetInt("iter", int64(iter))
@@ -366,7 +358,7 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 		}
 		rep := r.scheduler().RunNested(ctx, iterJobs)
 		if rep.Err != nil {
-			return false, rep.Err
+			return rep.Err
 		}
 		// Observed here, in job order, not as each job ends: what history
 		// learns from a round does not depend on how its jobs interleaved.
@@ -394,43 +386,22 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 			total += cluster.Seconds(ck)
 			r.Metrics.Counter("chaos_checkpoints_total").Add(1)
 		}
-		// Rebind carried state for the next round.
-		for inName, outName := range w.Params.Carried {
-			if err := loopFS.Copy(outName, loopPath(inName)); err != nil {
-				return false, err
-			}
-		}
-		if w.Params.CondRel != "" {
-			st, err := loopFS.Stat(w.Params.CondRel)
-			if err != nil {
-				return false, err
-			}
-			if st.Rows == 0 {
-				return true, nil
-			}
-		}
-		return false, nil
+		return nil
 	}
-	for ; iters < maxIter; iters++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, fmt.Errorf("core: WHILE %s iteration %d: %w", w.Out, iters+1, err)
-		}
-		stop, err := iterOnce(iters)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: WHILE %s iteration %d: %w", w.Out, iters+1, err)
-		}
-		if stop {
-			converged = true
-			iters++
-			break
-		}
-	}
-	if !converged {
-		return nil, 0, fmt.Errorf("core: WHILE %s did not converge: condition %q still non-empty after %d iterations (cap %d)",
-			w.Out, w.Params.CondRel, iters, maxIter)
+	// Rebinding copies a carried output over its input's loop copy (the
+	// analyzer has made every carried input a body INPUT); the stop
+	// condition is read from the round's materialized state.
+	iters, err := w.Loop(round, func(in, out string) error {
+		return loopFS.Copy(out, inPath[in])
+	}, func(cond string) (int, error) {
+		st, err := loopFS.Stat(cond)
+		return st.Rows, err
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: %w", err)
 	}
 	if r.History != nil {
-		r.History.Observe(id.Hash(id.DAG), w.ID, Observation{OutRatio: 1, Iterations: iters})
+		r.History.ObserveIterations(id.Hash(id.DAG), w.ID, iters)
 	}
 	// Publish the WHILE's result under its output name in the execution's
 	// view. The last rebind copied a carried result to its input, so the

@@ -129,8 +129,23 @@ func (d *DFS) Prefix() string { return strings.TrimSuffix(d.prefix, "/") }
 func (d *DFS) resolve(path string) string { return d.prefix + path }
 
 // WriteRelation encodes rel as TSV and stores it at path, replacing any
-// previous file. The relation's LogicalBytes travels with the file.
+// previous file. The relation's LogicalBytes travels with the file. TSV has
+// no escape for a tab or a newline, so a string cell holding either is
+// refused here, naming the cell, rather than stored as a file no job can
+// read back.
 func (d *DFS) WriteRelation(path string, rel *relation.Relation) error {
+	for i, row := range rel.Rows {
+		for j, v := range row {
+			if v.Kind == relation.KindString && strings.ContainsAny(v.S, "\t\n") {
+				col := fmt.Sprint(j)
+				if j < rel.Schema.Arity() {
+					col = rel.Schema.Cols[j].Name
+				}
+				return fmt.Errorf("dfs: write %q: relation %q row %d column %q holds a tab or newline, which TSV cannot store",
+					d.resolve(path), rel.Name, i, col)
+			}
+		}
+	}
 	w := relation.NewWriter(rel.Schema)
 	w.LogicalBytes = rel.LogicalBytes
 	w.Append(rel.Rows)

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -36,6 +37,44 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	if !got.Schema.Equal(want.Schema) {
 		t.Error("round trip changed schema")
+	}
+}
+
+// TestWriteRelationRefusesTabsAndNewlines: TSV has no escape for a tab or a
+// newline, so a string cell holding one would come back as extra columns or
+// rows. WriteRelation refuses it, naming the relation, the row and the
+// column. The columnar codec carries the same string exactly.
+func TestWriteRelationRefusesTabsAndNewlines(t *testing.T) {
+	d := New()
+	for _, s := range []string{"a\tb", "a\nb"} {
+		rel := relation.New("notes", relation.NewSchema("id:int", "text:string"))
+		rel.MustAppend(relation.Row{relation.Int(1), relation.Str("plain")})
+		rel.MustAppend(relation.Row{relation.Int(2), relation.Str(s)})
+		err := d.WriteRelation("in/notes", rel)
+		if err == nil {
+			t.Fatalf("%q: stored a cell TSV cannot read back", s)
+		}
+		for _, want := range []string{`"notes"`, "row 1", `column "text"`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%q: error %q does not name %s", s, err, want)
+			}
+		}
+		if _, err := d.Stat("in/notes"); err == nil {
+			t.Errorf("%q: a refused relation was stored", s)
+		}
+
+		w := relation.NewColumnarWriter(rel.Schema)
+		w.Append(rel.Rows)
+		if _, err := d.Commit("mid/notes", w); err != nil {
+			t.Fatal(err)
+		}
+		back, err := d.ReadRelation("mid/notes")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.NumRows() != 2 || back.Rows[1][1].S != s {
+			t.Errorf("%q: columnar read back %v", s, back.Rows)
+		}
 	}
 }
 

@@ -469,8 +469,8 @@ func TestNativeIterationRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations != 5 {
-		t.Errorf("iterations = %d, want 5", res.Iterations)
+	if got := res.Trace.Iterations[p.While.ID]; got != 5 {
+		t.Errorf("iterations = %d, want 5", got)
 	}
 	out, err := fs.ReadRelation("final_ranks")
 	if err != nil {

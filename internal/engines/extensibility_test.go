@@ -53,8 +53,8 @@ func TestXStreamRunsGraphIdiom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations != 3 {
-		t.Errorf("iterations = %d", res.Iterations)
+	if got := res.Trace.Iterations[plan.While.ID]; got != 3 {
+		t.Errorf("iterations = %d", got)
 	}
 	// Single machine regardless of cluster size.
 	if got := x.EffectiveNodes(cluster.EC2(100)); got != 1 {

@@ -92,11 +92,10 @@ func (c RunContext) Context() context.Context {
 
 // RunResult reports one executed job.
 type RunResult struct {
-	Job        string
-	Engine     string
-	Makespan   cluster.Seconds
-	Breakdown  CostBreakdown
-	Iterations int
+	Job       string
+	Engine    string
+	Makespan  cluster.Seconds
+	Breakdown CostBreakdown
 	// Volumes is what the cost function charged: the job-edge bytes moved
 	// and the per-operator volumes measured from the trace — the same struct
 	// the planner fills from estimates, so observers can set a prediction
@@ -192,9 +191,6 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 		Trace:      trace,
 		Volumes:    Volumes{Pull: pullBytes, Push: pushBytes},
 		DFSRetries: dfsRetries,
-	}
-	if p.While != nil {
-		res.Iterations = trace.Iterations[p.While.ID]
 	}
 	p.Engine.cost(ctx.Cluster, p, res)
 	if ctx.Chaos != nil {

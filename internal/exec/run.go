@@ -355,15 +355,13 @@ func runUnit(u []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 	}
 }
 
-// runWhile drives a WHILE operator: it evaluates the body DAG repeatedly,
-// rebinding loop-carried relations between iterations, until its cap is
-// reached or the condition relation becomes empty. This is the "successive
-// DAG expansion" of paper §4.2 — each iteration is a fresh evaluation of the
-// body's units against an updated environment. The body keeps what
-// ir.Op.Kept lists plus whatever the caller's Keep names and streams through
-// everything else. A body JOIN whose build side is the same relation as in
-// the iteration before — an invariant input — probes the table built then
-// (see runChain).
+// runWhile drives a WHILE operator in memory: ir.Op.Loop steps the rounds
+// (cap, rebinding, stop test), and each round is a fresh evaluation of the
+// body's units against the loop's current environment — the "successive
+// DAG expansion" of paper §4.2. The body keeps what ir.Op.Kept lists plus
+// whatever the caller's Keep names and streams through everything else. A
+// body JOIN whose build side is the same relation as in the iteration
+// before — an invariant input — probes the table built then (see runChain).
 func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Relation, error) {
 	body := op.Params.Body
 	if body == nil {
@@ -397,55 +395,43 @@ func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 		Joins:     make(JoinTables),
 	}
 	units := planUnits(bodyOps, bodyOpts.Keep)
-	maxIter := op.IterCap()
-	iters := 0
-	converged := op.Params.CondRel == "" // bounded loops terminate by cap
+	// Each round evaluates the body in a clone of the loop's bindings;
+	// lastOut is the latest round's.
 	var lastOut Env
-	for ; iters < maxIter; iters++ {
-		outEnv := loopEnv.Clone()
+	iters, err := op.Loop(func(int) error {
+		lastOut = loopEnv.Clone()
 		// An untraced WHILE (RunOps allows a nil trace) runs its body
 		// untraced too.
 		var bodyTrace *Trace
 		if trace != nil {
 			bodyTrace = NewTrace()
 		}
-		if err := runUnits(units, outEnv, bodyTrace, bodyOpts); err != nil {
-			return nil, fmt.Errorf("exec: %s iteration %d: %w", op, iters+1, err)
+		if err := runUnits(units, lastOut, bodyTrace, bodyOpts); err != nil {
+			return err
 		}
 		if trace != nil {
 			trace.Merge(bodyTrace)
 		}
-		lastOut = outEnv
-		// Rebind carried relations for the next iteration.
-		for inName, outName := range op.Params.Carried {
-			rel, ok := outEnv[outName]
-			if !ok {
-				return nil, fmt.Errorf("exec: %s: carried output %q missing", op, outName)
-			}
-			loopEnv[inName] = rel
+		return nil
+	}, func(in, out string) error {
+		rel, ok := lastOut[out]
+		if !ok {
+			return fmt.Errorf("carried output %q missing", out)
 		}
-		if op.Params.CondRel != "" {
-			cond, ok := outEnv[op.Params.CondRel]
-			if !ok {
-				return nil, fmt.Errorf("exec: %s: condition relation %q missing", op, op.Params.CondRel)
-			}
-			if cond.NumRows() == 0 {
-				converged = true
-				iters++
-				break
-			}
+		loopEnv[in] = rel
+		return nil
+	}, func(cond string) (int, error) {
+		rel, ok := lastOut[cond]
+		if !ok {
+			return 0, fmt.Errorf("condition relation %q missing", cond)
 		}
+		return rel.NumRows(), nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
 	}
 	if trace != nil {
 		trace.Iterations[op.ID] = iters
-	}
-	if !converged {
-		// A data-dependent loop that exhausts its iteration cap with the
-		// stop condition still non-empty never reached its fixpoint;
-		// returning the truncated state silently would present a wrong
-		// answer as a result.
-		return nil, fmt.Errorf("exec: %s: WHILE did not converge: condition %q still non-empty after %d iterations (cap %d)",
-			op, op.Params.CondRel, iters, maxIter)
 	}
 	// The last rebind bound a carried result to its input too: lastOut holds
 	// the same relation.

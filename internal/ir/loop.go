@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 )
@@ -10,7 +11,8 @@ import (
 // rebinds each carried input to its output. These methods are the one
 // definition of what a round binds, hands on and leaves unchanged: the
 // interpreter, the driver loop, the partitioner, the optimizer and the
-// analyzer all ask them.
+// analyzer all ask them. Loop steps the rounds for both executors of a
+// WHILE; each keeps only where its loop state lives.
 
 // BoundInput returns the outer relation a body INPUT of the WHILE o binds
 // to: the WHILE input of the same name, or nil when there is none. A body
@@ -101,4 +103,52 @@ func (o *Op) IterCap() int {
 		return o.Params.MaxIter
 	}
 	return MaxCondIters
+}
+
+// Loop runs the WHILE o round by round. round(iter) evaluates the body
+// against the current bindings, iter counting from 0; rebind(in, out) then
+// hands each carried output on to its input, in input-name order; and
+// rows(rel) reports how many rows the stop condition holds. The loop stops
+// once the condition is empty or after IterCap rounds, and returns how many
+// rounds ran to completion. A loop whose condition is still non-empty when
+// the cap runs out never reached its fixpoint: it returns a
+// *NotConvergedError rather than present the truncated state as a result.
+func (o *Op) Loop(round func(iter int) error, rebind func(in, out string) error, rows func(rel string) (int, error)) (int, error) {
+	carried := slices.Sorted(maps.Keys(o.Params.Carried))
+	cond, limit := o.Params.CondRel, o.IterCap()
+	for iter := range limit {
+		err := round(iter)
+		for _, in := range carried {
+			if err == nil {
+				err = rebind(in, o.Params.Carried[in])
+			}
+		}
+		n := 1 // without a stop condition only the cap ends the loop
+		if err == nil && cond != "" {
+			n, err = rows(cond)
+		}
+		if err != nil {
+			return iter, fmt.Errorf("WHILE %s iteration %d: %w", o.Out, iter+1, err)
+		}
+		if n == 0 {
+			return iter + 1, nil
+		}
+	}
+	if cond == "" {
+		return limit, nil
+	}
+	return limit, &NotConvergedError{Loop: o.Out, Cond: cond, Rounds: limit, Cap: limit}
+}
+
+// NotConvergedError is the failure of a WHILE whose stop condition still
+// held rows when its iteration cap ran out.
+type NotConvergedError struct {
+	Loop        string // the WHILE's output
+	Cond        string // its stop condition
+	Rounds, Cap int
+}
+
+func (e *NotConvergedError) Error() string {
+	return fmt.Sprintf("WHILE %s did not converge: condition %q still non-empty after %d iterations (cap %d)",
+		e.Loop, e.Cond, e.Rounds, e.Cap)
 }

@@ -1,7 +1,10 @@
 package ir_test
 
 import (
+	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"musketeer/internal/ir"
@@ -103,5 +106,72 @@ func TestLoopDefinition(t *testing.T) {
 	}
 	if w.IterCap() != 3 {
 		t.Errorf("iteration cap %d, want 3", w.IterCap())
+	}
+}
+
+// Loop is the one round loop both executors of a WHILE run. After every
+// round it rebinds each carried pair in input-name order, then reads the
+// stop condition; it stops once the condition is empty, runs exactly
+// IterCap rounds when only the cap bounds it, and fails with a typed error
+// when the cap runs out on a non-empty condition.
+func TestLoopSteps(t *testing.T) {
+	w := &ir.Op{Type: ir.OpWhile, Out: "w", Params: ir.Params{
+		MaxIter: 4, CondRel: "cond",
+		Carried: map[string]string{"c": "c2", "a": "a2", "b": "b2"},
+	}}
+	var steps []string
+	run := func(condRows func(iter int) int, roundErr error) (int, error) {
+		steps = nil
+		last := -1
+		return w.Loop(func(iter int) error {
+			last = iter
+			steps = append(steps, fmt.Sprint("round ", iter))
+			if iter == 1 {
+				return roundErr
+			}
+			return nil
+		}, func(in, out string) error {
+			steps = append(steps, in+"<-"+out)
+			return nil
+		}, func(rel string) (int, error) {
+			steps = append(steps, "rows "+rel)
+			return condRows(last), nil
+		})
+	}
+	round := func(iter int) []string {
+		return []string{fmt.Sprint("round ", iter), "a<-a2", "b<-b2", "c<-c2", "rows cond"}
+	}
+
+	// The condition empties after the second round.
+	n, err := run(func(iter int) int { return 1 - iter }, nil)
+	if want := slices.Concat(round(0), round(1)); err != nil || n != 2 || !slices.Equal(steps, want) {
+		t.Errorf("empty condition: %d rounds, %v, steps %v, want 2 rounds, steps %v", n, err, steps, want)
+	}
+
+	// The condition never empties: every round runs, then the loop fails.
+	n, err = run(func(int) int { return 1 }, nil)
+	var nc *ir.NotConvergedError
+	if !errors.As(err, &nc) || *nc != (ir.NotConvergedError{Loop: "w", Cond: "cond", Rounds: 4, Cap: 4}) || n != 4 {
+		t.Errorf("exhausted cap: %d rounds, %v", n, err)
+	}
+	if want := slices.Concat(round(0), round(1), round(2), round(3)); !slices.Equal(steps, want) {
+		t.Errorf("exhausted cap: steps %v, want %v", steps, want)
+	}
+	if !strings.Contains(err.Error(), "did not converge") {
+		t.Errorf("exhausted cap: %q", err)
+	}
+
+	// A round's error ends the loop, wrapped with its round number.
+	boom := errors.New("boom")
+	n, err = run(func(int) int { return 1 }, boom)
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "WHILE w iteration 2") || n != 1 {
+		t.Errorf("failed round: %d rounds, %v", n, err)
+	}
+
+	// With no condition only the cap bounds the loop, and nothing is read.
+	w.Params.CondRel = ""
+	n, err = run(func(int) int { t.Error("read a condition the loop does not have"); return 0 }, nil)
+	if err != nil || n != w.IterCap() || len(steps) != 4*w.IterCap() {
+		t.Errorf("cap only: %d rounds of %d, %v, steps %v", n, w.IterCap(), err, steps)
 	}
 }
