@@ -92,6 +92,24 @@ func stageMaxPrice(t *testing.T) []string {
 	}
 }
 
+// TestCLIPrintsOutputsAsText pins what the CLI prints of a workflow's sink,
+// run as a job per shuffle so that every relation crosses the filesystem:
+// text rendered from the stored file, byte for byte what it was when the
+// filesystem stored text.
+func TestCLIPrintsOutputsAsText(t *testing.T) {
+	args := append(stageMaxPrice(t), "-cluster", "ec2:100", "-engine", "hadoop")
+	out := captureStdout(t, func() {
+		if code := run("musketeer", args, false); code != 0 {
+			t.Fatalf("run exited %d", code)
+		}
+	})
+	const want = "output \"street_price\": 140 rows\n" +
+		"  street0\ttown0\t2890\n  street1\ttown1\t2903.5\n  street2\ttown2\t2917\n  street3\ttown3\t2930.5\n  street4\ttown4\t2944\n"
+	if _, printed, ok := strings.Cut(out, "\noutput "); !ok || "output "+printed != want {
+		t.Errorf("the CLI printed\n%q\nwant\n%q", "output "+printed, want)
+	}
+}
+
 // captureStdout runs f with os.Stdout sent to a file and returns what it
 // printed.
 func captureStdout(t *testing.T, f func()) string {
