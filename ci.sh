@@ -90,9 +90,12 @@
 #                       or a stable relation, never a panic, never memory
 #                       sized by a count the stream merely declares),
 #                       FuzzTextLen (a value's width is its text's length,
-#                       with or without a width memo) and FuzzKeyEquality
+#                       with or without a width memo), FuzzKeyEquality
 #                       (two cells' key encodings are equal exactly when
-#                       their renderings are), 10 s each beyond their seeds
+#                       their renderings are) and FuzzWriteRelation (the
+#                       DFS stores what a relation's TSV reads back as, or
+#                       refuses it where that text fails to read back),
+#                       10 s each beyond their seeds
 #   mkperf smoke      — mkperf -quick: every workload of the repo benchmark
 #                       (batch, plan-only, open-loop serve) for 2 s each at
 #                       host GOMAXPROCS; fails if any operation failed or
@@ -152,6 +155,7 @@ fuzz_gate() {
     go test -run '^$' -fuzz '^FuzzColumnarStream$' -fuzztime 10s ./internal/relation
     go test -run '^$' -fuzz '^FuzzTextLen$' -fuzztime 10s ./internal/relation
     go test -run '^$' -fuzz '^FuzzKeyEquality$' -fuzztime 10s ./internal/relation
+    go test -run '^$' -fuzz '^FuzzWriteRelation$' -fuzztime 10s ./internal/dfs
 }
 
 if [ "$GROUP" = all ] || [ "$GROUP" = build ]; then

@@ -4,12 +4,15 @@
 // shared filesystem and writes its final outputs back; restricted back-ends
 // such as Hadoop MapReduce also materialize intermediates here between jobs.
 // Files store real encoded relation bytes — the encode/decode path is
-// exercised on every job boundary — in whichever codec their writer rendered
-// them, plus the logical size used by the cost model, and the filesystem keeps
-// byte counters so tests can assert how much (simulated) I/O a plan performed.
-// Sizes are canonical: a file is statted and charged at its logical size or
-// at the length of its TSV rendering, so nothing above this package can tell
-// which codec a file is stored in except by asking Stat.
+// exercised on every job boundary — plus the logical size used by the cost
+// model, and the filesystem keeps byte counters so tests can assert how much
+// (simulated) I/O a plan performed. Every file a workflow reads or writes is
+// columnar: staged sources (WriteRelation), intermediates, sinks and loop
+// state alike, so no job parses or renders text; TSV is parsed only where a
+// user hands rows in and rendered only where a user reads them. Sizes are
+// canonical: a file is statted and charged at its logical size or at the
+// length of its TSV rendering, so nothing above this package can tell which
+// codec a file is stored in except by asking Stat.
 //
 // A DFS value is a view onto shared storage. The root view (returned by New)
 // sees every file; Namespace derives a scoped view whose paths resolve under
@@ -22,6 +25,7 @@ package dfs
 import (
 	"fmt"
 	"io/fs"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -128,29 +132,91 @@ func (d *DFS) Prefix() string { return strings.TrimSuffix(d.prefix, "/") }
 // resolve maps a view-relative path to its storage key.
 func (d *DFS) resolve(path string) string { return d.prefix + path }
 
-// WriteRelation encodes rel as TSV and stores it at path, replacing any
-// previous file. The relation's LogicalBytes travels with the file. TSV has
-// no escape for a tab or a newline, so a string cell holding either is
-// refused here, naming the cell, rather than stored as a file no job can
-// read back.
+// WriteRelation stores rel at path, columnar, replacing any previous file.
+// The relation's LogicalBytes travels with the file. It is where rows a user
+// hands in enter the filesystem, and it stores what rendering rel as TSV and
+// parsing that text against rel's schema would read back: a cell whose kind
+// differs from its column's is coerced as ParseValue would parse its text.
+// What that round trip could not read is refused, naming relation, row and
+// column, and nothing is stored: a row of the wrong arity, a cell whose text
+// does not parse as its column's kind, and a string cell holding a tab or a
+// newline, which the TSV a user reads back has no escape for. rel is only
+// read.
 func (d *DFS) WriteRelation(path string, rel *relation.Relation) error {
+	rows, err := d.textRows(path, rel)
+	if err != nil {
+		return err
+	}
+	w := relation.NewColumnarWriter(rel.Schema)
+	w.LogicalBytes = rel.LogicalBytes
+	w.Append(rows)
+	_, err = d.Commit(path, w)
+	return err
+}
+
+// textRows returns rel's rows as their TSV text would parse back, or the
+// error that names the first cell it would not. A row whose text reads back
+// otherwise than the writer would store it is replaced, in a copy of the row
+// list: one of the wrong arity whose line is empty, where the schema reads an
+// empty line as a row (no columns, or one string), and one holding a string
+// in a numeric column, which the writer would take for 0. A number in a
+// column of the other numeric kind is left as it is: where its text parses,
+// the writer's conversion is that parse.
+func (d *DFS) textRows(path string, rel *relation.Relation) ([]relation.Row, error) {
+	at := func(i int) string {
+		return fmt.Sprintf("dfs: write %q: relation %q row %d", d.resolve(path), rel.Name, i)
+	}
+	var rows []relation.Row // a copy of rel.Rows, once a row is replaced
+	put := func(i int, row relation.Row) {
+		if rows == nil {
+			rows = slices.Clone(rel.Rows)
+		}
+		rows[i] = row
+	}
+	cols := rel.Schema.Cols
+	var blank relation.Row // the row an empty line reads back as, if the schema has one
+	switch {
+	case len(cols) == 0:
+		blank = relation.Row{}
+	case len(cols) == 1 && cols[0].Kind == relation.KindString:
+		blank = relation.Row{relation.Str("")}
+	}
 	for i, row := range rel.Rows {
-		for j, v := range row {
-			if v.Kind == relation.KindString && strings.ContainsAny(v.S, "\t\n") {
-				col := fmt.Sprint(j)
-				if j < rel.Schema.Arity() {
-					col = rel.Schema.Cols[j].Name
-				}
-				return fmt.Errorf("dfs: write %q: relation %q row %d column %q holds a tab or newline, which TSV cannot store",
-					d.resolve(path), rel.Name, i, col)
+		if len(row) != len(cols) {
+			emptyLine := len(row) == 0 || len(row) == 1 && row[0].Kind == relation.KindString && row[0].S == ""
+			if !emptyLine || blank == nil {
+				return nil, fmt.Errorf("%s: row arity %d != %d", at(i), len(row), len(cols))
 			}
+			put(i, blank)
+			continue
+		}
+		copied := false
+		for j := range row {
+			v, kind := &row[j], cols[j].Kind
+			if v.Kind == relation.KindString && strings.ContainsAny(v.S, "\t\n") {
+				return nil, fmt.Errorf("%s column %q holds a tab or newline, which TSV cannot store", at(i), cols[j].Name)
+			}
+			if v.Kind == kind || v.Kind == relation.KindInt && kind == relation.KindFloat {
+				continue // an int's text always parses, as the float the writer converts it to
+			}
+			parsed, err := relation.ParseValue(kind, v.String())
+			if err != nil {
+				return nil, fmt.Errorf("%s column %q does not read back: %w", at(i), cols[j].Name, err)
+			}
+			if v.Kind != relation.KindString {
+				continue
+			}
+			if !copied {
+				put(i, row.Clone())
+				copied = true
+			}
+			rows[i][j] = parsed
 		}
 	}
-	w := relation.NewWriter(rel.Schema)
-	w.LogicalBytes = rel.LogicalBytes
-	w.Append(rel.Rows)
-	_, err := d.Commit(path, w)
-	return err
+	if rows == nil {
+		return rel.Rows, nil
+	}
+	return rows, nil
 }
 
 // Commit stores the relation w has written at path, in w's codec, replacing

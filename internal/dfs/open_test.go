@@ -242,7 +242,7 @@ func TestConcurrentReadersAndFaults(t *testing.T) {
 		go func(v *DFS) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				w := relation.NewWriter(want.Schema)
+				w := relation.NewColumnarWriter(want.Schema) // as WriteRelation stores it: the same blocks
 				head, tail := w.Part(), w.Part()
 				tail.Append(want.Rows[100:])
 				head.Append(want.Rows[:100])

@@ -266,15 +266,9 @@ func runProcess(ctx RunContext, p *Plan, pulled []pulledInput) (*exec.Trace, map
 	trace := exec.NewTrace()
 	sinks := make(map[string]*relation.Writer, len(p.Frag.ExtOut))
 	for _, op := range p.Frag.ExtOut {
-		// The one rule that picks a file's codec: what only another job of
-		// this run will read is columnar; what a user may — a workflow sink, a
-		// loop's carried or stop-condition relation — is text. RunOps stamps
-		// the schema before the first row.
-		if p.Frag.ConsumedOutside(op) {
-			sinks[op.Out] = relation.NewColumnarWriter(relation.Schema{})
-		} else {
-			sinks[op.Out] = relation.NewWriter(relation.Schema{})
-		}
+		// Every stored file is columnar: a user reads text rendered from it.
+		// RunOps stamps the schema before the first row.
+		sinks[op.Out] = relation.NewColumnarWriter(relation.Schema{})
 	}
 	// A held input is bound as the rows an earlier round decoded; the rest
 	// are handed over undecoded, and RunOps streams or materializes each.

@@ -19,11 +19,6 @@ type Fragment struct {
 	// ExtOut are the fragment operators whose outputs are consumed outside
 	// the fragment (or are workflow sinks) and must be written to the DFS.
 	ExtOut []*Op
-	// shuffled[i] records whether ExtOut[i] is read by other jobs and by
-	// nothing else — it has a consumer outside the fragment and is not a
-	// forced output. It serves the engines' codec rule alone (see
-	// ConsumedOutside); no cost depends on it.
-	shuffled []bool
 
 	dag     *DAG
 	schemas map[*Op]relation.Schema
@@ -69,15 +64,14 @@ func NewFragment(dag *DAG, ops []*Op) (*Fragment, error) {
 		if op.Type == OpInput {
 			continue
 		}
-		shuffled := false
+		external := len(cons[op]) == 0 // a sink
 		for _, c := range cons[op] {
 			if !member[c] {
-				shuffled = true
+				external = true // read by another job
 			}
 		}
-		if shuffled || len(cons[op]) == 0 { // read by another job, or a sink
+		if external {
 			f.ExtOut = append(f.ExtOut, op)
-			f.shuffled = append(f.shuffled, shuffled)
 		}
 	}
 	return f, nil
@@ -108,36 +102,18 @@ func (f *Fragment) DAG() *DAG { return f.dag }
 // ForceOutput marks a member operator's result as an external output even
 // if no operator outside the fragment consumes it. The WHILE driver uses
 // this to materialize loop-carried relations and stop-condition relations
-// that are otherwise internal to a body job. The driver copies a forced
-// output to where the next iteration, and in the end the workflow's reader,
-// finds it: it is no longer only another job's input, even when one reads it.
+// that are otherwise internal to a body job.
 func (f *Fragment) ForceOutput(op *Op) error {
 	if !f.Contains(op) {
 		return fmt.Errorf("ir: %s is not in the fragment", op)
 	}
-	for i, out := range f.ExtOut {
+	for _, out := range f.ExtOut {
 		if out == op {
-			f.shuffled[i] = false
 			return nil
 		}
 	}
 	f.ExtOut = append(f.ExtOut, op)
-	f.shuffled = append(f.shuffled, false)
 	return nil
-}
-
-// ConsumedOutside reports whether op's output is written for other jobs of
-// the run and no one else: some operator outside the fragment reads it, and
-// it was not forced. Workflow sinks and forced outputs return false — a user
-// may read them. It is the engines' rule for picking a file's codec, columnar
-// between jobs and text otherwise, and serves nothing else.
-func (f *Fragment) ConsumedOutside(op *Op) bool {
-	for i, out := range f.ExtOut {
-		if out == op {
-			return f.shuffled[i]
-		}
-	}
-	return false // internal to the fragment, or not in it at all
 }
 
 // Contains reports membership.

@@ -12,13 +12,13 @@ type Codec uint8
 
 const (
 	// CodecTSV is the text format: a two-line header followed by
-	// tab-separated rows. Everything user-visible is TSV — workflow sources,
-	// published sinks, loop-carried state, golden fixtures.
+	// tab-separated rows. It is what users hand in (DecodeBytes) and read
+	// (EncodeBytes): table files, uploads, served outputs, golden fixtures.
 	CodecTSV Codec = iota
-	// CodecColumnar is the binary format of every file one job writes for
-	// another to read: a header followed by row groups a reader decodes as it
-	// pulls them, with no number rendered to text on the way out or parsed on
-	// the way in.
+	// CodecColumnar is the binary format of every file the DFS stores —
+	// staged sources, intermediates, sinks and loop state: a header followed
+	// by row groups a reader decodes as it pulls them, with no number
+	// rendered to text on the way out or parsed on the way in.
 	//
 	//	magic (5 bytes), then the two header lines of the TSV format
 	//	per row group: uvarint rows (1..groupRows), uvarint bodyLen, body

@@ -432,7 +432,9 @@ type Writer struct {
 	parts        []*Part
 }
 
-// NewWriter returns an empty TSV writer for rows of the given schema.
+// NewWriter returns an empty TSV writer for rows of the given schema: the
+// renderer behind EncodeBytes, of the text a user reads. What the DFS stores
+// comes from NewColumnarWriter.
 func NewWriter(schema Schema) *Writer { return &Writer{Schema: schema} }
 
 // Codec returns the codec the writer renders in.

@@ -1,6 +1,7 @@
 // Package relation implements the tabular data model shared by every layer
-// of Musketeer: typed values, rows, schemas and relations, plus the TSV
-// codecs used by the simulated distributed filesystem.
+// of Musketeer: typed values, rows, schemas and relations, plus their two
+// codecs: the columnar one every file of the simulated distributed filesystem
+// is stored in, and TSV, the text users hand in and read back.
 //
 // All seven back-end execution engines operate on these types through the
 // shared kernels in internal/exec, which is what lets the test suite assert

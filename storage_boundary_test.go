@@ -41,13 +41,13 @@ func stageCityVisits(t *testing.T, m *Musketeer) Catalog {
 	}
 }
 
-// TestIntermediatesAreColumnarSinksAreText runs the workload as three
-// separate jobs — two relations cross a job boundary through the DFS — and
-// pins the storage boundary's one rule and its invisibility: both
-// intermediates are stored columnar, the published sink is text, byte for
-// byte what it was when every file was, and the simulation is charged exactly
-// what it was charged then (values pinned from the all-TSV run at 88c8d4b).
-func TestIntermediatesAreColumnarSinksAreText(t *testing.T) {
+// TestEveryStoredFileIsColumnar runs the workload as three separate jobs —
+// two relations cross a job boundary through the DFS — and pins that the
+// storage format is invisible: both intermediates and the published sink are
+// stored columnar, the sink reads back as text byte for byte what it was when
+// every file was text, and the simulation is charged exactly what it was
+// charged then (values pinned from the all-TSV run at 88c8d4b).
+func TestEveryStoredFileIsColumnar(t *testing.T) {
 	m := New(LocalCluster(7))
 	wf, err := m.CompileHive(cityVisitsHive, stageCityVisits(t, m))
 	if err != nil {
@@ -62,7 +62,7 @@ func TestIntermediatesAreColumnarSinksAreText(t *testing.T) {
 		t.Fatal(err)
 	}
 	session := m.fs.Namespace(res.Namespace)
-	for path, want := range map[string]relation.Codec{"u": relation.CodecColumnar, "uv": relation.CodecColumnar, "city_total": relation.CodecTSV} {
+	for path, want := range map[string]relation.Codec{"u": relation.CodecColumnar, "uv": relation.CodecColumnar, "city_total": relation.CodecColumnar} {
 		if st, err := session.Stat(path); err != nil || st.Codec != want {
 			t.Errorf("%s is stored as %s, want %s (%v)", path, st.Codec, want, err)
 		}
@@ -72,7 +72,7 @@ func TestIntermediatesAreColumnarSinksAreText(t *testing.T) {
 		t.Errorf("uv stats as %d bytes (logical %d), its text is 16963 (16900000)", st.PhysicalBytes, st.LogicalBytes)
 	}
 	const sink = "#schema\tcity:string\ttotal:int\n#logical\t52000\ncambridge\t3000\noxford\t3125\nlondon\t3000\nbristol\t3125\n"
-	if st, err := m.fs.Stat("city_total"); err != nil || st.Codec != relation.CodecTSV {
+	if st, err := m.fs.Stat("city_total"); err != nil || st.Codec != relation.CodecColumnar {
 		t.Errorf("published sink is stored as %s (%v)", st.Codec, err)
 	}
 	if out, err := m.ReadOutput("city_total"); err != nil || string(out.EncodeBytes()) != sink {
@@ -92,9 +92,9 @@ func TestIntermediatesAreColumnarSinksAreText(t *testing.T) {
 // relation also feeds a second body job, so on hadoop — a job per shuffle,
 // the driver copying the carried file to where the next iteration and, in the
 // end, the user finds it — the file another job reads is the file that gets
-// published. A forced output is text by the one rule: the workflow's result
-// stats as TSV and holds the bytes of the single-job naiad run, which writes
-// it once, as a sink.
+// published. Like every stored file it is columnar, and a user reads it as
+// text: the workflow's result renders to the bytes of the single-job naiad
+// run, which writes it once, as a sink.
 func TestLoopCarriedOutputIsTextEvenWhenAJobReadsIt(t *testing.T) {
 	const src = `
 ranks = WHILE (iteration < 3) CARRY verts = new_verts {
@@ -136,7 +136,7 @@ ranks = WHILE (iteration < 3) CARRY verts = new_verts {
 			t.Fatalf("hadoop ran %d jobs, want 4 an iteration: new_verts on its own, read by census and by heaviest", len(res.Jobs))
 		}
 		st, err := m.fs.Stat("ranks")
-		if err != nil || st.Codec != relation.CodecTSV {
+		if err != nil || st.Codec != relation.CodecColumnar {
 			t.Errorf("%s: the published result is stored as %s (%v)", engine, st.Codec, err)
 		}
 		out, err := m.ReadOutput("ranks")
