@@ -89,6 +89,10 @@
 #                       over real encodings, cut and bit-flipped: an error
 #                       or a stable relation, never a panic, never memory
 #                       sized by a count the stream merely declares),
+#                       FuzzDecodeBytes (the one text parser, over real
+#                       renderings, cut and mutated: an error or a relation
+#                       whose own text parses back to it, never a panic,
+#                       never memory beyond the columnar decoder's bound),
 #                       FuzzTextLen (a value's width is its text's length,
 #                       with or without a width memo), FuzzKeyEquality
 #                       (two cells' key encodings are equal exactly when
@@ -153,6 +157,7 @@ agg_recycling_gate() {
 fuzz_gate() {
     # go test -fuzz takes one target and one package per run.
     go test -run '^$' -fuzz '^FuzzColumnarStream$' -fuzztime 10s ./internal/relation
+    go test -run '^$' -fuzz '^FuzzDecodeBytes$' -fuzztime 10s ./internal/relation
     go test -run '^$' -fuzz '^FuzzTextLen$' -fuzztime 10s ./internal/relation
     go test -run '^$' -fuzz '^FuzzKeyEquality$' -fuzztime 10s ./internal/relation
     go test -run '^$' -fuzz '^FuzzWriteRelation$' -fuzztime 10s ./internal/dfs

@@ -6,13 +6,13 @@
 // Files store real encoded relation bytes — the encode/decode path is
 // exercised on every job boundary — plus the logical size used by the cost
 // model, and the filesystem keeps byte counters so tests can assert how much
-// (simulated) I/O a plan performed. Every file a workflow reads or writes is
-// columnar: staged sources (WriteRelation), intermediates, sinks and loop
-// state alike, so no job parses or renders text; TSV is parsed only where a
-// user hands rows in and rendered only where a user reads them. Sizes are
+// (simulated) I/O a plan performed. Every file is a relation.Writer's
+// columnar stream: staged sources (WriteRelation), intermediates, sinks and
+// loop state alike, so no job parses or renders text; TSV is parsed only where
+// a user hands rows in and rendered only where a user reads them. Sizes are
 // canonical: a file is statted and charged at its logical size or at the
-// length of its TSV rendering, so nothing above this package can tell which
-// codec a file is stored in except by asking Stat.
+// length of its TSV rendering, so nothing above this package sees the stored
+// format.
 //
 // A DFS value is a view onto shared storage. The root view (returned by New)
 // sees every file; Namespace derives a scoped view whose paths resolve under
@@ -37,12 +37,10 @@ import (
 type Stat struct {
 	Path string
 	// PhysicalBytes is the length of the file's TSV rendering, header
-	// included: the stored length of a TSV file, computed for a columnar one.
+	// included: computed from the rows, never rendered.
 	PhysicalBytes int64
 	LogicalBytes  int64
 	Rows          int
-	// Codec is the format the file's writer rendered it in.
-	Codec relation.Codec
 }
 
 // EffectiveBytes returns the logical size when set, else the physical size.
@@ -96,11 +94,10 @@ type file struct {
 	size    int64 // length of the TSV rendering (see Stat.PhysicalBytes)
 	logical int64
 	rows    int
-	codec   relation.Codec
 }
 
 func (f *file) stat(path string) Stat {
-	return Stat{Path: path, PhysicalBytes: f.size, LogicalBytes: f.logical, Rows: f.rows, Codec: f.codec}
+	return Stat{Path: path, PhysicalBytes: f.size, LogicalBytes: f.logical, Rows: f.rows}
 }
 
 // New returns an empty filesystem with the default block configuration.
@@ -219,15 +216,15 @@ func (d *DFS) textRows(path string, rel *relation.Relation) ([]relation.Row, err
 	return rows, nil
 }
 
-// Commit stores the relation w has written at path, in w's codec, replacing
-// any previous file — whole or, if never called, not at all. The stream, which
-// w gives up, is cut into checksummed blocks before the lock is taken; only
-// the map store and the accounting run under it.
+// Commit stores the relation w has written at path, replacing any previous
+// file — whole or, if never called, not at all. The stream, which w gives up,
+// is cut into checksummed blocks before the lock is taken; only the map store
+// and the accounting run under it.
 func (d *DFS) Commit(path string, w *relation.Writer) (Stat, error) {
 	if path == "" {
 		return Stat{}, fmt.Errorf("dfs: empty path")
 	}
-	f := &file{blocks: d.split(w.Bytes()), size: w.TextBytes(), logical: w.LogicalBytes, rows: w.Rows(), codec: w.Codec()}
+	f := &file{blocks: d.split(w.Bytes()), size: w.TextBytes(), logical: w.LogicalBytes, rows: w.Rows()}
 	d.st.mu.Lock()
 	defer d.st.mu.Unlock()
 	d.st.files[d.resolve(path)] = f
@@ -254,7 +251,7 @@ func (d *DFS) ReadRelation(path string) (*relation.Relation, error) {
 // every block (verifying checksums, skipping failed datanodes) and parses the
 // header, decoding no row: the caller streams or materializes them from the
 // returned relation.Encoded. Commit is the only writer, so the stream is
-// opened as a Writer's own, holding exactly the rows recorded.
+// opened as a Writer's own columnar stream, holding exactly the rows recorded.
 // Only the accounting and the block-list snapshot run under the filesystem
 // lock; concurrent readers checksum and decode without serializing.
 func (d *DFS) Open(path string) (*relation.Encoded, Stat, error) {

@@ -43,7 +43,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 // TestWriteRelationRefusesTabsAndNewlines: TSV has no escape for a tab or a
 // newline, so a string cell holding one would come back as extra columns or
 // rows. WriteRelation refuses it, naming the relation, the row and the
-// column. The columnar codec carries the same string exactly.
+// column. The stored format carries the same string exactly.
 func TestWriteRelationRefusesTabsAndNewlines(t *testing.T) {
 	d := New()
 	for _, s := range []string{"a\tb", "a\nb"} {
@@ -224,12 +224,11 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 // TestReadBackSizesMatchAcrossCodecs: reading a file back caches each
-// number's width from the TSV text (the DFS is the only writer, so the text
-// is canonical), while a columnar read caches nothing — both must report the
-// size of the relation's re-encoded TSV body, and the cached widths must be
-// exact. Column g holds Ints in a float column (what ARITH over an int
-// column and an int literal produces): those come back as Floats whose
-// rendering can differ from the text that was stored.
+// number's width from the stored stream (the DFS is the only writer, so the
+// widths are its own) — exact widths, and a relation that sizes to its
+// re-encoded TSV body. Column g holds Ints in a float column (what ARITH over
+// an int column and an int literal produces): those come back as Floats whose
+// rendering can differ from the Ints' text.
 func TestReadBackSizesMatchAcrossCodecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	d := New()
@@ -243,35 +242,25 @@ func TestReadBackSizesMatchAcrossCodecs(t *testing.T) {
 				relation.Str(fmt.Sprintf("s%d", rng.Intn(1000))),
 			})
 		}
-		sizes := map[relation.Codec]int64{}
-		for _, codec := range []relation.Codec{relation.CodecTSV, relation.CodecColumnar} {
-			w := relation.NewWriter(rel.Schema)
-			if codec == relation.CodecColumnar {
-				w = relation.NewColumnarWriter(rel.Schema)
-			}
-			w.Append(rel.Rows)
-			if st, err := d.Commit("f", w); err != nil || st.Codec != codec {
-				t.Fatalf("committed a %s writer as %s, %v", codec, st.Codec, err)
-			}
-			back, err := d.ReadRelation("f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := relation.CheckWidths(back); err != nil {
-				t.Fatalf("trial %d, %s: %v", trial, codec, err)
-			}
-			sizes[codec] = back.PhysicalBytes()
-			// Strip the two header lines: the rest is the canonical body.
-			body := back.EncodeBytes()
-			for i := 0; i < 2; i++ {
-				_, body, _ = bytes.Cut(body, []byte{'\n'})
-			}
-			if sizes[codec] != int64(len(body)) {
-				t.Fatalf("trial %d, %s: read-back sizes %d, its TSV body is %d bytes", trial, codec, sizes[codec], len(body))
-			}
+		w := relation.NewColumnarWriter(rel.Schema)
+		w.Append(rel.Rows)
+		if st, err := d.Commit("f", w); err != nil || st.Rows != len(rel.Rows) {
+			t.Fatalf("trial %d: committed %d rows as %d, %v", trial, len(rel.Rows), st.Rows, err)
 		}
-		if sizes[relation.CodecTSV] != sizes[relation.CodecColumnar] {
-			t.Fatalf("trial %d: TSV read-back sizes %d, columnar %d", trial, sizes[relation.CodecTSV], sizes[relation.CodecColumnar])
+		back, err := d.ReadRelation("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := relation.CheckWidths(back); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		// Strip the two header lines: the rest is the canonical body.
+		body := back.EncodeBytes()
+		for i := 0; i < 2; i++ {
+			_, body, _ = bytes.Cut(body, []byte{'\n'})
+		}
+		if size := back.PhysicalBytes(); size != int64(len(body)) || len(back.Rows) != len(rel.Rows) {
+			t.Fatalf("trial %d: %d rows read back sized %d, their TSV body is %d bytes", trial, len(back.Rows), size, len(body))
 		}
 	}
 }

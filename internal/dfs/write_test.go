@@ -65,9 +65,6 @@ func writeAndReadBack(t *testing.T, rel *relation.Relation) (got, want error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := d.Stat("in/t"); st.Codec != relation.CodecColumnar {
-		t.Errorf("stored as %s", st.Codec)
-	}
 	if stored.Fingerprint() != back.Fingerprint() || !stored.Schema.Equal(back.Schema) {
 		t.Errorf("stored %v, the text reads back as %v", stored.Rows, back.Rows)
 	}

@@ -53,10 +53,8 @@ var kernels = allocgate.Table{
 	"BenchmarkStreamMaterializedChain":     streamChain(RunOptions{Keep: keepAll}),
 	"BenchmarkStreamScanFile/streamed":     scanFile(true),
 	"BenchmarkStreamScanFile/materialized": scanFile(false),
-	"BenchmarkStreamPushFile/streamed":     pushFile(pushStreamed),
 	"BenchmarkStreamPushFile/materialized": pushFile(pushMaterialized),
-	"BenchmarkStreamRoundTrip/tsv":         roundTrip(relation.CodecTSV),
-	"BenchmarkStreamRoundTrip/columnar":    roundTrip(relation.CodecColumnar),
+	"BenchmarkStreamRoundTrip/columnar":    roundTrip,
 }
 
 func TestKernelAllocationsHoldBaseline(t *testing.T) {

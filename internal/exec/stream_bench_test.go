@@ -55,8 +55,8 @@ func streamChain(opts RunOptions) func(testing.TB) func(testing.TB) {
 // DFS file two ways: "streamed" opens the file and lets the pipeline's scan
 // decode it batch by batch (what an engine job does); "materialized" reads it
 // whole into a relation first (what every job did before inputs became
-// sources). Time is dominated by TSV parsing either way; B/op is the point —
-// the streamed run never holds the decoded relation.
+// sources). B/op is the point: the streamed run never holds the decoded
+// relation.
 func BenchmarkStreamScanFile(b *testing.B) {
 	b.Run("streamed", kernels.Bench)
 	b.Run("materialized", kernels.Bench)
@@ -67,7 +67,7 @@ func scanFile(streamed bool) func(testing.TB) func(testing.TB) {
 		ops := streamBenchOps(tb)
 		input := benchRelation(100_000, 64)
 		input.Name = "events"
-		fs := stage(tb, 0, relation.CodecTSV, input)
+		fs := stage(tb, 0, input)
 		opts := RunOptions{Keep: func(op *ir.Op) bool { return op.Out == "by_k" }}
 		return func(tb testing.TB) {
 			var env Env
@@ -83,48 +83,44 @@ func scanFile(streamed bool) func(testing.TB) func(testing.TB) {
 	}
 }
 
-// BenchmarkStreamRoundTrip is a job boundary: the ×16 fan-out JOIN → ARITH job
-// of BenchmarkStreamPushFile streams its 320k output rows into a writer, the
-// writer is committed to a DFS, and a second job opens the file and scans it
-// through a SELECT → AGG pipeline. "tsv" renders every number to text and
-// parses it back; "columnar" is what engines.Run does between jobs.
+// BenchmarkStreamRoundTrip is a job boundary, as engines.Run crosses it: the
+// ×16 fan-out JOIN → ARITH job of BenchmarkStreamPushFile streams its 320k
+// output rows into a writer, the writer is committed to a DFS, and a second
+// job opens the file and scans it through a SELECT → AGG pipeline.
 func BenchmarkStreamRoundTrip(b *testing.B) {
-	b.Run("tsv", kernels.Bench)
 	b.Run("columnar", kernels.Bench)
 }
 
-func roundTrip(codec relation.Codec) func(testing.TB) func(testing.TB) {
-	return func(tb testing.TB) func(testing.TB) {
-		first := pushOps(tb)
-		src, dim := fanoutInputs(20000)
-		d := ir.NewDAG()
-		in := d.AddInput("shared", "shared", relation.NewSchema("k:int", "v:int", "w:float", "dst:int", "deg:int"))
-		hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: ir.Cmp(ir.ColRef("v"), ir.CmpGt, ir.LitOp(relation.Int(2)))}, in)
-		d.Add(ir.OpAgg, "bydst", ir.Params{GroupBy: []string{"dst"}, Aggs: []ir.AggSpec{{Func: ir.AggSum, Col: "w", As: "rank"}}}, hot)
-		if err := d.Validate(); err != nil {
+func roundTrip(tb testing.TB) func(testing.TB) {
+	first := pushOps(tb)
+	src, dim := fanoutInputs(20000)
+	d := ir.NewDAG()
+	in := d.AddInput("shared", "shared", relation.NewSchema("k:int", "v:int", "w:float", "dst:int", "deg:int"))
+	hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: ir.Cmp(ir.ColRef("v"), ir.CmpGt, ir.LitOp(relation.Int(2)))}, in)
+	d.Add(ir.OpAgg, "bydst", ir.Params{GroupBy: []string{"dst"}, Aggs: []ir.AggSpec{{Func: ir.AggSum, Col: "w", As: "rank"}}}, hot)
+	if err := d.Validate(); err != nil {
+		tb.Fatal(err)
+	}
+	second, err := d.TopoSort()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fs := dfs.New()
+	return func(tb testing.TB) {
+		w := newWriter()
+		if err := RunOps(first, Env{"in/src": src, "in/dim": dim}, NewTrace(), RunOptions{Sinks: map[string]*relation.Writer{"shared": w}}); err != nil {
 			tb.Fatal(err)
 		}
-		second, err := d.TopoSort()
-		if err != nil {
+		if st, err := fs.Commit("shared", w); err != nil || st.Rows != 320000 {
+			tb.Fatalf("first job wrote %d rows, %v", st.Rows, err)
+		}
+		env := Env{}
+		opts := RunOptions{SkipInputs: true, Sources: map[string]*relation.Encoded{"shared": mustOpen(tb, fs, "shared")}}
+		if err := RunOps(second, env, NewTrace(), opts); err != nil {
 			tb.Fatal(err)
 		}
-		fs := dfs.New()
-		return func(tb testing.TB) {
-			w := newWriter(codec)
-			if err := RunOps(first, Env{"in/src": src, "in/dim": dim}, NewTrace(), RunOptions{Sinks: map[string]*relation.Writer{"shared": w}}); err != nil {
-				tb.Fatal(err)
-			}
-			if st, err := fs.Commit("shared", w); err != nil || st.Rows != 320000 {
-				tb.Fatalf("first job wrote %d rows, %v", st.Rows, err)
-			}
-			env := Env{}
-			opts := RunOptions{SkipInputs: true, Sources: map[string]*relation.Encoded{"shared": mustOpen(tb, fs, "shared")}}
-			if err := RunOps(second, env, NewTrace(), opts); err != nil {
-				tb.Fatal(err)
-			}
-			if out := env["bydst"]; out == nil || out.NumRows() != 1024 {
-				tb.Fatal("second job produced the wrong groups")
-			}
+		if out := env["bydst"]; out == nil || out.NumRows() != 1024 {
+			tb.Fatal("second job produced the wrong groups")
 		}
 	}
 }

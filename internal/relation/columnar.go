@@ -1,78 +1,140 @@
 package relation
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 )
 
-// Codec names one of the Writer's two stream formats.
-type Codec uint8
-
-const (
-	// CodecTSV is the text format: a two-line header followed by
-	// tab-separated rows. It is what users hand in (DecodeBytes) and read
-	// (EncodeBytes): table files, uploads, served outputs, golden fixtures.
-	CodecTSV Codec = iota
-	// CodecColumnar is the binary format of every file the DFS stores —
-	// staged sources, intermediates, sinks and loop state: a header followed
-	// by row groups a reader decodes as it pulls them, with no number
-	// rendered to text on the way out or parsed on the way in.
-	//
-	//	magic (5 bytes), then the two header lines of the TSV format
-	//	per row group: uvarint rows (1..groupRows), uvarint bodyLen, body
-	//	body, per column: uvarint sectionLen, section
-	//	  int     a zigzag varint per row
-	//	  float   per row, 8 bytes of little-endian IEEE-754 bits and 1 byte:
-	//	          the length of the value's text (0: not known, measure it)
-	//	  string  uvarint blobLen, the rows' bytes end to end, then a uvarint
-	//	          length per row; the decoded cells are substrings of one blob
-	//	a body of no columns is one zero byte per row
-	//
-	// Every row costs its group at least a byte, so a declared row count is
-	// checked against the bytes present before anything is sized by it. The
-	// width byte is what makes the codec invisible above this package: a
-	// decoded cell carries the cached width a trusted TSV round trip would
-	// have left in it (see stampEncoded), so sizes, meters and traces are the
-	// same whichever codec a file crossed in. Values are coerced to their
-	// column's declared kind, as parsing their text would. The one observable
-	// difference is a string holding a tab or a newline: it survives this
-	// codec exactly, where TSV splits it into fields or rows.
-	CodecColumnar
-)
+// columnarMagic opens every stream the DFS stores, in the one format it
+// stores: a Writer writes it and Encoded reads it. The leading byte is an
+// invalid UTF-8 start byte, so no TSV stream (which begins "#schema") can
+// collide with it, and DecodeBytes tells the two apart by it.
+//
+//	magic (5 bytes), then the two header lines of the TSV format
+//	per row group: uvarint rows (1..groupRows), uvarint bodyLen, body
+//	body, per column: uvarint sectionLen, section
+//	  int     a zigzag varint per row
+//	  float   per row, 8 bytes of little-endian IEEE-754 bits and 1 byte:
+//	          the length of the value's text (0: not known, measure it)
+//	  string  uvarint blobLen, the rows' bytes end to end, then a uvarint
+//	          length per row; the decoded cells are substrings of one blob
+//	a body of no columns is one zero byte per row
+//
+// Every row costs its group at least a byte, so a declared row count is
+// checked against the bytes present before anything is sized by it. The width
+// byte keeps the format invisible above this package: a cell read back from a
+// Writer's stream carries the cached width of its text, so sizes, meters and
+// traces are those of the rows' text. Values are coerced to their column's
+// declared kind, as parsing their text would. A string holding a tab or a
+// newline is stored exactly, though the TSV a user reads has no escape for it.
+var columnarMagic = [5]byte{0xb1, 'M', 'K', 'C', '2'}
 
 // groupRows bounds a row group: the unit a reader skips, stitches across
 // blocks or decodes in place.
 const groupRows = 1024
 
-// String returns the codec's lower-case name.
-func (c Codec) String() string {
-	if c == CodecColumnar {
-		return "columnar"
-	}
-	return "tsv"
+// Writer is the one relation writer, the mirror of Encoded: it renders rows
+// as row groups as they arrive and keeps none, so a pipeline may stream
+// batches into it. BodyBytes is Σ Row.EncodedLen, the length of the rows'
+// text, which is how a streamed output is sized. LogicalBytes may be set until
+// Bytes, Schema until the first row. Parts splice in the order they were
+// opened; each may be filled by its own goroutine, done before any read.
+type Writer struct {
+	Schema       Schema
+	LogicalBytes int64
+	parts        []*Part
 }
 
-// columnarMagic prefixes every columnar stream. The leading byte is an
-// invalid UTF-8 start byte, so no TSV stream (which begins "#schema") can
-// collide with it.
-var columnarMagic = [5]byte{0xb1, 'M', 'K', 'C', '2'}
+// NewColumnarWriter returns an empty writer for rows of the given schema.
+func NewColumnarWriter(schema Schema) *Writer { return &Writer{Schema: schema} }
 
-// NewColumnarWriter returns an empty columnar writer for rows of the given
-// schema, which must be set before the first row is appended.
-func NewColumnarWriter(schema Schema) *Writer {
-	return &Writer{Schema: schema, codec: CodecColumnar}
+// Part opens the next stretch of the body; nil on a nil writer.
+func (w *Writer) Part() *Part {
+	if w == nil {
+		return nil
+	}
+	w.parts = append(w.parts, &Part{w: w})
+	return w.parts[len(w.parts)-1]
+}
+
+// Append renders rows after everything written so far.
+func (w *Writer) Append(rows []Row) { w.Part().Append(rows) }
+
+// Rows returns the number of rows written.
+func (w *Writer) Rows() (n int) {
+	for _, p := range w.parts {
+		n += p.rows
+	}
+	return n
+}
+
+// BodyBytes returns the length of their text: PhysicalBytes of the same rows.
+func (w *Writer) BodyBytes() (n int64) {
+	for _, p := range w.parts {
+		n += int64(p.bytes)
+	}
+	return n
+}
+
+// TextBytes returns the length of the stream's TSV rendering, header and
+// body, computed and not rendered: the canonical size of the file.
+func (w *Writer) TextBytes() int64 {
+	return int64(headerLen(w.Schema, w.LogicalBytes)) + w.BodyBytes()
+}
+
+// Bytes assembles magic, header and parts into one exactly sized, fresh
+// buffer.
+func (w *Writer) Bytes() []byte {
+	n := len(columnarMagic) + headerLen(w.Schema, w.LogicalBytes)
+	for _, p := range w.parts {
+		for _, seg := range p.segs {
+			n += len(seg)
+		}
+	}
+	buf := appendHeader(append(make([]byte, 0, n), columnarMagic[:]...), w.Schema, w.LogicalBytes)
+	for _, p := range w.parts {
+		for _, seg := range p.segs {
+			buf = append(buf, seg...)
+		}
+	}
+	return buf
+}
+
+// Part is one stretch of a Writer's body: its row groups, each sized before it
+// is written into a segment of exactly its length, and never re-copied.
+type Part struct {
+	w           *Writer
+	segs        [][]byte
+	rows, bytes int
+	lens        []int     // appendGroup's scratch: per column, section and blob length
+	memo        WidthMemo // appendGroup's: the widths of floats no tap stamped
+}
+
+// Append renders rows at the end of the part, a row group per groupRows of
+// them, and retains none of them.
+func (p *Part) Append(rows []Row) {
+	for len(rows) > 0 {
+		n := min(len(rows), groupRows)
+		p.appendGroup(rows[:n])
+		rows = rows[n:]
+	}
 }
 
 // EncodeColumnar returns the relation as a columnar stream: the bytes of a
-// columnar Writer handed every row.
+// Writer handed every row.
 func (r *Relation) EncodeColumnar(CodecOptions) []byte {
-	return r.encode(NewColumnarWriter(r.Schema))
+	w := NewColumnarWriter(r.Schema)
+	w.LogicalBytes = r.LogicalBytes
+	w.Append(r.Rows)
+	return w.Bytes()
 }
 
-// DecodeColumnar is DecodeBytes, which sniffs the codec, under the name the
-// columnar codec is measured by; no decoder has a parallel path to select.
+// DecodeColumnar is DecodeBytes, which sniffs the format, under the name the
+// columnar format is measured by; no decoder has a parallel path to select.
 func DecodeColumnar(name string, data []byte, _ CodecOptions) (*Relation, error) {
 	return DecodeBytes(name, data)
 }
@@ -90,11 +152,12 @@ func cellText(v *Value) string {
 }
 
 // floatColumnWidth returns the width byte of a cell of a float column and the
-// length of the text a TSV writer would have rendered it to. A float's byte is
-// that length, cached or measured once, through m. An Int in a float column (see
-// stampEncoded) renders as integer text, which parses back to a float that
-// re-renders the same up to six digits and in exponent form beyond: there the
-// byte is 0 and the reader's TextLen measures the float it decoded.
+// length of its text. A float's byte is that length, cached or measured once,
+// through m. An Int in a float column (ARITH over an int column and an int
+// literal declares a float result but computes an Int) renders as integer
+// text, which parses back to a float that re-renders the same up to six digits
+// and in exponent form beyond: there the byte is 0 and the reader's TextLen
+// measures the float it decoded.
 func floatColumnWidth(v *Value, m *WidthMemo) (w uint8, text int) {
 	switch {
 	case v.Kind == KindInt:
@@ -146,7 +209,7 @@ func (p *Part) appendGroup(rows []Row) {
 	}
 	seg := make([]byte, 0, uvarintLen(uint64(len(rows)))+uvarintLen(uint64(body))+body)
 	seg = binary.AppendUvarint(binary.AppendUvarint(seg, uint64(len(rows))), uint64(body))
-	text := len(rows) * max(arity, 1) // a separator or newline per field, as Part.Append writes them
+	text := len(rows) * max(arity, 1) // a separator or newline per field, as the rows' TSV has them
 	for c, col := range cols {
 		seg = binary.AppendUvarint(seg, uint64(secLen[c]))
 		switch col.Kind {
@@ -177,6 +240,188 @@ func (p *Part) appendGroup(rows []Row) {
 		seg = append(seg, make([]byte, len(rows))...)
 	}
 	p.segs, p.rows, p.bytes = append(p.segs, seg), p.rows+len(rows), p.bytes+text
+}
+
+// Encoded is a stored relation that has been opened — magic checked, header
+// parsed — with no row decoded yet: a consumer pulls it through Reader, batch
+// by batch over a row range, or drains it once with Materialize; both run
+// groupReader, the one decoder of the stored format. The stream is held as the
+// blocks it was stored in, so a row group may straddle any number of them.
+// Readers over disjoint ranges may run concurrently, and a scan of every range
+// may be repeated once the last has finished; everything else is for the
+// owner, before they start or after they finish.
+type Encoded struct {
+	Name         string
+	Schema       Schema
+	LogicalBytes int64
+
+	// trusted says a Writer wrote the stream and rows is what it recorded: a
+	// number's width is cached as the stream gives it, readers meter what they
+	// decode, and any other row count is an error. A foreign stream's rows is
+	// the sum its row groups declare.
+	trusted bool
+	rows    int
+	size    int          // bytes in the stream: no length it declares may pass it
+	body    blockCursor  // at the first row group
+	rel     *Relation    // decoded rows, once Materialize has run
+	phys    atomic.Int64 // the meter: Σ Row.EncodedLen over the rows of one scan
+	metered atomic.Int64 // rows decoded over every scan so far
+}
+
+// Open opens the columnar stream stored in blocks — a Writer's, cut anywhere —
+// that was recorded as holding rows rows: trusted as the writer's own, any
+// other row count is an error. A stream that is not columnar is refused.
+func Open(name string, blocks [][]byte, rows int) (*Encoded, error) {
+	return open(name, blocks, rows, true)
+}
+
+func open(name string, blocks [][]byte, rows int, trusted bool) (*Encoded, error) {
+	e := &Encoded{Name: name, rows: rows, trusted: trusted, body: blockCursor{blocks: blocks}}
+	for _, b := range blocks {
+		e.size += len(b)
+	}
+	if magic, ok := e.body.take(len(columnarMagic)); !ok || [5]byte(magic) != columnarMagic {
+		return nil, fmt.Errorf("relation %s: not a columnar stream", name)
+	}
+	var err error
+	if e.Schema, e.LogicalBytes, err = readHeader(name, &e.body); err != nil {
+		return nil, err
+	}
+	e.body.carry = nil // it held header lines; every reader grows its own
+	if !trusted {
+		if err := e.countGroupRows(); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
+}
+
+// NumRows returns the number of rows the writer recorded.
+func (e *Encoded) NumRows() int { return e.rows }
+
+// Reader returns a source over rows [lo, hi) that decodes at most batchRows
+// rows per batch into an arena it reuses — or, with fresh, allocates anew per
+// batch, for a consumer that keeps rows past the next pull. The range starts
+// at a row found by counting what the row groups before it declare, so
+// concurrent readers over adjoining ranges decode exactly the rows a single
+// one would, in order.
+func (e *Encoded) Reader(lo, hi, batchRows int, fresh bool) RowSource {
+	if e.rel != nil {
+		return e.rel.Reader(lo, hi, batchRows)
+	}
+	return &groupReader{e: e, cur: e.body, remaining: hi - lo, last: hi == e.rows, batchRows: batchRows, fresh: fresh, skip: lo}
+}
+
+// Materialize decodes every row, once, as one fresh batch whose arena is the
+// relation's exactly-sized slab; later calls return the same relation.
+func (e *Encoded) Materialize() (*Relation, error) {
+	if e.rel == nil {
+		b, err := e.Reader(0, e.rows, e.rows, true).Next()
+		if err != nil {
+			return nil, err
+		}
+		e.rel = &Relation{Name: e.Name, Schema: e.Schema, Rows: b.Rows, LogicalBytes: e.LogicalBytes}
+	}
+	return e.rel, nil
+}
+
+// PhysicalBytes is Relation.PhysicalBytes once every row has been decoded,
+// through readers or Materialize: the meter's sum, no second walk.
+func (e *Encoded) PhysicalBytes() int64 { return e.phys.Load() }
+
+// meter adds a batch of rows and their bytes to the meter while it holds less
+// than one scan: the ranges of a scan decode every row once, so however many
+// scans decode the file, it is metered once.
+func (e *Encoded) meter(rows int, phys int64) {
+	if e.metered.Add(int64(rows)) <= int64(e.rows) {
+		e.phys.Add(phys)
+	}
+}
+
+// blockCursor walks a stream stored as blocks: its header line by line, its
+// row groups by counted stretches of bytes.
+type blockCursor struct {
+	blocks [][]byte
+	b, off int    // the next unread byte is blocks[b][off]
+	carry  []byte // stitches a line or a stretch that straddles blocks
+}
+
+// next returns the next line without its newline, valid until the following
+// call, and false at the end (an unterminated last line counts).
+func (c *blockCursor) next() ([]byte, bool) {
+	c.carry = c.carry[:0]
+	for ; c.b < len(c.blocks); c.b, c.off = c.b+1, 0 {
+		rest := c.blocks[c.b][c.off:]
+		i := bytes.IndexByte(rest, '\n')
+		if i < 0 {
+			c.carry = append(c.carry, rest...)
+			continue
+		}
+		c.off += i + 1
+		if len(c.carry) == 0 {
+			return rest[:i], true
+		}
+		c.carry = append(c.carry, rest[:i]...)
+		return c.carry, true
+	}
+	return c.carry, len(c.carry) > 0
+}
+
+// take returns the next n bytes, valid until the following call — in place
+// when one block holds them, stitched through carry when they straddle — and
+// false when the stream ends first.
+func (c *blockCursor) take(n int) ([]byte, bool) {
+	c.carry = c.carry[:0]
+	for ; n > 0 && c.b < len(c.blocks); c.b, c.off = c.b+1, 0 {
+		rest := c.blocks[c.b][c.off:]
+		if len(c.carry) == 0 && len(rest) >= n {
+			c.off += n
+			return rest[:n:n], true
+		}
+		k := min(n-len(c.carry), len(rest))
+		c.carry = append(c.carry, rest[:k]...)
+		if len(c.carry) == n {
+			c.off += k
+			return c.carry, true
+		}
+	}
+	return nil, n == 0
+}
+
+// skip moves the cursor past the next n bytes; false when the stream ends
+// first.
+func (c *blockCursor) skip(n int) bool {
+	for ; n > 0 && c.b < len(c.blocks); c.b, c.off = c.b+1, 0 {
+		rest := len(c.blocks[c.b]) - c.off
+		if rest >= n {
+			c.off += n
+			return true
+		}
+		n -= rest
+	}
+	return n == 0
+}
+
+// atEnd reports whether no byte is left.
+func (c *blockCursor) atEnd() bool {
+	for ; c.b < len(c.blocks) && c.off == len(c.blocks[c.b]); c.b, c.off = c.b+1, 0 {
+	}
+	return c.b == len(c.blocks)
+}
+
+// uvarint reads one unsigned varint, byte by byte: it may straddle blocks.
+func (c *blockCursor) uvarint() (v uint64, ok bool) {
+	for shift := 0; shift < 64; shift += 7 {
+		b, ok := c.take(1)
+		if !ok {
+			return 0, false
+		}
+		v |= uint64(b[0]&0x7f) << shift
+		if b[0] < 0x80 {
+			return v, true
+		}
+	}
+	return 0, false
 }
 
 // countGroupRows derives a foreign columnar stream's row count: the sum its
@@ -218,13 +463,22 @@ func (e *Encoded) groupHeader(c *blockCursor) (rows, body int, err error) {
 // the groups before the range by their headers, decodes a group that sits in
 // one block in place and one that straddles blocks from the cursor's carry,
 // and fills every batch to its size across group boundaries, so batches are
-// cut exactly where tsvReader cuts them.
+// cut where the range's row count and batchRows say, not where groups end.
 type groupReader struct {
-	rangeReader
-	skip int         // rows before the range not yet passed
-	left int         // rows of the open group not yet decoded
-	cols []colCursor // the open group's sections
+	e         *Encoded
+	cur       blockCursor
+	remaining int  // rows of the range not yet decoded
+	last      bool // the range ends at the relation's last row
+	batchRows int
+	fresh     bool
+	rows      []Row
+	vals      []Value
+	skip      int         // rows before the range not yet passed
+	left      int         // rows of the open group not yet decoded
+	cols      []colCursor // the open group's sections
 }
+
+func (r *groupReader) Schema() Schema { return r.e.Schema }
 
 // colCursor is what is left of one column's section of the open group: the
 // undecoded varints, floats or string lengths, and for strings the part of

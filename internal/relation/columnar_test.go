@@ -205,14 +205,11 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 	})
 }
 
-// viaCodec writes rel through a Writer of the given codec, cuts the stream
-// into blocks of size bytes and opens it as the DFS does.
-func viaCodec(t *testing.T, rel *Relation, codec Codec, size int) *Encoded {
+// viaWriter writes rel through a Writer, cuts the stream into blocks of size
+// bytes and opens it as the DFS does.
+func viaWriter(t *testing.T, rel *Relation, size int) *Encoded {
 	t.Helper()
-	w := NewWriter(rel.Schema)
-	if codec == CodecColumnar {
-		w = NewColumnarWriter(rel.Schema)
-	}
+	w := NewColumnarWriter(rel.Schema)
 	w.LogicalBytes = rel.LogicalBytes
 	for lo := 0; lo < len(rel.Rows); lo += 700 { // batches that do not divide a group
 		w.Part().Append(rel.Rows[lo:min(lo+700, len(rel.Rows))])
@@ -222,9 +219,25 @@ func viaCodec(t *testing.T, rel *Relation, codec Codec, size int) *Encoded {
 		t.Fatal(err)
 	}
 	if e.LogicalBytes != rel.LogicalBytes || !e.Schema.Equal(rel.Schema) {
-		t.Fatalf("%s header: logical %d, schema %s", codec, e.LogicalBytes, e.Schema)
+		t.Fatalf("header: logical %d, schema %s", e.LogicalBytes, e.Schema)
 	}
 	return e
+}
+
+// sameValues is sameRows but for cached widths, which CheckWidths checks.
+func sameValues(t *testing.T, label string, got, want []Row) {
+	t.Helper()
+	unwidth := func(rows []Row) []Row {
+		out := make([]Row, len(rows))
+		for i, row := range rows {
+			out[i] = row.Clone()
+			for j := range out[i] {
+				out[i][j].w = 0
+			}
+		}
+		return out
+	}
+	sameRows(t, label, unwidth(got), unwidth(want))
 }
 
 // edgeRelation holds the cells the two codecs could disagree on: Ints of six
@@ -244,11 +257,12 @@ func edgeRelation() *Relation {
 	return r
 }
 
-// TestColumnarReadsWhatTSVReads is the codec's contract: a trusted read of a
-// columnar stream yields the cells — values and cached widths, as structs — a
-// trusted read of the TSV rendering of the same rows yields, the same meter,
-// and widths that are true, whatever the block size, batch size and row
-// range; and its writer reports the text size the TSV writer does.
+// TestColumnarReadsWhatTSVReads is the format's contract: a read of a
+// Writer's stream yields the values that parsing the TSV rendering of the same
+// rows yields, widths that are true — on every number but an Int of seven or
+// more digits in a float column, whose text parses to a float that renders
+// otherwise — and a meter at the size of those rows, whatever the block size,
+// batch size and row range; and its writer reports the length of that text.
 func TestColumnarReadsWhatTSVReads(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(21))
@@ -257,23 +271,36 @@ func TestColumnarReadsWhatTSVReads(t *testing.T) {
 	none.Rows = make([]Row, 2500)
 	for _, rel := range []*Relation{edgeRelation(), mixedRelation(2500), randomRelation(rng, 1100), empty, none} {
 		n := len(rel.Rows)
-		want, err := viaCodec(t, rel, CodecTSV, 0).Materialize()
+		text := rel.EncodeBytes()
+		want, err := DecodeBytes(rel.Name, text)
 		if err != nil {
 			t.Fatal(err)
 		}
 		canon := want.PhysicalBytes()
 		for _, size := range []int{0, 1, 7, 64, 4096} {
-			whole := viaCodec(t, rel, CodecColumnar, size)
+			whole := viaWriter(t, rel, size)
 			got, err := whole.Materialize()
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameRows(t, fmt.Sprintf("%s block=%d materialized", rel.Name, size), got.Rows, want.Rows)
+			sameValues(t, fmt.Sprintf("%s block=%d materialized", rel.Name, size), got.Rows, want.Rows)
 			if err := CheckWidths(got); err != nil {
 				t.Fatal(err)
 			}
+			for i, row := range got.Rows {
+				for j, v := range row {
+					orig := rel.Rows[i][j]
+					longInt := orig.Kind == KindInt && v.Kind == KindFloat && (orig.I > 999999 || orig.I < -999999)
+					if v.Kind != KindString && v.w == 0 && !longInt {
+						t.Fatalf("%s: row %d col %d (%v) carries no width", rel.Name, i, j, v)
+					}
+					if want.Rows[i][j].w != 0 {
+						t.Fatalf("%s: parsed text caches width %d at row %d col %d", rel.Name, want.Rows[i][j].w, i, j)
+					}
+				}
+			}
 			if whole.PhysicalBytes() != canon {
-				t.Fatalf("%s block=%d: meter %d, the TSV reader's %d", rel.Name, size, whole.PhysicalBytes(), canon)
+				t.Fatalf("%s block=%d: meter %d, the parsed text's size %d", rel.Name, size, whole.PhysicalBytes(), canon)
 			}
 			if size == 1 && n > 100 {
 				continue // the ranges below would take a while a byte at a time
@@ -285,24 +312,24 @@ func TestColumnarReadsWhatTSVReads(t *testing.T) {
 				// Ranges that start and end inside groups, read out of order.
 				cuts := []int{0, n / 3, n / 3, min(n, 1023), min(n, 1025), min(n, 2047), n}
 				sort.Ints(cuts)
-				e := viaCodec(t, rel, CodecColumnar, size)
+				e := viaWriter(t, rel, size)
 				rows := make([][]Row, len(cuts)-1)
 				for i := len(rows) - 1; i >= 0; i-- {
 					rows[i] = readAll(t, e.Reader(cuts[i], cuts[i+1], batch, i%2 == 0))
 				}
 				label := fmt.Sprintf("%s block=%d batch=%d", rel.Name, size, batch)
-				sameRows(t, label, slices.Concat(rows...), want.Rows)
+				sameRows(t, label, slices.Concat(rows...), got.Rows)
 				if e.PhysicalBytes() != canon {
-					t.Fatalf("%s: meter %d, the TSV reader's %d", label, e.PhysicalBytes(), canon)
+					t.Fatalf("%s: meter %d, the parsed text's size %d", label, e.PhysicalBytes(), canon)
 				}
 			}
 		}
-		tsv, col := NewWriter(rel.Schema), NewColumnarWriter(rel.Schema)
-		tsv.Append(rel.Rows)
+		col := NewColumnarWriter(rel.Schema)
 		col.Append(rel.Rows)
-		if col.BodyBytes() != tsv.BodyBytes() || col.TextBytes() != int64(len(tsv.Bytes())) || col.Rows() != n {
-			t.Fatalf("%s: columnar writer sizes its text at %d (+header %d), the TSV writer wrote %d (%d)",
-				rel.Name, col.BodyBytes(), col.TextBytes(), tsv.BodyBytes(), len(tsv.Bytes()))
+		col.LogicalBytes = rel.LogicalBytes
+		if body := int64(len(tsvBody(t, text))); col.BodyBytes() != body || col.TextBytes() != int64(len(text)) || col.Rows() != n {
+			t.Fatalf("%s: the writer sizes its text at %d (+header %d), the TSV is %d (%d)",
+				rel.Name, col.BodyBytes(), col.TextBytes(), body, len(text))
 		}
 	}
 }
@@ -330,24 +357,24 @@ func TestColumnarGroupCutAnywhere(t *testing.T) {
 }
 
 // TestColumnarKeepsWhatTSVMangles: a string holding a tab and a newline
-// crosses a job boundary intact in this codec; the same row through TSV is two
-// broken lines.
+// crosses a job boundary intact in the stored format; the same row through
+// TSV is two broken lines.
 func TestColumnarKeepsWhatTSVMangles(t *testing.T) {
 	t.Parallel()
 	rel := New("s", NewSchema("a:int", "s:string"))
 	rel.MustAppend(Row{Int(1), Str("tab\there\nand a newline")})
-	got, err := viaCodec(t, rel, CodecColumnar, 7).Materialize()
+	got, err := viaWriter(t, rel, 7).Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rowsEqual(t, got.Rows, rel.Rows, "columnar")
-	if _, err := viaCodec(t, rel, CodecTSV, 7).Materialize(); err == nil {
+	if _, err := DecodeBytes("s", rel.EncodeBytes()); err == nil {
 		t.Fatal("the TSV rendering of a string with a tab and a newline read back as one row")
 	}
 }
 
-// TestOpenedGroupsMustMatchTheirRowCount is TestOpenedTextMustMatchItsRowCount
-// for row groups.
+// TestOpenedGroupsMustMatchTheirRowCount: the DFS read path fails loudly when
+// the row groups do not hold the rows their writer recorded, whichever way.
 func TestOpenedGroupsMustMatchTheirRowCount(t *testing.T) {
 	t.Parallel()
 	rel := mixedRelation(2100)
@@ -445,4 +472,124 @@ func FuzzColumnarStream(f *testing.F) {
 			t.Fatal("re-encoding is not a fixed point")
 		}
 	})
+}
+
+// TestReaderMatchesMaterialize: whatever the block size, batch size and row
+// range, the readers decode the rows Materialize does — values and cached
+// widths — and meter their canonical size.
+func TestReaderMatchesMaterialize(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 57} {
+		rel := mixedRelation(n)
+		data := rel.EncodeColumnar(CodecOptions{})
+		whole, err := Open("m", chop(data, 0), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := whole.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameText(t, "materialized vs original", want.Rows, rel.Rows)
+		// The canonical size is that of the rows as decoded: an Int read
+		// back from a float column re-renders as a Float.
+		canon := int64(len(tsvBody(t, want.EncodeBytes())))
+		if got := whole.PhysicalBytes(); got != canon || want.PhysicalBytes() != canon {
+			t.Fatalf("meter after Materialize = %d, PhysicalBytes %d, canonical body %d", got, want.PhysicalBytes(), canon)
+		}
+		for _, size := range []int{1, 7, 64} {
+			for _, batch := range []int{1, 2, 3, 1024} {
+				e, err := Open("m", chop(data, size), n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("rows=%d block=%d batch=%d", n, size, batch)
+				cut := n / 3
+				got := readAll(t, e.Reader(cut, n, batch, false)) // ranges in any order
+				got = append(readAll(t, e.Reader(0, cut, batch, true)), got...)
+				sameRows(t, label, got, want.Rows)
+				if e.PhysicalBytes() != canon {
+					t.Fatalf("%s: meter = %d, canonical size %d", label, e.PhysicalBytes(), canon)
+				}
+			}
+		}
+	}
+}
+
+// TestReaderArenas: a recycling reader sizes its arena by demand and reuses
+// it; a fresh one hands out rows that survive later batches.
+func TestReaderArenas(t *testing.T) {
+	rel := mixedRelation(40)
+	e, err := Open("m", chop(rel.EncodeColumnar(CodecOptions{}), 64), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := e.Reader(0, 40, DefaultBatchRows, false).(*groupReader)
+	if b, err := r.Next(); err != nil || len(b.Rows) != 40 {
+		t.Fatalf("first batch = %d rows, %v", len(b.Rows), err)
+	}
+	if len(r.vals) != 40*3 || cap(r.rows) != 40 {
+		t.Errorf("arena of %d cells and %d row headers for a 40-row range", len(r.vals), cap(r.rows))
+	}
+	var kept []Row
+	src := e.Reader(0, 40, 3, true)
+	for {
+		b, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Empty() {
+			break
+		}
+		kept = append(kept, b.Rows...) // no clone
+	}
+	sameText(t, "rows kept from fresh batches", kept, rel.Rows)
+}
+
+// TestWriterSplicesPartsInOrder: however the rows are spread over parts and
+// Append calls — parts filled out of order, rows far longer than a block of
+// the stream — the stream decodes to the rows, is one exactly sized buffer and
+// sizes its body as PhysicalBytes sizes the rows.
+func TestWriterSplicesPartsInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	rel := randomRelation(rng, 4000)
+	for i := 0; i < len(rel.Rows); i += 500 {
+		rel.Rows[i][3] = Str(strings.Repeat("long ", 1+i*40)) // up to 700 KB
+	}
+	rel.LogicalBytes = 12345
+	want, err := openDecode("rnd", rel.EncodeColumnar(CodecOptions{}), len(rel.Rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w := NewColumnarWriter(rel.Schema)
+	cuts := []int{0, 0, 1, 700, 700, 2500, len(rel.Rows)}
+	parts := make([]*Part, len(cuts)-1)
+	for i := range parts {
+		parts[i] = w.Part()
+	}
+	for i := len(parts) - 1; i >= 0; i-- { // last range first, a batch at a time
+		for lo := cuts[i]; lo < cuts[i+1]; lo += 64 {
+			parts[i].Append(rel.Rows[lo:min(lo+64, cuts[i+1])])
+		}
+	}
+	w.Append(nil)
+	w.LogicalBytes = rel.LogicalBytes // may be set last
+	data := w.Bytes()
+	if cap(data) != len(data) {
+		t.Fatalf("%d bytes in a buffer of %d", len(data), cap(data))
+	}
+	got, err := openDecode("rnd", data, len(rel.Rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "spliced parts", got.Rows, want.Rows)
+	if got.LogicalBytes != rel.LogicalBytes {
+		t.Errorf("logical %d, want %d", got.LogicalBytes, rel.LogicalBytes)
+	}
+	if w.Rows() != len(rel.Rows) || w.BodyBytes() != rel.PhysicalBytes() {
+		t.Errorf("writer holds %d rows / %d body bytes, relation %d / %d", w.Rows(), w.BodyBytes(), len(rel.Rows), rel.PhysicalBytes())
+	}
+	if empty := NewColumnarWriter(rel.Schema).Bytes(); !bytes.Equal(empty, New("e", rel.Schema).EncodeColumnar(CodecOptions{})) {
+		t.Errorf("an empty writer's stream is %q", empty)
+	}
 }

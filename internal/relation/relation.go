@@ -160,8 +160,8 @@ func (r *Relation) Clone() *Relation {
 }
 
 // PhysicalBytes returns the encoded size of the relation's rows: the length
-// of the TSV body Encode writes. Cells that carry a cached width cost a byte
-// add; the rest are measured through a WidthMemo. The rows are only read.
+// of the TSV body EncodeBytes writes. Cells that carry a cached width cost a
+// byte add; the rest are measured through a WidthMemo. The rows are only read.
 func (r *Relation) PhysicalBytes() int64 { return r.physicalBytes(false) }
 
 // StampPhysicalBytes is PhysicalBytes for a relation whose row storage the
@@ -222,38 +222,6 @@ func (r *Relation) ScaleRatio() float64 {
 // CodecOptions is the argument EncodeColumnar and DecodeColumnar take; it has
 // no field.
 type CodecOptions struct{}
-
-// EncodeBytes returns the relation as a TSV stream with a two-line header:
-//
-//	#schema	name:kind	name:kind ...
-//	#logical	<bytes>
-//
-// It is the text of a Writer handed every row.
-func (r *Relation) EncodeBytes() []byte {
-	return r.encode(NewWriter(r.Schema))
-}
-
-func (r *Relation) encode(w *Writer) []byte {
-	w.LogicalBytes = r.LogicalBytes
-	w.Append(r.Rows)
-	return w.Bytes()
-}
-
-// DecodeBytes parses an EncodeBytes or EncodeColumnar output, sniffing the
-// codec from the stream's leading bytes. The stream may come from anywhere
-// (uploads, staged files): numbers need not be canonically rendered ("1.50",
-// "+7", "1e3") and a width byte need not be true, so no width is cached;
-// blank lines are skipped unless the schema makes an empty line a row (a
-// single string column, or none); and nothing is sized by a count the stream
-// declares before the bytes that back it have been seen. The DFS, whose only
-// writer is the Writer, opens its files through Open.
-func DecodeBytes(name string, data []byte) (*Relation, error) {
-	e, err := open(name, [][]byte{data}, 0, false)
-	if err != nil {
-		return nil, err
-	}
-	return e.Materialize()
-}
 
 // SortRows orders rows lexicographically in place; used to compare engine
 // outputs independent of execution order.

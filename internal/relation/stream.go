@@ -36,3 +36,25 @@ type RowSource interface {
 // DefaultBatchRows is the row capacity pipelines pull per batch unless the
 // caller overrides it (tests force tiny batches to exercise refill paths).
 const DefaultBatchRows = 1024
+
+// sliceReader batches rows that are already decoded.
+type sliceReader struct {
+	sch       Schema
+	rows      []Row
+	batchRows int
+}
+
+func (s *sliceReader) Schema() Schema { return s.sch }
+
+func (s *sliceReader) Next() (Batch, error) {
+	n := min(s.batchRows, len(s.rows))
+	b := Batch{Rows: s.rows[:n]}
+	s.rows = s.rows[n:]
+	return b, nil
+}
+
+// Reader returns a source over r.Rows[lo:hi] in batches of at most batchRows
+// rows: views of the relation's own rows, which outlive the pull loop.
+func (r *Relation) Reader(lo, hi, batchRows int) RowSource {
+	return &sliceReader{sch: r.Schema, rows: r.Rows[lo:hi], batchRows: batchRows}
+}

@@ -1,10 +1,10 @@
 package relation
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,7 +25,7 @@ func chop(data []byte, size int) [][]byte {
 
 // mixedRelation has every kind, empty strings, negative numbers and — in the
 // float column — integers of 6, 7 and 8 digits held as Ints, which is what an
-// ARITH over int operands stores there (see stampEncoded).
+// ARITH over int operands stores there (see floatColumnWidth).
 func mixedRelation(n int) *Relation {
 	r := New("m", NewSchema("id:int", "f:float", "s:string"))
 	for i := 0; i < n; i++ {
@@ -103,113 +103,8 @@ func sameRows(t *testing.T, label string, got, want []Row) {
 	}
 }
 
-// TestReaderMatchesMaterialize: whatever the block size, batch size and row
-// range, the readers decode the rows Materialize does — values and cached
-// widths — and meter their canonical size.
-func TestReaderMatchesMaterialize(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 57} {
-		rel := mixedRelation(n)
-		enc := rel.EncodeBytes()
-		for _, data := range [][]byte{enc, enc[:max(len(enc)-1, 0)]} { // with and without the final newline
-			whole, err := Open("m", chop(data, 0), n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := whole.Materialize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameText(t, "materialized vs original", want.Rows, rel.Rows)
-			// The canonical size is that of the rows as decoded: an Int read
-			// back from a float column re-renders as a Float.
-			canon := int64(len(tsvBody(t, want.EncodeBytes())))
-			if got := whole.PhysicalBytes(); got != canon || want.PhysicalBytes() != canon {
-				t.Fatalf("meter after Materialize = %d, PhysicalBytes %d, canonical body %d", got, want.PhysicalBytes(), canon)
-			}
-			for _, size := range []int{1, 7, 64} {
-				for _, batch := range []int{1, 2, 3, 1024} {
-					e, err := Open("m", chop(data, size), n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("rows=%d block=%d batch=%d", n, size, batch)
-					cut := n / 3
-					got := readAll(t, e.Reader(cut, n, batch, false)) // ranges in any order
-					got = append(readAll(t, e.Reader(0, cut, batch, true)), got...)
-					sameRows(t, label, got, want.Rows)
-					if e.PhysicalBytes() != canon {
-						t.Fatalf("%s: meter = %d, canonical size %d", label, e.PhysicalBytes(), canon)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestReaderArenas: a recycling reader sizes its arena by demand and reuses
-// it; a fresh one hands out rows that survive later batches.
-func TestReaderArenas(t *testing.T) {
-	rel := mixedRelation(40)
-	e, err := Open("m", chop(rel.EncodeBytes(), 64), 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := e.Reader(0, 40, DefaultBatchRows, false).(*tsvReader)
-	if b, err := r.Next(); err != nil || len(b.Rows) != 40 {
-		t.Fatalf("first batch = %d rows, %v", len(b.Rows), err)
-	}
-	if len(r.vals) != 40*3 || cap(r.rows) != 40 {
-		t.Errorf("arena of %d cells and %d row headers for a 40-row range", len(r.vals), cap(r.rows))
-	}
-	var kept []Row
-	src := e.Reader(0, 40, 3, true)
-	for {
-		b, err := src.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.Empty() {
-			break
-		}
-		kept = append(kept, b.Rows...) // no clone
-	}
-	sameText(t, "rows kept from fresh batches", kept, rel.Rows)
-}
-
-// TestOpenedTextMustMatchItsRowCount: the DFS read path fails loudly when
-// the text does not hold the rows its writer recorded, whichever way.
-func TestOpenedTextMustMatchItsRowCount(t *testing.T) {
-	enc := mixedRelation(10).EncodeBytes()
-	for _, c := range []struct {
-		rows int
-		want string
-	}{{9, "continues past the 9 rows"}, {11, "ends 1 rows short of the 11"}} {
-		e, err := Open("m", chop(enc, 16), c.rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Materialize(); err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "relation m") {
-			t.Errorf("Materialize with %d recorded rows: %v", c.rows, err)
-		}
-		e, _ = Open("m", chop(enc, 16), c.rows)
-		src, err := e.Reader(c.rows/2, c.rows, 4, false), error(nil)
-		for b := (Batch{Rows: make([]Row, 1)}); err == nil && !b.Empty(); {
-			b, err = src.Next()
-		}
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("last range with %d recorded rows: %v", c.rows, err)
-		}
-	}
-	// A blank line in the encoder's own text is a row, and fails as one.
-	if e, err := Open("m", chop([]byte("#schema\ta:int\tb:int\n#logical\t0\n1\t2\n\n"), 0), 2); err != nil {
-		t.Fatal(err)
-	} else if _, err := e.Materialize(); err == nil || !strings.Contains(err.Error(), `relation m: parse int ""`) {
-		t.Errorf("blank line in an exact file: %v", err)
-	}
-}
-
-// TestRowErrorsNameTheRelation pins the arity and parse checks, through both
-// entry points and across block boundaries.
+// TestRowErrorsNameTheRelation pins the arity and parse checks of the text
+// parser.
 func TestRowErrorsNameTheRelation(t *testing.T) {
 	head := "#schema\ta:int\tb:float\n#logical\t0\n"
 	for _, c := range []struct{ body, want string }{
@@ -225,13 +120,6 @@ func TestRowErrorsNameTheRelation(t *testing.T) {
 		if _, err := DecodeBytes("bad", text); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("DecodeBytes(%q): %v, want %q", c.body, err, c.want)
 		}
-		e, err := Open("bad", chop(text, 3), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Materialize(); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("Open+Materialize(%q): %v, want %q", c.body, err, c.want)
-		}
 	}
 }
 
@@ -246,17 +134,17 @@ func TestEmptyLineIsARowWhenItParsesAsOne(t *testing.T) {
 	none := New("z", Schema{})
 	none.Rows = []Row{{}, {}, {}}
 	for _, rel := range []*Relation{one, none} {
-		for _, trusted := range []bool{false, true} {
+		for _, stored := range []bool{false, true} {
 			got, err := DecodeBytes(rel.Name, rel.EncodeBytes())
-			if trusted {
-				got, err = openDecode(rel.Name, rel.EncodeBytes(), len(rel.Rows))
+			if stored {
+				got, err = openDecode(rel.Name, rel.EncodeColumnar(CodecOptions{}), len(rel.Rows))
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameText(t, rel.Name, got.Rows, rel.Rows)
 		}
-		e, err := Open(rel.Name, chop(rel.EncodeBytes(), 1), len(rel.Rows))
+		e, err := Open(rel.Name, chop(rel.EncodeColumnar(CodecOptions{}), 1), len(rel.Rows))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,8 +184,8 @@ func TestNumberFastPathsMatchStrconv(t *testing.T) {
 			fields = append(fields, digits[:at]+"."+digits[at:])
 		}
 	}
-	ints := &Encoded{Name: "n", Schema: NewSchema("i:int")}
-	floats := &Encoded{Name: "n", Schema: NewSchema("f:float")}
+	ints := &Relation{Name: "n", Schema: NewSchema("i:int")}
+	floats := &Relation{Name: "n", Schema: NewSchema("f:float")}
 	for _, f := range fields {
 		if strings.Contains(f, "\t") {
 			continue
@@ -318,8 +206,8 @@ func TestNumberFastPathsMatchStrconv(t *testing.T) {
 }
 
 // TestEncodeBytesSizedOnce: the encoder's output is one exactly sized buffer,
-// and what the writer allocates on the way numbers with the bytes written — a
-// segment per 64 KB — not with the rows.
+// and beside it the encoder allocates at most one object — the width memo that
+// sizes the rows — however many rows and bytes it renders.
 func TestEncodeBytesSizedOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 5000} {
 		if enc := mixedRelation(n).EncodeBytes(); cap(enc) != len(enc) {
@@ -329,7 +217,7 @@ func TestEncodeBytesSizedOnce(t *testing.T) {
 	for _, n := range []int{5000, 50000} {
 		big := mixedRelation(n)
 		size := len(big.EncodeBytes())
-		if got, limit := testing.AllocsPerRun(10, func() { _ = big.EncodeBytes() }), float64(24+size/maxSegment); got > limit {
+		if got, limit := testing.AllocsPerRun(10, func() { _ = big.EncodeBytes() }), 2.0; got > limit { // the buffer and the memo
 			t.Errorf("encode of %d rows (%d bytes): %v allocations, want at most %v", n, size, got, limit)
 		}
 	}
@@ -378,38 +266,54 @@ func TestFloatFastPathMatchesStrconv(t *testing.T) {
 	}
 }
 
-// TestWriterSplicesPartsInOrder: however the rows are spread over parts and
-// Append calls — parts filled out of order, rows far longer than a segment —
-// the text is EncodeBytes' and the body is sized as PhysicalBytes sizes it.
-func TestWriterSplicesPartsInOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	rel := randomRelation(rng, 4000)
-	for i := 0; i < len(rel.Rows); i += 500 {
-		rel.Rows[i][3] = Str(strings.Repeat("long ", 1+i*40)) // up to 700 KB: rows that outgrow any segment
-	}
-	rel.LogicalBytes = 12345
-	want := rel.EncodeBytes()
-
-	w := NewWriter(Schema{})
-	cuts := []int{0, 0, 1, 700, 700, 2500, len(rel.Rows)}
-	parts := make([]*Part, len(cuts)-1)
-	for i := range parts {
-		parts[i] = w.Part()
-	}
-	for i := len(parts) - 1; i >= 0; i-- { // last range first, a batch at a time
-		for lo := cuts[i]; lo < cuts[i+1]; lo += 64 {
-			parts[i].Append(rel.Rows[lo:min(lo+64, cuts[i+1])])
+// TestOpenRefusesText: the DFS opens only the stored format, so text — whole,
+// or cut into blocks anywhere — is refused before a row is read, naming the
+// relation.
+func TestOpenRefusesText(t *testing.T) {
+	text := mixedRelation(40).EncodeBytes()
+	for _, size := range []int{0, 1, 7, 64} {
+		if _, err := Open("m", chop(text, size), 40); err == nil || err.Error() != "relation m: not a columnar stream" {
+			t.Errorf("block size %d: %v", size, err)
 		}
 	}
-	w.Append(nil)
-	w.Schema, w.LogicalBytes = rel.Schema, rel.LogicalBytes // header fields may be set last
-	if got := w.Bytes(); !bytes.Equal(got, want) || cap(got) != len(got) {
-		t.Fatalf("spliced text differs from EncodeBytes (len %d cap %d, want %d)", len(got), cap(got), len(want))
+}
+
+// FuzzDecodeBytes feeds the text parser real renderings, cut and mutated by
+// the fuzzer: an error, or a relation that caches no false width and whose own
+// rendering parses back to the same rows; never a panic, and never more memory
+// than FuzzColumnarStream allows the columnar decoder.
+func FuzzDecodeBytes(f *testing.F) {
+	blanks := New("blanks", NewSchema("s:string"))
+	blanks.Rows = []Row{{Str("")}, {Str("x")}, {Str("")}}
+	none := New("none", Schema{})
+	none.Rows = make([]Row, 3)
+	for _, rel := range []*Relation{edgeRelation(), mixedRelation(40), blanks, none} {
+		text := rel.EncodeBytes()
+		f.Add(text)
+		f.Add(text[:len(text)/2])
 	}
-	if w.Rows() != len(rel.Rows) || w.BodyBytes() != rel.PhysicalBytes() {
-		t.Errorf("writer holds %d rows / %d body bytes, relation %d / %d", w.Rows(), w.BodyBytes(), len(rel.Rows), rel.PhysicalBytes())
-	}
-	if empty := NewWriter(rel.Schema).Bytes(); !bytes.Equal(empty, New("e", rel.Schema).EncodeBytes()) {
-		t.Errorf("an empty writer's text is %q", empty)
-	}
+	// A wide schema over blank lines: rows are not sized by lines × columns.
+	f.Add([]byte("#schema" + strings.Repeat("\ta:int", 300) + "\n#logical\t0\n" + strings.Repeat("\n", 3000)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rel, err := DecodeBytes("fz", data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 200*uint64(len(data))+64<<10 {
+			t.Fatalf("%d bytes allocated decoding %d", grew, len(data))
+		}
+		if err != nil {
+			return
+		}
+		if err := CheckWidths(rel); err != nil {
+			t.Fatal(err)
+		}
+		again, err := DecodeBytes("fz", rel.EncodeBytes())
+		if err != nil {
+			t.Fatalf("the rendering does not parse: %v", err)
+		}
+		if again.Fingerprint() != rel.Fingerprint() || !again.Schema.Equal(rel.Schema) || again.NumRows() != rel.NumRows() {
+			t.Fatalf("parsed back to %s, %d rows; was %s, %d rows", again.Schema, again.NumRows(), rel.Schema, rel.NumRows())
+		}
+	})
 }

@@ -1,7 +1,8 @@
 // Package relation implements the tabular data model shared by every layer
-// of Musketeer: typed values, rows, schemas and relations, plus their two
-// codecs: the columnar one every file of the simulated distributed filesystem
-// is stored in, and TSV, the text users hand in and read back.
+// of Musketeer: typed values, rows, schemas and relations, plus the one format
+// every file of the simulated distributed filesystem is stored in — columnar
+// row groups, written by Writer and opened by Open — and TSV, which is only
+// the text users hand in (DecodeBytes) and read back (EncodeBytes).
 //
 // All seven back-end execution engines operate on these types through the
 // shared kernels in internal/exec, which is what lets the test suite assert
@@ -217,41 +218,6 @@ func (v *Value) measure(m *WidthMemo) int {
 		m.t.bits[s], m.t.w[s] = bits, uint8(len(appendFloat(buf[:0], v.F)))
 	}
 	return int(m.t.w[s])
-}
-
-// stampEncoded caches the width of a numeric cell just parsed from field,
-// text that Encode wrote. An int's width is counted from its value, which is
-// exact whatever wrote the text. A float's is the field's length: AppendText
-// rendered the field from this very float, and the shortest rendering
-// round-trips. The one exception is an Int that sat in a float column (ARITH
-// over an int column and an int literal declares a float result): integer
-// text of seven or more digits re-renders in exponent form, so such a field
-// is left for TextLen to measure.
-func (v *Value) stampEncoded(field []byte) {
-	switch v.Kind {
-	case KindInt:
-		v.w = uint8(intTextLen(v.I))
-	case KindFloat:
-		digits := field
-		if len(digits) > 0 && digits[0] == '-' {
-			digits = digits[1:]
-		}
-		if len(digits) > 6 && allDigits(digits) {
-			return
-		}
-		if len(field) < 256 {
-			v.w = uint8(len(field))
-		}
-	}
-}
-
-func allDigits(s []byte) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i]-'0' > 9 {
-			return false
-		}
-	}
-	return true
 }
 
 // intTextLen returns the length of i's decimal rendering.

@@ -168,8 +168,8 @@ func tsvBody(t *testing.T, enc []byte) []byte {
 }
 
 // TestPhysicalBytesIsTSVBodyLength is the definition of PhysicalBytes, held
-// over random relations, before and after stamping, and across a decode of
-// the encoder's own output (which caches widths from the text).
+// over random relations, before and after stamping, and across a parse of the
+// text and a read of the stored stream (which caches widths from the stream).
 func TestPhysicalBytesIsTSVBodyLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 50; trial++ {
@@ -199,7 +199,7 @@ func TestPhysicalBytesIsTSVBodyLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trusted, err := openDecode("rnd", enc, len(rel.Rows))
+		trusted, err := openDecode("rnd", rel.EncodeColumnar(CodecOptions{}), len(rel.Rows))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,39 +216,14 @@ func TestPhysicalBytesIsTSVBodyLength(t *testing.T) {
 	}
 }
 
-// openDecode decodes enc the way the DFS does: opened as the encoder's own
-// text holding rows rows, and drained.
+// openDecode decodes enc the way the DFS does: opened as a Writer's own
+// stream holding rows rows, and drained.
 func openDecode(name string, enc []byte, rows int) (*Relation, error) {
 	e, err := Open(name, [][]byte{enc}, rows)
 	if err != nil {
 		return nil, err
 	}
 	return e.Materialize()
-}
-
-// TestOpenStampsNumbers pins that the trusted decode really caches widths
-// (the point of it), and that the generic decode caches none.
-func TestOpenStampsNumbers(t *testing.T) {
-	rel := codecRelation(50)
-	enc := rel.EncodeBytes()
-	trusted, err := openDecode("t", enc, len(rel.Rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := DecodeBytes("t", enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range trusted.Rows {
-		for j, v := range trusted.Rows[i] {
-			if v.Kind != KindString && v.w == 0 {
-				t.Fatalf("Open: row %d col %d (%v) carries no width", i, j, v)
-			}
-			if plain.Rows[i][j].w != 0 {
-				t.Fatalf("DecodeBytes: row %d col %d (%v) carries width %d", i, j, v, plain.Rows[i][j].w)
-			}
-		}
-	}
 }
 
 // TestForeignTSVSizesCanonically feeds DecodeBytes text no encoder of ours
