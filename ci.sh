@@ -85,6 +85,9 @@
 #                       mean |makespan error| below round 1) and stay within
 #                       25% (plus 2 points) of the committed
 #                       BENCH_accuracy.json per-workflow errors
+#   paper tables golden — TestPaperTablesGolden: every paper experiment,
+#                       rendered in order, equals bench_results.txt byte
+#                       for byte apart from fig13's wall-clock cells
 #   codec fuzz        — FuzzColumnarStream (the untrusted columnar decoder
 #                       over real encodings, cut and bit-flipped: an error
 #                       or a stable relation, never a panic, never memory
@@ -195,6 +198,8 @@ if [ "$GROUP" = all ] || [ "$GROUP" = gates ]; then
         . ./internal/exec ./internal/relation ./internal/bench ./internal/core
     stage "calibration convergence gate" \
         go test -count=1 -timeout 5m -run '^TestAccuracyLearningConverges$' ./internal/bench
+    stage "paper tables golden" \
+        go test -count=1 -timeout 5m -run '^TestPaperTablesGolden$' ./internal/bench
     stage "codec fuzz" fuzz_gate
     stage "mkperf smoke" go run ./cmd/mkperf -quick -seconds 2
 fi
