@@ -5,13 +5,9 @@ import (
 	"fmt"
 	"os"
 
+	"musketeer"
 	"musketeer/internal/chaos"
-	"musketeer/internal/cluster"
-	"musketeer/internal/core"
 	"musketeer/internal/engines"
-	"musketeer/internal/ir"
-	"musketeer/internal/obs"
-	"musketeer/internal/sched"
 	"musketeer/internal/workloads"
 )
 
@@ -86,40 +82,27 @@ func RunChaos(seed int64) (*ChaosReport, error) {
 // runChaosOn executes the workload once on the named engine under the
 // seeded plan, with retries and speculation live.
 func runChaosOn(w *workloads.Workload, engine string, seed int64, rate float64) (*ChaosRun, error) {
-	s, err := newSession(w, cluster.EC2(100))
+	m := musketeer.New(musketeer.EC2(100), musketeer.WithChaos(chaos.Default(seed, rate)), musketeer.WithRetries(5))
+	wf, err := stage(m, w, engines.ModeOptimized)
 	if err != nil {
 		return nil, err
 	}
-	eng, ok := s.reg[engine]
-	if !ok {
-		return nil, fmt.Errorf("unknown engine %q", engine)
-	}
-	plan := chaos.Default(seed, rate)
-	s.chaos = plan
-	s.metrics = obs.NewRegistry()
-	s.sched = sched.New(sched.Options{
-		MaxRetries:          5,
-		Retryable:           engines.IsTransient,
-		Metrics:             s.metrics,
-		SpeculativeMultiple: plan.SpecMultiple(),
-	})
-	res, err := s.execute(engines.ModeOptimized, func(est *core.Estimator, dag *ir.DAG) (*core.Partitioning, error) {
-		return core.MapTo(dag, est, eng)
-	})
+	res, err := wf.ExecuteOn(engine)
 	if err != nil {
 		return nil, err
 	}
+	f := faults(res)
 	return &ChaosRun{
 		Engine:      engine,
-		Mechanism:   eng.FaultTolerance().String(),
+		Mechanism:   res.Partitioning.Jobs[0].Engine.FaultTolerance().String(),
 		FaultsPerHr: rate,
 		MakespanS:   float64(res.Makespan),
-		Failures:    res.Failures,
-		Checkpoints: res.Checkpoints,
-		Stragglers:  res.Stragglers,
-		DFSRetries:  res.DFSRetries,
-		JobRetries:  s.metrics.Counter("sched_job_retries_total").Value(),
-		Speculated:  s.metrics.Counter("sched_speculative_attempts_total").Value(),
+		Failures:    f.failures,
+		Checkpoints: f.checkpoints,
+		Stragglers:  f.stragglers,
+		DFSRetries:  f.dfsRetries,
+		JobRetries:  m.Metrics().Counter("sched_job_retries_total").Value(),
+		Speculated:  m.Metrics().Counter("sched_speculative_attempts_total").Value(),
 	}, nil
 }
 

@@ -3,7 +3,7 @@ package bench
 import (
 	"strconv"
 
-	"musketeer/internal/cluster"
+	"musketeer"
 	"musketeer/internal/engines"
 	"musketeer/internal/workloads"
 )
@@ -21,7 +21,7 @@ func Fig2aProject() Experiment {
 				Title:   "PROJECT makespan (simulated seconds)",
 				Columns: []string{"input", "hive", "hadoop", "spark", "metis", "lindi"},
 			}
-			c := cluster.Local(7)
+			c := musketeer.LocalCluster(7)
 			sizes := []struct {
 				label string
 				bytes int64
@@ -33,23 +33,23 @@ func Fig2aProject() Experiment {
 				// Hive generates the Hadoop job; hand-coded baselines for
 				// the low-level APIs; Lindi is stock Naiad with a single
 				// reader thread per machine.
-				hive, err := runOn(w, c, "hadoop", engines.ModeOptimized)
+				hive, err := runOn(w, "hadoop", engines.ModeOptimized, c)
 				if err != nil {
 					return nil, err
 				}
-				hadoop, err := runOn(w, c, "hadoop", engines.ModeHand)
+				hadoop, err := runOn(w, "hadoop", engines.ModeHand, c)
 				if err != nil {
 					return nil, err
 				}
-				spark, err := runOn(w, c, "spark", engines.ModeHand)
+				spark, err := runOn(w, "spark", engines.ModeHand, c)
 				if err != nil {
 					return nil, err
 				}
-				metis, err := runOn(w, c, "metis", engines.ModeHand)
+				metis, err := runOn(w, "metis", engines.ModeHand, c)
 				if err != nil {
 					return nil, err
 				}
-				lindi, err := runOn(w, c, "naiad-lindi", engines.ModeHand)
+				lindi, err := runOn(w, "naiad-lindi", engines.ModeHand, c)
 				if err != nil {
 					return nil, err
 				}
@@ -74,14 +74,14 @@ func Fig2bJoin() Experiment {
 				Title:   "JOIN makespan (simulated seconds)",
 				Columns: []string{"case", "serial-c", "hadoop", "spark", "metis", "lindi"},
 			}
-			c := cluster.Local(7)
+			c := musketeer.LocalCluster(7)
 			for _, wcase := range []*workloads.Workload{
 				workloads.JoinMicroAsymmetric(),
 				workloads.JoinMicroSymmetric(),
 			} {
 				cells := []string{wcase.Name}
 				for _, eng := range []string{"serial", "hadoop", "spark", "metis", "naiad-lindi"} {
-					r, err := runOn(wcase, c, eng, engines.ModeHand)
+					r, err := runOn(wcase, eng, engines.ModeHand, c)
 					if err != nil {
 						return nil, err
 					}
@@ -118,7 +118,7 @@ func Fig3PageRankMotivation() Experiment {
 			for _, g := range []*workloads.Graph{workloads.Orkut(), workloads.Twitter()} {
 				w := workloads.PageRank(g, 5)
 				for _, cfg := range configs {
-					r, err := runOn(w, cluster.EC2(cfg.nodes), cfg.engine, engines.ModeHand)
+					r, err := runOn(w, cfg.engine, engines.ModeHand, musketeer.EC2(cfg.nodes))
 					if err != nil {
 						return nil, err
 					}

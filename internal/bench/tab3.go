@@ -3,11 +3,9 @@ package bench
 import (
 	"fmt"
 
+	"musketeer"
 	"musketeer/internal/chaos"
-	"musketeer/internal/cluster"
-	"musketeer/internal/core"
 	"musketeer/internal/engines"
-	"musketeer/internal/ir"
 	"musketeer/internal/workloads"
 )
 
@@ -69,13 +67,14 @@ func ExtFaults() Experiment {
 				}
 				cells := []string{label}
 				for _, eng := range []string{"naiad", "spark", "hadoop"} {
-					r, err := runOnWithFaults(w, cluster.EC2(100), eng, mtbf)
+					plan := &chaos.Plan{MTBFSeconds: mtbf, Seed: 11}
+					r, err := runOn(w, eng, engines.ModeOptimized, musketeer.EC2(100), musketeer.WithChaos(plan))
 					if err != nil {
 						return nil, err
 					}
 					cell := secs(r.Makespan)
-					if r.Failures > 0 {
-						cell += fmt.Sprintf(" (%df)", r.Failures)
+					if n := faults(r).failures; n > 0 {
+						cell += fmt.Sprintf(" (%df)", n)
 					}
 					cells = append(cells, cell)
 				}
@@ -85,20 +84,4 @@ func ExtFaults() Experiment {
 			return t, nil
 		},
 	}
-}
-
-// runOnWithFaults is runOn with a failure model installed.
-func runOnWithFaults(w *workloads.Workload, c *cluster.Cluster, engine string, mtbf float64) (*RunResult, error) {
-	s, err := newSession(w, c)
-	if err != nil {
-		return nil, err
-	}
-	eng, ok := s.reg[engine]
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown engine %q", engine)
-	}
-	s.chaos = &chaos.Plan{MTBFSeconds: mtbf, Seed: 11}
-	return s.execute(engines.ModeOptimized, func(est *core.Estimator, dag *ir.DAG) (*core.Partitioning, error) {
-		return core.MapTo(dag, est, eng)
-	})
 }

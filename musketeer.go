@@ -81,6 +81,9 @@ type (
 	CalibrationSnapshot = core.CalibrationSnapshot
 	// Partitioning is a workflow decomposed into engine-assigned jobs.
 	Partitioning = core.Partitioning
+	// Estimator is the cost model a partitioning is searched and priced
+	// with (see Workflow.Estimator).
+	Estimator = core.Estimator
 	// PlanMode selects generated-code quality.
 	PlanMode = engines.PlanMode
 	// FlightRecorder is the per-run span recorder (see Result.Flight).
@@ -492,6 +495,15 @@ func (w *Workflow) estimator(id *ir.Identity) (*core.Estimator, error) {
 	return est.WithChaos(w.m.chaos), nil
 }
 
+// Estimator builds a fresh cost estimator over the workflow's staged inputs,
+// the deployment's cluster, history and chaos plan — the one every plan of
+// this workflow is priced with — for callers that build a partitioning of
+// their own and execute it with Run. An estimator is not safe to share
+// between goroutines.
+func (w *Workflow) Estimator() (*Estimator, error) {
+	return w.estimator(ir.Identify(w.dag))
+}
+
 // Plan partitions the workflow and picks back-ends automatically
 // (paper §5.2): the cheapest feasible partitioning over all engines
 // Musketeer generates code for.
@@ -544,7 +556,7 @@ func (w *Workflow) PlanUnmerged(engine string) (*Partitioning, error) {
 	if err != nil {
 		return nil, err
 	}
-	est, err := w.estimator(ir.Identify(w.dag))
+	est, err := w.Estimator()
 	if err != nil {
 		return nil, err
 	}
@@ -828,7 +840,7 @@ func (w *Workflow) executeTraced(ctx context.Context, engs []*engines.Engine) (*
 // job, the estimated data volumes, iteration counts, recorded runtimes, and
 // the per-engine cost comparison that led to the choice.
 func (w *Workflow) Explain(part *Partitioning) (string, error) {
-	est, err := w.estimator(ir.Identify(w.dag))
+	est, err := w.Estimator()
 	if err != nil {
 		return "", err
 	}
