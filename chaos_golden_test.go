@@ -61,9 +61,9 @@ func stageChaosTwoEngine(t *testing.T, m *Musketeer) (*Workflow, *Partitioning) 
 	return wf, part
 }
 
-// stageChaosHadoop is stageChaosTwoEngine's workflow left as MapTo maps it
-// onto hadoop: the WHILE is driver-looped, so every round's body jobs pull
-// their inputs, draw their read faults and pay for them again.
+// stageChaosHadoop is stageChaosTwoEngine's workflow mapped onto hadoop
+// alone: the WHILE is driver-looped, so every round's body jobs pull their
+// inputs, draw their read faults and pay for them again.
 func stageChaosHadoop(t *testing.T, m *Musketeer) (*Workflow, *Partitioning) {
 	t.Helper()
 	wf, _, _, part := stageCrossCommunityOnHadoop(t, m)

@@ -20,7 +20,7 @@ func TestWhileDriverIterationCheckpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		part, err := MapTo(d, est, engines.Registry()["hadoop"]) // driver loop
+		part, err := AutoMap(d, est, []*engines.Engine{engines.Registry()["hadoop"]}) // driver loop
 		if err != nil {
 			t.Fatal(err)
 		}

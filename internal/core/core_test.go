@@ -481,7 +481,7 @@ func TestRunnerWhileDriverOnHadoopMatchesNative(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				part, err := MapTo(dag, est, engines.Registry()[engine])
+				part, err := AutoMap(dag, est, []*engines.Engine{engines.Registry()[engine]})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -589,7 +589,7 @@ func TestWhileDriverCondRel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		part, err := MapTo(dag, est, engines.Registry()[engine])
+		part, err := AutoMap(dag, est, []*engines.Engine{engines.Registry()[engine]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -856,7 +856,7 @@ func TestEstimatorTracksMeasuredOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := engines.Registry()[engName]
-		part, err := MapTo(dag, est, eng)
+		part, err := AutoMap(dag, est, []*engines.Engine{eng})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -964,7 +964,7 @@ func TestRunnerRecordsJobRuntimes(t *testing.T) {
 	c := cluster.Local(7)
 	h := NewHistory()
 	est, _ := NewEstimator(ir.Identify(dag), fs, c, h)
-	part, err := MapTo(dag, est, engines.Registry()["naiad"])
+	part, err := AutoMap(dag, est, []*engines.Engine{engines.Registry()["naiad"]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1032,7 +1032,7 @@ func TestExplainRendersReasoning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := MapTo(prices, pricesEst, engines.Spark())
+	merged, err := AutoMap(prices, pricesEst, []*engines.Engine{engines.Spark()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1101,7 +1101,7 @@ func TestExplainShowsThePricedVolumes(t *testing.T) {
 			"driver-looped: 2 body job(s), ", " a round × ~4 iterations\n",
 		}},
 	} {
-		part, err := MapTo(tc.dag, tc.est, hadoop)
+		part, err := AutoMap(tc.dag, tc.est, []*engines.Engine{hadoop})
 		if err != nil {
 			t.Fatal(err)
 		}

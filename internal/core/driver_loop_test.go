@@ -65,7 +65,7 @@ func planOn(t testing.TB, d *ir.DAG, fs *dfs.DFS, engine string) (*ir.Identity, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := MapTo(d, est, engines.Registry()[engine])
+	part, err := AutoMap(d, est, []*engines.Engine{engines.Registry()[engine]})
 	if err != nil {
 		t.Fatal(err)
 	}

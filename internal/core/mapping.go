@@ -22,13 +22,6 @@ func AutoMap(dag *ir.DAG, est *Estimator, engs []*engines.Engine) (*Partitioning
 	return Partition(dag, est, engs)
 }
 
-// MapTo partitions the workflow for one explicitly chosen engine
-// (the "user explicitly targets a back-end" path of §4.3), after checking
-// that engine can execute every operator at all.
-func MapTo(dag *ir.DAG, est *Estimator, eng *engines.Engine) (*Partitioning, error) {
-	return AutoMap(dag, est, []*engines.Engine{eng})
-}
-
 // SeedView returns an estimator over the same DAG, cluster, and input
 // sizes but with no history and no calibration evidence — the estimates a
 // first-run planner would have produced. AutoMap re-scores continuously as

@@ -49,9 +49,9 @@ type Runner struct {
 	Metrics *obs.Registry
 }
 
-// defaultSched serves Runners constructed without an explicit scheduler
-// (direct library use, benchmarks); deployments built through the public
-// API share their own per-deployment scheduler instead.
+// defaultSched serves Runners constructed without an explicit scheduler,
+// which only tests do; deployments built through the public API share
+// their own per-deployment scheduler instead.
 var defaultSched = sched.New(sched.Options{Retryable: engines.IsTransient})
 
 func (r *Runner) scheduler() *sched.Scheduler {

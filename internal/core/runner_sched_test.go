@@ -56,7 +56,7 @@ func TestWhileDriverNonConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := MapTo(d, est, engines.Registry()["hadoop"]) // no native iteration → driver loop
+	part, err := AutoMap(d, est, []*engines.Engine{engines.Registry()["hadoop"]}) // no native iteration → driver loop
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRunnerRetriesTransientFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		part, err := MapTo(dag, est, engines.Registry()["hadoop"])
+		part, err := AutoMap(dag, est, []*engines.Engine{engines.Registry()["hadoop"]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestExecuteCtxPreCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := MapTo(dag, est, engines.Registry()["hadoop"])
+	part, err := AutoMap(dag, est, []*engines.Engine{engines.Registry()["hadoop"]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestEverySpanEnds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			part, err := MapTo(d, est, engines.Hadoop())
+			part, err := AutoMap(d, est, []*engines.Engine{engines.Hadoop()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestDriverLoopRunsThePricedBody(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			part, err := MapTo(pc.dag, est, engines.Registry()[engine])
+			part, err := AutoMap(pc.dag, est, []*engines.Engine{engines.Registry()[engine]})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", tc.name, engine, err)
 			}
@@ -351,7 +351,7 @@ func TestCondOnlyLoopHasOneCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		part, err := MapTo(d, est, engines.Registry()[engine])
+		part, err := AutoMap(d, est, []*engines.Engine{engines.Registry()[engine]})
 		if err != nil {
 			t.Fatal(err)
 		}

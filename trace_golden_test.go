@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"musketeer/internal/core"
+	"musketeer/internal/engines"
 	"musketeer/internal/ir"
 	"musketeer/internal/relation"
 	"musketeer/internal/workloads"
@@ -48,7 +49,7 @@ func stageCrossCommunityOnHadoop(t *testing.T, m *Musketeer) (*Workflow, *ir.DAG
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := core.MapTo(dag, est, m.engines["hadoop"])
+	part, err := core.AutoMap(dag, est, []*engines.Engine{m.engines["hadoop"]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func stageTwoEngine(t *testing.T, m *Musketeer) (*Workflow, *Partitioning) {
 	metis := m.engines["metis"]
 	// A driver-looped WHILE is always a job of its own and carries the plan
 	// of its body, so the metis plan's WHILE job replaces hadoop's whole.
-	onMetis, err := core.MapTo(dag, est, metis)
+	onMetis, err := core.AutoMap(dag, est, []*engines.Engine{metis})
 	if err != nil {
 		t.Fatal(err)
 	}
