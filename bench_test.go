@@ -1,5 +1,5 @@
 // An external test package so internal/bench may itself import musketeer
-// (the service bench drives the root serve handler) without a cycle
+// (every experiment runs through musketeer.Workflow) without a cycle
 // through this file.
 package musketeer_test
 
