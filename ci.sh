@@ -46,6 +46,13 @@
 #                       random DAG generator's WHILEs a body JOIN reuses
 #                       round 1's table in round 2 exactly when ir calls
 #                       its build side invariant
+#   identity          — one key per operator: every identity-relevant field
+#                       moves the mutated operator's key and the canonical
+#                       hash, renaming and reordering move neither; a loop
+#                       body keys apart per graph it binds to, a renamed,
+#                       reordered resubmission plans from the first run's
+#                       history, and a history file without a version is
+#                       refused
 #   agg scratch recycling — an aggregation table's key index, counts and
 #                       sums recycle through exec's aggPool: the generator's
 #                       DAGs, every AGG split into two halves, compute the
@@ -185,6 +192,9 @@ if [ "$GROUP" = all ] || [ "$GROUP" = gates ]; then
     stage "loop semantics" go test -count=1 -timeout 5m \
         -run '^(TestWorkloadLoopsInvariantAndKept|TestLoopDefinition|TestLoopSteps|TestWhileJoinReuseMatchesInvariance|TestRunnerWhileDriverOnHadoopMatchesNative)$' \
         ./internal/ir ./internal/exec ./internal/core
+    stage "identity" go test -count=1 -timeout 5m \
+        -run '^(TestIdentityMetamorphic|TestCanonical.*|TestLoopBodyHistoryStaysWithItsGraph|TestRenamedResubmissionReusesHistory|TestLoadHistoryRefusesUnversionedFile)$' \
+        . ./internal/ir ./internal/core
     stage "agg scratch recycling" agg_recycling_gate
     stage "telemetry scrape gate" \
         go test -count=1 -timeout 5m -run 'TestDebugServerScrape|TestConcurrentScrapeDuringChaoticExecutes|TestPrometheusLinesValid|TestPrometheusByteStableAcrossScrapes' . ./internal/obs

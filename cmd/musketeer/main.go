@@ -17,9 +17,9 @@
 // partition-search, analyze, and schedule pipeline spans.
 //
 // -history names the one file that carries what the planner learns across
-// runs: per-operator observations, recorded runtimes and the feedback
-// calibration of engine rates and selectivities. It is loaded before
-// planning and saved after the run.
+// runs: per-operator observations and the feedback calibration of engine
+// rates and selectivities. It is loaded before planning and saved after the
+// run.
 //
 // The check subcommand runs the static analyzer only — no execution — and
 // pretty-prints every diagnostic (exit status 1 when any is an error):
@@ -156,7 +156,7 @@ func run(name string, args []string, statsMode bool) int {
 	showPlan := fs.Bool("show-plan", false, "print the IR DAG and partitioning")
 	explain := fs.Bool("explain", false, "print the cost model's reasoning for the chosen partitioning")
 	dot := fs.Bool("dot", false, "print the IR DAG in Graphviz dot syntax and exit")
-	historyPath := fs.String("history", "", "workflow-history file holding everything the planner learns (observations, runtimes, calibration): loaded before planning, saved after the run (stats -history FILE alone prints it)")
+	historyPath := fs.String("history", "", "workflow-history file holding everything the planner learns (observations, calibration): loaded before planning, saved after the run (stats -history FILE alone prints it)")
 	mtbf := fs.Float64("faults-mtbf", 0, "inject worker failures with this cluster-wide MTBF (simulated seconds)")
 	faultRate := fs.Float64("fault-rate", 0, "inject the full chaos plan (job crashes, worker faults, stragglers, DFS read failures) at this many expected faults per simulated hour")
 	chaosSeed := fs.Int64("chaos-seed", 7, "seed for the -fault-rate chaos plan (same seed = same faults)")

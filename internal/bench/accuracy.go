@@ -19,7 +19,7 @@ import (
 // operator selectivities back into the calibration state, so later rounds
 // plan with learned parameters. The paper's mapping quality (§6.7) depends
 // directly on these predictions being usable; Fig 14's conservatism (never
-// short-circuiting estimates with recorded runtimes) is preserved — only
+// short-circuiting estimates with measured runtimes) is preserved — only
 // rates and selectivities are calibrated.
 
 // AccuracyReport is the benchmark's JSON artifact (BENCH_accuracy.json).

@@ -181,8 +181,8 @@ func TestObserveDampedConvergesMonotonically(t *testing.T) {
 	prior := 3.0
 	prevDist := math.Inf(1)
 	for i := 0; i < 12; i++ {
-		h.ObserveDamped("w", 1, truth, prior, SelectivityDamping)
-		got, _ := h.Lookup("w", 1)
+		h.ObserveDamped("k1", truth, prior, SelectivityDamping)
+		got, _ := h.Lookup("k1")
 		dist := math.Abs(got.OutRatio-truth.OutRatio) +
 			math.Abs(float64(got.OutBytes-truth.OutBytes)) +
 			math.Abs(float64(got.ProcBytes-truth.ProcBytes))
@@ -191,7 +191,7 @@ func TestObserveDampedConvergesMonotonically(t *testing.T) {
 		}
 		prevDist = dist
 	}
-	got, _ := h.Lookup("w", 1)
+	got, _ := h.Lookup("k1")
 	if math.Abs(got.OutRatio-truth.OutRatio) > 1e-3 {
 		t.Errorf("ratio did not converge: %v", got.OutRatio)
 	}
@@ -203,8 +203,8 @@ func TestObserveDampedConvergesMonotonically(t *testing.T) {
 	}
 	// First evidence must ease from the prior, not jump to the measurement.
 	h2 := NewHistory()
-	h2.ObserveDamped("w", 1, truth, prior, SelectivityDamping)
-	first, _ := h2.Lookup("w", 1)
+	h2.ObserveDamped("k1", truth, prior, SelectivityDamping)
+	first, _ := h2.Lookup("k1")
 	if want := prior + SelectivityDamping*(truth.OutRatio-prior); math.Abs(first.OutRatio-want) > 1e-12 {
 		t.Errorf("first update ratio = %v, want eased %v", first.OutRatio, want)
 	}
@@ -215,10 +215,10 @@ func TestObserveDampedConvergesMonotonically(t *testing.T) {
 
 func TestObserveIterationsPreservesDampedEvidence(t *testing.T) {
 	h := NewHistory()
-	h.ObserveDamped("w", 4, Observation{OutRatio: 0.5, InBytes: 100, OutBytes: 50, ProcBytes: 150}, 1.0, SelectivityDamping)
-	before, _ := h.Lookup("w", 4)
-	h.ObserveIterations("w", 4, 9)
-	after, _ := h.Lookup("w", 4)
+	h.ObserveDamped("k4", Observation{OutRatio: 0.5, InBytes: 100, OutBytes: 50, ProcBytes: 150}, 1.0, SelectivityDamping)
+	before, _ := h.Lookup("k4")
+	h.ObserveIterations("k4", 9)
+	after, _ := h.Lookup("k4")
 	if after.Iterations != 9 {
 		t.Errorf("iterations = %d", after.Iterations)
 	}
@@ -226,8 +226,8 @@ func TestObserveIterationsPreservesDampedEvidence(t *testing.T) {
 		t.Errorf("iteration merge stomped damped evidence: %+v -> %+v", before, after)
 	}
 	// On a fresh op the merge seeds a neutral ratio.
-	h.ObserveIterations("w", 5, 3)
-	fresh, _ := h.Lookup("w", 5)
+	h.ObserveIterations("k5", 3)
+	fresh, _ := h.Lookup("k5")
 	if fresh.OutRatio != 1 || fresh.Iterations != 3 {
 		t.Errorf("fresh iteration observation = %+v", fresh)
 	}
@@ -237,8 +237,7 @@ func TestObserveIterationsPreservesDampedEvidence(t *testing.T) {
 
 func TestHistoryRoundTripCarriesCalibration(t *testing.T) {
 	h := NewHistory()
-	h.ObserveDamped("w1", 2, Observation{OutRatio: 0.4, InBytes: 900, OutBytes: 360, ProcBytes: 1260}, 1.0, SelectivityDamping)
-	h.ObserveRuntime("w1", "0,1,", "spark", 12.5)
+	h.ObserveDamped("k2", Observation{OutRatio: 0.4, InBytes: 900, OutBytes: 360, ProcBytes: 1260}, 1.0, SelectivityDamping)
 	eng := engines.Spark()
 	h.Calibration().ObserveRates(eng, engines.Rates{ProcMBps: 95, PullMBps: 60})
 	h.Calibration().ObserveSelectivity(ir.OpAgg, 0.1)
@@ -250,11 +249,11 @@ func TestHistoryRoundTripCarriesCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, ok := h2.Lookup("w1", 2)
+	obs, ok := h2.Lookup("k2")
 	if !ok {
 		t.Fatal("observation lost")
 	}
-	if want, _ := h.Lookup("w1", 2); obs != want {
+	if want, _ := h.Lookup("k2"); obs != want {
 		t.Errorf("observation round trip: %+v != %+v", obs, want)
 	}
 	// The calibration snapshot must round-trip exactly (JSON-comparable:

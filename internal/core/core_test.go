@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -144,9 +145,10 @@ func TestEstimatorUsesHistory(t *testing.T) {
 	fs := seedPropertyDFS(t, 1000)
 	h := NewHistory()
 	join := dag.ByOut("id_price")
+	id := ir.Identify(dag)
 	// Undamped (alpha 1), the observation is stored as measured.
-	h.ObserveDamped(dag.Hash(), join.ID, Observation{OutRatio: 0.5}, 0.5, 1)
-	est, err := NewEstimator(ir.Identify(dag), fs, cluster.Local(7), h)
+	h.ObserveDamped(id.Key(join), Observation{OutRatio: 0.5}, 0.5, 1)
+	est, err := NewEstimator(id, fs, cluster.Local(7), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +498,7 @@ func TestRunnerWhileDriverOnHadoopMatchesNative(t *testing.T) {
 						w = op
 					}
 				}
-				obs, _ := hist.Lookup(dag.Hash(), w.ID)
+				obs, _ := hist.Lookup(ir.Identify(dag).Key(w))
 				out, err := fs.ReadRelation(dag.Sinks()[0].Out)
 				if err != nil {
 					t.Fatal(err)
@@ -622,9 +624,21 @@ func TestRunnerRecordsHistory(t *testing.T) {
 	fs := seedPropertyDFS(t, 1000)
 	h := NewHistory()
 	runWorkflow(t, dag, fs, cluster.Local(7), allEngines(), h)
-	if h.Coverage(dag.Hash()) == 0 {
+	if observedOps(h, dag) == 0 {
 		t.Error("no history recorded")
 	}
+}
+
+// observedOps counts the operators of dag the history holds an observation
+// of.
+func observedOps(h *History, dag *ir.DAG) int {
+	id, n := ir.Identify(dag), 0
+	for _, op := range dag.Ops {
+		if _, ok := h.Lookup(id.Key(op)); ok {
+			n++
+		}
+	}
+	return n
 }
 
 func TestHistoryImprovesEstimates(t *testing.T) {
@@ -648,8 +662,8 @@ func TestHistoryImprovesEstimates(t *testing.T) {
 	if _, err := r.Execute(ir.Identify(dag), part); err != nil {
 		t.Fatal(err)
 	}
-	if h.Coverage(dag.Hash()) < 3 {
-		t.Fatalf("profiling coverage = %d, want all 3 compute ops", h.Coverage(dag.Hash()))
+	if n := observedOps(h, dag); n < 3 {
+		t.Fatalf("profiling coverage = %d, want all 3 compute ops", n)
 	}
 	estCold, _ := NewEstimator(ir.Identify(maxPropertyPrice()), fs, c, nil)
 	estWarm, _ := NewEstimator(ir.Identify(maxPropertyPrice()), fs, c, h)
@@ -930,63 +944,10 @@ func TestDecisionTreeChoices(t *testing.T) {
 	}
 }
 
-func TestRuntimeHistoryDoesNotBiasEstimates(t *testing.T) {
-	// Recorded runtimes are informational (Explain, operators); they must
-	// NOT replace estimates during planning — a measured runtime for only
-	// the previously-chosen fragment would make the mapper lock in its
-	// first choice (unexplored alternatives keep conservative estimates).
-	dag := maxPropertyPrice()
-	fs := seedPropertyDFS(t, 1000)
-	c := cluster.Local(7)
-	h := NewHistory()
-	est, err := NewEstimator(ir.Identify(dag), fs, c, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole, err := ir.NewFragment(dag, dag.Ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engines.Naiad()
-	estimated := est.FragmentCost(whole, eng)
-	h.ObserveRuntime(dag.Hash(), FragmentKey(whole), eng.Name(), 1.0)
-	if got := est.FragmentCost(whole, eng); got != estimated {
-		t.Errorf("runtime record changed the estimate: %v -> %v", estimated, got)
-	}
-	if _, ok := h.LookupRuntime(dag.Hash(), FragmentKey(whole), eng.Name()); !ok {
-		t.Error("runtime record lost")
-	}
-}
-
-func TestRunnerRecordsJobRuntimes(t *testing.T) {
-	dag := maxPropertyPrice()
-	fs := seedPropertyDFS(t, 1000)
-	c := cluster.Local(7)
-	h := NewHistory()
-	est, _ := NewEstimator(ir.Identify(dag), fs, c, h)
-	part, err := AutoMap(dag, est, []*engines.Engine{engines.Registry()["naiad"]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: c}, History: h, Mode: engines.ModeOptimized}
-	res, err := r.Execute(ir.Identify(dag), part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ok := h.LookupRuntime(dag.Hash(), FragmentKey(part.Jobs[0].Frag), "naiad")
-	if !ok {
-		t.Fatal("no runtime recorded")
-	}
-	if s <= 0 || cluster.Seconds(s) > res.Makespan {
-		t.Errorf("recorded runtime %v vs makespan %v", s, res.Makespan)
-	}
-}
-
 func TestHistorySaveLoad(t *testing.T) {
 	h := NewHistory()
-	h.ObserveDamped("w1", 3, Observation{OutRatio: 0.25}, 0.25, 1)
-	h.ObserveIterations("w1", 3, 7)
-	h.ObserveRuntime("w1", "0,1,2,", "naiad", 42.5)
+	h.ObserveDamped("k3", Observation{OutRatio: 0.25}, 0.25, 1)
+	h.ObserveIterations("k3", 7)
 	path := filepath.Join(t.TempDir(), "history.json")
 	if err := h.Save(path); err != nil {
 		t.Fatal(err)
@@ -995,16 +956,36 @@ func TestHistorySaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, ok := h2.Lookup("w1", 3)
+	obs, ok := h2.Lookup("k3")
 	if !ok || math.Abs(obs.OutRatio-0.25) > 1e-12 || obs.Iterations != 7 {
 		t.Errorf("round trip = %+v %v", obs, ok)
-	}
-	if s, ok := h2.LookupRuntime("w1", "0,1,2,", "naiad"); !ok || s != 42.5 {
-		t.Errorf("runtime round trip = %v %v", s, ok)
 	}
 	h3, err := LoadHistory(filepath.Join(t.TempDir(), "missing.json"))
 	if err != nil || h3 == nil {
 		t.Errorf("missing file should load empty: %v", err)
+	} else if _, ok := h3.Lookup("k3"); ok {
+		t.Error("a missing file loaded observations")
+	}
+}
+
+// TestLoadHistoryRefusesUnversionedFile: a history file written before
+// observations were keyed per operator holds no version, and its keys name
+// whole workflows. Loading it fails, naming the file, instead of silently
+// planning from nothing.
+func TestLoadHistoryRefusesUnversionedFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{"ops": {"ebd7585037712c39": {"3": {"out_ratio": 0.5}}}, "runtimes": {"ebd7585037712c39|0,1,|naiad": 4.2}}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h, err := LoadHistory(path)
+	if err == nil {
+		t.Fatalf("unversioned history loaded: %+v", h)
+	}
+	for _, want := range []string{path, "predates per-operator keys"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
 	}
 }
 
@@ -1044,12 +1025,6 @@ func TestExplainRendersReasoning(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("explain missing %q:\n%s", want, text)
 		}
-	}
-	// With a recorded runtime the explanation calls it out.
-	h.ObserveRuntime(dag.Hash(), FragmentKey(part.Jobs[0].Frag), part.Jobs[0].Engine.Name(), 55)
-	text2 := Explain(part, est, allEngines())
-	if !strings.Contains(text2, "recorded runtime") {
-		t.Errorf("explain missing runtime note:\n%s", text2)
 	}
 }
 

@@ -61,8 +61,8 @@ type Estimator struct {
 	Cluster *cluster.Cluster
 	History *History
 
-	// id identifies the estimated DAG (id.DAG); its workflow hashes key
-	// history lookups.
+	// id identifies the estimated DAG (id.DAG); its operator keys, loop
+	// bodies' included, key history lookups.
 	id     *ir.Identity
 	sizes  map[*ir.Op]int64
 	iters  map[*ir.Op]int
@@ -209,7 +209,6 @@ func collectInputPaths(d *ir.DAG, acc []string) []string {
 // propagate computes estimated sizes for every op of d. For WHILE bodies,
 // outerSizes binds body input names to outer estimates.
 func (e *Estimator) propagate(d *ir.DAG, outerSizes map[string]int64) error {
-	hash := e.id.Hash(d)
 	ops, err := d.TopoSort()
 	if err != nil {
 		return err
@@ -229,7 +228,7 @@ func (e *Estimator) propagate(d *ir.DAG, outerSizes map[string]int64) error {
 			}
 			e.sizes[op] = s
 		case ir.OpWhile:
-			if err := e.propagateWhile(d, op); err != nil {
+			if err := e.propagateWhile(op); err != nil {
 				return err
 			}
 		default:
@@ -238,11 +237,11 @@ func (e *Estimator) propagate(d *ir.DAG, outerSizes map[string]int64) error {
 				in += e.sizes[p]
 			}
 			// Refinement ladder (§5.2 made continuous): a per-operator
-			// observation from this workflow's own history beats the learned
+			// observation of what this operator computes beats the learned
 			// per-class selectivity, which beats the conservative first-run
 			// bound. Within an observation, a damped measured volume beats
 			// the ratio (ratios compound wrongly through iterative bodies).
-			if obs, ok := e.History.Lookup(hash, op.ID); ok {
+			if obs, ok := e.History.Lookup(e.id.Key(op)); ok {
 				e.opObs[op] = obs
 				if obs.OutBytes > 0 {
 					e.sizes[op] = obs.OutBytes
@@ -259,7 +258,7 @@ func (e *Estimator) propagate(d *ir.DAG, outerSizes map[string]int64) error {
 	return nil
 }
 
-func (e *Estimator) propagateWhile(d *ir.DAG, w *ir.Op) error {
+func (e *Estimator) propagateWhile(w *ir.Op) error {
 	body := w.Params.Body
 	outer := map[string]int64{}
 	for _, in := range w.Inputs {
@@ -272,7 +271,7 @@ func (e *Estimator) propagateWhile(d *ir.DAG, w *ir.Op) error {
 	if iters <= 0 || iters > ir.MaxCondIters {
 		iters = DefaultIterEstimate
 	}
-	if obs, ok := e.History.Lookup(e.id.Hash(d), w.ID); ok && obs.Iterations > 0 {
+	if obs, ok := e.History.Lookup(e.id.Key(w)); ok && obs.Iterations > 0 {
 		iters = obs.Iterations
 	}
 	e.iters[w] = iters

@@ -11,9 +11,9 @@ import (
 
 // Explain renders a partitioning with the estimator's reasoning: per job,
 // the chosen engine, the estimated phase volumes (pull/process/shuffle/
-// push), whether a recorded runtime short-circuited the estimate, and the
-// per-engine costs that were compared. It is the "why did Musketeer pick
-// this?" view exposed by `cmd/musketeer -explain`.
+// push), iteration counts, and the per-engine costs that were compared. It
+// is the "why did Musketeer pick this?" view exposed by
+// `cmd/musketeer -explain`.
 func Explain(part *Partitioning, est *Estimator, candidates []*engines.Engine) string {
 	var b strings.Builder
 	algo := "dynamic heuristic"
@@ -21,12 +21,12 @@ func Explain(part *Partitioning, est *Estimator, candidates []*engines.Engine) s
 		algo = "exhaustive search"
 	}
 	fmt.Fprintf(&b, "partitioning: %d job(s), estimated total %v (%s)\n", len(part.Jobs), part.Cost, algo)
-	// With accumulated evidence (calibration updates or workflow history),
-	// also render what a first-run planner would have chosen, so the
-	// learning delta — pre- vs post-learning engine and estimate — is
-	// visible per job.
+	// With accumulated evidence (calibration updates, or history the
+	// estimator found for an operator), also render what a first-run planner
+	// would have chosen, so the learning delta — pre- vs post-learning
+	// engine and estimate — is visible per job.
 	var seed *Estimator
-	if est.cal.Version() > 0 || est.History.Coverage(est.id.Hash(est.id.DAG)) > 0 {
+	if est.cal.Version() > 0 || len(est.opObs) > 0 {
 		seed, _ = est.SeedView()
 	}
 	for i, job := range part.Jobs {
@@ -38,11 +38,6 @@ func Explain(part *Partitioning, est *Estimator, candidates []*engines.Engine) s
 				b.WriteString(", graph idiom detected (vertex-centric back-ends eligible)")
 			}
 			b.WriteByte('\n')
-		}
-		if job.Frag.DAG() != nil {
-			if s, ok := est.History.LookupRuntime(est.id.Hash(job.Frag.DAG()), FragmentKey(job.Frag), job.Engine.Name()); ok {
-				fmt.Fprintf(&b, "  recorded runtime: %.1fs (from a previous run of this job)\n", s)
-			}
 		}
 		fmt.Fprintf(&b, "  engine costs:")
 		for _, eng := range candidates {

@@ -38,36 +38,33 @@ type Observation struct {
 	ProcBytes int64 `json:"proc_bytes,omitempty"`
 }
 
-// History is the workflow-history store (paper §5.2): per-workflow,
-// per-operator observations collected from prior runs — output-size ratios,
-// WHILE iteration counts, and per-job runtimes ("Musketeer collects
-// information about each job it runs (e.g., runtime and input/output
-// sizes)"). Keys are the DAG's structural hash, so re-running the same
-// workflow (even at a different input size) reuses its history. Safe for
-// concurrent use.
+// History is the workflow-history store (paper §5.2): per-operator
+// observations collected from prior runs — output-size ratios, measured
+// volumes and WHILE iteration counts ("Musketeer collects information about
+// each job it runs (e.g., runtime and input/output sizes)"). It is one map
+// from an operator's ir.Identity key to its Observation: the key names what
+// the operator computes, so a resubmission reuses what an earlier run
+// learned whatever its top-level relations are called, whichever workflow
+// or loop body computed it, and at whatever input size. Measured job
+// runtimes are not kept: the run digest reports them, and no estimate may
+// use them — replacing estimates with measurements for previously-run
+// fragments (but not their unexplored alternatives) locks the mapper into
+// its first choice, measurably degrading the Fig 14 partial-history
+// results. Safe for concurrent use.
 type History struct {
 	mu sync.RWMutex
-	m  map[string]map[int]Observation
-	// runtimes records measured job makespans keyed by workflow hash,
-	// fragment identity and engine. Recorded runtimes are surfaced by
-	// Explain and available to operators; they deliberately do NOT
-	// short-circuit cost estimates — replacing estimates with measurements
-	// for previously-run fragments (but not their unexplored alternatives)
-	// locks the mapper into its first choice, measurably degrading the
-	// Fig 14 partial-history results. Bound refinement via size ratios is
-	// the mechanism that transfers fairly across candidate mappings.
-	runtimes map[string]float64
+	m  map[string]Observation
 	// cal is the feedback-calibration state that travels with the history:
 	// learned per-engine phase rates and per-operator-class selectivities,
-	// persisted alongside the per-workflow observations. Lazily created so
-	// zero-value and legacy-loaded stores behave identically.
+	// persisted alongside the per-operator observations. Lazily created so
+	// zero-value and loaded stores behave identically.
 	calMu sync.Mutex
 	cal   *Calibration
 }
 
 // NewHistory returns an empty store.
 func NewHistory() *History {
-	return &History{m: map[string]map[int]Observation{}, runtimes: map[string]float64{}}
+	return &History{m: map[string]Observation{}}
 }
 
 // Calibration returns the store's feedback-calibration state, creating an
@@ -81,32 +78,6 @@ func (h *History) Calibration() *Calibration {
 	return h.cal
 }
 
-// runtimeKey identifies a (workflow, fragment, engine) execution. The
-// fragment identity is the sorted operator-ID list, so the same job split
-// matches across rebuilds of the workflow.
-func runtimeKey(dagHash, fragKey, engine string) string {
-	return dagHash + "|" + fragKey + "|" + engine
-}
-
-// ObserveRuntime records a job's measured makespan.
-func (h *History) ObserveRuntime(dagHash, fragKey, engine string, seconds float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.runtimes == nil {
-		h.runtimes = map[string]float64{}
-	}
-	h.runtimes[runtimeKey(dagHash, fragKey, engine)] = seconds
-}
-
-// LookupRuntime returns the recorded makespan of a (workflow, fragment,
-// engine) combination.
-func (h *History) LookupRuntime(dagHash, fragKey, engine string) (float64, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	s, ok := h.runtimes[runtimeKey(dagHash, fragKey, engine)]
-	return s, ok
-}
-
 // ObserveDamped folds an execution's observation into the store with the
 // calibration loop's damped update: the stored ratio moves fraction alpha
 // of the way from its current value (or, on first evidence, from the
@@ -115,15 +86,10 @@ func (h *History) LookupRuntime(dagHash, fragKey, engine string) (float64, bool)
 // instead of jumping to the first measurement — which may itself be noisy
 // (external-input volumes are observed coarsely). Iteration counts are
 // stored exactly; they are discrete and stable.
-func (h *History) ObserveDamped(dagHash string, opID int, obs Observation, prior, alpha float64) {
+func (h *History) ObserveDamped(key string, obs Observation, prior, alpha float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	byOp, ok := h.m[dagHash]
-	if !ok {
-		byOp = map[int]Observation{}
-		h.m[dagHash] = byOp
-	}
-	old, seen := byOp[opID]
+	old, seen := h.m[key]
 	base := prior
 	if seen {
 		base = old.OutRatio
@@ -151,62 +117,55 @@ func (h *History) ObserveDamped(dagHash string, opID int, obs Observation, prior
 	if obs.Iterations == 0 {
 		obs.Iterations = old.Iterations
 	}
-	byOp[opID] = obs
+	h.m[key] = obs
 }
 
 // ObserveIterations merges a WHILE operator's measured loop count into its
 // observation without disturbing damped ratio/volume evidence recorded by
 // the same run.
-func (h *History) ObserveIterations(dagHash string, opID int, iters int) {
+func (h *History) ObserveIterations(key string, iters int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	byOp, ok := h.m[dagHash]
-	if !ok {
-		byOp = map[int]Observation{}
-		h.m[dagHash] = byOp
-	}
-	old := byOp[opID]
+	old := h.m[key]
 	if old.OutRatio == 0 {
 		old.OutRatio = 1
 	}
 	old.Iterations = iters
-	byOp[opID] = old
+	h.m[key] = old
 }
 
-// Lookup returns the stored observation for an operator.
-func (h *History) Lookup(dagHash string, opID int) (Observation, bool) {
+// Lookup returns the stored observation for an operator's key.
+func (h *History) Lookup(key string) (Observation, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	obs, ok := h.m[dagHash][opID]
+	obs, ok := h.m[key]
 	return obs, ok
 }
 
-// Coverage returns how many operators of the workflow have observations.
-func (h *History) Coverage(dagHash string) int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.m[dagHash])
-}
+// historyVersion is the layout Save writes and LoadHistory accepts. Files
+// written before observations were keyed per operator carry no version;
+// their keys name whole workflows, so nothing in them can be migrated.
+const historyVersion = 2
 
 // persistedHistory is the JSON layout of a saved store. Every field the
-// store holds — observations, runtimes, calibration — round-trips; Save
-// and LoadHistory are symmetric by construction and pinned by test.
+// store holds — observations and calibration — round-trips; Save and
+// LoadHistory are symmetric by construction and pinned by test.
 type persistedHistory struct {
-	Ops      map[string]map[int]Observation `json:"ops"`
-	Runtimes map[string]float64             `json:"runtimes,omitempty"`
+	Version int                    `json:"version"`
+	Ops     map[string]Observation `json:"ops"`
 	// Calibration carries the learned rates/selectivities alongside the
-	// per-workflow history, so one file restores the whole learned model.
+	// per-operator history, so one file restores the whole learned model.
 	Calibration *CalibrationSnapshot `json:"calibration,omitempty"`
 }
 
 // Save writes the store as JSON to path.
 func (h *History) Save(path string) error {
-	p := persistedHistory{}
+	p := persistedHistory{Version: historyVersion}
 	if snap := h.Calibration().Snapshot(); snap.Version > 0 {
 		p.Calibration = &snap
 	}
 	h.mu.RLock()
-	p.Ops, p.Runtimes = h.m, h.runtimes
+	p.Ops = h.m
 	data, err := json.MarshalIndent(p, "", "  ")
 	h.mu.RUnlock()
 	if err != nil {
@@ -216,7 +175,8 @@ func (h *History) Save(path string) error {
 }
 
 // LoadHistory reads a store saved by Save; a missing file yields an empty
-// store so first runs need no setup.
+// store so first runs need no setup. A file of another layout version is
+// refused, not migrated.
 func LoadHistory(path string) (*History, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -229,12 +189,16 @@ func LoadHistory(path string) (*History, error) {
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("history: %s: %w", path, err)
 	}
+	switch p.Version {
+	case historyVersion:
+	case 0:
+		return nil, fmt.Errorf("history: %s has no version: it predates per-operator keys and cannot be read; delete it to start afresh", path)
+	default:
+		return nil, fmt.Errorf("history: %s is version %d, want %d", path, p.Version, historyVersion)
+	}
 	h := NewHistory()
 	if p.Ops != nil {
 		h.m = p.Ops
-	}
-	if p.Runtimes != nil {
-		h.runtimes = p.Runtimes
 	}
 	if p.Calibration != nil {
 		h.Calibration().restore(*p.Calibration)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -424,23 +423,6 @@ type exhaustiveSearch struct {
 	// deadline is zero without a budget; expired latches once it has passed.
 	deadline time.Time
 	expired  bool
-}
-
-// FragmentKey identifies a fragment by its sorted operator IDs; stable
-// across rebuilds of the same workflow (IDs are construction-order
-// deterministic). It keys the runtime history.
-func FragmentKey(f *ir.Fragment) string {
-	ids := make([]int, len(f.Ops))
-	for i, op := range f.Ops {
-		ids[i] = op.ID
-	}
-	sort.Ints(ids)
-	b := make([]byte, 0, 4*len(ids))
-	for _, id := range ids {
-		b = strconv.AppendInt(b, int64(id), 10)
-		b = append(b, ',')
-	}
-	return string(b)
 }
 
 // search places operator i of the placement order into every legal

@@ -3,6 +3,8 @@ package core
 import (
 	"container/list"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"musketeer/internal/cluster"
@@ -25,9 +27,12 @@ import (
 // canonical orders, so replaying a recipe reconstructs semantically
 // identical fragments (ir.NewFragment recomputes ExtIn/ExtOut from the new
 // DAG's real edges). A driver-looped WHILE's body jobs are recipes too, by
-// position in the body's topological order: equal canonical hashes imply
-// equal body workflow hashes, so those positions correspond as well, and a
-// hit replays the whole executable plan without building an estimator.
+// position among the body's operators sorted by key. A WHILE's encoding
+// holds a digest of its body's keys, so equal canonical hashes imply equal
+// body key sets; body keys hold relation names, so no two operators of one
+// body share a key and the sorted orders correspond operator for operator.
+// A hit therefore replays the whole executable plan without building an
+// estimator.
 // Replay is checked — operator types must match the recipe and fragment
 // construction must succeed — and any mismatch demotes the lookup to a miss,
 // so a hash collision degrades to a cold compile, not a wrong plan.
@@ -75,7 +80,7 @@ type planRecipe struct {
 type jobRecipe struct {
 	engine string
 	// opIdx are positions in the DAG's operator order: ir.Identity.Order for
-	// the workflow, TopoSort for a WHILE body.
+	// the workflow, bodyOrder for a WHILE body.
 	opIdx []int
 	types []ir.OpType // replay sanity check, parallel to opIdx
 	cost  cluster.Seconds
@@ -139,7 +144,7 @@ func (c *PlanCache) Store(k PlanID, dag *ir.DAG, calVersion uint64, p *Partition
 	if c == nil || p == nil {
 		return
 	}
-	plan, ok := recipeOf(p, k.id.Order)
+	plan, ok := recipeOf(p, k.id, k.id.Order)
 	if !ok {
 		return // fragment op outside the DAG; don't cache
 	}
@@ -208,7 +213,7 @@ func (c *PlanCache) Lookup(k PlanID, dag *ir.DAG, calVersion uint64, engine map[
 	c.ll.MoveToFront(el)
 	c.mu.Unlock()
 
-	p, err := e.plan.replay(dag, k.id.Order, engine)
+	p, err := e.plan.replay(k.id, dag, k.id.Order, engine)
 	if err != nil {
 		return c.miss()
 	}
@@ -227,7 +232,8 @@ func (c *PlanCache) miss() (*Partitioning, bool) {
 
 // recipeOf expresses p, a partitioning of the DAG whose operators order
 // lists, positionally; ok is false when p holds an operator order does not.
-func recipeOf(p *Partitioning, order []*ir.Op) (planRecipe, bool) {
+// id identifies the workflow the DAG is, or is a loop body of.
+func recipeOf(p *Partitioning, id *ir.Identity, order []*ir.Op) (planRecipe, bool) {
 	pos := make(map[*ir.Op]int, len(order))
 	for i, op := range order {
 		pos[op] = i
@@ -254,7 +260,7 @@ func recipeOf(p *Partitioning, order []*ir.Op) (planRecipe, bool) {
 			r.types = append(r.types, op.Type)
 		}
 		if w := j.DriverLoop(); w != nil && j.Body != nil {
-			body, ok := recipeOf(j.Body, bodyOrder(w))
+			body, ok := recipeOf(j.Body, id, bodyOrder(id, w))
 			if !ok {
 				return planRecipe{}, false
 			}
@@ -265,16 +271,18 @@ func recipeOf(p *Partitioning, order []*ir.Op) (planRecipe, bool) {
 	return plan, true
 }
 
-// bodyOrder is the operator order a body's recipes are positions in. A
-// cyclic body has none: nothing is stored for it and nothing replays onto it.
-func bodyOrder(w *ir.Op) []*ir.Op {
-	order, _ := w.Params.Body.TopoSort()
-	return order
+// bodyOrder is the operator order a body's recipes are positions in: the
+// body's operators sorted by key.
+func bodyOrder(id *ir.Identity, w *ir.Op) []*ir.Op {
+	return slices.SortedFunc(slices.Values(w.Params.Body.Ops), func(a, b *ir.Op) int {
+		return strings.Compare(id.Key(a), id.Key(b))
+	})
 }
 
 // replay reconstructs the Partitioning from the recipe against a fresh DAG
-// and its operator order.
-func (pr *planRecipe) replay(dag *ir.DAG, order []*ir.Op, engine map[string]*engines.Engine) (*Partitioning, error) {
+// and its operator order; id identifies the workflow the DAG is, or is a
+// loop body of.
+func (pr *planRecipe) replay(id *ir.Identity, dag *ir.DAG, order []*ir.Op, engine map[string]*engines.Engine) (*Partitioning, error) {
 	if len(order) != pr.nops {
 		return nil, fmt.Errorf("core: plan cache: DAG size %d != recipe %d", len(order), pr.nops)
 	}
@@ -303,7 +311,7 @@ func (pr *planRecipe) replay(dag *ir.DAG, order []*ir.Op, engine map[string]*eng
 		if w := job.DriverLoop(); (w != nil) != (r.body != nil) {
 			return nil, fmt.Errorf("core: plan cache: job %s and its recipe disagree on a driver loop", frag)
 		} else if w != nil {
-			if job.Body, err = r.body.replay(w.Params.Body, bodyOrder(w), engine); err != nil {
+			if job.Body, err = r.body.replay(id, w.Params.Body, bodyOrder(id, w), engine); err != nil {
 				return nil, err
 			}
 			if err := forceLoopOutputs(w, job.Body); err != nil {

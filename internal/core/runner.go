@@ -123,7 +123,6 @@ func (r *Runner) ExecuteCtx(ctx context.Context, id *ir.Identity, part *Partitio
 	if analyzeErr != nil {
 		return nil, analyzeErr
 	}
-	dagHash := id.Hash(id.DAG)
 	deps := jobDeps(part)
 
 	ssp := r.Rec.StartSpan(r.Span, "schedule", "pipeline")
@@ -167,10 +166,6 @@ func (r *Runner) ExecuteCtx(ctx context.Context, id *ir.Identity, part *Partitio
 	res := &WorkflowResult{Makespan: rep.Makespan}
 	for i := range part.Jobs {
 		out := rep.Outcomes[i]
-		if r.History != nil {
-			r.History.ObserveRuntime(dagHash, FragmentKey(part.Jobs[i].Frag),
-				part.Jobs[i].Engine.Name(), float64(out.Duration))
-		}
 		// Place the job's final attempt on the simulated timeline now that
 		// the scheduler has accounted the whole submission, and attach its
 		// measured scheduling latencies.
@@ -274,7 +269,6 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 	}
 	ctx := rctx.Ctx // the job attempt's context
 	body := w.Params.Body
-	bodyID := id.Body(body)
 	// Stage loop state in the loop namespace: each body input's source
 	// relation is copied to the path the body resolves it from, so carried
 	// updates never clobber source data and concurrent executions of the
@@ -351,7 +345,7 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 				Run: func(jctx context.Context, attempt int) (sched.Result, error) {
 					bsp := r.Rec.StartSpan(isp, bodySpanNames[ji], "job")
 					defer bsp.End()
-					runs, dur, err := r.runJob(jctx, lctxs[ji], bsp, bodyID, job, attempt)
+					runs, dur, err := r.runJob(jctx, lctxs[ji], bsp, id, job, attempt)
 					return sched.Result{Value: runs, Duration: dur}, err
 				},
 			}
@@ -364,7 +358,7 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 		// learns from a round does not depend on how its jobs interleaved.
 		for ji := range part.Jobs {
 			runs := rep.Outcomes[ji].Value.([]*engines.RunResult)
-			r.observe(bodyID, &part.Jobs[ji], runs)
+			r.observe(id, &part.Jobs[ji], runs)
 			for _, jr := range runs {
 				all = append(all, jr)
 				total += jr.Makespan
@@ -401,7 +395,7 @@ func (r *Runner) runWhileDriver(rctx engines.RunContext, id *ir.Identity, w *ir.
 		return nil, 0, fmt.Errorf("core: %w", err)
 	}
 	if r.History != nil {
-		r.History.ObserveIterations(id.Hash(id.DAG), w.ID, iters)
+		r.History.ObserveIterations(id.Key(w), iters)
 	}
 	// Publish the WHILE's result under its output name in the execution's
 	// view. The last rebind copied a carried result to its input, so the
@@ -423,7 +417,6 @@ func (r *Runner) observe(id *ir.Identity, job *Assignment, runs []*engines.RunRe
 		return // a driver loop's rounds were observed as they ran
 	}
 	frag, jr := job.Frag, runs[0]
-	dagHash := id.Hash(id.DAG)
 	cal := r.History.Calibration()
 	for _, out := range frag.ExtOut {
 		if jr.Trace.InBytes[out.ID] > 0 {
@@ -446,29 +439,28 @@ func (r *Runner) observe(id *ir.Identity, job *Assignment, runs []*engines.RunRe
 			continue
 		}
 		outBytes := jr.Trace.OutBytes[out.ID]
-		r.History.ObserveDamped(dagHash, out.ID,
+		r.History.ObserveDamped(id.Key(out),
 			Observation{OutRatio: float64(outBytes) / float64(in), InBytes: in, OutBytes: outBytes},
 			cal.SelectivityPrior(out.Type), SelectivityDamping)
 	}
 	// Per-op ratios come from the exact per-operator trace volumes (the
 	// engine measured both sides). Each feeds two stores: the per-op
-	// history under its own (sub-)DAG hash — the hash propagate keys body
-	// ops by — so repeat runs of this DAG estimate from exact evidence,
-	// and the per-class calibration, which transfers the (coarser,
-	// cross-workload) signal to DAGs never seen before. The prior is
-	// captured before the class update so the damping base is what the
-	// planner actually used this run.
-	var classObs func(hash string, ops []*ir.Op, iters int64)
-	classObs = func(hash string, ops []*ir.Op, iters int64) {
+	// history under the operator's key, so a rerun of what it computes
+	// estimates from exact evidence, and the per-class calibration, which
+	// transfers the (coarser, cross-workload) signal to operators never
+	// seen before. The prior is captured before the class update so the
+	// damping base is what the planner actually used this run.
+	var classObs func(ops []*ir.Op, iters int64)
+	classObs = func(ops []*ir.Op, iters int64) {
 		for _, op := range ops {
 			if op.Type == ir.OpWhile {
 				n := int64(1)
 				if it, ok := jr.Trace.Iterations[op.ID]; ok && it > 0 {
-					r.History.ObserveIterations(hash, op.ID, it)
+					r.History.ObserveIterations(id.Key(op), it)
 					n = int64(it)
 				}
 				if op.Params.Body != nil {
-					classObs(id.Hash(op.Params.Body), op.Params.Body.Ops, iters*n)
+					classObs(op.Params.Body.Ops, iters*n)
 				}
 				continue
 			}
@@ -482,7 +474,7 @@ func (r *Runner) observe(id *ir.Identity, job *Assignment, runs []*engines.RunRe
 				// Trace volumes accumulate across WHILE iterations; the
 				// history stores per-iteration averages, the granularity
 				// the estimator charges at.
-				r.History.ObserveDamped(hash, op.ID, Observation{
+				r.History.ObserveDamped(id.Key(op), Observation{
 					OutRatio:  ratio,
 					InBytes:   in / iters,
 					OutBytes:  jr.Trace.OutBytes[op.ID] / iters,
@@ -491,5 +483,5 @@ func (r *Runner) observe(id *ir.Identity, job *Assignment, runs []*engines.RunRe
 			}
 		}
 	}
-	classObs(dagHash, frag.Ops, 1)
+	classObs(frag.Ops, 1)
 }

@@ -11,86 +11,103 @@ import (
 )
 
 // Identity is the identity of one DAG, computed once per submission by
-// Identify and handed to everything that keys on it. Both digests derive
-// from one encoding of each operator's semantic parameters (appendParams,
-// the only place Params is enumerated for identity):
+// Identify and handed to everything that keys on it. Both of its digests
+// derive from one encoding of each operator's semantic parameters
+// (appendParams, the only place Params is enumerated for identity):
 //
-//   - the workflow hash (Hash) is name- and order-sensitive — each
-//     operator's encoding, output name and input names, in topological
-//     order. History, the estimator and WHILE bodies key on it.
-//   - Canonical is invariant under what varies freely between submissions
-//     of one workflow — intermediate relation names and the order operators
-//     were appended in — and keys the plan cache, which replays through Order.
+//   - every operator's key (Key), in the DAG and in each WHILE body, is a
+//     Merkle digest of its encoding and its inputs' keys: it names what the
+//     operator computes, whatever the intermediate relations are called and
+//     in whatever order the operators were appended. History keys on it.
+//   - Canonical refines the DAG's keys by their consumers' until every
+//     operator is told apart, and keys the plan cache, which replays through
+//     Order.
 //
-// A WHILE body folds into its operator's encoding by the body's workflow
-// hash, names included: Carried, CondRel and the outer-name input bridges
-// refer to body relation names, so a rename inside a loop body is a
-// different workflow under both digests.
+// A body operator's encoding also holds its output name, and a body INPUT's
+// the key of the WHILE input it binds to: Carried, CondRel and binding refer
+// to body relation names, so a rename inside a loop body changes keys and
+// canonical hash. A WHILE's encoding folds in a digest of its body's keys.
 type Identity struct {
 	DAG *DAG
-	// Canonical and Order are set by Identify, not on a Body view. Order
-	// holds every operator of DAG, sorted by canonical signature; for two
-	// DAGs with equal Canonical the i-th operators correspond.
+	// Canonical and Order describe DAG itself. Order holds every operator of
+	// DAG, sorted by canonical signature; for two DAGs with equal Canonical
+	// the i-th operators correspond.
 	Canonical string
 	Order     []*Op
 
-	hashes map[*DAG]string
+	keys map[*Op]string
 }
 
-// Identify computes d's identity: one encoding pass over d and every nested
+// Identify computes d's identity: one digest pass over d and every nested
 // WHILE body, and one refinement of d.
 func Identify(d *DAG) *Identity {
-	id := &Identity{DAG: d, hashes: map[*DAG]string{}}
-	topo, enc := id.encode(d)
-	id.Canonical, id.Order = canonicalize(topo, enc)
+	n := d.NumOps()
+	id := &Identity{DAG: d, keys: make(map[*Op]string, n)}
+	sigs := make(map[*Op]sig, n)
+	topo := id.digest(d, nil, sigs)
+	id.Canonical, id.Order = canonicalize(topo, sigs)
 	return id
 }
 
-// Hash returns the workflow hash (16 hex characters) of the identified DAG
-// or of one of its WHILE bodies, nested ones included.
-func (id *Identity) Hash(d *DAG) string { return id.hashes[d] }
+// Key returns the key (16 hex characters) of an operator of the identified
+// DAG or of one of its WHILE bodies, nested ones included.
+func (id *Identity) Key(op *Op) string { return id.keys[op] }
 
-// Body returns the identity of one of those WHILE bodies, for code that
-// treats the body as a workflow of its own (the WHILE driver).
-func (id *Identity) Body(d *DAG) *Identity { return &Identity{DAG: d, hashes: id.hashes} }
-
-// Hash returns the DAG's workflow hash.
-func (d *DAG) Hash() string { return Identify(d).Hash(d) }
+// Hash returns the DAG's canonical hash. It is the same digest as
+// CanonicalHash, kept under its own name for the benchmark harness, which
+// times it as a layer.
+func (d *DAG) Hash() string { return CanonicalHash(d) }
 
 // CanonicalHash returns the DAG's canonical hash (16 hex characters).
 func CanonicalHash(d *DAG) string { return Identify(d).Canonical }
 
-// encode records the workflow hash of d (and, first, of every WHILE body
-// below it) and returns d's operators in topological order with each one's
-// type-and-parameter encoding.
-func (id *Identity) encode(d *DAG) (topo []*Op, enc [][]byte) {
+// digest records the signature and key of every operator of d — the body of
+// the WHILE w, when w is non-nil — and, first, of every WHILE body below it,
+// and returns d's operators in topological order.
+func (id *Identity) digest(d *DAG, w *Op, sigs map[*Op]sig) []*Op {
 	topo, err := d.TopoSort()
 	if err != nil {
 		topo = d.Ops
 	}
-	enc = make([][]byte, len(topo))
-	h := sha256.New()
-	var names []byte
-	for i, op := range topo {
+	var buf []byte
+	for _, op := range topo {
 		body := ""
-		if op.Params.Body != nil {
-			id.encode(op.Params.Body)
-			body = id.hashes[op.Params.Body]
+		if b := op.Params.Body; b != nil {
+			id.digest(b, op, sigs)
+			bs := make([]sig, len(b.Ops))
+			for i, bop := range b.Ops {
+				bs[i] = sigs[bop]
+			}
+			slices.SortFunc(bs, compareSigs)
+			h := sha256.New()
+			for _, s := range bs {
+				h.Write(s[:])
+			}
+			body = string(h.Sum(nil))
 		}
-		enc[i] = appendParams(appendInt(nil, int64(op.Type)), &op.Params, body)
-		names = appendInt(appendStr(names[:0], op.Out), int64(len(op.Inputs)))
+		buf = appendParams(appendInt(buf[:0], int64(op.Type)), &op.Params, body)
+		if w != nil {
+			buf = appendStr(buf, op.Out)
+			if op.Type == OpInput {
+				if src, ok := sigs[w.BoundInput(op)]; ok {
+					buf = append(buf, src[:]...)
+				}
+			}
+		}
 		for _, in := range op.Inputs {
-			names = appendStr(names, in.Out)
+			if s, ok := sigs[in]; ok {
+				buf = append(buf, s[:]...)
+			}
 		}
-		h.Write(enc[i])
-		h.Write(names)
+		s := sig(sha256.Sum256(buf))
+		sigs[op] = s
+		id.keys[op] = hex.EncodeToString(s[:8])
 	}
-	id.hashes[d] = hex.EncodeToString(h.Sum(nil)[:8])
-	return topo, enc
+	return topo
 }
 
 // appendParams appends an unambiguous encoding of every semantic field of
-// p; body is the workflow hash of p.Body ("" without one). A field added to
+// p; body is the digest of p.Body's keys ("" without one). A field added to
 // Params must be added here — TestIdentityMetamorphic fails until it is.
 func appendParams(b []byte, p *Params, body string) []byte {
 	b = appendStr(b, p.Path)
@@ -153,16 +170,16 @@ type sig [sha256.Size]byte
 func compareSigs(a, b sig) int { return bytes.Compare(a[:], b[:]) }
 
 // canonicalize computes the canonical hash and order of operators given in
-// topological order with their encodings, by Weisfeiler–Leman-style colour
-// refinement. Round 0 digests each operator's encoding with, positionally,
-// its inputs' signatures — its whole upstream cone. Each later round digests
-// a signature with the inputs' and the sorted multiset of the consumers',
-// until the partition into equal-signature classes stops changing; twins
-// that remain have indistinguishable contexts. They are interchangeable one
-// at a time but not independently (two identical branches must pair up
-// branch by branch), so the first operator of the lowest twin class gets a
-// signature of its own and refinement repeats until every class is single.
-func canonicalize(topo []*Op, enc [][]byte) (string, []*Op) {
+// topological order, by Weisfeiler–Leman-style colour refinement. Round 0 is
+// each operator's signature from digest — its encoding with its inputs'
+// signatures, its whole upstream cone. Each later round digests a signature
+// with the inputs' and the sorted multiset of the consumers', until the
+// partition into equal-signature classes stops changing; twins that remain
+// have indistinguishable contexts. They are interchangeable one at a time
+// but not independently (two identical branches must pair up branch by
+// branch), so the first operator of the lowest twin class gets a signature
+// of its own and refinement repeats until every class is single.
+func canonicalize(topo []*Op, round0 map[*Op]sig) (string, []*Op) {
 	n := len(topo)
 	pos := make(map[*Op]int, n)
 	for i, op := range topo {
@@ -170,18 +187,16 @@ func canonicalize(topo []*Op, enc [][]byte) (string, []*Op) {
 	}
 	sigs, next := make([]sig, n), make([]sig, n)
 	ins, cons := make([][]int, n), make([][]int, n)
-	var buf []byte
 	for i, op := range topo {
-		buf = append(buf[:0], enc[i]...)
+		sigs[i] = round0[op]
 		for _, in := range op.Inputs {
 			if p, ok := pos[in]; ok {
-				buf = append(buf, sigs[p][:]...)
 				ins[i] = append(ins[i], p)
 				cons[p] = append(cons[p], i)
 			}
 		}
-		sigs[i] = sha256.Sum256(buf)
 	}
+	var buf []byte
 	var cs []sig
 	for classes := 0; ; {
 		// Each round's signature includes the previous round's, so the

@@ -51,9 +51,6 @@ func TestCanonicalHashRenameInvariant(t *testing.T) {
 		t.Errorf("renaming every relation changed the canonical hash: %s vs %s",
 			CanonicalHash(a), CanonicalHash(b))
 	}
-	if a.Hash() == b.Hash() {
-		t.Error("sanity: the name-sensitive DAG.Hash should differ under renaming")
-	}
 }
 
 func TestCanonicalHashOrderInvariant(t *testing.T) {
@@ -235,7 +232,7 @@ var identityMutations = map[string]struct {
 	"Pred.RHS":         {OpSelect, selectParams, func(p *Params) { p.Pred.RHS = LitOp(relation.Int(8)) }},
 	"Pred.Cmp":         {OpSelect, selectParams, func(p *Params) { p.Pred.Cmp = CmpLe }},
 	// Renaming a body intermediate touches nothing but Body: loop-body
-	// names are semantics, so both identities must move.
+	// names are semantics, so the WHILE's key and the canonical hash move.
 	"Params.Body":    {OpWhile, whileParams, func(p *Params) { p.Body.ByOut("mid").Out = "mid2" }},
 	"Params.MaxIter": {OpWhile, whileParams, func(p *Params) { p.MaxIter = 4 }},
 	"Params.CondRel": {OpWhile, whileParams, func(p *Params) { p.CondRel = "mid" }},
@@ -299,16 +296,18 @@ func TestIdentityMetamorphic(t *testing.T) {
 		base, mutant := m.base(), m.base()
 		m.mutate(&mutant)
 		a, b := mutationDAG(m.typ, base), mutationDAG(m.typ, mutant)
-		if a.Hash() == b.Hash() {
-			t.Errorf("%s: mutation left the workflow hash unchanged", name)
+		ia, ib := Identify(a), Identify(b)
+		if ia.Key(a.ByOut("op")) == ib.Key(b.ByOut("op")) {
+			t.Errorf("%s: mutation left the mutated operator's key unchanged", name)
 		}
-		if CanonicalHash(a) == CanonicalHash(b) {
+		if ia.Canonical == ib.Canonical {
 			t.Errorf("%s: mutation left the canonical hash unchanged", name)
 		}
 	}
 
 	// Renaming every top-level relation and permuting d.Ops in place moves
-	// the workflow hash but not the canonical one.
+	// neither the canonical hash nor any operator's key, loop-body
+	// operators' included.
 	build := func() *DAG {
 		d := canonWorkflow(nil, false, 100)
 		d.Add(OpWhile, "looped", whileParams(), d.ByOut("street_price"))
@@ -319,10 +318,24 @@ func TestIdentityMetamorphic(t *testing.T) {
 		op.Out = fmt.Sprintf("t%d", i)
 	}
 	slices.Reverse(b.Ops)
-	if CanonicalHash(a) != CanonicalHash(b) {
+	ia, ib := Identify(a), Identify(b)
+	if ia.Canonical != ib.Canonical {
 		t.Error("renaming and permuting changed the canonical hash")
 	}
-	if a.Hash() == b.Hash() {
-		t.Error("renaming and permuting left the workflow hash unchanged")
+	byID := map[int]*Op{}
+	var walk func(d *DAG, visit func(*Op))
+	walk = func(d *DAG, visit func(*Op)) {
+		for _, op := range d.Ops {
+			visit(op)
+			if op.Params.Body != nil {
+				walk(op.Params.Body, visit)
+			}
+		}
 	}
+	walk(b, func(op *Op) { byID[op.ID] = op })
+	walk(a, func(op *Op) {
+		if ka, kb := ia.Key(op), ib.Key(byID[op.ID]); ka == "" || ka != kb {
+			t.Errorf("%s: key %q after renaming and permuting, was %q", op.Out, kb, ka)
+		}
+	})
 }

@@ -837,8 +837,9 @@ func (w *Workflow) executeTraced(ctx context.Context, engs []*engines.Engine) (*
 }
 
 // Explain renders the partitioning with the cost model's reasoning: per
-// job, the estimated data volumes, iteration counts, recorded runtimes, and
-// the per-engine cost comparison that led to the choice.
+// job, the estimated data volumes, iteration counts, the per-engine cost
+// comparison that led to the choice and, once anything has been learned,
+// what a first-run planner would have chosen instead.
 func (w *Workflow) Explain(part *Partitioning) (string, error) {
 	est, err := w.Estimator()
 	if err != nil {

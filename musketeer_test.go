@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"musketeer/internal/ir"
 	"musketeer/internal/relation"
 )
 
@@ -175,9 +176,13 @@ func TestHistoryAccumulatesAcrossRuns(t *testing.T) {
 	if _, err := wf.Execute(); err != nil {
 		t.Fatal(err)
 	}
-	if m.History().Coverage(wf.DAG().Hash()) == 0 {
-		t.Error("no history after execution")
+	id := ir.Identify(wf.DAG())
+	for _, op := range wf.DAG().Ops {
+		if _, ok := m.History().Lookup(id.Key(op)); ok {
+			return
+		}
 	}
+	t.Error("no history after execution")
 }
 
 func TestBEERAndGASFrontends(t *testing.T) {
