@@ -104,11 +104,14 @@
 #                       whose own text parses back to it, never a panic,
 #                       never memory beyond the columnar decoder's bound),
 #                       FuzzTextLen (a value's width is its text's length,
-#                       with or without a width memo), FuzzKeyEquality
-#                       (two cells' key encodings are equal exactly when
-#                       their renderings are) and FuzzWriteRelation (the
-#                       DFS stores what a relation's TSV reads back as, or
-#                       refuses it where that text fails to read back),
+#                       with or without a width memo), FuzzFloatTextLen
+#                       (over raw float bits: wherever the width is counted
+#                       without rendering, it is strconv's length),
+#                       FuzzKeyEquality (two cells' key encodings are
+#                       equal exactly when their renderings are) and
+#                       FuzzWriteRelation (the DFS stores what a
+#                       relation's TSV reads back as, or refuses it where
+#                       that text fails to read back),
 #                       10 s each beyond their seeds
 #   mkperf smoke      — mkperf -quick: every workload of the repo benchmark
 #                       (batch, plan-only, open-loop serve) for 2 s each at
@@ -169,6 +172,7 @@ fuzz_gate() {
     go test -run '^$' -fuzz '^FuzzColumnarStream$' -fuzztime 10s ./internal/relation
     go test -run '^$' -fuzz '^FuzzDecodeBytes$' -fuzztime 10s ./internal/relation
     go test -run '^$' -fuzz '^FuzzTextLen$' -fuzztime 10s ./internal/relation
+    go test -run '^$' -fuzz '^FuzzFloatTextLen$' -fuzztime 10s ./internal/relation
     go test -run '^$' -fuzz '^FuzzKeyEquality$' -fuzztime 10s ./internal/relation
     go test -run '^$' -fuzz '^FuzzWriteRelation$' -fuzztime 10s ./internal/dfs
 }

@@ -5,12 +5,13 @@ import (
 )
 
 // Optimize applies Musketeer's IR-level query rewrites (paper §4.2): it
-// re-orders operators so selective ones run closer to the start of the
-// workflow and generative ones later, shrinking intermediate volumes for
-// every back-end at once. The DAG is rewritten in place; the transformation
-// preserves results (asserted by the equivalence tests).
+// moves filters below the joins and projections above them, so they run
+// closer to the start of the workflow, fuses stacked filters and drops
+// inputs nothing reads, shrinking intermediate volumes for every back-end
+// at once. No rule moves an operator later. The DAG is rewritten in place;
+// the transformation preserves results (asserted by the equivalence tests).
 //
-// Implemented rules, applied to fixpoint:
+// The four rules, applied to fixpoint:
 //
 //  1. SELECT pushdown through JOIN: a filter directly above an equi-join
 //     whose predicate only references columns from one join side moves to

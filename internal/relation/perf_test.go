@@ -43,8 +43,9 @@ var kernels = allocgate.Table{
 		return func(testing.TB) { _ = r.EncodeColumnar(CodecOptions{}) }
 	},
 	"BenchmarkEncodeDecode/decode-columnar": decode(func(r *Relation) []byte { return r.EncodeColumnar(CodecOptions{}) }),
-	"BenchmarkPhysicalBytes/unstamped":      physicalBytes(false),
-	"BenchmarkPhysicalBytes/stamped":        physicalBytes(true),
+	"BenchmarkPhysicalBytes/unstamped":      physicalBytes(codecRelation, false),
+	"BenchmarkPhysicalBytes/stamped":        physicalBytes(codecRelation, true),
+	"BenchmarkPhysicalBytes/full-precision": physicalBytes(fullPrecisionRelation, false),
 }
 
 // raceBuild is set by race_test.go when the race detector is compiled in.

@@ -161,7 +161,9 @@ func (r *Relation) Clone() *Relation {
 
 // PhysicalBytes returns the encoded size of the relation's rows: the length
 // of the TSV body EncodeBytes writes. Cells that carry a cached width cost a
-// byte add; the rest are measured through a WidthMemo. The rows are only read.
+// byte add; the rest are measured, with no WidthMemo: a relation sized here
+// is mostly an AGG output, whose one sum per group is new by construction.
+// The rows are only read.
 func (r *Relation) PhysicalBytes() int64 { return r.physicalBytes(false) }
 
 // StampPhysicalBytes is PhysicalBytes for a relation whose row storage the
@@ -172,9 +174,8 @@ func (r *Relation) StampPhysicalBytes() int64 { return r.physicalBytes(true) }
 
 func (r *Relation) physicalBytes(stamp bool) int64 {
 	var n int64
-	var memo WidthMemo
 	for _, row := range r.Rows {
-		n += row.encodedLen(stamp, &memo)
+		n += row.encodedLen(stamp, nil)
 	}
 	return n
 }

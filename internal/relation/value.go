@@ -12,6 +12,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -139,7 +140,8 @@ func (v Value) AppendText(dst []byte) []byte {
 // integer or a decimal of up to three places without strconv: in [1e-4, 1e6)
 // %g is positional, and a decimal of ≤ 15 digits that divides back to f
 // exactly is its one shortest rendering once trailing zeros are dropped. The
-// rest, and NaN, take strconv's word for it.
+// rest, and NaN, take strconv's word for it. It renders; a width that is
+// only counted comes from floatTextLen first (see measure).
 func appendFloat(dst []byte, f float64) []byte {
 	a := math.Abs(f)
 	m := math.Round(a * 1e3)
@@ -182,11 +184,12 @@ func (v Value) TextLen() int {
 
 // WidthMemo remembers the text widths of the floats one goroutine measured
 // last: float bits to width, direct-mapped, exact because the same bits
-// render to the same text. Whatever sizes rows on one goroutine owns one (a
-// pipeline range for its taps, a writer's part, a relation being sized):
-// derived columns repeat — a GAS scatter sends one rank/degree along every
-// out-edge of a vertex. The zero value is ready; the table is allocated on
-// the first float measured, so sizing rows that hold none costs nothing.
+// render to the same text. Whatever sizes rows on one goroutine that meet the
+// same floats again owns one (a pipeline range for its taps, a writer's
+// part): derived columns repeat — a GAS scatter sends one rank/degree along
+// every out-edge of a vertex — and a probe is cheaper than floatTextLen. The
+// zero value is ready; the table is allocated on the first float measured,
+// so sizing rows that hold none costs nothing.
 type WidthMemo struct{ t *widthTable }
 
 const widthSlots = 64 // widthSlot keeps a hash's top six bits
@@ -199,15 +202,14 @@ type widthTable struct {
 func widthSlot(bits uint64) uint64 { return bits * 0x9e3779b97f4a7c15 >> 58 }
 
 // measure renders nothing to the heap: a digit count for an int; for a float
-// the width m remembers for its bits, else a render into a stack buffer,
-// which m (if there is one) then remembers. v must be numeric.
+// the width m remembers for its bits, else floatWidth's, which m (if there is
+// one) then remembers. v must be numeric.
 func (v *Value) measure(m *WidthMemo) int {
 	if v.Kind == KindInt {
 		return intTextLen(v.I)
 	}
-	var buf [32]byte
 	if m == nil {
-		return len(appendFloat(buf[:0], v.F))
+		return floatWidth(v.F)
 	}
 	if m.t == nil {
 		m.t = new(widthTable)
@@ -215,9 +217,102 @@ func (v *Value) measure(m *WidthMemo) int {
 	bits := math.Float64bits(v.F)
 	s := widthSlot(bits)
 	if m.t.w[s] == 0 || m.t.bits[s] != bits {
-		m.t.bits[s], m.t.w[s] = bits, uint8(len(appendFloat(buf[:0], v.F)))
+		m.t.bits[s], m.t.w[s] = bits, uint8(floatWidth(v.F))
 	}
 	return int(m.t.w[s])
+}
+
+// floatWidth returns len(appendFloat(nil, f)): floatTextLen's count where it
+// has one, else the length of a render into a stack buffer.
+func floatWidth(f float64) int {
+	if n, ok := floatTextLen(f); ok {
+		return n
+	}
+	var buf [32]byte
+	return len(appendFloat(buf[:0], f))
+}
+
+// The powers floatTextLen scales bounds by and counts digits against.
+var (
+	pow5 = [...]uint64{1, 5, 25, 125, 625, 3125, 15625, 78125, 390625, 1953125, 9765625, 48828125, 244140625, 1220703125, 6103515625, 30517578125, 152587890625, 762939453125, 3814697265625, 19073486328125, 95367431640625, 476837158203125}
+	tens = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+)
+
+// floatTextLen returns len(strconv.AppendFloat(nil, f, 'g', -1, 64)) without
+// rendering, in integer arithmetic, for a normal f with 1e-4 <= |f| < 1e6 —
+// where %g is positional; ok is false elsewhere. The text is the shortest
+// decimal in f's rounding interval, which Ryū (Adams, PLDI 2018; strconv's
+// ryuFtoaShortest) brackets before printing a digit: the interval's bounds,
+// scaled by 10^s to about 17 integer digits, lose the most trailing digits
+// that still leave an integer between them. Every integer left then has the
+// same digit count and decimal point, so the width does not depend on which
+// one Ryū prints.
+func floatTextLen(f float64) (n int, ok bool) {
+	b := math.Float64bits(f)
+	x := int(b>>52&0x7ff) - 1023 // f = ±mant·2^(x-52)
+	if x < -14 || x > 19 {       // |f| < 2^-14 < 1e-4, |f| >= 2^20 > 1e6, or not normal
+		return 0, false
+	}
+	mant := b&(1<<52-1) | 1<<52
+	// The bounds of f's rounding interval in units of 2^(x-54): half an ulp
+	// either side, a quarter below a power of two (strconv's computeBounds).
+	lo, hi := 4*mant-2, 4*mant+2
+	if mant == 1<<52 {
+		lo = 4*mant - 1
+	}
+	// Neither bound is an integer once scaled: it has at most one trailing
+	// zero bit, and the scaling divides by at least 2^24 (decimalScale). So
+	// whether round-half-even would read a bound back as f never matters;
+	// the candidates are the integers strictly between them.
+	s, sh := decimalScale(x)
+	l, u := scaleBound(lo, s, sh)+1, scaleBound(hi, s, sh)
+	// Trim k digits: eight at a time, then four, two and one. Whether k
+	// digits can go only gets harder as k grows, so this finds the most.
+	k := 0
+	for (l+1e8-1)/1e8 <= u/1e8 {
+		l, u, k = (l+1e8-1)/1e8, u/1e8, k+8
+	}
+	if (l+1e4-1)/1e4 <= u/1e4 {
+		l, u, k = (l+1e4-1)/1e4, u/1e4, k+4
+	}
+	if (l+99)/100 <= u/100 {
+		l, u, k = (l+99)/100, u/100, k+2
+	}
+	if (l+9)/10 <= u/10 {
+		l, u, k = (l+9)/10, u/10, k+1
+	}
+	nd := (bits.Len64(u) * 1233) >> 12 // ⌊log10 u⌋ or one less
+	if u >= tens[nd] {
+		nd++
+	}
+	dp := nd + k - s // the text is 0.d1…d_nd × 10^dp
+	if dp < -3 || dp > 6 {
+		return 0, false // %g switches to exponent form
+	}
+	n = max(dp, 1) // integer digits
+	if nd > dp {
+		n += 1 + nd - dp // the point and the fraction
+	}
+	if b>>63 != 0 {
+		n++
+	}
+	return n, true
+}
+
+// decimalScale returns the scaling floatTextLen applies to bounds in units of
+// 2^(x-54), 10^s = 5^s·2^s with s = 16 - ⌊x·log10(2)⌋, as s and the right
+// shift 54-x-s that carries the 2^(s+x-54). For x in [-14, 19], s is in
+// [11, 21] (a 55-bit bound times 5^s < 2^49 is exact in 128 bits), the
+// shift is in [24, 47], and a bound scales to about 17 digits.
+func decimalScale(x int) (s int, sh uint) {
+	s = 16 - (x*78913)>>18 // 78913/2^18 ≈ log10(2): exact floors for |x| < 1600
+	return s, uint(54 - x - s)
+}
+
+// scaleBound returns ⌊bound·5^s / 2^sh⌋.
+func scaleBound(bound uint64, s int, sh uint) uint64 {
+	hi, lo := bits.Mul64(bound, pow5[s])
+	return hi<<(64-sh) | lo>>sh
 }
 
 // intTextLen returns the length of i's decimal rendering.

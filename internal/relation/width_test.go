@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"unsafe"
 )
@@ -100,6 +101,11 @@ func FuzzTextLen(f *testing.F) {
 		5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, // subnormal, widest renderings
 		0.15000000000000002, 0.21276595744680854, // PageRank-style 17-digit values
 		math.MaxFloat64, -math.MaxFloat64,
+		// floatTextLen's edges: the largest floats it must decline, the
+		// least it must count, and the powers of two whose interval is
+		// lopsided.
+		math.Nextafter(1e-4, 0), math.Nextafter(1e6, 0), -math.Nextafter(1e6, 0),
+		0x1p-14, math.Nextafter(0x1p-14, 0), 0x1p20, math.Nextafter(0x1p20, 0),
 	}
 	for i, x := range ints {
 		f.Add(x, floats[i%len(floats)])
@@ -111,6 +117,102 @@ func FuzzTextLen(f *testing.F) {
 		checkTextLen(t, Int(i))
 		checkTextLen(t, Float(x))
 		checkTextLen(t, Str(Float(x).String()))
+	})
+}
+
+// checkFloatTextLen fails unless floatTextLen(f) is the length of strconv's
+// shortest %g rendering of f, which it must report for every normal f with
+// 1e-4 <= |f| < 1e6 and may decline elsewhere. buf is scratch, returned.
+func checkFloatTextLen(t testing.TB, f float64, buf []byte) []byte {
+	buf = strconv.AppendFloat(buf[:0], f, 'g', -1, 64)
+	n, ok := floatTextLen(f)
+	switch a := math.Abs(f); {
+	case ok && n != len(buf):
+		t.Fatalf("floatTextLen(%s) = %d, want %d (bits %#x)", buf, n, len(buf), math.Float64bits(f))
+	case !ok && a >= 1e-4 && a < 1e6:
+		t.Fatalf("floatTextLen(%s) declines a float in [1e-4, 1e6) (bits %#x)", buf, math.Float64bits(f))
+	}
+	return buf
+}
+
+// TestFloatTextLenMatchesStrconv holds floatTextLen to strconv over random
+// bits, uniform [0,1) values, decimals across its range, every power of two
+// and ten in it with their neighbours, and the floats just outside.
+func TestFloatTextLenMatchesStrconv(t *testing.T) {
+	var buf []byte
+	checked := 0
+	check := func(f float64) {
+		buf = checkFloatTextLen(t, f, buf)
+		checked++
+	}
+	// Every exponent floatTextLen covers: s stays in the 5^s table, and the
+	// shift (by at least 24 bits) strips more than a bound's one trailing
+	// zero bit, so no bound is ever an integer once scaled and which of them
+	// round-half-even admits never matters.
+	for x := -14; x <= 19; x++ {
+		if s, sh := decimalScale(x); s < 11 || s > 21 || sh < 24 || sh > 47 {
+			t.Fatalf("decimalScale(%d) = %d, %d", x, s, sh)
+		}
+	}
+	steps := func(f float64, n int) {
+		check(f)
+		for i, up, down := 0, f, f; i < n; i++ {
+			up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, 0)
+			check(up)
+			check(down)
+		}
+	}
+	for x := -14; x <= 20; x++ { // the lopsided interval below each power of two
+		steps(math.Ldexp(1, x), 1)
+		steps(-math.Ldexp(1, x), 1)
+	}
+	for k := -4; k <= 6; k++ {
+		steps(math.Pow10(k), 3)
+		steps(-math.Pow10(k), 3)
+	}
+	// Outside the range, by a few ulps.
+	steps(math.Nextafter(1e-4, 0), 8)
+	steps(math.Nextafter(0x1p-14, 0), 8)
+	steps(math.Nextafter(1e6, 0), 8)
+	steps(-math.Nextafter(1e6, 0), 8)
+	// Short dyadic decimals — the bounds nearest a short decimal — and the
+	// odd and even mantissas beside them.
+	for n := 1.0; n < 1e6; n = n*3 + 1 {
+		for j := 0; j <= 14; j++ {
+			steps(math.Ldexp(n, -j), 2)
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 600_000; i++ {
+		// Random bits at every exponent of the range and two either side.
+		b := rng.Uint64()&^(0x7ff<<52) | uint64(1023-16+rng.Intn(38))<<52
+		check(math.Float64frombits(b))
+		check(math.Float64frombits(rng.Uint64()))
+		check(rng.Float64())
+		// A decimal of 1–17 digits scaled across 1e-4..1e6.
+		d := 1 + rng.Intn(17)
+		m := float64(rng.Int63n(int64(tens[d])))
+		if e := d - 6 + rng.Intn(10); e >= 0 {
+			check(m / math.Pow10(e))
+		} else {
+			check(m * math.Pow10(-e))
+		}
+	}
+	if checked < 2_000_000 {
+		t.Fatalf("only %d values checked", checked)
+	}
+}
+
+// FuzzFloatTextLen explores every exponent and mantissa directly: wherever
+// floatTextLen counts, it counts strconv's bytes.
+func FuzzFloatTextLen(f *testing.F) {
+	for _, x := range []float64{1e-4, math.Nextafter(1e-4, 0), math.Nextafter(1e6, 0), 1e6, 0x1p-14, 0x1p20,
+		0.1, 0.15000000000000002, 0.21276595744680854, 1.0 / 3, 999999.9999999999, -12345.678} {
+		f.Add(math.Float64bits(x))
+	}
+	var buf []byte
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		buf = checkFloatTextLen(t, math.Float64frombits(bits), buf)
 	})
 }
 
@@ -255,20 +357,33 @@ func TestForeignTSVSizesCanonically(t *testing.T) {
 var sizeSink int64
 
 // BenchmarkPhysicalBytes sizes a 20k-row int/float/string relation with and
-// without cached widths. The unstamped walk's one allocation is its width
-// memo; the stamped walk, what every sizing after the first costs, allocates
-// nothing.
+// without cached widths, and one whose floats are full-precision (16–17
+// digits, all distinct) without them. No walk allocates: sizing a relation
+// keeps no width memo, and the stamped walk, what every sizing after the
+// first costs, reads one byte per number.
 func BenchmarkPhysicalBytes(b *testing.B) {
 	b.Run("unstamped", kernels.Bench)
 	b.Run("stamped", kernels.Bench)
+	b.Run("full-precision", kernels.Bench)
 }
 
-func physicalBytes(stamped bool) func(testing.TB) func(testing.TB) {
+func physicalBytes(build func(rows int) *Relation, stamped bool) func(testing.TB) func(testing.TB) {
 	return func(testing.TB) func(testing.TB) {
-		rel := codecRelation(20000)
+		rel := build(20000)
 		if stamped {
 			rel.StampPhysicalBytes()
 		}
 		return func(testing.TB) { sizeSink = rel.PhysicalBytes() }
 	}
+}
+
+// fullPrecisionRelation is codecRelation with each float a distinct ratio,
+// 1000/(i+7), whose shortest text has 16 or 17 digits, as PageRank's ranks and
+// ratios do, where codecRelation's are short decimals.
+func fullPrecisionRelation(rows int) *Relation {
+	r := codecRelation(rows)
+	for i, row := range r.Rows {
+		row[1] = Float(1e3 / float64(i+7))
+	}
+	return r
 }
