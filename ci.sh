@@ -95,7 +95,8 @@
 #   paper tables golden — TestPaperTablesGolden: every paper experiment,
 #                       rendered in order, equals bench_results.txt byte
 #                       for byte apart from fig13's wall-clock cells
-#   codec fuzz        — FuzzColumnarStream (the untrusted columnar decoder
+#   codec and front-end fuzz
+#                     — FuzzColumnarStream (the untrusted columnar decoder
 #                       over real encodings, cut and bit-flipped: an error
 #                       or a stable relation, never a panic, never memory
 #                       sized by a count the stream merely declares),
@@ -108,10 +109,13 @@
 #                       (over raw float bits: wherever the width is counted
 #                       without rendering, it is strconv's length),
 #                       FuzzKeyEquality (two cells' key encodings are
-#                       equal exactly when their renderings are) and
+#                       equal exactly when their renderings are),
 #                       FuzzWriteRelation (the DFS stores what a
 #                       relation's TSV reads back as, or refuses it where
-#                       that text fails to read back),
+#                       that text fails to read back), and FuzzParse in
+#                       beer, gas, hive and pig (parsing arbitrary text and
+#                       analyzing whatever parses never panics, and a DAG
+#                       the analyzer accepts passes ir's Validate too),
 #                       10 s each beyond their seeds
 #   mkperf smoke      — mkperf -quick: every workload of the repo benchmark
 #                       (batch, plan-only, open-loop serve) for 2 s each at
@@ -175,6 +179,10 @@ fuzz_gate() {
     go test -run '^$' -fuzz '^FuzzFloatTextLen$' -fuzztime 10s ./internal/relation
     go test -run '^$' -fuzz '^FuzzKeyEquality$' -fuzztime 10s ./internal/relation
     go test -run '^$' -fuzz '^FuzzWriteRelation$' -fuzztime 10s ./internal/dfs
+    go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/frontends/beer
+    go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/frontends/gas
+    go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/frontends/hive
+    go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/frontends/pig
 }
 
 if [ "$GROUP" = all ] || [ "$GROUP" = build ]; then
@@ -214,7 +222,7 @@ if [ "$GROUP" = all ] || [ "$GROUP" = gates ]; then
         go test -count=1 -timeout 5m -run '^TestAccuracyLearningConverges$' ./internal/bench
     stage "paper tables golden" \
         go test -count=1 -timeout 5m -run '^TestPaperTablesGolden$' ./internal/bench
-    stage "codec fuzz" fuzz_gate
+    stage "codec and front-end fuzz" fuzz_gate
     stage "mkperf smoke" go run ./cmd/mkperf -quick -seconds 2
 fi
 

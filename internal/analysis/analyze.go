@@ -10,13 +10,6 @@ import (
 	"musketeer/internal/relation"
 )
 
-// init installs the analyzer as ir.DAG.Validate's implementation wherever
-// this package is linked in: front-ends and core get multi-diagnostic
-// validation without ir importing analysis (which would cycle).
-func init() {
-	ir.RegisterAnalyzer(func(d *ir.DAG) error { return Analyze(d).Err() })
-}
-
 // Analyze runs every pass against the standard engine set and returns the
 // full report, errors and warnings both, in deterministic order.
 func Analyze(d *ir.DAG) *Report {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"musketeer/internal/allocgate"
+	"musketeer/internal/analysis"
 	"musketeer/internal/cluster"
 	"musketeer/internal/core"
 	"musketeer/internal/dfs"
@@ -132,7 +133,7 @@ func randomWorkflow40(tb testing.TB) (*ir.DAG, *dfs.DFS) {
 		n++
 		avail = append(avail, op)
 	}
-	if err := dag.Validate(); err != nil {
+	if err := analysis.Analyze(dag).Err(); err != nil {
 		tb.Fatal(err)
 	}
 	return dag, fs

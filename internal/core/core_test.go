@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"musketeer/internal/analysis"
 	"musketeer/internal/cluster"
 	"musketeer/internal/dfs"
 	"musketeer/internal/engines"
@@ -73,7 +74,7 @@ func pageRankDAG(t *testing.T, iters int) *ir.DAG {
 		Body: body, MaxIter: iters,
 		Carried: map[string]string{"ranks": "new_ranks"},
 	}, ranks, edges)
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -241,7 +242,7 @@ func TestExhaustiveBeatsDynamicOnDiamond(t *testing.T) {
 	s2 := d.Add(ir.OpSelect, "s2", ir.Params{Pred: ir.Cmp(ir.ColRef("b"), ir.CmpGt, ir.LitOp(relation.Int(0)))}, in)
 	g2 := d.Add(ir.OpAgg, "g2", ir.Params{GroupBy: []string{"a"}, Aggs: []ir.AggSpec{{Func: ir.AggSum, Col: "b", As: "v"}}}, s2)
 	d.Add(ir.OpUnion, "u", ir.Params{}, g1, g2)
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatal(err)
 	}
 	fs := dfs.New()
@@ -285,7 +286,7 @@ func fig16DAG(t *testing.T) (*ir.DAG, *dfs.DFS) {
 	g := d.Add(ir.OpAgg, "g", ir.Params{GroupBy: []string{"q"}, Aggs: []ir.AggSpec{{Func: ir.AggSum, Col: "x", As: "x"}}}, c)
 	p := d.Add(ir.OpProject, "p", ir.Params{Columns: []string{"k", "w"}}, j)
 	d.Add(ir.OpUnion, "u", ir.Params{}, p, g)
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatal(err)
 	}
 	fs := dfs.New()
@@ -573,7 +574,7 @@ func TestWhileDriverCondRel(t *testing.T) {
 			Body: body, MaxIter: 100, CondRel: "pending",
 			Carried: map[string]string{"counter": "next"},
 		}, in)
-		if err := d.Validate(); err != nil {
+		if err := analysis.Analyze(d).Err(); err != nil {
 			t.Fatal(err)
 		}
 		return d
@@ -700,7 +701,7 @@ func TestOptimizePushesSelectBelowJoin(t *testing.T) {
 	b := d.AddInput("b", "in/b", relation.NewSchema("k:int", "w:int"))
 	j := d.Add(ir.OpJoin, "j", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"k"}}, a, b)
 	d.Add(ir.OpSelect, "f", ir.Params{Pred: ir.Cmp(ir.ColRef("v"), ir.CmpGt, ir.LitOp(relation.Int(5)))}, j)
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -719,7 +720,7 @@ func TestOptimizePushesSelectBelowJoin(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no rewrites applied")
 	}
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatalf("optimized DAG invalid: %v\n%s", err, d)
 	}
 	// The select must now sit below the join, reading input a.
@@ -741,7 +742,7 @@ func TestOptimizePushesSelectBelowProject(t *testing.T) {
 	in := d.AddInput("t", "in/t", relation.NewSchema("a:int", "b:int"))
 	p := d.Add(ir.OpProject, "p", ir.Params{Columns: []string{"a"}}, in)
 	d.Add(ir.OpSelect, "f", ir.Params{Pred: ir.Cmp(ir.ColRef("a"), ir.CmpGt, ir.LitOp(relation.Int(0)))}, p)
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatal(err)
 	}
 	rt := relation.New("t", relation.NewSchema("a:int", "b:int"))
@@ -752,7 +753,7 @@ func TestOptimizePushesSelectBelowProject(t *testing.T) {
 	if Optimize(d) == 0 {
 		t.Fatal("no rewrites")
 	}
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatal(err)
 	}
 	after, _, err := exec.RunDAG(d, exec.Env{"t": rt})
@@ -772,7 +773,7 @@ func TestOptimizeFusesSelects(t *testing.T) {
 	in := d.AddInput("t", "in/t", relation.NewSchema("a:int", "b:int"))
 	s1 := d.Add(ir.OpSelect, "s1", ir.Params{Pred: ir.Cmp(ir.ColRef("a"), ir.CmpGt, ir.LitOp(relation.Int(0)))}, in)
 	d.Add(ir.OpSelect, "s2", ir.Params{Pred: ir.Cmp(ir.ColRef("b"), ir.CmpLt, ir.LitOp(relation.Int(10)))}, s1)
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatal(err)
 	}
 	rt := relation.New("t", relation.NewSchema("a:int", "b:int"))
@@ -783,7 +784,7 @@ func TestOptimizeFusesSelects(t *testing.T) {
 	if n := Optimize(d); n == 0 {
 		t.Fatal("selects not fused")
 	}
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Ops) != 2 {
@@ -805,7 +806,7 @@ func TestOptimizeSkipsSharedIntermediates(t *testing.T) {
 	j := d.Add(ir.OpJoin, "j", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"k"}}, a, b)
 	d.Add(ir.OpSelect, "f", ir.Params{Pred: ir.Cmp(ir.ColRef("v"), ir.CmpGt, ir.LitOp(relation.Int(5)))}, j)
 	d.Add(ir.OpDistinct, "d2", ir.Params{}, j) // second consumer of the join
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatal(err)
 	}
 	if n := Optimize(d); n != 0 {

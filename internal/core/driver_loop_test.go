@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"musketeer/internal/allocgate"
+	"musketeer/internal/analysis"
 	"musketeer/internal/cluster"
 	"musketeer/internal/dfs"
 	"musketeer/internal/engines"
@@ -50,7 +51,7 @@ func stageInvariantLoop(t testing.TB, iters int, ranks, edges *relation.Relation
 	b := ir.NewDAG()
 	next := body(b, b.AddInput("ranks", "", ranks.Schema), b.AddInput("edges", "", edges.Schema))
 	d.Add(ir.OpWhile, "final", ir.Params{Body: b, MaxIter: iters, Carried: map[string]string{"ranks": next.Out}}, inRanks, inEdges)
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatal(err)
 	}
 	return d, fs

@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"musketeer/internal/analysis"
 	"musketeer/internal/chaos"
 	"musketeer/internal/cluster"
 	"musketeer/internal/dfs"
@@ -48,7 +49,7 @@ func chainWorkflow(t testing.TB, n int) (*ir.DAG, *dfs.DFS) {
 			cur = d.Add(ir.OpSort, out, ir.Params{SortBy: []string{"k", "a"}}, cur)
 		}
 	}
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatal(err)
 	}
 	return d, fs
@@ -283,7 +284,7 @@ func fourTwinBranches(t *testing.T) (*ir.DAG, *dfs.DFS) {
 			folded = d.Add(ir.OpUnion, fmt.Sprintf("u%d", b), ir.Params{}, folded, agg)
 		}
 	}
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatal(err)
 	}
 	return d, fs

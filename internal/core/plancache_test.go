@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"musketeer/internal/analysis"
 	"musketeer/internal/cluster"
 	"musketeer/internal/dfs"
 	"musketeer/internal/engines"
@@ -86,7 +87,7 @@ func loopedRanks(t *testing.T, names [4]string, swapped bool) *ir.DAG {
 	loop.CondRel = "negative"
 	w := d.Add(ir.OpWhile, names[2], loop, ranks, edges)
 	d.Add(ir.OpProject, names[3], ir.Params{Columns: []string{"vertex", "rank"}}, w)
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatal(err)
 	}
 	return d

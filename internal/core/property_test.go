@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"musketeer/internal/analysis"
 	"musketeer/internal/cluster"
 	"musketeer/internal/dfs"
 	"musketeer/internal/engines"
 	"musketeer/internal/ir"
 	"musketeer/internal/relation"
+	"musketeer/internal/workloads"
 )
 
 // randomWorkflow generates a small random-but-valid workflow: a few input
@@ -108,7 +110,7 @@ func genRandomWorkflow(seed int64) (*randomWorkflow, error) {
 		}
 		avail = append(avail, op)
 	}
-	if err := dag.Validate(); err != nil {
+	if err := analysis.Analyze(dag).Err(); err != nil {
 		return nil, fmt.Errorf("seed %d: invalid generated DAG: %w", seed, err)
 	}
 	return &randomWorkflow{dag: dag, fs: fs}, nil
@@ -222,7 +224,9 @@ func TestRandomWorkflowsExhaustiveAtLeastAsGood(t *testing.T) {
 }
 
 // TestRandomWorkflowsOptimizePreservesResults runs the optimizer over
-// random workflows and checks results are unchanged.
+// random workflows and checks results are unchanged and the optimized DAG
+// still analyzes clean: the runner does not re-analyze what it runs, so
+// this test and TestOptimizeKeepsWorkloadsAnalyzable stand in for that.
 func TestRandomWorkflowsOptimizePreservesResults(t *testing.T) {
 	c := cluster.Local(7)
 	for seed := int64(200); seed < 230; seed++ {
@@ -257,7 +261,7 @@ func TestRandomWorkflowsOptimizePreservesResults(t *testing.T) {
 		before := run(rw.dag)
 		optimized := rw.dag.Clone()
 		Optimize(optimized)
-		if err := optimized.Validate(); err != nil {
+		if err := analysis.Analyze(optimized).Err(); err != nil {
 			t.Fatalf("seed %d: optimizer broke the DAG: %v", seed, err)
 		}
 		after := run(optimized)
@@ -267,6 +271,49 @@ func TestRandomWorkflowsOptimizePreservesResults(t *testing.T) {
 			if after[name] != fp {
 				t.Errorf("seed %d: optimizer changed result %q", seed, name)
 			}
+		}
+	}
+}
+
+// TestOptimizeKeepsWorkloadsAnalyzable: Optimize, applied to a clone of
+// every DAG the workloads build, leaves it free of analyzer errors — a
+// workflow is analyzed once, at compile, and Optimize is the only thing
+// that rewrites it afterwards. Plan-cache replay needs no such test: it
+// builds fragments over the DAG and writes nothing to it.
+func TestOptimizeKeepsWorkloadsAnalyzable(t *testing.T) {
+	g := workloads.GenerateGraph("g", 100, 400, 20, 1)
+	h := workloads.GenerateGraph("h", 100, 400, 20, 2)
+	ws := []*workloads.Workload{
+		workloads.PageRank(g, 3),
+		workloads.SSSP(g, 3),
+		workloads.ConnectedComponents(g, 3),
+		workloads.CrossCommunityPageRank(g, h, 3),
+		workloads.TriangleCount(g),
+		workloads.KMeans(1_000_000, 4, 3),
+		workloads.ProjectMicro(1 << 20),
+		workloads.JoinMicroAsymmetric(),
+		workloads.JoinMicroAsymmetricStaged(),
+		workloads.JoinMicroSymmetric(),
+		workloads.Netflix(100),
+		workloads.TopShopper(1000),
+		workloads.TPCHQ17(1),
+		workloads.TPCHQ17Lindi(1),
+	}
+	for n := 2; n <= 18; n++ {
+		ws = append(ws, workloads.NetflixExtended(n))
+	}
+	for _, w := range ws {
+		d, err := w.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if err := analysis.Analyze(d).Err(); err != nil {
+			t.Fatalf("%s: built DAG does not analyze: %v", w.Name, err)
+		}
+		optimized := d.Clone()
+		Optimize(optimized)
+		if err := analysis.Analyze(optimized).Err(); err != nil {
+			t.Errorf("%s: optimizer broke the DAG: %v", w.Name, err)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"musketeer/internal/analysis"
 	"musketeer/internal/cluster"
 	"musketeer/internal/engines"
 	"musketeer/internal/ir"
@@ -112,17 +111,12 @@ func (r *Runner) Execute(id *ir.Identity, part *Partitioning) (*WorkflowResult, 
 // concurrency-safe); the simulated makespan is the deterministic critical
 // path either way. Workflow outputs land in the execution's DFS view under
 // their relation names. Cancelling ctx stops in-flight jobs between
-// operators and skips everything not yet started.
+// operators and skips everything not yet started. The runner does not
+// analyze id.DAG: product code reaches it only through a musketeer.Workflow,
+// whose DAG was analyzed once at compile, and Optimize keeps an analyzable
+// DAG analyzable (TestOptimizeKeepsWorkloadsAnalyzable,
+// TestRandomWorkflowsOptimizePreservesResults).
 func (r *Runner) ExecuteCtx(ctx context.Context, id *ir.Identity, part *Partitioning) (*WorkflowResult, error) {
-	// Last line of defense: the analyzer runs once more before anything
-	// touches the DFS, so a DAG mutated after compilation (or built by a
-	// buggy rewrite) fails with full diagnostics instead of mid-run.
-	asp := r.Rec.StartSpan(r.Span, "analyze", "pipeline")
-	analyzeErr := analysis.Analyze(id.DAG).Err()
-	asp.End()
-	if analyzeErr != nil {
-		return nil, analyzeErr
-	}
 	deps := jobDeps(part)
 
 	ssp := r.Rec.StartSpan(r.Span, "schedule", "pipeline")

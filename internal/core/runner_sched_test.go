@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"musketeer/internal/analysis"
 	"musketeer/internal/chaos"
 	"musketeer/internal/cluster"
 	"musketeer/internal/dfs"
@@ -33,7 +34,7 @@ func countdownDAG(t *testing.T, start, maxIter int) (*ir.DAG, *dfs.DFS) {
 		Body: body, MaxIter: maxIter, CondRel: "pending",
 		Carried: map[string]string{"counter": "next"},
 	}, in)
-	if err := d.Validate(); err != nil {
+	if err := analysis.Analyze(d).Err(); err != nil {
 		t.Fatal(err)
 	}
 	fs := dfs.New()

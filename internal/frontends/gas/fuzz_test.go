@@ -3,12 +3,14 @@ package gas
 import (
 	"testing"
 
+	"musketeer/internal/analysis"
 	"musketeer/internal/frontends"
 	"musketeer/internal/relation"
 )
 
-// FuzzParse asserts the GAS parser never panics and never returns an
-// invalid DAG on arbitrary input.
+// FuzzParse asserts that parsing arbitrary input and analyzing whatever
+// parses never panics, and that the analyzer is never weaker than the
+// structural check: a DAG it accepts passes Validate too.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		listing2,
@@ -27,9 +29,15 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		dag, err := Parse(src, cat, Config{Vertices: "vertices", Edges: "edges"})
-		if err == nil {
+		if err != nil {
+			return
+		}
+		if dag == nil {
+			t.Fatal("nil DAG without error")
+		}
+		if analysis.Analyze(dag).Err() == nil {
 			if err := dag.Validate(); err != nil {
-				t.Fatalf("invalid DAG accepted: %v", err)
+				t.Fatalf("analyzer accepted a DAG Validate rejects: %v", err)
 			}
 		}
 	})

@@ -34,9 +34,6 @@ import (
 	"fmt"
 	"strings"
 
-	// Linking the analyzer makes dag.Validate() report every diagnostic
-	// of the workflow (multi-error, with provenance), not just the first.
-	_ "musketeer/internal/analysis"
 	"musketeer/internal/frontends"
 	"musketeer/internal/ir"
 	"musketeer/internal/relation"
@@ -63,7 +60,10 @@ type arithSpec struct {
 }
 
 // Parse translates a GAS DSL program into an IR DAG containing a single
-// WHILE operator over the configured vertex and edge tables.
+// WHILE operator over the configured vertex and edge tables. It returns the
+// front-end's own parse errors only: the DAG's schemas, loops and engine
+// feasibility are checked once, by internal/analysis, when the workflow is
+// compiled.
 func Parse(src string, cat frontends.Catalog, cfg Config) (*ir.DAG, error) {
 	vTbl, ok := cat[cfg.Vertices]
 	if !ok {
@@ -169,9 +169,6 @@ func Parse(src string, cat frontends.Catalog, cfg Config) (*ir.DAG, error) {
 	// The whole program lowers to one WHILE, so every operator shares the
 	// front-end provenance (no useful per-section line mapping survives).
 	dag.StampProv("gas", 0, 0)
-	if err := dag.Validate(); err != nil {
-		return nil, fmt.Errorf("gas: %w", err)
-	}
 	return dag, nil
 }
 

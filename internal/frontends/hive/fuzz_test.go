@@ -3,14 +3,16 @@ package hive
 import (
 	"testing"
 
+	"musketeer/internal/analysis"
 	"musketeer/internal/frontends"
 	"musketeer/internal/relation"
 )
 
-// FuzzParse asserts the Hive parser never panics and either returns a valid
-// DAG or an error, on arbitrary input. The seed corpus covers the dialect's
-// statement forms; `go test` runs the seeds, `go test -fuzz=FuzzParse`
-// explores further.
+// FuzzParse asserts that parsing arbitrary input and analyzing whatever
+// parses never panics, and that the analyzer is never weaker than the
+// structural check: a DAG it accepts passes Validate too. The seed corpus
+// covers the dialect's statement forms; `go test` runs the seeds,
+// `go test -fuzz=FuzzParse` explores further.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -36,12 +38,15 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		dag, err := Parse(src, cat)
-		if err == nil {
-			if dag == nil {
-				t.Fatal("nil DAG without error")
-			}
+		if err != nil {
+			return
+		}
+		if dag == nil {
+			t.Fatal("nil DAG without error")
+		}
+		if analysis.Analyze(dag).Err() == nil {
 			if err := dag.Validate(); err != nil {
-				t.Fatalf("parser returned invalid DAG: %v", err)
+				t.Fatalf("analyzer accepted a DAG Validate rejects: %v", err)
 			}
 		}
 	})

@@ -20,9 +20,6 @@ import (
 	"fmt"
 	"strings"
 
-	// Linking the analyzer makes dag.Validate() report every diagnostic
-	// of the workflow (multi-error, with provenance), not just the first.
-	_ "musketeer/internal/analysis"
 	"musketeer/internal/frontends"
 	"musketeer/internal/ir"
 )
@@ -36,6 +33,9 @@ type parser struct {
 }
 
 // Parse translates a workflow in the Hive dialect into an IR DAG.
+// It returns the front-end's own parse errors only: the DAG's schemas,
+// loops and engine feasibility are checked once, by internal/analysis,
+// when the workflow is compiled.
 func Parse(src string, cat frontends.Catalog) (*ir.DAG, error) {
 	p := &parser{
 		lex:  frontends.NewLexer(src),
@@ -61,9 +61,6 @@ func Parse(src string, cat frontends.Catalog) (*ir.DAG, error) {
 	}
 	if len(p.dag.Ops) == 0 {
 		return nil, fmt.Errorf("hive: empty workflow")
-	}
-	if err := p.dag.Validate(); err != nil {
-		return nil, fmt.Errorf("hive: %w", err)
 	}
 	return p.dag, nil
 }

@@ -3,6 +3,7 @@ package hive
 import (
 	"testing"
 
+	"musketeer/internal/analysis"
 	"musketeer/internal/exec"
 	"musketeer/internal/frontends"
 	"musketeer/internal/ir"
@@ -140,15 +141,28 @@ func TestParseErrors(t *testing.T) {
 		"group no agg":     `SELECT id FROM properties GROUP BY id AS x;`,
 		"star no where":    `SELECT * FROM properties AS x;`,
 		"bad join":         `properties JOIN ON id = id AS x;`,
-		"unknown col":      `SELECT nope FROM properties AS x;`,
 		"empty":            ``,
 		"garbage":          `;;;`,
-		"redefine": `SELECT id FROM properties AS x;
-SELECT id FROM properties AS x;`,
 	}
 	for name, src := range cases {
 		if _, err := Parse(src, catalog()); err == nil {
 			t.Errorf("%s: parse succeeded", name)
+		}
+	}
+	// Semantic errors: the parser may leave them to the analyzer, which
+	// every compiled workflow passes through, but one of the two rejects.
+	semantic := map[string]string{
+		"unknown col": `SELECT nope FROM properties AS x;`,
+		"redefine": `SELECT id FROM properties AS x;
+SELECT id FROM properties AS x;`,
+	}
+	for name, src := range semantic {
+		dag, err := Parse(src, catalog())
+		if err == nil {
+			err = analysis.Analyze(dag).Err()
+		}
+		if err == nil {
+			t.Errorf("%s: neither the parser nor the analyzer rejected it", name)
 		}
 	}
 }

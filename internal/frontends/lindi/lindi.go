@@ -17,9 +17,6 @@ package lindi
 import (
 	"fmt"
 
-	// Linking the analyzer makes dag.Validate() report every diagnostic
-	// of the workflow (multi-error, with provenance), not just the first.
-	_ "musketeer/internal/analysis"
 	"musketeer/internal/frontends"
 	"musketeer/internal/ir"
 	"musketeer/internal/relation"
@@ -72,7 +69,9 @@ func (b *Builder) From(table string) *Query {
 	return &Query{b: b, op: op}
 }
 
-// Build validates and returns the DAG.
+// Build returns the DAG, or the first error a query method recorded. The
+// DAG's schemas, loops and engine feasibility are checked once, by
+// internal/analysis, when the workflow is compiled.
 func (b *Builder) Build() (*ir.DAG, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -83,9 +82,6 @@ func (b *Builder) Build() (*ir.DAG, error) {
 	// Programmatic builder: no source lines, but diagnostics still name
 	// the originating front-end.
 	b.dag.StampProv("lindi", 0, 0)
-	if err := b.dag.Validate(); err != nil {
-		return nil, fmt.Errorf("lindi: %w", err)
-	}
 	return b.dag, nil
 }
 

@@ -25,9 +25,6 @@ import (
 	"fmt"
 	"strings"
 
-	// Linking the analyzer makes dag.Validate() report every diagnostic
-	// of the workflow (multi-error, with provenance), not just the first.
-	_ "musketeer/internal/analysis"
 	"musketeer/internal/frontends"
 	"musketeer/internal/ir"
 )
@@ -49,6 +46,9 @@ type groupInfo struct {
 }
 
 // Parse translates a Pig Latin workflow into an IR DAG.
+// It returns the front-end's own parse errors only: the DAG's schemas,
+// loops and engine feasibility are checked once, by internal/analysis,
+// when the workflow is compiled.
 func Parse(src string, cat frontends.Catalog) (*ir.DAG, error) {
 	p := &parser{
 		lex: frontends.NewLexer(src), cat: cat,
@@ -75,9 +75,6 @@ func Parse(src string, cat frontends.Catalog) (*ir.DAG, error) {
 	}
 	for alias := range p.groups {
 		return nil, fmt.Errorf("pig: GROUP %q has no consuming FOREACH", alias)
-	}
-	if err := p.dag.Validate(); err != nil {
-		return nil, fmt.Errorf("pig: %w", err)
 	}
 	return p.dag, nil
 }

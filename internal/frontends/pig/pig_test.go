@@ -3,6 +3,7 @@ package pig
 import (
 	"testing"
 
+	"musketeer/internal/analysis"
 	"musketeer/internal/exec"
 	"musketeer/internal/frontends"
 	"musketeer/internal/ir"
@@ -135,7 +136,8 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// FuzzParse: the Pig parser never panics and never yields an invalid DAG.
+// FuzzParse: parsing arbitrary input and analyzing whatever parses never
+// panics, and a DAG the analyzer accepts passes Validate too.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		maxPropertyPrice,
@@ -151,9 +153,15 @@ func FuzzParse(f *testing.F) {
 	cat := catalog()
 	f.Fuzz(func(t *testing.T, src string) {
 		dag, err := Parse(src, cat)
-		if err == nil {
+		if err != nil {
+			return
+		}
+		if dag == nil {
+			t.Fatal("nil DAG without error")
+		}
+		if analysis.Analyze(dag).Err() == nil {
 			if err := dag.Validate(); err != nil {
-				t.Fatalf("invalid DAG accepted: %v", err)
+				t.Fatalf("analyzer accepted a DAG Validate rejects: %v", err)
 			}
 		}
 	})

@@ -138,24 +138,12 @@ func (d *DAG) TopoSort() ([]*Op, error) {
 	return order, nil
 }
 
-// analyzeHook is the full multi-pass analyzer Validate delegates to. It is
-// installed by internal/analysis's init (a registration hook because
-// analysis imports ir, so ir cannot import it back). When no analyzer is
-// linked in, Validate falls back to the built-in first-error checks.
-var analyzeHook func(*DAG) error
-
-// RegisterAnalyzer installs the workflow analyzer Validate delegates to.
-func RegisterAnalyzer(fn func(*DAG) error) { analyzeHook = fn }
-
-// Validate checks the DAG is well-formed. When the internal/analysis
-// package is linked in it delegates to the multi-pass analyzer (which
-// reports every diagnostic, not just the first); otherwise it topo-sorts,
-// checks relation-name uniqueness — descending into WHILE bodies — and runs
-// schema inference over every operator.
+// Validate checks the DAG is well-formed: it topo-sorts, checks
+// relation-name uniqueness — descending into WHILE bodies — and runs
+// schema inference over every operator, stopping at the first error. The
+// full multi-diagnostic check is internal/analysis's, which every compiled
+// workflow passes through once.
 func (d *DAG) Validate() error {
-	if analyzeHook != nil {
-		return analyzeHook(d)
-	}
 	if err := d.ValidateStructure(); err != nil {
 		return err
 	}

@@ -351,30 +351,6 @@ func TestCmpEval(t *testing.T) {
 	}
 }
 
-func TestSelectiveGenerative(t *testing.T) {
-	d := maxPropertyPrice()
-	if !d.ByOut("locs").IsSelective() {
-		t.Error("PROJECT should be selective")
-	}
-	if !d.ByOut("id_price").IsGenerative() {
-		t.Error("JOIN should be generative")
-	}
-	if d.ByOut("id_price").IsSelective() {
-		t.Error("JOIN must not be selective")
-	}
-}
-
-func TestAssociativity(t *testing.T) {
-	for _, f := range []AggFunc{AggSum, AggCount, AggMin, AggMax} {
-		if !f.Associative() {
-			t.Errorf("%s should be associative", f)
-		}
-	}
-	if AggAvg.Associative() {
-		t.Error("AVG should be non-associative (as a single high-level operator)")
-	}
-}
-
 func TestInputNames(t *testing.T) {
 	d := maxPropertyPrice()
 	got := d.InputNames()

@@ -235,16 +235,6 @@ func (f AggFunc) String() string {
 	return "AGG?"
 }
 
-// Associative reports whether the aggregation can be applied hierarchically
-// (combiner-style). Non-associative aggregations force data onto a single
-// machine in Lindi's high-level GROUP BY (paper §6.2); Musketeer's improved
-// generated operator uses partial aggregation for the associative ones.
-func (f AggFunc) Associative() bool {
-	// AVG is associative when decomposed into SUM+COUNT; the generated
-	// code does that, while Lindi's high-level operator does not.
-	return f != AggAvg
-}
-
 // AggSpec is one aggregation: Func(Col) AS As.
 type AggSpec struct {
 	Func AggFunc
@@ -411,28 +401,4 @@ func (o *Op) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// IsSelective reports whether the operator can only shrink (or keep) its
-// input cardinality. The cost model uses this for conservative first-run
-// output bounds, and the optimizer pushes selective operators early.
-func (o *Op) IsSelective() bool {
-	switch o.Type {
-	case OpSelect, OpProject, OpDistinct, OpIntersect, OpDifference, OpAgg, OpLimit:
-		return true
-	default:
-		return false
-	}
-}
-
-// IsGenerative reports whether the operator can grow its input (joins,
-// unions, cross products); generative operators have unknown or large
-// output bounds on first execution (paper §5.2).
-func (o *Op) IsGenerative() bool {
-	switch o.Type {
-	case OpJoin, OpCrossJoin, OpUnion:
-		return true
-	default:
-		return false
-	}
 }

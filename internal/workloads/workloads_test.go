@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"musketeer/internal/analysis"
 	"musketeer/internal/dfs"
 	"musketeer/internal/exec"
 	"musketeer/internal/ir"
@@ -21,7 +22,7 @@ func runWorkload(t *testing.T, w *Workload) exec.Env {
 	if err != nil {
 		t.Fatalf("%s: %v", w.Name, err)
 	}
-	if err := dag.Validate(); err != nil {
+	if err := analysis.Analyze(dag).Err(); err != nil {
 		t.Fatalf("%s: invalid DAG: %v", w.Name, err)
 	}
 	env := exec.Env{}

@@ -336,17 +336,31 @@ type Workflow struct {
 
 	optOnce sync.Once
 	optN    int
-	// compileWall is how long front-end translation took; traced
-	// executions replay it as a "compile" span (compilation happens before
-	// any per-run recorder exists).
+	// report is the analyzer's report on the DAG as compiled, which Check
+	// returns: a workflow is analyzed once.
+	report *Report
+	// compileWall is how long front-end translation and analysis took;
+	// traced executions replay it as a "compile" span (compilation happens
+	// before any per-run recorder exists).
 	compileWall time.Duration
 }
 
-// newWorkflow wraps a freshly compiled DAG, recording the front-end
-// translation time and the deployment's compile counter.
-func (m *Musketeer) newWorkflow(dag *ir.DAG, compileStart time.Time) *Workflow {
+// newWorkflow analyzes a freshly compiled DAG against the deployment's
+// engines and wraps it with the report, recording the compile time and the
+// deployment's compile counter. An error-severity diagnostic fails it,
+// prefixed "frontend: " when a front-end produced the DAG.
+func (m *Musketeer) newWorkflow(frontend string, dag *ir.DAG, compileStart time.Time) (*Workflow, error) {
+	w := &Workflow{m: m, dag: dag}
+	w.report = analysis.AnalyzeWithEngines(dag, w.standardEngines())
+	if err := w.report.Err(); err != nil {
+		if frontend != "" {
+			err = fmt.Errorf("%s: %w", frontend, err)
+		}
+		return nil, err
+	}
+	w.compileWall = time.Since(compileStart)
 	m.metrics.Counter("workflows_compiled_total").Add(1)
-	return &Workflow{m: m, dag: dag, compileWall: time.Since(compileStart)}
+	return w, nil
 }
 
 // ErrUnknownFrontend is wrapped by Compile's error for a front-end name it
@@ -355,7 +369,9 @@ var ErrUnknownFrontend = errors.New("musketeer: unknown front-end")
 
 // Compile translates src with the named front-end: hive, beer, pig or gas.
 // gasCfg configures the GAS front-end and is ignored by the others; nil
-// leaves its table names empty.
+// leaves its table names empty. The DAG is then analyzed once, and an
+// error-severity diagnostic fails compilation as "<front-end>: " followed
+// by the *analysis.Error; Check returns the whole report.
 func (m *Musketeer) Compile(frontend, src string, cat Catalog, gasCfg *GASConfig) (*Workflow, error) {
 	switch frontend {
 	case "hive":
@@ -381,7 +397,7 @@ func (m *Musketeer) CompileHive(src string, cat Catalog) (*Workflow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.newWorkflow(dag, start), nil
+	return m.newWorkflow("hive", dag, start)
 }
 
 // CompileBEER translates a BEER workflow.
@@ -391,7 +407,7 @@ func (m *Musketeer) CompileBEER(src string, cat Catalog) (*Workflow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.newWorkflow(dag, start), nil
+	return m.newWorkflow("beer", dag, start)
 }
 
 // CompileGAS translates a Gather-Apply-Scatter program.
@@ -401,7 +417,7 @@ func (m *Musketeer) CompileGAS(src string, cat Catalog, cfg GASConfig) (*Workflo
 	if err != nil {
 		return nil, err
 	}
-	return m.newWorkflow(dag, start), nil
+	return m.newWorkflow("gas", dag, start)
 }
 
 // CompilePig translates a Pig Latin-subset workflow.
@@ -411,7 +427,7 @@ func (m *Musketeer) CompilePig(src string, cat Catalog) (*Workflow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.newWorkflow(dag, start), nil
+	return m.newWorkflow("pig", dag, start)
 }
 
 // CompileLindi finalizes a Lindi builder into a workflow.
@@ -421,16 +437,15 @@ func (m *Musketeer) CompileLindi(b *LindiBuilder) (*Workflow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.newWorkflow(dag, start), nil
+	return m.newWorkflow("lindi", dag, start)
 }
 
-// FromDAG wraps a hand-built IR DAG (validating it first).
+// FromDAG wraps a hand-built IR DAG, analyzing it first like every
+// compiled workflow; the analyzer's error is returned unwrapped. A
+// workflow is the only way product code reaches core.Runner, so every DAG
+// that runs has been analyzed exactly once, here or in Compile.
 func (m *Musketeer) FromDAG(dag *ir.DAG) (*Workflow, error) {
-	start := time.Now()
-	if err := dag.Validate(); err != nil {
-		return nil, err
-	}
-	return m.newWorkflow(dag, start), nil
+	return m.newWorkflow("", dag, time.Now())
 }
 
 // DAG exposes the workflow's intermediate representation.
@@ -467,13 +482,14 @@ func (m *Musketeer) TenantFS(name string) (*dfs.DFS, error) {
 // Report is the workflow analyzer's full diagnostic report.
 type Report = analysis.Report
 
-// Check runs the multi-pass workflow analyzer against the deployment's
-// registered engines and returns the full report — warnings included.
-// Compilation already fails on error-severity diagnostics; Check is how
-// callers (and the `musketeer check` subcommand) surface the rest: dead
-// operators, suspicious loops, redundant shuffles.
+// Check returns the full report of the multi-pass workflow analyzer, run
+// once at compile against the deployment's registered engines — warnings
+// included. Compilation already failed on error-severity diagnostics;
+// Check is how callers (and the `musketeer check` subcommand) surface the
+// rest: dead operators, suspicious loops, redundant shuffles. The report
+// describes the DAG as compiled, before Optimize rewrote it.
 func (w *Workflow) Check() *Report {
-	return analysis.AnalyzeWithEngines(w.dag, w.standardEngines())
+	return w.report
 }
 
 // Optimize applies the IR rewrite rules; returns the number of rewrites.

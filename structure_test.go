@@ -43,26 +43,8 @@ var clockFreePackages = []string{
 // no longer starts one, and on a clock-free package importing time,
 // math/rand or runtime.
 func TestGoroutinesStartInNamedPlaces(t *testing.T) {
-	fset := token.NewFileSet()
 	seen := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		path = filepath.ToSlash(path)
+	forEachNonTestFile(t, func(fset *token.FileSet, path string, f *ast.File) {
 		if slices.Contains(clockFreePackages, filepath.ToSlash(filepath.Dir(path))) {
 			for _, imp := range f.Imports {
 				switch p, _ := strconv.Unquote(imp.Path.Value); p {
@@ -87,15 +69,54 @@ func TestGoroutinesStartInNamedPlaces(t *testing.T) {
 				return true
 			})
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, site := range goroutineSites {
 		if !seen[site] {
 			t.Errorf("goroutineSites names %s, which starts no goroutine", site)
 		}
+	}
+}
+
+// TestNoInitFunctions fails on a func init() in non-test Go: nothing in the
+// module may change behaviour by being linked in.
+func TestNoInitFunctions(t *testing.T) {
+	forEachNonTestFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "init" {
+				t.Errorf("%s: func init in %s; set state up where it is used", fset.Position(fn.Pos()), path)
+			}
+		}
+	})
+}
+
+// forEachNonTestFile parses every non-test Go file in the module, outside
+// testdata and hidden or underscore directories, and hands each to fn with
+// its slash-separated path.
+func forEachNonTestFile(t *testing.T, fn func(fset *token.FileSet, path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(fset, filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -86,10 +86,10 @@ func stageTwoEngine(t *testing.T, m *Musketeer) (*Workflow, *Partitioning) {
 }
 
 // TestTraceGolden pins the span tree of the two-engine workflow: one
-// workflow root, analyze and schedule pipeline spans, a job span per
-// fragment (hadoop batch jobs and the metis WHILE job), per-iteration
-// WHILE spans with body-job children, and pull/process/push engine phases
-// under every attempt.
+// workflow root, a schedule pipeline span, a job span per fragment (hadoop
+// batch jobs and the metis WHILE job), per-iteration WHILE spans with
+// body-job children, and pull/process/push engine phases under every
+// attempt.
 func TestTraceGolden(t *testing.T) {
 	m := New(WithTracing())
 	wf, part := stageTwoEngine(t, m)
