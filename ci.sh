@@ -53,15 +53,25 @@
 #                       reordered resubmission plans from the first run's
 #                       history, and a history file without a version is
 #                       refused
-#   agg scratch recycling — an aggregation table's key index, counts and
-#                       sums recycle through exec's aggPool: the generator's
-#                       DAGs, every AGG split into two halves, compute the
-#                       same relations cell for cell (float bits included)
-#                       on recycled scratch as on fresh, and a warm AGG
-#                       allocates only its output rows and slabs; then both
-#                       tests and TestRandomDAGsMatchOracle under -race at
+#   scratch recycling — what a run does not keep is recycled: reader
+#                       slabs and row headers, stage arenas and match
+#                       lists through relation's pools, aggregation tables
+#                       through exec's aggPool, and a commit stores the
+#                       writer's segments uncopied. A reader over a stale
+#                       pooled slab decodes what a fresh one does, widths
+#                       included; the generator's DAGs, every pipeline split
+#                       into two halves, compute the same relations cell for
+#                       cell (float bits included) on recycled scratch as on
+#                       fresh — AGGs over bound inputs, and every stage over
+#                       inputs streamed from DFS files after another schema
+#                       dirtied the pools; a warm AGG allocates only its
+#                       output rows, exact headers and slabs; and a committed
+#                       file's replicas alias the writer's segments, one
+#                       corrupted replica stays one, and the file reads
+#                       back. Then the same tests and
+#                       TestRandomDAGsMatchOracle under -race at
 #                       GOMAXPROCS=8, since concurrent halves release into
-#                       one shared pool
+#                       shared pools
 #   telemetry scrape  — the debug server (httptest over DebugHandler)
 #                       serves /metrics and /debug/runs during chaotic
 #                       concurrent executions; any malformed exposition
@@ -164,11 +174,14 @@ gofmt_gate() {
     fi
 }
 
-agg_recycling_gate() {
-    go test -count=1 -timeout 5m \
-        -run '^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled)$' ./internal/exec
-    GOMAXPROCS=8 go test -race -count=1 -timeout 10m \
-        -run '^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRandomDAGsMatchOracle)$' ./internal/exec
+RECYCLING_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledArenasMatchFirstUse|TestReaderOverStaleSlabMatchesFresh|TestCommitKeepsTheWritersSegments)$'
+RECYCLING_RACE_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledArenasMatchFirstUse|TestReaderOverStaleSlabMatchesFresh|TestCommitKeepsTheWritersSegments|TestRandomDAGsMatchOracle)$'
+
+scratch_recycling_gate() {
+    go test -count=1 -timeout 5m -run "$RECYCLING_TESTS" \
+        ./internal/exec ./internal/relation ./internal/dfs
+    GOMAXPROCS=8 go test -race -count=1 -timeout 10m -run "$RECYCLING_RACE_TESTS" \
+        ./internal/exec ./internal/relation ./internal/dfs
 }
 
 fuzz_gate() {
@@ -207,7 +220,7 @@ if [ "$GROUP" = all ] || [ "$GROUP" = gates ]; then
     stage "identity" go test -count=1 -timeout 5m \
         -run '^(TestIdentityMetamorphic|TestCanonical.*|TestLoopBodyHistoryStaysWithItsGraph|TestRenamedResubmissionReusesHistory|TestLoadHistoryRefusesUnversionedFile)$' \
         . ./internal/ir ./internal/core
-    stage "agg scratch recycling" agg_recycling_gate
+    stage "scratch recycling" scratch_recycling_gate
     stage "telemetry scrape gate" \
         go test -count=1 -timeout 5m -run 'TestDebugServerScrape|TestConcurrentScrapeDuringChaoticExecutes|TestPrometheusLinesValid|TestPrometheusByteStableAcrossScrapes' . ./internal/obs
     stage "flaky gate (3x shuffled concurrency/sched/chaos)" \

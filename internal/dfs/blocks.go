@@ -42,13 +42,14 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// replica is one stored copy of a block on one datanode. Its bytes are
+// replica is one stored copy of a block on one datanode: the block's bytes
+// as the pieces a writer wrote them in, and their checksum. The bytes are
 // immutable once written: readers verify and decode them outside the
-// filesystem lock, and the replicas of a block share one buffer and one
+// filesystem lock, and the replicas of a block share one piece list and one
 // checksum until CorruptReplica gives one of them a corrupted copy.
 type replica struct {
 	node int
-	data []byte
+	data [][]byte
 	sum  uint32
 }
 
@@ -57,37 +58,70 @@ type block struct {
 	replicas []replica
 }
 
-// split cuts data into checksummed blocks that alias it: the caller hands
-// the buffer over. Placement is round-robin over datanodes, offset per block
-// so replicas of consecutive blocks land on different nodes (as HDFS's
+// checksum is the CRC-32 of the bytes pieces hold, end to end.
+func checksum(pieces [][]byte) (sum uint32) {
+	for _, p := range pieces {
+		sum = crc32.Update(sum, crc32.IEEETable, p)
+	}
+	return sum
+}
+
+// split cuts the stream segs hold, end to end, into checksummed blocks of
+// BlockSize bytes without copying it: a block's pieces alias the segments,
+// which the caller hands over, and a segment a block boundary crosses is
+// sliced in two. Every block's pieces and replicas are runs of one list each,
+// cut for the whole file. Placement is round-robin over datanodes, offset per
+// block so replicas of consecutive blocks land on different nodes (as HDFS's
 // placement spreads load). An empty file is one empty block.
-func (d *DFS) split(data []byte) []block {
+func (d *DFS) split(segs [][]byte) []block {
 	cfg := d.st.cfg
-	blocks := make([]block, 0, len(data)/cfg.BlockSize+1)
-	for off := 0; off < len(data) || off == 0; off += cfg.BlockSize {
-		end := min(off+cfg.BlockSize, len(data))
-		chunk := data[off:end:end]
-		sum := crc32.ChecksumIEEE(chunk)
-		reps := make([]replica, cfg.Replication)
-		for r := range reps {
-			reps[r] = replica{node: (len(blocks) + r) % cfg.Nodes, data: chunk, sum: sum}
+	size := 0
+	for _, seg := range segs {
+		size += len(seg)
+	}
+	blocks := make([]block, max(1, (size+cfg.BlockSize-1)/cfg.BlockSize))
+	pieces := make([][]byte, 0, len(segs)+len(blocks)-1) // a boundary inside a segment adds a piece
+	reps := make([]replica, len(blocks)*cfg.Replication)
+	seg, at := 0, 0 // the next byte to place is segs[seg][at]
+	for bi := range blocks {
+		first := len(pieces)
+		for room := cfg.BlockSize; room > 0 && seg < len(segs); {
+			k := min(room, len(segs[seg])-at)
+			if k > 0 {
+				pieces = append(pieces, segs[seg][at:at+k:at+k])
+			}
+			room, at = room-k, at+k
+			if at == len(segs[seg]) {
+				seg, at = seg+1, 0
+			}
 		}
-		blocks = append(blocks, block{replicas: reps})
+		data := pieces[first:len(pieces):len(pieces)]
+		sum := checksum(data)
+		r := reps[bi*cfg.Replication : (bi+1)*cfg.Replication : (bi+1)*cfg.Replication]
+		for i := range r {
+			r[i] = replica{node: (bi + i) % cfg.Nodes, data: data, sum: sum}
+		}
+		blocks[bi] = block{replicas: r}
 	}
 	return blocks
 }
 
 // verify picks the first healthy replica of every block, skipping replicas
 // on down nodes and replicas whose checksum no longer matches (silent
-// corruption). An unrecoverable block is an error.
+// corruption), and returns their pieces in stream order. An unrecoverable
+// block is an error.
 func verify(path string, blocks []block, down map[int]bool) ([][]byte, error) {
-	out := make([][]byte, len(blocks))
+	n := 0
+	for _, b := range blocks {
+		n += len(b.replicas[0].data)
+	}
+	out := make([][]byte, 0, n)
 blocks:
 	for bi, b := range blocks {
 		for _, rep := range b.replicas {
 			// A corrupt replica is masked: the next one is tried.
-			if !down[rep.node] && crc32.ChecksumIEEE(rep.data) == rep.sum {
-				out[bi] = rep.data
+			if !down[rep.node] && checksum(rep.data) == rep.sum {
+				out = append(out, rep.data...)
 				continue blocks
 			}
 		}
@@ -126,9 +160,12 @@ func (d *DFS) CorruptReplica(path string, blockIdx, replicaIdx int) error {
 	}
 	blocks := slices.Clone(f.blocks)
 	reps := slices.Clone(blocks[blockIdx].replicas)
-	data := slices.Clone(reps[replicaIdx].data)
-	for i := range data {
-		data[i] ^= 0xff
+	data := make([][]byte, len(reps[replicaIdx].data))
+	for i, p := range reps[replicaIdx].data {
+		data[i] = slices.Clone(p)
+		for j := range data[i] {
+			data[i][j] ^= 0xff
+		}
 	}
 	reps[replicaIdx].data = data
 	blocks[blockIdx].replicas = reps

@@ -1,6 +1,8 @@
 package dfs
 
 import (
+	"bytes"
+	"hash/crc32"
 	"testing"
 
 	"musketeer/internal/relation"
@@ -181,5 +183,87 @@ func TestReplicationClampedToNodes(t *testing.T) {
 	}
 	if len(locs[0]) != 4 {
 		t.Errorf("replicas = %d, want clamped to 4 nodes", len(locs[0]))
+	}
+}
+
+// TestCommitKeepsTheWritersSegments: a commit stores the writer's row-group
+// segments themselves, cut at block boundaries and never copied — every
+// replica's pieces are windows of them, in stream order — and checksums them
+// as the blocks they make. Corrupting one replica changes that replica alone
+// and not the writer's bytes, and the file reads back as the rows written.
+func TestCommitKeepsTheWritersSegments(t *testing.T) {
+	d := NewWithConfig(Config{BlockSize: 1000, Replication: 3, Nodes: 5})
+	want := numbered(3000) // three row groups, each cut by several blocks
+	w := relation.NewColumnarWriter(want.Schema)
+	w.Append(want.Rows)
+	stream, segs := w.Bytes(), w.Segments()
+	if len(segs) != 4 {
+		t.Fatalf("%d segments, want a header and three row groups", len(segs))
+	}
+	if _, err := d.Commit("n", w); err != nil {
+		t.Fatal(err)
+	}
+	blocks := func() []block {
+		d.st.mu.RLock()
+		defer d.st.mu.RUnlock()
+		return d.st.files["n"].blocks
+	}
+	stored := blocks()
+	if len(stored) != (len(stream)+999)/1000 {
+		t.Fatalf("%d blocks for a %d-byte stream", len(stored), len(stream))
+	}
+	off, k, at := 0, 1, 0 // the body's next byte is segs[k][at]; the header is the commit's own copy
+	for bi, b := range stored {
+		size := 0
+		for _, rep := range b.replicas {
+			if &rep.data[0] != &b.replicas[0].data[0] || rep.sum != b.replicas[0].sum {
+				t.Fatalf("block %d: replicas do not share one piece list and checksum", bi)
+			}
+		}
+		for _, p := range b.replicas[0].data {
+			size += len(p)
+			if off < len(segs[0]) {
+				if !bytes.Equal(p, stream[off:off+len(p)]) {
+					t.Fatalf("block %d: header piece differs from the stream", bi)
+				}
+				off += len(p)
+				continue
+			}
+			if &p[0] != &segs[k][at] || at+len(p) > len(segs[k]) {
+				t.Fatalf("block %d: a piece of %d bytes is not segment %d's bytes from %d", bi, len(p), k, at)
+			}
+			off, at = off+len(p), at+len(p)
+			if at == len(segs[k]) {
+				k, at = k+1, 0
+			}
+		}
+		if size != min(1000, len(stream)-1000*bi) || b.replicas[0].sum != crc32.ChecksumIEEE(stream[1000*bi:1000*bi+size]) {
+			t.Fatalf("block %d: %d bytes, checksum %x: not the stream's block", bi, size, b.replicas[0].sum)
+		}
+	}
+	if off != len(stream) || k != len(segs) {
+		t.Fatalf("the pieces cover %d of %d bytes, %d of %d segments", off, len(stream), k, len(segs))
+	}
+
+	if err := d.CorruptReplica("n", 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	for bi, b := range blocks() {
+		for ri, rep := range b.replicas {
+			corrupt := checksum(rep.data) != rep.sum
+			if corrupt != (bi == 2 && ri == 1) {
+				t.Errorf("block %d replica %d: corrupt = %v", bi, ri, corrupt)
+			}
+		}
+	}
+	if !bytes.Equal(bytes.Join(segs, nil), stream) {
+		t.Error("corrupting a replica wrote into the writer's segments")
+	}
+	got, err := d.ReadRelation("n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Fingerprint() != want.Fingerprint() || len(got.Rows) != len(want.Rows) {
+		t.Errorf("reread %d rows (fingerprint %v), wrote %d (%v)", len(got.Rows), got.Fingerprint(), len(want.Rows), want.Fingerprint())
 	}
 }

@@ -217,14 +217,14 @@ func (d *DFS) textRows(path string, rel *relation.Relation) ([]relation.Row, err
 }
 
 // Commit stores the relation w has written at path, replacing any previous
-// file — whole or, if never called, not at all. The stream, which w gives up,
-// is cut into checksummed blocks before the lock is taken; only the map store
-// and the accounting run under it.
+// file — whole or, if never called, not at all. The stream's segments, which
+// w gives up, are cut into checksummed blocks in place, before the lock is
+// taken; only the map store and the accounting run under it.
 func (d *DFS) Commit(path string, w *relation.Writer) (Stat, error) {
 	if path == "" {
 		return Stat{}, fmt.Errorf("dfs: empty path")
 	}
-	f := &file{blocks: d.split(w.Bytes()), size: w.TextBytes(), logical: w.LogicalBytes, rows: w.Rows()}
+	f := &file{blocks: d.split(w.Segments()), size: w.TextBytes(), logical: w.LogicalBytes, rows: w.Rows()}
 	d.st.mu.Lock()
 	defer d.st.mu.Unlock()
 	d.st.files[d.resolve(path)] = f
@@ -343,27 +343,4 @@ func (d *DFS) List() []string {
 	}
 	sort.Strings(paths)
 	return paths
-}
-
-// BytesRead returns cumulative effective bytes read since creation
-// (shared across all views).
-func (d *DFS) BytesRead() int64 {
-	d.st.mu.RLock()
-	defer d.st.mu.RUnlock()
-	return d.st.bytesRead
-}
-
-// BytesWritten returns cumulative effective bytes written since creation
-// (shared across all views).
-func (d *DFS) BytesWritten() int64 {
-	d.st.mu.RLock()
-	defer d.st.mu.RUnlock()
-	return d.st.bytesWritten
-}
-
-// ResetCounters zeroes the I/O counters (between benchmark phases).
-func (d *DFS) ResetCounters() {
-	d.st.mu.Lock()
-	defer d.st.mu.Unlock()
-	d.st.bytesRead, d.st.bytesWritten = 0, 0
 }

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -159,7 +160,7 @@ func TestCorruptionDoesNotReachEarlierReaders(t *testing.T) {
 }
 
 // TestReplicasShareBytesUntilCorrupted: a block's replicas are one immutable
-// buffer, and corrupting one gives that replica alone a copy — its siblings,
+// piece list, and corrupting one gives that replica alone a copy — its siblings,
 // and a file copied earlier, keep the bytes they had.
 func TestReplicasShareBytesUntilCorrupted(t *testing.T) {
 	d := NewWithConfig(Config{BlockSize: 64, Replication: 3, Nodes: 5})
@@ -174,21 +175,21 @@ func TestReplicasShareBytesUntilCorrupted(t *testing.T) {
 		return d.st.files[path].blocks[0].replicas
 	}
 	before := first("ns/n")
-	text := string(before[0].data)
+	text := string(bytes.Join(before[0].data, nil))
 	for _, rep := range before[1:] {
 		if &rep.data[0] != &before[0].data[0] || rep.sum != before[0].sum {
-			t.Fatal("replicas of a fresh block do not share one buffer and checksum")
+			t.Fatal("replicas of a fresh block do not share one piece list and checksum")
 		}
 	}
 	if err := d.CorruptReplica("ns/n", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	after := first("ns/n")
-	if string(after[0].data) == text {
+	if string(bytes.Join(after[0].data, nil)) == text {
 		t.Error("replica 0 was not corrupted")
 	}
 	for _, rep := range append(after[1:], first("copy")...) {
-		if string(rep.data) != text {
+		if string(bytes.Join(rep.data, nil)) != text {
 			t.Error("the corruption of replica 0 reached a sibling replica or the earlier copy")
 		}
 	}

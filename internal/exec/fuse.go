@@ -137,7 +137,7 @@ func (c *chain) runRange(lo, hi int, dst []relation.Row, part *relation.Part) ra
 			res.taps[i].memo = memo
 		}
 	}
-	pipe, arenas := buildPipeline(c.stages, c.open(lo, hi), c.batchRows, res.taps)
+	pipe := buildPipeline(c.stages, c.open(lo, hi), c.batchRows, res.taps)
 	switch {
 	case c.agg != nil:
 		res.table = newAggTable(c.agg.ag)
@@ -146,10 +146,6 @@ func (c *chain) runRange(lo, hi int, dst []relation.Row, part *relation.Part) ra
 		res.err = drainSink(pipe, part)
 	default:
 		res.rows, res.err = drainRows(pipe, dst)
-	}
-	// Drained: only the rows of fresh arenas outlive the pipeline.
-	for _, ar := range arenas {
-		ar.release()
 	}
 	return res
 }
@@ -387,35 +383,28 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 
 // buildPipeline composes one pipeline instance over in, a row range of the
 // head's input: one streaming stage per member (a terminal AGG is the
-// caller's sink), and returns it with the stages' reusable arenas, for the
-// caller to release once it has drained the pipeline. taps[i] meters member i; the
-// member past the end of taps (a materializing last member) is unmetered.
-func buildPipeline(specs []stagePlan, in relation.RowSource, batchRows int, taps []accTap) (relation.RowSource, []*valArena) {
+// caller's sink). Each stage hands its arena back once its upstream is
+// drained. taps[i] meters member i; the member past the end of taps (a
+// materializing last member) is unmetered.
+func buildPipeline(specs []stagePlan, in relation.RowSource, batchRows int, taps []accTap) relation.RowSource {
 	src := in
-	var arenas []*valArena
 	for i := range specs {
 		sp := &specs[i]
 		var tap *accTap
 		if i < len(taps) {
 			tap = &taps[i]
 		}
-		var ar *valArena
+		ar := relation.Arena{Fresh: sp.fresh}
 		switch sp.op.Type {
 		case ir.OpSelect:
-			src = &selectStage{src: src, sch: sp.sch, pred: sp.pred, tap: tap}
+			src = &selectStage{src: src, sch: sp.sch, pred: sp.pred, tap: tap, ar: ar}
 		case ir.OpProject:
-			st := &projectStage{src: src, sch: sp.sch, idx: sp.idx, tap: tap, ar: valArena{fresh: sp.fresh}}
-			src, ar = st, &st.ar
+			src = &projectStage{src: src, sch: sp.sch, idx: sp.idx, tap: tap, ar: ar}
 		case ir.OpArith:
-			st := &arithStage{src: src, sch: sp.sch, arithSpec: sp.arith, tap: tap, ar: valArena{fresh: sp.fresh}}
-			src, ar = st, &st.ar
+			src = &arithStage{src: src, sch: sp.sch, arithSpec: sp.arith, tap: tap, ar: ar}
 		case ir.OpJoin:
-			st := &joinProbeStage{src: src, sch: sp.sch, lIdx: sp.js.lIdx, rKeep: sp.js.rKeep, build: sp.build, batchRows: batchRows, tap: tap, ar: valArena{fresh: sp.fresh}}
-			src, ar = st, &st.ar
-		}
-		if ar != nil && !ar.fresh {
-			arenas = append(arenas, ar)
+			src = &joinProbeStage{src: src, sch: sp.sch, lIdx: sp.js.lIdx, rKeep: sp.js.rKeep, build: sp.build, batchRows: batchRows, tap: tap, ar: ar}
 		}
 	}
-	return src, arenas
+	return src
 }

@@ -205,9 +205,10 @@ func (t *joinTable) probe(h *relation.KeyHasher, row relation.Row, cols []int) [
 // carved from value slabs that grow with the table, so a group costs no heap
 // object of its own.
 //
-// A table's pointer-free scratch — the key index, counts, sums and the key
-// hasher's buffer — is recycled through aggPool once its rows are emitted or
-// merged away. Rows and slabs never are: they become the output relation.
+// A table's scratch — the key index, counts, sums, the key hasher's buffer
+// and the row headers — is recycled through aggPool once its rows are emitted
+// or merged away. The slabs never are: the rows cut from them become the
+// output relation, whose headers emitAggRows copies out exactly sized.
 type aggTable struct {
 	ix     keyIndex
 	rows   []relation.Row
@@ -219,7 +220,7 @@ type aggTable struct {
 	groups int // groups the next slab is cut for
 }
 
-// aggPool holds released tables, their rows, slab and spec cleared.
+// aggPool holds released tables, their row headers, slab and spec cleared.
 var aggPool sync.Pool
 
 // newAggTable takes a released table from aggPool, or makes one, and starts
@@ -230,15 +231,17 @@ func newAggTable(sp aggSpec) *aggTable {
 		return &aggTable{ix: newKeyIndex(64), sp: sp, groups: 8}
 	}
 	t.ix.reset()
-	t.counts, t.sums = t.counts[:0], t.sums[:0]
+	t.rows, t.counts, t.sums = t.rows[:0], t.counts[:0], t.sums[:0]
 	t.sp, t.groups = sp, 8
 	return t
 }
 
 // release hands t's scratch back to aggPool. Its rows now belong to whoever
-// took them: t keeps no reference to them, its slab or its spec.
+// took them: t clears its headers and keeps no reference to them, its slab or
+// its spec.
 func (t *aggTable) release() {
-	t.rows, t.slab, t.sp = nil, nil, aggSpec{}
+	clear(t.rows)
+	t.rows, t.slab, t.sp = t.rows[:0], nil, aggSpec{}
 	aggPool.Put(t)
 }
 

@@ -187,10 +187,11 @@ func sameCells(got, want *relation.Relation) error {
 var aggKeeps []relation.Row
 
 // TestAggScratchIsRecycled: once one AGG has run, a second of the same shape
-// allocates only what its output keeps — the row headers and the value slabs
-// its group rows are cut from, replayed here by their growth rule — and
-// nothing for its key index, counts or sums. GC is off so the pool cannot be
-// emptied between the two, and one P keeps both on one per-P pool.
+// allocates only what its output keeps — exactly sized row headers and the
+// value slabs its group rows are cut from, replayed here by their growth rule
+// — and nothing for its key index, counts, sums or the headers it grows. GC
+// is off so the pool cannot be emptied between the two, and one P keeps both
+// on one per-P pool.
 func TestAggScratchIsRecycled(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation bound is byte-exact; the race runtime allocates on its own")
@@ -232,7 +233,7 @@ func TestAggScratchIsRecycled(t *testing.T) {
 		t.Fatalf("%d groups, want %d", len(out.Rows), groups)
 	}
 	kept := bytesOf(func() {
-		var keep []relation.Row
+		keep := make([]relation.Row, 0, groups)
 		for g, cut := 0, 8; g < groups; cut = min(2*cut, 1024) {
 			slab := make([]relation.Value, cut*arity)
 			for ; len(slab) >= arity && g < groups; g++ {

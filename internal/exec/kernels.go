@@ -20,6 +20,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"musketeer/internal/ir"
 	"musketeer/internal/relation"
@@ -335,11 +336,11 @@ func resolveAggSpec(op *ir.Op, in relation.Schema) (aggSpec, error) {
 }
 
 // emitAggRows hands a fully-accumulated aggregation table's group rows to
-// out, in the table's first-appearance order, once it has filled in their
-// SUM, AVG and COUNT cells, and releases the table. inRows is the number of
-// input rows the table saw: an empty-group-by aggregation over an empty input
-// still yields one row of zeros/identities in SQL semantics, so AVG/COUNT
-// pipelines stay total.
+// out, in the table's first-appearance order and under exactly sized headers,
+// once it has filled in their SUM, AVG and COUNT cells, and releases the
+// table. inRows is the number of input rows the table saw: an empty-group-by
+// aggregation over an empty input still yields one row of zeros/identities in
+// SQL semantics, so AVG/COUNT pipelines stay total.
 func emitAggRows(in relation.Schema, table *aggTable, inRows int, out *relation.Relation) {
 	defer table.release()
 	sp := table.sp
@@ -377,5 +378,5 @@ func emitAggRows(in relation.Schema, table *aggTable, inRows int, out *relation.
 			}
 		}
 	}
-	out.Rows = table.rows
+	out.Rows = slices.Clone(table.rows)
 }

@@ -1,18 +1,16 @@
 package exec
 
-import (
-	"math/bits"
-	"sync"
-
-	"musketeer/internal/relation"
-)
+import "musketeer/internal/relation"
 
 // This file holds the operator kernels for SELECT, PROJECT, ARITH, JOIN-probe
 // and AGG: relation.RowSource stages that a pipeline composes into a single
 // pull chain (see fuse.go for unit planning and the driver). Each stage
-// consumes its upstream via the iterator interface only and reuses its
-// output buffers across batches, so a SELECT→PROJECT→AGG pipeline runs with
-// no per-row allocation and no materialized intermediates.
+// consumes its upstream via the iterator interface only and builds its
+// batches in a relation.Arena — SELECT only its row headers, the
+// constructing stages their cells too, which they overwrite whole — reused
+// across batches and handed back once its upstream is drained, so a
+// SELECT→PROJECT→AGG pipeline runs with no per-row allocation, no
+// materialized intermediates and, warm, no scratch of its own.
 
 // accTap accumulates the row count and physical byte size of the rows a
 // streamed-through stage emits, summing the same relation.Row.EncodedLen
@@ -40,55 +38,14 @@ func (a *accTap) addOwned(row relation.Row) {
 	a.phys += row.StampEncodedLen(a.memo)
 }
 
-// valArena hands out value storage for constructing stages. A reusable
-// arena recycles one slab across batches, taken from slabPools and put back
-// when its pipeline instance is drained (release); a fresh arena allocates
-// per batch, which the last constructing stage before a materializing
-// terminal needs because its rows escape the pipeline. A pooled slab holds
-// whatever its last user wrote: only stages that overwrite whole Values
-// (PROJECT, ARITH, JOIN-probe) may take one, never a reader that parses into
-// zeroed cells.
-type valArena struct {
-	fresh bool
-	slab  *[]relation.Value
-}
-
-// slabPools[k] holds released slabs of capacity 1<<k, so a stage never takes
-// a slab more than twice the size it asked for.
-var slabPools [bits.UintSize]sync.Pool
-
-func (a *valArena) take(n int) []relation.Value {
-	if a.fresh {
-		return make([]relation.Value, n)
-	}
-	if a.slab == nil || cap(*a.slab) < n {
-		a.release()
-		k := bits.Len(uint(max(n, 1) - 1))
-		if a.slab, _ = slabPools[k].Get().(*[]relation.Value); a.slab == nil {
-			s := make([]relation.Value, 1<<k)
-			a.slab = &s
-		}
-	}
-	return (*a.slab)[:n]
-}
-
-// release puts the arena's slab back in its pool: no row carved from it may
-// be read again.
-func (a *valArena) release() {
-	if a.slab != nil {
-		slabPools[bits.Len(uint(cap(*a.slab)))-1].Put(a.slab)
-		a.slab = nil
-	}
-}
-
 // selectStage filters an upstream source. Rows pass through by reference;
-// the stage owns only the batch header slice.
+// the stage owns only the batch's row headers.
 type selectStage struct {
 	src  relation.RowSource
 	sch  relation.Schema
 	pred *boundPred
 	tap  *accTap
-	out  []relation.Row
+	ar   relation.Arena
 }
 
 func (s *selectStage) Schema() relation.Schema { return s.sch }
@@ -97,24 +54,22 @@ func (s *selectStage) Next() (relation.Batch, error) {
 	for {
 		b, err := s.src.Next()
 		if err != nil || b.Empty() {
+			s.ar.Release()
 			return relation.Batch{}, err
 		}
-		if s.out = s.out[:0]; cap(s.out) < len(b.Rows) {
-			s.out = make([]relation.Row, 0, len(b.Rows))
-		}
+		// out is this stage's per-Next output view, re-sliced every Next:
+		// aliased rows never outlive the upstream batch.
+		out := s.ar.Rows(len(b.Rows))[:0]
 		for _, row := range b.Rows {
 			if s.pred.eval(row) {
 				if s.tap != nil {
 					s.tap.addRow(row)
 				}
-				// s.out is this stage's per-Next output view, re-sliced at
-				// the top of every Next: aliased rows never outlive the
-				// upstream batch.
-				s.out = append(s.out, row)
+				out = append(out, row)
 			}
 		}
-		if len(s.out) > 0 {
-			return relation.Batch{Rows: s.out}, nil
+		if len(out) > 0 {
+			return relation.Batch{Rows: out}, nil
 		}
 	}
 }
@@ -126,8 +81,7 @@ type projectStage struct {
 	sch relation.Schema
 	idx []int
 	tap *accTap
-	ar  valArena
-	out []relation.Row
+	ar  relation.Arena
 }
 
 func (p *projectStage) Schema() relation.Schema { return p.sch }
@@ -135,14 +89,13 @@ func (p *projectStage) Schema() relation.Schema { return p.sch }
 func (p *projectStage) Next() (relation.Batch, error) {
 	b, err := p.src.Next()
 	if err != nil || b.Empty() {
+		p.ar.Release()
 		return relation.Batch{}, err
 	}
 	arity := len(p.idx)
-	vals := p.ar.take(len(b.Rows) * arity)
-	if p.out = p.out[:0]; cap(p.out) < len(b.Rows) {
-		p.out = make([]relation.Row, 0, len(b.Rows))
-	}
-	for _, row := range b.Rows {
+	vals := p.ar.Values(len(b.Rows) * arity)
+	out := p.ar.Rows(len(b.Rows))
+	for i, row := range b.Rows {
 		nr := relation.Row(vals[:arity:arity])
 		vals = vals[arity:]
 		for k, j := range p.idx {
@@ -151,9 +104,9 @@ func (p *projectStage) Next() (relation.Batch, error) {
 		if p.tap != nil {
 			p.tap.addOwned(nr)
 		}
-		p.out = append(p.out, nr)
+		out[i] = nr
 	}
-	return relation.Batch{Rows: p.out}, nil
+	return relation.Batch{Rows: out}, nil
 }
 
 // arithStage computes a derived column per row (see arithSpec).
@@ -162,8 +115,7 @@ type arithStage struct {
 	sch relation.Schema
 	*arithSpec
 	tap *accTap
-	ar  valArena
-	out []relation.Row
+	ar  relation.Arena
 }
 
 func (a *arithStage) Schema() relation.Schema { return a.sch }
@@ -171,14 +123,13 @@ func (a *arithStage) Schema() relation.Schema { return a.sch }
 func (a *arithStage) Next() (relation.Batch, error) {
 	b, err := a.src.Next()
 	if err != nil || b.Empty() {
+		a.ar.Release()
 		return relation.Batch{}, err
 	}
 	arity := a.sch.Arity()
-	vals := a.ar.take(len(b.Rows) * arity)
-	if a.out = a.out[:0]; cap(a.out) < len(b.Rows) {
-		a.out = make([]relation.Row, 0, len(b.Rows))
-	}
-	for _, row := range b.Rows {
+	vals := a.ar.Values(len(b.Rows) * arity)
+	out := a.ar.Rows(len(b.Rows))
+	for i, row := range b.Rows {
 		nr := relation.Row(vals[:arity:arity])
 		vals = vals[arity:]
 		copy(nr, row)
@@ -186,9 +137,9 @@ func (a *arithStage) Next() (relation.Batch, error) {
 		if a.tap != nil {
 			a.tap.addOwned(nr)
 		}
-		a.out = append(a.out, nr)
+		out[i] = nr
 	}
-	return relation.Batch{Rows: a.out}, nil
+	return relation.Batch{Rows: out}, nil
 }
 
 // joinProbeStage probes a pre-built hash-join table with the streaming
@@ -209,35 +160,50 @@ type joinProbeStage struct {
 	batchRows int
 	h         relation.KeyHasher
 	tap       *accTap
-	ar        valArena
-	out       []relation.Row
+	ar        relation.Arena
 
-	// The upstream batch being emitted: its probe rows, their matches, the
-	// position of the next match to emit and how many are left.
+	// The upstream batch being emitted: its probe rows, their matches (a
+	// buffer from matchLists), the position of the next match to emit and
+	// how many are left.
 	cur     []relation.Row
-	matches [][]relation.Row
+	matches *[][]relation.Row
 	row, at int
 	pending int
 }
 
+// matchLists backs every probe stage's per-batch match lists.
+var matchLists relation.Pool[[]relation.Row]
+
 func (j *joinProbeStage) Schema() relation.Schema { return j.sch }
+
+// releaseMatches clears the match lists, so the pool keeps no build rows
+// alive, and hands them back.
+func (j *joinProbeStage) releaseMatches() {
+	if j.matches != nil {
+		clear(*j.matches)
+		matchLists.Put(j.matches)
+		j.matches = nil
+	}
+}
 
 func (j *joinProbeStage) Next() (relation.Batch, error) {
 	for j.pending == 0 {
 		b, err := j.src.Next()
 		if err != nil || b.Empty() {
+			j.ar.Release()
+			j.releaseMatches()
 			return relation.Batch{}, err
 		}
-		// matches and out are each sized to the batch they hold, not
-		// grown by doubling from empty.
-		if cap(j.matches) < len(b.Rows) {
-			j.matches = make([][]relation.Row, 0, len(b.Rows))
+		// The match lists and the output headers are sized to the batch
+		// they hold, not to the pipeline's batch size.
+		if j.matches == nil || cap(*j.matches) < len(b.Rows) {
+			j.releaseMatches()
+			j.matches = matchLists.Get(len(b.Rows))
 		}
-		j.matches = j.matches[:0]
-		for _, lr := range b.Rows {
-			m := j.build.probe(&j.h, lr, j.lIdx)
-			j.matches = append(j.matches, m)
-			j.pending += len(m)
+		matches := *j.matches
+		for i, lr := range b.Rows {
+			matches[i] = j.build.probe(&j.h, lr, j.lIdx)
+			j.pending += len(matches[i])
 		}
 		// The upstream batch is held only while its matches are pending:
 		// src.Next is not called again until the last of them is emitted.
@@ -246,13 +212,10 @@ func (j *joinProbeStage) Next() (relation.Batch, error) {
 	n := min(j.pending, j.batchRows)
 	j.pending -= n
 	arity := j.sch.Arity()
-	vals := j.ar.take(n * arity)
-	if cap(j.out) < n {
-		j.out = make([]relation.Row, 0, n)
-	}
-	j.out = j.out[:0]
-	for len(j.out) < n {
-		m := j.matches[j.row]
+	vals := j.ar.Values(n * arity)
+	out := j.ar.Rows(n)[:0]
+	for len(out) < n {
+		m := (*j.matches)[j.row]
 		if j.at == len(m) {
 			j.row, j.at = j.row+1, 0
 			continue
@@ -270,9 +233,9 @@ func (j *joinProbeStage) Next() (relation.Batch, error) {
 		if j.tap != nil {
 			j.tap.addOwned(nr)
 		}
-		j.out = append(j.out, nr)
+		out = append(out, nr)
 	}
-	return relation.Batch{Rows: j.out}, nil
+	return relation.Batch{Rows: out}, nil
 }
 
 // drainAgg is the aggregation sink: it folds every upstream row into the

@@ -127,6 +127,15 @@ type Operand struct {
 	Scale float64
 }
 
+// isInt reports whether the operand yields an Int over rows of schema in: an
+// Int literal, or an unscaled column of int kind.
+func (o Operand) isInt(in relation.Schema) bool {
+	if !o.IsCol {
+		return o.Lit.Kind == relation.KindInt
+	}
+	return (o.Scale == 0 || o.Scale == 1) && in.Cols[in.Index(o.Col)].Kind == relation.KindInt
+}
+
 // ColRef returns a column operand.
 func ColRef(name string) Operand { return Operand{IsCol: true, Col: name} }
 

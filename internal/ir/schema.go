@@ -230,25 +230,19 @@ func inferOp(op *Op, known map[*Op]relation.Schema) (relation.Schema, error) {
 		if op.Params.Dst == "" {
 			return relation.Schema{}, fmt.Errorf("ir: %s: ARITH without destination column", op)
 		}
-		if in[0].Index(op.Params.Dst) >= 0 {
-			// In-place update: schema unchanged except a DIV result
-			// becomes float.
-			out := relation.Schema{Cols: append([]relation.Column(nil), in[0].Cols...)}
-			if op.Params.AOp == ArithDiv {
-				out.Cols[out.Index(op.Params.Dst)].Kind = relation.KindFloat
-			}
-			return out, nil
-		}
+		// The result column, in place or appended, is of the kind the
+		// kernel computes: an int exactly when the operator is not DIV and
+		// each operand is an int (see ArithOp.Apply).
 		kind := relation.KindFloat
-		if op.Params.AOp != ArithDiv && op.Params.ALeft.IsCol && op.Params.ARght.IsCol {
-			lk := in[0].Cols[in[0].Index(op.Params.ALeft.Col)].Kind
-			rk := in[0].Cols[in[0].Index(op.Params.ARght.Col)].Kind
-			if lk == relation.KindInt && rk == relation.KindInt {
-				kind = relation.KindInt
-			}
+		if op.Params.AOp != ArithDiv && op.Params.ALeft.isInt(in[0]) && op.Params.ARght.isInt(in[0]) {
+			kind = relation.KindInt
 		}
 		out := relation.Schema{Cols: append([]relation.Column(nil), in[0].Cols...)}
-		out.Cols = append(out.Cols, relation.Column{Name: op.Params.Dst, Kind: kind})
+		if j := out.Index(op.Params.Dst); j >= 0 {
+			out.Cols[j].Kind = kind
+		} else {
+			out.Cols = append(out.Cols, relation.Column{Name: op.Params.Dst, Kind: kind})
+		}
 		return out, nil
 
 	case OpDistinct:

@@ -41,7 +41,7 @@ const groupRows = 1024
 // as row groups as they arrive and keeps none, so a pipeline may stream
 // batches into it. BodyBytes is Σ Row.EncodedLen, the length of the rows'
 // text, which is how a streamed output is sized. LogicalBytes may be set until
-// Bytes, Schema until the first row. Parts splice in the order they were
+// Bytes or Segments, Schema until the first row. Parts splice in the order they were
 // opened; each may be filled by its own goroutine, done before any read.
 type Writer struct {
 	Schema       Schema
@@ -89,19 +89,40 @@ func (w *Writer) TextBytes() int64 {
 // Bytes assembles magic, header and parts into one exactly sized, fresh
 // buffer.
 func (w *Writer) Bytes() []byte {
-	n := len(columnarMagic) + headerLen(w.Schema, w.LogicalBytes)
+	n := 0
 	for _, p := range w.parts {
 		for _, seg := range p.segs {
 			n += len(seg)
 		}
 	}
-	buf := appendHeader(append(make([]byte, 0, n), columnarMagic[:]...), w.Schema, w.LogicalBytes)
+	buf := w.head(n)
 	for _, p := range w.parts {
 		for _, seg := range p.segs {
 			buf = append(buf, seg...)
 		}
 	}
 	return buf
+}
+
+// Segments returns the stream as the pieces it was written in, in order:
+// magic and header in one fresh buffer, then every row group's segment —
+// the writer's own, not copied, and never written again.
+func (w *Writer) Segments() [][]byte {
+	n := 1
+	for _, p := range w.parts {
+		n += len(p.segs)
+	}
+	segs := append(make([][]byte, 0, n), w.head(0))
+	for _, p := range w.parts {
+		segs = append(segs, p.segs...)
+	}
+	return segs
+}
+
+// head returns magic and header in a buffer with room for body more bytes.
+func (w *Writer) head(body int) []byte {
+	n := len(columnarMagic) + headerLen(w.Schema, w.LogicalBytes)
+	return appendHeader(append(make([]byte, 0, n+body), columnarMagic[:]...), w.Schema, w.LogicalBytes)
 }
 
 // Part is one stretch of a Writer's body: its row groups, each sized before it
@@ -153,11 +174,13 @@ func cellText(v *Value) string {
 
 // floatColumnWidth returns the width byte of a cell of a float column and the
 // length of its text. A float's byte is that length, cached or measured once,
-// through m. An Int in a float column (ARITH over an int column and an int
-// literal declares a float result but computes an Int) renders as integer
-// text, which parses back to a float that re-renders the same up to six digits
-// and in exponent form beyond: there the byte is 0 and the reader's TextLen
-// measures the float it decoded.
+// through m. An Int in a float column renders as integer text, which parses
+// back to a float that re-renders the same up to six digits and in exponent
+// form beyond: there the byte is 0 and the reader's TextLen measures the float
+// it decoded. No kernel computes one (ARITH declares the kind it computes);
+// what reaches this is a user's relation, built with an Int in a float column
+// and handed to WriteRelation or EncodeColumnar, which store it as its text
+// would parse.
 func floatColumnWidth(v *Value, m *WidthMemo) (w uint8, text int) {
 	switch {
 	case v.Kind == KindInt:
@@ -300,27 +323,28 @@ func open(name string, blocks [][]byte, rows int, trusted bool) (*Encoded, error
 func (e *Encoded) NumRows() int { return e.rows }
 
 // Reader returns a source over rows [lo, hi) that decodes at most batchRows
-// rows per batch into an arena it reuses — or, with fresh, allocates anew per
-// batch, for a consumer that keeps rows past the next pull. The range starts
-// at a row found by counting what the row groups before it declare, so
-// concurrent readers over adjoining ranges decode exactly the rows a single
-// one would, in order.
+// rows per batch into a recycled arena, handed back once the range is drained
+// — or, with fresh, into cells allocated anew per batch, for a consumer that
+// keeps rows past the next pull. The range starts at a row found by counting
+// what the row groups before it declare, so concurrent readers over adjoining
+// ranges decode exactly the rows a single one would, in order.
 func (e *Encoded) Reader(lo, hi, batchRows int, fresh bool) RowSource {
 	if e.rel != nil {
 		return e.rel.Reader(lo, hi, batchRows)
 	}
-	return &groupReader{e: e, cur: e.body, remaining: hi - lo, last: hi == e.rows, batchRows: batchRows, fresh: fresh, skip: lo}
+	return &groupReader{e: e, cur: e.body, remaining: hi - lo, last: hi == e.rows, batchRows: batchRows, ar: Arena{Fresh: fresh}, skip: lo}
 }
 
-// Materialize decodes every row, once, as one fresh batch whose arena is the
-// relation's exactly-sized slab; later calls return the same relation.
+// Materialize decodes every row, once, into the relation's exactly sized rows
+// and slab; later calls return the same relation.
 func (e *Encoded) Materialize() (*Relation, error) {
 	if e.rel == nil {
-		b, err := e.Reader(0, e.rows, e.rows, true).Next()
-		if err != nil {
+		r := groupReader{e: e, cur: e.body, remaining: e.rows, last: true, batchRows: e.rows}
+		rows := make([]Row, e.rows)
+		if err := r.fill(rows, make([]Value, e.rows*e.Schema.Arity())); err != nil {
 			return nil, err
 		}
-		e.rel = &Relation{Name: e.Name, Schema: e.Schema, Rows: b.Rows, LogicalBytes: e.LogicalBytes}
+		e.rel = &Relation{Name: e.Name, Schema: e.Schema, Rows: rows, LogicalBytes: e.LogicalBytes}
 	}
 	return e.rel, nil
 }
@@ -470,9 +494,7 @@ type groupReader struct {
 	remaining int  // rows of the range not yet decoded
 	last      bool // the range ends at the relation's last row
 	batchRows int
-	fresh     bool
-	rows      []Row
-	vals      []Value
+	ar        Arena
 	skip      int         // rows before the range not yet passed
 	left      int         // rows of the open group not yet decoded
 	cols      []colCursor // the open group's sections
@@ -488,32 +510,40 @@ type colCursor struct {
 	blob string
 }
 
-// Next decodes the range's next batch straight into the arena: the range's
-// first batch is its largest, so arena and row headers are built once unless
-// the consumer asked for fresh storage per batch. Trusted rows are stamped
-// with the widths the encoding carries and metered from them — nothing is
-// rendered — and a trusted stream must end where its last row does.
+// Next decodes the range's next batch into the arena, which it releases once
+// the range is drained. Trusted rows are stamped with the widths the encoding
+// carries and metered from them — nothing is rendered — and a trusted stream
+// must end where its last row does.
 func (r *groupReader) Next() (Batch, error) {
+	n := min(r.batchRows, r.remaining)
+	if n == 0 {
+		r.ar.Release()
+		return Batch{}, r.fill(nil, nil) // a trusted stream must end here
+	}
+	rows := r.ar.Rows(n)
+	if err := r.fill(rows, r.ar.Values(n*r.e.Schema.Arity())); err != nil {
+		return Batch{}, err
+	}
+	return Batch{Rows: rows}, nil
+}
+
+// fill decodes the range's next len(rows) rows into vals and cuts rows from
+// it, one row of cells each.
+func (r *groupReader) fill(rows []Row, vals []Value) error {
 	e := r.e
 	arity := e.Schema.Arity()
-	n := min(r.batchRows, r.remaining)
-	if r.fresh || cap(r.vals) < n*arity || cap(r.rows) < n {
-		r.vals = make([]Value, n*arity)
-		if cap(r.rows) < n {
-			r.rows = make([]Row, n)
-		}
-		for i := range r.rows[:n] {
-			r.rows[i] = r.vals[i*arity : (i+1)*arity : (i+1)*arity]
-		}
+	n := len(rows)
+	for i := range rows {
+		rows[i] = vals[i*arity : (i+1)*arity : (i+1)*arity]
 	}
 	phys := 0
 	for at := 0; at < n; {
 		if r.left == 0 {
 			if err := r.openGroup(); err != nil {
-				return Batch{}, err
+				return err
 			}
 		}
-		k, dst := min(n-at, r.left), r.vals[at*arity:]
+		k, dst := min(n-at, r.left), vals[at*arity:]
 		if r.skip > 0 {
 			// The range starts inside this group: the rows before it decode
 			// over the batch's storage, unmetered, and are overwritten.
@@ -521,7 +551,7 @@ func (r *groupReader) Next() (Batch, error) {
 		}
 		w, err := r.decode(dst, k)
 		if err != nil {
-			return Batch{}, err
+			return err
 		}
 		if r.skip > 0 {
 			r.skip -= k
@@ -533,10 +563,10 @@ func (r *groupReader) Next() (Batch, error) {
 	if e.trusted {
 		e.meter(n, int64(phys))
 		if r.remaining == 0 && r.last && r.skip == 0 && (r.left > 0 || !r.cur.atEnd()) {
-			return Batch{}, fmt.Errorf("relation %s: stream continues past the %d rows its writer recorded", e.Name, e.rows)
+			return fmt.Errorf("relation %s: stream continues past the %d rows its writer recorded", e.Name, e.rows)
 		}
 	}
-	return Batch{Rows: r.rows[:n]}, nil
+	return nil
 }
 
 // openGroup moves to the next row group holding a row of the range, skipping
@@ -599,10 +629,11 @@ func (r *groupReader) openGroup() error {
 }
 
 // decode decodes the open group's next k rows into dst, row-major, column by
-// column, and returns Σ Row.EncodedLen over them. A numeric cell is written
-// field by field, with no pointer store: fresh from make or last written by
-// this same column, what a number leaves unset is already zero. Once the
-// group's last row is out, every section must be too.
+// column, and returns Σ Row.EncodedLen over them. dst may hold a pooled
+// slab's stale cells, so every field of a numeric cell is written: Kind, its
+// width, I and F always, and S only when it is not already empty, so the
+// common case stores no pointer. Once the group's last row is out, every
+// section must be too.
 func (r *groupReader) decode(dst []Value, k int) (int, error) {
 	e := r.e
 	arity := len(e.Schema.Cols)
@@ -625,14 +656,20 @@ func (r *groupReader) decode(dst []Value, k int) (int, error) {
 				w := intTextLen(v)
 				phys += w
 				cell := &dst[i]
-				cell.Kind, cell.w, cell.I = KindInt, uint8(w)&stamp, v
+				cell.Kind, cell.w, cell.I, cell.F = KindInt, uint8(w)&stamp, v, 0
+				if cell.S != "" {
+					cell.S = ""
+				}
 			}
 			cc.sec = sec
 		case KindFloat:
 			sec := cc.sec[:9*k]
 			for i := c; len(sec) > 0; i, sec = i+arity, sec[9:] {
 				cell := &dst[i]
-				cell.Kind, cell.w, cell.F = KindFloat, sec[8]&stamp, math.Float64frombits(binary.LittleEndian.Uint64(sec))
+				cell.Kind, cell.w, cell.I, cell.F = KindFloat, sec[8]&stamp, 0, math.Float64frombits(binary.LittleEndian.Uint64(sec))
+				if cell.S != "" {
+					cell.S = ""
+				}
 				if cell.w != 0 {
 					phys += int(cell.w)
 				} else if e.trusted {

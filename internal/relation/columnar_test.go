@@ -515,8 +515,9 @@ func TestReaderMatchesMaterialize(t *testing.T) {
 	}
 }
 
-// TestReaderArenas: a recycling reader sizes its arena by demand and reuses
-// it; a fresh one hands out rows that survive later batches.
+// TestReaderArenas: a recycling reader takes its arena's slab and headers by
+// the power-of-two class of its demand, not of its batch size, and hands them
+// back once drained; a fresh one hands out rows that survive later batches.
 func TestReaderArenas(t *testing.T) {
 	rel := mixedRelation(40)
 	e, err := Open("m", chop(rel.EncodeColumnar(CodecOptions{}), 64), 40)
@@ -527,8 +528,11 @@ func TestReaderArenas(t *testing.T) {
 	if b, err := r.Next(); err != nil || len(b.Rows) != 40 {
 		t.Fatalf("first batch = %d rows, %v", len(b.Rows), err)
 	}
-	if len(r.vals) != 40*3 || cap(r.rows) != 40 {
-		t.Errorf("arena of %d cells and %d row headers for a 40-row range", len(r.vals), cap(r.rows))
+	if cap(*r.ar.vals) != 128 || cap(*r.ar.rows) != 64 {
+		t.Errorf("arena of %d cells and %d row headers for a 40-row range of 3 columns, want 128 and 64", cap(*r.ar.vals), cap(*r.ar.rows))
+	}
+	if b, err := r.Next(); err != nil || !b.Empty() || r.ar.vals != nil || r.ar.rows != nil {
+		t.Errorf("drained: batch of %d rows, %v, arena still held: %v", len(b.Rows), err, r.ar.vals != nil || r.ar.rows != nil)
 	}
 	var kept []Row
 	src := e.Reader(0, 40, 3, true)

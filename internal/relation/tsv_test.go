@@ -24,8 +24,8 @@ func chop(data []byte, size int) [][]byte {
 }
 
 // mixedRelation has every kind, empty strings, negative numbers and — in the
-// float column — integers of 6, 7 and 8 digits held as Ints, which is what an
-// ARITH over int operands stores there (see floatColumnWidth).
+// float column — integers of 6, 7 and 8 digits held as Ints, which a user's
+// relation may hold there (see floatColumnWidth).
 func mixedRelation(n int) *Relation {
 	r := New("m", NewSchema("id:int", "f:float", "s:string"))
 	for i := 0; i < n; i++ {

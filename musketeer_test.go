@@ -331,3 +331,44 @@ func TestExplainAPI(t *testing.T) {
 		}
 	}
 }
+
+// TestArithKindSurvivesJobBoundaries: an ARITH declares the kind its kernel
+// computes, so its rows store and read back as they were computed. MUL of an
+// int column by 0.5 is a float column: hadoop, which runs each AGG as its own
+// job and stores the first one's output between them, must group 2 and 2.5
+// apart just as the engines that run the workflow in one job do.
+func TestArithKindSurvivesJobBoundaries(t *testing.T) {
+	const src = `
+y = MUL [a, 0.5] FROM t;
+g = AGG COUNT(*) AS n FROM y GROUP BY a;
+h = AGG SUM(n) AS m FROM g GROUP BY a;
+`
+	for _, engine := range []string{"naiad", "spark", "hadoop"} {
+		m := New(LocalCluster(7))
+		tbl := relation.New("t", NewSchema("k:int", "a:int"))
+		tbl.MustAppend(relation.Row{relation.Int(1), relation.Int(4)})
+		tbl.MustAppend(relation.Row{relation.Int(2), relation.Int(5)})
+		if err := m.WriteInput("in/t", tbl); err != nil {
+			t.Fatal(err)
+		}
+		wf, err := m.CompileBEER(src, Catalog{"t": {Path: "in/t", Schema: tbl.Schema}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := wf.ExecuteOn(engine)
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		if engine == "hadoop" && len(res.Jobs) < 2 {
+			t.Fatalf("hadoop ran %d job(s): no job boundary to cross", len(res.Jobs))
+		}
+		out, err := m.ReadOutput("h")
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		text := string(out.EncodeBytes())
+		if body := text[strings.Index(text, "#logical"):]; body[strings.IndexByte(body, '\n')+1:] != "2\t1\n2.5\t1\n" {
+			t.Errorf("%s writes %q, want \"2\\t1\\n2.5\\t1\\n\"", engine, text)
+		}
+	}
+}
