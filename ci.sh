@@ -54,21 +54,28 @@
 #                       history, and a history file without a version is
 #                       refused
 #   scratch recycling — what a run does not keep is recycled: reader
-#                       slabs and row headers, stage arenas and match
-#                       lists through relation's pools, aggregation tables
-#                       through exec's aggPool, and a commit stores the
-#                       writer's segments uncopied. A reader over a stale
-#                       pooled slab decodes what a fresh one does, widths
-#                       included; the generator's DAGs, every pipeline split
-#                       into two halves, compute the same relations cell for
-#                       cell (float bits included) on recycled scratch as on
-#                       fresh — AGGs over bound inputs, and every stage over
-#                       inputs streamed from DFS files after another schema
-#                       dirtied the pools; a warm AGG allocates only its
-#                       output rows, exact headers and slabs; and a committed
-#                       file's replicas alias the writer's segments, one
-#                       corrupted replica stays one, and the file reads
-#                       back. Then the same tests and
+#                       slabs, row headers and straddle buffers, stage
+#                       arenas, match lists and drained row headers through
+#                       relation's pools, aggregation and distinct tables
+#                       through exec's aggPool, join tables and set
+#                       operators' key sets through exec's class pools, and
+#                       a commit stores the writer's segments uncopied. A
+#                       reader over a stale pooled slab decodes what a fresh
+#                       one does, widths included; the generator's DAGs,
+#                       every pipeline split into two halves, compute the
+#                       same relations cell for cell (float bits included)
+#                       on recycled scratch as on fresh — AGGs over bound
+#                       inputs, every stage over inputs streamed from DFS
+#                       files after another schema dirtied the pools, and
+#                       joins and set operators, at both split thresholds,
+#                       under the same trace, after tables of every small
+#                       class were left in the pools; a warm AGG allocates
+#                       only its output rows, exact headers and slabs; a
+#                       released join table keeps no row and is the one the
+#                       next build of its class takes, as a key set is; and
+#                       a committed file's replicas alias the writer's
+#                       segments, one corrupted replica stays one, and the
+#                       file reads back. Then the same tests and
 #                       TestRandomDAGsMatchOracle under -race at
 #                       GOMAXPROCS=8, since concurrent halves release into
 #                       shared pools
@@ -174,8 +181,8 @@ gofmt_gate() {
     fi
 }
 
-RECYCLING_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledArenasMatchFirstUse|TestReaderOverStaleSlabMatchesFresh|TestCommitKeepsTheWritersSegments)$'
-RECYCLING_RACE_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledArenasMatchFirstUse|TestReaderOverStaleSlabMatchesFresh|TestCommitKeepsTheWritersSegments|TestRandomDAGsMatchOracle)$'
+RECYCLING_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledJoinTablesMatchFirstUse|TestTablesAreRecycled|TestRecycledArenasMatchFirstUse|TestReaderOverStaleSlabMatchesFresh|TestCommitKeepsTheWritersSegments)$'
+RECYCLING_RACE_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledJoinTablesMatchFirstUse|TestTablesAreRecycled|TestRecycledArenasMatchFirstUse|TestReaderOverStaleSlabMatchesFresh|TestCommitKeepsTheWritersSegments|TestRandomDAGsMatchOracle)$'
 
 scratch_recycling_gate() {
     go test -count=1 -timeout 5m -run "$RECYCLING_TESTS" \

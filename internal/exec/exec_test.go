@@ -501,7 +501,7 @@ func TestWhileBodyInputBindsOnlyWhileInputs(t *testing.T) {
 func TestRunOpsMissingInput(t *testing.T) {
 	d := ir.NewDAG()
 	in := d.AddInput("t", "in/t", relation.NewSchema("v:int"))
-	breaker := d.Add(ir.OpDistinct, "o", ir.Params{}, in)
+	breaker := d.Add(ir.OpSort, "o", ir.Params{SortBy: []string{"v"}}, in)
 	piped := d.Add(ir.OpSelect, "s", ir.Params{Pred: ir.Cmp(ir.ColRef("v"), ir.CmpGt, ir.LitOp(relation.Int(0)))}, in)
 	for _, op := range []*ir.Op{breaker, piped, in} {
 		if err := RunOps([]*ir.Op{op}, Env{}, NewTrace(), RunOptions{}); err == nil {

@@ -9,31 +9,49 @@ import (
 )
 
 // This file plans execution units over a topologically-ordered operator
-// list and drives the pipelined ones. SELECT, PROJECT, ARITH, JOIN-probe and
-// AGG have exactly one implementation — the pull stages of stream.go — and
-// always run as a pipeline of length ≥ 1: maximal chains stream through
-// their interior members and materialize only the last one's output, and an
-// operator with no fusable neighbour is simply a pipeline of one.
+// list and drives the pipelined ones. SELECT, PROJECT, ARITH and JOIN-probe
+// have exactly one implementation — the pull stages of stream.go — and a
+// pipeline may end in a table: AGG's groups, or the distinct table that
+// DISTINCT fills and that INTERSECT and DIFFERENCE fill through a filter on
+// their right input's key set. Every such operator always runs as a pipeline
+// of length ≥ 1: maximal chains stream through their interior members and
+// materialize only the last one's output, and an operator with no fusable
+// neighbour is simply a pipeline of one.
 
-// pipelined reports whether t runs as a pipeline member. AGG has no
-// streaming output, so it only ever ends a pipeline.
+// pipelined reports whether t runs as a pipeline member.
 func pipelined(t ir.OpType) bool {
 	switch t {
-	case ir.OpSelect, ir.OpProject, ir.OpArith, ir.OpJoin, ir.OpAgg:
+	case ir.OpSelect, ir.OpProject, ir.OpArith, ir.OpJoin:
+		return true
+	}
+	return terminal(t)
+}
+
+// terminal reports whether t fills a table it emits whole — AGG, or the
+// distinct table of DISTINCT, INTERSECT and DIFFERENCE — and so only ever
+// ends a pipeline.
+func terminal(t ir.OpType) bool {
+	switch t {
+	case ir.OpAgg, ir.OpDistinct, ir.OpIntersect, ir.OpDifference:
 		return true
 	}
 	return false
 }
 
+// setFilter reports whether t filters its left input against the key set of
+// its right one.
+func setFilter(t ir.OpType) bool { return t == ir.OpIntersect || t == ir.OpDifference }
+
 // planUnits partitions ops into execution units, ordered by their last
 // member: every operator that is not pipelined (INPUT, WHILE, the breaker
 // kernels) is a unit of its own, and the pipelined ones group into maximal
 // chains. A chain extends past a member — streaming through it, never
-// materializing it — only when the member's single consumer edge inside the
-// list is the next member's first (probe) input and the caller does not
-// Keep it; a consumer reading the same producer twice (self join)
-// contributes two edges, which ends the chain. A unit runs at its last
-// member's position, so join build sides are materialized by then.
+// materializing it — only when the member is not terminal, its single
+// consumer edge inside the list is the next member's first (probe or left)
+// input and the caller does not Keep it; a consumer reading the same
+// producer twice (self join) contributes two edges, which ends the chain. A
+// unit runs at its last member's position, so join build sides and set
+// operators' right inputs are materialized, or open to stream, by then.
 func planUnits(ops []*ir.Op, keep func(*ir.Op) bool) [][]*ir.Op {
 	pos := make(map[*ir.Op]int, len(ops))
 	for i, op := range ops {
@@ -57,7 +75,7 @@ func planUnits(ops []*ir.Op, keep func(*ir.Op) bool) [][]*ir.Op {
 		}
 		unit := ops[i : i+1 : i+1] // a longer chain copies out on append
 		end := i
-		for pipelined(ops[end].Type) && ops[end].Type != ir.OpAgg && edges[end] == 1 && (keep == nil || !keep(ops[end])) {
+		for pipelined(ops[end].Type) && !terminal(ops[end].Type) && edges[end] == 1 && (keep == nil || !keep(ops[end])) {
 			next := ops[sole[end]]
 			if !pipelined(next.Type) || next.Inputs[0] != ops[end] {
 				break
@@ -82,52 +100,80 @@ func planUnits(ops []*ir.Op, keep func(*ir.Op) bool) [][]*ir.Op {
 // row. The plan is immutable once built, so concurrent chunk pipelines share
 // it.
 type stagePlan struct {
-	op       *ir.Op
-	inSch    relation.Schema
-	sch      relation.Schema
-	pred     *boundPred // SELECT
-	idx      []int      // PROJECT
-	arith    *arithSpec // ARITH
-	js       joinSpec   // JOIN
-	build    *joinTable
-	buildRel *relation.Relation
-	ag       aggSpec // terminal AGG
-	fresh    bool    // allocate fresh value storage per batch (rows escape)
+	op    *ir.Op
+	inSch relation.Schema
+	sch   relation.Schema
+	pred  *boundPred // SELECT
+	idx   []int      // PROJECT
+	arith *arithSpec // ARITH
+	js    joinSpec   // JOIN
+	build *joinTable
+	// ownsBuild says the chain built build for itself, and hands it back
+	// when it finishes: no later run will probe it.
+	ownsBuild bool
+	// right is the second input of a JOIN (its build side) or a set
+	// operator, bound; rightFile a set operator's right input when it
+	// streams instead.
+	right     *relation.Relation
+	rightFile *relation.Encoded
+	ag        aggSpec // terminal AGG, DISTINCT, INTERSECT or DIFFERENCE
+	fresh     bool    // allocate fresh value storage per batch (rows escape)
+}
+
+// rightVolume sizes the member's second input: a streamed one was metered
+// while its key set was built.
+func (sp *stagePlan) rightVolume(trace *Trace) volume {
+	if f := sp.rightFile; f != nil {
+		return volume{phys: f.PhysicalBytes(), logical: f.LogicalBytes}
+	}
+	return trace.volumeOf(sp.right)
+}
+
+// release hands back the tables the member took for this chain alone.
+func (sp *stagePlan) release() {
+	if sp.ownsBuild {
+		sp.build.release()
+		sp.build, sp.ownsBuild = nil, false
+	}
+	if sp.ag.filter != nil {
+		sp.ag.filter.release()
+		sp.ag.filter = nil
+	}
 }
 
 // chain is one resolved pipeline: the input its head scans (its row count,
 // and open, which yields a row range of it in batches — views of a bound
 // relation's rows, or a DFS file decoding as it is pulled), its streaming
-// members, the terminal AGG when it ends in one, and the sink when its rows
-// stream out. rowPreserving says every member emits exactly one row per
-// input row (PROJECT and ARITH only).
+// members, the terminal table when it ends in one, and the sink when its
+// rows stream out.
 type chain struct {
-	rows          int
-	open          func(lo, hi int) relation.RowSource
-	stages        []stagePlan
-	agg           *stagePlan
-	sink          *relation.Writer
-	rowPreserving bool
-	batchRows     int
+	rows      int
+	open      func(lo, hi int) relation.RowSource
+	stages    []stagePlan
+	term      *stagePlan
+	sink      *relation.Writer
+	batchRows int
 }
 
 // rangeResult is what one pipeline instance over a scan range produced: the
-// rows it materialized or the partial aggregation table it filled, plus the
-// taps metering every member that was streamed through.
+// rows it materialized, in buf, a pooled header buffer, or the partial table
+// it filled, plus the taps metering every member that was streamed through.
 type rangeResult struct {
 	rows   []relation.Row
+	buf    *[]relation.Row
 	table  *aggTable
 	inRows int
 	taps   []accTap
 	err    error
 }
 
-// runRange drives one pipeline instance over input rows [lo, hi), draining
-// row output into part when the chain has a sink, else into dst.
-func (c *chain) runRange(lo, hi int, dst []relation.Row, part *relation.Part) rangeResult {
+// runRange drives one pipeline instance over input rows [lo, hi): into a
+// table when the chain ends in one, into part when it has a sink, else into a
+// pooled header buffer.
+func (c *chain) runRange(lo, hi int, part *relation.Part) rangeResult {
 	var res rangeResult
 	tapped := len(c.stages)
-	if c.agg == nil {
+	if c.term == nil {
 		tapped-- // the output is sized from the relation, or by its writer
 	}
 	res.taps = make([]accTap, tapped)
@@ -139,79 +185,65 @@ func (c *chain) runRange(lo, hi int, dst []relation.Row, part *relation.Part) ra
 	}
 	pipe := buildPipeline(c.stages, c.open(lo, hi), c.batchRows, res.taps)
 	switch {
-	case c.agg != nil:
-		res.table = newAggTable(c.agg.ag)
+	case c.term != nil:
+		res.table = newAggTable(c.term.ag)
 		res.inRows, res.err = drainAgg(pipe, res.table)
 	case part != nil:
 		res.err = drainSink(pipe, part)
 	default:
-		res.rows, res.err = drainRows(pipe, dst)
+		res.buf, res.rows, res.err = drainHeaders(pipe)
 	}
 	return res
 }
 
 // run streams the input through the pipeline and merges the ranges' results
-// into one: the materialized rows or the aggregation table (a sink's ranges
-// each fill their own part), and the summed taps. Below ParallelThreshold
-// rows the input is one range; from there up it is two halves, [0, (n+1)/2)
-// and [(n+1)/2, n), run concurrently. The cut depends on the row count
-// alone, so a streamed file splits exactly where its materialized rows
-// would, and every host computes the same relation, float sums included.
+// into one: the materialized rows, copied once into exactly sized headers, or
+// the table (a sink's ranges each fill their own part), and the summed taps.
+// Below
+// ParallelThreshold rows the input is one range; from there up it is two
+// halves, [0, (n+1)/2) and [(n+1)/2, n), run concurrently. The cut depends
+// on the row count alone, so a streamed file splits exactly where its
+// materialized rows would, and every host computes the same relation, float
+// sums included.
 func (c *chain) run() (rangeResult, error) {
 	rows := c.rows
-	// A row-preserving pipeline emits exactly its scan range, so its output
-	// is allocated once and every range drains into its own disjoint window.
-	var window []relation.Row
-	if c.rowPreserving && c.sink == nil {
-		window = make([]relation.Row, rows)
-	}
-	if rows < max(ParallelThreshold, 2) {
-		res := c.runRange(0, rows, window[:0], c.sink.Part())
-		return res, res.err
-	}
-	mid := (rows + 1) / 2
-	ranges := [2][2]int{{0, mid}, {mid, rows}}
-	// Combiner-style evaluation: every aggregator merges once AVG is
-	// decomposed into SUM+COUNT (the decomposition Musketeer's generated
-	// GROUP BY uses, §6.2; float sums up to rounding, see aggTable.absorb),
-	// and the row stages are embarrassingly parallel, so the halves run
-	// concurrently and merge in range order — which preserves the serial
-	// row order (ranges are contiguous) and the serial group
-	// first-appearance order.
 	var results [2]rangeResult
-	var wg sync.WaitGroup
-	for ri, rg := range ranges {
-		var dst []relation.Row
-		if window != nil {
-			dst = window[rg[0]:rg[0]:rg[1]]
+	ranges := results[:1]
+	if rows < max(ParallelThreshold, 2) {
+		results[0] = c.runRange(0, rows, c.sink.Part())
+	} else {
+		// Combiner-style evaluation: every aggregator merges once AVG is
+		// decomposed into SUM+COUNT (the decomposition Musketeer's generated
+		// GROUP BY uses, §6.2; float sums up to rounding, see
+		// aggTable.absorb), and the row stages are embarrassingly parallel,
+		// so the halves run concurrently and merge in range order — which
+		// preserves the serial row order (ranges are contiguous) and the
+		// serial group first-appearance order.
+		ranges = results[:2]
+		mid := (rows + 1) / 2
+		var wg sync.WaitGroup
+		for ri, rg := range [2][2]int{{0, mid}, {mid, rows}} {
+			wg.Add(1)
+			go func(ri, lo, hi int, part *relation.Part) {
+				defer wg.Done()
+				results[ri] = c.runRange(lo, hi, part)
+			}(ri, rg[0], rg[1], c.sink.Part()) // parts open in range order
 		}
-		wg.Add(1)
-		go func(ri, lo, hi int, dst []relation.Row, part *relation.Part) {
-			defer wg.Done()
-			results[ri] = c.runRange(lo, hi, dst, part)
-		}(ri, rg[0], rg[1], dst, c.sink.Part()) // parts open in range order
+		wg.Wait()
 	}
-	wg.Wait()
-	total := 0
-	for ri := range results {
-		if results[ri].err != nil {
-			return rangeResult{}, results[ri].err
+	for _, r := range ranges {
+		if r.err != nil {
+			return rangeResult{}, r.err
 		}
-		total += len(results[ri].rows)
 	}
 	res := results[0]
-	switch {
-	case window != nil:
-		res.rows = window
-	case total > 0:
-		res.rows = append(make([]relation.Row, 0, total), res.rows...)
+	if c.term == nil && c.sink == nil {
+		res.rows = collectHeaders(ranges)
 	}
-	for _, r := range results[1:] {
-		if c.agg != nil {
+	for _, r := range ranges[1:] {
+		if c.term != nil {
 			res.inRows += r.inRows
 			res.table.absorb(r.table)
-		} else if window == nil {
-			res.rows = append(res.rows, r.rows...)
 		}
 		for i := range res.taps {
 			res.taps[i].rows += r.taps[i].rows
@@ -238,10 +270,10 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 	if batchRows <= 0 {
 		batchRows = relation.DefaultBatchRows
 	}
-	c := &chain{batchRows: batchRows, rowPreserving: true}
+	c := &chain{batchRows: batchRows}
 	// bindSources' rule, mirrored: a sink streams when no operator reads the
-	// rows that end this pipeline (an AGG emits its table whole).
-	if last.Type != ir.OpAgg && opts.uses[last.Out] == 0 {
+	// rows that end this pipeline (a table is emitted whole).
+	if !terminal(last.Type) && opts.uses[last.Out] == 0 {
 		c.sink = opts.Sinks[last.Out]
 	}
 	file, src := opts.Sources[ops[0].Inputs[0].Out], env[ops[0].Inputs[0].Out]
@@ -255,24 +287,33 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 		return nil, fmt.Errorf("exec: %s: input relation %q not materialized", ops[0], ops[0].Inputs[0].Out)
 	}
 	specs := make([]stagePlan, n)
+	defer func() {
+		for i := range specs {
+			specs[i].release()
+		}
+	}()
 	schemas := make(map[*ir.Op]relation.Schema, 2)
-	// ownsOut: the output's rows are storage this run allocated (the AGG's
-	// emitted rows, the fresh stage's arenas, or a file reader's), so sizing
-	// may cache widths in them; a pure-SELECT pipeline over a bound relation
-	// outputs rows that alias the shared scan rows. No row escapes a sink.
-	ownsOut := last.Type == ir.OpAgg || c.sink != nil
+	// stable: the rows reaching the last member outlive the pipeline — a
+	// bound relation's, passed on by SELECTs — so a distinct table keeps them
+	// by reference.
+	stable := file == nil
 	for i, op := range ops {
 		sp := &specs[i]
 		*sp = stagePlan{op: op, inSch: prev}
 		schemas[op.Inputs[0]] = prev
-		if op.Type == ir.OpJoin {
+		if op.Type == ir.OpJoin || setFilter(op.Type) {
 			if len(op.Inputs) < 2 {
-				return nil, fmt.Errorf("exec: %s: no build input", op)
+				return nil, fmt.Errorf("exec: %s: no right input", op)
 			}
-			if sp.buildRel = env[op.Inputs[1].Out]; sp.buildRel == nil {
-				return nil, fmt.Errorf("exec: %s: input relation %q not materialized", op, op.Inputs[1].Out)
+			// Only a set operator's right input streams (see bindSources).
+			in := op.Inputs[1]
+			if f := opts.Sources[in.Out]; f != nil && setFilter(op.Type) {
+				sp.rightFile, schemas[in] = f, f.Schema
+			} else if sp.right = env[in.Out]; sp.right != nil {
+				schemas[in] = sp.right.Schema
+			} else {
+				return nil, fmt.Errorf("exec: %s: input relation %q not materialized", op, in.Out)
 			}
-			schemas[op.Inputs[1]] = sp.buildRel.Schema
 		}
 		var err error
 		if sp.sch, err = ir.OutputSchema(op, schemas); err != nil {
@@ -293,32 +334,60 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 				return nil, fmt.Errorf("exec: %s: %w", op, err)
 			}
 		case ir.OpJoin:
-			if sp.js, err = resolveJoinSpec(op, prev, sp.buildRel.Schema); err != nil {
+			if sp.js, err = resolveJoinSpec(op, prev, sp.right.Schema); err != nil {
 				return nil, err
 			}
 			// Hash join: build on the right input, probe with the streaming
 			// left. The table is read-only once complete, so concurrent
 			// chunk pipelines share it, and a loop's next round reuses it
 			// while its build side is the same relation.
-			if built := opts.Joins[op]; built.rel == sp.buildRel {
+			built := opts.Joins[op]
+			if built.rel == sp.right {
 				sp.build = built.table
-			} else {
-				sp.build = buildJoinTable(sp.buildRel.Rows, sp.js.rIdx)
-				if opts.Joins != nil {
-					opts.Joins[op] = builtJoin{sp.buildRel, sp.build}
-				}
+				break
 			}
+			sp.build = buildJoinTable(sp.right.Rows, sp.js.rIdx, opts.Joins == nil || opts.recycleJoins)
+			if opts.Joins == nil {
+				sp.ownsBuild = true
+				break
+			}
+			if built.table != nil {
+				built.table.release() // an earlier round's, over another relation
+			}
+			opts.Joins[op] = builtJoin{sp.right, sp.build}
 		case ir.OpAgg:
 			if sp.ag, err = resolveAggSpec(op, prev); err != nil {
 				return nil, err
 			}
+		case ir.OpDistinct, ir.OpIntersect, ir.OpDifference:
+			sp.ag = aggSpec{gIdx: allCols(prev.Arity()), keepIn: op.Type == ir.OpIntersect, byRef: stable}
+			if !setFilter(op.Type) {
+				break
+			}
+			var keys relation.RowSource
+			var rows int
+			if f := sp.rightFile; f != nil {
+				keys, rows = f.Reader(0, f.NumRows(), batchRows, false), f.NumRows()
+			} else {
+				keys, rows = sp.right.Reader(0, len(sp.right.Rows), batchRows), len(sp.right.Rows)
+			}
+			if sp.ag.filter, err = buildKeySet(keys, rows); err != nil {
+				return nil, err
+			}
 		}
-		c.rowPreserving = c.rowPreserving && (op.Type == ir.OpProject || op.Type == ir.OpArith)
+		stable = stable && op.Type == ir.OpSelect
 		prev = sp.sch
 	}
 	c.stages = specs
-	if last.Type == ir.OpAgg {
-		c.stages, c.agg = specs[:n-1], &specs[n-1]
+	// ownsOut: the output's rows are storage this run allocated (a table's
+	// rows, the fresh stage's arenas, or a file reader's), so sizing may
+	// cache widths in them; a pure-SELECT pipeline over a bound relation
+	// outputs rows that alias the shared scan rows, and so does a distinct
+	// table over it. No row escapes a sink.
+	ownsOut := c.sink != nil
+	if terminal(last.Type) {
+		c.stages, c.term = specs[:n-1], &specs[n-1]
+		ownsOut = !c.term.ag.byRef
 	} else {
 		// The last constructing stage before the materializing drain must
 		// allocate per batch: its rows escape the pipeline. A pipeline of
@@ -347,9 +416,9 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 	}
 	var out *relation.Relation // stays nil when the rows went to the sink
 	switch {
-	case c.agg != nil: // never a streaming sink
+	case c.term != nil: // never a streaming sink
 		out = relation.New(last.Out, specs[n-1].sch)
-		emitAggRows(c.agg.inSch, res.table, res.inRows, out)
+		emitAggRows(c.term.inSch, res.table, res.inRows, out)
 	case c.sink == nil:
 		out = relation.New(last.Out, specs[n-1].sch)
 		out.Rows = res.rows
@@ -365,8 +434,8 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 	for i, op := range ops {
 		ins := [2]volume{vol}
 		k := 1
-		if op.Type == ir.OpJoin {
-			ins[1] = trace.volumeOf(specs[i].buildRel)
+		if len(op.Inputs) == 2 {
+			ins[1] = specs[i].rightVolume(trace)
 			k = 2
 		}
 		switch {
@@ -382,7 +451,7 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 }
 
 // buildPipeline composes one pipeline instance over in, a row range of the
-// head's input: one streaming stage per member (a terminal AGG is the
+// head's input: one streaming stage per member (a terminal table is the
 // caller's sink). Each stage hands its arena back once its upstream is
 // drained. taps[i] meters member i; the member past the end of taps (a
 // materializing last member) is unmetered.

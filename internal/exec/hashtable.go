@@ -2,18 +2,21 @@ package exec
 
 import (
 	"bytes"
+	"math/bits"
 	"sync"
 
 	"musketeer/internal/relation"
 )
 
-// This file implements the hashed-key tables of the hot kernels (group-by,
-// join, distinct, set ops). Rows are keyed by a 64-bit maphash of the value
-// encoding of their key cells (relation.Row.AppendKey: text equality, with
-// nothing rendered). One structure, keyIndex, maps a
-// key to a dense index; the three tables are that index plus whatever they
-// hang off the index numbers. Probing allocates nothing: the encoding is
-// written into a per-worker scratch buffer and only copied on insert.
+// This file implements the hashed-key tables of the hot kernels: the
+// aggregation table (AGG, and DISTINCT, INTERSECT and DIFFERENCE, which group
+// by every column), the join table and the set operators' key sets. Rows are
+// keyed by a 64-bit maphash of the value encoding of their key cells
+// (relation.Row.AppendKey: text equality, with nothing rendered). One
+// structure, keyIndex, maps a key to a dense index; the three tables are that
+// index plus whatever they hang off the index numbers. Probing allocates
+// nothing: the encoding is written into a per-worker scratch buffer and only
+// copied on insert.
 
 // keyIndex is an open-addressing hash index that numbers distinct keys
 // 0, 1, 2… in insertion order. It holds no pointers besides its three
@@ -32,13 +35,31 @@ type keyEntry struct {
 }
 
 // newKeyIndex sizes the slot array and the entry list for capacity keys, so
-// a table whose size is known up front (join build, DISTINCT) never rehashes.
+// a table whose size is known up front never rehashes.
 func newKeyIndex(capacity int) keyIndex {
+	var x keyIndex
+	x.prepare(capacity)
+	return x
+}
+
+// prepare empties x and sizes it for capacity keys inside the storage it
+// already has, allocating only what is too small: the slot array takes its
+// full size, cleared, and the entries and key bytes keep their capacity.
+func (x *keyIndex) prepare(capacity int) {
 	n := 16
 	for n < 2*capacity {
 		n *= 2
 	}
-	return keyIndex{slots: make([]int32, n), entries: make([]keyEntry, 0, capacity)}
+	if cap(x.slots) < n {
+		x.slots = make([]int32, n)
+	} else {
+		x.slots = x.slots[:n]
+		clear(x.slots)
+	}
+	if cap(x.entries) < capacity {
+		x.entries = make([]keyEntry, 0, capacity)
+	}
+	x.entries, x.keys = x.entries[:0], x.keys[:0]
 }
 
 // key returns entry i's key bytes.
@@ -126,27 +147,66 @@ func (x *keyIndex) grow() {
 	}
 }
 
-// keySet is a set of row keys, used by DISTINCT/INTERSECT/DIFFERENCE.
+// Join tables and set-operator key sets recycle by capacity class, as
+// relation.Pool recycles slices: a table in class k has room for at least
+// 1<<k rows, so one taken for n ≤ 1<<k rows fills without growing, and one
+// built on a miss is sized for 1<<k. A table goes back once no probe can
+// reach it: when the chain that built it finishes, or, for one a loop keeps
+// for its later rounds (RunOptions.Joins), when a round replaces it or
+// runWhile returns. A table whose holder has no such end — an
+// engines.LoopShare's — is built exactly sized, outside the pools, and left
+// to the garbage collector.
+
+// sizeClass is the class of n rows: the k of the smallest 1<<k ≥ n.
+func sizeClass(n int) int { return bits.Len(uint(max(n, 1) - 1)) }
+
+// classPool recycles *T by capacity class.
+type classPool[T any] [bits.UintSize]sync.Pool
+
+func (p *classPool[T]) get(k int) *T {
+	t, _ := p[k].Get().(*T)
+	return t
+}
+
+func (p *classPool[T]) put(k int, t *T) { p[k].Put(t) }
+
+// keySet is the key index of a set operator's right input: every distinct key
+// of its rows over all their columns. INTERSECT and DIFFERENCE filter their
+// left input against it (see aggSpec.filter); it keeps no row.
 type keySet struct {
-	ix keyIndex
-	h  relation.KeyHasher
+	ix    keyIndex
+	h     relation.KeyHasher
+	class int
 }
 
-func newKeySet(capacity int) *keySet {
-	return &keySet{ix: newKeyIndex(capacity)}
+var keySets classPool[keySet]
+
+// buildKeySet indexes the key of every row src yields, a batch at a time, in
+// a recycled key set sized for rows rows.
+func buildKeySet(src relation.RowSource, rows int) (*keySet, error) {
+	k := sizeClass(rows)
+	s := keySets.get(k)
+	if s == nil {
+		s = &keySet{class: k}
+	}
+	s.ix.prepare(1 << k)
+	cols := allCols(src.Schema().Arity())
+	for {
+		b, err := src.Next()
+		if err != nil {
+			s.release()
+			return nil, err
+		}
+		if b.Empty() {
+			return s, nil
+		}
+		for _, row := range b.Rows {
+			s.ix.insert(s.h.HashKey(row, cols))
+		}
+	}
 }
 
-// add inserts the key of row's projection onto cols, reporting whether it
-// was newly added.
-func (s *keySet) add(row relation.Row, cols []int) bool {
-	_, added := s.ix.insert(s.h.HashKey(row, cols))
-	return added
-}
-
-// contains reports membership without inserting.
-func (s *keySet) contains(row relation.Row, cols []int) bool {
-	return s.ix.find(s.h.HashKey(row, cols)) >= 0
-}
+func (s *keySet) release() { keySets.put(s.class, s) }
 
 // joinTable is the build side of the hash join in compressed-sparse-row
 // form: key i's build rows are rows[start[i]:start[i+1]], in build order.
@@ -155,21 +215,35 @@ type joinTable struct {
 	ix    keyIndex
 	start []int32
 	rows  []relation.Row
+	ids   []int32 // the build's scratch: each build row's key number
+	h     relation.KeyHasher
 }
+
+var joinTables classPool[joinTable]
 
 // buildJoinTable indexes rows by their projection onto cols in two passes:
 // number the keys and count their rows, then place every row in its key's
-// run.
-func buildJoinTable(rows []relation.Row, cols []int) *joinTable {
-	t := &joinTable{ix: newKeyIndex(len(rows)), rows: make([]relation.Row, len(rows))}
-	var h relation.KeyHasher
-	ids := make([]int32, len(rows))
-	for i, row := range rows {
-		id, _ := t.ix.insert(h.HashKey(row, cols))
-		ids[i] = int32(id)
+// run. The table is a recycled one when pooled says it will be released,
+// else new and exactly sized.
+func buildJoinTable(rows []relation.Row, cols []int, pooled bool) *joinTable {
+	c := len(rows)
+	var t *joinTable
+	if pooled {
+		k := sizeClass(c)
+		c, t = 1<<k, joinTables.get(k)
 	}
-	t.start = make([]int32, len(t.ix.entries)+1)
-	for _, id := range ids {
+	if t == nil {
+		t = &joinTable{start: make([]int32, c+1), rows: make([]relation.Row, c), ids: make([]int32, c)}
+	}
+	t.ix.prepare(c)
+	t.rows, t.ids = t.rows[:len(rows)], t.ids[:len(rows)]
+	for i, row := range rows {
+		id, _ := t.ix.insert(t.h.HashKey(row, cols))
+		t.ids[i] = int32(id)
+	}
+	t.start = t.start[:len(t.ix.entries)+1]
+	clear(t.start)
+	for _, id := range t.ids {
 		t.start[id+1]++
 	}
 	for i := 1; i < len(t.start); i++ {
@@ -177,13 +251,23 @@ func buildJoinTable(rows []relation.Row, cols []int) *joinTable {
 	}
 	// start[id] is the cursor of key id's run while placing; each ends one run
 	// further on, so shifting the array down by one restores the run starts.
-	for i, id := range ids {
+	for i, id := range t.ids {
 		t.rows[t.start[id]] = rows[i]
 		t.start[id]++
 	}
 	copy(t.start[1:], t.start)
 	t.start[0] = 0
 	return t
+}
+
+// release hands t back to joinTables, in the class its capacity fills, its
+// row headers cleared so the pool keeps no build rows alive. No probe may
+// touch t after.
+func (t *joinTable) release() {
+	clear(t.rows)
+	if k := bits.Len(uint(cap(t.rows))) - 1; k >= 0 {
+		joinTables.put(k, t)
+	}
 }
 
 // probe returns the build rows matching row's projection onto cols, hashing
@@ -209,6 +293,10 @@ func (t *joinTable) probe(h *relation.KeyHasher, row relation.Row, cols []int) [
 // and the row headers — is recycled through aggPool once its rows are emitted
 // or merged away. The slabs never are: the rows cut from them become the
 // output relation, whose headers emitAggRows copies out exactly sized.
+//
+// A distinct table is one with no aggregates, grouped by every column: a
+// group's row is its first row, copied into the slab — or kept by reference
+// when the rows upstream are stable (aggSpec.byRef), with no slab at all.
 type aggTable struct {
 	ix     keyIndex
 	rows   []relation.Row
@@ -246,11 +334,20 @@ func (t *aggTable) release() {
 }
 
 // add folds one row into its group's state, creating the state on the
-// group's first appearance.
+// group's first appearance. A set operator's row whose key its right input's
+// set holds (INTERSECT) or lacks (DIFFERENCE) is dropped first.
 func (t *aggTable) add(row relation.Row) {
-	g, added := t.ix.insert(t.h.HashKey(row, t.sp.gIdx))
+	hash, key := t.h.HashKey(row, t.sp.gIdx)
+	if f := t.sp.filter; f != nil && (f.ix.find(hash, key) >= 0) != t.sp.keepIn {
+		return
+	}
+	g, added := t.ix.insert(hash, key)
 	if added {
-		t.rows = append(t.rows, t.newRow(row))
+		if t.sp.byRef {
+			t.rows = append(t.rows, row)
+		} else {
+			t.rows = append(t.rows, t.newRow(row))
+		}
 		t.counts = append(t.counts, 0)
 		t.sums = append(t.sums, make([]float64, len(t.sp.sumCol))...)
 	}

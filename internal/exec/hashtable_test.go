@@ -248,3 +248,142 @@ func TestAggScratchIsRecycled(t *testing.T) {
 		t.Errorf("a recycled AGG allocates %d bytes, want its rows and slabs' %d ±64: its scratch was not reused", got, kept)
 	}
 }
+
+// TestRecycledJoinTablesMatchFirstUse: join tables and set operators' key
+// sets drawn from their pools compute what new ones do. Every generated DAG
+// runs with its inputs streamed from DFS files, so a set operator's right
+// input is hashed from a reader wherever it can be, at ParallelThreshold 1
+// and at the default: first with every pool emptied before each run, then
+// again after joins, set operators and a loop over other rows have left
+// tables of every small class in the pools. Each relation the second runs
+// keep must equal the first's cell for cell, float bits and cached widths
+// included, under the same trace.
+func TestRecycledJoinTablesMatchFirstUse(t *testing.T) {
+	for _, threshold := range []int{1, ParallelThreshold} {
+		withThreshold(t, threshold, func() {
+			type result struct {
+				env   Env
+				trace *Trace
+			}
+			run := func(seed int64) result {
+				g := genDAG(seed)
+				ops, err := g.d.TopoSort()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sinks := map[*ir.Op]bool{}
+				for _, op := range g.d.Sinks() {
+					sinks[op] = true
+				}
+				fs := stage(t, []int{7, 64, 0}[seed%3], g.vals["a"], g.vals["b"])
+				env, trace, _ := runSourced(t, ops, fs, RunOptions{Keep: func(op *ir.Op) bool { return sinks[op] }})
+				return result{env, trace}
+			}
+			first := map[int64]result{}
+			for seed := int64(1); seed <= 300; seed++ {
+				runtime.GC() // two collections empty every sync.Pool
+				runtime.GC()
+				first[seed] = run(seed)
+			}
+			dirtyTables(t)
+			for seed := int64(1); seed <= 300; seed++ {
+				got, want := run(seed), first[seed]
+				if len(got.env) != len(want.env) {
+					t.Fatalf("threshold %d seed %d: %d relations kept, first run %d", threshold, seed, len(got.env), len(want.env))
+				}
+				for name, rel := range want.env {
+					if err := sameCellsAndWidths(got.env[name], rel); err != nil {
+						t.Fatalf("threshold %d seed %d: %s on recycled tables: %v\n%s", threshold, seed, name, err, genDAG(seed).d)
+					}
+				}
+				sameTrace(t, want.trace, got.trace)
+				if t.Failed() {
+					t.Fatalf("threshold %d seed %d\n%s", threshold, seed, genDAG(seed).d)
+				}
+			}
+		})
+	}
+}
+
+// dirtyTables builds join tables and key sets over (string, int) rows of
+// every size up to 64 and hands them back, so each small class of both pools
+// holds a table with another relation's keys: a JOIN, an INTERSECT and a
+// DIFFERENCE through EvalOp, and a three-round loop joining an invariant
+// build side.
+func dirtyTables(t *testing.T) {
+	t.Helper()
+	sch := relation.NewSchema("s:string", "k:int")
+	d := ir.NewDAG()
+	l, r := d.AddInput("l", "in/l", sch), d.AddInput("r", "in/r", relation.NewSchema("t:string", "rk:int"))
+	join := d.Add(ir.OpJoin, "j", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"rk"}}, l, r)
+	inter := d.Add(ir.OpIntersect, "i", ir.Params{}, l, r)
+	diff := d.Add(ir.OpDifference, "x", ir.Params{}, l, r)
+	body := ir.NewDAG()
+	bl, br := body.AddInput("l", "", sch), body.AddInput("r", "", r.Params.Schema)
+	bj := body.Add(ir.OpJoin, "bj", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"rk"}}, bl, br)
+	body.Add(ir.OpProject, "next", ir.Params{Columns: []string{"s", "k"}}, bj)
+	loop := d.Add(ir.OpWhile, "looped", ir.Params{Body: body, MaxIter: 3, Carried: map[string]string{"l": "next"}}, l, r)
+	for n := 1; n <= 64; n++ {
+		rel := relation.New("l", sch)
+		for i := 0; i < n; i++ {
+			rel.MustAppend(relation.Row{relation.Str(fmt.Sprintf("stale key %d", i)), relation.Int(int64(i))})
+		}
+		other := &relation.Relation{Name: "r", Schema: r.Params.Schema, Rows: rel.Rows}
+		for _, op := range []*ir.Op{join, inter, diff, loop} {
+			if _, err := EvalOp(op, []*relation.Relation{rel, other}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestTablesAreRecycled: a join table or key set handed back is the one the
+// next build of its class takes, and a join table keeps no row header once
+// released. GC is off so the pools cannot be emptied between the builds, and
+// one P keeps them on one per-P pool.
+func TestTablesAreRecycled(t *testing.T) {
+	if raceBuild {
+		t.Skip("pool identity; the race runtime drops pooled items at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rows := benchRelation(300, 40).Rows
+	jt := buildJoinTable(rows, []int{0}, true)
+	if got := jt.probe(new(relation.KeyHasher), rows[7], []int{0}); len(got) != 8 {
+		t.Fatalf("key 7 matches %d build rows, want 8", len(got))
+	}
+	jt.release()
+	for i, r := range jt.rows[:cap(jt.rows)] {
+		if r != nil {
+			t.Fatalf("a released join table keeps row header %d", i)
+		}
+	}
+	if again := buildJoinTable(rows[:260], []int{0}, true); again != jt {
+		t.Error("a join table of the same class was built anew")
+	} else if got := again.probe(new(relation.KeyHasher), rows[7], []int{0}); len(got) != 7 {
+		t.Errorf("the recycled table matches key 7 with %d build rows, want 7", len(got))
+	} else {
+		again.release()
+	}
+	if allocs := testing.AllocsPerRun(10, func() { buildJoinTable(rows, []int{0}, true).release() }); allocs != 0 {
+		t.Errorf("a warm join table build allocates %.0f times", allocs)
+	}
+	in := relation.New("in", relation.NewSchema("k:int", "v:int", "w:float"))
+	in.Rows = rows
+	ks, err := buildKeySet(in.Reader(0, len(rows), 64), len(rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks.release()
+	again, err := buildKeySet(in.Reader(0, 260, 64), 260)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != ks {
+		t.Error("a key set of the same class was built anew")
+	}
+	if len(again.ix.entries) != 260 {
+		t.Errorf("the recycled key set holds %d keys, want 260", len(again.ix.entries))
+	}
+	again.release()
+}

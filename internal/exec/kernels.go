@@ -10,9 +10,10 @@
 // test suite assert cross-engine result equality.
 //
 // RunOps is one loop over execution units (fuse.go): a pipeline of
-// SELECT/PROJECT/ARITH/JOIN-probe/AGG pull stages (stream.go) of length ≥ 1,
-// a breaker kernel (this file: the set operators, CROSS JOIN, DISTINCT,
-// SORT, LIMIT, UDF), a WHILE loop, or an INPUT binding (run.go). Pipelines
+// SELECT/PROJECT/ARITH/JOIN-probe pull stages (stream.go) of length ≥ 1,
+// which may end in a table — AGG, or the distinct table of DISTINCT,
+// INTERSECT and DIFFERENCE; a breaker kernel (this file: UNION, CROSS JOIN,
+// SORT, LIMIT, UDF); a WHILE loop; or an INPUT binding (run.go). Pipelines
 // stream through their interior members, metering them with taps, and every
 // unit materializes exactly one relation; Trace.record (run.go) computes
 // every operator's trace entry, from a tap or from the relation alike.
@@ -152,34 +153,6 @@ func evalBreaker(op *ir.Op, env Env, trace *Trace) (*relation.Relation, error) {
 		out.Rows = append(out.Rows, inputs[0].Rows...)
 		out.Rows = append(out.Rows, inputs[1].Rows...)
 
-	case ir.OpIntersect:
-		rcols := allCols(inputs[1])
-		right := newKeySet(len(inputs[1].Rows))
-		for _, row := range inputs[1].Rows {
-			right.add(row, rcols)
-		}
-		cols := allCols(inputs[0])
-		seen := newKeySet(len(inputs[1].Rows))
-		for _, row := range inputs[0].Rows {
-			if right.contains(row, cols) && seen.add(row, cols) {
-				out.Rows = append(out.Rows, row)
-			}
-		}
-
-	case ir.OpDifference:
-		rcols := allCols(inputs[1])
-		right := newKeySet(len(inputs[1].Rows))
-		for _, row := range inputs[1].Rows {
-			right.add(row, rcols)
-		}
-		cols := allCols(inputs[0])
-		seen := newKeySet(len(inputs[0].Rows))
-		for _, row := range inputs[0].Rows {
-			if !right.contains(row, cols) && seen.add(row, cols) {
-				out.Rows = append(out.Rows, row)
-			}
-		}
-
 	case ir.OpCrossJoin:
 		l, r := inputs[0], inputs[1]
 		out.Rows = make([]relation.Row, 0, len(l.Rows)*len(r.Rows))
@@ -191,15 +164,6 @@ func evalBreaker(op *ir.Op, env Env, trace *Trace) (*relation.Relation, error) {
 				vals = vals[arity:]
 				copy(nr[copy(nr, lr):], rr)
 				out.Rows = append(out.Rows, nr)
-			}
-		}
-
-	case ir.OpDistinct:
-		seen := newKeySet(len(inputs[0].Rows))
-		cols := allCols(inputs[0])
-		for _, row := range inputs[0].Rows {
-			if seen.add(row, cols) {
-				out.Rows = append(out.Rows, row)
 			}
 		}
 
@@ -236,15 +200,16 @@ func evalBreaker(op *ir.Op, env Env, trace *Trace) (*relation.Relation, error) {
 		return nil, fmt.Errorf("exec: unknown operator %s", op)
 	}
 
-	// Only CROSS JOIN emits rows in storage it allocates itself; the other
-	// breakers pass their inputs' rows through by reference, and a UDF's are
+	// Only CROSS JOIN emits rows in storage it allocates itself; UNION, SORT
+	// and LIMIT pass their inputs' rows through by reference, and a UDF's are
 	// of unknown provenance.
 	trace.recordOutput(op, ins, out, op.Type == ir.OpCrossJoin)
 	return out, nil
 }
 
-func allCols(r *relation.Relation) []int {
-	cols := make([]int, r.Schema.Arity())
+// allCols lists the column positions of a row of the given arity.
+func allCols(arity int) []int {
+	cols := make([]int, arity)
 	for i := range cols {
 		cols[i] = i
 	}
@@ -290,11 +255,20 @@ func resolveJoinSpec(op *ir.Op, l, r relation.Schema) (joinSpec, error) {
 // and what a group accumulates — a float sum per SUM and AVG, over input
 // column sumCol[k] in the order of aggs, and an extreme per MIN and MAX, kept
 // in its output cell (COUNT keeps nothing but the group's row count).
+//
+// DISTINCT is the aggregation grouped by every column with no aggregates, and
+// INTERSECT and DIFFERENCE are DISTINCT over the left rows whose key filter
+// holds (keepIn) or lacks: the key set of the right input. byRef keeps a
+// group's first row itself instead of a copy, for rows that outlive the
+// pipeline (see runChain).
 type aggSpec struct {
 	aggs   []ir.AggSpec
 	gIdx   []int
 	sumCol []int
 	ext    []extreme
+	filter *keySet
+	keepIn bool
+	byRef  bool
 }
 
 // extreme is a MIN (sign -1) or MAX (sign +1) over input column col, kept in
@@ -340,11 +314,12 @@ func resolveAggSpec(op *ir.Op, in relation.Schema) (aggSpec, error) {
 // once it has filled in their SUM, AVG and COUNT cells, and releases the
 // table. inRows is the number of input rows the table saw: an empty-group-by
 // aggregation over an empty input still yields one row of zeros/identities in
-// SQL semantics, so AVG/COUNT pipelines stay total.
+// SQL semantics, so AVG/COUNT pipelines stay total. A distinct table, which
+// aggregates nothing, emits no row for no input.
 func emitAggRows(in relation.Schema, table *aggTable, inRows int, out *relation.Relation) {
 	defer table.release()
 	sp := table.sp
-	if inRows == 0 && len(sp.gIdx) == 0 {
+	if inRows == 0 && len(sp.gIdx) == 0 && len(sp.aggs) > 0 {
 		row := make(relation.Row, len(sp.aggs))
 		for i, a := range sp.aggs {
 			if a.Func == ir.AggCount {

@@ -224,14 +224,27 @@ type RunOptions struct {
 	// Joins, when non-nil, keeps the join tables the run builds, for the
 	// next run of the same operators: a JOIN whose build side is the very
 	// relation it indexed last time probes that table instead of building
-	// one. A loop's rounds pass one.
+	// one, and a table replaced by one over another relation is recycled.
+	// A loop's rounds pass one. Without it, a chain recycles the tables it
+	// built when it finishes.
 	Joins JoinTables
-	uses  map[string]int // nameUses(ops), when Sources or Sinks ask
+	// recycleJoins says the caller releases Joins' tables when it is done
+	// with them (runWhile does), so they may come from the pools.
+	recycleJoins bool
+	uses         map[string]int // nameUses(ops), when Sources or Sinks ask
 }
 
 // JoinTables holds, per JOIN operator, the table a run built and the
 // build-side relation it indexes. It has one user at a time.
 type JoinTables map[*ir.Op]builtJoin
+
+// release recycles every table: no run may probe them after.
+func (j JoinTables) release() {
+	for op, built := range j {
+		built.table.release()
+		delete(j, op)
+	}
+}
 
 // builtJoin is a join table and the build relation it indexes.
 type builtJoin struct {
@@ -274,15 +287,19 @@ func nameUses(ops []*ir.Op) map[string]int {
 // bindSources splits opts.Sources into the inputs that stream, which it
 // returns, and the rest, which it materializes into env. An input streams
 // when every consumer edge of it in ops is the probe (first) input of a
-// pipeline head: each of those pipelines scans it on its own, decoding a
-// batch at a time into an arena it reuses, which costs less than holding
-// every row between them. A JOIN build side, a breaker kernel, a self-join
-// and a WHILE all need the rows to stay.
+// pipeline head or the right input of a set operator: each of those
+// pipelines scans it on its own, decoding a batch at a time into an arena it
+// reuses — the set operator hashing its key set, keeping no row — which
+// costs less than holding every row between them. A JOIN build side, a
+// breaker kernel, a self-join and a WHILE all need the rows to stay.
 func bindSources(units [][]*ir.Op, env Env, opts RunOptions) (map[string]*relation.Encoded, error) {
 	scans := make(map[string]int, len(opts.Sources))
 	for _, u := range units {
 		if head := u[0]; pipelined(head.Type) && len(head.Inputs) > 0 {
 			scans[head.Inputs[0].Out]++
+		}
+		if last := u[len(u)-1]; setFilter(last.Type) && len(last.Inputs) == 2 {
+			scans[last.Inputs[1].Out]++
 		}
 	}
 	streams := make(map[string]*relation.Encoded, len(opts.Sources))
@@ -361,7 +378,8 @@ func runUnit(u []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 // DAG expansion" of paper §4.2. The body keeps what ir.Op.Kept lists plus
 // whatever the caller's Keep names and streams through everything else. A
 // body JOIN whose build side is the same relation as in the iteration
-// before — an invariant input — probes the table built then (see runChain).
+// before — an invariant input — probes the table built then (see runChain);
+// the tables go back to their pool when the loop returns.
 func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Relation, error) {
 	body := op.Params.Body
 	if body == nil {
@@ -393,7 +411,10 @@ func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 		BatchRows: opts.BatchRows,
 		Check:     opts.Check,
 		Joins:     make(JoinTables),
+
+		recycleJoins: true,
 	}
+	defer bodyOpts.Joins.release()
 	units := planUnits(bodyOps, bodyOpts.Keep)
 	// Each round evaluates the body in a clone of the loop's bindings;
 	// lastOut is the latest round's.

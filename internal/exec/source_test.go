@@ -217,9 +217,10 @@ func TestStreamedSourcesMatchBoundRelations(t *testing.T) {
 
 // sourceCase is one directed shape over input "a" (and "b" when it joins).
 type sourceCase struct {
-	name    string
-	build   func(d *ir.DAG, a, b *ir.Op)
-	streams bool // "a" is decoded by a pipeline scan alone, never materialized
+	name     string
+	build    func(d *ir.DAG, a, b *ir.Op)
+	streams  bool // "a" is decoded by a pipeline scan alone, never materialized
+	bStreams bool // and so is "b"
 }
 
 func sourceCases() []sourceCase {
@@ -228,43 +229,71 @@ func sourceCases() []sourceCase {
 		{"pure select", func(d *ir.DAG, a, b *ir.Op) {
 			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
 			d.Add(ir.OpSelect, "hotter", ir.Params{Pred: pred("v", ir.CmpGt, 10)}, hot)
-		}, true},
+		}, true, false},
 		{"select agg", func(d *ir.DAG, a, b *ir.Op) {
 			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
 			d.Add(ir.OpAgg, "by_k", ir.Params{GroupBy: []string{"k"}, Aggs: sum}, hot)
-		}, true},
+		}, true, false},
 		{"arith project", func(d *ir.DAG, a, b *ir.Op) {
 			half := d.Add(ir.OpArith, "half", ir.Params{Dst: "h", ALeft: ir.ColRef("f"), ARght: ir.LitOp(relation.Float(2)), AOp: ir.ArithDiv}, a)
 			d.Add(ir.OpProject, "slim", ir.Params{Columns: []string{"k", "h", "s"}}, half)
-		}, true},
+		}, true, false},
 		{"probe of a join", func(d *ir.DAG, a, b *ir.Op) {
 			d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"bk"}}, a, b)
-		}, true},
+		}, true, false},
 		{"two scans", func(d *ir.DAG, a, b *ir.Op) {
 			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
 			d.Add(ir.OpAgg, "by_k", ir.Params{GroupBy: []string{"k"}, Aggs: sum}, hot)
 			d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"bk"}}, a, b)
-		}, true},
+		}, true, false},
 		{"build of a join", func(d *ir.DAG, a, b *ir.Op) {
 			d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"bk"}, RightCols: []string{"k"}}, b, a)
-		}, false},
+		}, false, true},
 		{"self join", func(d *ir.DAG, a, b *ir.Op) {
 			d.Add(ir.OpJoin, "self", ir.Params{LeftCols: []string{"k", "v"}, RightCols: []string{"k", "v"}}, a, a)
-		}, false},
+		}, false, false},
 		{"pipeline and breaker", func(d *ir.DAG, a, b *ir.Op) {
 			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
 			d.Add(ir.OpAgg, "by_k", ir.Params{GroupBy: []string{"k"}, Aggs: sum}, hot)
+			d.Add(ir.OpSort, "sorted", ir.Params{SortBy: []string{"v"}}, a)
+		}, false, false},
+		{"distinct", func(d *ir.DAG, a, b *ir.Op) {
 			d.Add(ir.OpDistinct, "uniq", ir.Params{}, a)
-		}, false},
+		}, true, false},
+		{"project distinct", func(d *ir.DAG, a, b *ir.Op) {
+			slim := d.Add(ir.OpProject, "slim", ir.Params{Columns: []string{"k", "s"}}, a)
+			d.Add(ir.OpDistinct, "uniq", ir.Params{}, slim)
+		}, true, false},
+		{"intersect", func(d *ir.DAG, a, b *ir.Op) {
+			kv := d.Add(ir.OpProject, "kv", ir.Params{Columns: []string{"k", "v"}}, a)
+			d.Add(ir.OpIntersect, "common", ir.Params{}, kv, b)
+		}, true, true},
+		{"difference", func(d *ir.DAG, a, b *ir.Op) {
+			kv := d.Add(ir.OpProject, "kv", ir.Params{Columns: []string{"k", "v"}}, a)
+			d.Add(ir.OpDifference, "only_b", ir.Params{}, b, kv)
+			d.Add(ir.OpDifference, "only_a", ir.Params{}, kv, b)
+		}, true, true},
+		{"self intersect", func(d *ir.DAG, a, b *ir.Op) {
+			d.Add(ir.OpIntersect, "same", ir.Params{}, a, a)
+		}, true, false},
+		{"select intersect", func(d *ir.DAG, a, b *ir.Op) {
+			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
+			d.Add(ir.OpIntersect, "hot_again", ir.Params{}, hot, a)
+		}, true, false},
+		{"right of a join too", func(d *ir.DAG, a, b *ir.Op) {
+			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
+			d.Add(ir.OpIntersect, "hot_again", ir.Params{}, hot, a)
+			d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"bk"}, RightCols: []string{"k"}}, b, a)
+		}, false, true},
 		{"breaker only", func(d *ir.DAG, a, b *ir.Op) {
 			d.Add(ir.OpSort, "sorted", ir.Params{SortBy: []string{"f"}, Desc: true}, a)
-		}, false},
+		}, false, false},
 		{"while", func(d *ir.DAG, a, b *ir.Op) {
 			body := ir.NewDAG()
 			bin := body.AddInput("a", "in/a", a.Params.Schema)
 			bumped := body.Add(ir.OpArith, "bumped", ir.Params{Dst: "v", ALeft: ir.ColRef("v"), ARght: ir.LitOp(relation.Int(1)), AOp: ir.ArithAdd}, bin)
 			d.Add(ir.OpWhile, "looped", ir.Params{Body: body, MaxIter: 3, Carried: map[string]string{"a": bumped.Out}}, a)
-		}, false},
+		}, false, false},
 	}
 }
 
@@ -322,6 +351,9 @@ func TestSourceShapes(t *testing.T) {
 							if streamed := gotEnv["a"] == nil; streamed != c.streams {
 								t.Errorf("input a streamed = %v, want %v", streamed, c.streams)
 							}
+							if streamed := gotEnv["b"] == nil; streamed != c.bStreams {
+								t.Errorf("input b streamed = %v, want %v", streamed, c.bStreams)
+							}
 							// Metered once, however many consumers: the
 							// meter holds one relation's worth of bytes.
 							if got, want := srcs["a"].PhysicalBytes(), wantEnv["a"].PhysicalBytes(); got != want {
@@ -349,7 +381,7 @@ func TestSourceErrorsFailTheRun(t *testing.T) {
 			if streams {
 				c.build(d, in, nil)
 			} else {
-				d.Add(ir.OpDistinct, "uniq", ir.Params{}, in)
+				d.Add(ir.OpSort, "sorted", ir.Params{SortBy: []string{"v"}}, in)
 			}
 			ops, _ := d.TopoSort()
 			src, err := relation.Open("a", [][]byte{w.Bytes()}, 3)

@@ -2,15 +2,18 @@ package exec
 
 import "musketeer/internal/relation"
 
-// This file holds the operator kernels for SELECT, PROJECT, ARITH, JOIN-probe
-// and AGG: relation.RowSource stages that a pipeline composes into a single
-// pull chain (see fuse.go for unit planning and the driver). Each stage
-// consumes its upstream via the iterator interface only and builds its
+// This file holds the operator kernels for SELECT, PROJECT, ARITH and
+// JOIN-probe — relation.RowSource stages that a pipeline composes into a
+// single pull chain (see fuse.go for unit planning and the driver) — and the
+// sinks a pipeline drains into: a table (AGG, or the distinct table of
+// DISTINCT, INTERSECT and DIFFERENCE), a writer, or materialized rows. Each
+// stage consumes its upstream via the iterator interface only and builds its
 // batches in a relation.Arena — SELECT only its row headers, the
 // constructing stages their cells too, which they overwrite whole — reused
 // across batches and handed back once its upstream is drained, so a
-// SELECT→PROJECT→AGG pipeline runs with no per-row allocation, no
-// materialized intermediates and, warm, no scratch of its own.
+// SELECT→PROJECT→AGG or a SELECT→INTERSECT pipeline runs with no per-row
+// allocation, no materialized intermediates and, warm, no scratch of its
+// own.
 
 // accTap accumulates the row count and physical byte size of the rows a
 // streamed-through stage emits, summing the same relation.Row.EncodedLen
@@ -238,9 +241,9 @@ func (j *joinProbeStage) Next() (relation.Batch, error) {
 	return relation.Batch{Rows: out}, nil
 }
 
-// drainAgg is the aggregation sink: it folds every upstream row into the
-// table (which copies the values it keeps) and reports how many rows it
-// consumed.
+// drainAgg is the table sink: it folds every upstream row into the table —
+// an aggregation's groups or a distinct table, which copies the values it
+// keeps unless its rows are stable — and reports how many rows it consumed.
 func drainAgg(src relation.RowSource, table *aggTable) (int, error) {
 	rows := 0
 	for {
@@ -270,18 +273,61 @@ func drainSink(src relation.RowSource, part *relation.Part) error {
 	}
 }
 
-// drainRows is the materializing sink: it appends every batch's row headers
-// to dst (the final constructing stage allocates fresh value storage, so
-// the appended rows are durable).
-func drainRows(src relation.RowSource, dst []relation.Row) ([]relation.Row, error) {
+// headerBufs backs drainHeaders' buffers.
+var headerBufs relation.Pool[relation.Row]
+
+// drainHeaders is the materializing sink: it collects every batch's row
+// headers in a buffer from headerBufs, moving to one twice the size when it
+// fills, and returns the buffer and the rows in it, which chain.run copies
+// out exactly sized before it hands the buffer back (collectHeaders). The
+// final constructing stage allocates fresh value storage, so the rows are
+// durable.
+func drainHeaders(src relation.RowSource) (*[]relation.Row, []relation.Row, error) {
+	var buf *[]relation.Row
+	n := 0
 	for {
 		b, err := src.Next()
-		if err != nil {
-			return nil, err
+		if err != nil || b.Empty() {
+			if buf == nil {
+				return nil, nil, err
+			}
+			return buf, (*buf)[:n], err
 		}
-		if b.Empty() {
-			return dst, nil
+		if buf == nil || n+len(b.Rows) > cap(*buf) {
+			grown := headerBufs.Get(max(2*n, n+len(b.Rows)))
+			if buf != nil {
+				copy((*grown)[:n], (*buf)[:n])
+				releaseHeaders(buf, (*buf)[:n])
+			}
+			buf = grown
 		}
-		dst = append(dst, b.Rows...)
+		n += copy((*buf)[n:cap(*buf)], b.Rows)
 	}
+}
+
+// releaseHeaders clears rows, the part of buf in use, so the pool keeps no
+// rows alive, and hands buf back.
+func releaseHeaders(buf *[]relation.Row, rows []relation.Row) {
+	clear(rows)
+	headerBufs.Put(buf)
+}
+
+// collectHeaders copies the rows the ranges drained, in range order, into one
+// exactly sized slice (nil for none) and hands their buffers back.
+func collectHeaders(ranges []rangeResult) []relation.Row {
+	total := 0
+	for _, r := range ranges {
+		total += len(r.rows)
+	}
+	var rows []relation.Row
+	if total > 0 {
+		rows = make([]relation.Row, 0, total)
+	}
+	for _, r := range ranges {
+		rows = append(rows, r.rows...)
+		if r.buf != nil {
+			releaseHeaders(r.buf, r.rows)
+		}
+	}
+	return rows
 }

@@ -386,7 +386,7 @@ func TestWhileBuildsInvariantJoinOnce(t *testing.T) {
 			}
 		}
 	}
-	table := allocated(func() { buildJoinTable(edges.Rows, []int{0}) })
+	table := allocated(func() { buildJoinTable(edges.Rows, []int{0}, false) })
 	once, six := allocated(run(1)), allocated(run(6))
 	t.Logf("join table %d bytes; the loop allocates %d bytes over 1 iteration, %d over 6", table, once, six)
 	if six-once >= table/4 {
@@ -407,7 +407,7 @@ func gotOpID(t *testing.T, ops []*ir.Op, out string) int {
 
 // TestOneMemberPipelines covers the shapes that only exist since every
 // SELECT/PROJECT/ARITH/JOIN/AGG runs as a pipeline: an AGG that heads its
-// own pipeline (behind a breaker), the empty-input empty-GROUP-BY case
+// own pipeline (behind a breaker, SORT), the empty-input empty-GROUP-BY case
 // through that path, and a JOIN whose build side is the relation it probes.
 // Each is checked against the oracle, single-range and chunked.
 func TestOneMemberPipelines(t *testing.T) {
@@ -417,11 +417,11 @@ func TestOneMemberPipelines(t *testing.T) {
 		for _, threshold := range []int{ParallelThreshold, 1} {
 			d := ir.NewDAG()
 			s := d.AddInput("src", "in/src", in.Schema)
-			dist := d.Add(ir.OpDistinct, "dist", ir.Params{}, s)
+			sorted := d.Add(ir.OpSort, "sorted", ir.Params{SortBy: []string{"v"}}, s)
 			d.Add(ir.OpAgg, "total", ir.Params{Aggs: []ir.AggSpec{
 				{Func: ir.AggCount, As: "n"}, {Func: ir.AggSum, Col: "v", As: "sum"}, {Func: ir.AggMax, Col: "f", As: "hi"},
-			}}, dist)
-			d.Add(ir.OpAgg, "by_k", ir.Params{GroupBy: []string{"k"}, Aggs: []ir.AggSpec{{Func: ir.AggAvg, Col: "v", As: "avg"}}}, dist)
+			}}, sorted)
+			d.Add(ir.OpAgg, "by_k", ir.Params{GroupBy: []string{"k"}, Aggs: []ir.AggSpec{{Func: ir.AggAvg, Col: "v", As: "avg"}}}, sorted)
 			d.Add(ir.OpJoin, "self", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"v"}}, s, s)
 			if err := d.Validate(); err != nil {
 				t.Fatal(err)
@@ -635,5 +635,78 @@ func TestSmallJoinAggAllocatesNoMoreThanBefore(t *testing.T) {
 	t.Logf("bytes per run: %v", bytes)
 	if bytes > 36585 {
 		t.Errorf("a 40-row JOIN → AGG run allocates %v bytes, more than the 36585 it took before", bytes)
+	}
+}
+
+// TestDistinctKeepsBoundRowsByReference: a distinct table over a bound
+// relation, read directly or through SELECTs, emits each key's first row
+// itself — the input's cells, not a copy — single-range and in halves, and
+// so does INTERSECT; over PROJECT's rows, which live in a recycled arena, it
+// emits copies that hold their values.
+func TestDistinctKeepsBoundRowsByReference(t *testing.T) {
+	in := relation.New("in", relation.NewSchema("k:int", "v:int"))
+	for i := 0; i < 3000; i++ {
+		in.MustAppend(relation.Row{relation.Int(int64(i % 7)), relation.Int(int64(i % 3))})
+	}
+	d := ir.NewDAG()
+	src := d.AddInput("in", "in/in", in.Schema)
+	uniq := d.Add(ir.OpDistinct, "uniq", ir.Params{}, src)
+	hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpGe, 2)}, src)
+	hotUniq := d.Add(ir.OpDistinct, "hot_uniq", ir.Params{}, hot)
+	common := d.Add(ir.OpIntersect, "common", ir.Params{}, d.Add(ir.OpSelect, "odd", ir.Params{Pred: pred("v", ir.CmpNe, 0)}, src), src)
+	swapped := d.Add(ir.OpProject, "swapped", ir.Params{Columns: []string{"v", "k"}}, src)
+	copied := d.Add(ir.OpDistinct, "copied", ir.Params{}, swapped)
+	ops, err := d.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// firstRows lists the first row of each (k, v) key that keep passes.
+	firstRows := func(keep func(relation.Row) bool) []relation.Row {
+		seen := map[[2]int64]bool{}
+		var rows []relation.Row
+		for _, row := range in.Rows {
+			key := [2]int64{row[0].I, row[1].I}
+			if keep(row) && !seen[key] {
+				seen[key] = true
+				rows = append(rows, row)
+			}
+		}
+		return rows
+	}
+	for _, threshold := range []int{ParallelThreshold, 1} {
+		withThreshold(t, threshold, func() {
+			env := Env{"in": in}
+			if err := RunOps(ops, env, NewTrace(), RunOptions{BatchRows: 100, Keep: func(op *ir.Op) bool { return op != hot && op.Out != "odd" && op != swapped }}); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				op   *ir.Op
+				want []relation.Row
+			}{
+				{uniq, firstRows(func(relation.Row) bool { return true })},
+				{hotUniq, firstRows(func(r relation.Row) bool { return r[0].I >= 2 })},
+				{common, firstRows(func(r relation.Row) bool { return r[1].I != 0 })},
+			} {
+				got := env[c.op.Out]
+				if len(got.Rows) != len(c.want) {
+					t.Fatalf("threshold %d: %s has %d rows, want %d", threshold, c.op.Out, len(got.Rows), len(c.want))
+				}
+				for i, row := range got.Rows {
+					if &row[0] != &c.want[i][0] {
+						t.Errorf("threshold %d: %s row %d (%v) is a copy, not the input's row %v", threshold, c.op.Out, i, row, c.want[i])
+					}
+				}
+			}
+			// PROJECT's rows live in a recycled arena: each key's first one
+			// must have been copied out before the arena was reused.
+			for i, row := range env[copied.Out].Rows {
+				if want := in.Rows[i]; row[0].I != want[1].I || row[1].I != want[0].I {
+					t.Fatalf("threshold %d: copied row %d is %v, want %v swapped", threshold, i, row, want)
+				}
+			}
+			if n := len(env[copied.Out].Rows); n != 21 {
+				t.Errorf("threshold %d: %d distinct swapped rows, want 21", threshold, n)
+			}
+		})
 	}
 }

@@ -310,7 +310,7 @@ func open(name string, blocks [][]byte, rows int, trusted bool) (*Encoded, error
 	if e.Schema, e.LogicalBytes, err = readHeader(name, &e.body); err != nil {
 		return nil, err
 	}
-	e.body.carry = nil // it held header lines; every reader grows its own
+	e.body.release() // it held header lines; every reader takes its own
 	if !trusted {
 		if err := e.countGroupRows(); err != nil {
 			return nil, err
@@ -341,7 +341,9 @@ func (e *Encoded) Materialize() (*Relation, error) {
 	if e.rel == nil {
 		r := groupReader{e: e, cur: e.body, remaining: e.rows, last: true, batchRows: e.rows}
 		rows := make([]Row, e.rows)
-		if err := r.fill(rows, make([]Value, e.rows*e.Schema.Arity())); err != nil {
+		err := r.fill(rows, make([]Value, e.rows*e.Schema.Arity()))
+		r.cur.release()
+		if err != nil {
 			return nil, err
 		}
 		e.rel = &Relation{Name: e.Name, Schema: e.Schema, Rows: rows, LogicalBytes: e.LogicalBytes}
@@ -366,8 +368,33 @@ func (e *Encoded) meter(rows int, phys int64) {
 // row groups by counted stretches of bytes.
 type blockCursor struct {
 	blocks [][]byte
-	b, off int    // the next unread byte is blocks[b][off]
-	carry  []byte // stitches a line or a stretch that straddles blocks
+	b, off int     // the next unread byte is blocks[b][off]
+	carry  []byte  // stitches a line or a stretch that straddles blocks
+	box    *[]byte // carry's buffer, from carryBufs until release
+}
+
+// carryBufs backs every cursor's carry.
+var carryBufs Pool[byte]
+
+// stitch appends b to carry, which takes a buffer with room for n bytes from
+// carryBufs the first time anything straddles.
+func (c *blockCursor) stitch(b []byte, n int) {
+	if c.box == nil {
+		c.box = carryBufs.Get(n)
+		c.carry = (*c.box)[:0]
+	}
+	c.carry = append(c.carry, b...)
+}
+
+// release hands carry's buffer back — as it has grown — once nothing the
+// cursor returned is read again: a reader does at its range's end or on an
+// error.
+func (c *blockCursor) release() {
+	if c.box != nil {
+		*c.box = c.carry[:0]
+		carryBufs.Put(c.box)
+	}
+	c.box, c.carry = nil, nil
 }
 
 // next returns the next line without its newline, valid until the following
@@ -378,14 +405,14 @@ func (c *blockCursor) next() ([]byte, bool) {
 		rest := c.blocks[c.b][c.off:]
 		i := bytes.IndexByte(rest, '\n')
 		if i < 0 {
-			c.carry = append(c.carry, rest...)
+			c.stitch(rest, 2*len(rest))
 			continue
 		}
 		c.off += i + 1
 		if len(c.carry) == 0 {
 			return rest[:i], true
 		}
-		c.carry = append(c.carry, rest[:i]...)
+		c.stitch(rest[:i], 0)
 		return c.carry, true
 	}
 	return c.carry, len(c.carry) > 0
@@ -403,7 +430,7 @@ func (c *blockCursor) take(n int) ([]byte, bool) {
 			return rest[:n:n], true
 		}
 		k := min(n-len(c.carry), len(rest))
-		c.carry = append(c.carry, rest[:k]...)
+		c.stitch(rest[:k], n)
 		if len(c.carry) == n {
 			c.off += k
 			return c.carry, true
@@ -452,7 +479,9 @@ func (c *blockCursor) uvarint() (v uint64, ok bool) {
 // groups declare, each checked against the bytes it holds.
 func (e *Encoded) countGroupRows() error {
 	e.rows = 0
-	for cur := e.body; ; {
+	cur := e.body
+	defer cur.release()
+	for {
 		n, body, err := e.groupHeader(&cur)
 		if n == 0 || err != nil {
 			return err
@@ -518,10 +547,13 @@ func (r *groupReader) Next() (Batch, error) {
 	n := min(r.batchRows, r.remaining)
 	if n == 0 {
 		r.ar.Release()
-		return Batch{}, r.fill(nil, nil) // a trusted stream must end here
+		err := r.fill(nil, nil) // a trusted stream must end here
+		r.cur.release()
+		return Batch{}, err
 	}
 	rows := r.ar.Rows(n)
 	if err := r.fill(rows, r.ar.Values(n*r.e.Schema.Arity())); err != nil {
+		r.cur.release()
 		return Batch{}, err
 	}
 	return Batch{Rows: rows}, nil
