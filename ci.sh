@@ -75,10 +75,13 @@
 #                       next build of its class takes, as a key set is; and
 #                       a committed file's replicas alias the writer's
 #                       segments, one corrupted replica stays one, and the
-#                       file reads back. Then the same tests and
-#                       TestRandomDAGsMatchOracle under -race at
-#                       GOMAXPROCS=8, since concurrent halves release into
-#                       shared pools
+#                       file reads back. Then the same tests,
+#                       TestRandomDAGsMatchOracle and the streamed-source
+#                       suites (TestStreamedSourcesMatchBoundRelations,
+#                       TestSourceShapes) under -race at GOMAXPROCS=8, since
+#                       concurrent halves release into shared pools and
+#                       streamed scans hand reader slabs back into them —
+#                       a UNION's halves may scan one file at once
 #   telemetry scrape  — the debug server (httptest over DebugHandler)
 #                       serves /metrics and /debug/runs during chaotic
 #                       concurrent executions; any malformed exposition
@@ -182,7 +185,7 @@ gofmt_gate() {
 }
 
 RECYCLING_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledJoinTablesMatchFirstUse|TestTablesAreRecycled|TestRecycledArenasMatchFirstUse|TestReaderOverStaleSlabMatchesFresh|TestCommitKeepsTheWritersSegments)$'
-RECYCLING_RACE_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledJoinTablesMatchFirstUse|TestTablesAreRecycled|TestRecycledArenasMatchFirstUse|TestReaderOverStaleSlabMatchesFresh|TestCommitKeepsTheWritersSegments|TestRandomDAGsMatchOracle)$'
+RECYCLING_RACE_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledJoinTablesMatchFirstUse|TestTablesAreRecycled|TestRecycledArenasMatchFirstUse|TestReaderOverStaleSlabMatchesFresh|TestCommitKeepsTheWritersSegments|TestRandomDAGsMatchOracle|TestStreamedSourcesMatchBoundRelations|TestSourceShapes)$'
 
 scratch_recycling_gate() {
     go test -count=1 -timeout 5m -run "$RECYCLING_TESTS" \

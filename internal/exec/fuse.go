@@ -9,28 +9,30 @@ import (
 )
 
 // This file plans execution units over a topologically-ordered operator
-// list and drives the pipelined ones. SELECT, PROJECT, ARITH and JOIN-probe
-// have exactly one implementation — the pull stages of stream.go — and a
-// pipeline may end in a table: AGG's groups, or the distinct table that
-// DISTINCT fills and that INTERSECT and DIFFERENCE fill through a filter on
-// their right input's key set. Every such operator always runs as a pipeline
-// of length ≥ 1: maximal chains stream through their interior members and
-// materialize only the last one's output, and an operator with no fusable
-// neighbour is simply a pipeline of one.
+// list and drives them: every operator but INPUT and WHILE runs as a member of
+// a pipeline of length ≥ 1. Maximal chains stream through their interior
+// members and materialize only the last one's output, and an operator with no
+// fusable neighbour is simply a pipeline of one. SELECT, PROJECT, ARITH, JOIN
+// and CROSS JOIN — a JOIN with no key columns — have exactly one
+// implementation, the pull stages of stream.go. UNION only heads a pipeline:
+// its scan is its two inputs laid end to end, and it passes their rows on as a
+// SELECT with no predicate does. A pipeline may end in a table — AGG's groups,
+// or the distinct table that DISTINCT fills and that INTERSECT and DIFFERENCE
+// fill through a filter on their right input's key set — or in SORT, LIMIT or
+// UDF, which finish the rows the drain collected (finish, kernels.go).
 
 // pipelined reports whether t runs as a pipeline member.
-func pipelined(t ir.OpType) bool {
-	switch t {
-	case ir.OpSelect, ir.OpProject, ir.OpArith, ir.OpJoin:
-		return true
-	}
-	return terminal(t)
+func pipelined(t ir.OpType) bool { return t != ir.OpInput && t != ir.OpWhile }
+
+// terminal reports whether t only ever ends a pipeline: it fills a table
+// (tabled) or needs every row before it emits one (SORT, LIMIT, UDF).
+func terminal(t ir.OpType) bool {
+	return tabled(t) || t == ir.OpSort || t == ir.OpLimit || t == ir.OpUDF
 }
 
-// terminal reports whether t fills a table it emits whole — AGG, or the
-// distinct table of DISTINCT, INTERSECT and DIFFERENCE — and so only ever
-// ends a pipeline.
-func terminal(t ir.OpType) bool {
+// tabled reports whether t fills a table it emits whole: AGG, or the distinct
+// table of DISTINCT, INTERSECT and DIFFERENCE.
+func tabled(t ir.OpType) bool {
 	switch t {
 	case ir.OpAgg, ir.OpDistinct, ir.OpIntersect, ir.OpDifference:
 		return true
@@ -43,15 +45,16 @@ func terminal(t ir.OpType) bool {
 func setFilter(t ir.OpType) bool { return t == ir.OpIntersect || t == ir.OpDifference }
 
 // planUnits partitions ops into execution units, ordered by their last
-// member: every operator that is not pipelined (INPUT, WHILE, the breaker
-// kernels) is a unit of its own, and the pipelined ones group into maximal
-// chains. A chain extends past a member — streaming through it, never
-// materializing it — only when the member is not terminal, its single
-// consumer edge inside the list is the next member's first (probe or left)
-// input and the caller does not Keep it; a consumer reading the same
-// producer twice (self join) contributes two edges, which ends the chain. A
-// unit runs at its last member's position, so join build sides and set
-// operators' right inputs are materialized, or open to stream, by then.
+// member: INPUT and WHILE are units of their own, and every other operator
+// groups into maximal chains. A chain extends past a member — streaming
+// through it, never materializing it — only when the member is not terminal,
+// its single consumer edge inside the list is the next member's first (probe
+// or left) input, the next member is not a UNION and the caller does not Keep
+// it; a consumer reading the same producer twice (self join) contributes two
+// edges, which ends the chain. A unit runs at its last member's position, so
+// every input a member reads besides its upstream — a join's build side, a set
+// operator's right input, a UNION's second, a UDF's others — is materialized,
+// or open to stream, by then.
 func planUnits(ops []*ir.Op, keep func(*ir.Op) bool) [][]*ir.Op {
 	pos := make(map[*ir.Op]int, len(ops))
 	for i, op := range ops {
@@ -77,7 +80,7 @@ func planUnits(ops []*ir.Op, keep func(*ir.Op) bool) [][]*ir.Op {
 		end := i
 		for pipelined(ops[end].Type) && !terminal(ops[end].Type) && edges[end] == 1 && (keep == nil || !keep(ops[end])) {
 			next := ops[sole[end]]
-			if !pipelined(next.Type) || next.Inputs[0] != ops[end] {
+			if !pipelined(next.Type) || next.Type == ir.OpUnion || next.Inputs[0] != ops[end] {
 				break
 			}
 			end = sole[end]
@@ -104,29 +107,15 @@ type stagePlan struct {
 	inSch relation.Schema
 	sch   relation.Schema
 	pred  *boundPred // SELECT
-	idx   []int      // PROJECT
+	idx   []int      // PROJECT's columns, SORT's keys
 	arith *arithSpec // ARITH
-	js    joinSpec   // JOIN
+	js    joinSpec   // JOIN, CROSS JOIN
 	build *joinTable
 	// ownsBuild says the chain built build for itself, and hands it back
 	// when it finishes: no later run will probe it.
 	ownsBuild bool
-	// right is the second input of a JOIN (its build side) or a set
-	// operator, bound; rightFile a set operator's right input when it
-	// streams instead.
-	right     *relation.Relation
-	rightFile *relation.Encoded
 	ag        aggSpec // terminal AGG, DISTINCT, INTERSECT or DIFFERENCE
 	fresh     bool    // allocate fresh value storage per batch (rows escape)
-}
-
-// rightVolume sizes the member's second input: a streamed one was metered
-// while its key set was built.
-func (sp *stagePlan) rightVolume(trace *Trace) volume {
-	if f := sp.rightFile; f != nil {
-		return volume{phys: f.PhysicalBytes(), logical: f.LogicalBytes}
-	}
-	return trace.volumeOf(sp.right)
 }
 
 // release hands back the tables the member took for this chain alone.
@@ -141,11 +130,67 @@ func (sp *stagePlan) release() {
 	}
 }
 
+// scan is an input a member reads: a relation bound in the environment, or a
+// file opened to stream (RunOptions.Sources), decoded batch by batch.
+type scan struct {
+	rel  *relation.Relation
+	file *relation.Encoded
+	sch  relation.Schema
+	rows int
+}
+
+// bindScan finds op's input in: open to stream, else bound. Only inputs that
+// pipelines scan stream (see bindSources), so any other is bound.
+func bindScan(op, in *ir.Op, env Env, opts RunOptions) (scan, error) {
+	if f := opts.Sources[in.Out]; f != nil {
+		return scan{file: f, sch: f.Schema, rows: f.NumRows()}, nil
+	}
+	if rel := env[in.Out]; rel != nil {
+		return scan{rel: rel, sch: rel.Schema, rows: len(rel.Rows)}, nil
+	}
+	return scan{}, fmt.Errorf("exec: %s: input relation %q not materialized", op, in.Out)
+}
+
+// reader yields rows [lo, hi) in batches: views of a bound relation's rows,
+// or a file's decoded into cells that are fresh per batch when asked.
+func (s scan) reader(lo, hi, batchRows int, fresh bool) relation.RowSource {
+	if s.file != nil {
+		return s.file.Reader(lo, hi, batchRows, fresh)
+	}
+	return s.rel.Reader(lo, hi, batchRows)
+}
+
+// volume sizes the input: a streamed one was metered by its readers.
+func (s scan) volume(trace *Trace) volume {
+	if s.file != nil {
+		return volume{phys: s.file.PhysicalBytes(), logical: s.file.LogicalBytes}
+	}
+	return trace.volumeOf(s.rel)
+}
+
+// concatSource yields first's rows, then second's: a UNION's scan, whose rows
+// carry the first input's schema.
+type concatSource struct {
+	first, second relation.RowSource
+	onSecond      bool
+}
+
+func (c *concatSource) Schema() relation.Schema { return c.first.Schema() }
+
+func (c *concatSource) Next() (relation.Batch, error) {
+	if !c.onSecond {
+		if b, err := c.first.Next(); err != nil || !b.Empty() {
+			return b, err
+		}
+		c.onSecond = true
+	}
+	return c.second.Next()
+}
+
 // chain is one resolved pipeline: the input its head scans (its row count,
-// and open, which yields a row range of it in batches — views of a bound
-// relation's rows, or a DFS file decoding as it is pulled), its streaming
-// members, the terminal table when it ends in one, and the sink when its
-// rows stream out.
+// and open, which yields a row range of it in batches), its streaming
+// members, its terminal member when it ends in one, and the sink when its rows
+// stream out.
 type chain struct {
 	rows      int
 	open      func(lo, hi int) relation.RowSource
@@ -185,7 +230,7 @@ func (c *chain) runRange(lo, hi int, part *relation.Part) rangeResult {
 	}
 	pipe := buildPipeline(c.stages, c.open(lo, hi), c.batchRows, res.taps)
 	switch {
-	case c.term != nil:
+	case c.term != nil && tabled(c.term.op.Type):
 		res.table = newAggTable(c.term.ag)
 		res.inRows, res.err = drainAgg(pipe, res.table)
 	case part != nil:
@@ -199,8 +244,7 @@ func (c *chain) runRange(lo, hi int, part *relation.Part) rangeResult {
 // run streams the input through the pipeline and merges the ranges' results
 // into one: the materialized rows, copied once into exactly sized headers, or
 // the table (a sink's ranges each fill their own part), and the summed taps.
-// Below
-// ParallelThreshold rows the input is one range; from there up it is two
+// Below ParallelThreshold rows the input is one range; from there up it is two
 // halves, [0, (n+1)/2) and [(n+1)/2, n), run concurrently. The cut depends
 // on the row count alone, so a streamed file splits exactly where its
 // materialized rows would, and every host computes the same relation, float
@@ -237,11 +281,11 @@ func (c *chain) run() (rangeResult, error) {
 		}
 	}
 	res := results[0]
-	if c.term == nil && c.sink == nil {
+	if res.table == nil && c.sink == nil {
 		res.rows = collectHeaders(ranges)
 	}
 	for _, r := range ranges[1:] {
-		if c.term != nil {
+		if res.table != nil {
 			res.inRows += r.inRows
 			res.table.absorb(r.table)
 		}
@@ -254,17 +298,18 @@ func (c *chain) run() (rangeResult, error) {
 }
 
 // runChain executes one pipeline: it resolves every member against the
-// environment, streams the head's input — a bound relation, or an opened
-// external input only this head reads (opts.Sources) — through the composed
-// stages (two halves from ParallelThreshold rows), materializes only the
-// last member's output — unless that streams into its sink (opts.Sinks) and
-// nil is returned — and records every member's trace entry: interior members
-// from their taps, the last from the relation or the writer.
+// environment, streams the head's input — bound relations, or opened external
+// inputs only pipeline scans read (opts.Sources); a UNION's two laid end to
+// end — through the composed stages (two halves from ParallelThreshold rows),
+// materializes only the last member's output — unless that streams into its
+// sink (opts.Sinks) and nil is returned — and records every member's trace
+// entry: interior members from their taps, the last from the relation or the
+// writer.
 func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Relation, error) {
 	n := len(ops)
-	last := ops[n-1]
-	if len(ops[0].Inputs) == 0 {
-		return nil, fmt.Errorf("exec: %s: no input", ops[0])
+	head, last := ops[0], ops[n-1]
+	if len(head.Inputs) == 0 {
+		return nil, fmt.Errorf("exec: %s: no input", head)
 	}
 	batchRows := opts.BatchRows
 	if batchRows <= 0 {
@@ -272,20 +317,15 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 	}
 	c := &chain{batchRows: batchRows}
 	// bindSources' rule, mirrored: a sink streams when no operator reads the
-	// rows that end this pipeline (a table is emitted whole).
+	// rows that end this pipeline (a terminal member emits them whole).
 	if !terminal(last.Type) && opts.uses[last.Out] == 0 {
 		c.sink = opts.Sinks[last.Out]
 	}
-	file, src := opts.Sources[ops[0].Inputs[0].Out], env[ops[0].Inputs[0].Out]
-	var prev relation.Schema
-	switch {
-	case file != nil:
-		prev, c.rows = file.Schema, file.NumRows()
-	case src != nil:
-		prev, c.rows = src.Schema, len(src.Rows)
-	default:
-		return nil, fmt.Errorf("exec: %s: input relation %q not materialized", ops[0], ops[0].Inputs[0].Out)
+	in, err := bindScan(head, head.Inputs[0], env, opts)
+	if err != nil {
+		return nil, err
 	}
+	var second scan // a UNION's
 	specs := make([]stagePlan, n)
 	defer func() {
 		for i := range specs {
@@ -293,29 +333,25 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 		}
 	}()
 	schemas := make(map[*ir.Op]relation.Schema, 2)
-	// stable: the rows reaching the last member outlive the pipeline — a
-	// bound relation's, passed on by SELECTs — so a distinct table keeps them
-	// by reference.
-	stable := file == nil
+	// stable: the rows reaching the next member outlive the pipeline — bound
+	// relations', passed on by SELECTs and a UNION — so a distinct table
+	// keeps them by reference.
+	stable, prev := in.file == nil, in.sch
 	for i, op := range ops {
 		sp := &specs[i]
 		*sp = stagePlan{op: op, inSch: prev}
 		schemas[op.Inputs[0]] = prev
-		if op.Type == ir.OpJoin || setFilter(op.Type) {
-			if len(op.Inputs) < 2 {
-				return nil, fmt.Errorf("exec: %s: no right input", op)
+		var right scan // the first input besides the upstream
+		for k, other := range op.Inputs[1:] {
+			s, err := bindScan(op, other, env, opts)
+			if err != nil {
+				return nil, err
 			}
-			// Only a set operator's right input streams (see bindSources).
-			in := op.Inputs[1]
-			if f := opts.Sources[in.Out]; f != nil && setFilter(op.Type) {
-				sp.rightFile, schemas[in] = f, f.Schema
-			} else if sp.right = env[in.Out]; sp.right != nil {
-				schemas[in] = sp.right.Schema
-			} else {
-				return nil, fmt.Errorf("exec: %s: input relation %q not materialized", op, in.Out)
+			schemas[other] = s.sch
+			if k == 0 {
+				right = s
 			}
 		}
-		var err error
 		if sp.sch, err = ir.OutputSchema(op, schemas); err != nil {
 			return nil, err
 		}
@@ -324,29 +360,36 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 			if sp.pred, err = bindPred(op.Params.Pred, prev); err != nil {
 				return nil, fmt.Errorf("exec: %s: %w", op, err)
 			}
-		case ir.OpProject:
-			sp.idx = make([]int, len(op.Params.Columns))
-			for k, col := range op.Params.Columns {
+		case ir.OpUnion:
+			second = right
+		case ir.OpProject, ir.OpSort:
+			cols := op.Params.Columns
+			if op.Type == ir.OpSort {
+				cols = op.Params.SortBy
+			}
+			sp.idx = make([]int, len(cols))
+			for k, col := range cols {
 				sp.idx[k] = prev.Index(col)
 			}
 		case ir.OpArith:
 			if sp.arith, err = bindArith(&op.Params, prev); err != nil {
 				return nil, fmt.Errorf("exec: %s: %w", op, err)
 			}
-		case ir.OpJoin:
-			if sp.js, err = resolveJoinSpec(op, prev, sp.right.Schema); err != nil {
+		case ir.OpJoin, ir.OpCrossJoin:
+			if sp.js, err = resolveJoinSpec(op, prev, right.sch); err != nil {
 				return nil, err
 			}
 			// Hash join: build on the right input, probe with the streaming
-			// left. The table is read-only once complete, so concurrent
-			// chunk pipelines share it, and a loop's next round reuses it
-			// while its build side is the same relation.
+			// left — under one key for a CROSS JOIN. The table is read-only
+			// once complete, so concurrent chunk pipelines share it, and a
+			// loop's next round reuses it while its build side is the same
+			// relation.
 			built := opts.Joins[op]
-			if built.rel == sp.right {
+			if built.rel == right.rel {
 				sp.build = built.table
 				break
 			}
-			sp.build = buildJoinTable(sp.right.Rows, sp.js.rIdx, opts.Joins == nil || opts.recycleJoins)
+			sp.build = buildJoinTable(right.rel.Rows, sp.js.rIdx, opts.Joins == nil || opts.recycleJoins)
 			if opts.Joins == nil {
 				sp.ownsBuild = true
 				break
@@ -354,58 +397,53 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 			if built.table != nil {
 				built.table.release() // an earlier round's, over another relation
 			}
-			opts.Joins[op] = builtJoin{sp.right, sp.build}
+			opts.Joins[op] = builtJoin{right.rel, sp.build}
 		case ir.OpAgg:
 			if sp.ag, err = resolveAggSpec(op, prev); err != nil {
 				return nil, err
 			}
 		case ir.OpDistinct, ir.OpIntersect, ir.OpDifference:
 			sp.ag = aggSpec{gIdx: allCols(prev.Arity()), keepIn: op.Type == ir.OpIntersect, byRef: stable}
-			if !setFilter(op.Type) {
-				break
-			}
-			var keys relation.RowSource
-			var rows int
-			if f := sp.rightFile; f != nil {
-				keys, rows = f.Reader(0, f.NumRows(), batchRows, false), f.NumRows()
-			} else {
-				keys, rows = sp.right.Reader(0, len(sp.right.Rows), batchRows), len(sp.right.Rows)
-			}
-			if sp.ag.filter, err = buildKeySet(keys, rows); err != nil {
-				return nil, err
+			if setFilter(op.Type) {
+				if sp.ag.filter, err = buildKeySet(right.reader(0, right.rows, batchRows, false), right.rows); err != nil {
+					return nil, err
+				}
 			}
 		}
-		stable = stable && op.Type == ir.OpSelect
+		stable = stable && (op.Type == ir.OpSelect || op.Type == ir.OpUnion && right.file == nil)
 		prev = sp.sch
 	}
 	c.stages = specs
-	// ownsOut: the output's rows are storage this run allocated (a table's
-	// rows, the fresh stage's arenas, or a file reader's), so sizing may
-	// cache widths in them; a pure-SELECT pipeline over a bound relation
-	// outputs rows that alias the shared scan rows, and so does a distinct
-	// table over it. No row escapes a sink.
-	ownsOut := c.sink != nil
 	if terminal(last.Type) {
 		c.stages, c.term = specs[:n-1], &specs[n-1]
+	}
+	// ownsOut: the output's rows are storage this run allocated (a table's
+	// rows, the fresh stage's arenas, or a file reader's), so sizing may
+	// cache widths in them; a pipeline that only passes rows on (SELECT,
+	// UNION) outputs rows that alias the bound scan rows, and so does a
+	// distinct table over them. No row escapes a sink.
+	ownsOut := c.sink != nil
+	if tabled(last.Type) {
 		ownsOut = !c.term.ag.byRef
 	} else {
 		// The last constructing stage before the materializing drain must
-		// allocate per batch: its rows escape the pipeline. A pipeline of
-		// pure SELECTs shares the (stable) scan rows and needs no copy.
-		for i := n - 1; i >= 0 && !ownsOut; i-- {
-			if ops[i].Type != ir.OpSelect {
+		// allocate per batch: its rows escape the pipeline.
+		for i := len(c.stages) - 1; i >= 0 && !ownsOut; i-- {
+			if t := ops[i].Type; t != ir.OpSelect && t != ir.OpUnion {
 				specs[i].fresh, ownsOut = true, true
 			}
 		}
 	}
-	if file != nil {
-		// Rows a pure-SELECT pipeline passes through escape it by reference,
-		// so the reader must not recycle their storage.
-		fresh := !ownsOut
-		c.open = func(lo, hi int) relation.RowSource { return file.Reader(lo, hi, batchRows, fresh) }
-		ownsOut = true
-	} else {
-		c.open = func(lo, hi int) relation.RowSource { return src.Reader(lo, hi, batchRows) }
+	// Rows a pass-through pipeline hands on escape it by reference, so the
+	// readers must not recycle their storage.
+	fresh, n0 := !ownsOut, in.rows
+	ownsOut = ownsOut || in.file != nil && second.rel == nil
+	c.rows = n0 + second.rows
+	c.open = func(lo, hi int) relation.RowSource { return in.reader(lo, hi, batchRows, fresh) }
+	if head.Type == ir.OpUnion {
+		c.open = func(lo, hi int) relation.RowSource {
+			return &concatSource{first: in.reader(min(lo, n0), min(hi, n0), batchRows, fresh), second: second.reader(max(lo-n0, 0), max(hi-n0, 0), batchRows, fresh)}
+		}
 	}
 	if c.sink != nil {
 		c.sink.Schema = specs[n-1].sch // a columnar sink renders by it
@@ -416,43 +454,42 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 	}
 	var out *relation.Relation // stays nil when the rows went to the sink
 	switch {
-	case c.term != nil: // never a streaming sink
+	case res.table != nil: // never a streaming sink
 		out = relation.New(last.Out, specs[n-1].sch)
 		emitAggRows(c.term.inSch, res.table, res.inRows, out)
 	case c.sink == nil:
 		out = relation.New(last.Out, specs[n-1].sch)
 		out.Rows = res.rows
+		if c.term != nil {
+			if err := finish(c.term, out, env); err != nil {
+				return nil, err
+			}
+		}
 	}
 
-	// A streamed input was sized by its readers' meter as it was decoded.
-	var vol volume
-	if file != nil {
-		vol = volume{phys: file.PhysicalBytes(), logical: file.LogicalBytes}
-	} else {
-		vol = trace.volumeOf(src)
-	}
+	vol := in.volume(trace)
+	var buf [2]volume
 	for i, op := range ops {
-		ins := [2]volume{vol}
-		k := 1
-		if len(op.Inputs) == 2 {
-			ins[1] = specs[i].rightVolume(trace)
-			k = 2
+		ins := append(buf[:0], vol)
+		for _, other := range op.Inputs[1:] {
+			s, _ := bindScan(op, other, env, opts) // bound while resolving
+			ins = append(ins, s.volume(trace))
 		}
 		switch {
 		case i < n-1:
-			vol = trace.record(op, ins[:k], res.taps[i].phys, res.taps[i].rows)
-		case out != nil:
-			trace.recordOutput(op, ins[:k], out, ownsOut)
+			vol = trace.record(op, ins, res.taps[i].phys, res.taps[i].rows)
+		case out != nil: // a UDF's rows are of unknown provenance
+			trace.recordOutput(op, ins, out, ownsOut && op.Type != ir.OpUDF)
 		default: // sized by what was written
-			c.sink.LogicalBytes = trace.record(op, ins[:k], c.sink.BodyBytes(), c.sink.Rows()).logical
+			c.sink.LogicalBytes = trace.record(op, ins, c.sink.BodyBytes(), c.sink.Rows()).logical
 		}
 	}
 	return out, nil
 }
 
 // buildPipeline composes one pipeline instance over in, a row range of the
-// head's input: one streaming stage per member (a terminal table is the
-// caller's sink). Each stage hands its arena back once its upstream is
+// head's input: one streaming stage per member (a terminal member is the
+// caller's drain). Each stage hands its arena back once its upstream is
 // drained. taps[i] meters member i; the member past the end of taps (a
 // materializing last member) is unmetered.
 func buildPipeline(specs []stagePlan, in relation.RowSource, batchRows int, taps []accTap) relation.RowSource {
@@ -465,13 +502,13 @@ func buildPipeline(specs []stagePlan, in relation.RowSource, batchRows int, taps
 		}
 		ar := relation.Arena{Fresh: sp.fresh}
 		switch sp.op.Type {
-		case ir.OpSelect:
+		case ir.OpSelect, ir.OpUnion:
 			src = &selectStage{src: src, sch: sp.sch, pred: sp.pred, tap: tap, ar: ar}
 		case ir.OpProject:
 			src = &projectStage{src: src, sch: sp.sch, idx: sp.idx, tap: tap, ar: ar}
 		case ir.OpArith:
 			src = &arithStage{src: src, sch: sp.sch, arithSpec: sp.arith, tap: tap, ar: ar}
-		case ir.OpJoin:
+		case ir.OpJoin, ir.OpCrossJoin:
 			src = &joinProbeStage{src: src, sch: sp.sch, lIdx: sp.js.lIdx, rKeep: sp.js.rKeep, build: sp.build, batchRows: batchRows, tap: tap, ar: ar}
 		}
 	}

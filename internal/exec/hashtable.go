@@ -296,7 +296,8 @@ func (t *joinTable) probe(h *relation.KeyHasher, row relation.Row, cols []int) [
 //
 // A distinct table is one with no aggregates, grouped by every column: a
 // group's row is its first row, copied into the slab — or kept by reference
-// when the rows upstream are stable (aggSpec.byRef), with no slab at all.
+// when the rows upstream are stable (aggSpec.byRef), with no slab at all —
+// and it keeps no count or sum.
 type aggTable struct {
 	ix     keyIndex
 	rows   []relation.Row
@@ -342,12 +343,16 @@ func (t *aggTable) add(row relation.Row) {
 		return
 	}
 	g, added := t.ix.insert(hash, key)
+	switch {
+	case added && t.sp.byRef:
+		t.rows = append(t.rows, row)
+	case added:
+		t.rows = append(t.rows, t.newRow(row))
+	}
+	if len(t.sp.aggs) == 0 {
+		return // a distinct table keeps its groups' first rows alone
+	}
 	if added {
-		if t.sp.byRef {
-			t.rows = append(t.rows, row)
-		} else {
-			t.rows = append(t.rows, t.newRow(row))
-		}
 		t.counts = append(t.counts, 0)
 		t.sums = append(t.sums, make([]float64, len(t.sp.sumCol))...)
 	}
@@ -396,6 +401,11 @@ func (t *aggTable) absorb(o *aggTable) {
 		j, added := t.ix.insert(o.ix.entries[i].hash, o.ix.key(i))
 		if added {
 			t.rows = append(t.rows, part)
+		}
+		if len(t.sp.aggs) == 0 {
+			continue // a distinct table counts nothing
+		}
+		if added {
 			t.counts = append(t.counts, o.counts[i])
 			t.sums = append(t.sums, partSums...)
 			continue

@@ -9,14 +9,16 @@
 // property that all back-ends implement the same operator set and lets the
 // test suite assert cross-engine result equality.
 //
-// RunOps is one loop over execution units (fuse.go): a pipeline of
-// SELECT/PROJECT/ARITH/JOIN-probe pull stages (stream.go) of length ≥ 1,
-// which may end in a table — AGG, or the distinct table of DISTINCT,
-// INTERSECT and DIFFERENCE; a breaker kernel (this file: UNION, CROSS JOIN,
-// SORT, LIMIT, UDF); a WHILE loop; or an INPUT binding (run.go). Pipelines
-// stream through their interior members, metering them with taps, and every
-// unit materializes exactly one relation; Trace.record (run.go) computes
-// every operator's trace entry, from a tap or from the relation alike.
+// RunOps is one loop over execution units (fuse.go): a WHILE loop, an INPUT
+// binding (run.go), or a pipeline of length ≥ 1 of any other operators. A
+// pipeline's members are SELECT, PROJECT, ARITH, JOIN and CROSS JOIN pull
+// stages (stream.go); a UNION may head it, scanning its two inputs end to
+// end, and a table (AGG, or the distinct table of DISTINCT, INTERSECT and
+// DIFFERENCE), SORT, LIMIT or UDF may end it, the last three finishing the
+// rows the drain collected (this file). Pipelines stream through their
+// interior members, metering them with taps, and every unit materializes
+// exactly one relation; Trace.record (run.go) computes every operator's trace
+// entry, from a tap or from the relation alike.
 package exec
 
 import (
@@ -128,83 +130,53 @@ func EvalOp(op *ir.Op, inputs []*relation.Relation) (*relation.Relation, error) 
 	return runUnit([]*ir.Op{op}, env, nil, RunOptions{})
 }
 
-// evalBreaker runs a pipeline breaker — an operator that needs its whole
-// input (or both inputs) before it can emit — as a materialized kernel.
-func evalBreaker(op *ir.Op, env Env, trace *Trace) (*relation.Relation, error) {
-	inputs := make([]*relation.Relation, len(op.Inputs))
-	ins := make([]volume, len(op.Inputs))
-	schemas := make(map[*ir.Op]relation.Schema, len(op.Inputs))
-	for i, in := range op.Inputs {
-		rel, ok := env[in.Out]
-		if !ok {
-			return nil, fmt.Errorf("exec: %s: input relation %q not materialized", op, in.Out)
-		}
-		inputs[i], ins[i], schemas[in] = rel, trace.volumeOf(rel), rel.Schema
-	}
-	outSchema, err := ir.OutputSchema(op, schemas)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(op.Out, outSchema)
-
+// finish ends a pipeline whose last member needs every row before it emits
+// one, given the rows the drain collected in out: SORT orders them in place,
+// stably, LIMIT keeps the first n in range order, and a UDF is called with
+// them and its other inputs, all bound, and its result becomes out.
+func finish(sp *stagePlan, out *relation.Relation, env Env) error {
+	op := sp.op
 	switch op.Type {
-	case ir.OpUnion:
-		out.Rows = make([]relation.Row, 0, len(inputs[0].Rows)+len(inputs[1].Rows))
-		out.Rows = append(out.Rows, inputs[0].Rows...)
-		out.Rows = append(out.Rows, inputs[1].Rows...)
-
-	case ir.OpCrossJoin:
-		l, r := inputs[0], inputs[1]
-		out.Rows = make([]relation.Row, 0, len(l.Rows)*len(r.Rows))
-		arity := outSchema.Arity()
-		vals := make([]relation.Value, cap(out.Rows)*arity)
-		for _, lr := range l.Rows {
-			for _, rr := range r.Rows {
-				nr := relation.Row(vals[:arity:arity])
-				vals = vals[arity:]
-				copy(nr[copy(nr, lr):], rr)
-				out.Rows = append(out.Rows, nr)
-			}
-		}
-
 	case ir.OpSort:
-		idx := make([]int, len(op.Params.SortBy))
-		for i, c := range op.Params.SortBy {
-			idx[i] = inputs[0].Schema.Index(c)
-		}
-		out.Rows = sortRowsBy(inputs[0].Rows, idx, op.Params.Desc)
-
+		sortRowsBy(out.Rows, sp.idx, op.Params.Desc)
 	case ir.OpLimit:
-		n := op.Params.Limit
-		if n > len(inputs[0].Rows) {
-			n = len(inputs[0].Rows)
-		}
-		out.Rows = append(out.Rows, inputs[0].Rows[:n]...)
-
+		n := min(op.Params.Limit, len(out.Rows))
+		clear(out.Rows[n:]) // the dropped rows are not kept alive
+		out.Rows = out.Rows[:n:n]
 	case ir.OpUDF:
 		udf, ok := udfs[op.Params.UDFName]
 		if !ok {
-			return nil, fmt.Errorf("exec: unregistered UDF %q", op.Params.UDFName)
+			return fmt.Errorf("exec: unregistered UDF %q", op.Params.UDFName)
 		}
-		res, err := udf.Fn(inputs)
+		args := []*relation.Relation{{Name: op.Inputs[0].Out, Schema: sp.inSch, Rows: out.Rows}}
+		for _, in := range op.Inputs[1:] {
+			args = append(args, env[in.Out])
+		}
+		res, err := udf.Fn(args)
 		if err != nil {
-			return nil, fmt.Errorf("exec: UDF %q: %w", op.Params.UDFName, err)
+			return fmt.Errorf("exec: UDF %q: %w", op.Params.UDFName, err)
 		}
 		if res == nil {
-			return nil, fmt.Errorf("exec: UDF %q returned no relation", op.Params.UDFName)
+			return fmt.Errorf("exec: UDF %q returned no relation", op.Params.UDFName)
 		}
-		out.Rows = res.Rows
-		out.Schema = res.Schema
-
-	default:
-		return nil, fmt.Errorf("exec: unknown operator %s", op)
+		out.Rows, out.Schema = res.Rows, res.Schema
 	}
+	return nil
+}
 
-	// Only CROSS JOIN emits rows in storage it allocates itself; UNION, SORT
-	// and LIMIT pass their inputs' rows through by reference, and a UDF's are
-	// of unknown provenance.
-	trace.recordOutput(op, ins, out, op.Type == ir.OpCrossJoin)
-	return out, nil
+// sortRowsBy orders rows stably by the key columns, in place.
+func sortRowsBy(rows []relation.Row, keyIdx []int, desc bool) {
+	slices.SortStableFunc(rows, func(a, b relation.Row) int {
+		for _, k := range keyIdx {
+			if c := a[k].Compare(b[k]); c != 0 {
+				if desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return 0
+	})
 }
 
 // allCols lists the column positions of a row of the given arity.
@@ -332,7 +304,7 @@ func emitAggRows(in relation.Schema, table *aggTable, inRows int, out *relation.
 		return
 	}
 	nk, ns := len(sp.gIdx), len(sp.sumCol)
-	for g, row := range table.rows {
+	for g, row := range table.rows[:len(table.counts)] { // none for a distinct table
 		n, sums := table.counts[g], table.sums[g*ns:]
 		si := 0 // the next sum, in aggs order
 		for i, a := range sp.aggs {

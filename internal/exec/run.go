@@ -150,8 +150,9 @@ func (t *Trace) record(op *ir.Op, ins []volume, phys int64, rows int) volume {
 // recordOutput records op's materialized output and stamps its logical
 // size. owned says out's rows are storage the evaluating goroutine has just
 // built and is still the only holder of, so sizing them may cache the widths
-// it measures; rows passed through by reference or of unknown provenance
-// (SELECT, the set operators, SORT, LIMIT, UDF) are only read.
+// it measures; rows passed on by reference from a bound relation (by SELECT,
+// UNION, the set operators, SORT or LIMIT) or returned by a UDF are only
+// read.
 func (t *Trace) recordOutput(op *ir.Op, ins []volume, out *relation.Relation, owned bool) {
 	scaled := false
 	for _, in := range ins {
@@ -286,20 +287,23 @@ func nameUses(ops []*ir.Op) map[string]int {
 
 // bindSources splits opts.Sources into the inputs that stream, which it
 // returns, and the rest, which it materializes into env. An input streams
-// when every consumer edge of it in ops is the probe (first) input of a
-// pipeline head or the right input of a set operator: each of those
-// pipelines scans it on its own, decoding a batch at a time into an arena it
-// reuses — the set operator hashing its key set, keeping no row — which
-// costs less than holding every row between them. A JOIN build side, a
-// breaker kernel, a self-join and a WHILE all need the rows to stay.
+// when every consumer edge of it in ops is a scan: the first input of a
+// pipeline head, the second of a UNION head or the right input of a set
+// operator. Each of those pipelines scans it on its own, decoding a batch at
+// a time into an arena it reuses — the set operator hashing its key set,
+// keeping no row — which costs less than holding every row between them. A
+// JOIN or CROSS JOIN build side, a UDF's further inputs, a self-join and a
+// WHILE all need the rows to stay.
 func bindSources(units [][]*ir.Op, env Env, opts RunOptions) (map[string]*relation.Encoded, error) {
 	scans := make(map[string]int, len(opts.Sources))
 	for _, u := range units {
 		if head := u[0]; pipelined(head.Type) && len(head.Inputs) > 0 {
 			scans[head.Inputs[0].Out]++
 		}
-		if last := u[len(u)-1]; setFilter(last.Type) && len(last.Inputs) == 2 {
-			scans[last.Inputs[1].Out]++
+		for _, op := range u { // a UNION only heads, a set operator only ends
+			if (op.Type == ir.OpUnion || setFilter(op.Type)) && len(op.Inputs) == 2 {
+				scans[op.Inputs[1].Out]++
+			}
 		}
 	}
 	streams := make(map[string]*relation.Encoded, len(opts.Sources))
@@ -344,14 +348,12 @@ func runUnits(units [][]*ir.Op, env Env, trace *Trace, opts RunOptions) error {
 	return nil
 }
 
-// runUnit executes one unit — a pipeline, a breaker kernel, a WHILE loop or
-// an INPUT binding — and returns the relation it materializes, if any.
+// runUnit executes one unit — a pipeline, an INPUT binding or a WHILE loop —
+// and returns the relation it materializes, if any.
 func runUnit(u []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Relation, error) {
 	op := u[len(u)-1]
-	switch {
-	case pipelined(op.Type):
-		return runChain(u, env, trace, opts)
-	case op.Type == ir.OpInput:
+	switch op.Type {
+	case ir.OpInput:
 		rel, ok := env[op.Out]
 		if !ok {
 			rel, ok = env[op.Params.Path]
@@ -361,15 +363,14 @@ func runUnit(u []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 		}
 		trace.recordBound(op, rel)
 		return rel, nil
-	case op.Type == ir.OpWhile:
+	case ir.OpWhile:
 		rel, err := runWhile(op, env, trace, opts)
 		if err == nil {
 			trace.recordBound(op, rel)
 		}
 		return rel, err
-	default:
-		return evalBreaker(op, env, trace)
 	}
+	return runChain(u, env, trace, opts)
 }
 
 // runWhile drives a WHILE operator in memory: ir.Op.Loop steps the rounds

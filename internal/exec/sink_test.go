@@ -109,7 +109,7 @@ func TestStreamedSinksMatchMaterializedOutputs(t *testing.T) {
 
 // TestSinkShapes pins which outputs stream: the rows tail of a pipeline that
 // nothing else in the list reads. One that the next member, a later operator
-// or a WHILE body reads, an AGG tail and a breaker's output are materialized
+// or a WHILE body reads, an AGG tail and a SORT tail are materialized
 // and handed over whole; all of them hold the rows the materialized output
 // does, as the same text.
 func TestSinkShapes(t *testing.T) {
@@ -148,7 +148,7 @@ func TestSinkShapes(t *testing.T) {
 			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
 			d.Add(ir.OpAgg, "out", ir.Params{GroupBy: []string{"k"}, Aggs: sum}, hot)
 		}, "out", false},
-		{"breaker", func(d *ir.DAG, a *ir.Op) {
+		{"sort tail", func(d *ir.DAG, a *ir.Op) {
 			d.Add(ir.OpSort, "out", ir.Params{SortBy: []string{"v"}, Desc: true}, a)
 		}, "out", false},
 	} {

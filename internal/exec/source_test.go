@@ -256,7 +256,7 @@ func sourceCases() []sourceCase {
 			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
 			d.Add(ir.OpAgg, "by_k", ir.Params{GroupBy: []string{"k"}, Aggs: sum}, hot)
 			d.Add(ir.OpSort, "sorted", ir.Params{SortBy: []string{"v"}}, a)
-		}, false, false},
+		}, true, false},
 		{"distinct", func(d *ir.DAG, a, b *ir.Op) {
 			d.Add(ir.OpDistinct, "uniq", ir.Params{}, a)
 		}, true, false},
@@ -287,7 +287,30 @@ func sourceCases() []sourceCase {
 		}, false, true},
 		{"breaker only", func(d *ir.DAG, a, b *ir.Op) {
 			d.Add(ir.OpSort, "sorted", ir.Params{SortBy: []string{"f"}, Desc: true}, a)
-		}, false, false},
+		}, true, false},
+		{"probe of a cross join", func(d *ir.DAG, a, b *ir.Op) {
+			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 2)}, a)
+			d.Add(ir.OpCrossJoin, "pairs", ir.Params{}, hot, b)
+		}, true, false},
+		{"union", func(d *ir.DAG, a, b *ir.Op) {
+			kv := d.Add(ir.OpProject, "kv", ir.Params{Columns: []string{"k", "v"}}, a)
+			d.Add(ir.OpUnion, "kv_b", ir.Params{}, kv, b)
+			both := d.Add(ir.OpUnion, "b_kv", ir.Params{}, b, kv)
+			d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("bk", ir.CmpLt, 5)}, both)
+		}, true, true},
+		{"self union", func(d *ir.DAG, a, b *ir.Op) {
+			d.Add(ir.OpUnion, "twice", ir.Params{}, a, a)
+			again := d.Add(ir.OpUnion, "again", ir.Params{}, a, a)
+			d.Add(ir.OpDistinct, "uniq", ir.Params{}, again)
+		}, true, false},
+		{"limit", func(d *ir.DAG, a, b *ir.Op) {
+			d.Add(ir.OpLimit, "first", ir.Params{Limit: 2600}, a)
+			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
+			d.Add(ir.OpLimit, "first_hot", ir.Params{Limit: 9}, hot)
+		}, true, false},
+		{"udf", func(d *ir.DAG, a, b *ir.Op) {
+			d.Add(ir.OpUDF, "halved", ir.Params{UDFName: "every_other"}, a, b)
+		}, true, false},
 		{"while", func(d *ir.DAG, a, b *ir.Op) {
 			body := ir.NewDAG()
 			bin := body.AddInput("a", "in/a", a.Params.Schema)
@@ -381,7 +404,7 @@ func TestSourceErrorsFailTheRun(t *testing.T) {
 			if streams {
 				c.build(d, in, nil)
 			} else {
-				d.Add(ir.OpSort, "sorted", ir.Params{SortBy: []string{"v"}}, in)
+				d.Add(ir.OpJoin, "self", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"v"}}, in, in)
 			}
 			ops, _ := d.TopoSort()
 			src, err := relation.Open("a", [][]byte{w.Bytes()}, 3)

@@ -407,7 +407,8 @@ func gotOpID(t *testing.T, ops []*ir.Op, out string) int {
 
 // TestOneMemberPipelines covers the shapes that only exist since every
 // SELECT/PROJECT/ARITH/JOIN/AGG runs as a pipeline: an AGG that heads its
-// own pipeline (behind a breaker, SORT), the empty-input empty-GROUP-BY case
+// own pipeline (behind SORT, which ends the one before), the empty-input
+// empty-GROUP-BY case
 // through that path, and a JOIN whose build side is the relation it probes.
 // Each is checked against the oracle, single-range and chunked.
 func TestOneMemberPipelines(t *testing.T) {
@@ -452,14 +453,59 @@ func TestOneMemberPipelines(t *testing.T) {
 	}
 }
 
+// TestLimitAcrossTheSplit: LIMIT keeps the first n rows in range order
+// whether its pipeline runs as one range or two halves, at any batch size: n
+// inside the first half, n ending inside the second, n past the input, and an
+// empty input — over the bound rows and behind a constructing stage.
+func TestLimitAcrossTheSplit(t *testing.T) {
+	src := streamRelation(97) // two halves of 49 and 48 rows from threshold 1
+	for _, in := range []*relation.Relation{src, relation.New("src", src.Schema)} {
+		for _, n := range []int{10, 70, 500} {
+			d := ir.NewDAG()
+			s := d.AddInput("src", "in/src", in.Schema)
+			d.Add(ir.OpLimit, "first", ir.Params{Limit: n}, s)
+			half := d.Add(ir.OpArith, "half", ir.Params{Dst: "h", ALeft: ir.ColRef("v"), ARght: ir.LitOp(relation.Int(2)), AOp: ir.ArithDiv}, s)
+			d.Add(ir.OpLimit, "first_half", ir.Params{Limit: n}, half)
+			if err := d.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			ops, err := d.TopoSort()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracleRun(ops, map[string]*relation.Relation{"src": in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, threshold := range []int{ParallelThreshold, 1} {
+				for _, batch := range []int{1, 5, 0} {
+					withThreshold(t, threshold, func() {
+						env, _ := runStream(t, ops, in, in, RunOptions{BatchRows: batch})
+						for _, name := range []string{"first", "first_half"} {
+							if got, want := rowsText(env[name].Rows), rowsText(want[name].Rows); got != want {
+								t.Errorf("%d rows, LIMIT %d, threshold %d, batch %d: %s = %s, want %s", len(in.Rows), n, threshold, batch, name, got, want)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestLoneSelectSharesInputRows: a one-member SELECT pipeline passes its
-// input's rows through by reference, so concurrent chunk-parallel runs over
-// one input must neither write to those rows (-race) nor copy them.
+// input's rows through by reference, and so does a UNION of a file with it,
+// so concurrent chunk-parallel runs over one input must neither write to those
+// rows (-race) nor copy them.
 func TestLoneSelectSharesInputRows(t *testing.T) {
 	src := streamRelation(97)
+	file := streamRelation(5)
+	file.Name = "file"
+	fs := stage(t, 0, file)
 	d := ir.NewDAG()
 	in := d.AddInput("src", "in/src", src.Schema)
 	d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("v", ir.CmpGe, 40)}, in)
+	d.Add(ir.OpUnion, "both", ir.Params{}, d.AddInput("file", "in/file", file.Schema), in)
 	ops, err := d.TopoSort()
 	if err != nil {
 		t.Fatal(err)
@@ -471,13 +517,17 @@ func TestLoneSelectSharesInputRows(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				env := Env{"src": src}
-				if err := RunOps(ops, env, NewTrace(), RunOptions{BatchRows: 3}); err != nil {
+				opts := RunOptions{BatchRows: 3, SkipInputs: true, Sources: map[string]*relation.Encoded{"file": mustOpen(t, fs, "file")}}
+				if err := RunOps(ops, env, NewTrace(), opts); err != nil {
 					t.Error(err)
 					return
 				}
 				hot := env["hot"]
 				if len(hot.Rows) != 57 || &hot.Rows[0][0] != &src.Rows[40][0] {
 					t.Errorf("hot: %d rows, first aliases the input: %v", len(hot.Rows), len(hot.Rows) > 0 && &hot.Rows[0][0] == &src.Rows[40][0])
+				}
+				if both := env["both"]; len(both.Rows) != 102 || &both.Rows[101][0] != &src.Rows[96][0] {
+					t.Errorf("both: %d rows, or the input's last row is copied", len(both.Rows))
 				}
 			}()
 		}

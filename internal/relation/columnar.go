@@ -355,9 +355,10 @@ func (e *Encoded) Materialize() (*Relation, error) {
 // through readers or Materialize: the meter's sum, no second walk.
 func (e *Encoded) PhysicalBytes() int64 { return e.phys.Load() }
 
-// meter adds a batch of rows and their bytes to the meter while it holds less
-// than one scan: the ranges of a scan decode every row once, so however many
-// scans decode the file, it is metered once.
+// meter adds a drained range's rows and bytes to the meter while it holds
+// less than one scan: the ranges of a scan decode every row once, so however
+// many scans decode the file — one after another, or at once, as the halves
+// of a UNION of the file with itself do — it is metered once.
 func (e *Encoded) meter(rows int, phys int64) {
 	if e.metered.Add(int64(rows)) <= int64(e.rows) {
 		e.phys.Add(phys)
@@ -520,8 +521,10 @@ func (e *Encoded) groupHeader(c *blockCursor) (rows, body int, err error) {
 type groupReader struct {
 	e         *Encoded
 	cur       blockCursor
-	remaining int  // rows of the range not yet decoded
-	last      bool // the range ends at the relation's last row
+	remaining int   // rows of the range not yet decoded
+	done      int   // rows of the range decoded so far, and
+	phys      int64 // their bytes: the meter takes both once it is drained
+	last      bool  // the range ends at the relation's last row
 	batchRows int
 	ar        Arena
 	skip      int         // rows before the range not yet passed
@@ -593,7 +596,10 @@ func (r *groupReader) fill(rows []Row, vals []Value) error {
 	}
 	r.remaining -= n
 	if e.trusted {
-		e.meter(n, int64(phys))
+		r.done, r.phys = r.done+n, r.phys+int64(phys)
+		if r.remaining == 0 && n > 0 {
+			e.meter(r.done, r.phys)
+		}
 		if r.remaining == 0 && r.last && r.skip == 0 && (r.left > 0 || !r.cur.atEnd()) {
 			return fmt.Errorf("relation %s: stream continues past the %d rows its writer recorded", e.Name, e.rows)
 		}

@@ -515,6 +515,41 @@ func TestReaderMatchesMaterialize(t *testing.T) {
 	}
 }
 
+// TestInterleavedScansMeterOnce: two scans of one file running at once — as
+// the two halves of a UNION of a file with itself do — meter one decode of
+// it, however their batches interleave.
+func TestInterleavedScansMeterOnce(t *testing.T) {
+	const n = 57
+	data := mixedRelation(n).EncodeColumnar(CodecOptions{})
+	for _, batch := range []int{1, 5, 1024} {
+		e, err := Open("m", chop(data, 7), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scans := []RowSource{e.Reader(0, n, batch, false), e.Reader(0, n, batch, false)}
+		for live := true; live; {
+			live = false
+			for _, s := range scans {
+				b, err := s.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = live || !b.Empty()
+			}
+		}
+		whole, err := Open("m", chop(data, 0), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := whole.Materialize(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.PhysicalBytes(), whole.PhysicalBytes(); got != want {
+			t.Errorf("batch %d: two interleaved scans metered %d bytes, one decode is %d", batch, got, want)
+		}
+	}
+}
+
 // TestReaderArenas: a recycling reader takes its arena's slab and headers by
 // the power-of-two class of its demand, not of its batch size, and hands them
 // back once drained; a fresh one hands out rows that survive later batches.
