@@ -128,8 +128,8 @@
 #                       with or without a width memo), FuzzFloatTextLen
 #                       (over raw float bits: wherever the width is counted
 #                       without rendering, it is strconv's length),
-#                       FuzzKeyEquality (two cells' key encodings are
-#                       equal exactly when their renderings are),
+#                       FuzzKeyEquality (two cells' keys, as bytes and as
+#                       words, are equal exactly when their renderings are),
 #                       FuzzWriteRelation (the DFS stores what a
 #                       relation's TSV reads back as, or refuses it where
 #                       that text fails to read back), and FuzzParse in

@@ -455,8 +455,12 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 	var out *relation.Relation // stays nil when the rows went to the sink
 	switch {
 	case res.table != nil: // never a streaming sink
+		if err := res.table.err(last); err != nil {
+			res.table.release()
+			return nil, err
+		}
 		out = relation.New(last.Out, specs[n-1].sch)
-		emitAggRows(c.term.inSch, res.table, res.inRows, out)
+		emitAggRows(res.table, res.inRows, out)
 	case c.sink == nil:
 		out = relation.New(last.Out, specs[n-1].sch)
 		out.Rows = res.rows

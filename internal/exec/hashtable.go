@@ -2,50 +2,53 @@ package exec
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
+	"musketeer/internal/ir"
 	"musketeer/internal/relation"
 )
 
 // This file implements the hashed-key tables of the hot kernels: the
 // aggregation table (AGG, and DISTINCT, INTERSECT and DIFFERENCE, which group
 // by every column), the join table and the set operators' key sets. Rows are
-// keyed by a 64-bit maphash of the value encoding of their key cells
-// (relation.Row.AppendKey: text equality, with nothing rendered). One
-// structure, keyIndex, maps a key to a dense index; the three tables are that
-// index plus whatever they hang off the index numbers. Probing allocates
-// nothing: the encoding is written into a per-worker scratch buffer and only
-// copied on insert.
+// keyed by relation.KeyHasher.Key: a key of numbers is a word per cell plus a
+// word of tags, hashed by a seeded mixer; only a key with a string that is no
+// number's text is bytes (relation.Row.AppendKey), hashed by maphash. A key
+// travels as its four values (hash, tags, cells, bytes). Either way equality
+// is text equality, with nothing rendered. One structure, keyIndex, maps a
+// key to a dense index; the three tables are that index plus whatever they
+// hang off the index numbers. Probing allocates nothing: the key is computed
+// into a per-worker hasher's scratch and only copied on insert.
 
 // keyIndex is an open-addressing hash index that numbers distinct keys
-// 0, 1, 2… in insertion order. It holds no pointers besides its three
-// slices: slots maps a hash to an entry number, entries keep each key's hash
-// (compared before the bytes, and reused to rehash on growth) and where its
-// bytes end in the one key buffer.
+// 0, 1, 2… in insertion order. It holds no pointers besides its slices:
+// slots maps a hash to an entry number, and each entry is one word — the low
+// 32 bits of its key's hash above its tags or, for a byte key, byteKey and
+// its length — compared before the key itself, and placing the entry again
+// on growth without rehashing. A word key's cells are stored at a fixed
+// stride, width words per key; a byte key's first word there is where its
+// bytes start in keys, the buffer only byte keys fill.
 type keyIndex struct {
 	slots   []int32 // entry number + 1; 0 marks an empty slot; len is a power of two
-	entries []keyEntry
+	entries []uint64
+	width   int      // cells per key; 1, a byte key's start, when keys are too wide for words
+	cells   []uint64 // key i's are cells[i*width : (i+1)*width]
 	keys    []byte
 }
 
-type keyEntry struct {
-	hash uint64
-	end  int // keys[previous entry's end : end] are this entry's bytes
-}
+// byteKey marks a byte key's entry: word keys' tags lie below it.
+const byteKey = 1 << relation.MaxWordCells
 
-// newKeyIndex sizes the slot array and the entry list for capacity keys, so
-// a table whose size is known up front never rehashes.
-func newKeyIndex(capacity int) keyIndex {
-	var x keyIndex
-	x.prepare(capacity)
-	return x
-}
-
-// prepare empties x and sizes it for capacity keys inside the storage it
-// already has, allocating only what is too small: the slot array takes its
-// full size, cleared, and the entries and key bytes keep their capacity.
-func (x *keyIndex) prepare(capacity int) {
+// prepare empties x and sizes it for capacity keys of the given number of
+// cells inside the storage it already has, allocating only what is too
+// small: the slot array takes its full size, cleared, and the entries, cells
+// and key bytes keep their capacity. A table whose size is known up front
+// never rehashes.
+func (x *keyIndex) prepare(capacity, cells int) {
 	n := 16
 	for n < 2*capacity {
 		n *= 2
@@ -56,80 +59,102 @@ func (x *keyIndex) prepare(capacity int) {
 		x.slots = x.slots[:n]
 		clear(x.slots)
 	}
+	x.width = cells
+	if cells > relation.MaxWordCells {
+		x.width = 1
+	}
 	if cap(x.entries) < capacity {
-		x.entries = make([]keyEntry, 0, capacity)
+		x.entries = make([]uint64, 0, capacity)
 	}
-	x.entries, x.keys = x.entries[:0], x.keys[:0]
+	if cap(x.cells) < capacity*x.width {
+		x.cells = make([]uint64, 0, capacity*x.width)
+	}
+	x.entries, x.cells, x.keys = x.entries[:0], x.cells[:0], x.keys[:0]
 }
 
-// key returns entry i's key bytes.
-func (x *keyIndex) key(i int) []byte {
-	lo := 0
-	if i > 0 {
-		lo = x.entries[i-1].end
+// entry is the entry word of a key with this hash and tags or bytes.
+func entry(hash, tags uint64, b []byte) uint64 {
+	if b != nil {
+		return hash<<32 | byteKey | uint64(len(b))
 	}
-	return x.keys[lo:x.entries[i].end]
+	return hash<<32 | tags
 }
 
-// slot walks the probe sequence of hash and returns the slot holding key, or
-// the empty slot where it belongs — the one collision loop of every table.
-func (x *keyIndex) slot(hash uint64, key []byte) int {
-	mask := len(x.slots) - 1
+// key returns entry i's key; its hash is the low 32 bits of the one it was
+// inserted with, all a keyIndex places by.
+func (x *keyIndex) key(i int) (hash, tags uint64, cells []uint64, b []byte) {
+	e, cells := x.entries[i], x.cells[i*x.width:(i+1)*x.width]
+	if e&byteKey != 0 {
+		return e >> 32, 0, nil, x.keys[cells[0]:][:e&(byteKey-1)]
+	}
+	return e >> 32, e & (byteKey - 1), cells, nil
+}
+
+// slot walks the probe sequence of the key's hash and returns the slot
+// holding the key, or the empty slot where it belongs — the one collision
+// loop of every table. A word key's entry never equals a byte key's, and
+// equal byte-key entries hold equal lengths.
+func (x *keyIndex) slot(hash, tags uint64, cells []uint64, b []byte) int {
+	mask, want, w := len(x.slots)-1, entry(hash, tags, b), x.width
 	for s := int(hash) & mask; ; s = (s + 1) & mask {
 		e := int(x.slots[s]) - 1
-		if e < 0 || x.entries[e].hash == hash && bytes.Equal(x.key(e), key) {
+		if e < 0 {
+			return s
+		}
+		if x.entries[e] != want {
+			continue
+		}
+		held := x.cells[e*w : e*w+w]
+		if b == nil && slices.Equal(held, cells) ||
+			b != nil && bytes.Equal(x.keys[held[0]:][:len(b)], b) {
 			return s
 		}
 	}
 }
 
-// find returns key's index, or -1. It only reads, so goroutines may share a
-// completed index.
-func (x *keyIndex) find(hash uint64, key []byte) int {
-	return int(x.slots[x.slot(hash, key)]) - 1
+// find returns the key's index, or -1. It only reads, so goroutines may
+// share a completed index. A byte key misses an index of word keys on
+// entries alone, comparing no cells.
+func (x *keyIndex) find(hash, tags uint64, cells []uint64, b []byte) int {
+	return int(x.slots[x.slot(hash, tags, cells, b)]) - 1
 }
 
-// insert returns key's index, adding it (and copying its bytes) when absent.
-func (x *keyIndex) insert(hash uint64, key []byte) (idx int, added bool) {
-	s := x.slot(hash, key)
+// insert returns the key's index, adding it (and copying its cells or
+// bytes) when absent.
+func (x *keyIndex) insert(hash, tags uint64, cells []uint64, b []byte) (idx int, added bool) {
+	s := x.slot(hash, tags, cells, b)
 	if e := int(x.slots[s]) - 1; e >= 0 {
 		return e, false
 	}
 	// Slots stay at most half full, which keeps linear-probe runs short.
 	if 2*(len(x.entries)+1) > len(x.slots) {
 		x.grow()
-		s = x.slot(hash, key)
+		s = x.slot(hash, tags, cells, b)
 	}
-	if need := len(x.keys) + len(key); need > cap(x.keys) {
-		// Double (the runtime's 1.25x for large slices would re-copy a big
-		// key buffer many times), starting at room for every entry the index
-		// was sized for, judged by this first key.
-		c := 2 * cap(x.keys)
-		if c == 0 {
-			c = cap(x.entries) * len(key)
+	if b == nil {
+		x.cells = append(x.cells, cells...)
+	} else {
+		if len(b) >= byteKey {
+			panic("exec: a key of 2 GiB")
 		}
-		if c < need {
-			c = need
+		n := len(x.cells)
+		x.cells = slices.Grow(x.cells, x.width)[:n+x.width]
+		x.cells[n] = uint64(len(x.keys))
+		if need := len(x.keys) + len(b); need > cap(x.keys) {
+			// Double (the runtime's 1.25x for large slices would re-copy a
+			// big key buffer many times), starting at room for every entry
+			// the index was sized for, judged by this first key.
+			x.keys = append(make([]byte, 0, max(2*cap(x.keys), cap(x.entries)*len(b), need)), x.keys...)
 		}
-		x.keys = append(make([]byte, 0, c), x.keys...)
+		x.keys = append(x.keys, b...)
 	}
-	x.keys = append(x.keys, key...)
-	x.entries = append(x.entries, keyEntry{hash: hash, end: len(x.keys)})
+	x.entries = append(x.entries, entry(hash, tags, b))
 	x.slots[s] = int32(len(x.entries))
 	return len(x.entries) - 1, true
 }
 
-// reset empties the index for reuse: the slot array restarts at 16 slots
-// inside the storage the index already has, and the entries and key bytes
-// keep their capacity.
-func (x *keyIndex) reset() {
-	x.slots = x.slots[:16]
-	clear(x.slots)
-	x.entries, x.keys = x.entries[:0], x.keys[:0]
-}
-
-// grow doubles the slot array — within its capacity when a reset left room —
-// and re-places every entry by its stored hash.
+// grow doubles the slot array and re-places every entry by the hash bits its
+// entry word keeps.
 func (x *keyIndex) grow() {
 	if n := 2 * len(x.slots); n <= cap(x.slots) {
 		x.slots = x.slots[:n]
@@ -139,7 +164,7 @@ func (x *keyIndex) grow() {
 	}
 	mask := len(x.slots) - 1
 	for i, e := range x.entries {
-		s := int(e.hash) & mask
+		s := int(e>>32) & mask
 		for x.slots[s] != 0 {
 			s = (s + 1) & mask
 		}
@@ -189,8 +214,8 @@ func buildKeySet(src relation.RowSource, rows int) (*keySet, error) {
 	if s == nil {
 		s = &keySet{class: k}
 	}
-	s.ix.prepare(1 << k)
 	cols := allCols(src.Schema().Arity())
+	s.ix.prepare(1<<k, len(cols))
 	for {
 		b, err := src.Next()
 		if err != nil {
@@ -201,7 +226,7 @@ func buildKeySet(src relation.RowSource, rows int) (*keySet, error) {
 			return s, nil
 		}
 		for _, row := range b.Rows {
-			s.ix.insert(s.h.HashKey(row, cols))
+			s.ix.insert(s.h.Key(row, cols))
 		}
 	}
 }
@@ -235,10 +260,10 @@ func buildJoinTable(rows []relation.Row, cols []int, pooled bool) *joinTable {
 	if t == nil {
 		t = &joinTable{start: make([]int32, c+1), rows: make([]relation.Row, c), ids: make([]int32, c)}
 	}
-	t.ix.prepare(c)
+	t.ix.prepare(c, len(cols))
 	t.rows, t.ids = t.rows[:len(rows)], t.ids[:len(rows)]
 	for i, row := range rows {
-		id, _ := t.ix.insert(t.h.HashKey(row, cols))
+		id, _ := t.ix.insert(t.h.Key(row, cols))
 		t.ids[i] = int32(id)
 	}
 	t.start = t.start[:len(t.ix.entries)+1]
@@ -273,7 +298,7 @@ func (t *joinTable) release() {
 // probe returns the build rows matching row's projection onto cols, hashing
 // through h so concurrent probers each use their own scratch buffer.
 func (t *joinTable) probe(h *relation.KeyHasher, row relation.Row, cols []int) []relation.Row {
-	i := t.ix.find(h.HashKey(row, cols))
+	i := t.ix.find(h.Key(row, cols))
 	if i < 0 {
 		return nil
 	}
@@ -284,12 +309,13 @@ func (t *joinTable) probe(h *relation.KeyHasher, row relation.Row, cols []int) [
 // rows[i], so first-appearance order is index order. A group's row holds its
 // GROUP BY values, then a cell per aggregate, where each MIN and MAX keeps its
 // extreme so far and the rest wait for emitAggRows; counts[i] is its row
-// count (COUNT's answer and AVG's divisor) and sums[i*len(sp.sumCol):] its
-// running SUM and AVG sums, started at 0 and added to as floats. Rows are
-// carved from value slabs that grow with the table, so a group costs no heap
-// object of its own.
+// count (COUNT's answer and AVG's divisor) and sums[i*len(sp.sums):] its
+// running SUM and AVG sums, each a float64's bits or, for an int column, an
+// int64 summed exactly: one that overflows flags its group in overflow, and
+// the run fails (see err). Rows are carved from value slabs that grow with
+// the table, so a group costs no heap object of its own.
 //
-// A table's scratch — the key index, counts, sums, the key hasher's buffer
+// A table's scratch — the key index, counts, sums, the key hasher's buffers
 // and the row headers — is recycled through aggPool once its rows are emitted
 // or merged away. The slabs never are: the rows cut from them become the
 // output relation, whose headers emitAggRows copies out exactly sized.
@@ -299,14 +325,15 @@ func (t *joinTable) probe(h *relation.KeyHasher, row relation.Row, cols []int) [
 // when the rows upstream are stable (aggSpec.byRef), with no slab at all —
 // and it keeps no count or sum.
 type aggTable struct {
-	ix     keyIndex
-	rows   []relation.Row
-	counts []int64
-	sums   []float64
-	sp     aggSpec
-	h      relation.KeyHasher
-	slab   []relation.Value
-	groups int // groups the next slab is cut for
+	ix       keyIndex
+	rows     []relation.Row
+	counts   []int64
+	sums     []uint64
+	overflow int // 1 + the first group whose int sum overflowed; 0 for none
+	sp       aggSpec
+	h        relation.KeyHasher
+	slab     []relation.Value
+	groups   int // groups the next slab is cut for
 }
 
 // aggPool holds released tables, their row headers, slab and spec cleared.
@@ -317,11 +344,13 @@ var aggPool sync.Pool
 func newAggTable(sp aggSpec) *aggTable {
 	t, _ := aggPool.Get().(*aggTable)
 	if t == nil {
-		return &aggTable{ix: newKeyIndex(64), sp: sp, groups: 8}
+		t = &aggTable{}
+		t.ix.prepare(64, len(sp.gIdx))
+	} else {
+		t.ix.prepare(0, len(sp.gIdx))
 	}
-	t.ix.reset()
 	t.rows, t.counts, t.sums = t.rows[:0], t.counts[:0], t.sums[:0]
-	t.sp, t.groups = sp, 8
+	t.overflow, t.sp, t.groups = 0, sp, 8
 	return t
 }
 
@@ -338,11 +367,11 @@ func (t *aggTable) release() {
 // group's first appearance. A set operator's row whose key its right input's
 // set holds (INTERSECT) or lacks (DIFFERENCE) is dropped first.
 func (t *aggTable) add(row relation.Row) {
-	hash, key := t.h.HashKey(row, t.sp.gIdx)
-	if f := t.sp.filter; f != nil && (f.ix.find(hash, key) >= 0) != t.sp.keepIn {
+	hash, tags, cells, b := t.h.Key(row, t.sp.gIdx)
+	if f := t.sp.filter; f != nil && (f.ix.find(hash, tags, cells, b) >= 0) != t.sp.keepIn {
 		return
 	}
-	g, added := t.ix.insert(hash, key)
+	g, added := t.ix.insert(hash, tags, cells, b)
 	switch {
 	case added && t.sp.byRef:
 		t.rows = append(t.rows, row)
@@ -354,17 +383,44 @@ func (t *aggTable) add(row relation.Row) {
 	}
 	if added {
 		t.counts = append(t.counts, 0)
-		t.sums = append(t.sums, make([]float64, len(t.sp.sumCol))...)
+		t.sums = append(t.sums, make([]uint64, len(t.sp.sums))...)
 	}
 	t.counts[g]++
-	sums := t.sums[g*len(t.sp.sumCol):]
-	for k, j := range t.sp.sumCol {
-		sums[k] += row[j].AsFloat()
+	sums := t.sums[g*len(t.sp.sums):]
+	for k, s := range t.sp.sums {
+		if s.exact {
+			t.addInt(&sums[k], uint64(row[s.col].AsInt()), g)
+		} else {
+			addFloat(&sums[k], row[s.col].AsFloat())
+		}
 	}
 	vals := t.rows[g]
 	for _, e := range t.sp.ext {
 		e.keep(&vals[e.cell], row[e.col])
 	}
+}
+
+// addInt adds int64 v to group g's int sum *sum, flagging g if it
+// overflows.
+func (t *aggTable) addInt(sum *uint64, v uint64, g int) {
+	s := *sum + v
+	if int64((s^*sum)&(s^v)) < 0 && t.overflow == 0 {
+		t.overflow = g + 1
+	}
+	*sum = s
+}
+
+// addFloat adds v to the float sum whose bits are *sum.
+func addFloat(sum *uint64, v float64) {
+	*sum = math.Float64bits(math.Float64frombits(*sum) + v)
+}
+
+// err reports an int sum that overflowed int64, naming op and the group.
+func (t *aggTable) err(op *ir.Op) error {
+	if t.overflow == 0 {
+		return nil
+	}
+	return fmt.Errorf("exec: %s: integer sum overflows int64 in group %v", op, t.rows[t.overflow-1][:len(t.sp.gIdx)])
 }
 
 // newRow carves a group's row from the current slab and initializes its
@@ -390,20 +446,23 @@ func (t *aggTable) newRow(row relation.Row) relation.Row {
 
 // absorb merges another table's groups into t — the combiner step —
 // preserving t's first-appearance order and appending o's new groups in o's
-// order, then releases o. COUNT, MIN, MAX and integer SUM merge exactly; a
+// order, then releases o. COUNT, MIN, MAX and int sums merge exactly; a
 // float SUM / AVG is associative only up to rounding, so its low bits follow
 // where the ranges were cut — which chain.run decides from the row count
 // alone, so they are the same on every host.
 func (t *aggTable) absorb(o *aggTable) {
-	ns := len(t.sp.sumCol)
+	ns := len(t.sp.sums)
 	for i, part := range o.rows {
-		partSums := o.sums[i*ns : (i+1)*ns]
-		j, added := t.ix.insert(o.ix.entries[i].hash, o.ix.key(i))
+		j, added := t.ix.insert(o.ix.key(i))
 		if added {
 			t.rows = append(t.rows, part)
 		}
 		if len(t.sp.aggs) == 0 {
 			continue // a distinct table counts nothing
+		}
+		partSums := o.sums[i*ns : (i+1)*ns]
+		if o.overflow == i+1 && t.overflow == 0 {
+			t.overflow = j + 1
 		}
 		if added {
 			t.counts = append(t.counts, o.counts[i])
@@ -413,7 +472,11 @@ func (t *aggTable) absorb(o *aggTable) {
 		t.counts[j] += o.counts[i]
 		sums := t.sums[j*ns:]
 		for k, s := range partSums {
-			sums[k] += s
+			if t.sp.sums[k].exact {
+				t.addInt(&sums[k], s, j)
+			} else {
+				addFloat(&sums[k], math.Float64frombits(s))
+			}
 		}
 		for _, e := range t.sp.ext {
 			e.keep(&t.rows[j][e.cell], part[e.cell])

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"testing"
 
 	"musketeer/internal/ir"
@@ -13,11 +15,13 @@ import (
 )
 
 // TestKeyIndexMatchesMap drives keyIndex through find/insert directly, with
-// hashes the test chooses, against a map[string]int reference. Every hashing
-// scheme starts from the smallest index so the run crosses many resizes; the
-// colliding ones give thousands of different keys the same hash (one of them
-// the all-ones hash, whose probe run wraps around the slot array), so only
-// the byte comparison can tell them apart.
+// hashes the test chooses, against a map[string]int reference, over byte
+// keys, word keys (two cells each, from few values, with random tags) and
+// both in one index. Every hashing scheme starts from the smallest index so
+// the run crosses many resizes; the colliding ones give thousands of
+// different keys the same hash (one of them the all-ones hash, whose probe
+// run wraps around the slot array), so only the byte or word comparison can
+// tell them apart.
 func TestKeyIndexMatchesMap(t *testing.T) {
 	schemes := map[string]func(key string) uint64{
 		"spread": func(key string) uint64 { // FNV-1a
@@ -30,52 +34,73 @@ func TestKeyIndexMatchesMap(t *testing.T) {
 		"one-hash":   func(string) uint64 { return ^uint64(0) },
 		"three-hash": func(key string) uint64 { return []uint64{0, 7, ^uint64(0)}[len(key)%3] },
 	}
-	for name, hashOf := range schemes {
-		t.Run(name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(7))
-			x := newKeyIndex(0)
-			ref := map[string]int{}
-			var order []string
-			keys := []string{""} // the empty key is a key like any other
-			for i := 0; i < 1500; i++ {
-				keys = append(keys, fmt.Sprintf("%x", r.Int63n(1<<uint(1+r.Intn(40)))))
-			}
-			for step := 0; step < 6000; step++ {
-				key := keys[r.Intn(len(keys))]
-				want, present := ref[key]
-				if !present {
-					want = -1
+	type testKey struct {
+		name  string // the reference map's key
+		tags  uint64
+		cells []uint64
+		bytes []byte // nil for a word key
+	}
+	r := rand.New(rand.NewSource(7))
+	byteKeys := []testKey{{name: "b", bytes: []byte{}}} // the empty key is a key like any other
+	for i := 0; i < 1500; i++ {
+		s := fmt.Sprintf("%x", r.Int63n(1<<uint(1+r.Intn(40))))
+		byteKeys = append(byteKeys, testKey{name: "b" + s, bytes: []byte(s)})
+	}
+	var wordKeys []testKey
+	for i := 0; i < 1500; i++ {
+		cells, tags := []uint64{uint64(r.Intn(30)), uint64(r.Intn(30))}, uint64(r.Intn(4))
+		wordKeys = append(wordKeys, testKey{name: fmt.Sprintf("w%v/%d", cells, tags), tags: tags, cells: cells})
+	}
+	// The byte-key runs keep the scheme's name alone.
+	for _, kinds := range []string{"", "words/", "mixed/"} {
+		keys := map[string][]testKey{"": byteKeys, "words/": wordKeys, "mixed/": append(wordKeys[:750:750], byteKeys[:750]...)}[kinds]
+		for name, hashOf := range schemes {
+			t.Run(kinds+name, func(t *testing.T) {
+				r := rand.New(rand.NewSource(7))
+				var x keyIndex
+				x.prepare(0, 2)
+				ref := map[string]int{}
+				var order []testKey
+				for step := 0; step < 6000; step++ {
+					tk := keys[r.Intn(len(keys))]
+					hash := hashOf(tk.name)
+					want, present := ref[tk.name]
+					if !present {
+						want = -1
+					}
+					if got := x.find(hash, tk.tags, tk.cells, tk.bytes); got != want {
+						t.Fatalf("step %d: find(%s) = %d, want %d", step, tk.name, got, want)
+					}
+					if r.Intn(3) == 0 {
+						continue
+					}
+					idx, added := x.insert(hash, tk.tags, tk.cells, tk.bytes)
+					if !present {
+						want = len(order)
+						ref[tk.name] = want
+						order = append(order, tk)
+					}
+					if idx != want || added == present {
+						t.Fatalf("step %d: insert(%s) = %d, %v; want %d, %v", step, tk.name, idx, added, want, !present)
+					}
 				}
-				if got := x.find(hashOf(key), []byte(key)); got != want {
-					t.Fatalf("step %d: find(%q) = %d, want %d", step, key, got, want)
+				if len(order) < 1000 || len(x.slots) < 2048 {
+					t.Fatalf("run too small to cross resizes: %d keys, %d slots", len(order), len(x.slots))
 				}
-				if r.Intn(3) == 0 {
-					continue
+				if len(x.entries) != len(order) {
+					t.Fatalf("%d entries, want %d", len(x.entries), len(order))
 				}
-				idx, added := x.insert(hashOf(key), []byte(key))
-				if !present {
-					want = len(order)
-					ref[key] = want
-					order = append(order, key)
+				// Index order is insertion order, and every key's cells or
+				// bytes survived the regrowths.
+				for i, tk := range order {
+					hash, tags, cells, b := x.key(i)
+					if uint32(hash) != uint32(hashOf(tk.name)) || tags != tk.tags || (b == nil) != (tk.bytes == nil) ||
+						b == nil && !slices.Equal(cells, tk.cells) || string(b) != string(tk.bytes) {
+						t.Fatalf("key(%d) = %x %x %x %q, want %s", i, hash, tags, cells, b, tk.name)
+					}
 				}
-				if idx != want || added == present {
-					t.Fatalf("step %d: insert(%q) = %d, %v; want %d, %v", step, key, idx, added, want, !present)
-				}
-			}
-			if len(order) < 1000 || len(x.slots) < 2048 {
-				t.Fatalf("run too small to cross resizes: %d keys, %d slots", len(order), len(x.slots))
-			}
-			if len(x.entries) != len(order) {
-				t.Fatalf("%d entries, want %d", len(x.entries), len(order))
-			}
-			// Index order is insertion order, and every key's bytes survived
-			// the key buffer's regrowths.
-			for i, key := range order {
-				if got := string(x.key(i)); got != key {
-					t.Fatalf("key(%d) = %q, want %q", i, got, key)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -113,8 +138,8 @@ func TestAggTableAbsorbKeepsFirstAppearanceOrder(t *testing.T) {
 		serial.add(relation.Row{relation.Str(string(g)), relation.Int(100 + int64(i))})
 	}
 	got, want := relation.New("got", sch), relation.New("want", sch)
-	emitAggRows(sch, whole, 1, got)
-	emitAggRows(sch, serial, 1, want)
+	emitAggRows(whole, 1, got)
+	emitAggRows(serial, 1, want)
 	if len(got.Rows) != len(want.Rows) {
 		t.Fatalf("%d groups, want %d", len(got.Rows), len(want.Rows))
 	}
@@ -225,7 +250,7 @@ func TestAggScratchIsRecycled(t *testing.T) {
 		for _, row := range rows {
 			tb.add(row)
 		}
-		emitAggRows(sch, tb, len(rows), out)
+		emitAggRows(tb, len(rows), out)
 	}
 	agg() // warm: leaves its scratch in the pool
 	got := bytesOf(agg)
@@ -386,4 +411,55 @@ func TestTablesAreRecycled(t *testing.T) {
 		t.Errorf("the recycled key set holds %d keys, want 260", len(again.ix.entries))
 	}
 	again.release()
+}
+
+// TestIntSumsAreExact: SUM and AVG of an int column add in int64, so
+// 2^53 + 1 survives the sum a float would round it to, in one range and in
+// two halves merged by absorb; a sum past int64 fails the run, naming the
+// operator and the group.
+func TestIntSumsAreExact(t *testing.T) {
+	sch := relation.NewSchema("g:string", "v:int")
+	d := ir.NewDAG()
+	in := d.AddInput("t", "in/t", sch)
+	d.Add(ir.OpAgg, "sums", ir.Params{GroupBy: []string{"g"}, Aggs: []ir.AggSpec{
+		{Func: ir.AggSum, Col: "v", As: "s"}, {Func: ir.AggAvg, Col: "v", As: "avg"},
+	}}, in)
+	ops, err := d.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(vals ...int64) (*relation.Relation, error) {
+		rel := relation.New("t", sch)
+		for i, v := range vals {
+			rel.MustAppend(relation.Row{relation.Str([]string{"a", "b"}[i%2]), relation.Int(v)})
+		}
+		env := Env{"t": rel}
+		err := RunOps(ops, env, NewTrace(), RunOptions{Keep: keepAll})
+		return env["sums"], err
+	}
+	for _, threshold := range []int{1, ParallelThreshold} {
+		withThreshold(t, threshold, func() {
+			out, err := run(1<<53, 5, 1, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out.Rows[0][1]; got.Kind != relation.KindInt || got.I != 1<<53+1 {
+				t.Errorf("threshold %d: SUM(2^53, 1) = %v, want 9007199254740993", threshold, got)
+			}
+			if got := out.Rows[1][1]; got.Kind != relation.KindInt || got.I != 11 {
+				t.Errorf("threshold %d: SUM(5, 6) = %v, want 11", threshold, got)
+			}
+			if got := out.Rows[0][2]; got.Kind != relation.KindFloat || got.F != float64(1<<53+1)/2 {
+				t.Errorf("threshold %d: AVG(2^53, 1) = %v", threshold, got)
+			}
+			// Group b overflows: split in halves, when they merge, and
+			// within the second half, where it is the first group.
+			for _, vals := range [][]int64{{1, math.MaxInt64 - 3, 1, 3, 1, 1}, {1, 1, 1, math.MaxInt64, 1, 1}} {
+				_, err = run(vals...)
+				if err == nil || !strings.Contains(err.Error(), "AGG") || !strings.Contains(err.Error(), "overflows int64 in group [b]") {
+					t.Errorf("threshold %d: sums of %v: err = %v, want an overflow of AGG's group [b]", threshold, vals, err)
+				}
+			}
+		})
+	}
 }

@@ -23,6 +23,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"musketeer/internal/ir"
@@ -224,9 +225,9 @@ func resolveJoinSpec(op *ir.Op, l, r relation.Schema) (joinSpec, error) {
 }
 
 // aggSpec is an aggregation resolved against its input: the group-by columns
-// and what a group accumulates — a float sum per SUM and AVG, over input
-// column sumCol[k] in the order of aggs, and an extreme per MIN and MAX, kept
-// in its output cell (COUNT keeps nothing but the group's row count).
+// and what a group accumulates — a sum per SUM and AVG, in the order of aggs,
+// and an extreme per MIN and MAX, kept in its output cell (COUNT keeps
+// nothing but the group's row count).
 //
 // DISTINCT is the aggregation grouped by every column with no aggregates, and
 // INTERSECT and DIFFERENCE are DISTINCT over the left rows whose key filter
@@ -236,11 +237,18 @@ func resolveJoinSpec(op *ir.Op, l, r relation.Schema) (joinSpec, error) {
 type aggSpec struct {
 	aggs   []ir.AggSpec
 	gIdx   []int
-	sumCol []int
+	sums   []summand
 	ext    []extreme
 	filter *keySet
 	keepIn bool
 	byRef  bool
+}
+
+// summand is the input column a SUM or AVG adds up: as an int64, exactly,
+// when it is an int column, else as a float.
+type summand struct {
+	col   int
+	exact bool
 }
 
 // extreme is a MIN (sign -1) or MAX (sign +1) over input column col, kept in
@@ -275,7 +283,7 @@ func resolveAggSpec(op *ir.Op, in relation.Schema) (aggSpec, error) {
 		case a.Func == ir.AggMax:
 			sp.ext = append(sp.ext, extreme{cell: cell, col: j, sign: 1})
 		default:
-			sp.sumCol = append(sp.sumCol, j)
+			sp.sums = append(sp.sums, summand{col: j, exact: in.Cols[j].Kind == relation.KindInt})
 		}
 	}
 	return sp, nil
@@ -288,7 +296,7 @@ func resolveAggSpec(op *ir.Op, in relation.Schema) (aggSpec, error) {
 // aggregation over an empty input still yields one row of zeros/identities in
 // SQL semantics, so AVG/COUNT pipelines stay total. A distinct table, which
 // aggregates nothing, emits no row for no input.
-func emitAggRows(in relation.Schema, table *aggTable, inRows int, out *relation.Relation) {
+func emitAggRows(table *aggTable, inRows int, out *relation.Relation) {
 	defer table.release()
 	sp := table.sp
 	if inRows == 0 && len(sp.gIdx) == 0 && len(sp.aggs) > 0 {
@@ -303,7 +311,7 @@ func emitAggRows(in relation.Schema, table *aggTable, inRows int, out *relation.
 		out.Rows = append(out.Rows, row)
 		return
 	}
-	nk, ns := len(sp.gIdx), len(sp.sumCol)
+	nk, ns := len(sp.gIdx), len(sp.sums)
 	for g, row := range table.rows[:len(table.counts)] { // none for a distinct table
 		n, sums := table.counts[g], table.sums[g*ns:]
 		si := 0 // the next sum, in aggs order
@@ -312,16 +320,15 @@ func emitAggRows(in relation.Schema, table *aggTable, inRows int, out *relation.
 			switch a.Func {
 			case ir.AggCount:
 				*cell = relation.Int(n)
-			case ir.AggSum:
-				*cell = relation.Float(sums[si])
-				// Keep integer sums integral.
-				if in.Cols[sp.sumCol[si]].Kind == relation.KindInt {
+			case ir.AggSum, ir.AggAvg:
+				if sp.sums[si].exact {
 					*cell = relation.Int(int64(sums[si]))
+				} else {
+					*cell = relation.Float(math.Float64frombits(sums[si]))
 				}
-				si++
-			case ir.AggAvg:
-				*cell = relation.Float(sums[si] / float64(n))
-				si++
+				if si++; a.Func == ir.AggAvg {
+					*cell = relation.Float(cell.AsFloat() / float64(n))
+				}
 			}
 		}
 	}

@@ -1,29 +1,88 @@
 package relation
 
-import "hash/maphash"
+import (
+	"hash/maphash"
+	"math/bits"
+)
 
 // keySeed is the process-wide seed for hashed row keys. All KeyHashers share
 // it, so a hash table built by one goroutine can be probed by others (the
 // parallel join kernel does exactly that). The seed is randomized per
-// process by hash/maphash, which keeps bucket distribution unpredictable.
-var keySeed = maphash.MakeSeed()
+// process by hash/maphash, which keeps bucket distribution unpredictable;
+// wordSeed, the word mixer's, is drawn from it.
+var (
+	keySeed  = maphash.MakeSeed()
+	wordSeed = maphash.Bytes(keySeed, nil)
+)
 
-// KeyHasher computes 64-bit hashes of projected row keys with a reusable
-// scratch buffer, so the per-row cost of keying a group-by or join probe is
-// a hash over an encoding written into preallocated memory (Row.AppendKey:
-// nine bytes per numeric cell, nothing rendered).
+// MaxWordCells is the most cells a word key has: one tag bit each fits in the
+// low 31 bits of a word, leaving the rest of it to the tables.
+const MaxWordCells = 31
+
+// KeyHasher computes keys of projected rows into reusable scratch, so keying
+// a group-by or join probe allocates nothing and renders nothing.
 //
 // A KeyHasher is not safe for concurrent use; parallel kernels create one
-// per worker (they still hash compatibly because the seed is shared).
+// per worker (they still hash compatibly because the seeds are shared).
 type KeyHasher struct {
+	cells   []uint64
 	scratch []byte
 }
 
-// HashKey returns the hash of r's projection onto cols plus the encoded key
-// bytes used for collision verification. The returned slice aliases the
-// hasher's scratch buffer and is only valid until the next HashKey call;
-// callers that retain it (hash-table inserts) must copy it first.
+// Key returns the join or group key of r's projection onto cols: its hash
+// and, for a word key, its cells and tags, or, for a byte key, its bytes (b
+// is nil for a word key). A word key has at most MaxWordCells cells, each a
+// number — an int, a float, or a string that is a number's text — and is a
+// word per cell, the bits AppendKey writes after the cell's tag, with bit i
+// of tags set when cell i is a float's bits. Any other key is a byte key,
+// its AppendKey encoding. Two keys are equal exactly when their AppendKey
+// encodings are: word keys by their words, byte keys by their bytes, and a
+// word key never equals a byte key of as many cells. Equal keys hash alike.
+//
+// The key is returned as values, not a struct, so it stays in registers.
+// Cells and b alias the hasher's scratch and are only valid until the next
+// call; callers that retain them (hash-table inserts) must copy them first.
+func (h *KeyHasher) Key(r Row, cols []int) (hash, tags uint64, cells []uint64, b []byte) {
+	if cap(h.cells) < len(cols) {
+		h.cells = make([]uint64, len(cols))
+	}
+	cells = h.cells[:len(cols)]
+	for i, c := range cols {
+		v := &r[c]
+		tag, bits := keyInt, uint64(v.I)
+		switch v.Kind {
+		case KindInt:
+		case KindFloat:
+			tag, bits = floatKey(v.F)
+		default:
+			tag, bits = keyCell(v)
+		}
+		if tag == keyString || i == MaxWordCells {
+			hash, b = h.HashKey(r, cols)
+			return hash, 0, nil, b
+		}
+		cells[i] = bits
+		tags |= uint64(tag) << i
+	}
+	return hashWords(cells, tags), tags, cells, nil
+}
+
+// HashKey returns the hash of r's projection onto cols plus its AppendKey
+// encoding — a byte key's hash. The returned slice aliases the hasher's
+// scratch buffer and is only valid until the next HashKey or Key call.
 func (h *KeyHasher) HashKey(r Row, cols []int) (uint64, []byte) {
 	h.scratch = r.AppendKey(h.scratch[:0], cols)
 	return maphash.Bytes(keySeed, h.scratch), h.scratch
+}
+
+// hashWords is a word key's hash: a seeded multiply-fold mixer over its cells
+// and tags. Its low bits are as well mixed as its high ones, since tables
+// place keys by them.
+func hashWords(cells []uint64, tags uint64) uint64 {
+	h := wordSeed ^ tags
+	for _, w := range cells {
+		hi, lo := bits.Mul64(w^wordSeed, h^0xe7037ed1a0b428db)
+		h = hi ^ lo
+	}
+	return h
 }

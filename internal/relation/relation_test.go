@@ -1,7 +1,13 @@
 package relation
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -248,8 +254,161 @@ func FuzzKeyEquality(f *testing.F) {
 			if textEq && ha != ho {
 				t.Fatalf("%#v and %#v: equal keys, different hashes", a, o)
 			}
+			// The word path keys the two cells alike exactly when the bytes do.
+			if err := sameClasses(Row{a}, Row{o}, []int{0}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
+}
+
+// sameClasses checks the word path against AppendKey on rows a and b: a key
+// is a word key exactly when no cell encodes as a string, a word key's words
+// are the bits and tags its encoding holds, the two keys are equal exactly
+// when the encodings are, and so when the text keys are, and equal keys hash
+// alike.
+func sameClasses(a, b Row, cols []int) error {
+	type key struct {
+		hash, tags uint64
+		cells      []uint64
+		bytes      []byte
+	}
+	var ka, kb key
+	var ha, hb KeyHasher
+	ka.hash, ka.tags, ka.cells, ka.bytes = ha.Key(a, cols)
+	kb.hash, kb.tags, kb.cells, kb.bytes = hb.Key(b, cols)
+	for _, rk := range []struct {
+		r Row
+		k key
+	}{{a, ka}, {b, kb}} {
+		enc := rk.r.AppendKey(nil, cols)
+		if numeric := len(enc) == 9*len(cols) && allNumeric(enc); numeric != (rk.k.bytes == nil) {
+			return fmt.Errorf("%v: encoding %x, but word key = %v", rk.r, enc, rk.k.bytes == nil)
+		}
+		if rk.k.bytes != nil {
+			if !bytes.Equal(rk.k.bytes, enc) {
+				return fmt.Errorf("%v: byte key %x, encoding %x", rk.r, rk.k.bytes, enc)
+			}
+			continue
+		}
+		for i := range cols {
+			tag, bits := enc[9*i], binary.LittleEndian.Uint64(enc[9*i+1:])
+			if rk.k.cells[i] != bits || rk.k.tags>>i&1 != uint64(tag) {
+				return fmt.Errorf("%v: cell %d is word %x tag %d, encoding %x", rk.r, i, rk.k.cells[i], rk.k.tags>>i&1, enc)
+			}
+		}
+	}
+	bytesEq := bytes.Equal(a.AppendKey(nil, cols), b.AppendKey(nil, cols))
+	keyEq := ka.tags == kb.tags && slices.Equal(ka.cells, kb.cells) && bytes.Equal(ka.bytes, kb.bytes) && (ka.bytes == nil) == (kb.bytes == nil)
+	textEq := a.Key(cols) == b.Key(cols)
+	if bytesEq != keyEq || keyEq != textEq {
+		return fmt.Errorf("%v and %v: encodings equal=%v, keys equal=%v, texts equal=%v", a, b, bytesEq, keyEq, textEq)
+	}
+	if keyEq && ka.hash != kb.hash {
+		return fmt.Errorf("%v and %v: equal keys, different hashes", a, b)
+	}
+	return nil
+}
+
+// allNumeric reports whether enc, an encoding of 9-byte cells, has only
+// number tags.
+func allNumeric(enc []byte) bool {
+	for i := 0; i < len(enc); i += 9 {
+		if enc[i] == keyString {
+			return false
+		}
+	}
+	return true
+}
+
+// keyPair is two rows of one to three cells for TestWordKeysQuick: ints,
+// floats and numbers' texts, the edge cases of text equality among them, and
+// the second row's cells often the first's in another kind, so equal keys
+// are common.
+type keyPair struct{ a, b Row }
+
+var edgeCells = []Value{
+	Int(3), Float(3), Str("3"), Int(0), Float(0), Float(math.Copysign(0, -1)), Str("-0"), Str("0"),
+	Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000001)), Float(math.Float64frombits(0xfff0000000000123)), Str("NaN"),
+	Int(1234567), Float(1234567), Str("1234567"), Str("1.234567e+06"), Int(999999), Float(999999), Float(1e6), Str("1e+06"),
+	Int(1<<53 + 1), Float(1<<53 + 2), Float(1 << 53), Int(1 << 53), Str("9007199254740993"),
+	Str("007"), Str("7"), Int(7), Float(math.Inf(1)), Str("+Inf"), Float(math.Inf(-1)), Str("-Inf"),
+	Int(math.MinInt64), Int(math.MaxInt64), Str("-9223372036854775808"), Float(0.5), Str("0.5"), Float(-1.5), Str("-1.5"),
+}
+
+func (keyPair) Generate(r *rand.Rand, _ int) reflect.Value {
+	cell := func() Value {
+		switch r.Intn(4) {
+		case 0:
+			return edgeCells[r.Intn(len(edgeCells))]
+		case 1:
+			return Int(r.Int63n(20) - 10)
+		case 2:
+			return Float(float64(r.Intn(40)-20) / 2)
+		}
+		return Str(strconv.Itoa(r.Intn(20) - 10))
+	}
+	// alike is a cell of another kind that renders as v, when there is one.
+	alike := func(v Value) Value {
+		switch r.Intn(3) {
+		case 0:
+			return Str(v.String())
+		case 1:
+			if f, err := strconv.ParseFloat(v.String(), 64); err == nil {
+				return Float(f)
+			}
+		}
+		if i, err := strconv.ParseInt(v.String(), 10, 64); err == nil {
+			return Int(i)
+		}
+		return v
+	}
+	n := 1 + r.Intn(3)
+	p := keyPair{make(Row, n), make(Row, n)}
+	for i := range p.a {
+		p.a[i] = cell()
+		if p.b[i] = alike(p.a[i]); r.Intn(4) == 0 {
+			p.b[i] = cell()
+		}
+	}
+	return reflect.ValueOf(p)
+}
+
+// TestWordKeysQuick: over mixed Int, Float and numeric-string cells, the word
+// path and AppendKey give the same equality classes, and equal word keys
+// hash alike.
+func TestWordKeysQuick(t *testing.T) {
+	f := func(p keyPair) bool {
+		if err := sameClasses(p.a, p.b, allCols(len(p.a))); err != nil {
+			t.Error(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+	// A string that is no number's text makes a byte key, which no word key
+	// equals, and so does a key wider than MaxWordCells.
+	wide := make(Row, MaxWordCells+1)
+	for i := range wide {
+		wide[i] = Int(int64(i))
+	}
+	var h KeyHasher
+	if _, _, _, b := h.Key(Row{Int(7), Str("007")}, []int{0, 1}); b == nil {
+		t.Error(`(7, "007") made a word key`)
+	}
+	if _, _, _, b := h.Key(wide, allCols(len(wide))); b == nil {
+		t.Errorf("a key of %d cells made a word key", len(wide))
+	}
+}
+
+func allCols(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
 }
 
 // TestHashKeyAllocatesNothing: not for numbers, and not for strings that

@@ -505,32 +505,38 @@ const (
 // whatever their kinds: Int(2), Float(2) and Str("2") are one key;
 // Int(1234567) and Float(1234567), which renders 1.234567e+06, are two; 0 and
 // -0 are two; every NaN is one. Each cell is encoded as the one number that
-// renders like it, if there is one: an integral float below 1e6 as its
-// integer, a string that is a number's rendering as that number. A key is
-// compared and hashed (see KeyHasher), never printed.
+// renders like it, if there is one (see keyCell). A key is compared and
+// hashed (see KeyHasher), never printed; a key of numbers is compared as the
+// words after its tags (KeyHasher.Key).
 func (r Row) AppendKey(dst []byte, cols []int) []byte {
 	for _, c := range cols {
 		v := &r[c]
-		tag, bits := keyInt, uint64(v.I)
-		switch s := v.S; {
-		case v.Kind == KindFloat:
-			tag, bits = floatKey(v.F)
-		case v.Kind != KindString:
-		case len(s) > 0 && (s[0]-'0' <= 9 || s[0] == '-' || s[0] == '+' || s[0] == 'N'):
-			// The first byte of a number's text, which almost no string has.
-			if tag, bits = textKey(s); tag != keyString {
-				break
-			}
-			fallthrough
-		default:
-			n := len(s)
-			dst = append(append(dst, keyString, byte(n), byte(n>>8), byte(n>>16), byte(n>>24)), s...)
+		tag, bits := keyCell(v)
+		if tag == keyString {
+			n := len(v.S)
+			dst = append(append(dst, keyString, byte(n), byte(n>>8), byte(n>>16), byte(n>>24)), v.S...)
 			continue
 		}
 		dst = append(dst, tag, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
 			byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
 	}
 	return dst
+}
+
+// keyCell is v's key cell: the tag and bits of the one number that renders
+// like v — an integral float below 1e6 as its integer, a string that is a
+// number's rendering as that number — or keyString when there is none.
+func keyCell(v *Value) (tag byte, bits uint64) {
+	switch s := v.S; {
+	case v.Kind == KindFloat:
+		return floatKey(v.F)
+	case v.Kind != KindString:
+		return keyInt, uint64(v.I)
+	case len(s) > 0 && (s[0]-'0' <= 9 || s[0] == '-' || s[0] == '+' || s[0] == 'N'):
+		// The first byte of a number's text, which almost no string has.
+		return textKey(s)
+	}
+	return keyString, 0
 }
 
 // floatKey is the key cell of f: the integer it renders like if it is

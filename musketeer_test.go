@@ -1,6 +1,7 @@
 package musketeer
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -369,6 +370,46 @@ h = AGG SUM(n) AS m FROM g GROUP BY a;
 		text := string(out.EncodeBytes())
 		if body := text[strings.Index(text, "#logical"):]; body[strings.IndexByte(body, '\n')+1:] != "2\t1\n2.5\t1\n" {
 			t.Errorf("%s writes %q, want \"2\\t1\\n2.5\\t1\\n\"", engine, text)
+		}
+	}
+}
+
+// TestIntSumIsExactOnAnEngine: a SUM over an int column adds in int64 on an
+// engine too, so 2^53 + 1 comes back exact, and a sum past int64 fails the
+// workflow with an error naming the AGG and its group.
+func TestIntSumIsExactOnAnEngine(t *testing.T) {
+	const src = `s = AGG SUM(v) AS total FROM t GROUP BY g;`
+	for _, tc := range []struct {
+		vals []int64
+		want string
+	}{
+		{[]int64{1 << 53, 1}, "7\t9007199254740993\n"},
+		{[]int64{math.MaxInt64, 1}, "overflows int64 in group [7]"},
+	} {
+		m := New(LocalCluster(7))
+		tbl := relation.New("t", NewSchema("g:int", "v:int"))
+		for _, v := range tc.vals {
+			tbl.MustAppend(relation.Row{relation.Int(7), relation.Int(v)})
+		}
+		if err := m.WriteInput("in/t", tbl); err != nil {
+			t.Fatal(err)
+		}
+		wf, err := m.CompileBEER(src, Catalog{"t": {Path: "in/t", Schema: tbl.Schema}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wf.ExecuteOn("spark"); err != nil {
+			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "AGG") {
+				t.Errorf("sum of %v fails with %v, want %q", tc.vals, err, tc.want)
+			}
+			continue
+		}
+		out, err := m.ReadOutput("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if text := string(out.EncodeBytes()); !strings.HasSuffix(text, "\n"+tc.want) {
+			t.Errorf("sum of %v writes %q, want it to end %q", tc.vals, text, tc.want)
 		}
 	}
 }
