@@ -53,15 +53,17 @@
 #                       reordered resubmission plans from the first run's
 #                       history, and a history file without a version is
 #                       refused
-#   scratch recycling — what a run does not keep is recycled: reader
-#                       slabs, row headers and straddle buffers, stage
-#                       arenas, match lists and drained row headers through
+#   scratch recycling — what a run does not keep is recycled: the
+#                       column vectors of readers, stages and materializing
+#                       collectors, straddle buffers and match lists through
 #                       relation's pools, aggregation and distinct tables
 #                       through exec's aggPool, join tables and set
 #                       operators' key sets through exec's class pools, and
 #                       a commit stores the writer's segments uncopied. A
-#                       reader over a stale pooled slab decodes what a fresh
-#                       one does, widths included; the generator's DAGs,
+#                       reader over stale pooled vectors decodes what one
+#                       over new vectors does, widths included
+#                       (TestReaderOverStaleVectorsMatchesFresh); the
+#                       generator's DAGs (TestRecycledVectorsMatchFirstUse),
 #                       every pipeline split into two halves, compute the
 #                       same relations cell for cell (float bits included)
 #                       on recycled scratch as on fresh — AGGs over bound
@@ -80,7 +82,7 @@
 #                       suites (TestStreamedSourcesMatchBoundRelations,
 #                       TestSourceShapes) under -race at GOMAXPROCS=8, since
 #                       concurrent halves release into shared pools and
-#                       streamed scans hand reader slabs back into them —
+#                       streamed scans hand reader vectors back into them —
 #                       a UNION's halves may scan one file at once
 #   telemetry scrape  — the debug server (httptest over DebugHandler)
 #                       serves /metrics and /debug/runs during chaotic
@@ -184,8 +186,8 @@ gofmt_gate() {
     fi
 }
 
-RECYCLING_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledJoinTablesMatchFirstUse|TestTablesAreRecycled|TestRecycledArenasMatchFirstUse|TestReaderOverStaleSlabMatchesFresh|TestCommitKeepsTheWritersSegments)$'
-RECYCLING_RACE_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledJoinTablesMatchFirstUse|TestTablesAreRecycled|TestRecycledArenasMatchFirstUse|TestReaderOverStaleSlabMatchesFresh|TestCommitKeepsTheWritersSegments|TestRandomDAGsMatchOracle|TestStreamedSourcesMatchBoundRelations|TestSourceShapes)$'
+RECYCLING_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledJoinTablesMatchFirstUse|TestTablesAreRecycled|TestRecycledVectorsMatchFirstUse|TestReaderOverStaleVectorsMatchesFresh|TestCommitKeepsTheWritersSegments)$'
+RECYCLING_RACE_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledJoinTablesMatchFirstUse|TestTablesAreRecycled|TestRecycledVectorsMatchFirstUse|TestReaderOverStaleVectorsMatchesFresh|TestCommitKeepsTheWritersSegments|TestRandomDAGsMatchOracle|TestStreamedSourcesMatchBoundRelations|TestSourceShapes)$'
 
 scratch_recycling_gate() {
     go test -count=1 -timeout 5m -run "$RECYCLING_TESTS" \

@@ -47,12 +47,11 @@ func streamed(t *testing.T, d *DFS, path string, batchRows int, cuts ...int) *re
 			if b.Empty() {
 				break
 			}
-			if err := relation.CheckWidths(&relation.Relation{Name: path, Rows: b.Rows}); err != nil {
+			rows := b.AppendRows(nil)
+			if err := relation.CheckWidths(&relation.Relation{Name: path, Rows: rows}); err != nil {
 				t.Fatal(err)
 			}
-			for _, row := range b.Rows {
-				out.Rows = append(out.Rows, row.Clone())
-			}
+			out.Rows = append(out.Rows, rows...)
 		}
 		lo = hi
 	}

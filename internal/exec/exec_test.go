@@ -203,6 +203,32 @@ func TestAggEmptyGroupByOnEmptyInput(t *testing.T) {
 	}
 }
 
+// TestEmptyAggCellsTakeTheirDeclaredKinds: the one row an empty-GROUP-BY AGG
+// emits for no input holds the zero of each output column's declared kind —
+// an int SUM and MAX over an int column are Int(0), an AVG is Float(0), a
+// string MIN is "" — so the runtime kind of every cell is its declared one.
+func TestEmptyAggCellsTakeTheirDeclaredKinds(t *testing.T) {
+	d := ir.NewDAG()
+	in := relation.New("t", relation.NewSchema("v:int", "s:string"))
+	op := d.Add(ir.OpAgg, "out", ir.Params{Aggs: []ir.AggSpec{
+		{Func: ir.AggSum, Col: "v", As: "total"}, {Func: ir.AggMax, Col: "v", As: "hi"},
+		{Func: ir.AggAvg, Col: "v", As: "mean"}, {Func: ir.AggMin, Col: "s", As: "first"},
+	}}, d.AddInput("t", "in/t", in.Schema))
+	got, err := EvalOp(op, []*relation.Relation{in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := relation.Row{relation.Int(0), relation.Int(0), relation.Float(0), relation.Str("")}
+	if len(got.Rows) != 1 || len(got.Rows[0]) != len(want) {
+		t.Fatalf("rows = %v, want one of %d cells", got.Rows, len(want))
+	}
+	for i, c := range got.Rows[0] {
+		if c.Kind != got.Schema.Cols[i].Kind || !c.Equal(want[i]) {
+			t.Errorf("cell %d (%s) = %#v, want %#v", i, got.Schema.Cols[i].Name, c, want[i])
+		}
+	}
+}
+
 func TestArithInPlaceAndNewColumn(t *testing.T) {
 	in := mkRel("t", relation.NewSchema("v:float"),
 		relation.Row{relation.Float(2)})

@@ -115,7 +115,7 @@ type stagePlan struct {
 	// when it finishes: no later run will probe it.
 	ownsBuild bool
 	ag        aggSpec // terminal AGG, DISTINCT, INTERSECT or DIFFERENCE
-	fresh     bool    // allocate fresh value storage per batch (rows escape)
+	keepSrc   bool    // SELECT: compact the source rows the batches carry
 }
 
 // release hands back the tables the member took for this chain alone.
@@ -151,21 +151,21 @@ func bindScan(op, in *ir.Op, env Env, opts RunOptions) (scan, error) {
 	return scan{}, fmt.Errorf("exec: %s: input relation %q not materialized", op, in.Out)
 }
 
-// reader yields rows [lo, hi) in batches: views of a bound relation's rows,
-// or a file's decoded into cells that are fresh per batch when asked.
-func (s scan) reader(lo, hi, batchRows int, fresh bool) relation.RowSource {
+// reader yields rows [lo, hi) in batches of vectors: a bound relation's rows
+// transposed — with src, carrying the rows themselves — or a file's decoded.
+func (s scan) reader(lo, hi, batchRows int, src bool) relation.RowSource {
 	if s.file != nil {
-		return s.file.Reader(lo, hi, batchRows, fresh)
+		return s.file.Reader(lo, hi, batchRows, src)
 	}
-	return s.rel.Reader(lo, hi, batchRows)
+	return s.rel.Reader(lo, hi, batchRows, src)
 }
 
 // volume sizes the input: a streamed one was metered by its readers.
-func (s scan) volume(trace *Trace) volume {
+func (s scan) volume(trace *Trace, sizes *sizes) volume {
 	if s.file != nil {
 		return volume{phys: s.file.PhysicalBytes(), logical: s.file.LogicalBytes}
 	}
-	return trace.volumeOf(s.rel)
+	return sizes.of(trace, s.rel)
 }
 
 // concatSource yields first's rows, then second's: a UNION's scan, whose rows
@@ -201,11 +201,11 @@ type chain struct {
 }
 
 // rangeResult is what one pipeline instance over a scan range produced: the
-// rows it materialized, in buf, a pooled header buffer, or the partial table
-// it filled, plus the taps metering every member that was streamed through.
+// rows it materialized, in a collector, or the partial table it filled, plus
+// the taps metering every member that was streamed through; run sets rows.
 type rangeResult struct {
+	out    relation.Collector
 	rows   []relation.Row
-	buf    *[]relation.Row
 	table  *aggTable
 	inRows int
 	taps   []accTap
@@ -214,7 +214,7 @@ type rangeResult struct {
 
 // runRange drives one pipeline instance over input rows [lo, hi): into a
 // table when the chain ends in one, into part when it has a sink, else into a
-// pooled header buffer.
+// collector.
 func (c *chain) runRange(lo, hi int, part *relation.Part) rangeResult {
 	var res rangeResult
 	tapped := len(c.stages)
@@ -224,6 +224,7 @@ func (c *chain) runRange(lo, hi int, part *relation.Part) rangeResult {
 	res.taps = make([]accTap, tapped)
 	if tapped > 0 {
 		memo := new(relation.WidthMemo)
+		defer memo.Release()
 		for i := range res.taps {
 			res.taps[i].memo = memo
 		}
@@ -236,7 +237,7 @@ func (c *chain) runRange(lo, hi int, part *relation.Part) rangeResult {
 	case part != nil:
 		res.err = drainSink(pipe, part)
 	default:
-		res.buf, res.rows, res.err = drainHeaders(pipe)
+		res.err = drainRows(pipe, &res.out)
 	}
 	return res
 }
@@ -277,12 +278,16 @@ func (c *chain) run() (rangeResult, error) {
 	}
 	for _, r := range ranges {
 		if r.err != nil {
+			for i := range ranges {
+				ranges[i].out.Release()
+			}
 			return rangeResult{}, r.err
 		}
 	}
 	res := results[0]
 	if res.table == nil && c.sink == nil {
-		res.rows = collectHeaders(ranges)
+		outs := [2]*relation.Collector{&results[0].out, &results[1].out}
+		res.rows = relation.Rows(outs[:len(ranges)]...)
 	}
 	for _, r := range ranges[1:] {
 		if res.table != nil {
@@ -333,10 +338,7 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 		}
 	}()
 	schemas := make(map[*ir.Op]relation.Schema, 2)
-	// stable: the rows reaching the next member outlive the pipeline — bound
-	// relations', passed on by SELECTs and a UNION — so a distinct table
-	// keeps them by reference.
-	stable, prev := in.file == nil, in.sch
+	prev := in.sch
 	for i, op := range ops {
 		sp := &specs[i]
 		*sp = stagePlan{op: op, inSch: prev}
@@ -403,46 +405,44 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 				return nil, err
 			}
 		case ir.OpDistinct, ir.OpIntersect, ir.OpDifference:
-			sp.ag = aggSpec{gIdx: allCols(prev.Arity()), keepIn: op.Type == ir.OpIntersect, byRef: stable}
+			sp.ag = aggSpec{gIdx: allCols(prev.Arity()), keepIn: op.Type == ir.OpIntersect}
 			if setFilter(op.Type) {
 				if sp.ag.filter, err = buildKeySet(right.reader(0, right.rows, batchRows, false), right.rows); err != nil {
 					return nil, err
 				}
 			}
 		}
-		stable = stable && (op.Type == ir.OpSelect || op.Type == ir.OpUnion && right.file == nil)
 		prev = sp.sch
 	}
 	c.stages = specs
 	if terminal(last.Type) {
 		c.stages, c.term = specs[:n-1], &specs[n-1]
 	}
-	// ownsOut: the output's rows are storage this run allocated (a table's
-	// rows, the fresh stage's arenas, or a file reader's), so sizing may
-	// cache widths in them; a pipeline that only passes rows on (SELECT,
-	// UNION) outputs rows that alias the bound scan rows, and so does a
-	// distinct table over them. No row escapes a sink.
-	ownsOut := c.sink != nil
-	if tabled(last.Type) {
-		ownsOut = !c.term.ag.byRef
-	} else {
-		// The last constructing stage before the materializing drain must
-		// allocate per batch: its rows escape the pipeline.
-		for i := len(c.stages) - 1; i >= 0 && !ownsOut; i-- {
-			if t := ops[i].Type; t != ir.OpSelect && t != ir.OpUnion {
-				specs[i].fresh, ownsOut = true, true
-			}
-		}
+	// passOn: every streaming member only passes rows on (SELECT, UNION), so
+	// the rows a bound scan yields reach the drain as they are: its batches
+	// carry them, and a materialized output holds those rows themselves, not
+	// copies. A distinct table keeps them by reference (byRef) when every
+	// scan is bound. Otherwise the output's rows are cells this run built — a
+	// table's or the collector's — and sizing may cache widths in them. No
+	// row escapes a sink.
+	passOn := true
+	for _, sp := range c.stages {
+		passOn = passOn && (sp.op.Type == ir.OpSelect || sp.op.Type == ir.OpUnion)
 	}
-	// Rows a pass-through pipeline hands on escape it by reference, so the
-	// readers must not recycle their storage.
-	fresh, n0 := !ownsOut, in.rows
-	ownsOut = ownsOut || in.file != nil && second.rel == nil
+	for i := range c.stages {
+		specs[i].keepSrc = passOn
+	}
+	ownsOut := !passOn || in.rel == nil && second.rel == nil
+	if c.term != nil && tabled(last.Type) {
+		c.term.ag.byRef = passOn && last.Type != ir.OpAgg && in.file == nil && second.file == nil
+		ownsOut = !c.term.ag.byRef
+	}
+	n0 := in.rows
 	c.rows = n0 + second.rows
-	c.open = func(lo, hi int) relation.RowSource { return in.reader(lo, hi, batchRows, fresh) }
+	c.open = func(lo, hi int) relation.RowSource { return in.reader(lo, hi, batchRows, passOn) }
 	if head.Type == ir.OpUnion {
 		c.open = func(lo, hi int) relation.RowSource {
-			return &concatSource{first: in.reader(min(lo, n0), min(hi, n0), batchRows, fresh), second: second.reader(max(lo-n0, 0), max(hi-n0, 0), batchRows, fresh)}
+			return &concatSource{first: in.reader(min(lo, n0), min(hi, n0), batchRows, passOn), second: second.reader(max(lo-n0, 0), max(hi-n0, 0), batchRows, passOn)}
 		}
 	}
 	if c.sink != nil {
@@ -471,19 +471,19 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 		}
 	}
 
-	vol := in.volume(trace)
+	vol := in.volume(trace, opts.sizes)
 	var buf [2]volume
 	for i, op := range ops {
 		ins := append(buf[:0], vol)
 		for _, other := range op.Inputs[1:] {
 			s, _ := bindScan(op, other, env, opts) // bound while resolving
-			ins = append(ins, s.volume(trace))
+			ins = append(ins, s.volume(trace, opts.sizes))
 		}
 		switch {
 		case i < n-1:
 			vol = trace.record(op, ins, res.taps[i].phys, res.taps[i].rows)
 		case out != nil: // a UDF's rows are of unknown provenance
-			trace.recordOutput(op, ins, out, ownsOut && op.Type != ir.OpUDF)
+			trace.recordOutput(op, ins, out, ownsOut && op.Type != ir.OpUDF, opts.sizes)
 		default: // sized by what was written
 			c.sink.LogicalBytes = trace.record(op, ins, c.sink.BodyBytes(), c.sink.Rows()).logical
 		}
@@ -493,7 +493,7 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 
 // buildPipeline composes one pipeline instance over in, a row range of the
 // head's input: one streaming stage per member (a terminal member is the
-// caller's drain). Each stage hands its arena back once its upstream is
+// caller's drain). Each stage hands its vectors back once its upstream is
 // drained. taps[i] meters member i; the member past the end of taps (a
 // materializing last member) is unmetered.
 func buildPipeline(specs []stagePlan, in relation.RowSource, batchRows int, taps []accTap) relation.RowSource {
@@ -504,16 +504,15 @@ func buildPipeline(specs []stagePlan, in relation.RowSource, batchRows int, taps
 		if i < len(taps) {
 			tap = &taps[i]
 		}
-		ar := relation.Arena{Fresh: sp.fresh}
 		switch sp.op.Type {
 		case ir.OpSelect, ir.OpUnion:
-			src = &selectStage{src: src, sch: sp.sch, pred: sp.pred, tap: tap, ar: ar}
+			src = &selectStage{src: src, sch: sp.sch, pred: sp.pred, keepSrc: sp.keepSrc, tap: tap}
 		case ir.OpProject:
-			src = &projectStage{src: src, sch: sp.sch, idx: sp.idx, tap: tap, ar: ar}
+			src = &projectStage{src: src, sch: sp.sch, idx: sp.idx, tap: tap}
 		case ir.OpArith:
-			src = &arithStage{src: src, sch: sp.sch, arithSpec: sp.arith, tap: tap, ar: ar}
+			src = &arithStage{src: src, sch: sp.sch, arithSpec: sp.arith, tap: tap}
 		case ir.OpJoin, ir.OpCrossJoin:
-			src = &joinProbeStage{src: src, sch: sp.sch, lIdx: sp.js.lIdx, rKeep: sp.js.rKeep, build: sp.build, batchRows: batchRows, tap: tap, ar: ar}
+			src = &joinProbeStage{src: src, sch: sp.sch, lIdx: sp.js.lIdx, rKeep: sp.js.rKeep, build: sp.build, batchRows: batchRows, tap: tap}
 		}
 	}
 	return src

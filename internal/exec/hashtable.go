@@ -14,8 +14,9 @@ import (
 
 // This file implements the hashed-key tables of the hot kernels: the
 // aggregation table (AGG, and DISTINCT, INTERSECT and DIFFERENCE, which group
-// by every column), the join table and the set operators' key sets. Rows are
-// keyed by relation.KeyHasher.Key: a key of numbers is a word per cell plus a
+// by every column), the join table and the set operators' key sets. A join's
+// build rows are keyed by relation.KeyHasher.Key, a batch's rows from its
+// vectors by KeyHasher.KeyAt, alike: a key of numbers is a word per cell plus a
 // word of tags, hashed by a seeded mixer; only a key with a string that is no
 // number's text is bytes (relation.Row.AppendKey), hashed by maphash. A key
 // travels as its four values (hash, tags, cells, bytes). Either way equality
@@ -225,8 +226,8 @@ func buildKeySet(src relation.RowSource, rows int) (*keySet, error) {
 		if b.Empty() {
 			return s, nil
 		}
-		for _, row := range b.Rows {
-			s.ix.insert(s.h.Key(row, cols))
+		for i := 0; i < b.N; i++ {
+			s.ix.insert(s.h.KeyAt(&b, cols, i))
 		}
 	}
 }
@@ -295,14 +296,14 @@ func (t *joinTable) release() {
 	}
 }
 
-// probe returns the build rows matching row's projection onto cols, hashing
-// through h so concurrent probers each use their own scratch buffer.
-func (t *joinTable) probe(h *relation.KeyHasher, row relation.Row, cols []int) []relation.Row {
-	i := t.ix.find(h.Key(row, cols))
-	if i < 0 {
+// probe returns the build rows matching the projection of row i of b onto
+// cols, hashing through h so concurrent probers each use their own scratch.
+func (t *joinTable) probe(h *relation.KeyHasher, b *relation.Batch, cols []int, i int) []relation.Row {
+	k := t.ix.find(h.KeyAt(b, cols, i))
+	if k < 0 {
 		return nil
 	}
-	return t.rows[t.start[i]:t.start[i+1]]
+	return t.rows[t.start[k]:t.start[k+1]]
 }
 
 // aggTable accumulates per-group aggregation state: group i of the index is
@@ -322,8 +323,8 @@ func (t *joinTable) probe(h *relation.KeyHasher, row relation.Row, cols []int) [
 //
 // A distinct table is one with no aggregates, grouped by every column: a
 // group's row is its first row, copied into the slab — or kept by reference
-// when the rows upstream are stable (aggSpec.byRef), with no slab at all —
-// and it keeps no count or sum.
+// when the batches carry bound source rows (aggSpec.byRef), with no slab at
+// all — and it keeps no count or sum.
 type aggTable struct {
 	ix       keyIndex
 	rows     []relation.Row
@@ -333,7 +334,8 @@ type aggTable struct {
 	sp       aggSpec
 	h        relation.KeyHasher
 	slab     []relation.Value
-	groups   int // groups the next slab is cut for
+	groups   int     // groups the next slab is cut for
+	gids     []int32 // addBatch's: the group of each row it folds
 }
 
 // aggPool holds released tables, their row headers, slab and spec cleared.
@@ -363,51 +365,77 @@ func (t *aggTable) release() {
 	aggPool.Put(t)
 }
 
-// add folds one row into its group's state, creating the state on the
-// group's first appearance. A set operator's row whose key its right input's
-// set holds (INTERSECT) or lacks (DIFFERENCE) is dropped first.
-func (t *aggTable) add(row relation.Row) {
-	hash, tags, cells, b := t.h.Key(row, t.sp.gIdx)
-	if f := t.sp.filter; f != nil && (f.ix.find(hash, tags, cells, b) >= 0) != t.sp.keepIn {
-		return
+// addBatch folds b's rows into their groups' state, creating a group's state
+// on its first appearance: keys and extremes row by row, then the counts, and
+// each SUM and AVG column over the batch's vector, by the groups gids
+// numbered. A set operator's row whose key its right input's set holds
+// (INTERSECT) or lacks (DIFFERENCE) is dropped first; a set operator
+// aggregates nothing, so gids[i] is row i's group wherever sums are added.
+func (t *aggTable) addBatch(b *relation.Batch) {
+	gids := t.gids[:0]
+	for i := 0; i < b.N; i++ {
+		hash, tags, cells, k := t.h.KeyAt(b, t.sp.gIdx, i)
+		if f := t.sp.filter; f != nil && (f.ix.find(hash, tags, cells, k) >= 0) != t.sp.keepIn {
+			continue
+		}
+		g, added := t.ix.insert(hash, tags, cells, k)
+		gids = append(gids, int32(g))
+		if !added {
+			if len(t.sp.ext) > 0 {
+				vals := t.rows[g]
+				for _, e := range t.sp.ext {
+					e.keep(&vals[e.cell], b.Cols[e.col].Cell(i))
+				}
+			}
+			continue
+		}
+		if t.sp.byRef {
+			t.rows = append(t.rows, b.Src[i])
+		} else {
+			t.rows = append(t.rows, t.newRow(b, i))
+		}
+		if len(t.sp.aggs) > 0 {
+			t.counts = append(t.counts, 0)
+			t.sums = append(t.sums, make([]uint64, len(t.sp.sums))...)
+		}
 	}
-	g, added := t.ix.insert(hash, tags, cells, b)
-	switch {
-	case added && t.sp.byRef:
-		t.rows = append(t.rows, row)
-	case added:
-		t.rows = append(t.rows, t.newRow(row))
-	}
+	t.gids = gids
 	if len(t.sp.aggs) == 0 {
 		return // a distinct table keeps its groups' first rows alone
 	}
-	if added {
-		t.counts = append(t.counts, 0)
-		t.sums = append(t.sums, make([]uint64, len(t.sp.sums))...)
+	for _, g := range gids {
+		t.counts[g]++
 	}
-	t.counts[g]++
-	sums := t.sums[g*len(t.sp.sums):]
+	ns, over := len(t.sp.sums), b.N // over: the first row whose int sum overflowed
 	for k, s := range t.sp.sums {
-		if s.exact {
-			t.addInt(&sums[k], uint64(row[s.col].AsInt()), g)
-		} else {
-			addFloat(&sums[k], row[s.col].AsFloat())
+		v := &b.Cols[s.col]
+		switch {
+		case s.exact:
+			for i, g := range gids {
+				if addInt(&t.sums[int(g)*ns+k], uint64(v.AsInt(i))) {
+					over = min(over, i)
+				}
+			}
+		case v.Is(relation.KindFloat):
+			for i, g := range gids {
+				addFloat(&t.sums[int(g)*ns+k], v.Floats[i])
+			}
+		default:
+			for i, g := range gids {
+				addFloat(&t.sums[int(g)*ns+k], v.AsFloat(i))
+			}
 		}
 	}
-	vals := t.rows[g]
-	for _, e := range t.sp.ext {
-		e.keep(&vals[e.cell], row[e.col])
+	if over < b.N && t.overflow == 0 {
+		t.overflow = int(gids[over]) + 1
 	}
 }
 
-// addInt adds int64 v to group g's int sum *sum, flagging g if it
-// overflows.
-func (t *aggTable) addInt(sum *uint64, v uint64, g int) {
-	s := *sum + v
-	if int64((s^*sum)&(s^v)) < 0 && t.overflow == 0 {
-		t.overflow = g + 1
-	}
-	*sum = s
+// addInt adds int64 v to the int sum *sum and reports whether it overflowed.
+func addInt(sum *uint64, v uint64) bool {
+	old := *sum
+	*sum = old + v
+	return int64((*sum^old)&(*sum^v)) < 0
 }
 
 // addFloat adds v to the float sum whose bits are *sum.
@@ -424,8 +452,8 @@ func (t *aggTable) err(op *ir.Op) error {
 }
 
 // newRow carves a group's row from the current slab and initializes its
-// GROUP BY values and extremes from the group's first row.
-func (t *aggTable) newRow(row relation.Row) relation.Row {
+// GROUP BY values and extremes from the group's first row, row i of b.
+func (t *aggTable) newRow(b *relation.Batch, i int) relation.Row {
 	n := len(t.sp.gIdx) + len(t.sp.aggs)
 	if len(t.slab) < n {
 		t.slab = make([]relation.Value, t.groups*n)
@@ -435,11 +463,11 @@ func (t *aggTable) newRow(row relation.Row) relation.Row {
 	}
 	vals := relation.Row(t.slab[:n:n])
 	t.slab = t.slab[n:]
-	for i, j := range t.sp.gIdx {
-		vals[i] = row[j]
+	for k, j := range t.sp.gIdx {
+		vals[k] = b.Cols[j].Cell(i)
 	}
 	for _, e := range t.sp.ext {
-		vals[e.cell] = row[e.col]
+		vals[e.cell] = b.Cols[e.col].Cell(i)
 	}
 	return vals
 }
@@ -473,7 +501,9 @@ func (t *aggTable) absorb(o *aggTable) {
 		sums := t.sums[j*ns:]
 		for k, s := range partSums {
 			if t.sp.sums[k].exact {
-				t.addInt(&sums[k], s, j)
+				if addInt(&sums[k], s) && t.overflow == 0 {
+					t.overflow = j + 1
+				}
 			} else {
 				addFloat(&sums[k], math.Float64frombits(s))
 			}

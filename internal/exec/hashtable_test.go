@@ -373,8 +373,15 @@ func TestTablesAreRecycled(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rows := benchRelation(300, 40).Rows
+	probe7 := func(jt *joinTable) []relation.Row {
+		b, err := (&relation.Relation{Schema: relation.NewSchema("k:int", "v:int", "w:float"), Rows: rows[7:8]}).Reader(0, 1, 1, false).Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jt.probe(new(relation.KeyHasher), &b, []int{0}, 0)
+	}
 	jt := buildJoinTable(rows, []int{0}, true)
-	if got := jt.probe(new(relation.KeyHasher), rows[7], []int{0}); len(got) != 8 {
+	if got := probe7(jt); len(got) != 8 {
 		t.Fatalf("key 7 matches %d build rows, want 8", len(got))
 	}
 	jt.release()
@@ -385,7 +392,7 @@ func TestTablesAreRecycled(t *testing.T) {
 	}
 	if again := buildJoinTable(rows[:260], []int{0}, true); again != jt {
 		t.Error("a join table of the same class was built anew")
-	} else if got := again.probe(new(relation.KeyHasher), rows[7], []int{0}); len(got) != 7 {
+	} else if got := probe7(again); len(got) != 7 {
 		t.Errorf("the recycled table matches key 7 with %d build rows, want 7", len(got))
 	} else {
 		again.release()
@@ -395,12 +402,12 @@ func TestTablesAreRecycled(t *testing.T) {
 	}
 	in := relation.New("in", relation.NewSchema("k:int", "v:int", "w:float"))
 	in.Rows = rows
-	ks, err := buildKeySet(in.Reader(0, len(rows), 64), len(rows))
+	ks, err := buildKeySet(in.Reader(0, len(rows), 64, false), len(rows))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ks.release()
-	again, err := buildKeySet(in.Reader(0, 260, 64), 260)
+	again, err := buildKeySet(in.Reader(0, 260, 64, false), 260)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,14 +52,65 @@ func bindOperand(o ir.Operand, in relation.Schema) (operand, error) {
 	return b, nil
 }
 
-func (o *operand) value(row relation.Row) relation.Value {
+// value is the operand's value at row i of b.
+func (o *operand) value(b *relation.Batch, i int) relation.Value {
 	switch {
 	case o.col < 0:
 		return o.lit
 	case o.scale != 1:
-		return relation.Float(row[o.col].AsFloat() * o.scale)
+		return relation.Float(b.Cols[o.col].AsFloat(i) * o.scale)
 	}
-	return row[o.col]
+	return b.Cols[o.col].Cell(i)
+}
+
+// isInt reports whether the operand is an int at every row of b.
+func (o *operand) isInt(b *relation.Batch) bool {
+	if o.col < 0 {
+		return o.lit.Kind == relation.KindInt
+	}
+	return o.scale == 1 && b.Cols[o.col].Is(relation.KindInt)
+}
+
+// mixed reports whether the operand's kind varies over the rows of b.
+func (o *operand) mixed(b *relation.Batch) bool {
+	return o.col >= 0 && o.scale == 1 && b.Cols[o.col].Vals != nil
+}
+
+// ints returns the operand over b's rows when isInt holds: a column's vector,
+// or a literal's value with nil.
+func (o *operand) ints(b *relation.Batch) ([]int64, int64) {
+	if o.col < 0 {
+		return nil, o.lit.I
+	}
+	return b.Cols[o.col].Ints[:b.N], 0
+}
+
+// floats returns the AsFloat of the operand over b's rows: a float column's
+// vector, one computed into buf, or a literal's value with nil.
+func (o *operand) floats(b *relation.Batch, buf *relation.VecBuf) ([]float64, float64) {
+	if o.col < 0 {
+		return nil, o.lit.AsFloat()
+	}
+	v := &b.Cols[o.col]
+	if o.scale == 1 && v.Is(relation.KindFloat) {
+		return v.Floats[:b.N], 0
+	}
+	out, _ := buf.Floats(b.N)
+	if v.Is(relation.KindInt) {
+		for i, x := range v.Ints[:b.N] {
+			out[i] = float64(x)
+		}
+	} else {
+		for i := range out {
+			out[i] = v.AsFloat(i)
+		}
+	}
+	if o.scale != 1 {
+		for i := range out {
+			out[i] *= o.scale
+		}
+	}
+	return out, 0
 }
 
 // arithSpec is a bound ARITH: column dst — an input column's place, or one
@@ -80,6 +131,74 @@ func bindArith(p *ir.Params, in relation.Schema) (*arithSpec, error) {
 		a.r, err = bindOperand(p.ARght, in)
 	}
 	return a, err
+}
+
+// compute returns l op r over b's rows as one vector in bufs[0], under
+// exactly ir.ArithOp.Apply's kind and bit rules: ints when both operands are
+// ints and op is not DIV, wrapping on overflow; else floats of their AsFloat,
+// a DIV by zero giving 0. An operand whose kind varies over the batch is
+// applied cell by cell.
+func (a *arithSpec) compute(b *relation.Batch, bufs []relation.VecBuf) relation.Vec {
+	n := b.N
+	switch {
+	case a.l.mixed(b) || a.r.mixed(b):
+		out := bufs[0].Values(n)
+		for i := range out {
+			out[i] = a.op.Apply(a.l.value(b, i), a.r.value(b, i))
+		}
+		return relation.Vec{Vals: out}
+	case a.op != ir.ArithDiv && a.l.isInt(b) && a.r.isInt(b):
+		ls, lc := a.l.ints(b)
+		rs, rc := a.r.ints(b)
+		out, ws := bufs[0].Ints(n)
+		clear(ws)
+		for i := range out {
+			x, y := lc, rc
+			if ls != nil {
+				x = ls[i]
+			}
+			if rs != nil {
+				y = rs[i]
+			}
+			switch a.op {
+			case ir.ArithAdd:
+				out[i] = x + y
+			case ir.ArithSub:
+				out[i] = x - y
+			default:
+				out[i] = x * y
+			}
+		}
+		return relation.Vec{Kind: relation.KindInt, Ints: out, Widths: ws}
+	}
+	ls, lc := a.l.floats(b, &bufs[1])
+	rs, rc := a.r.floats(b, &bufs[2])
+	out, ws := bufs[0].Floats(n)
+	clear(ws)
+	for i := range out {
+		x, y := lc, rc
+		if ls != nil {
+			x = ls[i]
+		}
+		if rs != nil {
+			y = rs[i]
+		}
+		switch a.op {
+		case ir.ArithAdd:
+			out[i] = x + y
+		case ir.ArithSub:
+			out[i] = x - y
+		case ir.ArithMul:
+			out[i] = x * y
+		default:
+			if y == 0 {
+				out[i] = 0
+			} else {
+				out[i] = x / y
+			}
+		}
+	}
+	return relation.Vec{Kind: relation.KindFloat, Floats: out, Widths: ws}
 }
 
 // boundPred is an ir.Pred whose operands are bound; nil is true.
@@ -106,16 +225,26 @@ func bindPred(p *ir.Pred, in relation.Schema) (*boundPred, error) {
 	return b, err
 }
 
-func (p *boundPred) eval(row relation.Row) bool {
+// filter appends to sel the rows of b the predicate holds for.
+func (p *boundPred) filter(b *relation.Batch, sel []int32) []int32 {
+	for i := 0; i < b.N; i++ {
+		if p.eval(b, i) {
+			sel = append(sel, int32(i))
+		}
+	}
+	return sel
+}
+
+func (p *boundPred) eval(b *relation.Batch, i int) bool {
 	switch {
 	case p == nil:
 		return true
 	case p.kind == ir.PredAnd:
-		return p.left.eval(row) && p.right.eval(row)
+		return p.left.eval(b, i) && p.right.eval(b, i)
 	case p.kind == ir.PredOr:
-		return p.left.eval(row) || p.right.eval(row)
+		return p.left.eval(b, i) || p.right.eval(b, i)
 	}
-	return p.cmp.Eval(p.lhs.value(row).Compare(p.rhs.value(row)))
+	return p.cmp.Eval(p.lhs.value(b, i).Compare(p.rhs.value(b, i)))
 }
 
 // EvalOp executes a single operator on its input relations, as the one-unit
@@ -293,19 +422,23 @@ func resolveAggSpec(op *ir.Op, in relation.Schema) (aggSpec, error) {
 // out, in the table's first-appearance order and under exactly sized headers,
 // once it has filled in their SUM, AVG and COUNT cells, and releases the
 // table. inRows is the number of input rows the table saw: an empty-group-by
-// aggregation over an empty input still yields one row of zeros/identities in
-// SQL semantics, so AVG/COUNT pipelines stay total. A distinct table, which
-// aggregates nothing, emits no row for no input.
+// aggregation over an empty input still yields one row of zeros in SQL
+// semantics, so AVG/COUNT pipelines stay total — each the zero of its
+// declared kind in out's schema (a string MIN or MAX is ""). A distinct
+// table, which aggregates nothing, emits no row for no input.
 func emitAggRows(table *aggTable, inRows int, out *relation.Relation) {
 	defer table.release()
 	sp := table.sp
 	if inRows == 0 && len(sp.gIdx) == 0 && len(sp.aggs) > 0 {
 		row := make(relation.Row, len(sp.aggs))
-		for i, a := range sp.aggs {
-			if a.Func == ir.AggCount {
+		for i := range row {
+			switch out.Schema.Cols[i].Kind {
+			case relation.KindInt:
 				row[i] = relation.Int(0)
-			} else {
+			case relation.KindFloat:
 				row[i] = relation.Float(0)
+			default:
+				row[i] = relation.Str("")
 			}
 		}
 		out.Rows = append(out.Rows, row)

@@ -117,7 +117,7 @@ func TestParallelRangeErrorFailsUnit(t *testing.T) {
 		return &chain{
 			rows: len(rows), batchRows: relation.DefaultBatchRows,
 			open: func(lo, hi int) relation.RowSource {
-				r := (&relation.Relation{Schema: in.Schema, Rows: rows}).Reader(lo, hi, relation.DefaultBatchRows)
+				r := (&relation.Relation{Schema: in.Schema, Rows: rows}).Reader(lo, hi, relation.DefaultBatchRows, false)
 				if lo <= 900 && 900 < hi {
 					return failingSource{r}
 				}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"musketeer/internal/ir"
 	"musketeer/internal/relation"
@@ -86,14 +87,72 @@ func (t *Trace) Merge(o *Trace) {
 // outputs of streamed-through pipeline members are sized the same way.
 type volume struct{ phys, logical int64 }
 
-// volumeOf sizes a relation an operator reads. Untraced, only a relation
-// that carries a logical size has its bytes counted (its scale ratio must
-// still propagate); nothing reads the size of any other.
-func (t *Trace) volumeOf(rel *relation.Relation) volume {
+// sizes remembers the volume of the bound relations a run has sized, so a
+// relation read again — by another unit, or by every round of a loop, as
+// PageRank's invariant edges are — is measured once. A RunOps call keeps one,
+// filled as outputs are recorded and sources materialized and handed back
+// when it returns; a runWhile keeps its own across its rounds, pruned at each
+// to the relations the round binds. Relations are immutable once bound, so an
+// entry never goes stale. A run holds a few relations at a time, so a list
+// searched from its newest entry beats a map, and costs no allocation warm.
+type sizes struct {
+	rels []*relation.Relation
+	vols []volume
+}
+
+var sizesPool = sync.Pool{New: func() any { return new(sizes) }}
+
+// newSizes returns an empty list from sizesPool.
+func newSizes() *sizes { return sizesPool.Get().(*sizes) }
+
+// release empties s, so the pool keeps no relation alive, and hands it back.
+func (s *sizes) release() {
+	clear(s.rels)
+	s.rels, s.vols = s.rels[:0], s.vols[:0]
+	sizesPool.Put(s)
+}
+
+// of sizes a relation an operator reads. Untraced, only a relation that
+// carries a logical size has its bytes counted (its scale ratio must still
+// propagate); nothing reads the size of any other. A nil list remembers
+// nothing.
+func (s *sizes) of(t *Trace, rel *relation.Relation) volume {
 	if t == nil && rel.LogicalBytes <= 0 {
 		return volume{}
 	}
-	return volume{phys: rel.PhysicalBytes(), logical: rel.LogicalBytes}
+	if s != nil {
+		for i := len(s.rels) - 1; i >= 0; i-- {
+			if s.rels[i] == rel {
+				return s.vols[i]
+			}
+		}
+	}
+	v := volume{phys: rel.PhysicalBytes(), logical: rel.LogicalBytes}
+	s.keep(rel, v)
+	return v
+}
+
+// keep records rel's volume.
+func (s *sizes) keep(rel *relation.Relation, v volume) {
+	if s != nil {
+		s.rels, s.vols = append(s.rels, rel), append(s.vols, v)
+	}
+}
+
+// retain drops every entry but env's relations'.
+func (s *sizes) retain(env Env) {
+	n := 0
+	for i, rel := range s.rels {
+		for _, bound := range env {
+			if bound == rel {
+				s.rels[n], s.vols[n] = rel, s.vols[i]
+				n++
+				break
+			}
+		}
+	}
+	clear(s.rels[n:])
+	s.rels, s.vols = s.rels[:n], s.vols[:n]
 }
 
 // eff is relation.Relation.EffectiveBytes for a volume.
@@ -153,7 +212,7 @@ func (t *Trace) record(op *ir.Op, ins []volume, phys int64, rows int) volume {
 // it measures; rows passed on by reference from a bound relation (by SELECT,
 // UNION, the set operators, SORT or LIMIT) or returned by a UDF are only
 // read.
-func (t *Trace) recordOutput(op *ir.Op, ins []volume, out *relation.Relation, owned bool) {
+func (t *Trace) recordOutput(op *ir.Op, ins []volume, out *relation.Relation, owned bool, sizes *sizes) {
 	scaled := false
 	for _, in := range ins {
 		scaled = scaled || in.logical > 0
@@ -168,12 +227,13 @@ func (t *Trace) recordOutput(op *ir.Op, ins []volume, out *relation.Relation, ow
 		phys = out.PhysicalBytes()
 	}
 	out.LogicalBytes = t.record(op, ins, phys, len(out.Rows)).logical
+	sizes.keep(out, volume{phys: phys, logical: out.LogicalBytes})
 }
 
 // recordBound records the relation an INPUT or WHILE binds.
-func (t *Trace) recordBound(op *ir.Op, rel *relation.Relation) {
+func (t *Trace) recordBound(op *ir.Op, rel *relation.Relation, sizes *sizes) {
 	if t != nil {
-		t.record(op, nil, rel.EffectiveBytes(), rel.NumRows())
+		t.record(op, nil, sizes.of(t, rel).eff(), rel.NumRows())
 	}
 }
 
@@ -233,6 +293,7 @@ type RunOptions struct {
 	// with them (runWhile does), so they may come from the pools.
 	recycleJoins bool
 	uses         map[string]int // nameUses(ops), when Sources or Sinks ask
+	sizes        *sizes
 }
 
 // JoinTables holds, per JOIN operator, the table a run built and the
@@ -263,6 +324,8 @@ func RunOps(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) error {
 		keep = func(op *ir.Op) bool { return opts.Sinks[op.Out] != nil || opts.Keep != nil && opts.Keep(op) }
 	}
 	units := planUnits(ops, keep)
+	opts.sizes = newSizes()
+	defer opts.sizes.release()
 	if len(opts.Sources) > 0 || len(opts.Sinks) > 0 {
 		opts.uses = nameUses(ops)
 		var err error
@@ -290,7 +353,7 @@ func nameUses(ops []*ir.Op) map[string]int {
 // when every consumer edge of it in ops is a scan: the first input of a
 // pipeline head, the second of a UNION head or the right input of a set
 // operator. Each of those pipelines scans it on its own, decoding a batch at
-// a time into an arena it reuses — the set operator hashing its key set,
+// a time into vectors it reuses — the set operator hashing its key set,
 // keeping no row — which costs less than holding every row between them. A
 // JOIN or CROSS JOIN build side, a UDF's further inputs, a self-join and a
 // WHILE all need the rows to stay.
@@ -317,6 +380,7 @@ func bindSources(units [][]*ir.Op, env Env, opts RunOptions) (map[string]*relati
 			return nil, err
 		}
 		env[name] = rel
+		opts.sizes.keep(rel, volume{phys: src.PhysicalBytes(), logical: rel.LogicalBytes})
 	}
 	return streams, nil
 }
@@ -361,12 +425,12 @@ func runUnit(u []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 		if !ok {
 			return nil, fmt.Errorf("exec: input relation %q (path %q) not bound", op.Out, op.Params.Path)
 		}
-		trace.recordBound(op, rel)
+		trace.recordBound(op, rel, opts.sizes)
 		return rel, nil
 	case ir.OpWhile:
 		rel, err := runWhile(op, env, trace, opts)
 		if err == nil {
-			trace.recordBound(op, rel)
+			trace.recordBound(op, rel, opts.sizes)
 		}
 		return rel, err
 	}
@@ -414,13 +478,16 @@ func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 		Joins:     make(JoinTables),
 
 		recycleJoins: true,
+		sizes:        newSizes(),
 	}
 	defer bodyOpts.Joins.release()
+	defer bodyOpts.sizes.release()
 	units := planUnits(bodyOps, bodyOpts.Keep)
 	// Each round evaluates the body in a clone of the loop's bindings;
 	// lastOut is the latest round's.
 	var lastOut Env
 	iters, err := op.Loop(func(int) error {
+		bodyOpts.sizes.retain(loopEnv)
 		lastOut = loopEnv.Clone()
 		// An untraced WHILE (RunOps allows a nil trace) runs its body
 		// untraced too.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -132,17 +133,35 @@ type Part struct {
 	segs        [][]byte
 	rows, bytes int
 	lens        []int     // appendGroup's scratch: per column, section and blob length
-	memo        WidthMemo // appendGroup's: the widths of floats no tap stamped
+	memo        WidthMemo // appendGroup's, between Append calls in widthTables: the widths of floats no tap measured
 }
 
 // Append renders rows at the end of the part, a row group per groupRows of
-// them, and retains none of them.
+// them, and retains none of them: each group's columns are transposed into
+// vectors first.
 func (p *Part) Append(rows []Row) {
+	var set VecSet
+	arity := p.w.Schema.Arity()
 	for len(rows) > 0 {
 		n := min(len(rows), groupRows)
-		p.appendGroup(rows[:n])
+		cols, bufs := set.Cols(arity), set.Bufs(arity)
+		for c := range cols {
+			cols[c] = bufs[c].Transpose(rows[:n], c)
+		}
+		p.appendGroup(cols, 0, n)
 		rows = rows[n:]
 	}
+	set.Release()
+	p.memo.Release()
+}
+
+// AppendBatch renders a batch's rows at the end of the part, a row group per
+// groupRows of them.
+func (p *Part) AppendBatch(b *Batch) {
+	for lo := 0; lo < b.N; lo += groupRows {
+		p.appendGroup(b.Cols, lo, min(b.N-lo, groupRows))
+	}
+	p.memo.Release()
 }
 
 // EncodeColumnar returns the relation as a columnar stream: the bytes of a
@@ -196,73 +215,133 @@ func floatColumnWidth(v *Value, m *WidthMemo) (w uint8, text int) {
 	return uint8(text), text
 }
 
-// appendGroup renders rows, at most groupRows of them, as one row group at
-// the end of the part. A first pass sizes every column's section, so the
-// group is written once, into a segment of exactly its length.
-func (p *Part) appendGroup(rows []Row) {
-	cols := p.w.Schema.Cols
-	arity := len(cols)
+// appendGroup renders rows [lo, lo+n) of cols, at most groupRows of them, as
+// one row group at the end of the part, each cell coerced to its column's
+// declared kind as parsing its text would. A first pass sizes every column's
+// section, so the group is written once, into a segment of exactly its length.
+func (p *Part) appendGroup(cols []Vec, lo, n int) {
+	schema := p.w.Schema.Cols
+	arity := len(schema)
 	if cap(p.lens) < 2*arity {
 		p.lens = make([]int, 2*arity)
 	}
 	secLen, blobLen := p.lens[:arity], p.lens[arity:2*arity]
+	hi := lo + n
 	body := 0
-	for c, col := range cols {
-		n, blob := 0, 0
+	for c, col := range schema {
+		v := &cols[c]
+		size, blob := 0, 0
 		switch col.Kind {
 		case KindInt:
-			for _, row := range rows {
-				n += varintLen(row[c].AsInt())
+			if v.Is(KindInt) {
+				for _, x := range v.Ints[lo:hi] {
+					size += varintLen(x)
+				}
+			} else {
+				for i := lo; i < hi; i++ {
+					x, _ := v.intCell(i)
+					size += varintLen(x)
+				}
 			}
 		case KindFloat:
-			n = 9 * len(rows)
+			size = 9 * n
 		default:
-			for _, row := range rows {
-				l := len(cellText(&row[c]))
+			for i := lo; i < hi; i++ {
+				l := len(v.text(i))
 				blob += l
-				n += uvarintLen(uint64(l))
+				size += uvarintLen(uint64(l))
 			}
-			n += uvarintLen(uint64(blob)) + blob
+			size += uvarintLen(uint64(blob)) + blob
 		}
-		secLen[c], blobLen[c] = n, blob
-		body += uvarintLen(uint64(n)) + n
+		secLen[c], blobLen[c] = size, blob
+		body += uvarintLen(uint64(size)) + size
 	}
 	if arity == 0 {
-		body = len(rows)
+		body = n
 	}
-	seg := make([]byte, 0, uvarintLen(uint64(len(rows)))+uvarintLen(uint64(body))+body)
-	seg = binary.AppendUvarint(binary.AppendUvarint(seg, uint64(len(rows))), uint64(body))
-	text := len(rows) * max(arity, 1) // a separator or newline per field, as the rows' TSV has them
-	for c, col := range cols {
+	seg := make([]byte, 0, uvarintLen(uint64(n))+uvarintLen(uint64(body))+body)
+	seg = binary.AppendUvarint(binary.AppendUvarint(seg, uint64(n)), uint64(body))
+	text := n * max(arity, 1) // a separator or newline per field, as the rows' TSV has them
+	for c, col := range schema {
+		v := &cols[c]
 		seg = binary.AppendUvarint(seg, uint64(secLen[c]))
 		switch col.Kind {
 		case KindInt:
-			for _, row := range rows {
-				i := row[c].AsInt()
-				seg = binary.AppendVarint(seg, i)
-				text += intTextLen(i)
+			for i := lo; i < hi; i++ {
+				x, t := v.intCell(i)
+				seg = binary.AppendVarint(seg, x)
+				text += t
 			}
 		case KindFloat:
-			for _, row := range rows {
-				w, n := floatColumnWidth(&row[c], &p.memo)
-				seg = append(binary.LittleEndian.AppendUint64(seg, math.Float64bits(row[c].AsFloat())), w)
-				text += n
+			for i := lo; i < hi; i++ {
+				f, w, t := v.floatCell(i, &p.memo)
+				seg = append(binary.LittleEndian.AppendUint64(seg, math.Float64bits(f)), w)
+				text += t
 			}
 		default:
 			seg = binary.AppendUvarint(seg, uint64(blobLen[c]))
-			for _, row := range rows {
-				seg = append(seg, cellText(&row[c])...)
+			for i := lo; i < hi; i++ {
+				seg = append(seg, v.text(i)...)
 			}
-			for _, row := range rows {
-				seg = binary.AppendUvarint(seg, uint64(len(cellText(&row[c]))))
+			for i := lo; i < hi; i++ {
+				seg = binary.AppendUvarint(seg, uint64(len(v.text(i))))
 			}
 			text += blobLen[c]
 		}
 	}
 	if arity == 0 {
-		seg = append(seg, make([]byte, len(rows))...)
+		seg = append(seg, make([]byte, n)...)
 	}
-	p.segs, p.rows, p.bytes = append(p.segs, seg), p.rows+len(rows), p.bytes+text
+	p.segs, p.rows, p.bytes = append(p.segs, seg), p.rows+n, p.bytes+text
+}
+
+// intCell returns cell i as an int column stores it, as parsing its text
+// would — a string that is no int's text as 0, a float truncated — and the
+// length of its text.
+func (v *Vec) intCell(i int) (x int64, text int) {
+	if v.Is(KindInt) {
+		x = v.Ints[i]
+		if w := v.Widths[i]; w != 0 {
+			return x, int(w)
+		}
+		return x, intTextLen(x)
+	}
+	cell := v.Cell(i)
+	if cell.Kind == KindString {
+		x, _ = strconv.ParseInt(cell.S, 10, 64)
+		return x, len(cell.S)
+	}
+	x = cell.AsInt()
+	return x, intTextLen(x)
+}
+
+// floatCell returns cell i as a float column stores it, as parsing its text
+// would — a string that is no number's text as 0 — with its width byte and
+// the length of its text (floatColumnWidth). A string's byte is its length
+// when the float renders back to it, else 0: the reader measures the float.
+func (v *Vec) floatCell(i int, m *WidthMemo) (f float64, w uint8, text int) {
+	if v.Is(KindFloat) && v.Widths[i] != 0 {
+		return v.Floats[i], v.Widths[i], int(v.Widths[i])
+	}
+	cell := v.Cell(i)
+	if cell.Kind == KindString {
+		f, _ = strconv.ParseFloat(cell.S, 64)
+		if n := floatWidth(f); n == len(cell.S) && string(appendFloat(nil, f)) == cell.S {
+			w = uint8(n)
+		}
+		return f, w, len(cell.S)
+	}
+	w, text = floatColumnWidth(&cell, m)
+	return cell.AsFloat(), w, text
+}
+
+// text is the text of cell i in a string column.
+func (v *Vec) text(i int) string {
+	if v.Is(KindString) {
+		return v.Strs[i]
+	}
+	cell := v.Cell(i)
+	return cellText(&cell)
 }
 
 // Encoded is a stored relation that has been opened — magic checked, header
@@ -323,25 +402,37 @@ func open(name string, blocks [][]byte, rows int, trusted bool) (*Encoded, error
 func (e *Encoded) NumRows() int { return e.rows }
 
 // Reader returns a source over rows [lo, hi) that decodes at most batchRows
-// rows per batch into a recycled arena, handed back once the range is drained
-// — or, with fresh, into cells allocated anew per batch, for a consumer that
-// keeps rows past the next pull. The range starts at a row found by counting
-// what the row groups before it declare, so concurrent readers over adjoining
-// ranges decode exactly the rows a single one would, in order.
-func (e *Encoded) Reader(lo, hi, batchRows int, fresh bool) RowSource {
+// rows per batch into vectors it recycles, handed back once the range is
+// drained. The range starts at a row found by counting what the row groups
+// before it declare, so concurrent readers over adjoining ranges decode
+// exactly the rows a single one would, in order. Once Materialize has run,
+// it reads the decoded relation: with src, its batches carry those rows
+// (Relation.Reader).
+func (e *Encoded) Reader(lo, hi, batchRows int, src bool) RowSource {
 	if e.rel != nil {
-		return e.rel.Reader(lo, hi, batchRows)
+		return e.rel.Reader(lo, hi, batchRows, src)
 	}
-	return &groupReader{e: e, cur: e.body, remaining: hi - lo, last: hi == e.rows, batchRows: batchRows, ar: Arena{Fresh: fresh}, skip: lo}
+	return &groupReader{e: e, cur: e.body, remaining: hi - lo, last: hi == e.rows, batchRows: batchRows, skip: lo}
 }
 
 // Materialize decodes every row, once, into the relation's exactly sized rows
-// and slab; later calls return the same relation.
+// and slab, a row group's worth of vectors at a time; later calls return the
+// same relation.
 func (e *Encoded) Materialize() (*Relation, error) {
 	if e.rel == nil {
-		r := groupReader{e: e, cur: e.body, remaining: e.rows, last: true, batchRows: e.rows}
-		rows := make([]Row, e.rows)
-		err := r.fill(rows, make([]Value, e.rows*e.Schema.Arity()))
+		r := groupReader{e: e, cur: e.body, remaining: e.rows, last: true, batchRows: groupRows}
+		arity := e.Schema.Arity()
+		rows := cutRows(make([]Row, 0, e.rows), make([]Value, e.rows*arity), e.rows, arity)
+		var err error
+		for at, b := 0, (Batch{}); err == nil; at += b.N {
+			if b, err = r.Next(); err == nil && b.Empty() {
+				break
+			}
+			for c := range b.Cols {
+				fillColumn(rows[at:at+b.N], c, &b.Cols[c])
+			}
+		}
+		r.set.Release()
 		r.cur.release()
 		if err != nil {
 			return nil, err
@@ -518,6 +609,7 @@ func (e *Encoded) groupHeader(c *blockCursor) (rows, body int, err error) {
 // one block in place and one that straddles blocks from the cursor's carry,
 // and fills every batch to its size across group boundaries, so batches are
 // cut where the range's row count and batchRows say, not where groups end.
+// Each row-group section decodes straight into its column's vector.
 type groupReader struct {
 	e         *Encoded
 	cur       blockCursor
@@ -526,10 +618,10 @@ type groupReader struct {
 	phys      int64 // their bytes: the meter takes both once it is drained
 	last      bool  // the range ends at the relation's last row
 	batchRows int
-	ar        Arena
 	skip      int         // rows before the range not yet passed
 	left      int         // rows of the open group not yet decoded
 	cols      []colCursor // the open group's sections
+	set       VecSet      // the batch's columns and their buffers
 }
 
 func (r *groupReader) Schema() Schema { return r.e.Schema }
@@ -542,69 +634,89 @@ type colCursor struct {
 	blob string
 }
 
-// Next decodes the range's next batch into the arena, which it releases once
-// the range is drained. Trusted rows are stamped with the widths the encoding
-// carries and metered from them — nothing is rendered — and a trusted stream
-// must end where its last row does.
+// Next decodes the range's next batch into the vectors, which it releases
+// once the range is drained. A trusted batch carries the widths the encoding
+// does, and its columns' text sums, and is metered from them — nothing is
+// rendered — and a trusted stream must end where its last row does.
 func (r *groupReader) Next() (Batch, error) {
 	n := min(r.batchRows, r.remaining)
 	if n == 0 {
-		r.ar.Release()
-		err := r.fill(nil, nil) // a trusted stream must end here
+		r.set.Release()
+		_, err := r.fill(0) // a trusted stream must end here
 		r.cur.release()
 		return Batch{}, err
 	}
-	rows := r.ar.Rows(n)
-	if err := r.fill(rows, r.ar.Values(n*r.e.Schema.Arity())); err != nil {
+	cols, err := r.fill(n)
+	if err != nil {
 		r.cur.release()
 		return Batch{}, err
 	}
-	return Batch{Rows: rows}, nil
+	return Batch{N: n, Cols: cols}, nil
 }
 
-// fill decodes the range's next len(rows) rows into vals and cuts rows from
-// it, one row of cells each.
-func (r *groupReader) fill(rows []Row, vals []Value) error {
+// fill decodes the range's next n rows into vectors, and for a trusted
+// stream sums each column's text widths as it goes.
+func (r *groupReader) fill(n int) ([]Vec, error) {
 	e := r.e
-	arity := e.Schema.Arity()
-	n := len(rows)
-	for i := range rows {
-		rows[i] = vals[i*arity : (i+1)*arity : (i+1)*arity]
+	var cols []Vec
+	if n > 0 {
+		arity := e.Schema.Arity()
+		cols = r.set.Cols(arity)
+		bufs := r.set.Bufs(arity)
+		for c, col := range e.Schema.Cols {
+			switch col.Kind {
+			case KindInt:
+				is, ws := bufs[c].Ints(n)
+				cols[c] = Vec{Kind: KindInt, Ints: is, Widths: ws}
+			case KindFloat:
+				fs, ws := bufs[c].Floats(n)
+				cols[c] = Vec{Kind: KindFloat, Floats: fs, Widths: ws}
+			default:
+				cols[c] = Vec{Kind: KindString, Strs: bufs[c].Strs(n)}
+			}
+		}
 	}
-	phys := 0
 	for at := 0; at < n; {
 		if r.left == 0 {
 			if err := r.openGroup(); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		k, dst := min(n-at, r.left), vals[at*arity:]
+		k, count := min(n-at, r.left), true
 		if r.skip > 0 {
 			// The range starts inside this group: the rows before it decode
-			// over the batch's storage, unmetered, and are overwritten.
-			k = min(k, r.skip)
+			// over the batch's storage, uncounted, and are overwritten.
+			k, count = min(k, r.skip), false
 		}
-		w, err := r.decode(dst, k)
-		if err != nil {
-			return err
+		if err := r.decode(cols, at, k, count); err != nil {
+			return nil, err
 		}
 		if r.skip > 0 {
 			r.skip -= k
 		} else {
-			at, phys = at+k, phys+w
+			at += k
 		}
 	}
 	r.remaining -= n
-	if e.trusted {
-		r.done, r.phys = r.done+n, r.phys+int64(phys)
-		if r.remaining == 0 && n > 0 {
-			e.meter(r.done, r.phys)
+	if !e.trusted {
+		for c := range cols {
+			cols[c].sum = 0 // a foreign stream's floats are not measured
 		}
-		if r.remaining == 0 && r.last && r.skip == 0 && (r.left > 0 || !r.cur.atEnd()) {
-			return fmt.Errorf("relation %s: stream continues past the %d rows its writer recorded", e.Name, e.rows)
-		}
+		return cols, nil
 	}
-	return nil
+	phys := int64(n * e.Schema.Arity())
+	for c := range cols {
+		phys += cols[c].sum
+		cols[c].sum++
+	}
+	r.done, r.phys = r.done+n, r.phys+phys
+	if r.remaining == 0 && n > 0 {
+		e.meter(r.done, r.phys)
+	}
+	if r.remaining == 0 && r.last && r.skip == 0 && (r.left > 0 || !r.cur.atEnd()) {
+		return nil, fmt.Errorf("relation %s: stream continues past the %d rows its writer recorded", e.Name, e.rows)
+	}
+	return cols, nil
 }
 
 // openGroup moves to the next row group holding a row of the range, skipping
@@ -666,75 +778,72 @@ func (r *groupReader) openGroup() error {
 	}
 }
 
-// decode decodes the open group's next k rows into dst, row-major, column by
-// column, and returns Σ Row.EncodedLen over them. dst may hold a pooled
-// slab's stale cells, so every field of a numeric cell is written: Kind, its
-// width, I and F always, and S only when it is not already empty, so the
-// common case stores no pointer. Once the group's last row is out, every
-// section must be too.
-func (r *groupReader) decode(dst []Value, k int) (int, error) {
+// decode decodes the open group's next k rows into cols from row at on,
+// column by column, adding each column's text widths to its sum when count
+// says the rows are the range's. A foreign stream's width bytes are not taken
+// on its word: its floats are left unmeasured. Once the group's last row is
+// out, every section must be too.
+func (r *groupReader) decode(cols []Vec, at, k int, count bool) error {
 	e := r.e
-	arity := len(e.Schema.Cols)
-	stamp := uint8(0) // a foreign stream's widths are not taken on its word
+	stamp := uint8(0)
 	if e.trusted {
 		stamp = 0xff
 	}
-	phys := k * arity
 	for c, col := range e.Schema.Cols {
-		cc := &r.cols[c]
+		cc, v := &r.cols[c], &cols[c]
+		t := 0
 		switch col.Kind {
 		case KindInt:
 			sec := cc.sec
-			for i := c; i < k*arity; i += arity {
-				v, n := binary.Varint(sec)
+			dst, ws := v.Ints[at:at+k], v.Widths[at:at+k]
+			for i := range dst {
+				x, n := binary.Varint(sec)
 				if n <= 0 {
-					return 0, e.badGroup()
+					return e.badGroup()
 				}
 				sec = sec[n:]
-				w := intTextLen(v)
-				phys += w
-				cell := &dst[i]
-				cell.Kind, cell.w, cell.I, cell.F = KindInt, uint8(w)&stamp, v, 0
-				if cell.S != "" {
-					cell.S = ""
-				}
+				w := intTextLen(x)
+				dst[i], ws[i] = x, uint8(w)
+				t += w
 			}
 			cc.sec = sec
 		case KindFloat:
 			sec := cc.sec[:9*k]
-			for i := c; len(sec) > 0; i, sec = i+arity, sec[9:] {
-				cell := &dst[i]
-				cell.Kind, cell.w, cell.I, cell.F = KindFloat, sec[8]&stamp, 0, math.Float64frombits(binary.LittleEndian.Uint64(sec))
-				if cell.S != "" {
-					cell.S = ""
+			fs, ws := v.Floats[at:at+k], v.Widths[at:at+k]
+			for i := range fs {
+				f := math.Float64frombits(binary.LittleEndian.Uint64(sec[9*i:]))
+				w := sec[9*i+8] & stamp
+				if w == 0 && e.trusted {
+					w = uint8(floatWidth(f))
 				}
-				if cell.w != 0 {
-					phys += int(cell.w)
-				} else if e.trusted {
-					phys += cell.measure(nil)
-				}
+				fs[i], ws[i] = f, w
+				t += int(w)
 			}
 			cc.sec = cc.sec[9*k:]
 		default:
 			sec, blob := cc.sec, cc.blob
-			for i := c; i < k*arity; i += arity {
+			dst := v.Strs[at : at+k]
+			for i := range dst {
 				l, n := binary.Uvarint(sec)
 				if n <= 0 || l > uint64(len(blob)) {
-					return 0, e.badGroup()
+					return e.badGroup()
 				}
-				dst[i] = Str(blob[:l])
+				dst[i] = blob[:l]
 				sec, blob = sec[n:], blob[l:]
 			}
-			phys += len(cc.blob) - len(blob)
+			t = len(cc.blob) - len(blob)
 			cc.sec, cc.blob = sec, blob
+		}
+		if count {
+			v.sum += int64(t)
 		}
 	}
 	if r.left -= k; r.left == 0 {
 		for _, cc := range r.cols {
 			if len(cc.sec) != 0 || len(cc.blob) != 0 {
-				return 0, e.badGroup()
+				return e.badGroup()
 			}
 		}
 	}
-	return phys, nil
+	return nil
 }

@@ -392,7 +392,7 @@ func TestOpenedGroupsMustMatchTheirRowCount(t *testing.T) {
 		}
 		e, _ = Open("m", chop(enc, 100), c.rows)
 		src, err := e.Reader(c.rows/2, c.rows, 300, false), error(nil)
-		for b := (Batch{Rows: make([]Row, 1)}); err == nil && !b.Empty(); {
+		for b := (Batch{N: 1}); err == nil && !b.Empty(); {
 			b, err = src.Next()
 		}
 		if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -548,40 +548,6 @@ func TestInterleavedScansMeterOnce(t *testing.T) {
 			t.Errorf("batch %d: two interleaved scans metered %d bytes, one decode is %d", batch, got, want)
 		}
 	}
-}
-
-// TestReaderArenas: a recycling reader takes its arena's slab and headers by
-// the power-of-two class of its demand, not of its batch size, and hands them
-// back once drained; a fresh one hands out rows that survive later batches.
-func TestReaderArenas(t *testing.T) {
-	rel := mixedRelation(40)
-	e, err := Open("m", chop(rel.EncodeColumnar(CodecOptions{}), 64), 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := e.Reader(0, 40, DefaultBatchRows, false).(*groupReader)
-	if b, err := r.Next(); err != nil || len(b.Rows) != 40 {
-		t.Fatalf("first batch = %d rows, %v", len(b.Rows), err)
-	}
-	if cap(*r.ar.vals) != 128 || cap(*r.ar.rows) != 64 {
-		t.Errorf("arena of %d cells and %d row headers for a 40-row range of 3 columns, want 128 and 64", cap(*r.ar.vals), cap(*r.ar.rows))
-	}
-	if b, err := r.Next(); err != nil || !b.Empty() || r.ar.vals != nil || r.ar.rows != nil {
-		t.Errorf("drained: batch of %d rows, %v, arena still held: %v", len(b.Rows), err, r.ar.vals != nil || r.ar.rows != nil)
-	}
-	var kept []Row
-	src := e.Reader(0, 40, 3, true)
-	for {
-		b, err := src.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.Empty() {
-			break
-		}
-		kept = append(kept, b.Rows...) // no clone
-	}
-	sameText(t, "rows kept from fresh batches", kept, rel.Rows)
 }
 
 // TestWriterSplicesPartsInOrder: however the rows are spread over parts and

@@ -75,6 +75,47 @@ func (h *KeyHasher) HashKey(r Row, cols []int) (uint64, []byte) {
 	return maphash.Bytes(keySeed, h.scratch), h.scratch
 }
 
+// KeyAt is Key for row i of b: the same hash, tags and cells, or bytes, that
+// Key gives the row's cells, taken from the vectors — a typed vector's
+// numbers without building a cell.
+func (h *KeyHasher) KeyAt(b *Batch, cols []int, i int) (hash, tags uint64, cells []uint64, k []byte) {
+	if cap(h.cells) < len(cols) {
+		h.cells = make([]uint64, len(cols))
+	}
+	cells = h.cells[:len(cols)]
+	if len(cols) == 1 && b.Cols[cols[0]].Is(KindInt) {
+		cells[0] = uint64(b.Cols[cols[0]].Ints[i]) // one int: its word, tag keyInt (0)
+		return hashWords(cells, 0), 0, cells, nil
+	}
+	for j, c := range cols {
+		v := &b.Cols[c]
+		var tag byte
+		var bits uint64
+		switch {
+		case v.Vals != nil:
+			tag, bits = keyCell(&v.Vals[i])
+		case v.Kind == KindInt:
+			tag, bits = keyInt, uint64(v.Ints[i])
+		case v.Kind == KindFloat:
+			tag, bits = floatKey(v.Floats[i])
+		default:
+			cell := Str(v.Strs[i])
+			tag, bits = keyCell(&cell)
+		}
+		if tag == keyString || j == MaxWordCells {
+			h.scratch = h.scratch[:0]
+			for _, c := range cols {
+				cell := b.Cols[c].Cell(i)
+				h.scratch = appendKeyCell(h.scratch, &cell)
+			}
+			return maphash.Bytes(keySeed, h.scratch), 0, nil, h.scratch
+		}
+		cells[j] = bits
+		tags |= uint64(tag) << j
+	}
+	return hashWords(cells, tags), tags, cells, nil
+}
+
 // hashWords is a word key's hash: a seeded multiply-fold mixer over its cells
 // and tags. Its low bits are as well mixed as its high ones, since tables
 // place keys by them.

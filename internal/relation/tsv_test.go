@@ -45,8 +45,8 @@ func mixedRelation(n int) *Relation {
 	return r
 }
 
-// readAll pulls src dry, cloning what each batch holds (a reader recycles its
-// arena) and running CheckWidths over every batch.
+// readAll pulls src dry, copying each batch's rows out of its vectors (a
+// reader recycles them) and running CheckWidths over every batch.
 func readAll(t *testing.T, src RowSource) []Row {
 	t.Helper()
 	var rows []Row
@@ -57,16 +57,15 @@ func readAll(t *testing.T, src RowSource) []Row {
 		}
 		if b.Empty() {
 			if again, err := src.Next(); err != nil || !again.Empty() {
-				t.Fatalf("Next after exhaustion = %d rows, %v", len(again.Rows), err)
+				t.Fatalf("Next after exhaustion = %d rows, %v", again.N, err)
 			}
 			return rows
 		}
-		if err := CheckWidths(&Relation{Name: "batch", Rows: b.Rows}); err != nil {
+		got := b.AppendRows(nil)
+		if err := CheckWidths(&Relation{Name: "batch", Rows: got}); err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range b.Rows {
-			rows = append(rows, row.Clone())
-		}
+		rows = append(rows, got...)
 	}
 }
 

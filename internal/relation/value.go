@@ -15,6 +15,7 @@ import (
 	"math/bits"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Kind enumerates the value types supported by the IR's column algebra.
@@ -188,9 +189,20 @@ func (v Value) TextLen() int {
 // same floats again owns one (a pipeline range for its taps, a writer's
 // part): derived columns repeat — a GAS scatter sends one rank/degree along
 // every out-edge of a vertex — and a probe is cheaper than floatTextLen. The
-// zero value is ready; the table is allocated on the first float measured,
-// so sizing rows that hold none costs nothing.
+// zero value is ready; the table is taken on the first float measured, so
+// sizing rows that hold none costs nothing, and Release hands it back to
+// widthTables for the next memo: its entries stay exact whoever wrote them.
 type WidthMemo struct{ t *widthTable }
+
+var widthTables = sync.Pool{New: func() any { return new(widthTable) }}
+
+// Release hands the memo's table back; the memo is empty again.
+func (m *WidthMemo) Release() {
+	if m.t != nil {
+		widthTables.Put(m.t)
+		m.t = nil
+	}
+}
 
 const widthSlots = 64 // widthSlot keeps a hash's top six bits
 
@@ -212,7 +224,7 @@ func (v *Value) measure(m *WidthMemo) int {
 		return floatWidth(v.F)
 	}
 	if m.t == nil {
-		m.t = new(widthTable)
+		m.t = widthTables.Get().(*widthTable)
 	}
 	bits := math.Float64bits(v.F)
 	s := widthSlot(bits)
@@ -315,26 +327,21 @@ func scaleBound(bound uint64, s int, sh uint) uint64 {
 	return hi<<(64-sh) | lo>>sh
 }
 
-// intTextLen returns the length of i's decimal rendering.
+// intTextLen returns the length of i's decimal rendering: its digit count,
+// from its bit length and one comparison (floatTextLen counts the same way),
+// plus the sign.
 func intTextLen(i int64) int {
-	n := 1
+	n := 0
 	u := uint64(i)
 	if i < 0 {
-		n, u = 2, -u // two's complement negation is right for MinInt64 too
+		n, u = 1, -u // two's complement negation is right for MinInt64 too
 	}
-	for u >= 10000 {
-		u /= 10000
-		n += 4
+	u |= 1                            // 0 has one digit, as 1 does
+	d := (bits.Len64(u) * 1233) >> 12 // ⌊log10 u⌋ or one more
+	if u < tens[d] {
+		d--
 	}
-	switch {
-	case u >= 1000:
-		return n + 3
-	case u >= 100:
-		return n + 2
-	case u >= 10:
-		return n + 1
-	}
-	return n
+	return n + d + 1
 }
 
 // ParseValue parses field text into a value of the given kind.
@@ -510,17 +517,20 @@ const (
 // words after its tags (KeyHasher.Key).
 func (r Row) AppendKey(dst []byte, cols []int) []byte {
 	for _, c := range cols {
-		v := &r[c]
-		tag, bits := keyCell(v)
-		if tag == keyString {
-			n := len(v.S)
-			dst = append(append(dst, keyString, byte(n), byte(n>>8), byte(n>>16), byte(n>>24)), v.S...)
-			continue
-		}
-		dst = append(dst, tag, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
-			byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
+		dst = appendKeyCell(dst, &r[c])
 	}
 	return dst
+}
+
+// appendKeyCell appends v's cell of an AppendKey encoding.
+func appendKeyCell(dst []byte, v *Value) []byte {
+	tag, bits := keyCell(v)
+	if tag == keyString {
+		n := len(v.S)
+		return append(append(dst, keyString, byte(n), byte(n>>8), byte(n>>16), byte(n>>24)), v.S...)
+	}
+	return append(dst, tag, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
+		byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
 }
 
 // keyCell is v's key cell: the tag and bits of the one number that renders
