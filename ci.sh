@@ -55,11 +55,12 @@
 #                       refused
 #   scratch recycling — what a run does not keep is recycled: the
 #                       column vectors of readers, stages and materializing
-#                       collectors, straddle buffers and match lists through
-#                       relation's pools, aggregation and distinct tables
-#                       through exec's aggPool, join tables and set
-#                       operators' key sets through exec's class pools, and
-#                       a commit stores the writer's segments uncopied. A
+#                       collectors and straddle buffers through relation's
+#                       pools, aggregation and distinct tables (column
+#                       stores included) through exec's aggPool, join
+#                       tables' indexes and set operators' key sets through
+#                       exec's class pools, and a commit stores the
+#                       writer's segments uncopied. A
 #                       reader over stale pooled vectors decodes what one
 #                       over new vectors does, widths included
 #                       (TestReaderOverStaleVectorsMatchesFresh); the
@@ -71,10 +72,13 @@
 #                       files after another schema dirtied the pools, and
 #                       joins and set operators, at both split thresholds,
 #                       under the same trace, after tables of every small
-#                       class were left in the pools; a warm AGG allocates
-#                       only its output rows, exact headers and slabs; a
-#                       released join table keeps no row and is the one the
-#                       next build of its class takes, as a key set is; and
+#                       class were left in the pools; a table written into
+#                       its sink from a column store another table's columns
+#                       last filled writes the bytes a fresh store writes; a
+#                       warm AGG allocates only its output rows' exact
+#                       headers and slab; a released join table keeps no
+#                       build column and is the one the next build of its
+#                       class takes, as a key set is; and
 #                       a committed file's replicas alias the writer's
 #                       segments, one corrupted replica stays one, and the
 #                       file reads back. Then the same tests,
@@ -186,8 +190,8 @@ gofmt_gate() {
     fi
 }
 
-RECYCLING_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledJoinTablesMatchFirstUse|TestTablesAreRecycled|TestRecycledVectorsMatchFirstUse|TestReaderOverStaleVectorsMatchesFresh|TestCommitKeepsTheWritersSegments)$'
-RECYCLING_RACE_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestAggScratchIsRecycled|TestRecycledJoinTablesMatchFirstUse|TestTablesAreRecycled|TestRecycledVectorsMatchFirstUse|TestReaderOverStaleVectorsMatchesFresh|TestCommitKeepsTheWritersSegments|TestRandomDAGsMatchOracle|TestStreamedSourcesMatchBoundRelations|TestSourceShapes)$'
+RECYCLING_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestRecycledTableColumnsMatchFirstUse|TestAggScratchIsRecycled|TestRecycledJoinTablesMatchFirstUse|TestTablesAreRecycled|TestRecycledVectorsMatchFirstUse|TestReaderOverStaleVectorsMatchesFresh|TestCommitKeepsTheWritersSegments)$'
+RECYCLING_RACE_TESTS='^(TestRecycledAggScratchMatchesFirstUse|TestRecycledTableColumnsMatchFirstUse|TestAggScratchIsRecycled|TestRecycledJoinTablesMatchFirstUse|TestTablesAreRecycled|TestRecycledVectorsMatchFirstUse|TestReaderOverStaleVectorsMatchesFresh|TestCommitKeepsTheWritersSegments|TestRandomDAGsMatchOracle|TestStreamedSourcesMatchBoundRelations|TestSourceShapes)$'
 
 scratch_recycling_gate() {
     go test -count=1 -timeout 5m -run "$RECYCLING_TESTS" \

@@ -45,39 +45,32 @@ type RunContext struct {
 }
 
 // LoopShare is what one body job of a driver-looped WHILE keeps from round
-// to round: the rows of each loop-invariant input a round materialized, the
-// bytes decoding them metered, and the join tables built over them. A later
-// round still opens, verifies and is charged for every input, and draws its
-// read faults; it only skips decoding and indexing rows it already holds.
-// Inputs that stream are decoded every round: their rows never outlive one.
-// A job's rounds, retries and speculative backups run one after another, so
-// a share has one user at a time.
+// to round: each loop-invariant input as the round that first read it opened
+// it — its bytes metered, its rows decoded if anything needed them whole —
+// and the join tables built over those inputs. A later round still opens,
+// verifies and is charged for every input, and draws its read faults; it
+// reads the held input instead, so it decodes no rows already decoded and
+// indexes no build side already indexed. An input that a pipeline scans is
+// decoded every round: its rows never outlive one. A job's rounds, retries
+// and speculative backups run one after another, so a share has one user at
+// a time.
 type LoopShare struct {
 	invariant map[string]bool // input names whose bytes no round rewrites
-	held      map[string]*heldInput
+	held      map[string]*relation.Encoded
 	joins     exec.JoinTables
-}
-
-// heldInput is an invariant input's rows as a round materialized them, and
-// the physical bytes that round's decoding metered.
-type heldInput struct {
-	rel  *relation.Relation
-	phys int64
 }
 
 // NewLoopShare returns an empty share for a body job whose inputs named in
 // invariant hold the same bytes every round.
 func NewLoopShare(invariant map[string]bool) *LoopShare {
-	return &LoopShare{invariant: invariant, held: map[string]*heldInput{}, joins: exec.JoinTables{}}
+	return &LoopShare{invariant: invariant, held: map[string]*relation.Encoded{}, joins: exec.JoinTables{}}
 }
 
-// keep records the invariant inputs a round materialized whole into env,
-// where RunOps binds every input it does not stream.
-func (s *LoopShare) keep(pulled []pulledInput, env exec.Env) {
+// keep holds the invariant inputs a round read for the rounds after it.
+func (s *LoopShare) keep(pulled []pulledInput) {
 	for _, in := range pulled {
-		name := in.src.Name
-		if rel := env[name]; rel != nil && in.held == nil && s.invariant[name] {
-			s.held[name] = &heldInput{rel: rel, phys: in.src.PhysicalBytes()}
+		if name := in.src.Name; in.held == nil && s.invariant[name] {
+			s.held[name] = in.src
 		}
 	}
 }
@@ -165,10 +158,7 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 	for _, in := range pulled {
 		b := in.src.LogicalBytes
 		if b <= 0 {
-			b = in.src.PhysicalBytes()
-			if in.held != nil {
-				b = in.held.phys
-			}
+			b = in.read().PhysicalBytes()
 		}
 		if in.reread {
 			b *= 2
@@ -207,13 +197,21 @@ func Run(ctx RunContext, p *Plan) (*RunResult, error) {
 	return res, nil
 }
 
-// pulledInput is one external input the pull phase opened; held is the rows
-// an earlier round of the job's loop materialized from the same bytes, if
-// any; reread says the chaos plan failed the first block read.
+// pulledInput is one external input the pull phase opened; held is the same
+// bytes as an earlier round of the job's loop opened and read them, if any;
+// reread says the chaos plan failed the first block read.
 type pulledInput struct {
 	src    *relation.Encoded
-	held   *heldInput
+	held   *relation.Encoded
 	reread bool
+}
+
+// read is the input the process phase reads: the held one, if any.
+func (in pulledInput) read() *relation.Encoded {
+	if in.held != nil {
+		return in.held
+	}
+	return in.src
 }
 
 // runPull opens the fragment's external inputs on the DFS — the read is
@@ -270,16 +268,12 @@ func runProcess(ctx RunContext, p *Plan, pulled []pulledInput) (*exec.Trace, map
 		// RunOps stamps the schema before the first row.
 		sinks[op.Out] = relation.NewColumnarWriter(relation.Schema{})
 	}
-	// A held input is bound as the rows an earlier round decoded; the rest
-	// are handed over undecoded, and RunOps streams or materializes each.
+	// Every input is handed over undecoded — a held one as an earlier round
+	// read it — and RunOps streams or materializes each.
 	env := exec.Env{}
 	sources := make(map[string]*relation.Encoded, len(pulled))
 	for _, in := range pulled {
-		if in.held != nil {
-			env[in.src.Name] = in.held.rel
-		} else {
-			sources[in.src.Name] = in.src
-		}
+		sources[in.src.Name] = in.read()
 	}
 	opts := exec.RunOptions{
 		// Cancellation is observed at execution-unit granularity: a
@@ -297,7 +291,7 @@ func runProcess(ctx RunContext, p *Plan, pulled []pulledInput) (*exec.Trace, map
 		return nil, nil, sp, fmt.Errorf("%s: job %s: %w", p.Engine.Name(), p.Frag.Name(), err)
 	}
 	if ctx.Loop != nil {
-		ctx.Loop.keep(pulled, env)
+		ctx.Loop.keep(pulled)
 	}
 	ops := 0
 	for _, op := range p.Frag.Ops {

@@ -258,6 +258,9 @@ func allocsPerJob(t testing.TB, fs *dfs.DFS, frag *ir.Fragment) (objects, bytes 
 // over twice the rows allocates the same objects give or take the extra
 // blocks; a string column costs at most one object (the line) per row.
 func TestStreamedJobAllocationsDoNotTrackRows(t *testing.T) {
+	if raceBuild {
+		t.Skip("object counts; the race runtime drops pooled items at random")
+	}
 	objects := map[int]float64{}
 	blocks := map[int]int{}
 	for _, rows := range []int{20000, 40000} {

@@ -212,6 +212,15 @@ type rangeResult struct {
 	err    error
 }
 
+// part opens the sink's next part for a range to write into: none when the
+// chain ends in a table, which is written whole once its ranges merge.
+func (c *chain) part() *relation.Part {
+	if c.term != nil {
+		return nil
+	}
+	return c.sink.Part()
+}
+
 // runRange drives one pipeline instance over input rows [lo, hi): into a
 // table when the chain ends in one, into part when it has a sink, else into a
 // collector.
@@ -255,7 +264,7 @@ func (c *chain) run() (rangeResult, error) {
 	var results [2]rangeResult
 	ranges := results[:1]
 	if rows < max(ParallelThreshold, 2) {
-		results[0] = c.runRange(0, rows, c.sink.Part())
+		results[0] = c.runRange(0, rows, c.part())
 	} else {
 		// Combiner-style evaluation: every aggregator merges once AVG is
 		// decomposed into SUM+COUNT (the decomposition Musketeer's generated
@@ -272,7 +281,7 @@ func (c *chain) run() (rangeResult, error) {
 			go func(ri, lo, hi int, part *relation.Part) {
 				defer wg.Done()
 				results[ri] = c.runRange(lo, hi, part)
-			}(ri, rg[0], rg[1], c.sink.Part()) // parts open in range order
+			}(ri, rg[0], rg[1], c.part()) // parts open in range order
 		}
 		wg.Wait()
 	}
@@ -322,8 +331,9 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 	}
 	c := &chain{batchRows: batchRows}
 	// bindSources' rule, mirrored: a sink streams when no operator reads the
-	// rows that end this pipeline (a terminal member emits them whole).
-	if !terminal(last.Type) && opts.uses[last.Out] == 0 {
+	// rows that end this pipeline — batch by batch, or a table's columns
+	// whole (SORT, LIMIT and UDF finish rows).
+	if (!terminal(last.Type) || tabled(last.Type)) && opts.uses[last.Out] == 0 {
 		c.sink = opts.Sinks[last.Out]
 	}
 	in, err := bindScan(head, head.Inputs[0], env, opts)
@@ -381,25 +391,28 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 			if sp.js, err = resolveJoinSpec(op, prev, right.sch); err != nil {
 				return nil, err
 			}
-			// Hash join: build on the right input, probe with the streaming
-			// left — under one key for a CROSS JOIN. The table is read-only
-			// once complete, so concurrent chunk pipelines share it, and a
-			// loop's next round reuses it while its build side is the same
-			// relation.
+			// Hash join: build on the right input as its reader yields it —
+			// a file's decoded batches or a bound relation's — and probe with
+			// the streaming left, under one key for a CROSS JOIN. The table is
+			// read-only once complete, so concurrent chunk pipelines share
+			// it, and a loop's next round reuses it while its build side is
+			// the same relation or opened file.
 			built := opts.Joins[op]
-			if built.rel == right.rel {
+			if built.table != nil && built.rel == right.rel && built.file == right.file {
 				sp.build = built.table
 				break
 			}
-			sp.build = buildJoinTable(right.rel.Rows, sp.js.rIdx, opts.Joins == nil || opts.recycleJoins)
+			if sp.build, err = buildJoinTable(right.reader(0, right.rows, batchRows, false), right.rows, sp.js.rIdx, sp.js.rKeep, opts.Joins == nil || opts.recycleJoins); err != nil {
+				return nil, err
+			}
 			if opts.Joins == nil {
 				sp.ownsBuild = true
 				break
 			}
 			if built.table != nil {
-				built.table.release() // an earlier round's, over another relation
+				built.table.release() // an earlier round's, over another input
 			}
-			opts.Joins[op] = builtJoin{right.rel, sp.build}
+			opts.Joins[op] = builtJoin{right.rel, right.file, sp.build}
 		case ir.OpAgg:
 			if sp.ag, err = resolveAggSpec(op, prev); err != nil {
 				return nil, err
@@ -434,7 +447,7 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 	}
 	ownsOut := !passOn || in.rel == nil && second.rel == nil
 	if c.term != nil && tabled(last.Type) {
-		c.term.ag.byRef = passOn && last.Type != ir.OpAgg && in.file == nil && second.file == nil
+		c.term.ag.byRef = passOn && last.Type != ir.OpAgg && in.file == nil && second.file == nil && c.sink == nil
 		ownsOut = !c.term.ag.byRef
 	}
 	n0 := in.rows
@@ -454,10 +467,14 @@ func runChain(ops []*ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.R
 	}
 	var out *relation.Relation // stays nil when the rows went to the sink
 	switch {
-	case res.table != nil: // never a streaming sink
+	case res.table != nil:
 		if err := res.table.err(last); err != nil {
 			res.table.release()
 			return nil, err
+		}
+		if c.sink != nil {
+			emitAggPart(res.table, res.inRows, specs[n-1].sch, c.sink.Part())
+			break
 		}
 		out = relation.New(last.Out, specs[n-1].sch)
 		emitAggRows(res.table, res.inRows, out)
@@ -512,7 +529,7 @@ func buildPipeline(specs []stagePlan, in relation.RowSource, batchRows int, taps
 		case ir.OpArith:
 			src = &arithStage{src: src, sch: sp.sch, arithSpec: sp.arith, tap: tap}
 		case ir.OpJoin, ir.OpCrossJoin:
-			src = &joinProbeStage{src: src, sch: sp.sch, lIdx: sp.js.lIdx, rKeep: sp.js.rKeep, build: sp.build, batchRows: batchRows, tap: tap}
+			src = &joinProbeStage{src: src, sch: sp.sch, lIdx: sp.js.lIdx, build: sp.build, batchRows: batchRows, tap: tap}
 		}
 	}
 	return src

@@ -14,9 +14,9 @@ import (
 
 // This file implements the hashed-key tables of the hot kernels: the
 // aggregation table (AGG, and DISTINCT, INTERSECT and DIFFERENCE, which group
-// by every column), the join table and the set operators' key sets. A join's
-// build rows are keyed by relation.KeyHasher.Key, a batch's rows from its
-// vectors by KeyHasher.KeyAt, alike: a key of numbers is a word per cell plus a
+// by every column), the join table and the set operators' key sets. Every
+// table keys a batch's rows from its vectors by relation.KeyHasher.KeyAt —
+// the build side's as its source yields them: a key of numbers is a word per cell plus a
 // word of tags, hashed by a seeded mixer; only a key with a string that is no
 // number's text is bytes (relation.Row.AppendKey), hashed by maphash. A key
 // travels as its four values (hash, tags, cells, bytes). Either way equality
@@ -235,37 +235,60 @@ func buildKeySet(src relation.RowSource, rows int) (*keySet, error) {
 func (s *keySet) release() { keySets.put(s.class, s) }
 
 // joinTable is the build side of the hash join in compressed-sparse-row
-// form: key i's build rows are rows[start[i]:start[i+1]], in build order.
-// It is read-only once built, so chunk pipelines probe it concurrently.
+// form: key i's build rows are numbered order[start[i]:start[i+1]], in build
+// order, and cols holds the build's kept columns, a cell per build row, which
+// the probe gathers. It is read-only once built, so chunk pipelines probe it
+// concurrently. The index and the CSR are scratch a pooled table recycles;
+// the columns are the build side's cells, copied exactly sized from its
+// source by every build and dropped on release.
 type joinTable struct {
 	ix    keyIndex
 	start []int32
-	rows  []relation.Row
+	order []int32
 	ids   []int32 // the build's scratch: each build row's key number
+	cols  []relation.Vec
 	h     relation.KeyHasher
 }
 
 var joinTables classPool[joinTable]
 
-// buildJoinTable indexes rows by their projection onto cols in two passes:
-// number the keys and count their rows, then place every row in its key's
-// run. The table is a recycled one when pooled says it will be released,
-// else new and exactly sized.
-func buildJoinTable(rows []relation.Row, cols []int, pooled bool) *joinTable {
-	c := len(rows)
+// buildJoinTable indexes the rows src yields — rows of them — by their
+// projection onto key, a batch at a time, and copies their keep columns, in
+// two passes: number the keys and count their rows, then place every row
+// number in its key's run. The table is a recycled one when pooled says it
+// will be released, else new and exactly sized.
+func buildJoinTable(src relation.RowSource, rows int, key, keep []int, pooled bool) (*joinTable, error) {
+	c := rows
 	var t *joinTable
 	if pooled {
 		k := sizeClass(c)
 		c, t = 1<<k, joinTables.get(k)
 	}
 	if t == nil {
-		t = &joinTable{start: make([]int32, c+1), rows: make([]relation.Row, c), ids: make([]int32, c)}
+		t = &joinTable{start: make([]int32, c+1), order: make([]int32, c), ids: make([]int32, c)}
 	}
-	t.ix.prepare(c, len(cols))
-	t.rows, t.ids = t.rows[:len(rows)], t.ids[:len(rows)]
-	for i, row := range rows {
-		id, _ := t.ix.insert(t.h.Key(row, cols))
-		t.ids[i] = int32(id)
+	t.ix.prepare(c, len(key))
+	t.ids = t.ids[:0]
+	if cap(t.cols) < len(keep) {
+		t.cols = make([]relation.Vec, len(keep))
+	}
+	t.cols = t.cols[:len(keep)]
+	for {
+		b, err := src.Next()
+		if err != nil {
+			t.release()
+			return nil, err
+		}
+		if b.Empty() {
+			break
+		}
+		for k, j := range keep {
+			t.cols[k].Fill(rows, len(t.ids), &b.Cols[j], b.N)
+		}
+		for i := 0; i < b.N; i++ {
+			id, _ := t.ix.insert(t.h.KeyAt(&b, key, i))
+			t.ids = append(t.ids, int32(id))
+		}
 	}
 	t.start = t.start[:len(t.ix.entries)+1]
 	clear(t.start)
@@ -277,68 +300,78 @@ func buildJoinTable(rows []relation.Row, cols []int, pooled bool) *joinTable {
 	}
 	// start[id] is the cursor of key id's run while placing; each ends one run
 	// further on, so shifting the array down by one restores the run starts.
+	t.order = t.order[:len(t.ids)]
 	for i, id := range t.ids {
-		t.rows[t.start[id]] = rows[i]
+		t.order[t.start[id]] = int32(i)
 		t.start[id]++
 	}
 	copy(t.start[1:], t.start)
 	t.start[0] = 0
-	return t
+	return t, nil
 }
 
 // release hands t back to joinTables, in the class its capacity fills, its
-// row headers cleared so the pool keeps no build rows alive. No probe may
-// touch t after.
+// columns dropped so the pool keeps no build cells alive. No probe may touch
+// t after.
 func (t *joinTable) release() {
-	clear(t.rows)
-	if k := bits.Len(uint(cap(t.rows))) - 1; k >= 0 {
+	clear(t.cols)
+	if k := bits.Len(uint(cap(t.order))) - 1; k >= 0 {
 		joinTables.put(k, t)
 	}
 }
 
-// probe returns the build rows matching the projection of row i of b onto
-// cols, hashing through h so concurrent probers each use their own scratch.
-func (t *joinTable) probe(h *relation.KeyHasher, b *relation.Batch, cols []int, i int) []relation.Row {
-	k := t.ix.find(h.KeyAt(b, cols, i))
+// probe returns the number of the key that row i of b has over cols, or -1
+// when no build row has it, hashing through h so concurrent probers each use
+// their own scratch.
+func (t *joinTable) probe(h *relation.KeyHasher, b *relation.Batch, cols []int, i int) int {
+	return t.ix.find(h.KeyAt(b, cols, i))
+}
+
+// matches returns the numbers of key k's build rows, in build order; none for
+// k < 0.
+func (t *joinTable) matches(k int) []int32 {
 	if k < 0 {
 		return nil
 	}
-	return t.rows[t.start[k]:t.start[k+1]]
+	return t.order[t.start[k]:t.start[k+1]]
 }
 
 // aggTable accumulates per-group aggregation state: group i of the index is
-// rows[i], so first-appearance order is index order. A group's row holds its
-// GROUP BY values, then a cell per aggregate, where each MIN and MAX keeps its
-// extreme so far and the rest wait for emitAggRows; counts[i] is its row
-// count (COUNT's answer and AVG's divisor) and sums[i*len(sp.sums):] its
-// running SUM and AVG sums, each a float64's bits or, for an int column, an
-// int64 summed exactly: one that overflows flags its group in overflow, and
-// the run fails (see err). Rows are carved from value slabs that grow with
-// the table, so a group costs no heap object of its own.
+// cell i of every column of cols, so first-appearance order is index order.
+// The columns are the output's: the GROUP BY cells, then one per aggregate,
+// where each MIN and MAX keeps its extreme so far and the rest are filled on
+// emission (see aggColumns); counts[i] is group i's row count (COUNT's answer
+// and AVG's divisor) and sums[i*len(sp.sums):] its running SUM and AVG sums,
+// each a float64's bits or, for an int column, an int64 summed exactly: one
+// that overflows flags its group in overflow, and the run fails (see err).
+// Each column is a typed vector (relation.Vec.Extend), Vals only where its
+// groups' cells differ in kind, cut from buffers the table keeps (set).
 //
-// A table's scratch — the key index, counts, sums, the key hasher's buffers
-// and the row headers — is recycled through aggPool once its rows are emitted
-// or merged away. The slabs never are: the rows cut from them become the
-// output relation, whose headers emitAggRows copies out exactly sized.
+// A table is recycled whole through aggPool once its groups are emitted or
+// merged away: key index, counts, sums, the key hasher's buffers and the
+// column store. Emission copies the groups out — into a sink's row groups, or
+// into rows cut exactly sized (emitAggRows).
 //
 // A distinct table is one with no aggregates, grouped by every column: a
-// group's row is its first row, copied into the slab — or kept by reference
-// when the batches carry bound source rows (aggSpec.byRef), with no slab at
-// all — and it keeps no count or sum.
+// group's cells are its first row's — or, when the batches carry bound source
+// rows (aggSpec.byRef), that row itself, kept in refs — and it keeps no count
+// or sum.
 type aggTable struct {
 	ix       keyIndex
-	rows     []relation.Row
+	set      relation.VecSet
+	cols     []relation.Vec
+	refs     []relation.Row
 	counts   []int64
 	sums     []uint64
 	overflow int // 1 + the first group whose int sum overflowed; 0 for none
 	sp       aggSpec
 	h        relation.KeyHasher
-	slab     []relation.Value
-	groups   int     // groups the next slab is cut for
 	gids     []int32 // addBatch's: the group of each row it folds
+	fresh    []int32 // addBatch's and absorb's: where each new group's cells are
+	into     []int32 // absorb's: the group each of the other table's shared ones joins
 }
 
-// aggPool holds released tables, their row headers, slab and spec cleared.
+// aggPool holds released tables, their columns, refs and spec cleared.
 var aggPool sync.Pool
 
 // newAggTable takes a released table from aggPool, or makes one, and starts
@@ -351,28 +384,37 @@ func newAggTable(sp aggSpec) *aggTable {
 	} else {
 		t.ix.prepare(0, len(sp.gIdx))
 	}
-	t.rows, t.counts, t.sums = t.rows[:0], t.counts[:0], t.sums[:0]
-	t.overflow, t.sp, t.groups = 0, sp, 8
+	t.cols = t.set.Cols(len(sp.gIdx) + len(sp.aggs))
+	clear(t.cols)
+	t.set.Bufs(len(t.cols))
+	t.refs, t.counts, t.sums = t.refs[:0], t.counts[:0], t.sums[:0]
+	t.overflow, t.sp = 0, sp
 	return t
 }
 
-// release hands t's scratch back to aggPool. Its rows now belong to whoever
-// took them: t clears its headers and keeps no reference to them, its slab or
+// release hands t back to aggPool. Its groups now belong to whoever took
+// them: t clears its columns and refs and keeps no reference to them or to
 // its spec.
 func (t *aggTable) release() {
-	clear(t.rows)
-	t.rows, t.slab, t.sp = t.rows[:0], nil, aggSpec{}
+	t.set.Clear()
+	clear(t.refs)
+	t.cols, t.refs, t.sp = nil, t.refs[:0], aggSpec{}
 	aggPool.Put(t)
 }
 
+// groups returns the number of groups t holds.
+func (t *aggTable) groups() int { return len(t.ix.entries) }
+
 // addBatch folds b's rows into their groups' state, creating a group's state
-// on its first appearance: keys and extremes row by row, then the counts, and
-// each SUM and AVG column over the batch's vector, by the groups gids
-// numbered. A set operator's row whose key its right input's set holds
-// (INTERSECT) or lacks (DIFFERENCE) is dropped first; a set operator
-// aggregates nothing, so gids[i] is row i's group wherever sums are added.
+// on its first appearance: keys row by row, then the new groups' cells, the
+// counts, the extremes and each SUM and AVG, column by column over the batch's
+// vectors, by the groups gids numbered. A set operator's row whose key its
+// right input's set holds (INTERSECT) or lacks (DIFFERENCE) is dropped first;
+// a set operator aggregates nothing, so gids[i] is row i's group wherever
+// aggregates are folded.
 func (t *aggTable) addBatch(b *relation.Batch) {
-	gids := t.gids[:0]
+	n := t.groups()
+	gids, fresh := t.gids[:0], t.fresh[:0]
 	for i := 0; i < b.N; i++ {
 		hash, tags, cells, k := t.h.KeyAt(b, t.sp.gIdx, i)
 		if f := t.sp.filter; f != nil && (f.ix.find(hash, tags, cells, k) >= 0) != t.sp.keepIn {
@@ -381,32 +423,31 @@ func (t *aggTable) addBatch(b *relation.Batch) {
 		g, added := t.ix.insert(hash, tags, cells, k)
 		gids = append(gids, int32(g))
 		if !added {
-			if len(t.sp.ext) > 0 {
-				vals := t.rows[g]
-				for _, e := range t.sp.ext {
-					e.keep(&vals[e.cell], b.Cols[e.col].Cell(i))
-				}
-			}
 			continue
 		}
 		if t.sp.byRef {
-			t.rows = append(t.rows, b.Src[i])
+			t.refs = append(t.refs, b.Src[i])
 		} else {
-			t.rows = append(t.rows, t.newRow(b, i))
-		}
-		if len(t.sp.aggs) > 0 {
-			t.counts = append(t.counts, 0)
-			t.sums = append(t.sums, make([]uint64, len(t.sp.sums))...)
+			fresh = append(fresh, int32(i))
 		}
 	}
-	t.gids = gids
+	t.gids, t.fresh = gids, fresh
+	t.extend(n, b.Cols, fresh, false)
 	if len(t.sp.aggs) == 0 {
-		return // a distinct table keeps its groups' first rows alone
+		return // a distinct table keeps its groups' first cells alone
 	}
+	bufs := t.set.Bufs(len(t.cols))
+	for _, e := range t.sp.ext {
+		t.cols[e.cell].Keep(&bufs[e.cell], &b.Cols[e.col], nil, gids, e.sign)
+	}
+	t.counts = slices.Grow(t.counts, len(fresh))[:n+len(fresh)]
+	clear(t.counts[n:])
 	for _, g := range gids {
 		t.counts[g]++
 	}
 	ns, over := len(t.sp.sums), b.N // over: the first row whose int sum overflowed
+	t.sums = slices.Grow(t.sums, ns*len(fresh))[:ns*(n+len(fresh))]
+	clear(t.sums[ns*n:])
 	for k, s := range t.sp.sums {
 		v := &b.Cols[s.col]
 		switch {
@@ -431,6 +472,29 @@ func (t *aggTable) addBatch(b *relation.Batch) {
 	}
 }
 
+// extend appends the cells at rows idx of src to t's n groups, every GROUP BY
+// column's and every extreme's: src is a batch's columns, or with table
+// another table's.
+func (t *aggTable) extend(n int, src []relation.Vec, idx []int32, table bool) {
+	if len(idx) == 0 {
+		return
+	}
+	bufs := t.set.Bufs(len(t.cols))
+	for k, j := range t.sp.gIdx {
+		if table {
+			j = k
+		}
+		t.cols[k] = t.cols[k].Extend(&bufs[k], n, &src[j], idx)
+	}
+	for _, e := range t.sp.ext {
+		j := e.col
+		if table {
+			j = e.cell
+		}
+		t.cols[e.cell] = t.cols[e.cell].Extend(&bufs[e.cell], n, &src[j], idx)
+	}
+}
+
 // addInt adds int64 v to the int sum *sum and reports whether it overflowed.
 func addInt(sum *uint64, v uint64) bool {
 	old := *sum
@@ -448,28 +512,11 @@ func (t *aggTable) err(op *ir.Op) error {
 	if t.overflow == 0 {
 		return nil
 	}
-	return fmt.Errorf("exec: %s: integer sum overflows int64 in group %v", op, t.rows[t.overflow-1][:len(t.sp.gIdx)])
-}
-
-// newRow carves a group's row from the current slab and initializes its
-// GROUP BY values and extremes from the group's first row, row i of b.
-func (t *aggTable) newRow(b *relation.Batch, i int) relation.Row {
-	n := len(t.sp.gIdx) + len(t.sp.aggs)
-	if len(t.slab) < n {
-		t.slab = make([]relation.Value, t.groups*n)
-		if t.groups < 1024 {
-			t.groups *= 2
-		}
+	group := make(relation.Row, len(t.sp.gIdx))
+	for k := range group {
+		group[k] = t.cols[k].Cell(t.overflow - 1)
 	}
-	vals := relation.Row(t.slab[:n:n])
-	t.slab = t.slab[n:]
-	for k, j := range t.sp.gIdx {
-		vals[k] = b.Cols[j].Cell(i)
-	}
-	for _, e := range t.sp.ext {
-		vals[e.cell] = b.Cols[e.col].Cell(i)
-	}
-	return vals
+	return fmt.Errorf("exec: %s: integer sum overflows int64 in group %v", op, group)
 }
 
 // absorb merges another table's groups into t — the combiner step —
@@ -479,11 +526,16 @@ func (t *aggTable) newRow(b *relation.Batch, i int) relation.Row {
 // where the ranges were cut — which chain.run decides from the row count
 // alone, so they are the same on every host.
 func (t *aggTable) absorb(o *aggTable) {
-	ns := len(t.sp.sums)
-	for i, part := range o.rows {
+	n, ns := t.groups(), len(t.sp.sums)
+	fresh, from, into := t.fresh[:0], o.fresh[:0], t.into[:0]
+	for i := range o.groups() {
 		j, added := t.ix.insert(o.ix.key(i))
 		if added {
-			t.rows = append(t.rows, part)
+			if t.sp.byRef {
+				t.refs = append(t.refs, o.refs[i])
+			} else {
+				fresh = append(fresh, int32(i))
+			}
 		}
 		if len(t.sp.aggs) == 0 {
 			continue // a distinct table counts nothing
@@ -497,6 +549,7 @@ func (t *aggTable) absorb(o *aggTable) {
 			t.sums = append(t.sums, partSums...)
 			continue
 		}
+		from, into = append(from, int32(i)), append(into, int32(j))
 		t.counts[j] += o.counts[i]
 		sums := t.sums[j*ns:]
 		for k, s := range partSums {
@@ -508,9 +561,12 @@ func (t *aggTable) absorb(o *aggTable) {
 				addFloat(&sums[k], math.Float64frombits(s))
 			}
 		}
-		for _, e := range t.sp.ext {
-			e.keep(&t.rows[j][e.cell], part[e.cell])
-		}
+	}
+	t.fresh, o.fresh, t.into = fresh, from, into
+	t.extend(n, o.cols, fresh, true)
+	bufs := t.set.Bufs(len(t.cols))
+	for _, e := range t.sp.ext {
+		t.cols[e.cell].Keep(&bufs[e.cell], &o.cols[e.cell], from, into, e.sign)
 	}
 	o.release()
 }

@@ -213,8 +213,8 @@ var aggKeeps []relation.Row
 
 // TestAggScratchIsRecycled: once one AGG has run, a second of the same shape
 // allocates only what its output keeps — exactly sized row headers and the
-// value slabs its group rows are cut from, replayed here by their growth rule
-// — and nothing for its key index, counts, sums or the headers it grows. GC
+// one exactly sized slab of cells its group rows are cut from, replayed here
+// — and nothing for its key index, counts, sums or column vectors. GC
 // is off so the pool cannot be emptied between the two, and one P keeps both
 // on one per-P pool.
 func TestAggScratchIsRecycled(t *testing.T) {
@@ -259,18 +259,15 @@ func TestAggScratchIsRecycled(t *testing.T) {
 	}
 	kept := bytesOf(func() {
 		keep := make([]relation.Row, 0, groups)
-		for g, cut := 0, 8; g < groups; cut = min(2*cut, 1024) {
-			slab := make([]relation.Value, cut*arity)
-			for ; len(slab) >= arity && g < groups; g++ {
-				keep = append(keep, slab[:arity:arity])
-				slab = slab[arity:]
-			}
+		slab := make([]relation.Value, groups*arity)
+		for g := 0; g < groups; g++ {
+			keep = append(keep, slab[g*arity:(g+1)*arity:(g+1)*arity])
 		}
 		aggKeeps = keep
 	})
-	t.Logf("second AGG over %d groups: %d bytes; its rows and slabs alone: %d", groups, got, kept)
+	t.Logf("second AGG over %d groups: %d bytes; its rows and slab alone: %d", groups, got, kept)
 	if got < kept-64 || got > kept+64 {
-		t.Errorf("a recycled AGG allocates %d bytes, want its rows and slabs' %d ±64: its scratch was not reused", got, kept)
+		t.Errorf("a recycled AGG allocates %d bytes, want its rows and slab's %d ±64: its scratch was not reused", got, kept)
 	}
 }
 
@@ -363,7 +360,7 @@ func dirtyTables(t *testing.T) {
 }
 
 // TestTablesAreRecycled: a join table or key set handed back is the one the
-// next build of its class takes, and a join table keeps no row header once
+// next build of its class takes, and a join table keeps no build column once
 // released. GC is off so the pools cannot be emptied between the builds, and
 // one P keeps them on one per-P pool.
 func TestTablesAreRecycled(t *testing.T) {
@@ -373,35 +370,56 @@ func TestTablesAreRecycled(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rows := benchRelation(300, 40).Rows
-	probe7 := func(jt *joinTable) []relation.Row {
-		b, err := (&relation.Relation{Schema: relation.NewSchema("k:int", "v:int", "w:float"), Rows: rows[7:8]}).Reader(0, 1, 1, false).Next()
+	in := relation.New("in", relation.NewSchema("k:int", "v:int", "w:float"))
+	in.Rows = rows
+	probe7 := func(jt *joinTable) []int32 {
+		b, err := (&relation.Relation{Schema: in.Schema, Rows: rows[7:8]}).Reader(0, 1, 1, false).Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return jt.probe(new(relation.KeyHasher), &b, []int{0}, 0)
+		return jt.matches(jt.probe(new(relation.KeyHasher), &b, []int{0}, 0))
 	}
-	jt := buildJoinTable(rows, []int{0}, true)
+	// build indexes rows[:n] on column 0; it keeps the others, copied.
+	build := func(n int, keep []int, src relation.RowSource) *joinTable {
+		if src == nil {
+			src = in.Reader(0, n, 64, false)
+		}
+		jt, err := buildJoinTable(src, n, []int{0}, keep, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jt
+	}
+	jt := build(len(rows), []int{1, 2}, nil)
 	if got := probe7(jt); len(got) != 8 {
 		t.Fatalf("key 7 matches %d build rows, want 8", len(got))
 	}
 	jt.release()
-	for i, r := range jt.rows[:cap(jt.rows)] {
-		if r != nil {
-			t.Fatalf("a released join table keeps row header %d", i)
+	for i, col := range jt.cols[:cap(jt.cols)] {
+		if col.Ints != nil || col.Floats != nil || col.Widths != nil {
+			t.Fatalf("a released join table keeps build column %d", i)
 		}
 	}
-	if again := buildJoinTable(rows[:260], []int{0}, true); again != jt {
+	if again := build(260, []int{1, 2}, nil); again != jt {
 		t.Error("a join table of the same class was built anew")
 	} else if got := probe7(again); len(got) != 7 {
 		t.Errorf("the recycled table matches key 7 with %d build rows, want 7", len(got))
 	} else {
 		again.release()
 	}
-	if allocs := testing.AllocsPerRun(10, func() { buildJoinTable(rows, []int{0}, true).release() }); allocs != 0 {
+	// The columns a build keeps are its copy of the build side's cells, and
+	// the readers are made up front: what is measured is the index and the
+	// CSR, which a warm build takes from the pool.
+	readers := make([]relation.RowSource, 11) // AllocsPerRun's warm-up and ten runs
+	for i := range readers {
+		readers[i] = in.Reader(0, len(rows), 64, false)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		build(len(rows), nil, readers[0]).release()
+		readers = readers[1:]
+	}); allocs != 0 {
 		t.Errorf("a warm join table build allocates %.0f times", allocs)
 	}
-	in := relation.New("in", relation.NewSchema("k:int", "v:int", "w:float"))
-	in.Rows = rows
 	ks, err := buildKeySet(in.Reader(0, len(rows), 64, false), len(rows))
 	if err != nil {
 		t.Fatal(err)

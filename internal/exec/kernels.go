@@ -355,7 +355,7 @@ func resolveJoinSpec(op *ir.Op, l, r relation.Schema) (joinSpec, error) {
 
 // aggSpec is an aggregation resolved against its input: the group-by columns
 // and what a group accumulates — a sum per SUM and AVG, in the order of aggs,
-// and an extreme per MIN and MAX, kept in its output cell (COUNT keeps
+// and an extreme per MIN and MAX, kept in its output column (COUNT keeps
 // nothing but the group's row count).
 //
 // DISTINCT is the aggregation grouped by every column with no aggregates, and
@@ -381,15 +381,8 @@ type summand struct {
 }
 
 // extreme is a MIN (sign -1) or MAX (sign +1) over input column col, kept in
-// cell cell of the group's row.
+// the table's output column cell (relation.Vec.Keep).
 type extreme struct{ cell, col, sign int }
-
-// keep replaces *cur by v when v lies further out.
-func (e extreme) keep(cur *relation.Value, v relation.Value) {
-	if v.Compare(*cur)*e.sign > 0 {
-		*cur = v
-	}
-}
 
 func resolveAggSpec(op *ir.Op, in relation.Schema) (aggSpec, error) {
 	sp := aggSpec{aggs: op.Params.Aggs}
@@ -418,52 +411,103 @@ func resolveAggSpec(op *ir.Op, in relation.Schema) (aggSpec, error) {
 	return sp, nil
 }
 
-// emitAggRows hands a fully-accumulated aggregation table's group rows to
-// out, in the table's first-appearance order and under exactly sized headers,
-// once it has filled in their SUM, AVG and COUNT cells, and releases the
-// table. inRows is the number of input rows the table saw: an empty-group-by
-// aggregation over an empty input still yields one row of zeros in SQL
-// semantics, so AVG/COUNT pipelines stay total — each the zero of its
-// declared kind in out's schema (a string MIN or MAX is ""). A distinct
+// emitAggRows hands a fully-accumulated aggregation table's groups to out as
+// rows, in the table's first-appearance order, cut exactly sized from the
+// table's columns (a distinct table's bound rows by reference), and releases
+// the table. inRows is the number of input rows the table saw: an
+// empty-group-by aggregation over an empty input still yields one row of
+// zeros in SQL semantics, so AVG/COUNT pipelines stay total — each the zero of
+// its declared kind in out's schema (a string MIN or MAX is ""). A distinct
 // table, which aggregates nothing, emits no row for no input.
 func emitAggRows(table *aggTable, inRows int, out *relation.Relation) {
 	defer table.release()
-	sp := table.sp
-	if inRows == 0 && len(sp.gIdx) == 0 && len(sp.aggs) > 0 {
-		row := make(relation.Row, len(sp.aggs))
-		for i := range row {
-			switch out.Schema.Cols[i].Kind {
-			case relation.KindInt:
-				row[i] = relation.Int(0)
-			case relation.KindFloat:
-				row[i] = relation.Float(0)
-			default:
-				row[i] = relation.Str("")
-			}
-		}
-		out.Rows = append(out.Rows, row)
+	switch {
+	case table.emitsZeroRow(inRows):
+		out.Rows = []relation.Row{zeroRow(out.Schema)}
+	case table.sp.byRef:
+		out.Rows = slices.Clone(table.refs)
+	default:
+		b := table.batch()
+		out.Rows = b.AppendRows(nil)
+	}
+}
+
+// emitAggPart is emitAggRows for a table whose groups only a sink reads: it
+// writes the table's columns into part, rows of schema sch, with no row built.
+func emitAggPart(table *aggTable, inRows int, sch relation.Schema, part *relation.Part) {
+	defer table.release()
+	if table.emitsZeroRow(inRows) {
+		part.Append([]relation.Row{zeroRow(sch)})
 		return
 	}
-	nk, ns := len(sp.gIdx), len(sp.sums)
-	for g, row := range table.rows[:len(table.counts)] { // none for a distinct table
-		n, sums := table.counts[g], table.sums[g*ns:]
-		si := 0 // the next sum, in aggs order
-		for i, a := range sp.aggs {
-			cell := &row[nk+i]
-			switch a.Func {
-			case ir.AggCount:
-				*cell = relation.Int(n)
-			case ir.AggSum, ir.AggAvg:
-				if sp.sums[si].exact {
-					*cell = relation.Int(int64(sums[si]))
-				} else {
-					*cell = relation.Float(math.Float64frombits(sums[si]))
-				}
-				if si++; a.Func == ir.AggAvg {
-					*cell = relation.Float(cell.AsFloat() / float64(n))
-				}
-			}
+	b := table.batch()
+	part.AppendBatch(&b)
+}
+
+// emitsZeroRow reports whether the table emits the one row of zeros: it
+// aggregates with no GROUP BY, and saw no input row.
+func (t *aggTable) emitsZeroRow(inRows int) bool {
+	return inRows == 0 && len(t.sp.gIdx) == 0 && len(t.sp.aggs) > 0
+}
+
+// zeroRow is a row of the zero of every column's declared kind.
+func zeroRow(sch relation.Schema) relation.Row {
+	row := make(relation.Row, sch.Arity())
+	for i := range row {
+		switch sch.Cols[i].Kind {
+		case relation.KindInt:
+			row[i] = relation.Int(0)
+		case relation.KindFloat:
+			row[i] = relation.Float(0)
+		default:
+			row[i] = relation.Str("")
 		}
 	}
-	out.Rows = slices.Clone(table.rows)
+	return row
+}
+
+// batch returns the table's groups as a batch of the output's columns, once
+// it has filled in the COUNT, SUM and AVG vectors: a count and an int column's
+// SUM as ints, any other SUM and every AVG as floats.
+func (t *aggTable) batch() relation.Batch {
+	n, nk, ns := t.groups(), len(t.sp.gIdx), len(t.sp.sums)
+	bufs := t.set.Bufs(len(t.cols))
+	si := 0 // the next sum, in aggs order
+	for i, a := range t.sp.aggs {
+		c := nk + i
+		switch a.Func {
+		case ir.AggCount:
+			out, ws := bufs[c].Ints(n)
+			clear(ws)
+			copy(out, t.counts)
+			t.cols[c] = relation.Vec{Kind: relation.KindInt, Ints: out, Widths: ws}
+		case ir.AggSum, ir.AggAvg:
+			exact := t.sp.sums[si].exact
+			if exact && a.Func == ir.AggSum {
+				out, ws := bufs[c].Ints(n)
+				clear(ws)
+				for g := range out {
+					out[g] = int64(t.sums[g*ns+si])
+				}
+				t.cols[c] = relation.Vec{Kind: relation.KindInt, Ints: out, Widths: ws}
+			} else {
+				out, ws := bufs[c].Floats(n)
+				clear(ws)
+				for g := range out {
+					sum := t.sums[g*ns+si]
+					f := math.Float64frombits(sum)
+					if exact {
+						f = float64(int64(sum))
+					}
+					if a.Func == ir.AggAvg {
+						f /= float64(t.counts[g])
+					}
+					out[g] = f
+				}
+				t.cols[c] = relation.Vec{Kind: relation.KindFloat, Floats: out, Widths: ws}
+			}
+			si++
+		}
+	}
+	return relation.Batch{N: n, Cols: t.cols}
 }

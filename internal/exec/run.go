@@ -284,8 +284,9 @@ type RunOptions struct {
 	Sinks map[string]*relation.Writer
 	// Joins, when non-nil, keeps the join tables the run builds, for the
 	// next run of the same operators: a JOIN whose build side is the very
-	// relation it indexed last time probes that table instead of building
-	// one, and a table replaced by one over another relation is recycled.
+	// relation or opened file (Sources) it indexed last time probes that
+	// table instead of building one, and a table replaced by one over
+	// another input is recycled.
 	// A loop's rounds pass one. Without it, a chain recycles the tables it
 	// built when it finishes.
 	Joins JoinTables
@@ -308,9 +309,11 @@ func (j JoinTables) release() {
 	}
 }
 
-// builtJoin is a join table and the build relation it indexes.
+// builtJoin is a join table and the build side it indexes: a bound relation,
+// or a file it was built from as the file streamed.
 type builtJoin struct {
 	rel   *relation.Relation
+	file  *relation.Encoded
 	table *joinTable
 }
 
@@ -350,13 +353,13 @@ func nameUses(ops []*ir.Op) map[string]int {
 
 // bindSources splits opts.Sources into the inputs that stream, which it
 // returns, and the rest, which it materializes into env. An input streams
-// when every consumer edge of it in ops is a scan: the first input of a
+// when every consumer edge of it in ops is a scan — the first input of a
 // pipeline head, the second of a UNION head or the right input of a set
-// operator. Each of those pipelines scans it on its own, decoding a batch at
-// a time into vectors it reuses — the set operator hashing its key set,
-// keeping no row — which costs less than holding every row between them. A
-// JOIN or CROSS JOIN build side, a UDF's further inputs, a self-join and a
-// WHILE all need the rows to stay.
+// operator — or a JOIN or CROSS JOIN build side. Each of those reads it on
+// its own, decoding a batch at a time into vectors it reuses — a set operator
+// hashing its key set, keeping no row, a build copying its kept columns into
+// its table — which costs less than holding every row between them. A UDF's
+// further inputs and a WHILE need the rows to stay.
 func bindSources(units [][]*ir.Op, env Env, opts RunOptions) (map[string]*relation.Encoded, error) {
 	scans := make(map[string]int, len(opts.Sources))
 	for _, u := range units {
@@ -364,8 +367,11 @@ func bindSources(units [][]*ir.Op, env Env, opts RunOptions) (map[string]*relati
 			scans[head.Inputs[0].Out]++
 		}
 		for _, op := range u { // a UNION only heads, a set operator only ends
-			if (op.Type == ir.OpUnion || setFilter(op.Type)) && len(op.Inputs) == 2 {
-				scans[op.Inputs[1].Out]++
+			switch op.Type {
+			case ir.OpUnion, ir.OpIntersect, ir.OpDifference, ir.OpJoin, ir.OpCrossJoin:
+				if len(op.Inputs) == 2 {
+					scans[op.Inputs[1].Out]++
+				}
 			}
 		}
 	}

@@ -219,7 +219,7 @@ func TestStreamedSourcesMatchBoundRelations(t *testing.T) {
 type sourceCase struct {
 	name     string
 	build    func(d *ir.DAG, a, b *ir.Op)
-	streams  bool // "a" is decoded by a pipeline scan alone, never materialized
+	streams  bool // "a" is decoded by pipeline scans and join builds alone, never materialized
 	bStreams bool // and so is "b"
 }
 
@@ -240,18 +240,18 @@ func sourceCases() []sourceCase {
 		}, true, false},
 		{"probe of a join", func(d *ir.DAG, a, b *ir.Op) {
 			d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"bk"}}, a, b)
-		}, true, false},
+		}, true, true},
 		{"two scans", func(d *ir.DAG, a, b *ir.Op) {
 			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
 			d.Add(ir.OpAgg, "by_k", ir.Params{GroupBy: []string{"k"}, Aggs: sum}, hot)
 			d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"k"}, RightCols: []string{"bk"}}, a, b)
-		}, true, false},
+		}, true, true},
 		{"build of a join", func(d *ir.DAG, a, b *ir.Op) {
 			d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"bk"}, RightCols: []string{"k"}}, b, a)
-		}, false, true},
+		}, true, true},
 		{"self join", func(d *ir.DAG, a, b *ir.Op) {
 			d.Add(ir.OpJoin, "self", ir.Params{LeftCols: []string{"k", "v"}, RightCols: []string{"k", "v"}}, a, a)
-		}, false, false},
+		}, true, false},
 		{"pipeline and breaker", func(d *ir.DAG, a, b *ir.Op) {
 			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
 			d.Add(ir.OpAgg, "by_k", ir.Params{GroupBy: []string{"k"}, Aggs: sum}, hot)
@@ -284,14 +284,14 @@ func sourceCases() []sourceCase {
 			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 5)}, a)
 			d.Add(ir.OpIntersect, "hot_again", ir.Params{}, hot, a)
 			d.Add(ir.OpJoin, "joined", ir.Params{LeftCols: []string{"bk"}, RightCols: []string{"k"}}, b, a)
-		}, false, true},
+		}, true, true},
 		{"breaker only", func(d *ir.DAG, a, b *ir.Op) {
 			d.Add(ir.OpSort, "sorted", ir.Params{SortBy: []string{"f"}, Desc: true}, a)
 		}, true, false},
 		{"probe of a cross join", func(d *ir.DAG, a, b *ir.Op) {
 			hot := d.Add(ir.OpSelect, "hot", ir.Params{Pred: pred("k", ir.CmpLt, 2)}, a)
 			d.Add(ir.OpCrossJoin, "pairs", ir.Params{}, hot, b)
-		}, true, false},
+		}, true, true},
 		{"union", func(d *ir.DAG, a, b *ir.Op) {
 			kv := d.Add(ir.OpProject, "kv", ir.Params{Columns: []string{"k", "v"}}, a)
 			d.Add(ir.OpUnion, "kv_b", ir.Params{}, kv, b)

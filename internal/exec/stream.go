@@ -9,11 +9,12 @@ import "musketeer/internal/relation"
 // DISTINCT, INTERSECT and DIFFERENCE), a writer, or a collector of
 // materialized rows. A batch is a vector per column (relation.Batch): SELECT
 // compacts the vectors, PROJECT re-slices them, ARITH computes one and the
-// JOIN probe gathers its output's. Each stage cuts its vectors from
-// relation.VecBufs reused across batches and handed back once its upstream is
-// drained, so a SELECT→PROJECT→AGG or a SELECT→INTERSECT pipeline runs with
-// no per-row allocation, no materialized intermediates and, warm, no scratch
-// of its own. Only the materializing drain builds rows.
+// JOIN probe gathers its output's from the probe side's and the build
+// table's columns. Each stage cuts its vectors from relation.VecBufs reused
+// across batches and handed back once its upstream is drained, so a
+// SELECT→PROJECT→AGG or a SELECT→INTERSECT pipeline runs with no per-row
+// allocation, no materialized intermediates and, warm, no scratch of its
+// own. Only the materializing drain builds rows.
 
 // accTap accumulates the row count and physical byte size of the rows a
 // streamed-through stage emits: per row a separator or newline per cell, per
@@ -145,10 +146,10 @@ func (a *arithStage) Next() (relation.Batch, error) {
 
 // joinProbeStage probes a pre-built hash-join table with the streaming
 // (left) side, emitting left-row ++ kept-right-column rows: the left vectors
-// gathered at each match's probe row, and the kept cells of the matched build
-// rows, which stay rows, transposed. The build table is read-only and may be
-// shared across concurrent pipeline instances; each stage hashes through its
-// own KeyHasher.
+// gathered at each match's probe row, and the table's kept build columns at
+// the matched build rows. The build table is read-only and may be shared
+// across concurrent pipeline instances; each stage hashes through its own
+// KeyHasher.
 //
 // The stage is resumable: it probes an upstream batch once and then emits
 // that batch's matches in windows of at most batchRows rows over successive
@@ -158,56 +159,39 @@ type joinProbeStage struct {
 	src       relation.RowSource
 	sch       relation.Schema
 	lIdx      []int
-	rKeep     []int
 	build     *joinTable
 	batchRows int
 	h         relation.KeyHasher
 	tap       *accTap
-	set       relation.VecSet // per output column, then the window's probe rows and build rows
+	// per output column, then the window's probe rows, its build rows and the
+	// upstream batch's keys
+	set relation.VecSet
 
-	// The upstream batch being emitted: its matches (a buffer from
-	// matchLists), the probe row and match to emit next and how many are
-	// left.
+	// The upstream batch being emitted: each of its rows' key number (-1 for
+	// none), the probe row and match to emit next and how many are left.
 	cur     relation.Batch
-	matches *[][]relation.Row
+	keys    []int32
 	row, m  int
 	pending int
 }
 
-// matchLists backs every probe stage's per-batch match lists.
-var matchLists relation.Pool[[]relation.Row]
-
 func (j *joinProbeStage) Schema() relation.Schema { return j.sch }
 
-// releaseMatches clears the match lists, so the pool keeps no build rows
-// alive, and hands them back.
-func (j *joinProbeStage) releaseMatches() {
-	if j.matches != nil {
-		clear(*j.matches)
-		matchLists.Put(j.matches)
-		j.matches = nil
-	}
-}
-
 func (j *joinProbeStage) Next() (relation.Batch, error) {
+	arity := j.sch.Arity()
+	bufs := j.set.Bufs(arity + 3)
 	for j.pending == 0 {
 		b, err := j.src.Next()
 		if err != nil || b.Empty() {
 			j.set.Release()
-			j.releaseMatches()
-			j.cur = relation.Batch{}
+			j.cur, j.keys = relation.Batch{}, nil
 			return relation.Batch{}, err
 		}
-		// The match lists are sized to the batch they hold, not to the
-		// pipeline's batch size.
-		if j.matches == nil || cap(*j.matches) < b.N {
-			j.releaseMatches()
-			j.matches = matchLists.Get(b.N)
-		}
-		matches := *j.matches
-		for i := 0; i < b.N; i++ {
-			matches[i] = j.build.probe(&j.h, &b, j.lIdx, i)
-			j.pending += len(matches[i])
+		j.keys = bufs[arity+2].Idx(b.N)
+		for i := range j.keys {
+			k := j.build.probe(&j.h, &b, j.lIdx, i)
+			j.keys[i] = int32(k)
+			j.pending += len(j.build.matches(k))
 		}
 		// The upstream batch is held only while its matches are pending:
 		// src.Next is not called again until the last of them is emitted.
@@ -215,27 +199,26 @@ func (j *joinProbeStage) Next() (relation.Batch, error) {
 	}
 	n := min(j.pending, j.batchRows)
 	j.pending -= n
-	nl, arity := len(j.cur.Cols), j.sch.Arity()
-	cols, bufs := j.set.Cols(arity), j.set.Bufs(arity+1)
-	rows, at := bufs[arity].Rows(n), bufs[arity].Idx(n)
+	nl := len(j.cur.Cols)
+	cols := j.set.Cols(arity)
+	at, rows := bufs[arity].Idx(n), bufs[arity+1].Idx(n)
 	for k := 0; k < n; {
-		m := (*j.matches)[j.row]
+		m := j.build.matches(int(j.keys[j.row]))
 		if j.m == len(m) {
 			j.row, j.m = j.row+1, 0
 			continue
 		}
-		take := min(len(m)-j.m, n-k)
-		for _, rr := range m[j.m : j.m+take] {
-			rows[k], at[k] = rr, int32(j.row)
-			k++
+		take := copy(rows[k:], m[j.m:])
+		for end := k + take; k < end; k++ {
+			at[k] = int32(j.row)
 		}
 		j.m += take
 	}
 	for c := range j.cur.Cols {
 		cols[c] = j.cur.Cols[c].Gather(&bufs[c], at)
 	}
-	for k, c := range j.rKeep {
-		cols[nl+k] = bufs[nl+k].Transpose(rows, c)
+	for k := range j.build.cols {
+		cols[nl+k] = j.build.cols[k].Gather(&bufs[nl+k], rows)
 	}
 	out := relation.Batch{N: n, Cols: cols}
 	j.tap.add(&out)

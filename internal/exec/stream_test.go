@@ -386,7 +386,11 @@ func TestWhileBuildsInvariantJoinOnce(t *testing.T) {
 			}
 		}
 	}
-	table := allocated(func() { buildJoinTable(edges.Rows, []int{0}, false) })
+	table := allocated(func() {
+		if _, err := buildJoinTable(edges.Reader(0, len(edges.Rows), relation.DefaultBatchRows, false), len(edges.Rows), []int{0}, []int{1}, false); err != nil {
+			t.Fatal(err)
+		}
+	})
 	once, six := allocated(run(1)), allocated(run(6))
 	t.Logf("join table %d bytes; the loop allocates %d bytes over 1 iteration, %d over 6", table, once, six)
 	if six-once >= table/4 {

@@ -29,55 +29,21 @@ type KeyHasher struct {
 	scratch []byte
 }
 
-// Key returns the join or group key of r's projection onto cols: its hash
-// and, for a word key, its cells and tags, or, for a byte key, its bytes (b
-// is nil for a word key). A word key has at most MaxWordCells cells, each a
-// number — an int, a float, or a string that is a number's text — and is a
-// word per cell, the bits AppendKey writes after the cell's tag, with bit i
-// of tags set when cell i is a float's bits. Any other key is a byte key,
-// its AppendKey encoding. Two keys are equal exactly when their AppendKey
-// encodings are: word keys by their words, byte keys by their bytes, and a
-// word key never equals a byte key of as many cells. Equal keys hash alike.
+// KeyAt returns the join or group key of row i of b projected onto cols,
+// taken from the vectors — a typed vector's numbers without building a cell:
+// its hash and, for a word key, its cells and tags, or, for a byte key, its
+// bytes (k is nil for a word key). A word key has at most MaxWordCells cells,
+// each a number — an int, a float, or a string that is a number's text — and
+// is a word per cell, the bits Row.AppendKey writes after the cell's tag,
+// with bit j of tags set when cell j is a float's bits. Any other key is a
+// byte key, its AppendKey encoding. Two keys are equal exactly when their
+// AppendKey encodings are: word keys by their words, byte keys by their
+// bytes, and a word key never equals a byte key of as many cells. Equal keys
+// hash alike.
 //
 // The key is returned as values, not a struct, so it stays in registers.
-// Cells and b alias the hasher's scratch and are only valid until the next
+// Cells and k alias the hasher's scratch and are only valid until the next
 // call; callers that retain them (hash-table inserts) must copy them first.
-func (h *KeyHasher) Key(r Row, cols []int) (hash, tags uint64, cells []uint64, b []byte) {
-	if cap(h.cells) < len(cols) {
-		h.cells = make([]uint64, len(cols))
-	}
-	cells = h.cells[:len(cols)]
-	for i, c := range cols {
-		v := &r[c]
-		tag, bits := keyInt, uint64(v.I)
-		switch v.Kind {
-		case KindInt:
-		case KindFloat:
-			tag, bits = floatKey(v.F)
-		default:
-			tag, bits = keyCell(v)
-		}
-		if tag == keyString || i == MaxWordCells {
-			hash, b = h.HashKey(r, cols)
-			return hash, 0, nil, b
-		}
-		cells[i] = bits
-		tags |= uint64(tag) << i
-	}
-	return hashWords(cells, tags), tags, cells, nil
-}
-
-// HashKey returns the hash of r's projection onto cols plus its AppendKey
-// encoding — a byte key's hash. The returned slice aliases the hasher's
-// scratch buffer and is only valid until the next HashKey or Key call.
-func (h *KeyHasher) HashKey(r Row, cols []int) (uint64, []byte) {
-	h.scratch = r.AppendKey(h.scratch[:0], cols)
-	return maphash.Bytes(keySeed, h.scratch), h.scratch
-}
-
-// KeyAt is Key for row i of b: the same hash, tags and cells, or bytes, that
-// Key gives the row's cells, taken from the vectors — a typed vector's
-// numbers without building a cell.
 func (h *KeyHasher) KeyAt(b *Batch, cols []int, i int) (hash, tags uint64, cells []uint64, k []byte) {
 	if cap(h.cells) < len(cols) {
 		h.cells = make([]uint64, len(cols))

@@ -514,7 +514,7 @@ const (
 // -0 are two; every NaN is one. Each cell is encoded as the one number that
 // renders like it, if there is one (see keyCell). A key is compared and
 // hashed (see KeyHasher), never printed; a key of numbers is compared as the
-// words after its tags (KeyHasher.Key).
+// words after its tags (KeyHasher.KeyAt).
 func (r Row) AppendKey(dst []byte, cols []int) []byte {
 	for _, c := range cols {
 		dst = appendKeyCell(dst, &r[c])

@@ -281,18 +281,25 @@ func (s *VecSet) Cols(n int) []Vec { return take(&s.store().cols, n) }
 // Bufs returns n buffers: the same ones on every call.
 func (s *VecSet) Bufs(n int) []VecBuf { st := s.store(); return extend(&st.bufs, n, len(st.bufs)) }
 
-// Release hands the store back. Headers and the buffers that hold pointers
-// are cleared first, as far as they were used, so a pooled store keeps no
-// relation's strings or rows alive.
+// Release hands the store back, cleared first.
 func (s *VecSet) Release() {
+	if st := s.s; st != nil {
+		s.Clear()
+		vecStores.Put(st)
+		s.s = nil
+	}
+}
+
+// Clear clears the headers and the buffers that hold pointers, as far as they
+// were used, so a store that is kept or pooled keeps no relation's strings or
+// rows alive. The set keeps its store.
+func (s *VecSet) Clear() {
 	if st := s.s; st != nil {
 		st.cols = wipe(st.cols)
 		for i := range st.bufs {
 			b := &st.bufs[i]
 			b.strs, b.vals, b.rows = wipe(b.strs), wipe(b.vals), wipe(b.rows)
 		}
-		vecStores.Put(st)
-		s.s = nil
 	}
 }
 
@@ -330,6 +337,190 @@ func (v *Vec) Gather(buf *VecBuf, idx []int32) Vec {
 		out[i] = v.Strs[j]
 	}
 	return Vec{Kind: KindString, Strs: out}
+}
+
+// length returns the number of cells v holds.
+func (v *Vec) length() int {
+	switch {
+	case v.Vals != nil:
+		return len(v.Vals)
+	case v.Kind == KindInt:
+		return len(v.Ints)
+	case v.Kind == KindFloat:
+		return len(v.Floats)
+	}
+	return len(v.Strs)
+}
+
+// allOf reports whether src's cells at idx — its first m when idx is nil —
+// are all of kind k.
+func (v *Vec) allOf(k Kind, idx []int32, m int) bool {
+	if v.Vals == nil {
+		return v.Kind == k
+	}
+	for i := range m {
+		if idx != nil {
+			i = int(idx[i])
+		}
+		if v.Vals[i].Kind != k {
+			return false
+		}
+	}
+	return true
+}
+
+// toVals returns v's first n cells as Vals in buf's storage, with room for m.
+func (v *Vec) toVals(buf *VecBuf, n, m int) Vec {
+	out := extend(&buf.vals, m, 0)
+	for i := range n {
+		out[i] = v.Cell(i)
+	}
+	return Vec{Vals: out}
+}
+
+// Extend returns v, a column of n cells in buf's storage, with src's cells
+// at idx appended: a column of one kind — its first cell's, when v was empty
+// — while every cell is of it, else Vals, into which v's cells are copied
+// once. The buffers grow by doubling, so an accumulating column copies each
+// cell a bounded number of times.
+func (v Vec) Extend(buf *VecBuf, n int, src *Vec, idx []int32) Vec {
+	if len(idx) == 0 {
+		return v
+	}
+	m := n + len(idx)
+	if n == 0 {
+		v = Vec{Kind: src.Cell(int(idx[0])).Kind}
+	}
+	if v.Vals == nil && !src.allOf(v.Kind, idx, len(idx)) {
+		v = v.toVals(buf, n, m)
+	}
+	switch {
+	case v.Vals != nil:
+		out := extend(&buf.vals, m, n)
+		for k, i := range idx {
+			out[n+k] = src.Cell(int(i))
+		}
+		return Vec{Vals: out}
+	case v.Kind == KindInt:
+		out, ws := extend(&buf.ints, m, n), extend(&buf.widths, m, n)
+		for k, i := range idx {
+			if src.Vals == nil {
+				out[n+k], ws[n+k] = src.Ints[i], src.Widths[i]
+			} else {
+				out[n+k], ws[n+k] = src.Vals[i].I, src.Vals[i].w
+			}
+		}
+		return Vec{Kind: KindInt, Ints: out, Widths: ws}
+	case v.Kind == KindFloat:
+		out, ws := extend(&buf.floats, m, n), extend(&buf.widths, m, n)
+		for k, i := range idx {
+			if src.Vals == nil {
+				out[n+k], ws[n+k] = src.Floats[i], src.Widths[i]
+			} else {
+				out[n+k], ws[n+k] = src.Vals[i].F, src.Vals[i].w
+			}
+		}
+		return Vec{Kind: KindFloat, Floats: out, Widths: ws}
+	}
+	out := extend(&buf.strs, m, n)
+	for k, i := range idx {
+		if src.Vals == nil {
+			out[n+k] = src.Strs[i]
+		} else {
+			out[n+k] = src.Vals[i].S
+		}
+	}
+	return Vec{Kind: KindString, Strs: out}
+}
+
+// Keep replaces cell into[k] of v, for every k, by src's cell from[k] (cell k
+// when from is nil) where that lies further out — below it for sign -1, above
+// it for +1, as Value.Compare orders them — in buf's storage: a cell of
+// another kind turns v into Vals. This is MIN's and MAX's step.
+func (v *Vec) Keep(buf *VecBuf, src *Vec, from, into []int32, sign int) {
+	typed := v.Vals == nil && src.Vals == nil && v.Kind == src.Kind // a kind it keeps
+	for k, g := range into {
+		i := k
+		if from != nil {
+			i = int(from[k])
+		}
+		var out bool
+		switch {
+		case !typed:
+			out = src.Cell(i).Compare(v.Cell(int(g)))*sign > 0
+		case v.Kind == KindInt:
+			out = sign < 0 && src.Ints[i] < v.Ints[g] || sign > 0 && src.Ints[i] > v.Ints[g]
+		case v.Kind == KindFloat:
+			out = sign < 0 && src.Floats[i] < v.Floats[g] || sign > 0 && src.Floats[i] > v.Floats[g]
+		default:
+			out = sign < 0 && src.Strs[i] < v.Strs[g] || sign > 0 && src.Strs[i] > v.Strs[g]
+		}
+		if out {
+			v.set(buf, int(g), src.Cell(i))
+		}
+	}
+}
+
+// set writes c into cell i of v, turning v into Vals in buf's storage if c is
+// of another kind.
+func (v *Vec) set(buf *VecBuf, i int, c Value) {
+	switch {
+	case v.Vals == nil && c.Kind != v.Kind:
+		n := v.length()
+		*v = v.toVals(buf, n, n)
+		fallthrough
+	case v.Vals != nil:
+		v.Vals[i] = c
+	case c.Kind == KindInt:
+		v.Ints[i], v.Widths[i] = c.I, c.w
+	case c.Kind == KindFloat:
+		v.Floats[i], v.Widths[i] = c.F, c.w
+	default:
+		v.Strs[i] = c.S
+	}
+}
+
+// Fill copies src's first m cells into cells [at, at+m) of v, a column of n
+// cells allocated exactly, of src's kind, by the fill at 0; a later src of
+// another kind turns v into Vals, the cells filled so far copied.
+func (v *Vec) Fill(n, at int, src *Vec, m int) {
+	if at == 0 {
+		switch {
+		case !src.allOf(src.Cell(0).Kind, nil, m):
+			*v = Vec{Vals: make([]Value, n)}
+		case src.Cell(0).Kind == KindInt:
+			*v = Vec{Kind: KindInt, Ints: make([]int64, n), Widths: make([]uint8, n)}
+		case src.Cell(0).Kind == KindFloat:
+			*v = Vec{Kind: KindFloat, Floats: make([]float64, n), Widths: make([]uint8, n)}
+		default:
+			*v = Vec{Kind: KindString, Strs: make([]string, n)}
+		}
+	}
+	if v.Vals == nil && !src.allOf(v.Kind, nil, m) {
+		vals := make([]Value, n)
+		for i := range at {
+			vals[i] = v.Cell(i)
+		}
+		*v = Vec{Vals: vals}
+	}
+	switch {
+	case v.Vals != nil:
+		for i := range m {
+			v.Vals[at+i] = src.Cell(i)
+		}
+	case src.Vals != nil: // of v's kind throughout
+		for i := range m {
+			v.set(nil, at+i, src.Vals[i])
+		}
+	case v.Kind == KindInt:
+		copy(v.Ints[at:], src.Ints[:m])
+		copy(v.Widths[at:], src.Widths[:m])
+	case v.Kind == KindFloat:
+		copy(v.Floats[at:], src.Floats[:m])
+		copy(v.Widths[at:], src.Widths[:m])
+	default:
+		copy(v.Strs[at:], src.Strs[:m])
+	}
 }
 
 // Transpose returns column c of rows as a vector in buf's storage: typed when
